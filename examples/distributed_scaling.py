@@ -15,9 +15,7 @@ rank-sharded submatrix pipeline through the unified session API
 * compare simulated strong scaling of the submatrix method (80 -> 320 ranks)
   at fixed system size,
 * compare the weak-scaling behaviour of the submatrix method against the
-  Newton-Schulz baseline when system size and rank count grow together,
-* run the arrival-driven overlapped exchange and report, per rank count,
-  how much of the modeled initialization exchange hides behind compute.
+  Newton-Schulz baseline when system size and rank count grow together.
 
 Run with:  python examples/distributed_scaling.py
 """
@@ -26,14 +24,10 @@ import numpy as np
 
 from repro.analysis import parallel_efficiency
 from repro.api import EngineConfig, SubmatrixContext
-from repro.api.density import prepare_step
 from repro.chem import build_block_pattern, orthogonalized_ks, water_box
 from repro.chem.hamiltonian import build_matrices
 from repro.core import newton_schulz_cost, submatrix_method_cost
-from repro.core.runner import (
-    DistributedSubmatrixPipeline,
-    estimate_newton_schulz_iterations,
-)
+from repro.core.runner import estimate_newton_schulz_iterations
 from repro.dbcsr import CooBlockList
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_dense
 from repro.parallel import MachineModel
@@ -135,41 +129,6 @@ def sharded_execution_check() -> None:
     )
 
 
-def overlapped_exchange() -> None:
-    """Arrival-driven execution hides the exchange behind early buckets.
-
-    The synchronous pipeline gathers a rank's full packed buffer before the
-    first eigendecomposition; with ``overlap=True`` each bucket starts the
-    moment its segment chunks land, so the modeled exchange time of the
-    later buckets disappears behind the compute of the earlier ones.  The
-    filter is chosen strong enough that the pattern is genuinely sparse —
-    with near-dense submatrices every segment gates the first bucket and
-    there is nothing to hide.
-    """
-    system = water_box(2)
-    pair = build_matrices(system)
-    prepared = prepare_step(pair.K, pair.S, pair.blocks, 2e-3)
-    print(
-        f"overlapped initialization exchange ({system.n_molecules} molecules, "
-        f"{int(sum(prepared.block_sizes))} basis functions):"
-    )
-    for ranks in (2, 4, 8):
-        pipeline = DistributedSubmatrixPipeline(
-            prepared.coo, list(prepared.block_sizes), ranks
-        )
-        result = pipeline.run(
-            prepared.block_k, batch_function=lambda stack: stack, overlap=True
-        )
-        overlap = result.overlap
-        print(
-            f"  {ranks:>2d} ranks: exchange {overlap.max_exchange_seconds:7.4f} s, "
-            f"compute {overlap.max_compute_seconds:7.4f} s -> "
-            f"{overlap.exchange_hidden_fraction:5.1%} of the exchange hidden "
-            f"({overlap.overlap_seconds:.4f} s)"
-        )
-    print()
-
-
 def strong_scaling(machine: MachineModel) -> None:
     system = water_box(3)
     pattern, blocks = build_block_pattern(system, eps_filter=EPS_FILTER)
@@ -220,7 +179,6 @@ def main() -> None:
     print(f"machine model: {machine.name}\n")
     segment_transfer_planning()
     sharded_execution_check()
-    overlapped_exchange()
     strong_scaling(machine)
     weak_scaling(machine)
 

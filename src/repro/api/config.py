@@ -29,7 +29,6 @@ __all__ = [
     "ENGINES",
     "BACKENDS",
     "BALANCE_STRATEGIES",
-    "PREFETCH_BACKENDS",
     "PRECISION_POLICY_MODES",
     "EIGENSOLVE_FLOP_CONSTANT",
 ]
@@ -42,15 +41,6 @@ BACKENDS = ("serial", "thread", "process")
 
 #: Submatrix→rank assignment strategies of the distributed pipeline.
 BALANCE_STRATEGIES = ("chunks", "stacks", "round_robin")
-
-#: Where ``overlap=True`` trajectory drivers run the next step's
-#: ``prepare_step`` work: ``"process"`` ships it to a single-worker process
-#: pool (the numpy-heavy preparation then overlaps the current step's
-#: evaluation without contending for the GIL), ``"thread"`` keeps it on the
-#: prefetch thread (the PR-7 behaviour, useful when step matrices are not
-#: picklable — the process path also falls back to inline execution in that
-#: case, see :func:`repro.parallel.executor.submit_with_inline_fallback`).
-PREFETCH_BACKENDS = ("process", "thread")
 
 #: Precision modes of :class:`PrecisionPolicy`.  ``"fp64"`` is the exact
 #: pre-seam path; ``"fp32"``/``"fp16"`` force the paper's FP32 and FP16'
@@ -340,19 +330,6 @@ class EngineConfig:
     flop_constant:
         Cost of one per-submatrix solve as a multiple of n³ (used by load
         balancing and the machine model).
-    overlap:
-        Execute distributed density calculations arrival-driven through
-        the :class:`~repro.core.overlap.OverlappedExchange` engine —
-        every rank starts evaluating a bucket the moment its segments
-        land instead of after the full initialization exchange.  Results
-        are bitwise identical; the modeled hidden-exchange accounting
-        lands on the result/trajectory statistics.
-    prefetch_backend:
-        Executor of the ``overlap=True`` trajectory step prefetch:
-        ``"process"`` (default) prepares step *i+1* in a worker process so
-        the preparation genuinely overlaps step *i*'s evaluation;
-        ``"thread"`` prepares it on the prefetch thread (GIL-contended, the
-        PR-7 behaviour).  Both are bitwise identical to the sync driver.
     resilience:
         The session's :class:`ResiliencePolicy` (rank retry/rebalance,
         kernel degradation, graceful fallback to the batched engine).  The
@@ -383,8 +360,6 @@ class EngineConfig:
     plan_cache_size: int = 64
     exact_transfers: bool = True
     flop_constant: float = EIGENSOLVE_FLOP_CONSTANT
-    overlap: bool = False
-    prefetch_backend: str = "process"
     resilience: ResiliencePolicy = dataclasses.field(
         default_factory=ResiliencePolicy
     )
@@ -429,11 +404,6 @@ class EngineConfig:
             raise ValueError("plan_cache_size must be at least 1")
         if self.flop_constant <= 0:
             raise ValueError("flop_constant must be positive")
-        if self.prefetch_backend not in PREFETCH_BACKENDS:
-            raise ValueError(
-                f"prefetch_backend must be one of {PREFETCH_BACKENDS}, "
-                f"got {self.prefetch_backend!r}"
-            )
         if not isinstance(self.resilience, ResiliencePolicy):
             raise ValueError("resilience must be a ResiliencePolicy")
         self.resilience.validate()

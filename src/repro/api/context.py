@@ -817,7 +817,6 @@ class SubmatrixContext:
         observables=None,
         observable_params=None,
         on_step=None,
-        prefetch: Optional[bool] = None,
     ):
         """Density matrices along an SCF/MD trajectory through this session.
 
@@ -837,10 +836,8 @@ class SubmatrixContext:
         run (see :class:`~repro.api.checkpoint.TrajectoryCheckpoint`).
         ``observables=`` requests additional observables per step (each step
         then yields an :class:`~repro.api.results.ObservableBundle` sharing
-        one decomposition pass), ``on_step`` is a per-completed-step callback
-        ``on_step(index, result)`` (the SCF driver's feedback hook) and
-        ``prefetch=False`` disables the overlap engine's step prefetch for
-        step sequences where step ``i+1`` depends on step ``i``'s result.
+        one decomposition pass) and ``on_step`` is a per-completed-step callback
+        ``on_step(index, result)`` (the SCF driver's feedback hook).
         Returns a :class:`~repro.api.trajectory.TrajectoryResult` with the
         per-step results and a :class:`~repro.api.trajectory.TrajectoryStats`
         reuse record.  See :func:`repro.api.trajectory.run_trajectory`.
@@ -867,7 +864,6 @@ class SubmatrixContext:
             observables=observables,
             observable_params=observable_params,
             on_step=on_step,
-            prefetch=prefetch,
         )
 
     # ------------------------------------------------------------------ #

@@ -24,8 +24,8 @@ Since the observable-generic refactor, the execution skeleton lives in
 :class:`~repro.api.observables.Observable`.  :func:`compute_density` is the
 historical entry point — a thin wrapper requesting the ``density``
 observable alone, bitwise identical to the pre-refactor implementation on
-every path (batched, sharded ranks, overlap, trajectory+checkpoint,
-served).  The shared helpers (``prepare_step``, ``assemble_result``, the
+every path (batched, sharded ranks, trajectory+checkpoint, served).  The
+shared helpers (``prepare_step``, ``assemble_result``, the
 decomposition/bisection/scatter internals the serving layer's batcher
 reuses) are re-exported here so existing imports keep working.
 """
@@ -70,7 +70,6 @@ def compute_density(
     distribution=None,
     replan: str = "full",
     mu_bracket: Optional[Tuple[float, float]] = None,
-    prepared: Optional[PreparedStep] = None,
 ) -> SubmatrixDFTResult:
     """Compute the density matrix for a given K, S and ensemble.
 
@@ -91,11 +90,7 @@ def compute_density(
     bisection's iterate sequence, so the resulting μ is not bitwise
     reproducible against a cold start — both converge the electron count
     to within ``mu_tolerance``, but at T = 0 the μ values may settle at
-    different points of a degenerate gap plateau.  ``prepared``
-    optionally supplies a :class:`PreparedStep` computed ahead of time
-    (the trajectory driver's prefetch); it is used only when its filter
-    threshold and block sizes match the session's, so a stale prefetch
-    silently falls back to in-place preparation.
+    different points of a degenerate gap plateau.
 
     This wrapper requests the ``density`` observable alone through
     :func:`repro.api.observables.compute_observables`; multi-observable
@@ -118,6 +113,5 @@ def compute_density(
         distribution=distribution,
         replan=replan,
         mu_bracket=mu_bracket,
-        prepared=prepared,
     )
     return bundle.results["density"]

@@ -71,7 +71,7 @@ from repro.chem.density import (
     electron_count,
     fermi_occupation,
 )
-from repro.core.batch import MAX_BATCH_ELEMENTS, make_stack_tasks
+from repro.core.batch import make_stack_tasks, map_stacks, stack_solver
 from repro.core.combination import ColumnGrouping, single_column_groups
 from repro.core.load_balance import resolve_bucket_pad
 from repro.core.plan import BlockSubmatrixPlan
@@ -82,7 +82,6 @@ from repro.core.submatrix import (
 )
 from repro.chem.orthogonalize import orthogonalized_ks
 from repro.core.runner import PipelineExecutionError, ResilienceReport
-from repro.parallel.machine import PAPER_MACHINE
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_csr
 from repro.dbcsr.coo import CooBlockList
@@ -104,7 +103,7 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------- #
-# step preparation (pure, prefetchable)
+# step preparation (pure)
 # --------------------------------------------------------------------------- #
 @dataclasses.dataclass
 class PreparedStep:
@@ -112,25 +111,15 @@ class PreparedStep:
 
     Everything here is a pure function of ``(K, S, block_sizes,
     eps_filter)`` — orthogonalization, block conversion, the COO pattern
-    and its fingerprint — so it can be computed ahead of time on another
-    thread (the trajectory driver's step prefetch) without touching the
-    session's plan cache or pipelines.  :func:`compute_observables` accepts
-    it via ``prepared=`` and skips the preparation work after verifying the
-    filter threshold and block sizes still match.
+    and its fingerprint — and touches neither the session's plan cache nor
+    its pipelines.  :func:`compute_observables` starts from it, and the
+    serving layer's batcher prepares each distinct request content once.
     """
 
     k_ortho: sp.csr_matrix
     s_inv_sqrt: np.ndarray
     block_k: BlockSparseMatrix
     coo: CooBlockList
-    eps_filter: float
-    block_sizes: Tuple[int, ...]
-
-    def matches(self, blocks, eps_filter: float) -> bool:
-        return (
-            float(self.eps_filter) == float(eps_filter)
-            and self.block_sizes == tuple(int(b) for b in blocks.block_sizes)
-        )
 
 
 def prepare_step(K, S, blocks, eps_filter: float) -> PreparedStep:
@@ -139,12 +128,7 @@ def prepare_step(K, S, blocks, eps_filter: float) -> PreparedStep:
     block_k = block_matrix_from_csr(k_ortho, blocks.block_sizes, threshold=0.0)
     coo = CooBlockList.from_block_matrix(block_k)
     return PreparedStep(
-        k_ortho=k_ortho,
-        s_inv_sqrt=s_inv_sqrt,
-        block_k=block_k,
-        coo=coo,
-        eps_filter=float(eps_filter),
-        block_sizes=tuple(int(b) for b in blocks.block_sizes),
+        k_ortho=k_ortho, s_inv_sqrt=s_inv_sqrt, block_k=block_k, coo=coo
     )
 
 
@@ -304,17 +288,16 @@ def compute_observables(
     distribution=None,
     replan: str = "full",
     mu_bracket: Optional[Tuple[float, float]] = None,
-    prepared: Optional[PreparedStep] = None,
     observable_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> ObservableBundle:
     """Evaluate one or more observables from a single decomposition pass.
 
-    The observable-generic skeleton: prepare (or accept a prefetched
-    :class:`PreparedStep`), look up/patch the extraction plan, run exactly
-    one eigendecomposition pass over the bucketed submatrix stacks (batched
-    single-process or rank-sharded, optionally overlapped), bisect μ once
-    for canonical ensembles, then assemble every requested observable from
-    the same cached :class:`~repro.api.results.DecomposedSubmatrix` entries.
+    The observable-generic skeleton: prepare (:func:`prepare_step`), look
+    up/patch the extraction plan, run exactly one eigendecomposition pass
+    over the bucketed submatrix stacks (batched single-process or
+    rank-sharded), bisect μ once for canonical ensembles, then assemble
+    every requested observable from the same cached
+    :class:`~repro.api.results.DecomposedSubmatrix` entries.
 
     Exactly one of ``mu`` (grand-canonical) and ``n_electrons`` (canonical)
     must be provided.  ``observables`` names registered
@@ -384,19 +367,8 @@ def compute_observables(
             "(engine='plan' or 'batched')"
         )
 
-    if prepared is not None and prepared.matches(blocks, config.eps_filter):
-        # the trajectory driver prepared this step's pure pieces on a
-        # background thread while the previous step was still computing
-        k_ortho, s_inv_sqrt = prepared.k_ortho, prepared.s_inv_sqrt
-        block_k, coo = prepared.block_k, prepared.coo
-    else:
-        k_ortho, s_inv_sqrt = orthogonalized_ks(
-            K, S, eps_filter=config.eps_filter
-        )
-        block_k = block_matrix_from_csr(
-            k_ortho, blocks.block_sizes, threshold=0.0
-        )
-        coo = CooBlockList.from_block_matrix(block_k)
+    prepared = prepare_step(K, S, blocks, config.eps_filter)
+    s_inv_sqrt, block_k, coo = prepared.s_inv_sqrt, prepared.block_k, prepared.coo
     grouping = grouping or single_column_groups(block_k.n_block_cols)
     grouping.validate(block_k.n_block_cols)
 
@@ -515,7 +487,7 @@ def _count_stack_decompositions(
 ) -> int:
     """Logical eigendecomposition passes of this evaluation, one per stack.
 
-    Deterministic bookkeeping (independent of retries/overlap): the naive
+    Deterministic bookkeeping (independent of retries): the naive
     engine decomposes one submatrix at a time, the planned engine one
     equal-dimension bucket at a time, the sharded pipeline one bucket per
     shard — the number the shared-decomposition tests pin to be invariant
@@ -807,8 +779,8 @@ def assemble_result(
     The tail shared by the ``density`` observable and the serving layer's
     cross-request batcher (:mod:`repro.serve.batcher`): convert the packed
     occupation blocks to CSR, back-transform to the AO basis, evaluate the
-    band-structure energy and electron count, and collect the transfer /
-    overlap accounting of an optional sharded ``pipeline``.  Using one tail
+    band-structure energy and electron count, and collect the transfer
+    accounting of an optional sharded ``pipeline``.  Using one tail
     for both callers is part of the served-equals-direct bitwise contract.
     """
     density_ortho = block_matrix_to_csr(occupation_block)
@@ -818,18 +790,11 @@ def assemble_result(
     n_elec = electron_count(density_ortho, config.spin_degeneracy)
     segment_fetch_bytes = None
     block_fetch_bytes = None
-    overlap_seconds = 0.0
-    exchange_hidden_fraction = None
     if pipeline is not None:
         transfer = pipeline.transfer_plan
         block_fetch_bytes = float(transfer.total_fetch_bytes)
         if transfer.has_segments:
             segment_fetch_bytes = float(transfer.total_segment_fetch_bytes)
-        if pipeline.last_overlap is not None:
-            overlap_seconds = float(pipeline.last_overlap.overlap_seconds)
-            exchange_hidden_fraction = float(
-                pipeline.last_overlap.exchange_hidden_fraction
-            )
     return SubmatrixDFTResult(
         density_ao=density_ao,
         density_ortho=density_ortho,
@@ -848,8 +813,6 @@ def assemble_result(
         reassigned_stacks=report.reassigned_stacks if report is not None else 0,
         kernel_fallbacks=report.kernel_fallbacks if report is not None else 0,
         degraded=report.degraded if report is not None else False,
-        overlap_seconds=overlap_seconds,
-        exchange_hidden_fraction=exchange_hidden_fraction,
         stacks_reduced=(
             precision_report.stacks_reduced if precision_report is not None else 0
         ),
@@ -899,6 +862,35 @@ def _decompose_naive(
     return context._map(decompose, list(grouping.groups)), None
 
 
+def _decompose_stacks(
+    plan: BlockSubmatrixPlan,
+    view,
+    buffer,
+    tasks,
+    entries: List[Optional[DecomposedSubmatrix]],
+    group_indices=None,
+    mapper=None,
+) -> None:
+    """Eigendecompose the bucketed stacks of ``(view, buffer)`` into ``entries``.
+
+    One ``eigh`` call per stack through the shared bucket loop
+    (:func:`~repro.core.batch.map_stacks`); every cache entry lands at its
+    global group index.  ``group_indices`` maps the view's member order
+    onto ``plan``'s group order (``None``: the view *is* the plan).
+    """
+    spectra = map_stacks(view, buffer, tasks, np.linalg.eigh, mapper=mapper)
+    for task, (eigenvalues, eigenvectors) in zip(tasks, spectra):
+        for slot, member in enumerate(task.members):
+            group_index = int(
+                member if group_indices is None else group_indices[member]
+            )
+            entries[group_index] = _make_entry(
+                plan.groups[group_index].make_submatrix(),
+                eigenvalues[slot],
+                eigenvectors[slot],
+            )
+
+
 def _decompose_planned(
     context,
     block_k: BlockSparseMatrix,
@@ -915,30 +907,18 @@ def _decompose_planned(
     μ-bisection, and a padded block-diagonal embedding has a different
     spectrum bookkeeping.
     """
-    groups = list(grouping.groups)
     plan = context.block_plan_for(
-        coo, block_k.row_block_sizes, groups, replan=replan
+        coo, block_k.row_block_sizes, list(grouping.groups), replan=replan
     )
-    packed = plan.pack(block_k)
-    buckets = make_stack_tasks(plan.dimensions)
-
-    def decompose_bucket(bucket):
-        stack = plan.extract_stack(packed, bucket.members, bucket.dimension)
-        eigenvalues, eigenvectors = np.linalg.eigh(stack)
-        return [
-            _make_entry(
-                plan.groups[group_index].make_submatrix(),
-                eigenvalues[slot],
-                eigenvectors[slot],
-            )
-            for slot, group_index in enumerate(bucket.members)
-        ]
-
-    per_bucket = context._map(decompose_bucket, buckets)
-    entries: List[Optional[DecomposedSubmatrix]] = [None] * len(groups)
-    for bucket, bucket_entries in zip(buckets, per_bucket):
-        for group_index, entry in zip(bucket.members, bucket_entries):
-            entries[group_index] = entry
+    entries: List[Optional[DecomposedSubmatrix]] = [None] * plan.n_groups
+    _decompose_stacks(
+        plan,
+        plan,
+        plan.pack(block_k),
+        make_stack_tasks(plan.dimensions),
+        entries,
+        mapper=context._map,
+    )
     return entries, plan  # type: ignore[return-value]
 
 
@@ -951,10 +931,11 @@ def _decompose_sharded(
     fixes the submatrix→rank assignment (``config.balance``), the sharded
     extraction plan and the packed-segment transfer plan; each rank then
     gathers its local buffer and eigendecomposes its shard bucket by bucket
-    — the same per-rank execution :meth:`run` uses, with the decomposition
-    kept instead of an evaluated matrix function.  Entries are reassembled
-    in global group order, so the subsequent μ-bisection and scatter are
-    bitwise identical to the single-process path.
+    — the same per-rank execution :meth:`run_stacks` uses, with the
+    decomposition kept instead of an evaluated matrix function.  Entries
+    land at their global group index (disjoint across ranks), so the
+    subsequent μ-bisection and scatter are bitwise identical to the
+    single-process path.
 
     With an active ``policy`` the rank tasks run through
     :meth:`~repro.core.runner.DistributedSubmatrixPipeline.execute_ranks`
@@ -963,60 +944,26 @@ def _decompose_sharded(
     cache entries); a persistent failure raises
     :class:`~repro.core.runner.PipelineExecutionError` for
     :func:`compute_observables`'s degradation logic.
-
-    With ``config.overlap`` the rank closures run arrival-driven through
-    an :class:`~repro.core.overlap.OverlappedExchange` engine — each
-    bucket is eigendecomposed the moment its segment chunks land instead
-    of after the rank's full gather — and the modeled hidden-exchange
-    accounting is published on ``pipeline.last_overlap``.  The per-bucket
-    arithmetic (extract → ``eigh`` → collect) is unchanged, so the cache
-    is bitwise identical either way.
     """
     plan, sharded = pipeline.prepare()
     packed = plan.pack(block_k)
-    pipeline.last_overlap = None
-    engine = None
-    overlap_reports: List[Optional[object]] = [None] * pipeline.n_ranks
-    if context.config.overlap:
-        engine = pipeline.overlap_engine(
-            PAPER_MACHINE,
-            pad_to=None,
-            max_batch_elements=MAX_BATCH_ELEMENTS,
-            fault_injector=policy.fault_injector if policy is not None else None,
-        )
+    entries: List[Optional[DecomposedSubmatrix]] = [None] * plan.n_groups
 
-    def decompose_rank(rank: int) -> List[Tuple[int, DecomposedSubmatrix]]:
+    def decompose_rank(rank: int) -> None:
         shard = sharded.shards[rank]
         if shard.n_groups == 0:
-            return []
-        entries: List[Tuple[int, DecomposedSubmatrix]] = []
-
-        def collect(bucket, stack):
-            eigenvalues, eigenvectors = np.linalg.eigh(stack)
-            for slot, local_index in enumerate(bucket.members):
-                group_index = int(shard.group_indices[local_index])
-                entries.append(
-                    (
-                        group_index,
-                        _make_entry(
-                            plan.groups[group_index].make_submatrix(),
-                            eigenvalues[slot],
-                            eigenvectors[slot],
-                        ),
-                    )
-                )
-
-        if engine is not None:
-            overlap_reports[rank] = engine.run_rank(rank, packed, collect)
-            return entries
-        local = shard.pack_local(packed)
-        for bucket in shard.stack_tasks():
-            stack = shard.view.extract_stack(local, bucket.members, bucket.dimension)
-            collect(bucket, stack)
-        return entries
+            return
+        _decompose_stacks(
+            plan,
+            shard.view,
+            shard.pack_local(packed),
+            shard.stack_tasks(),
+            entries,
+            group_indices=shard.group_indices,
+        )
 
     backend, executor = context._rank_resources()
-    per_rank = pipeline.execute_ranks(
+    pipeline.execute_ranks(
         decompose_rank,
         context.config.max_workers,
         backend,
@@ -1024,12 +971,6 @@ def _decompose_sharded(
         policy=policy,
         report=report,
     )
-    if engine is not None:
-        pipeline.last_overlap = engine.report(overlap_reports)
-    entries: List[Optional[DecomposedSubmatrix]] = [None] * plan.n_groups
-    for rank_entries in per_rank:
-        for group_index, entry in rank_entries:
-            entries[group_index] = entry
     return entries, plan  # type: ignore[return-value]
 
 
@@ -1063,6 +1004,10 @@ def _bisect_mu(
     Warm starts change the iterate sequence and therefore the exact
     floating-point μ; without a bracket the iterates are identical to the
     cold-start search.
+
+    The search ends when ``|ΔN| ≤ tolerance`` or, failing that, when the
+    bracket has shrunk to adjacent floats (billed as one more iteration for
+    the comparison of its two ends).
     """
     all_eigenvalues = np.concatenate([d.eigenvalues for d in decomposed])
     all_weights = np.concatenate([d.weights() for d in decomposed])
@@ -1097,6 +1042,15 @@ def _bisect_mu(
         mu = 0.5 * (lo + hi)
         error = electron_count_at(mu) - n_electrons
         if abs(error) <= tolerance:
+            break
+        if mu <= lo or mu >= hi:
+            # bracket exhausted: the count is a step function at T = 0, so
+            # no μ may meet the tolerance, and every further midpoint is
+            # this same endpoint — settle for the end with the smaller |ΔN|
+            other = hi if mu <= lo else lo
+            iterations += 1
+            if abs(electron_count_at(other) - n_electrons) < abs(error):
+                mu = other
             break
         if error < 0:
             lo = mu
@@ -1177,6 +1131,7 @@ def _occupation_stack_solver(
     its resilience ladder.
     """
     resilient = resilient_stack_solver(kernel, policy, report)
+    plain = stack_solver(bound.function, bound.batch_function)
 
     def solve(stack: np.ndarray) -> np.ndarray:
         identity = np.eye(stack.shape[-1])
@@ -1187,15 +1142,8 @@ def _occupation_stack_solver(
                 return 0.5 * (identity - signs)
         if resilient is not None:
             signs = np.asarray(resilient(shifted), dtype=float)
-        elif bound.batch_function is not None:
-            signs = np.asarray(bound.batch_function(shifted), dtype=float)
         else:
-            signs = np.stack(
-                [
-                    np.asarray(bound.function(shifted[slot]), dtype=float)
-                    for slot in range(shifted.shape[0])
-                ]
-            )
+            signs = plain(shifted)
         if signs.shape != shifted.shape:
             raise ValueError(
                 f"sign kernel {kernel.name!r} returned shape {signs.shape}, "
@@ -1292,14 +1240,12 @@ def _iterative_occupations(
             executor=executor,
             policy=policy,
             report=report,
-            overlap=config.overlap,
         )
         return plan.finalize(out), list(plan.dimensions)
 
     plan = context.block_plan_for(
         coo, block_k.row_block_sizes, groups, replan=replan
     )
-    packed = plan.pack(block_k)
     dimensions = plan.dimensions
     pad = resolve_bucket_pad(config.bucket_pad, dimensions)
     if pad is not None and not kernel.matrix_function:
@@ -1307,16 +1253,14 @@ def _iterative_occupations(
             f"kernel {kernel.name!r} is not a genuine matrix function; "
             "bucket padding requires exact-dimension buckets (bucket_pad=None)"
         )
-    buckets = make_stack_tasks(dimensions, pad_to=pad)
-
-    def solve_bucket(bucket):
-        stack = plan.extract_stack(
-            packed, bucket.members, bucket.dimension, pad_value=pad_value
-        )
-        return solve_stack(stack)
-
-    per_bucket = context._map(solve_bucket, buckets)
     out = plan.new_output()
-    for bucket, occupations in zip(buckets, per_bucket):
-        plan.scatter_stack(out, bucket.members, occupations, bucket.dimension)
+    map_stacks(
+        plan,
+        plan.pack(block_k),
+        make_stack_tasks(dimensions, pad_to=pad),
+        solve_stack,
+        out=out,
+        pad_value=pad_value,
+        mapper=context._map,
+    )
     return plan.finalize(out), list(dimensions)

@@ -121,13 +121,6 @@ class SubmatrixDFTResult:
         Whether the computation fell back to the single-process batched
         engine after exhausting the rank retries (the result is still
         bitwise identical to a fault-free run).
-    overlap_seconds:
-        Modeled exchange time hidden behind compute by the arrival-driven
-        engine (0.0 for synchronous or single-process runs; see
-        ``EngineConfig.overlap``).
-    exchange_hidden_fraction:
-        Fraction of the modeled initialization exchange that the overlap
-        hid (``None`` when the run did not execute arrival-driven).
     stacks_reduced:
         Bucketed stacks whose iterative sign solve ran in a reduced
         precision mode under the session's
@@ -158,8 +151,6 @@ class SubmatrixDFTResult:
     reassigned_stacks: int = 0
     kernel_fallbacks: int = 0
     degraded: bool = False
-    overlap_seconds: float = 0.0
-    exchange_hidden_fraction: Optional[float] = None
     stacks_reduced: int = 0
     refinement_passes: int = 0
     precision_error_bound: Optional[float] = None

@@ -8,8 +8,8 @@ with the classic linear density-mixing iteration,
     D_in(i+1) = (1 − α) · D_in(i) + α · D_out(i),
 
 on top of :meth:`SubmatrixContext.trajectory`: every SCF iteration is one
-trajectory step (``prefetch=False`` keeps the overlap engine from pulling
-step i+1 before step i's density exists), so the fixed point search
+trajectory step (the driver pulls step i+1 from the callback only after
+step i's ``on_step`` has mixed its density), so the fixed point search
 inherits the whole session machinery for free — plan/pipeline reuse
 across iterations (the sparsity pattern is stable or drifts slowly),
 warm-started μ-bisection seeded from the previous iteration's μ, rank
@@ -188,10 +188,6 @@ def run_scf(
         replan=replan,
         checkpoint=checkpoint,
         on_step=on_step,
-        # SCF is inherently sequential: step i+1's K does not exist until
-        # step i's density has been mixed, so the overlap engine's step
-        # prefetch must stay off
-        prefetch=False,
         **trajectory_kwargs,
     )
     return SCFResult(

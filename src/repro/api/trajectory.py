@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -67,7 +66,6 @@ import numpy as np
 from repro.api.checkpoint import TrajectoryCheckpoint
 from repro.api.results import SubmatrixDFTResult
 from repro.core.combination import ColumnGrouping
-from repro.parallel.executor import submit_with_inline_fallback
 
 __all__ = [
     "TrajectoryStepRecord",
@@ -135,14 +133,6 @@ class TrajectoryStepRecord:
     resumed:
         Whether the step was loaded from the trajectory checkpoint instead
         of recomputed (``wall_time`` is then the load time).
-    overlap_seconds / exchange_hidden_fraction:
-        The step's modeled hidden-exchange accounting when the session
-        runs arrival-driven (``EngineConfig.overlap``; see
-        :class:`~repro.api.results.SubmatrixDFTResult`).
-    prefetched:
-        Whether this step's pure preparation (orthogonalization, block
-        conversion, pattern extraction) was computed on the prefetch
-        thread while the previous step was still evaluating.
     stacks_reduced / refinement_passes / precision_error_bound:
         Mixed-precision accounting of the step's density calculation
         (see :class:`~repro.api.results.SubmatrixDFTResult`; all 0/None
@@ -169,9 +159,6 @@ class TrajectoryStepRecord:
     reassigned_stacks: int = 0
     kernel_fallbacks: int = 0
     resumed: bool = False
-    overlap_seconds: float = 0.0
-    exchange_hidden_fraction: Optional[float] = None
-    prefetched: bool = False
     stacks_reduced: int = 0
     refinement_passes: int = 0
     precision_error_bound: Optional[float] = None
@@ -213,13 +200,6 @@ class TrajectoryStats:
         from failures; see :class:`~repro.api.results.SubmatrixDFTResult`).
     steps_resumed:
         Steps loaded from the trajectory checkpoint instead of recomputed.
-    overlap_seconds:
-        Total modeled exchange time the arrival-driven engine hid behind
-        compute across all steps (0.0 for synchronous sessions; see
-        ``EngineConfig.overlap``).
-    steps_prefetched:
-        Steps whose pure preparation ran on the prefetch thread while the
-        previous step was still evaluating.
     stacks_reduced / refinement_passes:
         Totals of the per-step mixed-precision counters (0 for the
         default FP64 :class:`~repro.api.config.PrecisionPolicy`).
@@ -243,8 +223,6 @@ class TrajectoryStats:
     reassigned_stacks: int = 0
     kernel_fallbacks: int = 0
     steps_resumed: int = 0
-    overlap_seconds: float = 0.0
-    steps_prefetched: int = 0
     stacks_reduced: int = 0
     refinement_passes: int = 0
 
@@ -258,17 +236,6 @@ class TrajectoryStats:
             if r.precision_error_bound is not None
         ]
         return max(bounds) if bounds else None
-
-    @property
-    def exchange_hidden_fraction(self) -> float:
-        """Mean per-step hidden-exchange fraction of the arrival-driven
-        steps (0.0 when no step ran overlapped)."""
-        fractions = [
-            r.exchange_hidden_fraction
-            for r in self.steps
-            if r.exchange_hidden_fraction is not None
-        ]
-        return float(np.mean(fractions)) if fractions else 0.0
 
     @property
     def reuse_rate(self) -> float:
@@ -402,7 +369,6 @@ def run_trajectory(
     observables=None,
     observable_params=None,
     on_step=None,
-    prefetch: Optional[bool] = None,
 ) -> TrajectoryResult:
     """Drive a sequence of geometry steps through one session.
 
@@ -491,14 +457,9 @@ def run_trajectory(
         Optional callback ``on_step(index, result)`` invoked after every
         completed step, resumed steps included — the feedback hook of the
         SCF driver (:func:`repro.api.scf.run_scf`).  Exceptions propagate
-        and abort the trajectory.
-    prefetch:
-        ``None`` (default) prefetches step preparation whenever the
-        session runs overlapped (``EngineConfig.overlap``); ``False``
-        forces synchronous stepping even then.  Sequential drivers whose
-        step ``i+1`` depends on step ``i``'s result (SCF density mixing)
-        need ``prefetch=False``: the overlap engine would otherwise pull
-        step ``i+1`` from the callback before step ``i`` has completed.
+        and abort the trajectory.  Step ``i+1`` is pulled from ``steps``
+        only after step ``i``'s callback has returned, so a callback may
+        produce the next step's input.
 
     Returns
     -------
@@ -507,7 +468,7 @@ def run_trajectory(
         :meth:`SubmatrixContext.density` calls unless ``warm_start_mu``
         is enabled) and the reuse statistics.
     """
-    from repro.api.density import compute_density, prepare_step
+    from repro.api.density import compute_density
     from repro.api.observables import compute_observables, normalize_observables
 
     context._check_open()
@@ -562,181 +523,119 @@ def run_trajectory(
     executors_at_start = session_before["executors_created"]
     cache_before = dict(context.plan_cache.stats)
 
-    step_iter = _iterate_steps(steps, n_steps)
-    prefetch_pool: Optional[ThreadPoolExecutor] = None
-    prepare_pool: Optional[ProcessPoolExecutor] = None
-    use_prefetch = context.config.overlap if prefetch is None else bool(prefetch)
-    if use_prefetch:
-        prefetch_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="trajectory-prefetch"
+    for index, (K, S) in enumerate(_iterate_steps(steps, n_steps)):
+        step_n_electrons = _step_value(n_electrons, index)
+        warm = (
+            warm_start_mu
+            and step_n_electrons is not None
+            and previous_mu is not None
         )
-        if context.config.prefetch_backend == "process":
-            # prepare_step is numpy-heavy, pure and picklable end to end,
-            # so shipping it to a worker process lets it genuinely overlap
-            # the current step's evaluation instead of contending for the
-            # GIL on the prefetch thread (the PR-7 ~0.97× problem)
-            prepare_pool = ProcessPoolExecutor(max_workers=1)
-    end_of_steps = object()
-
-    def _fetch_next():
-        # runs on the prefetch thread: pull the next step and do its pure
-        # preparation (orthogonalize, block-convert, pattern extraction —
-        # no session state is touched).  Exceptions, including a raising
-        # step callback, are captured by the future and re-raised at the
-        # collect point in _drive, which is exactly where the synchronous
-        # drive would have raised them
-        try:
-            pair = next(step_iter)
-        except StopIteration:
-            return end_of_steps
-        K, S = pair
-        if prepare_pool is not None:
-            # block GIL-free on the worker process; unpicklable steps (or
-            # a broken pool) fall back to preparing inline on this thread
-            resolve = submit_with_inline_fallback(
-                prepare_pool, prepare_step, K, S, blocks, context.config.eps_filter
+        resumed = ckpt is not None and ckpt.has_step(index)
+        if resumed:
+            # replay a checkpointed step: the loaded result is
+            # bit-exact, so restoring previous_mu/previous_fingerprint
+            # from it hands the next computed step exactly the state of
+            # an uninterrupted run — warm-started brackets included
+            load_start = time.perf_counter()
+            result = ckpt.load_step(index)
+            step_wall = time.perf_counter() - load_start
+            warm = False
+        else:
+            bracket_half_width = adaptive_half_width(
+                mu_history, mu_tolerance
             )
-            return K, S, resolve()
-        return K, S, prepare_step(K, S, blocks, context.config.eps_filter)
-
-    def _drive():
-        if prefetch_pool is None:
-            for K, S in step_iter:
-                yield K, S, None
-            return
-        pending = prefetch_pool.submit(_fetch_next)
-        while True:
-            item = pending.result()
-            if item is end_of_steps:
-                return
-            # step i+1's preparation overlaps step i's evaluation
-            pending = prefetch_pool.submit(_fetch_next)
-            yield item
-
-    try:
-        for index, (K, S, prepared) in enumerate(_drive()):
-            step_n_electrons = _step_value(n_electrons, index)
-            warm = (
-                warm_start_mu
-                and step_n_electrons is not None
-                and previous_mu is not None
+            bracket = (
+                (
+                    previous_mu - bracket_half_width,
+                    previous_mu + bracket_half_width,
+                )
+                if warm
+                else None
             )
-            resumed = ckpt is not None and ckpt.has_step(index)
-            if resumed:
-                # replay a checkpointed step: the loaded result is
-                # bit-exact, so restoring previous_mu/previous_fingerprint
-                # from it hands the next computed step exactly the state of
-                # an uninterrupted run — warm-started brackets included
-                load_start = time.perf_counter()
-                result = ckpt.load_step(index)
-                step_wall = time.perf_counter() - load_start
-                warm = False
+            if observable_names is None:
+                result = compute_density(
+                    context,
+                    K,
+                    S,
+                    blocks,
+                    mu=_step_value(mu, index),
+                    n_electrons=step_n_electrons,
+                    solver=solver,
+                    grouping=grouping,
+                    mu_tolerance=mu_tolerance,
+                    max_mu_iterations=max_mu_iterations,
+                    ranks=ranks,
+                    distribution=distribution,
+                    replan=replan,
+                    mu_bracket=bracket,
+                )
             else:
-                bracket_half_width = adaptive_half_width(
-                    mu_history, mu_tolerance
+                result = compute_observables(
+                    context,
+                    K,
+                    S,
+                    blocks,
+                    observables=observable_names,
+                    mu=_step_value(mu, index),
+                    n_electrons=step_n_electrons,
+                    solver=solver,
+                    grouping=grouping,
+                    mu_tolerance=mu_tolerance,
+                    max_mu_iterations=max_mu_iterations,
+                    ranks=ranks,
+                    distribution=distribution,
+                    replan=replan,
+                    mu_bracket=bracket,
+                    observable_params=observable_params,
                 )
-                bracket = (
-                    (
-                        previous_mu - bracket_half_width,
-                        previous_mu + bracket_half_width,
-                    )
-                    if warm
-                    else None
-                )
-                if observable_names is None:
-                    result = compute_density(
-                        context,
-                        K,
-                        S,
-                        blocks,
-                        mu=_step_value(mu, index),
-                        n_electrons=step_n_electrons,
-                        solver=solver,
-                        grouping=grouping,
-                        mu_tolerance=mu_tolerance,
-                        max_mu_iterations=max_mu_iterations,
-                        ranks=ranks,
-                        distribution=distribution,
-                        replan=replan,
-                        mu_bracket=bracket,
-                        prepared=prepared,
-                    )
-                else:
-                    result = compute_observables(
-                        context,
-                        K,
-                        S,
-                        blocks,
-                        observables=observable_names,
-                        mu=_step_value(mu, index),
-                        n_electrons=step_n_electrons,
-                        solver=solver,
-                        grouping=grouping,
-                        mu_tolerance=mu_tolerance,
-                        max_mu_iterations=max_mu_iterations,
-                        ranks=ranks,
-                        distribution=distribution,
-                        replan=replan,
-                        mu_bracket=bracket,
-                        prepared=prepared,
-                        observable_params=observable_params,
-                    )
-                step_wall = result.wall_time
-                if ckpt is not None:
-                    ckpt.save_step(index, result)
-            cache_after = dict(context.plan_cache.stats)
-            session_after = context.stats()
-            fingerprint = result.pattern_fingerprint or ""
-            changed = fingerprint != previous_fingerprint
-            if changed and previous_fingerprint is not None:
-                pattern_changes += 1
-            records.append(
-                TrajectoryStepRecord(
-                    step=index,
-                    wall_time=step_wall,
-                    pattern_fingerprint=fingerprint,
-                    pattern_changed=changed,
-                    plans_built=cache_after["misses"] - cache_before["misses"],
-                    plan_cache_hits=cache_after["hits"] - cache_before["hits"],
-                    pipelines_built=session_after["pipelines_built"]
-                    - session_before["pipelines_built"],
-                    mu=result.mu,
-                    n_electrons=result.n_electrons,
-                    mu_iterations=result.mu_iterations,
-                    segment_fetch_bytes=result.segment_fetch_bytes,
-                    block_fetch_bytes=result.block_fetch_bytes,
-                    plans_patched=cache_after["patches"]
-                    - cache_before["patches"],
-                    groups_rebuilt=cache_after["groups_rebuilt"]
-                    - cache_before["groups_rebuilt"],
-                    pipelines_patched=session_after["pipelines_patched"]
-                    - session_before["pipelines_patched"],
-                    warm_started=bool(warm),
-                    retries=result.retries,
-                    reassigned_stacks=result.reassigned_stacks,
-                    kernel_fallbacks=result.kernel_fallbacks,
-                    resumed=resumed,
-                    overlap_seconds=float(result.overlap_seconds),
-                    exchange_hidden_fraction=result.exchange_hidden_fraction,
-                    prefetched=prepared is not None and not resumed,
-                    stacks_reduced=result.stacks_reduced,
-                    refinement_passes=result.refinement_passes,
-                    precision_error_bound=result.precision_error_bound,
-                )
+            step_wall = result.wall_time
+            if ckpt is not None:
+                ckpt.save_step(index, result)
+        cache_after = dict(context.plan_cache.stats)
+        session_after = context.stats()
+        fingerprint = result.pattern_fingerprint or ""
+        changed = fingerprint != previous_fingerprint
+        if changed and previous_fingerprint is not None:
+            pattern_changes += 1
+        records.append(
+            TrajectoryStepRecord(
+                step=index,
+                wall_time=step_wall,
+                pattern_fingerprint=fingerprint,
+                pattern_changed=changed,
+                plans_built=cache_after["misses"] - cache_before["misses"],
+                plan_cache_hits=cache_after["hits"] - cache_before["hits"],
+                pipelines_built=session_after["pipelines_built"]
+                - session_before["pipelines_built"],
+                mu=result.mu,
+                n_electrons=result.n_electrons,
+                mu_iterations=result.mu_iterations,
+                segment_fetch_bytes=result.segment_fetch_bytes,
+                block_fetch_bytes=result.block_fetch_bytes,
+                plans_patched=cache_after["patches"]
+                - cache_before["patches"],
+                groups_rebuilt=cache_after["groups_rebuilt"]
+                - cache_before["groups_rebuilt"],
+                pipelines_patched=session_after["pipelines_patched"]
+                - session_before["pipelines_patched"],
+                warm_started=bool(warm),
+                retries=result.retries,
+                reassigned_stacks=result.reassigned_stacks,
+                kernel_fallbacks=result.kernel_fallbacks,
+                resumed=resumed,
+                stacks_reduced=result.stacks_reduced,
+                refinement_passes=result.refinement_passes,
+                precision_error_bound=result.precision_error_bound,
             )
-            results.append(result)
-            previous_fingerprint = fingerprint
-            previous_mu = float(result.mu)
-            mu_history.append(previous_mu)
-            cache_before = cache_after
-            session_before = session_after
-            if on_step is not None:
-                on_step(index, result)
-    finally:
-        if prefetch_pool is not None:
-            prefetch_pool.shutdown(wait=True, cancel_futures=True)
-        if prepare_pool is not None:
-            prepare_pool.shutdown(wait=True, cancel_futures=True)
+        )
+        results.append(result)
+        previous_fingerprint = fingerprint
+        previous_mu = float(result.mu)
+        mu_history.append(previous_mu)
+        cache_before = cache_after
+        session_before = session_after
+        if on_step is not None:
+            on_step(index, result)
 
     stats = TrajectoryStats(
         n_steps=len(results),
@@ -754,8 +653,6 @@ def run_trajectory(
         reassigned_stacks=sum(r.reassigned_stacks for r in records),
         kernel_fallbacks=sum(r.kernel_fallbacks for r in records),
         steps_resumed=sum(1 for r in records if r.resumed),
-        overlap_seconds=float(sum(r.overlap_seconds for r in records)),
-        steps_prefetched=sum(1 for r in records if r.prefetched),
         stacks_reduced=sum(r.stacks_reduced for r in records),
         refinement_passes=sum(r.refinement_passes for r in records),
     )

@@ -2,10 +2,10 @@
 
 Every dense-kernel hot spot of the reproduction — the batched sign
 iterations (:mod:`repro.signfn.newton_schulz`, :mod:`repro.signfn.pade`),
-the batched eigendecompositions (:mod:`repro.signfn.eigen`), the bucketed
-evaluator (:mod:`repro.core.batch`) and the arrival-driven exchange
-(:mod:`repro.core.overlap`) — routes its array allocation, GEMM and ``eigh``
-calls through an :class:`ArrayBackend` instead of module-level ``numpy``.
+the batched eigendecompositions (:mod:`repro.signfn.eigen`) and the
+bucketed evaluator (:mod:`repro.core.batch`) — routes its array allocation,
+GEMM and ``eigh`` calls through an :class:`ArrayBackend` instead of
+module-level ``numpy``.
 
 Two backends ship today:
 

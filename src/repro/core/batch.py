@@ -17,12 +17,18 @@ is invariant under any (analytic) matrix function, the top-left ``d×d``
 corner of ``f(blockdiag(a, c·I))`` equals ``f(a)`` exactly — padding is
 only valid for genuine matrix functions, not for arbitrary elementwise
 callables, which must use ``pad_to=None``.
+
+:func:`map_stacks` is the one bucket loop (extract → solve → scatter or
+collect) every execution route shares: the single-process evaluator
+(:func:`evaluate_batched`), the rank-sharded pipeline, its degraded
+fallback, and the density driver's eigendecomposition cache and iterative
+occupation solves.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +41,8 @@ __all__ = [
     "make_buckets",
     "make_stack_tasks",
     "count_stack_tasks",
+    "stack_solver",
+    "map_stacks",
     "evaluate_batched",
 ]
 
@@ -117,6 +125,89 @@ def count_stack_tasks(
     return total
 
 
+def stack_solver(
+    function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    xp=None,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The ``(k, d, d) -> (k, d, d)`` solver of a kernel's two callables.
+
+    ``batch_function`` evaluates the whole stack in one call; without it the
+    per-matrix ``function`` is applied slice by slice.  ``xp`` optionally
+    moves the stack onto an :class:`~repro.backend.base.ArrayBackend` before
+    the kernel call (``None`` hands the kernel the NumPy stack directly).
+    Either way the result is coerced back to the stack's dtype.
+    """
+    if function is None and batch_function is None:
+        raise ValueError("provide function or batch_function")
+
+    def solve(stack: np.ndarray) -> np.ndarray:
+        kernel_stack = stack if xp is None else xp.asarray(stack)
+        if batch_function is not None:
+            return np.asarray(batch_function(kernel_stack), dtype=stack.dtype)
+        return np.stack(
+            [
+                np.asarray(function(kernel_stack[slot]), dtype=stack.dtype)
+                for slot in range(stack.shape[0])
+            ]
+        )
+
+    return solve
+
+
+def _check_stack_shape(evaluated: np.ndarray, expected: tuple) -> None:
+    if evaluated.shape != expected:
+        raise ValueError(
+            f"stack solver returned shape {evaluated.shape}, expected {expected}"
+        )
+
+
+def map_stacks(
+    view: SubmatrixPlan,
+    buffer: np.ndarray,
+    tasks: Sequence[Bucket],
+    solve_stack: Callable[[np.ndarray], Any],
+    out: Optional[np.ndarray] = None,
+    pad_value: float = 1.0,
+    mapper: Optional[Callable[[Callable, Sequence[Bucket]], list]] = None,
+) -> list:
+    """The bucket loop of the submatrix method: extract → solve → deliver.
+
+    The one place submatrices become ``(k, d, d)`` stacks and reach a
+    solver.  ``(view, buffer)`` is either a whole plan with its packed
+    values, ``(plan, plan.pack(matrix))``, or one rank's share of it,
+    ``(shard.view, shard.pack_local(packed))`` — a
+    :class:`~repro.core.shard.ShardView` *is* a :class:`SubmatrixPlan`, so
+    both are treated alike.
+
+    Per task the stack is assembled (padded with ``pad_value``) and handed
+    to ``solve_stack``.  With ``out`` the result must be the evaluated
+    stack: it is coerced to the stack's dtype, shape-checked and scattered
+    straight into the packed output (scatter ranges are disjoint across
+    tasks and ranks, so tasks may run concurrently).  Without ``out`` the
+    solver's return values are handed back in task order as they are —
+    e.g. the ``(eigenvalues, eigenvectors)`` pair of ``numpy.linalg.eigh``.
+
+    ``mapper(run, tasks)`` dispatches the tasks (default: a plain loop).
+    """
+
+    def run(task: Bucket):
+        stack = view.extract_stack(
+            buffer, task.members, task.dimension, pad_value=pad_value
+        )
+        solved = solve_stack(stack)
+        if out is None:
+            return solved
+        evaluated = np.asarray(solved, dtype=stack.dtype)
+        _check_stack_shape(evaluated, stack.shape)
+        view.scatter_stack(out, task.members, evaluated, task.dimension)
+        return None
+
+    if mapper is None:
+        return [run(task) for task in tasks]
+    return mapper(run, tasks)
+
+
 def evaluate_batched(
     plan: SubmatrixPlan,
     packed: np.ndarray,
@@ -167,11 +258,9 @@ def evaluate_batched(
         returns ``None``; finalize with ``plan.finalize(out)``.
     xp:
         Optional :class:`~repro.backend.base.ArrayBackend` the extracted
-        stacks are moved onto before the kernel call (``xp.asarray``).
-        ``None`` (default) hands the kernels the packed NumPy stacks
-        directly — the pre-seam behaviour, bitwise unchanged.  Either way
-        the evaluated stacks are coerced back to the packed buffer's dtype
-        for validation and scatter.
+        stacks are moved onto before the kernel call (see
+        :func:`stack_solver`); ``None`` (default) is bitwise the pre-seam
+        behaviour.
 
     Returns
     -------
@@ -179,48 +268,29 @@ def evaluate_batched(
         ``f(a_i)`` for every plan group in plan order, or ``None`` when
         ``out`` was given.
     """
-    if function is None and batch_function is None:
-        raise ValueError("provide function or batch_function")
     dimensions = plan.dimensions
     tasks = make_stack_tasks(
         dimensions, pad_to=pad_to, max_batch_elements=max_batch_elements
     )
-
-    def run(task: Bucket) -> Optional[List[np.ndarray]]:
-        stack_dim = task.dimension
-        stack = plan.extract_stack(
-            packed, task.members, stack_dim, pad_value=pad_value
-        )
-        kernel_stack = stack if xp is None else xp.asarray(stack)
-        if batch_function is not None:
-            evaluated = np.asarray(batch_function(kernel_stack), dtype=stack.dtype)
-        else:
-            evaluated = np.stack(
-                [
-                    np.asarray(function(kernel_stack[slot]), dtype=stack.dtype)
-                    for slot in range(len(task.members))
-                ]
-            )
-        if evaluated.shape != stack.shape:
-            raise ValueError(
-                f"batched matrix function returned shape {evaluated.shape}, "
-                f"expected {stack.shape}"
-            )
-        if out is not None:
-            plan.scatter_stack(out, task.members, evaluated, stack_dim)
-            return None
-        return [
-            np.ascontiguousarray(
-                evaluated[slot, : dimensions[gi], : dimensions[gi]]
-            )
-            for slot, gi in enumerate(task.members)
-        ]
-
-    per_task = map_parallel(run, tasks, max_workers, backend, executor=executor)
+    per_task = map_stacks(
+        plan,
+        packed,
+        tasks,
+        stack_solver(function, batch_function, xp=xp),
+        out=out,
+        pad_value=pad_value,
+        mapper=lambda run, items: map_parallel(
+            run, items, max_workers, backend, executor=executor
+        ),
+    )
     if out is not None:
         return None
     results: List[Optional[np.ndarray]] = [None] * plan.n_groups
-    for task, task_results in zip(tasks, per_task):
-        for group_index, value in zip(task.members, task_results):
-            results[group_index] = value
+    for task, evaluated in zip(tasks, per_task):
+        _check_stack_shape(
+            evaluated, (len(task.members), task.dimension, task.dimension)
+        )
+        for slot, group_index in enumerate(task.members):
+            dim = dimensions[group_index]
+            results[group_index] = np.ascontiguousarray(evaluated[slot, :dim, :dim])
     return results  # type: ignore[return-value]

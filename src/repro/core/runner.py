@@ -51,8 +51,9 @@ from repro.api.config import (
 from repro.core.batch import (
     MAX_BATCH_ELEMENTS,
     count_stack_tasks,
-    evaluate_batched,
     make_stack_tasks,
+    map_stacks,
+    stack_solver,
 )
 from repro.core.combination import ColumnGrouping, single_column_groups
 from repro.core.load_balance import (
@@ -62,7 +63,6 @@ from repro.core.load_balance import (
     resolve_bucket_pad,
     submatrix_flop_costs,
 )
-from repro.core.overlap import OverlappedExchange, OverlapReport, RankOverlapReport
 from repro.core.plan import BlockSubmatrixPlan, PlanCache, block_plan
 from repro.core.shard import ShardedPlan
 from repro.core.transfers import (
@@ -75,7 +75,7 @@ from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.coo import CooBlockList
 from repro.dbcsr.distribution import BlockDistribution, ProcessGrid2D
 from repro.parallel.executor import executor_backend, map_parallel
-from repro.parallel.machine import MachineModel, PAPER_MACHINE, SimulatedTime
+from repro.parallel.machine import MachineModel, SimulatedTime
 from repro.parallel.stats import TrafficLog
 from repro.parallel.topology import balanced_dims
 from repro.signfn.registry import resolve_kernel
@@ -218,7 +218,6 @@ class PipelineResult:
     submatrix_dimensions: List[int]
     wall_time: float
     resilience: Optional[ResilienceReport] = None
-    overlap: Optional[OverlapReport] = None
 
     @property
     def n_ranks(self) -> int:
@@ -341,13 +340,8 @@ class DistributedSubmatrixPipeline:
         self.plan: Optional[BlockSubmatrixPlan] = None
         self.sharded: Optional[ShardedPlan] = None
         self._exact_transfers = bool(exact_transfers)
-        # filled by patch() (incremental exchange diff) and by overlapped
-        # run()/run_stacks() (modeled overlap accounting) respectively
+        # filled by patch() (incremental exchange diff)
         self.transfer_delta: Optional[TransferDelta] = None
-        self.last_overlap: Optional[OverlapReport] = None
-        # chunk schedules are pure functions of (shards, bucket layout),
-        # so engines are cached per layout and reset per execution
-        self._overlap_engines: Dict[tuple, OverlappedExchange] = {}
         # Cost-model side planning needs no extraction plan: with exact
         # per-group planning, the required-block sets *are* the shard's
         # segment index (a shard references exactly the blocks of its
@@ -504,10 +498,6 @@ class DistributedSubmatrixPipeline:
         report = new_plan.patch_report
         patched._exact_transfers = self._exact_transfers
         patched.transfer_delta = None
-        patched.last_overlap = None
-        # engines are bound to this pipeline's shards; the patched shards
-        # need their own schedules
-        patched._overlap_engines = {}
         if report is not None and report.source is self.plan:
             patched.sharded = self.sharded.patch(new_plan)
             # incremental exchange replan: only the ranks owning a dirty
@@ -550,44 +540,6 @@ class DistributedSubmatrixPipeline:
                 segment_index=patched.sharded.required_segments_per_rank(),
             )
         return patched
-
-    def overlap_engine(
-        self,
-        machine: Optional[MachineModel] = None,
-        pad_to: Optional[int] = None,
-        max_batch_elements: int = MAX_BATCH_ELEMENTS,
-        fault_injector=None,
-    ) -> OverlappedExchange:
-        """Cached arrival-driven engine for the given bucket layout.
-
-        Building an engine walks every bucket's gather arrays to assign
-        segments to their first referencing bucket, which is far too
-        expensive to repeat per execution (a canonical density bisects μ
-        over many ``run_stacks`` calls, a trajectory runs one pipeline per
-        step).  Schedules depend only on the shards and the bucket layout,
-        so one engine per ``(machine, pad_to, max_batch_elements)`` is
-        cached and merely :meth:`~repro.core.overlap.OverlappedExchange.
-        reset` per execution.
-        """
-        self._ensure_execution()
-        resolved = machine if machine is not None else PAPER_MACHINE
-        key = (resolved, pad_to, int(max_batch_elements))
-        engine = self._overlap_engines.get(key)
-        if engine is None:
-            engine = OverlappedExchange(
-                self.sharded,
-                self.coo,
-                self.distribution,
-                resolved,
-                pad_to=pad_to,
-                max_batch_elements=max_batch_elements,
-                flop_constant=self.flop_constant,
-                bytes_per_element=self.bytes_per_element,
-                fault_injector=fault_injector,
-            )
-            self._overlap_engines[key] = engine
-        engine.reset(fault_injector)
-        return engine
 
     def prepare(self):
         """Build (or fetch) the extraction plan and sharded plan eagerly.
@@ -710,11 +662,11 @@ class DistributedSubmatrixPipeline:
     ) -> List[object]:
         """Run ``run_rank`` once per rank, with retry/rebalance on failure.
 
-        The fault-tolerant core shared by :meth:`run`, :meth:`run_stacks`
-        and the session's sharded eigendecomposition cache.  Without an
-        *active* policy this is exactly one :func:`map_parallel` over the
-        ranks — the unguarded pre-resilience path, with zero overhead and
-        unchanged exception behaviour.
+        The fault-tolerant core shared by :meth:`run_stacks` (and through
+        it :meth:`run`) and the session's sharded eigendecomposition cache.
+        Without an *active* policy this is exactly one :func:`map_parallel`
+        over the ranks — the unguarded pre-resilience path, with zero
+        overhead and unchanged exception behaviour.
 
         With an active policy every rank task is guarded (and, when the
         policy carries a fault injector, its ``"rank"`` site is consulted
@@ -822,8 +774,6 @@ class DistributedSubmatrixPipeline:
         executor=None,
         max_batch_elements: int = MAX_BATCH_ELEMENTS,
         policy: Optional[ResiliencePolicy] = None,
-        overlap: bool = False,
-        machine: Optional[MachineModel] = None,
         **kernel_params,
     ) -> PipelineResult:
         """Evaluate f on every submatrix through the sharded pipeline.
@@ -833,155 +783,47 @@ class DistributedSubmatrixPipeline:
         ``mu=`` are forwarded to the kernel factory, which also supplies the
         batched variant unless ``batch_function`` overrides it).
 
-        Per rank: gather the rank-local packed buffer (the modelled
-        initialization fetch), run the bucketed batch evaluator on the
-        rank's shard, and scatter every evaluated stack straight into the
-        shared packed output (disjoint across ranks — the zero-copy
-        write-back).  One ``map_parallel`` task per rank; pass a pre-built
-        ``executor`` to reuse one pool across repeated evaluations (e.g.
-        μ-bisection iterations).
-
-        Ranks scatter into shared process memory, so only the serial and
-        thread backends are supported (a process pool could neither pickle
-        the rank closure nor write back into the shared output).
-
-        With an *active* ``policy`` (see
-        :class:`~repro.api.config.ResiliencePolicy`) failed rank tasks are
-        retried/rebalanced via :meth:`execute_ranks`, and once the retries
-        are exhausted the evaluation degrades to the single-process
-        batched engine over the full plan — bitwise identical to the
-        sharded execution — instead of raising; the
-        :attr:`PipelineResult.resilience` report records what happened.
-
-        With ``overlap=True`` every rank executes arrival-driven through
-        the :class:`~repro.core.overlap.OverlappedExchange` engine: the
-        initialization exchange is split into per-bucket segment chunks
-        and each bucketed stack is evaluated as soon as its chunks land
-        rather than after the full exchange.  Results stay bitwise
-        identical; :attr:`PipelineResult.overlap` (and
-        :attr:`last_overlap`) report the modeled hidden-exchange time
-        against ``machine`` (default :data:`PAPER_MACHINE`).
+        A thin caller of :meth:`run_stacks`: pack the matrix, map the bound
+        kernel's :func:`~repro.core.batch.stack_solver` over every rank's
+        bucketed stacks (see there for the backend restriction and the
+        ``policy`` retry/rebalance/degradation semantics — recorded on
+        :attr:`PipelineResult.resilience`), finalize the shared output and
+        attach the per-rank work and traffic summary.  Pass a pre-built
+        ``executor`` to reuse one pool across repeated evaluations.
         """
-        if backend == "process" or executor_backend(executor) == "process":
-            raise ValueError(
-                "the pipeline's per-rank tasks share the packed output "
-                "buffer; use the 'serial' or 'thread' backend"
-            )
         if function is not None or kernel_params:
             bound = resolve_kernel(
                 function, batch_function=batch_function, **kernel_params
             )
             function, batch_function = bound.function, bound.batch_function
+        solve_stack = stack_solver(function, batch_function)
         start = time.perf_counter()
         self._ensure_execution()
-        assert self.plan is not None and self.sharded is not None
-        self.last_overlap = None
-        packed = self.plan.pack(matrix)
+        assert self.plan is not None
         out = self.plan.new_output()
-        engine: Optional[OverlappedExchange] = None
-        overlap_reports: List[Optional[RankOverlapReport]] = [None] * self.n_ranks
-        if overlap:
-            engine = self.overlap_engine(
-                machine,
-                pad_to=self.bucket_pad,
-                max_batch_elements=max_batch_elements,
-                fault_injector=policy.fault_injector if policy is not None else None,
-            )
-
-        def run_rank(rank: int) -> int:
-            shard = self.sharded.shards[rank]
-            if shard.n_groups == 0:
-                return 0
-            if engine is not None:
-
-                def consume(bucket, stack):
-                    # exactly the batched evaluator's per-task arithmetic
-                    if batch_function is not None:
-                        evaluated = np.asarray(
-                            batch_function(stack), dtype=stack.dtype
-                        )
-                    else:
-                        evaluated = np.stack(
-                            [
-                                np.asarray(function(stack[slot]), dtype=stack.dtype)
-                                for slot in range(len(bucket.members))
-                            ]
-                        )
-                    if evaluated.shape != stack.shape:
-                        raise ValueError(
-                            f"batched matrix function returned shape "
-                            f"{evaluated.shape}, expected {stack.shape}"
-                        )
-                    shard.view.scatter_stack(
-                        out, bucket.members, evaluated, bucket.dimension
-                    )
-
-                overlap_reports[rank] = engine.run_rank(
-                    rank, packed, consume, pad_value=pad_value
-                )
-            else:
-                local = shard.pack_local(packed)
-                evaluate_batched(
-                    shard.view,
-                    local,
-                    function=function,
-                    batch_function=batch_function,
-                    pad_to=self.bucket_pad,
-                    pad_value=pad_value,
-                    max_batch_elements=max_batch_elements,
-                    backend="serial",
-                    out=out,
-                )
-            return count_stack_tasks(
-                shard.dimensions,
-                pad_to=self.bucket_pad,
-                max_batch_elements=max_batch_elements,
-            )
-
-        report = (
-            ResilienceReport() if policy is not None and policy.active else None
+        report = self.run_stacks(
+            self.plan.pack(matrix),
+            solve_stack,
+            out,
+            pad_value=pad_value,
+            max_workers=max_workers,
+            backend=backend,
+            executor=executor,
+            max_batch_elements=max_batch_elements,
+            policy=policy,
         )
-        try:
-            stacks_per_rank = self.execute_ranks(
-                run_rank,
-                max_workers,
-                backend,
-                executor=executor,
-                policy=policy,
-                report=report,
-                max_batch_elements=max_batch_elements,
-            )
-        except PipelineExecutionError:
-            if policy is None or not policy.degrade_to_batched:
-                raise
-            # graceful degradation: the single-process batched engine over
-            # the full plan writes every scatter range the shards would
-            # have written (bitwise identical for any rank count)
-            assert report is not None
-            report.degraded = True
-            engine = None
-            overlap_reports = [None] * self.n_ranks
-            evaluate_batched(
-                self.plan,
-                packed,
-                function=function,
-                batch_function=batch_function,
-                pad_to=self.bucket_pad,
-                pad_value=pad_value,
-                max_batch_elements=max_batch_elements,
-                backend="serial",
-                out=out,
-            )
-            stacks_per_rank = [0] * self.n_ranks
         result = self.plan.finalize(out)
-        overlap_report = engine.report(overlap_reports) if engine is not None else None
-        self.last_overlap = overlap_report
+        degraded = report is not None and report.degraded
         transfer_plan = self.transfer_plan
         per_rank = [
             PipelineRankReport(
                 rank=rank,
                 n_submatrices=summary.n_submatrices,
-                n_stacks=int(stacks_per_rank[rank]),
+                n_stacks=(
+                    0
+                    if degraded
+                    else self._shard_stack_count(rank, max_batch_elements)
+                ),
                 flops=float(self.rank_flops[rank]),
                 segment_fetch_bytes=float(summary.segment_fetch_bytes or 0.0),
                 block_fetch_bytes=float(summary.fetch_bytes),
@@ -998,7 +840,6 @@ class DistributedSubmatrixPipeline:
             submatrix_dimensions=list(self.dimensions),
             wall_time=time.perf_counter() - start,
             resilience=report,
-            overlap=overlap_report,
         )
 
     def run_stacks(
@@ -1013,34 +854,33 @@ class DistributedSubmatrixPipeline:
         max_batch_elements: int = MAX_BATCH_ELEMENTS,
         policy: Optional[ResiliencePolicy] = None,
         report: Optional[ResilienceReport] = None,
-        overlap: bool = False,
-        machine: Optional[MachineModel] = None,
     ) -> Optional[ResilienceReport]:
-        """Map a custom stack solver over every rank's bucketed stacks.
+        """Map a stack solver over every rank's bucketed stacks.
 
-        The structural twin of :meth:`run` for callers that need to control
-        the per-bucket numerics themselves (e.g. the density driver's
-        μ-shifted iterative occupation path): per rank, gather the
-        rank-local packed buffer, assemble each bucketed ``(k, d, d)`` stack
-        (padded with ``pad_value``), evaluate ``solve_stack(stack)`` and
-        scatter the result straight into the shared packed output ``out``
-        (disjoint across ranks).  Bucket layouts are memoized on the shards
+        Per rank: gather the rank-local packed buffer (the modelled
+        initialization fetch), then run the bucket loop
+        (:func:`~repro.core.batch.map_stacks`) over the shard — assemble
+        each bucketed ``(k, d, d)`` stack (padded with ``pad_value``),
+        evaluate ``solve_stack(stack)`` and scatter the result straight
+        into the shared packed output ``out`` (disjoint across ranks — the
+        zero-copy write-back).  One ``map_parallel`` task per rank.  Bucket
+        layouts are memoized on the shards
         (:meth:`~repro.core.shard.RankShard.stack_tasks`), so repeated calls
         over an unchanged pattern skip all layout work.
 
-        Like :meth:`run`, the shared output restricts execution to the
-        serial and thread backends.  With an *active* ``policy``, failed
-        rank tasks are retried/rebalanced via :meth:`execute_ranks` and a
-        persistent failure degrades to a single-process bucket loop over
-        the full plan (bitwise identical: the solver operates per matrix,
-        independent of stack composition).  Returns the resilience report
-        (``None`` without an active policy); pass ``report`` to accumulate
-        into a caller-owned one.
+        Ranks scatter into shared process memory, so only the serial and
+        thread backends are supported (a process pool could neither pickle
+        the rank closure nor write back into the shared output).
 
-        ``overlap=True`` routes every rank through the arrival-driven
-        :class:`~repro.core.overlap.OverlappedExchange` engine (bitwise
-        identical, see :meth:`run`); the modeled accounting lands on
-        :attr:`last_overlap`.
+        With an *active* ``policy`` (see
+        :class:`~repro.api.config.ResiliencePolicy`), failed rank tasks are
+        retried/rebalanced via :meth:`execute_ranks`, and once the retries
+        are exhausted the evaluation degrades to the same bucket loop over
+        the unsharded plan instead of raising (bitwise identical: the
+        solver operates per matrix, independent of stack composition, and
+        writes every scatter range the shards would have written).  Returns
+        the resilience report (``None`` without an active policy); pass
+        ``report`` to accumulate into a caller-owned one.
         """
         if backend == "process" or executor_backend(executor) == "process":
             raise ValueError(
@@ -1048,55 +888,22 @@ class DistributedSubmatrixPipeline:
                 "buffer; use the 'serial' or 'thread' backend"
             )
         self._ensure_execution()
-        assert self.sharded is not None
-        self.last_overlap = None
-        engine: Optional[OverlappedExchange] = None
-        overlap_reports: List[Optional[RankOverlapReport]] = [None] * self.n_ranks
-        if overlap:
-            engine = self.overlap_engine(
-                machine,
-                pad_to=self.bucket_pad,
-                max_batch_elements=max_batch_elements,
-                fault_injector=policy.fault_injector if policy is not None else None,
-            )
+        assert self.plan is not None and self.sharded is not None
 
         def run_rank(rank: int) -> None:
             shard = self.sharded.shards[rank]
             if shard.n_groups == 0:
                 return
-            if engine is not None:
-
-                def consume(bucket, stack):
-                    evaluated = np.asarray(solve_stack(stack), dtype=stack.dtype)
-                    if evaluated.shape != stack.shape:
-                        raise ValueError(
-                            f"stack solver returned shape {evaluated.shape}, "
-                            f"expected {stack.shape}"
-                        )
-                    shard.view.scatter_stack(
-                        out, bucket.members, evaluated, bucket.dimension
-                    )
-
-                overlap_reports[rank] = engine.run_rank(
-                    rank, packed, consume, pad_value=pad_value
-                )
-                return
-            local = shard.pack_local(packed)
-            for bucket in shard.stack_tasks(
-                pad_to=self.bucket_pad, max_batch_elements=max_batch_elements
-            ):
-                stack = shard.view.extract_stack(
-                    local, bucket.members, bucket.dimension, pad_value=pad_value
-                )
-                evaluated = np.asarray(solve_stack(stack), dtype=stack.dtype)
-                if evaluated.shape != stack.shape:
-                    raise ValueError(
-                        f"stack solver returned shape {evaluated.shape}, "
-                        f"expected {stack.shape}"
-                    )
-                shard.view.scatter_stack(
-                    out, bucket.members, evaluated, bucket.dimension
-                )
+            map_stacks(
+                shard.view,
+                shard.pack_local(packed),
+                shard.stack_tasks(
+                    pad_to=self.bucket_pad, max_batch_elements=max_batch_elements
+                ),
+                solve_stack,
+                out=out,
+                pad_value=pad_value,
+            )
 
         if report is None and policy is not None and policy.active:
             report = ResilienceReport()
@@ -1113,28 +920,20 @@ class DistributedSubmatrixPipeline:
         except PipelineExecutionError:
             if policy is None or not policy.degrade_to_batched:
                 raise
-            assert report is not None and self.plan is not None
+            assert report is not None
             report.degraded = True
-            engine = None
-            for bucket in make_stack_tasks(
-                self.plan.dimensions,
-                pad_to=self.bucket_pad,
-                max_batch_elements=max_batch_elements,
-            ):
-                stack = self.plan.extract_stack(
-                    packed, bucket.members, bucket.dimension, pad_value=pad_value
-                )
-                evaluated = np.asarray(solve_stack(stack), dtype=stack.dtype)
-                if evaluated.shape != stack.shape:
-                    raise ValueError(
-                        f"stack solver returned shape {evaluated.shape}, "
-                        f"expected {stack.shape}"
-                    )
-                self.plan.scatter_stack(
-                    out, bucket.members, evaluated, bucket.dimension
-                )
-        if engine is not None:
-            self.last_overlap = engine.report(overlap_reports)
+            map_stacks(
+                self.plan,
+                packed,
+                make_stack_tasks(
+                    self.plan.dimensions,
+                    pad_to=self.bucket_pad,
+                    max_batch_elements=max_batch_elements,
+                ),
+                solve_stack,
+                out=out,
+                pad_value=pad_value,
+            )
         return report
 
 

@@ -27,7 +27,6 @@ from repro.parallel.comm import (
     CommError,
     CommRankError,
     CommRecvError,
-    CommRequest,
     SimComm,
 )
 from repro.parallel.topology import CartesianGrid2D, balanced_dims
@@ -51,7 +50,6 @@ __all__ = [
     "RankCounters",
     "TrafficLog",
     "SimComm",
-    "CommRequest",
     "CommError",
     "CommRankError",
     "CommRecvError",

@@ -11,24 +11,13 @@ mailboxes instead of a network.
 The point of this class is *accounting fidelity*, not concurrency: the
 byte/message counts it produces feed the machine model used for the scaling
 experiments.
-
-Non-blocking point-to-point (``isend``/``irecv`` returning
-:class:`CommRequest` handles, completed through :meth:`SimComm.wait_any` /
-:meth:`SimComm.wait_all`) extends the same accounting to *overlap*: every
-message carries a modeled completion time — per-destination ingress
-serialization of ``latency + nbytes/bandwidth`` under an optional machine
-model — so an arrival-driven consumer can measure how much of the exchange
-its compute hides.  Delivery is by modeled arrival order, not posting
-order, which is exactly the out-of-order consumption the mailbox
-accounting has to stay consistent under.
 """
 
 from __future__ import annotations
 
 import collections
-import itertools
 import sys
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -36,7 +25,6 @@ from repro.parallel.stats import TrafficLog
 
 __all__ = [
     "SimComm",
-    "CommRequest",
     "payload_nbytes",
     "CommError",
     "CommRankError",
@@ -105,100 +93,6 @@ def payload_nbytes(payload: Any) -> int:
     return int(sys.getsizeof(payload))
 
 
-class _Message:
-    """One in-flight or delivered point-to-point message.
-
-    ``ready_time`` is the modeled virtual time at which the message has
-    fully arrived at its destination (ingress-serialized); ``claimed``
-    marks a message that has been handed to a completed receive and must
-    no longer count as pending.
-    """
-
-    __slots__ = (
-        "seq",
-        "source",
-        "destination",
-        "tag",
-        "payload",
-        "nbytes",
-        "ready_time",
-        "claimed",
-    )
-
-    def __init__(self, seq, source, destination, tag, payload, nbytes, ready_time):
-        self.seq = int(seq)
-        self.source = int(source)
-        self.destination = int(destination)
-        self.tag = tag
-        self.payload = payload
-        self.nbytes = int(nbytes)
-        self.ready_time = float(ready_time)
-        self.claimed = False
-
-
-class CommRequest:
-    """Lightweight handle for a non-blocking send or receive.
-
-    Attributes
-    ----------
-    kind:
-        ``"send"`` or ``"recv"``.
-    done:
-        Whether the operation has completed (sends complete at post time;
-        receives complete through :meth:`SimComm.wait_any` /
-        :meth:`SimComm.wait_all`).
-    source, payload:
-        For a completed receive, the matched message's origin and content.
-    ready_time:
-        Modeled virtual arrival time of the matched/sent message in
-        seconds (0.0 without a machine model).  This is what makes
-        overlap *measurable*: an arrival-driven consumer can compare the
-        per-message ready times against its compute timeline.
-    """
-
-    __slots__ = (
-        "kind",
-        "seq",
-        "destination",
-        "tag",
-        "source_filter",
-        "done",
-        "source",
-        "payload",
-        "nbytes",
-        "ready_time",
-    )
-
-    def __init__(self, kind, seq, destination, tag, source_filter=None):
-        self.kind = kind
-        self.seq = int(seq)
-        self.destination = int(destination)
-        self.tag = tag
-        self.source_filter = source_filter
-        self.done = False
-        self.source: Optional[int] = None
-        self.payload: Any = None
-        self.nbytes = 0
-        self.ready_time = 0.0
-
-    def matches(self, message: _Message) -> bool:
-        """Whether a pending receive can accept ``message``."""
-        if self.kind != "recv" or self.done:
-            return False
-        if message.claimed:
-            return False
-        if message.destination != self.destination or message.tag != self.tag:
-            return False
-        return self.source_filter is None or message.source == self.source_filter
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "done" if self.done else "pending"
-        return (
-            f"CommRequest({self.kind}, rank={self.destination}, "
-            f"tag={self.tag!r}, {state})"
-        )
-
-
 class SimComm:
     """Simulated communicator with traffic accounting.
 
@@ -216,14 +110,6 @@ class SimComm:
         them raise :class:`CommRankError` — and its ``"message"`` site
         (key: ``(source, destination)``) drops individual messages after
         the traffic accounting, so the receiver sees an empty mailbox.
-    machine:
-        Optional machine model (anything with
-        ``message_time(nbytes, messages)``) used to assign every message a
-        modeled completion time: messages inbound to one destination
-        serialize on its ingress link, each taking
-        ``latency + nbytes/bandwidth``.  Without a model all messages are
-        ready at time 0 and the non-blocking API degenerates to
-        posting-order delivery.
     """
 
     def __init__(
@@ -231,7 +117,6 @@ class SimComm:
         n_ranks: int,
         log: Optional[TrafficLog] = None,
         fault_injector=None,
-        machine=None,
     ):
         if n_ranks < 1:
             raise ValueError("n_ranks must be positive")
@@ -240,29 +125,16 @@ class SimComm:
         if self.log.n_ranks != self.n_ranks:
             raise ValueError("traffic log rank count does not match communicator")
         self.fault_injector = fault_injector
-        self.machine = machine
         self._crashed: Set[int] = set()
-        # mailboxes[(destination, tag)] -> FIFO (by posting order) of
-        # _Message records; consumption may happen out of this order, so
-        # all pending-count accounting goes through the records' claimed
-        # flags rather than raw queue lengths
+        # mailboxes[(destination, tag)] -> FIFO of (source, payload)
         self._mailboxes: Dict[Tuple[int, Hashable], collections.deque] = (
             collections.defaultdict(collections.deque)
         )
-        self._sequence = itertools.count()
-        # per-destination modeled time at which the ingress link frees up
-        self._ingress_free: Dict[int, float] = collections.defaultdict(float)
-        self._clock = 0.0
 
     @property
     def size(self) -> int:
         """Number of ranks in the communicator."""
         return self.n_ranks
-
-    @property
-    def clock(self) -> float:
-        """Modeled virtual time, advanced by completed waits."""
-        return self._clock
 
     # ------------------------------------------------------------------ #
     # point-to-point
@@ -281,62 +153,21 @@ class SimComm:
             If either endpoint is out of range or has crashed (via
             :meth:`crash_rank` or an injected ``"comm_crash"`` fault).
         """
-        self.isend(source, destination, payload, tag)
-
-    def isend(
-        self, source: int, destination: int, payload: Any, tag: Hashable = 0
-    ) -> CommRequest:
-        """Non-blocking send; returns an already-completed :class:`CommRequest`.
-
-        The message is deposited with a modeled completion time: inbound
-        messages serialize on the destination's ingress link, each taking
-        ``machine.message_time(nbytes, 1)`` (0.0 without a machine model;
-        self-sends are free and ready immediately, matching the traffic
-        log's accounting).  Fault semantics are identical to :meth:`send`:
-        both endpoints consult the ``"comm_crash"`` site, and a fired
-        ``"message"`` fault drops the payload after accounting — the
-        request still reports done (the sender cannot observe the loss),
-        but no matching receive will ever complete.
-        """
         self._check(source)
         self._check(destination)
         self._consult_crash(source)
         self._consult_crash(destination)
         self._check_alive(source)
         self._check_alive(destination)
-        nbytes = payload_nbytes(payload)
-        self.log.record_message(source, destination, nbytes)
-        seq = next(self._sequence)
-        if source == destination:
-            ready = 0.0
-        else:
-            cost = (
-                float(self.machine.message_time(nbytes, 1))
-                if self.machine is not None
-                else 0.0
-            )
-            # ingress serialization is per destination and independent of
-            # the global clock, so modeled arrival times are deterministic
-            # regardless of how rank programs interleave their waits
-            ready = self._ingress_free[destination] + cost
-            self._ingress_free[destination] = ready
-        request = CommRequest("send", seq, destination, tag)
-        request.done = True
-        request.source = int(source)
-        request.nbytes = nbytes
-        request.ready_time = ready
+        self.log.record_message(source, destination, payload_nbytes(payload))
         if self.fault_injector is not None and self.fault_injector.fire(
             "message", (source, destination)
         ):
             # injected message loss: the bytes left the source (already
-            # accounted, ingress time already consumed) but never arrive —
-            # the receiver's mailbox stays empty and a matching recv
-            # raises CommRecvError
-            return request
-        self._mailboxes[(destination, tag)].append(
-            _Message(seq, source, destination, tag, payload, nbytes, ready)
-        )
-        return request
+            # accounted) but never arrive — the receiver's mailbox stays
+            # empty and a matching recv raises CommRecvError
+            return
+        self._mailboxes[(destination, tag)].append((source, payload))
 
     def recv(self, destination: int, tag: Hashable = 0, source: Optional[int] = None):
         """Receive the next pending message for ``destination`` (FIFO order).
@@ -367,152 +198,31 @@ class SimComm:
         self._check(destination)
         self._consult_crash(destination)
         self._check_alive(destination)
-        message = self._take_message(destination, tag, source)
-        if message is None:
-            if source is None:
-                detail = f"no pending message for rank {destination} with tag {tag!r}"
-            else:
-                detail = (
-                    f"no pending message for rank {destination} from {source} "
-                    f"(tag {tag!r})"
-                )
+        queue = self._mailboxes.get((destination, tag))
+        if not queue:
             raise CommRecvError(
-                f"{detail} ({self._mailbox_summary()})",
+                f"no pending message for rank {destination} with tag {tag!r} "
+                f"({self._mailbox_summary()})",
                 rank=destination,
                 mailbox_state=self.mailbox_state(),
             )
-        self._clock = max(self._clock, message.ready_time)
-        return message.source, message.payload
-
-    def irecv(
-        self, destination: int, tag: Hashable = 0, source: Optional[int] = None
-    ) -> CommRequest:
-        """Post a non-blocking receive; complete it with :meth:`wait_any`.
-
-        The request matches the earliest-arriving unclaimed message for
-        ``(destination, tag)`` (optionally filtered by ``source``) at wait
-        time — the message need not be present yet when the receive is
-        posted.
-        """
-        self._check(destination)
-        self._consult_crash(destination)
-        self._check_alive(destination)
-        return CommRequest("recv", next(self._sequence), destination, tag, source)
-
-    def wait_any(self, requests: Sequence[CommRequest]) -> CommRequest:
-        """Complete exactly one pending request, by modeled arrival order.
-
-        Among all incomplete receives in ``requests``, the one whose best
-        matching message has the smallest modeled ``ready_time`` (ties by
-        posting sequence) completes: the message is claimed, removed from
-        its mailbox, and the virtual :attr:`clock` advances to its arrival.
-        Pending sends count as trivially completable.  Because completion
-        follows arrival order, messages are routinely consumed out of
-        posting order — the claimed-flag accounting keeps
-        :meth:`pending_messages` / :meth:`mailbox_state` exact throughout.
-
-        Raises
-        ------
-        CommRecvError
-            If every request is already done (nothing to wait for) or no
-            incomplete receive has a matching message (the simulated
-            deadlock — e.g. after injected message loss).
-        CommRankError
-            If a waiting destination has crashed (checked at wait time, so
-            a rank crashing mid-overlap surfaces on its next wait).
-        """
-        pending = [r for r in requests if not r.done]
-        if not pending:
-            raise CommRecvError(
-                f"wait_any called with no pending requests "
-                f"({self._mailbox_summary()})",
-                mailbox_state=self.mailbox_state(),
-            )
-        best: Optional[Tuple[float, int, CommRequest, _Message]] = None
-        for request in sorted(pending, key=lambda r: r.seq):
-            self._consult_crash(request.destination)
-            self._check_alive(request.destination)
-            queue = self._mailboxes.get((request.destination, request.tag))
-            if not queue:
-                continue
-            for message in queue:
-                if request.matches(message):
-                    key = (message.ready_time, message.seq)
-                    if best is None or key < best[:2]:
-                        best = (message.ready_time, message.seq, request, message)
-                    break
-        if best is None:
-            waiting = ", ".join(
-                f"rank {r.destination}/tag {r.tag!r}"
-                + ("" if r.source_filter is None else f" from {r.source_filter}")
-                for r in pending
-            )
-            raise CommRecvError(
-                f"no matching message for any pending request ({waiting}; "
-                f"{self._mailbox_summary()})",
-                rank=pending[0].destination,
-                mailbox_state=self.mailbox_state(),
-            )
-        _, _, request, message = best
-        message.claimed = True
-        self._purge(message.destination, message.tag)
-        request.done = True
-        request.source = message.source
-        request.payload = message.payload
-        request.nbytes = message.nbytes
-        request.ready_time = message.ready_time
-        self._clock = max(self._clock, message.ready_time)
-        return request
-
-    def wait_all(self, requests: Sequence[CommRequest]) -> List[CommRequest]:
-        """Complete every request in ``requests``; returns them in order."""
-        while any(not r.done for r in requests):
-            self.wait_any(requests)
-        return list(requests)
+        if source is None:
+            return queue.popleft()
+        for index, (src, payload) in enumerate(queue):
+            if src == source:
+                del queue[index]
+                return src, payload
+        raise CommRecvError(
+            f"no pending message for rank {destination} from {source} "
+            f"(tag {tag!r}; {self._mailbox_summary()})",
+            rank=destination,
+            mailbox_state=self.mailbox_state(),
+        )
 
     def pending_messages(self, destination: int, tag: Hashable = 0) -> int:
-        """Number of unclaimed messages waiting in a mailbox.
-
-        Messages already handed to a completed receive no longer count,
-        even when (out-of-posting-order consumption) they have not yet
-        been physically removed from the queue.
-        """
+        """Number of messages waiting in a mailbox."""
         self._check(destination)
-        queue = self._mailboxes.get((destination, tag), ())
-        return sum(1 for message in queue if not message.claimed)
-
-    def _take_message(
-        self, destination: int, tag: Hashable, source: Optional[int]
-    ) -> Optional[_Message]:
-        """Claim and remove the first matching unclaimed message, or None."""
-        queue = self._mailboxes.get((destination, tag))
-        if not queue:
-            return None
-        for message in queue:
-            if message.claimed:
-                continue
-            if source is None or message.source == source:
-                message.claimed = True
-                self._purge(destination, tag)
-                return message
-        return None
-
-    def _purge(self, destination: int, tag: Hashable) -> None:
-        """Drop claimed records from the queue head; delete empty mailboxes.
-
-        Claimed messages deep in the queue are left in place (their
-        ``claimed`` flag already excludes them from every count) and are
-        swept once everything ahead of them is consumed, so out-of-order
-        claims never disturb the FIFO positions of live messages.
-        """
-        address = (destination, tag)
-        queue = self._mailboxes.get(address)
-        if queue is None:
-            return
-        while queue and queue[0].claimed:
-            queue.popleft()
-        if not queue:
-            self._mailboxes.pop(address, None)
+        return len(self._mailboxes.get((destination, tag), ()))
 
     # ------------------------------------------------------------------ #
     # collectives (accounting + convenience return values)
@@ -592,19 +302,12 @@ class SimComm:
         return frozenset(self._crashed)
 
     def mailbox_state(self) -> Dict[Tuple[int, Hashable], int]:
-        """Snapshot ``{(destination, tag): pending count}`` (non-empty only).
-
-        Counts only unclaimed messages, so the snapshot stays consistent
-        with :meth:`pending_messages` when receives complete out of
-        posting order (claimed records may still sit mid-queue awaiting
-        their sweep).
-        """
-        state: Dict[Tuple[int, Hashable], int] = {}
-        for address, queue in self._mailboxes.items():
-            count = sum(1 for message in queue if not message.claimed)
-            if count:
-                state[address] = count
-        return state
+        """Snapshot ``{(destination, tag): pending count}`` (non-empty only)."""
+        return {
+            address: len(queue)
+            for address, queue in self._mailboxes.items()
+            if queue
+        }
 
     def _mailbox_summary(self) -> str:
         state = self.mailbox_state()

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-import pickle
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
@@ -23,7 +22,6 @@ __all__ = [
     "split_chunks",
     "make_executor",
     "executor_backend",
-    "submit_with_inline_fallback",
     "TaskExecutionError",
     "wrap_task_error",
 ]
@@ -194,50 +192,6 @@ def executor_backend(
     if isinstance(executor, concurrent.futures.ThreadPoolExecutor):
         return "thread"
     return "unknown"
-
-
-#: Exception types that signal a *transport* failure of a pool round-trip —
-#: the task's arguments or results could not cross the pool boundary, or the
-#: pool itself died — as opposed to the function genuinely raising.
-#: ``TypeError``/``AttributeError`` are what ``pickle`` raises for
-#: unpicklable closures and locally defined classes.
-_TRANSPORT_ERRORS = (
-    concurrent.futures.BrokenExecutor,
-    pickle.PicklingError,
-    TypeError,
-    AttributeError,
-)
-
-
-def submit_with_inline_fallback(
-    executor: concurrent.futures.Executor, function: Callable[..., R], *args
-) -> Callable[[], R]:
-    """Submit a **pure** function to a pool, falling back to inline execution.
-
-    Returns a zero-argument resolver; calling it blocks on the pool result
-    and, when the round-trip fails for transport reasons (unpicklable
-    arguments or result, a broken pool), transparently re-runs
-    ``function(*args)`` in the calling thread instead.  ``function`` must be
-    pure and deterministic: a genuine error it raises reproduces identically
-    inline, so the fallback can never mask a real failure — it only trades
-    parallelism for correctness when the process boundary is unusable.
-
-    Used by the trajectory driver's ``prefetch_backend="process"`` path,
-    which ships ``prepare_step`` to a worker process but must keep working
-    for callers whose step matrices cannot be pickled.
-    """
-    try:
-        future = executor.submit(function, *args)
-    except Exception:
-        return lambda: function(*args)
-
-    def resolve() -> R:
-        try:
-            return future.result()
-        except _TRANSPORT_ERRORS:
-            return function(*args)
-
-    return resolve
 
 
 def split_chunks(items: Sequence[T], max_chunk: int) -> List[List[T]]:

@@ -24,6 +24,7 @@ from repro.api import (
     TrajectoryResult,
     TrajectoryStats,
 )
+from repro.api.trajectory import WARM_START_HALF_WIDTH, adaptive_half_width
 
 EPS = 1e-5
 N_ELECTRONS = 8.0 * 32
@@ -193,6 +194,56 @@ class TestStepSpecifications:
             ctx.trajectory(
                 [(pair.K, pair.S)], pair.blocks, mu=0.0, n_electrons=1.0
             )
+
+
+    def test_steps_exception_surfaces_after_prior_results(self, water32_matrices):
+        """A raising steps callback fails at its own step, never earlier."""
+        pair = water32_matrices
+        steps = value_only_steps(pair, 4)
+        calls = []
+
+        class Killed(Exception):
+            pass
+
+        def dying_steps(index):
+            calls.append(index)
+            if index == 2:
+                raise Killed()
+            return steps[index] if index < len(steps) else None
+
+        config = EngineConfig(engine="batched", eps_filter=EPS)
+        with SubmatrixContext(config) as ctx:
+            with pytest.raises(Killed):
+                ctx.trajectory(
+                    dying_steps, pair.blocks, n_electrons=N_ELECTRONS, ranks=2
+                )
+        assert calls == [0, 1, 2]
+
+
+class TestAdaptiveHalfWidth:
+    def test_no_history_uses_fixed_width(self):
+        assert adaptive_half_width([], 1e-9) == WARM_START_HALF_WIDTH
+        assert adaptive_half_width([-0.2], 1e-9) == WARM_START_HALF_WIDTH
+
+    def test_fixed_width_respects_floor(self):
+        tolerance = 0.5
+        assert adaptive_half_width([-0.2], tolerance) == 8.0 * tolerance
+
+    def test_settled_history_shrinks_to_floor(self):
+        assert adaptive_half_width([-0.2, -0.2, -0.2], 1e-6) == 8.0e-6
+
+    def test_drifting_history_doubles_largest_recent_step(self):
+        width = adaptive_half_width([-0.30, -0.29, -0.285], 1e-9)
+        assert width == pytest.approx(2.0 * 0.01)
+
+    def test_only_recent_drift_counts(self):
+        # the big early jump falls outside the 5-value window
+        history = [5.0, 0.0, 0.01, 0.011, 0.0112, 0.0113]
+        width = adaptive_half_width(history, 1e-9)
+        assert width == pytest.approx(2.0 * 0.01)
+
+    def test_floor_dominates_tiny_drift(self):
+        assert adaptive_half_width([-0.2, -0.2 + 1e-12], 1e-6) == 8.0e-6
 
 
 class TestShardedTrajectory:

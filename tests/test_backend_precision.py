@@ -8,8 +8,7 @@ Covers the PR's contracts:
   NumPy backend is **bitwise identical** to its pre-seam spelling;
 * ``PrecisionPolicy(mode="fp64")`` (the default) is bitwise identical to the
   pre-refactor engine on the batched engine, sharded ranks {1, 2, 4, 8},
-  the arrival-driven overlap engine, trajectories with checkpointing, and
-  served requests;
+  trajectories with checkpointing, and served requests;
 * reduced modes (``fp32``/``fp16``/``auto``) produce densities within the
   documented error model, with the per-result accounting
   (``stacks_reduced`` / ``refinement_passes`` / ``precision_error_bound``)
@@ -366,28 +365,6 @@ class TestFp64BitwiseIdentity:
                 mu=gap_mu,
                 solver="newton_schulz",
                 ranks=ranks,
-            )
-        assert_identical(result, reference)
-
-    def test_overlapped_exchange(self, water32_matrices, gap_mu):
-        with SubmatrixContext(
-            BASE_CONFIG.replace(overlap=True)
-        ) as base, SubmatrixContext(FP64_CONFIG.replace(overlap=True)) as fp64:
-            reference = base.density(
-                water32_matrices.K,
-                water32_matrices.S,
-                water32_matrices.blocks,
-                mu=gap_mu,
-                solver="newton_schulz",
-                ranks=4,
-            )
-            result = fp64.density(
-                water32_matrices.K,
-                water32_matrices.S,
-                water32_matrices.blocks,
-                mu=gap_mu,
-                solver="newton_schulz",
-                ranks=4,
             )
         assert_identical(result, reference)
 

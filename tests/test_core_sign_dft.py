@@ -159,6 +159,35 @@ class TestCanonical:
         assert cation.mu < neutral.mu
         assert cation.n_electrons == pytest.approx(8 * 32 - 16, abs=0.5)
 
+    @pytest.mark.parametrize("eps_filter", [1e-3, 1e-2])
+    def test_zero_temperature_bisection_stops_on_exhausted_bracket(
+        self, water64_matrices, gap_mu, eps_filter
+    ):
+        """At T = 0 the electron count is a step function of μ, so once the
+        filter error exceeds ``mu_tolerance`` no μ converges: the search must
+        stop when its bracket is exhausted, on the better end — never worse
+        than a grand-canonical call at the gap centre, judged by the dense
+        oracle."""
+        pair = water64_matrices
+        n_electrons = 8.0 * 64
+        solver = SubmatrixDFTSolver(
+            config=EngineConfig(engine="batched", eps_filter=eps_filter)
+        )
+        canonical = solver.compute_density(
+            pair.K, pair.S, pair.blocks, n_electrons=n_electrons
+        )
+        grand = solver.compute_density(pair.K, pair.S, pair.blocks, mu=gap_mu)
+        oracle = reference_density_matrix(pair.K, pair.S, mu=gap_mu)
+        assert oracle.n_electrons == pytest.approx(n_electrons, abs=1e-9)
+
+        assert canonical.mu_iterations < 80
+        assert abs(canonical.n_electrons - n_electrons) <= abs(
+            grand.n_electrons - n_electrons
+        )
+        canonical_error = np.max(np.abs(canonical.density_ao - oracle.density_ao))
+        grand_error = np.max(np.abs(grand.density_ao - oracle.density_ao))
+        assert canonical_error <= grand_error * (1.0 + 1e-9)
+
     def test_canonical_requires_eigen_solver(self, water32_matrices):
         solver = SubmatrixDFTSolver(solver="newton_schulz")
         with pytest.raises(ValueError):

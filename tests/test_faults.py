@@ -23,6 +23,8 @@ This file is part of the strict CI pass (``-W error::DeprecationWarning``).
 import numpy as np
 import pytest
 
+from test_incremental_replan import matrix_for_pattern, poly, random_pattern
+
 from repro.api import (
     CheckpointError,
     EngineConfig,
@@ -30,7 +32,8 @@ from repro.api import (
     SubmatrixContext,
     TrajectoryCheckpoint,
 )
-from repro.core.runner import PipelineExecutionError
+from repro.core.runner import DistributedSubmatrixPipeline, PipelineExecutionError
+from repro.dbcsr.convert import block_matrix_to_csr
 from repro.parallel.comm import CommRankError, CommRecvError, SimComm
 from repro.parallel.executor import TaskExecutionError, map_parallel
 from repro.parallel.faults import (
@@ -406,6 +409,34 @@ class TestBitwiseRecovery:
             )
         assert np.allclose(
             result.density_ao, reference.density_ao, atol=1e-8
+        )
+
+    def test_persistent_crash_degrades_bitwise(self):
+        """``pipeline.run`` with every rank down degrades to the unsharded loop."""
+        rng = np.random.default_rng(60)
+        n = int(rng.integers(8, 18))
+        sizes = rng.integers(2, 6, n)
+        coo = random_pattern(n, 0.25, rng)
+        matrix = matrix_for_pattern(coo, sizes, rng)
+        # small enough to split every shard into several stacks
+        small_batch = 256
+        clean = DistributedSubmatrixPipeline(coo, sizes, 4).run(
+            matrix, function=poly, max_batch_elements=small_batch
+        )
+        injector = FaultInjector(
+            FaultPlan.rank_crashes([0, 1, 2, 3], seed=5, times=None)
+        )
+        result = DistributedSubmatrixPipeline(coo, sizes, 4).run(
+            matrix,
+            function=poly,
+            max_batch_elements=small_batch,
+            policy=ResiliencePolicy(fault_injector=injector),
+        )
+        assert result.resilience.degraded
+        assert clean.resilience is None
+        assert np.array_equal(
+            block_matrix_to_csr(result.result).toarray(),
+            block_matrix_to_csr(clean.result).toarray(),
         )
 
     def test_inactive_policy_keeps_legacy_exception_types(self, water32_matrices):

@@ -4,7 +4,7 @@ Covers the PR's contracts:
 
 * ``density`` through :func:`~repro.api.observables.compute_observables` is
   **bitwise identical** to ``context.density`` on every execution path
-  (naive, batched, sharded ranks {1, 2, 4, 8}, overlap, both ensembles);
+  (naive, batched, sharded ranks {1, 2, 4, 8}, both ensembles);
 * requesting {density, pdos, energy_weighted_density} together performs
   exactly the same number of eigendecomposition calls as density alone —
   N observables, one decomposition pass per stack;
@@ -152,23 +152,6 @@ class TestDensityThroughPipeline:
             )
         assert_density_identical(bundle["density"], density)
         # sharding itself must not perturb the result either
-        assert_density_identical(bundle["density"], density_reference)
-
-    def test_overlap_path(self, water32_matrices, reference_bundle):
-        pair = water32_matrices
-        _, density_reference = reference_bundle
-        config = EngineConfig(
-            engine="batched", backend="thread", max_workers=2, overlap=True
-        )
-        with SubmatrixContext(config) as ctx:
-            bundle = ctx.observables(
-                pair.K,
-                pair.S,
-                pair.blocks,
-                observables=ALL_OBSERVABLES,
-                n_electrons=N_ELECTRONS,
-                ranks=2,
-            )
         assert_density_identical(bundle["density"], density_reference)
 
     def test_bundle_quacks_like_density(self, reference_bundle):

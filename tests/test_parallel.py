@@ -11,7 +11,7 @@ from repro.parallel import (
     balanced_dims,
     map_parallel,
 )
-from repro.parallel.comm import payload_nbytes
+from repro.parallel.comm import CommRecvError, payload_nbytes
 from repro.parallel.stats import RankCounters
 
 
@@ -136,6 +136,41 @@ class TestSimComm:
         comm = SimComm(2)
         with pytest.raises(ValueError):
             comm.alltoallv(np.zeros((3, 3)))
+
+    def test_out_of_order_tag_consumption_keeps_counts_exact(self):
+        comm = SimComm(2)
+        for tag, payload in (("x", 1), ("y", 2), ("z", 3)):
+            comm.send(0, 1, payload, tag=tag)
+        assert comm.mailbox_state() == {(1, "x"): 1, (1, "y"): 1, (1, "z"): 1}
+
+        assert comm.recv(1, tag="y") == (0, 2)
+        assert comm.pending_messages(1, "y") == 0
+        assert comm.mailbox_state() == {(1, "x"): 1, (1, "z"): 1}
+
+        assert comm.recv(1, tag="z") == (0, 3)
+        assert comm.recv(1, tag="x") == (0, 1)
+        assert comm.mailbox_state() == {}
+        assert comm.pending_messages(1, "x") == 0
+
+    def test_source_filtered_out_of_order_consumption(self):
+        comm = SimComm(3)
+        comm.send(0, 1, "from-zero", tag="t")
+        comm.send(2, 1, "from-two", tag="t")
+        assert comm.pending_messages(1, "t") == 2
+
+        assert comm.recv(1, tag="t", source=2) == (2, "from-two")
+        assert comm.pending_messages(1, "t") == 1
+
+        assert comm.recv(1, tag="t") == (0, "from-zero")
+        assert comm.pending_messages(1, "t") == 0
+        assert comm.mailbox_state() == {}
+
+    def test_deadlock_reports_exact_mailbox_state(self):
+        comm = SimComm(2)
+        comm.send(0, 1, "unrelated", tag="other")
+        with pytest.raises(CommRecvError) as info:
+            comm.recv(1, tag="wanted")
+        assert info.value.mailbox_state == {(1, "other"): 1}
 
     def test_payload_nbytes(self):
         assert payload_nbytes(np.zeros(10)) == 80

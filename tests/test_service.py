@@ -702,31 +702,3 @@ class TestServiceLifecycle:
             # both configurations hit the same shared plan cache
             assert snapshot["plan_cache"]["builds"] == 1
             assert snapshot["plan_cache"]["hits"] >= 1
-
-
-# --------------------------------------------------------------------------- #
-# satellite: prefetch backend configuration (PR-7 follow-on)
-# --------------------------------------------------------------------------- #
-class TestPrefetchBackend:
-    def test_invalid_prefetch_backend_rejected(self):
-        with pytest.raises(ValueError, match="prefetch_backend"):
-            EngineConfig(prefetch_backend="carrier-pigeon")
-
-    @pytest.mark.parametrize("prefetch_backend", ["thread", "process"])
-    def test_overlap_trajectory_bitwise_identical_per_backend(
-        self, water32_matrices, gap_mu, prefetch_backend
-    ):
-        steps = [(water32_matrices.K, water32_matrices.S)] * 2
-        with SubmatrixContext(CONFIG) as context:
-            reference = context.trajectory(
-                steps, water32_matrices.blocks, mu=gap_mu
-            )
-        overlapped = CONFIG.replace(
-            overlap=True, prefetch_backend=prefetch_backend
-        )
-        with SubmatrixContext(overlapped) as context:
-            result = context.trajectory(
-                steps, water32_matrices.blocks, mu=gap_mu
-            )
-        for step, ref_step in zip(result.results, reference.results):
-            assert_identical(step, ref_step)

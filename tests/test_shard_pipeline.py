@@ -16,6 +16,7 @@ Covers the acceptance criteria of the rank-sharded refactor:
 import numpy as np
 import pytest
 
+from repro.api import EngineConfig, ResiliencePolicy, SubmatrixContext
 from repro.chem import orthogonalized_ks
 from repro.core import (
     DistributedSubmatrixPipeline,
@@ -25,14 +26,17 @@ from repro.core import (
     plan_transfers,
     single_column_groups,
 )
+from repro.core.batch import stack_solver
 from repro.core.combination import group_columns_greedy_chunks
 from repro.dbcsr import BlockDistribution, BlockSparseMatrix, CooBlockList, ProcessGrid2D
 from repro.dbcsr.convert import block_matrix_from_csr
 from repro.parallel import MachineModel
+from repro.parallel.faults import FaultInjector, FaultPlan
 from repro.signfn import (
     sign_via_eigendecomposition,
     sign_via_eigendecomposition_batched,
 )
+from repro.signfn.registry import get_kernel
 
 RANK_COUNTS = (1, 2, 4, 8)
 MU = 0.1
@@ -412,3 +416,50 @@ class TestWaterBenchmarkAcceptance:
         assert_blocks_bitwise_equal(water_reference, result.result.raw_blocks())
         for report in result.per_rank:
             assert report.segment_fetch_bytes <= report.block_fetch_bytes + 1e-9
+
+    @pytest.mark.parametrize("solver", ["eigen", "newton_schulz"])
+    def test_one_bucket_loop_behind_every_route(
+        self, water32_matrices, water_setup, gap_mu, solver
+    ):
+        """Single-process ≡ ranks {1, 2, 4} ≡ degraded, and ``run`` is a
+        thin caller of ``run_stacks`` — all through ``core.batch.map_stacks``."""
+        pair = water32_matrices
+        config = EngineConfig(engine="batched", eps_filter=1e-5)
+
+        def density(config, **kwargs):
+            with SubmatrixContext(config) as ctx:
+                return ctx.density(
+                    pair.K, pair.S, pair.blocks, mu=gap_mu, solver=solver, **kwargs
+                )
+
+        def assert_same_density(result, reference):
+            assert np.array_equal(result.density_ao, reference.density_ao)
+            assert np.array_equal(
+                result.density_ortho.toarray(), reference.density_ortho.toarray()
+            )
+            assert result.band_energy == reference.band_energy
+
+        single = density(config)
+        for ranks in (1, 2, 4):
+            assert_same_density(density(config, ranks=ranks), single)
+        every_attempt = FaultInjector(FaultPlan.rank_crashes([0, 1], times=None))
+        degraded = density(
+            config.replace(resilience=ResiliencePolicy(fault_injector=every_attempt)),
+            ranks=2,
+        )
+        assert degraded.degraded
+        assert_same_density(degraded, single)
+
+        blocked, sizes, coo = water_setup
+        pipeline = DistributedSubmatrixPipeline(coo, sizes, 2)
+        ran = pipeline.run(blocked, solver, mu=gap_mu)
+        bound = get_kernel(solver).bind(mu=gap_mu)
+        out = pipeline.plan.new_output()
+        pipeline.run_stacks(
+            pipeline.plan.pack(blocked),
+            stack_solver(bound.function, bound.batch_function),
+            out,
+        )
+        assert_blocks_bitwise_equal(
+            ran.result.raw_blocks(), pipeline.plan.finalize(out).raw_blocks()
+        )
