@@ -35,14 +35,9 @@ unified session API on top:
     density-matrix driver (grand-canonical and canonical) and the distributed
     run cost model.
 ``repro.accel``
-    Emulated low/mixed-precision sign iterations and a GPU/FPGA performance
-    model (``PrecisionMode``/``PRECISION_MODES``,
-    ``model_sign_algorithm_performance`` — re-exported here).
-``repro.backend``
-    The array-backend seam: the :class:`~repro.backend.base.ArrayBackend`
-    protocol with a bitwise-identical NumPy default and an emulated
-    reduced-precision backend, plus the mixed-precision execution behind
-    :class:`~repro.api.config.PrecisionPolicy`.
+    The paper's Sec. VI accelerator study: emulated FP16/FP16'/FP32
+    tensor-core sign iterations and a GPU/FPGA performance model.  The
+    engine itself computes in float64 NumPy only.
 ``repro.serve``
     Density-as-a-service: a multi-tenant in-process server pooling session
     contexts over one shared plan cache, with cross-request micro-batching,
@@ -58,17 +53,11 @@ The most convenient entry point is the session API, re-exported here:
 """
 
 from repro.version import __version__
-from repro.accel import (
-    PRECISION_MODES,
-    PrecisionMode,
-    model_sign_algorithm_performance,
-)
 from repro.api import (
     BoundKernel,
     DistributedSession,
     EngineConfig,
     MatrixFunction,
-    PrecisionPolicy,
     ResiliencePolicy,
     SubmatrixContext,
     SubmatrixDFTResult,
@@ -83,12 +72,6 @@ from repro.api import (
     register_kernel,
     resolve_kernel,
 )
-from repro.backend import (
-    ArrayBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
 from repro.serve import (
     AdmissionPolicy,
     DensityService,
@@ -102,14 +85,6 @@ __all__ = [
     "__version__",
     "EngineConfig",
     "ResiliencePolicy",
-    "PrecisionPolicy",
-    "PrecisionMode",
-    "PRECISION_MODES",
-    "model_sign_algorithm_performance",
-    "ArrayBackend",
-    "get_backend",
-    "register_backend",
-    "available_backends",
     "SubmatrixContext",
     "DistributedSession",
     "SubmatrixMethodResult",

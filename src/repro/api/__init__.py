@@ -24,8 +24,6 @@ from repro.api.config import (
     EIGENSOLVE_FLOP_CONSTANT,
     ENGINES,
     EngineConfig,
-    PRECISION_POLICY_MODES,
-    PrecisionPolicy,
     ResiliencePolicy,
 )
 from repro.api.checkpoint import CheckpointError, TrajectoryCheckpoint
@@ -79,8 +77,6 @@ __all__ = [
     "BALANCE_STRATEGIES",
     "EIGENSOLVE_FLOP_CONSTANT",
     "ResiliencePolicy",
-    "PrecisionPolicy",
-    "PRECISION_POLICY_MODES",
     "TrajectoryCheckpoint",
     "CheckpointError",
     "KernelConvergenceError",

@@ -195,7 +195,6 @@ class TrajectoryCheckpoint:
                     result.wall_time,
                     _float_or_nan(result.segment_fetch_bytes),
                     _float_or_nan(result.block_fetch_bytes),
-                    _float_or_nan(result.precision_error_bound),
                 ],
                 dtype=np.float64,
             ),
@@ -207,8 +206,6 @@ class TrajectoryCheckpoint:
                     result.reassigned_stacks,
                     result.kernel_fallbacks,
                     int(result.degraded),
-                    result.stacks_reduced,
-                    result.refinement_passes,
                 ],
                 dtype=np.int64,
             ),
@@ -319,13 +316,6 @@ class TrajectoryCheckpoint:
             reassigned_stacks=int(counters[3]),
             kernel_fallbacks=int(counters[4]),
             degraded=bool(counters[5]),
-            # steps saved before the mixed-precision counters existed load
-            # with the (correct) zero defaults
-            stacks_reduced=int(counters[6]) if counters.size > 6 else 0,
-            refinement_passes=int(counters[7]) if counters.size > 7 else 0,
-            precision_error_bound=(
-                _nan_to_none(scalars[7]) if scalars.size > 7 else None
-            ),
         )
         if observable_names is None:
             return density

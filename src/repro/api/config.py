@@ -25,11 +25,9 @@ from repro.parallel.executor import default_worker_count
 __all__ = [
     "EngineConfig",
     "ResiliencePolicy",
-    "PrecisionPolicy",
     "ENGINES",
     "BACKENDS",
     "BALANCE_STRATEGIES",
-    "PRECISION_POLICY_MODES",
     "EIGENSOLVE_FLOP_CONSTANT",
 ]
 
@@ -41,13 +39,6 @@ BACKENDS = ("serial", "thread", "process")
 
 #: Submatrix→rank assignment strategies of the distributed pipeline.
 BALANCE_STRATEGIES = ("chunks", "stacks", "round_robin")
-
-#: Precision modes of :class:`PrecisionPolicy`.  ``"fp64"`` is the exact
-#: pre-seam path; ``"fp32"``/``"fp16"`` force the paper's FP32 and FP16'
-#: (tensor-core mixed) emulated modes for the iterative sign solves;
-#: ``"auto"`` picks per stack from the :mod:`repro.accel.perf_model`
-#: throughput model under the configured error budget.
-PRECISION_POLICY_MODES = ("fp64", "fp32", "fp16", "auto")
 
 #: FLOPs of a dense symmetric eigendecomposition plus the two back
 #: transformations Q·diag·Qᵀ, expressed as a multiple of n³.  dsyevd costs
@@ -193,102 +184,6 @@ class ResiliencePolicy:
 
 
 @dataclasses.dataclass(frozen=True)
-class PrecisionPolicy:
-    """Mixed-precision execution policy of the iterative sign solves.
-
-    Carried on :class:`EngineConfig` and threaded through
-    :class:`~repro.api.context.SubmatrixContext` →
-    :func:`~repro.api.density.compute_density` →
-    :class:`~repro.core.runner.DistributedSubmatrixPipeline` and the
-    serving layer's batch keys.  With the default ``mode="fp64"`` the
-    policy is inactive and every execution path is bitwise identical to
-    the pre-seam engine; a reduced mode runs the batched sign solves of
-    participating kernels (``MatrixFunction.supports_reduced_precision``)
-    through the ``"emulated"`` array backend and recovers the target
-    density accuracy with a warm-started FP64 Newton–Schulz refinement
-    pass (see :mod:`repro.backend.mixed` for the error model).
-
-    Attributes
-    ----------
-    mode:
-        One of :data:`PRECISION_POLICY_MODES`.  ``"fp16"`` maps to the
-        paper's FP16' tensor-core mode (half storage, single
-        accumulation), which Fig. 13 shows converging where pure FP16
-        stalls; ``"auto"`` ranks the reduced modes by modeled end-to-end
-        throughput for the stack's submatrix dimension and picks the
-        fastest whose a-priori error bound ``ε_mode · κ`` fits
-        ``error_tolerance``, falling back to FP64.
-    error_tolerance:
-        Density error budget of the ``"auto"`` mode (and the reported
-        bound's yardstick).  The default 1e-4 is an order looser than the
-        engine's default ``eps_filter`` truncation, so auto actually
-        engages FP32 for realistically conditioned stacks.
-    refinement_threshold:
-        Convergence threshold of the FP64 refinement pass (and the floor
-        of the reduced solve's noise-floor threshold).
-    max_refinement_iterations:
-        Iteration cap of the refinement pass; a pass that fails to
-        converge discards the reduced estimate and reruns the stack in
-        FP64 — recovery is silent and exact, never raised.
-    min_dimension:
-        Submatrices smaller than this stay in FP64 (reduced-precision
-        GEMM only pays off on large blocks; tiny blocks amplify the
-        relative cast overhead).
-    gap_floor:
-        Assumed distance of μ to the nearest eigenvalue when the cheap
-        Gershgorin bound on ``|λ|min`` of the shifted submatrix is
-        uninformative — the generic case for Kohn–Sham matrices.  Enters
-        the κ estimate as the denominator floor.
-    """
-
-    mode: str = "fp64"
-    error_tolerance: float = 1e-4
-    refinement_threshold: float = 1e-10
-    max_refinement_iterations: int = 30
-    min_dimension: int = 2
-    gap_floor: float = 1e-2
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> "PrecisionPolicy":
-        """Check every field; returns ``self`` so calls can be chained."""
-        if self.mode not in PRECISION_POLICY_MODES:
-            raise ValueError(
-                f"mode must be one of {PRECISION_POLICY_MODES}, got {self.mode!r}"
-            )
-        if self.error_tolerance <= 0:
-            raise ValueError("error_tolerance must be positive")
-        if self.refinement_threshold <= 0:
-            raise ValueError("refinement_threshold must be positive")
-        if self.max_refinement_iterations < 1:
-            raise ValueError("max_refinement_iterations must be at least 1")
-        if self.min_dimension < 1:
-            raise ValueError("min_dimension must be at least 1")
-        if self.gap_floor <= 0:
-            raise ValueError("gap_floor must be positive")
-        return self
-
-    def replace(self, **changes) -> "PrecisionPolicy":
-        """A validated copy with ``changes`` applied."""
-        return dataclasses.replace(self, **changes)
-
-    @classmethod
-    def disabled(cls) -> "PrecisionPolicy":
-        """The inactive full-FP64 policy (identical to the default)."""
-        return cls(mode="fp64")
-
-    @property
-    def active(self) -> bool:
-        """Whether any reduced-precision execution can occur.
-
-        An inactive policy short-circuits to the unguarded pre-seam FP64
-        execution paths, so it costs nothing.
-        """
-        return self.mode != "fp64"
-
-
-@dataclasses.dataclass(frozen=True)
 class EngineConfig:
     """Shared configuration of the submatrix engine.
 
@@ -338,14 +233,6 @@ class EngineConfig:
         persistent pipeline failure; use
         :meth:`ResiliencePolicy.disabled` for the bare pre-resilience
         behaviour.
-    precision:
-        The session's :class:`PrecisionPolicy`.  The default FP64 policy
-        is inactive — every path stays bitwise identical to the pre-seam
-        engine; reduced modes run participating iterative sign kernels
-        through the emulated reduced-precision backend with an FP64
-        refinement pass, and the accounting lands on
-        ``SubmatrixDFTResult.stacks_reduced`` /
-        ``refinement_passes`` / ``precision_error_bound``.
     """
 
     engine: str = "plan"
@@ -362,9 +249,6 @@ class EngineConfig:
     flop_constant: float = EIGENSOLVE_FLOP_CONSTANT
     resilience: ResiliencePolicy = dataclasses.field(
         default_factory=ResiliencePolicy
-    )
-    precision: PrecisionPolicy = dataclasses.field(
-        default_factory=PrecisionPolicy
     )
 
     def __post_init__(self):
@@ -407,9 +291,6 @@ class EngineConfig:
         if not isinstance(self.resilience, ResiliencePolicy):
             raise ValueError("resilience must be a ResiliencePolicy")
         self.resilience.validate()
-        if not isinstance(self.precision, PrecisionPolicy):
-            raise ValueError("precision must be a PrecisionPolicy")
-        self.precision.validate()
         return self
 
     def resolved(self) -> "EngineConfig":

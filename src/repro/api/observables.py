@@ -65,7 +65,6 @@ from repro.api.results import (
     PDOSResult,
     SubmatrixDFTResult,
 )
-from repro.backend.mixed import PrecisionReport, solve_reduced_sign
 from repro.chem.density import (
     band_structure_energy,
     electron_count,
@@ -122,8 +121,22 @@ class PreparedStep:
     coo: CooBlockList
 
 
+def _require_finite(name: str, matrix) -> None:
+    values = matrix.data if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} contains non-finite values (NaN or Inf)")
+
+
 def prepare_step(K, S, blocks, eps_filter: float) -> PreparedStep:
-    """Precompute the pure preparation of one step (see :class:`PreparedStep`)."""
+    """Precompute the pure preparation of one step (see :class:`PreparedStep`).
+
+    Raises :class:`ValueError` naming the matrix when ``K`` or ``S`` holds a
+    NaN/Inf: one such entry turns the whole orthogonalized matrix into NaN,
+    NaN compares below ``eps_filter``, and an all-zero density would come
+    back instead of an error.
+    """
+    _require_finite("K", K)
+    _require_finite("S", S)
     k_ortho, s_inv_sqrt = orthogonalized_ks(K, S, eps_filter=eps_filter)
     block_k = block_matrix_from_csr(k_ortho, blocks.block_sizes, threshold=0.0)
     coo = CooBlockList.from_block_matrix(block_k)
@@ -159,7 +172,6 @@ class SharedEvaluation:
     pipeline: Any = None
     ranks: int = 1
     report: Any = None
-    precision_report: Any = None
     # the iterative path scatters its occupation matrices during the solve;
     # the eigen path leaves this None and density's assembly scatters from
     # the cached decompositions
@@ -324,8 +336,6 @@ def compute_observables(
             )
     policy = config.resilience if config.resilience.active else None
     report = ResilienceReport() if policy is not None else None
-    precision = config.precision if config.precision.active else None
-    precision_report = PrecisionReport() if precision is not None else None
     if (mu is None) == (n_electrons is None):
         raise ValueError("specify exactly one of mu and n_electrons")
     canonical = n_electrons is not None
@@ -445,8 +455,6 @@ def compute_observables(
             replan,
             policy=policy,
             report=report,
-            precision=precision,
-            precision_report=precision_report,
         )
         mu_iterations = 0
         plan = None
@@ -466,7 +474,6 @@ def compute_observables(
         pipeline=pipeline,
         ranks=ranks,
         report=report,
-        precision_report=precision_report,
         occupation_block=occupation_block,
         start=start,
         stack_decompositions=n_stacks,
@@ -541,7 +548,6 @@ def _assemble_density(
         ranks=evaluation.ranks,
         pipeline=evaluation.pipeline,
         report=evaluation.report,
-        precision_report=evaluation.precision_report,
     )
 
 
@@ -772,7 +778,6 @@ def assemble_result(
     ranks: int = 1,
     pipeline=None,
     report=None,
-    precision_report=None,
 ) -> SubmatrixDFTResult:
     """Finalize a density calculation from its scattered occupation matrix.
 
@@ -813,19 +818,6 @@ def assemble_result(
         reassigned_stacks=report.reassigned_stacks if report is not None else 0,
         kernel_fallbacks=report.kernel_fallbacks if report is not None else 0,
         degraded=report.degraded if report is not None else False,
-        stacks_reduced=(
-            precision_report.stacks_reduced if precision_report is not None else 0
-        ),
-        refinement_passes=(
-            precision_report.refinement_passes
-            if precision_report is not None
-            else 0
-        ),
-        precision_error_bound=(
-            precision_report.error_bound
-            if precision_report is not None and precision_report.stacks_reduced
-            else None
-        ),
     )
 
 
@@ -1101,8 +1093,6 @@ def _occupation_stack_solver(
     mu: float,
     policy=None,
     report=None,
-    precision=None,
-    precision_report=None,
 ):
     """Per-stack occupation solver 1/2·(I − sign(A − μI)) for ``kernel``.
 
@@ -1121,14 +1111,6 @@ def _occupation_stack_solver(
     ``report``, not raised.  A retried matrix restarts from its original
     shifted values, so a recovered solve is bitwise identical to a
     fault-free converged one.
-
-    With an active ``precision`` policy and a kernel that declares
-    ``supports_reduced_precision``, a reduced-precision sign solve with an
-    FP64 refinement pass (:func:`~repro.backend.mixed.solve_reduced_sign`)
-    is attempted *first*; whenever it declines or fails (mode gate,
-    non-finite reduced estimate, refinement non-convergence) the stack
-    silently falls through to the ordinary FP64 chain below — including
-    its resilience ladder.
     """
     resilient = resilient_stack_solver(kernel, policy, report)
     plain = stack_solver(bound.function, bound.batch_function)
@@ -1136,10 +1118,6 @@ def _occupation_stack_solver(
     def solve(stack: np.ndarray) -> np.ndarray:
         identity = np.eye(stack.shape[-1])
         shifted = stack - mu * identity
-        if precision is not None:
-            signs = solve_reduced_sign(kernel, shifted, precision, precision_report)
-            if signs is not None:
-                return 0.5 * (identity - signs)
         if resilient is not None:
             signs = np.asarray(resilient(shifted), dtype=float)
         else:
@@ -1165,8 +1143,6 @@ def _iterative_occupations(
     replan: str = "full",
     policy=None,
     report=None,
-    precision=None,
-    precision_report=None,
 ) -> Tuple[BlockSparseMatrix, List[int]]:
     """Occupation matrices 1/2·(I − sign(A − μI)) via an iterative sign kernel.
 
@@ -1212,9 +1188,7 @@ def _iterative_occupations(
             scatter_block_submatrix_result(result, occupation, submatrix, coo)
         return result, dimensions
 
-    solve_stack = _occupation_stack_solver(
-        kernel, bound, mu, policy, report, precision, precision_report
-    )
+    solve_stack = _occupation_stack_solver(kernel, bound, mu, policy, report)
     pad_value = kernel.padding_value(mu)
 
     if pipeline is not None:

@@ -121,17 +121,6 @@ class SubmatrixDFTResult:
         Whether the computation fell back to the single-process batched
         engine after exhausting the rank retries (the result is still
         bitwise identical to a fault-free run).
-    stacks_reduced:
-        Bucketed stacks whose iterative sign solve ran in a reduced
-        precision mode under the session's
-        :class:`~repro.api.config.PrecisionPolicy` (0 for the default FP64
-        policy or non-participating kernels).
-    refinement_passes:
-        FP64 Newton–Schulz refinement passes that polished a reduced sign
-        estimate back to target accuracy.
-    precision_error_bound:
-        Max over the reduced stacks of the a-priori density error bound
-        ``ε_mode · κ_estimate`` (``None`` when nothing ran reduced).
     """
 
     density_ao: np.ndarray
@@ -151,9 +140,6 @@ class SubmatrixDFTResult:
     reassigned_stacks: int = 0
     kernel_fallbacks: int = 0
     degraded: bool = False
-    stacks_reduced: int = 0
-    refinement_passes: int = 0
-    precision_error_bound: Optional[float] = None
 
     @property
     def n_submatrices(self) -> int:

@@ -133,10 +133,6 @@ class TrajectoryStepRecord:
     resumed:
         Whether the step was loaded from the trajectory checkpoint instead
         of recomputed (``wall_time`` is then the load time).
-    stacks_reduced / refinement_passes / precision_error_bound:
-        Mixed-precision accounting of the step's density calculation
-        (see :class:`~repro.api.results.SubmatrixDFTResult`; all 0/None
-        for the default FP64 :class:`~repro.api.config.PrecisionPolicy`).
     """
 
     step: int
@@ -159,9 +155,6 @@ class TrajectoryStepRecord:
     reassigned_stacks: int = 0
     kernel_fallbacks: int = 0
     resumed: bool = False
-    stacks_reduced: int = 0
-    refinement_passes: int = 0
-    precision_error_bound: Optional[float] = None
 
 
 @dataclasses.dataclass
@@ -200,9 +193,6 @@ class TrajectoryStats:
         from failures; see :class:`~repro.api.results.SubmatrixDFTResult`).
     steps_resumed:
         Steps loaded from the trajectory checkpoint instead of recomputed.
-    stacks_reduced / refinement_passes:
-        Totals of the per-step mixed-precision counters (0 for the
-        default FP64 :class:`~repro.api.config.PrecisionPolicy`).
 
     All ratio properties are well-defined for empty trajectories (they
     return 0.0 instead of dividing by zero).
@@ -223,19 +213,6 @@ class TrajectoryStats:
     reassigned_stacks: int = 0
     kernel_fallbacks: int = 0
     steps_resumed: int = 0
-    stacks_reduced: int = 0
-    refinement_passes: int = 0
-
-    @property
-    def precision_error_bound(self) -> Optional[float]:
-        """Max per-step a-priori mixed-precision error bound (``None``
-        when no step ran any stack reduced)."""
-        bounds = [
-            r.precision_error_bound
-            for r in self.steps
-            if r.precision_error_bound is not None
-        ]
-        return max(bounds) if bounds else None
 
     @property
     def reuse_rate(self) -> float:
@@ -623,9 +600,6 @@ def run_trajectory(
                 reassigned_stacks=result.reassigned_stacks,
                 kernel_fallbacks=result.kernel_fallbacks,
                 resumed=resumed,
-                stacks_reduced=result.stacks_reduced,
-                refinement_passes=result.refinement_passes,
-                precision_error_bound=result.precision_error_bound,
             )
         )
         results.append(result)
@@ -653,7 +627,5 @@ def run_trajectory(
         reassigned_stacks=sum(r.reassigned_stacks for r in records),
         kernel_fallbacks=sum(r.kernel_fallbacks for r in records),
         steps_resumed=sum(1 for r in records if r.resumed),
-        stacks_reduced=sum(r.stacks_reduced for r in records),
-        refinement_passes=sum(r.refinement_passes for r in records),
     )
     return TrajectoryResult(results=results, stats=stats)

@@ -128,26 +128,22 @@ def count_stack_tasks(
 def stack_solver(
     function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    xp=None,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The ``(k, d, d) -> (k, d, d)`` solver of a kernel's two callables.
 
     ``batch_function`` evaluates the whole stack in one call; without it the
-    per-matrix ``function`` is applied slice by slice.  ``xp`` optionally
-    moves the stack onto an :class:`~repro.backend.base.ArrayBackend` before
-    the kernel call (``None`` hands the kernel the NumPy stack directly).
-    Either way the result is coerced back to the stack's dtype.
+    per-matrix ``function`` is applied slice by slice.  Either way the
+    result is coerced to the stack's dtype.
     """
     if function is None and batch_function is None:
         raise ValueError("provide function or batch_function")
 
     def solve(stack: np.ndarray) -> np.ndarray:
-        kernel_stack = stack if xp is None else xp.asarray(stack)
         if batch_function is not None:
-            return np.asarray(batch_function(kernel_stack), dtype=stack.dtype)
+            return np.asarray(batch_function(stack), dtype=stack.dtype)
         return np.stack(
             [
-                np.asarray(function(kernel_stack[slot]), dtype=stack.dtype)
+                np.asarray(function(stack[slot]), dtype=stack.dtype)
                 for slot in range(stack.shape[0])
             ]
         )
@@ -220,7 +216,6 @@ def evaluate_batched(
     backend: str = "serial",
     out: Optional[np.ndarray] = None,
     executor=None,
-    xp=None,
 ) -> Optional[List[np.ndarray]]:
     """Evaluate f on every planned submatrix via bucketed 3-D stacks.
 
@@ -256,11 +251,6 @@ def evaluate_batched(
         When given, every evaluated stack is scattered straight into it with
         one vectorized write per stack (zero-copy path) and the function
         returns ``None``; finalize with ``plan.finalize(out)``.
-    xp:
-        Optional :class:`~repro.backend.base.ArrayBackend` the extracted
-        stacks are moved onto before the kernel call (see
-        :func:`stack_solver`); ``None`` (default) is bitwise the pre-seam
-        behaviour.
 
     Returns
     -------
@@ -276,7 +266,7 @@ def evaluate_batched(
         plan,
         packed,
         tasks,
-        stack_solver(function, batch_function, xp=xp),
+        stack_solver(function, batch_function),
         out=out,
         pad_value=pad_value,
         mapper=lambda run, items: map_parallel(

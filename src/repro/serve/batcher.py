@@ -135,16 +135,10 @@ class DensityRequest:
 
     @property
     def batch_key(self) -> tuple:
-        """Requests merge only within one (context, solver, precision mode,
-        observable set) equivalence class — the service never merges stacks
-        whose :class:`~repro.api.config.PrecisionPolicy` modes differ, and
-        groups stay homogeneous in the observables they assemble."""
-        return (
-            id(self.context),
-            self.solver,
-            self.context.config.precision.mode,
-            tuple(self.observables),
-        )
+        """Requests merge only within one (context, solver, observable set)
+        equivalence class, so groups stay homogeneous in the observables
+        they assemble."""
+        return (id(self.context), self.solver, tuple(self.observables))
 
     @property
     def content_key(self) -> tuple:

@@ -43,8 +43,6 @@ class _TenantState:
         "cache_misses",
         "decomposition_hits",
         "decomposition_misses",
-        "stacks_reduced",
-        "refinement_passes",
         "latencies",
     )
 
@@ -61,8 +59,6 @@ class _TenantState:
         self.cache_misses = 0
         self.decomposition_hits = 0
         self.decomposition_misses = 0
-        self.stacks_reduced = 0
-        self.refinement_passes = 0
         self.latencies: Deque[float] = deque(maxlen=window)
 
     def snapshot(self) -> Dict[str, object]:
@@ -84,8 +80,6 @@ class _TenantState:
             "cache_hit_rate": (self.cache_hits / lookups) if lookups else 0.0,
             "decomposition_hits": self.decomposition_hits,
             "decomposition_misses": self.decomposition_misses,
-            "stacks_reduced": self.stacks_reduced,
-            "refinement_passes": self.refinement_passes,
             "p50_latency": p50,
             "p99_latency": p99,
         }
@@ -124,11 +118,6 @@ class ServiceMetrics:
         :class:`~repro.serve.batcher.DecompositionCache` of a *previous*
         micro-batch window vs. computed fresh (both 0 when the cache is
         disabled, the default).
-    ``stacks_reduced`` / ``refinement_passes``:
-        Mixed-precision accounting of the tenant's completed requests —
-        bucketed stacks whose sign solve ran reduced under the session's
-        :class:`~repro.api.config.PrecisionPolicy`, and the FP64 refinement
-        passes that recovered them (both 0 for FP64 sessions).
     ``p50_latency`` / ``p99_latency``:
         Submit-to-completion percentiles over the most recent
         ``latency_window`` requests.
@@ -167,8 +156,6 @@ class ServiceMetrics:
         cache_misses: int = 0,
         decomposition_hits: int = 0,
         decomposition_misses: int = 0,
-        stacks_reduced: int = 0,
-        refinement_passes: int = 0,
     ) -> None:
         with self._lock:
             state = self._tenant(tenant)
@@ -184,8 +171,6 @@ class ServiceMetrics:
             state.cache_misses += int(cache_misses)
             state.decomposition_hits += int(decomposition_hits)
             state.decomposition_misses += int(decomposition_misses)
-            state.stacks_reduced += int(stacks_reduced)
-            state.refinement_passes += int(refinement_passes)
 
     def record_failed(self, tenant: str, latency: float) -> None:
         with self._lock:
@@ -214,8 +199,6 @@ class ServiceMetrics:
                 "cache_misses",
                 "decomposition_hits",
                 "decomposition_misses",
-                "stacks_reduced",
-                "refinement_passes",
             )
         }
         for state in tenants.values():

@@ -350,10 +350,6 @@ class DensityService:
                 cache_misses=request.cache_misses,
                 decomposition_hits=request.decomposition_hits,
                 decomposition_misses=request.decomposition_misses,
-                # a bundle without a density member has no precision
-                # accounting to delegate to — fall back to zero
-                stacks_reduced=getattr(result, "stacks_reduced", 0),
-                refinement_passes=getattr(result, "refinement_passes", 0),
             )
         else:
             self.metrics.record_failed(request.tenant, latency)
@@ -414,8 +410,6 @@ class DensityService:
             tenant,
             time.perf_counter() - submitted,
             bytes_out=bytes_out,
-            stacks_reduced=result.stats.stacks_reduced,
-            refinement_passes=result.stats.refinement_passes,
         )
         self.admission.enforce_memory(self.plan_cache)
         return result

@@ -13,8 +13,7 @@ Four families of algorithms are provided:
   (:mod:`repro.signfn.eigen`);
 * a Chebyshev polynomial expansion of the erf-smoothed sign — GEMM-only
   and diagonalization-free, a different accuracy/cost point than the sign
-  iterations and a natural reduced-precision candidate
-  (:mod:`repro.signfn.chebyshev`).
+  iterations (:mod:`repro.signfn.chebyshev`).
 
 :mod:`repro.signfn.inverse_root` implements the inverse p-th roots of the
 original submatrix-method publication, and :mod:`repro.signfn.utils` the

@@ -31,11 +31,7 @@ accuracy is limited by the smoothing width λ relative to the (scaled)
 spectral gap at the shift: eigenvalues at distance ``g`` from 0 incur an
 occupation error ``≈ erfc(g/λ)/2``.  The defaults below resolve the water
 benchmark systems' HOMO–LUMO gap to ~1e-9; systems with tighter gaps
-need a smaller ``smoothing`` and correspondingly more terms.  Allocation
-and GEMMs route through the :class:`~repro.backend.base.ArrayBackend`
-``xp`` seam, so the kernel participates in the reduced-precision modes of
-:class:`~repro.api.config.PrecisionPolicy` (the FP64 refinement pass
-polishes the smoothing floor away).
+need a smaller ``smoothing`` and correspondingly more terms.
 """
 
 from __future__ import annotations
@@ -153,7 +149,6 @@ def sign_chebyshev_batched(
     smoothing: float = DEFAULT_CHEBYSHEV_SMOOTHING,
     convergence_threshold: float = DEFAULT_CHEBYSHEV_THRESHOLD,
     check_interval: int = DEFAULT_CHECK_INTERVAL,
-    xp=None,
 ) -> BatchedChebyshevResult:
     """Evaluate sign(A) on a ``(k, n, n)`` stack by Chebyshev expansion.
 
@@ -164,11 +159,7 @@ def sign_chebyshev_batched(
     discipline as the batched Newton–Schulz iteration, so the results are
     independent of the stack composition.
     """
-    if xp is None:
-        from repro.backend.base import NUMPY_BACKEND
-
-        xp = NUMPY_BACKEND
-    x = xp.array(stack)
+    x = np.array(stack, dtype=float)
     if x.ndim != 3 or x.shape[-1] != x.shape[-2]:
         raise ValueError("expected a (k, n, n) stack of square matrices")
     count, n, _ = x.shape
@@ -183,9 +174,7 @@ def sign_chebyshev_batched(
     # step by two — T_{m+2} = 2·T_2·T_m − T_{m−2} with T_2 = 2X² − I —
     # at ONE stacked GEMM per accumulated term (half of the naive cost)
     identity = np.eye(n)
-    doubler = np.asarray(2.0 * xp.matmul(x, x), dtype=np.float64)
-    doubler -= identity  # T_2, per matrix
-    doubler = xp.array(doubler)
+    doubler = 2.0 * (x @ x) - identity  # T_2, per matrix
     sign = np.zeros((count, n, n), dtype=np.float64)
     terms = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
@@ -195,8 +184,8 @@ def sign_chebyshev_batched(
     # at the check boundary they converge on, so per-matrix results do not
     # depend on the stack composition
     active = np.arange(count)
-    t_prev = xp.array(x)  # T_1
-    series = coefficients[1] * np.asarray(t_prev, dtype=np.float64)
+    t_prev = x  # T_1
+    series = coefficients[1] * t_prev
     order = 1
     t_curr = None  # highest odd Chebyshev iterate (lazily T_3 on first step)
 
@@ -226,12 +215,12 @@ def sign_chebyshev_batched(
         order += 2
         if t_curr is None:
             # T_3 = 2·T_2·T_1 − T_1
-            t_next = 2.0 * xp.matmul(doubler[active], t_prev) - t_prev
+            t_next = 2.0 * (doubler[active] @ t_prev) - t_prev
         else:
-            t_next = 2.0 * xp.matmul(doubler[active], t_curr) - t_prev
+            t_next = 2.0 * (doubler[active] @ t_curr) - t_prev
             t_prev = t_curr
         t_curr = t_next
-        series += coefficients[order] * np.asarray(t_next, dtype=np.float64)
+        series += coefficients[order] * t_next
         if order >= next_check:
             flush(residuals_of(series) < convergence_threshold)
             next_check = min(next_check + check_interval, degree)
@@ -246,7 +235,6 @@ def sign_chebyshev(
     smoothing: float = DEFAULT_CHEBYSHEV_SMOOTHING,
     convergence_threshold: float = DEFAULT_CHEBYSHEV_THRESHOLD,
     check_interval: int = DEFAULT_CHECK_INTERVAL,
-    xp=None,
 ) -> ChebyshevSignResult:
     """Single-matrix convenience wrapper over :func:`sign_chebyshev_batched`."""
     dense = np.asarray(matrix, dtype=float)
@@ -258,7 +246,6 @@ def sign_chebyshev(
         smoothing=smoothing,
         convergence_threshold=convergence_threshold,
         check_interval=check_interval,
-        xp=xp,
     )
     sign = batched.sign[0]
     residual_matrix = sign @ sign - np.eye(dense.shape[0])

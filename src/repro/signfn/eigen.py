@@ -96,7 +96,6 @@ def sign_via_eigendecomposition(
 def symmetric_eigendecomposition_batched(
     stack: np.ndarray,
     symmetry_tolerance: float = 1e-8,
-    xp=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a ``(k, n, n)`` stack of symmetric matrices.
 
@@ -104,16 +103,7 @@ def symmetric_eigendecomposition_batched(
     leading axes) instead of ``k`` Python calls; used by the bucketed batch
     evaluator of the submatrix engine.  Returns ``(eigenvalues, eigenvectors)``
     of shapes ``(k, n)`` and ``(k, n, n)``.
-
-    The decomposition routes through the :class:`~repro.backend.base.
-    ArrayBackend` ``xp`` (default: the ``"numpy"`` backend, whose ``eigh``
-    *is* ``numpy.linalg.eigh`` — the default path is bitwise unchanged);
-    the symmetry check always runs in float64.
     """
-    if xp is None:
-        from repro.backend.base import NUMPY_BACKEND
-
-        xp = NUMPY_BACKEND
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[-1] != stack.shape[-2]:
         raise ValueError("expected a (k, n, n) stack of square matrices")
@@ -124,45 +114,35 @@ def symmetric_eigendecomposition_batched(
             f"stack is not symmetric (max asymmetry {asymmetry:.3e} exceeds "
             f"{symmetry_tolerance:.0e})"
         )
-    return xp.eigh(xp.asarray(0.5 * (stack + transposed)))
+    return np.linalg.eigh(0.5 * (stack + transposed))
 
 
 def _reconstruct_batched(
-    eigenvectors: np.ndarray, diagonal: np.ndarray, xp=None
+    eigenvectors: np.ndarray, diagonal: np.ndarray
 ) -> np.ndarray:
     """Batched Q·diag(d)·Qᵀ for a stack of decompositions."""
-    if xp is None:
-        from repro.backend.base import NUMPY_BACKEND
-
-        xp = NUMPY_BACKEND
-    return xp.matmul(
-        eigenvectors * diagonal[:, None, :], np.swapaxes(eigenvectors, -1, -2)
-    )
+    return (eigenvectors * diagonal[:, None, :]) @ np.swapaxes(eigenvectors, -1, -2)
 
 
 def sign_via_eigendecomposition_batched(
     stack: np.ndarray,
     mu: float = 0.0,
     zero_tolerance: float = 0.0,
-    xp=None,
 ) -> np.ndarray:
     """sign(A − μI) for every matrix of a ``(k, n, n)`` stack (Eq. 17).
 
     Batched counterpart of :func:`sign_via_eigendecomposition`; one call
-    evaluates the whole stack.  ``xp`` routes the decomposition and the
-    reconstruction GEMM through an array backend (default: bitwise-identical
-    NumPy).
+    evaluates the whole stack.
     """
-    eigenvalues, eigenvectors = symmetric_eigendecomposition_batched(stack, xp=xp)
+    eigenvalues, eigenvectors = symmetric_eigendecomposition_batched(stack)
     signs = extended_signum(eigenvalues - mu, zero_tolerance)
-    return _reconstruct_batched(eigenvectors, signs, xp=xp)
+    return _reconstruct_batched(eigenvectors, signs)
 
 
 def occupation_function_via_eigendecomposition_batched(
     stack: np.ndarray,
     mu: float = 0.0,
     temperature: float = 0.0,
-    xp=None,
 ) -> np.ndarray:
     """Occupation matrices f(A) = Q f(Λ − μ) Qᵀ for a ``(k, n, n)`` stack.
 
@@ -171,9 +151,9 @@ def occupation_function_via_eigendecomposition_batched(
     """
     from repro.chem.density import fermi_occupation
 
-    eigenvalues, eigenvectors = symmetric_eigendecomposition_batched(stack, xp=xp)
+    eigenvalues, eigenvectors = symmetric_eigendecomposition_batched(stack)
     occupations = fermi_occupation(eigenvalues, mu, temperature)
-    return _reconstruct_batched(eigenvectors, occupations, xp=xp)
+    return _reconstruct_batched(eigenvectors, occupations)
 
 
 def occupation_function_via_eigendecomposition(

@@ -35,7 +35,6 @@ __all__ = [
     "BatchedNewtonSchulzResult",
     "sign_newton_schulz",
     "sign_newton_schulz_batched",
-    "refine_sign_newton_schulz_batched",
     "sign_newton_schulz_sparse",
     "sign_newton_schulz_filtered_dense",
 ]
@@ -150,7 +149,6 @@ def sign_newton_schulz_batched(
     stack: np.ndarray,
     convergence_threshold: float = 1e-10,
     max_iterations: int = 100,
-    xp=None,
 ) -> BatchedNewtonSchulzResult:
     """2nd-order Newton–Schulz iteration on a ``(k, n, n)`` stack.
 
@@ -161,21 +159,8 @@ def sign_newton_schulz_batched(
     residual ``||X_{k+1} − X_k||_F / sqrt(n)`` drops below the threshold,
     which makes the per-matrix iterate sequences identical to the unbatched
     routine.
-
-    Allocation and GEMMs route through the :class:`~repro.backend.base.
-    ArrayBackend` ``xp`` (default: the ``"numpy"`` backend, whose methods
-    are the identical NumPy calls this function made before the seam
-    existed — the default path is bitwise unchanged).  With a reduced-
-    precision backend the iterate lives in the mode's storage dtype and
-    every product goes through the backend's GEMM; residuals are always
-    measured in float64 so the freeze logic never sees a reduced-precision
-    overflow.
     """
-    if xp is None:
-        from repro.backend.base import NUMPY_BACKEND
-
-        xp = NUMPY_BACKEND
-    x = xp.array(stack)
+    x = np.array(stack, dtype=float)
     if x.ndim != 3 or x.shape[-1] != x.shape[-2]:
         raise ValueError("expected a (k, n, n) stack of square matrices")
     count, n, _ = x.shape
@@ -185,50 +170,6 @@ def sign_newton_schulz_batched(
     scale = np.sqrt(one_norm * inf_norm)
     scale[scale == 0.0] = 1.0
     x /= scale[:, None, None]
-    identity = xp.eye(n)
-    iterations = np.zeros(count, dtype=int)
-    converged = np.zeros(count, dtype=bool)
-    active = np.arange(count)
-    for _ in range(max_iterations):
-        if active.size == 0:
-            break
-        xa = x[active]
-        x_squared = xp.matmul(xa, xa)
-        update = 0.5 * xp.matmul(xa, 3.0 * identity - x_squared)
-        residual = np.linalg.norm(
-            np.asarray(update - xa, dtype=np.float64), axis=(1, 2)
-        ) / np.sqrt(n)
-        x[active] = update
-        iterations[active] += 1
-        done = residual < convergence_threshold
-        converged[active[done]] = True
-        active = active[~done]
-    return BatchedNewtonSchulzResult(
-        sign=x, iterations=iterations, converged=converged
-    )
-
-
-def refine_sign_newton_schulz_batched(
-    initial: np.ndarray,
-    convergence_threshold: float = 1e-10,
-    max_iterations: int = 30,
-) -> BatchedNewtonSchulzResult:
-    """Warm-started FP64 Newton–Schulz continuation from a sign estimate.
-
-    The refinement pass of the mixed-precision policy: ``initial`` is a
-    ``(k, n, n)`` stack of approximate sign matrices (the FP64-cast result
-    of a reduced-precision solve, eigenvalues ±1 + noise), which sits well
-    inside the quadratic convergence basin of the Newton–Schulz map — no
-    prescaling is applied, and a handful of FP64 iterations push the
-    involutority residual from the reduced mode's noise floor down to
-    ``convergence_threshold``.  The per-matrix freeze logic matches
-    :func:`sign_newton_schulz_batched`, so refined matrices are independent
-    of the stack composition.
-    """
-    x = np.array(initial, dtype=float)
-    if x.ndim != 3 or x.shape[-1] != x.shape[-2]:
-        raise ValueError("expected a (k, n, n) stack of square matrices")
-    count, n, _ = x.shape
     identity = np.eye(n)
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)

@@ -78,7 +78,6 @@ def sign_pade(
     max_iterations: int = 100,
     track_involutority: bool = True,
     callback: Optional[Callable[[int, np.ndarray], None]] = None,
-    xp=None,
 ) -> PadeResult:
     """Dense Padé-style sign iteration of the given convergence order.
 
@@ -101,44 +100,31 @@ def sign_pade(
         Optional function called as ``callback(iteration, X)`` after every
         iteration; used by the precision study to record per-iteration
         energies.
-    xp:
-        :class:`~repro.backend.base.ArrayBackend` the iterate lives on and
-        the GEMMs route through.  The default ``"numpy"`` backend delegates
-        to the identical NumPy calls this function used before the seam
-        existed, so the default path is bitwise unchanged; a reduced-
-        precision backend keeps the iterate in storage dtype while the
-        diagnostics (residual, involutority) stay float64.
     """
-    if xp is None:
-        from repro.backend.base import NUMPY_BACKEND
-
-        xp = NUMPY_BACKEND
     coefficients = pade_polynomial_coefficients(order)
-    x = xp.array(as_dense(matrix))
+    x = np.array(as_dense(matrix), dtype=float)
     n = x.shape[0]
     if x.shape[0] != x.shape[1]:
         raise ValueError("sign function requires a square matrix")
     scale = spectral_scale_estimate(x)
     x /= scale
-    identity = xp.eye(n)
+    identity = np.eye(n)
     residual_history: List[float] = []
     involutority_history: List[float] = []
     flops = 0.0
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        x_squared = xp.matmul(x, x)
+        x_squared = x @ x
         flops += 2.0 * n**3
         # evaluate the polynomial in X^2 by Horner's rule
         poly = coefficients[-1] * identity
         for coefficient in coefficients[-2::-1]:
-            poly = xp.matmul(poly, x_squared) + coefficient * identity
+            poly = poly @ x_squared + coefficient * identity
             flops += 2.0 * n**3
-        update = xp.matmul(x, poly)
+        update = x @ poly
         flops += 2.0 * n**3
-        residual = float(
-            np.linalg.norm(np.asarray(update - x, dtype=np.float64))
-        ) / np.sqrt(n)
+        residual = float(np.linalg.norm(update - x)) / np.sqrt(n)
         residual_history.append(residual)
         x = update
         involutority = involutority_error(x) / np.sqrt(n)

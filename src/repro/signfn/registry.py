@@ -147,21 +147,6 @@ class MatrixFunction:
         with μ and the electronic temperature taken from the session config.
         Leave it ``False`` for any kernel with different math; those run
         through the iterative sign path (grand-canonical only).
-    supports_reduced_precision:
-        Declares the kernel safe to run through the mixed-precision path of
-        :class:`~repro.api.config.PrecisionPolicy`: its iteration tolerates
-        reduced-precision arithmetic (tracking the involutority rather than
-        the energy, Fig. 13) and its result is a sign stack an FP64
-        Newton–Schulz refinement pass can polish.  Requires
-        :attr:`make_reduced_batched`.
-    make_reduced_batched:
-        Optional factory ``make_reduced_batched(xp, convergence_threshold)``
-        returning a batched callable ``(k, d, d) -> (k, d, d)`` that
-        evaluates the sign of an *already μ-shifted* stack on the
-        :class:`~repro.backend.base.ArrayBackend` ``xp`` with the given
-        (noise-floor) convergence threshold.  The mixed-precision driver
-        (:func:`repro.backend.mixed.solve_reduced_sign`) builds the emulated
-        backend, calls this, and refines the estimate in FP64.
     description:
         One-line human-readable summary.
     """
@@ -175,8 +160,6 @@ class MatrixFunction:
     supports_mu_bisection: bool = False
     description: str = ""
     make_checked_batched: Optional[Callable[..., Callable]] = None
-    supports_reduced_precision: bool = False
-    make_reduced_batched: Optional[Callable[..., Callable]] = None
 
     def padding_value(self, mu: float = 0.0) -> float:
         """Safe padding diagonal for a μ-shifted evaluation of this kernel.
@@ -406,15 +389,6 @@ def _make_newton_schulz_checked(mu: float = 0.0):
     return checked
 
 
-def _make_newton_schulz_reduced(xp, convergence_threshold: float):
-    def reduced(stack):
-        return sign_newton_schulz_batched(
-            stack, convergence_threshold=convergence_threshold, xp=xp
-        ).sign
-
-    return reduced
-
-
 def _make_pade(mu: float = 0.0, order: int = 3):
     return lambda a: sign_pade(_shift(a, mu), order=order).sign
 
@@ -433,28 +407,6 @@ def _make_pade_checked(mu: float = 0.0, order: int = 3):
         return signs, converged
 
     return checked
-
-
-def _make_pade_reduced(xp, convergence_threshold: float):
-    def reduced(stack):
-        return np.stack(
-            [
-                np.asarray(
-                    sign_pade(
-                        stack[slot],
-                        order=3,
-                        convergence_threshold=convergence_threshold,
-                        max_iterations=30,
-                        track_involutority=False,
-                        xp=xp,
-                    ).sign,
-                    dtype=float,
-                )
-                for slot in range(stack.shape[0])
-            ]
-        )
-
-    return reduced
 
 
 def _make_chebyshev(
@@ -495,15 +447,6 @@ def _make_chebyshev_checked(
     return checked
 
 
-def _make_chebyshev_reduced(xp, convergence_threshold: float):
-    def reduced(stack):
-        return sign_chebyshev_batched(
-            stack, convergence_threshold=convergence_threshold, xp=xp
-        ).sign
-
-    return reduced
-
-
 def _make_occupation(mu: float = 0.0, temperature: float = 0.0):
     return lambda a: occupation_function_via_eigendecomposition(
         a, mu=mu, temperature=temperature
@@ -533,8 +476,6 @@ register_kernel(
         iterative=True,
         description="sign(A − μI) via the 2nd-order Newton–Schulz iteration (Eq. 11)",
         make_checked_batched=_make_newton_schulz_checked,
-        supports_reduced_precision=True,
-        make_reduced_batched=_make_newton_schulz_reduced,
     )
 )
 register_kernel(
@@ -544,8 +485,6 @@ register_kernel(
         iterative=True,
         description="sign(A − μI) via the higher-order Padé iteration (Eq. 19)",
         make_checked_batched=_make_pade_checked,
-        supports_reduced_precision=True,
-        make_reduced_batched=_make_pade_reduced,
     )
 )
 register_kernel(
@@ -559,8 +498,6 @@ register_kernel(
             "(GEMM-only, diagonalization-free)"
         ),
         make_checked_batched=_make_chebyshev_checked,
-        supports_reduced_precision=True,
-        make_reduced_batched=_make_chebyshev_reduced,
     )
 )
 register_kernel(

@@ -18,6 +18,14 @@ from repro.signfn import sign_via_eigendecomposition
 from conftest import make_decay_matrix
 
 
+def spectrum_stack(k=3, n=12, lam_min=0.3, lam_max=2.0, seed=0):
+    """A (k, n, n) stack of symmetric matrices with |λ| in [lam_min, lam_max]."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((k, n, n)))
+    lam = rng.uniform(lam_min, lam_max, (k, n)) * rng.choice([-1.0, 1.0], (k, n))
+    return q * lam[:, None, :] @ np.swapaxes(q, -1, -2)
+
+
 class TestPrecisionModes:
     def test_all_paper_modes_present(self):
         assert set(PRECISION_MODES) == {"FP16", "FP16'", "FP32", "FP64"}
@@ -177,3 +185,48 @@ class TestPerformanceModel:
     def test_table_covers_requested_precisions(self):
         rows = performance_table(RTX_2080_TI, precisions=["FP32", "FP64"])
         assert [r.precision for r in rows] == ["FP32", "FP64"]
+
+
+class TestAccelPaperFigures:
+    @pytest.fixture(scope="class")
+    def submatrix(self):
+        return spectrum_stack(1, 24, lam_min=0.4, lam_max=1.6, seed=13)[0]
+
+    def test_involutority_noise_floor_plateau(self, submatrix):
+        """Figs 12-13: FP16/FP16' plateau at a noise floor, FP32/FP64
+        converge toward machine precision."""
+        histories = {
+            name: mixed_precision_sign_iteration(
+                submatrix, precision=name, n_iterations=14
+            ).involutority
+            for name in ("FP16", "FP16'", "FP32", "FP64")
+        }
+        # only FP64 converges toward machine precision
+        assert histories["FP64"][-1] < 1e-10
+        # the reduced modes stall on noise floors set by their precision:
+        # half-storage modes orders of magnitude above the single mode
+        assert 1e-4 < histories["FP16"][-1] < 1e-1
+        assert 1e-4 < histories["FP16'"][-1] < 1e-1
+        assert 1e-8 < histories["FP32"][-1] < 1e-5
+        # ... and each tail is flat (a noise floor, not slow convergence)
+        for name in ("FP16", "FP16'", "FP32"):
+            tail = np.asarray(histories[name][-4:])
+            assert tail.max() < 10.0 * tail.min()
+        # the floor ordering matches the storage/accumulate precision
+        assert histories["FP16"][-1] >= histories["FP16'"][-1]
+        assert histories["FP16'"][-1] > histories["FP32"][-1]
+        assert histories["FP32"][-1] > histories["FP64"][-1]
+
+    def test_table_i_throughput_ordering(self):
+        """Table I: reduced modes saturate below their practical GEMM rate,
+        FP64 stays GEMM-bound, and overall throughput orders FP16 > FP16' >
+        FP32 > FP64."""
+        perf = {
+            name: model_sign_algorithm_performance(RTX_2080_TI, name)
+            for name in ("FP16", "FP16'", "FP32", "FP64")
+        }
+        for name in ("FP16", "FP16'"):
+            assert perf[name].overall_tflops < 0.85 * perf[name].gemm_tflops
+        assert perf["FP64"].overall_tflops > 0.95 * perf["FP64"].gemm_tflops
+        ordering = [perf[n].overall_tflops for n in ("FP16", "FP16'", "FP32", "FP64")]
+        assert ordering == sorted(ordering, reverse=True)

@@ -16,6 +16,10 @@ This file is part of the strict CI pass (``-W error::DeprecationWarning``):
 nothing in here may touch the deprecated legacy surface.
 """
 
+import dataclasses
+import importlib.util
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -35,8 +39,12 @@ from repro.api import (
 )
 from repro.chem import orthogonalized_ks
 from repro.core import SubmatrixDFTSolver, SubmatrixMethod
+from repro.core.batch import evaluate_batched, stack_solver
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_dense
 from repro.signfn import (
+    sign_chebyshev_batched,
+    sign_newton_schulz_batched,
+    sign_pade,
     sign_via_eigendecomposition,
     sign_via_eigendecomposition_batched,
 )
@@ -58,6 +66,21 @@ class TestEngineConfig:
         config = EngineConfig()
         assert config.validate() is config
         assert config.engine == "plan" and config.uses_plan
+        # the engine has one numeric path (float64 NumPy): no precision
+        # policy, no array-backend package, no xp= seam on the kernels
+        assert len(dataclasses.fields(EngineConfig)) == 13
+        with pytest.raises(TypeError):
+            EngineConfig(precision=object())
+        assert importlib.util.find_spec("repro.backend") is None
+        for function in (
+            sign_newton_schulz_batched,
+            sign_pade,
+            sign_chebyshev_batched,
+            sign_via_eigendecomposition_batched,
+            stack_solver,
+            evaluate_batched,
+        ):
+            assert "xp" not in inspect.signature(function).parameters
 
     @pytest.mark.parametrize(
         "field, value",

@@ -11,8 +11,7 @@ Covers the PR's contracts:
 * PDOS and the energy-weighted density matrix agree with a dense reference
   on a system whose submatrices are the full matrix;
 * the Chebyshev polynomial-expansion kernel matches the eigen density to
-  tolerance, stays bitwise identical under rank sharding, and participates
-  in reduced-precision ``PrecisionPolicy`` modes;
+  tolerance and stays bitwise identical under rank sharding;
 * the serving layer returns multi-observable bundles bitwise identical to
   direct ``context.observables`` calls, and the short-TTL decomposition
   cache serves bytewise-identical hot requests across micro-batch windows;
@@ -32,7 +31,6 @@ import scipy.sparse as sp
 from repro.api import (
     EngineConfig,
     ObservableBundle,
-    PrecisionPolicy,
     SubmatrixContext,
     TrajectoryCheckpoint,
     UnknownObservableError,
@@ -350,23 +348,6 @@ class TestChebyshevKernel:
             single.density_ortho.toarray(), sharded.density_ortho.toarray()
         )
 
-    def test_reduced_precision_participation(self, small_pair):
-        K, S, blocks = small_pair
-        config = EngineConfig(
-            engine="batched",
-            backend="serial",
-            precision=PrecisionPolicy(mode="fp32"),
-        )
-        with SubmatrixContext(CONFIG) as ctx:
-            fp64 = ctx.density(K, S, blocks, mu=0.1, solver="chebyshev")
-        with SubmatrixContext(config) as ctx:
-            reduced = ctx.density(K, S, blocks, mu=0.1, solver="chebyshev")
-        assert reduced.stacks_reduced >= 1
-        error = float(np.max(np.abs(reduced.density_ao - fp64.density_ao)))
-        assert error < 1e-4
-        if reduced.precision_error_bound is not None:
-            assert error <= max(reduced.precision_error_bound, 1e-6)
-
     def test_canonical_requires_eigen(self, small_pair):
         K, S, blocks = small_pair
         with SubmatrixContext(CONFIG) as ctx:
@@ -520,11 +501,13 @@ class TestTrajectoryObservables:
         self, water32_matrices, tmp_path
     ):
         """Pre-refactor compatibility: density-only runs write the native
-        layout (no ``observables`` key) and resume as plain results."""
+        layout (no ``observables`` key) and resume as plain results — also
+        from step files that still carry the trailing mixed-precision
+        scalar and counters of the 8-scalar/8-counter layout."""
         pair = water32_matrices
         steps = value_steps(pair, 2)
         with SubmatrixContext(CONFIG) as ctx:
-            ctx.trajectory(
+            first = ctx.trajectory(
                 steps,
                 pair.blocks,
                 n_electrons=N_ELECTRONS,
@@ -534,16 +517,29 @@ class TestTrajectoryObservables:
         with np.load(checkpoint._step_path(0)) as data:
             assert "observables" not in data.files
             assert not any(key.startswith("obs_") for key in data.files)
-        loaded = checkpoint.load_step(0)
-        assert not isinstance(loaded, ObservableBundle)
-        with SubmatrixContext(CONFIG) as ctx:
-            resumed = ctx.trajectory(
-                steps,
-                pair.blocks,
-                n_electrons=N_ELECTRONS,
-                checkpoint=tmp_path / "legacy",
-            )
-        assert resumed.stats.steps_resumed == len(steps)
+            assert data["scalars"].size == 7 and data["counters"].size == 6
+        for with_precision_tail in (False, True):
+            if with_precision_tail:
+                for index in range(len(steps)):
+                    with np.load(checkpoint._step_path(index)) as data:
+                        arrays = {key: data[key] for key in data.files}
+                    arrays["scalars"] = np.append(arrays["scalars"], np.nan)
+                    arrays["counters"] = np.append(arrays["counters"], [0, 0])
+                    np.savez(checkpoint._step_path(index), **arrays)
+            loaded = checkpoint.load_step(0)
+            assert not isinstance(loaded, ObservableBundle)
+            with SubmatrixContext(CONFIG) as ctx:
+                resumed = ctx.trajectory(
+                    steps,
+                    pair.blocks,
+                    n_electrons=N_ELECTRONS,
+                    checkpoint=tmp_path / "legacy",
+                )
+            assert resumed.stats.steps_resumed == len(steps)
+            for before, after in zip(first.results, resumed.results):
+                assert np.array_equal(after.density_ao, before.density_ao)
+                assert after.mu == before.mu
+                assert after.band_energy == before.band_energy
 
     def test_trajectory_requires_density(self, water32_matrices):
         pair = water32_matrices

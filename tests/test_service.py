@@ -397,6 +397,8 @@ class TestServiceIdentity:
     ):
         ref_gc, _ = reference_results
         bad_K = sp.csr_matrix(np.eye(5))  # wrong size for the block structure
+        nan_K = sp.lil_matrix(water32_matrices.K)
+        nan_K[3, 3] = np.nan
         with DensityService(
             config=CONFIG, batch_wait=0.25, max_batch=8
         ) as service:
@@ -409,13 +411,18 @@ class TestServiceIdentity:
             bad = service.submit(
                 bad_K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
             )
+            poisoned = service.submit(
+                nan_K.tocsr(), water32_matrices.S, water32_matrices.blocks, mu=gap_mu
+            )
             result = good.result(120)
             with pytest.raises(Exception):
                 bad.result(120)
+            with pytest.raises(ValueError, match="K contains non-finite"):
+                poisoned.result(120)
             snapshot = service.stats()
         assert_identical(result, ref_gc)
         assert snapshot["metrics"]["total"]["completed"] == 1
-        assert snapshot["metrics"]["total"]["failed"] == 1
+        assert snapshot["metrics"]["total"]["failed"] == 2
         assert snapshot["admission"]["in_flight"] == 0
 
 
@@ -610,6 +617,38 @@ class TestServiceValidation:
                     solver="newton_schulz",
                 )
             assert service.stats()["admission"]["in_flight"] == 0
+
+    @pytest.mark.parametrize("solver", ["eigen", "newton_schulz"])
+    @pytest.mark.parametrize(
+        "name, index, value",
+        [("K", (3, 3), np.nan), ("S", (2, 2), np.inf)],
+        ids=["nan_in_K", "inf_in_S"],
+    )
+    def test_non_finite_input_raises(
+        self, water32_matrices, gap_mu, solver, name, index, value
+    ):
+        matrices = {"K": water32_matrices.K, "S": water32_matrices.S}
+        poisoned = sp.lil_matrix(matrices[name])
+        poisoned[index] = value
+        matrices[name] = poisoned.tocsr()
+        config = EngineConfig(engine="batched", eps_filter=1e-4)
+        with SubmatrixContext(config) as context:
+            with pytest.raises(ValueError, match=f"{name} contains non-finite"):
+                context.density(
+                    matrices["K"],
+                    matrices["S"],
+                    water32_matrices.blocks,
+                    mu=gap_mu,
+                    solver=solver,
+                )
+            with pytest.raises(ValueError, match=f"{name} contains non-finite"):
+                context.density(
+                    matrices["K"].toarray(),
+                    matrices["S"].toarray(),
+                    water32_matrices.blocks,
+                    mu=gap_mu,
+                    solver=solver,
+                )
 
 
 class TestServiceMetrics:
