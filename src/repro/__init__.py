@@ -48,7 +48,7 @@ unified session API on top:
 The most convenient entry point is the session API, re-exported here:
 
 >>> import repro
->>> ctx = repro.SubmatrixContext(repro.EngineConfig(engine="batched"))
+>>> ctx = repro.SubmatrixContext(repro.EngineConfig(backend="thread"))
 >>> result = ctx.apply(matrix, "eigen", mu=0.2)              # doctest: +SKIP
 """
 

@@ -6,7 +6,7 @@ and one session object (:class:`SubmatrixContext`) that owns the plan
 cache, the persistent executor and the sharded pipelines:
 
 >>> from repro.api import EngineConfig, SubmatrixContext
->>> ctx = SubmatrixContext(EngineConfig(engine="batched", backend="thread"))
+>>> ctx = SubmatrixContext(EngineConfig(backend="thread"))
 >>> f_a = ctx.apply(matrix, "eigen", mu=0.2)                 # doctest: +SKIP
 >>> dft = ctx.density(K, S, blocks, n_electrons=256.0)       # doctest: +SKIP
 >>> run = ctx.distributed(8).run(block_matrix, "eigen")      # doctest: +SKIP

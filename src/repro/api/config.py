@@ -3,12 +3,10 @@
 Every entry point of the reproduction — :class:`~repro.core.method.SubmatrixMethod`,
 :class:`~repro.core.sign_dft.SubmatrixDFTSolver`,
 :class:`~repro.core.runner.DistributedSubmatrixPipeline` and the
-:class:`~repro.api.context.SubmatrixContext` session — used to re-thread its
-own overlapping keyword arguments (engine, backend, worker count, bucket
-padding, balancing strategy, rank count, filter threshold).
-:class:`EngineConfig` collects them in one validated, immutable place; the
-facades build their config from legacy kwargs, the session takes it
-directly, and overlapping knobs can no longer drift apart between layers.
+:class:`~repro.api.context.SubmatrixContext` session — shares the same
+knobs (worker backend and count, bucket padding, balancing strategy, rank
+count, filter threshold).  :class:`EngineConfig` collects them in one
+validated, immutable place, so they cannot drift apart between layers.
 
 This module sits at the bottom of the dependency graph (nothing from
 :mod:`repro.core` is imported here), so both the core facades and the
@@ -31,14 +29,17 @@ __all__ = [
     "EIGENSOLVE_FLOP_CONSTANT",
 ]
 
-#: Execution engines of the submatrix method (see :mod:`repro.core.method`).
-ENGINES = ("naive", "plan", "batched")
+#: The one execution engine: cached extraction plans plus bucketed stacks of
+#: equal-dimension submatrices (Sec. III-A/IV-C).  The per-submatrix
+#: reference lives in :mod:`repro.core.submatrix` and is what tests compare
+#: against; nothing dispatches on this value.
+ENGINES = ("batched",)
 
-#: Parallel backends of :func:`repro.parallel.executor.map_parallel`.
-BACKENDS = ("serial", "thread", "process")
+#: Worker backends of :func:`repro.parallel.executor.map_parallel`.
+BACKENDS = ("serial", "thread")
 
 #: Submatrix→rank assignment strategies of the distributed pipeline.
-BALANCE_STRATEGIES = ("chunks", "stacks", "round_robin")
+BALANCE_STRATEGIES = ("chunks", "stacks")
 
 #: FLOPs of a dense symmetric eigendecomposition plus the two back
 #: transformations Q·diag·Qᵀ, expressed as a multiple of n³.  dsyevd costs
@@ -190,12 +191,11 @@ class EngineConfig:
     Attributes
     ----------
     engine:
-        Execution engine: ``"naive"`` (reference kernels), ``"plan"``
-        (cached vectorized extraction/scatter) or ``"batched"`` (plan plus
-        bucketed 3-D stack evaluation).
+        Always ``"batched"`` (cached extraction plan plus bucketed 3-D stack
+        evaluation) — the field only survives because callers still name it.
     backend:
-        ``"serial"``, ``"thread"`` or ``"process"`` parallelism for the
-        per-submatrix solves.
+        ``"serial"`` or ``"thread"`` parallelism over the submatrix stacks
+        (and over the ranks of a sharded run).
     max_workers:
         Worker count for the parallel backends; ``None`` resolves to the
         machine's CPU count.
@@ -205,8 +205,8 @@ class EngineConfig:
         measured dimension histogram.
     balance:
         Submatrix→rank assignment of the distributed pipeline:
-        ``"chunks"`` (paper's greedy consecutive chunks), ``"stacks"``
-        (bucket-aware LPT over whole stacks) or ``"round_robin"``.
+        ``"chunks"`` (paper's greedy consecutive chunks, Sec. IV-E) or
+        ``"stacks"`` (bucket-aware LPT over whole stacks).
     n_ranks:
         Simulated rank count of distributed sessions (1 = single process).
     eps_filter:
@@ -235,7 +235,7 @@ class EngineConfig:
         behaviour.
     """
 
-    engine: str = "plan"
+    engine: str = "batched"
     backend: str = "serial"
     max_workers: Optional[int] = None
     bucket_pad: Optional[Union[int, str]] = None
@@ -308,8 +308,3 @@ class EngineConfig:
     def replace(self, **changes) -> "EngineConfig":
         """A validated copy with ``changes`` applied."""
         return dataclasses.replace(self, **changes)
-
-    @property
-    def uses_plan(self) -> bool:
-        """Whether the vectorized plan engine is active (non-naive)."""
-        return self.engine != "naive"

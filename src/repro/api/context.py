@@ -9,8 +9,8 @@ resources once:
 
 * a private :class:`~repro.core.plan.PlanCache` (plans survive across every
   call through the session),
-* one persistent executor (thread/process pool) reused by every parallel
-  map instead of a pool per call,
+* one persistent executor (a thread pool) reused by every parallel map
+  instead of a pool per call,
 * a cache of configured :class:`~repro.core.runner.DistributedSubmatrixPipeline`
   instances (sharded plans and transfer plans survive across repeated
   distributed runs),
@@ -18,9 +18,11 @@ resources once:
 and exposes the three workloads of the paper as methods:
 
 * :meth:`SubmatrixContext.apply` — f(A) on a SciPy or block-sparse matrix
-  through the engine selected by the session's :class:`EngineConfig`;
-* :meth:`SubmatrixContext.density` — the DFT density-matrix driver
-  (grand-canonical and canonical ensembles, optionally rank-sharded);
+  through the cached plan and bucketed-stack engine;
+* :meth:`SubmatrixContext.observables` / :meth:`SubmatrixContext.density` —
+  the DFT driver (grand-canonical and canonical ensembles, optionally
+  rank-sharded), every request through
+  :func:`repro.api.observables.compute_observables`;
 * :meth:`SubmatrixContext.distributed` — a :class:`DistributedSession`
   whose :meth:`~DistributedSession.run` executes the rank-sharded pipeline
   and reports its traffic.
@@ -38,12 +40,12 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.config import ENGINES, EngineConfig
+from repro.api.config import EngineConfig
 from repro.api.results import SubmatrixMethodResult
 from repro.core.batch import evaluate_batched
 from repro.core.combination import ColumnGrouping
@@ -61,15 +63,9 @@ from repro.core.runner import (
     PipelineResult,
     SubmatrixRunCost,
 )
-from repro.core.submatrix import (
-    extract_block_submatrix,
-    extract_submatrix,
-    scatter_block_submatrix_result,
-    scatter_submatrix_result,
-)
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.coo import CooBlockList
-from repro.parallel.executor import executor_backend, make_executor, map_parallel
+from repro.parallel.executor import make_executor, map_parallel
 from repro.signfn.registry import BoundKernel, resolve_kernel
 
 __all__ = ["SubmatrixContext", "DistributedSession", "REPLAN_MODES"]
@@ -114,15 +110,6 @@ def validate_groups(groups: Sequence[Sequence[int]], n_columns: int) -> None:
         raise ValueError(f"column {missing} is not covered by any group")
 
 
-def check_result_shape(dimension: int, evaluated: np.ndarray) -> None:
-    expected = (dimension, dimension)
-    if evaluated.shape != expected:
-        raise ValueError(
-            f"matrix function returned shape {evaluated.shape}, "
-            f"expected {expected}"
-        )
-
-
 def _distribution_key(distribution) -> Optional[tuple]:
     """Content key of a block distribution (for the pipeline cache).
 
@@ -158,18 +145,6 @@ def _tracked(method):
     return wrapper
 
 
-def _assemble_csr(accumulator: dict, n: int) -> sp.csr_matrix:
-    rows: List[int] = []
-    cols: List[int] = []
-    values: List[float] = []
-    for column, column_store in accumulator.items():
-        for row, value in column_store.items():
-            rows.append(row)
-            cols.append(column)
-            values.append(value)
-    return sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
-
-
 class SubmatrixContext:
     """Session object of the submatrix engine.
 
@@ -182,7 +157,7 @@ class SubmatrixContext:
         a private cache of ``config.plan_cache_size`` plans.
     **overrides:
         Convenience field overrides applied to ``config``
-        (``SubmatrixContext(engine="batched", backend="thread")``).
+        (``SubmatrixContext(backend="thread", max_workers=4)``).
 
     The session is safe for concurrent use from multiple threads: the plan
     cache, pipeline cache, replan anchors and executor creation are guarded
@@ -250,9 +225,8 @@ class SubmatrixContext:
         """Reject work on a closed session with one clear error.
 
         Raising here (instead of letting a later call trip over the dead
-        executor) gives every entry point — including serial configurations
-        and the process-backend distributed path, which never touch the
-        executor — the same :class:`RuntimeError`.
+        executor) gives every entry point — including serial configurations,
+        which never touch the executor — the same :class:`RuntimeError`.
         """
         if self._closed:
             raise RuntimeError(
@@ -336,22 +310,6 @@ class SubmatrixContext:
                 finalizer.detach()
             executor.shutdown()
 
-    def _rank_resources(self):
-        """``(backend, executor)`` safe for shared-output per-rank tasks.
-
-        The sharded pipeline's rank tasks scatter into one shared packed
-        output buffer, so they can run serially or on the session's thread
-        pool but never across a process boundary; a process-backend config
-        (or a process-backed session pool) falls back to serial rank
-        execution without ever creating the unusable pool.
-        """
-        if self.config.backend == "process":
-            return "serial", None
-        executor = self.executor
-        if executor_backend(executor) == "process":
-            return "serial", None
-        return self.config.backend, executor
-
     def __enter__(self) -> "SubmatrixContext":
         return self
 
@@ -383,12 +341,6 @@ class SubmatrixContext:
             self.config.backend,
             executor=self.executor,
         )
-
-    def _resolve_engine(self, engine: Optional[str]) -> str:
-        engine = engine or self.config.engine
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}")
-        return engine
 
     # ------------------------------------------------------------------ #
     # incremental replanning
@@ -488,7 +440,6 @@ class SubmatrixContext:
         matrix: Union[sp.spmatrix, BlockSparseMatrix],
         function,
         column_groups: Optional[Sequence[Sequence[int]]] = None,
-        engine: Optional[str] = None,
         batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         plan: Optional[SubmatrixPlan] = None,
         coo: Optional[CooBlockList] = None,
@@ -511,7 +462,6 @@ class SubmatrixContext:
                 function,
                 column_groups=column_groups,
                 coo=coo,
-                engine=engine,
                 batch_function=batch_function,
                 plan=plan,
                 **kernel_params,
@@ -521,7 +471,6 @@ class SubmatrixContext:
                 matrix,
                 function,
                 column_groups=column_groups,
-                engine=engine,
                 batch_function=batch_function,
                 plan=plan,
                 **kernel_params,
@@ -537,7 +486,6 @@ class SubmatrixContext:
         matrix: sp.spmatrix,
         function,
         column_groups: Optional[Sequence[Sequence[int]]] = None,
-        engine: Optional[str] = None,
         batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         plan: Optional[SubmatrixPlan] = None,
         **kernel_params,
@@ -547,50 +495,15 @@ class SubmatrixContext:
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("the submatrix method requires a square matrix")
         bound = resolve_kernel(function, batch_function=batch_function, **kernel_params)
-        engine = self._resolve_engine(engine)
         start = time.perf_counter()
         csc = matrix.tocsc()
         n = csc.shape[1]
         if column_groups is None:
             column_groups = [[c] for c in range(n)]
         validate_groups(column_groups, n)
-        if engine == "naive":
-            result, dimensions = self._apply_elementwise_naive(
-                csc, column_groups, bound
-            )
-        else:
-            if plan is None:
-                plan = element_plan(csc, column_groups, cache=self.plan_cache)
-            result, dimensions = self._apply_planned(csc, plan, engine, bound)
-        wall = time.perf_counter() - start
-        return SubmatrixMethodResult(
-            result=result,
-            submatrix_dimensions=dimensions,
-            wall_time=wall,
-            flop_estimate=float(sum(float(d) ** 3 for d in dimensions)),
-        )
-
-    def _apply_elementwise_naive(
-        self,
-        csc: sp.csc_matrix,
-        column_groups: Sequence[Sequence[int]],
-        bound: BoundKernel,
-    ):
-        """Reference path: per-call extraction and dict-of-dict accumulation."""
-
-        def solve(group: Sequence[int]):
-            submatrix = extract_submatrix(csc, group)
-            evaluated = bound.function(submatrix.data)
-            return submatrix, np.asarray(evaluated, dtype=float)
-
-        solved = self._map(solve, list(column_groups))
-        accumulator: dict = {}
-        dimensions: List[int] = []
-        for submatrix, evaluated in solved:
-            check_result_shape(submatrix.dimension, evaluated)
-            dimensions.append(submatrix.dimension)
-            scatter_submatrix_result(accumulator, evaluated, submatrix, csc)
-        return _assemble_csr(accumulator, csc.shape[1]), dimensions
+        if plan is None:
+            plan = element_plan(csc, column_groups, cache=self.plan_cache)
+        return self._apply_planned(csc, plan, bound, start)
 
     @_tracked
     def apply_blockwise(
@@ -599,7 +512,6 @@ class SubmatrixContext:
         function,
         column_groups: Optional[Sequence[Sequence[int]]] = None,
         coo: Optional[CooBlockList] = None,
-        engine: Optional[str] = None,
         batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         plan: Optional[SubmatrixPlan] = None,
         **kernel_params,
@@ -607,7 +519,6 @@ class SubmatrixContext:
         """Apply the matrix function block-column-wise on a DBCSR-style matrix."""
         self._check_open()
         bound = resolve_kernel(function, batch_function=batch_function, **kernel_params)
-        engine = self._resolve_engine(engine)
         start = time.perf_counter()
         if coo is None:
             coo = CooBlockList.from_block_matrix(matrix)
@@ -615,134 +526,54 @@ class SubmatrixContext:
         if column_groups is None:
             column_groups = [[c] for c in range(n_block_cols)]
         validate_groups(column_groups, n_block_cols)
-        if engine == "naive":
-            result, dimensions = self._apply_blockwise_naive(
-                matrix, column_groups, coo, bound
+        if plan is None:
+            plan = block_plan(
+                coo,
+                matrix.row_block_sizes,
+                column_groups,
+                cache=self.plan_cache,
             )
-        else:
-            if plan is None:
-                plan = block_plan(
-                    coo,
-                    matrix.row_block_sizes,
-                    column_groups,
-                    cache=self.plan_cache,
-                )
-            result, dimensions = self._apply_planned(matrix, plan, engine, bound)
-        wall = time.perf_counter() - start
-        return SubmatrixMethodResult(
-            result=result,
-            submatrix_dimensions=dimensions,
-            wall_time=wall,
-            flop_estimate=float(sum(float(d) ** 3 for d in dimensions)),
-        )
-
-    def _apply_blockwise_naive(
-        self,
-        matrix: BlockSparseMatrix,
-        column_groups: Sequence[Sequence[int]],
-        coo: CooBlockList,
-        bound: BoundKernel,
-    ):
-        """Reference path: per-call block loops and copying scatter."""
-
-        def solve(group: Sequence[int]):
-            submatrix = extract_block_submatrix(matrix, group, coo)
-            evaluated = bound.function(submatrix.data)
-            return submatrix, np.asarray(evaluated, dtype=float)
-
-        solved = self._map(solve, list(column_groups))
-        result = BlockSparseMatrix(matrix.row_block_sizes, matrix.col_block_sizes)
-        dimensions: List[int] = []
-        for submatrix, evaluated in solved:
-            check_result_shape(submatrix.dimension, evaluated)
-            dimensions.append(submatrix.dimension)
-            scatter_block_submatrix_result(result, evaluated, submatrix, coo)
-        return result, dimensions
+        return self._apply_planned(matrix, plan, bound, start)
 
     def _apply_planned(
-        self, matrix, plan: SubmatrixPlan, engine: str, bound: BoundKernel
-    ):
-        """Evaluate through a plan: pack, gather, evaluate, scatter, finalize."""
+        self, matrix, plan: SubmatrixPlan, bound: BoundKernel, start: float
+    ) -> SubmatrixMethodResult:
+        """Evaluate through a plan: pack, gather stacks, evaluate, scatter."""
         packed = plan.pack(matrix)
-        dimensions = plan.dimensions
+        dimensions = list(plan.dimensions)
         out = plan.new_output()
-        if engine == "batched":
-            # stacks are scattered straight into the output buffer, one
-            # vectorized write per stack
-            evaluate_batched(
-                plan,
-                packed,
-                function=bound.function,
-                batch_function=bound.batch_function,
-                pad_to=self._bucket_pad_for(bound, dimensions),
-                max_workers=self.config.max_workers,
-                backend=self.config.backend,
-                executor=self.executor,
-                out=out,
-            )
-        else:
-
-            def solve(group_index: int) -> np.ndarray:
-                dense = plan.extract(packed, group_index)
-                return np.asarray(bound.function(dense), dtype=float)
-
-            evaluated = self._map(solve, list(range(plan.n_groups)))
-            for group_index, f_submatrix in enumerate(evaluated):
-                check_result_shape(dimensions[group_index], f_submatrix)
-                plan.scatter(out, group_index, f_submatrix)
-        return plan.finalize(out), list(dimensions)
+        # stacks are scattered straight into the output buffer, one
+        # vectorized write per stack
+        evaluate_batched(
+            plan,
+            packed,
+            function=bound.function,
+            batch_function=bound.batch_function,
+            pad_to=self._bucket_pad_for(bound, dimensions),
+            max_workers=self.config.max_workers,
+            backend=self.config.backend,
+            executor=self.executor,
+            out=out,
+        )
+        return SubmatrixMethodResult(
+            result=plan.finalize(out),
+            submatrix_dimensions=dimensions,
+            wall_time=time.perf_counter() - start,
+            flop_estimate=float(sum(float(d) ** 3 for d in dimensions)),
+        )
 
     # ------------------------------------------------------------------ #
     # DFT density matrices
     # ------------------------------------------------------------------ #
-    @_tracked
-    def density(
-        self,
-        K,
-        S,
-        blocks,
-        mu: Optional[float] = None,
-        n_electrons: Optional[float] = None,
-        solver: str = "eigen",
-        grouping: Optional[ColumnGrouping] = None,
-        mu_tolerance: float = 1e-9,
-        max_mu_iterations: int = 200,
-        ranks: Optional[int] = None,
-        distribution=None,
-        replan: str = "full",
-        mu_bracket=None,
-    ):
+    def density(self, K, S, blocks, **request):
         """Density matrix from the Kohn–Sham and overlap matrices (Eq. 16).
 
-        Exactly one of ``mu`` (grand-canonical) and ``n_electrons``
-        (canonical) must be given.  With ``ranks > 1`` (or
-        ``config.n_ranks > 1``) and the ``"eigen"`` solver, the
-        eigendecomposition cache is built rank-sharded through
-        :class:`~repro.core.runner.DistributedSubmatrixPipeline` and the
-        μ-bisection runs on the sharded cache — bitwise identical to the
-        single-process path.  ``replan`` and ``mu_bracket`` are the
-        incremental-replan and warm-start hooks of the trajectory driver
-        (see :func:`repro.api.density.compute_density`).
+        The ``density`` observable alone: ``**request`` takes the keyword
+        arguments of :meth:`observables` (``mu=`` or ``n_electrons=``,
+        ``solver=``, ``ranks=``, …) and the result is the bundle's
+        :class:`~repro.api.results.SubmatrixDFTResult`.
         """
-        self._check_open()
-        from repro.api.density import compute_density
-
-        return compute_density(
-            self,
-            K,
-            S,
-            blocks,
-            mu=mu,
-            n_electrons=n_electrons,
-            solver=solver,
-            grouping=grouping,
-            mu_tolerance=mu_tolerance,
-            max_mu_iterations=max_mu_iterations,
-            ranks=ranks,
-            distribution=distribution,
-            replan=replan,
-            mu_bracket=mu_bracket,
-        )
+        return self.observables(K, S, blocks, ("density",), **request)["density"]
 
     @_tracked
     def observables(
@@ -772,8 +603,17 @@ class SubmatrixContext:
         eigendecomposition per stack, exactly like :meth:`density` alone.
         ``observable_params`` optionally maps an observable name to its
         assembly parameters (e.g. ``{"pdos": {"broadening": 0.05}}``).
-        Returns an :class:`~repro.api.results.ObservableBundle`; all other
-        arguments behave as in :meth:`density`.
+        Returns an :class:`~repro.api.results.ObservableBundle`.
+
+        Exactly one of ``mu`` (grand-canonical) and ``n_electrons``
+        (canonical) must be given.  With ``ranks > 1`` (or
+        ``config.n_ranks > 1``) the submatrix stacks are evaluated
+        rank-sharded through
+        :class:`~repro.core.runner.DistributedSubmatrixPipeline` — bitwise
+        identical to the single-process path.  ``replan`` and ``mu_bracket``
+        are the incremental-replan and warm-start hooks of the trajectory
+        driver; see :func:`repro.api.observables.compute_observables` for
+        every argument.
         """
         self._check_open()
         from repro.api.observables import compute_observables
@@ -1037,9 +877,8 @@ class DistributedSession:
 
         ``function`` accepts the same specs as :meth:`SubmatrixContext.apply`
         (callable, registered kernel name, :class:`MatrixFunction`).  The
-        per-rank tasks share the packed output buffer, so the session's
-        executor is reused only for the serial and thread backends; a
-        process-backend context falls back to serial rank execution.
+        per-rank tasks run on the session's persistent executor and
+        scatter into one shared packed output buffer.
         """
         if not isinstance(matrix, BlockSparseMatrix):
             raise TypeError("distributed runs operate on a BlockSparseMatrix")
@@ -1051,7 +890,6 @@ class DistributedSession:
                 coo = CooBlockList.from_block_matrix(matrix)
             pipeline = self.pipeline(coo, matrix.col_block_sizes)
             config = self.context.config
-            backend, executor = self.context._rank_resources()
             # the pipeline's own resolve_kernel passes a BoundKernel through
             # unchanged, so the spec is resolved exactly once
             return pipeline.run(
@@ -1059,8 +897,8 @@ class DistributedSession:
                 function=bound,
                 pad_value=pad_value,
                 max_workers=config.max_workers,
-                backend=backend,
-                executor=executor,
+                backend=config.backend,
+                executor=self.context.executor,
             )
 
     def cost(

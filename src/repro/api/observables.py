@@ -1,23 +1,30 @@
 """Observable-generic execution pipeline over the submatrix method.
 
 The submatrix method of the paper evaluates an *arbitrary* matrix function
-of the Hamiltonian through independent dense submatrix solves (Eq. 17).
-Historically this repo only ever asked for one observable — the ground-state
-density matrix — and the whole execution skeleton (plan lookup → sharded or
-batched stack evaluation → μ-bisection → scatter/assembly) lived inside
-``compute_density``.  This module hosts that skeleton in observable-generic
-form plus a small registry of *observables*, sibling to the
+of the Hamiltonian through independent dense submatrix solves (Eq. 17); the
+density matrix
+
+    D = 1/2 · S^{-1/2} (I − sign(S^{-1/2} K S^{-1/2} − μ I)) S^{-1/2}   (Eq. 16)
+
+is its application (Sec. IV-F/G), grand-canonical (μ fixed) or canonical
+(electron count fixed, μ bisected on the cached eigendecompositions —
+Algorithm 1).  This module hosts the one path from a request to its result
+plus a small registry of *observables*, sibling to the
 :class:`~repro.signfn.registry.MatrixFunction` kernel registry:
 
+* :func:`validate_request` is the one request check of the direct,
+  trajectory and served entry points;
+* :func:`compute_observables` runs the engine **once** — prepare, plan
+  lookup, one eigendecomposition pass per submatrix stack (single-process
+  or rank-sharded) — into a :class:`Decomposition`, and hands it to
+* :func:`evaluate_request`, the μ-dependent tail every entry point shares
+  (the serving layer merges stacks *across* requests and then calls this
+  same tail per request): one μ-bisection, one :class:`SharedEvaluation`,
+  every requested observable assembled from the same cached spectra;
 * an :class:`Observable` describes what a physical quantity needs from the
   engine (the cached eigendecompositions, μ, the scatter plan) and how to
-  assemble its result from one :class:`SharedEvaluation`;
-* :func:`compute_observables` runs the shared skeleton **once** — one
-  eigendecomposition pass per submatrix stack, one μ-bisection — and then
-  assembles every requested observable from the same cached decompositions;
-* ``density`` is just one registered instance, and
-  :func:`repro.api.density.compute_density` is a thin wrapper requesting it
-  alone — bitwise identical to the historical single-observable path.
+  assemble its result from that :class:`SharedEvaluation`; ``density`` is
+  just one registered instance.
 
 Built-in observables:
 
@@ -74,11 +81,7 @@ from repro.core.batch import make_stack_tasks, map_stacks, stack_solver
 from repro.core.combination import ColumnGrouping, single_column_groups
 from repro.core.load_balance import resolve_bucket_pad
 from repro.core.plan import BlockSubmatrixPlan
-from repro.core.submatrix import (
-    Submatrix,
-    extract_block_submatrix,
-    scatter_block_submatrix_result,
-)
+from repro.core.submatrix import Submatrix
 from repro.chem.orthogonalize import orthogonalized_ks
 from repro.core.runner import PipelineExecutionError, ResilienceReport
 from repro.dbcsr.block_matrix import BlockSparseMatrix
@@ -87,14 +90,17 @@ from repro.dbcsr.coo import CooBlockList
 from repro.signfn.registry import get_kernel, resilient_stack_solver
 
 __all__ = [
+    "Decomposition",
     "Observable",
     "SharedEvaluation",
     "UnknownObservableError",
     "available_observables",
     "compute_observables",
+    "evaluate_request",
     "get_observable",
     "normalize_observables",
     "register_observable",
+    "validate_request",
     "assemble_result",
     "prepare_step",
     "PreparedStep",
@@ -152,23 +158,21 @@ def prepare_step(K, S, blocks, eps_filter: float) -> PreparedStep:
 class SharedEvaluation:
     """Everything one pass over the engine produced, ready for assembly.
 
-    One :class:`SharedEvaluation` is built per :func:`compute_observables`
-    call (and per request by the serving layer's cross-request batcher) and
-    handed to every requested observable's ``assemble`` hook — the cached
-    per-submatrix eigendecompositions are computed exactly once no matter
-    how many observables consume them.
+    One :class:`SharedEvaluation` is built per request by
+    :func:`evaluate_request` and handed to every requested observable's
+    ``assemble`` hook — the cached per-submatrix eigendecompositions are
+    computed exactly once no matter how many observables consume them.
     """
 
     config: Any
     K: Any
     s_inv_sqrt: np.ndarray
-    block_k: BlockSparseMatrix
     coo: CooBlockList
     mu: float
     mu_iterations: int
-    dimensions: List[int]
+    plan: BlockSubmatrixPlan
+    start: float
     decomposed: Optional[Sequence[DecomposedSubmatrix]] = None
-    plan: Optional[BlockSubmatrixPlan] = None
     pipeline: Any = None
     ranks: int = 1
     report: Any = None
@@ -176,14 +180,10 @@ class SharedEvaluation:
     # the eigen path leaves this None and density's assembly scatters from
     # the cached decompositions
     occupation_block: Optional[BlockSparseMatrix] = None
-    start: Optional[float] = None
-    wall_time: Optional[float] = None
     stack_decompositions: int = 0
 
     def elapsed(self) -> float:
-        if self.start is not None:
-            return time.perf_counter() - self.start
-        return float(self.wall_time or 0.0)
+        return time.perf_counter() - self.start
 
 
 # --------------------------------------------------------------------------- #
@@ -282,8 +282,107 @@ def normalize_observables(
 
 
 # --------------------------------------------------------------------------- #
-# the shared skeleton
+# the one path from a request to its result
 # --------------------------------------------------------------------------- #
+def validate_request(
+    config,
+    blocks,
+    observables: Union[str, Sequence[str]],
+    mu,
+    n_electrons,
+    solver: str,
+    observable_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
+):
+    """Check one request before any work or resource is spent on it.
+
+    The single validator of the direct (:func:`compute_observables`),
+    trajectory (:func:`~repro.api.trajectory.run_trajectory`) and served
+    (:meth:`~repro.serve.server.DensityService.submit`) entry points, so
+    all three reject the same requests with the same exception.  ``mu`` /
+    ``n_electrons`` are scalars, or a trajectory's per-step sequences.
+    Returns ``(names, kernel)``: the canonicalized observable names and
+    the registered sign kernel.
+
+    Raises :class:`ValueError` (:class:`UnknownObservableError` /
+    :class:`~repro.signfn.registry.UnknownKernelError` for unregistered
+    names) unless exactly one of ``mu`` and ``n_electrons`` is given, it is
+    finite, an electron count lies in ``[0, spin_degeneracy · n_basis]``
+    (outside, no μ exists and the bisection would return an all-empty or
+    all-full density without complaint), and the kernel can serve the
+    ensemble and every observable.
+    """
+    names = normalize_observables(observables)
+    for key in observable_params or {}:
+        if key not in names:
+            raise ValueError(
+                f"observable_params given for {key!r}, which is not in the "
+                f"requested observables {names!r}"
+            )
+    if (mu is None) == (n_electrons is None):
+        raise ValueError("specify exactly one of mu and n_electrons")
+    canonical = n_electrons is not None
+    # the single (registry-backed) solver-string validation path; kernels
+    # with supports_mu_bisection run through the eigendecomposition cache
+    # (Algorithm 1), everything else through the iterative sign path
+    kernel = get_kernel(solver)
+    if not kernel.supports_mu_bisection:
+        if canonical:
+            raise ValueError(
+                "canonical-ensemble calculations require the "
+                "eigendecomposition solver (Algorithm 1 reuses the cached "
+                "eigendecompositions)"
+            )
+        unsupported = [
+            name for name in names if not get_observable(name).supports_iterative
+        ]
+        if unsupported:
+            raise ValueError(
+                f"observables {unsupported!r} need the spectral data of an "
+                f"eigendecomposition-cache solver; the iterative kernel "
+                f"{kernel.name!r} only supports: "
+                + ", ".join(
+                    name
+                    for name in available_observables()
+                    if get_observable(name).supports_iterative
+                )
+            )
+    label = "n_electrons" if canonical else "mu"
+    values = np.asarray(n_electrons if canonical else mu, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{label} must be finite, got {values.tolist()!r}")
+    if canonical:
+        capacity = config.spin_degeneracy * float(np.sum(blocks.block_sizes))
+        if (values < 0.0).any() or (values > capacity).any():
+            raise ValueError(
+                f"n_electrons must lie in [0, {capacity:g}] (spin degeneracy "
+                f"times the number of basis functions), got {values.tolist()!r}"
+            )
+    return names, kernel
+
+
+@dataclasses.dataclass
+class Decomposition:
+    """What one pass over the engine produced for one ``(K, S)`` content.
+
+    On the eigendecomposition path this is μ-independent — the cached
+    per-submatrix spectra ``decomposed`` serve any chemical potential and
+    any observable, which is why the serving layer shares one instance
+    between bytewise-identical requests and across micro-batch windows.
+    The iterative sign kernels have no such stage: their pass evaluates the
+    occupation matrices at the request's fixed μ (``occupation_block``) and
+    leaves ``decomposed`` ``None``.
+    """
+
+    prepared: PreparedStep
+    plan: BlockSubmatrixPlan
+    decomposed: Optional[List[DecomposedSubmatrix]] = None
+    stack_decompositions: int = 0
+    occupation_block: Optional[BlockSparseMatrix] = None
+    pipeline: Any = None
+    ranks: int = 1
+    report: Any = None
+
+
 def compute_observables(
     context,
     K,
@@ -304,90 +403,83 @@ def compute_observables(
 ) -> ObservableBundle:
     """Evaluate one or more observables from a single decomposition pass.
 
-    The observable-generic skeleton: prepare (:func:`prepare_step`), look
-    up/patch the extraction plan, run exactly one eigendecomposition pass
-    over the bucketed submatrix stacks (batched single-process or
-    rank-sharded), bisect μ once for canonical ensembles, then assemble
-    every requested observable from the same cached
+    The only path from a request to its result: :func:`validate_request`,
+    then the engine pass — prepare (:func:`prepare_step`), look up/patch
+    the extraction plan, run exactly one eigendecomposition pass over the
+    bucketed submatrix stacks (single-process or rank-sharded) — then
+    :func:`evaluate_request`: bisect μ once for canonical ensembles and
+    assemble every requested observable from the same cached
     :class:`~repro.api.results.DecomposedSubmatrix` entries.
 
     Exactly one of ``mu`` (grand-canonical) and ``n_electrons`` (canonical)
     must be provided.  ``observables`` names registered
     :class:`Observable` instances (order-preserving, duplicates dropped);
     ``observable_params`` optionally maps observable name → keyword
-    parameters for its assembly (e.g. the PDOS grid).  All other parameters
-    behave exactly as documented on
-    :func:`repro.api.density.compute_density`, which is a thin wrapper for
-    ``observables=("density",)``.
+    parameters for its assembly (e.g. the PDOS grid).
+
+    ``context`` supplies the engine configuration, plan cache and
+    persistent executor; ``ranks`` overrides ``context.config.n_ranks`` for
+    the sharded stack evaluation and ``distribution`` fixes the block
+    ownership of its transfer plan.  ``replan`` controls how a sparsity
+    pattern unseen by the session is planned: ``"full"`` (default) builds
+    extraction plans and pipelines from scratch, ``"patch"``/``"auto"``
+    incrementally patch the session's most recent plan/pipeline of the same
+    configuration (see :meth:`SubmatrixContext.block_plan_for`) — results
+    are bitwise identical in every mode.  ``mu_bracket`` optionally seeds
+    the μ-bisection with a warm ``(lo, hi)`` bracket (expanded automatically
+    if it does not bracket the electron count); a warm bracket changes the
+    bisection's iterate sequence, so the resulting μ is not bitwise
+    reproducible against a cold start — both converge the electron count to
+    within ``mu_tolerance``, but at T = 0 the μ values may settle at
+    different points of a degenerate gap plateau.
 
     Iterative sign kernels (``kernel.supports_mu_bisection == False``)
     never build the spectral cache, so they only support observables with
     ``supports_iterative`` (built-in: ``density`` alone).
     """
-    config = context.config
     start = time.perf_counter()
-    names = normalize_observables(observables)
-    params_by_name: Mapping[str, Mapping[str, Any]] = observable_params or {}
-    for key in params_by_name:
-        if key not in names:
-            raise ValueError(
-                f"observable_params given for {key!r}, which is not in the "
-                f"requested observables {names!r}"
-            )
+    names, kernel = validate_request(
+        context.config, blocks, observables, mu, n_electrons, solver, observable_params
+    )
+    decomposition = _decompose(
+        context, K, S, blocks, kernel, mu, grouping, ranks, distribution, replan
+    )
+    return evaluate_request(
+        context.config,
+        K,
+        decomposition,
+        names,
+        start,
+        mu=mu,
+        n_electrons=n_electrons,
+        mu_tolerance=mu_tolerance,
+        max_mu_iterations=max_mu_iterations,
+        mu_bracket=mu_bracket,
+        observable_params=observable_params,
+    )
+
+
+def _decompose(
+    context, K, S, blocks, kernel, mu, grouping, ranks, distribution, replan
+) -> Decomposition:
+    """The engine pass of one request (see :class:`Decomposition`)."""
+    config = context.config
     policy = config.resilience if config.resilience.active else None
     report = ResilienceReport() if policy is not None else None
-    if (mu is None) == (n_electrons is None):
-        raise ValueError("specify exactly one of mu and n_electrons")
-    canonical = n_electrons is not None
-    # the single (registry-backed) solver-string validation path; kernels
-    # with supports_mu_bisection run through the eigendecomposition cache
-    # (Algorithm 1), everything else through the iterative sign path
-    kernel = get_kernel(solver)
     eigen_cache = kernel.supports_mu_bisection
-    if canonical and not eigen_cache:
-        raise ValueError(
-            "canonical-ensemble calculations require the eigendecomposition "
-            "solver (Algorithm 1 reuses the cached eigendecompositions)"
-        )
-    if not eigen_cache:
-        unsupported = [
-            name
-            for name in names
-            if not get_observable(name).supports_iterative
-        ]
-        if unsupported:
-            raise ValueError(
-                f"observables {unsupported!r} need the spectral data of an "
-                f"eigendecomposition-cache solver; the iterative kernel "
-                f"{kernel.name!r} only supports: "
-                + ", ".join(
-                    name
-                    for name in available_observables()
-                    if get_observable(name).supports_iterative
-                )
-            )
-    explicit_ranks = ranks is not None
-    ranks = config.n_ranks if ranks is None else int(ranks)
-    if ranks < 1:
-        raise ValueError("ranks must be positive")
-    engine = config.engine
-    if ranks > 1 and engine == "naive":
-        raise ValueError(
-            "rank-sharded density calculations require the plan engine "
-            "(engine='plan' or 'batched')"
-        )
-
-    prepared = prepare_step(K, S, blocks, config.eps_filter)
-    s_inv_sqrt, block_k, coo = prepared.s_inv_sqrt, prepared.block_k, prepared.coo
-    grouping = grouping or single_column_groups(block_k.n_block_cols)
-    grouping.validate(block_k.n_block_cols)
-
     # an explicitly requested rank count exercises the sharded path even at
     # ranks == 1 (a single shard of everything), so the bitwise-identity
     # guarantee covers the sharding machinery itself
-    use_sharded = engine != "naive" and (
-        ranks > 1 or (explicit_ranks and ranks == 1)
-    )
+    use_sharded = ranks is not None or config.n_ranks > 1
+    ranks = config.n_ranks if ranks is None else int(ranks)
+    if ranks < 1:
+        raise ValueError("ranks must be positive")
+
+    prepared = prepare_step(K, S, blocks, config.eps_filter)
+    block_k, coo = prepared.block_k, prepared.coo
+    grouping = grouping or single_column_groups(block_k.n_block_cols)
+    grouping.validate(block_k.n_block_cols)
+
     pipeline = None
     if use_sharded:
         pipeline = context.pipeline(
@@ -401,50 +493,8 @@ def compute_observables(
             # _decompose_planned); the iterative kernels pad safely
             **({"bucket_pad": None} if eigen_cache else {}),
         )
-    decomposed: Optional[List[DecomposedSubmatrix]] = None
-    occupation_block: Optional[BlockSparseMatrix] = None
-    if eigen_cache:
-        if engine == "naive":
-            decomposed, plan = _decompose_naive(context, block_k, grouping, coo)
-        elif use_sharded:
-            try:
-                decomposed, plan = _decompose_sharded(
-                    context, block_k, pipeline, policy, report
-                )
-            except PipelineExecutionError:
-                if policy is None or not policy.degrade_to_batched:
-                    raise
-                # graceful degradation: rebuild the cache with the
-                # single-process planned path — the per-submatrix
-                # eigendecompositions are slice-deterministic, so the
-                # recovered cache (and everything downstream) is bitwise
-                # identical to the sharded run
-                assert report is not None
-                report.degraded = True
-                decomposed, plan = _decompose_planned(
-                    context, block_k, grouping, coo, replan
-                )
-        else:
-            decomposed, plan = _decompose_planned(
-                context, block_k, grouping, coo, replan
-            )
-        mu_iterations = 0
-        if canonical:
-            mu, mu_iterations = _bisect_mu(
-                config,
-                decomposed,
-                float(n_electrons),
-                mu_tolerance,
-                max_mu_iterations,
-                bracket=mu_bracket,
-            )
-        assert mu is not None
-        dimensions = [d.submatrix.dimension for d in decomposed]
-        n_stacks = _count_stack_decompositions(
-            context, engine, use_sharded, pipeline, plan, grouping
-        )
-    else:
-        occupation_block, dimensions = _iterative_occupations(
+    if not eigen_cache:
+        occupation_block, plan = _iterative_occupations(
             context,
             block_k,
             grouping,
@@ -456,62 +506,123 @@ def compute_observables(
             policy=policy,
             report=report,
         )
-        mu_iterations = 0
-        plan = None
-        n_stacks = 0
-
-    evaluation = SharedEvaluation(
-        config=config,
-        K=K,
-        s_inv_sqrt=s_inv_sqrt,
-        block_k=block_k,
-        coo=coo,
-        mu=float(mu),
-        mu_iterations=mu_iterations,
-        dimensions=dimensions,
+        return Decomposition(
+            prepared,
+            plan,
+            occupation_block=occupation_block,
+            pipeline=pipeline,
+            ranks=ranks,
+            report=report,
+        )
+    if pipeline is None:
+        decomposed, plan = _decompose_planned(context, block_k, grouping, coo, replan)
+    else:
+        try:
+            decomposed, plan = _decompose_sharded(
+                context, block_k, pipeline, policy, report
+            )
+        except PipelineExecutionError:
+            if policy is None or not policy.degrade_to_batched:
+                raise
+            # graceful degradation: rebuild the cache with the
+            # single-process path — the per-submatrix eigendecompositions
+            # are slice-deterministic, so the recovered cache (and
+            # everything downstream) is bitwise identical to the sharded run
+            assert report is not None
+            report.degraded = True
+            decomposed, plan = _decompose_planned(
+                context, block_k, grouping, coo, replan
+            )
+    return Decomposition(
+        prepared,
+        plan,
         decomposed=decomposed,
-        plan=plan,
+        stack_decompositions=_count_stack_decompositions(pipeline, plan),
         pipeline=pipeline,
         ranks=ranks,
         report=report,
-        occupation_block=occupation_block,
-        start=start,
-        stack_decompositions=n_stacks,
-    )
-    results: Dict[str, Any] = {}
-    for name in names:
-        observable = get_observable(name)
-        results[name] = observable.assemble(
-            evaluation, params_by_name.get(name, {})
-        )
-    return ObservableBundle(
-        results=results, observables=names, stack_decompositions=n_stacks
     )
 
 
-def _count_stack_decompositions(
-    context, engine, use_sharded, pipeline, plan, grouping
-) -> int:
-    """Logical eigendecomposition passes of this evaluation, one per stack.
+def _count_stack_decompositions(pipeline, plan: BlockSubmatrixPlan) -> int:
+    """Logical eigendecomposition passes of one evaluation, one per stack.
 
-    Deterministic bookkeeping (independent of retries): the naive
-    engine decomposes one submatrix at a time, the planned engine one
-    equal-dimension bucket at a time, the sharded pipeline one bucket per
-    shard — the number the shared-decomposition tests pin to be invariant
-    in the number of observables requested.
+    Deterministic bookkeeping (independent of retries): the single-process
+    engine decomposes one equal-dimension bucket at a time, the sharded
+    pipeline one bucket per shard — the number the shared-decomposition
+    tests pin to be invariant in the number of observables requested.
     """
-    if engine == "naive":
-        return len(list(grouping.groups))
-    if use_sharded and pipeline is not None:
-        _, sharded = pipeline.prepare()
-        return sum(
-            len(list(shard.stack_tasks()))
-            for shard in sharded.shards
-            if shard.n_groups > 0
-        )
-    if plan is not None:
+    if pipeline is None:
         return len(make_stack_tasks(plan.dimensions))
-    return 0
+    _, sharded = pipeline.prepare()
+    return sum(
+        len(list(shard.stack_tasks()))
+        for shard in sharded.shards
+        if shard.n_groups > 0
+    )
+
+
+def evaluate_request(
+    config,
+    K,
+    decomposition: Decomposition,
+    names: Tuple[str, ...],
+    start: float,
+    mu: Optional[float] = None,
+    n_electrons: Optional[float] = None,
+    mu_tolerance: float = 1e-9,
+    max_mu_iterations: int = 200,
+    mu_bracket: Optional[Tuple[float, float]] = None,
+    observable_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
+) -> ObservableBundle:
+    """The μ-dependent tail of a validated request.
+
+    Bisect μ on the cached spectra when the ensemble is canonical
+    (Algorithm 1), then assemble every observable in ``names`` from one
+    :class:`SharedEvaluation`.  :func:`compute_observables` ends here, and
+    the serving layer calls it once per request of a merged group — shared
+    :class:`Decomposition` entries are only ever read — which is what makes
+    served results bitwise identical to direct calls.  ``start`` is the
+    ``perf_counter`` reading the result's ``wall_time`` counts from.
+    """
+    mu_iterations = 0
+    if n_electrons is not None:
+        mu, mu_iterations = _bisect_mu(
+            config,
+            decomposition.decomposed,
+            float(n_electrons),
+            mu_tolerance,
+            max_mu_iterations,
+            bracket=mu_bracket,
+        )
+    prepared = decomposition.prepared
+    evaluation = SharedEvaluation(
+        config=config,
+        K=K,
+        s_inv_sqrt=prepared.s_inv_sqrt,
+        coo=prepared.coo,
+        mu=float(mu),
+        mu_iterations=mu_iterations,
+        plan=decomposition.plan,
+        start=start,
+        decomposed=decomposition.decomposed,
+        pipeline=decomposition.pipeline,
+        ranks=decomposition.ranks,
+        report=decomposition.report,
+        occupation_block=decomposition.occupation_block,
+        stack_decompositions=decomposition.stack_decompositions,
+    )
+    params_by_name = observable_params or {}
+    return ObservableBundle(
+        results={
+            name: get_observable(name).assemble(
+                evaluation, params_by_name.get(name, {})
+            )
+            for name in names
+        },
+        observables=names,
+        stack_decompositions=decomposition.stack_decompositions,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -526,14 +637,12 @@ def _assemble_density(
         )
     occupation_block = evaluation.occupation_block
     if occupation_block is None:
-        assert evaluation.decomposed is not None
-        occupation_block = _scatter_occupations(
-            evaluation.config,
-            evaluation.block_k,
-            evaluation.decomposed,
-            evaluation.coo,
-            evaluation.mu,
-            evaluation.plan,
+        # D̃ = Q f(λ − μ) Qᵀ per submatrix (Eq. 17)
+        occupation_block = _scatter_spectral(
+            evaluation,
+            lambda eigenvalues: fermi_occupation(
+                eigenvalues, evaluation.mu, evaluation.config.temperature
+            ),
         )
     return assemble_result(
         evaluation.config,
@@ -543,7 +652,7 @@ def _assemble_density(
         evaluation.coo,
         evaluation.mu,
         evaluation.mu_iterations,
-        evaluation.dimensions,
+        list(evaluation.plan.dimensions),
         wall_time=evaluation.elapsed(),
         ranks=evaluation.ranks,
         pipeline=evaluation.pipeline,
@@ -622,33 +731,13 @@ def _assemble_energy_weighted(
         )
     config = evaluation.config
     mu = evaluation.mu
-    if evaluation.plan is not None:
-        out = evaluation.plan.new_output()
-        for group_index, entry in enumerate(evaluation.decomposed):
-            occupations = fermi_occupation(
-                entry.eigenvalues, mu, config.temperature
-            )
-            weighted = (
-                entry.eigenvectors * (entry.eigenvalues * occupations)
-            ) @ entry.eigenvectors.T
-            evaluation.plan.scatter(out, group_index, weighted)
-        block = evaluation.plan.finalize(out)
-    else:
-        block = BlockSparseMatrix(
-            evaluation.block_k.row_block_sizes,
-            evaluation.block_k.col_block_sizes,
+    ortho = block_matrix_to_csr(
+        _scatter_spectral(
+            evaluation,
+            lambda eigenvalues: eigenvalues
+            * fermi_occupation(eigenvalues, mu, config.temperature),
         )
-        for entry in evaluation.decomposed:
-            occupations = fermi_occupation(
-                entry.eigenvalues, mu, config.temperature
-            )
-            weighted = (
-                entry.eigenvectors * (entry.eigenvalues * occupations)
-            ) @ entry.eigenvectors.T
-            scatter_block_submatrix_result(
-                block, weighted, entry.submatrix, evaluation.coo
-            )
-    ortho = block_matrix_to_csr(block)
+    )
     ao = evaluation.s_inv_sqrt @ ortho.toarray() @ evaluation.s_inv_sqrt
     # same g_s·trace contraction electron_count uses, applied to W:
     # E_band = g_s Σ w·λ·f(λ−μ) = g_s Tr(W)
@@ -763,7 +852,7 @@ register_observable(
 
 
 # --------------------------------------------------------------------------- #
-# the assembly tail (shared with the serving layer's batcher)
+# the density observable's assembly
 # --------------------------------------------------------------------------- #
 def assemble_result(
     config,
@@ -781,12 +870,9 @@ def assemble_result(
 ) -> SubmatrixDFTResult:
     """Finalize a density calculation from its scattered occupation matrix.
 
-    The tail shared by the ``density`` observable and the serving layer's
-    cross-request batcher (:mod:`repro.serve.batcher`): convert the packed
-    occupation blocks to CSR, back-transform to the AO basis, evaluate the
-    band-structure energy and electron count, and collect the transfer
-    accounting of an optional sharded ``pipeline``.  Using one tail
-    for both callers is part of the served-equals-direct bitwise contract.
+    Convert the packed occupation blocks to CSR, back-transform to the AO
+    basis, evaluate the band-structure energy and electron count, and
+    collect the transfer accounting of an optional sharded ``pipeline``.
     """
     density_ortho = block_matrix_to_csr(occupation_block)
     density_ao = s_inv_sqrt @ density_ortho.toarray() @ s_inv_sqrt
@@ -839,19 +925,6 @@ def _make_entry(
         eigenvectors=eigenvectors,
         generating_function_rows=np.concatenate(generating_rows),
     )
-
-
-def _decompose_naive(
-    context, block_k: BlockSparseMatrix, grouping: ColumnGrouping, coo: CooBlockList
-) -> Tuple[List[DecomposedSubmatrix], Optional[BlockSubmatrixPlan]]:
-    """Reference path: per-group extraction and one eigh call per submatrix."""
-
-    def decompose(group: Sequence[int]) -> DecomposedSubmatrix:
-        submatrix = extract_block_submatrix(block_k, group, coo)
-        eigenvalues, eigenvectors = np.linalg.eigh(submatrix.data)
-        return _make_entry(submatrix, eigenvalues, eigenvectors)
-
-    return context._map(decompose, list(grouping.groups)), None
 
 
 def _decompose_stacks(
@@ -954,21 +1027,15 @@ def _decompose_sharded(
             group_indices=shard.group_indices,
         )
 
-    backend, executor = context._rank_resources()
     pipeline.execute_ranks(
         decompose_rank,
         context.config.max_workers,
-        backend,
-        executor=executor,
+        context.config.backend,
+        executor=context.executor,
         policy=policy,
         report=report,
     )
     return entries, plan  # type: ignore[return-value]
-
-
-def _occupations(config, eigenvalues: np.ndarray, mu: float) -> np.ndarray:
-    """Occupation numbers f(λ − μ) (Heaviside with f=1/2 at μ, or Fermi)."""
-    return fermi_occupation(eigenvalues, mu, config.temperature)
 
 
 def _bisect_mu(
@@ -1007,7 +1074,7 @@ def _bisect_mu(
     full_hi = float(all_eigenvalues.max()) + 1.0
 
     def electron_count_at(mu: float) -> float:
-        occupations = _occupations(config, all_eigenvalues, mu)
+        occupations = fermi_occupation(all_eigenvalues, mu, config.temperature)
         return config.spin_degeneracy * float(np.dot(all_weights, occupations))
 
     lo, hi = full_lo, full_hi
@@ -1051,37 +1118,23 @@ def _bisect_mu(
     return mu, iterations
 
 
-def _scatter_occupations(
-    config,
-    block_k: BlockSparseMatrix,
-    decomposed: Sequence[DecomposedSubmatrix],
-    coo: CooBlockList,
-    mu: float,
-    plan: Optional[BlockSubmatrixPlan] = None,
+def _scatter_spectral(
+    evaluation: SharedEvaluation,
+    spectral_function: Callable[[np.ndarray], np.ndarray],
 ) -> BlockSparseMatrix:
-    """Form f(a − μ) per submatrix and scatter the generating columns.
+    """Form Q g(λ) Qᵀ per cached submatrix and scatter the generating columns.
 
-    With a plan, the scatter is one vectorized write per submatrix into a
-    preallocated packed output buffer and the result blocks are zero-copy
-    views into that buffer.
+    One vectorized write per submatrix into the plan's preallocated packed
+    output buffer; the result blocks are zero-copy views into that buffer.
     """
-    if plan is not None:
-        out = plan.new_output()
-        for group_index, entry in enumerate(decomposed):
-            occupations = _occupations(config, entry.eigenvalues, mu)
-            occupation_matrix = (
-                entry.eigenvectors * occupations
-            ) @ entry.eigenvectors.T
-            plan.scatter(out, group_index, occupation_matrix)
-        return plan.finalize(out)
-    result = BlockSparseMatrix(block_k.row_block_sizes, block_k.col_block_sizes)
-    for entry in decomposed:
-        occupations = _occupations(config, entry.eigenvalues, mu)
-        occupation_matrix = (
-            entry.eigenvectors * occupations
+    plan = evaluation.plan
+    out = plan.new_output()
+    for group_index, entry in enumerate(evaluation.decomposed):
+        matrix = (
+            entry.eigenvectors * spectral_function(entry.eigenvalues)
         ) @ entry.eigenvectors.T
-        scatter_block_submatrix_result(result, occupation_matrix, entry.submatrix, coo)
-    return result
+        plan.scatter(out, group_index, matrix)
+    return plan.finalize(out)
 
 
 # --------------------------------------------------------------------------- #
@@ -1143,7 +1196,7 @@ def _iterative_occupations(
     replan: str = "full",
     policy=None,
     report=None,
-) -> Tuple[BlockSparseMatrix, List[int]]:
+) -> Tuple[BlockSparseMatrix, BlockSubmatrixPlan]:
     """Occupation matrices 1/2·(I − sign(A − μI)) via an iterative sign kernel.
 
     ``kernel`` is any registered :class:`~repro.signfn.registry.MatrixFunction`
@@ -1152,8 +1205,8 @@ def _iterative_occupations(
     μ-shift is applied here, so parameterless kernels work unchanged; the
     kernel is bound without parameters and receives the shifted submatrices.
 
-    With the plan engine, extraction and scatter run through the cached plan
-    and the kernel's batched variant (when it has one) iterates whole
+    Extraction and scatter run through the cached plan and the kernel's
+    batched variant (when it has one) iterates whole
     equal-or-padded-dimension buckets at once.  Bucket padding embeds a
     small submatrix block-diagonally with the kernel's
     :meth:`~repro.signfn.registry.MatrixFunction.padding_value` (``1 + μ``
@@ -1170,24 +1223,6 @@ def _iterative_occupations(
     """
     config = context.config
     bound = kernel.bind()
-    groups = list(grouping.groups)
-    if config.engine == "naive":
-
-        def solve(group: Sequence[int]):
-            submatrix = extract_block_submatrix(block_k, group, coo)
-            shifted = submatrix.data - mu * np.eye(submatrix.dimension)
-            sign = np.asarray(bound.function(shifted), dtype=float)
-            occupation = 0.5 * (np.eye(submatrix.dimension) - sign)
-            return submatrix, occupation
-
-        solved = context._map(solve, groups)
-        result = BlockSparseMatrix(block_k.row_block_sizes, block_k.col_block_sizes)
-        dimensions = []
-        for submatrix, occupation in solved:
-            dimensions.append(submatrix.dimension)
-            scatter_block_submatrix_result(result, occupation, submatrix, coo)
-        return result, dimensions
-
     solve_stack = _occupation_stack_solver(kernel, bound, mu, policy, report)
     pad_value = kernel.padding_value(mu)
 
@@ -1203,22 +1238,21 @@ def _iterative_occupations(
         plan, _ = pipeline.prepare()
         packed = plan.pack(block_k)
         out = plan.new_output()
-        backend, executor = context._rank_resources()
         pipeline.run_stacks(
             packed,
             solve_stack,
             out,
             pad_value=pad_value,
             max_workers=config.max_workers,
-            backend=backend,
-            executor=executor,
+            backend=config.backend,
+            executor=context.executor,
             policy=policy,
             report=report,
         )
-        return plan.finalize(out), list(plan.dimensions)
+        return plan.finalize(out), plan
 
     plan = context.block_plan_for(
-        coo, block_k.row_block_sizes, groups, replan=replan
+        coo, block_k.row_block_sizes, list(grouping.groups), replan=replan
     )
     dimensions = plan.dimensions
     pad = resolve_bucket_pad(config.bucket_pad, dimensions)
@@ -1237,4 +1271,4 @@ def _iterative_occupations(
         pad_value=pad_value,
         mapper=context._map,
     )
-    return plan.finalize(out), list(dimensions)
+    return plan.finalize(out), plan

@@ -2,7 +2,7 @@
 
 These dataclasses were born in :mod:`repro.core.method` and
 :mod:`repro.core.sign_dft`; they live here so the session layer
-(:mod:`repro.api.context`, :mod:`repro.api.density`) and the legacy facades
+(:mod:`repro.api.context`, :mod:`repro.api.observables`) and the legacy facades
 can share them without import cycles.  The facades re-export them under
 their historical names, so ``from repro.core import SubmatrixMethodResult``
 keeps working.

@@ -18,7 +18,8 @@ machinery was built for —
 
 :func:`run_trajectory` (exposed as :meth:`SubmatrixContext.trajectory`)
 drives a sequence of ``(K, S)`` geometry steps through
-:func:`repro.api.density.compute_density`, watches the pattern content hash
+:func:`repro.api.observables.compute_observables` (one call per step, the
+same path a single-shot request takes), watches the pattern content hash
 to detect sparsity changes between steps, and returns the per-step
 :class:`~repro.api.results.SubmatrixDFTResult` objects together with a
 :class:`TrajectoryStats` record — plans built vs patched vs cache hits,
@@ -445,8 +446,7 @@ def run_trajectory(
         :meth:`SubmatrixContext.density` calls unless ``warm_start_mu``
         is enabled) and the reuse statistics.
     """
-    from repro.api.density import compute_density
-    from repro.api.observables import compute_observables, normalize_observables
+    from repro.api.observables import compute_observables, validate_request
 
     context._check_open()
     if steps is None:
@@ -455,16 +455,22 @@ def run_trajectory(
             "step(index) -> (K, S) | None, not None"
         )
     context._check_replan(replan)
-    if (mu is None) == (n_electrons is None):
-        raise ValueError("specify exactly one of mu and n_electrons")
-    observable_names = None
-    if observables is not None:
-        observable_names = normalize_observables(observables)
-        if "density" not in observable_names:
-            raise ValueError(
-                "trajectory observables must include 'density' (the driver's "
-                "warm-start and statistics state reads the density fields)"
-            )
+    # the whole trajectory's request (per-step sequences included) is
+    # checked before the first step runs or the checkpoint is touched
+    observable_names, _ = validate_request(
+        context.config,
+        blocks,
+        ("density",) if observables is None else observables,
+        mu,
+        n_electrons,
+        solver,
+        observable_params,
+    )
+    if "density" not in observable_names:
+        raise ValueError(
+            "trajectory observables must include 'density' (the driver's "
+            "warm-start and statistics state reads the density fields)"
+        )
 
     ckpt: Optional[TrajectoryCheckpoint] = None
     if checkpoint is not None:
@@ -483,7 +489,7 @@ def run_trajectory(
             "mu_tolerance": float(mu_tolerance),
             "max_mu_iterations": int(max_mu_iterations),
         }
-        if observable_names is not None:
+        if observables is not None:
             # only non-default requests extend the signature, so density-only
             # checkpoint directories written before multi-observable
             # trajectories existed keep resuming unchanged
@@ -529,42 +535,26 @@ def run_trajectory(
                 if warm
                 else None
             )
-            if observable_names is None:
-                result = compute_density(
-                    context,
-                    K,
-                    S,
-                    blocks,
-                    mu=_step_value(mu, index),
-                    n_electrons=step_n_electrons,
-                    solver=solver,
-                    grouping=grouping,
-                    mu_tolerance=mu_tolerance,
-                    max_mu_iterations=max_mu_iterations,
-                    ranks=ranks,
-                    distribution=distribution,
-                    replan=replan,
-                    mu_bracket=bracket,
-                )
-            else:
-                result = compute_observables(
-                    context,
-                    K,
-                    S,
-                    blocks,
-                    observables=observable_names,
-                    mu=_step_value(mu, index),
-                    n_electrons=step_n_electrons,
-                    solver=solver,
-                    grouping=grouping,
-                    mu_tolerance=mu_tolerance,
-                    max_mu_iterations=max_mu_iterations,
-                    ranks=ranks,
-                    distribution=distribution,
-                    replan=replan,
-                    mu_bracket=bracket,
-                    observable_params=observable_params,
-                )
+            result = compute_observables(
+                context,
+                K,
+                S,
+                blocks,
+                observables=observable_names,
+                mu=_step_value(mu, index),
+                n_electrons=step_n_electrons,
+                solver=solver,
+                grouping=grouping,
+                mu_tolerance=mu_tolerance,
+                max_mu_iterations=max_mu_iterations,
+                ranks=ranks,
+                distribution=distribution,
+                replan=replan,
+                mu_bracket=bracket,
+                observable_params=observable_params,
+            )
+            if observables is None:
+                result = result["density"]
             step_wall = result.wall_time
             if ckpt is not None:
                 ckpt.save_step(index, result)

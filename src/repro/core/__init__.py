@@ -11,11 +11,12 @@ Workflow (Fig. 3 of the paper):
 3. the column of f(a_i) that corresponds to column i is copied back into the
    sparse result matrix, preserving the input sparsity pattern.
 
-The hot path has two interchangeable engines: the naive reference kernels in
-:mod:`repro.core.submatrix` and the vectorized submatrix engine — cached
-extraction plans (:mod:`repro.core.plan`) plus bucketed batch evaluation
-(:mod:`repro.core.batch`) — which produces identical results while replacing
-the per-call Python loops with precomputed single-shot gathers/scatters.
+The hot path is the vectorized submatrix engine — cached extraction plans
+(:mod:`repro.core.plan`) plus bucketed batch evaluation
+(:mod:`repro.core.batch`); the per-submatrix kernels in
+:mod:`repro.core.submatrix` are the reference implementation it is tested
+against, producing identical results with per-call Python loops where the
+engine uses precomputed single-shot gathers/scatters.
 
 On top of this core, the subpackage implements the CP2K-specific machinery
 described in Sec. IV of the paper: grouping of block columns into combined

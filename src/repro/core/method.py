@@ -18,11 +18,12 @@ It supports both granularities used in the paper:
   columns), operating on :class:`BlockSparseMatrix`; this is the granularity
   of the CP2K implementation (Sec. IV-C).
 
-Three execution engines are available (``engine=`` on the constructor or per
-call): ``"naive"`` (the reference implementation), ``"plan"`` (default; the
-cached vectorized engine of :mod:`repro.core.plan`, bitwise identical to
-``"naive"``) and ``"batched"`` (plan plus the bucketed batch evaluator of
-:mod:`repro.core.batch`).
+There is one execution engine: the cached vectorized extraction plan of
+:mod:`repro.core.plan` plus the bucketed stack evaluator of
+:mod:`repro.core.batch` (Sec. III-A: independent submatrices become stacks
+of nearly dense local matrices).  The per-submatrix reference
+implementation is the ``extract_*``/``scatter_*`` kernels of
+:mod:`repro.core.submatrix`, which the tests compare this engine against.
 
 New code should prefer the session API directly — one
 :class:`~repro.api.context.SubmatrixContext` amortizes plans and worker
@@ -37,13 +38,13 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.config import ENGINES, EngineConfig
+from repro.api.config import EngineConfig
 from repro.api.results import SubmatrixMethodResult
 from repro.core.plan import PlanCache, SubmatrixPlan
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.coo import CooBlockList
 
-__all__ = ["SubmatrixMethod", "SubmatrixMethodResult", "ENGINES"]
+__all__ = ["SubmatrixMethod", "SubmatrixMethodResult"]
 
 #: Legacy type alias; the registry's :class:`repro.signfn.registry.MatrixFunction`
 #: is the named-kernel counterpart of this bare-callable contract.
@@ -64,15 +65,13 @@ class SubmatrixMethod:
     max_workers:
         Worker count for the parallel evaluation of submatrices.
     backend:
-        ``"serial"`` (default, deterministic), ``"thread"`` or ``"process"``.
-    engine:
-        Default execution engine: ``"naive"``, ``"plan"`` or ``"batched"``.
+        ``"serial"`` (default, deterministic) or ``"thread"``.
     batch_function:
-        Optional batched kernel ``(k, d, d) -> (k, d, d)`` used by the
-        ``"batched"`` engine; without it the stack is evaluated with one
-        ``function`` call per slice (extraction/scatter stay vectorized).
+        Optional batched kernel ``(k, d, d) -> (k, d, d)``; without it each
+        stack is evaluated with one ``function`` call per slice
+        (extraction/scatter stay vectorized).
     bucket_pad:
-        Padding granularity for the ``"batched"`` engine (see
+        Padding granularity of the stacks (see
         :func:`repro.core.batch.make_buckets`); padding requires ``function``
         to be a genuine matrix function.  ``"auto"`` picks the granularity
         from the plan's measured dimension histogram
@@ -90,7 +89,6 @@ class SubmatrixMethod:
         function: Union[MatrixFunction, str],
         max_workers=_UNSET,
         backend=_UNSET,
-        engine=_UNSET,
         batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         bucket_pad=_UNSET,
         plan_cache: Optional[PlanCache] = None,
@@ -104,11 +102,8 @@ class SubmatrixMethod:
             raise TypeError("function must be callable")
         if config is None:
             config = EngineConfig()
-        # only explicitly passed kwargs override the config; the sentinel
-        # keeps default-valued explicit kwargs (engine="plan", ...) working
+        # only explicitly passed kwargs override the config
         overrides = {}
-        if engine is not _UNSET:
-            overrides["engine"] = engine
         if backend is not _UNSET:
             overrides["backend"] = backend
         if max_workers is not _UNSET:
@@ -143,10 +138,6 @@ class SubmatrixMethod:
         return self.config.backend
 
     @property
-    def engine(self) -> str:
-        return self.config.engine
-
-    @property
     def bucket_pad(self) -> Optional[Union[int, str]]:
         return self.config.bucket_pad
 
@@ -171,7 +162,6 @@ class SubmatrixMethod:
         self,
         matrix: sp.spmatrix,
         column_groups: Optional[Sequence[Sequence[int]]] = None,
-        engine: Optional[str] = None,
         plan: Optional[SubmatrixPlan] = None,
     ) -> SubmatrixMethodResult:
         """Apply the matrix function column-by-column on a SciPy matrix.
@@ -183,8 +173,6 @@ class SubmatrixMethod:
         column_groups:
             Groups of columns that share a submatrix; defaults to one
             submatrix per column (the original formulation).
-        engine:
-            Per-call engine override.
         plan:
             Pre-built :class:`~repro.core.plan.ElementSubmatrixPlan` to reuse
             (skips the cache lookup).
@@ -193,7 +181,6 @@ class SubmatrixMethod:
             matrix,
             self.function,
             column_groups=column_groups,
-            engine=engine,
             batch_function=self.batch_function,
             plan=plan,
         )
@@ -206,7 +193,6 @@ class SubmatrixMethod:
         matrix: BlockSparseMatrix,
         column_groups: Optional[Sequence[Sequence[int]]] = None,
         coo: Optional[CooBlockList] = None,
-        engine: Optional[str] = None,
         plan: Optional[SubmatrixPlan] = None,
     ) -> SubmatrixMethodResult:
         """Apply the matrix function block-column-wise on a DBCSR-style matrix.
@@ -221,8 +207,6 @@ class SubmatrixMethod:
             because sparsity is only resolved at block level, Sec. IV-C).
         coo:
             Optional pre-built global COO block list.
-        engine:
-            Per-call engine override.
         plan:
             Pre-built :class:`~repro.core.plan.BlockSubmatrixPlan` to reuse.
         """
@@ -231,7 +215,6 @@ class SubmatrixMethod:
             self.function,
             column_groups=column_groups,
             coo=coo,
-            engine=engine,
             batch_function=self.batch_function,
             plan=plan,
         )

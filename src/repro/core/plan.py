@@ -723,7 +723,7 @@ class BlockSubmatrixPlan(SubmatrixPlan):
         """Concatenate all block values of ``matrix`` in plan (COO) order.
 
         Pattern entries without a stored block pack as zeros, matching the
-        naive engine's treatment of a pattern that is a superset of the
+        reference kernels' treatment of a pattern that is a superset of the
         stored blocks (e.g. a symmetrized or pattern-only COO list).
         """
         if (

@@ -15,9 +15,9 @@ plan engine instead of beside it:
   extraction → bucketed batch evaluation (:mod:`repro.core.batch`) →
   zero-copy scatter into the shared output, one
   :func:`~repro.parallel.executor.map_parallel` task per rank.  Results are
-  bitwise identical to the single-process ``engine="batched"`` path for any
-  rank count (scatter ranges are disjoint across ranks and every submatrix
-  sees the same dense values).
+  bitwise identical to the single-process engine for any rank count
+  (scatter ranges are disjoint across ranks and every submatrix sees the
+  same dense values).
 * :func:`submatrix_method_cost` is a thin wrapper over that pipeline: it
   builds the same assignment, transfer plan and
   :class:`~repro.parallel.stats.TrafficLog` the execution path uses and
@@ -66,7 +66,6 @@ from repro.core.load_balance import (
 from repro.core.plan import BlockSubmatrixPlan, PlanCache, block_plan
 from repro.core.shard import ShardedPlan
 from repro.core.transfers import (
-    TransferDelta,
     TransferPlan,
     patch_transfer_plan,
     plan_transfers,
@@ -74,7 +73,7 @@ from repro.core.transfers import (
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.coo import CooBlockList
 from repro.dbcsr.distribution import BlockDistribution, ProcessGrid2D
-from repro.parallel.executor import executor_backend, map_parallel
+from repro.parallel.executor import map_parallel
 from repro.parallel.machine import MachineModel, SimulatedTime
 from repro.parallel.stats import TrafficLog
 from repro.parallel.topology import balanced_dims
@@ -273,8 +272,7 @@ class DistributedSubmatrixPipeline:
         c·n³ costs (Sec. IV-E, maximises block reuse);
         ``"stacks"`` — bucket-aware: groups are bucketed by (padded)
         dimension exactly as the batched evaluator will execute them and
-        whole stacks are balanced over ranks with an LPT heuristic;
-        ``"round_robin"`` — equal counts, the ablation baseline.
+        whole stacks are balanced over ranks with an LPT heuristic.
     bucket_pad:
         Padding granularity of the batched evaluator: an integer, ``None``
         (exact-dimension buckets, keeps results bitwise identical) or
@@ -340,8 +338,6 @@ class DistributedSubmatrixPipeline:
         self.plan: Optional[BlockSubmatrixPlan] = None
         self.sharded: Optional[ShardedPlan] = None
         self._exact_transfers = bool(exact_transfers)
-        # filled by patch() (incremental exchange diff)
-        self.transfer_delta: Optional[TransferDelta] = None
         # Cost-model side planning needs no extraction plan: with exact
         # per-group planning, the required-block sets *are* the shard's
         # segment index (a shard references exactly the blocks of its
@@ -405,8 +401,6 @@ class DistributedSubmatrixPipeline:
                 assign_consecutive_chunks(self.costs, self.n_ranks)
             ):
                 rank_of_group[start:stop] = rank
-        elif self.balance == "round_robin":
-            rank_of_group[:] = np.arange(n_groups) % self.n_ranks
         else:  # "stacks": balance whole padded-dimension stacks (LPT)
             padded = pad_dimensions(self.dimensions, self.bucket_pad)
             # split large buckets into enough indivisible stack tasks that
@@ -497,19 +491,16 @@ class DistributedSubmatrixPipeline:
         patched.plan = new_plan
         report = new_plan.patch_report
         patched._exact_transfers = self._exact_transfers
-        patched.transfer_delta = None
         if report is not None and report.source is self.plan:
             patched.sharded = self.sharded.patch(new_plan)
             # incremental exchange replan: only the ranks owning a dirty
             # group re-run the per-group planning walk; every clean rank's
-            # summary is carried over with remapped block IDs, and the
-            # delta records the newly required segments each rank would
-            # actually have to fetch on top of its buffered blocks
+            # summary is carried over with remapped block IDs
             dirty_ranks = {
                 int(patched.rank_of_group[group])
                 for group in report.dirty_groups
             }
-            patched.transfer_plan, patched.transfer_delta = patch_transfer_plan(
+            patched.transfer_plan = patch_transfer_plan(
                 self.transfer_plan,
                 new_coo,
                 patched.block_sizes,
@@ -785,8 +776,8 @@ class DistributedSubmatrixPipeline:
 
         A thin caller of :meth:`run_stacks`: pack the matrix, map the bound
         kernel's :func:`~repro.core.batch.stack_solver` over every rank's
-        bucketed stacks (see there for the backend restriction and the
-        ``policy`` retry/rebalance/degradation semantics — recorded on
+        bucketed stacks (see there for the ``policy``
+        retry/rebalance/degradation semantics — recorded on
         :attr:`PipelineResult.resilience`), finalize the shared output and
         attach the per-rank work and traffic summary.  Pass a pre-built
         ``executor`` to reuse one pool across repeated evaluations.
@@ -868,10 +859,6 @@ class DistributedSubmatrixPipeline:
         (:meth:`~repro.core.shard.RankShard.stack_tasks`), so repeated calls
         over an unchanged pattern skip all layout work.
 
-        Ranks scatter into shared process memory, so only the serial and
-        thread backends are supported (a process pool could neither pickle
-        the rank closure nor write back into the shared output).
-
         With an *active* ``policy`` (see
         :class:`~repro.api.config.ResiliencePolicy`), failed rank tasks are
         retried/rebalanced via :meth:`execute_ranks`, and once the retries
@@ -882,11 +869,6 @@ class DistributedSubmatrixPipeline:
         the resilience report (``None`` without an active policy); pass
         ``report`` to accumulate into a caller-owned one.
         """
-        if backend == "process" or executor_backend(executor) == "process":
-            raise ValueError(
-                "the pipeline's per-rank tasks share the packed output "
-                "buffer; use the 'serial' or 'thread' backend"
-            )
         self._ensure_execution()
         assert self.plan is not None and self.sharded is not None
 

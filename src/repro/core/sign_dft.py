@@ -5,23 +5,15 @@ application of the submatrix method — computing the one-particle reduced
 density matrix from the Kohn–Sham and overlap matrices (Eq. 16), in the
 grand-canonical and canonical ensembles.  Since the session API refactor it
 is a thin facade over :meth:`repro.api.context.SubmatrixContext.density`
-(implemented in :mod:`repro.api.density`): the constructor folds its
+(implemented in :mod:`repro.api.observables`): the constructor folds its
 keyword arguments into an :class:`~repro.api.config.EngineConfig`, results
 are bitwise identical to the session path, and with ``n_ranks > 1`` in the
 config the eigendecomposition cache + μ-bisection run rank-sharded through
 the :class:`~repro.core.runner.DistributedSubmatrixPipeline`.
-
-Deprecated legacy kwargs (still accepted, with a :class:`DeprecationWarning`):
-
-* ``use_plan=`` — use ``config=EngineConfig(engine=...)``; ``use_plan=False``
-  maps to ``engine="naive"``, ``use_plan=True`` to ``engine="batched"``;
-* bare ``backend=`` / ``max_workers=`` — use
-  ``config=EngineConfig(backend=..., max_workers=...)``.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Union
 
 import numpy as np
@@ -66,7 +58,7 @@ class SubmatrixDFTSolver:
         submatrices (Sec. IV-C); default is one submatrix per block column.
     config:
         The :class:`~repro.api.config.EngineConfig` of the solver's session:
-        engine, backend, workers, bucket padding, rank count, balancing.
+        backend, workers, bucket padding, rank count, balancing.
         ``eps_filter``/``temperature``/``spin_degeneracy`` given as explicit
         keyword arguments override the config's fields.
     spin_degeneracy:
@@ -82,10 +74,6 @@ class SubmatrixDFTSolver:
     plan_cache:
         Optional private plan cache; the process-wide default cache is used
         when omitted.
-    backend, max_workers, use_plan:
-        **Deprecated** — configure through ``config=`` instead (see module
-        docstring for the mapping).  Still honored, with a
-        :class:`DeprecationWarning`.
     """
 
     def __init__(
@@ -94,10 +82,7 @@ class SubmatrixDFTSolver:
         temperature=_UNSET,
         solver: str = "eigen",
         grouping: Optional[ColumnGrouping] = None,
-        backend=_UNSET,
-        max_workers=_UNSET,
         spin_degeneracy=_UNSET,
-        use_plan=_UNSET,
         bucket_pad=_UNSET,
         plan_cache: Optional[PlanCache] = None,
         config: Optional[EngineConfig] = None,
@@ -106,9 +91,7 @@ class SubmatrixDFTSolver:
         # typos; solver capabilities are checked at compute time)
         get_kernel(solver)
         if config is None:
-            # the legacy default was use_plan=True: plan extraction plus
-            # bucketed batched decomposition
-            config = EngineConfig(engine="batched")
+            config = EngineConfig()
         # only explicitly passed kwargs override the config; the sentinel
         # keeps config=EngineConfig(eps_filter=..., temperature=...) intact
         overrides = {}
@@ -120,31 +103,6 @@ class SubmatrixDFTSolver:
             overrides["spin_degeneracy"] = float(spin_degeneracy)
         if bucket_pad is not _UNSET:
             overrides["bucket_pad"] = bucket_pad
-        if backend is not _UNSET:
-            warnings.warn(
-                "SubmatrixDFTSolver(backend=...) is deprecated; pass "
-                "config=EngineConfig(backend=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            overrides["backend"] = backend
-        if max_workers is not _UNSET:
-            warnings.warn(
-                "SubmatrixDFTSolver(max_workers=...) is deprecated; pass "
-                "config=EngineConfig(max_workers=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            overrides["max_workers"] = max_workers
-        if use_plan is not _UNSET:
-            warnings.warn(
-                "SubmatrixDFTSolver(use_plan=...) is deprecated; pass "
-                "config=EngineConfig(engine='batched') (use_plan=True) or "
-                "EngineConfig(engine='naive') (use_plan=False) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            overrides["engine"] = "batched" if use_plan else "naive"
         if overrides:
             config = config.replace(**overrides)
 
@@ -175,18 +133,6 @@ class SubmatrixDFTSolver:
     @property
     def spin_degeneracy(self) -> float:
         return self.config.spin_degeneracy
-
-    @property
-    def backend(self) -> str:
-        return self.config.backend
-
-    @property
-    def max_workers(self) -> Optional[int]:
-        return self.config.max_workers
-
-    @property
-    def use_plan(self) -> bool:
-        return self.config.uses_plan
 
     @property
     def bucket_pad(self) -> Optional[Union[int, str]]:

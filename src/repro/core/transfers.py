@@ -48,7 +48,6 @@ from repro.parallel.stats import TrafficLog
 __all__ = [
     "RankTransferSummary",
     "TransferPlan",
-    "TransferDelta",
     "plan_transfers",
     "patch_transfer_plan",
 ]
@@ -188,61 +187,6 @@ class TransferPlan:
         if include_coo_allgather and self.n_ranks > 1 and coo_length > 0:
             log.record_allgather(8.0 * coo_length / self.n_ranks)
         return log
-
-
-@dataclasses.dataclass
-class TransferDelta:
-    """Per-rank diff between a previous and a patched transfer plan.
-
-    Records what an *incremental* initialization exchange would actually
-    ship when a pattern drifts: only the segments a rank newly requires
-    (plus the bookkeeping of what it no longer needs), instead of the full
-    replanned exchange.
-
-    Attributes
-    ----------
-    dirty_ranks:
-        Ranks whose required-segment sets were replanned (they own at
-        least one dirty group); every other rank's requirements carried
-        over by ID remap.
-    added_segments_per_rank:
-        Per rank, sorted new-COO block IDs required now but not before.
-    removed_per_rank:
-        Per rank, the number of previously required segments that no
-        longer exist or are no longer referenced.
-    added_fetch_bytes_per_rank:
-        Per rank, the remote bytes of the newly required segments — the
-        volume an incremental exchange ships to that rank.
-    full_fetch_bytes:
-        Deduplicated whole-block fetch volume of the full (patched)
-        exchange, for comparison.
-    """
-
-    dirty_ranks: frozenset
-    added_segments_per_rank: List[np.ndarray]
-    removed_per_rank: np.ndarray
-    added_fetch_bytes_per_rank: np.ndarray
-    full_fetch_bytes: float
-
-    @property
-    def n_ranks(self) -> int:
-        return len(self.added_segments_per_rank)
-
-    @property
-    def total_added_fetch_bytes(self) -> float:
-        """Total volume of the incremental exchange."""
-        return float(self.added_fetch_bytes_per_rank.sum())
-
-    @property
-    def total_added_segments(self) -> int:
-        return int(sum(ids.size for ids in self.added_segments_per_rank))
-
-    @property
-    def incremental_savings(self) -> float:
-        """Fraction of the full exchange volume the delta avoids (0..1)."""
-        if self.full_fetch_bytes <= 0:
-            return 0.0
-        return 1.0 - self.total_added_fetch_bytes / self.full_fetch_bytes
 
 
 @dataclasses.dataclass
@@ -520,7 +464,7 @@ def patch_transfer_plan(
     bytes_per_element: int = 8,
     per_group_dedup: bool = True,
     segment_index: Optional[Sequence[np.ndarray]] = None,
-):
+) -> TransferPlan:
     """Incrementally replan the initialization exchange after a pattern patch.
 
     Instead of re-walking every rank's submatrices
@@ -533,10 +477,8 @@ def patch_transfer_plan(
     recomputed from ``segment_index`` when given (a cheap vectorized
     lookup — the expensive part is the per-group walk, not the volumes).
 
-    Returns ``(plan, delta)``: a :class:`TransferPlan` equal to a full
-    replan (property-tested), plus the :class:`TransferDelta` describing
-    what an incremental exchange would actually ship — the newly required
-    segments per rank rather than the whole initialization exchange.
+    Returns a :class:`TransferPlan` equal to a full replan
+    (property-tested).
 
     Parameters mirror :func:`plan_transfers`; ``dirty_ranks`` and
     ``new_id_of_old`` come from the plan patch
@@ -563,14 +505,9 @@ def patch_transfer_plan(
     fetch_matrix = np.zeros((n_ranks, n_ranks))
     writeback_matrix = np.zeros((n_ranks, n_ranks))
     segment_matrix = np.zeros((n_ranks, n_ranks)) if want_segments else None
-    added_segments: List[np.ndarray] = []
-    removed_counts = np.zeros(n_ranks, dtype=np.int64)
-    added_bytes = np.zeros(n_ranks)
 
     for rank in range(n_ranks):
         old_summary = previous.per_rank[rank]
-        old_in_new = new_id_of_old[old_summary.required_blocks]
-        surviving = old_in_new[old_in_new >= 0]
         if rank in dirty:
             summary, fetch_column, writeback_row, segment_column = _plan_rank(
                 rank,
@@ -590,9 +527,10 @@ def patch_transfer_plan(
             # a clean rank's groups kept their sub-patterns: the required
             # blocks survive with unchanged sizes and owners, so every
             # byte volume carries over verbatim and only the IDs move
+            old_in_new = new_id_of_old[old_summary.required_blocks]
             summary = dataclasses.replace(
                 old_summary,
-                required_blocks=np.sort(surviving),
+                required_blocks=np.sort(old_in_new[old_in_new >= 0]),
                 remote_blocks=np.sort(
                     new_id_of_old[old_summary.remote_blocks]
                 ),
@@ -611,28 +549,9 @@ def patch_transfer_plan(
                     summary, segment_fetch_bytes=segment_fetch
                 )
         per_rank.append(summary)
-        added = np.setdiff1d(summary.required_blocks, surviving)
-        added_segments.append(added)
-        # old requirements gone from the new plan: blocks deleted by the
-        # patch plus surviving blocks this rank no longer needs
-        removed_counts[rank] = old_summary.required_blocks.size - np.intersect1d(
-            surviving, summary.required_blocks
-        ).size
-        if added.size:
-            owners = tables.owners_by_id[added]
-            remote = owners != rank
-            added_bytes[rank] = float(tables.bytes_by_id[added][remote].sum())
-    plan = TransferPlan(
+    return TransferPlan(
         per_rank=per_rank,
         fetch_matrix=fetch_matrix,
         writeback_matrix=writeback_matrix,
         segment_fetch_matrix=segment_matrix,
     )
-    delta = TransferDelta(
-        dirty_ranks=frozenset(dirty),
-        added_segments_per_rank=added_segments,
-        removed_per_rank=removed_counts,
-        added_fetch_bytes_per_rank=added_bytes,
-        full_fetch_bytes=plan.total_fetch_bytes,
-    )
-    return plan, delta

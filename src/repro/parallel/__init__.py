@@ -15,7 +15,7 @@ point operations each rank performs — through the classes in this subpackage:
 * :class:`repro.parallel.machine.MachineModel` — converts accounting data
   into simulated wall-clock times for the scaling experiments (Figs. 6,
   8–10),
-* :mod:`repro.parallel.executor` — thread/process pools for genuinely
+* :mod:`repro.parallel.executor` — thread pools for genuinely
   parallel execution of the embarrassingly parallel submatrix solves,
 * :mod:`repro.parallel.faults` — seeded deterministic fault injection
   (rank crashes, message loss, worker exceptions, forced kernel

@@ -3,8 +3,9 @@
 The submatrix method is embarrassingly parallel: every submatrix can be
 solved independently (Sec. III-A of the paper).  Inside CP2K this parallelism
 is expressed with MPI ranks and OpenMP threads; here it is expressed through
-a thread pool (NumPy/LAPACK release the GIL inside the dense kernels, so
-threads give genuine speedups) or, optionally, a process pool.
+a thread pool: NumPy/LAPACK release the GIL inside the dense kernels, so
+threads give genuine speedups, and the workers scatter straight into the
+shared packed output buffer.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "default_worker_count",
     "split_chunks",
     "make_executor",
-    "executor_backend",
     "TaskExecutionError",
     "wrap_task_error",
 ]
@@ -34,9 +34,6 @@ class TaskExecutionError(RuntimeError):
     ----------
     task_index / n_tasks:
         Zero-based index of the failing item and the total item count.
-    chunk_index:
-        Chunk the task was dispatched in (0 unless the process backend ran
-        with ``chunksize > 1``).
     original:
         The exception the task raised.
 
@@ -49,7 +46,6 @@ class TaskExecutionError(RuntimeError):
 
     task_index: int = -1
     n_tasks: int = 0
-    chunk_index: int = 0
     original: Optional[BaseException] = None
 
 
@@ -77,19 +73,17 @@ def _wrapped_error_type(base: type) -> type:
 
 
 def wrap_task_error(
-    error: BaseException, index: int, n_tasks: int, chunksize: int = 1
+    error: BaseException, index: int, n_tasks: int
 ) -> TaskExecutionError:
-    """Wrap a worker exception with the failing task's index and chunk.
+    """Wrap a worker exception with the failing task's index.
 
     The wrapped error remains an instance of the original type (see
     :class:`TaskExecutionError`); construction falls back to the plain
     wrapper for exception types whose ``__init__`` rejects a single
     message argument.
     """
-    chunk_index = index // max(1, chunksize)
     message = (
-        f"task {index} of {n_tasks} (chunk {chunk_index}) failed with "
-        f"{type(error).__name__}: {error}"
+        f"task {index} of {n_tasks} failed with {type(error).__name__}: {error}"
     )
     wrapped_type = _wrapped_error_type(type(error))
     try:
@@ -106,18 +100,16 @@ def wrap_task_error(
             wrapped = TaskExecutionError(message)
     wrapped.task_index = int(index)
     wrapped.n_tasks = int(n_tasks)
-    wrapped.chunk_index = int(chunk_index)
     wrapped.original = error
     return wrapped
 
 
 class _TaskFailure:
-    """Child-side capture of one failed task (re-raised by the parent).
+    """Worker-side capture of one failed task (re-raised by the caller).
 
-    Capturing instead of raising keeps the failing *index* attached across
-    pool boundaries — a process pool could not unpickle a dynamically
-    created wrapper class, and ``Executor.map`` loses the item index when
-    an exception propagates through its iterator.
+    Capturing instead of raising keeps the failing *index* attached —
+    ``Executor.map`` loses the item index when an exception propagates
+    through its iterator — and lets every other task still run.
     """
 
     __slots__ = ("index", "error")
@@ -128,7 +120,7 @@ class _TaskFailure:
 
 
 class _GuardedTask:
-    """Picklable per-item runner: fault injection plus failure capture."""
+    """Per-item runner: fault injection plus failure capture."""
 
     __slots__ = ("function", "fault_injector")
 
@@ -146,6 +138,9 @@ class _GuardedTask:
             return _TaskFailure(index, error)
 
 
+_BACKENDS = ("serial", "thread")
+
+
 def default_worker_count() -> int:
     """Default number of workers: the machine's CPU count (at least 1)."""
     return max(1, os.cpu_count() or 1)
@@ -161,7 +156,7 @@ def make_executor(
     pass the result through as ``executor=``.  The caller owns the pool and
     must ``shutdown()`` it (or use it as a context manager).
     """
-    if backend not in ("serial", "thread", "process"):
+    if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     if max_workers is None:
         max_workers = default_worker_count()
@@ -169,29 +164,7 @@ def make_executor(
         raise ValueError("max_workers must be at least 1")
     if backend == "serial" or max_workers == 1:
         return None
-    if backend == "thread":
-        return concurrent.futures.ThreadPoolExecutor(max_workers=max_workers)
-    return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
-
-
-def executor_backend(
-    executor: Optional[concurrent.futures.Executor],
-) -> Optional[str]:
-    """The backend name a pre-built executor corresponds to.
-
-    Lets callers that restrict backends (e.g. the sharded pipeline, whose
-    per-rank tasks share one output buffer and therefore cannot cross a
-    process boundary) apply the same restriction to session-owned pools.
-    Returns ``None`` for ``None``, ``"thread"``/``"process"`` for the
-    standard pools and ``"unknown"`` for anything else.
-    """
-    if executor is None:
-        return None
-    if isinstance(executor, concurrent.futures.ProcessPoolExecutor):
-        return "process"
-    if isinstance(executor, concurrent.futures.ThreadPoolExecutor):
-        return "thread"
-    return "unknown"
+    return concurrent.futures.ThreadPoolExecutor(max_workers=max_workers)
 
 
 def split_chunks(items: Sequence[T], max_chunk: int) -> List[List[T]]:
@@ -213,7 +186,6 @@ def map_parallel(
     items: Sequence[T],
     max_workers: Optional[int] = None,
     backend: str = "thread",
-    chunksize: int = 1,
     executor: Optional[concurrent.futures.Executor] = None,
     fault_injector=None,
 ) -> List[R]:
@@ -222,8 +194,7 @@ def map_parallel(
     Parameters
     ----------
     function:
-        Callable applied to each item.  Must be picklable for the
-        ``"process"`` backend.
+        Callable applied to each item.
     items:
         Input sequence; results are returned in the same order.
     max_workers:
@@ -231,9 +202,7 @@ def map_parallel(
         ``"serial"`` backend short-circuits to a plain loop, which is also
         the fallback that keeps results deterministic in tests.
     backend:
-        ``"serial"``, ``"thread"`` or ``"process"``.
-    chunksize:
-        Chunk size for the process backend.
+        ``"serial"`` or ``"thread"``.
     executor:
         Optional pre-built :class:`concurrent.futures.Executor`.  When given
         it is used as-is and left running afterwards, so a caller that maps
@@ -255,7 +224,7 @@ def map_parallel(
     ------
     TaskExecutionError
         When a task raises, its exception is re-raised wrapped with the
-        failing task index and chunk context.  The wrapper subclasses the
+        failing task index.  The wrapper subclasses the
         original exception type, so existing ``except``/``pytest.raises``
         sites keep matching; the original is chained as ``__cause__`` and
         kept on ``.original``.  With several failures the lowest task
@@ -264,11 +233,10 @@ def map_parallel(
         meaningful).
     """
     items = list(items)
-    if backend not in ("serial", "thread", "process"):
+    if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     runner = _GuardedTask(function, fault_injector)
     indexed = list(enumerate(items))
-    effective_chunksize = 1
     if executor is not None:
         if len(items) <= 1:
             raw = [runner(pair) for pair in indexed]
@@ -281,20 +249,14 @@ def map_parallel(
             max_workers = default_worker_count()
         if backend == "serial" or max_workers == 1 or len(items) <= 1:
             raw = [runner(pair) for pair in indexed]
-        elif backend == "thread":
+        else:
             with concurrent.futures.ThreadPoolExecutor(
                 max_workers=max_workers
             ) as pool:
                 raw = list(pool.map(runner, indexed))
-        else:
-            effective_chunksize = max(1, chunksize)
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=max_workers
-            ) as pool:
-                raw = list(pool.map(runner, indexed, chunksize=effective_chunksize))
     for result in raw:
         if isinstance(result, _TaskFailure):
-            raise wrap_task_error(
-                result.error, result.index, len(items), effective_chunksize
-            ) from result.error
+            raise wrap_task_error(result.error, result.index, len(items)) from (
+                result.error
+            )
     return raw

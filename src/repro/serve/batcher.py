@@ -27,29 +27,27 @@ a group is then evaluated by :func:`evaluate_merged_group`:
 4. the per-content stack tasks are merged *across requests* by dimension
    (respecting :data:`~repro.core.batch.MAX_BATCH_ELEMENTS`) and each
    merged stack is eigendecomposed once;
-5. the μ-handling (per-request ensemble: fixed μ or canonical bisection),
-   occupation scatter and result assembly stay strictly per-request.
+5. every request's entries go to
+   :func:`~repro.api.observables.evaluate_request` — the μ-dependent tail
+   (fixed μ or canonical bisection, occupation scatter, assembly of every
+   requested observable) a direct call ends in.
 
-Bitwise identity with direct :meth:`SubmatrixContext.density
-<repro.api.context.SubmatrixContext.density>` calls holds because the
+Bitwise identity with direct :meth:`SubmatrixContext.observables
+<repro.api.context.SubmatrixContext.observables>` calls holds because the
 batched ``eigh`` is slice-deterministic — each slice's decomposition is
 independent of the stack composition, the same property the rank-sharded
 pipeline's identity guarantee already rests on — every μ-dependent step
-runs per-request on exactly the per-request entries, and content
-deduplication only ever reuses deterministic intermediates computed from
-bytewise-equal inputs.  A failing merged
+is the direct path's own code on exactly the per-request entries, and
+content deduplication only ever reuses deterministic intermediates
+computed from bytewise-equal inputs.  A failing merged
 group falls back to independent per-request evaluation, so one poisoned
 request cannot take its neighbours down with it.
 
-Two extensions ride on the same identity argument.  An optional
-:class:`DecompositionCache` (short TTL, content-keyed) carries a distinct
-content's μ-independent work *across* micro-batch windows, so a hot
-request arriving in the next window skips preparation, packing and the
-eigendecomposition entirely.  And requests may ask for any registered
-observable set: the μ-dependent stage then assembles an
-:class:`~repro.api.results.ObservableBundle` from the one shared entry
-table through the same :class:`~repro.api.observables.SharedEvaluation`
-path a direct ``context.observables`` call uses.
+An optional :class:`DecompositionCache` (short TTL, content-keyed) rides
+on the same identity argument: it carries a distinct content's
+μ-independent work *across* micro-batch windows, so a hot request arriving
+in the next window skips preparation, packing and the eigendecomposition
+entirely.
 """
 
 from __future__ import annotations
@@ -68,15 +66,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.density import (
-    _bisect_mu,
+from repro.api.observables import (
+    Decomposition,
     _make_entry,
-    _scatter_occupations,
-    assemble_result,
+    evaluate_request,
     prepare_step,
 )
-from repro.api.observables import SharedEvaluation, get_observable
-from repro.api.results import ObservableBundle
 from repro.core.batch import MAX_BATCH_ELEMENTS, Bucket, make_stack_tasks
 from repro.core.combination import single_column_groups
 
@@ -94,8 +89,11 @@ _SHUTDOWN = object()
 class DensityRequest:
     """One queued density request bound to a pooled session context.
 
-    Created by :class:`~repro.serve.server.DensityService`; ``future``
-    resolves to the request's
+    Created by :class:`~repro.serve.server.DensityService`, which has
+    validated it (:func:`~repro.api.observables.validate_request`);
+    ``future`` resolves to the request's
+    :class:`~repro.api.results.ObservableBundle`, or for a density-only
+    request to the bundle's plain
     :class:`~repro.api.results.SubmatrixDFTResult`.  ``on_done`` (the
     service's completion hook: metrics, admission release, memory
     enforcement) runs *before* the future is resolved, so a caller that
@@ -151,13 +149,14 @@ class DensityRequest:
             self.replan,
         )
 
-    def finish(self, result) -> None:
+    def finish(self, bundle) -> None:
         if self.on_done is not None:
             try:
-                self.on_done(self, result, None)
+                self.on_done(self, bundle, None)
             except Exception:
                 pass
-        self.future.set_result(result)
+        density_only = tuple(self.observables) == ("density",)
+        self.future.set_result(bundle["density"] if density_only else bundle)
 
     def fail(self, error: BaseException) -> None:
         if self.on_done is not None:
@@ -222,9 +221,10 @@ class DecompositionCache:
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: tuple, context) -> Optional[tuple]:
-        """The cached ``(prep, plan, buckets, entries)`` for ``key``, if
-        fresh and produced by ``context``; counts a hit or miss either way."""
+    def get(self, key: tuple, context) -> Optional[Decomposition]:
+        """The cached :class:`~repro.api.observables.Decomposition` for
+        ``key``, if fresh and produced by ``context``; counts a hit or miss
+        either way."""
         now = time.monotonic()
         with self._lock:
             record = self._entries.get(key)
@@ -238,7 +238,7 @@ class DecompositionCache:
             self.misses += 1
             return None
 
-    def put(self, key: tuple, context, value: tuple) -> None:
+    def put(self, key: tuple, context, value: Decomposition) -> None:
         with self._lock:
             self._entries[key] = (
                 time.monotonic() + self.ttl,
@@ -256,26 +256,6 @@ class DecompositionCache:
                 "hits": self.hits,
                 "misses": self.misses,
             }
-
-
-class _BlockSizes:
-    """Picklable stand-in for a blocks object (only ``block_sizes`` is used)."""
-
-    __slots__ = ("block_sizes",)
-
-    def __init__(self, block_sizes: Sequence[int]):
-        self.block_sizes = tuple(int(b) for b in block_sizes)
-
-
-def _prepare_task(task):
-    """Module-level prepare worker (picklable for process-backend sessions)."""
-    K, S, block_sizes, eps_filter = task
-    return prepare_step(K, S, _BlockSizes(block_sizes), eps_filter)
-
-
-def _eigh_stack(stack: np.ndarray):
-    """Module-level batched eigendecomposition worker."""
-    return np.linalg.eigh(stack)
 
 
 def _merge_stack_tasks(
@@ -321,12 +301,13 @@ def evaluate_merged_group(
     """Evaluate a group of compatible requests with merged eigh stacks.
 
     All requests must share :attr:`DensityRequest.batch_key` (one context,
-    one eigen-family solver, one observable set).  Returns the per-request
-    results in order; each is bitwise identical to a direct
-    ``context.density`` (or multi-observable ``context.observables``) call
-    with the same arguments.  ``decomposition_cache`` optionally serves a
-    distinct content's μ-independent work from a previous micro-batch
-    window (see :class:`DecompositionCache`).
+    one eigen-family solver, one observable set) and be validated
+    (:func:`~repro.api.observables.validate_request`).  Returns the
+    per-request :class:`~repro.api.results.ObservableBundle` objects in
+    order; each is bitwise identical to a direct ``context.observables``
+    call with the same arguments.  ``decomposition_cache`` optionally
+    serves a distinct content's μ-independent work from a previous
+    micro-batch window (see :class:`DecompositionCache`).
     """
     config = context.config
     start = time.perf_counter()
@@ -343,45 +324,38 @@ def evaluate_merged_group(
     representatives = [i for i, o in enumerate(owner) if o == i]
 
     # 0b. distinct contents already decomposed in a previous window skip
-    #     the μ-independent stages entirely (cached[(i)] holds the same
-    #     (prep, plan, buckets, entries) tuple a fresh evaluation builds)
-    cached: Dict[int, tuple] = {}
+    #     the μ-independent stages entirely
+    decompositions: Dict[int, Decomposition] = {}
     if decomposition_cache is not None:
         for i in representatives:
             value = decomposition_cache.get(requests[i].content_key, context)
             if value is not None:
-                cached[i] = value
+                decompositions[i] = value
                 requests[i].decomposition_hits += 1
             else:
                 requests[i].decomposition_misses += 1
-    fresh = [i for i in representatives if i not in cached]
+    fresh = [i for i in representatives if i not in decompositions]
 
     # 1. pure preparation per distinct uncached content, in parallel
-    rep_prepared = context._map(
-        _prepare_task,
-        [
-            (
-                requests[i].K,
-                requests[i].S,
-                tuple(int(b) for b in requests[i].blocks.block_sizes),
-                config.eps_filter,
-            )
-            for i in fresh
-        ],
+    prepared = dict(
+        zip(
+            fresh,
+            context._map(
+                lambda i: prepare_step(
+                    requests[i].K, requests[i].S, requests[i].blocks, config.eps_filter
+                ),
+                fresh,
+            ),
+        )
     )
-    prepared = dict(zip(fresh, rep_prepared))
-    for i, (prep, _, _, _) in cached.items():
-        prepared[i] = prep
 
     # 2. serial per-request plan lookups on the shared cache (exact hit
     #    attribution); packing happens once per distinct content.  Requests
     #    whose content came from the decomposition cache skip the lookup —
     #    their plan was resolved (and attributed) when the entry was built.
     planned: Dict[int, tuple] = {}
-    for i, (_, plan, buckets, _) in cached.items():
-        planned[i] = (plan, None, buckets)
     for index, request in enumerate(requests):
-        if owner[index] in cached:
+        if owner[index] not in prepared:
             continue
         prep = prepared[owner[index]]
         grouping = single_column_groups(prep.block_k.n_block_cols)
@@ -396,9 +370,11 @@ def evaluate_merged_group(
         request.cache_hits += after["hits"] - before["hits"]
         request.cache_misses += after["misses"] - before["misses"]
         if owner[index] == index:
-            packed = plan.pack(prep.block_k)
-            buckets = make_stack_tasks(plan.dimensions)
-            planned[index] = (plan, packed, buckets)
+            planned[index] = (
+                plan,
+                plan.pack(prep.block_k),
+                make_stack_tasks(plan.dimensions),
+            )
 
     # 3. merge stack tasks across distinct fresh contents and eigendecompose
     #    each merged stack once; eigh is slice-deterministic, so the
@@ -416,106 +392,53 @@ def evaluate_merged_group(
             for position, bucket in group
         ]
         stacks.append(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0))
-    eigendecompositions = context._map(_eigh_stack, stacks)
+    eigendecompositions = context._map(np.linalg.eigh, stacks)
 
     # 4. route each slice back to its content's entry table
-    decomposed: Dict[int, List] = {
-        i: [None] * planned[i][0].n_groups for i in fresh
-    }
+    entries: Dict[int, List] = {i: [None] * planned[i][0].n_groups for i in fresh}
     for group, (eigenvalues, eigenvectors) in zip(merged, eigendecompositions):
         offset = 0
         for position, bucket in group:
             representative = fresh[position]
             plan = planned[representative][0]
             for slot, group_index in enumerate(bucket.members):
-                decomposed[representative][group_index] = _make_entry(
+                entries[representative][group_index] = _make_entry(
                     plan.groups[group_index].make_submatrix(),
                     eigenvalues[offset + slot],
                     eigenvectors[offset + slot],
                 )
             offset += len(bucket.members)
-    for i, (_, _, _, entries) in cached.items():
-        decomposed[i] = entries
-    if decomposition_cache is not None:
-        for i in fresh:
-            decomposition_cache.put(
-                requests[i].content_key,
-                context,
-                (prepared[i], planned[i][0], planned[i][2], decomposed[i]),
-            )
-
-    # 5. strictly per-request: ensemble handling, scatter, assembly (shared
-    #    decomposed entries are only ever read here)
-    results = []
-    for index, request in enumerate(requests):
-        prep = prepared[owner[index]]
-        plan, _, buckets = planned[owner[index]]
-        entries = decomposed[owner[index]]
-        mu = request.mu
-        mu_iterations = 0
-        if request.n_electrons is not None:
-            mu, mu_iterations = _bisect_mu(
-                config,
-                entries,
-                float(request.n_electrons),
-                request.mu_tolerance,
-                request.max_mu_iterations,
-                bracket=request.mu_bracket,
-            )
-        dimensions = [entry.submatrix.dimension for entry in entries]
-        wall_time = time.perf_counter() - start
-        if tuple(request.observables) == ("density",):
-            occupation_block = _scatter_occupations(
-                config, prep.block_k, entries, prep.coo, float(mu), plan
-            )
-            results.append(
-                assemble_result(
-                    config,
-                    request.K,
-                    prep.s_inv_sqrt,
-                    occupation_block,
-                    prep.coo,
-                    float(mu),
-                    mu_iterations,
-                    dimensions,
-                    wall_time=wall_time,
-                    ranks=1,
-                )
-            )
-            continue
-        # multi-observable requests assemble every observable from the one
-        # shared entry table — the same per-request arithmetic as a direct
-        # context.observables call, so bitwise identity carries over
-        evaluation = SharedEvaluation(
-            config=config,
-            K=request.K,
-            s_inv_sqrt=prep.s_inv_sqrt,
-            block_k=prep.block_k,
-            coo=prep.coo,
-            mu=float(mu),
-            mu_iterations=mu_iterations,
-            dimensions=dimensions,
-            decomposed=entries,
-            plan=plan,
-            ranks=1,
-            wall_time=wall_time,
+    for i in fresh:
+        plan, _, buckets = planned[i]
+        decompositions[i] = Decomposition(
+            prepared[i],
+            plan,
+            decomposed=entries[i],
             stack_decompositions=len(buckets),
         )
-        params_by_name = request.observable_params or {}
-        bundle_results = {
-            name: get_observable(name).assemble(
-                evaluation, params_by_name.get(name, {})
+        if decomposition_cache is not None:
+            decomposition_cache.put(
+                requests[i].content_key, context, decompositions[i]
             )
-            for name in request.observables
-        }
-        results.append(
-            ObservableBundle(
-                results=bundle_results,
-                observables=tuple(request.observables),
-                stack_decompositions=len(buckets),
-            )
+
+    # 5. strictly per-request: the tail of a direct call (shared
+    #    decompositions are only ever read there)
+    return [
+        evaluate_request(
+            config,
+            request.K,
+            decompositions[owner[index]],
+            tuple(request.observables),
+            start,
+            mu=request.mu,
+            n_electrons=request.n_electrons,
+            mu_tolerance=request.mu_tolerance,
+            max_mu_iterations=request.max_mu_iterations,
+            mu_bracket=request.mu_bracket,
+            observable_params=request.observable_params,
         )
-    return results
+        for index, request in enumerate(requests)
+    ]
 
 
 class MicroBatcher:

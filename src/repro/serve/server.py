@@ -10,23 +10,25 @@ cost of small repeated requests.
 
 The request path:
 
-1. **validation** — ensemble and solver arguments are checked before any
-   resource is reserved, so malformed requests fail fast and free;
+1. **validation** — the request passes
+   :func:`~repro.api.observables.validate_request` (the check a direct
+   call runs) before any resource is reserved, so malformed requests fail
+   fast and free;
 2. **admission** — the :class:`~repro.serve.admission.AdmissionController`
    enforces global and per-tenant in-flight ceilings
    (:class:`~repro.serve.admission.ServiceOverloadError` on refusal);
 3. **routing** — requests eligible for cross-request batching (eigen-family
-   solver, plan engine, single rank, default grouping) go to the
+   solver, single rank, default grouping) go to the
    :class:`~repro.serve.batcher.MicroBatcher`; everything else (iterative
-   solvers, naive engine, rank-sharded or custom-grouped requests) runs
-   directly on a dispatch thread pool;
+   solvers, rank-sharded or custom-grouped requests) runs directly on a
+   dispatch thread pool;
 4. **completion** — a single hook releases admission, records per-tenant
    metrics and re-enforces the plan-cache byte budget, then the request's
    future resolves.
 
-Results are bitwise identical to calling ``context.density`` directly with
-the same arguments: the direct path *is* that call, and the batched path
-shares its arithmetic per-request (see :mod:`repro.serve.batcher`).
+Results are bitwise identical to calling ``context.observables`` directly
+with the same arguments: the direct path *is* that call, and the batched
+path ends in the same per-request tail (see :mod:`repro.serve.batcher`).
 
 This is an in-process service (futures in, results out).  A wire transport
 would sit in front of :meth:`DensityService.submit` without touching the
@@ -43,7 +45,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.api.config import EngineConfig
 from repro.api.context import SubmatrixContext
-from repro.api.observables import normalize_observables
+from repro.api.observables import validate_request
 from repro.core.plan import PlanCache
 from repro.serve.admission import AdmissionController, AdmissionPolicy
 from repro.serve.batcher import DecompositionCache, DensityRequest, MicroBatcher
@@ -70,7 +72,7 @@ class DensityService:
         skipped and retried on a later eviction pass).
     batching:
         Enable the cross-request micro-batcher; with ``False`` every
-        request runs directly (one ``context.density`` call each).
+        request runs directly (one ``context.observables`` call each).
     max_batch / batch_wait:
         Micro-batch group-size cap and maximum coalescing wait in seconds.
     decomposition_ttl / decomposition_cache_size:
@@ -223,16 +225,15 @@ class DensityService:
         """
         self._check_open()
         # fail fast (and free) on malformed requests, before admission
-        if (mu is None) == (n_electrons is None):
-            raise ValueError("specify exactly one of mu and n_electrons")
-        kernel = get_kernel(solver)
-        if n_electrons is not None and not kernel.supports_mu_bisection:
-            raise ValueError(
-                "canonical-ensemble calculations require the "
-                "eigendecomposition solver (Algorithm 1 reuses the cached "
-                "eigendecompositions)"
-            )
-        observable_names = normalize_observables(observables)
+        observable_names, _ = validate_request(
+            config if config is not None else self.config,
+            blocks,
+            observables,
+            mu,
+            n_electrons,
+            solver,
+            observable_params,
+        )
         context = self._context_for(config)
         try:
             self.admission.admit(tenant)
@@ -271,10 +272,10 @@ class DensityService:
         """Whether a request may join a merged micro-batch.
 
         Cross-request merging covers the common small-request shape: the
-        eigen-family (μ-bisection-capable) solvers through the plan engine
-        on a single rank with default per-column grouping.  Everything else
-        — iterative sign kernels, the naive reference engine, rank-sharded
-        or custom-grouped requests — runs direct, one session call each.
+        eigen-family (μ-bisection-capable) solvers on a single rank with
+        default per-column grouping.  Everything else — iterative sign
+        kernels, rank-sharded or custom-grouped requests — runs direct, one
+        session call each.
         """
         if self._batcher is None:
             return False
@@ -282,42 +283,29 @@ class DensityService:
             return False
         if request.ranks is not None or context.config.n_ranks != 1:
             return False
-        if context.config.engine == "naive":
-            return False
         return get_kernel(request.solver).supports_mu_bisection
 
     def _run_direct(self, request: DensityRequest) -> None:
         """Direct path: one tracked session call per request."""
         before = self.plan_cache.stats
-        shared_kwargs = dict(
-            mu=request.mu,
-            n_electrons=request.n_electrons,
-            solver=request.solver,
-            grouping=request.grouping,
-            mu_tolerance=request.mu_tolerance,
-            max_mu_iterations=request.max_mu_iterations,
-            ranks=request.ranks,
-            distribution=request.distribution,
-            replan=request.replan,
-            mu_bracket=request.mu_bracket,
-        )
         try:
-            if (
-                tuple(request.observables) == ("density",)
-                and not request.observable_params
-            ):
-                result = request.context.density(
-                    request.K, request.S, request.blocks, **shared_kwargs
-                )
-            else:
-                result = request.context.observables(
-                    request.K,
-                    request.S,
-                    request.blocks,
-                    observables=request.observables,
-                    observable_params=request.observable_params,
-                    **shared_kwargs,
-                )
+            result = request.context.observables(
+                request.K,
+                request.S,
+                request.blocks,
+                observables=request.observables,
+                mu=request.mu,
+                n_electrons=request.n_electrons,
+                solver=request.solver,
+                grouping=request.grouping,
+                mu_tolerance=request.mu_tolerance,
+                max_mu_iterations=request.max_mu_iterations,
+                ranks=request.ranks,
+                distribution=request.distribution,
+                replan=request.replan,
+                mu_bracket=request.mu_bracket,
+                observable_params=request.observable_params,
+            )
         except Exception as error:
             request.fail(error)
         else:
@@ -333,19 +321,13 @@ class DensityService:
         latency = time.perf_counter() - request.submitted_at
         self.admission.release(request.tenant)
         if error is None:
-            if hasattr(result, "payload_nbytes"):
-                bytes_out = int(result.payload_nbytes())
-            else:
-                bytes_out = int(result.density_ao.nbytes) + int(
-                    result.density_ortho.data.nbytes
-                )
             self.metrics.record_completed(
                 request.tenant,
                 latency,
                 batched=request.batched,
                 n_coalesced=request.n_coalesced,
                 shared=request.shared,
-                bytes_out=bytes_out,
+                bytes_out=int(result.payload_nbytes()),
                 cache_hits=request.cache_hits,
                 cache_misses=request.cache_misses,
                 decomposition_hits=request.decomposition_hits,

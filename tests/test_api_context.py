@@ -11,9 +11,6 @@ Covers the acceptance criteria of the API consolidation:
   ranks {1, 2, 4};
 * the kernel registry resolves names everywhere and produces one unified
   lookup error with a "did you mean" suggestion.
-
-This file is part of the strict CI pass (``-W error::DeprecationWarning``):
-nothing in here may touch the deprecated legacy surface.
 """
 
 import dataclasses
@@ -29,6 +26,8 @@ from hypothesis.extra.numpy import arrays
 
 import repro
 from repro.api import (
+    BACKENDS,
+    ENGINES,
     EngineConfig,
     SubmatrixContext,
     UnknownKernelError,
@@ -49,6 +48,8 @@ from repro.signfn import (
     sign_via_eigendecomposition_batched,
 )
 
+from submatrix_reference import reference_apply_elementwise
+
 EPS = 1e-5
 
 
@@ -65,7 +66,26 @@ class TestEngineConfig:
     def test_defaults_validate(self):
         config = EngineConfig()
         assert config.validate() is config
-        assert config.engine == "plan" and config.uses_plan
+        # one engine, two worker backends: nothing dispatches on `engine`,
+        # the reference implementation is tests/submatrix_reference.py
+        assert config.engine == "batched"
+        assert ENGINES == ("batched",)
+        assert BACKENDS == ("serial", "thread")
+        for removed in (
+            {"engine": "naive"},
+            {"engine": "plan"},
+            {"backend": "process"},
+            {"balance": "round_robin"},
+        ):
+            with pytest.raises(ValueError):
+                EngineConfig(**removed)
+        assert importlib.util.find_spec("repro.api.density") is None
+        for method in (
+            SubmatrixContext.apply,
+            SubmatrixContext.apply_elementwise,
+            SubmatrixContext.apply_blockwise,
+        ):
+            assert "engine" not in inspect.signature(method).parameters
         # the engine has one numeric path (float64 NumPy): no precision
         # policy, no array-backend package, no xp= seam on the kernels
         assert len(dataclasses.fields(EngineConfig)) == 13
@@ -117,7 +137,7 @@ class TestEngineConfig:
 
     def test_config_is_immutable(self):
         with pytest.raises(Exception):
-            EngineConfig().engine = "naive"
+            EngineConfig().engine = "batched"
 
 
 # --------------------------------------------------------------------------- #
@@ -214,7 +234,6 @@ class TestApplyEquivalence:
         legacy = SubmatrixMethod(
             lambda a: sign_via_eigendecomposition(a, gap_mu),
             batch_function=lambda s: sign_via_eigendecomposition_batched(s, gap_mu),
-            engine="batched",
         ).apply_blockwise(blocked)
         assert np.array_equal(
             block_matrix_to_dense(new.result), block_matrix_to_dense(legacy.result)
@@ -223,15 +242,11 @@ class TestApplyEquivalence:
 
     def test_elementwise_matches_legacy_bitwise(self, water32_matrices, gap_mu):
         k_ortho, _ = orthogonalized_block(water32_matrices)
-        for engine in ("naive", "plan", "batched"):
-            ctx = SubmatrixContext(EngineConfig(engine=engine))
-            new = ctx.apply(k_ortho, "eigen", mu=gap_mu)
-            legacy = SubmatrixMethod(
-                lambda a: sign_via_eigendecomposition(a, gap_mu), engine=engine
-            ).apply_elementwise(k_ortho)
-            assert np.array_equal(
-                new.result.toarray(), legacy.result.toarray()
-            ), engine
+        new = SubmatrixContext().apply(k_ortho, "eigen", mu=gap_mu)
+        legacy = SubmatrixMethod(
+            lambda a: sign_via_eigendecomposition(a, gap_mu)
+        ).apply_elementwise(k_ortho)
+        assert np.array_equal(new.result.toarray(), legacy.result.toarray())
 
     def test_apply_dispatch_rejects_dense(self):
         with pytest.raises(TypeError):
@@ -247,17 +262,19 @@ class TestApplyEquivalence:
         seed=st.integers(0, 2**16),
     )
     def test_property_context_matches_legacy(self, dense, seed):
-        """Bitwise identity on random sparse symmetric matrices."""
+        """Bitwise identity with the reference loop over the
+        ``core/submatrix.py`` kernels on random sparse symmetric matrices."""
         rng = np.random.default_rng(seed)
         mask = rng.random(dense.shape) < 0.4
         mask = mask | mask.T
         np.fill_diagonal(mask, True)
         matrix = sp.csr_matrix(np.where(mask, (dense + dense.T) / 2, 0.0))
-        ctx = SubmatrixContext(EngineConfig(engine="plan"))
-        new = ctx.apply(matrix, "eigen")
-        legacy = SubmatrixMethod(sign_via_eigendecomposition, engine="naive")
-        reference = legacy.apply_elementwise(matrix)
-        assert np.array_equal(new.result.toarray(), reference.result.toarray())
+        new = SubmatrixContext().apply(matrix, "eigen")
+        reference, dimensions = reference_apply_elementwise(
+            matrix, sign_via_eigendecomposition
+        )
+        assert new.submatrix_dimensions == dimensions
+        assert np.array_equal(new.result.toarray(), reference.toarray())
 
 
 # --------------------------------------------------------------------------- #
@@ -364,16 +381,14 @@ class TestSessionLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             ctx.pipeline(matrix, [1, 1, 1, 1], n_ranks=2)
 
-    def test_closed_context_rejects_distributed_run_on_process_config(
+    def test_closed_context_rejects_earlier_distributed_session(
         self, water32_matrices, gap_mu
     ):
-        # the process-backend distributed path never touches the session
-        # executor, so before the explicit guard it silently kept working
-        # on a closed context
+        # a serial distributed run never touches the session executor, so
+        # without the explicit guard it would silently keep working on a
+        # closed context
         _, blocked = orthogonalized_block(water32_matrices)
-        ctx = SubmatrixContext(
-            EngineConfig(engine="batched", backend="process", max_workers=2)
-        )
+        ctx = SubmatrixContext(EngineConfig())
         session = ctx.distributed(2)
         ctx.close()
         with pytest.raises(RuntimeError, match="closed"):
@@ -506,12 +521,6 @@ class TestDensitySession:
         assert sharded.mu == single.mu
         assert np.array_equal(sharded.density_ao, single.density_ao)
 
-    def test_sharded_requires_plan_engine(self, water32_matrices, gap_mu):
-        pair = water32_matrices
-        naive = SubmatrixContext(EngineConfig(engine="naive", eps_filter=EPS))
-        with pytest.raises(ValueError, match="plan engine"):
-            naive.density(pair.K, pair.S, pair.blocks, mu=gap_mu, ranks=2)
-
     def test_canonical_still_requires_eigen_cache(self, water32_matrices):
         # the μ-bisection needs the cached spectra; iterative kernels stay
         # grand-canonical only, sharded or not
@@ -575,11 +584,11 @@ class TestDensitySession:
 
     def test_method_explicit_default_kwarg_overrides_config(self):
         method = SubmatrixMethod(
-            lambda a: a, engine="plan", config=EngineConfig(engine="naive")
+            lambda a: a, backend="serial", config=EngineConfig(backend="thread")
         )
-        assert method.engine == "plan"
-        untouched = SubmatrixMethod(lambda a: a, config=EngineConfig(engine="naive"))
-        assert untouched.engine == "naive"
+        assert method.backend == "serial"
+        untouched = SubmatrixMethod(lambda a: a, config=EngineConfig(backend="thread"))
+        assert untouched.backend == "thread"
 
     def test_facades_close_their_session(self):
         with SubmatrixMethod(

@@ -10,8 +10,6 @@ Covers the acceptance criteria of the trajectory tentpole:
   content hash and triggers exactly one replan;
 * rank-sharded trajectories reuse the context-cached pipeline across steps
   and report the initialization-exchange fetch volumes.
-
-This file is part of the strict CI pass (``-W error::DeprecationWarning``).
 """
 
 import numpy as np

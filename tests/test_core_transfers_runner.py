@@ -287,29 +287,3 @@ class TestIncrementalTransferPlanning:
             assert got_rank.n_submatrices == want_rank.n_submatrices
         assert np.array_equal(got.fetch_matrix, want.fetch_matrix)
         assert np.array_equal(got.writeback_matrix, want.writeback_matrix)
-
-    def test_transfer_delta_records_incremental_exchange(self):
-        rng = np.random.default_rng(81)
-        n = 16
-        ranks = 4
-        sizes = rng.integers(2, 5, n)
-        old_coo = random_pattern(n, 0.2, rng)
-        new_coo = drift_pattern(old_coo, rng, 4)
-        pipeline = DistributedSubmatrixPipeline(old_coo, sizes, ranks)
-        pipeline.run(matrix_for_pattern(old_coo, sizes, rng), function=poly)
-        patched = pipeline.patch(new_coo)
-
-        delta = patched.transfer_delta
-        assert delta is not None
-        assert delta.dirty_ranks <= set(range(ranks))
-        assert len(delta.added_segments_per_rank) == ranks
-        for rank, summary in enumerate(patched.transfer_plan.per_rank):
-            added = delta.added_segments_per_rank[rank]
-            # newly required segments are a subset of the new requirements
-            assert np.all(np.isin(added, summary.required_blocks))
-            assert delta.removed_per_rank[rank] >= 0
-            assert 0.0 <= delta.added_fetch_bytes_per_rank[rank] <= summary.fetch_bytes
-        # the incremental exchange never ships more than a full one
-        assert delta.added_fetch_bytes_per_rank.sum() <= delta.full_fetch_bytes
-        # the full replan sees no delta
-        assert pipeline.transfer_delta is None

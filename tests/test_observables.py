@@ -4,7 +4,8 @@ Covers the PR's contracts:
 
 * ``density`` through :func:`~repro.api.observables.compute_observables` is
   **bitwise identical** to ``context.density`` on every execution path
-  (naive, batched, sharded ranks {1, 2, 4, 8}, both ensembles);
+  (batched, sharded ranks {1, 2, 4, 8}, both ensembles) and to the serial
+  reference loop over the ``core/submatrix.py`` kernels;
 * requesting {density, pdos, energy_weighted_density} together performs
   exactly the same number of eigendecomposition calls as density alone —
   N observables, one decomposition pass per stack;
@@ -49,6 +50,8 @@ from repro.api.observables import (
 from repro.chem.density import fermi_occupation
 from repro.chem.hamiltonian import BlockStructure
 from repro.serve import DensityService
+
+from submatrix_reference import reference_density
 
 N_ELECTRONS = 8.0 * 32
 EPS = 1e-4
@@ -122,15 +125,18 @@ class TestDensityThroughPipeline:
             bundle = ctx.observables(pair.K, pair.S, pair.blocks, mu=gap_mu)
         assert_density_identical(bundle["density"], density)
 
-    def test_naive_engine(self, water32_matrices, gap_mu):
+    def test_reference_loop(self, water32_matrices, gap_mu):
+        """The bundled density equals the serial loop over the
+        ``core/submatrix.py`` kernels (one ``eigh`` per submatrix)."""
         pair = water32_matrices
-        config = EngineConfig(engine="naive", backend="thread", max_workers=2)
-        with SubmatrixContext(config) as ctx:
-            density = ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
+        with SubmatrixContext(CONFIG) as ctx:
             bundle = ctx.observables(
                 pair.K, pair.S, pair.blocks, observables=ALL_OBSERVABLES, mu=gap_mu
             )
-        assert_density_identical(bundle["density"], density)
+        reference = reference_density(
+            pair.K, pair.S, pair.blocks, gap_mu, eps_filter=CONFIG.eps_filter
+        )
+        assert_density_identical(bundle["density"], reference)
 
     @pytest.mark.parametrize("ranks", [1, 2, 4, 8])
     def test_sharded_ranks(self, water32_matrices, ranks, reference_bundle):

@@ -232,7 +232,7 @@ class TestConcurrentContext:
             assert context.plan_cache.stats["builds"] == 1
 
     def test_close_while_request_in_flight_raises(self):
-        context = SubmatrixContext(EngineConfig(engine="plan", backend="serial"))
+        context = SubmatrixContext(EngineConfig(backend="serial"))
         matrix = sp.csr_matrix(np.diag([2.0, 3.0, 4.0]))
         entered = threading.Event()
         release = threading.Event()
@@ -734,7 +734,7 @@ class TestServiceLifecycle:
                 water32_matrices.S,
                 water32_matrices.blocks,
                 mu=gap_mu,
-                config=EngineConfig(engine="plan", backend="serial"),
+                config=EngineConfig(backend="serial"),
             )
             snapshot = service.stats()
             assert snapshot["contexts"] == 1

@@ -5,7 +5,7 @@ Covers the acceptance criteria of the rank-sharded refactor:
 * :class:`~repro.core.shard.ShardedPlan` reproduces the unsharded plan's
   extraction and scatter bitwise from rank-local packed buffers;
 * :class:`~repro.core.runner.DistributedSubmatrixPipeline` reproduces the
-  single-process ``engine="batched"`` result bitwise for every rank count
+  single-process engine result bitwise for every rank count
   in {1, 2, 4, 8}, on synthetic systems and on the water benchmark;
 * :func:`~repro.core.transfers.plan_transfers` with a segment index reports
   per-rank packed-segment fetch volumes that never exceed the whole-block
@@ -72,7 +72,6 @@ def reference_blocks(block_system):
     method = SubmatrixMethod(
         lambda a: sign_via_eigendecomposition(a, MU),
         batch_function=lambda s: sign_via_eigendecomposition_batched(s, MU),
-        engine="batched",
     )
     return method.apply_blockwise(matrix, coo=coo).result.raw_blocks()
 
@@ -283,7 +282,7 @@ class TestDistributedPipeline:
         assert_blocks_bitwise_equal(reference_blocks, result.result.raw_blocks())
         assert result.total_segment_fetch_bytes <= result.total_block_fetch_bytes + 1e-9
 
-    @pytest.mark.parametrize("balance", ["chunks", "stacks", "round_robin"])
+    @pytest.mark.parametrize("balance", ["chunks", "stacks"])
     def test_balance_strategies_bitwise(
         self, block_system, reference_blocks, balance
     ):
@@ -316,7 +315,7 @@ class TestDistributedPipeline:
         matrix, sizes, coo = block_system
         grouping = group_columns_greedy_chunks(coo.n_block_cols, 3)
         single = SubmatrixMethod(
-            lambda a: sign_via_eigendecomposition(a, MU), engine="batched"
+            lambda a: sign_via_eigendecomposition(a, MU)
         ).apply_blockwise(matrix, column_groups=grouping.groups, coo=coo)
         pipeline = DistributedSubmatrixPipeline(coo, sizes, 4, grouping=grouping)
         result = pipeline.run(
@@ -398,7 +397,6 @@ class TestWaterBenchmarkAcceptance:
         method = SubmatrixMethod(
             lambda a: sign_via_eigendecomposition(a, MU),
             batch_function=lambda s: sign_via_eigendecomposition_batched(s, MU),
-            engine="batched",
         )
         return method.apply_blockwise(blocked, coo=coo).result.raw_blocks()
 

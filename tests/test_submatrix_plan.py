@@ -2,9 +2,10 @@
 
 The central claim of :mod:`repro.core.plan` is equivalence: the plan-based
 gather/scatter paths must produce *bitwise-identical* results to the naive
-reference kernels, across random sparsity patterns, random column groupings
-and both granularities.  The batched evaluator is additionally checked with
-and without bucket padding.
+reference kernels of :mod:`repro.core.submatrix` (driven by the serial loop
+in ``submatrix_reference.py``), across random sparsity patterns, random
+column groupings and both granularities.  The batched evaluator is
+additionally checked with and without bucket padding.
 """
 
 import numpy as np
@@ -37,6 +38,11 @@ from repro.signfn import (
 )
 
 from conftest import make_decay_matrix
+from submatrix_reference import (
+    reference_apply_blockwise,
+    reference_apply_elementwise,
+    reference_density,
+)
 
 
 def random_sparse_symmetric(n, density, seed):
@@ -88,13 +94,13 @@ class TestElementPlanEquivalence:
         matrix = random_sparse_symmetric(50, density, seed)
         method = SubmatrixMethod(lambda a: a @ a)
         for groups in (None, random_partition(50, seed + 100)):
-            naive = method.apply_elementwise(matrix, groups, engine="naive")
-            planned = method.apply_elementwise(matrix, groups, engine="plan")
-            assert naive.submatrix_dimensions == planned.submatrix_dimensions
-            assert (naive.result != planned.result).nnz == 0
-            assert np.array_equal(
-                naive.result.toarray(), planned.result.toarray()
+            naive, dimensions = reference_apply_elementwise(
+                matrix, lambda a: a @ a, groups
             )
+            planned = method.apply_elementwise(matrix, groups)
+            assert dimensions == planned.submatrix_dimensions
+            assert (naive != planned.result).nnz == 0
+            assert np.array_equal(naive.toarray(), planned.result.toarray())
 
     def test_extraction_matches_reference(self):
         matrix = random_sparse_symmetric(40, 0.1, 7)
@@ -124,9 +130,9 @@ class TestElementPlanEquivalence:
         groups = [[c] for c in range(30)]
         plan = ElementSubmatrixPlan(matrix.tocsc(), groups)
         method = SubmatrixMethod(lambda a: a @ a)
-        planned = method.apply_elementwise(scaled, groups, engine="plan", plan=plan)
-        naive = method.apply_elementwise(scaled, groups, engine="naive")
-        assert np.array_equal(naive.result.toarray(), planned.result.toarray())
+        planned = method.apply_elementwise(scaled, groups, plan=plan)
+        naive, _ = reference_apply_elementwise(scaled, lambda a: a @ a, groups)
+        assert np.array_equal(naive.toarray(), planned.result.toarray())
 
 
 class TestBlockPlanEquivalence:
@@ -136,10 +142,12 @@ class TestBlockPlanEquivalence:
         matrix = random_block_symmetric(12, 3, bandwidth, seed)
         method = SubmatrixMethod(lambda a: a @ a + a)
         for groups in (None, random_partition(12, seed + 50)):
-            naive = method.apply_blockwise(matrix, groups, engine="naive")
-            planned = method.apply_blockwise(matrix, groups, engine="plan")
-            assert naive.submatrix_dimensions == planned.submatrix_dimensions
-            dense_naive = block_matrix_to_dense(naive.result)
+            naive, dimensions = reference_apply_blockwise(
+                matrix, lambda a: a @ a + a, groups
+            )
+            planned = method.apply_blockwise(matrix, groups)
+            assert dimensions == planned.submatrix_dimensions
+            dense_naive = block_matrix_to_dense(naive)
             dense_plan = block_matrix_to_dense(planned.result)
             assert np.array_equal(dense_naive, dense_plan)
 
@@ -152,10 +160,10 @@ class TestBlockPlanEquivalence:
         matrix = block_matrix_from_dense(dense, sizes)
         method = SubmatrixMethod(lambda a: a @ a)
         groups = [[0, 2], [1], [3, 4], [5]]
-        naive = method.apply_blockwise(matrix, groups, engine="naive")
-        planned = method.apply_blockwise(matrix, groups, engine="plan")
+        naive, _ = reference_apply_blockwise(matrix, lambda a: a @ a, groups)
+        planned = method.apply_blockwise(matrix, groups)
         assert np.array_equal(
-            block_matrix_to_dense(naive.result), block_matrix_to_dense(planned.result)
+            block_matrix_to_dense(naive), block_matrix_to_dense(planned.result)
         )
 
     def test_extraction_matches_reference(self):
@@ -181,10 +189,10 @@ class TestBlockPlanEquivalence:
         bi, bj = matrix.block_keys()[0]
         smaller.remove_block(bi, bj)
         method = SubmatrixMethod(lambda a: a @ a)
-        naive = method.apply_blockwise(smaller, coo=coo, engine="naive")
-        planned = method.apply_blockwise(smaller, coo=coo, engine="plan")
+        naive, _ = reference_apply_blockwise(smaller, lambda a: a @ a, coo=coo)
+        planned = method.apply_blockwise(smaller, coo=coo)
         assert np.array_equal(
-            block_matrix_to_dense(naive.result), block_matrix_to_dense(planned.result)
+            block_matrix_to_dense(naive), block_matrix_to_dense(planned.result)
         )
 
     def test_finalize_blocks_are_views(self):
@@ -259,8 +267,8 @@ class TestPlanCache:
         cache = PlanCache()
         matrix = random_sparse_symmetric(20, 0.1, 12)
         method = SubmatrixMethod(lambda a: a @ a, plan_cache=cache)
-        method.apply_elementwise(matrix, engine="plan")
-        method.apply_elementwise(matrix, engine="plan")
+        method.apply_elementwise(matrix)
+        method.apply_elementwise(matrix)
         assert cache.stats == expected_stats(hits=1, misses=1, plans=1)
 
     def test_value_only_mutation_hits_cache_without_stale_result(self):
@@ -272,21 +280,19 @@ class TestPlanCache:
         matrix = random_block_symmetric(6, 2, 2, 5)
         coo = CooBlockList.from_block_matrix(matrix)
         method = SubmatrixMethod(lambda a: a @ a, plan_cache=cache)
-        first = method.apply_blockwise(matrix, coo=coo, engine="plan")
+        first = method.apply_blockwise(matrix, coo=coo)
         blocks = matrix.raw_blocks()
         key = sorted(blocks)[0]
         blocks[key][...] *= 2.0  # in-place value change, same pattern
         assert CooBlockList.from_block_matrix(matrix).fingerprint() == (
             coo.fingerprint()
         )
-        second = method.apply_blockwise(matrix, coo=coo, engine="plan")
+        second = method.apply_blockwise(matrix, coo=coo)
         assert cache.stats == expected_stats(hits=1, misses=1, plans=1)
-        reference = SubmatrixMethod(lambda a: a @ a).apply_blockwise(
-            matrix, coo=coo, engine="naive"
-        )
+        reference, _ = reference_apply_blockwise(matrix, lambda a: a @ a, coo=coo)
         assert np.array_equal(
             block_matrix_to_dense(second.result),
-            block_matrix_to_dense(reference.result),
+            block_matrix_to_dense(reference),
         )
         assert not np.array_equal(
             block_matrix_to_dense(second.result),
@@ -317,8 +323,8 @@ class TestPlanCache:
         matrix = random_sparse_symmetric(25, 0.1, 6)
         method = SubmatrixMethod(lambda a: a @ a)
         before = DEFAULT_PLAN_CACHE.stats["hits"]
-        method.apply_elementwise(matrix, engine="plan")
-        method.apply_elementwise(matrix, engine="plan")
+        method.apply_elementwise(matrix)
+        method.apply_elementwise(matrix)
         assert DEFAULT_PLAN_CACHE.stats["hits"] > before
 
 
@@ -349,10 +355,10 @@ class TestBatchedEvaluation:
     def test_batched_engine_matches_naive(self):
         matrix = random_block_symmetric(12, 3, 2, 1)
         method = SubmatrixMethod(lambda a: a @ a)
-        naive = method.apply_blockwise(matrix, engine="naive")
-        batched = method.apply_blockwise(matrix, engine="batched")
+        naive, _ = reference_apply_blockwise(matrix, lambda a: a @ a)
+        batched = method.apply_blockwise(matrix)
         assert np.array_equal(
-            block_matrix_to_dense(naive.result), block_matrix_to_dense(batched.result)
+            block_matrix_to_dense(naive), block_matrix_to_dense(batched.result)
         )
 
     def test_padded_batched_sign_matches_unpadded(self):
@@ -365,10 +371,10 @@ class TestBatchedEvaluation:
             batch_function=sign_via_eigendecomposition_batched,
             bucket_pad=8,
         )
-        naive = method.apply_blockwise(matrix, engine="naive")
-        batched = method.apply_blockwise(matrix, engine="batched")
+        naive, _ = reference_apply_blockwise(matrix, sign_via_eigendecomposition)
+        batched = method.apply_blockwise(matrix)
         assert np.allclose(
-            block_matrix_to_dense(naive.result),
+            block_matrix_to_dense(naive),
             block_matrix_to_dense(batched.result),
             atol=1e-11,
         )
@@ -431,17 +437,12 @@ class TestBatchedSignKernels:
 class TestSignDFTPlanEquivalence:
     def test_grand_canonical_plan_matches_naive(self, water32_matrices, gap_mu):
         pair = water32_matrices
-        fast = SubmatrixDFTSolver(
-            solver="eigen", config=EngineConfig(engine="batched", eps_filter=1e-5)
-        )
-        slow = SubmatrixDFTSolver(
-            solver="eigen", config=EngineConfig(engine="naive", eps_filter=1e-5)
-        )
+        fast = SubmatrixDFTSolver(solver="eigen", config=EngineConfig(eps_filter=1e-5))
         result_fast = fast.compute_density(
             pair.K, pair.S, pair.blocks, mu=gap_mu
         )
-        result_slow = slow.compute_density(
-            pair.K, pair.S, pair.blocks, mu=gap_mu
+        result_slow = reference_density(
+            pair.K, pair.S, pair.blocks, gap_mu, eps_filter=1e-5
         )
         assert result_fast.n_electrons == pytest.approx(result_slow.n_electrons)
         assert result_fast.band_energy == pytest.approx(result_slow.band_energy)
@@ -455,29 +456,35 @@ class TestSignDFTPlanEquivalence:
     def test_canonical_bisection_plan_matches_naive(self, water32_matrices):
         pair = water32_matrices
         n_electrons = 8.0 * 32  # 8 valence electrons per water molecule
-        fast = SubmatrixDFTSolver(config=EngineConfig(engine="batched", eps_filter=1e-5))
-        slow = SubmatrixDFTSolver(config=EngineConfig(engine="naive", eps_filter=1e-5))
+        fast = SubmatrixDFTSolver(config=EngineConfig(eps_filter=1e-5))
         result_fast = fast.compute_density(
             pair.K, pair.S, pair.blocks, n_electrons=n_electrons
         )
-        result_slow = slow.compute_density(
-            pair.K, pair.S, pair.blocks, n_electrons=n_electrons
+        # the bisected μ, pushed through the reference loop, fills the
+        # requested number of electrons with the same density
+        result_slow = reference_density(
+            pair.K, pair.S, pair.blocks, result_fast.mu, eps_filter=1e-5
         )
-        assert result_fast.mu == pytest.approx(result_slow.mu, abs=1e-6)
+        assert result_slow.n_electrons == pytest.approx(n_electrons, abs=1e-6)
         assert result_fast.n_electrons == pytest.approx(n_electrons, abs=1e-6)
+        assert np.allclose(
+            result_fast.density_ao, result_slow.density_ao, atol=1e-10
+        )
 
     def test_iterative_solver_plan_matches_naive(self, water32_matrices, gap_mu):
         pair = water32_matrices
         fast = SubmatrixDFTSolver(
-            solver="newton_schulz",
-            config=EngineConfig(engine="batched", eps_filter=1e-5),
-        )
-        slow = SubmatrixDFTSolver(
-            solver="newton_schulz",
-            config=EngineConfig(engine="naive", eps_filter=1e-5),
+            solver="newton_schulz", config=EngineConfig(eps_filter=1e-5)
         )
         result_fast = fast.compute_density(pair.K, pair.S, pair.blocks, mu=gap_mu)
-        result_slow = slow.compute_density(pair.K, pair.S, pair.blocks, mu=gap_mu)
+        result_slow = reference_density(
+            pair.K,
+            pair.S,
+            pair.blocks,
+            gap_mu,
+            eps_filter=1e-5,
+            sign_function=lambda a: sign_newton_schulz(a).sign,
+        )
         assert np.allclose(
             result_fast.density_ao, result_slow.density_ao, atol=1e-8
         )
