@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.core.sign_dft import SubmatrixDFTSolver
+from repro.api import EngineConfig, SubmatrixContext
 
 from common import report
 
@@ -25,13 +25,13 @@ def run_ablation(pair):
     n_electrons = 8 * pair.blocks.n_blocks
 
     start = time.perf_counter()
-    grand = SubmatrixDFTSolver(eps_filter=EPS_FILTER).compute_density(
+    grand = SubmatrixContext(EngineConfig(eps_filter=EPS_FILTER)).density(
         pair.K, pair.S, pair.blocks, mu=-3.25
     )
     grand_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    canonical = SubmatrixDFTSolver(eps_filter=EPS_FILTER).compute_density(
+    canonical = SubmatrixContext(EngineConfig(eps_filter=EPS_FILTER)).density(
         pair.K, pair.S, pair.blocks, n_electrons=n_electrons
     )
     canonical_seconds = time.perf_counter() - start

@@ -28,8 +28,7 @@ from repro.analysis import crossover_point
 from repro.chem import build_block_pattern, orthogonalized_ks, water_box
 from repro.core import newton_schulz_cost, submatrix_method_cost
 from repro.core.runner import estimate_newton_schulz_iterations
-from repro.api import EngineConfig
-from repro.core.sign_dft import SubmatrixDFTSolver
+from repro.api import EngineConfig, SubmatrixContext
 from repro.signfn import sign_newton_schulz_filtered_dense
 
 from common import bench_scale, report
@@ -43,11 +42,9 @@ def run_measured(system, pair, mu):
     rows = []
     for eps in MEASURED_THRESHOLDS:
         start = time.perf_counter()
-        solver = SubmatrixDFTSolver(
-            eps_filter=eps,
-            config=EngineConfig(engine="batched", backend="thread", max_workers=2),
-        )
-        solver.compute_density(pair.K, pair.S, pair.blocks, mu=mu)
+        config = EngineConfig(eps_filter=eps, backend="thread", max_workers=2)
+        with SubmatrixContext(config) as context:
+            context.density(pair.K, pair.S, pair.blocks, mu=mu)
         submatrix_seconds = time.perf_counter() - start
 
         start = time.perf_counter()

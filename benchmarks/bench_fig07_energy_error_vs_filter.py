@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from repro.analysis import energy_error_per_atom
 from repro.chem import orthogonalized_ks, reference_density_matrix
 from repro.chem.density import band_structure_energy, density_from_sign
-from repro.core.sign_dft import SubmatrixDFTSolver
+from repro.api import EngineConfig, SubmatrixContext
 from repro.signfn import sign_newton_schulz_filtered_dense
 
 from common import report
@@ -31,7 +31,7 @@ def run_figure7(system, pair, mu):
     reference = reference_density_matrix(pair.K, pair.S, mu=mu)
     rows = []
     for eps in FILTER_THRESHOLDS:
-        submatrix = SubmatrixDFTSolver(eps_filter=eps).compute_density(
+        submatrix = SubmatrixContext(EngineConfig(eps_filter=eps)).density(
             pair.K, pair.S, pair.blocks, mu=mu
         )
         submatrix_error = energy_error_per_atom(

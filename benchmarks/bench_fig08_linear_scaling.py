@@ -20,8 +20,7 @@ import pytest
 from repro.analysis import linear_fit
 from repro.chem import build_block_pattern, build_matrices, water_box
 from repro.core import submatrix_method_cost
-from repro.api import EngineConfig
-from repro.core.sign_dft import SubmatrixDFTSolver
+from repro.api import EngineConfig, SubmatrixContext
 
 from common import bench_scale, report
 
@@ -52,10 +51,9 @@ def run_measured(szv_model, mu):
         system = water_box(factors)
         pair = build_matrices(system, model=szv_model)
         start = time.perf_counter()
-        SubmatrixDFTSolver(
-            eps_filter=EPS_FILTER,
-            config=EngineConfig(engine="batched", backend="thread", max_workers=2),
-        ).compute_density(pair.K, pair.S, pair.blocks, mu=mu)
+        config = EngineConfig(eps_filter=EPS_FILTER, backend="thread", max_workers=2)
+        with SubmatrixContext(config) as context:
+            context.density(pair.K, pair.S, pair.blocks, mu=mu)
         rows.append([system.n_atoms, time.perf_counter() - start])
     return rows
 

@@ -2,7 +2,7 @@
 
 Times a full block-level sign evaluation (extraction + eigendecomposition
 sign + scatter) on a 256-block-column water system through
-:class:`repro.core.method.SubmatrixMethod` — cached extraction plan plus
+:meth:`repro.api.context.SubmatrixContext.apply` — cached extraction plan plus
 bucketed 3-D stack evaluation with one batched eigendecomposition per
 stack — cold (first call builds and caches the plan) and warm.  The
 ``naive``/``plan`` engines this file used to race it against are gone
@@ -47,7 +47,6 @@ from repro.chem import (
     water_box,
 )
 from repro.chem.basis import SZV
-from repro.core import PlanCache, SubmatrixMethod
 from repro.dbcsr import CooBlockList
 from repro.dbcsr.convert import block_matrix_from_csr
 from repro.signfn import (
@@ -132,22 +131,22 @@ def run_kernel_sweep(pair, mu, repeats):
 def run_engine_benchmark():
     system, pair, blocked, coo, mu = build_system()
     repeats = max(3, int(round(5 * bench_scale())))
-    cache = PlanCache()
-    method = SubmatrixMethod(
-        lambda a: sign_via_eigendecomposition(a, mu),
+    context = SubmatrixContext()
+    cache = context.plan_cache
+    sign = dict(
+        function=lambda a: sign_via_eigendecomposition(a, mu),
         batch_function=lambda stack: sign_via_eigendecomposition_batched(stack, mu),
-        plan_cache=cache,
     )
 
     # cold plan construction cost (the first call builds + caches the plan)
     start = time.perf_counter()
-    outcome = method.apply_blockwise(blocked, coo=coo)
+    outcome = context.apply(blocked, coo=coo, **sign)
     cold_seconds = time.perf_counter() - start
 
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
-        outcome = method.apply_blockwise(blocked, coo=coo)
+        outcome = context.apply(blocked, coo=coo, **sign)
         samples.append(time.perf_counter() - start)
     warm_seconds = float(np.median(samples))
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Tour of the unified session API: config → context → apply/density → distributed.
+"""Tour of the unified session API: config → context → apply/density → sharded.
 
 The submatrix method pays off in repeated-evaluation workloads — μ-bisection
 over the chemical potential, SCF/MD trajectories, rank-count sweeps — and the
@@ -16,8 +16,8 @@ walks through
    build one plan and one pool,
 4. the DFT driver — ``context.density`` in both ensembles, including the
    rank-sharded canonical μ-bisection,
-5. a distributed run — ``context.distributed(ranks).run(...)`` with its
-   per-rank traffic report.
+5. a sharded run — ``context.apply(..., ranks=8)`` — and the per-rank
+   traffic report of its pipeline, ``context.pipeline(...)``.
 
 Run with:  python examples/api_tour.py
 """
@@ -27,6 +27,7 @@ import numpy as np
 import repro
 from repro.api import EngineConfig, SubmatrixContext, available_kernels, get_kernel
 from repro.chem import build_matrices, orthogonalized_ks, water_box
+from repro.dbcsr import CooBlockList
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_dense
 
 EPS_FILTER = 1e-5
@@ -105,9 +106,9 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------ #
-    # 5. a distributed run with its traffic report
+    # 5. a sharded run with its traffic report
     # ------------------------------------------------------------------ #
-    run = context.distributed(8).run(blocked, "eigen", mu=0.0)
+    run = context.apply(blocked, "eigen", mu=0.0, ranks=8)
     reference = context.apply(blocked, "eigen", mu=0.0)
     difference = np.max(
         np.abs(
@@ -115,17 +116,25 @@ def main() -> None:
             - block_matrix_to_dense(reference.result)
         )
     )
-    print(f"distributed run on {run.n_ranks} ranks (bitwise diff {difference:.1e}):")
+    print(f"sharded run on {run.n_ranks} ranks (bitwise diff {difference:.1e}):")
+    # the run's pipeline is cached on the session: this lookup is a hit
+    pipeline = context.pipeline(
+        CooBlockList.from_block_matrix(blocked), blocked.col_block_sizes, n_ranks=8
+    )
+    transfers = pipeline.transfer_plan
+    _, sharded = pipeline.prepare()
     print("  rank  submatrices  stacks  segment fetch [kB]  write-back [kB]")
-    for report in run.per_rank:
+    for rank, (summary, shard) in enumerate(zip(transfers.per_rank, sharded.shards)):
         print(
-            f"  {report.rank:>4d} {report.n_submatrices:>12d} "
-            f"{report.n_stacks:>7d} {report.segment_fetch_bytes / 1e3:>18.1f} "
-            f"{report.writeback_bytes / 1e3:>16.1f}"
+            f"  {rank:>4d} {summary.n_submatrices:>12d} "
+            f"{len(shard.stack_tasks()):>7d} "
+            f"{summary.segment_fetch_bytes / 1e3:>18.1f} "
+            f"{summary.writeback_bytes / 1e3:>16.1f}"
         )
     print(
-        f"  total packed-segment fetch {run.total_segment_fetch_bytes / 1e6:.2f} MB "
-        f"(whole blocks would be {run.total_block_fetch_bytes / 1e6:.2f} MB)"
+        f"  total packed-segment fetch "
+        f"{transfers.total_segment_fetch_bytes / 1e6:.2f} MB "
+        f"(whole blocks would be {transfers.total_fetch_bytes / 1e6:.2f} MB)"
     )
 
 

@@ -20,8 +20,7 @@ Run with:  python examples/canonical_ensemble_md.py
 """
 
 from repro.chem import HamiltonianModel, build_matrices, water_box
-from repro.api import EngineConfig
-from repro.core.sign_dft import SubmatrixDFTSolver
+from repro.api import EngineConfig, SubmatrixContext
 
 
 def describe(tag: str, result) -> None:
@@ -43,36 +42,32 @@ def main() -> None:
         f"{pair.n_basis} basis functions, {electrons_neutral} valence electrons\n"
     )
 
-    solver = SubmatrixDFTSolver(
-        eps_filter=1e-6, config=EngineConfig(engine="batched", backend="thread")
-    )
+    config = EngineConfig(eps_filter=1e-6, backend="thread")
+    solver = SubmatrixContext(config)
 
     # canonical solve of the neutral system: mu is found by Algorithm 1
-    neutral = solver.compute_density(
+    neutral = solver.density(
         pair.K, pair.S, pair.blocks, n_electrons=electrons_neutral
     )
     describe("neutral, T = 0", neutral)
 
     # charged system: remove 8 electrons -> mu moves towards the occupied band
-    cation = solver.compute_density(
+    cation = solver.density(
         pair.K, pair.S, pair.blocks, n_electrons=electrons_neutral - 8
     )
     describe("8 electrons removed, T = 0", cation)
 
     # grand-canonical run at the mu found above reproduces the same state
-    grand = solver.compute_density(pair.K, pair.S, pair.blocks, mu=neutral.mu)
+    grand = solver.density(pair.K, pair.S, pair.blocks, mu=neutral.mu)
     describe("grand canonical at canonical mu", grand)
 
     # finite electronic temperature: Fermi occupations instead of Heaviside
-    hot_solver = SubmatrixDFTSolver(
-        eps_filter=1e-6,
-        temperature=5000.0,
-        config=EngineConfig(engine="batched", backend="thread"),
-    )
-    hot = hot_solver.compute_density(
-        pair.K, pair.S, pair.blocks, n_electrons=electrons_neutral
-    )
+    with SubmatrixContext(config.replace(temperature=5000.0)) as hot_solver:
+        hot = hot_solver.density(
+            pair.K, pair.S, pair.blocks, n_electrons=electrons_neutral
+        )
     describe("neutral, T = 5000 K", hot)
+    solver.close()
 
     print(
         "\nThe canonical solves adjust mu without recomputing any "

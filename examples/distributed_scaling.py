@@ -10,8 +10,9 @@ rank-sharded submatrix pipeline through the unified session API
   (Sec. IV-B) and compare, per rank, shipping *packed value segments* into
   the rank-local buffer against whole-block transfers with and without
   deduplication,
-* execute a distributed session on a small system and verify that the
-  per-rank sharded evaluation reproduces the single-process engine,
+* execute a sharded run (``context.apply(..., ranks=8)``) on a small
+  system and verify that the per-rank evaluation reproduces the
+  single-process engine,
 * compare simulated strong scaling of the submatrix method (80 -> 320 ranks)
   at fixed system size,
 * compare the weak-scaling behaviour of the submatrix method against the
@@ -26,7 +27,11 @@ from repro.analysis import parallel_efficiency
 from repro.api import EngineConfig, SubmatrixContext
 from repro.chem import build_block_pattern, orthogonalized_ks, water_box
 from repro.chem.hamiltonian import build_matrices
-from repro.core import newton_schulz_cost, submatrix_method_cost
+from repro.core import (
+    DistributedSubmatrixPipeline,
+    newton_schulz_cost,
+    submatrix_method_cost,
+)
 from repro.core.runner import estimate_newton_schulz_iterations
 from repro.dbcsr import CooBlockList
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_dense
@@ -57,11 +62,11 @@ def segment_transfer_planning() -> None:
     context = SubmatrixContext(EngineConfig(engine="batched"))
     pipeline = context.pipeline(pattern, blocks.block_sizes, n_ranks)
     plan = pipeline.transfer_plan
-    fast_context = SubmatrixContext(
-        EngineConfig(engine="batched", exact_transfers=False),
-        plan_cache=context.plan_cache,
-    )
-    fast = fast_context.pipeline(pattern, blocks.block_sizes, n_ranks).transfer_plan
+    # the fast pattern-level planning is a modeling argument of the pipeline
+    # itself, not a session setting
+    fast = DistributedSubmatrixPipeline(
+        pattern, blocks.block_sizes, n_ranks, exact_transfers=False
+    ).transfer_plan
     print(
         f"transfer planning ({system.n_molecules} molecules, {n_ranks} ranks, "
         f"balance={pipeline.balance!r}):"
@@ -102,7 +107,7 @@ def segment_transfer_planning() -> None:
 
 
 def sharded_execution_check() -> None:
-    """The distributed session reproduces the single-process engine bitwise."""
+    """A sharded run reproduces the single-process engine bitwise."""
     system = water_box(1)
     pair = build_matrices(system)
     k_ortho, _ = orthogonalized_ks(pair.K, pair.S, eps_filter=EPS_FILTER)
@@ -110,7 +115,7 @@ def sharded_execution_check() -> None:
     mu = 0.0
     coo = CooBlockList.from_block_matrix(blocked)
     context = SubmatrixContext(EngineConfig(engine="batched"))
-    result = context.distributed(8).run(blocked, "eigen", coo=coo, mu=mu)
+    result = context.apply(blocked, "eigen", coo=coo, mu=mu, ranks=8)
     single = context.apply(blocked, "eigen", coo=coo, mu=mu)
     difference = np.max(
         np.abs(
@@ -120,12 +125,15 @@ def sharded_execution_check() -> None:
     )
     print(
         f"sharded execution ({system.n_molecules} molecules on 8 ranks): "
-        f"max |pipeline - single-process| = {difference:.1e} "
+        f"max |sharded - single-process| = {difference:.1e} "
         f"({'bitwise identical' if difference == 0.0 else 'MISMATCH'})"
     )
+    pipeline = context.pipeline(coo, blocked.col_block_sizes, n_ranks=8)
+    _, sharded = pipeline.prepare()
     print(
-        f"  per-rank stacks: {[r.n_stacks for r in result.per_rank]}, "
-        f"segment fetch {result.total_segment_fetch_bytes / 1e6:.2f} MB\n"
+        f"  per-rank stacks: {[len(s.stack_tasks()) for s in sharded.shards]}, "
+        f"segment fetch "
+        f"{pipeline.transfer_plan.total_segment_fetch_bytes / 1e6:.2f} MB\n"
     )
 
 

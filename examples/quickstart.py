@@ -22,8 +22,7 @@ from repro.chem import (
     reference_density_matrix,
     water_box,
 )
-from repro.api import EngineConfig
-from repro.core.sign_dft import SubmatrixDFTSolver
+from repro.api import EngineConfig, SubmatrixContext
 
 
 def main() -> None:
@@ -42,10 +41,8 @@ def main() -> None:
 
     # 3. submatrix-method density matrix (grand canonical: fixed mu in the gap)
     mu = model.homo_lumo_gap_center()
-    solver = SubmatrixDFTSolver(
-        eps_filter=1e-6, config=EngineConfig(engine="batched", backend="thread")
-    )
-    result = solver.compute_density(pair.K, pair.S, pair.blocks, mu=mu)
+    with SubmatrixContext(EngineConfig(eps_filter=1e-6, backend="thread")) as context:
+        result = context.density(pair.K, pair.S, pair.blocks, mu=mu)
     print(
         f"submatrix method: {result.n_submatrices} submatrices, "
         f"largest dimension {result.max_submatrix_dimension}, "

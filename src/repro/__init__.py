@@ -9,8 +9,10 @@ unified session API on top:
     configuration for engine, backend, workers, bucket padding, balancing,
     ranks and filtering), the :class:`~repro.signfn.registry.MatrixFunction`
     kernel registry, and :class:`~repro.api.context.SubmatrixContext` — the
-    session that owns the plan cache, the persistent worker pool and the
-    sharded pipelines, exposing ``apply`` / ``density`` / ``distributed``.
+    one entry point: the session that owns the plan cache, the persistent
+    worker pool and the sharded pipelines, exposing ``apply`` / ``density``
+    / ``observables`` / ``trajectory`` (each single-process or, with
+    ``ranks=``, sharded over simulated ranks).
 ``repro.chem``
     Synthetic liquid-water systems, model Kohn–Sham / overlap matrix builders,
     Löwdin orthogonalization and dense reference density-matrix solvers.
@@ -31,9 +33,9 @@ unified session API on top:
     submatrices.
 ``repro.core``
     The submatrix method itself: submatrix extraction and result scatter-back,
-    column grouping, block-transfer planning, load balancing, the DFT
-    density-matrix driver (grand-canonical and canonical) and the distributed
-    run cost model.
+    column grouping, block-transfer planning, load balancing, the one rank
+    loop that executes single-process and sharded runs alike, and the
+    distributed run cost model.
 ``repro.accel``
     The paper's Sec. VI accelerator study: emulated FP16/FP16'/FP32
     tensor-core sign iterations and a GPU/FPGA performance model.  The
@@ -55,7 +57,6 @@ The most convenient entry point is the session API, re-exported here:
 from repro.version import __version__
 from repro.api import (
     BoundKernel,
-    DistributedSession,
     EngineConfig,
     MatrixFunction,
     ResiliencePolicy,
@@ -86,7 +87,6 @@ __all__ = [
     "EngineConfig",
     "ResiliencePolicy",
     "SubmatrixContext",
-    "DistributedSession",
     "SubmatrixMethodResult",
     "SubmatrixDFTResult",
     "TrajectoryCheckpoint",

@@ -9,13 +9,12 @@ cache, the persistent executor and the sharded pipelines:
 >>> ctx = SubmatrixContext(EngineConfig(backend="thread"))
 >>> f_a = ctx.apply(matrix, "eigen", mu=0.2)                 # doctest: +SKIP
 >>> dft = ctx.density(K, S, blocks, n_electrons=256.0)       # doctest: +SKIP
->>> run = ctx.distributed(8).run(block_matrix, "eigen")      # doctest: +SKIP
+>>> run = ctx.apply(block_matrix, "eigen", ranks=8)          # doctest: +SKIP
 >>> md = ctx.trajectory(step_pairs, blocks, mu=-0.2)         # doctest: +SKIP
 
-The legacy entry points (:class:`~repro.core.method.SubmatrixMethod`,
-:class:`~repro.core.sign_dft.SubmatrixDFTSolver`,
-:class:`~repro.core.runner.DistributedSubmatrixPipeline`) are facades over
-this layer and produce bitwise-identical results.
+:class:`SubmatrixContext` is the only entry point: a single process and a
+run sharded over ``ranks=`` simulated ranks are the same call, bitwise
+identical, through the one rank loop of :mod:`repro.core.runner`.
 """
 
 from repro.api.config import (
@@ -35,11 +34,7 @@ from repro.api.results import (
     SubmatrixDFTResult,
     SubmatrixMethodResult,
 )
-from repro.api.context import (
-    REPLAN_MODES,
-    DistributedSession,
-    SubmatrixContext,
-)
+from repro.api.context import REPLAN_MODES, SubmatrixContext
 from repro.api.observables import (
     Observable,
     SharedEvaluation,
@@ -81,7 +76,6 @@ __all__ = [
     "CheckpointError",
     "KernelConvergenceError",
     "SubmatrixContext",
-    "DistributedSession",
     "REPLAN_MODES",
     "TrajectoryResult",
     "TrajectoryStats",

@@ -1,21 +1,22 @@
 """One configuration object for the whole submatrix engine.
 
-Every entry point of the reproduction — :class:`~repro.core.method.SubmatrixMethod`,
-:class:`~repro.core.sign_dft.SubmatrixDFTSolver`,
-:class:`~repro.core.runner.DistributedSubmatrixPipeline` and the
-:class:`~repro.api.context.SubmatrixContext` session — shares the same
-knobs (worker backend and count, bucket padding, balancing strategy, rank
-count, filter threshold).  :class:`EngineConfig` collects them in one
-validated, immutable place, so they cannot drift apart between layers.
+The :class:`~repro.api.context.SubmatrixContext` session and everything it
+drives — plan lookup, the rank loop of :mod:`repro.core.runner`, the
+sharded :class:`~repro.core.runner.DistributedSubmatrixPipeline` — share
+the same knobs (worker backend and count, bucket padding, balancing
+strategy, rank count, filter threshold).  :class:`EngineConfig` collects
+them in one validated, immutable place, so they cannot drift apart between
+layers.
 
 This module sits at the bottom of the dependency graph (nothing from
-:mod:`repro.core` is imported here), so both the core facades and the
-session layer can share its constants without import cycles.
+:mod:`repro.core` is imported here), so the core and the session layer can
+share its constants without import cycles.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from typing import Optional, Union
 
 from repro.parallel.executor import default_worker_count
@@ -27,6 +28,7 @@ __all__ = [
     "BACKENDS",
     "BALANCE_STRATEGIES",
     "EIGENSOLVE_FLOP_CONSTANT",
+    "check_ranks",
 ]
 
 #: The one execution engine: cached extraction plans plus bucketed stacks of
@@ -48,14 +50,31 @@ BALANCE_STRATEGIES = ("chunks", "stacks")
 EIGENSOLVE_FLOP_CONSTANT = 9.0
 
 
+def check_ranks(ranks, name: str = "ranks") -> Optional[int]:
+    """The one check of a rank count (``None``: not given).
+
+    Shared by :attr:`EngineConfig.n_ranks` and the per-call ``ranks=`` of
+    ``apply``, ``density``/``observables``, ``trajectory`` and the serving
+    layer's ``submit``: anything but a positive integer is an error (a float
+    or a bool would otherwise silently truncate to some rank count).
+    """
+    if ranks is None:
+        return None
+    if isinstance(ranks, bool) or not isinstance(ranks, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {ranks!r}")
+    if ranks < 1:
+        raise ValueError(f"{name} must be positive")
+    return int(ranks)
+
+
 @dataclasses.dataclass(frozen=True)
 class ResiliencePolicy:
     """Failure-handling policy of the submatrix engine.
 
     Carried on :class:`EngineConfig` and threaded through
     :class:`~repro.api.context.SubmatrixContext` →
-    :class:`~repro.core.runner.DistributedSubmatrixPipeline` →
-    ``run_stacks`` and the iterative sign kernels.  Every recovery path
+    :func:`~repro.core.runner.run_stacks` and the iterative sign kernels,
+    for f(A) and densities alike.  Every recovery path
     preserves the engine's bitwise-identity discipline: a retried rank
     re-executes the *same* shard closure (scatter ranges are disjoint and
     idempotent), a retried kernel restarts the iteration from the original
@@ -208,7 +227,8 @@ class EngineConfig:
         ``"chunks"`` (paper's greedy consecutive chunks, Sec. IV-E) or
         ``"stacks"`` (bucket-aware LPT over whole stacks).
     n_ranks:
-        Simulated rank count of distributed sessions (1 = single process).
+        Simulated rank count of sharded runs (1 = single process); a
+        per-call ``ranks=`` overrides it.
     eps_filter:
         Truncation threshold applied to the orthogonalized Kohn–Sham matrix
         by the density solver (CP2K's ``eps_filter``).
@@ -218,13 +238,6 @@ class EngineConfig:
         2 for closed-shell systems.
     plan_cache_size:
         Capacity of the session's private :class:`~repro.core.plan.PlanCache`.
-    exact_transfers:
-        Plan per-submatrix deduplicated transfers (exact packed-segment
-        volumes) in distributed sessions; ``False`` uses the fast
-        pattern-level planning.
-    flop_constant:
-        Cost of one per-submatrix solve as a multiple of n³ (used by load
-        balancing and the machine model).
     resilience:
         The session's :class:`ResiliencePolicy` (rank retry/rebalance,
         kernel degradation, graceful fallback to the batched engine).  The
@@ -245,8 +258,6 @@ class EngineConfig:
     temperature: float = 0.0
     spin_degeneracy: float = 2.0
     plan_cache_size: int = 64
-    exact_transfers: bool = True
-    flop_constant: float = EIGENSOLVE_FLOP_CONSTANT
     resilience: ResiliencePolicy = dataclasses.field(
         default_factory=ResiliencePolicy
     )
@@ -276,8 +287,7 @@ class EngineConfig:
             raise ValueError(
                 f"balance must be one of {BALANCE_STRATEGIES}, got {self.balance!r}"
             )
-        if self.n_ranks < 1:
-            raise ValueError("n_ranks must be positive")
+        check_ranks(self.n_ranks, "n_ranks")
         if self.eps_filter < 0:
             raise ValueError("eps_filter must be non-negative")
         if self.temperature < 0:
@@ -286,8 +296,6 @@ class EngineConfig:
             raise ValueError("spin_degeneracy must be positive")
         if self.plan_cache_size < 1:
             raise ValueError("plan_cache_size must be at least 1")
-        if self.flop_constant <= 0:
-            raise ValueError("flop_constant must be positive")
         if not isinstance(self.resilience, ResiliencePolicy):
             raise ValueError("resilience must be a ResiliencePolicy")
         self.resilience.validate()

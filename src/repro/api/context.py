@@ -2,10 +2,8 @@
 
 The submatrix method pays off precisely in repeated-evaluation workloads —
 the μ-bisection of the canonical ensemble, SCF/MD trajectories, cost sweeps
-over many rank counts — yet before this module every entry point wired plan
-caching, executor reuse, sharding and traffic logging ad hoc.
-:class:`SubmatrixContext` is the session object that owns those shared
-resources once:
+over many rank counts.  :class:`SubmatrixContext` is the one entry point of
+the engine and the session object that owns the shared resources once:
 
 * a private :class:`~repro.core.plan.PlanCache` (plans survive across every
   call through the session),
@@ -13,23 +11,22 @@ resources once:
   instead of a pool per call,
 * a cache of configured :class:`~repro.core.runner.DistributedSubmatrixPipeline`
   instances (sharded plans and transfer plans survive across repeated
-  distributed runs),
+  sharded runs),
 
-and exposes the three workloads of the paper as methods:
+and exposes the workloads of the paper as methods:
 
-* :meth:`SubmatrixContext.apply` — f(A) on a SciPy or block-sparse matrix
-  through the cached plan and bucketed-stack engine;
+* :meth:`SubmatrixContext.apply` — f(A) on a SciPy or block-sparse matrix;
 * :meth:`SubmatrixContext.observables` / :meth:`SubmatrixContext.density` —
-  the DFT driver (grand-canonical and canonical ensembles, optionally
-  rank-sharded), every request through
-  :func:`repro.api.observables.compute_observables`;
-* :meth:`SubmatrixContext.distributed` — a :class:`DistributedSession`
-  whose :meth:`~DistributedSession.run` executes the rank-sharded pipeline
-  and reports its traffic.
+  the DFT driver (grand-canonical and canonical ensembles), every request
+  through :func:`repro.api.observables.compute_observables`;
+* :meth:`SubmatrixContext.trajectory` — the same along an SCF/MD trajectory.
 
-The legacy classes (:class:`~repro.core.method.SubmatrixMethod`,
-:class:`~repro.core.sign_dft.SubmatrixDFTSolver`) are thin facades over a
-private context, so their results are bitwise identical to the session API.
+All of them execute through the one rank loop
+(:func:`repro.core.runner.run_stacks`): single-process by default, or — with
+``ranks=`` / ``config.n_ranks > 1`` — sharded over simulated ranks, bitwise
+identical and under the session's
+:class:`~repro.api.config.ResiliencePolicy`.  A sharded run's per-rank work
+and traffic are read from its pipeline, :meth:`SubmatrixContext.pipeline`.
 """
 
 from __future__ import annotations
@@ -40,15 +37,15 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.config import EngineConfig
+from repro.api.config import EngineConfig, ResiliencePolicy, check_ranks
 from repro.api.results import SubmatrixMethodResult
-from repro.core.batch import evaluate_batched
-from repro.core.combination import ColumnGrouping
+from repro.core.batch import stack_solver
+from repro.core.combination import ColumnGrouping, single_column_groups
 from repro.core.load_balance import resolve_bucket_pad
 from repro.core.plan import (
     PATCH_DELTA_FRACTION,
@@ -60,15 +57,15 @@ from repro.core.plan import (
 )
 from repro.core.runner import (
     DistributedSubmatrixPipeline,
-    PipelineResult,
-    SubmatrixRunCost,
+    ResilienceReport,
+    run_stacks,
 )
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.coo import CooBlockList
 from repro.parallel.executor import make_executor, map_parallel
 from repro.signfn.registry import BoundKernel, resolve_kernel
 
-__all__ = ["SubmatrixContext", "DistributedSession", "REPLAN_MODES"]
+__all__ = ["SubmatrixContext", "REPLAN_MODES"]
 
 _UNSET = object()
 
@@ -91,7 +88,7 @@ REPLAN_MODES = ("auto", "full", "patch")
 
 
 # --------------------------------------------------------------------------- #
-# shared validation helpers (used by the facades as well)
+# shared validation helpers
 # --------------------------------------------------------------------------- #
 def validate_groups(groups: Sequence[Sequence[int]], n_columns: int) -> None:
     """Check that ``groups`` is a partition of ``range(n_columns)``."""
@@ -268,7 +265,7 @@ class SubmatrixContext:
         """Track one in-flight request (rejecting work on a closed session).
 
         Every public evaluation entry point (``apply*``, ``density``,
-        ``trajectory``, distributed ``run``) wraps its body in this guard so
+        ``trajectory``) wraps its body in this guard so
         :meth:`close` can refuse to tear down a session that other threads
         are still using.
         """
@@ -422,15 +419,63 @@ class SubmatrixContext:
             # e.g. a changed block grid — patching is impossible, rebuild
             return None
 
-    def _bucket_pad_for(self, bound: BoundKernel, dimensions) -> Optional[int]:
+    def _bucket_pad_for(self, kernel, dimensions) -> Optional[int]:
+        """The session's bucket padding resolved for one plan's dimensions
+        (``kernel``: a bound or registered kernel)."""
         pad = resolve_bucket_pad(self.config.bucket_pad, dimensions)
-        if pad is not None and not bound.matrix_function:
+        if pad is not None and not kernel.matrix_function:
             raise ValueError(
-                f"kernel {bound.name!r} is not a genuine matrix function; "
+                f"kernel {kernel.name!r} is not a genuine matrix function; "
                 "bucket padding requires exact-dimension buckets "
                 "(bucket_pad=None)"
             )
         return pad
+
+    def _resilience(
+        self,
+    ) -> Tuple[Optional[ResiliencePolicy], Optional[ResilienceReport]]:
+        """The session's active policy and a fresh report for one request
+        (``(None, None)`` when the policy is inactive)."""
+        policy = self.config.resilience
+        if not policy.active:
+            return None, None
+        return policy, ResilienceReport()
+
+    def _lookup(
+        self,
+        coo: CooBlockList,
+        block_sizes: Sequence[int],
+        grouping: ColumnGrouping,
+        ranks: Optional[int],
+        distribution,
+        replan: str,
+        bucket_pad,
+    ) -> Tuple[BlockSubmatrixPlan, Optional[DistributedSubmatrixPipeline]]:
+        """``(plan, pipeline)`` of one block-level request.
+
+        Single-process requests look their plan up directly
+        (:meth:`block_plan_for`) and get no pipeline — they pay for no
+        shard or transfer planning.  With ``ranks`` (or ``config.n_ranks >
+        1``) the plan is the cached pipeline's.  An explicitly requested
+        rank count takes the sharded route even at ``ranks == 1`` (a single
+        shard of everything), so the bitwise-identity guarantee covers the
+        sharding machinery itself.
+        """
+        if ranks is None and self.config.n_ranks == 1:
+            plan = self.block_plan_for(
+                coo, block_sizes, grouping.groups, replan=replan
+            )
+            return plan, None
+        pipeline = self.pipeline(
+            coo,
+            block_sizes,
+            n_ranks=ranks,
+            grouping=grouping,
+            distribution=distribution,
+            bucket_pad=bucket_pad,
+            replan=replan,
+        )
+        return pipeline.prepare()[0], pipeline
 
     # ------------------------------------------------------------------ #
     # f(A): element and block level
@@ -443,17 +488,20 @@ class SubmatrixContext:
         batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         plan: Optional[SubmatrixPlan] = None,
         coo: Optional[CooBlockList] = None,
+        ranks: Optional[int] = None,
+        distribution=None,
         **kernel_params,
     ) -> SubmatrixMethodResult:
         """Evaluate a matrix function on ``matrix`` through the session.
 
         Dispatches on the matrix type: SciPy sparse matrices run at element
         level (one submatrix per column group), block-sparse matrices at
-        block level (one submatrix per block-column group).  ``function``
-        may be a callable, a registered kernel name (``"eigen"``,
-        ``"newton_schulz"``, …) or a :class:`~repro.signfn.registry.MatrixFunction`;
-        ``**kernel_params`` (e.g. ``mu=0.2``) are forwarded to the kernel
-        factory.
+        block level (one submatrix per block-column group; see
+        :meth:`apply_blockwise` for ``ranks``/``distribution``).
+        ``function`` may be a callable, a registered kernel name
+        (``"eigen"``, ``"newton_schulz"``, …) or a
+        :class:`~repro.signfn.registry.MatrixFunction`; ``**kernel_params``
+        (e.g. ``mu=0.2``) are forwarded to the kernel factory.
         """
         self._check_open()
         if isinstance(matrix, BlockSparseMatrix):
@@ -464,8 +512,12 @@ class SubmatrixContext:
                 coo=coo,
                 batch_function=batch_function,
                 plan=plan,
+                ranks=ranks,
+                distribution=distribution,
                 **kernel_params,
             )
+        if ranks is not None or distribution is not None:
+            raise TypeError("sharded runs operate on a BlockSparseMatrix")
         if sp.issparse(matrix):
             return self.apply_elementwise(
                 matrix,
@@ -503,7 +555,7 @@ class SubmatrixContext:
         validate_groups(column_groups, n)
         if plan is None:
             plan = element_plan(csc, column_groups, cache=self.plan_cache)
-        return self._apply_planned(csc, plan, bound, start)
+        return self._evaluate(csc, plan, bound, start)
 
     @_tracked
     def apply_blockwise(
@@ -514,52 +566,80 @@ class SubmatrixContext:
         coo: Optional[CooBlockList] = None,
         batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         plan: Optional[SubmatrixPlan] = None,
+        ranks: Optional[int] = None,
+        distribution=None,
         **kernel_params,
     ) -> SubmatrixMethodResult:
-        """Apply the matrix function block-column-wise on a DBCSR-style matrix."""
+        """Apply the matrix function block-column-wise on a DBCSR-style matrix.
+
+        With ``ranks`` (or ``config.n_ranks > 1``) the submatrices are
+        evaluated rank-sharded through the session's cached
+        :class:`~repro.core.runner.DistributedSubmatrixPipeline` —
+        ``distribution`` fixes the block ownership of its transfer plan —
+        bitwise identical to the single-process result and under the
+        session's :class:`~repro.api.config.ResiliencePolicy`
+        (:attr:`~repro.api.results.SubmatrixMethodResult.resilience`).
+        """
         self._check_open()
+        ranks = check_ranks(ranks)
         bound = resolve_kernel(function, batch_function=batch_function, **kernel_params)
         start = time.perf_counter()
         if coo is None:
             coo = CooBlockList.from_block_matrix(matrix)
         n_block_cols = matrix.n_block_cols
         if column_groups is None:
-            column_groups = [[c] for c in range(n_block_cols)]
-        validate_groups(column_groups, n_block_cols)
+            grouping = single_column_groups(n_block_cols)
+        else:
+            grouping = ColumnGrouping([list(group) for group in column_groups])
+        grouping.validate(n_block_cols)
+        pipeline = None
         if plan is None:
-            plan = block_plan(
+            plan, pipeline = self._lookup(
                 coo,
                 matrix.row_block_sizes,
-                column_groups,
-                cache=self.plan_cache,
+                grouping,
+                ranks,
+                distribution,
+                "full",
+                self.config.bucket_pad,
             )
-        return self._apply_planned(matrix, plan, bound, start)
+        elif ranks is not None or distribution is not None:
+            raise ValueError(
+                "a sharded run uses its pipeline's plan; pass either plan= "
+                "or ranks=/distribution="
+            )
+        return self._evaluate(matrix, plan, bound, start, pipeline)
 
-    def _apply_planned(
-        self, matrix, plan: SubmatrixPlan, bound: BoundKernel, start: float
+    def _evaluate(
+        self,
+        matrix,
+        plan: SubmatrixPlan,
+        bound: BoundKernel,
+        start: float,
+        pipeline: Optional[DistributedSubmatrixPipeline] = None,
     ) -> SubmatrixMethodResult:
-        """Evaluate through a plan: pack, gather stacks, evaluate, scatter."""
-        packed = plan.pack(matrix)
+        """Evaluate through a plan: pack, run the rank loop, finalize."""
+        policy, report = self._resilience()
         dimensions = list(plan.dimensions)
         out = plan.new_output()
-        # stacks are scattered straight into the output buffer, one
-        # vectorized write per stack
-        evaluate_batched(
+        run_stacks(
             plan,
-            packed,
-            function=bound.function,
-            batch_function=bound.batch_function,
+            plan.pack(matrix),
+            stack_solver(bound.function, bound.batch_function),
+            out,
+            pipeline=pipeline,
             pad_to=self._bucket_pad_for(bound, dimensions),
-            max_workers=self.config.max_workers,
-            backend=self.config.backend,
-            executor=self.executor,
-            out=out,
+            mapper=self._map,
+            policy=policy,
+            report=report,
         )
         return SubmatrixMethodResult(
             result=plan.finalize(out),
             submatrix_dimensions=dimensions,
             wall_time=time.perf_counter() - start,
             flop_estimate=float(sum(float(d) ** 3 for d in dimensions)),
+            n_ranks=pipeline.n_ranks if pipeline is not None else 1,
+            resilience=report,
         )
 
     # ------------------------------------------------------------------ #
@@ -707,26 +787,8 @@ class SubmatrixContext:
         )
 
     # ------------------------------------------------------------------ #
-    # distributed sessions
+    # sharded pipelines
     # ------------------------------------------------------------------ #
-    def distributed(
-        self,
-        n_ranks: Optional[int] = None,
-        grouping: Optional[ColumnGrouping] = None,
-        distribution=None,
-    ) -> "DistributedSession":
-        """A rank-sharded session over this context's resources.
-
-        ``context.distributed(ranks).run(matrix, "eigen", mu=0.2)`` executes
-        the sharded pipeline; pipelines (and their sharded/transfer plans)
-        are cached on the context per (pattern, grouping, rank count).
-        """
-        self._check_open()
-        n_ranks = self.config.n_ranks if n_ranks is None else int(n_ranks)
-        return DistributedSession(
-            self, n_ranks, grouping=grouping, distribution=distribution
-        )
-
     def pipeline(
         self,
         pattern: Union[sp.spmatrix, CooBlockList],
@@ -758,19 +820,17 @@ class SubmatrixContext:
             if isinstance(pattern, CooBlockList)
             else CooBlockList.from_pattern(pattern)
         )
-        n_ranks = self.config.n_ranks if n_ranks is None else int(n_ranks)
+        n_ranks = check_ranks(n_ranks, "n_ranks") or self.config.n_ranks
         pad = self.config.bucket_pad if bucket_pad is _UNSET else bucket_pad
         sizes = np.asarray(list(block_sizes), dtype=int)
-        grouping_key = (
-            tuple(map(tuple, grouping.groups)) if grouping is not None else None
-        )
+        if grouping is None:
+            grouping = single_column_groups(coo.n_block_cols)
         configuration_key = (
             sizes.tobytes(),
             n_ranks,
-            grouping_key,
+            tuple(map(tuple, grouping.groups)),
             self.config.balance,
             pad,
-            self.config.exact_transfers,
             _distribution_key(distribution),
         )
         key = (coo.fingerprint(),) + configuration_key
@@ -796,9 +856,7 @@ class SubmatrixContext:
                     distribution=distribution,
                     balance=self.config.balance,
                     bucket_pad=pad,
-                    flop_constant=self.config.flop_constant,
                     plan_cache=self.plan_cache,
-                    exact_transfers=self.config.exact_transfers,
                 )
                 self._pipelines_built += 1
             self._pipelines[key] = pipeline
@@ -826,124 +884,3 @@ class SubmatrixContext:
             return None
         self._pipelines_patched += 1
         return patched
-
-
-class DistributedSession:
-    """Rank-sharded execution bound to a :class:`SubmatrixContext`.
-
-    Obtained via :meth:`SubmatrixContext.distributed`; wraps the
-    :class:`~repro.core.runner.DistributedSubmatrixPipeline` with the
-    session's configuration, plan cache and persistent executor.
-    """
-
-    def __init__(
-        self,
-        context: SubmatrixContext,
-        n_ranks: int,
-        grouping: Optional[ColumnGrouping] = None,
-        distribution=None,
-    ):
-        if n_ranks < 1:
-            raise ValueError("n_ranks must be positive")
-        self.context = context
-        self.n_ranks = int(n_ranks)
-        self.grouping = grouping
-        self.distribution = distribution
-
-    def pipeline(
-        self,
-        pattern: Union[sp.spmatrix, CooBlockList],
-        block_sizes: Sequence[int],
-    ) -> DistributedSubmatrixPipeline:
-        """The configured (and context-cached) pipeline for ``pattern``."""
-        return self.context.pipeline(
-            pattern,
-            block_sizes,
-            n_ranks=self.n_ranks,
-            grouping=self.grouping,
-            distribution=self.distribution,
-        )
-
-    def run(
-        self,
-        matrix: BlockSparseMatrix,
-        function,
-        coo: Optional[CooBlockList] = None,
-        batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        pad_value: float = 1.0,
-        **kernel_params,
-    ) -> PipelineResult:
-        """Evaluate f on every submatrix through the sharded pipeline.
-
-        ``function`` accepts the same specs as :meth:`SubmatrixContext.apply`
-        (callable, registered kernel name, :class:`MatrixFunction`).  The
-        per-rank tasks run on the session's persistent executor and
-        scatter into one shared packed output buffer.
-        """
-        if not isinstance(matrix, BlockSparseMatrix):
-            raise TypeError("distributed runs operate on a BlockSparseMatrix")
-        with self.context._request():
-            bound = resolve_kernel(
-                function, batch_function=batch_function, **kernel_params
-            )
-            if coo is None:
-                coo = CooBlockList.from_block_matrix(matrix)
-            pipeline = self.pipeline(coo, matrix.col_block_sizes)
-            config = self.context.config
-            # the pipeline's own resolve_kernel passes a BoundKernel through
-            # unchanged, so the spec is resolved exactly once
-            return pipeline.run(
-                matrix,
-                function=bound,
-                pad_value=pad_value,
-                max_workers=config.max_workers,
-                backend=config.backend,
-                executor=self.context.executor,
-            )
-
-    def cost(
-        self,
-        pattern: Union[sp.spmatrix, CooBlockList],
-        block_sizes: Sequence[int],
-        machine,
-        cores_per_rank: int = 1,
-    ) -> SubmatrixRunCost:
-        """Simulated run cost of this session's pipeline on ``machine``."""
-        return self.pipeline(pattern, block_sizes).cost(
-            machine, cores_per_rank=cores_per_rank
-        )
-
-    def density(self, K, S, blocks, **kwargs):
-        """Rank-sharded density matrix (see :meth:`SubmatrixContext.density`).
-
-        The session's rank count, grouping and distribution are applied
-        unless overridden in ``kwargs``.
-        """
-        kwargs.setdefault("ranks", self.n_ranks)
-        kwargs.setdefault("grouping", self.grouping)
-        kwargs.setdefault("distribution", self.distribution)
-        return self.context.density(K, S, blocks, **kwargs)
-
-    def observables(self, K, S, blocks, observables=("density",), **kwargs):
-        """Rank-sharded observables (see :meth:`SubmatrixContext.observables`).
-
-        The session's rank count, grouping and distribution are applied
-        unless overridden in ``kwargs``.
-        """
-        kwargs.setdefault("ranks", self.n_ranks)
-        kwargs.setdefault("grouping", self.grouping)
-        kwargs.setdefault("distribution", self.distribution)
-        return self.context.observables(
-            K, S, blocks, observables=observables, **kwargs
-        )
-
-    def trajectory(self, steps, blocks, **kwargs):
-        """Rank-sharded trajectory (see :meth:`SubmatrixContext.trajectory`).
-
-        The session's rank count, grouping and distribution are applied
-        unless overridden in ``kwargs``.
-        """
-        kwargs.setdefault("ranks", self.n_ranks)
-        kwargs.setdefault("grouping", self.grouping)
-        kwargs.setdefault("distribution", self.distribution)
-        return self.context.trajectory(steps, blocks, **kwargs)

@@ -15,8 +15,9 @@ plus a small registry of *observables*, sibling to the
 * :func:`validate_request` is the one request check of the direct,
   trajectory and served entry points;
 * :func:`compute_observables` runs the engine **once** — prepare, plan
-  lookup, one eigendecomposition pass per submatrix stack (single-process
-  or rank-sharded) — into a :class:`Decomposition`, and hands it to
+  lookup, one pass of the rank loop (:func:`~repro.core.runner.run_stacks`,
+  single-process or rank-sharded) over the submatrix stacks — into a
+  :class:`Decomposition`, and hands it to
 * :func:`evaluate_request`, the μ-dependent tail every entry point shares
   (the serving layer merges stacks *across* requests and then calls this
   same tail per request): one μ-bisection, one :class:`SharedEvaluation`,
@@ -65,6 +66,7 @@ from typing import (
 import numpy as np
 import scipy.sparse as sp
 
+from repro.api.config import check_ranks
 from repro.api.results import (
     DecomposedSubmatrix,
     EnergyWeightedDensityResult,
@@ -77,13 +79,12 @@ from repro.chem.density import (
     electron_count,
     fermi_occupation,
 )
-from repro.core.batch import make_stack_tasks, map_stacks, stack_solver
+from repro.core.batch import stack_solver
 from repro.core.combination import ColumnGrouping, single_column_groups
-from repro.core.load_balance import resolve_bucket_pad
 from repro.core.plan import BlockSubmatrixPlan
 from repro.core.submatrix import Submatrix
 from repro.chem.orthogonalize import orthogonalized_ks
-from repro.core.runner import PipelineExecutionError, ResilienceReport
+from repro.core.runner import run_stacks
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_csr
 from repro.dbcsr.coo import CooBlockList
@@ -174,7 +175,6 @@ class SharedEvaluation:
     start: float
     decomposed: Optional[Sequence[DecomposedSubmatrix]] = None
     pipeline: Any = None
-    ranks: int = 1
     report: Any = None
     # the iterative path scatters its occupation matrices during the solve;
     # the eigen path leaves this None and density's assembly scatters from
@@ -292,6 +292,7 @@ def validate_request(
     n_electrons,
     solver: str,
     observable_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
+    ranks=None,
 ):
     """Check one request before any work or resource is spent on it.
 
@@ -309,8 +310,10 @@ def validate_request(
     finite, an electron count lies in ``[0, spin_degeneracy · n_basis]``
     (outside, no μ exists and the bisection would return an all-empty or
     all-full density without complaint), and the kernel can serve the
-    ensemble and every observable.
+    ensemble and every observable; ``ranks`` must pass
+    :func:`~repro.api.config.check_ranks`.
     """
+    check_ranks(ranks)
     names = normalize_observables(observables)
     for key in observable_params or {}:
         if key not in names:
@@ -379,7 +382,6 @@ class Decomposition:
     stack_decompositions: int = 0
     occupation_block: Optional[BlockSparseMatrix] = None
     pipeline: Any = None
-    ranks: int = 1
     report: Any = None
 
 
@@ -439,7 +441,14 @@ def compute_observables(
     """
     start = time.perf_counter()
     names, kernel = validate_request(
-        context.config, blocks, observables, mu, n_electrons, solver, observable_params
+        context.config,
+        blocks,
+        observables,
+        mu,
+        n_electrons,
+        solver,
+        observable_params,
+        ranks,
     )
     decomposition = _decompose(
         context, K, S, blocks, kernel, mu, grouping, ranks, distribution, replan
@@ -462,104 +471,82 @@ def compute_observables(
 def _decompose(
     context, K, S, blocks, kernel, mu, grouping, ranks, distribution, replan
 ) -> Decomposition:
-    """The engine pass of one request (see :class:`Decomposition`)."""
+    """The engine pass of one request (see :class:`Decomposition`).
+
+    Prepare, look the plan (and, for a sharded request, its pipeline) up,
+    and run the one rank loop once: collecting the per-stack
+    eigendecompositions into cache entries at their global group index, or
+    — for an iterative sign kernel — scattering the occupation matrices of
+    the request's fixed μ.  Retried, rebalanced and degraded runs rebuild
+    exactly the same entries (``eigh`` and the sign iterations work per
+    matrix, independent of stack composition), so everything downstream is
+    bitwise identical to a fault-free single-process pass.
+    """
     config = context.config
-    policy = config.resilience if config.resilience.active else None
-    report = ResilienceReport() if policy is not None else None
+    policy, report = context._resilience()
     eigen_cache = kernel.supports_mu_bisection
-    # an explicitly requested rank count exercises the sharded path even at
-    # ranks == 1 (a single shard of everything), so the bitwise-identity
-    # guarantee covers the sharding machinery itself
-    use_sharded = ranks is not None or config.n_ranks > 1
-    ranks = config.n_ranks if ranks is None else int(ranks)
-    if ranks < 1:
-        raise ValueError("ranks must be positive")
 
     prepared = prepare_step(K, S, blocks, config.eps_filter)
     block_k, coo = prepared.block_k, prepared.coo
     grouping = grouping or single_column_groups(block_k.n_block_cols)
     grouping.validate(block_k.n_block_cols)
-
-    pipeline = None
-    if use_sharded:
-        pipeline = context.pipeline(
-            coo,
-            block_k.row_block_sizes,
-            n_ranks=ranks,
-            grouping=grouping,
-            distribution=distribution,
-            replan=replan,
-            # Algorithm 1 needs exact-dimension buckets (see
-            # _decompose_planned); the iterative kernels pad safely
-            **({"bucket_pad": None} if eigen_cache else {}),
-        )
-    if not eigen_cache:
-        occupation_block, plan = _iterative_occupations(
-            context,
-            block_k,
-            grouping,
-            coo,
-            float(mu),
-            kernel,
-            pipeline,
-            replan,
+    plan, pipeline = context._lookup(
+        coo,
+        block_k.row_block_sizes,
+        grouping,
+        ranks,
+        distribution,
+        replan,
+        # Algorithm 1 reuses the cached per-submatrix spectra during the
+        # μ-bisection, and a padded block-diagonal embedding has a
+        # different spectrum bookkeeping: its buckets stay exact-dimension.
+        # The iterative kernels pad safely.
+        None if eigen_cache else config.bucket_pad,
+    )
+    decomposition = Decomposition(prepared, plan, pipeline=pipeline, report=report)
+    packed = plan.pack(block_k)
+    if eigen_cache:
+        spectra = run_stacks(
+            plan,
+            packed,
+            np.linalg.eigh,
+            pipeline=pipeline,
+            mapper=context._map,
             policy=policy,
             report=report,
         )
-        return Decomposition(
-            prepared,
+        entries: List[Optional[DecomposedSubmatrix]] = [None] * plan.n_groups
+        for group_indices, (eigenvalues, eigenvectors) in spectra:
+            for slot, group_index in enumerate(group_indices):
+                entries[group_index] = _make_entry(
+                    plan.groups[group_index].make_submatrix(),
+                    eigenvalues[slot],
+                    eigenvectors[slot],
+                )
+        decomposition.decomposed = entries  # type: ignore[assignment]
+        decomposition.stack_decompositions = len(spectra)
+    else:
+        # the μ-shift is applied by the stack solver, so the kernel is bound
+        # without parameters; bucket padding embeds a small submatrix
+        # block-diagonally with the kernel's padding_value (1 + μ for the
+        # built-in sign iterations), so after the shift the padding
+        # eigenvalues sit at exactly 1 — inside the convergence region —
+        # and the padded rows never reach the scatter
+        out = plan.new_output()
+        run_stacks(
             plan,
-            occupation_block=occupation_block,
+            packed,
+            _occupation_stack_solver(kernel, float(mu), policy, report),
+            out,
             pipeline=pipeline,
-            ranks=ranks,
+            pad_to=context._bucket_pad_for(kernel, plan.dimensions),
+            pad_value=kernel.padding_value(float(mu)),
+            mapper=context._map,
+            policy=policy,
             report=report,
         )
-    if pipeline is None:
-        decomposed, plan = _decompose_planned(context, block_k, grouping, coo, replan)
-    else:
-        try:
-            decomposed, plan = _decompose_sharded(
-                context, block_k, pipeline, policy, report
-            )
-        except PipelineExecutionError:
-            if policy is None or not policy.degrade_to_batched:
-                raise
-            # graceful degradation: rebuild the cache with the
-            # single-process path — the per-submatrix eigendecompositions
-            # are slice-deterministic, so the recovered cache (and
-            # everything downstream) is bitwise identical to the sharded run
-            assert report is not None
-            report.degraded = True
-            decomposed, plan = _decompose_planned(
-                context, block_k, grouping, coo, replan
-            )
-    return Decomposition(
-        prepared,
-        plan,
-        decomposed=decomposed,
-        stack_decompositions=_count_stack_decompositions(pipeline, plan),
-        pipeline=pipeline,
-        ranks=ranks,
-        report=report,
-    )
-
-
-def _count_stack_decompositions(pipeline, plan: BlockSubmatrixPlan) -> int:
-    """Logical eigendecomposition passes of one evaluation, one per stack.
-
-    Deterministic bookkeeping (independent of retries): the single-process
-    engine decomposes one equal-dimension bucket at a time, the sharded
-    pipeline one bucket per shard — the number the shared-decomposition
-    tests pin to be invariant in the number of observables requested.
-    """
-    if pipeline is None:
-        return len(make_stack_tasks(plan.dimensions))
-    _, sharded = pipeline.prepare()
-    return sum(
-        len(list(shard.stack_tasks()))
-        for shard in sharded.shards
-        if shard.n_groups > 0
-    )
+        decomposition.occupation_block = plan.finalize(out)
+    return decomposition
 
 
 def evaluate_request(
@@ -607,7 +594,6 @@ def evaluate_request(
         start=start,
         decomposed=decomposition.decomposed,
         pipeline=decomposition.pipeline,
-        ranks=decomposition.ranks,
         report=decomposition.report,
         occupation_block=decomposition.occupation_block,
         stack_decompositions=decomposition.stack_decompositions,
@@ -635,6 +621,7 @@ def _assemble_density(
         raise ValueError(
             f"the density observable takes no parameters, got {dict(params)!r}"
         )
+    pipeline = evaluation.pipeline
     occupation_block = evaluation.occupation_block
     if occupation_block is None:
         # D̃ = Q f(λ − μ) Qᵀ per submatrix (Eq. 17)
@@ -654,8 +641,8 @@ def _assemble_density(
         evaluation.mu_iterations,
         list(evaluation.plan.dimensions),
         wall_time=evaluation.elapsed(),
-        ranks=evaluation.ranks,
-        pipeline=evaluation.pipeline,
+        ranks=pipeline.n_ranks if pipeline is not None else 1,
+        pipeline=pipeline,
         report=evaluation.report,
     )
 
@@ -927,117 +914,6 @@ def _make_entry(
     )
 
 
-def _decompose_stacks(
-    plan: BlockSubmatrixPlan,
-    view,
-    buffer,
-    tasks,
-    entries: List[Optional[DecomposedSubmatrix]],
-    group_indices=None,
-    mapper=None,
-) -> None:
-    """Eigendecompose the bucketed stacks of ``(view, buffer)`` into ``entries``.
-
-    One ``eigh`` call per stack through the shared bucket loop
-    (:func:`~repro.core.batch.map_stacks`); every cache entry lands at its
-    global group index.  ``group_indices`` maps the view's member order
-    onto ``plan``'s group order (``None``: the view *is* the plan).
-    """
-    spectra = map_stacks(view, buffer, tasks, np.linalg.eigh, mapper=mapper)
-    for task, (eigenvalues, eigenvectors) in zip(tasks, spectra):
-        for slot, member in enumerate(task.members):
-            group_index = int(
-                member if group_indices is None else group_indices[member]
-            )
-            entries[group_index] = _make_entry(
-                plan.groups[group_index].make_submatrix(),
-                eigenvalues[slot],
-                eigenvectors[slot],
-            )
-
-
-def _decompose_planned(
-    context,
-    block_k: BlockSparseMatrix,
-    grouping: ColumnGrouping,
-    coo: CooBlockList,
-    replan: str = "full",
-) -> Tuple[List[DecomposedSubmatrix], BlockSubmatrixPlan]:
-    """Extract and eigendecompose every submatrix (Eq. 17, first step).
-
-    Extraction runs through the cached vectorized plan and the
-    eigendecompositions are evaluated one bucket (stack of equal-dimension
-    submatrices) at a time.  Buckets stay exact-dimension: Algorithm 1
-    reuses the cached per-submatrix eigendecompositions during the
-    μ-bisection, and a padded block-diagonal embedding has a different
-    spectrum bookkeeping.
-    """
-    plan = context.block_plan_for(
-        coo, block_k.row_block_sizes, list(grouping.groups), replan=replan
-    )
-    entries: List[Optional[DecomposedSubmatrix]] = [None] * plan.n_groups
-    _decompose_stacks(
-        plan,
-        plan,
-        plan.pack(block_k),
-        make_stack_tasks(plan.dimensions),
-        entries,
-        mapper=context._map,
-    )
-    return entries, plan  # type: ignore[return-value]
-
-
-def _decompose_sharded(
-    context, block_k: BlockSparseMatrix, pipeline, policy=None, report=None
-) -> Tuple[List[DecomposedSubmatrix], BlockSubmatrixPlan]:
-    """Build the eigendecomposition cache rank-sharded through the pipeline.
-
-    The context-cached :class:`~repro.core.runner.DistributedSubmatrixPipeline`
-    fixes the submatrix→rank assignment (``config.balance``), the sharded
-    extraction plan and the packed-segment transfer plan; each rank then
-    gathers its local buffer and eigendecomposes its shard bucket by bucket
-    — the same per-rank execution :meth:`run_stacks` uses, with the
-    decomposition kept instead of an evaluated matrix function.  Entries
-    land at their global group index (disjoint across ranks), so the
-    subsequent μ-bisection and scatter are bitwise identical to the
-    single-process path.
-
-    With an active ``policy`` the rank tasks run through
-    :meth:`~repro.core.runner.DistributedSubmatrixPipeline.execute_ranks`
-    (retry/rebalance on injected or genuine rank failures — the rank
-    closures are idempotent, so a re-execution rebuilds exactly the same
-    cache entries); a persistent failure raises
-    :class:`~repro.core.runner.PipelineExecutionError` for
-    :func:`compute_observables`'s degradation logic.
-    """
-    plan, sharded = pipeline.prepare()
-    packed = plan.pack(block_k)
-    entries: List[Optional[DecomposedSubmatrix]] = [None] * plan.n_groups
-
-    def decompose_rank(rank: int) -> None:
-        shard = sharded.shards[rank]
-        if shard.n_groups == 0:
-            return
-        _decompose_stacks(
-            plan,
-            shard.view,
-            shard.pack_local(packed),
-            shard.stack_tasks(),
-            entries,
-            group_indices=shard.group_indices,
-        )
-
-    pipeline.execute_ranks(
-        decompose_rank,
-        context.config.max_workers,
-        context.config.backend,
-        executor=context.executor,
-        policy=policy,
-        report=report,
-    )
-    return entries, plan  # type: ignore[return-value]
-
-
 def _bisect_mu(
     config,
     decomposed: Sequence[DecomposedSubmatrix],
@@ -1140,21 +1016,17 @@ def _scatter_spectral(
 # --------------------------------------------------------------------------- #
 # iterative path (grand-canonical only, used for the solver ablation)
 # --------------------------------------------------------------------------- #
-def _occupation_stack_solver(
-    kernel,
-    bound,
-    mu: float,
-    policy=None,
-    report=None,
-):
+def _occupation_stack_solver(kernel, mu: float, policy=None, report=None):
     """Per-stack occupation solver 1/2·(I − sign(A − μI)) for ``kernel``.
 
-    Both the single-process bucket loop and the rank-sharded pipeline map
-    this same closure over their ``(k, d, d)`` stacks, so the two paths
-    perform identical per-submatrix arithmetic — and because the batched
-    sign iterations prescale and freeze each matrix individually, the
-    results are independent of the stack composition (the basis of the
-    sharded path's bitwise-identity guarantee).
+    ``kernel`` is any registered :class:`~repro.signfn.registry.MatrixFunction`
+    without an eigendecomposition cache — the built-in Newton–Schulz, Padé
+    and Chebyshev iterations, or a user-registered sign kernel.  Every unit
+    of the rank loop maps this same closure over its ``(k, d, d)`` stacks,
+    so all routes perform identical per-submatrix arithmetic — and because
+    the batched sign iterations prescale and freeze each matrix
+    individually, the results are independent of the stack composition (the
+    basis of the sharded route's bitwise-identity guarantee).
 
     With an active ``policy`` and a kernel that provides a
     convergence-checked batched variant, the sign evaluation runs through
@@ -1166,6 +1038,7 @@ def _occupation_stack_solver(
     fault-free converged one.
     """
     resilient = resilient_stack_solver(kernel, policy, report)
+    bound = kernel.bind()
     plain = stack_solver(bound.function, bound.batch_function)
 
     def solve(stack: np.ndarray) -> np.ndarray:
@@ -1183,92 +1056,3 @@ def _occupation_stack_solver(
         return 0.5 * (identity - signs)
 
     return solve
-
-
-def _iterative_occupations(
-    context,
-    block_k: BlockSparseMatrix,
-    grouping: ColumnGrouping,
-    coo: CooBlockList,
-    mu: float,
-    kernel,
-    pipeline=None,
-    replan: str = "full",
-    policy=None,
-    report=None,
-) -> Tuple[BlockSparseMatrix, BlockSubmatrixPlan]:
-    """Occupation matrices 1/2·(I − sign(A − μI)) via an iterative sign kernel.
-
-    ``kernel`` is any registered :class:`~repro.signfn.registry.MatrixFunction`
-    without an eigendecomposition cache — the built-in Newton–Schulz,
-    Padé and Chebyshev iterations, or a user-registered sign kernel.  The
-    μ-shift is applied here, so parameterless kernels work unchanged; the
-    kernel is bound without parameters and receives the shifted submatrices.
-
-    Extraction and scatter run through the cached plan and the kernel's
-    batched variant (when it has one) iterates whole
-    equal-or-padded-dimension buckets at once.  Bucket padding embeds a
-    small submatrix block-diagonally with the kernel's
-    :meth:`~repro.signfn.registry.MatrixFunction.padding_value` (``1 + μ``
-    for the built-in sign iterations) on the padding diagonal, so after the
-    μ-shift the padding eigenvalues sit at exactly 1 (well inside the sign
-    iteration's convergence region) and the padded rows never reach the
-    scatter.
-
-    With a ``pipeline``, each simulated rank gathers its rank-local packed
-    buffer and runs the same per-stack solver over its shard's buckets
-    (:meth:`~repro.core.runner.DistributedSubmatrixPipeline.run_stacks`),
-    scattering into the shared output — bitwise identical to the
-    single-process path for any rank count.
-    """
-    config = context.config
-    bound = kernel.bind()
-    solve_stack = _occupation_stack_solver(kernel, bound, mu, policy, report)
-    pad_value = kernel.padding_value(mu)
-
-    if pipeline is not None:
-        # rank-sharded: the pipeline owns the plan, the shard layouts and
-        # the transfer plan (all cached on the context across calls)
-        if pipeline.bucket_pad is not None and not kernel.matrix_function:
-            raise ValueError(
-                f"kernel {kernel.name!r} is not a genuine matrix function; "
-                "bucket padding requires exact-dimension buckets "
-                "(bucket_pad=None)"
-            )
-        plan, _ = pipeline.prepare()
-        packed = plan.pack(block_k)
-        out = plan.new_output()
-        pipeline.run_stacks(
-            packed,
-            solve_stack,
-            out,
-            pad_value=pad_value,
-            max_workers=config.max_workers,
-            backend=config.backend,
-            executor=context.executor,
-            policy=policy,
-            report=report,
-        )
-        return plan.finalize(out), plan
-
-    plan = context.block_plan_for(
-        coo, block_k.row_block_sizes, list(grouping.groups), replan=replan
-    )
-    dimensions = plan.dimensions
-    pad = resolve_bucket_pad(config.bucket_pad, dimensions)
-    if pad is not None and not kernel.matrix_function:
-        raise ValueError(
-            f"kernel {kernel.name!r} is not a genuine matrix function; "
-            "bucket padding requires exact-dimension buckets (bucket_pad=None)"
-        )
-    out = plan.new_output()
-    map_stacks(
-        plan,
-        plan.pack(block_k),
-        make_stack_tasks(dimensions, pad_to=pad),
-        solve_stack,
-        out=out,
-        pad_value=pad_value,
-        mapper=context._map,
-    )
-    return plan.finalize(out), plan

@@ -1,11 +1,9 @@
 """Result types of the unified session API.
 
-These dataclasses were born in :mod:`repro.core.method` and
-:mod:`repro.core.sign_dft`; they live here so the session layer
-(:mod:`repro.api.context`, :mod:`repro.api.observables`) and the legacy facades
-can share them without import cycles.  The facades re-export them under
-their historical names, so ``from repro.core import SubmatrixMethodResult``
-keeps working.
+One f(A) result (:class:`SubmatrixMethodResult`), one density result
+(:class:`SubmatrixDFTResult`) and the observable bundle around it — shared
+by the session layer (:mod:`repro.api.context`,
+:mod:`repro.api.observables`), the trajectory driver and the serving layer.
 """
 
 from __future__ import annotations
@@ -16,7 +14,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-if TYPE_CHECKING:  # avoid a runtime cycle: core.method imports this module
+if TYPE_CHECKING:
+    from repro.core.runner import ResilienceReport
     from repro.core.submatrix import Submatrix
     from repro.dbcsr.block_matrix import BlockSparseMatrix
 
@@ -47,12 +46,23 @@ class SubmatrixMethodResult:
         Σ c·n_i³ estimate of the evaluation cost with c = 1 (callers rescale
         with their solver's constant); this is the cost model used for load
         balancing and for the combination heuristic (Eq. 14).
+    n_ranks:
+        Simulated rank count the submatrices were sharded over (1 for
+        single-process runs).  Per-rank work and traffic of a sharded run
+        live on its pipeline: ``context.pipeline(...).traffic_log()``,
+        ``.transfer_plan``, ``.rank_of_group``, ``.rank_flops``.
+    resilience:
+        What the session's :class:`~repro.api.config.ResiliencePolicy` did
+        (:class:`~repro.core.runner.ResilienceReport`: rank retries,
+        reassigned stacks, degradation); ``None`` without an active policy.
     """
 
     result: Union[sp.csr_matrix, BlockSparseMatrix]
     submatrix_dimensions: List[int]
     wall_time: float
     flop_estimate: float
+    n_ranks: int = 1
+    resilience: Optional[ResilienceReport] = None
 
     @property
     def n_submatrices(self) -> int:

@@ -465,6 +465,7 @@ def run_trajectory(
         n_electrons,
         solver,
         observable_params,
+        ranks,
     )
     if "density" not in observable_names:
         raise ValueError(

@@ -6,8 +6,8 @@ Workflow (Fig. 3 of the paper):
    submatrix a_i is assembled from the rows/columns where column i is
    non-zero (:mod:`repro.core.submatrix`);
 2. the matrix function of interest is evaluated on every dense submatrix
-   (:mod:`repro.core.method` orchestrates this, using the solvers from
-   :mod:`repro.signfn`);
+   (the rank loop :func:`repro.core.runner.run_stacks` orchestrates this,
+   using the solvers from :mod:`repro.signfn`);
 3. the column of f(a_i) that corresponds to column i is copied back into the
    sparse result matrix, preserving the input sparsity pattern.
 
@@ -23,10 +23,10 @@ described in Sec. IV of the paper: grouping of block columns into combined
 submatrices (:mod:`repro.core.combination`), greedy and bucket-aware load
 balancing (:mod:`repro.core.load_balance`), rank-sharding of extraction
 plans (:mod:`repro.core.shard`), deduplicated block- and packed-segment
-transfer planning (:mod:`repro.core.transfers`), the density-matrix driver
-with grand-canonical and canonical ensembles (:mod:`repro.core.sign_dft`)
-and the rank-sharded execution pipeline plus distributed run cost models
-(:mod:`repro.core.runner`).
+transfer planning (:mod:`repro.core.transfers`), and the one rank loop with
+its sharded pipeline and the distributed run cost models
+(:mod:`repro.core.runner`).  The entry point that drives all of it — f(A),
+densities, trajectories — is :class:`repro.api.context.SubmatrixContext`.
 """
 
 from repro.core.submatrix import (
@@ -43,14 +43,12 @@ from repro.core.plan import (
     BlockPatternDelta,
     PlanPatchReport,
     PlanCache,
-    DEFAULT_PLAN_CACHE,
     PATCH_DELTA_FRACTION,
     element_plan,
     block_plan,
     block_pattern_delta,
 )
 from repro.core.batch import Bucket, make_buckets, evaluate_batched
-from repro.core.method import SubmatrixMethod, SubmatrixMethodResult
 from repro.core.combination import (
     ColumnGrouping,
     single_column_groups,
@@ -75,12 +73,10 @@ from repro.core.splitting import (
     splitting_flop_estimate,
 )
 from repro.core.transfers import TransferPlan, plan_transfers
-from repro.core.sign_dft import SubmatrixDFTSolver, SubmatrixDFTResult
 from repro.core.runner import (
     DistributedSubmatrixPipeline,
-    PipelineRankReport,
-    PipelineResult,
     SubmatrixRunCost,
+    run_stacks,
     submatrix_method_cost,
     newton_schulz_cost,
     estimate_newton_schulz_iterations,
@@ -88,7 +84,7 @@ from repro.core.runner import (
     BALANCE_STRATEGIES,
 )
 # the session API's configuration layer (safe to import here: config sits
-# below the core facades in the dependency graph)
+# below repro.core in the dependency graph)
 from repro.api.config import ENGINES, EngineConfig
 
 __all__ = [
@@ -103,7 +99,6 @@ __all__ = [
     "BlockPatternDelta",
     "PlanPatchReport",
     "PlanCache",
-    "DEFAULT_PLAN_CACHE",
     "PATCH_DELTA_FRACTION",
     "element_plan",
     "block_plan",
@@ -111,8 +106,6 @@ __all__ = [
     "Bucket",
     "make_buckets",
     "evaluate_batched",
-    "SubmatrixMethod",
-    "SubmatrixMethodResult",
     "ColumnGrouping",
     "single_column_groups",
     "group_columns_kmeans",
@@ -134,11 +127,8 @@ __all__ = [
     "splitting_flop_estimate",
     "TransferPlan",
     "plan_transfers",
-    "SubmatrixDFTSolver",
-    "SubmatrixDFTResult",
     "DistributedSubmatrixPipeline",
-    "PipelineRankReport",
-    "PipelineResult",
+    "run_stacks",
     "submatrix_method_cost",
     "newton_schulz_cost",
     "estimate_newton_schulz_iterations",

@@ -19,10 +19,10 @@ only valid for genuine matrix functions, not for arbitrary elementwise
 callables, which must use ``pad_to=None``.
 
 :func:`map_stacks` is the one bucket loop (extract → solve → scatter or
-collect) every execution route shares: the single-process evaluator
-(:func:`evaluate_batched`), the rank-sharded pipeline, its degraded
-fallback, and the density driver's eigendecomposition cache and iterative
-occupation solves.
+collect).  The engine reaches it through exactly one caller, the rank loop
+:func:`repro.core.runner.run_stacks`, which hands it one unit per rank (or
+the whole plan); :func:`evaluate_batched` is the standalone single-unit
+form for callers that hold a plan and no session.
 """
 
 from __future__ import annotations

@@ -60,7 +60,6 @@ __all__ = [
     "BlockPatternDelta",
     "PlanPatchReport",
     "PlanCache",
-    "DEFAULT_PLAN_CACHE",
     "PATCH_DELTA_FRACTION",
     "element_plan",
     "block_plan",
@@ -1181,18 +1180,16 @@ class PlanCache:
         return self._lookup(key, build)
 
 
-#: Process-wide default cache used when callers do not bring their own.
-DEFAULT_PLAN_CACHE = PlanCache()
-
-
 def element_plan(
     matrix: sp.spmatrix,
     column_groups: Sequence[Sequence[int]],
     cache: Optional[PlanCache] = None,
 ) -> ElementSubmatrixPlan:
-    """Fetch (or build) the element-level plan for ``matrix``."""
+    """The element-level plan for ``matrix``: fetched from (or built into)
+    ``cache``, or built uncached when no cache is given."""
     # explicit None check: an empty PlanCache is falsy (it has __len__)
-    cache = DEFAULT_PLAN_CACHE if cache is None else cache
+    if cache is None:
+        return ElementSubmatrixPlan(matrix, column_groups)
     return cache.element_plan(matrix, column_groups)
 
 
@@ -1202,8 +1199,10 @@ def block_plan(
     column_groups: Sequence[Sequence[int]],
     cache: Optional[PlanCache] = None,
 ) -> BlockSubmatrixPlan:
-    """Fetch (or build) the block-level plan for the pattern ``coo``."""
-    cache = DEFAULT_PLAN_CACHE if cache is None else cache
+    """The block-level plan for the pattern ``coo``: fetched from (or built
+    into) ``cache``, or built uncached when no cache is given."""
+    if cache is None:
+        return BlockSubmatrixPlan(coo, block_sizes, column_groups)
     return cache.block_plan(coo, block_sizes, column_groups)
 
 

@@ -1,23 +1,22 @@
-"""The distributed submatrix pipeline and run cost models.
+"""The rank loop, the distributed submatrix pipeline and run cost models.
 
 The paper's scaling experiments (Figs. 6, 8, 9, 10) ran on 40–1280 cores.
 This reproduction executes the numerics inside one process, but models the
 *work and traffic distribution across ranks* — which is what determines the
 scaling behaviour — exactly, from the block-sparsity pattern.
 
-Since this refactor the distributed layer executes *through* the vectorized
-plan engine instead of beside it:
-
-* :class:`DistributedSubmatrixPipeline` splits the extraction plan across
-  simulated ranks (:class:`~repro.core.shard.ShardedPlan`), plans the
+* :func:`run_stacks` is the one rank loop of the paper's algorithm (Sec. IV,
+  IV-E): every rank takes its chunk of submatrices, stacks them, solves and
+  scatters.  A single process is P = 1 of it — one unit, the whole plan —
+  and a sharded run that exhausts its retries degrades by falling through
+  to that same unit.  Every f(A) and every density goes through it.
+* :class:`DistributedSubmatrixPipeline` fixes what a sharded run needs
+  before any value is seen: the submatrix→rank assignment, the sharded
+  extraction plan (:class:`~repro.core.shard.ShardedPlan`) and the
   packed-segment initialization exchange
-  (:func:`~repro.core.transfers.plan_transfers`), and per rank runs shard
-  extraction → bucketed batch evaluation (:mod:`repro.core.batch`) →
-  zero-copy scatter into the shared output, one
-  :func:`~repro.parallel.executor.map_parallel` task per rank.  Results are
-  bitwise identical to the single-process engine for any rank count
-  (scatter ranges are disjoint across ranks and every submatrix sees the
-  same dense values).
+  (:func:`~repro.core.transfers.plan_transfers`).  Results are bitwise
+  identical to the single-process unit for any rank count (scatter ranges
+  are disjoint across ranks and every submatrix sees the same dense values).
 * :func:`submatrix_method_cost` is a thin wrapper over that pipeline: it
   builds the same assignment, transfer plan and
   :class:`~repro.parallel.stats.TrafficLog` the execution path uses and
@@ -37,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,16 +44,9 @@ import scipy.sparse as sp
 from repro.api.config import (
     BALANCE_STRATEGIES,
     EIGENSOLVE_FLOP_CONSTANT,
-    EngineConfig,
     ResiliencePolicy,
 )
-from repro.core.batch import (
-    MAX_BATCH_ELEMENTS,
-    count_stack_tasks,
-    make_stack_tasks,
-    map_stacks,
-    stack_solver,
-)
+from repro.core.batch import count_stack_tasks, make_stack_tasks, map_stacks
 from repro.core.combination import ColumnGrouping, single_column_groups
 from repro.core.load_balance import (
     assign_balanced_stacks,
@@ -63,27 +55,23 @@ from repro.core.load_balance import (
     resolve_bucket_pad,
     submatrix_flop_costs,
 )
-from repro.core.plan import BlockSubmatrixPlan, PlanCache, block_plan
+from repro.core.plan import BlockSubmatrixPlan, PlanCache, SubmatrixPlan, block_plan
 from repro.core.shard import ShardedPlan
 from repro.core.transfers import (
     TransferPlan,
     patch_transfer_plan,
     plan_transfers,
 )
-from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.coo import CooBlockList
 from repro.dbcsr.distribution import BlockDistribution, ProcessGrid2D
-from repro.parallel.executor import map_parallel
 from repro.parallel.machine import MachineModel, SimulatedTime
 from repro.parallel.stats import TrafficLog
 from repro.parallel.topology import balanced_dims
-from repro.signfn.registry import resolve_kernel
 
 __all__ = [
     "DistributedSubmatrixPipeline",
-    "PipelineRankReport",
-    "PipelineResult",
     "PipelineExecutionError",
+    "run_stacks",
     "ResilienceReport",
     "SubmatrixRunCost",
     "submatrix_method_cost",
@@ -93,11 +81,15 @@ __all__ = [
     "BALANCE_STRATEGIES",
 ]
 
-# EIGENSOLVE_FLOP_CONSTANT and BALANCE_STRATEGIES moved to
-# repro.api.config (the shared configuration layer); re-exported here for
-# backwards compatibility.
-
 PatternLike = Union[sp.spmatrix, CooBlockList]
+
+#: ``mapper(function, items) -> list``: how a session dispatches independent
+#: tasks (its persistent executor); the default is a serial loop.
+Mapper = Callable[[Callable, Sequence], list]
+
+
+def _map_serial(function: Callable, items: Sequence) -> list:
+    return [function(item) for item in items]
 
 
 @dataclasses.dataclass
@@ -116,19 +108,6 @@ class SubmatrixRunCost:
     def simulated_seconds(self) -> float:
         """Total simulated wall-clock time."""
         return self.simulated.total
-
-
-@dataclasses.dataclass
-class PipelineRankReport:
-    """Per-rank summary of one pipeline execution."""
-
-    rank: int
-    n_submatrices: int
-    n_stacks: int
-    flops: float
-    segment_fetch_bytes: float
-    block_fetch_bytes: float
-    writeback_bytes: float
 
 
 @dataclasses.dataclass
@@ -205,32 +184,6 @@ class PipelineExecutionError(RuntimeError):
         )
 
 
-@dataclasses.dataclass
-class PipelineResult:
-    """Result of one :class:`DistributedSubmatrixPipeline` execution."""
-
-    result: BlockSparseMatrix
-    traffic: TrafficLog
-    transfer_plan: TransferPlan
-    per_rank: List[PipelineRankReport]
-    rank_of_group: np.ndarray
-    submatrix_dimensions: List[int]
-    wall_time: float
-    resilience: Optional[ResilienceReport] = None
-
-    @property
-    def n_ranks(self) -> int:
-        return len(self.per_rank)
-
-    @property
-    def total_segment_fetch_bytes(self) -> float:
-        return float(sum(r.segment_fetch_bytes for r in self.per_rank))
-
-    @property
-    def total_block_fetch_bytes(self) -> float:
-        return float(sum(r.block_fetch_bytes for r in self.per_rank))
-
-
 def _as_coo(pattern: PatternLike) -> CooBlockList:
     if isinstance(pattern, CooBlockList):
         return pattern
@@ -248,11 +201,11 @@ class DistributedSubmatrixPipeline:
     3. the transfer plan of the initialization exchange, reporting both
        whole-block and packed-segment volumes.
 
-    :meth:`run` then evaluates a matrix function on actual values (bitwise
-    identical to the single-process batched engine), while
-    :meth:`traffic_log` / :meth:`cost` expose the same execution's work and
-    traffic distribution to the machine model without running numerics —
-    which is all :func:`submatrix_method_cost` does.
+    :func:`run_stacks` evaluates on actual values through it (bitwise
+    identical to the single-process unit), while :meth:`traffic_log` /
+    :meth:`cost` expose the same execution's work and traffic distribution
+    to the machine model without running numerics — which is all
+    :func:`submatrix_method_cost` does.
 
     Parameters
     ----------
@@ -281,11 +234,12 @@ class DistributedSubmatrixPipeline:
     flop_constant:
         Cost of the per-submatrix solve as a multiple of n³.
     plan_cache:
-        Optional private plan cache for the extraction plan.
+        Optional plan cache for the extraction plan (built uncached
+        without one).
     exact_transfers:
         ``True`` (default) builds the sharded plan eagerly and plans
         per-submatrix deduplicated transfers including packed-segment
-        volumes.  ``False`` defers the sharded plan until :meth:`run` and
+        volumes.  ``False`` defers the sharded plan until :meth:`prepare` and
         uses the fast pattern-level transfer planning — preferred for very
         large cost sweeps.
     bytes_per_element:
@@ -343,7 +297,7 @@ class DistributedSubmatrixPipeline:
         # segment index (a shard references exactly the blocks of its
         # submatrices' retained sub-patterns), so the packed-segment volumes
         # come for free.  The extraction plan and shards are built lazily on
-        # the first run().
+        # the first prepare().
         self.transfer_plan: TransferPlan = plan_transfers(
             self.coo,
             self.block_sizes,
@@ -353,41 +307,6 @@ class DistributedSubmatrixPipeline:
             bytes_per_element=self.bytes_per_element,
             per_group_dedup=self._exact_transfers,
             segment_index="required" if self._exact_transfers else None,
-        )
-
-    @classmethod
-    def from_config(
-        cls,
-        pattern: PatternLike,
-        block_sizes: Sequence[int],
-        config: EngineConfig,
-        n_ranks: Optional[int] = None,
-        grouping: Optional[ColumnGrouping] = None,
-        distribution: Optional[BlockDistribution] = None,
-        plan_cache: Optional[PlanCache] = None,
-        **overrides,
-    ) -> "DistributedSubmatrixPipeline":
-        """Build a pipeline from an :class:`~repro.api.config.EngineConfig`.
-
-        ``balance``, ``bucket_pad``, ``flop_constant`` and
-        ``exact_transfers`` come from the config; ``**overrides`` replace
-        individual constructor arguments.
-        """
-        kwargs = dict(
-            grouping=grouping,
-            distribution=distribution,
-            balance=config.balance,
-            bucket_pad=config.bucket_pad,
-            flop_constant=config.flop_constant,
-            plan_cache=plan_cache,
-            exact_transfers=config.exact_transfers,
-        )
-        kwargs.update(overrides)
-        return cls(
-            pattern,
-            block_sizes,
-            config.n_ranks if n_ranks is None else int(n_ranks),
-            **kwargs,
         )
 
     # ------------------------------------------------------------------ #
@@ -535,16 +454,15 @@ class DistributedSubmatrixPipeline:
     def prepare(self):
         """Build (or fetch) the extraction plan and sharded plan eagerly.
 
-        Returns ``(plan, sharded)``.  Used by the session API's rank-sharded
-        density driver, which needs the shards to build the per-rank
-        eigendecomposition cache without running a matrix function.
+        Returns ``(plan, sharded)`` — what :func:`run_stacks` executes and
+        what the caller packs the input values with.
         """
         self._ensure_execution()
         assert self.plan is not None and self.sharded is not None
         return self.plan, self.sharded
 
     def _ensure_execution(self) -> None:
-        """Build the extraction plan and shards lazily (first run() only)."""
+        """Build the extraction plan and shards lazily (first use only)."""
         if self.sharded is not None:
             return
         self.plan = block_plan(
@@ -630,34 +548,29 @@ class DistributedSubmatrixPipeline:
     # ------------------------------------------------------------------ #
     # execution side
     # ------------------------------------------------------------------ #
-    def _shard_stack_count(self, rank: int, max_batch_elements: int) -> int:
+    def _shard_stack_count(self, rank: int) -> int:
         """Bucketed stack tasks of one rank's shard (for the reassignment
         bookkeeping); falls back to the group count before shards exist."""
         if self.sharded is None:
             return int(np.count_nonzero(self.rank_of_group == rank))
         return count_stack_tasks(
-            self.sharded.shards[rank].dimensions,
-            pad_to=self.bucket_pad,
-            max_batch_elements=max_batch_elements,
+            self.sharded.shards[rank].dimensions, pad_to=self.bucket_pad
         )
 
     def execute_ranks(
         self,
         run_rank: Callable[[int], object],
-        max_workers: Optional[int] = None,
-        backend: str = "serial",
-        executor=None,
+        mapper: Optional[Mapper] = None,
         policy: Optional[ResiliencePolicy] = None,
         report: Optional[ResilienceReport] = None,
-        max_batch_elements: int = MAX_BATCH_ELEMENTS,
     ) -> List[object]:
         """Run ``run_rank`` once per rank, with retry/rebalance on failure.
 
-        The fault-tolerant core shared by :meth:`run_stacks` (and through
-        it :meth:`run`) and the session's sharded eigendecomposition cache.
-        Without an *active* policy this is exactly one :func:`map_parallel`
-        over the ranks — the unguarded pre-resilience path, with zero
-        overhead and unchanged exception behaviour.
+        The fault-tolerant half of :func:`run_stacks`.  ``mapper(function,
+        ranks)`` dispatches the rank tasks (default: a serial loop).
+        Without an *active* policy this is exactly one such map over the
+        ranks — the unguarded path, with zero overhead and unchanged
+        exception behaviour.
 
         With an active policy every rank task is guarded (and, when the
         policy carries a fault injector, its ``"rank"`` site is consulted
@@ -673,14 +586,14 @@ class DistributedSubmatrixPipeline:
         (:func:`~repro.core.load_balance.assign_balanced_stacks` over the
         shards' executed FLOPs) and the shipped stack tasks are recorded
         on the ``report``.  Ranks that still fail raise
-        :class:`PipelineExecutionError` for the caller's degradation
-        logic.
+        :class:`PipelineExecutionError` for :func:`run_stacks`'
+        degradation.
         """
+        if mapper is None:
+            mapper = _map_serial
         ranks = list(range(self.n_ranks))
         if policy is None or not policy.active:
-            return map_parallel(
-                run_rank, ranks, max_workers, backend, executor=executor
-            )
+            return mapper(run_rank, ranks)
         injector = policy.fault_injector
 
         def guarded(rank: int):
@@ -691,9 +604,7 @@ class DistributedSubmatrixPipeline:
             except Exception as error:
                 return None, error
 
-        outcomes = map_parallel(
-            guarded, ranks, max_workers, backend, executor=executor
-        )
+        outcomes = mapper(guarded, ranks)
         results: List[object] = [result for result, _ in outcomes]
         failures: Dict[int, BaseException] = {
             rank: error
@@ -733,15 +644,13 @@ class DistributedSubmatrixPipeline:
                                 (attempt, failed[failed_index], survivors[slot])
                             )
                             report.reassigned_stacks += self._shard_stack_count(
-                                failed[failed_index], max_batch_elements
+                                failed[failed_index]
                             )
                 else:
                     report.reassignments.extend(
                         (attempt, rank, rank) for rank in failed
                     )
-            retried = map_parallel(
-                guarded, failed, max_workers, backend, executor=executor
-            )
+            retried = mapper(guarded, failed)
             for rank, (result, error) in zip(failed, retried):
                 if error is None:
                     results[rank] = result
@@ -754,169 +663,98 @@ class DistributedSubmatrixPipeline:
             raise PipelineExecutionError(failures, attempts=attempt + 1)
         return results
 
-    def run(
-        self,
-        matrix: BlockSparseMatrix,
-        function=None,
-        batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        pad_value: float = 1.0,
-        max_workers: Optional[int] = None,
-        backend: str = "serial",
-        executor=None,
-        max_batch_elements: int = MAX_BATCH_ELEMENTS,
-        policy: Optional[ResiliencePolicy] = None,
-        **kernel_params,
-    ) -> PipelineResult:
-        """Evaluate f on every submatrix through the sharded pipeline.
 
-        ``function`` may be a callable or a registered kernel name
-        (``"eigen"``, ``"newton_schulz"``, …; ``**kernel_params`` such as
-        ``mu=`` are forwarded to the kernel factory, which also supplies the
-        batched variant unless ``batch_function`` overrides it).
+def run_stacks(
+    plan: SubmatrixPlan,
+    packed: np.ndarray,
+    solve_stack: Callable[[np.ndarray], Any],
+    out: Optional[np.ndarray] = None,
+    *,
+    pipeline: Optional[DistributedSubmatrixPipeline] = None,
+    pad_to: Optional[int] = None,
+    pad_value: float = 1.0,
+    mapper: Optional[Mapper] = None,
+    policy: Optional[ResiliencePolicy] = None,
+    report: Optional[ResilienceReport] = None,
+) -> List[Tuple[Sequence[int], Any]]:
+    """The one rank loop: stack every rank's submatrices, solve, deliver.
 
-        A thin caller of :meth:`run_stacks`: pack the matrix, map the bound
-        kernel's :func:`~repro.core.batch.stack_solver` over every rank's
-        bucketed stacks (see there for the ``policy``
-        retry/rebalance/degradation semantics — recorded on
-        :attr:`PipelineResult.resilience`), finalize the shared output and
-        attach the per-rank work and traffic summary.  Pass a pre-built
-        ``executor`` to reuse one pool across repeated evaluations.
-        """
-        if function is not None or kernel_params:
-            bound = resolve_kernel(
-                function, batch_function=batch_function, **kernel_params
-            )
-            function, batch_function = bound.function, bound.batch_function
-        solve_stack = stack_solver(function, batch_function)
-        start = time.perf_counter()
-        self._ensure_execution()
-        assert self.plan is not None
-        out = self.plan.new_output()
-        report = self.run_stacks(
-            self.plan.pack(matrix),
+    A *unit* is what one rank executes: a plan view, its packed values and
+    its bucketed stack tasks, run through the bucket loop
+    (:func:`~repro.core.batch.map_stacks`).  Without a ``pipeline`` there is
+    one unit — the whole ``plan`` with ``packed`` — and ``mapper`` spreads
+    its stacks over the workers.  With a ``pipeline`` (whose plan ``plan``
+    must be) there is one unit per rank shard — the rank-local buffer
+    gathered from ``packed`` is the modelled initialization fetch — and
+    ``mapper`` spreads the ranks (:meth:`DistributedSubmatrixPipeline.execute_ranks`:
+    an *active* ``policy`` retries and rebalances failed ranks, recorded on
+    ``report``).  When the retries are exhausted and the policy allows
+    ``degrade_to_batched``, the run falls through to the single unit
+    instead of raising (``report.degraded``).  Every route is bitwise
+    identical: the solver works per matrix, independent of stack
+    composition, and the units write disjoint scatter ranges that together
+    cover exactly what the single unit writes.
+
+    With ``out`` (``plan.new_output()``) every solved stack is scattered
+    into it and the return value is empty.  Without it the solver's return
+    values are collected as ``(group_indices, value)`` pairs, one per stack,
+    ``group_indices`` being the *global* plan group of each stack slot —
+    e.g. the ``(eigenvalues, eigenvectors)`` of ``numpy.linalg.eigh``.
+
+    ``pad_to``/``pad_value`` are the bucket padding of every unit (``pad_to``
+    must be the pipeline's ``bucket_pad`` when there is one, so the executed
+    stacks are the ones it balanced and billed).
+    """
+
+    def run_unit(view, buffer, tasks, group_indices=None, stack_mapper=None):
+        solved = map_stacks(
+            view,
+            buffer,
+            tasks,
             solve_stack,
-            out,
+            out=out,
             pad_value=pad_value,
-            max_workers=max_workers,
-            backend=backend,
-            executor=executor,
-            max_batch_elements=max_batch_elements,
-            policy=policy,
+            mapper=stack_mapper,
         )
-        result = self.plan.finalize(out)
-        degraded = report is not None and report.degraded
-        transfer_plan = self.transfer_plan
-        per_rank = [
-            PipelineRankReport(
-                rank=rank,
-                n_submatrices=summary.n_submatrices,
-                n_stacks=(
-                    0
-                    if degraded
-                    else self._shard_stack_count(rank, max_batch_elements)
-                ),
-                flops=float(self.rank_flops[rank]),
-                segment_fetch_bytes=float(summary.segment_fetch_bytes or 0.0),
-                block_fetch_bytes=float(summary.fetch_bytes),
-                writeback_bytes=float(summary.writeback_bytes),
+        if out is not None:
+            return []
+        return [
+            (
+                task.members if group_indices is None else group_indices[task.members],
+                value,
             )
-            for rank, summary in enumerate(transfer_plan.per_rank)
+            for task, value in zip(tasks, solved)
         ]
-        return PipelineResult(
-            result=result,
-            traffic=self.traffic_log(),
-            transfer_plan=transfer_plan,
-            per_rank=per_rank,
-            rank_of_group=self.rank_of_group.copy(),
-            submatrix_dimensions=list(self.dimensions),
-            wall_time=time.perf_counter() - start,
-            resilience=report,
-        )
 
-    def run_stacks(
-        self,
-        packed: np.ndarray,
-        solve_stack: Callable[[np.ndarray], np.ndarray],
-        out: np.ndarray,
-        pad_value: float = 1.0,
-        max_workers: Optional[int] = None,
-        backend: str = "serial",
-        executor=None,
-        max_batch_elements: int = MAX_BATCH_ELEMENTS,
-        policy: Optional[ResiliencePolicy] = None,
-        report: Optional[ResilienceReport] = None,
-    ) -> Optional[ResilienceReport]:
-        """Map a stack solver over every rank's bucketed stacks.
+    if pipeline is not None:
+        shards = pipeline.prepare()[1].shards
 
-        Per rank: gather the rank-local packed buffer (the modelled
-        initialization fetch), then run the bucket loop
-        (:func:`~repro.core.batch.map_stacks`) over the shard — assemble
-        each bucketed ``(k, d, d)`` stack (padded with ``pad_value``),
-        evaluate ``solve_stack(stack)`` and scatter the result straight
-        into the shared packed output ``out`` (disjoint across ranks — the
-        zero-copy write-back).  One ``map_parallel`` task per rank.  Bucket
-        layouts are memoized on the shards
-        (:meth:`~repro.core.shard.RankShard.stack_tasks`), so repeated calls
-        over an unchanged pattern skip all layout work.
-
-        With an *active* ``policy`` (see
-        :class:`~repro.api.config.ResiliencePolicy`), failed rank tasks are
-        retried/rebalanced via :meth:`execute_ranks`, and once the retries
-        are exhausted the evaluation degrades to the same bucket loop over
-        the unsharded plan instead of raising (bitwise identical: the
-        solver operates per matrix, independent of stack composition, and
-        writes every scatter range the shards would have written).  Returns
-        the resilience report (``None`` without an active policy); pass
-        ``report`` to accumulate into a caller-owned one.
-        """
-        self._ensure_execution()
-        assert self.plan is not None and self.sharded is not None
-
-        def run_rank(rank: int) -> None:
-            shard = self.sharded.shards[rank]
+        def run_rank(rank: int):
+            shard = shards[rank]
             if shard.n_groups == 0:
-                return
-            map_stacks(
+                return []
+            return run_unit(
                 shard.view,
                 shard.pack_local(packed),
-                shard.stack_tasks(
-                    pad_to=self.bucket_pad, max_batch_elements=max_batch_elements
-                ),
-                solve_stack,
-                out=out,
-                pad_value=pad_value,
+                shard.stack_tasks(pad_to=pad_to),
+                shard.group_indices,
             )
 
-        if report is None and policy is not None and policy.active:
-            report = ResilienceReport()
         try:
-            self.execute_ranks(
-                run_rank,
-                max_workers,
-                backend,
-                executor=executor,
-                policy=policy,
-                report=report,
-                max_batch_elements=max_batch_elements,
-            )
+            per_rank = pipeline.execute_ranks(run_rank, mapper, policy, report)
         except PipelineExecutionError:
             if policy is None or not policy.degrade_to_batched:
                 raise
-            assert report is not None
-            report.degraded = True
-            map_stacks(
-                self.plan,
-                packed,
-                make_stack_tasks(
-                    self.plan.dimensions,
-                    pad_to=self.bucket_pad,
-                    max_batch_elements=max_batch_elements,
-                ),
-                solve_stack,
-                out=out,
-                pad_value=pad_value,
-            )
-        return report
+            if report is not None:
+                report.degraded = True
+        else:
+            return [pair for pairs in per_rank for pair in pairs]
+    return run_unit(
+        plan,
+        packed,
+        make_stack_tasks(plan.dimensions, pad_to=pad_to),
+        stack_mapper=mapper,
+    )
 
 
 def submatrix_method_cost(

@@ -233,6 +233,7 @@ class DensityService:
             n_electrons,
             solver,
             observable_params,
+            ranks,
         )
         context = self._context_for(config)
         try:

@@ -10,7 +10,7 @@ zero-temperature limit of the Fermi function (Eq. 13).  Replacing the signum
 by the Fermi function directly yields finite-temperature occupations, and
 keeping Q and Λ around allows the chemical potential to be adjusted without
 recomputing the decomposition (Algorithm 1, implemented in
-:mod:`repro.core.sign_dft`).
+:mod:`repro.api.observables`).
 """
 
 from __future__ import annotations

@@ -1,10 +1,6 @@
 """Named matrix-function kernels — the single registry behind every solver string.
 
-Before this module, three places validated matrix-function names with their
-own ad-hoc string checks: :mod:`repro.core.method` (engine callables),
-:mod:`repro.core.sign_dft` (``solver="eigen" | "newton_schulz" | "pade"``)
-and the :mod:`repro.signfn` call sites that hard-wired one algorithm each.
-The registry replaces all of them with one lookup: a
+One lookup validates every matrix-function name of the engine: a
 :class:`MatrixFunction` describes a named kernel (how to build the
 per-matrix callable and, when available, the batched ``(k, d, d)`` variant
 for the bucketed stack evaluator), :func:`get_kernel` resolves a name with a
@@ -15,9 +11,9 @@ callable — into a :class:`BoundKernel` ready for the submatrix engine.
 Users plug their own kernels in with :func:`register_kernel` (a full
 factory-based kernel) or :func:`register_callable` (a fixed elementwise or
 blockwise callable); after registration the name works everywhere a built-in
-does: ``SubmatrixContext.apply``, ``SubmatrixMethod``, the distributed
-pipeline's :meth:`run` and the DFT solver's ``solver=`` (where custom sign
-kernels run through the iterative occupation path; see
+does: ``SubmatrixContext.apply`` (single-process or ``ranks=``-sharded) and
+the ``solver=`` of ``density``/``observables``/``trajectory`` (where custom
+sign kernels run through the iterative occupation path; see
 ``MatrixFunction.supports_mu_bisection`` for the eigendecomposition-cache
 contract).
 """
@@ -31,8 +27,6 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.signfn.eigen import (
-    occupation_function_via_eigendecomposition,
-    occupation_function_via_eigendecomposition_batched,
     sign_via_eigendecomposition,
     sign_via_eigendecomposition_batched,
 )
@@ -193,11 +187,8 @@ class MatrixFunction:
 class UnknownKernelError(ValueError, TypeError):
     """Raised when a kernel name is not in the registry.
 
-    Subclasses both :class:`ValueError` and :class:`TypeError` because the
-    legacy call sites it unifies disagreed: ``SubmatrixDFTSolver`` raised
-    ``ValueError`` for a bad solver string while ``SubmatrixMethod`` raised
-    ``TypeError`` for a non-callable function spec — existing ``except`` /
-    ``pytest.raises`` call sites of either kind keep working.
+    Both a :class:`ValueError` (a bad ``solver=`` string) and a
+    :class:`TypeError` (a bad function spec): callers catch either.
     """
 
     def __init__(self, name: str, known: List[str]):
@@ -314,10 +305,9 @@ def resolve_kernel(
     """Turn a kernel spec into a :class:`BoundKernel`.
 
     ``spec`` may be a registered name, a :class:`MatrixFunction`, an already
-    bound kernel, or a bare callable (treated as a matrix function, matching
-    the legacy ``SubmatrixMethod(function)`` contract).  ``batch_function``
-    overrides the kernel's batched variant; ``**params`` are forwarded to the
-    kernel factories (e.g. ``mu=0.2``).
+    bound kernel, or a bare callable (treated as a matrix function).
+    ``batch_function`` overrides the kernel's batched variant; ``**params``
+    are forwarded to the kernel factories (e.g. ``mu=0.2``).
     """
     if isinstance(spec, BoundKernel):
         if params:
@@ -447,18 +437,6 @@ def _make_chebyshev_checked(
     return checked
 
 
-def _make_occupation(mu: float = 0.0, temperature: float = 0.0):
-    return lambda a: occupation_function_via_eigendecomposition(
-        a, mu=mu, temperature=temperature
-    )
-
-
-def _make_occupation_batched(mu: float = 0.0, temperature: float = 0.0):
-    return lambda stack: occupation_function_via_eigendecomposition_batched(
-        stack, mu=mu, temperature=temperature
-    )
-
-
 register_kernel(
     MatrixFunction(
         name="eigen",
@@ -498,15 +476,6 @@ register_kernel(
             "(GEMM-only, diagonalization-free)"
         ),
         make_checked_batched=_make_chebyshev_checked,
-    )
-)
-register_kernel(
-    MatrixFunction(
-        name="occupation",
-        make=_make_occupation,
-        make_batched=_make_occupation_batched,
-        supports_mu_bisection=True,
-        description="occupation matrix Q f(Λ − μ) Qᵀ (Fermi at T > 0, Eq. 13)",
     )
 )
 

@@ -92,3 +92,28 @@ def make_decay_matrix(n: int, bandwidth: float = 6.0, seed: int = 3) -> np.ndarr
         generator.random(n) < 0.5, diagonal, -diagonal
     )
     return matrix
+
+
+def run_pipeline(pipeline, matrix, function=None, batch_function=None, **run):
+    """f(A) through an explicitly built pipeline and the one rank loop.
+
+    What ``SubmatrixContext.apply(matrix, f, ranks=n)`` does with its cached
+    pipeline, for tests that construct (or patch) the pipeline themselves;
+    ``**run`` are :func:`~repro.core.runner.run_stacks` keywords
+    (``mapper=``, ``policy=``, ``report=``).  Returns the block-sparse f(A).
+    """
+    from repro.core.batch import stack_solver
+    from repro.core.runner import run_stacks
+
+    plan, _ = pipeline.prepare()
+    out = plan.new_output()
+    run_stacks(
+        plan,
+        plan.pack(matrix),
+        stack_solver(function, batch_function),
+        out,
+        pipeline=pipeline,
+        pad_to=pipeline.bucket_pad,
+        **run,
+    )
+    return plan.finalize(out)

@@ -3,7 +3,7 @@
 Covers the acceptance criteria of the API consolidation:
 
 * ``SubmatrixContext.apply`` / ``.density`` are bitwise identical to the
-  legacy ``SubmatrixMethod`` / ``SubmatrixDFTSolver`` paths (including a
+  reference loop of ``tests/submatrix_reference.py`` (including a
   hypothesis property test over random sparse symmetric matrices);
 * one plan build and one worker pool across N repeated ``context.apply``
   calls (plan-cache statistics and executor reuse through the session);
@@ -13,9 +13,11 @@ Covers the acceptance criteria of the API consolidation:
   lookup error with a "did you mean" suggestion.
 """
 
+import ast
 import dataclasses
 import importlib.util
 import inspect
+import pathlib
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from repro.api import (
     resolve_kernel,
 )
 from repro.chem import orthogonalized_ks
-from repro.core import SubmatrixDFTSolver, SubmatrixMethod
+from repro.dbcsr import CooBlockList
 from repro.core.batch import evaluate_batched, stack_solver
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_dense
 from repro.signfn import (
@@ -48,7 +50,11 @@ from repro.signfn import (
     sign_via_eigendecomposition_batched,
 )
 
-from submatrix_reference import reference_apply_elementwise
+from submatrix_reference import (
+    reference_apply_blockwise,
+    reference_apply_elementwise,
+    reference_density,
+)
 
 EPS = 1e-5
 
@@ -88,7 +94,6 @@ class TestEngineConfig:
             assert "engine" not in inspect.signature(method).parameters
         # the engine has one numeric path (float64 NumPy): no precision
         # policy, no array-backend package, no xp= seam on the kernels
-        assert len(dataclasses.fields(EngineConfig)) == 13
         with pytest.raises(TypeError):
             EngineConfig(precision=object())
         assert importlib.util.find_spec("repro.backend") is None
@@ -101,6 +106,68 @@ class TestEngineConfig:
             evaluate_batched,
         ):
             assert "xp" not in inspect.signature(function).parameters
+
+    def test_one_front_door_one_rank_loop(self):
+        """Structure guard: one entry class, one executor, no way back."""
+        for module in ("repro.core.method", "repro.core.sign_dft"):
+            assert importlib.util.find_spec(module) is None
+        deleted = {
+            "SubmatrixMethod",
+            "SubmatrixDFTSolver",
+            "DistributedSession",
+            "PipelineResult",
+            "PipelineRankReport",
+            "DEFAULT_PLAN_CACHE",
+        }
+        for package in (repro, repro.api, repro.core):
+            assert not deleted & set(dir(package)), package.__name__
+        assert len(dataclasses.fields(EngineConfig)) == 11
+        for removed in ("flop_constant", "exact_transfers"):
+            with pytest.raises(TypeError):
+                EngineConfig(**{removed: 1})
+        assert "occupation" not in available_kernels()
+
+        def outermost_functions(tree):
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield node.name, node
+                elif isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef):
+                            yield f"{node.name}.{item.name}", item
+
+        source = pathlib.Path(repro.__file__).parent
+        executor_callers = set()
+        for path in sorted(source.rglob("*.py")):
+            relative = path.relative_to(source).as_posix()
+            for name, function in outermost_functions(ast.parse(path.read_text())):
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Call):
+                        callee = getattr(
+                            node.func, "attr", getattr(node.func, "id", None)
+                        )
+                        if (
+                            callee in ("map_stacks", "execute_ranks")
+                            and relative != "core/batch.py"
+                        ):
+                            executor_callers.add((relative, name, callee))
+                    elif relative.startswith("core/") and isinstance(
+                        node, (ast.Import, ast.ImportFrom)
+                    ):
+                        # repro.core sits below the session layer: no lazy
+                        # import from a function body to dodge a cycle
+                        modules = (
+                            [node.module or ""]
+                            if isinstance(node, ast.ImportFrom)
+                            else [alias.name for alias in node.names]
+                        )
+                        assert not any(
+                            module.startswith("repro.api") for module in modules
+                        ), (relative, name)
+        assert executor_callers == {
+            ("core/runner.py", "run_stacks", "map_stacks"),
+            ("core/runner.py", "run_stacks", "execute_ranks"),
+        }
 
     @pytest.mark.parametrize(
         "field, value",
@@ -116,7 +183,6 @@ class TestEngineConfig:
             ("spin_degeneracy", 0.0),
             ("plan_cache_size", 0),
             ("max_workers", 0),
-            ("flop_constant", 0.0),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):
@@ -146,26 +212,29 @@ class TestEngineConfig:
 class TestKernelRegistry:
     def test_builtins_registered(self):
         names = available_kernels()
-        for name in ("eigen", "newton_schulz", "pade", "occupation"):
+        for name in ("eigen", "newton_schulz", "pade", "chebyshev"):
             assert name in names
 
     def test_unknown_kernel_has_suggestion(self):
         with pytest.raises(UnknownKernelError) as err:
             get_kernel("eigne")
         assert "did you mean 'eigen'" in str(err.value)
-        # the unified error satisfies both legacy exception contracts
+        # the one error is caught as either exception type
         assert isinstance(err.value, ValueError)
         assert isinstance(err.value, TypeError)
 
-    def test_unified_lookup_error_everywhere(self):
-        # solver strings (sign_dft), method specs (method) and session
-        # kernels all fail through the same registry lookup
+    def test_unified_lookup_error_everywhere(self, water32_matrices, gap_mu):
+        # solver strings and f(A) kernels, single-process or sharded, all
+        # fail through the same registry lookup
+        pair = water32_matrices
+        _, blocked = orthogonalized_block(pair)
+        ctx = SubmatrixContext()
         with pytest.raises(UnknownKernelError):
-            SubmatrixDFTSolver(solver="eigne", config=EngineConfig())
+            ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu, solver="eigne")
         with pytest.raises(UnknownKernelError):
-            SubmatrixMethod("eigne")
+            ctx.apply(blocked, "eigne", ranks=2)
         with pytest.raises(UnknownKernelError):
-            SubmatrixContext().apply(sp.eye(4, format="csr"), "eigne")
+            ctx.apply(sp.eye(4, format="csr"), "eigne")
 
     def test_bind_parameters(self):
         bound = resolve_kernel("eigen", mu=0.25)
@@ -209,7 +278,6 @@ class TestKernelRegistry:
         assert get_kernel("newton_schulz").iterative
         assert get_kernel("pade").iterative
         assert not get_kernel("eigen").iterative
-        assert not get_kernel("occupation").iterative
         assert get_kernel("newton_schulz").padding_value(0.25) == 1.25
         assert get_kernel("eigen").padding_value() == 1.0
 
@@ -224,29 +292,37 @@ class TestKernelRegistry:
 
 
 # --------------------------------------------------------------------------- #
-# context.apply equivalence with the legacy paths
+# context.apply equivalence with the reference loop
 # --------------------------------------------------------------------------- #
 class TestApplyEquivalence:
     def test_blockwise_matches_legacy_bitwise(self, water32_matrices, gap_mu):
         _, blocked = orthogonalized_block(water32_matrices)
         ctx = SubmatrixContext(EngineConfig(engine="batched"))
         new = ctx.apply(blocked, "eigen", mu=gap_mu)
-        legacy = SubmatrixMethod(
+        # the named kernel is the callable pair it is registered with ...
+        spelled_out = ctx.apply(
+            blocked,
             lambda a: sign_via_eigendecomposition(a, gap_mu),
             batch_function=lambda s: sign_via_eigendecomposition_batched(s, gap_mu),
-        ).apply_blockwise(blocked)
-        assert np.array_equal(
-            block_matrix_to_dense(new.result), block_matrix_to_dense(legacy.result)
         )
-        assert new.submatrix_dimensions == legacy.submatrix_dimensions
+        # ... and both are the per-submatrix reference loop
+        reference, dimensions = reference_apply_blockwise(
+            blocked, lambda a: sign_via_eigendecomposition(a, gap_mu)
+        )
+        for result in (new, spelled_out):
+            assert np.array_equal(
+                block_matrix_to_dense(result.result), block_matrix_to_dense(reference)
+            )
+            assert result.submatrix_dimensions == dimensions
 
     def test_elementwise_matches_legacy_bitwise(self, water32_matrices, gap_mu):
         k_ortho, _ = orthogonalized_block(water32_matrices)
         new = SubmatrixContext().apply(k_ortho, "eigen", mu=gap_mu)
-        legacy = SubmatrixMethod(
-            lambda a: sign_via_eigendecomposition(a, gap_mu)
-        ).apply_elementwise(k_ortho)
-        assert np.array_equal(new.result.toarray(), legacy.result.toarray())
+        reference, dimensions = reference_apply_elementwise(
+            k_ortho, lambda a: sign_via_eigendecomposition(a, gap_mu)
+        )
+        assert np.array_equal(new.result.toarray(), reference.toarray())
+        assert new.submatrix_dimensions == dimensions
 
     def test_apply_dispatch_rejects_dense(self):
         with pytest.raises(TypeError):
@@ -377,37 +453,24 @@ class TestSessionLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             ctx.trajectory([(pair.K, pair.S)], pair.blocks, mu=gap_mu)
         with pytest.raises(RuntimeError, match="closed"):
-            ctx.distributed(2)
-        with pytest.raises(RuntimeError, match="closed"):
             ctx.pipeline(matrix, [1, 1, 1, 1], n_ranks=2)
 
     def test_closed_context_rejects_earlier_distributed_session(
         self, water32_matrices, gap_mu
     ):
-        # a serial distributed run never touches the session executor, so
+        # a serial sharded run never touches the session executor, so
         # without the explicit guard it would silently keep working on a
-        # closed context
+        # closed context — even with its pipeline already cached
         _, blocked = orthogonalized_block(water32_matrices)
         ctx = SubmatrixContext(EngineConfig())
-        session = ctx.distributed(2)
+        ctx.apply(blocked, "eigen", mu=gap_mu, ranks=2)
         ctx.close()
         with pytest.raises(RuntimeError, match="closed"):
-            session.run(blocked, "eigen", mu=gap_mu)
-
-    def test_facade_close_is_idempotent_after_finalize(self):
-        solver = SubmatrixDFTSolver(
-            config=EngineConfig(backend="thread", max_workers=2)
-        )
-        assert solver.context.executor is not None
-        solver.context._finalizer()
-        solver.close()
-        solver.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            solver.compute_density(None, None, None, mu=0.0)
+            ctx.apply(blocked, "eigen", mu=gap_mu, ranks=2)
 
 
 # --------------------------------------------------------------------------- #
-# temperature handling of the occupation kernel
+# temperature handling of the occupations
 # --------------------------------------------------------------------------- #
 class TestOccupationTemperature:
     def test_zero_temperature_selects_extended_signum(
@@ -417,13 +480,11 @@ class TestOccupationTemperature:
         pair = water32_matrices
         config = EngineConfig(engine="batched", eps_filter=EPS, temperature=0.0)
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            occupation = SubmatrixContext(config).density(
-                pair.K, pair.S, pair.blocks, mu=gap_mu, solver="occupation"
+            result = SubmatrixContext(config).density(
+                pair.K, pair.S, pair.blocks, mu=gap_mu
             )
-            eigen = SubmatrixContext(config).density(
-                pair.K, pair.S, pair.blocks, mu=gap_mu, solver="eigen"
-            )
-        assert np.array_equal(occupation.density_ao, eigen.density_ao)
+        # integer occupations: the gap holds exactly the neutral count
+        assert result.n_electrons == pytest.approx(256.0, abs=1e-9)
 
     def test_tiny_temperature_is_continuous_with_zero(
         self, water32_matrices, gap_mu
@@ -438,7 +499,7 @@ class TestOccupationTemperature:
             )
             with np.errstate(divide="raise", invalid="raise", over="raise"):
                 return SubmatrixContext(config).density(
-                    pair.K, pair.S, pair.blocks, mu=gap_mu, solver="occupation"
+                    pair.K, pair.S, pair.blocks, mu=gap_mu
                 )
 
         cold = density_at(0.0)
@@ -457,8 +518,7 @@ class TestOccupationTemperature:
         config = EngineConfig(engine="batched", eps_filter=EPS, temperature=0.0)
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             result = SubmatrixContext(config).density(
-                pair.K, pair.S, pair.blocks, n_electrons=256.0,
-                solver="occupation",
+                pair.K, pair.S, pair.blocks, n_electrons=256.0
             )
         assert result.n_electrons == pytest.approx(256.0, abs=1e-6)
 
@@ -471,9 +531,7 @@ class TestDensitySession:
         pair = water32_matrices
         ctx = SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS))
         new = ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
-        legacy = SubmatrixDFTSolver(
-            config=EngineConfig(engine="batched", eps_filter=EPS)
-        ).compute_density(pair.K, pair.S, pair.blocks, mu=gap_mu)
+        legacy = reference_density(pair.K, pair.S, pair.blocks, gap_mu, EPS)
         assert np.array_equal(new.density_ao, legacy.density_ao)
         assert np.array_equal(
             new.density_ortho.toarray(), legacy.density_ortho.toarray()
@@ -508,18 +566,28 @@ class TestDensitySession:
         assert np.array_equal(sharded.density_ao, single.density_ao)
 
     def test_sharded_solver_via_config_ranks(self, water32_matrices):
-        """SubmatrixDFTSolver routes the sharded search through its config."""
+        """``config.n_ranks`` shards every call that names no ``ranks``."""
         pair = water32_matrices
         n_electrons = 8.0 * 32
-        sharded = SubmatrixDFTSolver(
-            config=EngineConfig(engine="batched", eps_filter=EPS, n_ranks=4)
-        ).compute_density(pair.K, pair.S, pair.blocks, n_electrons=n_electrons)
-        single = SubmatrixDFTSolver(
-            config=EngineConfig(engine="batched", eps_filter=EPS)
-        ).compute_density(pair.K, pair.S, pair.blocks, n_electrons=n_electrons)
+        sharded_ctx = SubmatrixContext(EngineConfig(eps_filter=EPS, n_ranks=4))
+        single_ctx = SubmatrixContext(EngineConfig(eps_filter=EPS))
+        sharded = sharded_ctx.density(
+            pair.K, pair.S, pair.blocks, n_electrons=n_electrons
+        )
+        single = single_ctx.density(
+            pair.K, pair.S, pair.blocks, n_electrons=n_electrons
+        )
         assert sharded.n_ranks == 4
         assert sharded.mu == single.mu
         assert np.array_equal(sharded.density_ao, single.density_ao)
+        _, blocked = orthogonalized_block(pair)
+        f_sharded = sharded_ctx.apply(blocked, "eigen", mu=single.mu)
+        f_single = single_ctx.apply(blocked, "eigen", mu=single.mu)
+        assert (f_sharded.n_ranks, f_single.n_ranks) == (4, 1)
+        assert np.array_equal(
+            block_matrix_to_dense(f_sharded.result),
+            block_matrix_to_dense(f_single.result),
+        )
 
     def test_canonical_still_requires_eigen_cache(self, water32_matrices):
         # the μ-bisection needs the cached spectra; iterative kernels stay
@@ -570,47 +638,11 @@ class TestDensitySession:
         )
         assert np.array_equal(sharded.density_ao, single.density_ao)
 
-    def test_solver_config_not_clobbered_by_defaults(self):
-        """A supplied config keeps its eps_filter/temperature/spin_degeneracy."""
-        solver = SubmatrixDFTSolver(
-            config=EngineConfig(eps_filter=1e-6, temperature=300.0)
-        )
-        assert solver.eps_filter == 1e-6
-        assert solver.temperature == 300.0
-        explicit = SubmatrixDFTSolver(
-            eps_filter=1e-7, config=EngineConfig(eps_filter=1e-6)
-        )
-        assert explicit.eps_filter == 1e-7  # explicit kwargs still win
-
-    def test_method_explicit_default_kwarg_overrides_config(self):
-        method = SubmatrixMethod(
-            lambda a: a, backend="serial", config=EngineConfig(backend="thread")
-        )
-        assert method.backend == "serial"
-        untouched = SubmatrixMethod(lambda a: a, config=EngineConfig(backend="thread"))
-        assert untouched.backend == "thread"
-
-    def test_facades_close_their_session(self):
-        with SubmatrixMethod(
-            lambda a: a, config=EngineConfig(backend="thread", max_workers=2)
-        ) as method:
-            assert method.context.executor is not None
-        with pytest.raises(RuntimeError):
-            _ = method.context.executor
-        solver = SubmatrixDFTSolver(config=EngineConfig())
-        solver.close()  # idempotent, also for serial configs
-        solver.close()
-
     def test_registered_kernels_work_as_solver(self, water32_matrices, gap_mu):
         """Any registered matrix-function kernel is a valid solver string."""
         pair = water32_matrices
         ctx = SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS))
         eigen = ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
-        # a supports_mu_bisection kernel runs through the eigen cache
-        occupation = ctx.density(
-            pair.K, pair.S, pair.blocks, mu=gap_mu, solver="occupation"
-        )
-        assert np.array_equal(occupation.density_ao, eigen.density_ao)
         # a custom registered sign kernel runs through the iterative path
         name = "test-eigen-sign-kernel"
         if name not in available_kernels():
@@ -626,15 +658,15 @@ class TestDensitySession:
         pair = water32_matrices
         grouping = group_columns_greedy_chunks(32, 4)
         ctx = SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS))
-        direct = ctx.density(
+        single = ctx.density(
+            pair.K, pair.S, pair.blocks, n_electrons=256.0, grouping=grouping
+        )
+        sharded = ctx.density(
             pair.K, pair.S, pair.blocks, n_electrons=256.0,
             grouping=grouping, ranks=2,
         )
-        via_session = ctx.distributed(2, grouping=grouping).density(
-            pair.K, pair.S, pair.blocks, n_electrons=256.0
-        )
-        assert via_session.n_submatrices == grouping.n_submatrices
-        assert np.array_equal(via_session.density_ao, direct.density_ao)
+        assert sharded.n_submatrices == grouping.n_submatrices
+        assert np.array_equal(sharded.density_ao, single.density_ao)
 
     def test_density_requires_exactly_one_ensemble(self, water32_matrices):
         pair = water32_matrices
@@ -646,45 +678,77 @@ class TestDensitySession:
 
 
 # --------------------------------------------------------------------------- #
-# distributed sessions
+# sharded f(A): apply(..., ranks=)
 # --------------------------------------------------------------------------- #
 class TestDistributedSession:
     def test_run_matches_batched_engine_bitwise(self, water32_matrices, gap_mu):
         _, blocked = orthogonalized_block(water32_matrices)
         ctx = SubmatrixContext(EngineConfig(engine="batched"))
         reference = ctx.apply(blocked, "eigen", mu=gap_mu)
-        run = ctx.distributed(4).run(blocked, "eigen", mu=gap_mu)
+        run = ctx.apply(blocked, "eigen", mu=gap_mu, ranks=4)
         assert np.array_equal(
             block_matrix_to_dense(run.result),
             block_matrix_to_dense(reference.result),
         )
-        assert run.n_ranks == 4
-        assert run.traffic.total_flops() > 0
+        assert (run.n_ranks, reference.n_ranks) == (4, 1)
+        # per-rank work and traffic are read off the run's (cached) pipeline
+        coo = CooBlockList.from_block_matrix(blocked)
+        pipeline = ctx.pipeline(coo, blocked.col_block_sizes, n_ranks=4)
+        assert ctx.stats()["pipelines_built"] == 1
+        assert pipeline.traffic_log().total_flops() > 0
+        assert pipeline.rank_of_group.size == run.n_submatrices
+        assert pipeline.rank_flops.shape == (4,)
 
     def test_pipeline_cached_across_runs(self, water32_matrices, gap_mu):
         _, blocked = orthogonalized_block(water32_matrices)
         ctx = SubmatrixContext(EngineConfig(engine="batched"))
-        session = ctx.distributed(2)
-        session.run(blocked, "eigen", mu=gap_mu)
+        ctx.apply(blocked, "eigen", mu=gap_mu, ranks=2)
         assert ctx.stats()["pipelines_built"] == 1
-        session.run(blocked, "eigen", mu=gap_mu)
-        ctx.distributed(2).run(blocked, "eigen", mu=gap_mu)
+        ctx.apply(blocked, "eigen", mu=gap_mu, ranks=2)
+        ctx.apply_blockwise(blocked, "newton_schulz", mu=gap_mu, ranks=2)
         assert ctx.stats()["pipelines_built"] == 1  # same pattern, same ranks
-        ctx.distributed(4).run(blocked, "eigen", mu=gap_mu)
+        ctx.apply(blocked, "eigen", mu=gap_mu, ranks=4)
         assert ctx.stats()["pipelines_built"] == 2
 
     def test_cost_through_session(self, water32_matrices):
-        from repro.dbcsr import CooBlockList
         from repro.parallel import MachineModel
 
         _, blocked = orthogonalized_block(water32_matrices)
         coo = CooBlockList.from_block_matrix(blocked)
-        cost = SubmatrixContext().distributed(4).cost(
-            coo, blocked.col_block_sizes, MachineModel()
+        cost = (
+            SubmatrixContext()
+            .pipeline(coo, blocked.col_block_sizes, n_ranks=4)
+            .cost(MachineModel())
         )
         assert cost.n_ranks == 4
         assert cost.simulated_seconds > 0
 
-    def test_invalid_rank_count_rejected(self):
+    def test_invalid_rank_count_rejected(self, water32_matrices, gap_mu):
+        """``ranks`` has one check (``check_ranks``) behind ``apply`` and the
+        session config; ``tests/test_request_parity.py`` holds the same cases
+        for density, trajectory and the serving layer."""
+        pair = water32_matrices
+        k_ortho, blocked = orthogonalized_block(pair)
+        ctx = SubmatrixContext()
+        for ranks in (0, -2):
+            with pytest.raises(ValueError, match="ranks must be positive"):
+                ctx.apply(blocked, "eigen", mu=gap_mu, ranks=ranks)
+        # a float or bool must not silently truncate to some rank count
+        for ranks in (1.7, 2.0, True, "2"):
+            with pytest.raises(TypeError, match="ranks must be an integer"):
+                ctx.apply(blocked, "eigen", mu=gap_mu, ranks=ranks)
+        assert ctx.apply(blocked, "eigen", mu=gap_mu, ranks=np.int64(2)).n_ranks == 2
         with pytest.raises(ValueError):
-            SubmatrixContext().distributed(0)
+            EngineConfig(n_ranks=0)
+        with pytest.raises(TypeError):
+            EngineConfig(n_ranks=1.7)
+        # element-level matrices cannot be sharded
+        with pytest.raises(TypeError, match="BlockSparseMatrix"):
+            ctx.apply(k_ortho, "eigen", mu=gap_mu, ranks=2)
+        # a pre-built plan and a sharded run exclude each other
+        plan = ctx.block_plan_for(
+            CooBlockList.from_block_matrix(blocked), blocked.row_block_sizes,
+            [[c] for c in range(blocked.n_block_cols)],
+        )
+        with pytest.raises(ValueError, match="plan="):
+            ctx.apply(blocked, "eigen", mu=gap_mu, plan=plan, ranks=2)

@@ -322,7 +322,8 @@ class TestShardedTrajectory:
     def test_distributed_session_trajectory(self, water32_matrices):
         steps = value_only_steps(water32_matrices, 5)
         ctx = SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS))
-        via_session = ctx.distributed(2).trajectory(
+        sharded_ctx = SubmatrixContext(EngineConfig(eps_filter=EPS, n_ranks=2))
+        via_session = sharded_ctx.trajectory(
             steps, water32_matrices.blocks, n_electrons=N_ELECTRONS
         )
         direct = ctx.trajectory(

@@ -1,14 +1,17 @@
-"""Tests for the end-to-end submatrix evaluation of matrix functions."""
+"""Tests for the end-to-end submatrix evaluation of matrix functions
+(``SubmatrixContext.apply`` at element and block level)."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import SubmatrixMethod
+from repro.api import EngineConfig, SubmatrixContext
 from repro.dbcsr.convert import block_matrix_from_dense, block_matrix_to_dense
 from repro.signfn import inverse_pth_root, sign_via_eigendecomposition
 
 from conftest import make_decay_matrix
+
+SIGN = sign_via_eigendecomposition
 
 
 @pytest.fixture()
@@ -20,16 +23,16 @@ def decay_sparse():
 
 class TestElementLevel:
     def test_result_has_input_pattern(self, decay_sparse):
-        method = SubmatrixMethod(sign_via_eigendecomposition)
-        result = method.apply_elementwise(decay_sparse)
+        context = SubmatrixContext()
+        result = context.apply_elementwise(decay_sparse, SIGN)
         input_pattern = decay_sparse.toarray() != 0
         output_pattern = result.result.toarray() != 0
         assert np.array_equal(output_pattern, output_pattern & input_pattern)
 
     def test_accuracy_on_decaying_matrix(self, decay_sparse):
         """For matrices with decay the approximation is accurate on-pattern."""
-        method = SubmatrixMethod(sign_via_eigendecomposition)
-        result = method.apply_elementwise(decay_sparse)
+        context = SubmatrixContext()
+        result = context.apply_elementwise(decay_sparse, SIGN)
         exact = sign_via_eigendecomposition(decay_sparse.toarray())
         pattern = decay_sparse.toarray() != 0
         error = np.max(np.abs((result.result.toarray() - exact)[pattern]))
@@ -39,55 +42,58 @@ class TestElementLevel:
         """If every column is dense, each submatrix is the full matrix."""
         dense = make_decay_matrix(20, bandwidth=1e6)
         matrix = sp.csr_matrix(dense)
-        method = SubmatrixMethod(sign_via_eigendecomposition)
-        result = method.apply_elementwise(matrix)
+        context = SubmatrixContext()
+        result = context.apply_elementwise(matrix, SIGN)
         exact = sign_via_eigendecomposition(dense)
         assert np.allclose(result.result.toarray(), exact, atol=1e-10)
         assert result.submatrix_dimensions == [20] * 20
 
     def test_column_groups(self, decay_sparse):
-        method = SubmatrixMethod(sign_via_eigendecomposition)
+        context = SubmatrixContext()
         groups = [list(range(i, min(i + 10, 60))) for i in range(0, 60, 10)]
-        result = method.apply_elementwise(decay_sparse, column_groups=groups)
+        result = context.apply_elementwise(decay_sparse, SIGN, column_groups=groups)
         assert result.n_submatrices == 6
 
     def test_invalid_groups(self, decay_sparse):
-        method = SubmatrixMethod(sign_via_eigendecomposition)
+        context = SubmatrixContext()
         with pytest.raises(ValueError):
-            method.apply_elementwise(decay_sparse, column_groups=[[0, 1], [1, 2]])
+            context.apply_elementwise(
+                decay_sparse, SIGN, column_groups=[[0, 1], [1, 2]]
+            )
         with pytest.raises(ValueError):
-            method.apply_elementwise(decay_sparse, column_groups=[[0]])
+            context.apply_elementwise(decay_sparse, SIGN, column_groups=[[0]])
         with pytest.raises(IndexError):
-            method.apply_elementwise(decay_sparse, column_groups=[[0, 600]])
+            context.apply_elementwise(decay_sparse, SIGN, column_groups=[[0, 600]])
 
     def test_non_square_rejected(self):
-        method = SubmatrixMethod(sign_via_eigendecomposition)
+        context = SubmatrixContext()
         with pytest.raises(ValueError):
-            method.apply_elementwise(sp.csr_matrix(np.ones((3, 4))))
+            context.apply_elementwise(sp.csr_matrix(np.ones((3, 4))), SIGN)
 
     def test_function_shape_checked(self, decay_sparse):
-        method = SubmatrixMethod(lambda a: a[:2, :2])
         with pytest.raises(ValueError):
-            method.apply_elementwise(decay_sparse)
+            SubmatrixContext().apply_elementwise(decay_sparse, lambda a: a[:2, :2])
 
     def test_flop_estimate_is_cubic_sum(self, decay_sparse):
-        method = SubmatrixMethod(sign_via_eigendecomposition)
-        result = method.apply_elementwise(decay_sparse)
+        context = SubmatrixContext()
+        result = context.apply_elementwise(decay_sparse, SIGN)
         expected = sum(float(d) ** 3 for d in result.submatrix_dimensions)
         assert result.flop_estimate == pytest.approx(expected)
 
-    def test_non_callable_rejected(self):
+    def test_non_callable_rejected(self, decay_sparse):
+        context = SubmatrixContext()
         with pytest.raises(TypeError):
-            SubmatrixMethod("not-a-function")
+            context.apply(decay_sparse, "not-a-function")
+        with pytest.raises(TypeError):
+            context.apply(decay_sparse, 3.0)
 
     def test_thread_backend_matches_serial(self, decay_sparse):
-        serial = SubmatrixMethod(sign_via_eigendecomposition, backend="serial")
-        threaded = SubmatrixMethod(
-            sign_via_eigendecomposition, backend="thread", max_workers=2
-        )
-        a = serial.apply_elementwise(decay_sparse).result.toarray()
-        b = threaded.apply_elementwise(decay_sparse).result.toarray()
-        assert np.allclose(a, b)
+        serial = SubmatrixContext(EngineConfig(backend="serial"))
+        a = serial.apply_elementwise(decay_sparse, SIGN)
+        config = EngineConfig(backend="thread", max_workers=2)
+        with SubmatrixContext(config) as threaded:
+            b = threaded.apply_elementwise(decay_sparse, SIGN)
+        assert np.array_equal(a.result.toarray(), b.result.toarray())
 
 
 class TestBlockLevel:
@@ -99,15 +105,15 @@ class TestBlockLevel:
 
     def test_block_result_pattern(self, block_decay):
         blocked, _ = block_decay
-        method = SubmatrixMethod(sign_via_eigendecomposition)
-        result = method.apply_blockwise(blocked)
+        context = SubmatrixContext()
+        result = context.apply_blockwise(blocked, SIGN)
         for bi, bj in result.result.block_keys():
             assert blocked.has_block(bi, bj)
 
     def test_block_accuracy(self, block_decay):
         blocked, dense = block_decay
-        method = SubmatrixMethod(sign_via_eigendecomposition)
-        result = method.apply_blockwise(blocked)
+        context = SubmatrixContext()
+        result = context.apply_blockwise(blocked, SIGN)
         exact = sign_via_eigendecomposition(dense)
         approx = block_matrix_to_dense(result.result)
         pattern = block_matrix_to_dense(blocked) != 0
@@ -115,10 +121,10 @@ class TestBlockLevel:
 
     def test_block_groups_reduce_submatrix_count(self, block_decay):
         blocked, _ = block_decay
-        method = SubmatrixMethod(sign_via_eigendecomposition)
-        single = method.apply_blockwise(blocked)
-        grouped = method.apply_blockwise(
-            blocked, column_groups=[[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+        context = SubmatrixContext()
+        single = context.apply_blockwise(blocked, SIGN)
+        grouped = context.apply_blockwise(
+            blocked, SIGN, column_groups=[[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
         )
         assert single.n_submatrices == 12
         assert grouped.n_submatrices == 3
@@ -130,8 +136,9 @@ class TestBlockLevel:
         spd = dense @ dense + 5.0 * np.eye(48)
         spd[np.abs(spd) < 1e-6] = 0.0
         blocked_spd = block_matrix_from_dense(spd, [4] * 12)
-        method = SubmatrixMethod(lambda a: inverse_pth_root(a, 2))
-        result = method.apply_blockwise(blocked_spd)
+        result = SubmatrixContext().apply_blockwise(
+            blocked_spd, lambda a: inverse_pth_root(a, 2)
+        )
         exact = inverse_pth_root(spd, 2)
         pattern = block_matrix_to_dense(blocked_spd) != 0
         approx = block_matrix_to_dense(result.result)
@@ -139,6 +146,6 @@ class TestBlockLevel:
 
     def test_wall_time_recorded(self, block_decay):
         blocked, _ = block_decay
-        method = SubmatrixMethod(sign_via_eigendecomposition)
-        result = method.apply_blockwise(blocked)
+        context = SubmatrixContext()
+        result = context.apply_blockwise(blocked, SIGN)
         assert result.wall_time > 0.0

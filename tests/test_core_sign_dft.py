@@ -1,21 +1,34 @@
-"""Tests for the submatrix-method density-matrix solver (grand-canonical,
-canonical, finite temperature, alternative per-submatrix solvers)."""
+"""Tests for the submatrix-method density-matrix solver
+(``SubmatrixContext.density``: grand-canonical, canonical, finite
+temperature, alternative per-submatrix solvers)."""
 
 import numpy as np
 import pytest
 
-from repro.api import EngineConfig
+from repro.api import EngineConfig, SubmatrixContext
 from repro.chem import reference_density_matrix
 from repro.core.combination import group_columns_greedy_chunks
-from repro.core.sign_dft import SubmatrixDFTSolver
+
+
+def density(
+    matrices, solver="eigen", grouping=None, mu=None, n_electrons=None, **config
+):
+    """One density through a fresh session configured by ``**config``."""
+    with SubmatrixContext(EngineConfig(**config)) as context:
+        return context.density(
+            matrices.K,
+            matrices.S,
+            matrices.blocks,
+            mu=mu,
+            n_electrons=n_electrons,
+            solver=solver,
+            grouping=grouping,
+        )
 
 
 class TestGrandCanonical:
     def test_matches_reference_energy(self, water32_matrices, water32_reference, gap_mu, water32):
-        solver = SubmatrixDFTSolver(eps_filter=1e-7)
-        result = solver.compute_density(
-            water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
-        )
+        result = density(water32_matrices, mu=gap_mu, eps_filter=1e-7)
         error_mev_per_atom = (
             abs(result.band_energy - water32_reference.band_energy)
             / water32.n_atoms
@@ -24,10 +37,7 @@ class TestGrandCanonical:
         assert error_mev_per_atom < 1.0
 
     def test_electron_count_matches(self, water32_matrices, gap_mu):
-        solver = SubmatrixDFTSolver(eps_filter=1e-7)
-        result = solver.compute_density(
-            water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
-        )
+        result = density(water32_matrices, mu=gap_mu, eps_filter=1e-7)
         assert result.n_electrons == pytest.approx(8 * 32, abs=1e-3)
 
     def test_looser_filter_larger_error(self, water64_matrices, gap_mu, water64):
@@ -36,20 +46,14 @@ class TestGrandCanonical:
         )
         errors = []
         for eps in (1e-2, 1e-6):
-            solver = SubmatrixDFTSolver(eps_filter=eps)
-            result = solver.compute_density(
-                water64_matrices.K, water64_matrices.S, water64_matrices.blocks, mu=gap_mu
-            )
+            result = density(water64_matrices, mu=gap_mu, eps_filter=eps)
             errors.append(abs(result.band_energy - reference.band_energy))
         assert errors[0] > errors[1]
 
     def test_looser_filter_smaller_submatrices(self, water64_matrices, gap_mu):
         dims = []
         for eps in (1e-2, 1e-7):
-            solver = SubmatrixDFTSolver(eps_filter=eps)
-            result = solver.compute_density(
-                water64_matrices.K, water64_matrices.S, water64_matrices.blocks, mu=gap_mu
-            )
+            result = density(water64_matrices, mu=gap_mu, eps_filter=eps)
             dims.append(result.max_submatrix_dimension)
         assert dims[0] < dims[1]
 
@@ -57,10 +61,7 @@ class TestGrandCanonical:
         from repro.chem import orthogonalized_ks
 
         eps = 1e-5
-        solver = SubmatrixDFTSolver(eps_filter=eps)
-        result = solver.compute_density(
-            water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
-        )
+        result = density(water32_matrices, mu=gap_mu, eps_filter=eps)
         k_ortho, _ = orthogonalized_ks(water32_matrices.K, water32_matrices.S, eps)
         # the density matrix retains the sparsity pattern of the input
         density_pattern = result.density_ortho.toarray() != 0
@@ -68,58 +69,39 @@ class TestGrandCanonical:
         assert np.array_equal(density_pattern & ~ks_pattern, np.zeros_like(ks_pattern))
 
     def test_requires_exactly_one_ensemble_choice(self, water32_matrices, gap_mu):
-        solver = SubmatrixDFTSolver()
         with pytest.raises(ValueError):
-            solver.compute_density(
-                water32_matrices.K, water32_matrices.S, water32_matrices.blocks
-            )
+            density(water32_matrices)
         with pytest.raises(ValueError):
-            solver.compute_density(
-                water32_matrices.K,
-                water32_matrices.S,
-                water32_matrices.blocks,
-                mu=gap_mu,
-                n_electrons=256,
-            )
+            density(water32_matrices, mu=gap_mu, n_electrons=256)
 
     def test_grouping_reduces_submatrix_count(self, water32_matrices, gap_mu):
         grouping = group_columns_greedy_chunks(32, 8)
-        solver = SubmatrixDFTSolver(eps_filter=1e-5, grouping=grouping)
-        result = solver.compute_density(
-            water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
-        )
+        result = density(water32_matrices, mu=gap_mu, eps_filter=1e-5, grouping=grouping)
         assert result.n_submatrices == 4
 
     def test_grouped_result_close_to_ungrouped(self, water32_matrices, gap_mu, water32):
-        ungrouped = SubmatrixDFTSolver(eps_filter=1e-6).compute_density(
-            water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
-        )
-        grouped = SubmatrixDFTSolver(
-            eps_filter=1e-6, grouping=group_columns_greedy_chunks(32, 4)
-        ).compute_density(
-            water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
+        ungrouped = density(water32_matrices, mu=gap_mu, eps_filter=1e-6)
+        grouped = density(
+            water32_matrices,
+            mu=gap_mu,
+            eps_filter=1e-6,
+            grouping=group_columns_greedy_chunks(32, 4),
         )
         difference = abs(ungrouped.band_energy - grouped.band_energy) / water32.n_atoms
         assert difference * 1000 < 1.0  # meV/atom
 
-    def test_invalid_parameters(self):
+    def test_invalid_parameters(self, water32_matrices, gap_mu):
         with pytest.raises(ValueError):
-            SubmatrixDFTSolver(eps_filter=-1.0)
+            EngineConfig(eps_filter=-1.0)
         with pytest.raises(ValueError):
-            SubmatrixDFTSolver(temperature=-1.0)
+            EngineConfig(temperature=-1.0)
         with pytest.raises(ValueError):
-            SubmatrixDFTSolver(solver="magic")
+            density(water32_matrices, mu=gap_mu, solver="magic")
 
 
 class TestCanonical:
     def test_finds_mu_in_gap(self, water32_matrices, water32_reference):
-        solver = SubmatrixDFTSolver(eps_filter=1e-6)
-        result = solver.compute_density(
-            water32_matrices.K,
-            water32_matrices.S,
-            water32_matrices.blocks,
-            n_electrons=8 * 32,
-        )
+        result = density(water32_matrices, n_electrons=8 * 32, eps_filter=1e-6)
         energies = water32_reference.orbital_energies
         homo = energies[4 * 32 - 1]
         lumo = energies[4 * 32]
@@ -130,32 +112,15 @@ class TestCanonical:
     def test_canonical_matches_grand_canonical_energy(
         self, water32_matrices, gap_mu, water32
     ):
-        grand = SubmatrixDFTSolver(eps_filter=1e-6).compute_density(
-            water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
-        )
-        canonical = SubmatrixDFTSolver(eps_filter=1e-6).compute_density(
-            water32_matrices.K,
-            water32_matrices.S,
-            water32_matrices.blocks,
-            n_electrons=8 * 32,
-        )
+        grand = density(water32_matrices, mu=gap_mu, eps_filter=1e-6)
+        canonical = density(water32_matrices, n_electrons=8 * 32, eps_filter=1e-6)
         difference = abs(grand.band_energy - canonical.band_energy) / water32.n_atoms
         assert difference * 1000 < 0.1
 
     def test_fractional_electron_count_adjusts_mu(self, water32_matrices, gap_mu):
         """Removing electrons moves μ down into the occupied band."""
-        neutral = SubmatrixDFTSolver(eps_filter=1e-6).compute_density(
-            water32_matrices.K,
-            water32_matrices.S,
-            water32_matrices.blocks,
-            n_electrons=8 * 32,
-        )
-        cation = SubmatrixDFTSolver(eps_filter=1e-6).compute_density(
-            water32_matrices.K,
-            water32_matrices.S,
-            water32_matrices.blocks,
-            n_electrons=8 * 32 - 16,
-        )
+        neutral = density(water32_matrices, n_electrons=8 * 32, eps_filter=1e-6)
+        cation = density(water32_matrices, n_electrons=8 * 32 - 16, eps_filter=1e-6)
         assert cation.mu < neutral.mu
         assert cation.n_electrons == pytest.approx(8 * 32 - 16, abs=0.5)
 
@@ -170,13 +135,8 @@ class TestCanonical:
         oracle."""
         pair = water64_matrices
         n_electrons = 8.0 * 64
-        solver = SubmatrixDFTSolver(
-            config=EngineConfig(engine="batched", eps_filter=eps_filter)
-        )
-        canonical = solver.compute_density(
-            pair.K, pair.S, pair.blocks, n_electrons=n_electrons
-        )
-        grand = solver.compute_density(pair.K, pair.S, pair.blocks, mu=gap_mu)
+        canonical = density(pair, n_electrons=n_electrons, eps_filter=eps_filter)
+        grand = density(pair, mu=gap_mu, eps_filter=eps_filter)
         oracle = reference_density_matrix(pair.K, pair.S, mu=gap_mu)
         assert oracle.n_electrons == pytest.approx(n_electrons, abs=1e-9)
 
@@ -189,24 +149,14 @@ class TestCanonical:
         assert canonical_error <= grand_error * (1.0 + 1e-9)
 
     def test_canonical_requires_eigen_solver(self, water32_matrices):
-        solver = SubmatrixDFTSolver(solver="newton_schulz")
         with pytest.raises(ValueError):
-            solver.compute_density(
-                water32_matrices.K,
-                water32_matrices.S,
-                water32_matrices.blocks,
-                n_electrons=256,
-            )
+            density(water32_matrices, n_electrons=256, solver="newton_schulz")
 
 
 class TestFiniteTemperature:
     def test_occupations_smooth_at_high_temperature(self, water32_matrices, gap_mu):
-        cold = SubmatrixDFTSolver(eps_filter=1e-6, temperature=0.0).compute_density(
-            water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
-        )
-        hot = SubmatrixDFTSolver(eps_filter=1e-6, temperature=40000.0).compute_density(
-            water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
-        )
+        cold = density(water32_matrices, mu=gap_mu, eps_filter=1e-6, temperature=0.0)
+        hot = density(water32_matrices, mu=gap_mu, eps_filter=1e-6, temperature=40000.0)
         # at zero temperature the count is the integer number of electrons;
         # at very high temperature fractional occupations redistribute weight
         # between the occupied and virtual bands, so count and energy change
@@ -219,10 +169,8 @@ class TestFiniteTemperature:
         reference = reference_density_matrix(
             water32_matrices.K, water32_matrices.S, mu=gap_mu, temperature=temperature
         )
-        result = SubmatrixDFTSolver(
-            eps_filter=1e-8, temperature=temperature
-        ).compute_density(
-            water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
+        result = density(
+            water32_matrices, mu=gap_mu, eps_filter=1e-8, temperature=temperature
         )
         error = abs(result.band_energy - reference.band_energy) / water32.n_atoms * 1000
         assert error < 1.0
@@ -231,29 +179,17 @@ class TestFiniteTemperature:
 class TestAlternativeSolvers:
     @pytest.mark.parametrize("solver_name", ["newton_schulz", "pade"])
     def test_iterative_solvers_match_eigen(self, water32_matrices, gap_mu, solver_name, water32):
-        eigen = SubmatrixDFTSolver(eps_filter=1e-6, solver="eigen").compute_density(
-            water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
-        )
-        iterative = SubmatrixDFTSolver(
-            eps_filter=1e-6, solver=solver_name
-        ).compute_density(
-            water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
+        eigen = density(water32_matrices, mu=gap_mu, eps_filter=1e-6, solver="eigen")
+        iterative = density(
+            water32_matrices, mu=gap_mu, eps_filter=1e-6, solver=solver_name
         )
         difference = abs(eigen.band_energy - iterative.band_energy) / water32.n_atoms
         assert difference * 1000 < 0.5
 
     def test_thread_backend_matches_serial(self, water32_matrices, gap_mu):
-        serial = SubmatrixDFTSolver(
-            config=EngineConfig(engine="batched", eps_filter=1e-5)
-        ).compute_density(
-            water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
-        )
-        threaded = SubmatrixDFTSolver(
-            config=EngineConfig(
-                engine="batched", eps_filter=1e-5, backend="thread", max_workers=2
-            )
-        ).compute_density(
-            water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
+        serial = density(water32_matrices, mu=gap_mu, eps_filter=1e-5)
+        threaded = density(
+            water32_matrices, mu=gap_mu, eps_filter=1e-5, backend="thread", max_workers=2
         )
         assert serial.band_energy == pytest.approx(threaded.band_energy, abs=1e-9)
 
@@ -262,15 +198,15 @@ class TestAlternativeSolvers:
     ):
         """Padded stacks (pad eigenvalue pinned at 1 after the μ-shift) are
         exact for the sign iteration up to solver tolerance."""
-        unpadded = SubmatrixDFTSolver(
-            eps_filter=1e-6, solver="newton_schulz"
-        ).compute_density(
-            water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
+        unpadded = density(
+            water32_matrices, mu=gap_mu, eps_filter=1e-6, solver="newton_schulz"
         )
-        padded = SubmatrixDFTSolver(
-            eps_filter=1e-6, solver="newton_schulz", bucket_pad="auto"
-        ).compute_density(
-            water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
+        padded = density(
+            water32_matrices,
+            mu=gap_mu,
+            eps_filter=1e-6,
+            solver="newton_schulz",
+            bucket_pad="auto",
         )
         assert padded.band_energy == pytest.approx(unpadded.band_energy, abs=1e-7)
         assert padded.n_electrons == pytest.approx(unpadded.n_electrons, abs=1e-7)

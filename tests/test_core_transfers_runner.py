@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import run_pipeline
 from test_incremental_replan import (
     drift_pattern,
     matrix_for_pattern,
@@ -261,7 +262,7 @@ class TestIncrementalTransferPlanning:
         old_coo = random_pattern(n, 0.2, rng)
         new_coo = drift_pattern(old_coo, rng, 3)
         pipeline = DistributedSubmatrixPipeline(old_coo, sizes, ranks)
-        pipeline.run(matrix_for_pattern(old_coo, sizes, rng), function=poly)
+        run_pipeline(pipeline, matrix_for_pattern(old_coo, sizes, rng), poly)
 
         patched = pipeline.patch(new_coo)
         # the patched pipeline keeps the old run's load-balanced rank

@@ -21,6 +21,7 @@ Covers the acceptance criteria of the fault-tolerance tentpole:
 import numpy as np
 import pytest
 
+from conftest import run_pipeline
 from test_incremental_replan import matrix_for_pattern, poly, random_pattern
 
 from repro.api import (
@@ -30,7 +31,11 @@ from repro.api import (
     SubmatrixContext,
     TrajectoryCheckpoint,
 )
-from repro.core.runner import DistributedSubmatrixPipeline, PipelineExecutionError
+from repro.core.runner import (
+    DistributedSubmatrixPipeline,
+    PipelineExecutionError,
+    ResilienceReport,
+)
 from repro.dbcsr.convert import block_matrix_to_csr
 from repro.parallel.comm import CommRankError, CommRecvError, SimComm
 from repro.parallel.executor import TaskExecutionError, map_parallel
@@ -397,32 +402,39 @@ class TestBitwiseRecovery:
         )
 
     def test_persistent_crash_degrades_bitwise(self):
-        """``pipeline.run`` with every rank down degrades to the unsharded loop."""
+        """The rank loop with every rank down degrades to the unsharded unit."""
         rng = np.random.default_rng(60)
         n = int(rng.integers(8, 18))
         sizes = rng.integers(2, 6, n)
         coo = random_pattern(n, 0.25, rng)
         matrix = matrix_for_pattern(coo, sizes, rng)
-        # small enough to split every shard into several stacks
-        small_batch = 256
-        clean = DistributedSubmatrixPipeline(coo, sizes, 4).run(
-            matrix, function=poly, max_batch_elements=small_batch
-        )
+        clean = run_pipeline(DistributedSubmatrixPipeline(coo, sizes, 4), matrix, poly)
         injector = FaultInjector(
             FaultPlan.rank_crashes([0, 1, 2, 3], seed=5, times=None)
         )
-        result = DistributedSubmatrixPipeline(coo, sizes, 4).run(
+        report = ResilienceReport()
+        result = run_pipeline(
+            DistributedSubmatrixPipeline(coo, sizes, 4),
             matrix,
-            function=poly,
-            max_batch_elements=small_batch,
+            poly,
             policy=ResiliencePolicy(fault_injector=injector),
+            report=report,
         )
-        assert result.resilience.degraded
-        assert clean.resilience is None
+        assert report.degraded
+        assert report.rank_retries == 4  # one retry round over all four ranks
         assert np.array_equal(
-            block_matrix_to_csr(result.result).toarray(),
-            block_matrix_to_csr(clean.result).toarray(),
+            block_matrix_to_csr(result).toarray(),
+            block_matrix_to_csr(clean).toarray(),
         )
+        with pytest.raises(PipelineExecutionError):
+            run_pipeline(
+                DistributedSubmatrixPipeline(coo, sizes, 4),
+                matrix,
+                poly,
+                policy=ResiliencePolicy(
+                    fault_injector=injector, degrade_to_batched=False
+                ),
+            )
 
     def test_inactive_policy_keeps_legacy_exception_types(self, water32_matrices):
         """ResiliencePolicy.disabled() must not wrap or guard anything."""

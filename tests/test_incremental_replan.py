@@ -22,6 +22,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import run_pipeline
+
 from repro.api import EngineConfig, SubmatrixContext
 from repro.core.plan import (
     PATCH_DELTA_FRACTION,
@@ -244,13 +246,13 @@ class TestShardedPatch:
         )
         # warm the pipeline (builds plan, shards and stack layouts)
         warm = matrix_for_pattern(old_coo, sizes, rng)
-        pipeline.run(warm, function=poly)
+        run_pipeline(pipeline, warm, poly)
 
         patched = pipeline.patch(new_coo)
         fresh = DistributedSubmatrixPipeline(new_coo, sizes, ranks)
         matrix = matrix_for_pattern(new_coo, sizes, rng)
-        got = block_matrix_to_csr(patched.run(matrix, function=poly).result)
-        want = block_matrix_to_csr(fresh.run(matrix, function=poly).result)
+        got = block_matrix_to_csr(run_pipeline(patched, matrix, poly))
+        want = block_matrix_to_csr(run_pipeline(fresh, matrix, poly))
         assert np.array_equal(got.toarray(), want.toarray())
         assert cache.stats["patches"] == 1
 

@@ -20,13 +20,12 @@ from repro.chem import (
 )
 from repro.chem.basis import DZVP, SZV
 from repro.chem.density import band_structure_energy, density_from_sign
+from repro.api import EngineConfig, SubmatrixContext
 from repro.core import (
-    SubmatrixMethod,
     newton_schulz_cost,
     submatrix_method_cost,
     single_column_groups,
 )
-from repro.core.sign_dft import SubmatrixDFTSolver
 from repro.core.submatrix import submatrix_dimension
 from repro.dbcsr import CooBlockList
 from repro.parallel import MachineModel
@@ -50,8 +49,8 @@ class TestSubmatrixVsNewtonSchulz:
         ns_energy = band_structure_energy(ns_density, water32_matrices.K.toarray())
 
         # submatrix method route
-        solver = SubmatrixDFTSolver(eps_filter=eps)
-        sm = solver.compute_density(
+        solver = SubmatrixContext(EngineConfig(eps_filter=eps))
+        sm = solver.density(
             water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
         )
         per_atom_mev = abs(ns_energy - sm.band_energy) / water32.n_atoms * 1000
@@ -61,8 +60,8 @@ class TestSubmatrixVsNewtonSchulz:
         self, water32_matrices, water32_reference, gap_mu, water32
     ):
         eps = 1e-7
-        solver = SubmatrixDFTSolver(eps_filter=eps)
-        sm = solver.compute_density(
+        solver = SubmatrixContext(EngineConfig(eps_filter=eps))
+        sm = solver.density(
             water32_matrices.K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
         )
         error = abs(sm.band_energy - water32_reference.band_energy)
@@ -75,15 +74,15 @@ class TestElementVsBlockGranularity:
         k_ortho, _ = orthogonalized_ks(water32_matrices.K, water32_matrices.S, eps)
         n = k_ortho.shape[0]
         shifted = (k_ortho - gap_mu * sp.identity(n, format="csr")).tocsr()
-        method = SubmatrixMethod(sign_via_eigendecomposition)
-        element_result = method.apply_elementwise(shifted)
+        context = SubmatrixContext()
+        element_result = context.apply(shifted, sign_via_eigendecomposition)
 
         from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_csr
 
         blocked = block_matrix_from_csr(
             shifted, water32_matrices.blocks.block_sizes
         )
-        block_result = method.apply_blockwise(blocked)
+        block_result = context.apply(blocked, sign_via_eigendecomposition)
         a = element_result.result.toarray()
         b = block_matrix_to_csr(block_result.result).toarray()
         # block-level submatrices are supersets of element-level ones, so both
@@ -108,8 +107,8 @@ class TestLargerBasisSet:
     def test_dzvp_density_matrix_works(self, water32, gap_mu):
         pair = build_matrices(water32, model=HamiltonianModel(basis=DZVP))
         reference = reference_density_matrix(pair.K, pair.S, mu=gap_mu)
-        solver = SubmatrixDFTSolver(eps_filter=1e-6)
-        result = solver.compute_density(pair.K, pair.S, pair.blocks, mu=gap_mu)
+        solver = SubmatrixContext(EngineConfig(eps_filter=1e-6))
+        result = solver.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
         error = abs(result.band_energy - reference.band_energy)
         assert error / water32.n_atoms * 1000 < 1.0
         assert result.n_electrons == pytest.approx(reference.n_electrons, abs=0.1)
@@ -169,10 +168,10 @@ class TestEndToEndCanonicalMD:
     def test_repeated_canonical_solves_are_stable(self, water32_matrices):
         """Simulate the usage pattern of an MD loop: repeated canonical
         density builds with slightly different electron counts."""
-        solver = SubmatrixDFTSolver(eps_filter=1e-5)
+        solver = SubmatrixContext(EngineConfig(eps_filter=1e-5))
         previous_mu = None
         for n_electrons in (256, 254, 256):
-            result = solver.compute_density(
+            result = solver.density(
                 water32_matrices.K,
                 water32_matrices.S,
                 water32_matrices.blocks,

@@ -114,6 +114,11 @@ INVALID_REQUESTS = {
     "params_for_unrequested_observable": dict(
         mu=0.0, observable_params={"pdos": {"n_points": 64}}
     ),
+    # a rank count is a positive integer: a float or bool must not
+    # silently truncate to some rank count
+    "ranks_zero": dict(mu=0.0, ranks=0),
+    "ranks_float": dict(mu=0.0, ranks=1.7),
+    "ranks_bool": dict(mu=0.0, ranks=True),
 }
 
 
@@ -124,7 +129,7 @@ def test_invalid_request_raises_the_same_error_from_every_entry_point(
     request = INVALID_REQUESTS[name]
     raised = []
     for entry_point in ENTRY_POINTS:
-        with pytest.raises(ValueError) as info:
+        with pytest.raises((ValueError, TypeError)) as info:
             entry_point(water32_matrices, **request)
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1] == raised[2]

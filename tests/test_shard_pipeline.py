@@ -4,7 +4,8 @@ Covers the acceptance criteria of the rank-sharded refactor:
 
 * :class:`~repro.core.shard.ShardedPlan` reproduces the unsharded plan's
   extraction and scatter bitwise from rank-local packed buffers;
-* :class:`~repro.core.runner.DistributedSubmatrixPipeline` reproduces the
+* the rank loop (:func:`~repro.core.runner.run_stacks`) over a
+  :class:`~repro.core.runner.DistributedSubmatrixPipeline` reproduces the
   single-process engine result bitwise for every rank count
   in {1, 2, 4, 8}, on synthetic systems and on the water benchmark;
 * :func:`~repro.core.transfers.plan_transfers` with a segment index reports
@@ -13,23 +14,24 @@ Covers the acceptance criteria of the rank-sharded refactor:
   counts.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.api import EngineConfig, ResiliencePolicy, SubmatrixContext
-from repro.chem import orthogonalized_ks
+from repro.chem import HamiltonianModel, build_matrices, orthogonalized_ks
+from repro.chem.basis import SZV
 from repro.core import (
     DistributedSubmatrixPipeline,
     ShardedPlan,
-    SubmatrixMethod,
     block_plan,
     plan_transfers,
     single_column_groups,
 )
-from repro.core.batch import stack_solver
 from repro.core.combination import group_columns_greedy_chunks
 from repro.dbcsr import BlockDistribution, BlockSparseMatrix, CooBlockList, ProcessGrid2D
-from repro.dbcsr.convert import block_matrix_from_csr
+from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_csr
 from repro.parallel import MachineModel
 from repro.parallel.faults import FaultInjector, FaultPlan
 from repro.signfn import (
@@ -38,8 +40,16 @@ from repro.signfn import (
 )
 from repro.signfn.registry import get_kernel
 
+from conftest import run_pipeline
+from submatrix_reference import reference_apply_blockwise, reference_density
+
 RANK_COUNTS = (1, 2, 4, 8)
 MU = 0.1
+#: sign(A − MU·I) as the per-matrix / batched callable pair
+SIGN = dict(
+    function=lambda a: sign_via_eigendecomposition(a, MU),
+    batch_function=lambda s: sign_via_eigendecomposition_batched(s, MU),
+)
 
 
 def banded_block_matrix(n_blocks=24, bandwidth=2, seed=7):
@@ -69,11 +79,7 @@ def block_system():
 def reference_blocks(block_system):
     """Single-process batched-engine result (the bitwise oracle)."""
     matrix, _, coo = block_system
-    method = SubmatrixMethod(
-        lambda a: sign_via_eigendecomposition(a, MU),
-        batch_function=lambda s: sign_via_eigendecomposition_batched(s, MU),
-    )
-    return method.apply_blockwise(matrix, coo=coo).result.raw_blocks()
+    return SubmatrixContext().apply(matrix, coo=coo, **SIGN).result.raw_blocks()
 
 
 def assert_blocks_bitwise_equal(expected, actual):
@@ -274,13 +280,12 @@ class TestDistributedPipeline:
     ):
         matrix, sizes, coo = block_system
         pipeline = DistributedSubmatrixPipeline(coo, sizes, n_ranks)
-        result = pipeline.run(
-            matrix,
-            function=lambda a: sign_via_eigendecomposition(a, MU),
-            batch_function=lambda s: sign_via_eigendecomposition_batched(s, MU),
+        result = run_pipeline(pipeline, matrix, **SIGN)
+        assert_blocks_bitwise_equal(reference_blocks, result.raw_blocks())
+        transfers = pipeline.transfer_plan
+        assert (
+            transfers.total_segment_fetch_bytes <= transfers.total_fetch_bytes + 1e-9
         )
-        assert_blocks_bitwise_equal(reference_blocks, result.result.raw_blocks())
-        assert result.total_segment_fetch_bytes <= result.total_block_fetch_bytes + 1e-9
 
     @pytest.mark.parametrize("balance", ["chunks", "stacks"])
     def test_balance_strategies_bitwise(
@@ -288,12 +293,11 @@ class TestDistributedPipeline:
     ):
         matrix, sizes, coo = block_system
         pipeline = DistributedSubmatrixPipeline(coo, sizes, 4, balance=balance)
-        result = pipeline.run(
-            matrix,
-            function=lambda a: sign_via_eigendecomposition(a, MU),
-            batch_function=lambda s: sign_via_eigendecomposition_batched(s, MU),
-        )
-        assert_blocks_bitwise_equal(reference_blocks, result.result.raw_blocks())
+        result = run_pipeline(pipeline, matrix, **SIGN)
+        assert_blocks_bitwise_equal(reference_blocks, result.raw_blocks())
+        with SubmatrixContext(EngineConfig(balance=balance)) as ctx:
+            via_session = ctx.apply(matrix, coo=coo, ranks=4, **SIGN)
+        assert_blocks_bitwise_equal(reference_blocks, via_session.result.raw_blocks())
 
     def test_bucket_padding_stays_exact_for_matrix_functions(
         self, block_system, reference_blocks
@@ -302,27 +306,29 @@ class TestDistributedPipeline:
         pipeline = DistributedSubmatrixPipeline(
             coo, sizes, 4, balance="stacks", bucket_pad="auto"
         )
-        result = pipeline.run(
-            matrix,
-            batch_function=lambda s: sign_via_eigendecomposition_batched(s, MU),
+        result = run_pipeline(
+            pipeline, matrix, batch_function=SIGN["batch_function"]
         )
         for key, expected in reference_blocks.items():
             np.testing.assert_allclose(
-                expected, result.result.raw_blocks()[key], atol=1e-10
+                expected, result.raw_blocks()[key], atol=1e-10
             )
 
     def test_grouped_columns_supported(self, block_system):
         matrix, sizes, coo = block_system
         grouping = group_columns_greedy_chunks(coo.n_block_cols, 3)
-        single = SubmatrixMethod(
-            lambda a: sign_via_eigendecomposition(a, MU)
-        ).apply_blockwise(matrix, column_groups=grouping.groups, coo=coo)
+        ctx = SubmatrixContext()
+        single = ctx.apply(
+            matrix, SIGN["function"], column_groups=grouping.groups, coo=coo
+        )
         pipeline = DistributedSubmatrixPipeline(coo, sizes, 4, grouping=grouping)
-        result = pipeline.run(
-            matrix, function=lambda a: sign_via_eigendecomposition(a, MU)
+        result = run_pipeline(pipeline, matrix, SIGN["function"])
+        assert_blocks_bitwise_equal(single.result.raw_blocks(), result.raw_blocks())
+        via_session = ctx.apply(
+            matrix, SIGN["function"], column_groups=grouping.groups, coo=coo, ranks=4
         )
         assert_blocks_bitwise_equal(
-            single.result.raw_blocks(), result.result.raw_blocks()
+            single.result.raw_blocks(), via_session.result.raw_blocks()
         )
 
     def test_threaded_run_with_reused_executor(self, block_system, reference_blocks):
@@ -332,29 +338,18 @@ class TestDistributedPipeline:
         pipeline = DistributedSubmatrixPipeline(coo, sizes, 4)
         with ThreadPoolExecutor(max_workers=4) as pool:
             for _ in range(2):  # the pool survives repeated evaluations
-                result = pipeline.run(
+                result = run_pipeline(
+                    pipeline,
                     matrix,
-                    function=lambda a: sign_via_eigendecomposition(a, MU),
-                    batch_function=lambda s: sign_via_eigendecomposition_batched(
-                        s, MU
-                    ),
-                    backend="thread",
-                    executor=pool,
+                    mapper=lambda run, ranks: list(pool.map(run, ranks)),
+                    **SIGN,
                 )
-                assert_blocks_bitwise_equal(
-                    reference_blocks, result.result.raw_blocks()
-                )
+                assert_blocks_bitwise_equal(reference_blocks, result.raw_blocks())
 
     def test_process_backend_rejected(self, block_system):
         """Ranks scatter into shared memory; a process pool cannot."""
-        matrix, sizes, coo = block_system
-        pipeline = DistributedSubmatrixPipeline(coo, sizes, 2)
         with pytest.raises(ValueError):
-            pipeline.run(
-                matrix,
-                function=lambda a: sign_via_eigendecomposition(a, MU),
-                backend="process",
-            )
+            SubmatrixContext(backend="process")
 
     def test_traffic_log_matches_assignment_flops(self, block_system):
         matrix, sizes, coo = block_system
@@ -394,11 +389,7 @@ class TestWaterBenchmarkAcceptance:
     @pytest.fixture(scope="class")
     def water_reference(self, water_setup):
         blocked, sizes, coo = water_setup
-        method = SubmatrixMethod(
-            lambda a: sign_via_eigendecomposition(a, MU),
-            batch_function=lambda s: sign_via_eigendecomposition_batched(s, MU),
-        )
-        return method.apply_blockwise(blocked, coo=coo).result.raw_blocks()
+        return SubmatrixContext().apply(blocked, coo=coo, **SIGN).result.raw_blocks()
 
     @pytest.mark.parametrize("n_ranks", RANK_COUNTS)
     def test_bitwise_and_segment_volume(
@@ -406,21 +397,18 @@ class TestWaterBenchmarkAcceptance:
     ):
         blocked, sizes, coo = water_setup
         pipeline = DistributedSubmatrixPipeline(coo, sizes, n_ranks)
-        result = pipeline.run(
-            blocked,
-            function=lambda a: sign_via_eigendecomposition(a, MU),
-            batch_function=lambda s: sign_via_eigendecomposition_batched(s, MU),
-        )
-        assert_blocks_bitwise_equal(water_reference, result.result.raw_blocks())
-        for report in result.per_rank:
-            assert report.segment_fetch_bytes <= report.block_fetch_bytes + 1e-9
+        result = run_pipeline(pipeline, blocked, **SIGN)
+        assert_blocks_bitwise_equal(water_reference, result.raw_blocks())
+        assert len(pipeline.transfer_plan.per_rank) == n_ranks
+        for summary in pipeline.transfer_plan.per_rank:
+            assert summary.segment_fetch_bytes <= summary.fetch_bytes + 1e-9
 
     @pytest.mark.parametrize("solver", ["eigen", "newton_schulz"])
     def test_one_bucket_loop_behind_every_route(
         self, water32_matrices, water_setup, gap_mu, solver
     ):
-        """Single-process ≡ ranks {1, 2, 4} ≡ degraded, and ``run`` is a
-        thin caller of ``run_stacks`` — all through ``core.batch.map_stacks``."""
+        """Single-process ≡ ranks {1, 2, 4} ≡ degraded, for densities and
+        f(A) alike — all through ``core.runner.run_stacks``."""
         pair = water32_matrices
         config = EngineConfig(engine="batched", eps_filter=1e-5)
 
@@ -449,15 +437,121 @@ class TestWaterBenchmarkAcceptance:
         assert_same_density(degraded, single)
 
         blocked, sizes, coo = water_setup
-        pipeline = DistributedSubmatrixPipeline(coo, sizes, 2)
-        ran = pipeline.run(blocked, solver, mu=gap_mu)
+        with SubmatrixContext(config) as ctx:
+            whole = ctx.apply(blocked, solver, mu=gap_mu).result.raw_blocks()
+            ran = ctx.apply(blocked, solver, mu=gap_mu, ranks=2)
+        assert_blocks_bitwise_equal(whole, ran.result.raw_blocks())
         bound = get_kernel(solver).bind(mu=gap_mu)
-        out = pipeline.plan.new_output()
-        pipeline.run_stacks(
-            pipeline.plan.pack(blocked),
-            stack_solver(bound.function, bound.batch_function),
-            out,
+        built = run_pipeline(
+            DistributedSubmatrixPipeline(coo, sizes, 2),
+            blocked,
+            bound.function,
+            bound.batch_function,
         )
-        assert_blocks_bitwise_equal(
-            ran.result.raw_blocks(), pipeline.plan.finalize(out).raw_blocks()
+        assert_blocks_bitwise_equal(whole, built.raw_blocks())
+
+
+class TestExecutorParity:
+    """One rank loop behind ``apply`` and ``density``."""
+
+    EPS = 1e-4
+    #: rank 0 exists at every rank count: one transient crash is recovered
+    #: by one retry; a crash on every attempt exhausts the retries
+    FAULTS = {
+        "clean": None,
+        "rank_crash": dict(times=1),
+        "retries_exhausted": dict(times=None),
+    }
+
+    @staticmethod
+    def _evaluate(entry, pair, blocked, mu, kernel, config, ranks=None):
+        with SubmatrixContext(config) as ctx:
+            if entry == "apply":
+                run = ctx.apply(blocked, kernel, mu=mu, ranks=ranks)
+                values = (block_matrix_to_csr(run.result).toarray(),)
+                report = run.resilience
+                return values, run.n_ranks, (report.retries, report.degraded)
+            run = ctx.density(
+                pair.K, pair.S, pair.blocks, mu=mu, solver=kernel, ranks=ranks
+            )
+            values = (run.density_ao, run.density_ortho.toarray(), run.band_energy)
+            return values, run.n_ranks, (run.retries, run.degraded)
+
+    @pytest.fixture(scope="class")
+    def system(self, water32):
+        """Short-decay water: submatrix dimensions 6/12/18 (three buckets),
+        so the 48 cases cost milliseconds each.  ``(pair, blocked, mu)``."""
+        basis = dataclasses.replace(
+            SZV, name="SZV-short-decay", decay_length=0.20, overlap_decay_length=0.16
         )
+        model = HamiltonianModel(basis=basis)
+        pair = build_matrices(water32, model=model)
+        k_ortho, _ = orthogonalized_ks(pair.K, pair.S, eps_filter=self.EPS)
+        blocked = block_matrix_from_csr(
+            k_ortho, pair.blocks.block_sizes, threshold=0.0
+        )
+        return pair, blocked, model.homo_lumo_gap_center()
+
+    @pytest.fixture(scope="class")
+    def clean_single_process(self, system):
+        """The clean single-process result of every (entry, kernel) — for
+        ``eigen`` checked against the per-submatrix reference loop."""
+        pair, blocked, gap_mu = system
+        config = EngineConfig(eps_filter=self.EPS)
+        results = {
+            (entry, kernel): self._evaluate(
+                entry, pair, blocked, gap_mu, kernel, config
+            )[0]
+            for entry in ("apply", "density")
+            for kernel in ("eigen", "newton_schulz")
+        }
+        loop, _ = reference_apply_blockwise(
+            blocked, lambda a: sign_via_eigendecomposition(a, gap_mu)
+        )
+        assert np.array_equal(
+            results["apply", "eigen"][0], block_matrix_to_csr(loop).toarray()
+        )
+        density = reference_density(pair.K, pair.S, pair.blocks, gap_mu, self.EPS)
+        assert np.array_equal(results["density", "eigen"][0], density.density_ao)
+        return results
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("ranks", [None, 1, 2, 4])
+    @pytest.mark.parametrize("kernel", ["eigen", "newton_schulz"])
+    @pytest.mark.parametrize("entry", ["apply", "density"])
+    def test_executor_parity(
+        self,
+        system,
+        clean_single_process,
+        entry,
+        kernel,
+        ranks,
+        fault,
+    ):
+        """``apply`` and ``density`` run the same rank loop: any rank count,
+        a recovered rank crash and a degraded run all reproduce the clean
+        single-process result bitwise, with the same resilience counters."""
+        injector = None
+        if self.FAULTS[fault] is not None:
+            injector = FaultInjector(
+                FaultPlan.rank_crashes([0], seed=3, **self.FAULTS[fault])
+            )
+        config = EngineConfig(
+            eps_filter=self.EPS, resilience=ResiliencePolicy(fault_injector=injector)
+        )
+        pair, blocked, gap_mu = system
+        values, n_ranks, (retries, degraded) = self._evaluate(
+            entry, pair, blocked, gap_mu, kernel, config, ranks
+        )
+        for ours, reference in zip(values, clean_single_process[entry, kernel]):
+            assert np.array_equal(ours, reference)
+        assert n_ranks == (ranks or 1)
+        faulted = ranks is not None and fault != "clean"
+        assert retries == (1 if faulted else 0)
+        assert degraded == (faulted and fault == "retries_exhausted")
+        if injector is not None:
+            # one crash, or the first attempt and its one retry; never
+            # consulted without ranks
+            expected = {"rank_crash": 1, "retries_exhausted": 2}[fault]
+            assert injector.n_injected == (expected if faulted else 0)
+

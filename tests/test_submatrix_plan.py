@@ -12,14 +12,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.api import EngineConfig
+from repro.api import EngineConfig, SubmatrixContext
 from repro.core import (
-    DEFAULT_PLAN_CACHE,
     BlockSubmatrixPlan,
     ElementSubmatrixPlan,
     PlanCache,
-    SubmatrixMethod,
-    SubmatrixDFTSolver,
     make_buckets,
 )
 from repro.core.batch import evaluate_batched
@@ -92,12 +89,12 @@ class TestElementPlanEquivalence:
     @pytest.mark.parametrize("density", [0.05, 0.2])
     def test_plan_matches_naive_bitwise(self, seed, density):
         matrix = random_sparse_symmetric(50, density, seed)
-        method = SubmatrixMethod(lambda a: a @ a)
+        context = SubmatrixContext()
         for groups in (None, random_partition(50, seed + 100)):
             naive, dimensions = reference_apply_elementwise(
                 matrix, lambda a: a @ a, groups
             )
-            planned = method.apply_elementwise(matrix, groups)
+            planned = context.apply_elementwise(matrix, lambda a: a @ a, groups)
             assert dimensions == planned.submatrix_dimensions
             assert (naive != planned.result).nnz == 0
             assert np.array_equal(naive.toarray(), planned.result.toarray())
@@ -129,8 +126,8 @@ class TestElementPlanEquivalence:
         scaled = matrix * 2.0
         groups = [[c] for c in range(30)]
         plan = ElementSubmatrixPlan(matrix.tocsc(), groups)
-        method = SubmatrixMethod(lambda a: a @ a)
-        planned = method.apply_elementwise(scaled, groups, plan=plan)
+        context = SubmatrixContext()
+        planned = context.apply_elementwise(scaled, lambda a: a @ a, groups, plan=plan)
         naive, _ = reference_apply_elementwise(scaled, lambda a: a @ a, groups)
         assert np.array_equal(naive.toarray(), planned.result.toarray())
 
@@ -140,12 +137,12 @@ class TestBlockPlanEquivalence:
     @pytest.mark.parametrize("bandwidth", [1, 3])
     def test_plan_matches_naive_bitwise(self, seed, bandwidth):
         matrix = random_block_symmetric(12, 3, bandwidth, seed)
-        method = SubmatrixMethod(lambda a: a @ a + a)
+        context = SubmatrixContext()
         for groups in (None, random_partition(12, seed + 50)):
             naive, dimensions = reference_apply_blockwise(
                 matrix, lambda a: a @ a + a, groups
             )
-            planned = method.apply_blockwise(matrix, groups)
+            planned = context.apply_blockwise(matrix, lambda a: a @ a + a, groups)
             assert dimensions == planned.submatrix_dimensions
             dense_naive = block_matrix_to_dense(naive)
             dense_plan = block_matrix_to_dense(planned.result)
@@ -158,10 +155,10 @@ class TestBlockPlanEquivalence:
         dense = generator.normal(size=(n, n))
         dense = (dense + dense.T) / 2.0
         matrix = block_matrix_from_dense(dense, sizes)
-        method = SubmatrixMethod(lambda a: a @ a)
+        context = SubmatrixContext()
         groups = [[0, 2], [1], [3, 4], [5]]
         naive, _ = reference_apply_blockwise(matrix, lambda a: a @ a, groups)
-        planned = method.apply_blockwise(matrix, groups)
+        planned = context.apply_blockwise(matrix, lambda a: a @ a, groups)
         assert np.array_equal(
             block_matrix_to_dense(naive), block_matrix_to_dense(planned.result)
         )
@@ -188,9 +185,9 @@ class TestBlockPlanEquivalence:
         smaller = matrix.copy()
         bi, bj = matrix.block_keys()[0]
         smaller.remove_block(bi, bj)
-        method = SubmatrixMethod(lambda a: a @ a)
+        context = SubmatrixContext()
         naive, _ = reference_apply_blockwise(smaller, lambda a: a @ a, coo=coo)
-        planned = method.apply_blockwise(smaller, coo=coo)
+        planned = context.apply_blockwise(smaller, lambda a: a @ a, coo=coo)
         assert np.array_equal(
             block_matrix_to_dense(naive), block_matrix_to_dense(planned.result)
         )
@@ -266,9 +263,9 @@ class TestPlanCache:
         """Regression: an empty PlanCache is falsy (__len__) but must be used."""
         cache = PlanCache()
         matrix = random_sparse_symmetric(20, 0.1, 12)
-        method = SubmatrixMethod(lambda a: a @ a, plan_cache=cache)
-        method.apply_elementwise(matrix)
-        method.apply_elementwise(matrix)
+        context = SubmatrixContext(plan_cache=cache)
+        context.apply_elementwise(matrix, lambda a: a @ a)
+        context.apply_elementwise(matrix, lambda a: a @ a)
         assert cache.stats == expected_stats(hits=1, misses=1, plans=1)
 
     def test_value_only_mutation_hits_cache_without_stale_result(self):
@@ -279,15 +276,15 @@ class TestPlanCache:
         cache = PlanCache()
         matrix = random_block_symmetric(6, 2, 2, 5)
         coo = CooBlockList.from_block_matrix(matrix)
-        method = SubmatrixMethod(lambda a: a @ a, plan_cache=cache)
-        first = method.apply_blockwise(matrix, coo=coo)
+        context = SubmatrixContext(plan_cache=cache)
+        first = context.apply_blockwise(matrix, lambda a: a @ a, coo=coo)
         blocks = matrix.raw_blocks()
         key = sorted(blocks)[0]
         blocks[key][...] *= 2.0  # in-place value change, same pattern
         assert CooBlockList.from_block_matrix(matrix).fingerprint() == (
             coo.fingerprint()
         )
-        second = method.apply_blockwise(matrix, coo=coo)
+        second = context.apply_blockwise(matrix, lambda a: a @ a, coo=coo)
         assert cache.stats == expected_stats(hits=1, misses=1, plans=1)
         reference, _ = reference_apply_blockwise(matrix, lambda a: a @ a, coo=coo)
         assert np.array_equal(
@@ -319,13 +316,22 @@ class TestPlanCache:
         cache.block_plan(shrunk_coo, matrix.row_block_sizes, groups)
         assert cache.stats["hits"] == 1  # back to the original pattern
 
-    def test_method_uses_default_cache(self):
-        matrix = random_sparse_symmetric(25, 0.1, 6)
-        method = SubmatrixMethod(lambda a: a @ a)
-        before = DEFAULT_PLAN_CACHE.stats["hits"]
-        method.apply_elementwise(matrix)
-        method.apply_elementwise(matrix)
-        assert DEFAULT_PLAN_CACHE.stats["hits"] > before
+    def test_no_cache_given_builds_uncached(self):
+        """No process-wide cache: without ``cache=`` every call builds anew."""
+        matrix = random_block_symmetric(6, 2, 2, 5)
+        coo = CooBlockList.from_block_matrix(matrix)
+        groups = [[c] for c in range(6)]
+        first = block_plan(coo, matrix.row_block_sizes, groups)
+        assert block_plan(coo, matrix.row_block_sizes, groups) is not first
+        sparse = random_sparse_symmetric(25, 0.1, 6)
+        columns = [[c] for c in range(25)]
+        assert element_plan(sparse, columns) is not element_plan(sparse, columns)
+        # two sessions never share plans unless handed one cache
+        one, two = SubmatrixContext(), SubmatrixContext()
+        one.apply(sparse, lambda a: a @ a)
+        two.apply(sparse, lambda a: a @ a)
+        assert two.plan_cache.stats["hits"] == 0
+        assert two.plan_cache.stats["misses"] == 1
 
 
 class TestBuckets:
@@ -354,9 +360,9 @@ class TestBuckets:
 class TestBatchedEvaluation:
     def test_batched_engine_matches_naive(self):
         matrix = random_block_symmetric(12, 3, 2, 1)
-        method = SubmatrixMethod(lambda a: a @ a)
+        context = SubmatrixContext()
         naive, _ = reference_apply_blockwise(matrix, lambda a: a @ a)
-        batched = method.apply_blockwise(matrix)
+        batched = context.apply_blockwise(matrix, lambda a: a @ a)
         assert np.array_equal(
             block_matrix_to_dense(naive), block_matrix_to_dense(batched.result)
         )
@@ -366,13 +372,12 @@ class TestBatchedEvaluation:
         dense = make_decay_matrix(36, bandwidth=3.0)
         dense[np.abs(dense) < 1e-2] = 0.0
         matrix = block_matrix_from_dense(dense, [3] * 12)
-        method = SubmatrixMethod(
+        naive, _ = reference_apply_blockwise(matrix, sign_via_eigendecomposition)
+        batched = SubmatrixContext(EngineConfig(bucket_pad=8)).apply_blockwise(
+            matrix,
             sign_via_eigendecomposition,
             batch_function=sign_via_eigendecomposition_batched,
-            bucket_pad=8,
         )
-        naive, _ = reference_apply_blockwise(matrix, sign_via_eigendecomposition)
-        batched = method.apply_blockwise(matrix)
         assert np.allclose(
             block_matrix_to_dense(naive),
             block_matrix_to_dense(batched.result),
@@ -437,8 +442,8 @@ class TestBatchedSignKernels:
 class TestSignDFTPlanEquivalence:
     def test_grand_canonical_plan_matches_naive(self, water32_matrices, gap_mu):
         pair = water32_matrices
-        fast = SubmatrixDFTSolver(solver="eigen", config=EngineConfig(eps_filter=1e-5))
-        result_fast = fast.compute_density(
+        fast = SubmatrixContext(EngineConfig(eps_filter=1e-5))
+        result_fast = fast.density(
             pair.K, pair.S, pair.blocks, mu=gap_mu
         )
         result_slow = reference_density(
@@ -456,8 +461,8 @@ class TestSignDFTPlanEquivalence:
     def test_canonical_bisection_plan_matches_naive(self, water32_matrices):
         pair = water32_matrices
         n_electrons = 8.0 * 32  # 8 valence electrons per water molecule
-        fast = SubmatrixDFTSolver(config=EngineConfig(eps_filter=1e-5))
-        result_fast = fast.compute_density(
+        fast = SubmatrixContext(EngineConfig(eps_filter=1e-5))
+        result_fast = fast.density(
             pair.K, pair.S, pair.blocks, n_electrons=n_electrons
         )
         # the bisected μ, pushed through the reference loop, fills the
@@ -473,10 +478,10 @@ class TestSignDFTPlanEquivalence:
 
     def test_iterative_solver_plan_matches_naive(self, water32_matrices, gap_mu):
         pair = water32_matrices
-        fast = SubmatrixDFTSolver(
-            solver="newton_schulz", config=EngineConfig(eps_filter=1e-5)
+        fast = SubmatrixContext(EngineConfig(eps_filter=1e-5))
+        result_fast = fast.density(
+            pair.K, pair.S, pair.blocks, mu=gap_mu, solver="newton_schulz"
         )
-        result_fast = fast.compute_density(pair.K, pair.S, pair.blocks, mu=gap_mu)
         result_slow = reference_density(
             pair.K,
             pair.S,
