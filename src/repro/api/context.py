@@ -12,6 +12,9 @@ the engine and the session object that owns the shared resources once:
 * a cache of configured :class:`~repro.core.runner.DistributedSubmatrixPipeline`
   instances (sharded plans and transfer plans survive across repeated
   sharded runs),
+* the overlap roots S^{-1/2} of the Löwdin envelope, one per distinct overlap
+  *content* (SCF iterations, fixed-geometry sweeps and hot served tenants
+  diagonalise their S once per session, not once per call),
 
 and exposes the workloads of the paper as methods:
 
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import threading
 import time
 import weakref
@@ -44,6 +48,7 @@ import scipy.sparse as sp
 
 from repro.api.config import EngineConfig, ResiliencePolicy, check_ranks
 from repro.api.results import SubmatrixMethodResult
+from repro.chem.orthogonalize import loewdin_inverse_sqrt
 from repro.core.batch import stack_solver
 from repro.core.combination import ColumnGrouping, single_column_groups
 from repro.core.load_balance import resolve_bucket_pad
@@ -65,7 +70,7 @@ from repro.dbcsr.coo import CooBlockList
 from repro.parallel.executor import make_executor, map_parallel
 from repro.signfn.registry import BoundKernel, resolve_kernel
 
-__all__ = ["SubmatrixContext", "REPLAN_MODES"]
+__all__ = ["SubmatrixContext", "REPLAN_MODES", "matrix_fingerprint"]
 
 _UNSET = object()
 
@@ -78,6 +83,12 @@ MAX_CACHED_PIPELINES = 32
 #: Upper bound on the per-(grouping, sizes) anchor maps used by incremental
 #: replanning (the most recent plan/pipeline per configuration).
 MAX_REPLAN_ANCHORS = 16
+
+#: Upper bound, in bytes, on the overlap roots a session keeps (one dense
+#: n×n float64 S^{-1/2} per distinct overlap content: 4.7 MB at 768 basis
+#: functions).  Least recently used roots are dropped first; a root larger
+#: than the bound is computed per call and never stored.
+MAX_OVERLAP_ROOT_BYTES = 32 * 2**20
 
 #: Valid ``replan`` modes of the incremental-replan machinery:
 #: ``"full"`` always rebuilds on a pattern change, ``"patch"`` always patches
@@ -105,6 +116,28 @@ def validate_groups(groups: Sequence[Sequence[int]], n_columns: int) -> None:
     if not np.all(seen):
         missing = int(np.flatnonzero(~seen)[0])
         raise ValueError(f"column {missing} is not covered by any group")
+
+
+def matrix_fingerprint(matrix) -> bytes:
+    """Content hash of a dense or sparse matrix (shape, dtype, pattern, values).
+
+    The one content key of the session's overlap-root cache and of the
+    serving layer's request deduplication.  A missed match (the same logical
+    matrix in two storage formats) costs a redundant evaluation, never
+    correctness; a matrix mutated in place hashes differently.
+    """
+    if sp.issparse(matrix):
+        csr = matrix.tocsr()
+        shape, arrays = csr.shape, (csr.indptr, csr.indices, csr.data)
+    else:
+        dense = np.asarray(matrix)
+        shape, arrays = dense.shape, (dense,)
+    digest = hashlib.sha256(repr(shape).encode())
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        digest.update(array.dtype.str.encode())
+        digest.update(array)
+    return digest.digest()
 
 
 def _distribution_key(distribution) -> Optional[tuple]:
@@ -202,6 +235,10 @@ class SubmatrixContext:
         self._pipeline_anchors: "OrderedDict[tuple, DistributedSubmatrixPipeline]" = (
             OrderedDict()
         )
+        # S^{-1/2} per overlap content (read-only arrays, LRU by bytes)
+        self._overlap_roots: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
+        self._overlap_root_hits = 0
+        self._overlap_root_misses = 0
         self._closed = False
         # session bookkeeping lock: guards executor creation, the plan /
         # pipeline / anchor maps, the in-flight counter and close().  The
@@ -281,7 +318,8 @@ class SubmatrixContext:
     def close(self) -> None:
         """Shut down the persistent executor (idempotent when idle).
 
-        Cached plans and pipelines are kept; any call through the session
+        Cached plans and pipelines are kept, the cached overlap roots are
+        dropped; any call through the session
         after a ``close()`` raises a :class:`RuntimeError`, so reuse
         requires a new context.  Safe to call any number of times and after
         the ``weakref.finalize`` shutdown path has already run (pool
@@ -300,6 +338,7 @@ class SubmatrixContext:
                     "them to finish and call close() again"
                 )
             executor, self._executor = self._executor, None
+            self._overlap_roots.clear()
             self._closed = True
         if executor is not None:
             finalizer = getattr(self, "_finalizer", None)
@@ -318,7 +357,9 @@ class SubmatrixContext:
 
         ``pipelines_built`` counts actual constructions (a monotone
         counter, unaffected by cache eviction); ``pipelines_cached`` is the
-        current cache size.
+        current cache size.  ``overlap_roots`` reports the S^{-1/2} cache
+        (:meth:`overlap_root`): lookups served from it (``hits``), lookups
+        that diagonalised S (``misses``), and what it holds now.
         """
         with self._lock:
             return {
@@ -327,7 +368,47 @@ class SubmatrixContext:
                 "pipelines_built": self._pipelines_built,
                 "pipelines_patched": self._pipelines_patched,
                 "pipelines_cached": len(self._pipelines),
+                "overlap_roots": {
+                    "hits": self._overlap_root_hits,
+                    "misses": self._overlap_root_misses,
+                    "entries": len(self._overlap_roots),
+                    "bytes": self._overlap_root_bytes(),
+                },
             }
+
+    def _overlap_root_bytes(self) -> int:
+        return sum(root.nbytes for root in self._overlap_roots.values())
+
+    def overlap_root(self, S) -> np.ndarray:
+        """S^{-1/2} of the overlap matrix, computed once per overlap *content*.
+
+        The Löwdin root (:func:`~repro.chem.orthogonalize.loewdin_inverse_sqrt`,
+        a dense ``eigh`` of S) is a pure function of the bytes of ``S``, so
+        the session keeps it keyed by :func:`matrix_fingerprint` — never by
+        object identity: an ``S`` mutated in place is a different key.  The
+        returned array is shared between every request that hits and is
+        therefore read-only.  The cache is an LRU bounded by
+        :data:`MAX_OVERLAP_ROOT_BYTES`; a miss costs the hash on top of the
+        root.  Two threads missing on the same content both compute the
+        (identical) root rather than serialise behind the session lock.
+        """
+        self._check_open()
+        key = matrix_fingerprint(S)
+        with self._lock:
+            root = self._overlap_roots.get(key)
+            if root is not None:
+                self._overlap_roots.move_to_end(key)
+                self._overlap_root_hits += 1
+                return root
+            self._overlap_root_misses += 1
+        root = loewdin_inverse_sqrt(S)
+        root.setflags(write=False)
+        with self._lock:
+            if root.nbytes <= MAX_OVERLAP_ROOT_BYTES:
+                self._overlap_roots[key] = root
+                while self._overlap_root_bytes() > MAX_OVERLAP_ROOT_BYTES:
+                    self._overlap_roots.popitem(last=False)
+        return root
 
     def _map(self, function, items):
         """Map through the session's persistent executor."""

@@ -118,8 +118,13 @@ class PreparedStep:
     Everything here is a pure function of ``(K, S, block_sizes,
     eps_filter)`` — orthogonalization, block conversion, the COO pattern
     and its fingerprint — and touches neither the session's plan cache nor
-    its pipelines.  :func:`compute_observables` starts from it, and the
-    serving layer's batcher prepares each distinct request content once.
+    its pipelines.  ``s_inv_sqrt`` is itself a pure function of ``S``; when
+    the session has seen that overlap content before it is the session's
+    shared read-only array
+    (:meth:`~repro.api.context.SubmatrixContext.overlap_root`), bitwise the
+    one a fresh computation gives.  :func:`compute_observables` starts from
+    a prepared step, and the serving layer's batcher prepares each distinct
+    request content once.
     """
 
     k_ortho: sp.csr_matrix
@@ -128,23 +133,24 @@ class PreparedStep:
     coo: CooBlockList
 
 
-def _require_finite(name: str, matrix) -> None:
-    values = matrix.data if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} contains non-finite values (NaN or Inf)")
-
-
-def prepare_step(K, S, blocks, eps_filter: float) -> PreparedStep:
+def prepare_step(
+    K, S, blocks, eps_filter: float, s_inv_sqrt: Optional[np.ndarray] = None
+) -> PreparedStep:
     """Precompute the pure preparation of one step (see :class:`PreparedStep`).
 
+    ``s_inv_sqrt`` is the Löwdin root of ``S`` when the caller already holds
+    it (a session passes its cached one); by default it is computed here.
+
     Raises :class:`ValueError` naming the matrix when ``K`` or ``S`` holds a
-    NaN/Inf: one such entry turns the whole orthogonalized matrix into NaN,
-    NaN compares below ``eps_filter``, and an all-zero density would come
-    back instead of an error.
+    NaN/Inf or is not symmetric
+    (:data:`~repro.chem.orthogonalize.SYMMETRY_ATOL`): one NaN turns the whole
+    orthogonalized matrix into NaN, NaN compares below ``eps_filter``, and an
+    all-zero density would come back instead of an error; an asymmetric ``K``
+    would be symmetrised into a different Hamiltonian without complaint.
     """
-    _require_finite("K", K)
-    _require_finite("S", S)
-    k_ortho, s_inv_sqrt = orthogonalized_ks(K, S, eps_filter=eps_filter)
+    k_ortho, s_inv_sqrt = orthogonalized_ks(
+        K, S, eps_filter=eps_filter, s_inv_sqrt=s_inv_sqrt
+    )
     block_k = block_matrix_from_csr(k_ortho, blocks.block_sizes, threshold=0.0)
     coo = CooBlockList.from_block_matrix(block_k)
     return PreparedStep(
@@ -486,7 +492,9 @@ def _decompose(
     policy, report = context._resilience()
     eigen_cache = kernel.supports_mu_bisection
 
-    prepared = prepare_step(K, S, blocks, config.eps_filter)
+    prepared = prepare_step(
+        K, S, blocks, config.eps_filter, s_inv_sqrt=context.overlap_root(S)
+    )
     block_k, coo = prepared.block_k, prepared.coo
     grouping = grouping or single_column_groups(block_k.n_block_cols)
     grouping.validate(block_k.n_block_cols)
@@ -718,14 +726,14 @@ def _assemble_energy_weighted(
         )
     config = evaluation.config
     mu = evaluation.mu
-    ortho = block_matrix_to_csr(
+    ortho, ao = _back_transform(
+        evaluation.s_inv_sqrt,
         _scatter_spectral(
             evaluation,
             lambda eigenvalues: eigenvalues
             * fermi_occupation(eigenvalues, mu, config.temperature),
-        )
+        ),
     )
-    ao = evaluation.s_inv_sqrt @ ortho.toarray() @ evaluation.s_inv_sqrt
     # same g_s·trace contraction electron_count uses, applied to W:
     # E_band = g_s Σ w·λ·f(λ−μ) = g_s Tr(W)
     band = electron_count(ortho, config.spin_degeneracy)
@@ -841,6 +849,15 @@ register_observable(
 # --------------------------------------------------------------------------- #
 # the density observable's assembly
 # --------------------------------------------------------------------------- #
+def _back_transform(
+    s_inv_sqrt: np.ndarray, ortho_block: BlockSparseMatrix
+) -> Tuple[sp.csr_matrix, np.ndarray]:
+    """Outer products of Eq. 16: the scattered orthogonal-basis blocks as CSR
+    and their AO-basis form ``S^{-1/2} · X̃ · S^{-1/2}`` (dense)."""
+    ortho = block_matrix_to_csr(ortho_block)
+    return ortho, s_inv_sqrt @ ortho.toarray() @ s_inv_sqrt
+
+
 def assemble_result(
     config,
     K,
@@ -861,8 +878,7 @@ def assemble_result(
     basis, evaluate the band-structure energy and electron count, and
     collect the transfer accounting of an optional sharded ``pipeline``.
     """
-    density_ortho = block_matrix_to_csr(occupation_block)
-    density_ao = s_inv_sqrt @ density_ortho.toarray() @ s_inv_sqrt
+    density_ortho, density_ao = _back_transform(s_inv_sqrt, occupation_block)
     k_dense = K.toarray() if sp.issparse(K) else np.asarray(K, dtype=float)
     energy = band_structure_energy(density_ao, k_dense, config.spin_degeneracy)
     n_elec = electron_count(density_ortho, config.spin_degeneracy)

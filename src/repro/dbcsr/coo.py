@@ -43,9 +43,9 @@ class CooBlockList:
         self.cols = cols[order]
         self.n_block_rows = int(n_block_rows)
         self.n_block_cols = int(n_block_cols)
-        self._id_of: Dict[Tuple[int, int], int] = {
-            (int(r), int(c)): i for i, (r, c) in enumerate(zip(self.rows, self.cols))
-        }
+        # coordinates -> ID, built on the first block_id/contains query: the
+        # request path never asks, it addresses blocks by position
+        self._id_of: Optional[Dict[Tuple[int, int], int]] = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -53,10 +53,8 @@ class CooBlockList:
     @classmethod
     def from_block_matrix(cls, matrix: BlockSparseMatrix) -> "CooBlockList":
         """Build the COO list from a (logically distributed) block matrix."""
-        keys = matrix.block_keys()
-        rows = [bi for bi, _ in keys]
-        cols = [bj for _, bj in keys]
-        return cls(rows, cols, matrix.n_block_rows, matrix.n_block_cols)
+        keys = np.array(list(matrix.raw_blocks()), dtype=int).reshape(-1, 2)
+        return cls(keys[:, 0], keys[:, 1], matrix.n_block_rows, matrix.n_block_cols)
 
     @classmethod
     def from_pattern(cls, pattern: sp.spmatrix) -> "CooBlockList":
@@ -101,10 +99,18 @@ class CooBlockList:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def _ids(self) -> Dict[Tuple[int, int], int]:
+        if self._id_of is None:
+            self._id_of = {
+                key: i
+                for i, key in enumerate(zip(self.rows.tolist(), self.cols.tolist()))
+            }
+        return self._id_of
+
     def block_id(self, bi: int, bj: int) -> int:
         """Unique ID (position in the sorted list) of block (bi, bj)."""
         try:
-            return self._id_of[(int(bi), int(bj))]
+            return self._ids()[(int(bi), int(bj))]
         except KeyError as exc:
             raise KeyError(f"block ({bi}, {bj}) is not in the COO list") from exc
 
@@ -116,7 +122,7 @@ class CooBlockList:
 
     def contains(self, bi: int, bj: int) -> bool:
         """Whether block (bi, bj) is non-zero."""
-        return (int(bi), int(bj)) in self._id_of
+        return (int(bi), int(bj)) in self._ids()
 
     def blocks_in_column(self, bj: int) -> List[int]:
         """Sorted block rows of the non-zero blocks in block column ``bj``."""

@@ -55,7 +55,6 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import dataclasses
-import hashlib
 import queue
 import threading
 import time
@@ -64,8 +63,8 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
+from repro.api.context import matrix_fingerprint
 from repro.api.observables import (
     Decomposition,
     _make_entry,
@@ -143,8 +142,8 @@ class DensityRequest:
         """Bytewise input identity: requests with equal keys share all
         μ-independent work (prepare, pack, eigendecomposition) in a group."""
         return (
-            _matrix_fingerprint(self.K),
-            _matrix_fingerprint(self.S),
+            matrix_fingerprint(self.K),
+            matrix_fingerprint(self.S),
             tuple(int(b) for b in self.blocks.block_sizes),
             self.replan,
         )
@@ -165,28 +164,6 @@ class DensityRequest:
             except Exception:
                 pass
         self.future.set_exception(error)
-
-
-def _matrix_fingerprint(matrix) -> bytes:
-    """Content hash of a dense or sparse matrix (shape, pattern and values).
-
-    Used only to *deduplicate* work across requests within one micro-batch:
-    a missed match (e.g. the same logical matrix in two storage formats)
-    costs a redundant evaluation, never correctness.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    if sp.issparse(matrix):
-        csr = matrix.tocsr()
-        digest.update(repr(csr.shape).encode())
-        digest.update(np.asarray(csr.indptr).tobytes())
-        digest.update(np.asarray(csr.indices).tobytes())
-        digest.update(np.ascontiguousarray(csr.data).tobytes())
-    else:
-        array = np.ascontiguousarray(matrix)
-        digest.update(repr(array.shape).encode())
-        digest.update(array.dtype.str.encode())
-        digest.update(array.tobytes())
-    return digest.digest()
 
 
 class DecompositionCache:
@@ -342,7 +319,11 @@ def evaluate_merged_group(
             fresh,
             context._map(
                 lambda i: prepare_step(
-                    requests[i].K, requests[i].S, requests[i].blocks, config.eps_filter
+                    requests[i].K,
+                    requests[i].S,
+                    requests[i].blocks,
+                    config.eps_filter,
+                    s_inv_sqrt=context.overlap_root(requests[i].S),
                 ),
                 fresh,
             ),

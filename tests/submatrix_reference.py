@@ -5,6 +5,10 @@ One ``extract_*`` call, one dense function evaluation and one ``scatter_*``
 call per column group, rebuilding all index bookkeeping every time — no
 plan, no stacks, no cache.  The engine's results must equal these bitwise
 wherever the per-submatrix arithmetic is the same.
+
+The block I/O of :mod:`repro.dbcsr` has its reference here too: the
+per-block loops (one SciPy slice, one ``meshgrid`` per block) the vectorised
+conversions replaced and must reproduce bitwise.
 """
 
 from __future__ import annotations
@@ -27,7 +31,58 @@ from repro.core.submatrix import (
     scatter_submatrix_result,
 )
 from repro.dbcsr import BlockSparseMatrix, CooBlockList
-from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_csr
+
+
+def reference_block_matrix_from_csr(
+    matrix, row_block_sizes, col_block_sizes=None, threshold=0.0
+):
+    """CSR -> block storage, one SciPy slice per occupied block."""
+    result = BlockSparseMatrix(row_block_sizes, col_block_sizes)
+    coo = matrix.tocoo()
+    if threshold > 0.0:
+        keep = np.abs(coo.data) > threshold
+        coo = sp.coo_matrix(
+            (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape
+        )
+    if coo.nnz == 0:
+        return result
+    block_row = np.searchsorted(result.row_starts, coo.row, side="right") - 1
+    block_col = np.searchsorted(result.col_starts, coo.col, side="right") - 1
+    csr = matrix.tocsr()
+    for bi, bj in sorted(set(zip(block_row.tolist(), block_col.tolist()))):
+        r0, r1 = result.row_starts[bi], result.row_starts[bi + 1]
+        c0, c1 = result.col_starts[bj], result.col_starts[bj + 1]
+        result.put_block(bi, bj, csr[r0:r1, c0:c1].toarray())
+    return result
+
+
+def reference_block_matrix_to_csr(matrix):
+    """Block storage -> CSR, one ``meshgrid`` per stored block."""
+    rows_idx, cols_idx, values = [], [], []
+    for bi, bj, block in matrix.iter_blocks():
+        local_r, local_c = np.meshgrid(
+            np.arange(block.shape[0]), np.arange(block.shape[1]), indexing="ij"
+        )
+        rows_idx.append((matrix.row_starts[bi] + local_r).ravel())
+        cols_idx.append((matrix.col_starts[bj] + local_c).ravel())
+        values.append(block.ravel())
+    if not values:
+        return sp.csr_matrix(matrix.shape)
+    return sp.coo_matrix(
+        (np.concatenate(values), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
+        shape=matrix.shape,
+    ).tocsr()
+
+
+def reference_coo_block_list(matrix):
+    """The COO block list of a block matrix from its sorted key tuples."""
+    keys = matrix.block_keys()
+    return CooBlockList(
+        [bi for bi, _ in keys],
+        [bj for _, bj in keys],
+        matrix.n_block_rows,
+        matrix.n_block_cols,
+    )
 
 
 def reference_apply_elementwise(matrix, function, column_groups=None):
@@ -92,7 +147,7 @@ def reference_density(
     ``1/2 (I − sign_function(a − μI))``.
     """
     k_ortho, s_inv_sqrt = orthogonalized_ks(K, S, eps_filter=eps_filter)
-    block_k = block_matrix_from_csr(k_ortho, blocks.block_sizes, threshold=0.0)
+    block_k = reference_block_matrix_from_csr(k_ortho, blocks.block_sizes)
 
     def occupation(dense):
         if sign_function is not None:
@@ -103,7 +158,7 @@ def reference_density(
         return (eigenvectors * occupations) @ eigenvectors.T
 
     occupation_block, dimensions = reference_apply_blockwise(block_k, occupation)
-    density_ortho = block_matrix_to_csr(occupation_block)
+    density_ortho = reference_block_matrix_to_csr(occupation_block)
     density_ao = s_inv_sqrt @ density_ortho.toarray() @ s_inv_sqrt
     k_dense = K.toarray() if sp.issparse(K) else np.asarray(K, dtype=float)
     return SimpleNamespace(

@@ -18,6 +18,8 @@ import dataclasses
 import importlib.util
 import inspect
 import pathlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -38,7 +40,12 @@ from repro.api import (
     register_callable,
     resolve_kernel,
 )
-from repro.chem import orthogonalized_ks
+from repro.chem import (
+    loewdin_inverse_sqrt,
+    orthogonalized_ks,
+    reference_density_matrix,
+)
+from repro.chem.hamiltonian import BlockStructure
 from repro.dbcsr import CooBlockList
 from repro.core.batch import evaluate_batched, stack_solver
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_dense
@@ -752,3 +759,172 @@ class TestDistributedSession:
         )
         with pytest.raises(ValueError, match="plan="):
             ctx.apply(blocked, "eigen", mu=gap_mu, plan=plan, ranks=2)
+
+
+# --------------------------------------------------------------------------- #
+# the session's overlap-root cache: one S^{-1/2} per overlap content
+# --------------------------------------------------------------------------- #
+def assert_same_density(result, reference):
+    assert np.array_equal(result.density_ao, reference.density_ao)
+    assert np.array_equal(
+        result.density_ortho.toarray(), reference.density_ortho.toarray()
+    )
+    assert result.band_energy == reference.band_energy
+    assert result.n_electrons == reference.n_electrons
+
+
+class TestOverlapRootCache:
+    CONFIG = EngineConfig(engine="batched", eps_filter=EPS)
+
+    def fresh(self, K, S, blocks, mu):
+        with SubmatrixContext(self.CONFIG) as ctx:
+            return ctx.density(K, S, blocks, mu=mu)
+
+    def test_hit_is_bitwise_a_miss_and_a_fresh_session(self, water32_matrices, gap_mu):
+        pair = water32_matrices
+        with SubmatrixContext(self.CONFIG) as ctx:
+            miss = ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
+            hit = ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
+            stats = ctx.stats()["overlap_roots"]
+        n = pair.S.shape[0]
+        assert stats == {"hits": 1, "misses": 1, "entries": 1, "bytes": 8 * n * n}
+        assert_same_density(hit, miss)
+        assert_same_density(hit, self.fresh(pair.K, pair.S, pair.blocks, gap_mu))
+        # and the per-block reference loop, which computes its own root
+        reference = reference_density(pair.K, pair.S, pair.blocks, gap_mu, EPS)
+        assert np.array_equal(hit.density_ao, reference.density_ao)
+
+    def test_in_place_mutation_of_the_overlap_is_a_miss(self, water32_matrices, gap_mu):
+        pair = water32_matrices
+        S = pair.S.copy()
+        with SubmatrixContext(self.CONFIG) as ctx:
+            before = ctx.density(pair.K, S, pair.blocks, mu=gap_mu)
+            S.setdiag(S.diagonal() * 1.01)  # same object, same pattern
+            after = ctx.density(pair.K, S, pair.blocks, mu=gap_mu)
+            assert ctx.stats()["overlap_roots"]["misses"] == 2
+        assert not np.array_equal(after.density_ao, before.density_ao)
+        assert_same_density(after, self.fresh(pair.K, S, pair.blocks, gap_mu))
+
+    def test_dense_and_sparse_forms_give_the_same_root(self, water32_matrices, gap_mu):
+        pair = water32_matrices
+        with SubmatrixContext(self.CONFIG) as ctx:
+            sparse = ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
+            dense = ctx.density(pair.K, pair.S.toarray(), pair.blocks, mu=gap_mu)
+            fortran = ctx.density(
+                pair.K, np.asfortranarray(pair.S.toarray()), pair.blocks, mu=gap_mu
+            )
+            stats = ctx.stats()["overlap_roots"]
+        # two storage formats may miss each other, never disagree; the memory
+        # order of a dense array is not content
+        assert (stats["misses"], stats["hits"]) == (2, 1)
+        assert_same_density(dense, sparse)
+        assert_same_density(fortran, sparse)
+
+    def test_lru_honours_its_byte_bound(self, water32_matrices, monkeypatch):
+        S = water32_matrices.S
+        overlaps = [S * scale for scale in (1.0, 1.5, 2.0)]
+        one_root = 8 * S.shape[0] ** 2
+        monkeypatch.setattr(repro.api.context, "MAX_OVERLAP_ROOT_BYTES", 2 * one_root)
+        with SubmatrixContext(self.CONFIG) as ctx:
+            roots = [ctx.overlap_root(overlap) for overlap in overlaps[:2]]
+            assert ctx.overlap_root(overlaps[0]) is roots[0]  # now most recent
+            ctx.overlap_root(overlaps[2])  # evicts overlaps[1]
+            stats = ctx.stats()["overlap_roots"]
+            assert (stats["entries"], stats["bytes"]) == (2, 2 * one_root)
+            assert ctx.overlap_root(overlaps[0]) is roots[0]
+            assert ctx.overlap_root(overlaps[1]) is not roots[1]
+            assert np.array_equal(ctx.overlap_root(overlaps[1]), roots[1])
+            # a root larger than the whole bound is computed, not stored
+            monkeypatch.setattr(
+                repro.api.context, "MAX_OVERLAP_ROOT_BYTES", one_root - 1
+            )
+            big = ctx.overlap_root(S * 3.0)
+            assert np.array_equal(big, loewdin_inverse_sqrt(S * 3.0))
+            assert ctx.stats()["overlap_roots"]["bytes"] <= 2 * one_root
+            assert ctx.overlap_root(S * 3.0) is not big
+
+    def test_cached_root_is_read_only(self, water32_matrices):
+        with SubmatrixContext(self.CONFIG) as ctx:
+            root = ctx.overlap_root(water32_matrices.S)
+            assert not root.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                root[0, 0] = 1.0
+            assert np.array_equal(root, loewdin_inverse_sqrt(water32_matrices.S))
+
+    def test_stats_and_close(self, water32_matrices, gap_mu):
+        pair = water32_matrices
+        ctx = SubmatrixContext(self.CONFIG)
+        assert ctx.stats()["overlap_roots"] == {
+            "hits": 0, "misses": 0, "entries": 0, "bytes": 0,
+        }
+        ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
+        ctx.trajectory([(pair.K, pair.S)] * 2, pair.blocks, mu=gap_mu)
+        assert ctx.stats()["overlap_roots"]["hits"] == 2
+        ctx.close()
+        stats = ctx.stats()["overlap_roots"]
+        assert (stats["entries"], stats["bytes"]) == (0, 0)
+        assert (stats["hits"], stats["misses"]) == (2, 1)
+        with pytest.raises(RuntimeError, match="closed"):
+            ctx.overlap_root(pair.S)
+
+    def test_threads_on_alternating_overlaps_with_eviction_forced(self, monkeypatch):
+        """Eight threads, two overlaps, room for one root: every lookup may
+        evict the other overlap's root under another thread's feet, and every
+        density must still be the one its own (K, S) gives.  The systems are
+        tiny and fully coupled, so each submatrix is the whole matrix and the
+        dense oracle is met to rounding."""
+        sizes = np.full(8, 3)
+        n, mu = int(sizes.sum()), 0.1
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        blocks = BlockStructure(
+            block_sizes=sizes, block_starts=starts, atom_offsets=starts[:-1], n_basis=n
+        )
+        generator = np.random.default_rng(11)
+        systems = []
+        for _ in range(2):
+            K, dS = generator.normal(size=(2, n, n))
+            systems.append((0.5 * (K + K.T), np.eye(n) + 0.02 * (dS + dS.T)))
+        monkeypatch.setattr(repro.api.context, "MAX_OVERLAP_ROOT_BYTES", 8 * n * n)
+        config = EngineConfig(engine="batched", eps_filter=1e-14)
+        oracles = [reference_density_matrix(K, S, mu=mu) for K, S in systems]
+        with SubmatrixContext(config) as ctx:
+            expected = [ctx.density(K, S, blocks, mu=mu) for K, S in systems]
+        n_threads, calls_each = 8, 40
+        failures, done = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SubmatrixContext(config) as ctx:
+
+                def worker(thread: int) -> None:
+                    try:
+                        for call in range(calls_each):
+                            which = (thread + call) % 2
+                            K, S = systems[which]
+                            result = ctx.density(K, S, blocks, mu=mu)
+                            assert_same_density(result, expected[which])
+                            error = np.abs(
+                                result.density_ao - oracles[which].density_ao
+                            ).max()
+                            assert error < 1e-10, error
+                        done.append(thread)
+                    except BaseException as error:  # surfaced below
+                        failures.append(error)
+
+                threads = [
+                    threading.Thread(target=worker, args=(thread,))
+                    for thread in range(n_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = ctx.stats()["overlap_roots"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures
+        assert sorted(done) == list(range(n_threads))
+        assert stats["hits"] + stats["misses"] == n_threads * calls_each
+        # with room for one root the two overlaps keep evicting each other
+        assert stats["misses"] > 2 and stats["bytes"] <= 8 * n * n

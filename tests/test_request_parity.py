@@ -10,6 +10,8 @@ same exception type, before any work is done.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,48 @@ def test_invalid_request_raises_the_same_error_from_every_entry_point(
             entry_point(water32_matrices, **request)
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1] == raised[2]
+
+
+def _asymmetric_K(pair):
+    """A grossly asymmetric Kohn–Sham matrix: one triangle doubled."""
+    K = pair.K.toarray()
+    return np.triu(K) + 2.0 * np.tril(K, -1)
+
+
+def _slightly_asymmetric_S(pair):
+    """5e-6 relative asymmetry in one off-diagonal pair of the overlap: inside
+    ``np.allclose``'s default ``rtol``, outside the stated symmetry rule."""
+    S = pair.S.toarray()
+    row, col = max(
+        zip(*np.nonzero(np.triu(S, 1))), key=lambda index: abs(S[index])
+    )
+    S[row, col] *= 1.0 + 5e-6
+    return S
+
+
+HOSTILE_MATRICES = {
+    "asymmetric_K": (lambda pair: (_asymmetric_K(pair), pair.S), "K must be symmetric"),
+    "asymmetric_S": (
+        lambda pair: (pair.K, _slightly_asymmetric_S(pair)),
+        "S must be symmetric",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_MATRICES))
+def test_asymmetric_matrix_raises_the_same_error_from_every_entry_point(
+    water32_matrices, gap_mu, name
+):
+    """A density is never computed from a symmetrised stand-in of an
+    asymmetric input: every entry point names the matrix and refuses."""
+    build, message = HOSTILE_MATRICES[name]
+    K, S = build(water32_matrices)
+    hostile = dataclasses.replace(water32_matrices, K=K, S=S)
+    raised = []
+    for entry_point in ENTRY_POINTS:
+        with pytest.raises(ValueError, match=message) as info:
+            entry_point(hostile, mu=gap_mu)
+        raised.append(str(info.value))
+    # the batcher prepares through the session executor, which prefixes the
+    # worker's message with its task index
+    assert raised[0] == raised[1] and raised[2].endswith(raised[0])
