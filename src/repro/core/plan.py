@@ -28,6 +28,15 @@ With the plan in hand, one evaluation of f(A) becomes
    result (CSR arrays reuse the plan's pattern; block results are views
    into the output buffer).
 
+Building a plan is itself index arithmetic over whole block columns, the
+way the paper builds its submatrices from the global COO list (Sec. IV-A,
+IV-C): each group computes one block-level record — (packed segment, height,
+width, dense corner) per retained block — and expands it to element
+positions with ``repeat``/``cumsum`` (:func:`repro.dbcsr.coo.concat_ranges`),
+so a build costs ``O(groups)`` interpreter steps, not one per block.  The
+record's segment half stays on the :class:`GroupPlan`; patching and
+:class:`repro.core.shard.ShardedPlan` move whole segments by it.
+
 Plans are cached in a :class:`PlanCache` keyed by a content hash of the
 sparsity pattern and the column grouping, so repeated evaluations on an
 unchanged pattern skip the planning phase entirely.
@@ -50,7 +59,7 @@ import scipy.sparse as sp
 
 from repro.core.submatrix import Submatrix
 from repro.dbcsr.block_matrix import BlockSparseMatrix
-from repro.dbcsr.coo import CooBlockList
+from repro.dbcsr.coo import CooBlockList, concat_ranges
 
 __all__ = [
     "GroupPlan",
@@ -64,7 +73,6 @@ __all__ = [
     "element_plan",
     "block_plan",
     "block_pattern_delta",
-    "make_segment_remap",
     "plan_nbytes",
 ]
 
@@ -92,6 +100,15 @@ class GroupPlan:
         Flat positions such that ``out[scatter_dst] =
         f_dense.ravel()[scatter_src]`` writes the generating columns of the
         evaluated submatrix into the packed output vector.
+    segment_ids / segment_counts:
+        The record the gather side was expanded from: the packed segments
+        (:meth:`SubmatrixPlan.segment_offsets`) the group gathers, in gather
+        order, and the number of values it takes from each — so
+        ``np.repeat(segment_ids, segment_counts)`` names the segment of every
+        ``gather_src`` position.  ``O(blocks)`` where the four arrays above
+        are ``O(elements)``; sharding and patching move whole segments and
+        read this instead of searching element positions.  A shard's view
+        keeps the *global* IDs here while its ``gather_src`` is rank-local.
     offsets:
         Dense offsets of the retained blocks (block level only).
     """
@@ -104,6 +121,8 @@ class GroupPlan:
     gather_dst: np.ndarray
     scatter_src: np.ndarray
     scatter_dst: np.ndarray
+    segment_ids: np.ndarray
+    segment_counts: np.ndarray
     block_sizes: Optional[np.ndarray] = None
     offsets: Optional[np.ndarray] = None
 
@@ -151,32 +170,6 @@ def _canonical_csc(matrix: sp.spmatrix) -> sp.csc_matrix:
     csc.sum_duplicates()
     csc.sort_indices()
     return csc
-
-
-def make_segment_remap(
-    old_offsets: np.ndarray, new_offsets: np.ndarray, new_id_of_old: np.ndarray
-):
-    """Packed-position remap between two segment layouts.
-
-    Returns ``(shift, remap)`` where ``shift[s]`` is the packed-position
-    displacement of surviving old segment ``s`` (undefined for removed
-    segments) and ``remap(positions)`` translates old packed positions onto
-    the new layout.  Shared by plan patching and shard patching so the two
-    stay bitwise consistent by construction.
-    """
-    survives = new_id_of_old >= 0
-    shift = np.zeros(new_id_of_old.size, dtype=np.int64)
-    shift[survives] = (
-        new_offsets[new_id_of_old[survives]] - old_offsets[:-1][survives]
-    )
-
-    def remap(positions: np.ndarray) -> np.ndarray:
-        if positions.size == 0:
-            return positions
-        segment = np.searchsorted(old_offsets, positions, side="right") - 1
-        return positions + shift[segment]
-
-    return shift, remap
 
 
 @dataclasses.dataclass
@@ -527,7 +520,11 @@ class ElementSubmatrixPlan(SubmatrixPlan):
         sub = positions[:, indices][indices, :].tocsc()
         sub.sort_indices()
         gather_src = np.asarray(sub.data, dtype=np.int64) - 1
-        local_col_of_entry = np.repeat(np.arange(dim), np.diff(sub.indptr))
+        # a segment is a matrix column: local column c gathers its entries
+        # from global column indices[c]
+        per_column = np.diff(sub.indptr).astype(np.int64)
+        gathered = per_column > 0
+        local_col_of_entry = np.repeat(np.arange(dim), per_column)
         gather_dst = sub.indices.astype(np.int64) * dim + local_col_of_entry
         scatter_src: List[np.ndarray] = []
         scatter_dst: List[np.ndarray] = []
@@ -546,6 +543,8 @@ class ElementSubmatrixPlan(SubmatrixPlan):
             gather_dst=gather_dst,
             scatter_src=_concat_int(scatter_src),
             scatter_dst=_concat_int(scatter_dst),
+            segment_ids=indices[gathered].astype(np.int64),
+            segment_counts=per_column[gathered],
         )
 
     def pack(self, matrix: sp.spmatrix) -> np.ndarray:
@@ -645,22 +644,20 @@ class BlockSubmatrixPlan(SubmatrixPlan):
             ([0], np.cumsum(counts, dtype=np.int64))
         )
         self.n_values = int(self.value_offsets[-1])
-        # per-COO-entry (key, value range, shape), precomputed so pack and
+        # per-COO-entry (key, start, stop, shape) as Python ints, so pack and
         # finalize run without per-call integer conversions
-        self._pack_entries = [
-            (
-                (int(bi), int(bj)),
-                int(start),
-                int(stop),
-                (int(self.block_sizes[bi]), int(self.block_sizes[bj])),
+        bounds = self.value_offsets.tolist()
+        self._pack_entries = list(
+            zip(
+                zip(self.coo_rows.tolist(), self.coo_cols.tolist()),
+                bounds[:-1],
+                bounds[1:],
+                zip(
+                    self.block_sizes[self.coo_rows].tolist(),
+                    self.block_sizes[self.coo_cols].tolist(),
+                ),
             )
-            for bi, bj, start, stop in zip(
-                self.coo_rows,
-                self.coo_cols,
-                self.value_offsets[:-1],
-                self.value_offsets[1:],
-            )
-        ]
+        )
 
     def _plan_group(self, coo: CooBlockList, group: List[int]) -> GroupPlan:
         columns = np.asarray(group, dtype=int)
@@ -668,8 +665,9 @@ class BlockSubmatrixPlan(SubmatrixPlan):
             raise ValueError("column groups must be non-empty")
         if columns.min() < 0 or columns.max() >= self.n_block_cols:
             raise IndexError("generating block column out of range")
-        rows_union = np.asarray(coo.blocks_in_columns(columns), dtype=int)
-        retained = np.unique(np.concatenate([rows_union, columns]))
+        retained = np.unique(
+            np.concatenate([coo.entries_in_columns(columns)[1], columns])
+        )
         sizes = self.block_sizes[retained]
         offsets = np.concatenate(([0], np.cumsum(sizes)))
         dim = int(offsets[-1])
@@ -677,43 +675,37 @@ class BlockSubmatrixPlan(SubmatrixPlan):
         # every pattern entry whose row AND column are retained contributes a
         # block to the dense submatrix
         ids, entry_rows, entry_cols = coo.entries_in_columns(retained)
-        pos = np.searchsorted(retained, entry_rows)
-        keep = (pos < retained.size) & (retained[np.minimum(pos, retained.size - 1)] == entry_rows)
-        ids, entry_rows, entry_cols = ids[keep], entry_rows[keep], entry_cols[keep]
-        local_i = np.searchsorted(retained, entry_rows)
+        local_i = np.minimum(np.searchsorted(retained, entry_rows), retained.size - 1)
+        keep = retained[local_i] == entry_rows
+        ids, local_i, entry_cols = ids[keep], local_i[keep], entry_cols[keep]
         local_j = np.searchsorted(retained, entry_cols)
-        gather_src: List[np.ndarray] = []
-        gather_dst: List[np.ndarray] = []
-        scatter_src: List[np.ndarray] = []
-        scatter_dst: List[np.ndarray] = []
-        generating = np.isin(entry_cols, columns)
-        for entry, li, lj, in_group in zip(ids, local_i, local_j, generating):
-            height = int(sizes[li])
-            width = int(sizes[lj])
-            src = np.arange(
-                self.value_offsets[entry], self.value_offsets[entry + 1], dtype=np.int64
-            )
-            dst = (
-                (offsets[li] + np.arange(height, dtype=np.int64))[:, None] * dim
-                + offsets[lj]
-                + np.arange(width, dtype=np.int64)[None, :]
-            ).reshape(-1)
-            gather_src.append(src)
-            gather_dst.append(dst)
-            if in_group:
-                # the scatter is the gather transposed: dense region -> the
-                # block's value range in the packed output
-                scatter_src.append(dst)
-                scatter_dst.append(src)
+        # the block-level record: one (segment, height, width, dense corner)
+        # per gathered block, in gather order ...
+        heights, widths = sizes[local_i], sizes[local_j]
+        counts = heights * widths
+        corner = offsets[local_i] * dim + offsets[local_j]
+        # ... expanded to element positions.  A block's values are one packed
+        # range; its dense image is one range of ``width`` per block row.
+        gather_src = concat_ranges(self.value_offsets[ids], counts)
+        row_in_block = concat_ranges(0, heights)
+        gather_dst = concat_ranges(
+            np.repeat(corner, heights) + row_in_block * dim,
+            np.repeat(widths, heights),
+        )
+        # the scatter is the gather transposed, restricted to the blocks of
+        # the generating columns: dense region -> the block's packed range
+        generating = np.repeat(np.isin(entry_cols, columns), counts)
         return GroupPlan(
             generating_columns=columns,
             indices=retained,
             local_columns=local_columns,
             dimension=dim,
-            gather_src=_concat_int(gather_src),
-            gather_dst=_concat_int(gather_dst),
-            scatter_src=_concat_int(scatter_src),
-            scatter_dst=_concat_int(scatter_dst),
+            gather_src=gather_src,
+            gather_dst=gather_dst,
+            scatter_src=gather_dst[generating],
+            scatter_dst=gather_src[generating],
+            segment_ids=ids,
+            segment_counts=counts,
             block_sizes=sizes,
             offsets=offsets,
         )
@@ -723,7 +715,10 @@ class BlockSubmatrixPlan(SubmatrixPlan):
 
         Pattern entries without a stored block pack as zeros, matching the
         reference kernels' treatment of a pattern that is a superset of the
-        stored blocks (e.g. a symmetrized or pattern-only COO list).
+        stored blocks (e.g. a symmetrized or pattern-only COO list).  A
+        stored block *outside* the pattern raises :class:`ValueError`: the
+        plan belongs to another (stale) pattern and would silently evaluate
+        the function of the matrix without that block.
         """
         if (
             matrix.n_block_rows != self.n_block_rows
@@ -732,10 +727,21 @@ class BlockSubmatrixPlan(SubmatrixPlan):
             raise ValueError("matrix block structure does not match the plan")
         blocks = matrix.raw_blocks()
         packed = np.zeros(self.n_values)
+        matched = 0
         for key, start, stop, _ in self._pack_entries:
             block = blocks.get(key)
             if block is not None:
                 packed[start:stop] = block.reshape(-1)
+                matched += 1
+        if matched != len(blocks):
+            planned = {entry[0] for entry in self._pack_entries}
+            stray = min(key for key in blocks if key not in planned)
+            raise ValueError(
+                "matrix pattern does not match the plan: stored block "
+                f"{stray} is not in the planned pattern ({len(blocks) - matched} "
+                f"of {len(blocks)} stored blocks are outside it) — the plan "
+                "was built for a different sparsity pattern"
+            )
         return packed
 
     def finalize(self, out: np.ndarray) -> BlockSparseMatrix:
@@ -853,9 +859,9 @@ class BlockSubmatrixPlan(SubmatrixPlan):
         Diffs this plan's pattern against ``new_pattern``, rebuilds only the
         :class:`GroupPlan` entries the delta invalidates, and translates every
         untouched group's gather/scatter arrays onto the new packed value
-        layout with one vectorized position remap (the packed layout
-        concatenates block values in COO order, so insertions and deletions
-        shift surviving segments without reordering them).
+        layout by adding each gathered segment's displacement (the packed
+        layout concatenates block values in COO order, so insertions and
+        deletions shift surviving segments without reordering them).
 
         The patched plan is **bitwise identical** to a freshly built
         ``BlockSubmatrixPlan(new_pattern, ...)`` in every pack / extract /
@@ -890,41 +896,36 @@ class BlockSubmatrixPlan(SubmatrixPlan):
         patched = object.__new__(BlockSubmatrixPlan)
         patched._init_pattern(new_coo, self.block_sizes)
         patched.column_groups = [list(group) for group in self.column_groups]
-        _, remap = make_segment_remap(
-            self.value_offsets, patched.value_offsets, delta.new_id_of_old
+        # packed-position displacement of every surviving old segment (0 for
+        # removed ones, which no clean group references)
+        new_id_of_old = delta.new_id_of_old
+        survives = new_id_of_old >= 0
+        shift = np.zeros(new_id_of_old.size, dtype=np.int64)
+        shift[survives] = (
+            patched.value_offsets[new_id_of_old[survives]]
+            - self.value_offsets[:-1][survives]
         )
-        # clean groups reference surviving segments only (a removed interior
-        # block would have marked them dirty), so the dense side is untouched
-        # and the packed side just shifts.  All clean gather/scatter arrays
-        # are translated in ONE concatenated remap (a single searchsorted
-        # over the whole batch instead of two per group — the segment lookup
-        # is the dominant patch cost once few groups are dirty).
-        clean_indices = np.flatnonzero(~dirty)
-        clean_arrays: List[np.ndarray] = []
-        for group_index in clean_indices:
-            group = self.groups[group_index]
-            clean_arrays.append(group.gather_src)
-            clean_arrays.append(group.scatter_dst)
-        if clean_arrays:
-            lengths = np.array([a.size for a in clean_arrays], dtype=np.int64)
-            remapped = remap(np.concatenate(clean_arrays))
-            pieces = iter(np.split(remapped, np.cumsum(lengths)[:-1]))
-        else:
-            pieces = iter(())
         groups: List[GroupPlan] = []
         for group_index, group in enumerate(self.groups):
             if dirty[group_index]:
                 groups.append(
                     patched._plan_group(new_coo, patched.column_groups[group_index])
                 )
-            else:
-                groups.append(
-                    dataclasses.replace(
-                        group,
-                        gather_src=next(pieces),
-                        scatter_dst=next(pieces),
-                    )
+                continue
+            # a clean group references surviving segments only (a removed
+            # interior block would have marked it dirty), so the dense side
+            # is untouched and the packed side moves segment by segment
+            ids, counts = group.segment_ids, group.segment_counts
+            generating = np.isin(self.coo_cols[ids], group.generating_columns)
+            groups.append(
+                dataclasses.replace(
+                    group,
+                    gather_src=group.gather_src + np.repeat(shift[ids], counts),
+                    scatter_dst=group.scatter_dst
+                    + np.repeat(shift[ids[generating]], counts[generating]),
+                    segment_ids=new_id_of_old[ids],
                 )
+            )
         patched.groups = groups
         patched.patch_report = PlanPatchReport(
             source_ref=weakref.ref(self),
@@ -944,12 +945,17 @@ class BlockSubmatrixPlan(SubmatrixPlan):
 def plan_nbytes(plan: "SubmatrixPlan") -> int:
     """Approximate resident size of a plan's index arrays, in bytes.
 
-    Counts the numpy bookkeeping that dominates a plan's footprint — the
-    per-group gather/scatter/index arrays plus the pattern-level arrays —
-    and a flat per-entry constant for the Python-level pack map.  Used by
-    :class:`PlanCache` for memory-budget accounting; it deliberately ignores
-    the lazily memoized stack/membership caches, which are bounded by the
-    same arrays it already counts.
+    Counts the numpy bookkeeping a plan is built with — the per-group
+    gather/scatter/index arrays and segment records plus the pattern-level
+    arrays — and a flat per-entry constant for the Python-level pack map.
+    Used by :class:`PlanCache` for memory-budget accounting.
+
+    It ignores what a plan memoizes lazily once it is *used*: the membership
+    index of :meth:`BlockSubmatrixPlan.patch` (``O(blocks)``) and, above all,
+    ``_stack_cache`` — the concatenated per-bucket copies of the four
+    gather/scatter arrays, as large as the group arrays themselves.  A plan
+    that has served a call therefore holds about twice this figure (water-128:
+    ~70 MB resident against ~35 MB counted here).
     """
     total = 0
     for group in plan.groups:
@@ -961,6 +967,8 @@ def plan_nbytes(plan: "SubmatrixPlan") -> int:
             group.gather_dst,
             group.scatter_src,
             group.scatter_dst,
+            group.segment_ids,
+            group.segment_counts,
             group.block_sizes,
             group.offsets,
         ):
@@ -987,7 +995,10 @@ class PlanCache:
     eviction and the statistics counters, and the lock is held *across* plan
     construction, so N threads racing on the same pattern build exactly one
     plan (the others block and then hit).  This is what lets a single cache
-    back every tenant of the serving layer (:mod:`repro.serve`).
+    back every tenant of the serving layer (:mod:`repro.serve`); the price is
+    that a tenant with a new pattern holds every other tenant's lookup for
+    the length of one build — tens of milliseconds at the ledger's sizes
+    (0.03-0.05 s for water-64/128) now that builds are array expansion.
     """
 
     def __init__(self, max_plans: int = 64, max_bytes: Optional[int] = None):

@@ -44,9 +44,10 @@ from repro.core.batch import MAX_BATCH_ELEMENTS, Bucket, make_stack_tasks
 from repro.core.plan import (
     GroupPlan,
     SubmatrixPlan,
+    _concat_int,
     _StackPlan,
-    make_segment_remap,
 )
+from repro.dbcsr.coo import concat_ranges
 
 __all__ = ["ShardView", "RankShard", "ShardedPlan"]
 
@@ -216,42 +217,33 @@ class ShardedPlan:
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def _segments_of(self, positions: np.ndarray) -> np.ndarray:
-        """Segment ID of every global packed position (vectorized)."""
-        return np.searchsorted(self._offsets, positions, side="right") - 1
-
     def _build_shard(self, rank: int) -> RankShard:
         offsets = self._offsets
         owned = np.flatnonzero(self.rank_of_group == rank)
-        gather_all = (
-            np.concatenate(
-                [self.plan.groups[g].gather_src for g in owned]
-            ).astype(np.int64, copy=False)
-            if owned.size
-            else np.empty(0, dtype=np.int64)
-        )
-        required = np.unique(self._segments_of(gather_all))
-        lengths = offsets[required + 1] - offsets[required]
+        owned_groups = [self.plan.groups[g] for g in owned]
+        # the rank needs exactly the segments its groups' records name
+        needed = np.zeros(offsets.size - 1, dtype=bool)
+        for group in owned_groups:
+            needed[group.segment_ids] = True
+        required = np.flatnonzero(needed)
         starts = offsets[required]
+        lengths = offsets[required + 1] - starts
         local_offsets = np.concatenate(
             ([0], np.cumsum(lengths, dtype=np.int64))
         )
+        # segments land in the local buffer whole and in ID order, so every
+        # value of segment s moves by the same to_local[s]
+        to_local = np.zeros(offsets.size - 1, dtype=np.int64)
+        to_local[required] = local_offsets[:-1] - starts
+        groups = [
+            dataclasses.replace(
+                group,
+                gather_src=group.gather_src
+                + np.repeat(to_local[group.segment_ids], group.segment_counts),
+            )
+            for group in owned_groups
+        ]
         n_local = int(local_offsets[-1])
-        # flat global positions of the local buffer: for each segment s at
-        # local offset o, positions start(s) + 0..len(s)-1 land at o..o+len-1
-        local_to_global = (
-            np.arange(n_local, dtype=np.int64)
-            - np.repeat(local_offsets[:-1], lengths)
-            + np.repeat(starts, lengths)
-        )
-        groups: List[GroupPlan] = []
-        for g in owned:
-            group = self.plan.groups[g]
-            gsrc = np.asarray(group.gather_src, dtype=np.int64)
-            segment = self._segments_of(gsrc)
-            local_index = np.searchsorted(required, segment)
-            local_src = local_offsets[local_index] + (gsrc - offsets[segment])
-            groups.append(dataclasses.replace(group, gather_src=local_src))
         view = ShardView(groups, n_values=self.plan.n_values, local_values=n_local)
         return RankShard(
             rank=rank,
@@ -260,7 +252,7 @@ class ShardedPlan:
             segment_starts=starts,
             segment_lengths=lengths,
             local_offsets=local_offsets,
-            local_to_global=local_to_global,
+            local_to_global=concat_ranges(starts, lengths),
             view=view,
         )
 
@@ -295,9 +287,6 @@ class ShardedPlan:
         patched.n_ranks = self.n_ranks
         patched._offsets = np.asarray(new_plan.segment_offsets(), dtype=np.int64)
         new_id_of_old = np.asarray(report.new_id_of_old, dtype=np.int64)
-        shift, remap_positions = make_segment_remap(
-            self._offsets, patched._offsets, new_id_of_old
-        )
         dirty_ranks = {
             int(self.rank_of_group[group]) for group in report.dirty_groups
         }
@@ -310,22 +299,15 @@ class ShardedPlan:
                 if shard.dimensions == old_shard.dimensions:
                     shard._stack_tasks.update(old_shard._stack_tasks)
             else:
-                shard = self._patch_clean_shard(
-                    old_shard, new_plan, new_id_of_old, shift, remap_positions
-                )
+                shard = patched._patch_clean_shard(old_shard, new_id_of_old)
             shards.append(shard)
         patched.shards = shards
         return patched
 
     def _patch_clean_shard(
-        self,
-        old_shard: RankShard,
-        new_plan: SubmatrixPlan,
-        new_id_of_old: np.ndarray,
-        shift: np.ndarray,
-        remap_positions,
+        self, old_shard: RankShard, new_id_of_old: np.ndarray
     ) -> RankShard:
-        """Translate a shard without dirty groups onto the new packed layout.
+        """Translate a shard without dirty groups onto this (patched) layout.
 
         The rank's required segments all survive (a deleted segment would
         have dirtied one of its groups), keep their relative order and their
@@ -333,7 +315,9 @@ class ShardedPlan:
         and the dense-side index arrays are reused as-is; only global
         positions move.
         """
+        new_plan = self.plan
         required = new_id_of_old[old_shard.required_segments]
+        starts = self._offsets[required]
         # the view reuses the rank-local gather arrays but must pick up the
         # new plan's (remapped) global scatter arrays
         groups = [
@@ -352,28 +336,25 @@ class ShardedPlan:
         old_cache = old_shard.view.__dict__.get("_stack_cache")
         if old_cache:
             view.__dict__["_stack_cache"] = {
-                key: _StackPlan(
+                (members, stack_dim): _StackPlan(
                     gather_src=stacked.gather_src,
                     gather_dst=stacked.gather_dst,
                     scatter_src=stacked.scatter_src,
-                    scatter_dst=remap_positions(stacked.scatter_dst),
+                    scatter_dst=_concat_int(
+                        [groups[member].scatter_dst for member in members]
+                    ),
                     pad=stacked.pad,
                 )
-                for key, stacked in old_cache.items()
+                for (members, stack_dim), stacked in old_cache.items()
             }
-        local_to_global = old_shard.local_to_global + np.repeat(
-            shift[old_shard.required_segments], old_shard.segment_lengths
-        )
         shard = RankShard(
             rank=old_shard.rank,
             group_indices=old_shard.group_indices,
             required_segments=required,
-            segment_starts=np.asarray(
-                new_plan.segment_offsets(), dtype=np.int64
-            )[required],
+            segment_starts=starts,
             segment_lengths=old_shard.segment_lengths,
             local_offsets=old_shard.local_offsets,
-            local_to_global=local_to_global,
+            local_to_global=concat_ranges(starts, old_shard.segment_lengths),
             view=view,
         )
         shard._stack_tasks.update(old_shard._stack_tasks)

@@ -23,7 +23,24 @@ from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.distribution import BlockDistribution
 from repro.parallel.comm import SimComm
 
-__all__ = ["CooBlockList"]
+__all__ = ["CooBlockList", "concat_ranges"]
+
+
+def concat_ranges(starts, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``[s, s + c)`` concatenated: one ``arange``, one ``repeat``.
+
+    Equal to ``np.concatenate([np.arange(s, s + c) for s, c in zip(starts,
+    counts)])`` as int64, without the Python-level pass over the ranges
+    (``starts`` may be one scalar shared by all of them).  This is the index
+    arithmetic the plan layer expands its per-block records with
+    (:mod:`repro.core.plan`, :mod:`repro.core.shard`).
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    stops = np.cumsum(counts)
+    total = int(stops[-1]) if stops.size else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(
+        np.asarray(starts, dtype=np.int64) - (stops - counts), counts
+    )
 
 
 class CooBlockList:
@@ -131,13 +148,7 @@ class CooBlockList:
 
     def blocks_in_columns(self, columns: Sequence[int]) -> List[int]:
         """Sorted union of non-zero block rows over several block columns."""
-        columns = np.asarray(list(columns), dtype=int)
-        starts = np.searchsorted(self.cols, columns)
-        stops = np.searchsorted(self.cols, columns + 1)
-        if len(columns) == 0:
-            return []
-        pieces = [self.rows[s:e] for s, e in zip(starts, stops)]
-        return np.unique(np.concatenate(pieces)).tolist()
+        return np.unique(self.entries_in_columns(list(columns))[1]).tolist()
 
     def column_ranges(self, columns: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """Start/stop positions of the given block columns in the sorted list.
@@ -161,12 +172,7 @@ class CooBlockList:
         the order the columns were given.
         """
         starts, stops = self.column_ranges(columns)
-        if starts.size == 0:
-            empty = np.empty(0, dtype=int)
-            return empty, empty.copy(), empty.copy()
-        ids = np.concatenate(
-            [np.arange(s, e) for s, e in zip(starts, stops)]
-        ).astype(int)
+        ids = concat_ranges(starts, stops - starts)
         return ids, self.rows[ids], self.cols[ids]
 
     def fingerprint(self) -> str:

@@ -8,7 +8,10 @@ wherever the per-submatrix arithmetic is the same.
 
 The block I/O of :mod:`repro.dbcsr` has its reference here too: the
 per-block loops (one SciPy slice, one ``meshgrid`` per block) the vectorised
-conversions replaced and must reproduce bitwise.
+conversions replaced and must reproduce bitwise.  So has the plan layer: the
+per-block index loop of ``BlockSubmatrixPlan`` and the ``searchsorted``
+derivation of a rank shard, which the array expansions in
+:mod:`repro.core.plan` / :mod:`repro.core.shard` replaced.
 """
 
 from __future__ import annotations
@@ -83,6 +86,95 @@ def reference_coo_block_list(matrix):
         matrix.n_block_rows,
         matrix.n_block_cols,
     )
+
+
+def reference_plan_group(coo, block_sizes, group):
+    """Index arrays of one block-column group, one Python pass per block.
+
+    Returns the fields of a block-level ``GroupPlan`` (minus its segment
+    record) as a namespace; ``gather_*``/``scatter_*`` are built from one
+    ``arange`` per block, the way the plan layer did before it expanded them
+    from the block-level record.
+    """
+    block_sizes = np.asarray(block_sizes, dtype=int)
+    value_offsets = np.concatenate(
+        ([0], np.cumsum(block_sizes[coo.rows] * block_sizes[coo.cols], dtype=np.int64))
+    )
+    columns = np.asarray(group, dtype=int)
+    by_column = {}
+    for block_id, (row, col) in enumerate(zip(coo.rows.tolist(), coo.cols.tolist())):
+        by_column.setdefault(col, []).append((block_id, row))
+    rows_union = [row for c in columns.tolist() for _, row in by_column.get(c, [])]
+    retained = np.unique(np.concatenate([np.asarray(rows_union, dtype=int), columns]))
+    sizes = block_sizes[retained]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    dim = int(offsets[-1])
+    local_of = {int(block): local for local, block in enumerate(retained)}
+    gather_src, gather_dst, scatter_src, scatter_dst = [], [], [], []
+    for col in retained.tolist():
+        for block_id, row in by_column.get(col, []):
+            if row not in local_of:
+                continue
+            li, lj = local_of[row], local_of[col]
+            src = np.arange(
+                value_offsets[block_id], value_offsets[block_id + 1], dtype=np.int64
+            )
+            dst = (
+                (offsets[li] + np.arange(int(sizes[li]), dtype=np.int64))[:, None] * dim
+                + offsets[lj]
+                + np.arange(int(sizes[lj]), dtype=np.int64)[None, :]
+            ).reshape(-1)
+            gather_src.append(src)
+            gather_dst.append(dst)
+            if col in columns:
+                scatter_src.append(dst)
+                scatter_dst.append(src)
+
+    def concat(pieces):
+        return np.concatenate(pieces + [np.empty(0, dtype=np.int64)])
+
+    return SimpleNamespace(
+        generating_columns=columns,
+        indices=retained,
+        local_columns=np.searchsorted(retained, columns),
+        dimension=dim,
+        gather_src=concat(gather_src),
+        gather_dst=concat(gather_dst),
+        scatter_src=concat(scatter_src),
+        scatter_dst=concat(scatter_dst),
+        block_sizes=sizes,
+        offsets=offsets,
+    )
+
+
+def reference_shard_arrays(plan, owned):
+    """One rank's shard arrays, recovered from element positions.
+
+    Returns ``(required_segments, local_to_global, rank-local gather_src per
+    owned group)`` by ``searchsorted`` over every gather position — what
+    ``ShardedPlan`` did before the groups carried their segment record.
+    """
+    offsets = np.asarray(plan.segment_offsets(), dtype=np.int64)
+    sources = [plan.groups[g].gather_src for g in owned]
+
+    def segments_of(positions):
+        return np.searchsorted(offsets, positions, side="right") - 1
+
+    required = np.unique(segments_of(np.concatenate(sources + [np.empty(0, np.int64)])))
+    starts = offsets[required]
+    lengths = offsets[required + 1] - starts
+    local_offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    local_to_global = np.concatenate(
+        [np.arange(s, s + n, dtype=np.int64) for s, n in zip(starts, lengths)]
+        + [np.empty(0, dtype=np.int64)]
+    )
+    local_sources = []
+    for source in sources:
+        segment = segments_of(source)
+        local_sources.append(
+            local_offsets[np.searchsorted(required, segment)] + source - offsets[segment]
+        )
+    return required, local_to_global, local_sources
 
 
 def reference_apply_elementwise(matrix, function, column_groups=None):

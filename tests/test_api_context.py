@@ -335,6 +335,42 @@ class TestApplyEquivalence:
         with pytest.raises(TypeError):
             SubmatrixContext().apply(np.eye(4), "eigen")
 
+    def test_stale_plan_or_pattern_is_rejected(self):
+        """``plan=`` / ``coo=`` of an older pattern: the new blocks used to be
+        dropped in ``pack`` and f of the *old* pattern came back (max error
+        6.6 on this grid) — now a ``ValueError`` naming a dropped block."""
+        rng = np.random.default_rng(7)
+        n, size = 8, 3
+        dense = np.zeros((n * size, n * size))
+        for i in range(n):
+            for j in range(max(0, i - 1), min(n, i + 2)):
+                dense[i * size : (i + 1) * size, j * size : (j + 1) * size] = (
+                    rng.normal(size=(size, size))
+                )
+        dense = (dense + dense.T) / 2
+        old = block_matrix_from_csr(sp.csr_matrix(dense), [size] * n)
+        old_coo = CooBlockList.from_block_matrix(old)
+        dense[0:size, 5 * size : 6 * size] = 2.0
+        dense[5 * size : 6 * size, 0:size] = 2.0
+        new = block_matrix_from_csr(sp.csr_matrix(dense), [size] * n)
+
+        def square(a):
+            return a @ a
+
+        ctx = SubmatrixContext()
+        stale = ctx.block_plan_for(old_coo, old.row_block_sizes, [[c] for c in range(n)])
+        for stale_argument in ({"plan": stale}, {"coo": old_coo}):
+            with pytest.raises(ValueError, match=r"stored block \(0, 5\)"):
+                ctx.apply(new, square, **stale_argument)
+        # the matching pattern, and a superset of the stored blocks, still run
+        right = ctx.apply(new, square)
+        superset = ctx.apply(old, square, coo=CooBlockList.from_block_matrix(new))
+        reference, _ = reference_apply_blockwise(new, square)
+        assert np.array_equal(
+            block_matrix_to_dense(right.result), block_matrix_to_dense(reference)
+        )
+        assert superset.result.nnz_blocks == new.nnz_blocks
+
     @settings(max_examples=25, deadline=None)
     @given(
         dense=arrays(

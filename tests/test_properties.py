@@ -28,7 +28,11 @@ small_symmetric = arrays(
     np.float64,
     st.integers(2, 12).map(lambda n: (n, n)),
     elements=st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False),
-).map(lambda a: (a + a.T) / 2)
+).map(lambda a: (a + a.T) / 2).map(
+    # entries ~1e-162 make LAPACK's eigvalsh itself inexact (0.7559 returned
+    # for a 0.75 eigenvalue), and it is the oracle of the tests below
+    lambda a: np.where(np.abs(a) < 1e-150, 0.0, a)
+)
 
 
 @st.composite

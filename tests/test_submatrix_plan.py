@@ -192,6 +192,24 @@ class TestBlockPlanEquivalence:
             block_matrix_to_dense(naive), block_matrix_to_dense(planned.result)
         )
 
+    def test_pack_rejects_stored_block_outside_the_pattern(self):
+        """A stale plan must not drop the blocks it does not know: it used to
+        pack them away and return f of the old pattern without complaint."""
+        matrix = random_block_symmetric(8, 3, 1, 3)
+        plan = BlockSubmatrixPlan(
+            CooBlockList.from_block_matrix(matrix),
+            matrix.row_block_sizes,
+            [[c] for c in range(8)],
+        )
+        grown = matrix.copy()
+        grown.put_block(5, 0, np.ones((3, 3)))
+        grown.put_block(0, 5, np.ones((3, 3)))
+        with pytest.raises(
+            ValueError, match=r"stored block \(0, 5\) is not in the planned pattern"
+        ):
+            plan.pack(grown)
+        assert np.array_equal(plan.pack(matrix), plan.pack(matrix.copy()))
+
     def test_finalize_blocks_are_views(self):
         """The zero-copy scatter hands out views into one output buffer."""
         matrix = random_block_symmetric(6, 2, 1, 4)
