@@ -221,7 +221,8 @@ class EngineConfig:
     bucket_pad:
         Padding granularity of the batched engine's buckets: an integer,
         ``None`` for exact-dimension buckets, or ``"auto"`` to pick from the
-        measured dimension histogram.
+        measured dimension histogram.  Rounded up to a whole number of the
+        plan's runs (gcd of the block sizes: 32 becomes 36 on 6-wide blocks).
     balance:
         Submatrix→rank assignment of the distributed pipeline:
         ``"chunks"`` (paper's greedy consecutive chunks, Sec. IV-E) or

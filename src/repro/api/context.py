@@ -410,6 +410,25 @@ class SubmatrixContext:
                     self._overlap_roots.popitem(last=False)
         return root
 
+    def _advance_overlap_root(self, previous: Optional[bytes]) -> Optional[bytes]:
+        """Key of the most recently used root; drops ``previous`` if it is another.
+
+        The trajectory driver calls this after every step with the key the
+        step before returned: a walk that arrives at a new overlap content
+        does not come back to the one it left, so that root is released
+        instead of ageing out of the LRU (seven dead 4.7 MB roots at 768
+        basis functions), while a fixed-S loop — SCF, a sweep over μ — keeps
+        hitting its one root.  The key is the one :meth:`overlap_root`
+        filed the step's root under, so S is not hashed a second time.  With
+        other threads using the session the most recent root may be theirs;
+        a root released too early costs one ``eigh``, never a result.
+        """
+        with self._lock:
+            latest = next(reversed(self._overlap_roots), None)
+            if previous is not None and previous != latest:
+                self._overlap_roots.pop(previous, None)
+            return latest
+
     def _map(self, function, items):
         """Map through the session's persistent executor."""
         return map_parallel(
@@ -500,10 +519,10 @@ class SubmatrixContext:
             # e.g. a changed block grid — patching is impossible, rebuild
             return None
 
-    def _bucket_pad_for(self, kernel, dimensions) -> Optional[int]:
-        """The session's bucket padding resolved for one plan's dimensions
+    def _bucket_pad_for(self, kernel, plan: SubmatrixPlan) -> Optional[int]:
+        """The session's bucket padding resolved for one plan
         (``kernel``: a bound or registered kernel)."""
-        pad = resolve_bucket_pad(self.config.bucket_pad, dimensions)
+        pad = resolve_bucket_pad(self.config.bucket_pad, plan.dimensions, plan.run)
         if pad is not None and not kernel.matrix_function:
             raise ValueError(
                 f"kernel {kernel.name!r} is not a genuine matrix function; "
@@ -709,7 +728,7 @@ class SubmatrixContext:
             stack_solver(bound.function, bound.batch_function),
             out,
             pipeline=pipeline,
-            pad_to=self._bucket_pad_for(bound, dimensions),
+            pad_to=self._bucket_pad_for(bound, plan),
             mapper=self._map,
             policy=policy,
             report=report,

@@ -547,7 +547,7 @@ def _decompose(
             _occupation_stack_solver(kernel, float(mu), policy, report),
             out,
             pipeline=pipeline,
-            pad_to=context._bucket_pad_for(kernel, plan.dimensions),
+            pad_to=context._bucket_pad_for(kernel, plan),
             pad_value=kernel.padding_value(float(mu)),
             mapper=context._map,
             policy=policy,

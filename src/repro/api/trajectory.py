@@ -506,6 +506,9 @@ def run_trajectory(
     session_before = context.stats()
     executors_at_start = session_before["executors_created"]
     cache_before = dict(context.plan_cache.stats)
+    # the overlap root the session used last: what the walk's first step
+    # leaves behind if it arrives with a different overlap content
+    overlap_root_key = context._advance_overlap_root(None)
 
     for index, (K, S) in enumerate(_iterate_steps(steps, n_steps)):
         step_n_electrons = _step_value(n_electrons, index)
@@ -557,6 +560,7 @@ def run_trajectory(
             if observables is None:
                 result = result["density"]
             step_wall = result.wall_time
+            overlap_root_key = context._advance_overlap_root(overlap_root_key)
             if ckpt is not None:
                 ckpt.save_step(index, result)
         cache_after = dict(context.plan_cache.stats)

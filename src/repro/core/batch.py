@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.load_balance import pad_dimensions
+from repro.core.load_balance import pad_dimensions, resolve_bucket_pad
 from repro.core.plan import SubmatrixPlan
 from repro.parallel.executor import map_parallel, split_chunks
 
@@ -80,7 +80,9 @@ def make_buckets(
         If given, dimensions are rounded up to the next multiple of
         ``pad_to`` and submatrices sharing a rounded dimension share a
         bucket (fewer, larger stacks at the cost of padded flops).  With
-        ``None`` only exactly equal dimensions are batched.
+        ``None`` only exactly equal dimensions are batched.  Stacks of a
+        plan whose ``run`` exceeds 1 need a multiple of it
+        (:func:`~repro.core.load_balance.resolve_bucket_pad`).
     """
     by_dim: Dict[int, List[int]] = {}
     for index, key in enumerate(pad_dimensions(dimensions, pad_to)):
@@ -234,8 +236,8 @@ def evaluate_batched(
         stack of results, e.g.
         :func:`repro.signfn.eigen.sign_via_eigendecomposition_batched`.
     pad_to:
-        Bucket padding granularity (see :func:`make_buckets`); requires a
-        genuine matrix function.
+        Bucket padding granularity (see :func:`make_buckets`), rounded up to
+        a whole number of ``plan.run``; requires a genuine matrix function.
     pad_value:
         Diagonal value of the padding block (must be in f's domain; the
         default 1.0 suits sign/occupation functions).
@@ -260,7 +262,9 @@ def evaluate_batched(
     """
     dimensions = plan.dimensions
     tasks = make_stack_tasks(
-        dimensions, pad_to=pad_to, max_batch_elements=max_batch_elements
+        dimensions,
+        pad_to=resolve_bucket_pad(pad_to, dimensions, plan.run),
+        max_batch_elements=max_batch_elements,
     )
     per_task = map_stacks(
         plan,

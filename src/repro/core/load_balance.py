@@ -293,21 +293,24 @@ def choose_bucket_pad(
 
 
 def resolve_bucket_pad(
-    bucket_pad, dimensions: Sequence[int], max_overhead: float = 0.15
+    bucket_pad, dimensions: Sequence[int], run: int = 1, max_overhead: float = 0.15
 ) -> Optional[int]:
     """Resolve a ``bucket_pad`` setting (int, None or ``"auto"``) to a value.
 
     ``"auto"`` defers to :func:`choose_bucket_pad` on the measured dimension
-    histogram; integers and ``None`` pass through unchanged.
+    histogram; ``None`` passes through.  The value is rounded up to a whole
+    number of ``run``s (the plan's ``run``: its index arrays address runs of
+    that many values, so a padded stack dimension must stay a multiple of it)
+    — more identity padding than asked for, which is as exact as any.
     """
     if bucket_pad == "auto":
-        return choose_bucket_pad(dimensions, max_overhead=max_overhead)
+        bucket_pad = choose_bucket_pad(dimensions, max_overhead=max_overhead)
     if bucket_pad is None:
         return None
     pad = int(bucket_pad)
     if pad < 1:
         raise ValueError("bucket_pad must be a positive integer, None or 'auto'")
-    return pad
+    return -(-pad // run) * run
 
 
 def load_imbalance(costs: Sequence[float], assignment) -> float:

@@ -16,12 +16,23 @@ A :class:`SubmatrixPlan` precomputes, once per (pattern, column grouping):
   (the CSC ``data`` array at element level, the concatenated block values in
   deterministic COO order at block level) and the dense submatrix buffers.
 
+The unit of every index array is a **run** of ``plan.run`` contiguous values,
+not a value: the paper copies whole DBCSR blocks (Sec. IV-A), and a block row
+is contiguous both in the packed vector and in a row of the dense submatrix.
+``plan.run`` is the gcd of the block sizes at block level (6 for SZV water
+molecule blocks) and 1 at element level, so every packed block range, every
+dense row offset and every submatrix dimension is a whole number of runs and
+``dense.reshape(-1, run)[gather_dst] = packed.reshape(-1, run)[gather_src]``
+is exact.  A plan holds each index array once — stacks are assembled from
+the per-group arrays, nothing is memoized per bucket — so
+:func:`plan_nbytes` is what a used plan occupies.
+
 With the plan in hand, one evaluation of f(A) becomes
 
 1. ``packed = plan.pack(A)``             — one pass over the stored values;
-2. ``a_i = plan.extract(packed, i)``     — a single vectorized gather per
-   submatrix into a preallocated dense buffer (no Python block loops, no
-   ``np.ix_`` fancy indexing);
+2. ``a_i = plan.extract(packed, i)``     — a single vectorized gather of
+   runs per submatrix into a preallocated dense buffer (no Python block
+   loops, no ``np.ix_`` fancy indexing);
 3. ``plan.scatter(out, i, f(a_i))``      — a single vectorized scatter of
    the generating columns into one preallocated output value vector;
 4. ``result = plan.finalize(out)``       — zero-copy assembly of the sparse
@@ -31,7 +42,7 @@ With the plan in hand, one evaluation of f(A) becomes
 Building a plan is itself index arithmetic over whole block columns, the
 way the paper builds its submatrices from the global COO list (Sec. IV-A,
 IV-C): each group computes one block-level record — (packed segment, height,
-width, dense corner) per retained block — and expands it to element
+width, dense corner) per retained block — and expands it to run
 positions with ``repeat``/``cumsum`` (:func:`repro.dbcsr.coo.concat_ranges`),
 so a build costs ``O(groups)`` interpreter steps, not one per block.  The
 record's segment half stays on the :class:`GroupPlan`; patching and
@@ -73,6 +84,7 @@ __all__ = [
     "element_plan",
     "block_plan",
     "block_pattern_delta",
+    "block_run",
     "plan_nbytes",
 ]
 
@@ -94,20 +106,21 @@ class GroupPlan:
     dimension:
         Dense dimension of the submatrix.
     gather_src / gather_dst:
-        Flat positions such that ``dense.ravel()[gather_dst] =
-        packed[gather_src]`` assembles the dense submatrix.
+        Run positions (unit: ``plan.run`` contiguous values) such that
+        ``dense.reshape(-1, run)[gather_dst] = packed.reshape(-1, run)[gather_src]``
+        assembles the dense submatrix.
     scatter_src / scatter_dst:
-        Flat positions such that ``out[scatter_dst] =
-        f_dense.ravel()[scatter_src]`` writes the generating columns of the
-        evaluated submatrix into the packed output vector.
+        Run positions such that ``out.reshape(-1, run)[scatter_dst] =
+        f_dense.reshape(-1, run)[scatter_src]`` writes the generating columns
+        of the evaluated submatrix into the packed output vector.
     segment_ids / segment_counts:
         The record the gather side was expanded from: the packed segments
         (:meth:`SubmatrixPlan.segment_offsets`) the group gathers, in gather
-        order, and the number of values it takes from each — so
+        order, and the number of runs it takes from each — so
         ``np.repeat(segment_ids, segment_counts)`` names the segment of every
         ``gather_src`` position.  ``O(blocks)`` where the four arrays above
-        are ``O(elements)``; sharding and patching move whole segments and
-        read this instead of searching element positions.  A shard's view
+        are ``O(elements / run)``; sharding and patching move whole segments
+        and read this instead of searching positions.  A shard's view
         keeps the *global* IDs here while its ``gather_src`` is rank-local.
     offsets:
         Dense offsets of the retained blocks (block level only).
@@ -135,24 +148,6 @@ class GroupPlan:
             data=data,
             block_sizes=self.block_sizes,
         )
-
-
-@dataclasses.dataclass
-class _StackPlan:
-    """Concatenated gather/scatter arrays for one stack of submatrices.
-
-    All member submatrices of a bucket share these four flat index arrays,
-    so assembling (and scattering) a whole ``(k, D, D)`` stack is a single
-    vectorized operation instead of ``k`` per-group calls.  ``pad`` holds the
-    flat positions of the identity-padding diagonal entries of members whose
-    dimension is below the stack dimension.
-    """
-
-    gather_src: np.ndarray
-    gather_dst: np.ndarray
-    scatter_src: np.ndarray
-    scatter_dst: np.ndarray
-    pad: np.ndarray
 
 
 def _canonical_csc(matrix: sp.spmatrix) -> sp.csc_matrix:
@@ -300,6 +295,10 @@ class SubmatrixPlan:
     groups: List[GroupPlan]
     n_values: int
 
+    #: Length of the runs of contiguous values every index array addresses:
+    #: the gcd of the block sizes at block level, 1 at element level.
+    run: int = 1
+
     #: Set on plans produced by :meth:`patch`; ``None`` for fully built plans.
     patch_report: Optional[PlanPatchReport] = None
 
@@ -329,6 +328,37 @@ class SubmatrixPlan:
         """
         raise NotImplementedError
 
+    def _move_runs(
+        self, target: np.ndarray, dst: np.ndarray, source: np.ndarray, src: np.ndarray
+    ) -> None:
+        """``target[dst] = source[src]`` in runs of ``run`` contiguous values."""
+        target.reshape(-1, self.run)[dst] = source.reshape(-1, self.run).take(
+            src, axis=0
+        )
+
+    def _slot_positions(
+        self, positions: np.ndarray, dim: int, stack_dim: int
+    ) -> np.ndarray:
+        """Dense run positions of a ``(dim, dim)`` submatrix inside a stack slot.
+
+        The per-group positions address a ``(dim, dim)`` buffer; in a slot of
+        dimension ``stack_dim > dim`` they are re-based to its row stride.
+        """
+        if dim == stack_dim:
+            return positions
+        if dim > stack_dim:
+            raise ValueError(
+                f"group dimension {dim} exceeds stack dimension {stack_dim}"
+            )
+        if stack_dim % self.run:
+            raise ValueError(
+                f"stack dimension {stack_dim} is not a multiple of the plan's "
+                f"run length {self.run}; pad buckets with "
+                "resolve_bucket_pad(pad_to, dimensions, plan.run)"
+            )
+        rows, cols = np.divmod(positions, dim // self.run)
+        return rows * (stack_dim // self.run) + cols
+
     def extract(
         self, packed: np.ndarray, group_index: int, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
@@ -341,7 +371,7 @@ class SubmatrixPlan:
             if out.shape != (dim, dim):
                 raise ValueError(f"out must have shape {(dim, dim)}")
             out.fill(0.0)
-        out.reshape(-1)[group.gather_dst] = packed[group.gather_src]
+        self._move_runs(out, group.gather_dst, packed, group.gather_src)
         return out
 
     def new_output(self) -> np.ndarray:
@@ -353,7 +383,7 @@ class SubmatrixPlan:
     ) -> None:
         """Write the generating columns of f(a_i) with a single scatter."""
         group = self.groups[group_index]
-        out[group.scatter_dst] = f_submatrix.reshape(-1)[group.scatter_src]
+        self._move_runs(out, group.scatter_dst, f_submatrix, group.scatter_src)
 
     def finalize(self, out: np.ndarray):  # pragma: no cover - interface
         """Assemble the sparse result from the packed output vector."""
@@ -374,59 +404,6 @@ class SubmatrixPlan:
     # ------------------------------------------------------------------ #
     # stacked (bucket-level) gather/scatter
     # ------------------------------------------------------------------ #
-    def _stack_plan(self, members: Sequence[int], stack_dim: int) -> _StackPlan:
-        """Cached concatenated index arrays for a stack of groups.
-
-        The per-group flat indices address a ``(d, d)`` buffer; for a stack
-        slot of dimension ``stack_dim ≥ d`` they are re-based to row stride
-        ``stack_dim`` and offset by the slot's position, then concatenated —
-        once, on first use, and cached on the plan.
-        """
-        cache: Dict[tuple, _StackPlan] = self.__dict__.setdefault(
-            "_stack_cache", {}
-        )
-        key = (tuple(members), int(stack_dim))
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        area = stack_dim * stack_dim
-        gather_src: List[np.ndarray] = []
-        gather_dst: List[np.ndarray] = []
-        scatter_src: List[np.ndarray] = []
-        scatter_dst: List[np.ndarray] = []
-        pad: List[np.ndarray] = []
-        for slot, group_index in enumerate(members):
-            group = self.groups[group_index]
-            dim = group.dimension
-            if dim > stack_dim:
-                raise ValueError(
-                    f"group dimension {dim} exceeds stack dimension {stack_dim}"
-                )
-            base = slot * area
-            if dim == stack_dim:
-                slot_gather_dst = group.gather_dst + base
-                slot_scatter_src = group.scatter_src + base
-            else:
-                rows, cols = np.divmod(group.gather_dst, dim)
-                slot_gather_dst = base + rows * stack_dim + cols
-                rows, cols = np.divmod(group.scatter_src, dim)
-                slot_scatter_src = base + rows * stack_dim + cols
-                diagonal = np.arange(dim, stack_dim, dtype=np.int64)
-                pad.append(base + diagonal * stack_dim + diagonal)
-            gather_src.append(group.gather_src)
-            gather_dst.append(slot_gather_dst)
-            scatter_src.append(slot_scatter_src)
-            scatter_dst.append(group.scatter_dst)
-        cached = _StackPlan(
-            gather_src=_concat_int(gather_src),
-            gather_dst=_concat_int(gather_dst),
-            scatter_src=_concat_int(scatter_src),
-            scatter_dst=_concat_int(scatter_dst),
-            pad=_concat_int(pad),
-        )
-        cache[key] = cached
-        return cached
-
     def extract_stack(
         self,
         packed: np.ndarray,
@@ -434,21 +411,29 @@ class SubmatrixPlan:
         stack_dim: Optional[int] = None,
         pad_value: float = 1.0,
     ) -> np.ndarray:
-        """Assemble a ``(k, D, D)`` stack of submatrices with one gather.
+        """Assemble a ``(k, D, D)`` stack of submatrices, one gather per slot.
 
         Members of dimension below ``stack_dim`` are embedded block-diagonally
         with ``pad_value`` on the padding diagonal (exact for matrix
-        functions, see :mod:`repro.core.batch`).
+        functions, see :mod:`repro.core.batch`); ``stack_dim`` must then be a
+        multiple of :attr:`run`.
         """
         members = list(members)
         if stack_dim is None:
             stack_dim = max(self.groups[index].dimension for index in members)
         stack = np.zeros((len(members), stack_dim, stack_dim))
-        flat = stack.reshape(-1)
-        stacked = self._stack_plan(members, stack_dim)
-        flat[stacked.gather_dst] = packed[stacked.gather_src]
-        if stacked.pad.size:
-            flat[stacked.pad] = pad_value
+        for slot, group_index in enumerate(members):
+            group = self.groups[group_index]
+            dim = group.dimension
+            self._move_runs(
+                stack[slot],
+                self._slot_positions(group.gather_dst, dim, stack_dim),
+                packed,
+                group.gather_src,
+            )
+            if dim < stack_dim:
+                diagonal = np.arange(dim, stack_dim)
+                stack[slot, diagonal, diagonal] = pad_value
         return stack
 
     def scatter_stack(
@@ -458,12 +443,17 @@ class SubmatrixPlan:
         evaluated: np.ndarray,
         stack_dim: Optional[int] = None,
     ) -> None:
-        """Scatter a whole evaluated stack into the packed output (one write)."""
-        members = list(members)
+        """Scatter a whole evaluated stack into the packed output."""
         if stack_dim is None:
             stack_dim = int(evaluated.shape[-1])
-        stacked = self._stack_plan(members, stack_dim)
-        out[stacked.scatter_dst] = evaluated.reshape(-1)[stacked.scatter_src]
+        for slot, group_index in enumerate(members):
+            group = self.groups[group_index]
+            self._move_runs(
+                out,
+                group.scatter_dst,
+                evaluated[slot],
+                self._slot_positions(group.scatter_src, group.dimension, stack_dim),
+            )
 
 
 # --------------------------------------------------------------------------- #
@@ -635,6 +625,7 @@ class BlockSubmatrixPlan(SubmatrixPlan):
         self.block_sizes = block_sizes
         if self.block_sizes.size != coo.n_block_rows:
             raise ValueError("block_sizes does not match the pattern dimensions")
+        self.run = block_run(self.block_sizes)
         self.coo_rows = coo.rows.copy()
         self.coo_cols = coo.cols.copy()
         self.n_block_rows = coo.n_block_rows
@@ -668,6 +659,7 @@ class BlockSubmatrixPlan(SubmatrixPlan):
         retained = np.unique(
             np.concatenate([coo.entries_in_columns(columns)[1], columns])
         )
+        run = self.run
         sizes = self.block_sizes[retained]
         offsets = np.concatenate(([0], np.cumsum(sizes)))
         dim = int(offsets[-1])
@@ -680,16 +672,17 @@ class BlockSubmatrixPlan(SubmatrixPlan):
         ids, local_i, entry_cols = ids[keep], local_i[keep], entry_cols[keep]
         local_j = np.searchsorted(retained, entry_cols)
         # the block-level record: one (segment, height, width, dense corner)
-        # per gathered block, in gather order ...
-        heights, widths = sizes[local_i], sizes[local_j]
+        # per gathered block, in gather order, widths and positions in runs ...
+        heights, widths = sizes[local_i], sizes[local_j] // run
         counts = heights * widths
-        corner = offsets[local_i] * dim + offsets[local_j]
-        # ... expanded to element positions.  A block's values are one packed
+        stride = dim // run
+        corner = offsets[local_i] * stride + offsets[local_j] // run
+        # ... expanded to run positions.  A block's values are one packed
         # range; its dense image is one range of ``width`` per block row.
-        gather_src = concat_ranges(self.value_offsets[ids], counts)
+        gather_src = concat_ranges(self.value_offsets[ids] // run, counts)
         row_in_block = concat_ranges(0, heights)
         gather_dst = concat_ranges(
-            np.repeat(corner, heights) + row_in_block * dim,
+            np.repeat(corner, heights) + row_in_block * stride,
             np.repeat(widths, heights),
         )
         # the scatter is the gather transposed, restricted to the blocks of
@@ -896,15 +889,15 @@ class BlockSubmatrixPlan(SubmatrixPlan):
         patched = object.__new__(BlockSubmatrixPlan)
         patched._init_pattern(new_coo, self.block_sizes)
         patched.column_groups = [list(group) for group in self.column_groups]
-        # packed-position displacement of every surviving old segment (0 for
-        # removed ones, which no clean group references)
+        # packed displacement, in runs, of every surviving old segment (0
+        # for removed ones, which no clean group references)
         new_id_of_old = delta.new_id_of_old
         survives = new_id_of_old >= 0
         shift = np.zeros(new_id_of_old.size, dtype=np.int64)
         shift[survives] = (
             patched.value_offsets[new_id_of_old[survives]]
             - self.value_offsets[:-1][survives]
-        )
+        ) // self.run
         groups: List[GroupPlan] = []
         for group_index, group in enumerate(self.groups):
             if dirty[group_index]:
@@ -943,19 +936,15 @@ class BlockSubmatrixPlan(SubmatrixPlan):
 # plan cache
 # --------------------------------------------------------------------------- #
 def plan_nbytes(plan: "SubmatrixPlan") -> int:
-    """Approximate resident size of a plan's index arrays, in bytes.
+    """Resident size of a plan's index arrays, in bytes.
 
-    Counts the numpy bookkeeping a plan is built with — the per-group
+    Counts the numpy bookkeeping a plan holds — the per-group
     gather/scatter/index arrays and segment records plus the pattern-level
     arrays — and a flat per-entry constant for the Python-level pack map.
-    Used by :class:`PlanCache` for memory-budget accounting.
-
-    It ignores what a plan memoizes lazily once it is *used*: the membership
-    index of :meth:`BlockSubmatrixPlan.patch` (``O(blocks)``) and, above all,
-    ``_stack_cache`` — the concatenated per-bucket copies of the four
-    gather/scatter arrays, as large as the group arrays themselves.  A plan
-    that has served a call therefore holds about twice this figure (water-128:
-    ~70 MB resident against ~35 MB counted here).
+    Used by :class:`PlanCache` for memory-budget accounting, at insert: using
+    a plan allocates nothing that outlives the call, so the figure is as true
+    after a warm call as before the first.  The only lazily memoized state is
+    the ``O(blocks)`` membership index of :meth:`BlockSubmatrixPlan.patch`.
     """
     total = 0
     for group in plan.groups:
@@ -978,8 +967,9 @@ def plan_nbytes(plan: "SubmatrixPlan") -> int:
         array = getattr(plan, name, None)
         if array is not None:
             total += int(np.asarray(array).nbytes)
-    # per-block Python tuples of the pack map (block level only)
-    total += 96 * len(getattr(plan, "_pack_entries", ()))
+    # per-block Python tuples of the pack map (block level only): an entry,
+    # its key and shape tuples and its two offsets measure ~220 B
+    total += 224 * len(getattr(plan, "_pack_entries", ()))
     return total
 
 
@@ -1215,6 +1205,15 @@ def block_plan(
     if cache is None:
         return BlockSubmatrixPlan(coo, block_sizes, column_groups)
     return cache.block_plan(coo, block_sizes, column_groups)
+
+
+def block_run(block_sizes: Sequence[int]) -> int:
+    """Run length of a block grid: the gcd of its block sizes.
+
+    Every block height and width — hence every packed block range, dense row
+    offset and submatrix dimension — is a whole number of such runs.
+    """
+    return int(np.gcd.reduce(np.asarray(block_sizes, dtype=int))) or 1
 
 
 def _concat_int(pieces: List[np.ndarray]) -> np.ndarray:

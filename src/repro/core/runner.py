@@ -55,7 +55,13 @@ from repro.core.load_balance import (
     resolve_bucket_pad,
     submatrix_flop_costs,
 )
-from repro.core.plan import BlockSubmatrixPlan, PlanCache, SubmatrixPlan, block_plan
+from repro.core.plan import (
+    BlockSubmatrixPlan,
+    PlanCache,
+    SubmatrixPlan,
+    block_plan,
+    block_run,
+)
 from repro.core.shard import ShardedPlan
 from repro.core.transfers import (
     TransferPlan,
@@ -283,7 +289,9 @@ class DistributedSubmatrixPipeline:
         self.dimensions = self.grouping.submatrix_dimensions(
             self.coo, self.block_sizes
         )
-        self.bucket_pad = resolve_bucket_pad(bucket_pad, self.dimensions)
+        self.bucket_pad = resolve_bucket_pad(
+            bucket_pad, self.dimensions, block_run(self.block_sizes)
+        )
         self.costs = submatrix_flop_costs(self.dimensions, self.flop_constant)
         self.rank_of_group = self._assign_ranks()
         self.rank_flops = np.zeros(self.n_ranks)
@@ -368,7 +376,7 @@ class DistributedSubmatrixPipeline:
         Patches the extraction plan (rebuilding only the dirty groups, via
         the plan cache's delta-keyed lookup when a cache is available),
         patches the sharded plan (clean ranks keep their local buffer
-        layouts, bucket layouts and stacked index caches), re-buckets only
+        layouts and bucket layouts), re-buckets only
         the dirty ranks' stacks, and replans the initialization exchange on
         the patched shards' segment requirements.
 

@@ -41,12 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.batch import MAX_BATCH_ELEMENTS, Bucket, make_stack_tasks
-from repro.core.plan import (
-    GroupPlan,
-    SubmatrixPlan,
-    _concat_int,
-    _StackPlan,
-)
+from repro.core.plan import GroupPlan, SubmatrixPlan
 from repro.dbcsr.coo import concat_ranges
 
 __all__ = ["ShardView", "RankShard", "ShardedPlan"]
@@ -58,13 +53,17 @@ class ShardView(SubmatrixPlan):
     Gather indices address the rank-local packed buffer
     (``local_values`` entries); scatter indices still address the *global*
     packed output vector (``n_values`` entries), which is safe because group
-    scatter ranges are disjoint across ranks.
+    scatter ranges are disjoint across ranks.  Both in runs of the sharded
+    plan's ``run`` values.
     """
 
-    def __init__(self, groups: List[GroupPlan], n_values: int, local_values: int):
+    def __init__(
+        self, groups: List[GroupPlan], n_values: int, local_values: int, run: int
+    ):
         self.groups = groups
         self.n_values = int(n_values)
         self.local_values = int(local_values)
+        self.run = int(run)
 
     def pack(self, matrix) -> np.ndarray:
         raise NotImplementedError(
@@ -102,8 +101,8 @@ class RankShard:
         ``required_segments`` this is the block→segment index used by the
         transfer planner and by :meth:`pack_local`.
     local_to_global:
-        Flat global packed positions of the local buffer's entries, so
-        ``local = packed[local_to_global]`` fills the buffer with one gather.
+        Global packed position of every run (``view.run`` values) of the
+        local buffer, so one gather of runs fills it (:meth:`pack_local`).
     view:
         The rank's :class:`ShardView` (plan interface over the local buffer).
     """
@@ -119,7 +118,7 @@ class RankShard:
     # bucketed stack layouts by (pad_to, max_batch_elements); the shard (and
     # with it this cache) lives as long as its pipeline, so repeated
     # evaluations over an unchanged pattern — μ-bisections, MD trajectories —
-    # rebuild neither the bucket lists nor the view's stacked index arrays
+    # do not rebuild the bucket lists
     _stack_tasks: Dict[Tuple, List[Bucket]] = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -145,7 +144,8 @@ class RankShard:
         in the local buffer.  Here it is a single vectorized gather from the
         global packed values.
         """
-        return packed[self.local_to_global]
+        runs = packed.reshape(-1, self.view.run)
+        return runs.take(self.local_to_global, axis=0).reshape(-1)
 
     def segment_bytes(self, bytes_per_element: int = 8) -> float:
         """Total bytes of all required segments (local buffer size)."""
@@ -218,7 +218,7 @@ class ShardedPlan:
     # construction
     # ------------------------------------------------------------------ #
     def _build_shard(self, rank: int) -> RankShard:
-        offsets = self._offsets
+        offsets, run = self._offsets, self.plan.run
         owned = np.flatnonzero(self.rank_of_group == rank)
         owned_groups = [self.plan.groups[g] for g in owned]
         # the rank needs exactly the segments its groups' records name
@@ -232,9 +232,9 @@ class ShardedPlan:
             ([0], np.cumsum(lengths, dtype=np.int64))
         )
         # segments land in the local buffer whole and in ID order, so every
-        # value of segment s moves by the same to_local[s]
+        # run of segment s moves by the same to_local[s]
         to_local = np.zeros(offsets.size - 1, dtype=np.int64)
-        to_local[required] = local_offsets[:-1] - starts
+        to_local[required] = (local_offsets[:-1] - starts) // run
         groups = [
             dataclasses.replace(
                 group,
@@ -244,7 +244,9 @@ class ShardedPlan:
             for group in owned_groups
         ]
         n_local = int(local_offsets[-1])
-        view = ShardView(groups, n_values=self.plan.n_values, local_values=n_local)
+        view = ShardView(
+            groups, n_values=self.plan.n_values, local_values=n_local, run=run
+        )
         return RankShard(
             rank=rank,
             group_indices=owned,
@@ -252,7 +254,7 @@ class ShardedPlan:
             segment_starts=starts,
             segment_lengths=lengths,
             local_offsets=local_offsets,
-            local_to_global=concat_ranges(starts, lengths),
+            local_to_global=concat_ranges(starts // run, lengths // run),
             view=view,
         )
 
@@ -267,10 +269,10 @@ class ShardedPlan:
         delta-keyed lookup) — its :class:`~repro.core.plan.PlanPatchReport`
         names the dirty groups and the segment ID remap.  Ranks that own a
         dirty group rebuild their shard; every other rank keeps its local
-        buffer layout, rank-local gather arrays, memoized bucket layouts and
-        stacked index caches verbatim, translating only the global side
-        (required segment IDs, global buffer positions, stacked scatter
-        destinations) onto the new packed layout with vectorized remaps.
+        buffer layout, rank-local gather arrays and memoized bucket layouts
+        verbatim, translating only the global side (required segment IDs,
+        global buffer positions, scatter destinations) onto the new packed
+        layout with vectorized remaps.
 
         The group→rank assignment is carried over unchanged.
         """
@@ -315,7 +317,7 @@ class ShardedPlan:
         and the dense-side index arrays are reused as-is; only global
         positions move.
         """
-        new_plan = self.plan
+        new_plan, run = self.plan, self.plan.run
         required = new_id_of_old[old_shard.required_segments]
         starts = self._offsets[required]
         # the view reuses the rank-local gather arrays but must pick up the
@@ -332,21 +334,8 @@ class ShardedPlan:
             groups,
             n_values=new_plan.n_values,
             local_values=old_shard.view.local_values,
+            run=run,
         )
-        old_cache = old_shard.view.__dict__.get("_stack_cache")
-        if old_cache:
-            view.__dict__["_stack_cache"] = {
-                (members, stack_dim): _StackPlan(
-                    gather_src=stacked.gather_src,
-                    gather_dst=stacked.gather_dst,
-                    scatter_src=stacked.scatter_src,
-                    scatter_dst=_concat_int(
-                        [groups[member].scatter_dst for member in members]
-                    ),
-                    pad=stacked.pad,
-                )
-                for (members, stack_dim), stacked in old_cache.items()
-            }
         shard = RankShard(
             rank=old_shard.rank,
             group_indices=old_shard.group_indices,
@@ -354,7 +343,9 @@ class ShardedPlan:
             segment_starts=starts,
             segment_lengths=old_shard.segment_lengths,
             local_offsets=old_shard.local_offsets,
-            local_to_global=concat_ranges(starts, old_shard.segment_lengths),
+            local_to_global=concat_ranges(
+                starts // run, old_shard.segment_lengths // run
+            ),
             view=view,
         )
         shard._stack_tasks.update(old_shard._stack_tasks)

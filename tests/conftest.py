@@ -94,6 +94,28 @@ def make_decay_matrix(n: int, bandwidth: float = 6.0, seed: int = 3) -> np.ndarr
     return matrix
 
 
+def reachable_array_bytes(root):
+    """``nbytes`` of every distinct array buffer reachable from ``root``."""
+    seen, buffers, todo = set(), {}, [root]
+    while todo:
+        item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            base = item
+            while isinstance(base.base, np.ndarray):
+                base = base.base
+            buffers[id(base)] = base.nbytes
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+        elif isinstance(item, (list, tuple, set)):
+            todo.extend(item)
+        elif hasattr(item, "__dict__"):
+            todo.extend(vars(item).values())
+    return sum(buffers.values())
+
+
 def run_pipeline(pipeline, matrix, function=None, batch_function=None, **run):
     """f(A) through an explicitly built pipeline and the one rank loop.
 

@@ -16,6 +16,8 @@ derivation of a rank shard, which the array expansions in
 
 from __future__ import annotations
 
+import functools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,9 +96,11 @@ def reference_plan_group(coo, block_sizes, group):
     Returns the fields of a block-level ``GroupPlan`` (minus its segment
     record) as a namespace; ``gather_*``/``scatter_*`` are built from one
     ``arange`` per block, the way the plan layer did before it expanded them
-    from the block-level record.
+    from the block-level record.  Positions count runs of ``gcd(block_sizes)``
+    values: a block's packed range and each of its dense rows are whole runs.
     """
     block_sizes = np.asarray(block_sizes, dtype=int)
+    run = functools.reduce(math.gcd, block_sizes.tolist(), 0) or 1
     value_offsets = np.concatenate(
         ([0], np.cumsum(block_sizes[coo.rows] * block_sizes[coo.cols], dtype=np.int64))
     )
@@ -117,12 +121,15 @@ def reference_plan_group(coo, block_sizes, group):
                 continue
             li, lj = local_of[row], local_of[col]
             src = np.arange(
-                value_offsets[block_id], value_offsets[block_id + 1], dtype=np.int64
+                value_offsets[block_id] // run,
+                value_offsets[block_id + 1] // run,
+                dtype=np.int64,
             )
             dst = (
-                (offsets[li] + np.arange(int(sizes[li]), dtype=np.int64))[:, None] * dim
-                + offsets[lj]
-                + np.arange(int(sizes[lj]), dtype=np.int64)[None, :]
+                (offsets[li] + np.arange(int(sizes[li]), dtype=np.int64))[:, None]
+                * (dim // run)
+                + offsets[lj] // run
+                + np.arange(int(sizes[lj]) // run, dtype=np.int64)[None, :]
             ).reshape(-1)
             gather_src.append(src)
             gather_dst.append(dst)
@@ -148,13 +155,14 @@ def reference_plan_group(coo, block_sizes, group):
 
 
 def reference_shard_arrays(plan, owned):
-    """One rank's shard arrays, recovered from element positions.
+    """One rank's shard arrays, recovered from the gathered positions.
 
     Returns ``(required_segments, local_to_global, rank-local gather_src per
     owned group)`` by ``searchsorted`` over every gather position — what
-    ``ShardedPlan`` did before the groups carried their segment record.
+    ``ShardedPlan`` did before the groups carried their segment record.  All
+    in runs of ``plan.run`` values, the unit of ``gather_src``.
     """
-    offsets = np.asarray(plan.segment_offsets(), dtype=np.int64)
+    offsets = np.asarray(plan.segment_offsets(), dtype=np.int64) // plan.run
     sources = [plan.groups[g].gather_src for g in owned]
 
     def segments_of(positions):

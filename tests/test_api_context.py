@@ -39,6 +39,7 @@ from repro.api import (
     get_kernel,
     register_callable,
     resolve_kernel,
+    run_scf,
 )
 from repro.chem import (
     loewdin_inverse_sqrt,
@@ -902,6 +903,39 @@ class TestOverlapRootCache:
         assert (stats["hits"], stats["misses"]) == (2, 1)
         with pytest.raises(RuntimeError, match="closed"):
             ctx.overlap_root(pair.S)
+
+    def test_a_walk_keeps_one_root_and_a_fixed_overlap_keeps_hitting(
+        self, water32_matrices, gap_mu
+    ):
+        """MD moves S every step and never comes back: the trajectory driver
+        releases the root it walked away from (the session held seven dead
+        ones at the byte bound before).  An SCF loop keeps S and must keep
+        hitting."""
+        pair = water32_matrices
+        walk = [(pair.K, pair.S * (1.0 + 0.01 * step)) for step in range(6)]
+        with SubmatrixContext(self.CONFIG) as ctx:
+            ctx.density(*walk[0], pair.blocks, mu=gap_mu)  # where the walk starts
+            trajectory = ctx.trajectory(walk, pair.blocks, mu=gap_mu)
+            stats = ctx.stats()["overlap_roots"]
+            n = pair.S.shape[0]
+            assert (stats["hits"], stats["misses"]) == (1, 6)
+            assert (stats["entries"], stats["bytes"]) == (1, 8 * n * n)
+            # a second walk leaves the first one's last root behind too
+            ctx.trajectory(walk[:2], pair.blocks, mu=gap_mu)
+            assert ctx.stats()["overlap_roots"]["entries"] == 1
+        for (K, S), result in zip(walk[-2:], trajectory.results[-2:]):
+            assert_same_density(result, self.fresh(K, S, pair.blocks, gap_mu))
+
+        with SubmatrixContext(self.CONFIG) as ctx:
+            scf = run_scf(
+                ctx, pair.K, pair.S, pair.blocks,
+                lambda density_ao, iteration: pair.K
+                + 0.05 * sp.diags(np.diag(density_ao)),
+                n_electrons=8.0 * 32, max_iterations=4, tolerance=1e-300,
+            )
+            stats = ctx.stats()["overlap_roots"]
+        assert scf.n_iterations == 4
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (3, 1, 1)
 
     def test_threads_on_alternating_overlaps_with_eviction_forced(self, monkeypatch):
         """Eight threads, two overlaps, room for one root: every lookup may

@@ -324,6 +324,10 @@ class TestBucketPadChoice:
     def test_resolve_bucket_pad(self):
         assert resolve_bucket_pad(None, [4, 8]) is None
         assert resolve_bucket_pad(16, [4, 8]) == 16
+        # a plan indexing runs of 6 values needs stack dimensions in whole runs
+        assert resolve_bucket_pad(32, [126, 150], 6) == 36
+        assert resolve_bucket_pad(36, [126, 150], 6) == 36
+        assert resolve_bucket_pad(None, [126, 150], 6) is None
         dims = [30, 31, 32, 33, 62, 63, 64, 65] * 4
         assert resolve_bucket_pad("auto", dims, max_overhead=0.5) == (
             choose_bucket_pad(dims, max_overhead=0.5)

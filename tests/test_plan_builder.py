@@ -6,24 +6,41 @@ that record.  The per-block loop and the ``searchsorted`` derivation survive
 in ``submatrix_reference.py``; here hypothesis-generated patterns (ragged and
 1x1 blocks, multi-column groups, empty block columns, missing diagonal
 blocks, non-symmetric patterns) must reproduce them bitwise — values, dtype
-and order.  A last test counts interpreter-level calls on the 64-group
-water-64 plan, so a reintroduced per-block loop fails without a stopwatch.
+and order.  Every index array counts runs of ``plan.run = gcd(block sizes)``
+values, so the block grids are drawn with gcd 1, 2, 3 and 6, and a second
+property moves real values through ``pack`` / ``extract*`` / ``scatter*`` /
+``finalize`` — full, patched and sharded — against the per-submatrix kernels
+of ``repro.core.submatrix``.  Two last tests need no stopwatch and no
+benchmark: one counts interpreter-level calls on the 64-group water-64 plan
+(a reintroduced per-block loop fails), one bounds the index bytes a used plan
+holds per submatrix element (a reintroduced element index or per-bucket memo
+fails).
 """
 
 import sys
+import warnings
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.chem import orthogonalized_ks
-from repro.core.plan import BlockSubmatrixPlan, ElementSubmatrixPlan
+from repro.core.batch import Bucket, make_stack_tasks
+from repro.core.plan import BlockSubmatrixPlan, ElementSubmatrixPlan, plan_nbytes
 from repro.core.shard import ShardedPlan
-from repro.dbcsr import CooBlockList, block_matrix_from_csr
+from repro.core.submatrix import extract_block_submatrix
+from repro.dbcsr import BlockSparseMatrix, CooBlockList, block_matrix_from_csr
+from repro.dbcsr.convert import block_matrix_to_dense
 
-from submatrix_reference import reference_plan_group, reference_shard_arrays
+from conftest import reachable_array_bytes
+from submatrix_reference import (
+    reference_apply_blockwise,
+    reference_plan_group,
+    reference_shard_arrays,
+)
 
 GROUP_ARRAYS = (
     "generating_columns",
@@ -76,9 +93,16 @@ def _partition(draw, n):
 
 @st.composite
 def block_cases(draw, n_patterns=1):
-    """``(patterns on one grid, block sizes, column groups, rank of group)``."""
+    """``(patterns on one grid, block sizes, column groups, rank of group)``.
+
+    Block sizes are ragged multiples of a unit, so their gcd — the plan's run
+    length — is 1 (atom blocks like 4, 1, 1), 2, 3 or 6, or a multiple.
+    """
     n = draw(st.integers(1, 7))
-    sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    unit = draw(st.sampled_from([1, 1, 2, 3, 6]))
+    sizes = [
+        unit * m for m in draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    ]
     patterns = []
     for _ in range(n_patterns):
         rows, cols = np.nonzero(_mask(draw, n))
@@ -102,8 +126,8 @@ def element_cases(draw):
 
 
 def assert_segment_record(plan):
-    """The record names the segment of every gathered position, in order."""
-    offsets = plan.segment_offsets()
+    """The record names the segment of every gathered run, in order."""
+    offsets = plan.segment_offsets() // plan.run
     for group in plan.groups:
         assert group.segment_ids.dtype == group.segment_counts.dtype == np.int64
         assert np.all(group.segment_counts > 0)
@@ -157,13 +181,6 @@ def test_patch_and_shards_equal_fresh_builds(case):
     (old, new), sizes, groups, ranks = case
     old_plan = BlockSubmatrixPlan(old, sizes, groups)
     sharded = assert_shards_match_reference(old_plan, ranks)
-    # use the old shards first, so the patch has stack caches to carry over
-    for shard in sharded.shards:
-        if shard.n_groups:
-            members = list(range(shard.n_groups))
-            shard.view.extract_stack(
-                shard.pack_local(np.zeros(old_plan.n_values)), members
-            )
     patched = old_plan.patch(new)
     fresh = BlockSubmatrixPlan(new, sizes, groups)
     assert patched.n_values == fresh.n_values
@@ -182,10 +199,92 @@ def test_patch_and_shards_equal_fresh_builds(case):
         ):
             assert_same_array(getattr(got, name), getattr(want, name), name)
         assert_same_groups(got.view.groups, want.view.groups, RECORD_ARRAYS)
-        for key, carried in got.view.__dict__.get("_stack_cache", {}).items():
-            rebuilt = want.view._stack_plan(*key)
-            for name in ("gather_src", "gather_dst", "scatter_src", "scatter_dst", "pad"):
-                assert_same_array(getattr(carried, name), getattr(rebuilt, name), name)
+
+
+# --------------------------------------------------------------------------- #
+# values through the run-granular arrays == the per-submatrix kernels
+# --------------------------------------------------------------------------- #
+def _matrix_on(coo, sizes, seed):
+    """A block matrix storing a seeded random block at every pattern entry."""
+    rng = np.random.default_rng(seed)
+    matrix = BlockSparseMatrix(sizes, sizes)
+    for row, col in zip(coo.rows.tolist(), coo.cols.tolist()):
+        matrix.put_block(row, col, rng.normal(size=(sizes[row], sizes[col])))
+    return matrix
+
+
+def _function(dense):
+    """Elementwise, so bitwise equal whatever buffer the submatrix sits in."""
+    return dense * dense - 3.0 * dense + 0.5
+
+
+def assert_plan_moves_values_like_the_kernels(plan, coo, sizes, groups, ranks, seed):
+    """Every route through ``plan`` against ``repro.core.submatrix``'s loops."""
+    matrix = _matrix_on(coo, sizes, seed)
+    packed = plan.pack(matrix)
+    want, dimensions = reference_apply_blockwise(matrix, _function, groups, coo)
+    want = block_matrix_to_dense(want)
+    assert plan.dimensions == dimensions
+    assert all(dim % plan.run == 0 for dim in dimensions)
+    submatrices = [extract_block_submatrix(matrix, group, coo).data for group in groups]
+    # one group at a time
+    out = plan.new_output()
+    for index, reference in enumerate(submatrices):
+        got = plan.extract(packed, index)
+        assert np.array_equal(got, reference)
+        plan.scatter(out, index, _function(got))
+    assert np.array_equal(block_matrix_to_dense(plan.finalize(out)), want)
+    # exact-dimension stacks, then one stack padded by a run and a half
+    padded_dim = -(-(max(dimensions) + plan.run + 1) // plan.run) * plan.run
+    for tasks, pad_value in (
+        (make_stack_tasks(dimensions), 1.0),
+        ([Bucket(padded_dim, list(range(len(groups))))], 7.0),
+    ):
+        out = plan.new_output()
+        for task in tasks:
+            stack = plan.extract_stack(packed, task.members, task.dimension, pad_value)
+            for slot, member in enumerate(task.members):
+                dim = dimensions[member]
+                embedded = np.zeros((task.dimension, task.dimension))
+                embedded[:dim, :dim] = submatrices[member]
+                embedded[range(dim, task.dimension), range(dim, task.dimension)] = pad_value
+                assert np.array_equal(stack[slot], embedded)
+            plan.scatter_stack(out, task.members, _function(stack), task.dimension)
+        assert np.array_equal(block_matrix_to_dense(plan.finalize(out)), want)
+    # both shard views: rank-local gathers, scatters into the shared output
+    out = plan.new_output()
+    for shard in ShardedPlan(plan, np.minimum(ranks, 1), 2).shards:
+        local = shard.pack_local(packed)
+        assert local.size == shard.n_local_values == shard.view.local_values
+        for slot, member in enumerate(shard.group_indices):
+            assert np.array_equal(shard.view.extract(local, slot), submatrices[member])
+        members = list(range(shard.n_groups))
+        if members:
+            stack = shard.view.extract_stack(local, members, padded_dim)
+            shard.view.scatter_stack(out, members, _function(stack), padded_dim)
+    assert np.array_equal(block_matrix_to_dense(plan.finalize(out)), want)
+
+
+@given(block_cases(n_patterns=2), st.integers(0, 2**16))
+@settings(max_examples=120, deadline=None)
+def test_values_through_full_patched_and_sharded_plans_equal_the_kernels(case, seed):
+    (old, new), sizes, groups, ranks = case
+    old_plan = BlockSubmatrixPlan(old, sizes, groups)
+    assert old_plan.run == np.gcd.reduce(sizes)
+    assert_plan_moves_values_like_the_kernels(old_plan, old, sizes, groups, ranks, seed)
+    assert_plan_moves_values_like_the_kernels(
+        old_plan.patch(new), new, sizes, groups, ranks, seed + 1
+    )
+
+
+def test_padded_stack_dimension_must_be_whole_runs():
+    coo = CooBlockList([0, 1], [0, 1], 2, 2)
+    plan = BlockSubmatrixPlan(coo, [6, 12], [[0], [1]])
+    assert plan.run == 6
+    packed = np.zeros(plan.n_values)
+    assert plan.extract_stack(packed, [0, 1], 18).shape == (2, 18, 18)
+    with pytest.raises(ValueError, match="multiple of the plan's run length 6"):
+        plan.extract_stack(packed, [0, 1], 16)
 
 
 # --------------------------------------------------------------------------- #
@@ -229,3 +328,53 @@ def test_cold_plan_and_shard_build_cost_is_per_group_not_per_block(water64_matri
     assert calls < 400 * len(groups), f"{calls} calls for {len(groups)} groups"
     pairs = sum(group.segment_ids.size for group in built["plan"].groups)
     assert pairs > 50_000
+
+
+# --------------------------------------------------------------------------- #
+# a used plan holds its indices once, one per run
+# --------------------------------------------------------------------------- #
+def test_used_plan_costs_four_bytes_per_submatrix_element(water32_matrices):
+    """``water_box(1)`` at ``eps_filter=1e-5`` (the ledger's served tenants):
+    32 full 192 x 192 submatrices of 6-wide blocks.  Element indices cost
+    32 B per submatrix element (two int64 per gathered value, held twice
+    once a per-bucket memo filled); run indices held once cost 16/6 B."""
+    pair = water32_matrices
+    k_ortho, _ = orthogonalized_ks(pair.K, pair.S, eps_filter=1e-5)
+    block_k = block_matrix_from_csr(k_ortho, pair.blocks.block_sizes)
+    coo = CooBlockList.from_block_matrix(block_k)
+    plan = BlockSubmatrixPlan(
+        coo, pair.blocks.block_sizes, [[c] for c in range(coo.n_block_cols)]
+    )
+    assert plan.run == 6
+    accounted = plan_nbytes(plan)
+    # a warm call: every stack extracted and scattered, then finalized
+    packed, out = plan.pack(block_k), plan.new_output()
+    for task in make_stack_tasks(plan.dimensions):
+        stack = plan.extract_stack(packed, task.members, task.dimension)
+        plan.scatter_stack(out, task.members, stack, task.dimension)
+    plan.finalize(out)
+    assert plan_nbytes(plan) == accounted
+    elements = sum(dim * dim for dim in plan.dimensions)
+    assert accounted <= 4 * elements, f"{accounted / elements:.2f} B per element"
+    # what the budget counts is what the plan holds
+    assert reachable_array_bytes(plan) <= 1.05 * accounted
+
+
+# --------------------------------------------------------------------------- #
+# a failing property must be able to report itself
+# --------------------------------------------------------------------------- #
+def test_deprecation_filter_is_scoped_to_this_repository():
+    """``pytest.ini`` turns deprecations attributed to our modules into
+    errors.  A dependency's own one must not raise: hypothesis imports libcst
+    (whose import warns) only while reporting a *failing* example, and an
+    error there ends the session with INTERNALERROR instead of the example."""
+    message = "old spelling, about to be removed"
+    with warnings.catch_warnings(record=True):  # same filters, kept off the summary
+        warnings.warn_explicit(
+            message, DeprecationWarning, "libcst/x.py", 1, module="libcst.metadata.x"
+        )
+    for module in ("repro.core.plan", "test_plan_builder", "conftest"):
+        with pytest.raises(DeprecationWarning, match=message):
+            warnings.warn_explicit(
+                message, DeprecationWarning, f"{module}.py", 1, module=module
+            )

@@ -33,10 +33,13 @@ from repro import (
     SubmatrixContext,
 )
 from repro.api import UnknownKernelError
+from repro.chem import build_matrices, water_box
 from repro.core.plan import PlanCache, block_plan, plan_nbytes
 from repro.dbcsr import CooBlockList
 from repro.dbcsr.convert import block_matrix_from_dense
 from repro.serve import AdmissionController, ServiceMetrics
+
+from conftest import reachable_array_bytes
 
 N_ELECTRONS = 8.0 * 32
 
@@ -573,6 +576,35 @@ class TestServiceAdmission:
         assert result is not None  # the request itself is unaffected
         assert snapshot["plan_cache_bytes"] <= 1
         assert snapshot["admission"]["memory_evictions"] >= 1
+
+
+    def test_byte_budget_bounds_what_used_plans_hold(self, szv_model, gap_mu):
+        """The cache sizes a plan when it is inserted, before its first use.
+        Plans used to double once used (a per-bucket memo of every index
+        array), so a budget let about twice its bytes stay resident; now a
+        used plan holds what was accounted, and after every tenant has been
+        served the arrays reachable from the cache fit the budget."""
+        tenants = [
+            build_matrices(water_box(1, seed=2020 + tenant), model=szv_model)
+            for tenant in range(3)
+        ]
+        # filtered hard enough that every tenant has a pattern of its own
+        config = CONFIG.replace(eps_filter=1e-2)
+        with DensityService(config=config) as service:
+            pair = tenants[0]
+            service.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
+            one_plan = service.stats()["plan_cache_bytes"]
+        budget = int(2.5 * one_plan)  # room for two of the three tenants
+        policy = AdmissionPolicy(max_plan_cache_bytes=budget)
+        with DensityService(config=config, policy=policy) as service:
+            for tenant, pair in enumerate(tenants):
+                service.density(
+                    pair.K, pair.S, pair.blocks, mu=gap_mu, tenant=f"t{tenant}"
+                )
+                assert service.stats()["plan_cache_bytes"] <= budget
+                assert reachable_array_bytes(service.plan_cache) <= budget
+            assert len(service.plan_cache) == 2
+            assert service.plan_cache.stats["evictions"] == 1
 
 
 # --------------------------------------------------------------------------- #

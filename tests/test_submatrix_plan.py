@@ -402,6 +402,30 @@ class TestBatchedEvaluation:
             atol=1e-11,
         )
 
+    def test_bucket_pad_rounds_up_to_whole_runs(self, water32_matrices, gap_mu):
+        """6-wide molecule blocks, ``bucket_pad=32``: the plan indexes runs of
+        6 values, which a 160-wide stack row cannot hold, so the pad becomes
+        36 — more identity padding, the same exact matrix function, the same
+        run-granular code path (no fallback to element indices)."""
+        pair = water32_matrices
+        results = {}
+        for pad in (None, 32, 36):
+            config = EngineConfig(eps_filter=1e-2, bucket_pad=pad)
+            with SubmatrixContext(config) as context:
+                results[pad] = context.density(
+                    pair.K, pair.S, pair.blocks, mu=gap_mu, solver="newton_schulz"
+                )
+        dimensions = results[None].submatrix_dimensions
+        assert len(set(dimensions)) > 4 and all(dim % 6 == 0 for dim in dimensions)
+        assert {b.dimension for b in make_buckets(dimensions, 36)} == {144, 180}
+        # 32 *is* 36 here: the very same stacks, hence bitwise
+        assert np.array_equal(results[32].density_ao, results[36].density_ao)
+        # and padding is exact up to how BLAS tiles the larger GEMMs
+        assert np.allclose(
+            results[32].density_ao, results[None].density_ao, rtol=0.0, atol=1e-12
+        )
+        assert results[32].submatrix_dimensions == dimensions
+
     def test_small_stack_cap_still_covers_all_groups(self):
         matrix = random_block_symmetric(10, 2, 1, 2)
         coo = CooBlockList.from_block_matrix(matrix)
