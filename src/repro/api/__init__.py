@@ -34,7 +34,7 @@ from repro.api.results import (
     SubmatrixDFTResult,
     SubmatrixMethodResult,
 )
-from repro.api.context import REPLAN_MODES, SubmatrixContext
+from repro.api.context import SubmatrixContext
 from repro.api.observables import (
     Observable,
     SharedEvaluation,
@@ -76,7 +76,6 @@ __all__ = [
     "CheckpointError",
     "KernelConvergenceError",
     "SubmatrixContext",
-    "REPLAN_MODES",
     "TrajectoryResult",
     "TrajectoryStats",
     "TrajectoryStepRecord",

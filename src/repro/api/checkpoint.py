@@ -80,9 +80,13 @@ class TrajectoryCheckpoint:
         self._signature_json: Optional[str] = None
         manifest = self._read_manifest()
         if manifest is not None:
-            self._signature_json = json.dumps(
-                manifest.get("signature"), sort_keys=True
-            )
+            saved = manifest.get("signature")
+            if isinstance(saved, dict):
+                # manifests written while trajectories still took a replan
+                # mode record it; the modes never differed in a single bit,
+                # so such a directory resumes whatever it says
+                saved = {k: v for k, v in saved.items() if k != "replan"}
+            self._signature_json = json.dumps(saved, sort_keys=True)
 
     # ------------------------------------------------------------------ #
     # manifest

@@ -53,7 +53,6 @@ from repro.core.batch import stack_solver
 from repro.core.combination import ColumnGrouping, single_column_groups
 from repro.core.load_balance import resolve_bucket_pad
 from repro.core.plan import (
-    PATCH_DELTA_FRACTION,
     BlockSubmatrixPlan,
     PlanCache,
     SubmatrixPlan,
@@ -70,7 +69,7 @@ from repro.dbcsr.coo import CooBlockList
 from repro.parallel.executor import make_executor, map_parallel
 from repro.signfn.registry import BoundKernel, resolve_kernel
 
-__all__ = ["SubmatrixContext", "REPLAN_MODES", "matrix_fingerprint"]
+__all__ = ["SubmatrixContext", "matrix_fingerprint"]
 
 _UNSET = object()
 
@@ -80,22 +79,11 @@ _UNSET = object()
 #: pattern/rank-count sweeps.
 MAX_CACHED_PIPELINES = 32
 
-#: Upper bound on the per-(grouping, sizes) anchor maps used by incremental
-#: replanning (the most recent plan/pipeline per configuration).
-MAX_REPLAN_ANCHORS = 16
-
 #: Upper bound, in bytes, on the overlap roots a session keeps (one dense
 #: n×n float64 S^{-1/2} per distinct overlap content: 4.7 MB at 768 basis
-#: functions).  Least recently used roots are dropped first; a root larger
-#: than the bound is computed per call and never stored.
+#: functions).  Least recently used roots are dropped first; the root just
+#: computed is always kept, even when it alone exceeds the bound.
 MAX_OVERLAP_ROOT_BYTES = 32 * 2**20
-
-#: Valid ``replan`` modes of the incremental-replan machinery:
-#: ``"full"`` always rebuilds on a pattern change, ``"patch"`` always patches
-#: the previous plan/pipeline when one exists, ``"auto"`` patches when the
-#: block delta is small (≤ :data:`repro.core.plan.PATCH_DELTA_FRACTION`).
-#: All three modes produce bitwise-identical results.
-REPLAN_MODES = ("auto", "full", "patch")
 
 
 # --------------------------------------------------------------------------- #
@@ -190,8 +178,8 @@ class SubmatrixContext:
         (``SubmatrixContext(backend="thread", max_workers=4)``).
 
     The session is safe for concurrent use from multiple threads: the plan
-    cache, pipeline cache, replan anchors and executor creation are guarded
-    by one re-entrant lock, evaluation runs unlocked, and :meth:`close`
+    cache, pipeline cache and executor creation are guarded by one
+    re-entrant lock, evaluation runs unlocked, and :meth:`close`
     refuses (with a :class:`RuntimeError`) to tear the session down while
     requests are in flight.  The serving layer (:mod:`repro.serve`) builds
     on exactly these guarantees.
@@ -227,21 +215,13 @@ class SubmatrixContext:
             OrderedDict()
         )
         self._pipelines_built = 0
-        self._pipelines_patched = 0
-        # incremental-replan anchors: the most recent plan per
-        # (sizes, grouping) and pipeline per configuration, the objects a
-        # drifted pattern is patched *from*
-        self._plan_anchors: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._pipeline_anchors: "OrderedDict[tuple, DistributedSubmatrixPipeline]" = (
-            OrderedDict()
-        )
         # S^{-1/2} per overlap content (read-only arrays, LRU by bytes)
         self._overlap_roots: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
         self._overlap_root_hits = 0
         self._overlap_root_misses = 0
         self._closed = False
-        # session bookkeeping lock: guards executor creation, the plan /
-        # pipeline / anchor maps, the in-flight counter and close().  The
+        # session bookkeeping lock: guards executor creation, the pipeline
+        # and overlap-root maps, the in-flight counter and close().  The
         # evaluation work itself runs unlocked, so concurrent density/apply
         # calls from multiple threads genuinely overlap.
         self._lock = threading.RLock()
@@ -366,7 +346,6 @@ class SubmatrixContext:
                 "plan_cache": dict(self.plan_cache.stats),
                 "executors_created": self._executors_created,
                 "pipelines_built": self._pipelines_built,
-                "pipelines_patched": self._pipelines_patched,
                 "pipelines_cached": len(self._pipelines),
                 "overlap_roots": {
                     "hits": self._overlap_root_hits,
@@ -388,7 +367,8 @@ class SubmatrixContext:
         object identity: an ``S`` mutated in place is a different key.  The
         returned array is shared between every request that hits and is
         therefore read-only.  The cache is an LRU bounded by
-        :data:`MAX_OVERLAP_ROOT_BYTES`; a miss costs the hash on top of the
+        :data:`MAX_OVERLAP_ROOT_BYTES` that always keeps the root just
+        computed, whatever its size; a miss costs the hash on top of the
         root.  Two threads missing on the same content both compute the
         (identical) root rather than serialise behind the session lock.
         """
@@ -404,10 +384,15 @@ class SubmatrixContext:
         root = loewdin_inverse_sqrt(S)
         root.setflags(write=False)
         with self._lock:
-            if root.nbytes <= MAX_OVERLAP_ROOT_BYTES:
-                self._overlap_roots[key] = root
-                while self._overlap_root_bytes() > MAX_OVERLAP_ROOT_BYTES:
-                    self._overlap_roots.popitem(last=False)
+            self._overlap_roots[key] = root
+            self._overlap_roots.move_to_end(key)
+            # keep at least the root just computed, even when it alone
+            # exceeds the bound: dropping it would re-diagonalise S per call
+            while (
+                len(self._overlap_roots) > 1
+                and self._overlap_root_bytes() > MAX_OVERLAP_ROOT_BYTES
+            ):
+                self._overlap_roots.popitem(last=False)
         return root
 
     def _advance_overlap_root(self, previous: Optional[bytes]) -> Optional[bytes]:
@@ -439,20 +424,6 @@ class SubmatrixContext:
             executor=self.executor,
         )
 
-    # ------------------------------------------------------------------ #
-    # incremental replanning
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _check_replan(replan: str) -> str:
-        if replan not in REPLAN_MODES:
-            raise ValueError(f"replan must be one of {REPLAN_MODES}")
-        return replan
-
-    @staticmethod
-    def _trim_anchors(anchors: OrderedDict) -> None:
-        while len(anchors) > MAX_REPLAN_ANCHORS:
-            anchors.popitem(last=False)
-
     def block_plan_for(
         self,
         coo: CooBlockList,
@@ -460,64 +431,15 @@ class SubmatrixContext:
         column_groups: Sequence[Sequence[int]],
         replan: str = "full",
     ) -> BlockSubmatrixPlan:
-        """Block extraction plan for ``coo``, optionally by incremental patch.
+        """Block extraction plan for ``coo`` from the session's plan cache.
 
-        With ``replan="full"`` this is a content-keyed
-        :func:`~repro.core.plan.block_plan` cache lookup.  The other modes
-        consult the session's anchor — the most recent plan served for the
-        same block sizes and grouping:
-
-        * an unchanged pattern reuses the anchor plan directly (counted as a
-          plan-cache hit), which also keeps *patched* plans (cached under
-          their delta key, not a content key) serving later value-only steps;
-        * a changed pattern is patched from the anchor
-          (:meth:`~repro.core.plan.PlanCache.patched_block_plan`) — always
-          under ``"patch"``, and under ``"auto"`` only while the block delta
-          stays small; otherwise, and when no anchor exists or the block grid
-          changed, it falls back to a full content-keyed build.
-
-        Every mode returns a plan whose pack/extract/scatter results are
-        bitwise identical to a freshly built plan.
+        A content-keyed :func:`~repro.core.plan.block_plan` lookup: an
+        unchanged pattern is a hit, a changed one is a build.  ``replan`` is
+        an inert leftover — accepted and ignored, nothing dispatches on it;
+        it stays only because ``benchmarks/e2e`` passes it.
         """
         self._check_open()
-        self._check_replan(replan)
-        sizes = np.asarray(list(block_sizes), dtype=int)
-        anchor_key = (
-            sizes.tobytes(),
-            tuple(map(tuple, column_groups)),
-        )
-        fingerprint = coo.fingerprint()
-        with self._lock:
-            if replan != "full":
-                anchor = self._plan_anchors.get(anchor_key)
-                if anchor is not None:
-                    anchor_fingerprint, anchor_plan = anchor
-                    if anchor_fingerprint == fingerprint:
-                        self._plan_anchors.move_to_end(anchor_key)
-                        return self.plan_cache.reuse(anchor_plan)
-                    plan = self._try_patch_plan(anchor_plan, coo, replan)
-                    if plan is not None:
-                        self._plan_anchors[anchor_key] = (fingerprint, plan)
-                        self._plan_anchors.move_to_end(anchor_key)
-                        return plan
-            plan = block_plan(coo, sizes, column_groups, cache=self.plan_cache)
-            self._plan_anchors[anchor_key] = (fingerprint, plan)
-            self._plan_anchors.move_to_end(anchor_key)
-            self._trim_anchors(self._plan_anchors)
-            return plan
-
-    def _try_patch_plan(
-        self, anchor_plan: BlockSubmatrixPlan, coo: CooBlockList, replan: str
-    ) -> Optional[BlockSubmatrixPlan]:
-        """Patched plan from the anchor, or ``None`` to fall back to full."""
-        try:
-            delta = anchor_plan.delta_to(coo)
-            if replan == "auto" and delta.fraction_changed > PATCH_DELTA_FRACTION:
-                return None
-            return self.plan_cache.patched_block_plan(anchor_plan, coo, delta=delta)
-        except ValueError:
-            # e.g. a changed block grid — patching is impossible, rebuild
-            return None
+        return block_plan(coo, block_sizes, column_groups, cache=self.plan_cache)
 
     def _bucket_pad_for(self, kernel, plan: SubmatrixPlan) -> Optional[int]:
         """The session's bucket padding resolved for one plan
@@ -548,7 +470,6 @@ class SubmatrixContext:
         grouping: ColumnGrouping,
         ranks: Optional[int],
         distribution,
-        replan: str,
         bucket_pad,
     ) -> Tuple[BlockSubmatrixPlan, Optional[DistributedSubmatrixPipeline]]:
         """``(plan, pipeline)`` of one block-level request.
@@ -562,10 +483,7 @@ class SubmatrixContext:
         sharding machinery itself.
         """
         if ranks is None and self.config.n_ranks == 1:
-            plan = self.block_plan_for(
-                coo, block_sizes, grouping.groups, replan=replan
-            )
-            return plan, None
+            return self.block_plan_for(coo, block_sizes, grouping.groups), None
         pipeline = self.pipeline(
             coo,
             block_sizes,
@@ -573,7 +491,6 @@ class SubmatrixContext:
             grouping=grouping,
             distribution=distribution,
             bucket_pad=bucket_pad,
-            replan=replan,
         )
         return pipeline.prepare()[0], pipeline
 
@@ -700,7 +617,6 @@ class SubmatrixContext:
                 grouping,
                 ranks,
                 distribution,
-                "full",
                 self.config.bucket_pad,
             )
         elif ranks is not None or distribution is not None:
@@ -770,7 +686,6 @@ class SubmatrixContext:
         max_mu_iterations: int = 200,
         ranks: Optional[int] = None,
         distribution=None,
-        replan: str = "full",
         mu_bracket=None,
         observable_params=None,
     ):
@@ -790,10 +705,10 @@ class SubmatrixContext:
         ``config.n_ranks > 1``) the submatrix stacks are evaluated
         rank-sharded through
         :class:`~repro.core.runner.DistributedSubmatrixPipeline` — bitwise
-        identical to the single-process path.  ``replan`` and ``mu_bracket``
-        are the incremental-replan and warm-start hooks of the trajectory
-        driver; see :func:`repro.api.observables.compute_observables` for
-        every argument.
+        identical to the single-process path.  ``mu_bracket`` is the
+        warm-start hook of the trajectory driver; see
+        :func:`repro.api.observables.compute_observables` for every
+        argument.
         """
         self._check_open()
         from repro.api.observables import compute_observables
@@ -812,7 +727,6 @@ class SubmatrixContext:
             max_mu_iterations=max_mu_iterations,
             ranks=ranks,
             distribution=distribution,
-            replan=replan,
             mu_bracket=mu_bracket,
             observable_params=observable_params,
         )
@@ -845,12 +759,13 @@ class SubmatrixContext:
         computed exactly like a single-shot :meth:`density` call, but the
         steps share this session's plan cache, sharded pipelines and
         executor — value-only steps (unchanged sparsity pattern, detected
-        via the plan cache's content hash) skip all planning, and with
-        ``replan="auto"`` (default) or ``"patch"`` a *drifted* pattern
-        patches the previous step's plans instead of rebuilding them.
-        ``warm_start_mu=True`` seeds each canonical step's μ-bisection from
-        the previous step's μ (an opt-in that trades the bitwise identity of
-        μ for fewer bisection iterations).  ``checkpoint=`` persists every
+        via the plan cache's content hash) skip all planning, and a changed
+        pattern builds its plans once.  ``replan`` is an inert leftover —
+        accepted and ignored; it stays only because ``benchmarks/e2e``
+        passes it.  ``warm_start_mu=True`` seeds each canonical step's
+        μ-bisection from the previous step's μ (an opt-in that trades the
+        bitwise identity of μ for fewer bisection iterations).
+        ``checkpoint=`` persists every
         completed step to a directory and resumes an interrupted trajectory
         from its first unsaved step, bitwise identical to an uninterrupted
         run (see :class:`~repro.api.checkpoint.TrajectoryCheckpoint`).
@@ -878,7 +793,6 @@ class SubmatrixContext:
             ranks=ranks,
             distribution=distribution,
             n_steps=n_steps,
-            replan=replan,
             warm_start_mu=warm_start_mu,
             checkpoint=checkpoint,
             observables=observables,
@@ -905,16 +819,13 @@ class SubmatrixContext:
         passed (the density driver passes ``bucket_pad=None`` to force
         exact-dimension buckets for its eigendecomposition cache).
 
-        With ``replan="patch"`` (always) or ``"auto"`` (small block deltas),
-        a cache miss for a drifted pattern is served by patching the most
-        recently used pipeline of the same configuration
-        (:meth:`~repro.core.runner.DistributedSubmatrixPipeline.patch`)
-        instead of rebuilding plans, shards and transfer plan from scratch;
-        the patched pipeline is cached like a built one.  Results are
-        bitwise identical in every mode.
+        Pipelines are cached by content — pattern fingerprint plus
+        configuration — so a changed pattern builds a new one (plans, shards,
+        rank assignment and transfer plan are those of a fresh session).
+        ``replan`` is an inert leftover — accepted and ignored; it stays
+        only because ``benchmarks/e2e`` passes it.
         """
         self._check_open()
-        self._check_replan(replan)
         coo = (
             pattern
             if isinstance(pattern, CooBlockList)
@@ -925,7 +836,8 @@ class SubmatrixContext:
         sizes = np.asarray(list(block_sizes), dtype=int)
         if grouping is None:
             grouping = single_column_groups(coo.n_block_cols)
-        configuration_key = (
+        key = (
+            coo.fingerprint(),
             sizes.tobytes(),
             n_ranks,
             tuple(map(tuple, grouping.groups)),
@@ -933,54 +845,23 @@ class SubmatrixContext:
             pad,
             _distribution_key(distribution),
         )
-        key = (coo.fingerprint(),) + configuration_key
         with self._lock:
-            cached = self._pipelines.get(key)
-            if cached is not None:
+            pipeline = self._pipelines.get(key)
+            if pipeline is not None:
                 self._pipelines.move_to_end(key)
-                self._pipeline_anchors[configuration_key] = cached
-                self._pipeline_anchors.move_to_end(configuration_key)
-                self._trim_anchors(self._pipeline_anchors)
-                return cached
-            pipeline = None
-            if replan != "full":
-                anchor = self._pipeline_anchors.get(configuration_key)
-                if anchor is not None:
-                    pipeline = self._try_patch_pipeline(anchor, coo, replan)
-            if pipeline is None:
-                pipeline = DistributedSubmatrixPipeline(
-                    coo,
-                    sizes,
-                    n_ranks,
-                    grouping=grouping,
-                    distribution=distribution,
-                    balance=self.config.balance,
-                    bucket_pad=pad,
-                    plan_cache=self.plan_cache,
-                )
-                self._pipelines_built += 1
+                return pipeline
+            pipeline = DistributedSubmatrixPipeline(
+                coo,
+                sizes,
+                n_ranks,
+                grouping=grouping,
+                distribution=distribution,
+                balance=self.config.balance,
+                bucket_pad=pad,
+                plan_cache=self.plan_cache,
+            )
+            self._pipelines_built += 1
             self._pipelines[key] = pipeline
             while len(self._pipelines) > MAX_CACHED_PIPELINES:
                 self._pipelines.popitem(last=False)
-            self._pipeline_anchors[configuration_key] = pipeline
-            self._pipeline_anchors.move_to_end(configuration_key)
-            self._trim_anchors(self._pipeline_anchors)
             return pipeline
-
-    def _try_patch_pipeline(
-        self,
-        anchor: DistributedSubmatrixPipeline,
-        coo: CooBlockList,
-        replan: str,
-    ) -> Optional[DistributedSubmatrixPipeline]:
-        """Patched pipeline from the anchor, or ``None`` to build fresh."""
-        try:
-            anchor.prepare()
-            delta = anchor.plan.delta_to(coo)
-            if replan == "auto" and delta.fraction_changed > PATCH_DELTA_FRACTION:
-                return None
-            patched = anchor.patch(coo, plan_cache=self.plan_cache, delta=delta)
-        except ValueError:
-            return None
-        self._pipelines_patched += 1
-        return patched

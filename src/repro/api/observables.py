@@ -405,14 +405,13 @@ def compute_observables(
     max_mu_iterations: int = 200,
     ranks: Optional[int] = None,
     distribution=None,
-    replan: str = "full",
     mu_bracket: Optional[Tuple[float, float]] = None,
     observable_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> ObservableBundle:
     """Evaluate one or more observables from a single decomposition pass.
 
     The only path from a request to its result: :func:`validate_request`,
-    then the engine pass — prepare (:func:`prepare_step`), look up/patch
+    then the engine pass — prepare (:func:`prepare_step`), look up
     the extraction plan, run exactly one eigendecomposition pass over the
     bucketed submatrix stacks (single-process or rank-sharded) — then
     :func:`evaluate_request`: bisect μ once for canonical ensembles and
@@ -428,12 +427,7 @@ def compute_observables(
     ``context`` supplies the engine configuration, plan cache and
     persistent executor; ``ranks`` overrides ``context.config.n_ranks`` for
     the sharded stack evaluation and ``distribution`` fixes the block
-    ownership of its transfer plan.  ``replan`` controls how a sparsity
-    pattern unseen by the session is planned: ``"full"`` (default) builds
-    extraction plans and pipelines from scratch, ``"patch"``/``"auto"``
-    incrementally patch the session's most recent plan/pipeline of the same
-    configuration (see :meth:`SubmatrixContext.block_plan_for`) — results
-    are bitwise identical in every mode.  ``mu_bracket`` optionally seeds
+    ownership of its transfer plan.  ``mu_bracket`` optionally seeds
     the μ-bisection with a warm ``(lo, hi)`` bracket (expanded automatically
     if it does not bracket the electron count); a warm bracket changes the
     bisection's iterate sequence, so the resulting μ is not bitwise
@@ -457,7 +451,7 @@ def compute_observables(
         ranks,
     )
     decomposition = _decompose(
-        context, K, S, blocks, kernel, mu, grouping, ranks, distribution, replan
+        context, K, S, blocks, kernel, mu, grouping, ranks, distribution
     )
     return evaluate_request(
         context.config,
@@ -475,7 +469,7 @@ def compute_observables(
 
 
 def _decompose(
-    context, K, S, blocks, kernel, mu, grouping, ranks, distribution, replan
+    context, K, S, blocks, kernel, mu, grouping, ranks, distribution
 ) -> Decomposition:
     """The engine pass of one request (see :class:`Decomposition`).
 
@@ -504,7 +498,6 @@ def _decompose(
         grouping,
         ranks,
         distribution,
-        replan,
         # Algorithm 1 reuses the cached per-submatrix spectra during the
         # μ-bisection, and a padded block-diagonal embedding has a
         # different spectrum bookkeeping: its buckets stay exact-dimension.

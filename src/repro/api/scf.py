@@ -92,7 +92,6 @@ def run_scf(
     warm_start_mu: bool = True,
     observables=None,
     observable_params=None,
-    replan: str = "auto",
     checkpoint=None,
     **trajectory_kwargs,
 ) -> SCFResult:
@@ -127,8 +126,8 @@ def run_scf(
         Iteration budget; exhausting it returns ``converged=False``
         (no exception — the partial history is often exactly what a
         caller diagnosing a divergent mix needs).
-    solver / warm_start_mu / observables / observable_params / replan /
-    checkpoint / **trajectory_kwargs:
+    solver / warm_start_mu / observables / observable_params / checkpoint /
+    **trajectory_kwargs:
         Forwarded to :meth:`SubmatrixContext.trajectory`.
         ``warm_start_mu`` defaults to ``True`` here (unlike the raw
         trajectory driver): seeding each iteration's μ-bisection from the
@@ -185,7 +184,6 @@ def run_scf(
         warm_start_mu=warm_start_mu,
         observables=observables,
         observable_params=observable_params,
-        replan=replan,
         checkpoint=checkpoint,
         on_step=on_step,
         **trajectory_kwargs,

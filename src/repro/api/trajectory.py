@@ -22,19 +22,12 @@ drives a sequence of ``(K, S)`` geometry steps through
 same path a single-shot request takes), watches the pattern content hash
 to detect sparsity changes between steps, and returns the per-step
 :class:`~repro.api.results.SubmatrixDFTResult` objects together with a
-:class:`TrajectoryStats` record — plans built vs patched vs cache hits,
-pattern changes, per-step wall times and (for sharded runs) fetch volumes.
-
-**Incremental replans.**  When the pattern *does* drift (an atom pair
-crossing the filter threshold adds or removes a few blocks), ``replan=``
-decides how the new pattern is planned: ``"full"`` rebuilds every
-extraction plan and pipeline from scratch, ``"patch"`` diffs the patterns
-and rebuilds only the column groups the delta invalidates
-(:meth:`~repro.core.plan.BlockSubmatrixPlan.patch`), and ``"auto"`` (the
-default) patches for small deltas and rebuilds for large ones.  Patched
-plans, shards and pipelines are **bitwise identical** to fully rebuilt
-ones in every pack/extract/scatter result, so the mode changes cost only,
-never numbers.
+:class:`TrajectoryStats` record — plans built vs cache hits, pattern
+changes, per-step wall times and (for sharded runs) fetch volumes.  When the
+pattern *does* drift (an atom pair crossing the filter threshold adds or
+removes a few blocks) the step is a content-keyed cache miss: its plan and
+pipeline are built once, exactly as a fresh session would build them, and a
+later return to an earlier pattern is a hit.
 
 **Warm-started μ.**  ``warm_start_mu=True`` seeds each canonical step's
 μ-bisection bracket from the previous step's μ (SCF-style).  This is the
@@ -108,16 +101,10 @@ class TrajectoryStepRecord:
         Whether the pattern differs from the previous step's (the first
         step always counts as changed — there is nothing to reuse yet).
     plans_built / plan_cache_hits:
-        Plan-cache misses and hits incurred by this step.  ``plans_built``
-        counts every plan *construction*, whether full or incremental;
-        ``plans_patched`` says how many of them were incremental.
-    plans_patched / groups_rebuilt:
-        Plans built by patching the previous step's plan, and the group
-        plans those patches had to rebuild (the reused remainder was
-        translated, not rebuilt).
-    pipelines_built / pipelines_patched:
-        Sharded pipelines built from scratch / patched from the previous
-        step's pipeline by this step (both 0 on reuse).
+        Plan-cache misses (plan constructions) and hits incurred by this
+        step.
+    pipelines_built:
+        Sharded pipelines built by this step (0 on reuse).
     mu / n_electrons / mu_iterations:
         Ensemble outcome of the step (see
         :class:`~repro.api.results.SubmatrixDFTResult`).
@@ -148,9 +135,6 @@ class TrajectoryStepRecord:
     mu_iterations: int
     segment_fetch_bytes: Optional[float]
     block_fetch_bytes: Optional[float]
-    plans_patched: int = 0
-    groups_rebuilt: int = 0
-    pipelines_patched: int = 0
     warm_started: bool = False
     retries: int = 0
     reassigned_stacks: int = 0
@@ -167,12 +151,9 @@ class TrajectoryStats:
     n_steps:
         Number of geometry steps driven.
     plans_built / plan_cache_hits:
-        Total plan constructions (full or incremental) and cache hits
-        across the run; a value-only trajectory builds exactly one plan and
-        hits the cache on every later step.
-    plans_patched / groups_rebuilt:
-        Plan constructions served by incremental patching, and the group
-        plans those patches rebuilt (``replan="patch"``/``"auto"`` only).
+        Total plan constructions and cache hits across the run; a
+        value-only trajectory builds exactly one plan and hits the cache on
+        every later step.
     pattern_changes:
         Steps (beyond the first) whose sparsity pattern differed from their
         predecessor — each one invalidates the cross-step reuse once.
@@ -180,10 +161,9 @@ class TrajectoryStats:
         Worker pools created during the run (at most one: the session's
         persistent executor, and zero when it existed already or the
         configuration is serial).
-    pipelines_built / pipelines_patched:
-        Sharded pipelines built from scratch / patched from a predecessor
-        during the run (both 0 when every rank-sharded step reused the
-        context's cached pipeline).
+    pipelines_built:
+        Sharded pipelines built during the run (0 when every rank-sharded
+        step reused the context's cached pipeline).
     total_wall_time:
         Sum of the per-step wall times.
     steps:
@@ -207,9 +187,6 @@ class TrajectoryStats:
     pipelines_built: int
     total_wall_time: float
     steps: List[TrajectoryStepRecord]
-    plans_patched: int = 0
-    groups_rebuilt: int = 0
-    pipelines_patched: int = 0
     retries: int = 0
     reassigned_stacks: int = 0
     kernel_fallbacks: int = 0
@@ -222,9 +199,10 @@ class TrajectoryStats:
         return self.plan_cache_hits / total if total else 0.0
 
     @property
-    def patch_rate(self) -> float:
-        """Fraction of plan constructions served by incremental patching."""
-        return self.plans_patched / self.plans_built if self.plans_built else 0.0
+    def plans_patched(self) -> int:
+        """Inert leftover, always 0: nothing patches a plan any more; the
+        name stays only because ``benchmarks/e2e`` reads it."""
+        return 0
 
 
 @dataclasses.dataclass
@@ -341,7 +319,6 @@ def run_trajectory(
     ranks: Optional[int] = None,
     distribution=None,
     n_steps: Optional[int] = None,
-    replan: str = "auto",
     warm_start_mu: bool = False,
     checkpoint=None,
     observables=None,
@@ -375,18 +352,6 @@ def run_trajectory(
     n_steps:
         Maximum number of steps (required information only when ``steps``
         is an unbounded callback; sequences end on their own).
-    replan:
-        How a step whose sparsity pattern drifted from its predecessor is
-        planned.  ``"full"`` rebuilds plans and pipelines from scratch;
-        ``"patch"`` always patches the previous step's plans
-        (:meth:`~repro.core.plan.BlockSubmatrixPlan.patch`), rebuilding
-        only the column groups the block delta invalidates; ``"auto"``
-        (default) patches while the delta stays small
-        (≤ :data:`repro.core.plan.PATCH_DELTA_FRACTION` of the blocks) and
-        rebuilds beyond that.  **Bitwise contract:** all three modes
-        produce identical densities, μ values and band energies — patched
-        plans are property-tested to be bitwise identical to full replans,
-        so ``replan`` trades planning time only.
     warm_start_mu:
         Seed each canonical step's μ-bisection bracket from the previous
         step's μ.  The half-width adapts to the trajectory's μ-drift
@@ -454,7 +419,6 @@ def run_trajectory(
             "steps must be a sequence of (K, S) pairs or a callback "
             "step(index) -> (K, S) | None, not None"
         )
-    context._check_replan(replan)
     # the whole trajectory's request (per-step sequences included) is
     # checked before the first step runs or the checkpoint is touched
     observable_names, _ = validate_request(
@@ -485,7 +449,6 @@ def run_trajectory(
             "mu": _signature_value(mu),
             "n_electrons": _signature_value(n_electrons),
             "ranks": None if ranks is None else int(ranks),
-            "replan": replan,
             "warm_start_mu": bool(warm_start_mu),
             "mu_tolerance": float(mu_tolerance),
             "max_mu_iterations": int(max_mu_iterations),
@@ -553,7 +516,6 @@ def run_trajectory(
                 max_mu_iterations=max_mu_iterations,
                 ranks=ranks,
                 distribution=distribution,
-                replan=replan,
                 mu_bracket=bracket,
                 observable_params=observable_params,
             )
@@ -584,12 +546,6 @@ def run_trajectory(
                 mu_iterations=result.mu_iterations,
                 segment_fetch_bytes=result.segment_fetch_bytes,
                 block_fetch_bytes=result.block_fetch_bytes,
-                plans_patched=cache_after["patches"]
-                - cache_before["patches"],
-                groups_rebuilt=cache_after["groups_rebuilt"]
-                - cache_before["groups_rebuilt"],
-                pipelines_patched=session_after["pipelines_patched"]
-                - session_before["pipelines_patched"],
                 warm_started=bool(warm),
                 retries=result.retries,
                 reassigned_stacks=result.reassigned_stacks,
@@ -615,9 +571,6 @@ def run_trajectory(
         pipelines_built=sum(r.pipelines_built for r in records),
         total_wall_time=float(sum(r.wall_time for r in records)),
         steps=records,
-        plans_patched=sum(r.plans_patched for r in records),
-        groups_rebuilt=sum(r.groups_rebuilt for r in records),
-        pipelines_patched=sum(r.pipelines_patched for r in records),
         retries=sum(r.retries for r in records),
         reassigned_stacks=sum(r.reassigned_stacks for r in records),
         kernel_fallbacks=sum(r.kernel_fallbacks for r in records),

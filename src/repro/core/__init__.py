@@ -40,13 +40,9 @@ from repro.core.plan import (
     SubmatrixPlan,
     ElementSubmatrixPlan,
     BlockSubmatrixPlan,
-    BlockPatternDelta,
-    PlanPatchReport,
     PlanCache,
-    PATCH_DELTA_FRACTION,
     element_plan,
     block_plan,
-    block_pattern_delta,
 )
 from repro.core.batch import Bucket, make_buckets, evaluate_batched
 from repro.core.combination import (
@@ -96,13 +92,9 @@ __all__ = [
     "SubmatrixPlan",
     "ElementSubmatrixPlan",
     "BlockSubmatrixPlan",
-    "BlockPatternDelta",
-    "PlanPatchReport",
     "PlanCache",
-    "PATCH_DELTA_FRACTION",
     "element_plan",
     "block_plan",
-    "block_pattern_delta",
     "Bucket",
     "make_buckets",
     "evaluate_batched",

@@ -45,8 +45,8 @@ IV-C): each group computes one block-level record — (packed segment, height,
 width, dense corner) per retained block — and expands it to run
 positions with ``repeat``/``cumsum`` (:func:`repro.dbcsr.coo.concat_ranges`),
 so a build costs ``O(groups)`` interpreter steps, not one per block.  The
-record's segment half stays on the :class:`GroupPlan`; patching and
-:class:`repro.core.shard.ShardedPlan` move whole segments by it.
+record's segment half stays on the :class:`GroupPlan`;
+:class:`repro.core.shard.ShardedPlan` moves whole segments by it.
 
 Plans are cached in a :class:`PlanCache` keyed by a content hash of the
 sparsity pattern and the column grouping, so repeated evaluations on an
@@ -62,7 +62,6 @@ import collections
 import dataclasses
 import hashlib
 import threading
-import weakref
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -77,23 +76,12 @@ __all__ = [
     "SubmatrixPlan",
     "ElementSubmatrixPlan",
     "BlockSubmatrixPlan",
-    "BlockPatternDelta",
-    "PlanPatchReport",
     "PlanCache",
-    "PATCH_DELTA_FRACTION",
     "element_plan",
     "block_plan",
-    "block_pattern_delta",
     "block_run",
     "plan_nbytes",
 ]
-
-#: Largest fraction of changed blocks (added + removed, relative to the new
-#: pattern's block count) for which ``replan="auto"`` prefers patching an
-#: existing plan over a full rebuild.  Beyond this the dirty-group set tends
-#: to cover most of the plan and a fresh build is cheaper.
-PATCH_DELTA_FRACTION = 0.25
-
 
 @dataclasses.dataclass
 class GroupPlan:
@@ -119,8 +107,8 @@ class GroupPlan:
         order, and the number of runs it takes from each — so
         ``np.repeat(segment_ids, segment_counts)`` names the segment of every
         ``gather_src`` position.  ``O(blocks)`` where the four arrays above
-        are ``O(elements / run)``; sharding and patching move whole segments
-        and read this instead of searching positions.  A shard's view
+        are ``O(elements / run)``; sharding moves whole segments and reads
+        this instead of searching positions.  A shard's view
         keeps the *global* IDs here while its ``gather_src`` is rank-local.
     offsets:
         Dense offsets of the retained blocks (block level only).
@@ -167,128 +155,6 @@ def _canonical_csc(matrix: sp.spmatrix) -> sp.csc_matrix:
     return csc
 
 
-@dataclasses.dataclass
-class BlockPatternDelta:
-    """Difference between two block-COO sparsity patterns.
-
-    Attributes
-    ----------
-    added:
-        New-pattern COO IDs of blocks absent from the old pattern.
-    removed:
-        Old-pattern COO IDs of blocks absent from the new pattern.
-    new_id_of_old:
-        Length ``n_old`` map from old COO IDs to new COO IDs (``-1`` for
-        removed blocks).  Survivors keep their relative order, so this map
-        is monotone on the surviving subset.
-    n_old / n_new:
-        Block counts of the two patterns.
-    """
-
-    added: np.ndarray
-    removed: np.ndarray
-    new_id_of_old: np.ndarray
-    n_old: int
-    n_new: int
-
-    @property
-    def n_changed(self) -> int:
-        """Number of inserted plus deleted blocks."""
-        return int(self.added.size + self.removed.size)
-
-    @property
-    def fraction_changed(self) -> float:
-        """Changed blocks relative to the new pattern's block count."""
-        return self.n_changed / max(1, self.n_new)
-
-    def fingerprint(self, new_rows: np.ndarray, new_cols: np.ndarray) -> str:
-        """Content hash of the transition (for delta-keyed cache lookups).
-
-        Together with the *old* pattern's fingerprint this identifies the new
-        pattern: the removed blocks are named by their old IDs, the inserted
-        blocks by their coordinates (IDs alone would not pin them down).
-        """
-        digest = hashlib.sha1()
-        digest.update(np.int64([self.n_old, self.n_new]).tobytes())
-        digest.update(np.ascontiguousarray(self.removed, dtype=np.int64).tobytes())
-        digest.update(
-            np.ascontiguousarray(new_rows[self.added], dtype=np.int64).tobytes()
-        )
-        digest.update(
-            np.ascontiguousarray(new_cols[self.added], dtype=np.int64).tobytes()
-        )
-        return digest.hexdigest()
-
-
-def block_pattern_delta(
-    old_rows: np.ndarray,
-    old_cols: np.ndarray,
-    new_coo: CooBlockList,
-) -> BlockPatternDelta:
-    """Diff two block-COO patterns sorted in canonical (column, row) order.
-
-    Both inputs must use :class:`~repro.dbcsr.coo.CooBlockList` ordering
-    (lexsorted by column then row, unique entries), which makes the diff two
-    ``searchsorted`` passes over the flattened ``col·n_rows + row`` keys.
-    """
-    n_rows = int(new_coo.n_block_rows)
-    old_key = old_cols.astype(np.int64) * n_rows + old_rows.astype(np.int64)
-    new_key = new_coo.cols.astype(np.int64) * n_rows + new_coo.rows.astype(np.int64)
-    position = np.searchsorted(new_key, old_key)
-    clipped = np.minimum(position, max(0, new_key.size - 1))
-    survives = (
-        (position < new_key.size) & (new_key[clipped] == old_key)
-        if new_key.size
-        else np.zeros(old_key.size, dtype=bool)
-    )
-    new_id_of_old = np.where(survives, position, -1).astype(np.int64)
-    position = np.searchsorted(old_key, new_key)
-    clipped = np.minimum(position, max(0, old_key.size - 1))
-    existed = (
-        (position < old_key.size) & (old_key[clipped] == new_key)
-        if old_key.size
-        else np.zeros(new_key.size, dtype=bool)
-    )
-    return BlockPatternDelta(
-        added=np.flatnonzero(~existed).astype(np.int64),
-        removed=np.flatnonzero(~survives).astype(np.int64),
-        new_id_of_old=new_id_of_old,
-        n_old=int(old_key.size),
-        n_new=int(new_key.size),
-    )
-
-
-@dataclasses.dataclass
-class PlanPatchReport:
-    """Provenance record of an incrementally patched plan.
-
-    Attached to the patched plan as ``plan.patch_report`` so downstream
-    consumers (:meth:`repro.core.shard.ShardedPlan.patch`, the trajectory
-    statistics) can see which groups were rebuilt and how the packed value
-    space moved — without re-diffing the patterns.
-    """
-
-    #: Weak reference to the plan this plan was patched from
-    #: (identity-checked by shard patching, which reuses that plan's
-    #: rank-local layouts).  Weak so a drifting trajectory does not chain
-    #: every historical plan alive through its successor; once the source
-    #: is collected, shard patching falls back to a fresh shard build.
-    source_ref: "weakref.ref"
-    #: Global indices of the groups that were rebuilt from scratch.
-    dirty_groups: np.ndarray
-    #: Old-segment → new-segment ID map of the underlying pattern delta.
-    new_id_of_old: np.ndarray
-    groups_rebuilt: int
-    groups_reused: int
-    blocks_added: int
-    blocks_removed: int
-
-    @property
-    def source(self) -> Optional["SubmatrixPlan"]:
-        """The source plan, or ``None`` once it has been collected."""
-        return self.source_ref()
-
-
 class SubmatrixPlan:
     """Shared per-call interface of element- and block-level plans."""
 
@@ -298,9 +164,6 @@ class SubmatrixPlan:
     #: Length of the runs of contiguous values every index array addresses:
     #: the gcd of the block sizes at block level, 1 at element level.
     run: int = 1
-
-    #: Set on plans produced by :meth:`patch`; ``None`` for fully built plans.
-    patch_report: Optional[PlanPatchReport] = None
 
     @property
     def n_groups(self) -> int:
@@ -388,18 +251,6 @@ class SubmatrixPlan:
     def finalize(self, out: np.ndarray):  # pragma: no cover - interface
         """Assemble the sparse result from the packed output vector."""
         raise NotImplementedError
-
-    def patch(self, new_pattern) -> "SubmatrixPlan":
-        """Incrementally replan this plan against a drifted sparsity pattern.
-
-        Implemented at block level (:class:`BlockSubmatrixPlan`), where MD/SCF
-        trajectories drift the pattern a few blocks at a time; element-level
-        plans rebuild from scratch.
-        """
-        raise NotImplementedError(
-            "incremental plan patching is implemented for block-level plans "
-            "(BlockSubmatrixPlan); rebuild element-level plans from scratch"
-        )
 
     # ------------------------------------------------------------------ #
     # stacked (bucket-level) gather/scatter
@@ -614,15 +465,9 @@ class BlockSubmatrixPlan(SubmatrixPlan):
         block_sizes: Sequence[int],
         column_groups: Sequence[Sequence[int]],
     ):
-        self._init_pattern(coo, np.asarray(list(block_sizes), dtype=int))
-        self.column_groups = [list(map(int, group)) for group in column_groups]
-        self.groups = [self._plan_group(coo, group) for group in self.column_groups]
-
-    def _init_pattern(self, coo: CooBlockList, block_sizes: np.ndarray) -> None:
-        """Pattern-derived state shared by full builds and patching."""
         if coo.n_block_rows != coo.n_block_cols:
             raise ValueError("the submatrix method requires a square block structure")
-        self.block_sizes = block_sizes
+        self.block_sizes = np.asarray(list(block_sizes), dtype=int)
         if self.block_sizes.size != coo.n_block_rows:
             raise ValueError("block_sizes does not match the pattern dimensions")
         self.run = block_run(self.block_sizes)
@@ -649,6 +494,8 @@ class BlockSubmatrixPlan(SubmatrixPlan):
                 ),
             )
         )
+        self.column_groups = [list(map(int, group)) for group in column_groups]
+        self.groups = [self._plan_group(coo, group) for group in self.column_groups]
 
     def _plan_group(self, coo: CooBlockList, group: List[int]) -> GroupPlan:
         columns = np.asarray(group, dtype=int)
@@ -755,182 +602,6 @@ class BlockSubmatrixPlan(SubmatrixPlan):
         """
         return np.asarray(self.value_offsets, dtype=np.int64)
 
-    def pattern_fingerprint(self) -> str:
-        """Content hash of the plan's block pattern.
-
-        Identical to :meth:`CooBlockList.fingerprint` of the pattern the plan
-        was built for, so delta-keyed cache entries compose with the
-        content-keyed ones.
-        """
-        digest = hashlib.sha1()
-        digest.update(np.int64([self.n_block_rows, self.n_block_cols]).tobytes())
-        digest.update(np.ascontiguousarray(self.coo_rows, dtype=np.int64).tobytes())
-        digest.update(np.ascontiguousarray(self.coo_cols, dtype=np.int64).tobytes())
-        return digest.hexdigest()
-
-    def delta_to(self, new_pattern: CooBlockList) -> BlockPatternDelta:
-        """Diff of this plan's pattern against ``new_pattern``."""
-        return block_pattern_delta(self.coo_rows, self.coo_cols, new_pattern)
-
-    # ------------------------------------------------------------------ #
-    # incremental replanning
-    # ------------------------------------------------------------------ #
-    def _membership_index(self):
-        """Memoized block → group inverted indices for dirty detection.
-
-        Two sorted (block, owner) arrays: which groups *generate* each block
-        column and which groups *retain* each block in their dense
-        submatrix.  Built lazily once per plan object (vectorized), so a
-        plan patched toward several targets pays for it once.
-        """
-        cached = self.__dict__.get("_membership_cache")
-        if cached is not None:
-            return cached
-        gen_cols = _concat_int(
-            [np.asarray(columns, dtype=np.int64) for columns in self.column_groups]
-        )
-        gen_owner = np.repeat(
-            np.arange(len(self.column_groups), dtype=np.int64),
-            [len(columns) for columns in self.column_groups],
-        )
-        order = np.argsort(gen_cols, kind="stable")
-        ret_blocks = _concat_int(
-            [np.asarray(group.indices, dtype=np.int64) for group in self.groups]
-        )
-        ret_owner = np.repeat(
-            np.arange(len(self.groups), dtype=np.int64),
-            [group.indices.size for group in self.groups],
-        )
-        ret_order = np.argsort(ret_blocks, kind="stable")
-        cached = (
-            gen_cols[order],
-            gen_owner[order],
-            ret_blocks[ret_order],
-            ret_owner[ret_order],
-        )
-        self.__dict__["_membership_cache"] = cached
-        return cached
-
-    def _dirty_groups(self, delta: BlockPatternDelta, new_coo: CooBlockList) -> np.ndarray:
-        """Groups whose index arrays a pattern delta invalidates.
-
-        A group is dirty when a changed block's column is one of its
-        generating columns (its retained set — and hence its dimension —
-        may change), or when a changed block has both endpoints in its
-        retained set (an interior block of its dense submatrix appeared or
-        vanished).  Every other group's bookkeeping survives verbatim up to
-        a shift of packed value positions.
-        """
-        dirty = np.zeros(len(self.groups), dtype=bool)
-        if delta.n_changed == 0:
-            return dirty
-        changed_rows = np.concatenate(
-            [self.coo_rows[delta.removed], new_coo.rows[delta.added]]
-        )
-        changed_cols = np.concatenate(
-            [self.coo_cols[delta.removed], new_coo.cols[delta.added]]
-        )
-        gen_cols, gen_owner, ret_blocks, ret_owner = self._membership_index()
-
-        def owners_of(sorted_keys, owners, key):
-            start, stop = np.searchsorted(sorted_keys, [key, key + 1])
-            return owners[start:stop]
-
-        for row, col in zip(changed_rows.tolist(), changed_cols.tolist()):
-            dirty[owners_of(gen_cols, gen_owner, col)] = True
-            row_groups = owners_of(ret_blocks, ret_owner, row)
-            col_groups = owners_of(ret_blocks, ret_owner, col)
-            if row_groups.size and col_groups.size:
-                dirty[np.intersect1d(row_groups, col_groups)] = True
-        return dirty
-
-    def patch(
-        self, new_pattern, delta: Optional[BlockPatternDelta] = None
-    ) -> "BlockSubmatrixPlan":
-        """Incrementally replan against a drifted block pattern.
-
-        Diffs this plan's pattern against ``new_pattern``, rebuilds only the
-        :class:`GroupPlan` entries the delta invalidates, and translates every
-        untouched group's gather/scatter arrays onto the new packed value
-        layout by adding each gathered segment's displacement (the packed
-        layout concatenates block values in COO order, so insertions and
-        deletions shift surviving segments without reordering them).
-
-        The patched plan is **bitwise identical** to a freshly built
-        ``BlockSubmatrixPlan(new_pattern, ...)`` in every pack / extract /
-        scatter / finalize result (property-tested in
-        ``tests/test_incremental_replan.py``), and carries a
-        :class:`PlanPatchReport` as ``patch_report``.  Callers that already
-        diffed the patterns pass the :class:`BlockPatternDelta` to avoid
-        recomputing it.
-
-        Raises :class:`ValueError` when the block grid (block count or block
-        sizes) differs — dimension changes of the *blocks* themselves require
-        a full rebuild.
-        """
-        new_coo = (
-            new_pattern
-            if isinstance(new_pattern, CooBlockList)
-            else CooBlockList.from_pattern(new_pattern)
-        )
-        if (
-            new_coo.n_block_rows != self.n_block_rows
-            or new_coo.n_block_cols != self.n_block_cols
-        ):
-            raise ValueError(
-                "patching requires an unchanged block grid: the new pattern "
-                f"has {new_coo.n_block_rows}x{new_coo.n_block_cols} blocks, "
-                f"the plan {self.n_block_rows}x{self.n_block_cols}"
-            )
-        if delta is None:
-            delta = self.delta_to(new_coo)
-        dirty = self._dirty_groups(delta, new_coo)
-
-        patched = object.__new__(BlockSubmatrixPlan)
-        patched._init_pattern(new_coo, self.block_sizes)
-        patched.column_groups = [list(group) for group in self.column_groups]
-        # packed displacement, in runs, of every surviving old segment (0
-        # for removed ones, which no clean group references)
-        new_id_of_old = delta.new_id_of_old
-        survives = new_id_of_old >= 0
-        shift = np.zeros(new_id_of_old.size, dtype=np.int64)
-        shift[survives] = (
-            patched.value_offsets[new_id_of_old[survives]]
-            - self.value_offsets[:-1][survives]
-        ) // self.run
-        groups: List[GroupPlan] = []
-        for group_index, group in enumerate(self.groups):
-            if dirty[group_index]:
-                groups.append(
-                    patched._plan_group(new_coo, patched.column_groups[group_index])
-                )
-                continue
-            # a clean group references surviving segments only (a removed
-            # interior block would have marked it dirty), so the dense side
-            # is untouched and the packed side moves segment by segment
-            ids, counts = group.segment_ids, group.segment_counts
-            generating = np.isin(self.coo_cols[ids], group.generating_columns)
-            groups.append(
-                dataclasses.replace(
-                    group,
-                    gather_src=group.gather_src + np.repeat(shift[ids], counts),
-                    scatter_dst=group.scatter_dst
-                    + np.repeat(shift[ids[generating]], counts[generating]),
-                    segment_ids=new_id_of_old[ids],
-                )
-            )
-        patched.groups = groups
-        patched.patch_report = PlanPatchReport(
-            source_ref=weakref.ref(self),
-            dirty_groups=np.flatnonzero(dirty).astype(np.int64),
-            new_id_of_old=delta.new_id_of_old,
-            groups_rebuilt=int(np.count_nonzero(dirty)),
-            groups_reused=int(len(groups) - np.count_nonzero(dirty)),
-            blocks_added=int(delta.added.size),
-            blocks_removed=int(delta.removed.size),
-        )
-        return patched
-
 
 # --------------------------------------------------------------------------- #
 # plan cache
@@ -942,9 +613,9 @@ def plan_nbytes(plan: "SubmatrixPlan") -> int:
     gather/scatter/index arrays and segment records plus the pattern-level
     arrays — and a flat per-entry constant for the Python-level pack map.
     Used by :class:`PlanCache` for memory-budget accounting, at insert: using
-    a plan allocates nothing that outlives the call, so the figure is as true
-    after a warm call as before the first.  The only lazily memoized state is
-    the ``O(blocks)`` membership index of :meth:`BlockSubmatrixPlan.patch`.
+    a plan allocates nothing that outlives the call and holds no lazily
+    created state, so the figure is as true after a warm call as before the
+    first.
     """
     total = 0
     for group in plan.groups:
@@ -1008,8 +679,6 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.builds = 0
-        self.patches = 0
-        self.groups_rebuilt = 0
         self.evictions = 0
 
     def __len__(self) -> int:
@@ -1021,7 +690,7 @@ class PlanCache:
 
         After ``clear()`` the cache is indistinguishable from a fresh one:
         no plans, no LRU history, and all ``stats`` counters (hits, misses,
-        builds, patches, groups_rebuilt, evictions) back at zero.
+        builds, evictions) back at zero.
         """
         with self._lock:
             self._plans.clear()
@@ -1040,19 +709,20 @@ class PlanCache:
         """Counter snapshot.
 
         ``misses`` counts lookups that had to build (``builds`` is the same
-        number of constructions, of which ``patches`` were incremental);
-        ``groups_rebuilt`` accumulates the group plans rebuilt by patching;
-        ``evictions`` counts plans dropped by LRU overflow, the byte budget,
-        or :meth:`evict_to`.  Resident bytes are exposed separately via
-        :attr:`total_bytes`.
+        number of constructions); ``evictions`` counts plans dropped by LRU
+        overflow, the byte budget, or :meth:`evict_to`.  Resident bytes are
+        exposed separately via :attr:`total_bytes`.  ``patches`` and
+        ``groups_rebuilt`` are inert leftovers, always 0: nothing patches a
+        plan any more, the keys stay only because ``benchmarks/e2e`` reads
+        them.
         """
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "builds": self.builds,
-                "patches": self.patches,
-                "groups_rebuilt": self.groups_rebuilt,
+                "patches": 0,
+                "groups_rebuilt": 0,
                 "evictions": self.evictions,
                 "plans": len(self._plans),
             }
@@ -1099,18 +769,6 @@ class PlanCache:
                 evicted += 1
         return evicted
 
-    def reuse(self, plan: SubmatrixPlan) -> SubmatrixPlan:
-        """Count a reuse of an externally tracked plan as a cache hit.
-
-        The session layer keeps per-(grouping, sizes) anchor plans so that a
-        delta-keyed *patched* plan can serve later value-only steps without a
-        content-keyed entry; those reuses are cache hits in every sense that
-        matters for the trajectory statistics.
-        """
-        with self._lock:
-            self.hits += 1
-        return plan
-
     def element_plan(
         self, matrix: sp.spmatrix, column_groups: Sequence[Sequence[int]]
     ) -> ElementSubmatrixPlan:
@@ -1138,47 +796,6 @@ class PlanCache:
             _groups_key(column_groups),
         )
         return self._lookup(key, lambda: BlockSubmatrixPlan(coo, sizes, column_groups))
-
-    def patched_block_plan(
-        self,
-        old_plan: BlockSubmatrixPlan,
-        new_pattern,
-        delta: Optional[BlockPatternDelta] = None,
-    ) -> BlockSubmatrixPlan:
-        """Patched plan for a drifted pattern (built or fetched from cache).
-
-        Keyed by the *transition* — a fingerprint of (old pattern hash, block
-        delta) plus the block sizes and grouping — not by the new pattern's
-        content, so a patched plan never collides with (or masquerades as)
-        the full plan a content-keyed :meth:`block_plan` lookup would build
-        for the same pattern.  Identical drifts from an identical source hit
-        the cache.  ``delta`` lets callers that already diffed the patterns
-        skip the re-diff.
-        """
-        new_coo = (
-            new_pattern
-            if isinstance(new_pattern, CooBlockList)
-            else CooBlockList.from_pattern(new_pattern)
-        )
-        if delta is None:
-            delta = old_plan.delta_to(new_coo)
-        key = (
-            "block-patch",
-            old_plan.pattern_fingerprint(),
-            delta.fingerprint(new_coo.rows, new_coo.cols),
-            hashlib.sha1(
-                old_plan.block_sizes.astype(np.int64).tobytes()
-            ).hexdigest(),
-            _groups_key(old_plan.column_groups),
-        )
-
-        def build() -> BlockSubmatrixPlan:
-            plan = old_plan.patch(new_coo, delta=delta)
-            self.patches += 1
-            self.groups_rebuilt += plan.patch_report.groups_rebuilt
-            return plan
-
-        return self._lookup(key, build)
 
 
 def element_plan(

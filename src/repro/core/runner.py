@@ -63,11 +63,7 @@ from repro.core.plan import (
     block_run,
 )
 from repro.core.shard import ShardedPlan
-from repro.core.transfers import (
-    TransferPlan,
-    patch_transfer_plan,
-    plan_transfers,
-)
+from repro.core.transfers import TransferPlan, plan_transfers
 from repro.dbcsr.coo import CooBlockList
 from repro.dbcsr.distribution import BlockDistribution, ProcessGrid2D
 from repro.parallel.machine import MachineModel, SimulatedTime
@@ -364,100 +360,6 @@ class DistributedSubmatrixPipeline:
         return submatrix_flop_costs(
             pad_dimensions(self.dimensions, self.bucket_pad), self.flop_constant
         )
-
-    def patch(
-        self,
-        pattern: PatternLike,
-        plan_cache: Optional[PlanCache] = None,
-        delta=None,
-    ) -> "DistributedSubmatrixPipeline":
-        """Pipeline for a drifted pattern, by incremental replanning.
-
-        Patches the extraction plan (rebuilding only the dirty groups, via
-        the plan cache's delta-keyed lookup when a cache is available),
-        patches the sharded plan (clean ranks keep their local buffer
-        layouts and bucket layouts), re-buckets only
-        the dirty ranks' stacks, and replans the initialization exchange on
-        the patched shards' segment requirements.
-
-        The group→rank assignment and the resolved bucket padding are
-        carried over from this pipeline (a full rebuild may balance
-        differently, which redistributes work and traffic but never changes
-        results — scatter ranges stay disjoint and every submatrix sees the
-        same dense values).  Execution results are bitwise identical to a
-        freshly built pipeline for the new pattern.
-        """
-        new_coo = _as_coo(pattern)
-        self._ensure_execution()
-        assert self.plan is not None and self.sharded is not None
-        cache = self.plan_cache if plan_cache is None else plan_cache
-        if cache is not None:
-            new_plan = cache.patched_block_plan(self.plan, new_coo, delta=delta)
-        else:
-            new_plan = self.plan.patch(new_coo, delta=delta)
-        patched = object.__new__(DistributedSubmatrixPipeline)
-        patched.coo = new_coo
-        patched.block_sizes = self.block_sizes
-        patched.n_ranks = self.n_ranks
-        patched.grouping = self.grouping
-        patched.distribution = self.distribution
-        patched.balance = self.balance
-        patched.flop_constant = self.flop_constant
-        patched.plan_cache = cache
-        patched.bytes_per_element = self.bytes_per_element
-        patched.dimensions = [int(group.dimension) for group in new_plan.groups]
-        patched.bucket_pad = self.bucket_pad
-        patched.costs = submatrix_flop_costs(
-            patched.dimensions, patched.flop_constant
-        )
-        patched.rank_of_group = self.rank_of_group
-        patched.rank_flops = np.zeros(patched.n_ranks)
-        np.add.at(
-            patched.rank_flops, patched.rank_of_group, patched._executed_costs()
-        )
-        patched.plan = new_plan
-        report = new_plan.patch_report
-        patched._exact_transfers = self._exact_transfers
-        if report is not None and report.source is self.plan:
-            patched.sharded = self.sharded.patch(new_plan)
-            # incremental exchange replan: only the ranks owning a dirty
-            # group re-run the per-group planning walk; every clean rank's
-            # summary is carried over with remapped block IDs
-            dirty_ranks = {
-                int(patched.rank_of_group[group])
-                for group in report.dirty_groups
-            }
-            patched.transfer_plan = patch_transfer_plan(
-                self.transfer_plan,
-                new_coo,
-                patched.block_sizes,
-                patched.distribution,
-                patched.grouping,
-                patched.rank_of_group,
-                dirty_ranks,
-                report.new_id_of_old,
-                bytes_per_element=patched.bytes_per_element,
-                per_group_dedup=patched._exact_transfers,
-                segment_index=patched.sharded.required_segments_per_rank(),
-            )
-        else:
-            # a delta-keyed cache hit may return a plan patched from an
-            # equal-content but distinct plan object; the shard layouts
-            # cannot be carried over, so rebuild them for the new plan
-            patched.sharded = ShardedPlan(
-                new_plan, patched.rank_of_group, patched.n_ranks
-            )
-            patched.transfer_plan = plan_transfers(
-                new_coo,
-                patched.block_sizes,
-                patched.distribution,
-                patched.grouping,
-                patched.rank_of_group,
-                bytes_per_element=patched.bytes_per_element,
-                per_group_dedup=patched._exact_transfers,
-                segment_index=patched.sharded.required_segments_per_rank(),
-            )
-        return patched
 
     def prepare(self):
         """Build (or fetch) the extraction plan and sharded plan eagerly.

@@ -259,99 +259,6 @@ class ShardedPlan:
         )
 
     # ------------------------------------------------------------------ #
-    # incremental replanning
-    # ------------------------------------------------------------------ #
-    def patch(self, new_plan: SubmatrixPlan) -> "ShardedPlan":
-        """Sharded plan for a patched extraction plan, reusing clean shards.
-
-        ``new_plan`` must be the result of patching this sharded plan's
-        underlying plan (``self.plan.patch(...)`` or the plan cache's
-        delta-keyed lookup) — its :class:`~repro.core.plan.PlanPatchReport`
-        names the dirty groups and the segment ID remap.  Ranks that own a
-        dirty group rebuild their shard; every other rank keeps its local
-        buffer layout, rank-local gather arrays and memoized bucket layouts
-        verbatim, translating only the global side (required segment IDs,
-        global buffer positions, scatter destinations) onto the new packed
-        layout with vectorized remaps.
-
-        The group→rank assignment is carried over unchanged.
-        """
-        report = getattr(new_plan, "patch_report", None)
-        if report is None or report.source is not self.plan:
-            raise ValueError(
-                "ShardedPlan.patch requires a plan patched from this sharded "
-                "plan's own extraction plan (plan.patch / "
-                "PlanCache.patched_block_plan)"
-            )
-        patched = object.__new__(ShardedPlan)
-        patched.plan = new_plan
-        patched.rank_of_group = self.rank_of_group
-        patched.n_ranks = self.n_ranks
-        patched._offsets = np.asarray(new_plan.segment_offsets(), dtype=np.int64)
-        new_id_of_old = np.asarray(report.new_id_of_old, dtype=np.int64)
-        dirty_ranks = {
-            int(self.rank_of_group[group]) for group in report.dirty_groups
-        }
-        shards: List[RankShard] = []
-        for rank in range(self.n_ranks):
-            old_shard = self.shards[rank]
-            if rank in dirty_ranks:
-                shard = patched._build_shard(rank)
-                # carry the bucket layouts when the rank's dimensions survived
-                if shard.dimensions == old_shard.dimensions:
-                    shard._stack_tasks.update(old_shard._stack_tasks)
-            else:
-                shard = patched._patch_clean_shard(old_shard, new_id_of_old)
-            shards.append(shard)
-        patched.shards = shards
-        return patched
-
-    def _patch_clean_shard(
-        self, old_shard: RankShard, new_id_of_old: np.ndarray
-    ) -> RankShard:
-        """Translate a shard without dirty groups onto this (patched) layout.
-
-        The rank's required segments all survive (a deleted segment would
-        have dirtied one of its groups), keep their relative order and their
-        lengths — so the local buffer layout, the rank-local gather arrays
-        and the dense-side index arrays are reused as-is; only global
-        positions move.
-        """
-        new_plan, run = self.plan, self.plan.run
-        required = new_id_of_old[old_shard.required_segments]
-        starts = self._offsets[required]
-        # the view reuses the rank-local gather arrays but must pick up the
-        # new plan's (remapped) global scatter arrays
-        groups = [
-            dataclasses.replace(
-                new_plan.groups[int(group_index)], gather_src=view_group.gather_src
-            )
-            for group_index, view_group in zip(
-                old_shard.group_indices, old_shard.view.groups
-            )
-        ]
-        view = ShardView(
-            groups,
-            n_values=new_plan.n_values,
-            local_values=old_shard.view.local_values,
-            run=run,
-        )
-        shard = RankShard(
-            rank=old_shard.rank,
-            group_indices=old_shard.group_indices,
-            required_segments=required,
-            segment_starts=starts,
-            segment_lengths=old_shard.segment_lengths,
-            local_offsets=old_shard.local_offsets,
-            local_to_global=concat_ranges(
-                starts // run, old_shard.segment_lengths // run
-            ),
-            view=view,
-        )
-        shard._stack_tasks.update(old_shard._stack_tasks)
-        return shard
-
-    # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
     @property

@@ -49,7 +49,6 @@ __all__ = [
     "RankTransferSummary",
     "TransferPlan",
     "plan_transfers",
-    "patch_transfer_plan",
 ]
 
 
@@ -450,108 +449,3 @@ def _groups_of_rank(
             raise IndexError(f"rank {rank} out of range")
         groups_of_rank[rank].append(group_index)
     return groups_of_rank
-
-
-def patch_transfer_plan(
-    previous: TransferPlan,
-    coo: CooBlockList,
-    block_sizes: Sequence[int],
-    distribution: BlockDistribution,
-    grouping: ColumnGrouping,
-    rank_of_group: Sequence[int],
-    dirty_ranks: Sequence[int],
-    new_id_of_old: np.ndarray,
-    bytes_per_element: int = 8,
-    per_group_dedup: bool = True,
-    segment_index: Optional[Sequence[np.ndarray]] = None,
-) -> TransferPlan:
-    """Incrementally replan the initialization exchange after a pattern patch.
-
-    Instead of re-walking every rank's submatrices
-    (:func:`plan_transfers`), only the ``dirty_ranks`` — those owning a
-    group whose sub-pattern changed — re-run the per-group planning body.
-    Every clean rank's requirements are *carried over*: its retained
-    block sets are unchanged as (row, column) sets, so its byte volumes
-    are verbatim those of ``previous`` and only the block IDs move, via
-    the patch report's ``new_id_of_old`` remap.  Segment volumes are
-    recomputed from ``segment_index`` when given (a cheap vectorized
-    lookup — the expensive part is the per-group walk, not the volumes).
-
-    Returns a :class:`TransferPlan` equal to a full replan
-    (property-tested).
-
-    Parameters mirror :func:`plan_transfers`; ``dirty_ranks`` and
-    ``new_id_of_old`` come from the plan patch
-    (:class:`~repro.core.plan.PlanPatchReport` /
-    :meth:`~repro.core.shard.ShardedPlan.patch`'s dirty-rank derivation).
-    """
-    block_sizes = np.asarray(list(block_sizes), dtype=int)
-    rank_of_group = list(rank_of_group)
-    if len(rank_of_group) != grouping.n_submatrices:
-        raise ValueError("rank_of_group must assign a rank to every group")
-    n_ranks = distribution.n_ranks
-    if len(previous.per_rank) != n_ranks:
-        raise ValueError("previous plan rank count does not match distribution")
-    if segment_index is not None and len(segment_index) != n_ranks:
-        raise ValueError("segment_index must provide one ID array per rank")
-    new_id_of_old = np.asarray(new_id_of_old, dtype=np.int64)
-    dirty = set(int(rank) for rank in dirty_ranks)
-
-    tables = _PlanningTables.build(coo, block_sizes, distribution, bytes_per_element)
-    want_segments = segment_index is not None
-    groups_of_rank = _groups_of_rank(rank_of_group, n_ranks)
-
-    per_rank: List[RankTransferSummary] = []
-    fetch_matrix = np.zeros((n_ranks, n_ranks))
-    writeback_matrix = np.zeros((n_ranks, n_ranks))
-    segment_matrix = np.zeros((n_ranks, n_ranks)) if want_segments else None
-
-    for rank in range(n_ranks):
-        old_summary = previous.per_rank[rank]
-        if rank in dirty:
-            summary, fetch_column, writeback_row, segment_column = _plan_rank(
-                rank,
-                groups_of_rank[rank],
-                tables,
-                grouping,
-                per_group_dedup,
-                segment_index[rank] if segment_index is not None else None,
-                False,
-                n_ranks,
-            )
-            fetch_matrix[:, rank] = fetch_column
-            writeback_matrix[rank] = writeback_row
-            if segment_matrix is not None and segment_column is not None:
-                segment_matrix[:, rank] = segment_column
-        else:
-            # a clean rank's groups kept their sub-patterns: the required
-            # blocks survive with unchanged sizes and owners, so every
-            # byte volume carries over verbatim and only the IDs move
-            old_in_new = new_id_of_old[old_summary.required_blocks]
-            summary = dataclasses.replace(
-                old_summary,
-                required_blocks=np.sort(old_in_new[old_in_new >= 0]),
-                remote_blocks=np.sort(
-                    new_id_of_old[old_summary.remote_blocks]
-                ),
-            )
-            fetch_matrix[:, rank] = previous.fetch_matrix[:, rank]
-            writeback_matrix[rank] = previous.writeback_matrix[rank]
-            if segment_matrix is not None:
-                segment_fetch, segment_column = _segment_volumes(
-                    rank,
-                    np.asarray(segment_index[rank], dtype=np.int64),
-                    tables,
-                    n_ranks,
-                )
-                segment_matrix[:, rank] = segment_column
-                summary = dataclasses.replace(
-                    summary, segment_fetch_bytes=segment_fetch
-                )
-        per_rank.append(summary)
-    return TransferPlan(
-        per_rank=per_rank,
-        fetch_matrix=fetch_matrix,
-        writeback_matrix=writeback_matrix,
-        segment_fetch_matrix=segment_matrix,
-    )

@@ -109,7 +109,6 @@ class DensityRequest:
     solver: str = "eigen"
     mu_tolerance: float = 1e-9
     max_mu_iterations: int = 200
-    replan: str = "full"
     mu_bracket: Optional[Tuple[float, float]] = None
     grouping: object = None
     ranks: Optional[int] = None
@@ -145,7 +144,6 @@ class DensityRequest:
             matrix_fingerprint(self.K),
             matrix_fingerprint(self.S),
             tuple(int(b) for b in self.blocks.block_sizes),
-            self.replan,
         )
 
     def finish(self, bundle) -> None:
@@ -345,7 +343,6 @@ def evaluate_merged_group(
             prep.coo,
             prep.block_k.row_block_sizes,
             list(grouping.groups),
-            replan=request.replan,
         )
         after = context.plan_cache.stats
         request.cache_hits += after["hits"] - before["hits"]

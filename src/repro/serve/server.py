@@ -204,7 +204,6 @@ class DensityService:
         max_mu_iterations: int = 200,
         ranks: Optional[int] = None,
         distribution=None,
-        replan: str = "full",
         mu_bracket: Optional[Tuple[float, float]] = None,
         observables=("density",),
         observable_params=None,
@@ -253,7 +252,6 @@ class DensityService:
             solver=solver,
             mu_tolerance=mu_tolerance,
             max_mu_iterations=max_mu_iterations,
-            replan=replan,
             mu_bracket=mu_bracket,
             grouping=grouping,
             ranks=ranks,
@@ -303,7 +301,6 @@ class DensityService:
                 max_mu_iterations=request.max_mu_iterations,
                 ranks=request.ranks,
                 distribution=request.distribution,
-                replan=request.replan,
                 mu_bracket=request.mu_bracket,
                 observable_params=request.observable_params,
             )

@@ -120,7 +120,7 @@ def run_pipeline(pipeline, matrix, function=None, batch_function=None, **run):
     """f(A) through an explicitly built pipeline and the one rank loop.
 
     What ``SubmatrixContext.apply(matrix, f, ranks=n)`` does with its cached
-    pipeline, for tests that construct (or patch) the pipeline themselves;
+    pipeline, for tests that construct the pipeline themselves;
     ``**run`` are :func:`~repro.core.runner.run_stacks` keywords
     (``mapper=``, ``policy=``, ``report=``).  Returns the block-sparse f(A).
     """

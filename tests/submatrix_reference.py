@@ -12,6 +12,9 @@ conversions replaced and must reproduce bitwise.  So has the plan layer: the
 per-block index loop of ``BlockSubmatrixPlan`` and the ``searchsorted``
 derivation of a rank shard, which the array expansions in
 :mod:`repro.core.plan` / :mod:`repro.core.shard` replaced.
+
+The seeded random inputs those comparisons run on (``random_pattern``,
+``matrix_for_pattern``, ``poly``) live here as well.
 """
 
 from __future__ import annotations
@@ -36,6 +39,40 @@ from repro.core.submatrix import (
     scatter_submatrix_result,
 )
 from repro.dbcsr import BlockSparseMatrix, CooBlockList
+
+
+def random_pattern(n_blocks, density, rng):
+    """Random symmetric block pattern with a full diagonal."""
+    mask = rng.random((n_blocks, n_blocks)) < density
+    mask |= mask.T
+    np.fill_diagonal(mask, True)
+    rows, cols = np.nonzero(mask)
+    return CooBlockList(rows, cols, n_blocks, n_blocks)
+
+
+def matrix_for_pattern(coo, sizes, rng):
+    """Symmetric block matrix with random values on the pattern."""
+    matrix = BlockSparseMatrix(sizes, sizes)
+    blocks = {}
+    for bi, bj in zip(coo.rows, coo.cols):
+        bi, bj = int(bi), int(bj)
+        if (bi, bj) in blocks:
+            continue
+        if (bj, bi) in blocks:
+            block = blocks[(bj, bi)].T.copy()
+        else:
+            block = rng.standard_normal((int(sizes[bi]), int(sizes[bj])))
+            if bi == bj:
+                block = 0.5 * (block + block.T)
+        matrix.put_block(bi, bj, block)
+        blocks[(bi, bj)] = block
+    return matrix
+
+
+def poly(a):
+    """A deterministic dense matrix function for bitwise comparisons."""
+    symmetric = 0.5 * (a + a.T)
+    return symmetric @ symmetric + np.eye(a.shape[0])
 
 
 def reference_block_matrix_from_csr(

@@ -18,6 +18,7 @@ import dataclasses
 import importlib.util
 import inspect
 import pathlib
+import re
 import sys
 import threading
 
@@ -50,6 +51,7 @@ from repro.chem.hamiltonian import BlockStructure
 from repro.dbcsr import CooBlockList
 from repro.core.batch import evaluate_batched, stack_solver
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_dense
+from repro.serve import DensityService
 from repro.signfn import (
     sign_chebyshev_batched,
     sign_newton_schulz_batched,
@@ -176,6 +178,40 @@ class TestEngineConfig:
             ("core/runner.py", "run_stacks", "map_stacks"),
             ("core/runner.py", "run_stacks", "execute_ranks"),
         }
+
+    def test_one_planning_path(self):
+        """Structure guard: a changed pattern is a build; nothing patches."""
+        gone = re.compile(r"patch|Patch|Delta|anchor|REPLAN|dirty")
+        inert = {"plans_patched"}  # constant 0, read by benchmarks/e2e
+        takes_replan = set()
+        source = pathlib.Path(repro.__file__).parent
+        for path in sorted(source.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = []
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    names = [node.attr]
+                for name in names:
+                    if "dispatch" not in name and name not in inert:
+                        assert not gone.search(name), (path.name, name)
+                if isinstance(node, ast.FunctionDef):
+                    arguments = node.args.args + node.args.kwonlyargs
+                    if any(argument.arg == "replan" for argument in arguments):
+                        takes_replan.add(node.name)
+        # accepted and ignored, only because benchmarks/e2e passes it
+        assert takes_replan == {"block_plan_for", "pipeline", "trajectory"}
+        with pytest.raises(ImportError):
+            from repro.api import REPLAN_MODES  # noqa: F401
+        assert "replan" not in inspect.signature(DensityService.submit).parameters
+        with SubmatrixContext() as ctx:
+            with pytest.raises(TypeError, match="replan"):
+                ctx.observables(None, None, None, replan="auto")
+            assert ctx.plan_cache.stats["patches"] == 0
+            assert ctx.plan_cache.stats["groups_rebuilt"] == 0
+            assert "pipelines_patched" not in ctx.stats()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -871,14 +907,26 @@ class TestOverlapRootCache:
             assert ctx.overlap_root(overlaps[0]) is roots[0]
             assert ctx.overlap_root(overlaps[1]) is not roots[1]
             assert np.array_equal(ctx.overlap_root(overlaps[1]), roots[1])
-            # a root larger than the whole bound is computed, not stored
-            monkeypatch.setattr(
-                repro.api.context, "MAX_OVERLAP_ROOT_BYTES", one_root - 1
-            )
-            big = ctx.overlap_root(S * 3.0)
-            assert np.array_equal(big, loewdin_inverse_sqrt(S * 3.0))
-            assert ctx.stats()["overlap_roots"]["bytes"] <= 2 * one_root
-            assert ctx.overlap_root(S * 3.0) is not big
+
+    def test_newest_root_is_kept_even_above_the_bound(
+        self, water32_matrices, monkeypatch
+    ):
+        """One root larger than the whole bound: held, hit, replaced by the next."""
+        S = water32_matrices.S
+        one_root = 8 * S.shape[0] ** 2
+        monkeypatch.setattr(repro.api.context, "MAX_OVERLAP_ROOT_BYTES", one_root - 1)
+        with SubmatrixContext(self.CONFIG) as ctx:
+            root = ctx.overlap_root(S)
+            assert ctx.overlap_root(S) is root
+            assert ctx.stats()["overlap_roots"] == {
+                "hits": 1, "misses": 1, "entries": 1, "bytes": one_root,
+            }
+            other = ctx.overlap_root(S * 3.0)
+            assert np.array_equal(other, loewdin_inverse_sqrt(S * 3.0))
+            assert ctx.overlap_root(S * 3.0) is other
+            stats = ctx.stats()["overlap_roots"]
+            assert (stats["entries"], stats["bytes"]) == (1, one_root)
+            assert ctx.overlap_root(S) is not root  # it was the one evicted
 
     def test_cached_root_is_read_only(self, water32_matrices):
         with SubmatrixContext(self.CONFIG) as ctx:

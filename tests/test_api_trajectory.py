@@ -7,9 +7,12 @@ Covers the acceptance criteria of the trajectory tentpole:
 * per-step results are bitwise identical to fresh single-shot
   ``context.density`` calls;
 * a sparsity-pattern change between steps is detected via the plan cache's
-  content hash and triggers exactly one replan;
+  content hash and triggers exactly one replan — a plan build, exactly what a
+  fresh session would build — and a return to an earlier pattern is a hit;
 * rank-sharded trajectories reuse the context-cached pipeline across steps
-  and report the initialization-exchange fetch volumes.
+  and report the initialization-exchange fetch volumes;
+* ``warm_start_mu=True`` converges the electron count within tolerance while
+  (documentedly) breaking bitwise μ identity; zero-step trajectories.
 """
 
 import numpy as np
@@ -22,7 +25,9 @@ from repro.api import (
     TrajectoryResult,
     TrajectoryStats,
 )
+from repro.api.observables import prepare_step
 from repro.api.trajectory import WARM_START_HALF_WIDTH, adaptive_half_width
+from repro.chem import reference_density_matrix
 
 EPS = 1e-5
 N_ELECTRONS = 8.0 * 32
@@ -139,6 +144,60 @@ class TestPatternChanges:
         # plan replaying step 0's packed values would reproduce them
         assert traj[1].mu != traj[0].mu
         assert traj[1].band_energy != traj[0].band_energy
+
+
+    @pytest.mark.parametrize("ranks", [None, 2])
+    def test_drifting_pattern_builds_once_per_pattern_and_returns_to_a_hit(
+        self, water32_matrices, ranks
+    ):
+        """A → A′ → B → B′ → A: a changed pattern is a build, a seen one a hit.
+
+        Every step equals what a fresh session computes for its ``(K, S)`` —
+        densities bitwise, and for sharded runs the rank assignment too.
+        """
+        pair = water32_matrices
+        config = EngineConfig(engine="batched", eps_filter=EPS_SPARSE)
+        k_b = pattern_breaking_step(pair)[0]
+        steps = [
+            (pair.K, pair.S),
+            (pair.K * (1.0 + 1e-4), pair.S),
+            (k_b, pair.S),
+            (k_b * (1.0 + 1e-4), pair.S),
+            (pair.K, pair.S),
+        ]
+        request = dict(n_electrons=N_ELECTRONS, ranks=ranks)
+        with SubmatrixContext(config) as ctx:
+            traj = ctx.trajectory(steps, pair.blocks, **request)
+            records = traj.stats.steps
+            assert [r.pattern_changed for r in records] == [
+                True, False, True, False, True,
+            ]
+            assert [r.plans_built for r in records] == [1, 0, 1, 0, 0]
+            # back on A, found by content: the plan for a single process, the
+            # pipeline holding it for a sharded run
+            if ranks is None:
+                assert records[4].plan_cache_hits == 1
+            else:
+                assert [r.pipelines_built for r in records] == [1, 0, 1, 0, 0]
+            assert traj.stats.plans_built == 2
+            assert traj.stats.pattern_changes == 2
+            assert ctx.plan_cache.stats["patches"] == 0
+            for step, (K, S) in enumerate(steps):
+                with SubmatrixContext(config) as fresh:
+                    want = fresh.density(K, S, pair.blocks, **request)
+                    assert np.array_equal(traj[step].density_ao, want.density_ao)
+                    assert traj[step].mu == want.mu
+                    if ranks is not None:
+                        prepared = prepare_step(K, S, pair.blocks, EPS_SPARSE)
+                        lookup = (prepared.coo, prepared.block_k.row_block_sizes)
+                        built = ctx.stats()["pipelines_built"]
+                        mine = ctx.pipeline(*lookup, n_ranks=ranks, bucket_pad=None)
+                        assert ctx.stats()["pipelines_built"] == built
+                        theirs = fresh.pipeline(*lookup, n_ranks=ranks, bucket_pad=None)
+                        assert np.array_equal(mine.rank_of_group, theirs.rank_of_group)
+                exact = reference_density_matrix(K, S, n_electrons=N_ELECTRONS)
+                error = np.abs(traj[step].density_ao - exact.density_ao).max()
+                assert error < 0.1 * EPS_SPARSE  # measured 4.3e-4 (A), 1.3e-4 (B)
 
 
 class TestStepSpecifications:
@@ -334,3 +393,84 @@ class TestShardedTrajectory:
                 via_session[step].density_ao, direct[step].density_ao
             )
         assert all(r.n_ranks == 2 for r in via_session)
+
+
+class TestWarmStartMu:
+    def test_warm_start_converges_with_fewer_iterations(self, water32_matrices):
+        pair = water32_matrices
+        n_electrons = 8.0 * 32
+        steps = [(pair.K * (1.0 + 1e-4 * s), pair.S) for s in range(5)]
+        # finite temperature: the electron count is strictly monotone in μ,
+        # so iteration counts measure genuine bisection work
+        config = EngineConfig(
+            engine="batched", eps_filter=1e-5, temperature=30000.0
+        )
+        tolerance = 1e-6
+        with SubmatrixContext(config) as ctx:
+            cold = ctx.trajectory(
+                steps, pair.blocks, n_electrons=n_electrons, mu_tolerance=tolerance
+            )
+        with SubmatrixContext(config) as ctx:
+            warm = ctx.trajectory(
+                steps,
+                pair.blocks,
+                n_electrons=n_electrons,
+                mu_tolerance=tolerance,
+                warm_start_mu=True,
+            )
+        assert not cold.stats.steps[0].warm_started
+        assert all(record.warm_started for record in warm.stats.steps[1:])
+        # step 0 has no predecessor: identical to the cold start
+        assert warm[0].mu == cold[0].mu
+        # later steps converge the ensemble within tolerance, faster
+        for record in warm.results[1:]:
+            assert abs(record.n_electrons - n_electrons) <= tolerance
+        cold_iterations = sum(r.mu_iterations for r in cold.stats.steps[1:])
+        warm_iterations = sum(r.mu_iterations for r in warm.stats.steps[1:])
+        assert warm_iterations < cold_iterations
+        # μ agrees physically (not bitwise — that is the documented trade)
+        assert np.allclose(warm.mus, cold.mus, atol=1e-4)
+
+    def test_warm_start_defaults_off_and_preserves_bitwise_identity(
+        self, water32_matrices
+    ):
+        pair = water32_matrices
+        steps = [(pair.K * (1.0 + 1e-4 * s), pair.S) for s in range(3)]
+        config = EngineConfig(engine="batched", eps_filter=1e-5)
+        with SubmatrixContext(config) as ctx:
+            traj = ctx.trajectory(steps, pair.blocks, n_electrons=8.0 * 32)
+        fresh = SubmatrixContext(config).density(
+            steps[2][0], steps[2][1], pair.blocks, n_electrons=8.0 * 32
+        )
+        assert traj[2].mu == fresh.mu
+        assert np.array_equal(traj[2].density_ao, fresh.density_ao)
+
+
+class TestZeroStepTrajectories:
+    def make_context(self):
+        return SubmatrixContext(EngineConfig(engine="batched", eps_filter=1e-5))
+
+    def test_empty_sequence(self, water32_matrices):
+        with self.make_context() as ctx:
+            traj = ctx.trajectory([], water32_matrices.blocks, n_electrons=1.0)
+        assert len(traj) == 0
+        assert traj.mus.dtype == np.float64
+        assert traj.band_energies.dtype == np.float64
+        assert traj.mus.shape == (0,)
+        stats = traj.stats
+        assert stats.n_steps == 0
+        assert stats.reuse_rate == 0.0
+        assert stats.total_wall_time == 0.0
+
+    def test_callback_none_at_step_zero(self, water32_matrices):
+        with self.make_context() as ctx:
+            traj = ctx.trajectory(
+                lambda index: None, water32_matrices.blocks, n_electrons=1.0
+            )
+        assert traj.stats.n_steps == 0
+        assert traj.mus.dtype == np.float64
+
+    def test_steps_none_raises(self, water32_matrices):
+        with self.make_context() as ctx:
+            with pytest.raises(ValueError, match="not None"):
+                ctx.trajectory(None, water32_matrices.blocks, n_electrons=1.0)

@@ -4,14 +4,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import run_pipeline
-from test_incremental_replan import (
-    drift_pattern,
-    matrix_for_pattern,
-    poly,
-    random_pattern,
-)
-
 from repro.core import (
     newton_schulz_cost,
     plan_transfers,
@@ -19,10 +11,7 @@ from repro.core import (
     submatrix_method_cost,
 )
 from repro.core.combination import group_columns_greedy_chunks
-from repro.core.runner import (
-    DistributedSubmatrixPipeline,
-    estimate_newton_schulz_iterations,
-)
+from repro.core.runner import estimate_newton_schulz_iterations
 from repro.dbcsr import BlockDistribution, CooBlockList, ProcessGrid2D
 from repro.parallel import MachineModel
 
@@ -246,45 +235,3 @@ class TestNewtonSchulzCost:
         sm_efficiency = sm_small / sm_large
         ns_efficiency = ns_small / ns_large
         assert sm_efficiency > ns_efficiency
-
-
-# --------------------------------------------------------------------------- #
-# incremental transfer planning on pipeline.patch
-# --------------------------------------------------------------------------- #
-class TestIncrementalTransferPlanning:
-    @pytest.mark.parametrize("ranks", [1, 2, 4])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_patched_transfer_plan_equals_full_replan(self, ranks, seed):
-        """Property: ``patch_transfer_plan`` ≡ ``plan_transfers`` bitwise."""
-        rng = np.random.default_rng(70 + 10 * ranks + seed)
-        n = 16
-        sizes = rng.integers(2, 5, n)
-        old_coo = random_pattern(n, 0.2, rng)
-        new_coo = drift_pattern(old_coo, rng, 3)
-        pipeline = DistributedSubmatrixPipeline(old_coo, sizes, ranks)
-        run_pipeline(pipeline, matrix_for_pattern(old_coo, sizes, rng), poly)
-
-        patched = pipeline.patch(new_coo)
-        # the patched pipeline keeps the old run's load-balanced rank
-        # assignment, so the reference full replan must plan against the
-        # same grouping and ranks (a fresh pipeline would re-balance)
-        want = plan_transfers(
-            patched.coo,
-            patched.block_sizes,
-            patched.distribution,
-            patched.grouping,
-            patched.rank_of_group,
-            bytes_per_element=patched.bytes_per_element,
-            per_group_dedup=True,
-            segment_index="required",
-        )
-        got = patched.transfer_plan
-        for got_rank, want_rank in zip(got.per_rank, want.per_rank):
-            assert np.array_equal(got_rank.required_blocks, want_rank.required_blocks)
-            assert np.array_equal(got_rank.remote_blocks, want_rank.remote_blocks)
-            assert got_rank.fetch_bytes == want_rank.fetch_bytes
-            assert got_rank.writeback_bytes == want_rank.writeback_bytes
-            assert got_rank.segment_fetch_bytes == want_rank.segment_fetch_bytes
-            assert got_rank.n_submatrices == want_rank.n_submatrices
-        assert np.array_equal(got.fetch_matrix, want.fetch_matrix)
-        assert np.array_equal(got.writeback_matrix, want.writeback_matrix)

@@ -18,11 +18,13 @@ Covers the acceptance criteria of the fault-tolerance tentpole:
   checkpoint produces bitwise-identical results to an uninterrupted run.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import run_pipeline
-from test_incremental_replan import matrix_for_pattern, poly, random_pattern
+from submatrix_reference import matrix_for_pattern, poly, random_pattern
 
 from repro.api import (
     CheckpointError,
@@ -555,6 +557,42 @@ class TestCheckpointResume:
                     pair.blocks,
                     mu=MU,  # different ensemble than the saved trajectory
                     checkpoint=tmp_path / "sig",
+                )
+
+    def test_replan_key_of_an_old_manifest_is_ignored(
+        self, water32_matrices, tmp_path
+    ):
+        """Directories written while trajectories took ``replan=`` resume."""
+        pair = water32_matrices
+        steps = _value_steps(pair, 2)
+        config = EngineConfig(engine="batched", eps_filter=EPS)
+        directory = tmp_path / "old"
+        with SubmatrixContext(config) as ctx:
+            first = ctx.trajectory(
+                steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
+            )
+        manifest_path = directory / "trajectory.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert "replan" not in manifest["signature"]
+
+        def rewrite(**changes):
+            signature = dict(manifest["signature"], **changes)
+            manifest_path.write_text(json.dumps(dict(manifest, signature=signature)))
+
+        rewrite(replan="patch")
+        with SubmatrixContext(config) as ctx:
+            resumed = ctx.trajectory(
+                steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
+            )
+        assert resumed.stats.steps_resumed == 2
+        for before, after in zip(first.results, resumed.results):
+            assert np.array_equal(before.density_ao, after.density_ao)
+            assert before.mu == after.mu
+        rewrite(replan="patch", solver="newton_schulz")
+        with SubmatrixContext(config) as ctx:
+            with pytest.raises(CheckpointError, match="different parameters"):
+                ctx.trajectory(
+                    steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
                 )
 
     def test_missing_step_load_raises(self, tmp_path):

@@ -1,15 +1,15 @@
 """The plan layer's array expansions against the loops they replaced.
 
 ``BlockSubmatrixPlan`` expands every group's gather/scatter arrays from one
-block-level record, and ``ShardedPlan`` / ``patch`` move whole segments by
-that record.  The per-block loop and the ``searchsorted`` derivation survive
+block-level record, and ``ShardedPlan`` moves whole segments by that
+record.  The per-block loop and the ``searchsorted`` derivation survive
 in ``submatrix_reference.py``; here hypothesis-generated patterns (ragged and
 1x1 blocks, multi-column groups, empty block columns, missing diagonal
 blocks, non-symmetric patterns) must reproduce them bitwise — values, dtype
 and order.  Every index array counts runs of ``plan.run = gcd(block sizes)``
 values, so the block grids are drawn with gcd 1, 2, 3 and 6, and a second
 property moves real values through ``pack`` / ``extract*`` / ``scatter*`` /
-``finalize`` — full, patched and sharded — against the per-submatrix kernels
+``finalize`` — full and sharded — against the per-submatrix kernels
 of ``repro.core.submatrix``.  Two last tests need no stopwatch and no
 benchmark: one counts interpreter-level calls on the 64-group water-64 plan
 (a reintroduced per-block loop fails), one bounds the index bytes a used plan
@@ -53,7 +53,6 @@ GROUP_ARRAYS = (
     "block_sizes",
     "offsets",
 )
-RECORD_ARRAYS = GROUP_ARRAYS + ("segment_ids", "segment_counts")
 
 
 def assert_same_array(got, want, what):
@@ -92,8 +91,8 @@ def _partition(draw, n):
 
 
 @st.composite
-def block_cases(draw, n_patterns=1):
-    """``(patterns on one grid, block sizes, column groups, rank of group)``.
+def block_cases(draw):
+    """``(block pattern, block sizes, column groups, rank of group)``.
 
     Block sizes are ragged multiples of a unit, so their gcd — the plan's run
     length — is 1 (atom blocks like 4, 1, 1), 2, 3 or 6, or a multiple.
@@ -103,15 +102,13 @@ def block_cases(draw, n_patterns=1):
     sizes = [
         unit * m for m in draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     ]
-    patterns = []
-    for _ in range(n_patterns):
-        rows, cols = np.nonzero(_mask(draw, n))
-        patterns.append(CooBlockList(rows, cols, n, n))
+    rows, cols = np.nonzero(_mask(draw, n))
+    coo = CooBlockList(rows, cols, n, n)
     groups = _partition(draw, n)
     ranks = draw(
         st.lists(st.integers(0, 2), min_size=len(groups), max_size=len(groups))
     )
-    return patterns, sizes, groups, ranks
+    return coo, sizes, groups, ranks
 
 
 @st.composite
@@ -147,7 +144,6 @@ def assert_shards_match_reference(plan, ranks, n_ranks=3):
         assert_same_array(shard.local_to_global, local_to_global, "local_to_global")
         for got, want in zip(shard.view.groups, local_sources):
             assert_same_array(got.gather_src, want, "rank-local gather_src")
-    return sharded
 
 
 # --------------------------------------------------------------------------- #
@@ -156,7 +152,7 @@ def assert_shards_match_reference(plan, ranks, n_ranks=3):
 @given(block_cases())
 @settings(max_examples=150, deadline=None)
 def test_block_groups_equal_per_block_loop_bitwise(case):
-    (coo,), sizes, groups, _ = case
+    coo, sizes, groups, ranks = case
     plan = BlockSubmatrixPlan(coo, sizes, groups)
     assert_same_groups(
         plan.groups,
@@ -164,6 +160,7 @@ def test_block_groups_equal_per_block_loop_bitwise(case):
         GROUP_ARRAYS,
     )
     assert_segment_record(plan)
+    assert_shards_match_reference(plan, ranks)
 
 
 @given(element_cases())
@@ -173,32 +170,6 @@ def test_element_plan_fills_the_segment_record(case):
     plan = ElementSubmatrixPlan(matrix, groups)
     assert_segment_record(plan)
     assert_shards_match_reference(plan, ranks)
-
-
-@given(block_cases(n_patterns=2))
-@settings(max_examples=150, deadline=None)
-def test_patch_and_shards_equal_fresh_builds(case):
-    (old, new), sizes, groups, ranks = case
-    old_plan = BlockSubmatrixPlan(old, sizes, groups)
-    sharded = assert_shards_match_reference(old_plan, ranks)
-    patched = old_plan.patch(new)
-    fresh = BlockSubmatrixPlan(new, sizes, groups)
-    assert patched.n_values == fresh.n_values
-    assert_same_array(patched.value_offsets, fresh.value_offsets, "value_offsets")
-    assert_same_groups(patched.groups, fresh.groups, RECORD_ARRAYS)
-    patched_sharded = sharded.patch(patched)
-    fresh_sharded = assert_shards_match_reference(fresh, ranks)
-    for got, want in zip(patched_sharded.shards, fresh_sharded.shards):
-        for name in (
-            "group_indices",
-            "required_segments",
-            "segment_starts",
-            "segment_lengths",
-            "local_offsets",
-            "local_to_global",
-        ):
-            assert_same_array(getattr(got, name), getattr(want, name), name)
-        assert_same_groups(got.view.groups, want.view.groups, RECORD_ARRAYS)
 
 
 # --------------------------------------------------------------------------- #
@@ -265,16 +236,13 @@ def assert_plan_moves_values_like_the_kernels(plan, coo, sizes, groups, ranks, s
     assert np.array_equal(block_matrix_to_dense(plan.finalize(out)), want)
 
 
-@given(block_cases(n_patterns=2), st.integers(0, 2**16))
+@given(block_cases(), st.integers(0, 2**16))
 @settings(max_examples=120, deadline=None)
-def test_values_through_full_patched_and_sharded_plans_equal_the_kernels(case, seed):
-    (old, new), sizes, groups, ranks = case
-    old_plan = BlockSubmatrixPlan(old, sizes, groups)
-    assert old_plan.run == np.gcd.reduce(sizes)
-    assert_plan_moves_values_like_the_kernels(old_plan, old, sizes, groups, ranks, seed)
-    assert_plan_moves_values_like_the_kernels(
-        old_plan.patch(new), new, sizes, groups, ranks, seed + 1
-    )
+def test_values_through_full_and_sharded_plans_equal_the_kernels(case, seed):
+    coo, sizes, groups, ranks = case
+    plan = BlockSubmatrixPlan(coo, sizes, groups)
+    assert plan.run == np.gcd.reduce(sizes)
+    assert_plan_moves_values_like_the_kernels(plan, coo, sizes, groups, ranks, seed)
 
 
 def test_padded_stack_dimension_must_be_whole_runs():

@@ -38,6 +38,7 @@ from conftest import make_decay_matrix
 from submatrix_reference import (
     reference_apply_blockwise,
     reference_apply_elementwise,
+    random_pattern,
     reference_density,
 )
 
@@ -225,14 +226,15 @@ class TestBlockPlanEquivalence:
 
 
 
-def expected_stats(hits, misses, plans, patches=0, groups_rebuilt=0, evictions=0):
-    """Full PlanCache.stats dict sans bytes (builds tracks misses)."""
+def expected_stats(hits, misses, plans, evictions=0):
+    """Full PlanCache.stats dict sans bytes (builds tracks misses; ``patches``
+    and ``groups_rebuilt`` are the inert keys the e2e harness reads)."""
     return {
         "hits": hits,
         "misses": misses,
         "builds": misses,
-        "patches": patches,
-        "groups_rebuilt": groups_rebuilt,
+        "patches": 0,
+        "groups_rebuilt": 0,
         "evictions": evictions,
         "plans": plans,
     }
@@ -350,6 +352,130 @@ class TestPlanCache:
         two.apply(sparse, lambda a: a @ a)
         assert two.plan_cache.stats["hits"] == 0
         assert two.plan_cache.stats["misses"] == 1
+
+
+class TestPlanCacheHousekeeping:
+    def patterns(self, count, rng):
+        return [random_pattern(8, 0.2 + 0.05 * k, rng) for k in range(count)]
+
+    def test_clear_resets_counters_and_order(self):
+        rng = np.random.default_rng(8)
+        sizes = np.full(8, 3)
+        groups = [[i] for i in range(8)]
+        cache = PlanCache()
+        a, b = self.patterns(2, rng)
+        cache.block_plan(a, sizes, groups)
+        cache.block_plan(a, sizes, groups)
+        cache.block_plan(a, sizes, groups)
+        cache.block_plan(b, sizes, groups)
+        assert cache.stats == expected_stats(hits=2, misses=2, plans=2)
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.stats == expected_stats(hits=0, misses=0, plans=0)
+
+    def test_eviction_is_least_recently_used_not_built(self):
+        rng = np.random.default_rng(9)
+        sizes = np.full(8, 3)
+        groups = [[i] for i in range(8)]
+        cache = PlanCache(max_plans=2)
+        a, b, c = self.patterns(3, rng)
+        plan_a = cache.block_plan(a, sizes, groups)
+        cache.block_plan(b, sizes, groups)
+        # touch A: it is now more recently *used* than the younger B
+        assert cache.block_plan(a, sizes, groups) is plan_a
+        cache.block_plan(c, sizes, groups)  # overflow: must evict B, not A
+        assert cache.block_plan(a, sizes, groups) is plan_a  # still cached
+        stats = cache.stats
+        assert stats["plans"] == 2
+        # B was evicted: looking it up again is a miss (a rebuild)
+        builds_before = stats["builds"]
+        cache.block_plan(b, sizes, groups)
+        assert cache.stats["builds"] == builds_before + 1
+
+
+class TestPackCanonicalization:
+    def make_plan(self):
+        matrix = sp.random(10, 10, density=0.3, random_state=4, format="coo")
+        matrix = (matrix + matrix.T + sp.identity(10)).tocsr()
+        return matrix, ElementSubmatrixPlan(matrix, [[c] for c in range(10)])
+
+    def test_unsorted_indices_pack(self):
+        matrix, plan = self.make_plan()
+        coo = matrix.tocoo()
+        order = np.argsort(-coo.row, kind="stable")  # scramble row order
+        shuffled = sp.csc_matrix(
+            (coo.data[order], (coo.row[order], coo.col[order])), shape=matrix.shape
+        )
+        assert np.array_equal(plan.pack(shuffled), plan.pack(matrix))
+
+    def test_duplicate_entries_pack(self):
+        matrix, plan = self.make_plan()
+        coo = matrix.tocoo()
+        # split every value into two duplicate entries summing to it
+        rows = np.concatenate([coo.row, coo.row])
+        cols = np.concatenate([coo.col, coo.col])
+        data = np.concatenate([0.25 * coo.data, 0.75 * coo.data])
+        duplicated = sp.coo_matrix((data, (rows, cols)), shape=matrix.shape)
+        assert np.allclose(plan.pack(duplicated), plan.pack(matrix))
+
+    def test_pack_does_not_mutate_caller_matrix(self):
+        """Canonicalization must copy an aliased CSC, not rewrite it."""
+        matrix, plan = self.make_plan()
+        csc = matrix.tocsc()
+        # duplicate every stored entry at raw CSC level (constructors that
+        # go through COO would sum them for us)
+        indptr = csc.indptr * 2
+        indices = np.repeat(csc.indices, 2)
+        data = np.repeat(0.5 * csc.data, 2)
+        duplicated = sp.csc_matrix(
+            (data, indices, indptr), shape=csc.shape
+        )
+        nnz_before = duplicated.nnz
+        assert nnz_before == 2 * csc.nnz
+        data_before = duplicated.data.copy()
+        packed = plan.pack(duplicated)
+        assert np.allclose(packed, plan.pack(matrix))
+        assert duplicated.nnz == nnz_before
+        assert np.array_equal(duplicated.data, data_before)
+
+    def test_explicit_zeros_matching_pattern_pack(self):
+        matrix = sp.csr_matrix(
+            (
+                np.array([1.0, 0.0, 2.0]),
+                (np.array([0, 1, 2]), np.array([0, 1, 2])),
+            ),
+            shape=(3, 3),
+        )
+        plan = ElementSubmatrixPlan(matrix, [[0], [1], [2]])
+        packed = plan.pack(matrix.copy())
+        assert packed.tolist() == [1.0, 0.0, 2.0]
+
+    def test_nnz_mismatch_message(self):
+        matrix, plan = self.make_plan()
+        extra = matrix.tolil()
+        free = np.argwhere(matrix.toarray() == 0.0)
+        i, j = free[0]
+        extra[int(i), int(j)] = 5.0
+        with pytest.raises(ValueError, match="nnz mismatch"):
+            plan.pack(extra.tocsr())
+
+    def test_indices_mismatch_message(self):
+        base = sp.identity(4, format="csr") * 2.0
+        plan = ElementSubmatrixPlan(base, [[c] for c in range(4)])
+        moved = sp.csr_matrix(
+            (
+                np.array([1.0, 1.0, 1.0, 1.0]),
+                (np.array([1, 1, 2, 3]), np.array([0, 1, 2, 3])),
+            ),
+            shape=(4, 4),
+        )
+        with pytest.raises(ValueError, match="indptr mismatch|indices mismatch"):
+            plan.pack(moved)
+
+    def test_shape_mismatch_message(self):
+        matrix, plan = self.make_plan()
+        with pytest.raises(ValueError, match="shape"):
+            plan.pack(sp.identity(11, format="csr"))
 
 
 class TestBuckets:
