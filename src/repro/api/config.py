@@ -47,6 +47,12 @@ BALANCE_STRATEGIES = ("chunks", "stacks")
 #: transformations Q·diag·Qᵀ, expressed as a multiple of n³.  dsyevd costs
 #: roughly 4/3·n³ for the tridiagonal reduction plus ~4·n³ for the
 #: divide-and-conquer back-transformation; forming Q Λ' Qᵀ adds ~4·n³.
+#: That last term is the accounting of the paper's cost model and of the
+#: ledger's staged replay, which both form the full product; the engine
+#: itself forms only the generating-column panel (2·n²·w,
+#: :func:`repro.core.batch.spectral_panel`).  The value is what the load
+#: balancer weighs submatrices with and what ``benchmarks/e2e`` imports to
+#: count ``signfn.eigh_flops``: it stays.
 EIGENSOLVE_FLOP_CONSTANT = 9.0
 
 

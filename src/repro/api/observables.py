@@ -27,6 +27,27 @@ plus a small registry of *observables*, sibling to the
   assemble its result from that :class:`SharedEvaluation`; ``density`` is
   just one registered instance.
 
+**Which requests hold spectra.**  The paper keeps Q, Λ of every submatrix
+only because the canonical μ search revisits them (Algorithm 1), and copies
+only the generating block columns of f(aᵢ) back (Sec. III).  So the engine
+pass has two modes, chosen by whether anything downstream reads the spectra:
+
+* *collect* — a canonical request (``n_electrons=``: the bisection runs on
+  them), a bundle with ``pdos`` or ``energy_weighted_density`` (assembled
+  from them) and the serving layer's merged groups (shared between requests)
+  keep every ``(λ, Q)`` as read-only :class:`DecomposedSubmatrix` entries,
+  Σdᵢ²·8 B;
+* *scatter* — a fixed-``mu=`` request whose observables all have
+  ``supports_iterative`` streams ``eigh → occupy → scatter`` per stack inside
+  the stack task (rank- and worker-parallel) and keeps nothing: at most one
+  stack of eigenvectors is alive per worker.  The iterative sign kernels have
+  always run this way.
+
+Either way a spectral product forms only the generating-column panel
+(:func:`~repro.core.batch.spectral_panel`: d²·w flops, not d³) and writes it
+with :meth:`~repro.core.plan.SubmatrixPlan.scatter_columns`, so both modes —
+and with them direct, served and sharded calls — are bitwise equal.
+
 Built-in observables:
 
 ``density``
@@ -79,10 +100,9 @@ from repro.chem.density import (
     electron_count,
     fermi_occupation,
 )
-from repro.core.batch import stack_solver
+from repro.core.batch import spectral_panel, stack_solver
 from repro.core.combination import ColumnGrouping, single_column_groups
 from repro.core.plan import BlockSubmatrixPlan
-from repro.core.submatrix import Submatrix
 from repro.chem.orthogonalize import orthogonalized_ks
 from repro.core.runner import run_stacks
 from repro.dbcsr.block_matrix import BlockSparseMatrix
@@ -169,6 +189,10 @@ class SharedEvaluation:
     :func:`evaluate_request` and handed to every requested observable's
     ``assemble`` hook — the cached per-submatrix eigendecompositions are
     computed exactly once no matter how many observables consume them.
+    Exactly one of ``decomposed`` and ``occupation_block`` is set: the
+    spectra when something reads them (μ-bisection, ``pdos``,
+    ``energy_weighted_density``, a served group), else the occupation
+    matrices the engine pass already scattered at the request's fixed μ.
     """
 
     config: Any
@@ -182,9 +206,8 @@ class SharedEvaluation:
     decomposed: Optional[Sequence[DecomposedSubmatrix]] = None
     pipeline: Any = None
     report: Any = None
-    # the iterative path scatters its occupation matrices during the solve;
-    # the eigen path leaves this None and density's assembly scatters from
-    # the cached decompositions
+    # scattered during the engine pass (scatter mode); in collect mode this
+    # is None and density's assembly scatters from the cached decompositions
     occupation_block: Optional[BlockSparseMatrix] = None
     stack_decompositions: int = 0
 
@@ -218,7 +241,9 @@ class Observable:
         Whether assembly reads the spectral data (``evaluation.decomposed``).
     supports_iterative:
         Whether the observable can also be produced by the
-        diagonalization-free iterative sign kernels (only ``density``).
+        diagonalization-free iterative sign kernels (only ``density``) —
+        that is, assembled from the scattered occupation matrices alone.  A
+        fixed-μ request of only such observables holds no spectra.
     checkpoint_save / checkpoint_load:
         Optional npz (de)serialization hooks for trajectory checkpoints:
         ``checkpoint_save(result) -> {suffix: ndarray}`` and
@@ -373,13 +398,15 @@ def validate_request(
 class Decomposition:
     """What one pass over the engine produced for one ``(K, S)`` content.
 
-    On the eigendecomposition path this is μ-independent — the cached
-    per-submatrix spectra ``decomposed`` serve any chemical potential and
-    any observable, which is why the serving layer shares one instance
-    between bytewise-identical requests and across micro-batch windows.
-    The iterative sign kernels have no such stage: their pass evaluates the
-    occupation matrices at the request's fixed μ (``occupation_block``) and
-    leaves ``decomposed`` ``None``.
+    In collect mode this is μ-independent — the cached per-submatrix
+    spectra ``decomposed`` serve any chemical potential and any observable,
+    which is why the serving layer shares one instance between
+    bytewise-identical requests and across micro-batch windows.  In scatter
+    mode (a fixed μ and nothing that reads spectra; every iterative-kernel
+    request) the pass evaluates the occupation matrices at that μ
+    (``occupation_block``) and leaves ``decomposed`` ``None``.
+    ``stack_decompositions`` counts the ``eigh`` stacks solved in either mode
+    (0 for the iterative kernels).
     """
 
     prepared: PreparedStep
@@ -451,7 +478,7 @@ def compute_observables(
         ranks,
     )
     decomposition = _decompose(
-        context, K, S, blocks, kernel, mu, grouping, ranks, distribution
+        context, K, S, blocks, kernel, names, mu, grouping, ranks, distribution
     )
     return evaluate_request(
         context.config,
@@ -469,22 +496,30 @@ def compute_observables(
 
 
 def _decompose(
-    context, K, S, blocks, kernel, mu, grouping, ranks, distribution
+    context, K, S, blocks, kernel, names, mu, grouping, ranks, distribution
 ) -> Decomposition:
     """The engine pass of one request (see :class:`Decomposition`).
 
     Prepare, look the plan (and, for a sharded request, its pipeline) up,
-    and run the one rank loop once: collecting the per-stack
-    eigendecompositions into cache entries at their global group index, or
-    — for an iterative sign kernel — scattering the occupation matrices of
-    the request's fixed μ.  Retried, rebalanced and degraded runs rebuild
-    exactly the same entries (``eigh`` and the sign iterations work per
-    matrix, independent of stack composition), so everything downstream is
-    bitwise identical to a fault-free single-process pass.
+    and run the one rank loop once, in one of two modes.  *Collect*: when
+    something downstream reads the spectra — the μ-bisection of a canonical
+    request, an observable without ``supports_iterative`` — the per-stack
+    eigendecompositions become cache entries at their global group index.
+    *Scatter*: otherwise the occupation matrices of the request's fixed μ
+    are delivered inside the stack tasks and nothing else survives them —
+    generating-column panels straight from each stack's ``eigh``
+    (:func:`_spectral_stack_solver`), or whole matrices from an iterative
+    sign kernel.  Retried, rebalanced and degraded runs rebuild exactly the
+    same values (``eigh`` and the sign iterations work per matrix,
+    independent of stack composition), so everything downstream is bitwise
+    identical to a fault-free single-process pass.
     """
     config = context.config
     policy, report = context._resilience()
-    eigen_cache = kernel.supports_mu_bisection
+    spectral = kernel.supports_mu_bisection
+    collect = mu is None or not all(
+        get_observable(name).supports_iterative for name in names
+    )
 
     prepared = prepare_step(
         K, S, blocks, config.eps_filter, s_inv_sqrt=context.overlap_root(S)
@@ -498,34 +533,30 @@ def _decompose(
         grouping,
         ranks,
         distribution,
-        # Algorithm 1 reuses the cached per-submatrix spectra during the
-        # μ-bisection, and a padded block-diagonal embedding has a
-        # different spectrum bookkeeping: its buckets stay exact-dimension.
-        # The iterative kernels pad safely.
-        None if eigen_cache else config.bucket_pad,
+        # a padded block-diagonal embedding has a different spectrum
+        # bookkeeping (Algorithm 1 reuses the cached per-submatrix spectra)
+        # and another eigh than the exact-dimension stack, so every
+        # spectral request — collected or streamed, hence bitwise alike —
+        # keeps exact-dimension buckets.  The iterative kernels pad safely.
+        None if spectral else config.bucket_pad,
     )
     decomposition = Decomposition(prepared, plan, pipeline=pipeline, report=report)
     packed = plan.pack(block_k)
-    if eigen_cache:
-        spectra = run_stacks(
-            plan,
-            packed,
-            np.linalg.eigh,
-            pipeline=pipeline,
-            mapper=context._map,
-            policy=policy,
-            report=report,
-        )
+    run = dict(pipeline=pipeline, mapper=context._map, policy=policy, report=report)
+    if collect:
+        spectra = run_stacks(plan, packed, np.linalg.eigh, **run)
         entries: List[Optional[DecomposedSubmatrix]] = [None] * plan.n_groups
         for group_indices, (eigenvalues, eigenvectors) in spectra:
             for slot, group_index in enumerate(group_indices):
                 entries[group_index] = _make_entry(
-                    plan.groups[group_index].make_submatrix(),
-                    eigenvalues[slot],
-                    eigenvectors[slot],
+                    plan, group_index, eigenvalues[slot], eigenvectors[slot]
                 )
         decomposition.decomposed = entries  # type: ignore[assignment]
         decomposition.stack_decompositions = len(spectra)
+        return decomposition
+    out = plan.new_output()
+    if spectral:
+        solver, padding = _spectral_stack_solver(float(mu), config.temperature), {}
     else:
         # the μ-shift is applied by the stack solver, so the kernel is bound
         # without parameters; bucket padding embeds a small submatrix
@@ -533,20 +564,14 @@ def _decompose(
         # built-in sign iterations), so after the shift the padding
         # eigenvalues sit at exactly 1 — inside the convergence region —
         # and the padded rows never reach the scatter
-        out = plan.new_output()
-        run_stacks(
-            plan,
-            packed,
-            _occupation_stack_solver(kernel, float(mu), policy, report),
-            out,
-            pipeline=pipeline,
+        solver = _occupation_stack_solver(kernel, float(mu), policy, report)
+        padding = dict(
             pad_to=context._bucket_pad_for(kernel, plan),
             pad_value=kernel.padding_value(float(mu)),
-            mapper=context._map,
-            policy=policy,
-            report=report,
         )
-        decomposition.occupation_block = plan.finalize(out)
+    stacks = run_stacks(plan, packed, solver, out, **padding, **run)
+    decomposition.occupation_block = plan.finalize(out)
+    decomposition.stack_decompositions = len(stacks) if spectral else 0
     return decomposition
 
 
@@ -672,7 +697,7 @@ def _assemble_pdos(
         [entry.eigenvalues for entry in evaluation.decomposed]
     )
     weights = np.concatenate(
-        [entry.weights() for entry in evaluation.decomposed]
+        [entry.generating_weights for entry in evaluation.decomposed]
     )
     window = params.get("energy_window")
     if window is None:
@@ -688,7 +713,8 @@ def _assemble_pdos(
     for group_index, entry in enumerate(evaluation.decomposed):
         delta = (energies[None, :] - entry.eigenvalues[:, None]) / broadening
         projections[group_index] = norm * np.sum(
-            entry.weights()[:, None] * np.exp(-0.5 * delta * delta), axis=0
+            entry.generating_weights[:, None] * np.exp(-0.5 * delta * delta),
+            axis=0,
         )
     occupations = fermi_occupation(eigenvalues, evaluation.mu, config.temperature)
     n_elec = config.spin_degeneracy * float(np.dot(weights, occupations))
@@ -907,19 +933,28 @@ def assemble_result(
 # eigendecomposition cache (grand-canonical and canonical)
 # --------------------------------------------------------------------------- #
 def _make_entry(
-    submatrix: Submatrix, eigenvalues: np.ndarray, eigenvectors: np.ndarray
+    plan: BlockSubmatrixPlan,
+    group_index: int,
+    eigenvalues: np.ndarray,
+    eigenvectors: np.ndarray,
 ) -> DecomposedSubmatrix:
-    offsets = np.concatenate(([0], np.cumsum(submatrix.block_sizes)))
-    generating_rows: List[np.ndarray] = []
-    for local_column in submatrix.local_columns:
-        generating_rows.append(
-            np.arange(offsets[local_column], offsets[local_column + 1])
-        )
+    """The cache entry of one submatrix, complete and read-only.
+
+    Entries are shared between requests and across micro-batch windows and
+    only ever read, so everything a reader needs — the generating-row slice
+    of Q and the weights Algorithm 1 sums — is derived here, once.
+    """
+    group = plan.groups[group_index]
+    generating_slice = eigenvectors[group.generating_rows()]
+    weights = np.sum(generating_slice**2, axis=0)
+    for array in (eigenvalues, eigenvectors, generating_slice, weights):
+        array.setflags(write=False)
     return DecomposedSubmatrix(
-        submatrix=submatrix,
+        submatrix=group.make_submatrix(),
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
-        generating_function_rows=np.concatenate(generating_rows),
+        generating_slice=generating_slice,
+        generating_weights=weights,
     )
 
 
@@ -954,7 +989,7 @@ def _bisect_mu(
     the comparison of its two ends).
     """
     all_eigenvalues = np.concatenate([d.eigenvalues for d in decomposed])
-    all_weights = np.concatenate([d.weights() for d in decomposed])
+    all_weights = np.concatenate([d.generating_weights for d in decomposed])
     full_lo = float(all_eigenvalues.min()) - 1.0
     full_hi = float(all_eigenvalues.max()) + 1.0
 
@@ -1007,19 +1042,46 @@ def _scatter_spectral(
     evaluation: SharedEvaluation,
     spectral_function: Callable[[np.ndarray], np.ndarray],
 ) -> BlockSparseMatrix:
-    """Form Q g(λ) Qᵀ per cached submatrix and scatter the generating columns.
+    """Scatter the generating columns of Q g(λ) Qᵀ of every cached submatrix.
 
-    One vectorized write per submatrix into the plan's preallocated packed
-    output buffer; the result blocks are zero-copy views into that buffer.
+    One generating-column panel (:func:`~repro.core.batch.spectral_panel`,
+    the expression the streamed route evaluates) and one vectorized write
+    per submatrix into the plan's preallocated packed output buffer; the
+    result blocks are zero-copy views into that buffer.
     """
     plan = evaluation.plan
     out = plan.new_output()
     for group_index, entry in enumerate(evaluation.decomposed):
-        matrix = (
-            entry.eigenvectors * spectral_function(entry.eigenvalues)
-        ) @ entry.eigenvectors.T
-        plan.scatter(out, group_index, matrix)
+        panel = spectral_panel(
+            entry.eigenvectors,
+            spectral_function(entry.eigenvalues),
+            entry.generating_slice,
+        )
+        plan.scatter_columns(out, group_index, panel)
     return plan.finalize(out)
+
+
+def _spectral_stack_solver(mu: float, temperature: float):
+    """Per-stack solver ``eigh → f(λ − μ)`` of the streamed spectral route.
+
+    Returns the occupation matrices D̃ = Q f(λ − μ) Qᵀ (Eq. 17) of a stack in
+    spectral form ``(occupations, Q)``; the bucket loop
+    (:func:`~repro.core.batch.map_stacks`) forms and scatters their
+    generating-column panels, so neither the full matrices nor — past the
+    stack task — the eigenvectors ever exist.  The occupations are evaluated
+    per matrix, exactly as :func:`_scatter_spectral` evaluates them per cache
+    entry, so the two routes run the same elementwise code on the same
+    shapes whatever the platform's vector dispatch.
+    """
+
+    def solve(stack: np.ndarray):
+        eigenvalues, eigenvectors = np.linalg.eigh(stack)
+        occupations = np.stack(
+            [fermi_occupation(values, mu, temperature) for values in eigenvalues]
+        )
+        return occupations, eigenvectors
+
+    return solve
 
 
 # --------------------------------------------------------------------------- #

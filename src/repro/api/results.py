@@ -318,19 +318,21 @@ class ObservableBundle:
 
 @dataclasses.dataclass
 class DecomposedSubmatrix:
-    """Cached eigendecomposition of one submatrix (input to Algorithm 1)."""
+    """Cached eigendecomposition of one submatrix (input to Algorithm 1).
+
+    Complete when built and only ever read afterwards — the serving layer
+    shares one entry between requests and across micro-batch windows — so
+    every array is marked read-only.
+    """
 
     submatrix: Submatrix
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    generating_function_rows: np.ndarray  # local dense rows of the generating columns
+    # Q[generating rows, :] — the local dense rows of the generating columns —
+    # as one contiguous (w × d) array: the right-hand operand of every
+    # generating-column panel (Q·g(λ)) @ Q[rows]ᵀ
+    generating_slice: np.ndarray
     # Σ_rows Q²[generating rows, :] — the electron count at chemical potential
     # μ is just weights · f(λ − μ), so the whole bisection works on two flat
     # vectors instead of re-slicing the eigenvectors every iteration
-    generating_weights: Optional[np.ndarray] = None
-
-    def weights(self) -> np.ndarray:
-        if self.generating_weights is None:
-            q_rows = self.eigenvectors[self.generating_function_rows, :]
-            self.generating_weights = np.sum(q_rows**2, axis=0)
-        return self.generating_weights
+    generating_weights: np.ndarray

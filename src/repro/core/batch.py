@@ -18,8 +18,9 @@ corner of ``f(blockdiag(a, c·I))`` equals ``f(a)`` exactly — padding is
 only valid for genuine matrix functions, not for arbitrary elementwise
 callables, which must use ``pad_to=None``.
 
-:func:`map_stacks` is the one bucket loop (extract → solve → scatter or
-collect).  The engine reaches it through exactly one caller, the rank loop
+:func:`map_stacks` is the one bucket loop (extract → solve → scatter, whole
+matrices or generating-column panels, or collect).  The engine reaches it
+through exactly one caller, the rank loop
 :func:`repro.core.runner.run_stacks`, which hands it one unit per rank (or
 the whole plan); :func:`evaluate_batched` is the standalone single-unit
 form for callers that hold a plan and no session.
@@ -42,6 +43,7 @@ __all__ = [
     "make_stack_tasks",
     "count_stack_tasks",
     "stack_solver",
+    "spectral_panel",
     "map_stacks",
     "evaluate_batched",
 ]
@@ -160,6 +162,22 @@ def _check_stack_shape(evaluated: np.ndarray, expected: tuple) -> None:
         )
 
 
+def spectral_panel(
+    eigenvectors: np.ndarray, values: np.ndarray, generating_slice: np.ndarray
+) -> np.ndarray:
+    """The generating columns of ``Q·diag(values)·Qᵀ`` as a ``(d, w)`` panel.
+
+    ``generating_slice`` is the contiguous ``Q[generating_rows]`` (``w × d``).
+    Only these columns are copied back (Sec. III), so the product costs
+    ``2·d²·w`` flops where the full matrix costs ``2·d³``.  Every spectral
+    product of the engine — streamed or from cached spectra — is this one
+    expression on operands laid out alike, which is what keeps the routes
+    bitwise equal (a column slice of the full product differs from it in the
+    last bits).
+    """
+    return (eigenvectors * values) @ generating_slice.T
+
+
 def map_stacks(
     view: SubmatrixPlan,
     buffer: np.ndarray,
@@ -179,12 +197,23 @@ def map_stacks(
     both are treated alike.
 
     Per task the stack is assembled (padded with ``pad_value``) and handed
-    to ``solve_stack``.  With ``out`` the result must be the evaluated
-    stack: it is coerced to the stack's dtype, shape-checked and scattered
-    straight into the packed output (scatter ranges are disjoint across
-    tasks and ranks, so tasks may run concurrently).  Without ``out`` the
-    solver's return values are handed back in task order as they are —
-    e.g. the ``(eigenvalues, eigenvectors)`` pair of ``numpy.linalg.eigh``.
+    to ``solve_stack``.  Without ``out`` the solver's return values are
+    handed back in task order as they are — e.g. the ``(eigenvalues,
+    eigenvectors)`` pair of ``numpy.linalg.eigh``.  With ``out`` the result
+    is delivered straight into the packed output inside the task (scatter
+    ranges are disjoint across tasks and ranks, so tasks may run
+    concurrently) and ``None`` is handed back.  The solver then returns
+    either
+
+    * the evaluated ``(k, D, D)`` stack — coerced to the stack's dtype,
+      shape-checked and scattered whole (:meth:`SubmatrixPlan.scatter_stack`,
+      the iterative kernels), or
+    * the pair ``(values, vectors)`` of shapes ``(k, D)`` and ``(k, D, D)``
+      standing for ``vectors·diag(values)·vectorsᵀ`` — **panel delivery**:
+      per member only the generating-column panel is formed
+      (:func:`spectral_panel`, ``d²·w`` flops instead of ``d³``) and written
+      with :meth:`SubmatrixPlan.scatter_columns`; the full matrices never
+      exist and the vectors die with the task.
 
     ``mapper(run, tasks)`` dispatches the tasks (default: a plain loop).
     """
@@ -196,6 +225,16 @@ def map_stacks(
         solved = solve_stack(stack)
         if out is None:
             return solved
+        if isinstance(solved, tuple):
+            values, vectors = solved
+            _check_stack_shape(vectors, stack.shape)
+            _check_stack_shape(values, stack.shape[:2])
+            for slot, group_index in enumerate(task.members):
+                group, q = view.groups[group_index], vectors[slot]
+                panel = spectral_panel(q, values[slot], q[group.generating_rows()])
+                # rows past a padded member's dimension are the padding's
+                view.scatter_columns(out, group_index, panel[: group.dimension])
+            return None
         evaluated = np.asarray(solved, dtype=stack.dtype)
         _check_stack_shape(evaluated, stack.shape)
         view.scatter_stack(out, task.members, evaluated, task.dimension)

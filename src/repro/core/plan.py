@@ -34,7 +34,9 @@ With the plan in hand, one evaluation of f(A) becomes
    runs per submatrix into a preallocated dense buffer (no Python block
    loops, no ``np.ix_`` fancy indexing);
 3. ``plan.scatter(out, i, f(a_i))``      — a single vectorized scatter of
-   the generating columns into one preallocated output value vector;
+   the generating columns into one preallocated output value vector
+   (``plan.scatter_columns(out, i, panel)`` when only those columns of
+   f(a_i) were formed);
 4. ``result = plan.finalize(out)``       — zero-copy assembly of the sparse
    result (CSR arrays reuse the plan's pattern; block results are views
    into the output buffer).
@@ -136,6 +138,20 @@ class GroupPlan:
             data=data,
             block_sizes=self.block_sizes,
         )
+
+    def generating_rows(self) -> np.ndarray:
+        """Dense rows (equally: columns) of the generating columns.
+
+        In the order the grouping lists the columns — the column order of a
+        panel handed to :meth:`SubmatrixPlan.scatter_columns`.
+        """
+        columns = self.local_columns
+        if self.block_sizes is None:  # element level: one row per column
+            return columns
+        if columns.size == 1:  # the default grouping: one range, one arange
+            start = self.offsets[columns[0]]
+            return np.arange(start, start + self.block_sizes[columns[0]])
+        return concat_ranges(self.offsets[columns], self.block_sizes[columns])
 
 
 def _canonical_csc(matrix: sp.spmatrix) -> sp.csc_matrix:
@@ -247,6 +263,46 @@ class SubmatrixPlan:
         """Write the generating columns of f(a_i) with a single scatter."""
         group = self.groups[group_index]
         self._move_runs(out, group.scatter_dst, f_submatrix, group.scatter_src)
+
+    def scatter_columns(
+        self, out: np.ndarray, group_index: int, panel: np.ndarray
+    ) -> None:
+        """Write the generating columns of f(a_i) from their ``(d, w)`` panel.
+
+        ``panel[:, p]`` is column ``group.generating_rows()[p]`` of f(a_i) —
+        all the method copies back (Sec. III), so a caller that can form
+        these columns alone never builds the ``(d, d)`` matrix.  Writes
+        bitwise what :meth:`scatter` writes for a full matrix with these
+        columns.  The panel positions are ``scatter_src`` re-based from the
+        row stride ``d`` to ``w`` and from dense to panel columns: nothing is
+        stored for them.
+        """
+        group = self.groups[group_index]
+        run = self.run
+        # dense column run of every panel column run (generating blocks are
+        # whole runs: every run-th generating row starts one)
+        columns = group.generating_rows()[::run] // run
+        stride, width = group.dimension // run, columns.size
+        if panel.shape != (group.dimension, width * run):
+            raise ValueError(
+                f"panel must have shape {(group.dimension, width * run)}, "
+                f"got {panel.shape}"
+            )
+        dense_rows = group.scatter_src // stride
+        if group.local_columns.size == 1:
+            # one generating column: its runs are adjacent, all shift alike
+            shift = columns[0]
+        else:
+            dense_columns = group.scatter_src - dense_rows * stride
+            shift = np.zeros(stride, dtype=np.int64)
+            shift[columns] = columns - np.arange(width)
+            shift = shift[dense_columns]
+        self._move_runs(
+            out,
+            group.scatter_dst,
+            panel,
+            group.scatter_src - dense_rows * (stride - width) - shift,
+        )
 
     def finalize(self, out: np.ndarray):  # pragma: no cover - interface
         """Assemble the sparse result from the packed output vector."""

@@ -605,11 +605,13 @@ def run_stacks(
     composition, and the units write disjoint scatter ranges that together
     cover exactly what the single unit writes.
 
-    With ``out`` (``plan.new_output()``) every solved stack is scattered
-    into it and the return value is empty.  Without it the solver's return
-    values are collected as ``(group_indices, value)`` pairs, one per stack,
-    ``group_indices`` being the *global* plan group of each stack slot —
-    e.g. the ``(eigenvalues, eigenvectors)`` of ``numpy.linalg.eigh``.
+    Returns one ``(group_indices, value)`` pair per solved stack,
+    ``group_indices`` being the *global* plan group of each stack slot.
+    Without ``out`` the values are the solver's return values — e.g. the
+    ``(eigenvalues, eigenvectors)`` of ``numpy.linalg.eigh``.  With ``out``
+    (``plan.new_output()``) every solved stack is delivered into it inside
+    its task — whole matrices or generating-column panels, see
+    :func:`~repro.core.batch.map_stacks` — and the values are ``None``.
 
     ``pad_to``/``pad_value`` are the bucket padding of every unit (``pad_to``
     must be the pipeline's ``bucket_pad`` when there is one, so the executed
@@ -626,8 +628,6 @@ def run_stacks(
             pad_value=pad_value,
             mapper=stack_mapper,
         )
-        if out is not None:
-            return []
         return [
             (
                 task.members if group_indices is None else group_indices[task.members],

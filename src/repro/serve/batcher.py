@@ -83,6 +83,14 @@ __all__ = [
 
 _SHUTDOWN = object()
 
+#: Upper bound, in bytes, on the eigendecompositions a
+#: :class:`DecompositionCache` keeps (Σdᵢ²·8 B of eigenvectors per entry: 9 MB
+#: for a water-32 request, 29 MiB at water-128, where an entry count alone
+#: would admit 32 of them).  The rule of the session's overlap-root cache
+#: (:data:`repro.api.context.MAX_OVERLAP_ROOT_BYTES`): least recently used
+#: entries are dropped first, the entry just stored is always kept.
+MAX_DECOMPOSITION_BYTES = 256 * 2**20
+
 
 @dataclasses.dataclass
 class DensityRequest:
@@ -179,9 +187,11 @@ class DecompositionCache:
 
     Entries are bound to the session context that produced them (held by
     weak reference — plans belong to that context's plan cache) and expire
-    after ``ttl`` seconds; the LRU bound ``max_entries`` caps the retained
-    eigendecompositions.  All methods are thread-safe, but the cache is
-    only consulted from the single micro-batcher thread in practice.
+    after ``ttl`` seconds; the LRU holds at most ``max_entries`` of them and
+    at most :data:`MAX_DECOMPOSITION_BYTES` of eigenvalues and eigenvectors
+    (the newest entry always fits, older ones go down to the bound).  All
+    methods are thread-safe, but the cache is only consulted from the single
+    micro-batcher thread in practice.
     """
 
     def __init__(self, ttl: float, max_entries: int = 32):
@@ -204,7 +214,7 @@ class DecompositionCache:
         with self._lock:
             record = self._entries.get(key)
             if record is not None:
-                expires, context_ref, value = record
+                expires, context_ref, value, _ = record
                 if expires >= now and context_ref() is context:
                     self._entries.move_to_end(key)
                     self.hits += 1
@@ -214,20 +224,33 @@ class DecompositionCache:
             return None
 
     def put(self, key: tuple, context, value: Decomposition) -> None:
+        nbytes = sum(
+            entry.eigenvalues.nbytes + entry.eigenvectors.nbytes
+            for entry in value.decomposed
+        )
         with self._lock:
             self._entries[key] = (
                 time.monotonic() + self.ttl,
                 weakref.ref(context),
                 value,
+                nbytes,
             )
             self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
+            # keep at least the entry just stored, even when it alone
+            # exceeds the byte bound: dropping it would defeat the cache
+            while len(self._entries) > self.max_entries or (
+                len(self._entries) > 1 and self._bytes() > MAX_DECOMPOSITION_BYTES
+            ):
                 self._entries.popitem(last=False)
+
+    def _bytes(self) -> int:
+        return sum(record[3] for record in self._entries.values())
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
             return {
                 "entries": len(self._entries),
+                "bytes": self._bytes(),
                 "hits": self.hits,
                 "misses": self.misses,
             }
@@ -381,7 +404,8 @@ def evaluate_merged_group(
             plan = planned[representative][0]
             for slot, group_index in enumerate(bucket.members):
                 entries[representative][group_index] = _make_entry(
-                    plan.groups[group_index].make_submatrix(),
+                    plan,
+                    group_index,
                     eigenvalues[offset + slot],
                     eigenvectors[offset + slot],
                 )

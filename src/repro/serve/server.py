@@ -81,7 +81,9 @@ class DensityService:
         path: bytewise-identical hot requests arriving within
         ``decomposition_ttl`` seconds of each other reuse the earlier
         request's eigendecomposition *across* micro-batch windows.  The
-        default ``0.0`` disables the cache (no entries are ever held).
+        default ``0.0`` disables the cache (no entries are ever held);
+        enabled, it holds at most ``decomposition_cache_size`` entries and
+        :data:`~repro.serve.batcher.MAX_DECOMPOSITION_BYTES` of spectra.
     dispatch_workers:
         Thread count of the direct-path dispatch pool (also used for
         trajectory requests).

@@ -306,3 +306,28 @@ def reference_density(
         band_energy=band_structure_energy(density_ao, k_dense, spin_degeneracy),
         submatrix_dimensions=dimensions,
     )
+
+
+#: How close an engine density must come to :func:`reference_density`.  The
+#: engine forms only the generating columns of Q f(Λ) Qᵀ (a d × w panel);
+#: the reference forms the full d × d product and slices it — the same
+#: numbers through another GEMM blocking, equal to a few ulp of an O(1)
+#: entry, not bitwise.  ``test_plan_builder.py`` pins the
+#: panel-vs-sliced-product distance this rests on
+#: (``test_panel_product_stays_within_1e14_of_the_sliced_full_product``).
+REFERENCE_DENSITY_ATOL = 1e-14
+
+
+def assert_matches_reference_density(result, reference):
+    """``result`` is the density of :func:`reference_density`, to rounding."""
+    assert result.mu == reference.mu
+    assert (
+        np.max(np.abs(result.density_ao - reference.density_ao))
+        <= REFERENCE_DENSITY_ATOL
+    )
+    ortho_distance = abs(result.density_ortho - reference.density_ortho)
+    assert ortho_distance.nnz == 0 or ortho_distance.max() <= REFERENCE_DENSITY_ATOL
+    # E = g·Σ D_ij K_ij over O(1)-sized entries: a relative statement
+    assert math.isclose(
+        result.band_energy, reference.band_energy, rel_tol=1e-12, abs_tol=0.0
+    )

@@ -61,6 +61,7 @@ from repro.signfn import (
 )
 
 from submatrix_reference import (
+    assert_matches_reference_density,
     reference_apply_blockwise,
     reference_apply_elementwise,
     reference_density,
@@ -608,16 +609,13 @@ class TestOccupationTemperature:
 # --------------------------------------------------------------------------- #
 class TestDensitySession:
     def test_density_matches_legacy_solver_bitwise(self, water32_matrices, gap_mu):
+        """Against the independent full-product loop: to rounding, not bitwise
+        (the name predates the generating-column panel)."""
         pair = water32_matrices
         ctx = SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS))
         new = ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
         legacy = reference_density(pair.K, pair.S, pair.blocks, gap_mu, EPS)
-        assert np.array_equal(new.density_ao, legacy.density_ao)
-        assert np.array_equal(
-            new.density_ortho.toarray(), legacy.density_ortho.toarray()
-        )
-        assert new.mu == legacy.mu
-        assert new.band_energy == legacy.band_energy
+        assert_matches_reference_density(new, legacy)
 
     @pytest.mark.parametrize("ranks", [1, 2, 4])
     def test_sharded_mu_bisection_bitwise(self, water32_matrices, ranks):
@@ -865,7 +863,7 @@ class TestOverlapRootCache:
         assert_same_density(hit, self.fresh(pair.K, pair.S, pair.blocks, gap_mu))
         # and the per-block reference loop, which computes its own root
         reference = reference_density(pair.K, pair.S, pair.blocks, gap_mu, EPS)
-        assert np.array_equal(hit.density_ao, reference.density_ao)
+        assert_matches_reference_density(hit, reference)
 
     def test_in_place_mutation_of_the_overlap_is_a_miss(self, water32_matrices, gap_mu):
         pair = water32_matrices

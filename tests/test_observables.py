@@ -9,6 +9,11 @@ Covers the PR's contracts:
 * requesting {density, pdos, energy_weighted_density} together performs
   exactly the same number of eigendecomposition calls as density alone —
   N observables, one decomposition pass per stack;
+* a fixed-μ density request streams ``eigh → occupy → scatter`` per stack
+  and holds no spectra: bitwise the collected, served, sharded and recovered
+  result, right against the dense oracle, and — asserted with
+  ``tracemalloc`` — below Σdᵢ²·8 B of peak memory where a canonical request
+  is not;
 * PDOS and the energy-weighted density matrix agree with a dense reference
   on a system whose submatrices are the full matrix;
 * the Chebyshev polynomial-expansion kernel matches the eigen density to
@@ -25,13 +30,18 @@ Covers the PR's contracts:
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.api.observables
+import repro.serve.batcher
 from repro.api import (
     EngineConfig,
     ObservableBundle,
+    ResiliencePolicy,
     SubmatrixContext,
     TrajectoryCheckpoint,
     UnknownObservableError,
@@ -47,11 +57,13 @@ from repro.api.observables import (
     register_observable,
     _OBSERVABLES,
 )
+from repro.chem import reference_density_matrix
 from repro.chem.density import fermi_occupation
 from repro.chem.hamiltonian import BlockStructure
+from repro.parallel.faults import FaultInjector, FaultPlan
 from repro.serve import DensityService
 
-from submatrix_reference import reference_density
+from submatrix_reference import assert_matches_reference_density, reference_density
 
 N_ELECTRONS = 8.0 * 32
 EPS = 1e-4
@@ -126,8 +138,9 @@ class TestDensityThroughPipeline:
         assert_density_identical(bundle["density"], density)
 
     def test_reference_loop(self, water32_matrices, gap_mu):
-        """The bundled density equals the serial loop over the
-        ``core/submatrix.py`` kernels (one ``eigh`` per submatrix)."""
+        """The bundled density equals, to rounding, the serial loop over the
+        ``core/submatrix.py`` kernels (one ``eigh`` and one full product per
+        submatrix)."""
         pair = water32_matrices
         with SubmatrixContext(CONFIG) as ctx:
             bundle = ctx.observables(
@@ -136,7 +149,7 @@ class TestDensityThroughPipeline:
         reference = reference_density(
             pair.K, pair.S, pair.blocks, gap_mu, eps_filter=CONFIG.eps_filter
         )
-        assert_density_identical(bundle["density"], reference)
+        assert_matches_reference_density(bundle["density"], reference)
 
     @pytest.mark.parametrize("ranks", [1, 2, 4, 8])
     def test_sharded_ranks(self, water32_matrices, ranks, reference_bundle):
@@ -219,6 +232,179 @@ class TestSharedDecomposition:
     def test_counter_survives_checkpoint(self, reference_bundle):
         bundle, _ = reference_bundle
         assert bundle.stack_decompositions >= 1
+
+
+# --------------------------------------------------------------------------- #
+# tentpole: a fixed-μ request keeps no spectra (eigh → occupy → scatter)
+# --------------------------------------------------------------------------- #
+class TestStreamedRoute:
+    #: water-32 at this filter has eight distinct submatrix dimensions
+    #: (126…168): eight stacks, several per rank
+    EPS = 1e-2
+
+    @staticmethod
+    def count_entries(monkeypatch):
+        """Count the cache entries built from here on (0: nothing collected)."""
+        built = []
+        make_entry = repro.api.observables._make_entry
+
+        def counting(*args):
+            built.append(1)
+            return make_entry(*args)
+
+        monkeypatch.setattr(repro.api.observables, "_make_entry", counting)
+        return built
+
+    @pytest.mark.parametrize("temperature", [0.0, 3000.0])
+    def test_bitwise_chain_over_every_route(
+        self, water32_matrices, gap_mu, temperature, monkeypatch
+    ):
+        """streamed == collected == served == two ranks == every recovery."""
+        pair = water32_matrices
+        request = (pair.K, pair.S, pair.blocks)
+        config = EngineConfig(eps_filter=self.EPS, temperature=temperature)
+        built = self.count_entries(monkeypatch)
+        with SubmatrixContext(config) as ctx:
+            streamed = ctx.density(*request, mu=gap_mu)
+            sharded = ctx.density(*request, mu=gap_mu, ranks=2)
+            assert built == []  # neither call held a spectrum
+            collected = ctx.observables(
+                *request, observables=("density", "pdos"), mu=gap_mu
+            )
+            assert len(built) == len(streamed.submatrix_dimensions) == 32
+        assert len(set(streamed.submatrix_dimensions)) == 8
+        assert_density_identical(collected["density"], streamed)
+        assert_density_identical(sharded, streamed)
+        with DensityService(config) as service:  # merged groups collect
+            served = service.density(*request, mu=gap_mu)
+        assert_density_identical(served, streamed)
+        # a retried rank (in place, or rebalanced onto the survivor) and a
+        # run degraded to the single unit rewrite the same scatter ranges
+        recoveries = {
+            "retry": (dict(times=1), dict(rank_rebalance=False)),
+            "rebalance": (dict(times=1), dict(rank_rebalance=True)),
+            "degrade": (dict(times=None), dict(rank_rebalance=False)),
+        }
+        for name, (crashes, policy) in recoveries.items():
+            injector = FaultInjector(FaultPlan.rank_crashes([0], seed=3, **crashes))
+            resilient = config.replace(
+                resilience=ResiliencePolicy(fault_injector=injector, **policy)
+            )
+            with SubmatrixContext(resilient) as ctx:
+                recovered = ctx.density(*request, mu=gap_mu, ranks=2)
+            assert_density_identical(recovered, streamed)
+            assert recovered.retries == 1, name
+            assert recovered.degraded == (name == "degrade")
+            assert (recovered.reassigned_stacks > 0) == (name == "rebalance")
+
+    def test_against_the_dense_oracle(self, water32_matrices, gap_mu):
+        """Not path-vs-path: the invariants of a T = 0 density matrix and the
+        dense eigenvector projector, within the filter's envelope."""
+        pair = water32_matrices
+        envelope = self.EPS / 10.0  # measured: 4.3e-4, 4.5e-5, 2.8e-7
+        with SubmatrixContext(EngineConfig(eps_filter=self.EPS)) as ctx:
+            result = ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
+        oracle = reference_density_matrix(pair.K, pair.S, mu=gap_mu)
+        assert oracle.n_electrons == pytest.approx(N_ELECTRONS, abs=1e-9)
+        assert np.max(np.abs(result.density_ao - oracle.density_ao)) <= envelope
+        # Tr(D̃) = N: 128 doubly occupied orbitals
+        occupation = result.density_ortho.toarray()
+        assert 2.0 * np.trace(occupation) == pytest.approx(N_ELECTRONS, abs=envelope)
+        assert result.n_electrons == pytest.approx(N_ELECTRONS, abs=envelope)
+        # D̃² = D̃
+        assert np.max(np.abs(occupation @ occupation - occupation)) <= envelope
+
+    @pytest.mark.parametrize("ranks", [None, 2])
+    def test_stack_decompositions_counts_the_streamed_stacks(
+        self, water32_matrices, gap_mu, ranks, monkeypatch
+    ):
+        pair = water32_matrices
+        stacks = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(matrix, *args, **kwargs):
+            stacks.append(np.asarray(matrix).ndim == 3)
+            return eigh(matrix, *args, **kwargs)
+
+        with SubmatrixContext(EngineConfig(eps_filter=self.EPS)) as ctx:
+            ctx.overlap_root(pair.S)  # its 2-D eigh happens before counting
+            monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+            bundle = ctx.observables(
+                pair.K, pair.S, pair.blocks, mu=gap_mu, ranks=ranks
+            )
+            monkeypatch.undo()
+        assert all(stacks)
+        # eight dimensions; two ranks split some of them into a stack each
+        assert bundle.stack_decompositions == len(stacks) >= 8
+
+    def test_peak_memory_stays_below_the_spectra(self, water64_matrices, gap_mu):
+        """The design as an assertion (``tracemalloc``: deterministic, no
+        RSS): a fixed-μ density call never holds Σdᵢ²·8 B — the eigenvectors
+        of all submatrices — above its pre-call level; the canonical call,
+        which bisects on them, does."""
+        pair = water64_matrices
+        request = (pair.K, pair.S, pair.blocks)
+        config = EngineConfig(eps_filter=1e-3, backend="serial")
+        with SubmatrixContext(config) as ctx:
+            warm = ctx.density(*request, mu=gap_mu)  # plan and S^{-1/2} cached
+            spectra_bytes = 8 * sum(d * d for d in warm.submatrix_dimensions)
+            assert spectra_bytes > 30 * 2**20
+            peaks = {}
+            for name, ensemble in (
+                ("fixed_mu", dict(mu=gap_mu)),
+                ("canonical", dict(n_electrons=8.0 * 64)),
+            ):
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    ctx.density(*request, **ensemble)
+                    peaks[name] = tracemalloc.get_traced_memory()[1] - before
+                finally:
+                    tracemalloc.stop()
+        assert peaks["fixed_mu"] < spectra_bytes < peaks["canonical"]
+
+
+class TestCacheEntries:
+    """Entries are shared between requests and across windows: complete
+    when built, read-only afterwards."""
+
+    def test_entries_are_complete_and_read_only(self, water32_matrices, gap_mu):
+        pair = water32_matrices
+        entries = []
+        bisect = repro.api.observables._bisect_mu
+
+        def spying_bisect(config, decomposed, *args, **kwargs):
+            entries.extend(decomposed)
+            return bisect(config, decomposed, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repro.api.observables, "_bisect_mu", spying_bisect)
+            with SubmatrixContext(EngineConfig(eps_filter=1e-2)) as ctx:
+                ctx.density(pair.K, pair.S, pair.blocks, n_electrons=N_ELECTRONS)
+        assert len(entries) == 32
+        for entry in entries:
+            # the generating rows, one arange per generating block column
+            offsets = np.concatenate(([0], np.cumsum(entry.submatrix.block_sizes)))
+            rows = np.concatenate(
+                [
+                    np.arange(offsets[column], offsets[column + 1])
+                    for column in entry.submatrix.local_columns
+                ]
+            )
+            q_rows = entry.eigenvectors[rows, :]
+            assert entry.generating_slice.flags.c_contiguous
+            assert np.array_equal(entry.generating_slice, q_rows)
+            assert np.array_equal(entry.generating_weights, np.sum(q_rows**2, axis=0))
+            for name in (
+                "eigenvalues",
+                "eigenvectors",
+                "generating_slice",
+                "generating_weights",
+            ):
+                array = getattr(entry, name)
+                assert not array.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
 
 
 # --------------------------------------------------------------------------- #
@@ -424,6 +610,40 @@ class TestServedObservables:
         totals = stats["metrics"]["total"]
         assert totals["decomposition_hits"] >= 1
         assert totals["decomposition_misses"] >= 1
+
+    def test_decomposition_cache_is_bounded_by_bytes(
+        self, water32_matrices, monkeypatch
+    ):
+        """Eviction forced: the newest entry always fits, older ones go down
+        to ``MAX_DECOMPOSITION_BYTES`` — whatever the entry count allows."""
+        pair = water32_matrices
+        # eps 1e-5 keeps every block: 32 submatrices of the full dimension
+        n = pair.S.shape[0]
+        one_entry = 32 * (n * n + n) * 8
+        contents = [pair.K * scale for scale in (1.0, 1.01, 1.02)]
+
+        def submit(service, K):
+            service.density(K, pair.S, pair.blocks, n_electrons=N_ELECTRONS)
+            return service.stats()["decomposition_cache"]
+
+        monkeypatch.setattr(
+            repro.serve.batcher, "MAX_DECOMPOSITION_BYTES", 2 * one_entry
+        )
+        with DensityService(CONFIG, decomposition_ttl=60.0) as service:
+            for count, K in enumerate(contents[:2], start=1):
+                stats = submit(service, K)
+                assert (stats["entries"], stats["bytes"]) == (count, count * one_entry)
+            stats = submit(service, contents[2])  # evicts the oldest
+            assert (stats["entries"], stats["bytes"]) == (2, 2 * one_entry)
+            assert submit(service, contents[1])["hits"] == 1
+            assert submit(service, contents[0])["hits"] == 1  # it was gone
+            assert stats["misses"] == 3
+        monkeypatch.setattr(repro.serve.batcher, "MAX_DECOMPOSITION_BYTES", 1)
+        with DensityService(CONFIG, decomposition_ttl=60.0) as service:
+            submit(service, contents[0])
+            stats = submit(service, contents[1])
+            assert (stats["entries"], stats["bytes"]) == (1, one_entry)
+            assert submit(service, contents[1])["hits"] == 1
 
     def test_cache_disabled_by_default(self, water32_matrices):
         pair = water32_matrices

@@ -10,8 +10,13 @@ and order.  Every index array counts runs of ``plan.run = gcd(block sizes)``
 values, so the block grids are drawn with gcd 1, 2, 3 and 6, and a second
 property moves real values through ``pack`` / ``extract*`` / ``scatter*`` /
 ``finalize`` — full and sharded — against the per-submatrix kernels
-of ``repro.core.submatrix``.  Two last tests need no stopwatch and no
-benchmark: one counts interpreter-level calls on the 64-group water-64 plan
+of ``repro.core.submatrix``.  A third pins the panel path: the
+generating-column panel ``scatter_columns`` takes writes bitwise what
+``scatter`` writes for the full matrix (unsorted and non-adjacent generating
+columns, element-level plans, shard views), and the panel *product* of a
+spectral solver stays within 1e-14 of the sliced full product — the distance
+the re-stated reference-density tests rest on.  Two last tests need no
+stopwatch and no benchmark: one counts interpreter-level calls on the 64-group water-64 plan
 (a reintroduced per-block loop fails), one bounds the index bytes a used plan
 holds per submatrix element (a reintroduced element index or per-bucket memo
 fails).
@@ -28,7 +33,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.chem import orthogonalized_ks
-from repro.core.batch import Bucket, make_stack_tasks
+from repro.core.batch import Bucket, make_stack_tasks, map_stacks, spectral_panel
 from repro.core.plan import BlockSubmatrixPlan, ElementSubmatrixPlan, plan_nbytes
 from repro.core.shard import ShardedPlan
 from repro.core.submatrix import extract_block_submatrix
@@ -243,6 +248,113 @@ def test_values_through_full_and_sharded_plans_equal_the_kernels(case, seed):
     plan = BlockSubmatrixPlan(coo, sizes, groups)
     assert plan.run == np.gcd.reduce(sizes)
     assert_plan_moves_values_like_the_kernels(plan, coo, sizes, groups, ranks, seed)
+
+
+# --------------------------------------------------------------------------- #
+# the panel path: only the generating columns are formed and scattered
+# --------------------------------------------------------------------------- #
+def _shuffled(groups, seed):
+    """The same grouping with every group's columns in a random order."""
+    rng = np.random.default_rng(seed)
+    return [[int(c) for c in rng.permutation(group)] for group in groups]
+
+
+def assert_generating_rows_equal_the_column_loop(group):
+    """One ``arange`` per generating column, in the grouping's order."""
+    if group.offsets is None:
+        want = np.asarray(group.local_columns)
+    else:
+        want = np.concatenate(
+            [
+                np.arange(group.offsets[column], group.offsets[column + 1])
+                for column in group.local_columns
+            ]
+        )
+    assert np.array_equal(group.generating_rows(), want)
+
+
+def assert_panels_scatter_like_full_matrices(plan, ranks, seed):
+    """``scatter_columns(full[:, generating rows])`` == ``scatter(full)``,
+    through the plan and through every shard view."""
+    rng = np.random.default_rng(seed)
+    fulls = [rng.normal(size=(dim, dim)) for dim in plan.dimensions]
+    want, got = plan.new_output(), plan.new_output()
+    for index, (group, full) in enumerate(zip(plan.groups, fulls)):
+        assert_generating_rows_equal_the_column_loop(group)
+        plan.scatter(want, index, full)
+        # a column slice as a GEMM would deliver it: its own contiguous array
+        panel = np.ascontiguousarray(full[:, group.generating_rows()])
+        plan.scatter_columns(got, index, panel)
+        with pytest.raises(ValueError, match="panel must have shape"):
+            plan.scatter_columns(got, index, full[:, :0])
+    assert np.array_equal(got, want)
+    sharded = plan.new_output()
+    for shard in ShardedPlan(plan, ranks, 3).shards:
+        for slot, member in enumerate(shard.group_indices):
+            rows = shard.view.groups[slot].generating_rows()
+            shard.view.scatter_columns(
+                sharded, slot, np.ascontiguousarray(fulls[member][:, rows])
+            )
+    assert np.array_equal(sharded, want)
+
+
+@given(block_cases(), st.integers(0, 2**16))
+@settings(max_examples=120, deadline=None)
+def test_block_panels_scatter_bitwise_what_full_matrices_scatter(case, seed):
+    coo, sizes, groups, ranks = case
+    plan = BlockSubmatrixPlan(coo, sizes, _shuffled(groups, seed))
+    assert_panels_scatter_like_full_matrices(plan, ranks, seed)
+
+
+@given(element_cases(), st.integers(0, 2**16))
+@settings(max_examples=80, deadline=None)
+def test_element_panels_scatter_bitwise_what_full_matrices_scatter(case, seed):
+    matrix, groups, ranks = case
+    plan = ElementSubmatrixPlan(matrix, _shuffled(groups, seed))
+    assert plan.run == 1
+    assert_panels_scatter_like_full_matrices(plan, ranks, seed)
+
+
+def _spectral_solver(stack):
+    """A bounded spectral function in the form ``(values, vectors)``."""
+    eigenvalues, eigenvectors = np.linalg.eigh(stack)
+    return 1.0 / (1.0 + eigenvalues * eigenvalues), eigenvectors
+
+
+def _full_product_solver(stack):
+    values, vectors = _spectral_solver(stack)
+    return (vectors * values[:, None, :]) @ vectors.transpose(0, 2, 1)
+
+
+@given(block_cases(), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_panel_product_stays_within_1e14_of_the_sliced_full_product(case, seed):
+    """Panel delivery of the bucket loop against whole-matrix delivery of
+    the same spectral function: exact-dimension stacks and one padded stack.
+    Not bitwise — a d × w GEMM blocks differently from the d × d one — but
+    within a few ulp of the O(1) entries, the tolerance of
+    ``submatrix_reference.REFERENCE_DENSITY_ATOL``."""
+    coo, sizes, groups, ranks = case
+    plan = BlockSubmatrixPlan(coo, sizes, _shuffled(groups, seed))
+    packed = plan.pack(_matrix_on(coo, sizes, seed))
+    dimensions = plan.dimensions
+    padded_dim = -(-(max(dimensions) + plan.run + 1) // plan.run) * plan.run
+    for tasks in (
+        make_stack_tasks(dimensions),
+        [Bucket(padded_dim, list(range(plan.n_groups)))],
+    ):
+        panels, fulls = plan.new_output(), plan.new_output()
+        map_stacks(plan, packed, tasks, _spectral_solver, out=panels, pad_value=2.0)
+        map_stacks(plan, packed, tasks, _full_product_solver, out=fulls, pad_value=2.0)
+        assert np.max(np.abs(panels - fulls), initial=0.0) <= 1e-14
+    # and the panel function itself, per submatrix
+    for index, group in enumerate(plan.groups):
+        values, vectors = _spectral_solver(plan.extract(packed, index)[None])
+        rows = group.generating_rows()
+        panel = spectral_panel(vectors[0], values[0], vectors[0][rows])
+        full = (vectors[0] * values[0]) @ vectors[0].T
+        assert panel.shape == (group.dimension, rows.size)
+        assert np.max(np.abs(panel - full[:, rows]), initial=0.0) <= 1e-14
 
 
 def test_padded_stack_dimension_must_be_whole_runs():
