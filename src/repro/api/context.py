@@ -634,13 +634,22 @@ class SubmatrixContext:
         start: float,
         pipeline: Optional[DistributedSubmatrixPipeline] = None,
     ) -> SubmatrixMethodResult:
-        """Evaluate through a plan: pack, run the rank loop, finalize."""
+        """Evaluate through a plan: pack, run the rank loop, finalize.
+
+        The packed vector holds every stored value, so one look at its
+        extrema rejects NaN/Inf for every ``apply*`` entry point — an
+        iterative kernel would hand them back as a result, ``eigh`` die of
+        them mid-run.
+        """
+        packed = plan.pack(matrix)
+        if packed.size and not np.isfinite(max(packed.max(), -packed.min())):
+            raise ValueError("matrix contains non-finite values (NaN or Inf)")
         policy, report = self._resilience()
         dimensions = list(plan.dimensions)
         out = plan.new_output()
         run_stacks(
             plan,
-            plan.pack(matrix),
+            packed,
             stack_solver(bound.function, bound.batch_function),
             out,
             pipeline=pipeline,

@@ -1107,23 +1107,30 @@ def _occupation_stack_solver(kernel, mu: float, policy=None, report=None):
     ``report``, not raised.  A retried matrix restarts from its original
     shifted values, so a recovered solve is bitwise identical to a
     fault-free converged one.
+
+    No stack-sized temporary is built around the kernel: the stack is the
+    task's own freshly extracted buffer (:func:`~repro.core.batch.map_stacks`),
+    so μ comes off its diagonal in place, and sign → occupation is mapped in
+    place on the stack the kernel returned.
     """
     resilient = resilient_stack_solver(kernel, policy, report)
     bound = kernel.bind()
     plain = stack_solver(bound.function, bound.batch_function)
 
     def solve(stack: np.ndarray) -> np.ndarray:
-        identity = np.eye(stack.shape[-1])
-        shifted = stack - mu * identity
+        diagonal = np.arange(stack.shape[-1])
+        stack[:, diagonal, diagonal] -= mu
         if resilient is not None:
-            signs = np.asarray(resilient(shifted), dtype=float)
+            signs = np.asarray(resilient(stack), dtype=float)
         else:
-            signs = plain(shifted)
-        if signs.shape != shifted.shape:
+            signs = plain(stack)
+        if signs.shape != stack.shape:
             raise ValueError(
                 f"sign kernel {kernel.name!r} returned shape {signs.shape}, "
-                f"expected {shifted.shape}"
+                f"expected {stack.shape}"
             )
-        return 0.5 * (identity - signs)
+        np.subtract(np.eye(stack.shape[-1]), signs, out=signs)
+        signs *= 0.5
+        return signs
 
     return solve

@@ -197,7 +197,8 @@ def map_stacks(
     both are treated alike.
 
     Per task the stack is assembled (padded with ``pad_value``) and handed
-    to ``solve_stack``.  Without ``out`` the solver's return values are
+    over to ``solve_stack`` — a fresh buffer nothing else reads, so a solver
+    may work in it.  Without ``out`` the solver's return values are
     handed back in task order as they are — e.g. the ``(eigenvalues,
     eigenvectors)`` pair of ``numpy.linalg.eigh``.  With ``out`` the result
     is delivered straight into the packed output inside the task (scatter

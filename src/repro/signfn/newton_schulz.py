@@ -8,10 +8,27 @@ filtering after every multiplication) as the default algorithm for
 grand-canonical linear-scaling DFT; it is the baseline the submatrix method
 is compared against in the paper's Figs. 6, 7 and 10.
 
-Two variants are provided:
+The two dense routines evaluate the step as ``X + ½·(X − X³)``: the step
+itself is the convergence residual and no ``3I − X²`` intermediate exists.
 
-* :func:`sign_newton_schulz` — dense, used for reference results and for
-  solving individual submatrices;
+* :func:`sign_newton_schulz` — dense, one general matrix; the reference the
+  batched kernel is tested against (equal iteration counts, values within
+  1e-12);
+* :func:`sign_newton_schulz_batched` — the submatrix engine's kernel on a
+  ``(k, n, n)`` stack of *symmetric* matrices.  One call allocates three
+  stack-sized buffers — its working copy ``X`` and two work buffers — and
+  nothing per iteration: ``S = X·Xᵀ`` (``matmul(..., out=)``, which numpy
+  dispatches to ``syrk``: half the flops of a general product), ``Z = S·X``
+  (``out=``), ``Z ← X − Z`` in place, the residual from one ``einsum`` over
+  ``Z``, ``X += ½Z`` in place.  For symmetric ``X`` this is the iteration
+  above; in floating point it is the Newton–Schulz iteration for the
+  orthogonal polar factor, ``½(3I − XXᵀ)X``, which damps the antisymmetric
+  rounding error between the two sign subspaces and leaves the rest
+  untouched.  The order of the second product matters: ``X·(X·Xᵀ)``
+  *doubles* that error every iteration (3e-13 after 10 iterations, overflow
+  near 60 — a matrix with a 1e-3 relative gap never converges), ``(X·Xᵀ)·X``
+  holds it at rounding level through hundreds.  The converged stack is
+  symmetrised once, so the result is exactly symmetric;
 * :func:`sign_newton_schulz_sparse` — operates on ``scipy.sparse`` matrices
   and filters elements below ``eps_filter`` after every iteration, which
   mirrors the CP2K behaviour where the filtering threshold also serves as
@@ -38,6 +55,11 @@ __all__ = [
     "sign_newton_schulz_sparse",
     "sign_newton_schulz_filtered_dense",
 ]
+
+
+#: Largest ``|X − Xᵀ|`` of a prescaled matrix the batched (polar-form) kernel
+#: accepts as symmetric; the eigendecomposition kernel's tolerance.
+_SYMMETRY_TOLERANCE = 1e-8
 
 
 @dataclasses.dataclass
@@ -87,7 +109,8 @@ def sign_newton_schulz(
         The iteration stops when ||X_{k+1} − X_k||_F / sqrt(n) falls below
         this threshold.
     max_iterations:
-        Hard iteration cap.
+        Hard iteration cap.  A non-finite residual (NaN/Inf input, overflow)
+        also ends the iteration, as not converged.
     track_involutority:
         Record ||X² − I||_F each iteration (used by the precision study).
     """
@@ -97,23 +120,23 @@ def sign_newton_schulz(
         raise ValueError("sign function requires a square matrix")
     scale = spectral_scale_estimate(x)
     x /= scale
-    identity = np.eye(n)
     residual_history: List[float] = []
     involutority_history: List[float] = []
     flops = 0.0
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        x_squared = x @ x
-        update = 0.5 * (x @ (3.0 * identity - x_squared))
+        step = x - x @ (x @ x)
         flops += 2.0 * (2.0 * n**3)
-        residual = float(np.linalg.norm(update - x)) / np.sqrt(n)
+        residual = 0.5 * float(np.linalg.norm(step)) / np.sqrt(n)
         residual_history.append(residual)
-        x = update
+        step *= 0.5
+        x += step
         if track_involutority:
             involutority_history.append(involutority_error(x))
-        if residual < convergence_threshold:
-            converged = True
+        converged = residual < convergence_threshold
+        # a non-finite residual never recovers: stop, not converged
+        if converged or not np.isfinite(residual):
             break
     return NewtonSchulzResult(
         sign=x,
@@ -149,45 +172,80 @@ def sign_newton_schulz_batched(
     stack: np.ndarray,
     convergence_threshold: float = 1e-10,
     max_iterations: int = 100,
+    shift: float = 0.0,
 ) -> BatchedNewtonSchulzResult:
-    """2nd-order Newton–Schulz iteration on a ``(k, n, n)`` stack.
+    """sign(A − shift·I) for a ``(k, n, n)`` stack of symmetric matrices.
 
     Batched counterpart of :func:`sign_newton_schulz` for the bucketed batch
-    evaluator: each matrix is prescaled by its own spectral-radius bound and
-    iterated with stacked GEMMs, so one Python-level loop drives all ``k``
-    iterations simultaneously.  A matrix is frozen as soon as its own
-    residual ``||X_{k+1} − X_k||_F / sqrt(n)`` drops below the threshold,
-    which makes the per-matrix iterate sequences identical to the unbatched
-    routine.
+    evaluator.  Each matrix is prescaled by its own spectral-radius bound,
+    iterated with stacked products (one BLAS call per matrix and product)
+    and frozen as soon as its own residual ``||X_{k+1} − X_k||_F / sqrt(n)``
+    drops below the threshold — or turns non-finite, which freezes it as
+    *not* converged — so ``iterations``/``converged`` equal the unbatched
+    routine's and every matrix's values are bitwise independent of what else
+    is in the stack (a matrix retried alone reproduces its in-stack result).
+
+    ``stack`` is never written to.  The call allocates its working copy
+    (whose diagonal takes the ``shift``) and two work buffers of the stack's
+    size, and nothing per iteration (see the module docstring for the update
+    form); frozen matrices stay in the working copy while the active ones
+    are compacted — one fancy-index copy, one write-back — only in an
+    iteration where some matrix actually froze.  The result is symmetrised
+    once, so ``sign`` is exactly symmetric.  The ``(X·Xᵀ)·X`` form converges
+    to the orthogonal polar factor, which is the sign only for symmetric
+    input: a stack asymmetric beyond 1e-8 (relative to the prescale) raises
+    ``ValueError``, like the eigendecomposition kernel.
     """
     x = np.array(stack, dtype=float)
     if x.ndim != 3 or x.shape[-1] != x.shape[-2]:
         raise ValueError("expected a (k, n, n) stack of square matrices")
     count, n, _ = x.shape
-    abs_x = np.abs(x)
-    one_norm = abs_x.sum(axis=1).max(axis=1)
-    inf_norm = abs_x.sum(axis=2).max(axis=1)
+    diagonal = np.arange(n)
+    x[:, diagonal, diagonal] -= shift
+    x_squared, step = np.empty_like(x), np.empty_like(x)
+    np.abs(x, out=step)
+    one_norm = step.sum(axis=1).max(axis=1)
+    inf_norm = step.sum(axis=2).max(axis=1)
     scale = np.sqrt(one_norm * inf_norm)
     scale[scale == 0.0] = 1.0
     x /= scale[:, None, None]
-    identity = np.eye(n)
+    np.subtract(x, x.transpose(0, 2, 1), out=step)
+    asymmetry = float(np.abs(step, out=step).max()) if x.size else 0.0
+    if asymmetry > _SYMMETRY_TOLERANCE:
+        raise ValueError(
+            f"stack is not symmetric (max asymmetry {asymmetry:.3e} of the "
+            f"prescaled matrices exceeds {_SYMMETRY_TOLERANCE:.0e})"
+        )
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     active = np.arange(count)
+    xa = x  # the active iterates: x itself until the first freeze
+    residual_factor = 0.5 / np.sqrt(n)
     for _ in range(max_iterations):
         if active.size == 0:
             break
-        xa = x[active]
-        x_squared = xa @ xa
-        update = 0.5 * (xa @ (3.0 * identity - x_squared))
-        residual = np.linalg.norm(update - xa, axis=(1, 2)) / np.sqrt(n)
-        x[active] = update
+        s, z = x_squared[: active.size], step[: active.size]
+        np.matmul(xa, xa.transpose(0, 2, 1), out=s)
+        np.matmul(s, xa, out=z)
+        np.subtract(xa, z, out=z)
+        flat = z.reshape(active.size, -1)
+        residual = residual_factor * np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        z *= 0.5
+        xa += z
         iterations[active] += 1
         done = residual < convergence_threshold
-        converged[active[done]] = True
-        active = active[~done]
+        frozen = done | ~np.isfinite(residual)
+        if frozen.any():
+            converged[active[done]] = True
+            if xa is not x:
+                x[active[frozen]] = xa[frozen]
+            active, xa = active[~frozen], xa[~frozen]
+    if xa is not x:
+        x[active] = xa
+    np.add(x, x.transpose(0, 2, 1), out=step)
+    step *= 0.5
     return BatchedNewtonSchulzResult(
-        sign=x, iterations=iterations, converged=converged
+        sign=step, iterations=iterations, converged=converged
     )
 
 

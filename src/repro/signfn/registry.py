@@ -104,7 +104,9 @@ class MatrixFunction:
     make:
         Factory ``make(**params)`` returning the per-matrix callable.
     make_batched:
-        Optional factory returning the batched ``(k, d, d)`` callable.
+        Optional factory returning the batched ``(k, d, d)`` callable.  It
+        returns a stack of its own: the density driver maps sign →
+        occupation in place on what it gets back.
     matrix_function:
         Whether the kernel is a genuine matrix function (padding-safe).
     iterative:
@@ -366,15 +368,16 @@ def _make_newton_schulz(mu: float = 0.0):
 
 
 def _make_newton_schulz_batched(mu: float = 0.0):
-    return lambda stack: sign_newton_schulz_batched(_shift(stack, mu)).sign
+    # the kernel shifts the diagonal of its own working copy
+    return lambda stack: sign_newton_schulz_batched(stack, shift=mu).sign
 
 
 def _make_newton_schulz_checked(mu: float = 0.0):
     def checked(stack, max_iterations: int = DEFAULT_SIGN_MAX_ITERATIONS):
         result = sign_newton_schulz_batched(
-            _shift(stack, mu), max_iterations=max_iterations
+            stack, max_iterations=max_iterations, shift=mu
         )
-        return result.sign, np.asarray(result.converged, dtype=bool)
+        return result.sign, result.converged
 
     return checked
 

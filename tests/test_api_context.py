@@ -373,6 +373,27 @@ class TestApplyEquivalence:
         with pytest.raises(TypeError):
             SubmatrixContext().apply(np.eye(4), "eigen")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kernel", ["newton_schulz", "eigen"])
+    def test_non_finite_matrix_is_rejected(self, kernel, bad):
+        """One NaN on the diagonal of a 120² banded matrix used to come back
+        from ``"newton_schulz"`` as a result holding 167 NaNs and to kill
+        ``"eigen"`` with an opaque LinAlgError."""
+        n, size = 120, 6
+        dense = np.diag(np.linspace(-2.0, 2.0, n) + 0.05)
+        dense += 0.1 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        dense[7, 7] = bad
+        csr = sp.csr_matrix(dense)
+        blocked = block_matrix_from_csr(csr, [size] * (n // size))
+        with SubmatrixContext() as ctx:
+            for matrix, ranks in ((csr, None), (blocked, None), (blocked, 2)):
+                with pytest.raises(ValueError, match="matrix contains non-finite"):
+                    ctx.apply(matrix, kernel, ranks=ranks)
+            with pytest.raises(ValueError, match="matrix contains non-finite"):
+                ctx.apply_elementwise(csr, kernel)
+            with pytest.raises(ValueError, match="matrix contains non-finite"):
+                ctx.apply_blockwise(blocked, kernel)
+
     def test_stale_plan_or_pattern_is_rejected(self):
         """``plan=`` / ``coo=`` of an older pattern: the new blocks used to be
         dropped in ``pack`` and f of the *old* pattern came back (max error

@@ -185,6 +185,8 @@ class TestAlternativeSolvers:
         )
         difference = abs(eigen.band_energy - iterative.band_energy) / water32.n_atoms
         assert difference * 1000 < 0.5
+        # T = 0: the eigen route's occupations are the same step function
+        assert np.abs(eigen.density_ao - iterative.density_ao).max() < 1e-8
 
     def test_thread_backend_matches_serial(self, water32_matrices, gap_mu):
         serial = density(water32_matrices, mu=gap_mu, eps_filter=1e-5)

@@ -1,5 +1,7 @@
 """Tests for the matrix sign function algorithms and inverse p-th roots."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,7 @@ from repro.signfn import (
     involutority_error,
     pade_polynomial_coefficients,
     sign_newton_schulz,
+    sign_newton_schulz_batched,
     sign_newton_schulz_sparse,
     sign_pade,
     sign_via_eigendecomposition,
@@ -105,6 +108,127 @@ class TestNewtonSchulz:
         matrix, _ = make_sign_test_matrix(rng, n=20)
         result = sign_newton_schulz(matrix)
         assert result.flops == pytest.approx(result.iterations * 4 * 20**3)
+
+    def test_non_finite_residual_stops_not_converged(self, rng):
+        matrix, _ = make_sign_test_matrix(rng, n=12)
+        matrix[3, 3] = np.nan
+        result = sign_newton_schulz(matrix)
+        assert result.iterations == 1
+        assert not result.converged
+
+
+def gapped_stack(rng, gaps, n):
+    """Symmetric matrices whose smallest |eigenvalue| is ``gaps[i]`` — the
+    smaller the gap, the later the member converges."""
+    stack = []
+    for gap in gaps:
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        eigenvalues = np.concatenate(
+            [rng.uniform(-2.0, -gap, size=n // 2), rng.uniform(gap, 2.0, size=n - n // 2)]
+        )
+        eigenvalues[0], eigenvalues[-1] = -gap, gap
+        matrix = (q * eigenvalues) @ q.T
+        stack.append(0.5 * (matrix + matrix.T))
+    return np.array(stack)
+
+
+class TestNewtonSchulzBatched:
+    """The kernel contract of the submatrix engine's iterative path."""
+
+    # members freeze in the order 1, 3, 0, 4; member 2 never does within 24
+    GAPS = (0.1, 1.5, 1e-5, 0.4, 1e-2)
+    BUDGET = 24
+
+    def test_iterations_and_convergence_match_single(self, rng):
+        stack = gapped_stack(rng, self.GAPS, n=23)
+        batched = sign_newton_schulz_batched(stack, max_iterations=self.BUDGET)
+        assert len(set(batched.iterations)) == len(self.GAPS)
+        assert batched.converged.tolist() == [True, True, False, True, True]
+        assert batched.iterations[2] == self.BUDGET
+        for index, matrix in enumerate(stack):
+            single = sign_newton_schulz(matrix, max_iterations=self.BUDGET)
+            assert batched.iterations[index] == single.iterations
+            assert batched.converged[index] == single.converged
+            assert np.allclose(batched.sign[index], single.sign, rtol=0.0, atol=1e-12)
+
+    def test_values_independent_of_stack_composition(self, rng):
+        stack = gapped_stack(rng, self.GAPS, n=23)
+        whole = sign_newton_schulz_batched(stack, max_iterations=self.BUDGET)
+        order = np.array([3, 0, 4, 2, 1])
+        permuted = sign_newton_schulz_batched(stack[order], max_iterations=self.BUDGET)
+        assert np.array_equal(permuted.sign, whole.sign[order])
+        assert np.array_equal(permuted.iterations, whole.iterations[order])
+        for index in range(len(stack)):
+            alone = sign_newton_schulz_batched(
+                stack[index : index + 1], max_iterations=self.BUDGET
+            )
+            assert np.array_equal(alone.sign[0], whole.sign[index])
+            assert alone.converged[0] == whole.converged[index]
+
+    def test_nearly_singular_member_converges_like_single(self, rng):
+        """~50 iterations: an update that lets antisymmetric rounding grow
+        (X·(X·Xᵀ) doubles it every step) overflows long before."""
+        stack = gapped_stack(rng, (1e-7, 0.5), n=23)
+        batched = sign_newton_schulz_batched(stack)
+        single = sign_newton_schulz(stack[0])
+        assert batched.converged.all() and single.converged
+        assert batched.iterations[0] == single.iterations > 40
+        eigenvalues, q = np.linalg.eigh(stack[0])
+        exact = (q * np.sign(eigenvalues)) @ q.T
+        assert np.abs(batched.sign[0] - exact).max() < 1e-8
+
+    def test_argument_not_mutated_and_shift_on_the_copy(self, rng):
+        stack = gapped_stack(rng, (0.3, 0.5), n=10)
+        before = stack.copy()
+        shifted = sign_newton_schulz_batched(stack, shift=0.125)
+        assert np.array_equal(stack, before)
+        explicit = sign_newton_schulz_batched(stack - 0.125 * np.eye(10))
+        assert np.array_equal(shifted.sign, explicit.sign)
+        assert np.array_equal(shifted.iterations, explicit.iterations)
+
+    def test_accuracy_and_symmetry_against_eigendecomposition(self, rng):
+        stack = gapped_stack(rng, (0.05,) * 6, n=96)
+        result = sign_newton_schulz_batched(stack)
+        assert result.converged.all()
+        eigenvalues, q = np.linalg.eigh(stack)
+        exact = (q * np.sign(eigenvalues)[:, None, :]) @ q.transpose(0, 2, 1)
+        assert np.abs(result.sign - exact).max() <= 1e-14
+        assert np.abs(result.sign - result.sign.transpose(0, 2, 1)).max() <= 1e-15
+
+    def test_allocates_three_buffers_and_nothing_per_iteration(self, rng):
+        # nobody converges within 12 iterations, so no compaction copy either
+        stack = gapped_stack(rng, (1e-6,) * 8, n=96)
+        sign_newton_schulz_batched(stack, max_iterations=1)  # warm einsum/matmul
+
+        def peak(max_iterations):
+            tracemalloc.start()
+            try:
+                result = sign_newton_schulz_batched(stack, max_iterations=max_iterations)
+                assert not result.converged.any()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(3), peak(12)
+        # working copy + two work buffers; one stack-sized temporary in the
+        # loop would read 4x, one kept per iteration would grow with the count
+        assert many <= 3.5 * stack.nbytes
+        assert abs(many - few) < stack[0].nbytes
+
+    def test_non_finite_member_freezes_at_once(self, rng):
+        stack = gapped_stack(rng, (0.2, 0.2, 0.2), n=12)
+        clean = sign_newton_schulz_batched(stack)
+        stack[1, 4, 4] = np.nan
+        result = sign_newton_schulz_batched(stack)
+        assert result.iterations[1] == 1
+        assert result.converged.tolist() == [True, False, True]
+        assert np.array_equal(result.sign[[0, 2]], clean.sign[[0, 2]])
+
+    def test_asymmetric_stack_rejected(self, rng):
+        stack = gapped_stack(rng, (0.2, 0.2), n=8)
+        stack[1, 0, 5] += 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            sign_newton_schulz_batched(stack)
 
 
 class TestNewtonSchulzSparse:
