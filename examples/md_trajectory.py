@@ -24,12 +24,9 @@ exactly this loop through one session:
   its plan once per new pattern and returns to a cached one when a pattern
   comes back, and ``warm_start_mu=True`` seeds each canonical step's
   μ-bisection from the previous step's μ;
-* long trajectories survive failures: ``checkpoint=path`` persists every
-  completed step so a killed run resumes at the failed step (bitwise
-  identical to the uninterrupted run, including warm-started μ state), and
-  an active ``ResiliencePolicy`` retries crashed ranks — re-executing the
-  lost shard work bitwise — with the recovery counters surfaced on
-  ``TrajectoryStats``.
+* long trajectories survive a killed process: ``checkpoint=path`` persists
+  every completed step so a killed run resumes at the failed step (bitwise
+  identical to the uninterrupted run, including warm-started μ state).
 
 Run with:  python examples/md_trajectory.py
 """
@@ -40,8 +37,7 @@ import tempfile
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api import EngineConfig, ResiliencePolicy, SubmatrixContext
-from repro.parallel.faults import FaultInjector, FaultPlan
+from repro.api import EngineConfig, SubmatrixContext
 from repro.chem import HamiltonianModel, build_matrices, water_box
 from repro.chem.orthogonalize import orthogonalized_ks
 from repro.dbcsr.convert import block_matrix_from_csr
@@ -234,7 +230,7 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------ #
-    # 6. resilience: checkpoint/resume and rank-crash recovery
+    # 6. checkpoint/resume
     # ------------------------------------------------------------------ #
     # a killed trajectory resumes from its checkpoint: completed steps are
     # loaded (bitwise, including the warm-start μ state), only the failed
@@ -278,33 +274,6 @@ def main() -> None:
         f"{resumed.stats.steps_resumed} step(s) loaded from disk, "
         f"{resumed.stats.n_steps - resumed.stats.steps_resumed} recomputed; "
         f"bitwise identical to the uninterrupted run: {resumed_identical}"
-    )
-
-    # a deterministic fault injector crashes rank 1 once per step; the
-    # resilience policy retries it, reassigning the lost shard work — the
-    # densities stay bitwise identical and the stats count the recoveries
-    resilient_config = EngineConfig(
-        engine="batched",
-        eps_filter=EPS_FILTER,
-        resilience=ResiliencePolicy(
-            fault_injector=FaultInjector(
-                FaultPlan.rank_crashes([1], seed=3, times=None, period=2)
-            )
-        ),
-    )
-    with SubmatrixContext(resilient_config) as context:
-        survived = context.trajectory(
-            steps, pair.blocks, n_electrons=n_electrons, ranks=2
-        )
-    survived_identical = all(
-        np.array_equal(survived[i].density_ao, trajectory[i].density_ao)
-        for i in range(len(steps))
-    )
-    print(
-        f"injected rank crashes (2 ranks): {survived.stats.retries} rank "
-        f"retrie(s), {survived.stats.reassigned_stacks} submatrix stack(s) "
-        f"reassigned over {survived.stats.n_steps} steps; bitwise identical "
-        f"to the fault-free run: {survived_identical}"
     )
 
 

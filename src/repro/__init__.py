@@ -59,7 +59,6 @@ from repro.api import (
     BoundKernel,
     EngineConfig,
     MatrixFunction,
-    ResiliencePolicy,
     SubmatrixContext,
     SubmatrixDFTResult,
     SubmatrixMethodResult,
@@ -85,7 +84,6 @@ __all__ = [
     "ServiceOverloadError",
     "__version__",
     "EngineConfig",
-    "ResiliencePolicy",
     "SubmatrixContext",
     "SubmatrixMethodResult",
     "SubmatrixDFTResult",

@@ -23,7 +23,6 @@ from repro.api.config import (
     EIGENSOLVE_FLOP_CONSTANT,
     ENGINES,
     EngineConfig,
-    ResiliencePolicy,
 )
 from repro.api.checkpoint import CheckpointError, TrajectoryCheckpoint
 from repro.api.results import (
@@ -54,7 +53,6 @@ from repro.api.trajectory import (
 )
 from repro.signfn.registry import (
     BoundKernel,
-    KernelConvergenceError,
     MatrixFunction,
     SIGN_SOLVERS,
     UnknownKernelError,
@@ -71,10 +69,8 @@ __all__ = [
     "BACKENDS",
     "BALANCE_STRATEGIES",
     "EIGENSOLVE_FLOP_CONSTANT",
-    "ResiliencePolicy",
     "TrajectoryCheckpoint",
     "CheckpointError",
-    "KernelConvergenceError",
     "SubmatrixContext",
     "TrajectoryResult",
     "TrajectoryStats",

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zipfile
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -202,14 +203,16 @@ class TrajectoryCheckpoint:
                 ],
                 dtype=np.float64,
             ),
+            # slots 2, 3 and 5 are retired (always 0, ignored on load); the
+            # layout stays what older code reads and writes
             "counters": np.asarray(
                 [
                     result.mu_iterations,
                     result.n_ranks,
-                    result.retries,
-                    result.reassigned_stacks,
+                    0,
+                    0,
                     result.kernel_fallbacks,
-                    int(result.degraded),
+                    0,
                 ],
                 dtype=np.int64,
             ),
@@ -298,7 +301,7 @@ class TrajectoryCheckpoint:
                         observable_arrays.setdefault(name, {})[suffix] = (
                             np.array(data[key])
                         )
-        except (OSError, ValueError, KeyError) as error:
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as error:
             raise CheckpointError(
                 f"corrupt checkpoint step file {step_path}: {error!r}"
             ) from error
@@ -316,10 +319,7 @@ class TrajectoryCheckpoint:
             pattern_fingerprint=fingerprint or None,
             segment_fetch_bytes=_nan_to_none(scalars[5]),
             block_fetch_bytes=_nan_to_none(scalars[6]),
-            retries=int(counters[2]),
-            reassigned_stacks=int(counters[3]),
             kernel_fallbacks=int(counters[4]),
-            degraded=bool(counters[5]),
         )
         if observable_names is None:
             return density

@@ -23,12 +23,11 @@ from repro.parallel.executor import default_worker_count
 
 __all__ = [
     "EngineConfig",
-    "ResiliencePolicy",
     "ENGINES",
     "BACKENDS",
     "BALANCE_STRATEGIES",
     "EIGENSOLVE_FLOP_CONSTANT",
-    "check_ranks",
+    "check_positive_int",
 ]
 
 #: The one execution engine: cached extraction plans plus bucketed stacks of
@@ -56,157 +55,23 @@ BALANCE_STRATEGIES = ("chunks", "stacks")
 EIGENSOLVE_FLOP_CONSTANT = 9.0
 
 
-def check_ranks(ranks, name: str = "ranks") -> Optional[int]:
-    """The one check of a rank count (``None``: not given).
+def check_positive_int(value, name: str) -> Optional[int]:
+    """The one check of a positive-integer setting (``None``: not given).
 
-    Shared by :attr:`EngineConfig.n_ranks` and the per-call ``ranks=`` of
-    ``apply``, ``density``/``observables``, ``trajectory`` and the serving
-    layer's ``submit``: anything but a positive integer is an error (a float
-    or a bool would otherwise silently truncate to some rank count).
+    Shared by the integer fields of :class:`EngineConfig` (``n_ranks``,
+    ``max_workers``, ``plan_cache_size``, an integer ``bucket_pad``) and the
+    per-call ``ranks=`` of ``apply``, ``density``/``observables``,
+    ``trajectory`` and the serving layer's ``submit``: a float or a bool is
+    a :class:`TypeError` (it would otherwise silently truncate to some
+    count), zero or a negative count a :class:`ValueError`.
     """
-    if ranks is None:
+    if value is None:
         return None
-    if isinstance(ranks, bool) or not isinstance(ranks, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {ranks!r}")
-    if ranks < 1:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
         raise ValueError(f"{name} must be positive")
-    return int(ranks)
-
-
-@dataclasses.dataclass(frozen=True)
-class ResiliencePolicy:
-    """Failure-handling policy of the submatrix engine.
-
-    Carried on :class:`EngineConfig` and threaded through
-    :class:`~repro.api.context.SubmatrixContext` →
-    :func:`~repro.core.runner.run_stacks` and the iterative sign kernels,
-    for f(A) and densities alike.  Every recovery path
-    preserves the engine's bitwise-identity discipline: a retried rank
-    re-executes the *same* shard closure (scatter ranges are disjoint and
-    idempotent), a retried kernel restarts the iteration from the original
-    shifted submatrix (per-matrix iterates are independent of the stack
-    composition), and the degraded single-process batched engine is the
-    very path the sharded pipeline is property-tested against — so a
-    recovered run equals the fault-free run bit for bit.
-
-    Attributes
-    ----------
-    max_rank_retries:
-        Retry rounds for failed pipeline rank tasks before the run is
-        declared failed (and, with ``degrade_to_batched``, degraded).  The
-        default 1 recovers every transient single-fault scenario at the
-        cost of one re-execution.
-    rank_rebalance:
-        Reassign a failed rank's shard work to the surviving ranks via the
-        existing LPT load-balance machinery
-        (:func:`~repro.core.load_balance.assign_balanced_stacks`) instead
-        of retrying it in place.  Affects bookkeeping (which survivor is
-        billed) and the ``reassigned_stacks`` counter, never results.
-    backoff_base:
-        Seconds slept before retry round *r*: ``backoff_base · 2^(r−1)``.
-        The default 0 keeps tests and simulations instantaneous; real
-        deployments would set tens of milliseconds.
-    stage_timeout:
-        Wall-clock budget in seconds for one pipeline stage *including*
-        its retry rounds; once exceeded, no further retries are attempted
-        and the stage fails over to degradation.  ``None`` (default) means
-        no timeout — the simulated substrate cannot hang.
-    kernel_retries:
-        Convergence retries of an iterative sign kernel
-        (``newton_schulz``/``pade``) per stack before falling back.  Each
-        retry restarts the non-converged matrices from their original
-        shifted values with an iteration budget scaled by
-        ``kernel_retry_growth`` — a genuine tightened-parameter retry, and
-        bitwise identical to a fault-free solve once it converges.
-    kernel_retry_growth:
-        Multiplier applied to the iteration budget per kernel retry round
-        (default 4: 100 → 400 → 1600 iterations).
-    kernel_fallback:
-        Registered kernel evaluating any still-non-converged submatrices
-        after the retries (default ``"eigen"``, the paper's robust dense
-        solver).  ``None`` raises
-        :class:`~repro.signfn.registry.KernelConvergenceError` instead.
-        Fallbacks are *recorded* (``kernel_fallbacks`` counters), never
-        raised.
-    degrade_to_batched:
-        After ``max_rank_retries`` exhausted rounds, re-run the whole
-        evaluation through the single-process batched engine (bitwise
-        identical to the sharded path) instead of raising.  With ``False``
-        the pipeline raises
-        :class:`~repro.core.runner.PipelineExecutionError`.
-    fault_injector:
-        Optional :class:`~repro.parallel.faults.FaultInjector` consulted at
-        the ``"rank"`` and ``"kernel"`` sites — the deterministic test
-        substrate for all of the above.  Excluded from equality/hashing.
-    """
-
-    max_rank_retries: int = 1
-    rank_rebalance: bool = True
-    backoff_base: float = 0.0
-    stage_timeout: Optional[float] = None
-    kernel_retries: int = 1
-    kernel_retry_growth: float = 4.0
-    kernel_fallback: Optional[str] = "eigen"
-    degrade_to_batched: bool = True
-    fault_injector: Optional[object] = dataclasses.field(
-        default=None, compare=False
-    )
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> "ResiliencePolicy":
-        """Check every field; returns ``self`` so calls can be chained."""
-        if self.max_rank_retries < 0:
-            raise ValueError("max_rank_retries must be non-negative")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be non-negative")
-        if self.stage_timeout is not None and self.stage_timeout <= 0:
-            raise ValueError("stage_timeout must be positive (or None)")
-        if self.kernel_retries < 0:
-            raise ValueError("kernel_retries must be non-negative")
-        if self.kernel_retry_growth < 1.0:
-            raise ValueError("kernel_retry_growth must be at least 1")
-        if self.kernel_fallback is not None and not isinstance(
-            self.kernel_fallback, str
-        ):
-            raise ValueError("kernel_fallback must be a kernel name or None")
-        return self
-
-    def replace(self, **changes) -> "ResiliencePolicy":
-        """A validated copy with ``changes`` applied."""
-        return dataclasses.replace(self, **changes)
-
-    @classmethod
-    def disabled(cls) -> "ResiliencePolicy":
-        """Policy with every recovery mechanism off (the PR-5 behaviour).
-
-        Used as the baseline of ``benchmarks/bench_fault_recovery.py``:
-        with this policy the engine takes the exact pre-resilience code
-        paths, so the benchmark isolates the overhead of the layer.
-        """
-        return cls(
-            max_rank_retries=0,
-            rank_rebalance=False,
-            kernel_retries=0,
-            kernel_fallback=None,
-            degrade_to_batched=False,
-        )
-
-    @property
-    def active(self) -> bool:
-        """Whether any recovery mechanism (or an injector) is configured.
-
-        An inactive policy short-circuits to the unguarded pre-resilience
-        execution paths, so it costs nothing.
-        """
-        return bool(
-            self.max_rank_retries > 0
-            or self.kernel_retries > 0
-            or self.kernel_fallback is not None
-            or self.degrade_to_batched
-            or self.fault_injector is not None
-        )
+    return int(value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -245,14 +110,9 @@ class EngineConfig:
         2 for closed-shell systems.
     plan_cache_size:
         Capacity of the session's private :class:`~repro.core.plan.PlanCache`.
-    resilience:
-        The session's :class:`ResiliencePolicy` (rank retry/rebalance,
-        kernel degradation, graceful fallback to the batched engine).  The
-        default policy retries once, falls back to ``eigen`` on kernel
-        non-convergence and degrades to the single-process engine on
-        persistent pipeline failure; use
-        :meth:`ResiliencePolicy.disabled` for the bare pre-resilience
-        behaviour.
+
+    ``max_workers``, ``n_ranks``, ``plan_cache_size`` and an integer
+    ``bucket_pad`` pass :func:`check_positive_int`.
     """
 
     engine: str = "batched"
@@ -265,9 +125,6 @@ class EngineConfig:
     temperature: float = 0.0
     spin_degeneracy: float = 2.0
     plan_cache_size: int = 64
-    resilience: ResiliencePolicy = dataclasses.field(
-        default_factory=ResiliencePolicy
-    )
 
     def __post_init__(self):
         self.validate()
@@ -280,32 +137,26 @@ class EngineConfig:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        if self.bucket_pad is not None:
-            if isinstance(self.bucket_pad, str):
-                if self.bucket_pad != "auto":
-                    raise ValueError(
-                        "bucket_pad must be a positive integer, None or 'auto'"
-                    )
-            elif int(self.bucket_pad) < 1:
-                raise ValueError("bucket_pad must be a positive integer")
+        check_positive_int(self.max_workers, "max_workers")
+        if isinstance(self.bucket_pad, str):
+            if self.bucket_pad != "auto":
+                raise ValueError(
+                    "bucket_pad must be a positive integer, None or 'auto'"
+                )
+        else:
+            check_positive_int(self.bucket_pad, "bucket_pad")
         if self.balance not in BALANCE_STRATEGIES:
             raise ValueError(
                 f"balance must be one of {BALANCE_STRATEGIES}, got {self.balance!r}"
             )
-        check_ranks(self.n_ranks, "n_ranks")
+        check_positive_int(self.n_ranks, "n_ranks")
         if self.eps_filter < 0:
             raise ValueError("eps_filter must be non-negative")
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
         if self.spin_degeneracy <= 0:
             raise ValueError("spin_degeneracy must be positive")
-        if self.plan_cache_size < 1:
-            raise ValueError("plan_cache_size must be at least 1")
-        if not isinstance(self.resilience, ResiliencePolicy):
-            raise ValueError("resilience must be a ResiliencePolicy")
-        self.resilience.validate()
+        check_positive_int(self.plan_cache_size, "plan_cache_size")
         return self
 
     def resolved(self) -> "EngineConfig":

@@ -27,9 +27,10 @@ and exposes the workloads of the paper as methods:
 All of them execute through the one rank loop
 (:func:`repro.core.runner.run_stacks`): single-process by default, or — with
 ``ranks=`` / ``config.n_ranks > 1`` — sharded over simulated ranks, bitwise
-identical and under the session's
-:class:`~repro.api.config.ResiliencePolicy`.  A sharded run's per-rank work
-and traffic are read from its pipeline, :meth:`SubmatrixContext.pipeline`.
+identical.  A sharded run's per-rank work and traffic are read from its
+pipeline, :meth:`SubmatrixContext.pipeline`.  An exception in a stack or a
+rank task reaches the caller as it happened, wrapped with the failing task's
+index (:class:`~repro.parallel.executor.TaskExecutionError`).
 """
 
 from __future__ import annotations
@@ -46,10 +47,9 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.config import EngineConfig, ResiliencePolicy, check_ranks
+from repro.api.config import EngineConfig, check_positive_int
 from repro.api.results import SubmatrixMethodResult
 from repro.chem.orthogonalize import loewdin_inverse_sqrt
-from repro.core.batch import stack_solver
 from repro.core.combination import ColumnGrouping, single_column_groups
 from repro.core.load_balance import resolve_bucket_pad
 from repro.core.plan import (
@@ -59,15 +59,11 @@ from repro.core.plan import (
     block_plan,
     element_plan,
 )
-from repro.core.runner import (
-    DistributedSubmatrixPipeline,
-    ResilienceReport,
-    run_stacks,
-)
+from repro.core.runner import DistributedSubmatrixPipeline, run_stacks
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.coo import CooBlockList
 from repro.parallel.executor import make_executor, map_parallel
-from repro.signfn.registry import BoundKernel, resolve_kernel
+from repro.signfn.registry import BoundKernel, KernelStackSolver, resolve_kernel
 
 __all__ = ["SubmatrixContext", "matrix_fingerprint"]
 
@@ -453,16 +449,6 @@ class SubmatrixContext:
             )
         return pad
 
-    def _resilience(
-        self,
-    ) -> Tuple[Optional[ResiliencePolicy], Optional[ResilienceReport]]:
-        """The session's active policy and a fresh report for one request
-        (``(None, None)`` when the policy is inactive)."""
-        policy = self.config.resilience
-        if not policy.active:
-            return None, None
-        return policy, ResilienceReport()
-
     def _lookup(
         self,
         coo: CooBlockList,
@@ -593,12 +579,10 @@ class SubmatrixContext:
         evaluated rank-sharded through the session's cached
         :class:`~repro.core.runner.DistributedSubmatrixPipeline` —
         ``distribution`` fixes the block ownership of its transfer plan —
-        bitwise identical to the single-process result and under the
-        session's :class:`~repro.api.config.ResiliencePolicy`
-        (:attr:`~repro.api.results.SubmatrixMethodResult.resilience`).
+        bitwise identical to the single-process result.
         """
         self._check_open()
-        ranks = check_ranks(ranks)
+        ranks = check_positive_int(ranks, "ranks")
         bound = resolve_kernel(function, batch_function=batch_function, **kernel_params)
         start = time.perf_counter()
         if coo is None:
@@ -639,24 +623,24 @@ class SubmatrixContext:
         The packed vector holds every stored value, so one look at its
         extrema rejects NaN/Inf for every ``apply*`` entry point — an
         iterative kernel would hand them back as a result, ``eigh`` die of
-        them mid-run.
+        them mid-run.  Stacks are solved by the kernel's
+        :class:`~repro.signfn.registry.KernelStackSolver`, exactly as on the
+        iterative density route.
         """
         packed = plan.pack(matrix)
         if packed.size and not np.isfinite(max(packed.max(), -packed.min())):
             raise ValueError("matrix contains non-finite values (NaN or Inf)")
-        policy, report = self._resilience()
         dimensions = list(plan.dimensions)
         out = plan.new_output()
+        solver = KernelStackSolver(bound)
         run_stacks(
             plan,
             packed,
-            stack_solver(bound.function, bound.batch_function),
+            solver,
             out,
             pipeline=pipeline,
             pad_to=self._bucket_pad_for(bound, plan),
             mapper=self._map,
-            policy=policy,
-            report=report,
         )
         return SubmatrixMethodResult(
             result=plan.finalize(out),
@@ -664,7 +648,7 @@ class SubmatrixContext:
             wall_time=time.perf_counter() - start,
             flop_estimate=float(sum(float(d) ** 3 for d in dimensions)),
             n_ranks=pipeline.n_ranks if pipeline is not None else 1,
-            resilience=report,
+            kernel_fallbacks=solver.fallbacks,
         )
 
     # ------------------------------------------------------------------ #
@@ -840,7 +824,7 @@ class SubmatrixContext:
             if isinstance(pattern, CooBlockList)
             else CooBlockList.from_pattern(pattern)
         )
-        n_ranks = check_ranks(n_ranks, "n_ranks") or self.config.n_ranks
+        n_ranks = check_positive_int(n_ranks, "n_ranks") or self.config.n_ranks
         pad = self.config.bucket_pad if bucket_pad is _UNSET else bucket_pad
         sizes = np.asarray(list(block_sizes), dtype=int)
         if grouping is None:

@@ -87,7 +87,7 @@ from typing import (
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.config import check_ranks
+from repro.api.config import check_positive_int
 from repro.api.results import (
     DecomposedSubmatrix,
     EnergyWeightedDensityResult,
@@ -100,7 +100,7 @@ from repro.chem.density import (
     electron_count,
     fermi_occupation,
 )
-from repro.core.batch import spectral_panel, stack_solver
+from repro.core.batch import spectral_panel
 from repro.core.combination import ColumnGrouping, single_column_groups
 from repro.core.plan import BlockSubmatrixPlan
 from repro.chem.orthogonalize import orthogonalized_ks
@@ -108,7 +108,7 @@ from repro.core.runner import run_stacks
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_csr
 from repro.dbcsr.coo import CooBlockList
-from repro.signfn.registry import get_kernel, resilient_stack_solver
+from repro.signfn.registry import KernelStackSolver, get_kernel
 
 __all__ = [
     "Decomposition",
@@ -205,7 +205,7 @@ class SharedEvaluation:
     start: float
     decomposed: Optional[Sequence[DecomposedSubmatrix]] = None
     pipeline: Any = None
-    report: Any = None
+    kernel_fallbacks: int = 0
     # scattered during the engine pass (scatter mode); in collect mode this
     # is None and density's assembly scatters from the cached decompositions
     occupation_block: Optional[BlockSparseMatrix] = None
@@ -342,9 +342,9 @@ def validate_request(
     (outside, no μ exists and the bisection would return an all-empty or
     all-full density without complaint), and the kernel can serve the
     ensemble and every observable; ``ranks`` must pass
-    :func:`~repro.api.config.check_ranks`.
+    :func:`~repro.api.config.check_positive_int`.
     """
-    check_ranks(ranks)
+    check_positive_int(ranks, "ranks")
     names = normalize_observables(observables)
     for key in observable_params or {}:
         if key not in names:
@@ -406,7 +406,8 @@ class Decomposition:
     request) the pass evaluates the occupation matrices at that μ
     (``occupation_block``) and leaves ``decomposed`` ``None``.
     ``stack_decompositions`` counts the ``eigh`` stacks solved in either mode
-    (0 for the iterative kernels).
+    (0 for the iterative kernels), ``kernel_fallbacks`` the submatrices an
+    iterative kernel did not converge (evaluated by ``eigen`` instead).
     """
 
     prepared: PreparedStep
@@ -415,7 +416,7 @@ class Decomposition:
     stack_decompositions: int = 0
     occupation_block: Optional[BlockSparseMatrix] = None
     pipeline: Any = None
-    report: Any = None
+    kernel_fallbacks: int = 0
 
 
 def compute_observables(
@@ -509,13 +510,11 @@ def _decompose(
     are delivered inside the stack tasks and nothing else survives them —
     generating-column panels straight from each stack's ``eigh``
     (:func:`_spectral_stack_solver`), or whole matrices from an iterative
-    sign kernel.  Retried, rebalanced and degraded runs rebuild exactly the
-    same values (``eigh`` and the sign iterations work per matrix,
-    independent of stack composition), so everything downstream is bitwise
-    identical to a fault-free single-process pass.
+    sign kernel (:func:`_occupation_stack_solver`).  ``eigh`` and the sign
+    iterations work per matrix, independent of stack composition, so a
+    sharded pass is bitwise identical to a single-process one.
     """
     config = context.config
-    policy, report = context._resilience()
     spectral = kernel.supports_mu_bisection
     collect = mu is None or not all(
         get_observable(name).supports_iterative for name in names
@@ -540,9 +539,9 @@ def _decompose(
         # keeps exact-dimension buckets.  The iterative kernels pad safely.
         None if spectral else config.bucket_pad,
     )
-    decomposition = Decomposition(prepared, plan, pipeline=pipeline, report=report)
+    decomposition = Decomposition(prepared, plan, pipeline=pipeline)
     packed = plan.pack(block_k)
-    run = dict(pipeline=pipeline, mapper=context._map, policy=policy, report=report)
+    run = dict(pipeline=pipeline, mapper=context._map)
     if collect:
         spectra = run_stacks(plan, packed, np.linalg.eigh, **run)
         entries: List[Optional[DecomposedSubmatrix]] = [None] * plan.n_groups
@@ -564,14 +563,18 @@ def _decompose(
         # built-in sign iterations), so after the shift the padding
         # eigenvalues sit at exactly 1 — inside the convergence region —
         # and the padded rows never reach the scatter
-        solver = _occupation_stack_solver(kernel, float(mu), policy, report)
+        sign = KernelStackSolver(kernel.bind())
+        solver = _occupation_stack_solver(sign, float(mu))
         padding = dict(
             pad_to=context._bucket_pad_for(kernel, plan),
             pad_value=kernel.padding_value(float(mu)),
         )
     stacks = run_stacks(plan, packed, solver, out, **padding, **run)
     decomposition.occupation_block = plan.finalize(out)
-    decomposition.stack_decompositions = len(stacks) if spectral else 0
+    if spectral:
+        decomposition.stack_decompositions = len(stacks)
+    else:
+        decomposition.kernel_fallbacks = sign.fallbacks
     return decomposition
 
 
@@ -620,7 +623,7 @@ def evaluate_request(
         start=start,
         decomposed=decomposition.decomposed,
         pipeline=decomposition.pipeline,
-        report=decomposition.report,
+        kernel_fallbacks=decomposition.kernel_fallbacks,
         occupation_block=decomposition.occupation_block,
         stack_decompositions=decomposition.stack_decompositions,
     )
@@ -669,7 +672,7 @@ def _assemble_density(
         wall_time=evaluation.elapsed(),
         ranks=pipeline.n_ranks if pipeline is not None else 1,
         pipeline=pipeline,
-        report=evaluation.report,
+        kernel_fallbacks=evaluation.kernel_fallbacks,
     )
 
 
@@ -889,7 +892,7 @@ def assemble_result(
     wall_time: float,
     ranks: int = 1,
     pipeline=None,
-    report=None,
+    kernel_fallbacks: int = 0,
 ) -> SubmatrixDFTResult:
     """Finalize a density calculation from its scattered occupation matrix.
 
@@ -922,10 +925,7 @@ def assemble_result(
         pattern_fingerprint=coo.fingerprint(),
         segment_fetch_bytes=segment_fetch_bytes,
         block_fetch_bytes=block_fetch_bytes,
-        retries=report.retries if report is not None else 0,
-        reassigned_stacks=report.reassigned_stacks if report is not None else 0,
-        kernel_fallbacks=report.kernel_fallbacks if report is not None else 0,
-        degraded=report.degraded if report is not None else False,
+        kernel_fallbacks=kernel_fallbacks,
     )
 
 
@@ -1087,46 +1087,33 @@ def _spectral_stack_solver(mu: float, temperature: float):
 # --------------------------------------------------------------------------- #
 # iterative path (grand-canonical only, used for the solver ablation)
 # --------------------------------------------------------------------------- #
-def _occupation_stack_solver(kernel, mu: float, policy=None, report=None):
-    """Per-stack occupation solver 1/2·(I − sign(A − μI)) for ``kernel``.
+def _occupation_stack_solver(sign: KernelStackSolver, mu: float):
+    """Per-stack occupation solver 1/2·(I − sign(A − μI)).
 
-    ``kernel`` is any registered :class:`~repro.signfn.registry.MatrixFunction`
-    without an eigendecomposition cache — the built-in Newton–Schulz, Padé
-    and Chebyshev iterations, or a user-registered sign kernel.  Every unit
-    of the rank loop maps this same closure over its ``(k, d, d)`` stacks,
-    so all routes perform identical per-submatrix arithmetic — and because
-    the batched sign iterations prescale and freeze each matrix
-    individually, the results are independent of the stack composition (the
-    basis of the sharded route's bitwise-identity guarantee).
-
-    With an active ``policy`` and a kernel that provides a
-    convergence-checked batched variant, the sign evaluation runs through
-    :func:`~repro.signfn.registry.resilient_stack_solver`: non-converged
-    submatrices are restarted with an escalated iteration budget and
-    ultimately handed to the policy's fallback kernel — recorded on the
-    ``report``, not raised.  A retried matrix restarts from its original
-    shifted values, so a recovered solve is bitwise identical to a
-    fault-free converged one.
+    ``sign`` solves stacks with a registered kernel without an
+    eigendecomposition cache — the built-in Newton–Schulz, Padé and
+    Chebyshev iterations, or a user-registered sign kernel — bound without
+    parameters, because μ is shifted off here.  Every unit of the rank loop
+    maps this same closure over its ``(k, d, d)`` stacks, so all routes
+    perform identical per-submatrix arithmetic — and because the batched
+    sign iterations prescale and freeze each matrix individually, the
+    results are independent of the stack composition (the basis of the
+    sharded route's bitwise-identity guarantee).  Submatrices the kernel
+    does not converge come from ``eigen`` and are counted on ``sign``.
 
     No stack-sized temporary is built around the kernel: the stack is the
     task's own freshly extracted buffer (:func:`~repro.core.batch.map_stacks`),
     so μ comes off its diagonal in place, and sign → occupation is mapped in
     place on the stack the kernel returned.
     """
-    resilient = resilient_stack_solver(kernel, policy, report)
-    bound = kernel.bind()
-    plain = stack_solver(bound.function, bound.batch_function)
 
     def solve(stack: np.ndarray) -> np.ndarray:
         diagonal = np.arange(stack.shape[-1])
         stack[:, diagonal, diagonal] -= mu
-        if resilient is not None:
-            signs = np.asarray(resilient(stack), dtype=float)
-        else:
-            signs = plain(stack)
+        signs = sign(stack)
         if signs.shape != stack.shape:
             raise ValueError(
-                f"sign kernel {kernel.name!r} returned shape {signs.shape}, "
+                f"sign kernel {sign.kernel.name!r} returned shape {signs.shape}, "
                 f"expected {stack.shape}"
             )
         np.subtract(np.eye(stack.shape[-1]), signs, out=signs)

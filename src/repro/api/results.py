@@ -15,7 +15,6 @@ import numpy as np
 import scipy.sparse as sp
 
 if TYPE_CHECKING:
-    from repro.core.runner import ResilienceReport
     from repro.core.submatrix import Submatrix
     from repro.dbcsr.block_matrix import BlockSparseMatrix
 
@@ -51,10 +50,10 @@ class SubmatrixMethodResult:
         single-process runs).  Per-rank work and traffic of a sharded run
         live on its pipeline: ``context.pipeline(...).traffic_log()``,
         ``.transfer_plan``, ``.rank_of_group``, ``.rank_flops``.
-    resilience:
-        What the session's :class:`~repro.api.config.ResiliencePolicy` did
-        (:class:`~repro.core.runner.ResilienceReport`: rank retries,
-        reassigned stacks, degradation); ``None`` without an active policy.
+    kernel_fallbacks:
+        Submatrices an iterative kernel did not converge within its
+        budget, evaluated by ``eigen`` instead
+        (:class:`~repro.signfn.registry.KernelStackSolver`).
     """
 
     result: Union[sp.csr_matrix, BlockSparseMatrix]
@@ -62,7 +61,7 @@ class SubmatrixMethodResult:
     wall_time: float
     flop_estimate: float
     n_ranks: int = 1
-    resilience: Optional[ResilienceReport] = None
+    kernel_fallbacks: int = 0
 
     @property
     def n_submatrices(self) -> int:
@@ -115,22 +114,10 @@ class SubmatrixDFTResult:
     block_fetch_bytes:
         Whole-block volume of the same exchange (``None`` for
         single-process runs).
-    retries:
-        Total recovery retries the resilience layer performed — rank tasks
-        re-executed after a failure plus iterative sign solves restarted
-        with an escalated budget (0 for clean or policy-less runs; see
-        :class:`~repro.api.config.ResiliencePolicy`).
-    reassigned_stacks:
-        Bucketed stack tasks of failed ranks' shards that were reassigned
-        to surviving ranks during retry rounds.
     kernel_fallbacks:
-        Submatrices whose iterative sign solve failed convergence even
-        after the retries and was evaluated by the policy's fallback
-        kernel instead.
-    degraded:
-        Whether the computation fell back to the single-process batched
-        engine after exhausting the rank retries (the result is still
-        bitwise identical to a fault-free run).
+        Submatrices whose iterative sign solve did not converge within the
+        kernel's budget and were evaluated by ``eigen`` instead (0 for the
+        spectral route).
     """
 
     density_ao: np.ndarray
@@ -146,10 +133,7 @@ class SubmatrixDFTResult:
     pattern_fingerprint: Optional[str] = None
     segment_fetch_bytes: Optional[float] = None
     block_fetch_bytes: Optional[float] = None
-    retries: int = 0
-    reassigned_stacks: int = 0
     kernel_fallbacks: int = 0
-    degraded: bool = False
 
     @property
     def n_submatrices(self) -> int:

@@ -114,10 +114,11 @@ class TrajectoryStepRecord:
     warm_started:
         Whether this step's μ-bisection was seeded from the previous step's
         μ (``warm_start_mu=True`` and a canonical predecessor existed).
-    retries / reassigned_stacks / kernel_fallbacks:
-        Recovery counters of the step's density calculation (see
-        :class:`~repro.api.results.SubmatrixDFTResult`; all 0 for clean or
-        policy-less steps, and carried over verbatim for resumed steps).
+    kernel_fallbacks:
+        Submatrices of the step that an iterative kernel did not converge
+        and ``eigen`` evaluated instead (see
+        :class:`~repro.api.results.SubmatrixDFTResult`; carried over
+        verbatim for resumed steps).
     resumed:
         Whether the step was loaded from the trajectory checkpoint instead
         of recomputed (``wall_time`` is then the load time).
@@ -136,8 +137,6 @@ class TrajectoryStepRecord:
     segment_fetch_bytes: Optional[float]
     block_fetch_bytes: Optional[float]
     warm_started: bool = False
-    retries: int = 0
-    reassigned_stacks: int = 0
     kernel_fallbacks: int = 0
     resumed: bool = False
 
@@ -168,10 +167,9 @@ class TrajectoryStats:
         Sum of the per-step wall times.
     steps:
         Per-step :class:`TrajectoryStepRecord` entries.
-    retries / reassigned_stacks / kernel_fallbacks:
-        Totals of the per-step recovery counters (0 unless the session's
-        :class:`~repro.api.config.ResiliencePolicy` actually recovered
-        from failures; see :class:`~repro.api.results.SubmatrixDFTResult`).
+    kernel_fallbacks:
+        Total of the per-step ``eigen`` fallbacks (see
+        :class:`~repro.api.results.SubmatrixDFTResult`).
     steps_resumed:
         Steps loaded from the trajectory checkpoint instead of recomputed.
 
@@ -187,8 +185,6 @@ class TrajectoryStats:
     pipelines_built: int
     total_wall_time: float
     steps: List[TrajectoryStepRecord]
-    retries: int = 0
-    reassigned_stacks: int = 0
     kernel_fallbacks: int = 0
     steps_resumed: int = 0
 
@@ -547,8 +543,6 @@ def run_trajectory(
                 segment_fetch_bytes=result.segment_fetch_bytes,
                 block_fetch_bytes=result.block_fetch_bytes,
                 warm_started=bool(warm),
-                retries=result.retries,
-                reassigned_stacks=result.reassigned_stacks,
                 kernel_fallbacks=result.kernel_fallbacks,
                 resumed=resumed,
             )
@@ -571,8 +565,6 @@ def run_trajectory(
         pipelines_built=sum(r.pipelines_built for r in records),
         total_wall_time=float(sum(r.wall_time for r in records)),
         steps=records,
-        retries=sum(r.retries for r in records),
-        reassigned_stacks=sum(r.reassigned_stacks for r in records),
         kernel_fallbacks=sum(r.kernel_fallbacks for r in records),
         steps_resumed=sum(1 for r in records if r.resumed),
     )

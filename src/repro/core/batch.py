@@ -41,7 +41,6 @@ __all__ = [
     "Bucket",
     "make_buckets",
     "make_stack_tasks",
-    "count_stack_tasks",
     "stack_solver",
     "spectral_panel",
     "map_stacks",
@@ -109,24 +108,6 @@ def make_stack_tasks(
         for chunk in split_chunks(bucket.members, per_stack):
             tasks.append(Bucket(dimension=bucket.dimension, members=chunk))
     return tasks
-
-
-def count_stack_tasks(
-    dimensions: Sequence[int],
-    pad_to: Optional[int] = None,
-    max_batch_elements: int = MAX_BATCH_ELEMENTS,
-) -> int:
-    """Number of stack tasks :func:`make_stack_tasks` would produce.
-
-    Arithmetic only — no task objects are built, so callers that merely
-    report the stack count (e.g. the pipeline's per-rank summaries) don't
-    duplicate the bucketing work the evaluator performs anyway.
-    """
-    total = 0
-    for bucket in make_buckets(dimensions, pad_to=pad_to):
-        per_stack = max(1, max_batch_elements // max(1, bucket.dimension**2))
-        total += -(-len(bucket.members) // per_stack)
-    return total
 
 
 def stack_solver(

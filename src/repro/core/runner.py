@@ -7,9 +7,8 @@ scaling behaviour — exactly, from the block-sparsity pattern.
 
 * :func:`run_stacks` is the one rank loop of the paper's algorithm (Sec. IV,
   IV-E): every rank takes its chunk of submatrices, stacks them, solves and
-  scatters.  A single process is P = 1 of it — one unit, the whole plan —
-  and a sharded run that exhausts its retries degrades by falling through
-  to that same unit.  Every f(A) and every density goes through it.
+  scatters.  A single process is P = 1 of it — one unit, the whole plan.
+  Every f(A) and every density goes through it.
 * :class:`DistributedSubmatrixPipeline` fixes what a sharded run needs
   before any value is seen: the submatrix→rank assignment, the sharded
   extraction plan (:class:`~repro.core.shard.ShardedPlan`) and the
@@ -35,18 +34,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.config import (
-    BALANCE_STRATEGIES,
-    EIGENSOLVE_FLOP_CONSTANT,
-    ResiliencePolicy,
-)
-from repro.core.batch import count_stack_tasks, make_stack_tasks, map_stacks
+from repro.api.config import BALANCE_STRATEGIES, EIGENSOLVE_FLOP_CONSTANT
+from repro.core.batch import make_stack_tasks, map_stacks
 from repro.core.combination import ColumnGrouping, single_column_groups
 from repro.core.load_balance import (
     assign_balanced_stacks,
@@ -72,9 +66,7 @@ from repro.parallel.topology import balanced_dims
 
 __all__ = [
     "DistributedSubmatrixPipeline",
-    "PipelineExecutionError",
     "run_stacks",
-    "ResilienceReport",
     "SubmatrixRunCost",
     "submatrix_method_cost",
     "newton_schulz_cost",
@@ -110,80 +102,6 @@ class SubmatrixRunCost:
     def simulated_seconds(self) -> float:
         """Total simulated wall-clock time."""
         return self.simulated.total
-
-
-@dataclasses.dataclass
-class ResilienceReport:
-    """What the resilience machinery did during one pipeline execution.
-
-    Attributes
-    ----------
-    rank_retries:
-        Rank tasks re-executed after a failure (summed over retry rounds).
-    kernel_retries:
-        Submatrices whose iterative sign solve was restarted with an
-        escalated iteration budget after failing convergence.
-    kernel_fallbacks:
-        Submatrices ultimately evaluated by the policy's fallback kernel.
-    reassigned_stacks:
-        Bucketed stack tasks of failed ranks' shards shipped to surviving
-        ranks for re-execution (0 when ``rank_rebalance`` is off or no
-        survivor existed).
-    degraded:
-        Whether the run fell back to the single-process batched engine
-        after exhausting the rank retries.
-    reassignments:
-        ``(retry_round, failed_rank, executing_rank)`` triples; the
-        executing rank equals the failed rank when rebalancing was off or
-        every rank had failed.
-    failures:
-        Human-readable reprs of the errors that triggered recovery.
-    """
-
-    rank_retries: int = 0
-    kernel_retries: int = 0
-    kernel_fallbacks: int = 0
-    reassigned_stacks: int = 0
-    degraded: bool = False
-    reassignments: List[tuple] = dataclasses.field(default_factory=list)
-    failures: List[str] = dataclasses.field(default_factory=list)
-
-    @property
-    def retries(self) -> int:
-        """Total recovery retries (rank re-executions + kernel restarts)."""
-        return self.rank_retries + self.kernel_retries
-
-    @property
-    def clean(self) -> bool:
-        """Whether the execution needed no recovery at all."""
-        return (
-            self.rank_retries == 0
-            and self.kernel_retries == 0
-            and self.kernel_fallbacks == 0
-            and not self.degraded
-        )
-
-
-class PipelineExecutionError(RuntimeError):
-    """Rank tasks kept failing after every configured retry round.
-
-    Raised by :meth:`DistributedSubmatrixPipeline.execute_ranks` when an
-    active :class:`~repro.api.config.ResiliencePolicy` exhausts its
-    ``max_rank_retries`` (or its ``stage_timeout``); callers with
-    ``degrade_to_batched`` catch it and fall back to the single-process
-    batched engine.  ``failures`` maps the failed rank indices to their
-    last exceptions; the first of them is chained as ``__cause__``.
-    """
-
-    def __init__(self, failures: Dict[int, BaseException], attempts: int):
-        self.failures = dict(failures)
-        self.attempts = int(attempts)
-        ranks = ", ".join(str(rank) for rank in sorted(self.failures))
-        first = self.failures[min(self.failures)] if self.failures else None
-        detail = f": {first!r}" if first is not None else ""
-        super().__init__(
-            f"rank tasks {{{ranks}}} failed after {attempts} attempt(s){detail}"
-        )
 
 
 def _as_coo(pattern: PatternLike) -> CooBlockList:
@@ -458,120 +376,15 @@ class DistributedSubmatrixPipeline:
     # ------------------------------------------------------------------ #
     # execution side
     # ------------------------------------------------------------------ #
-    def _shard_stack_count(self, rank: int) -> int:
-        """Bucketed stack tasks of one rank's shard (for the reassignment
-        bookkeeping); falls back to the group count before shards exist."""
-        if self.sharded is None:
-            return int(np.count_nonzero(self.rank_of_group == rank))
-        return count_stack_tasks(
-            self.sharded.shards[rank].dimensions, pad_to=self.bucket_pad
-        )
-
     def execute_ranks(
-        self,
-        run_rank: Callable[[int], object],
-        mapper: Optional[Mapper] = None,
-        policy: Optional[ResiliencePolicy] = None,
-        report: Optional[ResilienceReport] = None,
+        self, run_rank: Callable[[int], object], mapper: Optional[Mapper] = None
     ) -> List[object]:
-        """Run ``run_rank`` once per rank, with retry/rebalance on failure.
-
-        The fault-tolerant half of :func:`run_stacks`.  ``mapper(function,
-        ranks)`` dispatches the rank tasks (default: a serial loop).
-        Without an *active* policy this is exactly one such map over the
-        ranks — the unguarded path, with zero overhead and unchanged
-        exception behaviour.
-
-        With an active policy every rank task is guarded (and, when the
-        policy carries a fault injector, its ``"rank"`` site is consulted
-        first).  Failed ranks are retried for up to
-        ``policy.max_rank_retries`` rounds — within ``stage_timeout`` and
-        after the exponential ``backoff_base`` sleep — by re-executing the
-        *same* rank closure: scatter ranges are disjoint across ranks and
-        idempotent per rank, so a re-execution writes exactly the bytes
-        the failed attempt would have written and the recovered result is
-        bitwise identical to a fault-free run.  With ``rank_rebalance``
-        the failed shards are assigned to surviving ranks via the LPT
-        load-balance heuristic
-        (:func:`~repro.core.load_balance.assign_balanced_stacks` over the
-        shards' executed FLOPs) and the shipped stack tasks are recorded
-        on the ``report``.  Ranks that still fail raise
-        :class:`PipelineExecutionError` for :func:`run_stacks`'
-        degradation.
-        """
-        if mapper is None:
-            mapper = _map_serial
-        ranks = list(range(self.n_ranks))
-        if policy is None or not policy.active:
-            return mapper(run_rank, ranks)
-        injector = policy.fault_injector
-
-        def guarded(rank: int):
-            try:
-                if injector is not None:
-                    injector.maybe_crash("rank", rank)
-                return run_rank(rank), None
-            except Exception as error:
-                return None, error
-
-        outcomes = mapper(guarded, ranks)
-        results: List[object] = [result for result, _ in outcomes]
-        failures: Dict[int, BaseException] = {
-            rank: error
-            for rank, (_, error) in zip(ranks, outcomes)
-            if error is not None
-        }
-        if not failures:
-            return results
-        if report is not None:
-            report.failures.extend(
-                repr(failures[rank]) for rank in sorted(failures)
-            )
-        deadline = None
-        if policy.stage_timeout is not None:
-            deadline = time.monotonic() + float(policy.stage_timeout)
-        attempt = 0
-        while failures and attempt < policy.max_rank_retries:
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            attempt += 1
-            if policy.backoff_base > 0.0:
-                time.sleep(policy.backoff_base * 2.0 ** (attempt - 1))
-            failed = sorted(failures)
-            survivors = [rank for rank in ranks if rank not in failures]
-            if report is not None:
-                report.rank_retries += len(failed)
-                if policy.rank_rebalance and survivors:
-                    # reassign the failed shards to survivors with the same
-                    # LPT machinery that balances whole stacks across ranks
-                    shares = assign_balanced_stacks(
-                        [float(self.rank_flops[rank]) for rank in failed],
-                        len(survivors),
-                    )
-                    for slot, indices in enumerate(shares):
-                        for failed_index in indices:
-                            report.reassignments.append(
-                                (attempt, failed[failed_index], survivors[slot])
-                            )
-                            report.reassigned_stacks += self._shard_stack_count(
-                                failed[failed_index]
-                            )
-                else:
-                    report.reassignments.extend(
-                        (attempt, rank, rank) for rank in failed
-                    )
-            retried = mapper(guarded, failed)
-            for rank, (result, error) in zip(failed, retried):
-                if error is None:
-                    results[rank] = result
-                    del failures[rank]
-                else:
-                    failures[rank] = error
-                    if report is not None:
-                        report.failures.append(repr(error))
-        if failures:
-            raise PipelineExecutionError(failures, attempts=attempt + 1)
-        return results
+        """Run ``run_rank`` once per rank; ``mapper(function, ranks)``
+        dispatches the rank tasks (default: a serial loop).  A failing rank
+        raises through the mapper (``map_parallel`` wraps it in a
+        :class:`~repro.parallel.executor.TaskExecutionError` naming the
+        rank)."""
+        return (mapper or _map_serial)(run_rank, range(self.n_ranks))
 
 
 def run_stacks(
@@ -584,8 +397,6 @@ def run_stacks(
     pad_to: Optional[int] = None,
     pad_value: float = 1.0,
     mapper: Optional[Mapper] = None,
-    policy: Optional[ResiliencePolicy] = None,
-    report: Optional[ResilienceReport] = None,
 ) -> List[Tuple[Sequence[int], Any]]:
     """The one rank loop: stack every rank's submatrices, solve, deliver.
 
@@ -596,12 +407,9 @@ def run_stacks(
     its stacks over the workers.  With a ``pipeline`` (whose plan ``plan``
     must be) there is one unit per rank shard — the rank-local buffer
     gathered from ``packed`` is the modelled initialization fetch — and
-    ``mapper`` spreads the ranks (:meth:`DistributedSubmatrixPipeline.execute_ranks`:
-    an *active* ``policy`` retries and rebalances failed ranks, recorded on
-    ``report``).  When the retries are exhausted and the policy allows
-    ``degrade_to_batched``, the run falls through to the single unit
-    instead of raising (``report.degraded``).  Every route is bitwise
-    identical: the solver works per matrix, independent of stack
+    ``mapper`` spreads the ranks
+    (:meth:`DistributedSubmatrixPipeline.execute_ranks`).  Both routes are
+    bitwise identical: the solver works per matrix, independent of stack
     composition, and the units write disjoint scatter ranges that together
     cover exactly what the single unit writes.
 
@@ -650,15 +458,8 @@ def run_stacks(
                 shard.group_indices,
             )
 
-        try:
-            per_rank = pipeline.execute_ranks(run_rank, mapper, policy, report)
-        except PipelineExecutionError:
-            if policy is None or not policy.degrade_to_batched:
-                raise
-            if report is not None:
-                report.degraded = True
-        else:
-            return [pair for pairs in per_rank for pair in pairs]
+        per_rank = pipeline.execute_ranks(run_rank, mapper)
+        return [pair for pairs in per_rank for pair in pairs]
     return run_unit(
         plan,
         packed,

@@ -16,10 +16,7 @@ point operations each rank performs — through the classes in this subpackage:
   into simulated wall-clock times for the scaling experiments (Figs. 6,
   8–10),
 * :mod:`repro.parallel.executor` — thread pools for genuinely
-  parallel execution of the embarrassingly parallel submatrix solves,
-* :mod:`repro.parallel.faults` — seeded deterministic fault injection
-  (rank crashes, message loss, worker exceptions, forced kernel
-  non-convergence) for exercising the resilience machinery.
+  parallel execution of the embarrassingly parallel submatrix solves.
 """
 
 from repro.parallel.stats import RankCounters, TrafficLog
@@ -35,15 +32,6 @@ from repro.parallel.executor import (
     TaskExecutionError,
     map_parallel,
     wrap_task_error,
-)
-from repro.parallel.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    RankCrashError,
-    WorkerCrashError,
 )
 
 __all__ = [
@@ -61,11 +49,4 @@ __all__ = [
     "map_parallel",
     "TaskExecutionError",
     "wrap_task_error",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "RankCrashError",
-    "WorkerCrashError",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import collections
 import sys
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class CommError(RuntimeError):
 
 
 class CommRankError(CommError, IndexError):
-    """An operation addressed an unknown or crashed rank.
+    """An operation addressed a rank outside the communicator.
 
     Also an :class:`IndexError` so legacy call sites that treated
     out-of-range ranks as index errors keep working.
@@ -103,29 +103,15 @@ class SimComm:
     log:
         Optional existing :class:`TrafficLog` to record into; a new one is
         created if omitted.
-    fault_injector:
-        Optional :class:`~repro.parallel.faults.FaultInjector`.  Its
-        ``"comm_crash"`` site (key: rank index, consulted on every send and
-        recv endpoint) marks ranks crashed — subsequent operations touching
-        them raise :class:`CommRankError` — and its ``"message"`` site
-        (key: ``(source, destination)``) drops individual messages after
-        the traffic accounting, so the receiver sees an empty mailbox.
     """
 
-    def __init__(
-        self,
-        n_ranks: int,
-        log: Optional[TrafficLog] = None,
-        fault_injector=None,
-    ):
+    def __init__(self, n_ranks: int, log: Optional[TrafficLog] = None):
         if n_ranks < 1:
             raise ValueError("n_ranks must be positive")
         self.n_ranks = int(n_ranks)
         self.log = log if log is not None else TrafficLog(self.n_ranks)
         if self.log.n_ranks != self.n_ranks:
             raise ValueError("traffic log rank count does not match communicator")
-        self.fault_injector = fault_injector
-        self._crashed: Set[int] = set()
         # mailboxes[(destination, tag)] -> FIFO of (source, payload)
         self._mailboxes: Dict[Tuple[int, Hashable], collections.deque] = (
             collections.defaultdict(collections.deque)
@@ -150,23 +136,11 @@ class SimComm:
         Raises
         ------
         CommRankError
-            If either endpoint is out of range or has crashed (via
-            :meth:`crash_rank` or an injected ``"comm_crash"`` fault).
+            If either endpoint is out of range.
         """
         self._check(source)
         self._check(destination)
-        self._consult_crash(source)
-        self._consult_crash(destination)
-        self._check_alive(source)
-        self._check_alive(destination)
         self.log.record_message(source, destination, payload_nbytes(payload))
-        if self.fault_injector is not None and self.fault_injector.fire(
-            "message", (source, destination)
-        ):
-            # injected message loss: the bytes left the source (already
-            # accounted) but never arrive — the receiver's mailbox stays
-            # empty and a matching recv raises CommRecvError
-            return
         self._mailboxes[(destination, tag)].append((source, payload))
 
     def recv(self, destination: int, tag: Hashable = 0, source: Optional[int] = None):
@@ -190,14 +164,11 @@ class SimComm:
         ------
         CommRecvError
             If no matching message is pending — the simulated equivalent of
-            a deadlock (or, under fault injection, a lost message).  Also a
-            :class:`LookupError`, the historical type.
+            a deadlock.  Also a :class:`LookupError`, the historical type.
         CommRankError
-            If ``destination`` is out of range or has crashed.
+            If ``destination`` is out of range.
         """
         self._check(destination)
-        self._consult_crash(destination)
-        self._check_alive(destination)
         queue = self._mailboxes.get((destination, tag))
         if not queue:
             raise CommRecvError(
@@ -284,23 +255,8 @@ class SimComm:
                     self.log.record_message(i, j, float(send_matrix[i, j]))
 
     # ------------------------------------------------------------------ #
-    # rank liveness (crash injection)
+    # diagnostics
     # ------------------------------------------------------------------ #
-    def crash_rank(self, rank: int) -> None:
-        """Mark ``rank`` crashed; subsequent operations touching it raise."""
-        self._check(rank)
-        self._crashed.add(int(rank))
-
-    def restore_rank(self, rank: int) -> None:
-        """Bring a crashed rank back (its mailboxes are left untouched)."""
-        self._check(rank)
-        self._crashed.discard(int(rank))
-
-    @property
-    def crashed_ranks(self) -> frozenset:
-        """Ranks currently marked crashed."""
-        return frozenset(self._crashed)
-
     def mailbox_state(self) -> Dict[Tuple[int, Hashable], int]:
         """Snapshot ``{(destination, tag): pending count}`` (non-empty only)."""
         return {
@@ -320,20 +276,6 @@ class SimComm:
             )
         )
         return f"pending mailboxes: {entries}"
-
-    def _consult_crash(self, rank: int) -> None:
-        if self.fault_injector is not None and self.fault_injector.fire(
-            "comm_crash", rank
-        ):
-            self._crashed.add(int(rank))
-
-    def _check_alive(self, rank: int) -> None:
-        if rank in self._crashed:
-            raise CommRankError(
-                f"rank {rank} has crashed ({self._mailbox_summary()})",
-                rank=rank,
-                mailbox_state=self.mailbox_state(),
-            )
 
     def _check(self, rank: int) -> None:
         if not 0 <= rank < self.n_ranks:

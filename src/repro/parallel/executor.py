@@ -41,7 +41,7 @@ class TaskExecutionError(RuntimeError):
     this type and the original exception's type (``TaskValueError``,
     ``TaskKeyError``, …), so existing ``except ValueError`` /
     ``pytest.raises(ValueError)`` call sites keep catching wrapped worker
-    errors while retry logic (and humans) can tell which task died.
+    errors while callers can still tell which task died.
     """
 
     task_index: int = -1
@@ -90,9 +90,9 @@ def wrap_task_error(
         wrapped = wrapped_type(message)
     except Exception:
         try:
-            # the original type's __init__ demands its own arguments (e.g.
-            # InjectedFault's (site, key, occurrence)); build the instance
-            # without it so the dual-inheritance isinstance contract holds
+            # the original type's __init__ demands its own arguments; build
+            # the instance without it so the dual-inheritance isinstance
+            # contract holds
             wrapped = wrapped_type.__new__(wrapped_type)
             BaseException.__init__(wrapped, message)
             wrapped.__dict__.update(getattr(error, "__dict__", {}))
@@ -120,19 +120,16 @@ class _TaskFailure:
 
 
 class _GuardedTask:
-    """Per-item runner: fault injection plus failure capture."""
+    """Per-item runner that captures a failure instead of raising it."""
 
-    __slots__ = ("function", "fault_injector")
+    __slots__ = ("function",)
 
-    def __init__(self, function: Callable, fault_injector=None):
+    def __init__(self, function: Callable):
         self.function = function
-        self.fault_injector = fault_injector
 
     def __call__(self, indexed: Tuple[int, T]):
         index, item = indexed
         try:
-            if self.fault_injector is not None:
-                self.fault_injector.maybe_crash("worker", index)
             return self.function(item)
         except Exception as error:
             return _TaskFailure(index, error)
@@ -187,7 +184,6 @@ def map_parallel(
     max_workers: Optional[int] = None,
     backend: str = "thread",
     executor: Optional[concurrent.futures.Executor] = None,
-    fault_injector=None,
 ) -> List[R]:
     """Apply ``function`` to every item, optionally in parallel.
 
@@ -210,10 +206,6 @@ def map_parallel(
         iterations) pays the pool start-up cost once instead of per call.
         ``max_workers`` and ``backend`` are ignored in that case (except
         that single-item inputs still short-circuit to a plain loop).
-    fault_injector:
-        Optional :class:`~repro.parallel.faults.FaultInjector`; its
-        ``"worker"`` site (key: task index) is consulted before each task
-        runs.
 
     Returns
     -------
@@ -228,14 +220,13 @@ def map_parallel(
         original exception type, so existing ``except``/``pytest.raises``
         sites keep matching; the original is chained as ``__cause__`` and
         kept on ``.original``.  With several failures the lowest task
-        index wins (every task still runs — a failure no longer aborts the
-        remaining tasks mid-pool, which is what makes rank-level retry
-        meaningful).
+        index wins: every task still runs, so which error surfaces does not
+        depend on how the pool interleaved them.
     """
     items = list(items)
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    runner = _GuardedTask(function, fault_injector)
+    runner = _GuardedTask(function)
     indexed = list(enumerate(items))
     if executor is not None:
         if len(items) <= 1:

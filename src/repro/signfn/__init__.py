@@ -47,7 +47,7 @@ from repro.signfn.utils import involutority_error, spectral_scale_estimate
 from repro.signfn.registry import (
     BoundKernel,
     DEFAULT_SIGN_MAX_ITERATIONS,
-    KernelConvergenceError,
+    KernelStackSolver,
     MatrixFunction,
     SIGN_SOLVERS,
     UnknownKernelError,
@@ -55,7 +55,6 @@ from repro.signfn.registry import (
     get_kernel,
     register_callable,
     register_kernel,
-    resilient_stack_solver,
     resolve_kernel,
 )
 
@@ -85,13 +84,12 @@ __all__ = [
     "MatrixFunction",
     "BoundKernel",
     "UnknownKernelError",
-    "KernelConvergenceError",
+    "KernelStackSolver",
     "SIGN_SOLVERS",
     "DEFAULT_SIGN_MAX_ITERATIONS",
     "register_kernel",
     "register_callable",
     "get_kernel",
     "available_kernels",
-    "resilient_stack_solver",
     "resolve_kernel",
 ]

@@ -54,7 +54,7 @@ __all__ = [
 
 #: Default polynomial degree (= GEMMs per matrix).  Sized so the
 #: coefficient tail at the default smoothing is far below the convergence
-#: threshold; the resilience ladder escalates it on non-convergence.
+#: threshold; a matrix that still misses it is evaluated by ``eigen``.
 DEFAULT_CHEBYSHEV_DEGREE = 600
 
 #: Default smoothing width λ of erf(x/λ), relative to the scaled spectrum

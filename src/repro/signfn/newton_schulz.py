@@ -183,7 +183,7 @@ def sign_newton_schulz_batched(
     drops below the threshold — or turns non-finite, which freezes it as
     *not* converged — so ``iterations``/``converged`` equal the unbatched
     routine's and every matrix's values are bitwise independent of what else
-    is in the stack (a matrix retried alone reproduces its in-stack result).
+    is in the stack (a matrix solved alone reproduces its in-stack result).
 
     ``stack`` is never written to.  The call allocates its working copy
     (whose diagonal takes the ``shift``) and two work buffers of the stack's

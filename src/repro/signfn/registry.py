@@ -16,13 +16,20 @@ the ``solver=`` of ``density``/``observables``/``trajectory`` (where custom
 sign kernels run through the iterative occupation path; see
 ``MatrixFunction.supports_mu_bisection`` for the eigendecomposition-cache
 contract).
+
+Every evaluation of a bound kernel on ``(k, d, d)`` stacks — f(A) and
+densities alike — goes through one :class:`KernelStackSolver`: an iterative
+kernel gets one convergence-checked attempt at its default budget, and
+every submatrix it did not converge is evaluated by ``eigen`` instead and
+counted.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import difflib
-from typing import Callable, Dict, List, Optional
+import threading
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,19 +53,19 @@ __all__ = [
     "MatrixFunction",
     "BoundKernel",
     "UnknownKernelError",
-    "KernelConvergenceError",
+    "KernelStackSolver",
     "register_kernel",
     "register_callable",
     "get_kernel",
     "available_kernels",
     "resolve_kernel",
-    "resilient_stack_solver",
     "SIGN_SOLVERS",
     "DEFAULT_SIGN_MAX_ITERATIONS",
 ]
 
-#: Iteration budget of the iterative sign kernels' first attempt; kernel
-#: retries escalate it by ``ResiliencePolicy.kernel_retry_growth`` per round.
+#: Iteration budget of the one convergence-checked attempt of the iterative
+#: sign kernels; a submatrix that has not converged within it is evaluated
+#: by ``eigen``.
 DEFAULT_SIGN_MAX_ITERATIONS = 100
 
 #: The built-in per-submatrix sign solvers of the paper's ablation study.
@@ -85,12 +92,22 @@ class BoundKernel:
         ``True`` for genuine (analytic) matrix functions, which the bucketed
         evaluator may pad block-diagonally; elementwise/blockwise callables
         must keep exact-dimension buckets.
+    checked_function:
+        ``(k, d, d) -> (results, fallbacks)`` for kernels with a
+        :attr:`MatrixFunction.make_checked_batched`: the kernel's one
+        convergence-checked attempt, every submatrix it did not converge
+        replaced by ``eigen``'s sign(a − μI) (μ: the kernel's ``mu``
+        parameter) and ``fallbacks`` the number of them.  When set it is
+        what :class:`KernelStackSolver` evaluates; ``None`` otherwise.
     """
 
     name: str
     function: Callable[[np.ndarray], np.ndarray]
     batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None
     matrix_function: bool = True
+    checked_function: Optional[
+        Callable[[np.ndarray], Tuple[np.ndarray, int]]
+    ] = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,13 +143,15 @@ class MatrixFunction:
         occupation 0, so the padded rows are exact and never reach the
         scatter.  See :meth:`padding_value`.
     make_checked_batched:
-        Optional factory returning a *convergence-checked* batched callable
-        ``checked(stack, max_iterations=...) -> (results, converged)`` with
-        ``converged`` a per-matrix boolean array.  Iterative kernels
-        provide it so the resilience layer
-        (:func:`resilient_stack_solver`) can retry non-converged
-        submatrices with an escalated iteration budget and fall back to a
-        robust kernel per matrix — recorded, not raised.
+        Optional factory (same parameters as ``make``) returning a
+        *convergence-checked* batched callable ``checked(stack) ->
+        (results, converged)`` with ``converged`` a per-matrix boolean
+        array; it runs the kernel once at its default budget
+        (:data:`DEFAULT_SIGN_MAX_ITERATIONS` for the sign iterations) and
+        must not write to ``stack``.  Iterative kernels provide it so that
+        every submatrix they fail to converge is evaluated by ``eigen``
+        instead — counted in ``kernel_fallbacks``, never raised (see
+        :attr:`BoundKernel.checked_function`).
     supports_mu_bisection:
         Declares the kernel *spectrally equivalent* to the built-in
         eigendecomposition evaluation: its result equals
@@ -171,19 +190,34 @@ class MatrixFunction:
         """Build the callables for one parameter set (e.g. ``mu=0.2``)."""
         function = self.make(**params)
         batch = self.make_batched(**params) if self.make_batched is not None else None
+        checked = None
+        if self.make_checked_batched is not None:
+            checked = _with_eigen_fallback(
+                self.make_checked_batched(**params), params.get("mu", 0.0)
+            )
         return BoundKernel(
             name=self.name,
             function=function,
             batch_function=batch,
             matrix_function=self.matrix_function,
+            checked_function=checked,
         )
 
-    def bind_checked(self, **params) -> Optional[Callable]:
-        """Build the convergence-checked batched callable (``None`` when
-        the kernel does not provide one; see :attr:`make_checked_batched`)."""
-        if self.make_checked_batched is None:
-            return None
-        return self.make_checked_batched(**params)
+
+def _with_eigen_fallback(checked: Callable, mu: float):
+    """:attr:`BoundKernel.checked_function` of a kernel's ``checked`` callable."""
+
+    def solve(stack: np.ndarray) -> Tuple[np.ndarray, int]:
+        results, converged = checked(stack)
+        failed = np.flatnonzero(~np.asarray(converged, dtype=bool))
+        if failed.size:
+            results = np.asarray(results, dtype=float)
+            results[failed] = sign_via_eigendecomposition_batched(
+                stack[failed], mu=mu
+            )
+        return results, int(failed.size)
+
+    return solve
 
 
 class UnknownKernelError(ValueError, TypeError):
@@ -201,25 +235,6 @@ class UnknownKernelError(ValueError, TypeError):
         super().__init__(
             f"unknown matrix-function kernel {name!r}{hint} "
             f"(registered kernels: {', '.join(sorted(known))})"
-        )
-
-
-class KernelConvergenceError(RuntimeError):
-    """An iterative kernel failed convergence with no fallback configured.
-
-    Only raised when :class:`~repro.api.config.ResiliencePolicy` sets
-    ``kernel_fallback=None``; with the default ``"eigen"`` fallback,
-    non-convergence is recovered and *recorded* instead.
-    """
-
-    def __init__(self, kernel: str, n_failed: int, budget: int):
-        self.kernel = kernel
-        self.n_failed = int(n_failed)
-        self.budget = int(budget)
-        super().__init__(
-            f"kernel {kernel!r}: {n_failed} submatrix solve(s) did not "
-            f"converge within {budget} iterations and no fallback kernel "
-            "is configured"
         )
 
 
@@ -308,16 +323,15 @@ def resolve_kernel(
 
     ``spec`` may be a registered name, a :class:`MatrixFunction`, an already
     bound kernel, or a bare callable (treated as a matrix function).
-    ``batch_function`` overrides the kernel's batched variant; ``**params``
-    are forwarded to the kernel factories (e.g. ``mu=0.2``).
+    ``batch_function`` overrides the kernel's batched variant, its
+    convergence-checked one included; ``**params`` are forwarded to the
+    kernel factories (e.g. ``mu=0.2``).
     """
     if isinstance(spec, BoundKernel):
         if params:
             raise TypeError("a BoundKernel has its parameters baked in already")
-        if batch_function is not None:
-            spec = dataclasses.replace(spec, batch_function=batch_function)
-        return spec
-    if isinstance(spec, MatrixFunction):
+        bound = spec
+    elif isinstance(spec, MatrixFunction):
         bound = spec.bind(**params)
     elif isinstance(spec, str):
         bound = get_kernel(spec).bind(**params)
@@ -339,8 +353,42 @@ def resolve_kernel(
             f"MatrixFunction, got {type(spec).__name__}"
         )
     if batch_function is not None:
-        bound = dataclasses.replace(bound, batch_function=batch_function)
+        bound = dataclasses.replace(
+            bound, batch_function=batch_function, checked_function=None
+        )
     return bound
+
+
+class KernelStackSolver:
+    """The one ``(k, d, d)`` stack solver of a bound kernel.
+
+    ``apply`` and the iterative density route both evaluate every stack
+    through one of these.  A kernel with a
+    :attr:`~BoundKernel.checked_function` gets its single convergence-checked
+    attempt, and the submatrices it did not converge come back from ``eigen``
+    and add to :attr:`fallbacks` (stacks may be solved on several threads;
+    the count is taken under a lock).  Any other kernel runs its batched
+    callable, or its per-matrix one slice by slice.  The result has the
+    stack's dtype.
+    """
+
+    def __init__(self, kernel: BoundKernel):
+        self.kernel = kernel
+        self.fallbacks = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, stack: np.ndarray) -> np.ndarray:
+        kernel = self.kernel
+        if kernel.checked_function is not None:
+            results, fallbacks = kernel.checked_function(stack)
+            if fallbacks:
+                with self._lock:
+                    self.fallbacks += fallbacks
+        elif kernel.batch_function is not None:
+            results = kernel.batch_function(stack)
+        else:
+            results = [kernel.function(matrix) for matrix in stack]
+        return np.asarray(results, dtype=stack.dtype)
 
 
 # --------------------------------------------------------------------------- #
@@ -373,9 +421,9 @@ def _make_newton_schulz_batched(mu: float = 0.0):
 
 
 def _make_newton_schulz_checked(mu: float = 0.0):
-    def checked(stack, max_iterations: int = DEFAULT_SIGN_MAX_ITERATIONS):
+    def checked(stack):
         result = sign_newton_schulz_batched(
-            stack, max_iterations=max_iterations, shift=mu
+            stack, max_iterations=DEFAULT_SIGN_MAX_ITERATIONS, shift=mu
         )
         return result.sign, result.converged
 
@@ -387,13 +435,15 @@ def _make_pade(mu: float = 0.0, order: int = 3):
 
 
 def _make_pade_checked(mu: float = 0.0, order: int = 3):
-    def checked(stack, max_iterations: int = DEFAULT_SIGN_MAX_ITERATIONS):
+    def checked(stack):
         stack = np.asarray(stack, dtype=float)
         signs = np.empty_like(stack)
         converged = np.zeros(stack.shape[0], dtype=bool)
         for slot in range(stack.shape[0]):
             result = sign_pade(
-                _shift(stack[slot], mu), order=order, max_iterations=max_iterations
+                _shift(stack[slot], mu),
+                order=order,
+                max_iterations=DEFAULT_SIGN_MAX_ITERATIONS,
             )
             signs[slot] = result.sign
             converged[slot] = result.converged
@@ -423,19 +473,15 @@ def _make_chebyshev_batched(
 
 
 def _make_chebyshev_checked(
-    mu: float = 0.0, smoothing: float = DEFAULT_CHEBYSHEV_SMOOTHING
+    mu: float = 0.0,
+    degree: int = DEFAULT_CHEBYSHEV_DEGREE,
+    smoothing: float = DEFAULT_CHEBYSHEV_SMOOTHING,
 ):
-    def checked(stack, max_iterations: int = DEFAULT_SIGN_MAX_ITERATIONS):
-        # the resilience ladder's budget is an *iteration* count tuned for
-        # the sign iterations; for a polynomial expansion it maps to series
-        # terms, so the first attempt always gets the full default degree
-        # and escalated retries extend the series beyond it
+    def checked(stack):
         result = sign_chebyshev_batched(
-            _shift(stack, mu),
-            degree=max(DEFAULT_CHEBYSHEV_DEGREE, int(max_iterations)),
-            smoothing=smoothing,
+            _shift(stack, mu), degree=degree, smoothing=smoothing
         )
-        return result.sign, np.asarray(result.converged, dtype=bool)
+        return result.sign, result.converged
 
     return checked
 
@@ -481,95 +527,3 @@ register_kernel(
         make_checked_batched=_make_chebyshev_checked,
     )
 )
-
-
-# --------------------------------------------------------------------------- #
-# resilience: convergence retry and per-matrix fallback
-# --------------------------------------------------------------------------- #
-def resilient_stack_solver(kernel: MatrixFunction, policy=None, report=None, **params):
-    """Sign-stack solver with convergence retry and per-matrix fallback.
-
-    Returns a callable ``solve(shifted) -> signs`` over already μ-shifted
-    ``(k, d, d)`` stacks, or ``None`` when resilience does not apply —
-    no ``policy``, or a ``kernel`` without a convergence-checked batched
-    variant (:attr:`MatrixFunction.make_checked_batched`) — in which case
-    the caller should use the plain bound kernel.
-
-    The solver's recovery ladder, per stack:
-
-    1. **First attempt** with the default iteration budget
-       (:data:`DEFAULT_SIGN_MAX_ITERATIONS`).  When the policy carries a
-       :class:`~repro.parallel.faults.FaultInjector`, its ``"kernel"``
-       site is consulted first and may cap the budget — the deterministic
-       way to force a genuine non-convergence in tests.
-    2. **Retries** (``policy.kernel_retries`` rounds): every non-converged
-       matrix is restarted *from its original shifted values* with the
-       budget scaled by ``policy.kernel_retry_growth`` per round.  Because
-       the batched iterations prescale and freeze each matrix individually
-       and stop at convergence, a retried matrix that converges produces
-       exactly the iterates — hence bitwise the result — of a fault-free
-       first attempt.
-    3. **Fallback**: matrices still non-converged are evaluated by the
-       ``policy.kernel_fallback`` kernel (default ``"eigen"``), recorded
-       on ``report.kernel_fallbacks`` rather than raised.  With
-       ``kernel_fallback=None`` a :class:`KernelConvergenceError` is
-       raised instead.
-
-    ``report`` is any object with ``kernel_retries``/``kernel_fallbacks``
-    int attributes (e.g. :class:`~repro.core.runner.ResilienceReport`);
-    ``**params`` are forwarded to the kernel factories.
-    """
-    if policy is None:
-        return None
-    checked = kernel.bind_checked(**params)
-    if checked is None:
-        return None
-    fallback = None
-    fallback_name = getattr(policy, "kernel_fallback", None)
-    if fallback_name is not None:
-        fallback = get_kernel(fallback_name).bind()
-    injector = getattr(policy, "fault_injector", None)
-    retries = int(getattr(policy, "kernel_retries", 0))
-    growth = float(getattr(policy, "kernel_retry_growth", 4.0))
-
-    def solve(shifted: np.ndarray) -> np.ndarray:
-        shifted = np.asarray(shifted, dtype=float)
-        budget = DEFAULT_SIGN_MAX_ITERATIONS
-        cap = injector.kernel_cap(kernel.name) if injector is not None else None
-        signs, converged = checked(
-            shifted, max_iterations=budget if cap is None else cap
-        )
-        signs = np.asarray(signs, dtype=float)
-        converged = np.asarray(converged, dtype=bool).reshape(shifted.shape[0])
-        round_index = 0
-        while not converged.all() and round_index < retries:
-            round_index += 1
-            pending = np.flatnonzero(~converged)
-            budget = int(round(DEFAULT_SIGN_MAX_ITERATIONS * growth**round_index))
-            redo_signs, redo_converged = checked(
-                shifted[pending], max_iterations=budget
-            )
-            signs[pending] = np.asarray(redo_signs, dtype=float)
-            converged[pending] = np.asarray(redo_converged, dtype=bool).reshape(
-                pending.size
-            )
-            if report is not None:
-                report.kernel_retries += int(pending.size)
-        if not converged.all():
-            pending = np.flatnonzero(~converged)
-            if fallback is None:
-                raise KernelConvergenceError(kernel.name, pending.size, budget)
-            if fallback.batch_function is not None:
-                signs[pending] = np.asarray(
-                    fallback.batch_function(shifted[pending]), dtype=float
-                )
-            else:
-                for index in pending:
-                    signs[index] = np.asarray(
-                        fallback.function(shifted[index]), dtype=float
-                    )
-            if report is not None:
-                report.kernel_fallbacks += int(pending.size)
-        return signs
-
-    return solve

@@ -116,13 +116,13 @@ def reachable_array_bytes(root):
     return sum(buffers.values())
 
 
-def run_pipeline(pipeline, matrix, function=None, batch_function=None, **run):
+def run_pipeline(pipeline, matrix, function=None, batch_function=None, mapper=None):
     """f(A) through an explicitly built pipeline and the one rank loop.
 
     What ``SubmatrixContext.apply(matrix, f, ranks=n)`` does with its cached
-    pipeline, for tests that construct the pipeline themselves;
-    ``**run`` are :func:`~repro.core.runner.run_stacks` keywords
-    (``mapper=``, ``policy=``, ``report=``).  Returns the block-sparse f(A).
+    pipeline, for tests that construct the pipeline themselves; ``mapper``
+    dispatches the rank tasks (:func:`~repro.core.runner.run_stacks`).
+    Returns the block-sparse f(A).
     """
     from repro.core.batch import stack_solver
     from repro.core.runner import run_stacks
@@ -136,6 +136,6 @@ def run_pipeline(pipeline, matrix, function=None, batch_function=None, **run):
         out,
         pipeline=pipeline,
         pad_to=pipeline.bucket_pad,
-        **run,
+        mapper=mapper,
     )
     return plan.finalize(out)

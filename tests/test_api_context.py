@@ -53,6 +53,8 @@ from repro.core.batch import evaluate_batched, stack_solver
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_dense
 from repro.serve import DensityService
 from repro.signfn import (
+    BoundKernel,
+    KernelStackSolver,
     sign_chebyshev_batched,
     sign_newton_schulz_batched,
     sign_pade,
@@ -120,7 +122,11 @@ class TestEngineConfig:
 
     def test_one_front_door_one_rank_loop(self):
         """Structure guard: one entry class, one executor, no way back."""
-        for module in ("repro.core.method", "repro.core.sign_dft"):
+        for module in (
+            "repro.core.method",
+            "repro.core.sign_dft",
+            "repro.parallel.faults",
+        ):
             assert importlib.util.find_spec(module) is None
         deleted = {
             "SubmatrixMethod",
@@ -132,7 +138,7 @@ class TestEngineConfig:
         }
         for package in (repro, repro.api, repro.core):
             assert not deleted & set(dir(package)), package.__name__
-        assert len(dataclasses.fields(EngineConfig)) == 11
+        assert len(dataclasses.fields(EngineConfig)) == 10
         for removed in ("flop_constant", "exact_transfers"):
             with pytest.raises(TypeError):
                 EngineConfig(**{removed: 1})
@@ -228,10 +234,16 @@ class TestEngineConfig:
             ("spin_degeneracy", 0.0),
             ("plan_cache_size", 0),
             ("max_workers", 0),
+            # a float or a bool would silently truncate to some count
+            ("max_workers", 1.5),
+            ("max_workers", True),
+            ("plan_cache_size", 2.5),
+            ("bucket_pad", 2.5),
+            ("bucket_pad", True),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises((TypeError, ValueError)):
             EngineConfig(**{field: value})
 
     def test_replace_revalidates(self):
@@ -317,6 +329,36 @@ class TestKernelRegistry:
         ctx = SubmatrixContext(EngineConfig(engine="batched", bucket_pad=8))
         with pytest.raises(ValueError, match="bucket padding"):
             ctx.apply(matrix, name)
+
+    def test_stack_solver_counts_fallbacks_across_threads(self):
+        """One ``KernelStackSolver`` serves every stack task of a request,
+        on as many pool threads: no fallback count may be lost."""
+        solver = KernelStackSolver(
+            BoundKernel(
+                name="every-slot-falls-back",
+                function=lambda a: a,
+                checked_function=lambda stack: (stack, stack.shape[0]),
+            )
+        )
+        stack = np.zeros((3, 2, 2))
+        n_threads, calls_each = 8, 2000
+
+        def worker():
+            for _ in range(calls_each):
+                solver(stack)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert solver.fallbacks == 3 * n_threads * calls_each
 
     def test_kernel_metadata(self):
         # iterative vs spectral, and the μ-shifted padding anchor
@@ -823,7 +865,7 @@ class TestDistributedSession:
         assert cost.simulated_seconds > 0
 
     def test_invalid_rank_count_rejected(self, water32_matrices, gap_mu):
-        """``ranks`` has one check (``check_ranks``) behind ``apply`` and the
+        """``ranks`` has one check (``check_positive_int``) behind ``apply`` and the
         session config; ``tests/test_request_parity.py`` holds the same cases
         for density, trajectory and the serving layer."""
         pair = water32_matrices

@@ -12,16 +12,23 @@ Covers the acceptance criteria of the trajectory tentpole:
 * rank-sharded trajectories reuse the context-cached pipeline across steps
   and report the initialization-exchange fetch volumes;
 * ``warm_start_mu=True`` converges the electron count within tolerance while
-  (documentedly) breaking bitwise μ identity; zero-step trajectories.
+  (documentedly) breaking bitwise μ identity; zero-step trajectories;
+* **regression**: a trajectory killed mid-run and resumed from its
+  checkpoint produces bitwise-identical results to an uninterrupted run,
+  and an unusable checkpoint raises :class:`~repro.api.CheckpointError`.
 """
+
+import json
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.api import (
+    CheckpointError,
     EngineConfig,
     SubmatrixContext,
+    TrajectoryCheckpoint,
     TrajectoryResult,
     TrajectoryStats,
 )
@@ -474,3 +481,208 @@ class TestZeroStepTrajectories:
         with self.make_context() as ctx:
             with pytest.raises(ValueError, match="not None"):
                 ctx.trajectory(None, water32_matrices.blocks, n_electrons=1.0)
+
+
+class _Killed(Exception):
+    pass
+
+
+class TestCheckpointResume:
+    def test_resume_is_bitwise_identical_to_uninterrupted(
+        self, water32_matrices, tmp_path
+    ):
+        """Regression: kill at step 3, resume → identical densities and μ."""
+        pair = water32_matrices
+        steps = value_only_steps(pair, 5)
+        config = EngineConfig(engine="batched", eps_filter=EPS)
+        with SubmatrixContext(config) as ctx:
+            uninterrupted = ctx.trajectory(
+                steps, pair.blocks, n_electrons=N_ELECTRONS, warm_start_mu=True
+            )
+
+        checkpoint = tmp_path / "ckpt"
+
+        def dying_steps(index):
+            if index == 3:
+                raise _Killed()
+            return steps[index] if index < len(steps) else None
+
+        with SubmatrixContext(config) as ctx:
+            with pytest.raises(_Killed):
+                ctx.trajectory(
+                    dying_steps,
+                    pair.blocks,
+                    n_electrons=N_ELECTRONS,
+                    warm_start_mu=True,
+                    checkpoint=checkpoint,
+                )
+        assert TrajectoryCheckpoint(checkpoint).n_saved_steps == 3
+
+        with SubmatrixContext(config) as ctx:
+            resumed = ctx.trajectory(
+                steps,
+                pair.blocks,
+                n_electrons=N_ELECTRONS,
+                warm_start_mu=True,
+                checkpoint=checkpoint,
+            )
+        assert resumed.stats.steps_resumed == 3
+        assert [r.resumed for r in resumed.stats.steps] == [
+            True, True, True, False, False,
+        ]
+        assert len(resumed.results) == len(uninterrupted.results)
+        for before, after in zip(uninterrupted.results, resumed.results):
+            assert np.array_equal(before.density_ao, after.density_ao)
+            assert before.mu == after.mu
+            assert before.band_energy == after.band_energy
+
+    def test_completed_checkpoint_replays_every_step(
+        self, water32_matrices, tmp_path
+    ):
+        pair = water32_matrices
+        steps = value_only_steps(pair, 3)
+        config = EngineConfig(engine="batched", eps_filter=EPS)
+        with SubmatrixContext(config) as ctx:
+            first = ctx.trajectory(
+                steps,
+                pair.blocks,
+                n_electrons=N_ELECTRONS,
+                checkpoint=tmp_path / "done",
+            )
+        with SubmatrixContext(config) as ctx:
+            replay = ctx.trajectory(
+                steps,
+                pair.blocks,
+                n_electrons=N_ELECTRONS,
+                checkpoint=tmp_path / "done",
+            )
+        assert replay.stats.steps_resumed == 3
+        assert replay.stats.plans_built == 0  # nothing recomputed
+        for before, after in zip(first.results, replay.results):
+            assert np.array_equal(before.density_ao, after.density_ao)
+            assert before.pattern_fingerprint == after.pattern_fingerprint
+            assert np.array_equal(
+                before.density_ortho.toarray(), after.density_ortho.toarray()
+            )
+
+    def test_signature_mismatch_raises(self, water32_matrices, tmp_path):
+        pair = water32_matrices
+        steps = value_only_steps(pair, 2)
+        config = EngineConfig(engine="batched", eps_filter=EPS)
+        with SubmatrixContext(config) as ctx:
+            ctx.trajectory(
+                steps,
+                pair.blocks,
+                n_electrons=N_ELECTRONS,
+                checkpoint=tmp_path / "sig",
+            )
+        with SubmatrixContext(config) as ctx:
+            with pytest.raises(CheckpointError, match="different parameters"):
+                ctx.trajectory(
+                    steps,
+                    pair.blocks,
+                    mu=-0.2,  # different ensemble than the saved trajectory
+                    checkpoint=tmp_path / "sig",
+                )
+
+    def test_replan_key_of_an_old_manifest_is_ignored(
+        self, water32_matrices, tmp_path
+    ):
+        """Directories written while trajectories took ``replan=`` resume."""
+        pair = water32_matrices
+        steps = value_only_steps(pair, 2)
+        config = EngineConfig(engine="batched", eps_filter=EPS)
+        directory = tmp_path / "old"
+        with SubmatrixContext(config) as ctx:
+            first = ctx.trajectory(
+                steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
+            )
+        manifest_path = directory / "trajectory.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert "replan" not in manifest["signature"]
+
+        def rewrite(**changes):
+            signature = dict(manifest["signature"], **changes)
+            manifest_path.write_text(json.dumps(dict(manifest, signature=signature)))
+
+        rewrite(replan="patch")
+        with SubmatrixContext(config) as ctx:
+            resumed = ctx.trajectory(
+                steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
+            )
+        assert resumed.stats.steps_resumed == 2
+        for before, after in zip(first.results, resumed.results):
+            assert np.array_equal(before.density_ao, after.density_ao)
+            assert before.mu == after.mu
+        rewrite(replan="patch", solver="newton_schulz")
+        with SubmatrixContext(config) as ctx:
+            with pytest.raises(CheckpointError, match="different parameters"):
+                ctx.trajectory(
+                    steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
+                )
+
+    def test_missing_step_load_raises(self, tmp_path):
+        checkpoint = TrajectoryCheckpoint(tmp_path / "empty")
+        assert checkpoint.n_saved_steps == 0
+        assert not checkpoint.has_step(0)
+        with pytest.raises(CheckpointError, match="no saved step"):
+            checkpoint.load_step(0)
+
+    def test_truncated_step_file_raises_checkpoint_error(
+        self, water32_matrices, tmp_path
+    ):
+        """A step file cut short is a corrupt checkpoint, not a zip error."""
+        pair = water32_matrices
+        steps = value_only_steps(pair, 2)
+        config = EngineConfig(engine="batched", eps_filter=EPS)
+        directory = tmp_path / "cut"
+        with SubmatrixContext(config) as ctx:
+            ctx.trajectory(
+                steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
+            )
+        step_file = directory / "step_00001.npz"
+        content = step_file.read_bytes()
+        step_file.write_bytes(content[: len(content) // 2])
+        with pytest.raises(CheckpointError, match="corrupt checkpoint step file"):
+            TrajectoryCheckpoint(directory).load_step(1)
+        with SubmatrixContext(config) as ctx:
+            with pytest.raises(CheckpointError, match="corrupt checkpoint step file"):
+                ctx.trajectory(
+                    steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
+                )
+
+    def test_retired_counter_slots_are_ignored_on_load(
+        self, water32_matrices, tmp_path
+    ):
+        """Step files whose counters carry non-zero values in the retired
+        slots 2, 3 and 5 (as older code wrote them) still resume."""
+        pair = water32_matrices
+        steps = value_only_steps(pair, 2)
+        config = EngineConfig(engine="batched", eps_filter=EPS)
+        directory = tmp_path / "six_slots"
+        with SubmatrixContext(config) as ctx:
+            first = ctx.trajectory(
+                steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
+            )
+        step_file = directory / "step_00000.npz"
+        with np.load(step_file) as data:
+            arrays = {key: data[key] for key in data.files}
+        assert arrays["counters"].tolist()[2:] == [0, 0, 0, 0]
+        mu_iterations, n_ranks = arrays["counters"][:2]
+        arrays["counters"] = np.asarray(
+            [mu_iterations, n_ranks, 3, 2, 1, 1], dtype=np.int64
+        )
+        with open(step_file, "wb") as handle:
+            np.savez(handle, **arrays)
+        loaded = TrajectoryCheckpoint(directory).load_step(0)
+        assert loaded.kernel_fallbacks == 1
+        assert loaded.mu_iterations == first[0].mu_iterations
+        assert np.array_equal(loaded.density_ao, first[0].density_ao)
+        with SubmatrixContext(config) as ctx:
+            resumed = ctx.trajectory(
+                steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
+            )
+        assert resumed.stats.steps_resumed == 2
+        assert resumed.stats.kernel_fallbacks == 1
+        for before, after in zip(first.results, resumed.results):
+            assert np.array_equal(before.density_ao, after.density_ao)

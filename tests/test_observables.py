@@ -10,8 +10,8 @@ Covers the PR's contracts:
   exactly the same number of eigendecomposition calls as density alone —
   N observables, one decomposition pass per stack;
 * a fixed-μ density request streams ``eigh → occupy → scatter`` per stack
-  and holds no spectra: bitwise the collected, served, sharded and recovered
-  result, right against the dense oracle, and — asserted with
+  and holds no spectra: bitwise the collected, served and sharded result,
+  right against the dense oracle, and — asserted with
   ``tracemalloc`` — below Σdᵢ²·8 B of peak memory where a canonical request
   is not;
 * PDOS and the energy-weighted density matrix agree with a dense reference
@@ -41,7 +41,6 @@ import repro.serve.batcher
 from repro.api import (
     EngineConfig,
     ObservableBundle,
-    ResiliencePolicy,
     SubmatrixContext,
     TrajectoryCheckpoint,
     UnknownObservableError,
@@ -60,7 +59,6 @@ from repro.api.observables import (
 from repro.chem import reference_density_matrix
 from repro.chem.density import fermi_occupation
 from repro.chem.hamiltonian import BlockStructure
-from repro.parallel.faults import FaultInjector, FaultPlan
 from repro.serve import DensityService
 
 from submatrix_reference import assert_matches_reference_density, reference_density
@@ -259,7 +257,7 @@ class TestStreamedRoute:
     def test_bitwise_chain_over_every_route(
         self, water32_matrices, gap_mu, temperature, monkeypatch
     ):
-        """streamed == collected == served == two ranks == every recovery."""
+        """streamed == collected == served == two ranks."""
         pair = water32_matrices
         request = (pair.K, pair.S, pair.blocks)
         config = EngineConfig(eps_filter=self.EPS, temperature=temperature)
@@ -278,24 +276,6 @@ class TestStreamedRoute:
         with DensityService(config) as service:  # merged groups collect
             served = service.density(*request, mu=gap_mu)
         assert_density_identical(served, streamed)
-        # a retried rank (in place, or rebalanced onto the survivor) and a
-        # run degraded to the single unit rewrite the same scatter ranges
-        recoveries = {
-            "retry": (dict(times=1), dict(rank_rebalance=False)),
-            "rebalance": (dict(times=1), dict(rank_rebalance=True)),
-            "degrade": (dict(times=None), dict(rank_rebalance=False)),
-        }
-        for name, (crashes, policy) in recoveries.items():
-            injector = FaultInjector(FaultPlan.rank_crashes([0], seed=3, **crashes))
-            resilient = config.replace(
-                resilience=ResiliencePolicy(fault_injector=injector, **policy)
-            )
-            with SubmatrixContext(resilient) as ctx:
-                recovered = ctx.density(*request, mu=gap_mu, ranks=2)
-            assert_density_identical(recovered, streamed)
-            assert recovered.retries == 1, name
-            assert recovered.degraded == (name == "degrade")
-            assert (recovered.reassigned_stacks > 0) == (name == "rebalance")
 
     def test_against_the_dense_oracle(self, water32_matrices, gap_mu):
         """Not path-vs-path: the invariants of a T = 0 density matrix and the

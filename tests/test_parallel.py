@@ -7,11 +7,12 @@ from repro.parallel import (
     CartesianGrid2D,
     MachineModel,
     SimComm,
+    TaskExecutionError,
     TrafficLog,
     balanced_dims,
     map_parallel,
 )
-from repro.parallel.comm import CommRecvError, payload_nbytes
+from repro.parallel.comm import CommRankError, CommRecvError, payload_nbytes
 from repro.parallel.stats import RankCounters
 
 
@@ -172,6 +173,33 @@ class TestSimComm:
             comm.recv(1, tag="wanted")
         assert info.value.mailbox_state == {(1, "other"): 1}
 
+    def test_unknown_rank_error_carries_rank_and_state(self):
+        comm = SimComm(2)
+        comm.send(0, 1, np.zeros(4), tag="data")
+        with pytest.raises(CommRankError) as info:
+            comm.send(0, 7, b"x")
+        assert info.value.rank == 7
+        assert info.value.mailbox_state == {(1, "data"): 1}
+        assert "rank 7" in str(info.value)
+        assert isinstance(info.value, IndexError)  # legacy compatibility
+
+    def test_recv_empty_mailbox_error_carries_state(self):
+        comm = SimComm(3)
+        comm.send(0, 2, 1.0, tag="other")
+        with pytest.raises(CommRecvError) as info:
+            comm.recv(1, tag="missing")
+        assert info.value.rank == 1
+        assert info.value.mailbox_state == {(2, "other"): 1}
+        assert "tag 'missing'" in str(info.value)
+        assert "pending mailboxes" in str(info.value)
+        assert isinstance(info.value, LookupError)  # legacy compatibility
+
+    def test_recv_source_filter_miss_mentions_source(self):
+        comm = SimComm(3)
+        comm.send(0, 1, "payload")
+        with pytest.raises(CommRecvError, match="from 2"):
+            comm.recv(1, source=2)
+
     def test_payload_nbytes(self):
         assert payload_nbytes(np.zeros(10)) == 80
         assert payload_nbytes([np.zeros(2), np.zeros(3)]) == 40
@@ -309,6 +337,40 @@ class TestExecutor:
         assert make_executor("thread", 1) is None
         with pytest.raises(ValueError):
             make_executor("gpu")
+
+
+def _explode_on_three(value):
+    if value == 3:
+        raise ValueError(f"bad value {value}")
+    return value * 2
+
+
+class TestMapParallelWrapping:
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_wrapped_error_carries_task_context(self, backend):
+        with pytest.raises(TaskExecutionError) as info:
+            map_parallel(_explode_on_three, range(6), max_workers=2, backend=backend)
+        error = info.value
+        assert error.task_index == 3
+        assert error.n_tasks == 6
+        assert isinstance(error.original, ValueError)
+        assert error.__cause__ is error.original
+        assert "task 3 of 6" in str(error)
+
+    def test_wrapped_error_still_matches_original_type(self):
+        with pytest.raises(ValueError, match="bad value 3"):
+            map_parallel(_explode_on_three, range(6), backend="serial")
+
+    def test_lowest_failing_index_wins(self):
+        def explode_even(value):
+            if value % 2 == 0:
+                raise KeyError(value)
+            return value
+
+        with pytest.raises(TaskExecutionError) as info:
+            map_parallel(explode_even, range(6), backend="serial")
+        assert info.value.task_index == 0
+        assert isinstance(info.value, KeyError)
 
 
 class TestRecordMessageMatrix:

@@ -19,7 +19,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.api import EngineConfig, ResiliencePolicy, SubmatrixContext
+from repro.api import EngineConfig, SubmatrixContext
 from repro.chem import HamiltonianModel, build_matrices, orthogonalized_ks
 from repro.chem.basis import SZV
 from repro.core import (
@@ -33,12 +33,12 @@ from repro.core.combination import group_columns_greedy_chunks
 from repro.dbcsr import BlockDistribution, BlockSparseMatrix, CooBlockList, ProcessGrid2D
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_csr
 from repro.parallel import MachineModel
-from repro.parallel.faults import FaultInjector, FaultPlan
 from repro.signfn import (
+    sign_newton_schulz_batched,
     sign_via_eigendecomposition,
     sign_via_eigendecomposition_batched,
 )
-from repro.signfn.registry import get_kernel
+from repro.signfn.registry import get_kernel, register_kernel
 
 from conftest import run_pipeline
 from submatrix_reference import reference_apply_blockwise, reference_density
@@ -407,8 +407,8 @@ class TestWaterBenchmarkAcceptance:
     def test_one_bucket_loop_behind_every_route(
         self, water32_matrices, water_setup, gap_mu, solver
     ):
-        """Single-process ≡ ranks {1, 2, 4} ≡ degraded, for densities and
-        f(A) alike — all through ``core.runner.run_stacks``."""
+        """Single-process ≡ ranks {1, 2, 4}, for densities and f(A) alike —
+        all through ``core.runner.run_stacks``."""
         pair = water32_matrices
         config = EngineConfig(engine="batched", eps_filter=1e-5)
 
@@ -428,13 +428,6 @@ class TestWaterBenchmarkAcceptance:
         single = density(config)
         for ranks in (1, 2, 4):
             assert_same_density(density(config, ranks=ranks), single)
-        every_attempt = FaultInjector(FaultPlan.rank_crashes([0, 1], times=None))
-        degraded = density(
-            config.replace(resilience=ResiliencePolicy(fault_injector=every_attempt)),
-            ranks=2,
-        )
-        assert degraded.degraded
-        assert_same_density(degraded, single)
 
         blocked, sizes, coo = water_setup
         with SubmatrixContext(config) as ctx:
@@ -452,35 +445,33 @@ class TestWaterBenchmarkAcceptance:
 
 
 class TestExecutorParity:
-    """One rank loop behind ``apply`` and ``density``."""
+    """One rank loop and one stack solver behind ``apply`` and ``density``."""
 
     EPS = 1e-4
-    #: rank 0 exists at every rank count: one transient crash is recovered
-    #: by one retry; a crash on every attempt exhausts the retries
-    FAULTS = {
-        "clean": None,
-        "rank_crash": dict(times=1),
-        "retries_exhausted": dict(times=None),
-    }
 
-    @staticmethod
-    def _evaluate(entry, pair, blocked, mu, kernel, config, ranks=None):
-        with SubmatrixContext(config) as ctx:
-            if entry == "apply":
-                run = ctx.apply(blocked, kernel, mu=mu, ranks=ranks)
-                values = (block_matrix_to_csr(run.result).toarray(),)
-                report = run.resilience
-                return values, run.n_ranks, (report.retries, report.degraded)
+    @classmethod
+    def _evaluate(cls, entry, pair, blocked, mu, kernel, config, ranks=None, ctx=None):
+        """``(values, n_ranks, kernel_fallbacks)`` of one call — in ``ctx``
+        when given, else in a new context."""
+        if ctx is None:
+            with SubmatrixContext(config) as ctx:
+                return cls._evaluate(
+                    entry, pair, blocked, mu, kernel, config, ranks, ctx
+                )
+        if entry == "apply":
+            run = ctx.apply(blocked, kernel, mu=mu, ranks=ranks)
+            values = (block_matrix_to_csr(run.result).toarray(),)
+        else:
             run = ctx.density(
                 pair.K, pair.S, pair.blocks, mu=mu, solver=kernel, ranks=ranks
             )
             values = (run.density_ao, run.density_ortho.toarray(), run.band_energy)
-            return values, run.n_ranks, (run.retries, run.degraded)
+        return values, run.n_ranks, run.kernel_fallbacks
 
     @pytest.fixture(scope="class")
     def system(self, water32):
         """Short-decay water: submatrix dimensions 6/12/18 (three buckets),
-        so the 48 cases cost milliseconds each.  ``(pair, blocked, mu)``."""
+        so every case costs milliseconds.  ``(pair, blocked, mu)``."""
         basis = dataclasses.replace(
             SZV, name="SZV-short-decay", decay_length=0.20, overlap_decay_length=0.16
         )
@@ -494,7 +485,7 @@ class TestExecutorParity:
 
     @pytest.fixture(scope="class")
     def clean_single_process(self, system):
-        """The clean single-process result of every (entry, kernel) — for
+        """The single-process result of every (entry, kernel) — for
         ``eigen`` checked against the per-submatrix reference loop."""
         pair, blocked, gap_mu = system
         config = EngineConfig(eps_filter=self.EPS)
@@ -515,43 +506,97 @@ class TestExecutorParity:
         assert np.array_equal(results["density", "eigen"][0], density.density_ao)
         return results
 
-    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("context", ["clean", "warm"])
     @pytest.mark.parametrize("ranks", [None, 1, 2, 4])
     @pytest.mark.parametrize("kernel", ["eigen", "newton_schulz"])
     @pytest.mark.parametrize("entry", ["apply", "density"])
     def test_executor_parity(
-        self,
-        system,
-        clean_single_process,
-        entry,
-        kernel,
-        ranks,
-        fault,
+        self, system, clean_single_process, entry, kernel, ranks, context
     ):
-        """``apply`` and ``density`` run the same rank loop: any rank count,
-        a recovered rank crash and a degraded run all reproduce the clean
-        single-process result bitwise, with the same resilience counters."""
-        injector = None
-        if self.FAULTS[fault] is not None:
-            injector = FaultInjector(
-                FaultPlan.rank_crashes([0], seed=3, **self.FAULTS[fault])
-            )
-        config = EngineConfig(
-            eps_filter=self.EPS, resilience=ResiliencePolicy(fault_injector=injector)
-        )
+        """``apply`` and ``density`` run the same rank loop: any rank count
+        reproduces the single-process result bitwise, in a new context and
+        in one that already holds the call's plan and pipeline (a repeated
+        call builds neither), and Newton–Schulz converges every submatrix
+        (no ``eigen`` fallback)."""
         pair, blocked, gap_mu = system
-        values, n_ranks, (retries, degraded) = self._evaluate(
-            entry, pair, blocked, gap_mu, kernel, config, ranks
-        )
+        config = EngineConfig(eps_filter=self.EPS)
+
+        def built(ctx):
+            stats = ctx.stats()
+            return stats["plan_cache"]["misses"], stats["pipelines_built"]
+
+        with SubmatrixContext(config) as ctx:
+            if context == "warm":
+                self._evaluate(entry, pair, blocked, gap_mu, kernel, config, ranks, ctx)
+                before = built(ctx)
+            values, n_ranks, fallbacks = self._evaluate(
+                entry, pair, blocked, gap_mu, kernel, config, ranks, ctx
+            )
+            if context == "warm":
+                assert built(ctx) == before
         for ours, reference in zip(values, clean_single_process[entry, kernel]):
             assert np.array_equal(ours, reference)
         assert n_ranks == (ranks or 1)
-        faulted = ranks is not None and fault != "clean"
-        assert retries == (1 if faulted else 0)
-        assert degraded == (faulted and fault == "retries_exhausted")
-        if injector is not None:
-            # one crash, or the first attempt and its one retry; never
-            # consulted without ranks
-            expected = {"rank_crash": 1, "retries_exhausted": 2}[fault]
-            assert injector.n_injected == (expected if faulted else 0)
+        assert fallbacks == 0
 
+    @pytest.mark.parametrize("ranks", [None, 2])
+    @pytest.mark.parametrize("entry", ["apply", "density"])
+    def test_unconverged_submatrix_is_evaluated_by_eigen(
+        self, system, clean_single_process, entry, ranks
+    ):
+        """A fake iterative kernel — Newton–Schulz whose convergence-checked
+        variant reports the submatrix of block column 0 as not converged and
+        hands NaN back for it — through ``apply`` and ``density``, single
+        process and two ranks: that submatrix comes from ``eigen`` and is
+        counted once, every other one is bitwise the kernel's own output."""
+        pair, blocked, gap_mu = system
+        plan = block_plan(
+            CooBlockList.from_block_matrix(blocked),
+            blocked.row_block_sizes,
+            single_column_groups(blocked.n_block_cols).groups,
+        )
+        dimension = plan.dimensions[0]
+        # column 0's submatrix as the kernel sees it, shifted by μ
+        stalled = plan.extract_stack(plan.pack(blocked), [0], dimension)[0]
+        stalled[np.diag_indices(dimension)] -= gap_mu
+
+        def make_checked(mu=0.0):
+            def checked(stack):
+                result = sign_newton_schulz_batched(
+                    stack, max_iterations=100, shift=mu
+                )
+                shifted = stack - mu * np.eye(stack.shape[-1])
+                converged = result.converged.copy()
+                for slot in range(stack.shape[0]):
+                    if np.array_equal(shifted[slot], stalled):
+                        converged[slot] = False
+                        result.sign[slot] = np.nan
+                return result.sign, converged
+
+            return checked
+
+        name = "test-stalling-newton-schulz"
+        register_kernel(
+            dataclasses.replace(
+                get_kernel("newton_schulz"), name=name, make_checked_batched=make_checked
+            ),
+            overwrite=True,
+        )
+        config = EngineConfig(eps_filter=self.EPS)
+        values, _, fallbacks = self._evaluate(
+            entry, pair, blocked, gap_mu, name, config, ranks
+        )
+        assert fallbacks == 1
+        # the packed result of f(A), or the orthogonal-basis density
+        index = 0 if entry == "apply" else 1
+        ours = values[index]
+        kernel_own = clean_single_process[entry, "newton_schulz"][index]
+        eigen = clean_single_process[entry, "eigen"][index]
+        width = pair.blocks.block_sizes[0]
+        assert np.array_equal(ours[:, width:], kernel_own[:, width:])
+        if entry == "apply":
+            assert np.array_equal(ours[:, :width], eigen[:, :width])
+        else:
+            # sign from eigh mapped to 1/2(I − sign) here, the eigen solver's
+            # Fermi occupations there: the same projector up to rounding
+            assert np.allclose(ours[:, :width], eigen[:, :width], rtol=0, atol=1e-12)
