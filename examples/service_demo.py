@@ -7,14 +7,13 @@ requests from two concurrent tenants — an MD driver running canonical
 grand-canonical (fixed μ) solves — over a *shared* library of molecular
 configurations:
 
+* every request runs as one session call on the service's dispatch thread
+  pool, concurrently with the others;
 * extraction plans are built once per distinct sparsity pattern and reused
   across tenants through the shared plan cache;
-* the micro-batcher coalesces concurrently queued requests into merged
-  eigendecomposition stacks and deduplicates the μ-independent work of
-  requests carrying bytewise-identical matrices;
 * admission control caps per-tenant in-flight work, and per-tenant metrics
-  (latency percentiles, cache traffic, batching counters) are readable at
-  any time while the service keeps serving.
+  (latency percentiles, cache traffic) are readable at any time while the
+  service keeps serving.
 
 Every served result is bitwise identical to a direct
 ``SubmatrixContext.density`` call with the same arguments.
@@ -22,10 +21,19 @@ Every served result is bitwise identical to a direct
 Run with:  python examples/service_demo.py
 """
 
-import threading
+import os
 
-from repro import DensityService, EngineConfig
-from repro.chem import HamiltonianModel, build_matrices, water_box
+# The service runs requests concurrently.  A multi-threaded BLAS called from
+# several threads at once contends instead of adding up (on two cores, eight
+# concurrent requests ran ~20x slower with OpenBLAS's default threading), so
+# a serving process gives each call one BLAS thread — set before NumPy loads.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import threading  # noqa: E402
+
+from repro import DensityService, EngineConfig  # noqa: E402
+from repro.chem import HamiltonianModel, build_matrices, water_box  # noqa: E402
 
 N_PATTERNS = 3
 REQUESTS_PER_TENANT = 6
@@ -43,7 +51,7 @@ def build_library():
 
 
 def tenant_load(service, tenant, pairs, ensemble_for):
-    """Submit every request up front, then wait — the service coalesces."""
+    """Submit every request up front, then wait — the pool runs them."""
     futures = [
         service.submit(
             pair.K,
@@ -68,7 +76,7 @@ def main() -> None:
     )
 
     config = EngineConfig(engine="batched", backend="thread")
-    with DensityService(config=config, max_batch=8, batch_wait=0.02) as service:
+    with DensityService(config=config) as service:
         results = {}
 
         def run(tenant, ensemble_for):
@@ -107,21 +115,16 @@ def main() -> None:
         )
 
     total = metrics["total"]
+    cache = stats["plan_cache"]
     print(
-        f"\nshared plan cache: {stats['plan_cache']['builds']} plans built for "
-        f"{int(total['completed'])} requests "
+        f"\nshared plan cache: {cache['builds']} plans built, {cache['hits']} "
+        f"hits for {int(total['completed'])} requests "
         f"(hit rate {stats['plan_cache_hit_rate']:.2f}, "
         f"{stats['plan_cache_bytes'] / 1e6:.1f} MB held)"
     )
     print(
-        f"micro-batching: {int(total['batched'])} requests served in merged "
-        f"groups, {int(total['shared'])} deduplicated against an identical "
-        "in-flight peer"
-    )
-    print(
-        "\nBoth tenants drew on the same plans and the same in-flight "
-        "eigendecompositions; every result is bitwise identical to a direct "
-        "single-session call."
+        "\nBoth tenants drew on the same plans; every served result is "
+        "bitwise that of a direct single-session call with the same arguments."
     )
 
 

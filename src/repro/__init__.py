@@ -42,8 +42,9 @@ unified session API on top:
     engine itself computes in float64 NumPy only.
 ``repro.serve``
     Density-as-a-service: a multi-tenant in-process server pooling session
-    contexts over one shared plan cache, with cross-request micro-batching,
-    admission control and per-tenant metrics.
+    contexts over one shared plan cache, running every request as one
+    session call on a thread pool, with admission control and per-tenant
+    metrics.
 ``repro.analysis``
     Sparsity statistics and evaluation metrics.
 

@@ -105,10 +105,10 @@ def validate_groups(groups: Sequence[Sequence[int]], n_columns: int) -> None:
 def matrix_fingerprint(matrix) -> bytes:
     """Content hash of a dense or sparse matrix (shape, dtype, pattern, values).
 
-    The one content key of the session's overlap-root cache and of the
-    serving layer's request deduplication.  A missed match (the same logical
-    matrix in two storage formats) costs a redundant evaluation, never
-    correctness; a matrix mutated in place hashes differently.
+    The content key of the session's overlap-root cache.  A missed match
+    (the same logical matrix in two storage formats) costs a redundant
+    evaluation, never correctness; a matrix mutated in place hashes
+    differently.
     """
     if sp.issparse(matrix):
         csr = matrix.tocsr()

@@ -18,10 +18,9 @@ plus a small registry of *observables*, sibling to the
   lookup, one pass of the rank loop (:func:`~repro.core.runner.run_stacks`,
   single-process or rank-sharded) over the submatrix stacks — into a
   :class:`Decomposition`, and hands it to
-* :func:`evaluate_request`, the μ-dependent tail every entry point shares
-  (the serving layer merges stacks *across* requests and then calls this
-  same tail per request): one μ-bisection, one :class:`SharedEvaluation`,
-  every requested observable assembled from the same cached spectra;
+* :func:`evaluate_request`, the μ-dependent tail: one μ-bisection, one
+  :class:`SharedEvaluation`, every requested observable assembled from the
+  same cached spectra;
 * an :class:`Observable` describes what a physical quantity needs from the
   engine (the cached eigendecompositions, μ, the scatter plan) and how to
   assemble its result from that :class:`SharedEvaluation`; ``density`` is
@@ -33,10 +32,9 @@ only the generating block columns of f(aᵢ) back (Sec. III).  So the engine
 pass has two modes, chosen by whether anything downstream reads the spectra:
 
 * *collect* — a canonical request (``n_electrons=``: the bisection runs on
-  them), a bundle with ``pdos`` or ``energy_weighted_density`` (assembled
-  from them) and the serving layer's merged groups (shared between requests)
-  keep every ``(λ, Q)`` as read-only :class:`DecomposedSubmatrix` entries,
-  Σdᵢ²·8 B;
+  them) and a bundle with ``pdos`` or ``energy_weighted_density`` (assembled
+  from them) keep every ``(λ, Q)`` as read-only :class:`DecomposedSubmatrix`
+  entries, Σdᵢ²·8 B;
 * *scatter* — a fixed-``mu=`` request whose observables all have
   ``supports_iterative`` streams ``eigh → occupy → scatter`` per stack inside
   the stack task (rank- and worker-parallel) and keeps nothing: at most one
@@ -143,8 +141,7 @@ class PreparedStep:
     shared read-only array
     (:meth:`~repro.api.context.SubmatrixContext.overlap_root`), bitwise the
     one a fresh computation gives.  :func:`compute_observables` starts from
-    a prepared step, and the serving layer's batcher prepares each distinct
-    request content once.
+    a prepared step.
     """
 
     k_ortho: sp.csr_matrix
@@ -191,7 +188,7 @@ class SharedEvaluation:
     computed exactly once no matter how many observables consume them.
     Exactly one of ``decomposed`` and ``occupation_block`` is set: the
     spectra when something reads them (μ-bisection, ``pdos``,
-    ``energy_weighted_density``, a served group), else the occupation
+    ``energy_weighted_density``), else the occupation
     matrices the engine pass already scattered at the request's fixed μ.
     """
 
@@ -399,9 +396,8 @@ class Decomposition:
     """What one pass over the engine produced for one ``(K, S)`` content.
 
     In collect mode this is μ-independent — the cached per-submatrix
-    spectra ``decomposed`` serve any chemical potential and any observable,
-    which is why the serving layer shares one instance between
-    bytewise-identical requests and across micro-batch windows.  In scatter
+    spectra ``decomposed`` serve any chemical potential and any observable
+    (every bisection step reads the same entries).  In scatter
     mode (a fixed μ and nothing that reads spectra; every iterative-kernel
     request) the pass evaluates the occupation matrices at that μ
     (``occupation_block``) and leaves ``decomposed`` ``None``.
@@ -595,10 +591,8 @@ def evaluate_request(
 
     Bisect μ on the cached spectra when the ensemble is canonical
     (Algorithm 1), then assemble every observable in ``names`` from one
-    :class:`SharedEvaluation`.  :func:`compute_observables` ends here, and
-    the serving layer calls it once per request of a merged group — shared
-    :class:`Decomposition` entries are only ever read — which is what makes
-    served results bitwise identical to direct calls.  ``start`` is the
+    :class:`SharedEvaluation`; the :class:`Decomposition` entries are only
+    ever read.  :func:`compute_observables` ends here.  ``start`` is the
     ``perf_counter`` reading the result's ``wall_time`` counts from.
     """
     mu_iterations = 0
@@ -940,9 +934,10 @@ def _make_entry(
 ) -> DecomposedSubmatrix:
     """The cache entry of one submatrix, complete and read-only.
 
-    Entries are shared between requests and across micro-batch windows and
-    only ever read, so everything a reader needs — the generating-row slice
-    of Q and the weights Algorithm 1 sums — is derived here, once.
+    Entries are read by every bisection step and every observable of the
+    request and never written, so everything a reader needs — the
+    generating-row slice of Q and the weights Algorithm 1 sums — is derived
+    here, once, and the arrays are frozen as a safety property.
     """
     group = plan.groups[group_index]
     generating_slice = eigenvectors[group.generating_rows()]

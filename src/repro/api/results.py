@@ -304,9 +304,9 @@ class ObservableBundle:
 class DecomposedSubmatrix:
     """Cached eigendecomposition of one submatrix (input to Algorithm 1).
 
-    Complete when built and only ever read afterwards — the serving layer
-    shares one entry between requests and across micro-batch windows — so
-    every array is marked read-only.
+    Complete when built and only ever read afterwards — by the μ-bisection
+    and by every observable assembled from the same pass — so every array is
+    marked read-only.
     """
 
     submatrix: Submatrix

@@ -3,14 +3,11 @@
 Public surface:
 
 * :class:`~repro.serve.server.DensityService` — the multi-tenant server
-  (pooled sessions, shared plan cache, micro-batching, admission control);
+  (pooled sessions over one shared plan cache, every request one session
+  call on a dispatch thread pool, admission control);
 * :class:`~repro.serve.admission.AdmissionPolicy` /
   :class:`~repro.serve.admission.AdmissionController` /
   :class:`~repro.serve.admission.ServiceOverloadError` — admission control;
-* :class:`~repro.serve.batcher.MicroBatcher` /
-  :class:`~repro.serve.batcher.DensityRequest` /
-  :func:`~repro.serve.batcher.evaluate_merged_group` — cross-request
-  micro-batching;
 * :class:`~repro.serve.metrics.ServiceMetrics` — per-tenant counters.
 """
 
@@ -19,18 +16,14 @@ from repro.serve.admission import (
     AdmissionPolicy,
     ServiceOverloadError,
 )
-from repro.serve.batcher import DensityRequest, MicroBatcher, evaluate_merged_group
 from repro.serve.metrics import LATENCY_WINDOW, ServiceMetrics
 from repro.serve.server import DensityService
 
 __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
-    "DensityRequest",
     "DensityService",
     "LATENCY_WINDOW",
-    "MicroBatcher",
     "ServiceMetrics",
     "ServiceOverloadError",
-    "evaluate_merged_group",
 ]

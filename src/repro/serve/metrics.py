@@ -2,10 +2,10 @@
 
 Extends the :class:`~repro.api.trajectory.TrajectoryStats` pattern — plain
 counters with ratio helpers — to a *live* multi-tenant setting: counters are
-updated concurrently by the dispatch pool and the micro-batcher thread, so
-every mutation and the :meth:`ServiceMetrics.snapshot` read are guarded by
-one lock.  Snapshots are plain dictionaries (safe to serialize or diff) and
-can be taken at any time while the service keeps serving.
+updated concurrently by the dispatch pool's threads, so every mutation and
+the :meth:`ServiceMetrics.snapshot` read are guarded by one lock.  Snapshots
+are plain dictionaries (safe to serialize or diff) and can be taken at any
+time while the service keeps serving.
 
 Latency percentiles are computed over a bounded sliding window per tenant
 (the most recent :data:`LATENCY_WINDOW` requests), so a long-running service
@@ -26,39 +26,30 @@ __all__ = ["ServiceMetrics", "LATENCY_WINDOW"]
 #: Per-tenant sliding-window size for the latency percentiles.
 LATENCY_WINDOW = 4096
 
+#: Summed over tenants into :meth:`ServiceMetrics.snapshot`'s ``total``.
+_COUNTERS = (
+    "admitted",
+    "completed",
+    "failed",
+    "rejected",
+    "bytes_out",
+    "cache_hits",
+    "cache_misses",
+)
+
+#: Constant-0 keys of ``total``: nothing records them; they stay only because
+#: ``benchmarks/e2e`` reads them.
+_INERT_TOTALS = ("batched", "coalesced", "shared")
+
 
 class _TenantState:
     """Mutable per-tenant counters (guarded by the owning metrics lock)."""
 
-    __slots__ = (
-        "admitted",
-        "completed",
-        "failed",
-        "rejected",
-        "batched",
-        "coalesced",
-        "shared",
-        "bytes_out",
-        "cache_hits",
-        "cache_misses",
-        "decomposition_hits",
-        "decomposition_misses",
-        "latencies",
-    )
+    __slots__ = _COUNTERS + ("latencies",)
 
     def __init__(self, window: int):
-        self.admitted = 0
-        self.completed = 0
-        self.failed = 0
-        self.rejected = 0
-        self.batched = 0
-        self.coalesced = 0
-        self.shared = 0
-        self.bytes_out = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.decomposition_hits = 0
-        self.decomposition_misses = 0
+        for name in _COUNTERS:
+            setattr(self, name, 0)
         self.latencies: Deque[float] = deque(maxlen=window)
 
     def snapshot(self) -> Dict[str, object]:
@@ -67,19 +58,8 @@ class _TenantState:
         p99 = float(np.percentile(latencies, 99)) if latencies.size else 0.0
         lookups = self.cache_hits + self.cache_misses
         return {
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "batched": self.batched,
-            "coalesced": self.coalesced,
-            "shared": self.shared,
-            "bytes_out": self.bytes_out,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
+            **{name: getattr(self, name) for name in _COUNTERS},
             "cache_hit_rate": (self.cache_hits / lookups) if lookups else 0.0,
-            "decomposition_hits": self.decomposition_hits,
-            "decomposition_misses": self.decomposition_misses,
             "p50_latency": p50,
             "p99_latency": p99,
         }
@@ -92,32 +72,18 @@ class ServiceMetrics:
     --------
     ``admitted`` / ``completed`` / ``failed`` / ``rejected``:
         Requests past admission control, finished successfully, finished
-        with an error, and refused by admission control.
-    ``batched`` / ``coalesced``:
-        Requests served through a merged micro-batch of size > 1, and the
-        total group size they were merged into (``coalesced / batched`` is
-        the mean effective batch size).
-    ``shared``:
-        Requests whose μ-independent work (preparation, packing and the
-        eigendecomposition) was deduplicated against a bytewise-identical
-        peer in the same micro-batch.
+        with an error (or refused by a closing dispatch pool), and refused
+        by admission control.
     ``bytes_out``:
         Result payload bytes (dense AO density plus sparse orthogonal
-        density values) returned to the tenant.
+        density values, and every further requested observable) returned to
+        the tenant.
     ``cache_hits`` / ``cache_misses``:
-        Plan-cache traffic attributed to the tenant's requests.  Exact on
-        the micro-batched path (plan lookups run serially on the batcher
-        thread); best-effort on the concurrent direct path, where deltas of
-        the shared cache counters may interleave — the *global* cache stats
-        on :meth:`DensityService.stats <repro.serve.server.DensityService.stats>`
+        Plan-cache traffic attributed to the tenant's requests —
+        best-effort, since deltas of the shared cache counters may
+        interleave between concurrent requests; the *global* cache stats on
+        :meth:`DensityService.stats <repro.serve.server.DensityService.stats>`
         are always exact.
-    ``decomposition_hits`` / ``decomposition_misses``:
-        Short-TTL decomposition-cache traffic of the tenant's micro-batched
-        requests: distinct request contents whose μ-independent work
-        (preparation, packing, eigendecomposition) was served from the
-        :class:`~repro.serve.batcher.DecompositionCache` of a *previous*
-        micro-batch window vs. computed fresh (both 0 when the cache is
-        disabled, the default).
     ``p50_latency`` / ``p99_latency``:
         Submit-to-completion percentiles over the most recent
         ``latency_window`` requests.
@@ -148,29 +114,17 @@ class ServiceMetrics:
         self,
         tenant: str,
         latency: float,
-        batched: bool = False,
-        n_coalesced: int = 1,
-        shared: bool = False,
         bytes_out: int = 0,
         cache_hits: int = 0,
         cache_misses: int = 0,
-        decomposition_hits: int = 0,
-        decomposition_misses: int = 0,
     ) -> None:
         with self._lock:
             state = self._tenant(tenant)
             state.completed += 1
             state.latencies.append(float(latency))
-            if batched:
-                state.batched += 1
-                state.coalesced += int(n_coalesced)
-            if shared:
-                state.shared += 1
             state.bytes_out += int(bytes_out)
             state.cache_hits += int(cache_hits)
             state.cache_misses += int(cache_misses)
-            state.decomposition_hits += int(decomposition_hits)
-            state.decomposition_misses += int(decomposition_misses)
 
     def record_failed(self, tenant: str, latency: float) -> None:
         with self._lock:
@@ -185,29 +139,13 @@ class ServiceMetrics:
                 name: state.snapshot() for name, state in self._tenants.items()
             }
         total: Dict[str, float] = {
-            key: 0
-            for key in (
-                "admitted",
-                "completed",
-                "failed",
-                "rejected",
-                "batched",
-                "coalesced",
-                "shared",
-                "bytes_out",
-                "cache_hits",
-                "cache_misses",
-                "decomposition_hits",
-                "decomposition_misses",
-            )
+            key: sum(state[key] for state in tenants.values()) for key in _COUNTERS
         }
-        for state in tenants.values():
-            for key in total:
-                total[key] += state[key]
         lookups = total["cache_hits"] + total["cache_misses"]
         total["cache_hit_rate"] = (
             total["cache_hits"] / lookups if lookups else 0.0
         )
+        total.update(dict.fromkeys(_INERT_TOTALS, 0))
         return {"tenants": tenants, "total": total}
 
     def percentiles(

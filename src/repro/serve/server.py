@@ -17,22 +17,20 @@ The request path:
 2. **admission** — the :class:`~repro.serve.admission.AdmissionController`
    enforces global and per-tenant in-flight ceilings
    (:class:`~repro.serve.admission.ServiceOverloadError` on refusal);
-3. **routing** — requests eligible for cross-request batching (eigen-family
-   solver, single rank, default grouping) go to the
-   :class:`~repro.serve.batcher.MicroBatcher`; everything else (iterative
-   solvers, rank-sharded or custom-grouped requests) runs directly on a
-   dispatch thread pool;
+3. **dispatch** — the request runs as one session call
+   (``context.observables`` or ``context.trajectory``) on the service's
+   dispatch thread pool; the sessions and their shared plan cache are
+   thread-safe, so concurrent requests parallelise across the pool;
 4. **completion** — a single hook releases admission, records per-tenant
    metrics and re-enforces the plan-cache byte budget, then the request's
    future resolves.
 
 Results are bitwise identical to calling ``context.observables`` directly
-with the same arguments: the direct path *is* that call, and the batched
-path ends in the same per-request tail (see :mod:`repro.serve.batcher`).
+with the same arguments: the served request *is* that call.
 
 This is an in-process service (futures in, results out).  A wire transport
 would sit in front of :meth:`DensityService.submit` without touching the
-batching, admission or accounting machinery.
+admission or accounting machinery.
 """
 
 from __future__ import annotations
@@ -41,18 +39,28 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.api.config import EngineConfig
 from repro.api.context import SubmatrixContext
 from repro.api.observables import validate_request
+from repro.api.results import ObservableBundle
+from repro.api.trajectory import TrajectoryResult
 from repro.core.plan import PlanCache
 from repro.serve.admission import AdmissionController, AdmissionPolicy
-from repro.serve.batcher import DecompositionCache, DensityRequest, MicroBatcher
 from repro.serve.metrics import ServiceMetrics
-from repro.signfn.registry import get_kernel
 
 __all__ = ["DensityService"]
+
+
+def _payload_nbytes(result) -> int:
+    """Result bytes returned to a tenant: every observable of a bundle, every
+    step of a trajectory."""
+    if isinstance(result, TrajectoryResult):
+        return sum(_payload_nbytes(step) for step in result.results)
+    if isinstance(result, ObservableBundle):
+        return int(result.payload_nbytes())
+    return int(result.density_ao.nbytes) + int(result.density_ortho.data.nbytes)
 
 
 class DensityService:
@@ -70,28 +78,19 @@ class DensityService:
         LRU bound on the pool of per-configuration session contexts; idle
         contexts beyond the bound are closed and dropped (busy ones are
         skipped and retried on a later eviction pass).
-    batching:
-        Enable the cross-request micro-batcher; with ``False`` every
-        request runs directly (one ``context.observables`` call each).
-    max_batch / batch_wait:
-        Micro-batch group-size cap and maximum coalescing wait in seconds.
-    decomposition_ttl / decomposition_cache_size:
-        Enable the content-keyed short-TTL
-        :class:`~repro.serve.batcher.DecompositionCache` on the batched
-        path: bytewise-identical hot requests arriving within
-        ``decomposition_ttl`` seconds of each other reuse the earlier
-        request's eigendecomposition *across* micro-batch windows.  The
-        default ``0.0`` disables the cache (no entries are ever held);
-        enabled, it holds at most ``decomposition_cache_size`` entries and
-        :data:`~repro.serve.batcher.MAX_DECOMPOSITION_BYTES` of spectra.
+    batching / max_batch / batch_wait:
+        No effect — accepted and ignored; they stay only because
+        ``benchmarks/e2e`` passes them.
     dispatch_workers:
-        Thread count of the direct-path dispatch pool (also used for
-        trajectory requests).
+        Thread count of the dispatch pool every request runs on.
+        Concurrent requests add up only with one BLAS thread per call
+        (``OPENBLAS_NUM_THREADS=1`` before NumPy loads); a multi-threaded
+        BLAS entered from several threads at once contends instead.
     latency_window:
         Per-tenant sliding-window size of the latency percentiles.
 
-    The service is a context manager; :meth:`close` drains the batcher and
-    dispatch pool and closes every pooled context.
+    The service is a context manager; :meth:`close` drains the dispatch
+    pool and closes every pooled context.
     """
 
     def __init__(
@@ -102,8 +101,6 @@ class DensityService:
         batching: bool = True,
         max_batch: int = 8,
         batch_wait: float = 0.002,
-        decomposition_ttl: float = 0.0,
-        decomposition_cache_size: int = 32,
         dispatch_workers: int = 8,
         latency_window: int = 4096,
     ):
@@ -111,8 +108,6 @@ class DensityService:
             raise ValueError("max_contexts must be at least 1")
         if dispatch_workers < 1:
             raise ValueError("dispatch_workers must be at least 1")
-        if decomposition_ttl < 0:
-            raise ValueError("decomposition_ttl must be non-negative")
         self.config = (config if config is not None else EngineConfig()).validate()
         self.policy = policy if policy is not None else AdmissionPolicy()
         self.plan_cache = PlanCache(
@@ -127,22 +122,6 @@ class DensityService:
         )
         self._lock = threading.RLock()
         self._closed = False
-        self._decomposition_cache = (
-            DecompositionCache(
-                ttl=decomposition_ttl, max_entries=decomposition_cache_size
-            )
-            if batching and decomposition_ttl > 0
-            else None
-        )
-        self._batcher = (
-            MicroBatcher(
-                max_batch=max_batch,
-                max_wait=batch_wait,
-                decomposition_cache=self._decomposition_cache,
-            )
-            if batching
-            else None
-        )
         self._dispatch = ThreadPoolExecutor(
             max_workers=dispatch_workers, thread_name_prefix="density-service"
         )
@@ -191,6 +170,64 @@ class DensityService:
     # ------------------------------------------------------------------ #
     # request path
     # ------------------------------------------------------------------ #
+    def _dispatch_admitted(self, tenant: str, work: Callable[[], object]) -> Future:
+        """Admit one request of ``tenant`` and run ``work()`` on the pool.
+
+        Returns the pool's own future.  The completion accounting — slot
+        release, per-tenant metrics, the plan-cache byte budget — runs inside
+        the pooled function before it returns or raises, so a caller blocking
+        on the future observes the request already accounted for.  A request
+        the pool refuses (a ``submit`` racing :meth:`close`) releases its
+        slot and counts as failed before the pool's ``RuntimeError``
+        propagates.
+        """
+        try:
+            self.admission.admit(tenant)
+        except Exception:
+            self.metrics.record_rejected(tenant)
+            raise
+        self.metrics.record_admitted(tenant)
+        submitted = time.perf_counter()
+
+        def finish(result=None, cache_hits=0, cache_misses=0) -> None:
+            # no result: the request failed or was never run
+            latency = time.perf_counter() - submitted
+            self.admission.release(tenant)
+            if result is None:
+                self.metrics.record_failed(tenant, latency)
+            else:
+                self.metrics.record_completed(
+                    tenant,
+                    latency,
+                    bytes_out=_payload_nbytes(result),
+                    cache_hits=cache_hits,
+                    cache_misses=cache_misses,
+                )
+            self.admission.enforce_memory(self.plan_cache)
+
+        def run():
+            before = self.plan_cache.stats
+            try:
+                result = work()
+            except BaseException:
+                finish()
+                raise
+            after = self.plan_cache.stats
+            # best-effort attribution: concurrent requests may interleave on
+            # the shared counters (the global stats stay exact)
+            finish(
+                result,
+                max(0, after["hits"] - before["hits"]),
+                max(0, after["misses"] - before["misses"]),
+            )
+            return result
+
+        try:
+            return self._dispatch.submit(run)
+        except RuntimeError:
+            finish()
+            raise
+
     def submit(
         self,
         K,
@@ -226,7 +263,7 @@ class DensityService:
         """
         self._check_open()
         # fail fast (and free) on malformed requests, before admission
-        observable_names, _ = validate_request(
+        names, _ = validate_request(
             config if config is not None else self.config,
             blocks,
             observables,
@@ -237,105 +274,27 @@ class DensityService:
             ranks,
         )
         context = self._context_for(config)
-        try:
-            self.admission.admit(tenant)
-        except Exception:
-            self.metrics.record_rejected(tenant)
-            raise
-        self.metrics.record_admitted(tenant)
-        request = DensityRequest(
-            tenant=tenant,
-            context=context,
-            K=K,
-            S=S,
-            blocks=blocks,
-            mu=mu,
-            n_electrons=n_electrons,
-            solver=solver,
-            mu_tolerance=mu_tolerance,
-            max_mu_iterations=max_mu_iterations,
-            mu_bracket=mu_bracket,
-            grouping=grouping,
-            ranks=ranks,
-            distribution=distribution,
-            observables=observable_names,
-            observable_params=observable_params,
-            submitted_at=time.perf_counter(),
-            on_done=self._on_done,
-        )
-        if self._batchable(request, context):
-            self._batcher.submit(request)
-        else:
-            self._dispatch.submit(self._run_direct, request)
-        return request.future
 
-    def _batchable(self, request: DensityRequest, context) -> bool:
-        """Whether a request may join a merged micro-batch.
-
-        Cross-request merging covers the common small-request shape: the
-        eigen-family (μ-bisection-capable) solvers on a single rank with
-        default per-column grouping.  Everything else — iterative sign
-        kernels, rank-sharded or custom-grouped requests — runs direct, one
-        session call each.
-        """
-        if self._batcher is None:
-            return False
-        if request.grouping is not None or request.distribution is not None:
-            return False
-        if request.ranks is not None or context.config.n_ranks != 1:
-            return False
-        return get_kernel(request.solver).supports_mu_bisection
-
-    def _run_direct(self, request: DensityRequest) -> None:
-        """Direct path: one tracked session call per request."""
-        before = self.plan_cache.stats
-        try:
-            result = request.context.observables(
-                request.K,
-                request.S,
-                request.blocks,
-                observables=request.observables,
-                mu=request.mu,
-                n_electrons=request.n_electrons,
-                solver=request.solver,
-                grouping=request.grouping,
-                mu_tolerance=request.mu_tolerance,
-                max_mu_iterations=request.max_mu_iterations,
-                ranks=request.ranks,
-                distribution=request.distribution,
-                mu_bracket=request.mu_bracket,
-                observable_params=request.observable_params,
+        def work():
+            bundle = context.observables(
+                K,
+                S,
+                blocks,
+                observables=names,
+                mu=mu,
+                n_electrons=n_electrons,
+                solver=solver,
+                grouping=grouping,
+                mu_tolerance=mu_tolerance,
+                max_mu_iterations=max_mu_iterations,
+                ranks=ranks,
+                distribution=distribution,
+                mu_bracket=mu_bracket,
+                observable_params=observable_params,
             )
-        except Exception as error:
-            request.fail(error)
-        else:
-            after = self.plan_cache.stats
-            # best-effort attribution: concurrent requests may interleave
-            # on the shared counters (the global stats stay exact)
-            request.cache_hits += max(0, after["hits"] - before["hits"])
-            request.cache_misses += max(0, after["misses"] - before["misses"])
-            request.finish(result)
+            return bundle["density"] if names == ("density",) else bundle
 
-    def _on_done(self, request: DensityRequest, result, error) -> None:
-        """Completion hook: admission release, metrics, memory enforcement."""
-        latency = time.perf_counter() - request.submitted_at
-        self.admission.release(request.tenant)
-        if error is None:
-            self.metrics.record_completed(
-                request.tenant,
-                latency,
-                batched=request.batched,
-                n_coalesced=request.n_coalesced,
-                shared=request.shared,
-                bytes_out=int(result.payload_nbytes()),
-                cache_hits=request.cache_hits,
-                cache_misses=request.cache_misses,
-                decomposition_hits=request.decomposition_hits,
-                decomposition_misses=request.decomposition_misses,
-            )
-        else:
-            self.metrics.record_failed(request.tenant, latency)
-        self.admission.enforce_memory(self.plan_cache)
+        return self._dispatch_admitted(tenant, work)
 
     def density(self, K, S, blocks, **kwargs):
         """Synchronous :meth:`submit` — blocks and returns the result."""
@@ -363,38 +322,9 @@ class DensityService:
         """
         self._check_open()
         context = self._context_for(config)
-        try:
-            self.admission.admit(tenant)
-        except Exception:
-            self.metrics.record_rejected(tenant)
-            raise
-        self.metrics.record_admitted(tenant)
-        submitted = time.perf_counter()
-        return self._dispatch.submit(
-            self._run_trajectory, context, tenant, submitted, steps, blocks, kwargs
+        return self._dispatch_admitted(
+            tenant, lambda: context.trajectory(steps, blocks, **kwargs)
         )
-
-    def _run_trajectory(self, context, tenant, submitted, steps, blocks, kwargs):
-        try:
-            result = context.trajectory(steps, blocks, **kwargs)
-        except BaseException:
-            self.admission.release(tenant)
-            self.metrics.record_failed(tenant, time.perf_counter() - submitted)
-            raise
-        self.admission.release(tenant)
-        bytes_out = sum(
-            int(step.payload_nbytes())
-            if hasattr(step, "payload_nbytes")
-            else int(step.density_ao.nbytes) + int(step.density_ortho.data.nbytes)
-            for step in result.results
-        )
-        self.metrics.record_completed(
-            tenant,
-            time.perf_counter() - submitted,
-            bytes_out=bytes_out,
-        )
-        self.admission.enforce_memory(self.plan_cache)
-        return result
 
     def trajectory(self, steps, blocks, **kwargs):
         """Synchronous :meth:`submit_trajectory`."""
@@ -415,27 +345,20 @@ class DensityService:
             "plan_cache": cache,
             "plan_cache_hit_rate": cache["hits"] / lookups if lookups else 0.0,
             "plan_cache_bytes": self.plan_cache.total_bytes,
-            "decomposition_cache": (
-                self._decomposition_cache.snapshot()
-                if self._decomposition_cache is not None
-                else None
-            ),
             "contexts": contexts,
         }
 
     def close(self) -> None:
-        """Drain the batcher and dispatch pool, close every pooled context.
+        """Drain the dispatch pool, close every pooled context.
 
-        Idempotent.  Queued requests submitted before ``close()`` complete
+        Idempotent.  Requests submitted before ``close()`` complete
         normally; submissions racing the shutdown fail with a
-        ``RuntimeError``.
+        ``RuntimeError`` and leave no admission slot behind.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        if self._batcher is not None:
-            self._batcher.close()
         self._dispatch.shutdown(wait=True)
         with self._lock:
             contexts = list(self._contexts.values())

@@ -19,8 +19,7 @@ Covers the PR's contracts:
 * the Chebyshev polynomial-expansion kernel matches the eigen density to
   tolerance and stays bitwise identical under rank sharding;
 * the serving layer returns multi-observable bundles bitwise identical to
-  direct ``context.observables`` calls, and the short-TTL decomposition
-  cache serves bytewise-identical hot requests across micro-batch windows;
+  direct ``context.observables`` calls;
 * trajectory steps and checkpoints round-trip the full multi-observable
   payload, and density-only checkpoints from a pre-refactor layout resume
   unchanged;
@@ -37,7 +36,6 @@ import pytest
 import scipy.sparse as sp
 
 import repro.api.observables
-import repro.serve.batcher
 from repro.api import (
     EngineConfig,
     ObservableBundle,
@@ -273,8 +271,9 @@ class TestStreamedRoute:
         assert len(set(streamed.submatrix_dimensions)) == 8
         assert_density_identical(collected["density"], streamed)
         assert_density_identical(sharded, streamed)
-        with DensityService(config) as service:  # merged groups collect
+        with DensityService(config) as service:
             served = service.density(*request, mu=gap_mu)
+        assert len(built) == 32  # a served fixed-μ call streams too
         assert_density_identical(served, streamed)
 
     def test_against_the_dense_oracle(self, water32_matrices, gap_mu):
@@ -345,8 +344,8 @@ class TestStreamedRoute:
 
 
 class TestCacheEntries:
-    """Entries are shared between requests and across windows: complete
-    when built, read-only afterwards."""
+    """Entries are read by every bisection step and every observable of a
+    request: complete when built, read-only afterwards."""
 
     def test_entries_are_complete_and_read_only(self, water32_matrices, gap_mu):
         pair = water32_matrices
@@ -527,7 +526,7 @@ class TestChebyshevKernel:
 
 
 # --------------------------------------------------------------------------- #
-# satellite: served multi-observable requests and the decomposition cache
+# satellite: served multi-observable requests
 # --------------------------------------------------------------------------- #
 class TestServedObservables:
     def test_served_bundle_bitwise_vs_direct(
@@ -551,7 +550,7 @@ class TestServedObservables:
         assert_bundle_identical(served_bundle, bundle_reference)
 
     def test_served_direct_path_bundle(self, water32_matrices):
-        """Rank-sharded requests take the direct path, still observable-keyed."""
+        """Rank-sharded requests are served observable-keyed too."""
         pair = water32_matrices
         with SubmatrixContext(CONFIG) as ctx:
             direct = ctx.observables(
@@ -572,69 +571,6 @@ class TestServedObservables:
                 observables=ALL_OBSERVABLES,
             )
         assert_bundle_identical(served, direct)
-
-    def test_decomposition_cache_hits_across_windows(self, water32_matrices):
-        pair = water32_matrices
-        with DensityService(CONFIG, decomposition_ttl=60.0) as service:
-            first = service.density(
-                pair.K, pair.S, pair.blocks, n_electrons=N_ELECTRONS
-            )
-            # a second, separately micro-batched identical request: the
-            # μ-independent work must come from the decomposition cache
-            second = service.density(
-                pair.K, pair.S, pair.blocks, n_electrons=N_ELECTRONS
-            )
-            stats = service.stats()
-        assert_density_identical(second, first)
-        assert stats["decomposition_cache"]["hits"] >= 1
-        totals = stats["metrics"]["total"]
-        assert totals["decomposition_hits"] >= 1
-        assert totals["decomposition_misses"] >= 1
-
-    def test_decomposition_cache_is_bounded_by_bytes(
-        self, water32_matrices, monkeypatch
-    ):
-        """Eviction forced: the newest entry always fits, older ones go down
-        to ``MAX_DECOMPOSITION_BYTES`` — whatever the entry count allows."""
-        pair = water32_matrices
-        # eps 1e-5 keeps every block: 32 submatrices of the full dimension
-        n = pair.S.shape[0]
-        one_entry = 32 * (n * n + n) * 8
-        contents = [pair.K * scale for scale in (1.0, 1.01, 1.02)]
-
-        def submit(service, K):
-            service.density(K, pair.S, pair.blocks, n_electrons=N_ELECTRONS)
-            return service.stats()["decomposition_cache"]
-
-        monkeypatch.setattr(
-            repro.serve.batcher, "MAX_DECOMPOSITION_BYTES", 2 * one_entry
-        )
-        with DensityService(CONFIG, decomposition_ttl=60.0) as service:
-            for count, K in enumerate(contents[:2], start=1):
-                stats = submit(service, K)
-                assert (stats["entries"], stats["bytes"]) == (count, count * one_entry)
-            stats = submit(service, contents[2])  # evicts the oldest
-            assert (stats["entries"], stats["bytes"]) == (2, 2 * one_entry)
-            assert submit(service, contents[1])["hits"] == 1
-            assert submit(service, contents[0])["hits"] == 1  # it was gone
-            assert stats["misses"] == 3
-        monkeypatch.setattr(repro.serve.batcher, "MAX_DECOMPOSITION_BYTES", 1)
-        with DensityService(CONFIG, decomposition_ttl=60.0) as service:
-            submit(service, contents[0])
-            stats = submit(service, contents[1])
-            assert (stats["entries"], stats["bytes"]) == (1, one_entry)
-            assert submit(service, contents[1])["hits"] == 1
-
-    def test_cache_disabled_by_default(self, water32_matrices):
-        pair = water32_matrices
-        with DensityService(CONFIG) as service:
-            service.density(pair.K, pair.S, pair.blocks, n_electrons=N_ELECTRONS)
-            service.density(pair.K, pair.S, pair.blocks, n_electrons=N_ELECTRONS)
-            stats = service.stats()
-        assert stats["decomposition_cache"] is None
-        totals = stats["metrics"]["total"]
-        assert totals["decomposition_hits"] == 0
-        assert totals["decomposition_misses"] == 0
 
     def test_unknown_served_observable_fails_fast(self, water32_matrices):
         pair = water32_matrices

@@ -1,11 +1,12 @@
 """One request skeleton: the direct, trajectory and served entry points agree.
 
 ``context.observables``, a one-step ``context.trajectory`` and
-``DensityService.submit`` all end in the same
+``DensityService.submit`` (which runs that same ``context.observables``
+call on the service's dispatch pool) all end in the same
 :func:`~repro.api.observables.evaluate_request` tail behind the same
 :func:`~repro.api.observables.validate_request` check, so the same request
 yields bitwise-equal results from all three — and an invalid request the
-same exception type, before any work is done.
+same exception, before any work is done.
 """
 
 from __future__ import annotations
@@ -177,6 +178,5 @@ def test_asymmetric_matrix_raises_the_same_error_from_every_entry_point(
         with pytest.raises(ValueError, match=message) as info:
             entry_point(hostile, mu=gap_mu)
         raised.append(str(info.value))
-    # the batcher prepares through the session executor, which prefixes the
-    # worker's message with its task index
-    assert raised[0] == raised[1] and raised[2].endswith(raised[0])
+    # a served request is the direct call, so its message is the same text
+    assert raised[0] == raised[1] == raised[2]

@@ -1,30 +1,39 @@
-"""Tests for the serving layer: shared plan cache, batching, admission.
+"""Tests for the serving layer: shared plan cache, dispatch pool, admission.
 
-Covers the PR's contracts:
+Covers the contracts:
 
 * :class:`~repro.core.plan.PlanCache` is thread-safe — N threads racing on
   one cache build each pattern exactly once — and byte-accounted, with LRU
   eviction under a byte budget;
 * :class:`~repro.api.context.SubmatrixContext` supports concurrent use and
   refuses to close while requests are in flight;
-* :class:`~repro.serve.DensityService` serves results **bitwise identical**
-  to direct ``context.density`` calls on both the micro-batched and the
-  direct path, across tenants sharing one plan cache;
+* :class:`~repro.serve.DensityService` runs every request as one session
+  call on its dispatch pool and serves results **bitwise identical** to
+  direct ``context.density`` calls, across tenants sharing one plan cache —
+  also with the cache forced to evict under concurrent load;
 * admission control enforces global and per-tenant in-flight ceilings and
-  the plan-cache byte budget;
-* a poisoned request in a merged batch fails alone — its neighbours still
-  get their exact results.
+  the plan-cache byte budget, and every admitted request ends completed or
+  failed with its slot released — a request the closing pool refuses too;
+* a poisoned request fails alone — its neighbours still get their exact
+  results.
 """
 
 from __future__ import annotations
 
+import ast
+import contextlib
+import importlib
+import inspect
+import pathlib
+import re
+import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro
 from repro import (
     AdmissionPolicy,
     DensityService,
@@ -59,6 +68,18 @@ def assert_identical(result, reference):
     assert sorted(result.submatrix_dimensions) == sorted(
         reference.submatrix_dimensions
     )
+
+
+@contextlib.contextmanager
+def pool_held(service):
+    """Occupy a one-worker dispatch pool for the ``with`` body: requests
+    admitted meanwhile wait in the pool's queue, holding their slots."""
+    gate = threading.Event()
+    service._dispatch.submit(gate.wait, 60)
+    try:
+        yield
+    finally:
+        gate.set()
 
 
 def banded_block_pattern(n_blocks, block_size, bandwidth, seed):
@@ -306,105 +327,45 @@ class TestServiceIdentity:
                 mu=gap_mu,
                 solver="newton_schulz",
             )
-            snapshot = service.stats()
         assert_identical(served, reference)
-        # iterative kernels are not batchable: no batched request recorded
-        assert snapshot["metrics"]["total"]["batched"] == 0
 
-    def test_batched_path_identical_with_coalescing(
+    def test_concurrent_pool_requests_identical(
         self, water32_matrices, gap_mu, reference_results
     ):
+        """Four requests in flight at once on the pool — both ensembles,
+        bytewise-identical inputs, two tenants — each bitwise its direct
+        call, over one shared plan."""
         ref_gc, ref_canonical = reference_results
-        with DensityService(
-            config=CONFIG, batch_wait=0.25, max_batch=8
-        ) as service:
-            futures = []
-            for index in range(4):
-                futures.append(
-                    service.submit(
-                        water32_matrices.K,
-                        water32_matrices.S,
-                        water32_matrices.blocks,
-                        tenant=f"tenant-{index % 2}",
-                        mu=gap_mu if index % 2 == 0 else None,
-                        n_electrons=None if index % 2 == 0 else N_ELECTRONS,
-                    )
+        with DensityService(config=CONFIG) as service:
+            futures = [
+                service.submit(
+                    water32_matrices.K,
+                    water32_matrices.S,
+                    water32_matrices.blocks,
+                    tenant=f"tenant-{index // 2}",
+                    mu=gap_mu if index % 2 == 0 else None,
+                    n_electrons=None if index % 2 == 0 else N_ELECTRONS,
                 )
+                for index in range(4)
+            ]
             results = [future.result(120) for future in futures]
             snapshot = service.stats()
         for index, result in enumerate(results):
             assert_identical(result, ref_gc if index % 2 == 0 else ref_canonical)
-        total = snapshot["metrics"]["total"]
-        assert total["completed"] == 4
-        # the coalescing window is long enough that at least one merged
-        # group of size > 1 formed
-        assert total["batched"] > 0
-        assert total["coalesced"] > total["batched"]
+        assert snapshot["metrics"]["total"]["completed"] == 4
         # tenants share one plan: one build, hits for every later request
         assert snapshot["plan_cache"]["builds"] == 1
         assert snapshot["plan_cache_hit_rate"] > 0.5
+        assert snapshot["admission"]["in_flight"] == 0
 
-    def test_merged_group_dedups_identical_content(
-        self, water32_matrices, gap_mu, reference_results
-    ):
-        """Bytewise-identical inputs in one group share the μ-independent
-        work; a value-perturbed peer is not deduplicated against them."""
-        from repro.serve import DensityRequest, evaluate_merged_group
-
-        ref_gc, ref_canonical = reference_results
-        perturbed_K = water32_matrices.K.copy()
-        perturbed_K.data = perturbed_K.data * (1.0 + 1e-3)
-        with SubmatrixContext(CONFIG) as context:
-            perturbed_ref = context.density(
-                perturbed_K,
-                water32_matrices.S,
-                water32_matrices.blocks,
-                mu=gap_mu,
-            )
-            requests = [
-                DensityRequest(
-                    tenant="alice",
-                    context=context,
-                    K=water32_matrices.K,
-                    S=water32_matrices.S,
-                    blocks=water32_matrices.blocks,
-                    mu=gap_mu,
-                ),
-                DensityRequest(
-                    tenant="bob",
-                    context=context,
-                    K=water32_matrices.K,
-                    S=water32_matrices.S,
-                    blocks=water32_matrices.blocks,
-                    n_electrons=N_ELECTRONS,
-                ),
-                DensityRequest(
-                    tenant="carol",
-                    context=context,
-                    K=perturbed_K,
-                    S=water32_matrices.S,
-                    blocks=water32_matrices.blocks,
-                    mu=gap_mu,
-                ),
-            ]
-            results = evaluate_merged_group(context, requests)
-        assert_identical(results[0], ref_gc)
-        assert_identical(results[1], ref_canonical)
-        assert_identical(results[2], perturbed_ref)
-        # first occurrence owns the work; the same-content canonical request
-        # reattaches at the μ-dependent stages; different values stay apart
-        assert [request.shared for request in requests] == [False, True, False]
-
-    def test_poisoned_request_fails_alone_in_merged_group(
+    def test_poisoned_request_fails_alone(
         self, water32_matrices, gap_mu, reference_results
     ):
         ref_gc, _ = reference_results
         bad_K = sp.csr_matrix(np.eye(5))  # wrong size for the block structure
         nan_K = sp.lil_matrix(water32_matrices.K)
         nan_K[3, 3] = np.nan
-        with DensityService(
-            config=CONFIG, batch_wait=0.25, max_batch=8
-        ) as service:
+        with DensityService(config=CONFIG) as service:
             good = service.submit(
                 water32_matrices.K,
                 water32_matrices.S,
@@ -486,40 +447,43 @@ class TestServiceAdmission:
     def test_per_tenant_cap_rejects_and_recovers(self, water32_matrices, gap_mu):
         policy = AdmissionPolicy(max_in_flight=8, max_in_flight_per_tenant=2)
         with DensityService(
-            config=CONFIG, policy=policy, batch_wait=0.5, max_batch=16
+            config=CONFIG, policy=policy, dispatch_workers=1
         ) as service:
-            first = service.submit(
-                water32_matrices.K,
-                water32_matrices.S,
-                water32_matrices.blocks,
-                tenant="greedy",
-                mu=gap_mu,
-            )
-            second = service.submit(
-                water32_matrices.K,
-                water32_matrices.S,
-                water32_matrices.blocks,
-                tenant="greedy",
-                mu=gap_mu,
-            )
-            # both slots of the tenant are occupied while the batcher's
-            # coalescing window is open
-            with pytest.raises(ServiceOverloadError, match="tenant at capacity"):
-                service.submit(
+            with pool_held(service):
+                first = service.submit(
                     water32_matrices.K,
                     water32_matrices.S,
                     water32_matrices.blocks,
                     tenant="greedy",
                     mu=gap_mu,
                 )
-            # a different tenant is unaffected
-            other = service.submit(
-                water32_matrices.K,
-                water32_matrices.S,
-                water32_matrices.blocks,
-                tenant="patient",
-                mu=gap_mu,
-            )
+                second = service.submit(
+                    water32_matrices.K,
+                    water32_matrices.S,
+                    water32_matrices.blocks,
+                    tenant="greedy",
+                    mu=gap_mu,
+                )
+                # both slots of the tenant are occupied while the requests
+                # wait in the held pool's queue
+                with pytest.raises(
+                    ServiceOverloadError, match="tenant at capacity"
+                ):
+                    service.submit(
+                        water32_matrices.K,
+                        water32_matrices.S,
+                        water32_matrices.blocks,
+                        tenant="greedy",
+                        mu=gap_mu,
+                    )
+                # a different tenant is unaffected
+                other = service.submit(
+                    water32_matrices.K,
+                    water32_matrices.S,
+                    water32_matrices.blocks,
+                    tenant="patient",
+                    mu=gap_mu,
+                )
             for future in (first, second, other):
                 future.result(120)
             snapshot = service.stats()
@@ -538,26 +502,29 @@ class TestServiceAdmission:
     def test_global_cap(self, water32_matrices, gap_mu):
         policy = AdmissionPolicy(max_in_flight=2, max_in_flight_per_tenant=2)
         with DensityService(
-            config=CONFIG, policy=policy, batch_wait=0.5, max_batch=16
+            config=CONFIG, policy=policy, dispatch_workers=1
         ) as service:
-            futures = [
-                service.submit(
-                    water32_matrices.K,
-                    water32_matrices.S,
-                    water32_matrices.blocks,
-                    tenant=tenant,
-                    mu=gap_mu,
-                )
-                for tenant in ("a", "b")
-            ]
-            with pytest.raises(ServiceOverloadError, match="service at capacity"):
-                service.submit(
-                    water32_matrices.K,
-                    water32_matrices.S,
-                    water32_matrices.blocks,
-                    tenant="c",
-                    mu=gap_mu,
-                )
+            with pool_held(service):
+                futures = [
+                    service.submit(
+                        water32_matrices.K,
+                        water32_matrices.S,
+                        water32_matrices.blocks,
+                        tenant=tenant,
+                        mu=gap_mu,
+                    )
+                    for tenant in ("a", "b")
+                ]
+                with pytest.raises(
+                    ServiceOverloadError, match="service at capacity"
+                ):
+                    service.submit(
+                        water32_matrices.K,
+                        water32_matrices.S,
+                        water32_matrices.blocks,
+                        tenant="c",
+                        mu=gap_mu,
+                    )
             for future in futures:
                 future.result(120)
 
@@ -688,10 +655,7 @@ class TestServiceMetrics:
         metrics = ServiceMetrics(latency_window=8)
         for latency in (0.1, 0.2, 0.3, 0.4):
             metrics.record_admitted("t")
-            metrics.record_completed(
-                "t", latency, batched=True, n_coalesced=2, bytes_out=100,
-                cache_hits=1,
-            )
+            metrics.record_completed("t", latency, bytes_out=100, cache_hits=1)
         metrics.record_admitted("t")
         metrics.record_failed("t", 0.5)
         metrics.record_rejected("t")
@@ -701,8 +665,6 @@ class TestServiceMetrics:
         assert tenant["completed"] == 4
         assert tenant["failed"] == 1
         assert tenant["rejected"] == 1
-        assert tenant["batched"] == 4
-        assert tenant["coalesced"] == 8
         assert tenant["bytes_out"] == 400
         assert tenant["cache_hit_rate"] == 1.0
         assert tenant["p50_latency"] == pytest.approx(0.3)
@@ -748,6 +710,29 @@ class TestServiceLifecycle:
                 mu=gap_mu,
             )
 
+    @pytest.mark.parametrize("entry_point", ["submit", "submit_trajectory"])
+    def test_request_refused_by_the_closing_pool_frees_its_slot(
+        self, water32_matrices, gap_mu, entry_point
+    ):
+        """A submit racing ``close()``: admitted, then refused by the pool
+        ``close()`` already shut down.  The slot is released and the request
+        counts as failed before the pool's ``RuntimeError`` propagates."""
+        pair = water32_matrices
+        service = DensityService(config=CONFIG)
+        service._dispatch.shutdown()  # the race, made deterministic
+        with pytest.raises(RuntimeError, match="shutdown"):
+            if entry_point == "submit":
+                service.submit(pair.K, pair.S, pair.blocks, mu=gap_mu)
+            else:
+                service.submit_trajectory(
+                    [(pair.K, pair.S)], pair.blocks, mu=gap_mu
+                )
+        snapshot = service.stats()
+        service.close()
+        assert snapshot["admission"]["in_flight"] == 0
+        total = snapshot["metrics"]["total"]
+        assert (total["admitted"], total["completed"], total["failed"]) == (1, 0, 1)
+
     def test_context_pool_reuses_and_bounds_contexts(
         self, water32_matrices, gap_mu
     ):
@@ -773,3 +758,140 @@ class TestServiceLifecycle:
             # both configurations hit the same shared plan cache
             assert snapshot["plan_cache"]["builds"] == 1
             assert snapshot["plan_cache"]["hits"] >= 1
+
+
+# --------------------------------------------------------------------------- #
+# the shared plan cache under concurrent load with eviction forced
+# --------------------------------------------------------------------------- #
+class TestServiceUnderEviction:
+    def test_concurrent_tenants_through_a_one_plan_cache(self, szv_model, gap_mu):
+        """Eight client threads, three tenants' patterns, a plan cache that
+        holds one plan: plans are evicted and rebuilt while other requests
+        run on them, and every result is still bitwise its direct call."""
+        tenants = [
+            build_matrices(water_box(1, seed=2020 + tenant), model=szv_model)
+            for tenant in range(3)
+        ]
+        # filtered hard enough that every tenant has a pattern of its own
+        config = CONFIG.replace(eps_filter=1e-2, plan_cache_size=1)
+        kinds = [
+            (tenant, ensemble)
+            for tenant in range(3)
+            for ensemble in ("mu", "n_electrons")
+        ]
+
+        def ensemble_of(ensemble):
+            return {"mu": gap_mu} if ensemble == "mu" else {"n_electrons": N_ELECTRONS}
+
+        with SubmatrixContext(config) as direct:
+            references = {
+                (tenant, ensemble): direct.density(
+                    tenants[tenant].K,
+                    tenants[tenant].S,
+                    tenants[tenant].blocks,
+                    **ensemble_of(ensemble),
+                )
+                for tenant, ensemble in kinds
+            }
+        n_threads, per_thread = 8, 3
+        served, errors = [], []
+        barrier = threading.Barrier(n_threads)
+        with DensityService(config=config) as service:
+
+            def client(index):
+                try:
+                    barrier.wait()
+                    for step in range(per_thread):
+                        tenant, ensemble = kinds[(index + 5 * step) % len(kinds)]
+                        pair = tenants[tenant]
+                        result = service.density(
+                            pair.K,
+                            pair.S,
+                            pair.blocks,
+                            tenant=f"t{tenant}",
+                            **ensemble_of(ensemble),
+                        )
+                        served.append(((tenant, ensemble), result))
+                except Exception as error:  # pragma: no cover - diagnostic
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=client, args=(index,))
+                for index in range(n_threads)
+            ]
+            # frequent thread switches widen every race on the shared cache
+            # and the admission counters
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=300)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            snapshot = service.stats()
+        assert not errors
+        assert len(served) == n_threads * per_thread
+        for kind, result in served:
+            assert_identical(result, references[kind])
+        assert snapshot["plan_cache"]["evictions"] > 0
+        assert snapshot["admission"]["in_flight"] == 0
+        total = snapshot["metrics"]["total"]
+        assert total["completed"] + total["failed"] == total["admitted"]
+        assert total["completed"] == n_threads * per_thread
+
+
+# --------------------------------------------------------------------------- #
+# one way to serve: no cross-request layer
+# --------------------------------------------------------------------------- #
+class TestOneWayToServe:
+    INERT = {"batching", "max_batch", "batch_wait"}
+
+    def test_no_cross_request_layer(self):
+        """Structure guard: a served request is one session call; nothing
+        batches, merges or caches decompositions across requests, and the
+        three keywords ``benchmarks/e2e`` still passes are read nowhere."""
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.serve.batcher")
+        removed = re.compile(
+            r"\b(MicroBatcher|evaluate_merged_group|DecompositionCache|"
+            r"MAX_DECOMPOSITION_BYTES|batch_key|content_key)\b"
+        )
+        gone = re.compile(r"Batcher|merged|DecompositionCache|coalesc")
+        reads = []
+        for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
+            text = path.read_text()
+            assert not removed.search(text), path.name
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    assert not gone.search(node.name), (path.name, node.name)
+                if isinstance(node, ast.Name) and node.id in self.INERT:
+                    reads.append((path.name, node.id))
+                if isinstance(node, ast.Attribute) and node.attr in self.INERT:
+                    reads.append((path.name, node.attr))
+        assert reads == []
+        parameters = inspect.signature(DensityService).parameters
+        assert self.INERT <= set(parameters)
+        for retired in ("decomposition_ttl", "decomposition_cache_size"):
+            assert retired not in parameters
+            with pytest.raises(TypeError, match=retired):
+                DensityService(**{retired: 1})
+
+    def test_inert_keywords_change_nothing(
+        self, water32_matrices, gap_mu, reference_results
+    ):
+        ref_gc, _ = reference_results
+        pair = water32_matrices
+        for keywords in (
+            dict(batching=False),
+            dict(batching=True, max_batch=1, batch_wait=5.0),
+        ):
+            with DensityService(config=CONFIG, **keywords) as service:
+                served = service.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
+                snapshot = service.stats()
+            assert_identical(served, ref_gc)
+            total = snapshot["metrics"]["total"]
+            assert (total["batched"], total["coalesced"], total["shared"]) == (0, 0, 0)
+            assert "decomposition_cache" not in snapshot
