@@ -5,9 +5,7 @@ The observable-generic pipeline's economic argument: requesting
 eigendecomposition pass per submatrix stack and assembles all three
 observables from the shared cache, where three separate session calls
 would prepare, plan and decompose three times.  This benchmark measures
-that speedup on the 32-molecule water system (acceptance: ≥ 1.5×), plus
-a cost/accuracy point for the Chebyshev polynomial-expansion kernel
-against the eigendecomposition and Newton–Schulz solvers at fixed μ.
+that speedup on the 32-molecule water system (acceptance: ≥ 1.5×).
 
 Writes ``BENCH_observables.json`` at the repository root and the usual
 table under ``benchmarks/results``.
@@ -85,32 +83,6 @@ def run_observables_benchmark():
             observables=OBSERVABLES,
             n_electrons=N_ELECTRONS,
         )
-        # Chebyshev cost/accuracy point vs eigen and Newton–Schulz at the
-        # canonical μ (iterative kernels are grand-canonical only)
-        mu = bundle["density"].mu
-        kernel_points = {}
-        reference = None
-        for solver in ("eigen", "newton_schulz", "chebyshev"):
-            result = ctx.density(pair.K, pair.S, pair.blocks, mu=mu, solver=solver)
-            seconds = median_time(
-                lambda: ctx.density(
-                    pair.K, pair.S, pair.blocks, mu=mu, solver=solver
-                ),
-                max(1, repeats // 2),
-            )
-            if solver == "eigen":
-                reference = result
-            kernel_points[solver] = {
-                "median_wall_time_s": seconds,
-                "max_abs_diff_vs_eigen": float(
-                    np.max(np.abs(result.density_ao - reference.density_ao))
-                ),
-            }
-        for point in kernel_points.values():
-            point["cost_vs_eigen"] = (
-                point["median_wall_time_s"]
-                / kernel_points["eigen"]["median_wall_time_s"]
-            )
 
     speedup = separate_s / bundled_s
     payload = {
@@ -128,7 +100,6 @@ def run_observables_benchmark():
             "speedup": speedup,
             "stack_decompositions": int(bundle.stack_decompositions),
         },
-        "kernels": kernel_points,
     }
     with open(ROOT_JSON, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
@@ -136,19 +107,10 @@ def run_observables_benchmark():
         ["bundled (3 observables)", bundled_s, 1.0],
         ["3 separate calls", separate_s, speedup],
     ]
-    kernel_rows = [
-        [
-            solver,
-            point["median_wall_time_s"],
-            point["cost_vs_eigen"],
-            point["max_abs_diff_vs_eigen"],
-        ]
-        for solver, point in kernel_points.items()
-    ]
-    return rows, kernel_rows, payload
+    return rows, payload
 
 
-def report_all(rows, kernel_rows, payload):
+def report_all(rows, payload):
     report(
         "observables",
         ["evaluation", "median seconds", "speedup of bundling"],
@@ -157,26 +119,19 @@ def report_all(rows, kernel_rows, payload):
         f"({payload['system']['molecules']} molecules, "
         f"{len(OBSERVABLES)} observables)",
     )
-    report(
-        "observables_kernels",
-        ["kernel", "median seconds", "cost vs eigen", "max |diff| vs eigen"],
-        kernel_rows,
-        "Sign-kernel cost/accuracy at fixed μ (density only)",
-    )
 
 
 @pytest.mark.benchmark(group="observables")
 def test_observables_benchmark(benchmark):
-    rows, kernel_rows, payload = benchmark.pedantic(
+    rows, payload = benchmark.pedantic(
         run_observables_benchmark, rounds=1, iterations=1
     )
-    report_all(rows, kernel_rows, payload)
+    report_all(rows, payload)
     # acceptance: bundling must beat three separate calls by ≥ 1.5×
     assert payload["multi_observable"]["speedup"] >= 1.5
-    assert payload["kernels"]["chebyshev"]["max_abs_diff_vs_eigen"] < 1e-5
 
 
 if __name__ == "__main__":
-    table_rows, kernel_table, result_payload = run_observables_benchmark()
-    report_all(table_rows, kernel_table, result_payload)
+    table_rows, result_payload = run_observables_benchmark()
+    report_all(table_rows, result_payload)
     print(f"wrote {ROOT_JSON}")

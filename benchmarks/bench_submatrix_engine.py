@@ -1,4 +1,4 @@
-"""Micro-benchmark — the submatrix engine and every registered sign kernel.
+"""Micro-benchmark — the submatrix engine and both sign kernels.
 
 Times a full block-level sign evaluation (extraction + eigendecomposition
 sign + scatter) on a 256-block-column water system through
@@ -10,13 +10,11 @@ stack — cold (first call builds and caches the plan) and warm.  The
 won); the per-submatrix reference loop now lives in
 ``tests/submatrix_reference.py``.
 
-A second phase sweeps **every registered sign kernel** (whatever
-:func:`repro.signfn.registry.available_kernels` reports — eigen,
-Newton–Schulz, Padé, Chebyshev, plus anything a plugin registered) through
-the grand-canonical density driver on the same system, reporting each
-kernel's cost and its density error against the eigendecomposition
-reference.  New kernels join the sweep by registration, not by editing
-this file.
+A second phase sweeps **both sign kernels**
+(:func:`repro.signfn.registry.available_kernels`: ``eigen`` and
+``newton_schulz``) through the grand-canonical density driver on the same
+system, reporting each kernel's cost and its density error against the
+eigendecomposition reference.
 
 The system uses a short-decay SZV variant: at reproduction scale this stands
 in for the paper's saturated linear-scaling regime (Fig. 4 — submatrix
@@ -89,9 +87,9 @@ def build_system():
 
 
 def run_kernel_sweep(pair, mu, repeats):
-    """Every registered sign kernel through the density driver at fixed μ.
+    """Both sign kernels through the density driver at fixed μ.
 
-    Grand-canonical on purpose: the iterative kernels do not support the
+    Grand-canonical on purpose: Newton–Schulz does not support the
     canonical μ-bisection (Algorithm 1 needs the cached
     eigendecompositions), so a fixed μ is the one ensemble every kernel
     can run.  Accuracy is measured against the eigen kernel's density.
@@ -205,7 +203,7 @@ def report_all(payload, rows):
         "submatrix_kernels",
         ["kernel", "median seconds", "cost vs eigen", "max |diff| vs eigen"],
         kernel_rows(payload),
-        "Registered sign kernels through the grand-canonical density driver",
+        "Sign kernels through the grand-canonical density driver",
     )
 
 
@@ -216,7 +214,7 @@ def test_submatrix_engine(benchmark):
     )
     report_all(payload, rows)
     assert payload["plan_cache"]["stats"]["builds"] == 1
-    # every registered kernel must have been swept and produced a density
+    # both kernels must have been swept and produced a density
     # close to the eigen reference
     assert set(payload["kernels"]) == set(available_kernels())
     for entry in payload["kernels"].values():

@@ -9,8 +9,9 @@ walks through
 1. **one config** — an :class:`~repro.api.config.EngineConfig` collecting
    engine, backend, workers, bucket padding, balancing, ranks and filtering
    in one validated object,
-2. **one kernel registry** — matrix functions resolved by name everywhere
-   (``"eigen"``, ``"newton_schulz"``, …, plus user-registered kernels),
+2. **two sign kernels** — the paper's ``"eigen"`` and ``"newton_schulz"``,
+   resolved by name everywhere from one fixed table (a bare callable works
+   too),
 3. **one session** — a :class:`~repro.api.context.SubmatrixContext` owning
    the plan cache and the persistent worker pool: repeated ``apply`` calls
    build one plan and one pool,
@@ -49,9 +50,9 @@ def main() -> None:
     print(f"config: {config}\n")
 
     # ------------------------------------------------------------------ #
-    # 2. one kernel registry
+    # 2. two sign kernels
     # ------------------------------------------------------------------ #
-    print("registered kernels:")
+    print("kernels:")
     for name in available_kernels():
         kernel = get_kernel(name)
         print(f"  {name:<15s} {kernel.description}")

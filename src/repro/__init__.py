@@ -8,11 +8,12 @@ unified session API on top:
     The session API: :class:`~repro.api.config.EngineConfig` (one validated
     configuration for engine, backend, workers, bucket padding, balancing,
     ranks and filtering), the :class:`~repro.signfn.registry.MatrixFunction`
-    kernel registry, and :class:`~repro.api.context.SubmatrixContext` — the
-    one entry point: the session that owns the plan cache, the persistent
-    worker pool and the sharded pipelines, exposing ``apply`` / ``density``
-    / ``observables`` / ``trajectory`` (each single-process or, with
-    ``ranks=``, sharded over simulated ranks).
+    table of the two sign kernels, and
+    :class:`~repro.api.context.SubmatrixContext` — the one entry point: the
+    session that owns the plan cache, the persistent worker pool and the
+    sharded pipelines, exposing ``apply`` / ``density`` / ``observables`` /
+    ``trajectory`` (each single-process or, with ``ranks=``, sharded over
+    simulated ranks).
 ``repro.chem``
     Synthetic liquid-water systems, model Kohn–Sham / overlap matrix builders,
     Löwdin orthogonalization and dense reference density-matrix solvers.
@@ -26,8 +27,8 @@ unified session API on top:
     executors for genuinely parallel submatrix solves.
 ``repro.signfn``
     Matrix sign function algorithms (Newton–Schulz, higher-order Padé,
-    eigendecomposition-based), inverse p-th roots, and the named-kernel
-    registry behind every solver string.
+    eigendecomposition-based), inverse p-th roots, and the table of the two
+    sign kernels (``eigen``, ``newton_schulz``) behind every solver string.
 ``repro.clustering``
     k-means and graph partitioning used to combine block columns into
     submatrices.
@@ -69,8 +70,6 @@ from repro.api import (
     UnknownKernelError,
     available_kernels,
     get_kernel,
-    register_callable,
-    register_kernel,
     resolve_kernel,
 )
 from repro.serve import (
@@ -94,8 +93,6 @@ __all__ = [
     "MatrixFunction",
     "BoundKernel",
     "UnknownKernelError",
-    "register_kernel",
-    "register_callable",
     "get_kernel",
     "available_kernels",
     "resolve_kernel",

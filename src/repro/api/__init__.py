@@ -1,9 +1,10 @@
 """repro.api — the unified session API of the submatrix engine.
 
-One configuration (:class:`EngineConfig`), one kernel registry
-(:class:`MatrixFunction` et al., shared with :mod:`repro.signfn.registry`)
-and one session object (:class:`SubmatrixContext`) that owns the plan
-cache, the persistent executor and the sharded pipelines:
+One configuration (:class:`EngineConfig`), one fixed table of the two sign
+kernels (:class:`MatrixFunction` et al., shared with
+:mod:`repro.signfn.registry`) and one session object
+(:class:`SubmatrixContext`) that owns the plan cache, the persistent
+executor and the sharded pipelines:
 
 >>> from repro.api import EngineConfig, SubmatrixContext
 >>> ctx = SubmatrixContext(EngineConfig(backend="thread"))
@@ -42,7 +43,6 @@ from repro.api.observables import (
     compute_observables,
     get_observable,
     normalize_observables,
-    register_observable,
 )
 from repro.api.scf import SCFResult, run_scf
 from repro.api.trajectory import (
@@ -54,12 +54,9 @@ from repro.api.trajectory import (
 from repro.signfn.registry import (
     BoundKernel,
     MatrixFunction,
-    SIGN_SOLVERS,
     UnknownKernelError,
     available_kernels,
     get_kernel,
-    register_callable,
-    register_kernel,
     resolve_kernel,
 )
 
@@ -89,15 +86,11 @@ __all__ = [
     "compute_observables",
     "get_observable",
     "normalize_observables",
-    "register_observable",
     "SCFResult",
     "run_scf",
     "MatrixFunction",
     "BoundKernel",
     "UnknownKernelError",
-    "SIGN_SOLVERS",
-    "register_kernel",
-    "register_callable",
     "get_kernel",
     "available_kernels",
     "resolve_kernel",

@@ -17,9 +17,10 @@ results are **bitwise identical** to an uninterrupted one:
 
 Step files are written atomically (temporary file + ``os.replace``), so a
 crash *during* a save leaves either the complete previous state or the
-complete new state — never a torn file.  The manifest records a caller
-``signature`` of the trajectory's parameters; resuming with different
-parameters (a different solver, ensemble or step count) raises
+complete new state — never a torn file.  The manifest records its format
+version and a caller ``signature`` of the trajectory's parameters; a manifest
+that is not a JSON object, carries another version, or was written with
+different parameters (a different solver, ensemble or step count) raises
 :class:`CheckpointError` instead of silently splicing incompatible steps.
 """
 
@@ -35,6 +36,7 @@ from typing import Dict, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from repro.api.observables import get_observable
 from repro.api.results import ObservableBundle, SubmatrixDFTResult
 
 __all__ = ["TrajectoryCheckpoint", "CheckpointError"]
@@ -52,8 +54,9 @@ _OBS_SEPARATOR = "__"
 class CheckpointError(RuntimeError):
     """A checkpoint directory is unusable for the requested trajectory.
 
-    Raised when the manifest's parameter signature does not match the
-    resuming trajectory's, or when a step file is missing or corrupt.
+    Raised when the manifest is unreadable, of another format version, or
+    its parameter signature does not match the resuming trajectory's, or
+    when a step file is missing or corrupt.
     """
 
 
@@ -101,11 +104,22 @@ class TrajectoryCheckpoint:
             return None
         try:
             with open(manifest_path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
+                manifest = json.load(handle)
         except (OSError, ValueError) as error:
             raise CheckpointError(
                 f"unreadable checkpoint manifest {manifest_path}: {error!r}"
             ) from error
+        if not isinstance(manifest, dict):
+            raise CheckpointError(
+                f"checkpoint manifest {manifest_path} holds a JSON "
+                f"{type(manifest).__name__}, not an object"
+            )
+        if manifest.get("version") != _VERSION:
+            raise CheckpointError(
+                f"checkpoint manifest {manifest_path} has format version "
+                f"{manifest.get('version')!r}; this code reads version {_VERSION}"
+            )
+        return manifest
 
     def _write_manifest(self, signature) -> None:
         payload = {"version": _VERSION, "signature": signature}
@@ -219,8 +233,6 @@ class TrajectoryCheckpoint:
             "fingerprint": np.asarray(result.pattern_fingerprint or ""),
         }
         if bundle is not None:
-            from repro.api.observables import get_observable
-
             arrays["observables"] = np.asarray(list(bundle.observables))
             arrays["bundle_counters"] = np.asarray(
                 [int(bundle.stack_decompositions)], dtype=np.int64
@@ -228,13 +240,7 @@ class TrajectoryCheckpoint:
             for name in bundle.observables:
                 if name == "density":
                     continue
-                observable = get_observable(name)
-                if observable.checkpoint_save is None:
-                    raise CheckpointError(
-                        f"observable {name!r} has no checkpoint_save hook; "
-                        "it cannot be persisted in a trajectory checkpoint"
-                    )
-                for suffix, array in observable.checkpoint_save(
+                for suffix, array in get_observable(name).checkpoint_save(
                     bundle.results[name]
                 ).items():
                     arrays[f"{_OBS_PREFIX}{name}{_OBS_SEPARATOR}{suffix}"] = (
@@ -261,98 +267,71 @@ class TrajectoryCheckpoint:
         observable deserialized through its ``checkpoint_load`` hook);
         files without it — every file written before multi-observable
         trajectories existed — come back as plain
-        :class:`SubmatrixDFTResult` objects exactly as before.
+        :class:`SubmatrixDFTResult` objects exactly as before.  A file that
+        cannot be read back whole — truncated, a missing array, an unknown
+        observable — raises :class:`CheckpointError`.
         """
         step_path = self._step_path(index)
         if not step_path.exists():
             raise CheckpointError(
                 f"checkpoint {self.path} has no saved step {index}"
             )
-        observable_names = None
-        observable_arrays: Dict[str, Dict[str, np.ndarray]] = {}
-        stack_decompositions = 0
         try:
             with np.load(step_path, allow_pickle=False) as data:
-                density_ao = np.array(data["density_ao"], dtype=np.float64)
-                ortho = sp.csr_matrix(
-                    (
-                        np.array(data["ortho_data"]),
-                        np.array(data["ortho_indices"]),
-                        np.array(data["ortho_indptr"]),
-                    ),
-                    shape=tuple(int(n) for n in data["ortho_shape"]),
-                )
-                dimensions = [int(d) for d in data["dimensions"]]
-                scalars = np.array(data["scalars"], dtype=np.float64)
-                counters = np.array(data["counters"], dtype=np.int64)
-                fingerprint = str(data["fingerprint"])
-                if "observables" in data.files:
-                    observable_names = tuple(str(n) for n in data["observables"])
-                    bundle_counters = np.array(
-                        data["bundle_counters"], dtype=np.int64
-                    )
-                    stack_decompositions = int(bundle_counters[0])
-                    for key in data.files:
-                        if not key.startswith(_OBS_PREFIX):
-                            continue
-                        name, _, suffix = key[len(_OBS_PREFIX) :].partition(
-                            _OBS_SEPARATOR
-                        )
-                        observable_arrays.setdefault(name, {})[suffix] = (
-                            np.array(data[key])
-                        )
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as error:
+                arrays = {key: np.array(data[key]) for key in data.files}
+            return _step_from_arrays(arrays)
+        except (
+            OSError, ValueError, KeyError, IndexError, zipfile.BadZipFile
+        ) as error:
             raise CheckpointError(
                 f"corrupt checkpoint step file {step_path}: {error!r}"
             ) from error
-        density = SubmatrixDFTResult(
-            density_ao=density_ao,
-            density_ortho=ortho,
-            mu=float(scalars[0]),
-            n_electrons=float(scalars[1]),
-            band_energy=float(scalars[2]),
-            submatrix_dimensions=dimensions,
-            mu_iterations=int(counters[0]),
-            eps_filter=float(scalars[3]),
-            wall_time=float(scalars[4]),
-            n_ranks=int(counters[1]),
-            pattern_fingerprint=fingerprint or None,
-            segment_fetch_bytes=_nan_to_none(scalars[5]),
-            block_fetch_bytes=_nan_to_none(scalars[6]),
-            kernel_fallbacks=int(counters[4]),
-        )
-        if observable_names is None:
-            return density
-        from repro.api.observables import UnknownObservableError, get_observable
-
-        results = {}
-        for name in observable_names:
-            if name == "density":
-                results[name] = density
-                continue
-            try:
-                observable = get_observable(name)
-            except UnknownObservableError as error:
-                raise CheckpointError(
-                    f"checkpoint step {step_path} holds observable {name!r}, "
-                    f"which is not registered in this process: {error}"
-                ) from error
-            if observable.checkpoint_load is None:
-                raise CheckpointError(
-                    f"observable {name!r} has no checkpoint_load hook; "
-                    f"step file {step_path} cannot be restored"
-                )
-            results[name] = observable.checkpoint_load(
-                observable_arrays.get(name, {})
-            )
-        return ObservableBundle(
-            results=results,
-            observables=observable_names,
-            stack_decompositions=stack_decompositions,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"TrajectoryCheckpoint(path={str(self.path)!r}, "
             f"n_saved_steps={self.n_saved_steps})"
         )
+
+
+def _step_from_arrays(arrays: Dict[str, np.ndarray]):
+    """The result :meth:`TrajectoryCheckpoint.save_step` stored as ``arrays``."""
+    scalars = np.asarray(arrays["scalars"], dtype=np.float64)
+    counters = np.asarray(arrays["counters"], dtype=np.int64)
+    density = SubmatrixDFTResult(
+        density_ao=np.asarray(arrays["density_ao"], dtype=np.float64),
+        density_ortho=sp.csr_matrix(
+            (arrays["ortho_data"], arrays["ortho_indices"], arrays["ortho_indptr"]),
+            shape=tuple(int(n) for n in arrays["ortho_shape"]),
+        ),
+        mu=float(scalars[0]),
+        n_electrons=float(scalars[1]),
+        band_energy=float(scalars[2]),
+        submatrix_dimensions=[int(d) for d in arrays["dimensions"]],
+        mu_iterations=int(counters[0]),
+        eps_filter=float(scalars[3]),
+        wall_time=float(scalars[4]),
+        n_ranks=int(counters[1]),
+        pattern_fingerprint=str(arrays["fingerprint"]) or None,
+        segment_fetch_bytes=_nan_to_none(scalars[5]),
+        block_fetch_bytes=_nan_to_none(scalars[6]),
+        kernel_fallbacks=int(counters[4]),
+    )
+    if "observables" not in arrays:
+        return density
+    names = tuple(str(name) for name in arrays["observables"])
+    by_observable: Dict[str, Dict[str, np.ndarray]] = {}
+    for key, array in arrays.items():
+        if key.startswith(_OBS_PREFIX):
+            name, _, suffix = key[len(_OBS_PREFIX) :].partition(_OBS_SEPARATOR)
+            by_observable.setdefault(name, {})[suffix] = array
+    return ObservableBundle(
+        results={
+            name: density
+            if name == "density"
+            else get_observable(name).checkpoint_load(by_observable.get(name, {}))
+            for name in names
+        },
+        observables=names,
+        stack_decompositions=int(arrays["bundle_counters"][0]),
+    )

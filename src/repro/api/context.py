@@ -437,17 +437,9 @@ class SubmatrixContext:
         self._check_open()
         return block_plan(coo, block_sizes, column_groups, cache=self.plan_cache)
 
-    def _bucket_pad_for(self, kernel, plan: SubmatrixPlan) -> Optional[int]:
-        """The session's bucket padding resolved for one plan
-        (``kernel``: a bound or registered kernel)."""
-        pad = resolve_bucket_pad(self.config.bucket_pad, plan.dimensions, plan.run)
-        if pad is not None and not kernel.matrix_function:
-            raise ValueError(
-                f"kernel {kernel.name!r} is not a genuine matrix function; "
-                "bucket padding requires exact-dimension buckets "
-                "(bucket_pad=None)"
-            )
-        return pad
+    def _bucket_pad_for(self, plan: SubmatrixPlan) -> Optional[int]:
+        """The session's bucket padding resolved for one plan."""
+        return resolve_bucket_pad(self.config.bucket_pad, plan.dimensions, plan.run)
 
     def _lookup(
         self,
@@ -501,10 +493,9 @@ class SubmatrixContext:
         level (one submatrix per column group), block-sparse matrices at
         block level (one submatrix per block-column group; see
         :meth:`apply_blockwise` for ``ranks``/``distribution``).
-        ``function`` may be a callable, a registered kernel name
-        (``"eigen"``, ``"newton_schulz"``, …) or a
-        :class:`~repro.signfn.registry.MatrixFunction`; ``**kernel_params``
-        (e.g. ``mu=0.2``) are forwarded to the kernel factory.
+        ``function`` may be a callable or a kernel name (``"eigen"`` or
+        ``"newton_schulz"``); ``**kernel_params`` (e.g. ``mu=0.2``) are
+        forwarded to the kernel factory.
         """
         self._check_open()
         if isinstance(matrix, BlockSparseMatrix):
@@ -639,7 +630,7 @@ class SubmatrixContext:
             solver,
             out,
             pipeline=pipeline,
-            pad_to=self._bucket_pad_for(bound, plan),
+            pad_to=self._bucket_pad_for(plan),
             mapper=self._map,
         )
         return SubmatrixMethodResult(
@@ -684,7 +675,7 @@ class SubmatrixContext:
     ):
         """Several observables from **one** decomposition pass (Sec. IV-F/G).
 
-        ``observables`` names the registered observables to assemble
+        ``observables`` names the observables to assemble
         (:func:`repro.api.observables.available_observables`); all of them
         share a single sharded/batched submatrix decomposition — requesting
         ``("density", "pdos", "energy_weighted_density")`` costs one

@@ -9,8 +9,8 @@ density matrix
 is its application (Sec. IV-F/G), grand-canonical (μ fixed) or canonical
 (electron count fixed, μ bisected on the cached eigendecompositions —
 Algorithm 1).  This module hosts the one path from a request to its result
-plus a small registry of *observables*, sibling to the
-:class:`~repro.signfn.registry.MatrixFunction` kernel registry:
+plus the fixed table of the three *observables*, sibling to the table of the
+two sign kernels (:data:`~repro.signfn.registry.KERNELS`):
 
 * :func:`validate_request` is the one request check of the direct,
   trajectory and served entry points;
@@ -24,7 +24,7 @@ plus a small registry of *observables*, sibling to the
 * an :class:`Observable` describes what a physical quantity needs from the
   engine (the cached eigendecompositions, μ, the scatter plan) and how to
   assemble its result from that :class:`SharedEvaluation`; ``density`` is
-  just one registered instance.
+  just one entry of :data:`OBSERVABLES`.
 
 **Which requests hold spectra.**  The paper keeps Q, Λ of every submatrix
 only because the canonical μ search revisits them (Algorithm 1), and copies
@@ -38,7 +38,7 @@ pass has two modes, chosen by whether anything downstream reads the spectra:
 * *scatter* — a fixed-``mu=`` request whose observables all have
   ``supports_iterative`` streams ``eigh → occupy → scatter`` per stack inside
   the stack task (rank- and worker-parallel) and keeps nothing: at most one
-  stack of eigenvectors is alive per worker.  The iterative sign kernels have
+  stack of eigenvectors is alive per worker.  The Newton–Schulz kernel has
   always run this way.
 
 Either way a spectral product forms only the generating-column panel
@@ -46,7 +46,7 @@ Either way a spectral product forms only the generating-column panel
 with :meth:`~repro.core.plan.SubmatrixPlan.scatter_columns`, so both modes —
 and with them direct, served and sharded calls — are bitwise equal.
 
-Built-in observables:
+The observables:
 
 ``density``
     The one-particle reduced density matrix (Eq. 16) — the historical
@@ -60,9 +60,9 @@ Built-in observables:
     the Löwdin back-transform) and the spectral band-structure energy
     ``g_s · Tr(W)`` — the quantity entering Pulay-force contractions.
 
-Only ``density`` is available through the diagonalization-free iterative
-kernels (Newton–Schulz, Padé, Chebyshev): the other observables need the
-spectral data that only the eigendecomposition cache carries.
+Only ``density`` is available through the diagonalization-free
+Newton–Schulz kernel: the other observables need the spectral data that only
+the eigendecomposition cache carries.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ __all__ = [
     "evaluate_request",
     "get_observable",
     "normalize_observables",
-    "register_observable",
+    "OBSERVABLES",
     "validate_request",
     "assemble_result",
     "prepare_step",
@@ -213,20 +213,20 @@ class SharedEvaluation:
 
 
 # --------------------------------------------------------------------------- #
-# observable registry
+# observable table
 # --------------------------------------------------------------------------- #
 class UnknownObservableError(ValueError):
-    """Raised for an observable name missing from the registry."""
+    """Raised for an observable name missing from :data:`OBSERVABLES`."""
 
 
 @dataclasses.dataclass(frozen=True)
 class Observable:
-    """Registry entry describing one physical observable.
+    """Table entry describing one physical observable.
 
     Attributes
     ----------
     name:
-        Registry key (``observables=("density", "pdos")``).
+        Table key (``observables=("density", "pdos")``).
     assemble:
         ``assemble(evaluation, params) -> result`` — build the observable's
         result object from one :class:`SharedEvaluation` (cached
@@ -234,62 +234,43 @@ class Observable:
         parameter mapping.
     description:
         One-line human description.
-    needs_eigendecomposition:
-        Whether assembly reads the spectral data (``evaluation.decomposed``).
     supports_iterative:
         Whether the observable can also be produced by the
-        diagonalization-free iterative sign kernels (only ``density``) —
+        diagonalization-free Newton–Schulz kernel (only ``density``) —
         that is, assembled from the scattered occupation matrices alone.  A
         fixed-μ request of only such observables holds no spectra.
     checkpoint_save / checkpoint_load:
-        Optional npz (de)serialization hooks for trajectory checkpoints:
+        npz (de)serialization hooks for trajectory checkpoints:
         ``checkpoint_save(result) -> {suffix: ndarray}`` and
-        ``checkpoint_load({suffix: ndarray}) -> result``.
+        ``checkpoint_load({suffix: ndarray}) -> result``.  ``None`` only for
+        ``density``, which uses the checkpoint's native layout
+        (:mod:`repro.api.checkpoint`).
     """
 
     name: str
     assemble: Callable[[SharedEvaluation, Mapping[str, Any]], Any]
-    description: str = ""
-    needs_eigendecomposition: bool = True
-    supports_iterative: bool = False
-    checkpoint_save: Optional[Callable[[Any], Dict[str, np.ndarray]]] = None
-    checkpoint_load: Optional[Callable[[Dict[str, np.ndarray]], Any]] = None
-
-
-_OBSERVABLES: Dict[str, Observable] = {}
-
-
-def register_observable(observable: Observable, overwrite: bool = False) -> Observable:
-    """Register an :class:`Observable`; set ``overwrite`` to replace."""
-    if not observable.name:
-        raise ValueError("observable name must be non-empty")
-    if observable.name in _OBSERVABLES and not overwrite:
-        raise ValueError(
-            f"observable {observable.name!r} is already registered "
-            "(pass overwrite=True to replace)"
-        )
-    _OBSERVABLES[observable.name] = observable
-    return observable
+    description: str
+    supports_iterative: bool
+    checkpoint_save: Optional[Callable[[Any], Dict[str, np.ndarray]]]
+    checkpoint_load: Optional[Callable[[Dict[str, np.ndarray]], Any]]
 
 
 def get_observable(name: str) -> Observable:
-    """Look up a registered observable by name, with did-you-mean help."""
+    """Look an observable up by name, with did-you-mean help."""
     try:
-        return _OBSERVABLES[name]
+        return OBSERVABLES[name]
     except KeyError:
-        suggestions = difflib.get_close_matches(
-            str(name), list(_OBSERVABLES), n=1
-        )
+        suggestions = difflib.get_close_matches(str(name), list(OBSERVABLES), n=1)
         hint = f" — did you mean {suggestions[0]!r}?" if suggestions else ""
         raise UnknownObservableError(
             f"unknown observable {name!r}; available: "
-            f"{', '.join(sorted(_OBSERVABLES))}{hint}"
+            f"{', '.join(sorted(OBSERVABLES))}{hint}"
         ) from None
 
 
 def available_observables() -> Tuple[str, ...]:
-    """Names of all registered observables, sorted."""
-    return tuple(sorted(_OBSERVABLES))
+    """Names of all observables, sorted."""
+    return tuple(sorted(OBSERVABLES))
 
 
 def normalize_observables(
@@ -330,10 +311,10 @@ def validate_request(
     all three reject the same requests with the same exception.  ``mu`` /
     ``n_electrons`` are scalars, or a trajectory's per-step sequences.
     Returns ``(names, kernel)``: the canonicalized observable names and
-    the registered sign kernel.
+    the sign kernel.
 
     Raises :class:`ValueError` (:class:`UnknownObservableError` /
-    :class:`~repro.signfn.registry.UnknownKernelError` for unregistered
+    :class:`~repro.signfn.registry.UnknownKernelError` for unknown
     names) unless exactly one of ``mu`` and ``n_electrons`` is given, it is
     finite, an electron count lies in ``[0, spin_degeneracy · n_basis]``
     (outside, no μ exists and the bisection would return an all-empty or
@@ -352,9 +333,9 @@ def validate_request(
     if (mu is None) == (n_electrons is None):
         raise ValueError("specify exactly one of mu and n_electrons")
     canonical = n_electrons is not None
-    # the single (registry-backed) solver-string validation path; kernels
-    # with supports_mu_bisection run through the eigendecomposition cache
-    # (Algorithm 1), everything else through the iterative sign path
+    # the single (table-backed) solver-string validation path; eigen
+    # (supports_mu_bisection) runs through the eigendecomposition cache
+    # (Algorithm 1), Newton–Schulz through the iterative sign path
     kernel = get_kernel(solver)
     if not kernel.supports_mu_bisection:
         if canonical:
@@ -398,12 +379,12 @@ class Decomposition:
     In collect mode this is μ-independent — the cached per-submatrix
     spectra ``decomposed`` serve any chemical potential and any observable
     (every bisection step reads the same entries).  In scatter
-    mode (a fixed μ and nothing that reads spectra; every iterative-kernel
+    mode (a fixed μ and nothing that reads spectra; every Newton–Schulz
     request) the pass evaluates the occupation matrices at that μ
     (``occupation_block``) and leaves ``decomposed`` ``None``.
     ``stack_decompositions`` counts the ``eigh`` stacks solved in either mode
-    (0 for the iterative kernels), ``kernel_fallbacks`` the submatrices an
-    iterative kernel did not converge (evaluated by ``eigen`` instead).
+    (0 for Newton–Schulz), ``kernel_fallbacks`` the submatrices
+    Newton–Schulz did not converge (evaluated by ``eigen`` instead).
     """
 
     prepared: PreparedStep
@@ -443,8 +424,8 @@ def compute_observables(
     :class:`~repro.api.results.DecomposedSubmatrix` entries.
 
     Exactly one of ``mu`` (grand-canonical) and ``n_electrons`` (canonical)
-    must be provided.  ``observables`` names registered
-    :class:`Observable` instances (order-preserving, duplicates dropped);
+    must be provided.  ``observables`` names
+    :data:`OBSERVABLES` entries (order-preserving, duplicates dropped);
     ``observable_params`` optionally maps observable name → keyword
     parameters for its assembly (e.g. the PDOS grid).
 
@@ -459,9 +440,9 @@ def compute_observables(
     within ``mu_tolerance``, but at T = 0 the μ values may settle at
     different points of a degenerate gap plateau.
 
-    Iterative sign kernels (``kernel.supports_mu_bisection == False``)
-    never build the spectral cache, so they only support observables with
-    ``supports_iterative`` (built-in: ``density`` alone).
+    The Newton–Schulz kernel (``supports_mu_bisection == False``) never
+    builds the spectral cache, so it only supports observables with
+    ``supports_iterative`` (``density`` alone).
     """
     start = time.perf_counter()
     names, kernel = validate_request(
@@ -532,7 +513,7 @@ def _decompose(
         # bookkeeping (Algorithm 1 reuses the cached per-submatrix spectra)
         # and another eigh than the exact-dimension stack, so every
         # spectral request — collected or streamed, hence bitwise alike —
-        # keeps exact-dimension buckets.  The iterative kernels pad safely.
+        # keeps exact-dimension buckets.  Newton–Schulz pads safely.
         None if spectral else config.bucket_pad,
     )
     decomposition = Decomposition(prepared, plan, pipeline=pipeline)
@@ -555,14 +536,13 @@ def _decompose(
     else:
         # the μ-shift is applied by the stack solver, so the kernel is bound
         # without parameters; bucket padding embeds a small submatrix
-        # block-diagonally with the kernel's padding_value (1 + μ for the
-        # built-in sign iterations), so after the shift the padding
-        # eigenvalues sit at exactly 1 — inside the convergence region —
-        # and the padded rows never reach the scatter
+        # block-diagonally with the kernel's padding_value (1 + μ), so after
+        # the shift the padding eigenvalues sit at exactly 1 — inside the
+        # convergence region — and the padded rows never reach the scatter
         sign = KernelStackSolver(kernel.bind())
         solver = _occupation_stack_solver(sign, float(mu))
         padding = dict(
-            pad_to=context._bucket_pad_for(kernel, plan),
+            pad_to=context._bucket_pad_for(plan),
             pad_value=kernel.padding_value(float(mu)),
         )
     stacks = run_stacks(plan, packed, solver, out, **padding, **run)
@@ -635,7 +615,7 @@ def evaluate_request(
 
 
 # --------------------------------------------------------------------------- #
-# built-in observables
+# the observables
 # --------------------------------------------------------------------------- #
 def _assemble_density(
     evaluation: SharedEvaluation, params: Mapping[str, Any]
@@ -820,46 +800,42 @@ def _load_energy_weighted(
     )
 
 
-register_observable(
-    Observable(
+#: The observable table: every ``observables=`` name is one of these keys.
+OBSERVABLES: Dict[str, Observable] = {
+    "density": Observable(
         name="density",
         assemble=_assemble_density,
         description=(
             "one-particle reduced density matrix D = 1/2·(I − sign(K̃ − μI)) "
             "(Eq. 16), AO and orthogonal basis"
         ),
-        needs_eigendecomposition=False,
         supports_iterative=True,
-        # density uses the checkpoint's native layout (see
-        # repro.api.checkpoint), not the per-observable hooks
-    )
-)
-register_observable(
-    Observable(
+        checkpoint_save=None,
+        checkpoint_load=None,
+    ),
+    "pdos": Observable(
         name="pdos",
         assemble=_assemble_pdos,
         description=(
             "projected/total density of states from the generating-row "
             "spectral weights, Gaussian-broadened"
         ),
-        needs_eigendecomposition=True,
+        supports_iterative=False,
         checkpoint_save=_save_pdos,
         checkpoint_load=_load_pdos,
-    )
-)
-register_observable(
-    Observable(
+    ),
+    "energy_weighted_density": Observable(
         name="energy_weighted_density",
         assemble=_assemble_energy_weighted,
         description=(
             "energy-weighted density matrix W = Q(λ·f(λ−μ))Qᵀ and spectral "
             "band-structure energy g_s·Tr(W)"
         ),
-        needs_eigendecomposition=True,
+        supports_iterative=False,
         checkpoint_save=_save_energy_weighted,
         checkpoint_load=_load_energy_weighted,
-    )
-)
+    ),
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -1085,11 +1061,10 @@ def _spectral_stack_solver(mu: float, temperature: float):
 def _occupation_stack_solver(sign: KernelStackSolver, mu: float):
     """Per-stack occupation solver 1/2·(I − sign(A − μI)).
 
-    ``sign`` solves stacks with a registered kernel without an
-    eigendecomposition cache — the built-in Newton–Schulz, Padé and
-    Chebyshev iterations, or a user-registered sign kernel — bound without
-    parameters, because μ is shifted off here.  Every unit of the rank loop
-    maps this same closure over its ``(k, d, d)`` stacks, so all routes
+    ``sign`` solves stacks with the kernel that has no eigendecomposition
+    cache — the Newton–Schulz iteration — bound without parameters, because
+    μ is shifted off here.  Every unit of the rank loop maps this same
+    closure over its ``(k, d, d)`` stacks, so all routes
     perform identical per-submatrix arithmetic — and because the batched
     sign iterations prescale and freeze each matrix individually, the
     results are independent of the stack composition (the basis of the
@@ -1106,11 +1081,6 @@ def _occupation_stack_solver(sign: KernelStackSolver, mu: float):
         diagonal = np.arange(stack.shape[-1])
         stack[:, diagonal, diagonal] -= mu
         signs = sign(stack)
-        if signs.shape != stack.shape:
-            raise ValueError(
-                f"sign kernel {sign.kernel.name!r} returned shape {signs.shape}, "
-                f"expected {stack.shape}"
-            )
         np.subtract(np.eye(stack.shape[-1]), signs, out=signs)
         signs *= 0.5
         return signs

@@ -1,32 +1,24 @@
 """Matrix sign function algorithms and related matrix functions.
 
-Four families of algorithms are provided:
+The engine runs the paper's two per-submatrix sign solvers
+(:mod:`repro.signfn.registry`):
 
-* the 2nd-order Newton–Schulz iteration (Eq. 11) — CP2K's default for
-  grand-canonical linear-scaling DFT and the baseline in the evaluation —
-  in dense and sparse (filtered) variants (:mod:`repro.signfn.newton_schulz`);
-* higher-order Padé-style iterations (Eq. 19 for the 3rd order) used for the
-  GPU/FPGA exploration (:mod:`repro.signfn.pade`);
 * the eigendecomposition-based evaluation with the sign(0) = 0 extension
   (Eq. 12) and its finite-temperature generalization via the Fermi function,
   which the paper found superior for the dense submatrices
   (:mod:`repro.signfn.eigen`);
-* a Chebyshev polynomial expansion of the erf-smoothed sign — GEMM-only
-  and diagonalization-free, a different accuracy/cost point than the sign
-  iterations (:mod:`repro.signfn.chebyshev`).
+* the 2nd-order Newton–Schulz iteration (Eq. 11) — CP2K's default for
+  grand-canonical linear-scaling DFT and the baseline in the evaluation —
+  in dense, batched and sparse (filtered) variants
+  (:mod:`repro.signfn.newton_schulz`).
 
-:mod:`repro.signfn.inverse_root` implements the inverse p-th roots of the
-original submatrix-method publication, and :mod:`repro.signfn.utils` the
-shared spectral-scaling and convergence helpers.
+The higher-order Padé-style iterations of :mod:`repro.signfn.pade` (Eq. 19
+for the 3rd order) serve the GPU/FPGA study of :mod:`repro.accel`, not the
+engine.  :mod:`repro.signfn.inverse_root` implements the inverse p-th roots
+of the original submatrix-method publication, and :mod:`repro.signfn.utils`
+the shared spectral-scaling and convergence helpers.
 """
 
-from repro.signfn.chebyshev import (
-    BatchedChebyshevResult,
-    ChebyshevSignResult,
-    chebyshev_sign_coefficients,
-    sign_chebyshev,
-    sign_chebyshev_batched,
-)
 from repro.signfn.newton_schulz import (
     BatchedNewtonSchulzResult,
     NewtonSchulzResult,
@@ -49,21 +41,13 @@ from repro.signfn.registry import (
     DEFAULT_SIGN_MAX_ITERATIONS,
     KernelStackSolver,
     MatrixFunction,
-    SIGN_SOLVERS,
     UnknownKernelError,
     available_kernels,
     get_kernel,
-    register_callable,
-    register_kernel,
     resolve_kernel,
 )
 
 __all__ = [
-    "BatchedChebyshevResult",
-    "ChebyshevSignResult",
-    "chebyshev_sign_coefficients",
-    "sign_chebyshev",
-    "sign_chebyshev_batched",
     "NewtonSchulzResult",
     "BatchedNewtonSchulzResult",
     "sign_newton_schulz",
@@ -85,10 +69,7 @@ __all__ = [
     "BoundKernel",
     "UnknownKernelError",
     "KernelStackSolver",
-    "SIGN_SOLVERS",
     "DEFAULT_SIGN_MAX_ITERATIONS",
-    "register_kernel",
-    "register_callable",
     "get_kernel",
     "available_kernels",
     "resolve_kernel",

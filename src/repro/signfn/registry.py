@@ -1,27 +1,19 @@
-"""Named matrix-function kernels — the single registry behind every solver string.
+"""The two sign kernels of the paper — the fixed table behind every solver string.
 
-One lookup validates every matrix-function name of the engine: a
-:class:`MatrixFunction` describes a named kernel (how to build the
-per-matrix callable and, when available, the batched ``(k, d, d)`` variant
-for the bucketed stack evaluator), :func:`get_kernel` resolves a name with a
-"did you mean" suggestion on typos, and :func:`resolve_kernel` turns any
-user-facing spec — a registered name, a :class:`MatrixFunction`, or a bare
-callable — into a :class:`BoundKernel` ready for the submatrix engine.
-
-Users plug their own kernels in with :func:`register_kernel` (a full
-factory-based kernel) or :func:`register_callable` (a fixed elementwise or
-blockwise callable); after registration the name works everywhere a built-in
-does: ``SubmatrixContext.apply`` (single-process or ``ranks=``-sharded) and
-the ``solver=`` of ``density``/``observables``/``trajectory`` (where custom
-sign kernels run through the iterative occupation path; see
-``MatrixFunction.supports_mu_bisection`` for the eigendecomposition-cache
-contract).
+The paper compares two per-submatrix sign solvers: the dense symmetric
+eigendecomposition (Eq. 12/17), which it uses, and the 2nd-order
+Newton–Schulz iteration (Eq. 11), CP2K's baseline.  :data:`KERNELS` holds
+exactly these two as :class:`MatrixFunction` entries (how to build the
+per-matrix callable and the batched ``(k, d, d)`` variant for the bucketed
+stack evaluator); :func:`get_kernel` resolves a ``solver=`` or ``apply``
+name against it with a "did you mean" suggestion on typos, and
+:func:`resolve_kernel` turns either user-facing spec — a kernel name or a
+bare callable — into a :class:`BoundKernel` ready for the submatrix engine.
 
 Every evaluation of a bound kernel on ``(k, d, d)`` stacks — f(A) and
-densities alike — goes through one :class:`KernelStackSolver`: an iterative
-kernel gets one convergence-checked attempt at its default budget, and
-every submatrix it did not converge is evaluated by ``eigen`` instead and
-counted.
+densities alike — goes through one :class:`KernelStackSolver`: Newton–Schulz
+gets one convergence-checked attempt at its default budget, and every
+submatrix it did not converge is evaluated by ``eigen`` instead and counted.
 """
 
 from __future__ import annotations
@@ -37,42 +29,35 @@ from repro.signfn.eigen import (
     sign_via_eigendecomposition,
     sign_via_eigendecomposition_batched,
 )
-from repro.signfn.chebyshev import (
-    DEFAULT_CHEBYSHEV_DEGREE,
-    DEFAULT_CHEBYSHEV_SMOOTHING,
-    sign_chebyshev,
-    sign_chebyshev_batched,
-)
 from repro.signfn.newton_schulz import (
     sign_newton_schulz,
     sign_newton_schulz_batched,
 )
-from repro.signfn.pade import sign_pade
 
 __all__ = [
     "MatrixFunction",
     "BoundKernel",
     "UnknownKernelError",
     "KernelStackSolver",
-    "register_kernel",
-    "register_callable",
+    "KERNELS",
     "get_kernel",
     "available_kernels",
     "resolve_kernel",
-    "SIGN_SOLVERS",
     "DEFAULT_SIGN_MAX_ITERATIONS",
 ]
 
-#: Iteration budget of the one convergence-checked attempt of the iterative
-#: sign kernels; a submatrix that has not converged within it is evaluated
-#: by ``eigen``.
+#: Iteration budget of the one convergence-checked attempt of the
+#: Newton–Schulz kernel; a submatrix that has not converged within it is
+#: evaluated by ``eigen``.
 DEFAULT_SIGN_MAX_ITERATIONS = 100
 
-#: The built-in per-submatrix sign solvers of the paper's ablation study.
-#: The DFT solver accepts any registered matrix-function kernel; canonical
-#: ensembles require one with ``supports_mu_bisection`` (Algorithm 1 reuses
-#: the cached eigendecompositions during the μ-bisection).
-SIGN_SOLVERS = ("eigen", "newton_schulz", "pade")
+#: Padding anchor of the bucketed stack evaluator for μ-shifted evaluations:
+#: a submatrix embedded block-diagonally *before* the shift ``A − μI`` uses
+#: ``SHIFT_PAD + μ`` on its padding diagonal, so the shifted padding
+#: eigenvalues sit at exactly 1.0 — the sign/occupation fixed point, well
+#: inside the Newton–Schulz convergence region and mapped to occupation 0, so
+#: the padded rows are exact and never reach the scatter.
+SHIFT_PAD = 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,16 +67,12 @@ class BoundKernel:
     Attributes
     ----------
     name:
-        Registry name (or the callable's name for ad-hoc functions).
+        Kernel name (or the callable's name for ad-hoc functions).
     function:
         Per-matrix callable ``(d, d) -> (d, d)``.
     batch_function:
         Optional batched callable ``(k, d, d) -> (k, d, d)``; ``None`` falls
         back to one ``function`` call per stack slice.
-    matrix_function:
-        ``True`` for genuine (analytic) matrix functions, which the bucketed
-        evaluator may pad block-diagonally; elementwise/blockwise callables
-        must keep exact-dimension buckets.
     checked_function:
         ``(k, d, d) -> (results, fallbacks)`` for kernels with a
         :attr:`MatrixFunction.make_checked_batched`: the kernel's one
@@ -104,7 +85,6 @@ class BoundKernel:
     name: str
     function: Callable[[np.ndarray], np.ndarray]
     batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    matrix_function: bool = True
     checked_function: Optional[
         Callable[[np.ndarray], Tuple[np.ndarray, int]]
     ] = None
@@ -117,51 +97,31 @@ class MatrixFunction:
     Attributes
     ----------
     name:
-        Registry name (e.g. ``"eigen"``).
+        Table key (``"eigen"`` or ``"newton_schulz"``).
     make:
         Factory ``make(**params)`` returning the per-matrix callable.
     make_batched:
         Optional factory returning the batched ``(k, d, d)`` callable.  It
         returns a stack of its own: the density driver maps sign →
         occupation in place on what it gets back.
-    matrix_function:
-        Whether the kernel is a genuine matrix function (padding-safe).
-    iterative:
-        ``True`` for kernels that evaluate f by an iteration on the
-        (μ-shifted) matrix itself (Newton–Schulz, Padé) rather than through
-        a spectral decomposition.  Iterative kernels cannot serve the
-        canonical-ensemble μ-bisection (no cached spectra), but the density
-        driver runs them rank-sharded through the distributed pipeline in
-        the grand-canonical ensemble.
-    shift_pad:
-        Padding anchor of the bucketed stack evaluator for μ-shifted
-        evaluations: a submatrix embedded block-diagonally *before* the
-        shift ``A − μI`` uses ``shift_pad + μ`` on its padding diagonal, so
-        the shifted padding eigenvalues sit at exactly ``shift_pad``.  The
-        default 1.0 places them at the sign/occupation fixed point — well
-        inside the Newton–Schulz/Padé convergence region and mapped to
-        occupation 0, so the padded rows are exact and never reach the
-        scatter.  See :meth:`padding_value`.
     make_checked_batched:
         Optional factory (same parameters as ``make``) returning a
         *convergence-checked* batched callable ``checked(stack) ->
         (results, converged)`` with ``converged`` a per-matrix boolean
-        array; it runs the kernel once at its default budget
-        (:data:`DEFAULT_SIGN_MAX_ITERATIONS` for the sign iterations) and
-        must not write to ``stack``.  Iterative kernels provide it so that
-        every submatrix they fail to converge is evaluated by ``eigen``
-        instead — counted in ``kernel_fallbacks``, never raised (see
+        array; it runs the kernel once at :data:`DEFAULT_SIGN_MAX_ITERATIONS`
+        and must not write to ``stack``.  Every submatrix it fails to
+        converge is evaluated by ``eigen`` instead — counted in
+        ``kernel_fallbacks``, never raised (see
         :attr:`BoundKernel.checked_function`).
     supports_mu_bisection:
-        Declares the kernel *spectrally equivalent* to the built-in
-        eigendecomposition evaluation: its result equals
-        ``Q f(Λ − μ) Qᵀ`` with f the occupation/signum family.  The DFT
-        density driver satisfies such kernels through its shared
-        eigendecomposition cache (Algorithm 1) — including the rank-sharded
-        canonical μ-search — **instead of calling the kernel's factories**,
-        with μ and the electronic temperature taken from the session config.
-        Leave it ``False`` for any kernel with different math; those run
-        through the iterative sign path (grand-canonical only).
+        Declares the kernel *spectrally equivalent* to the eigendecomposition
+        evaluation: its result equals ``Q f(Λ − μ) Qᵀ`` with f the
+        occupation/signum family.  The DFT density driver satisfies such a
+        kernel through its shared eigendecomposition cache (Algorithm 1) —
+        including the canonical μ-search — **instead of calling the kernel's
+        factories**, with μ and the electronic temperature taken from the
+        session config.  ``False`` runs the kernel through the iterative sign
+        path (grand-canonical only).
     description:
         One-line human-readable summary.
     """
@@ -169,9 +129,6 @@ class MatrixFunction:
     name: str
     make: Callable[..., Callable[[np.ndarray], np.ndarray]]
     make_batched: Optional[Callable[..., Callable[[np.ndarray], np.ndarray]]] = None
-    matrix_function: bool = True
-    iterative: bool = False
-    shift_pad: float = 1.0
     supports_mu_bisection: bool = False
     description: str = ""
     make_checked_batched: Optional[Callable[..., Callable]] = None
@@ -182,9 +139,9 @@ class MatrixFunction:
         The bucketed stack evaluator embeds a small submatrix as
         ``blockdiag(a, p·I)`` *before* the caller applies the shift
         ``· − μI``; this returns the ``p`` for which the shifted padding
-        eigenvalues land exactly on :attr:`shift_pad`.
+        eigenvalues land exactly on :data:`SHIFT_PAD`.
         """
-        return self.shift_pad + mu
+        return SHIFT_PAD + mu
 
     def bind(self, **params) -> BoundKernel:
         """Build the callables for one parameter set (e.g. ``mu=0.2``)."""
@@ -199,7 +156,6 @@ class MatrixFunction:
             name=self.name,
             function=function,
             batch_function=batch,
-            matrix_function=self.matrix_function,
             checked_function=checked,
         )
 
@@ -221,7 +177,7 @@ def _with_eigen_fallback(checked: Callable, mu: float):
 
 
 class UnknownKernelError(ValueError, TypeError):
-    """Raised when a kernel name is not in the registry.
+    """Raised when a kernel name is not in :data:`KERNELS`.
 
     Both a :class:`ValueError` (a bad ``solver=`` string) and a
     :class:`TypeError` (a bad function spec): callers catch either.
@@ -234,84 +190,23 @@ class UnknownKernelError(ValueError, TypeError):
         hint = f"; did you mean {suggestion[0]!r}?" if suggestion else ""
         super().__init__(
             f"unknown matrix-function kernel {name!r}{hint} "
-            f"(registered kernels: {', '.join(sorted(known))})"
+            f"(kernels: {', '.join(sorted(known))})"
         )
-
-
-_REGISTRY: Dict[str, MatrixFunction] = {}
-
-
-def register_kernel(kernel: MatrixFunction, overwrite: bool = False) -> MatrixFunction:
-    """Register ``kernel`` under its name; returns it for chaining."""
-    if not isinstance(kernel, MatrixFunction):
-        raise TypeError("register_kernel expects a MatrixFunction")
-    if kernel.name in _REGISTRY and not overwrite:
-        raise ValueError(
-            f"kernel {kernel.name!r} is already registered "
-            "(pass overwrite=True to replace it)"
-        )
-    _REGISTRY[kernel.name] = kernel
-    return kernel
-
-
-def register_callable(
-    name: str,
-    function: Callable[[np.ndarray], np.ndarray],
-    batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    matrix_function: bool = False,
-    iterative: bool = False,
-    description: str = "",
-    overwrite: bool = False,
-) -> MatrixFunction:
-    """Register a fixed elementwise/blockwise callable as a parameterless kernel.
-
-    The callable is applied to each dense submatrix as-is.  Unless
-    ``matrix_function=True`` the kernel is flagged as not padding-safe, so
-    the batched engine keeps exact-dimension buckets for it.
-    """
-    if not callable(function):
-        raise TypeError("function must be callable")
-
-    def make(**params):
-        if params:
-            raise TypeError(
-                f"kernel {name!r} accepts no parameters, got {sorted(params)}"
-            )
-        return function
-
-    def make_batched(**params):
-        if params:
-            raise TypeError(
-                f"kernel {name!r} accepts no parameters, got {sorted(params)}"
-            )
-        return batch_function
-
-    return register_kernel(
-        MatrixFunction(
-            name=name,
-            make=make,
-            make_batched=make_batched if batch_function is not None else None,
-            matrix_function=matrix_function,
-            iterative=iterative,
-            description=description,
-        ),
-        overwrite=overwrite,
-    )
 
 
 def get_kernel(name: str) -> MatrixFunction:
-    """Look up a registered kernel by name (the one shared validation path)."""
+    """Look a kernel up by name (the one shared validation path)."""
     if not isinstance(name, str):
         raise TypeError(f"kernel name must be a string, got {type(name).__name__}")
-    kernel = _REGISTRY.get(name)
+    kernel = KERNELS.get(name)
     if kernel is None:
-        raise UnknownKernelError(name, list(_REGISTRY))
+        raise UnknownKernelError(name, list(KERNELS))
     return kernel
 
 
 def available_kernels() -> List[str]:
-    """Sorted names of every registered kernel."""
-    return sorted(_REGISTRY)
+    """Sorted kernel names."""
+    return sorted(KERNELS)
 
 
 def resolve_kernel(
@@ -321,36 +216,24 @@ def resolve_kernel(
 ) -> BoundKernel:
     """Turn a kernel spec into a :class:`BoundKernel`.
 
-    ``spec`` may be a registered name, a :class:`MatrixFunction`, an already
-    bound kernel, or a bare callable (treated as a matrix function).
+    ``spec`` is a kernel name or a bare callable (treated as a matrix
+    function, so the bucketed evaluator may pad it block-diagonally).
     ``batch_function`` overrides the kernel's batched variant, its
     convergence-checked one included; ``**params`` are forwarded to the
     kernel factories (e.g. ``mu=0.2``).
     """
-    if isinstance(spec, BoundKernel):
-        if params:
-            raise TypeError("a BoundKernel has its parameters baked in already")
-        bound = spec
-    elif isinstance(spec, MatrixFunction):
-        bound = spec.bind(**params)
-    elif isinstance(spec, str):
+    if isinstance(spec, str):
         bound = get_kernel(spec).bind(**params)
     elif callable(spec):
         if params:
             raise TypeError(
-                "kernel parameters are only supported for registered kernels; "
+                "kernel parameters are only supported for named kernels; "
                 "bake them into the callable instead"
             )
-        bound = BoundKernel(
-            name=getattr(spec, "__name__", "callable"),
-            function=spec,
-            batch_function=None,
-            matrix_function=True,
-        )
+        bound = BoundKernel(name=getattr(spec, "__name__", "callable"), function=spec)
     else:
         raise TypeError(
-            "function must be a callable, a registered kernel name or a "
-            f"MatrixFunction, got {type(spec).__name__}"
+            f"function must be a callable or a kernel name, got {type(spec).__name__}"
         )
     if batch_function is not None:
         bound = dataclasses.replace(
@@ -392,15 +275,8 @@ class KernelStackSolver:
 
 
 # --------------------------------------------------------------------------- #
-# built-in kernels
+# the two kernels
 # --------------------------------------------------------------------------- #
-def _shift(matrix: np.ndarray, mu: float) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=float)
-    if mu == 0.0:
-        return matrix
-    return matrix - mu * np.eye(matrix.shape[-1])
-
-
 def _make_eigen(mu: float = 0.0, zero_tolerance: float = 0.0):
     return lambda a: sign_via_eigendecomposition(a, mu=mu, zero_tolerance=zero_tolerance)
 
@@ -412,7 +288,13 @@ def _make_eigen_batched(mu: float = 0.0, zero_tolerance: float = 0.0):
 
 
 def _make_newton_schulz(mu: float = 0.0):
-    return lambda a: sign_newton_schulz(_shift(a, mu)).sign
+    def solve(a):
+        a = np.asarray(a, dtype=float)
+        if mu != 0.0:
+            a = a - mu * np.eye(a.shape[-1])
+        return sign_newton_schulz(a).sign
+
+    return solve
 
 
 def _make_newton_schulz_batched(mu: float = 0.0):
@@ -430,100 +312,21 @@ def _make_newton_schulz_checked(mu: float = 0.0):
     return checked
 
 
-def _make_pade(mu: float = 0.0, order: int = 3):
-    return lambda a: sign_pade(_shift(a, mu), order=order).sign
-
-
-def _make_pade_checked(mu: float = 0.0, order: int = 3):
-    def checked(stack):
-        stack = np.asarray(stack, dtype=float)
-        signs = np.empty_like(stack)
-        converged = np.zeros(stack.shape[0], dtype=bool)
-        for slot in range(stack.shape[0]):
-            result = sign_pade(
-                _shift(stack[slot], mu),
-                order=order,
-                max_iterations=DEFAULT_SIGN_MAX_ITERATIONS,
-            )
-            signs[slot] = result.sign
-            converged[slot] = result.converged
-        return signs, converged
-
-    return checked
-
-
-def _make_chebyshev(
-    mu: float = 0.0,
-    degree: int = DEFAULT_CHEBYSHEV_DEGREE,
-    smoothing: float = DEFAULT_CHEBYSHEV_SMOOTHING,
-):
-    return lambda a: sign_chebyshev(
-        _shift(a, mu), degree=degree, smoothing=smoothing
-    ).sign
-
-
-def _make_chebyshev_batched(
-    mu: float = 0.0,
-    degree: int = DEFAULT_CHEBYSHEV_DEGREE,
-    smoothing: float = DEFAULT_CHEBYSHEV_SMOOTHING,
-):
-    return lambda stack: sign_chebyshev_batched(
-        _shift(stack, mu), degree=degree, smoothing=smoothing
-    ).sign
-
-
-def _make_chebyshev_checked(
-    mu: float = 0.0,
-    degree: int = DEFAULT_CHEBYSHEV_DEGREE,
-    smoothing: float = DEFAULT_CHEBYSHEV_SMOOTHING,
-):
-    def checked(stack):
-        result = sign_chebyshev_batched(
-            _shift(stack, mu), degree=degree, smoothing=smoothing
-        )
-        return result.sign, result.converged
-
-    return checked
-
-
-register_kernel(
-    MatrixFunction(
+#: The kernel table: every ``solver=`` string and every kernel name passed to
+#: ``apply`` is one of these keys.
+KERNELS: Dict[str, MatrixFunction] = {
+    "eigen": MatrixFunction(
         name="eigen",
         make=_make_eigen,
         make_batched=_make_eigen_batched,
         supports_mu_bisection=True,
         description="sign(A − μI) via dense symmetric eigendecomposition (Eq. 17)",
-    )
-)
-register_kernel(
-    MatrixFunction(
+    ),
+    "newton_schulz": MatrixFunction(
         name="newton_schulz",
         make=_make_newton_schulz,
         make_batched=_make_newton_schulz_batched,
-        iterative=True,
         description="sign(A − μI) via the 2nd-order Newton–Schulz iteration (Eq. 11)",
         make_checked_batched=_make_newton_schulz_checked,
-    )
-)
-register_kernel(
-    MatrixFunction(
-        name="pade",
-        make=_make_pade,
-        iterative=True,
-        description="sign(A − μI) via the higher-order Padé iteration (Eq. 19)",
-        make_checked_batched=_make_pade_checked,
-    )
-)
-register_kernel(
-    MatrixFunction(
-        name="chebyshev",
-        make=_make_chebyshev,
-        make_batched=_make_chebyshev_batched,
-        iterative=True,
-        description=(
-            "sign(A − μI) via Chebyshev expansion of the erf-smoothed sign "
-            "(GEMM-only, diagonalization-free)"
-        ),
-        make_checked_batched=_make_chebyshev_checked,
-    )
-)
+    ),
+}

@@ -9,7 +9,7 @@ Covers the acceptance criteria of the API consolidation:
   calls (plan-cache statistics and executor reuse through the session);
 * rank-sharded μ-bisection matches the single-process solver bitwise for
   ranks {1, 2, 4};
-* the kernel registry resolves names everywhere and produces one unified
+* the two-kernel table resolves names everywhere and produces one unified
   lookup error with a "did you mean" suggestion.
 """
 
@@ -38,7 +38,6 @@ from repro.api import (
     UnknownKernelError,
     available_kernels,
     get_kernel,
-    register_callable,
     resolve_kernel,
     run_scf,
 )
@@ -55,7 +54,6 @@ from repro.serve import DensityService
 from repro.signfn import (
     BoundKernel,
     KernelStackSolver,
-    sign_chebyshev_batched,
     sign_newton_schulz_batched,
     sign_pade,
     sign_via_eigendecomposition,
@@ -113,7 +111,6 @@ class TestEngineConfig:
         for function in (
             sign_newton_schulz_batched,
             sign_pade,
-            sign_chebyshev_batched,
             sign_via_eigendecomposition_batched,
             stack_solver,
             evaluate_batched,
@@ -142,7 +139,6 @@ class TestEngineConfig:
         for removed in ("flop_constant", "exact_transfers"):
             with pytest.raises(TypeError):
                 EngineConfig(**{removed: 1})
-        assert "occupation" not in available_kernels()
 
         def outermost_functions(tree):
             for node in tree.body:
@@ -185,6 +181,41 @@ class TestEngineConfig:
             ("core/runner.py", "run_stacks", "map_stacks"),
             ("core/runner.py", "run_stacks", "execute_ranks"),
         }
+
+    def test_two_kernels_three_observables(self):
+        """Structure guard: the paper's two sign kernels and the three
+        observables are fixed tables; nothing registers more at run time."""
+        from repro.api import available_observables
+
+        assert importlib.util.find_spec("repro.signfn.chebyshev") is None
+        assert available_kernels() == ["eigen", "newton_schulz"]
+        assert available_observables() == (
+            "density",
+            "energy_weighted_density",
+            "pdos",
+        )
+        source = pathlib.Path(repro.__file__).parent
+        for path in sorted(source.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    assert not node.name.startswith("register"), (path, node.name)
+        for module in sorted(sys.modules):
+            if module == "repro" or module.startswith("repro."):
+                exported = set(dir(sys.modules[module]))
+                assert not exported & {
+                    "register_kernel",
+                    "register_callable",
+                    "register_observable",
+                    "SIGN_SOLVERS",
+                }, module
+        with pytest.raises(UnknownKernelError, match="pade"):
+            get_kernel("pade")
+        # a kernel spec is a table name or a bare callable, nothing else
+        with pytest.raises(TypeError, match="callable or a kernel name"):
+            resolve_kernel(get_kernel("eigen"))
+        with SubmatrixContext() as ctx:
+            with pytest.raises(UnknownKernelError):
+                ctx.density(None, None, None, mu=0.0, solver="pade")
 
     def test_one_planning_path(self):
         """Structure guard: a changed pattern is a build; nothing patches."""
@@ -268,9 +299,7 @@ class TestEngineConfig:
 # --------------------------------------------------------------------------- #
 class TestKernelRegistry:
     def test_builtins_registered(self):
-        names = available_kernels()
-        for name in ("eigen", "newton_schulz", "pade", "chebyshev"):
-            assert name in names
+        assert available_kernels() == ["eigen", "newton_schulz"]
 
     def test_unknown_kernel_has_suggestion(self):
         with pytest.raises(UnknownKernelError) as err:
@@ -307,28 +336,16 @@ class TestKernelRegistry:
         with pytest.raises(TypeError):
             resolve_kernel(fn, mu=0.5)
 
-    def test_register_callable_and_apply(self):
-        name = "test-square-kernel"
-        if name not in available_kernels():
-            register_callable(name, lambda a: a @ a)
+    def test_bare_callable_apply_matches_reference(self):
+        """A bare callable is a kernel spec of its own: ``apply`` runs it on
+        every submatrix, bitwise the per-submatrix reference loop."""
+        square = lambda a: a @ a  # noqa: E731
         matrix = sp.random(20, 20, density=0.2, random_state=7, format="csr")
         matrix = matrix + matrix.T
-        ctx = SubmatrixContext()
-        via_name = ctx.apply(matrix, name)
-        via_callable = ctx.apply(matrix, lambda a: a @ a)
-        assert np.array_equal(
-            via_name.result.toarray(), via_callable.result.toarray()
-        )
-
-    def test_elementwise_kernel_rejects_bucket_padding(self):
-        name = "test-elementwise-kernel"
-        if name not in available_kernels():
-            register_callable(name, np.tanh)
-        matrix = sp.random(16, 16, density=0.3, random_state=3, format="csr")
-        matrix = matrix + matrix.T
-        ctx = SubmatrixContext(EngineConfig(engine="batched", bucket_pad=8))
-        with pytest.raises(ValueError, match="bucket padding"):
-            ctx.apply(matrix, name)
+        result = SubmatrixContext().apply(matrix, square)
+        reference, dimensions = reference_apply_elementwise(matrix, square)
+        assert np.array_equal(result.result.toarray(), reference.toarray())
+        assert result.submatrix_dimensions == dimensions
 
     def test_stack_solver_counts_fallbacks_across_threads(self):
         """One ``KernelStackSolver`` serves every stack task of a request,
@@ -361,11 +378,14 @@ class TestKernelRegistry:
         assert solver.fallbacks == 3 * n_threads * calls_each
 
     def test_kernel_metadata(self):
-        # iterative vs spectral, and the μ-shifted padding anchor
-        assert get_kernel("newton_schulz").iterative
-        assert get_kernel("pade").iterative
-        assert not get_kernel("eigen").iterative
-        assert get_kernel("newton_schulz").padding_value(0.25) == 1.25
+        # spectral vs convergence-checked iterative, and the μ-shifted
+        # padding anchor
+        eigen, newton_schulz = get_kernel("eigen"), get_kernel("newton_schulz")
+        assert eigen.supports_mu_bisection
+        assert not newton_schulz.supports_mu_bisection
+        assert eigen.make_checked_batched is None
+        assert newton_schulz.bind().checked_function is not None
+        assert newton_schulz.padding_value(0.25) == 1.25
         assert get_kernel("eigen").padding_value() == 1.0
 
     def test_top_level_exports(self):
@@ -741,12 +761,12 @@ class TestDensitySession:
                 solver="newton_schulz", ranks=2,
             )
 
-    @pytest.mark.parametrize("solver", ["newton_schulz", "pade"])
+    @pytest.mark.parametrize("solver", ["newton_schulz"])
     @pytest.mark.parametrize("ranks", [1, 2, 4])
     def test_sharded_iterative_solver_bitwise(
         self, water32_matrices, gap_mu, solver, ranks
     ):
-        """Acceptance: sharded Newton–Schulz/Padé ≡ single-process, ranks {1,2,4}."""
+        """Acceptance: sharded Newton–Schulz ≡ single-process, ranks {1,2,4}."""
         pair = water32_matrices
         ctx = SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS))
         single = ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu, solver=solver)
@@ -778,20 +798,6 @@ class TestDensitySession:
             pair.K, pair.S, pair.blocks, mu=gap_mu, solver="newton_schulz", ranks=2
         )
         assert np.array_equal(sharded.density_ao, single.density_ao)
-
-    def test_registered_kernels_work_as_solver(self, water32_matrices, gap_mu):
-        """Any registered matrix-function kernel is a valid solver string."""
-        pair = water32_matrices
-        ctx = SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS))
-        eigen = ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
-        # a custom registered sign kernel runs through the iterative path
-        name = "test-eigen-sign-kernel"
-        if name not in available_kernels():
-            register_callable(
-                name, sign_via_eigendecomposition, matrix_function=True
-            )
-        custom = ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu, solver=name)
-        assert np.allclose(custom.density_ao, eigen.density_ao, atol=1e-10)
 
     def test_session_grouping_forwarded_to_density(self, water32_matrices):
         from repro.core import group_columns_greedy_chunks

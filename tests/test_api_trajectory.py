@@ -628,6 +628,25 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="no saved step"):
             checkpoint.load_step(0)
 
+    def test_manifest_that_is_not_an_object_raises(self, tmp_path):
+        directory = tmp_path / "array"
+        directory.mkdir()
+        (directory / "trajectory.json").write_text(json.dumps([1, 2]))
+        with pytest.raises(CheckpointError, match="JSON list, not an object"):
+            TrajectoryCheckpoint(directory)
+
+    def test_manifest_of_another_version_raises(self, tmp_path):
+        """A manifest of another format version is refused, not resumed."""
+        directory = tmp_path / "skewed"
+        TrajectoryCheckpoint(directory).ensure_signature({"solver": "eigen"})
+        manifest_path = directory / "trajectory.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["version"] == 1
+        TrajectoryCheckpoint(directory)  # its own version resumes
+        manifest_path.write_text(json.dumps(dict(manifest, version=7)))
+        with pytest.raises(CheckpointError, match="format version 7"):
+            TrajectoryCheckpoint(directory)
+
     def test_truncated_step_file_raises_checkpoint_error(
         self, water32_matrices, tmp_path
     ):

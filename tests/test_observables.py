@@ -16,15 +16,13 @@ Covers the PR's contracts:
   is not;
 * PDOS and the energy-weighted density matrix agree with a dense reference
   on a system whose submatrices are the full matrix;
-* the Chebyshev polynomial-expansion kernel matches the eigen density to
-  tolerance and stays bitwise identical under rank sharding;
 * the serving layer returns multi-observable bundles bitwise identical to
   direct ``context.observables`` calls;
 * trajectory steps and checkpoints round-trip the full multi-observable
   payload, and density-only checkpoints from a pre-refactor layout resume
   unchanged;
 * the density-mixing SCF driver converges a nontrivial fixed-point map;
-* registry and validation errors are specific and early.
+* table lookups and validation errors are specific and early.
 """
 
 from __future__ import annotations
@@ -47,13 +45,7 @@ from repro.api import (
     run_scf,
 )
 from repro.api.checkpoint import CheckpointError
-from repro.api.observables import (
-    Observable,
-    compute_observables,
-    normalize_observables,
-    register_observable,
-    _OBSERVABLES,
-)
+from repro.api.observables import compute_observables, normalize_observables
 from repro.chem import reference_density_matrix
 from repro.chem.density import fermi_occupation
 from repro.chem.hamiltonian import BlockStructure
@@ -469,63 +461,6 @@ class TestAgainstDenseReference:
 
 
 # --------------------------------------------------------------------------- #
-# tentpole: the Chebyshev polynomial-expansion kernel
-# --------------------------------------------------------------------------- #
-class TestChebyshevKernel:
-    @pytest.fixture(scope="class")
-    def small_pair(self):
-        # gapped spectrum around μ = 0.1: eigenvalues in [−3, −1] ∪ [1, 3],
-        # so sign(K − μI) is well conditioned for the polynomial expansion
-        generator = np.random.default_rng(11)
-        n_blocks, block_size = 5, 4
-        n = n_blocks * block_size
-        noise = generator.normal(size=(n, n))
-        _, q = np.linalg.eigh((noise + noise.T) / 2.0)
-        spectrum = np.concatenate(
-            [
-                generator.uniform(-3.0, -1.0, size=n // 2),
-                generator.uniform(1.0, 3.0, size=n - n // 2),
-            ]
-        )
-        dense = (q * spectrum) @ q.T
-        dense = (dense + dense.T) / 2.0
-        sizes = np.asarray([block_size] * n_blocks)
-        starts = np.concatenate(([0], np.cumsum(sizes)))
-        blocks = BlockStructure(
-            block_sizes=sizes,
-            block_starts=starts,
-            atom_offsets=starts[:-1].copy(),
-            n_basis=n,
-        )
-        return sp.csr_matrix(dense), sp.identity(n, format="csr"), blocks
-
-    def test_matches_eigen_density(self, small_pair):
-        K, S, blocks = small_pair
-        with SubmatrixContext(CONFIG) as ctx:
-            eigen = ctx.density(K, S, blocks, mu=0.1)
-            cheb = ctx.density(K, S, blocks, mu=0.1, solver="chebyshev")
-        assert np.max(np.abs(cheb.density_ao - eigen.density_ao)) < 1e-6
-
-    def test_sharded_bitwise_identical(self, small_pair):
-        K, S, blocks = small_pair
-        with SubmatrixContext(CONFIG) as ctx:
-            single = ctx.density(K, S, blocks, mu=0.1, solver="chebyshev")
-            sharded = ctx.density(
-                K, S, blocks, mu=0.1, solver="chebyshev", ranks=2
-            )
-        assert np.array_equal(single.density_ao, sharded.density_ao)
-        assert np.array_equal(
-            single.density_ortho.toarray(), sharded.density_ortho.toarray()
-        )
-
-    def test_canonical_requires_eigen(self, small_pair):
-        K, S, blocks = small_pair
-        with SubmatrixContext(CONFIG) as ctx:
-            with pytest.raises(ValueError, match="eigendecomposition solver"):
-                ctx.density(K, S, blocks, n_electrons=10.0, solver="chebyshev")
-
-
-# --------------------------------------------------------------------------- #
 # satellite: served multi-observable requests
 # --------------------------------------------------------------------------- #
 class TestServedObservables:
@@ -637,6 +572,27 @@ class TestTrajectoryObservables:
         for before, after in zip(first.results, replay.results):
             assert isinstance(after, ObservableBundle)
             assert_bundle_identical(after, before)
+
+    def test_bundle_step_missing_an_observable_array_raises(
+        self, water32_matrices, gap_mu, tmp_path
+    ):
+        """A bundle step whose pdos arrays lost one is a corrupt checkpoint:
+        the observable's load hook fails inside the same guard as the
+        density arrays, so the caller sees a CheckpointError, not a KeyError."""
+        pair = water32_matrices
+        with SubmatrixContext(CONFIG) as ctx:
+            bundle = ctx.observables(
+                pair.K, pair.S, pair.blocks, observables=("density", "pdos"), mu=gap_mu
+            )
+        checkpoint = TrajectoryCheckpoint(tmp_path / "bundle")
+        checkpoint.save_step(0, bundle)
+        assert_bundle_identical(checkpoint.load_step(0), bundle)
+        with np.load(checkpoint._step_path(0)) as data:
+            arrays = {key: data[key] for key in data.files}
+        del arrays["obs_pdos__scalars"]
+        np.savez(checkpoint._step_path(0), **arrays)
+        with pytest.raises(CheckpointError, match="corrupt checkpoint step file"):
+            checkpoint.load_step(0)
 
     def test_density_only_checkpoint_layout_unchanged(
         self, water32_matrices, tmp_path
@@ -803,11 +759,19 @@ class TestSCFDriver:
 
 
 # --------------------------------------------------------------------------- #
-# satellite: registry semantics and error messages
+# satellite: table lookups and error messages
 # --------------------------------------------------------------------------- #
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(ALL_OBSERVABLES) <= set(available_observables())
+        assert available_observables() == tuple(sorted(ALL_OBSERVABLES))
+        # every observable but density persists through its own hooks
+        for name in ALL_OBSERVABLES:
+            observable = get_observable(name)
+            hooks = (observable.checkpoint_save, observable.checkpoint_load)
+            if name == "density":
+                assert hooks == (None, None)
+            else:
+                assert all(callable(hook) for hook in hooks)
 
     def test_unknown_observable_did_you_mean(self):
         with pytest.raises(UnknownObservableError, match="did you mean"):
@@ -821,36 +785,6 @@ class TestRegistry:
         assert normalize_observables("density") == ("density",)
         with pytest.raises(ValueError, match="at least one"):
             normalize_observables(())
-
-    def test_duplicate_registration_refused(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_observable(
-                Observable(name="density", assemble=lambda e, p: None)
-            )
-
-    def test_custom_observable_round_trip(self, water32_matrices, gap_mu):
-        pair = water32_matrices
-
-        def assemble_trace(evaluation, params):
-            return float(
-                sum(entry.eigenvalues.sum() for entry in evaluation.decomposed)
-            )
-
-        register_observable(
-            Observable(name="_test_trace", assemble=assemble_trace)
-        )
-        try:
-            with SubmatrixContext(CONFIG) as ctx:
-                bundle = ctx.observables(
-                    pair.K,
-                    pair.S,
-                    pair.blocks,
-                    observables=("density", "_test_trace"),
-                    mu=gap_mu,
-                )
-            assert isinstance(bundle["_test_trace"], float)
-        finally:
-            _OBSERVABLES.pop("_test_trace", None)
 
     def test_iterative_kernel_refuses_spectral_observables(
         self, water32_matrices, gap_mu

@@ -38,7 +38,7 @@ from repro.signfn import (
     sign_via_eigendecomposition,
     sign_via_eigendecomposition_batched,
 )
-from repro.signfn.registry import get_kernel, register_kernel
+from repro.signfn.registry import KERNELS, get_kernel
 
 from conftest import run_pipeline
 from submatrix_reference import reference_apply_blockwise, reference_density
@@ -542,7 +542,7 @@ class TestExecutorParity:
     @pytest.mark.parametrize("ranks", [None, 2])
     @pytest.mark.parametrize("entry", ["apply", "density"])
     def test_unconverged_submatrix_is_evaluated_by_eigen(
-        self, system, clean_single_process, entry, ranks
+        self, system, clean_single_process, entry, ranks, monkeypatch
     ):
         """A fake iterative kernel — Newton–Schulz whose convergence-checked
         variant reports the submatrix of block column 0 as not converged and
@@ -575,12 +575,14 @@ class TestExecutorParity:
 
             return checked
 
+        # in the kernel table for this test only
         name = "test-stalling-newton-schulz"
-        register_kernel(
+        monkeypatch.setitem(
+            KERNELS,
+            name,
             dataclasses.replace(
                 get_kernel("newton_schulz"), name=name, make_checked_batched=make_checked
             ),
-            overwrite=True,
         )
         config = EngineConfig(eps_filter=self.EPS)
         values, _, fallbacks = self._evaluate(
