@@ -18,13 +18,13 @@ unified session API on top:
     Synthetic liquid-water systems, model Kohn–Sham / overlap matrix builders,
     Löwdin orthogonalization and dense reference density-matrix solvers.
 ``repro.dbcsr``
-    A block-compressed sparse matrix library modelled after CP2K's libDBCSR,
-    including a 2D process-grid distribution and a Cannon-style distributed
-    multiplication.
+    A block-compressed sparse matrix format modelled after CP2K's libDBCSR,
+    its 2D process-grid distribution, the global COO block list and the
+    conversions from/to SciPy (a SciPy matrix is a grid of 1×1 blocks).
 ``repro.parallel``
-    A simulated communicator with traffic accounting, a machine model used to
-    convert FLOP/byte counts into simulated wall-clock times, and thread/process
-    executors for genuinely parallel submatrix solves.
+    Per-rank traffic accounting, a machine model used to convert FLOP/byte
+    counts into simulated wall-clock times, and the serial/thread executors
+    for genuinely parallel submatrix solves.
 ``repro.signfn``
     Matrix sign function algorithms (Newton–Schulz, higher-order Padé,
     eigendecomposition-based), inverse p-th roots, and the table of the two

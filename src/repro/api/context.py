@@ -52,18 +52,13 @@ from repro.api.results import SubmatrixMethodResult
 from repro.chem.orthogonalize import loewdin_inverse_sqrt
 from repro.core.combination import ColumnGrouping, single_column_groups
 from repro.core.load_balance import resolve_bucket_pad
-from repro.core.plan import (
-    BlockSubmatrixPlan,
-    PlanCache,
-    SubmatrixPlan,
-    block_plan,
-    element_plan,
-)
+from repro.core.plan import BlockSubmatrixPlan, PlanCache, block_plan
 from repro.core.runner import DistributedSubmatrixPipeline, run_stacks
 from repro.dbcsr.block_matrix import BlockSparseMatrix
+from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_csr
 from repro.dbcsr.coo import CooBlockList
 from repro.parallel.executor import make_executor, map_parallel
-from repro.signfn.registry import BoundKernel, KernelStackSolver, resolve_kernel
+from repro.signfn.registry import KernelStackSolver, resolve_kernel
 
 __all__ = ["SubmatrixContext", "matrix_fingerprint"]
 
@@ -80,26 +75,6 @@ MAX_CACHED_PIPELINES = 32
 #: functions).  Least recently used roots are dropped first; the root just
 #: computed is always kept, even when it alone exceeds the bound.
 MAX_OVERLAP_ROOT_BYTES = 32 * 2**20
-
-
-# --------------------------------------------------------------------------- #
-# shared validation helpers
-# --------------------------------------------------------------------------- #
-def validate_groups(groups: Sequence[Sequence[int]], n_columns: int) -> None:
-    """Check that ``groups`` is a partition of ``range(n_columns)``."""
-    seen = np.zeros(n_columns, dtype=bool)
-    for group in groups:
-        if len(group) == 0:
-            raise ValueError("column groups must be non-empty")
-        for column in group:
-            if not 0 <= column < n_columns:
-                raise IndexError(f"column {column} out of range")
-            if seen[column]:
-                raise ValueError(f"column {column} appears in more than one group")
-            seen[column] = True
-    if not np.all(seen):
-        missing = int(np.flatnonzero(~seen)[0])
-        raise ValueError(f"column {missing} is not covered by any group")
 
 
 def matrix_fingerprint(matrix) -> bytes:
@@ -147,8 +122,8 @@ def _distribution_key(distribution) -> Optional[tuple]:
 def _tracked(method):
     """Run a context method as one tracked in-flight request.
 
-    Applied to the leaf evaluation entry points only (``apply`` dispatches
-    to a decorated method, so a request is counted exactly once).
+    Applied to the leaf evaluation entry points only (``density`` calls the
+    decorated ``observables``, so a request is counted exactly once).
     """
 
     @functools.wraps(method)
@@ -277,7 +252,7 @@ class SubmatrixContext:
     def _request(self):
         """Track one in-flight request (rejecting work on a closed session).
 
-        Every public evaluation entry point (``apply*``, ``density``,
+        Every public evaluation entry point (``apply``, ``density``,
         ``trajectory``) wraps its body in this guard so
         :meth:`close` can refuse to tear down a session that other threads
         are still using.
@@ -437,7 +412,7 @@ class SubmatrixContext:
         self._check_open()
         return block_plan(coo, block_sizes, column_groups, cache=self.plan_cache)
 
-    def _bucket_pad_for(self, plan: SubmatrixPlan) -> Optional[int]:
+    def _bucket_pad_for(self, plan: BlockSubmatrixPlan) -> Optional[int]:
         """The session's bucket padding resolved for one plan."""
         return resolve_bucket_pad(self.config.bucket_pad, plan.dimensions, plan.run)
 
@@ -473,15 +448,16 @@ class SubmatrixContext:
         return pipeline.prepare()[0], pipeline
 
     # ------------------------------------------------------------------ #
-    # f(A): element and block level
+    # f(A)
     # ------------------------------------------------------------------ #
+    @_tracked
     def apply(
         self,
         matrix: Union[sp.spmatrix, BlockSparseMatrix],
         function,
         column_groups: Optional[Sequence[Sequence[int]]] = None,
         batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        plan: Optional[SubmatrixPlan] = None,
+        plan: Optional[BlockSubmatrixPlan] = None,
         coo: Optional[CooBlockList] = None,
         ranks: Optional[int] = None,
         distribution=None,
@@ -489,93 +465,43 @@ class SubmatrixContext:
     ) -> SubmatrixMethodResult:
         """Evaluate a matrix function on ``matrix`` through the session.
 
-        Dispatches on the matrix type: SciPy sparse matrices run at element
-        level (one submatrix per column group), block-sparse matrices at
-        block level (one submatrix per block-column group; see
-        :meth:`apply_blockwise` for ``ranks``/``distribution``).
+        One submatrix per group of block columns (``column_groups``, one
+        column per group by default).  A square SciPy sparse matrix is the
+        same grid with 1×1 blocks: it goes in through
+        :func:`~repro.dbcsr.convert.block_matrix_from_csr`, runs through the
+        same plan and rank loop, and comes back as a CSR matrix with the
+        input's stored pattern (explicit zeros included, duplicates summed)
+        via :func:`~repro.dbcsr.convert.block_matrix_to_csr`; ``plan=`` and
+        ``coo=`` then refer to that 1×1 grid.
+
         ``function`` may be a callable or a kernel name (``"eigen"`` or
         ``"newton_schulz"``); ``**kernel_params`` (e.g. ``mu=0.2``) are
-        forwarded to the kernel factory.
-        """
-        self._check_open()
-        if isinstance(matrix, BlockSparseMatrix):
-            return self.apply_blockwise(
-                matrix,
-                function,
-                column_groups=column_groups,
-                coo=coo,
-                batch_function=batch_function,
-                plan=plan,
-                ranks=ranks,
-                distribution=distribution,
-                **kernel_params,
-            )
-        if ranks is not None or distribution is not None:
-            raise TypeError("sharded runs operate on a BlockSparseMatrix")
-        if sp.issparse(matrix):
-            return self.apply_elementwise(
-                matrix,
-                function,
-                column_groups=column_groups,
-                batch_function=batch_function,
-                plan=plan,
-                **kernel_params,
-            )
-        raise TypeError(
-            "apply expects a scipy.sparse matrix (element level) or a "
-            f"BlockSparseMatrix (block level), got {type(matrix).__name__}"
-        )
-
-    @_tracked
-    def apply_elementwise(
-        self,
-        matrix: sp.spmatrix,
-        function,
-        column_groups: Optional[Sequence[Sequence[int]]] = None,
-        batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        plan: Optional[SubmatrixPlan] = None,
-        **kernel_params,
-    ) -> SubmatrixMethodResult:
-        """Apply the matrix function column-by-column on a SciPy matrix."""
-        self._check_open()
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("the submatrix method requires a square matrix")
-        bound = resolve_kernel(function, batch_function=batch_function, **kernel_params)
-        start = time.perf_counter()
-        csc = matrix.tocsc()
-        n = csc.shape[1]
-        if column_groups is None:
-            column_groups = [[c] for c in range(n)]
-        validate_groups(column_groups, n)
-        if plan is None:
-            plan = element_plan(csc, column_groups, cache=self.plan_cache)
-        return self._evaluate(csc, plan, bound, start)
-
-    @_tracked
-    def apply_blockwise(
-        self,
-        matrix: BlockSparseMatrix,
-        function,
-        column_groups: Optional[Sequence[Sequence[int]]] = None,
-        coo: Optional[CooBlockList] = None,
-        batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        plan: Optional[SubmatrixPlan] = None,
-        ranks: Optional[int] = None,
-        distribution=None,
-        **kernel_params,
-    ) -> SubmatrixMethodResult:
-        """Apply the matrix function block-column-wise on a DBCSR-style matrix.
-
-        With ``ranks`` (or ``config.n_ranks > 1``) the submatrices are
-        evaluated rank-sharded through the session's cached
+        forwarded to the kernel factory.  With ``ranks`` (or
+        ``config.n_ranks > 1``) the submatrices are evaluated rank-sharded
+        through the session's cached
         :class:`~repro.core.runner.DistributedSubmatrixPipeline` —
         ``distribution`` fixes the block ownership of its transfer plan —
         bitwise identical to the single-process result.
+
+        The packed vector holds every stored value, so one look at its
+        extrema rejects NaN/Inf — an iterative kernel would hand them back
+        as a result, ``eigh`` die of them mid-run.  Stacks are solved by the
+        kernel's :class:`~repro.signfn.registry.KernelStackSolver`, exactly
+        as on the iterative density route.
         """
-        self._check_open()
         ranks = check_positive_int(ranks, "ranks")
         bound = resolve_kernel(function, batch_function=batch_function, **kernel_params)
         start = time.perf_counter()
+        scipy_input = sp.issparse(matrix)
+        if scipy_input:
+            if matrix.shape[0] != matrix.shape[1]:
+                raise ValueError("the submatrix method requires a square matrix")
+            matrix = block_matrix_from_csr(matrix, [1] * matrix.shape[0])
+        elif not isinstance(matrix, BlockSparseMatrix):
+            raise TypeError(
+                "apply expects a scipy.sparse matrix or a BlockSparseMatrix, "
+                f"got {type(matrix).__name__}"
+            )
         if coo is None:
             coo = CooBlockList.from_block_matrix(matrix)
         n_block_cols = matrix.n_block_cols
@@ -599,25 +525,6 @@ class SubmatrixContext:
                 "a sharded run uses its pipeline's plan; pass either plan= "
                 "or ranks=/distribution="
             )
-        return self._evaluate(matrix, plan, bound, start, pipeline)
-
-    def _evaluate(
-        self,
-        matrix,
-        plan: SubmatrixPlan,
-        bound: BoundKernel,
-        start: float,
-        pipeline: Optional[DistributedSubmatrixPipeline] = None,
-    ) -> SubmatrixMethodResult:
-        """Evaluate through a plan: pack, run the rank loop, finalize.
-
-        The packed vector holds every stored value, so one look at its
-        extrema rejects NaN/Inf for every ``apply*`` entry point — an
-        iterative kernel would hand them back as a result, ``eigh`` die of
-        them mid-run.  Stacks are solved by the kernel's
-        :class:`~repro.signfn.registry.KernelStackSolver`, exactly as on the
-        iterative density route.
-        """
         packed = plan.pack(matrix)
         if packed.size and not np.isfinite(max(packed.max(), -packed.min())):
             raise ValueError("matrix contains non-finite values (NaN or Inf)")
@@ -633,8 +540,11 @@ class SubmatrixContext:
             pad_to=self._bucket_pad_for(plan),
             mapper=self._map,
         )
+        result = plan.finalize(out)
+        if scipy_input:
+            result = block_matrix_to_csr(result)
         return SubmatrixMethodResult(
-            result=plan.finalize(out),
+            result=result,
             submatrix_dimensions=dimensions,
             wall_time=time.perf_counter() - start,
             flop_estimate=float(sum(float(d) ** 3 for d in dimensions)),

@@ -35,8 +35,9 @@ class SubmatrixMethodResult:
     Attributes
     ----------
     result:
-        The approximate f(A) with the sparsity pattern of A (CSR matrix for
-        element-level evaluation, :class:`BlockSparseMatrix` for block-level).
+        The approximate f(A) with the stored pattern of A, in A's format: a
+        CSR matrix for a SciPy input (evaluated as a grid of 1×1 blocks), a
+        :class:`BlockSparseMatrix` for a block-sparse one.
     submatrix_dimensions:
         Dense dimension of every submatrix that was solved.
     wall_time:

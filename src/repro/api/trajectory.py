@@ -58,6 +58,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.api.checkpoint import TrajectoryCheckpoint
+from repro.api.observables import compute_observables, validate_request
 from repro.api.results import SubmatrixDFTResult
 from repro.core.combination import ColumnGrouping
 
@@ -66,6 +67,7 @@ __all__ = [
     "TrajectoryStats",
     "TrajectoryResult",
     "run_trajectory",
+    "validate_trajectory",
     "WARM_START_HALF_WIDTH",
     "adaptive_half_width",
 ]
@@ -302,6 +304,49 @@ def _signature_value(value):
     return [float(v) for v in value]
 
 
+def validate_trajectory(
+    config,
+    steps,
+    blocks,
+    mu=None,
+    n_electrons=None,
+    solver: str = "eigen",
+    observables=None,
+    observable_params=None,
+    ranks: Optional[int] = None,
+) -> Tuple[str, ...]:
+    """The checks a trajectory passes before its first step runs.
+
+    :func:`run_trajectory` runs them before it touches a step or the
+    checkpoint, and :meth:`~repro.serve.server.DensityService.submit_trajectory`
+    before admission, so a malformed trajectory fails where it is submitted
+    and holds no in-flight slot.  The whole request is checked
+    (:func:`~repro.api.observables.validate_request`, per-step sequences
+    included); returns the canonical observable names.
+    """
+    if steps is None:
+        raise ValueError(
+            "steps must be a sequence of (K, S) pairs or a callback "
+            "step(index) -> (K, S) | None, not None"
+        )
+    names, _ = validate_request(
+        config,
+        blocks,
+        ("density",) if observables is None else observables,
+        mu,
+        n_electrons,
+        solver,
+        observable_params,
+        ranks,
+    )
+    if "density" not in names:
+        raise ValueError(
+            "trajectory observables must include 'density' (the driver's "
+            "warm-start and statistics state reads the density fields)"
+        )
+    return names
+
+
 def run_trajectory(
     context,
     steps: StepsLike,
@@ -407,31 +452,18 @@ def run_trajectory(
         :meth:`SubmatrixContext.density` calls unless ``warm_start_mu``
         is enabled) and the reuse statistics.
     """
-    from repro.api.observables import compute_observables, validate_request
-
     context._check_open()
-    if steps is None:
-        raise ValueError(
-            "steps must be a sequence of (K, S) pairs or a callback "
-            "step(index) -> (K, S) | None, not None"
-        )
-    # the whole trajectory's request (per-step sequences included) is
-    # checked before the first step runs or the checkpoint is touched
-    observable_names, _ = validate_request(
+    observable_names = validate_trajectory(
         context.config,
+        steps,
         blocks,
-        ("density",) if observables is None else observables,
-        mu,
-        n_electrons,
-        solver,
-        observable_params,
-        ranks,
+        mu=mu,
+        n_electrons=n_electrons,
+        solver=solver,
+        observables=observables,
+        observable_params=observable_params,
+        ranks=ranks,
     )
-    if "density" not in observable_names:
-        raise ValueError(
-            "trajectory observables must include 'density' (the driver's "
-            "warm-start and statistics state reads the density fields)"
-        )
 
     ckpt: Optional[TrajectoryCheckpoint] = None
     if checkpoint is not None:

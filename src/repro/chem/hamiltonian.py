@@ -258,7 +258,7 @@ def build_matrices(
         Intermolecular couplings weaker than this (eV) are not generated at
         all.  This is *not* the CP2K ``eps_filter`` — it only bounds the
         construction cost; filtering of the orthogonalized Kohn–Sham matrix is
-        applied separately (see :mod:`repro.dbcsr.filtering`).
+        applied separately (see :func:`repro.chem.orthogonalize.orthogonalized_ks`).
 
     Returns
     -------

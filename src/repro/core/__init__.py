@@ -13,10 +13,12 @@ Workflow (Fig. 3 of the paper):
 
 The hot path is the vectorized submatrix engine — cached extraction plans
 (:mod:`repro.core.plan`) plus bucketed batch evaluation
-(:mod:`repro.core.batch`); the per-submatrix kernels in
-:mod:`repro.core.submatrix` are the reference implementation it is tested
-against, producing identical results with per-call Python loops where the
-engine uses precomputed single-shot gathers/scatters.
+(:mod:`repro.core.batch`).  There is one kind of plan, over block columns: a
+SciPy matrix is evaluated as the same grid with 1×1 blocks.  The
+per-submatrix kernels in :mod:`repro.core.submatrix` (element and block
+level) are the reference implementation it is tested against, producing
+identical results with per-call Python loops where the engine uses
+precomputed single-shot gathers/scatters.
 
 On top of this core, the subpackage implements the CP2K-specific machinery
 described in Sec. IV of the paper: grouping of block columns into combined
@@ -38,10 +40,8 @@ from repro.core.submatrix import (
 )
 from repro.core.plan import (
     SubmatrixPlan,
-    ElementSubmatrixPlan,
     BlockSubmatrixPlan,
     PlanCache,
-    element_plan,
     block_plan,
 )
 from repro.core.batch import Bucket, make_buckets, evaluate_batched
@@ -56,18 +56,12 @@ from repro.core.combination import (
 from repro.core.load_balance import (
     assign_consecutive_chunks,
     assign_consecutive_chunks_reference,
-    assign_round_robin,
     assign_balanced_stacks,
     choose_bucket_pad,
     submatrix_flop_costs,
     load_imbalance,
 )
 from repro.core.shard import RankShard, ShardView, ShardedPlan
-from repro.core.splitting import (
-    SplitSolveResult,
-    split_submatrix_solve,
-    splitting_flop_estimate,
-)
 from repro.core.transfers import TransferPlan, plan_transfers
 from repro.core.runner import (
     DistributedSubmatrixPipeline,
@@ -90,10 +84,8 @@ __all__ = [
     "submatrix_dimension",
     "submatrix_block_rows",
     "SubmatrixPlan",
-    "ElementSubmatrixPlan",
     "BlockSubmatrixPlan",
     "PlanCache",
-    "element_plan",
     "block_plan",
     "Bucket",
     "make_buckets",
@@ -106,7 +98,6 @@ __all__ = [
     "estimated_speedup",
     "assign_consecutive_chunks",
     "assign_consecutive_chunks_reference",
-    "assign_round_robin",
     "assign_balanced_stacks",
     "choose_bucket_pad",
     "submatrix_flop_costs",
@@ -114,9 +105,6 @@ __all__ = [
     "RankShard",
     "ShardView",
     "ShardedPlan",
-    "SplitSolveResult",
-    "split_submatrix_solve",
-    "splitting_flop_estimate",
     "TransferPlan",
     "plan_transfers",
     "DistributedSubmatrixPipeline",

@@ -245,7 +245,7 @@ def evaluate_batched(
     Parameters
     ----------
     plan:
-        The extraction plan (element or block level).
+        The extraction plan (or a shard's view of it).
     packed:
         Packed input values from ``plan.pack(matrix)``.
     function:

@@ -29,7 +29,6 @@ __all__ = [
     "submatrix_flop_costs",
     "assign_consecutive_chunks",
     "assign_consecutive_chunks_reference",
-    "assign_round_robin",
     "assign_balanced_stacks",
     "choose_bucket_pad",
     "resolve_bucket_pad",
@@ -178,20 +177,6 @@ def assign_consecutive_chunks_reference(
         assignments.append((start, stop))
         start = stop
     return assignments
-
-
-def assign_round_robin(n_items: int, n_ranks: int) -> List[List[int]]:
-    """Naïve round-robin assignment (equal counts), used as an ablation.
-
-    This is the "just assign the same number of submatrices to each rank"
-    strategy the paper argues against in Sec. IV-E.
-    """
-    if n_items < 0 or n_ranks < 1:
-        raise ValueError("invalid item or rank count")
-    assignment: List[List[int]] = [[] for _ in range(n_ranks)]
-    for item in range(n_items):
-        assignment[item % n_ranks].append(item)
-    return assignment
 
 
 def assign_balanced_stacks(

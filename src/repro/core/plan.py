@@ -8,19 +8,23 @@ trajectories evaluate f(A) many times while the sparsity pattern of A stays
 fixed, and even a single evaluation visits every column group with the same
 pattern-derived indexing.
 
-A :class:`SubmatrixPlan` precomputes, once per (pattern, column grouping):
+A :class:`BlockSubmatrixPlan` precomputes, once per (block pattern, column
+grouping):
 
-* the retained index set, dense offsets and local generating-column
+* the retained block set, dense offsets and local generating-column
   positions of every submatrix, and
 * flat gather/scatter index arrays that map between a *packed* value vector
-  (the CSC ``data`` array at element level, the concatenated block values in
-  deterministic COO order at block level) and the dense submatrix buffers.
+  (the concatenated block values in deterministic COO order) and the dense
+  submatrix buffers.
+
+An element-level SciPy matrix is planned as the same grid with 1×1 blocks
+(:meth:`repro.api.context.SubmatrixContext.apply` converts it).
 
 The unit of every index array is a **run** of ``plan.run`` contiguous values,
 not a value: the paper copies whole DBCSR blocks (Sec. IV-A), and a block row
 is contiguous both in the packed vector and in a row of the dense submatrix.
-``plan.run`` is the gcd of the block sizes at block level (6 for SZV water
-molecule blocks) and 1 at element level, so every packed block range, every
+``plan.run`` is the gcd of the block sizes (6 for SZV water molecule blocks,
+1 for a grid of 1×1 blocks), so every packed block range, every
 dense row offset and every submatrix dimension is a whole number of runs and
 ``dense.reshape(-1, run)[gather_dst] = packed.reshape(-1, run)[gather_src]``
 is exact.  A plan holds each index array once — stacks are assembled from
@@ -54,7 +58,7 @@ Plans are cached in a :class:`PlanCache` keyed by a content hash of the
 sparsity pattern and the column grouping, so repeated evaluations on an
 unchanged pattern skip the planning phase entirely.
 
-Both paths produce results bitwise identical to the naive reference
+Plans produce results bitwise identical to the naive reference
 implementations (property-tested in ``tests/test_submatrix_plan.py``).
 """
 
@@ -64,10 +68,9 @@ import collections
 import dataclasses
 import hashlib
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.submatrix import Submatrix
 from repro.dbcsr.block_matrix import BlockSparseMatrix
@@ -76,10 +79,8 @@ from repro.dbcsr.coo import CooBlockList, concat_ranges
 __all__ = [
     "GroupPlan",
     "SubmatrixPlan",
-    "ElementSubmatrixPlan",
     "BlockSubmatrixPlan",
     "PlanCache",
-    "element_plan",
     "block_plan",
     "block_run",
     "plan_nbytes",
@@ -113,7 +114,7 @@ class GroupPlan:
         this instead of searching positions.  A shard's view
         keeps the *global* IDs here while its ``gather_src`` is rank-local.
     offsets:
-        Dense offsets of the retained blocks (block level only).
+        Dense offsets of the retained blocks.
     """
 
     generating_columns: np.ndarray
@@ -126,8 +127,8 @@ class GroupPlan:
     scatter_dst: np.ndarray
     segment_ids: np.ndarray
     segment_counts: np.ndarray
-    block_sizes: Optional[np.ndarray] = None
-    offsets: Optional[np.ndarray] = None
+    block_sizes: np.ndarray
+    offsets: np.ndarray
 
     def make_submatrix(self, data: Optional[np.ndarray] = None) -> Submatrix:
         """Bookkeeping-only :class:`Submatrix` view of this group."""
@@ -146,39 +147,20 @@ class GroupPlan:
         panel handed to :meth:`SubmatrixPlan.scatter_columns`.
         """
         columns = self.local_columns
-        if self.block_sizes is None:  # element level: one row per column
-            return columns
         if columns.size == 1:  # the default grouping: one range, one arange
             start = self.offsets[columns[0]]
             return np.arange(start, start + self.block_sizes[columns[0]])
         return concat_ranges(self.offsets[columns], self.block_sizes[columns])
 
 
-def _canonical_csc(matrix: sp.spmatrix) -> sp.csc_matrix:
-    """Canonical CSC form (duplicates summed, indices sorted), caller-safe.
-
-    ``tocsc()`` returns the input object itself for CSC inputs, and both
-    canonicalization steps mutate buffers in place — so an aliased input is
-    copied first to keep the caller's matrix untouched.
-    """
-    csc = matrix.tocsc()
-    if csc.has_canonical_format and csc.has_sorted_indices:
-        return csc  # both steps would be no-ops: skip the defensive copy
-    if csc is matrix:
-        csc = csc.copy()
-    csc.sum_duplicates()
-    csc.sort_indices()
-    return csc
-
-
 class SubmatrixPlan:
-    """Shared per-call interface of element- and block-level plans."""
+    """Shared per-call interface of a block plan and of a shard's view of it."""
 
     groups: List[GroupPlan]
     n_values: int
 
     #: Length of the runs of contiguous values every index array addresses:
-    #: the gcd of the block sizes at block level, 1 at element level.
+    #: the gcd of the block sizes (1 for a grid of 1×1 blocks).
     run: int = 1
 
     @property
@@ -200,8 +182,7 @@ class SubmatrixPlan:
         Returns an array of length ``n_segments + 1`` such that segment ``s``
         owns the packed value range ``[offsets[s], offsets[s+1])``.  A
         segment is the unit in which values are owned and shipped between
-        ranks: one non-zero block at block level, one column's stored
-        entries at element level.  :class:`repro.core.shard.ShardedPlan`
+        ranks: one non-zero block.  :class:`repro.core.shard.ShardedPlan`
         builds its rank-local buffers and the block→segment transfer index
         on top of this structure.
         """
@@ -363,140 +344,6 @@ class SubmatrixPlan:
             )
 
 
-# --------------------------------------------------------------------------- #
-# element level
-# --------------------------------------------------------------------------- #
-class ElementSubmatrixPlan(SubmatrixPlan):
-    """Extraction/scatter plan for element-level (SciPy CSC) submatrices.
-
-    Parameters
-    ----------
-    matrix:
-        Sparse symmetric matrix whose *pattern* defines the plan (any SciPy
-        format; converted to canonical CSC).
-    column_groups:
-        Groups of generating columns, one submatrix per group.
-    """
-
-    def __init__(
-        self, matrix: sp.spmatrix, column_groups: Sequence[Sequence[int]]
-    ):
-        csc = _canonical_csc(matrix)
-        n_rows, n_cols = csc.shape
-        if n_rows != n_cols:
-            raise ValueError("the submatrix method requires a square matrix")
-        self.shape = (int(n_rows), int(n_cols))
-        self.indptr = csc.indptr.copy()
-        self.indices = csc.indices.copy()
-        self.n_values = int(csc.nnz)
-        self.column_groups = [list(map(int, group)) for group in column_groups]
-        # a pattern-shaped matrix whose values are 1-based positions in the
-        # data array lets two-step slicing compute the gather map for us
-        positions = sp.csc_matrix(
-            (np.arange(1, self.n_values + 1, dtype=np.int64), self.indices, self.indptr),
-            shape=self.shape,
-        )
-        self.groups = [
-            self._plan_group(csc, positions, group) for group in self.column_groups
-        ]
-
-    def _plan_group(
-        self, csc: sp.csc_matrix, positions: sp.csc_matrix, group: List[int]
-    ) -> GroupPlan:
-        columns = np.asarray(group, dtype=int)
-        if columns.size == 0:
-            raise ValueError("column groups must be non-empty")
-        if columns.min() < 0 or columns.max() >= self.shape[1]:
-            raise IndexError("generating column out of range")
-        row_sets = [
-            csc.indices[csc.indptr[c] : csc.indptr[c + 1]] for c in columns
-        ]
-        indices = np.unique(np.concatenate(row_sets + [columns]))
-        local_columns = np.searchsorted(indices, columns)
-        dim = int(indices.size)
-        sub = positions[:, indices][indices, :].tocsc()
-        sub.sort_indices()
-        gather_src = np.asarray(sub.data, dtype=np.int64) - 1
-        # a segment is a matrix column: local column c gathers its entries
-        # from global column indices[c]
-        per_column = np.diff(sub.indptr).astype(np.int64)
-        gathered = per_column > 0
-        local_col_of_entry = np.repeat(np.arange(dim), per_column)
-        gather_dst = sub.indices.astype(np.int64) * dim + local_col_of_entry
-        scatter_src: List[np.ndarray] = []
-        scatter_dst: List[np.ndarray] = []
-        for column, local_column in zip(columns, local_columns):
-            start, stop = self.indptr[column], self.indptr[column + 1]
-            rows = self.indices[start:stop]
-            local_rows = np.searchsorted(indices, rows)
-            scatter_src.append(local_rows.astype(np.int64) * dim + int(local_column))
-            scatter_dst.append(np.arange(start, stop, dtype=np.int64))
-        return GroupPlan(
-            generating_columns=columns,
-            indices=indices,
-            local_columns=local_columns,
-            dimension=dim,
-            gather_src=gather_src,
-            gather_dst=gather_dst,
-            scatter_src=_concat_int(scatter_src),
-            scatter_dst=_concat_int(scatter_dst),
-            segment_ids=indices[gathered].astype(np.int64),
-            segment_counts=per_column[gathered],
-        )
-
-    def pack(self, matrix: sp.spmatrix) -> np.ndarray:
-        """Values of ``matrix`` in plan order (its CSC ``data`` array).
-
-        ``matrix`` must have exactly the stored sparsity pattern the plan was
-        built for *after canonicalization*: duplicate entries are summed and
-        row indices sorted before comparing, so matrices assembled with
-        unsorted or duplicate indices (but an identical canonical structure,
-        explicit zeros included) pack without error.
-        """
-        csc = _canonical_csc(matrix)
-        if csc.shape != self.shape:
-            raise ValueError(
-                f"matrix pattern does not match the plan: shape {csc.shape} "
-                f"differs from the planned {self.shape}"
-            )
-        if csc.nnz != self.n_values:
-            raise ValueError(
-                f"matrix pattern does not match the plan: {int(csc.nnz)} "
-                f"stored entries (after canonicalization) vs {self.n_values} "
-                "planned (nnz mismatch)"
-            )
-        if not np.array_equal(csc.indptr, self.indptr):
-            where = np.flatnonzero(np.asarray(csc.indptr) != self.indptr)
-            column = max(0, int(where[0]) - 1)
-            raise ValueError(
-                "matrix pattern does not match the plan: per-column entry "
-                f"counts differ (indptr mismatch first at column {column})"
-            )
-        if not np.array_equal(csc.indices, self.indices):
-            entry = int(
-                np.flatnonzero(np.asarray(csc.indices) != self.indices)[0]
-            )
-            raise ValueError(
-                "matrix pattern does not match the plan: stored row indices "
-                f"differ (indices mismatch first at entry {entry}: row "
-                f"{int(csc.indices[entry])} vs planned {int(self.indices[entry])})"
-            )
-        return np.asarray(csc.data, dtype=float)
-
-    def finalize(self, out: np.ndarray) -> sp.csr_matrix:
-        """CSR result reusing the plan's pattern arrays (no re-sorting)."""
-        return sp.csc_matrix(
-            (out, self.indices, self.indptr), shape=self.shape
-        ).tocsr()
-
-    def segment_offsets(self) -> np.ndarray:
-        """One segment per matrix column (its stored CSC entries)."""
-        return np.asarray(self.indptr, dtype=np.int64)
-
-
-# --------------------------------------------------------------------------- #
-# block level
-# --------------------------------------------------------------------------- #
 class BlockSubmatrixPlan(SubmatrixPlan):
     """Extraction/scatter plan for DBCSR block-column submatrices.
 
@@ -662,7 +509,7 @@ class BlockSubmatrixPlan(SubmatrixPlan):
 # --------------------------------------------------------------------------- #
 # plan cache
 # --------------------------------------------------------------------------- #
-def plan_nbytes(plan: "SubmatrixPlan") -> int:
+def plan_nbytes(plan: "BlockSubmatrixPlan") -> int:
     """Resident size of a plan's index arrays, in bytes.
 
     Counts the numpy bookkeeping a plan holds — the per-group
@@ -688,15 +535,12 @@ def plan_nbytes(plan: "SubmatrixPlan") -> int:
             group.block_sizes,
             group.offsets,
         ):
-            if array is not None:
-                total += int(np.asarray(array).nbytes)
-    for name in ("value_offsets", "coo_rows", "coo_cols", "indptr", "indices"):
-        array = getattr(plan, name, None)
-        if array is not None:
             total += int(np.asarray(array).nbytes)
-    # per-block Python tuples of the pack map (block level only): an entry,
-    # its key and shape tuples and its two offsets measure ~220 B
-    total += 224 * len(getattr(plan, "_pack_entries", ()))
+    for array in (plan.value_offsets, plan.coo_rows, plan.coo_cols):
+        total += int(np.asarray(array).nbytes)
+    # per-block Python tuples of the pack map: an entry, its key and shape
+    # tuples and its two offsets measure ~220 B
+    total += 224 * len(plan._pack_entries)
     return total
 
 
@@ -723,7 +567,7 @@ class PlanCache:
             raise ValueError("max_plans must be at least 1")
         self.max_plans = int(max_plans)
         self.max_bytes = None if max_bytes is None else int(max_bytes)
-        self._plans: "collections.OrderedDict[tuple, SubmatrixPlan]" = (
+        self._plans: "collections.OrderedDict[tuple, BlockSubmatrixPlan]" = (
             collections.OrderedDict()
         )
         self._nbytes: Dict[tuple, int] = {}
@@ -788,7 +632,7 @@ class PlanCache:
         self._total_bytes -= self._nbytes.pop(key, 0)
         self.evictions += 1
 
-    def _lookup(self, key: tuple, builder) -> SubmatrixPlan:
+    def _lookup(self, key: tuple, builder) -> BlockSubmatrixPlan:
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -825,18 +669,6 @@ class PlanCache:
                 evicted += 1
         return evicted
 
-    def element_plan(
-        self, matrix: sp.spmatrix, column_groups: Sequence[Sequence[int]]
-    ) -> ElementSubmatrixPlan:
-        """Plan for a SciPy sparse matrix (built or fetched from cache)."""
-        csc = _canonical_csc(matrix)
-        digest = hashlib.sha1()
-        digest.update(np.int64(csc.shape).tobytes())
-        digest.update(np.ascontiguousarray(csc.indptr, dtype=np.int64).tobytes())
-        digest.update(np.ascontiguousarray(csc.indices, dtype=np.int64).tobytes())
-        key = ("element", digest.hexdigest(), _groups_key(column_groups))
-        return self._lookup(key, lambda: ElementSubmatrixPlan(csc, column_groups))
-
     def block_plan(
         self,
         coo: CooBlockList,
@@ -854,27 +686,15 @@ class PlanCache:
         return self._lookup(key, lambda: BlockSubmatrixPlan(coo, sizes, column_groups))
 
 
-def element_plan(
-    matrix: sp.spmatrix,
-    column_groups: Sequence[Sequence[int]],
-    cache: Optional[PlanCache] = None,
-) -> ElementSubmatrixPlan:
-    """The element-level plan for ``matrix``: fetched from (or built into)
-    ``cache``, or built uncached when no cache is given."""
-    # explicit None check: an empty PlanCache is falsy (it has __len__)
-    if cache is None:
-        return ElementSubmatrixPlan(matrix, column_groups)
-    return cache.element_plan(matrix, column_groups)
-
-
 def block_plan(
     coo: CooBlockList,
     block_sizes: Sequence[int],
     column_groups: Sequence[Sequence[int]],
     cache: Optional[PlanCache] = None,
 ) -> BlockSubmatrixPlan:
-    """The block-level plan for the pattern ``coo``: fetched from (or built
-    into) ``cache``, or built uncached when no cache is given."""
+    """The plan for the pattern ``coo``: fetched from (or built into)
+    ``cache``, or built uncached when no cache is given."""
+    # explicit None check: an empty PlanCache is falsy (it has __len__)
     if cache is None:
         return BlockSubmatrixPlan(coo, block_sizes, column_groups)
     return cache.block_plan(coo, block_sizes, column_groups)
@@ -887,12 +707,6 @@ def block_run(block_sizes: Sequence[int]) -> int:
     offset and submatrix dimension — is a whole number of such runs.
     """
     return int(np.gcd.reduce(np.asarray(block_sizes, dtype=int))) or 1
-
-
-def _concat_int(pieces: List[np.ndarray]) -> np.ndarray:
-    if not pieces:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(pieces).astype(np.int64, copy=False)
 
 
 def _groups_key(column_groups: Sequence[Sequence[int]]) -> tuple:

@@ -13,8 +13,8 @@ every rank owns
 
 * the :class:`~repro.core.plan.GroupPlan` bookkeeping of its own column
   groups only, with the gather arrays *re-based onto a rank-local packed
-  buffer* that concatenates just the value segments (blocks at block level,
-  columns at element level) those groups reference;
+  buffer* that concatenates just the value segments (non-zero blocks)
+  those groups reference;
 * a **block→segment index** — which global segments the rank needs, where
   each lands in the local buffer, and how many bytes it is — which is
   exactly the information the transfer planner
@@ -178,9 +178,9 @@ class ShardedPlan:
     Parameters
     ----------
     plan:
-        The plan to shard.  Any plan implementing
-        :meth:`~repro.core.plan.SubmatrixPlan.segment_offsets` works (both
-        the block-level and the element-level plan do).
+        The plan to shard; its segments
+        (:meth:`~repro.core.plan.SubmatrixPlan.segment_offsets`) are its
+        non-zero blocks.
     rank_of_group:
         Owning rank of every plan group (length ``plan.n_groups``).
     n_ranks:

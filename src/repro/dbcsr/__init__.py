@@ -6,24 +6,24 @@ per atom or molecule), the map of non-zero blocks is kept in CSR form, the
 non-zero blocks themselves are dense, and the blocks are distributed over a
 2D cartesian grid of MPI ranks (Sec. II-C of the paper).
 
-This subpackage recreates that data structure and the operations the paper
-relies on:
+This subpackage recreates the parts of that data structure the submatrix
+engine runs on:
 
 * :class:`repro.dbcsr.block_matrix.BlockSparseMatrix` — the storage format
-  with block-level arithmetic;
-* :mod:`repro.dbcsr.filtering` — ``eps_filter`` truncation by block norms;
-* :mod:`repro.dbcsr.distribution` — the 2D process grid and block→rank map;
-* :mod:`repro.dbcsr.multiply` — a Cannon-style distributed multiplication
-  with per-rank FLOP and traffic accounting;
+  with serial block-level arithmetic;
+* :mod:`repro.dbcsr.distribution` — the 2D process grid and block→rank map
+  the transfer planner reads ownership from;
 * :mod:`repro.dbcsr.coo` — the deterministic global COO block list that the
   submatrix implementation builds during its initialization (Sec. IV-A1);
 * :mod:`repro.dbcsr.convert` — conversions to/from SciPy sparse and dense
-  arrays.
+  arrays (a SciPy matrix enters the engine as a grid of 1×1 blocks).
+
+The ``eps_filter`` truncation of the orthogonalized Kohn–Sham matrix lives
+in :func:`repro.chem.orthogonalize.orthogonalized_ks`.
 """
 
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.distribution import BlockDistribution, ProcessGrid2D
-from repro.dbcsr.filtering import filter_blocks, filter_csr_elements, block_norms
 from repro.dbcsr.convert import (
     block_matrix_from_csr,
     block_matrix_from_dense,
@@ -31,20 +31,14 @@ from repro.dbcsr.convert import (
     block_matrix_to_dense,
 )
 from repro.dbcsr.coo import CooBlockList
-from repro.dbcsr.multiply import cannon_multiply, multiply_flop_count
 
 __all__ = [
     "BlockSparseMatrix",
     "BlockDistribution",
     "ProcessGrid2D",
-    "filter_blocks",
-    "filter_csr_elements",
-    "block_norms",
     "block_matrix_from_csr",
     "block_matrix_from_dense",
     "block_matrix_to_csr",
     "block_matrix_to_dense",
     "CooBlockList",
-    "cannon_multiply",
-    "multiply_flop_count",
 ]

@@ -239,8 +239,7 @@ class BlockSparseMatrix:
             block sizes.
         flop_counter:
             Optional single-element list that is incremented by the number of
-            floating-point operations (2·m·k·n per block triple), matching
-            the accounting performed by the distributed multiplication.
+            floating-point operations (2·m·k·n per block triple).
         """
         if not np.array_equal(self.col_block_sizes, other.row_block_sizes):
             raise ValueError("inner block dimensions do not match")

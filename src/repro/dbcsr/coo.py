@@ -7,9 +7,9 @@ such that it is identical on all ranks.  This way, the position of a non-zero
 block in this COO representation also serves as a unique ID for the block
 throughout our implementation" (Sec. IV-A1 of the paper).
 
-:class:`CooBlockList` reproduces that data structure, including the traffic
-cost of building it from distributed data (an allgather of the locally known
-block coordinates).
+:class:`CooBlockList` reproduces that data structure; the traffic of building
+it from distributed data (an allgather of the locally known block
+coordinates) is accounted by :meth:`repro.core.transfers.TransferPlan.to_traffic_log`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.dbcsr.block_matrix import BlockSparseMatrix
-from repro.dbcsr.distribution import BlockDistribution
-from repro.parallel.comm import SimComm
 
 __all__ = ["CooBlockList", "concat_ranges"]
 
@@ -78,37 +76,6 @@ class CooBlockList:
         """Build the COO list from a boolean block-sparsity pattern."""
         coo = pattern.tocoo()
         return cls(coo.row, coo.col, pattern.shape[0], pattern.shape[1])
-
-    @classmethod
-    def gather_distributed(
-        cls,
-        matrix: BlockSparseMatrix,
-        distribution: BlockDistribution,
-        comm: Optional[SimComm] = None,
-    ) -> "CooBlockList":
-        """Build the global COO list from distributed per-rank knowledge.
-
-        Each rank initially only knows which of its *own* blocks are non-zero
-        (Sec. IV-A1); an allgather of the per-rank coordinate lists creates
-        the identical global view on every rank.  The allgather traffic is
-        recorded on ``comm`` when provided.
-        """
-        per_rank: List[np.ndarray] = []
-        for rank in range(distribution.n_ranks):
-            local = distribution.local_blocks(matrix, rank)
-            per_rank.append(np.asarray(local, dtype=int).reshape(-1, 2))
-        if comm is not None:
-            comm.allgather([arr for arr in per_rank])
-        if per_rank:
-            stacked = np.vstack([arr for arr in per_rank if arr.size])
-        else:  # pragma: no cover - defensive
-            stacked = np.empty((0, 2), dtype=int)
-        return cls(
-            stacked[:, 0],
-            stacked[:, 1],
-            matrix.n_block_rows,
-            matrix.n_block_cols,
-        )
 
     # ------------------------------------------------------------------ #
     # queries

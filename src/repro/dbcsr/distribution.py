@@ -13,11 +13,10 @@ submatrices it is responsible for.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.parallel.topology import CartesianGrid2D
 
 __all__ = ["ProcessGrid2D", "BlockDistribution"]
@@ -110,34 +109,3 @@ class BlockDistribution:
             self.row_distribution[rows] * self.grid.cols
             + self.col_distribution[cols]
         )
-
-    def owners_array(self) -> np.ndarray:
-        """(n_block_rows, n_block_cols) array of owning ranks."""
-        grid_rows = self.row_distribution[:, None]
-        grid_cols = self.col_distribution[None, :]
-        return grid_rows * self.grid.cols + grid_cols
-
-    def local_blocks(self, matrix: BlockSparseMatrix, rank: int) -> List[Tuple[int, int]]:
-        """Stored blocks of ``matrix`` owned by ``rank`` (deterministic order)."""
-        if not 0 <= rank < self.n_ranks:
-            raise IndexError(f"rank {rank} out of range")
-        return [
-            (bi, bj)
-            for bi, bj in matrix.block_keys()
-            if self.owner_of(bi, bj) == rank
-        ]
-
-    def local_block_bytes(self, matrix: BlockSparseMatrix, rank: int) -> float:
-        """Total bytes of the stored blocks owned by ``rank`` (float64)."""
-        total = 0
-        for bi, bj in self.local_blocks(matrix, rank):
-            nr, nc = matrix.block_shape(bi, bj)
-            total += nr * nc * 8
-        return float(total)
-
-    def rank_block_counts(self, matrix: BlockSparseMatrix) -> Dict[int, int]:
-        """Number of stored blocks per rank."""
-        counts = {rank: 0 for rank in range(self.n_ranks)}
-        for bi, bj in matrix.block_keys():
-            counts[self.owner_of(bi, bj)] += 1
-        return counts

@@ -2,30 +2,23 @@
 
 The paper evaluates its implementation with MPI on up to 1280 cores of a
 Xeon/Omni-Path cluster.  This reproduction executes all algorithms within a
-single Python process, but it preserves the *distribution semantics* — which
-rank owns which data, who sends how many bytes to whom, how many floating
-point operations each rank performs — through the classes in this subpackage:
+single Python process; simulated ranks are closures run by the one rank loop
+(:func:`repro.core.runner.run_stacks`), and their traffic is *planned*
+(:mod:`repro.core.transfers`), not sent.  This subpackage holds what that
+needs:
 
 * :class:`repro.parallel.stats.TrafficLog` — per-rank FLOP/byte/message
-  counters,
-* :class:`repro.parallel.comm.SimComm` — a simulated communicator with
-  point-to-point mailboxes and collective traffic accounting,
-* :class:`repro.parallel.topology.CartesianGrid2D` — 2D cartesian rank grids
-  as used by libDBCSR's Cannon multiplication,
+  counters, filled from a transfer plan,
+* :class:`repro.parallel.topology.CartesianGrid2D` — the 2D cartesian rank
+  grid that block ownership is mapped onto,
 * :class:`repro.parallel.machine.MachineModel` — converts accounting data
   into simulated wall-clock times for the scaling experiments (Figs. 6,
   8–10),
-* :mod:`repro.parallel.executor` — thread pools for genuinely
-  parallel execution of the embarrassingly parallel submatrix solves.
+* :mod:`repro.parallel.executor` — the serial/thread executors that run the
+  embarrassingly parallel submatrix solves.
 """
 
 from repro.parallel.stats import RankCounters, TrafficLog
-from repro.parallel.comm import (
-    CommError,
-    CommRankError,
-    CommRecvError,
-    SimComm,
-)
 from repro.parallel.topology import CartesianGrid2D, balanced_dims
 from repro.parallel.machine import MachineModel, SimulatedTime, PAPER_MACHINE
 from repro.parallel.executor import (
@@ -37,10 +30,6 @@ from repro.parallel.executor import (
 __all__ = [
     "RankCounters",
     "TrafficLog",
-    "SimComm",
-    "CommError",
-    "CommRankError",
-    "CommRecvError",
     "CartesianGrid2D",
     "balanced_dims",
     "MachineModel",

@@ -1,10 +1,10 @@
 """Per-rank accounting of floating-point operations and communication.
 
-Every distributed algorithm in this reproduction (the Cannon-style DBCSR
-multiplication, the Newton–Schulz baseline and the submatrix method runner)
-records how much work and traffic each simulated MPI rank performs.  The
-resulting :class:`TrafficLog` is the input to the machine model that produces
-the simulated wall-clock times used in the scaling experiments.
+The sharded submatrix pipeline records how much work and traffic each
+simulated MPI rank performs (:meth:`repro.core.runner.DistributedSubmatrixPipeline.traffic_log`,
+from its transfer plan).  The resulting :class:`TrafficLog` is the input to
+the machine model that produces the simulated wall-clock times used in the
+scaling experiments.
 """
 
 from __future__ import annotations
@@ -116,19 +116,6 @@ class TrafficLog:
             self.record_message(
                 int(source), int(destination), float(matrix[source, destination])
             )
-
-    def record_broadcast(self, root: int, nbytes: float) -> None:
-        """Record a broadcast of ``nbytes`` from ``root`` to all other ranks.
-
-        Modelled as a binomial tree: log2(P) send steps on the critical path,
-        with the root's total outgoing volume equal to ``nbytes`` per child in
-        the tree (P-1 messages in total across all ranks).
-        """
-        self._check_rank(root)
-        for rank in range(self.n_ranks):
-            if rank == root:
-                continue
-            self.record_message(root, rank, nbytes)
 
     def record_allgather(self, nbytes_per_rank: float) -> None:
         """Record an allgather where each rank contributes ``nbytes_per_rank``.

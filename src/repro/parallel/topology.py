@@ -1,8 +1,9 @@
 """Cartesian rank topologies.
 
 libDBCSR arranges the MPI ranks in a 2D cartesian grid and maps matrix block
-rows and columns onto the grid (Sec. II-C of the paper).  The Cannon-style
-multiplication shifts data along the rows and columns of this grid.
+rows and columns onto the grid (Sec. II-C of the paper); its Cannon-style
+multiplication shifts data along the rows and columns of this grid.  Here the
+grid decides block ownership (:class:`repro.dbcsr.distribution.BlockDistribution`).
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ cost of small repeated requests.
 The request path:
 
 1. **validation** — the request passes
-   :func:`~repro.api.observables.validate_request` (the check a direct
-   call runs) before any resource is reserved, so malformed requests fail
+   :func:`~repro.api.observables.validate_request` (a trajectory:
+   :func:`~repro.api.trajectory.validate_trajectory`), the check a direct
+   call runs, before any resource is reserved, so malformed requests fail
    fast and free;
 2. **admission** — the :class:`~repro.serve.admission.AdmissionController`
    enforces global and per-tenant in-flight ceilings
@@ -45,7 +46,7 @@ from repro.api.config import EngineConfig
 from repro.api.context import SubmatrixContext
 from repro.api.observables import validate_request
 from repro.api.results import ObservableBundle
-from repro.api.trajectory import TrajectoryResult
+from repro.api.trajectory import TrajectoryResult, validate_trajectory
 from repro.core.plan import PlanCache
 from repro.serve.admission import AdmissionController, AdmissionPolicy
 from repro.serve.metrics import ServiceMetrics
@@ -318,9 +319,22 @@ class DensityService:
         thread; the trajectory occupies one in-flight slot for its whole
         duration (a trajectory is one tenant workload, not N density
         requests).  Returns a future of the
-        :class:`~repro.api.trajectory.TrajectoryResult`.
+        :class:`~repro.api.trajectory.TrajectoryResult`.  Like :meth:`submit`,
+        a malformed trajectory raises here, before admission
+        (:func:`~repro.api.trajectory.validate_trajectory`).
         """
         self._check_open()
+        validate_trajectory(
+            config if config is not None else self.config,
+            steps,
+            blocks,
+            mu=kwargs.get("mu"),
+            n_electrons=kwargs.get("n_electrons"),
+            solver=kwargs.get("solver", "eigen"),
+            observables=kwargs.get("observables"),
+            observable_params=kwargs.get("observable_params"),
+            ranks=kwargs.get("ranks"),
+        )
         context = self._context_for(config)
         return self._dispatch_admitted(
             tenant, lambda: context.trajectory(steps, blocks, **kwargs)

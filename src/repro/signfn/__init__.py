@@ -31,8 +31,6 @@ from repro.signfn.pade import pade_polynomial_coefficients, sign_pade, PadeResul
 from repro.signfn.eigen import (
     sign_via_eigendecomposition,
     sign_via_eigendecomposition_batched,
-    occupation_function_via_eigendecomposition,
-    occupation_function_via_eigendecomposition_batched,
 )
 from repro.signfn.inverse_root import inverse_pth_root, inverse_pth_root_newton
 from repro.signfn.utils import involutority_error, spectral_scale_estimate
@@ -59,8 +57,6 @@ __all__ = [
     "PadeResult",
     "sign_via_eigendecomposition",
     "sign_via_eigendecomposition_batched",
-    "occupation_function_via_eigendecomposition",
-    "occupation_function_via_eigendecomposition_batched",
     "inverse_pth_root",
     "inverse_pth_root_newton",
     "involutority_error",

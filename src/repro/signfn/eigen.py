@@ -1,4 +1,4 @@
-"""Eigendecomposition-based sign function and occupation functions.
+"""Eigendecomposition-based sign function.
 
 For the dense submatrices the paper evaluates the sign function through a
 symmetric eigendecomposition (Sec. IV-F, Eq. 17):
@@ -9,8 +9,9 @@ with the extension signum(0) = 0 (Eq. 12), which is consistent with the
 zero-temperature limit of the Fermi function (Eq. 13).  Replacing the signum
 by the Fermi function directly yields finite-temperature occupations, and
 keeping Q and Λ around allows the chemical potential to be adjusted without
-recomputing the decomposition (Algorithm 1, implemented in
-:mod:`repro.api.observables`).
+recomputing the decomposition — both done on the engine's stacks by
+:mod:`repro.api.observables` (Algorithm 1), with
+:func:`repro.chem.density.fermi_occupation`.
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ from repro.signfn.utils import as_dense
 __all__ = [
     "extended_signum",
     "sign_via_eigendecomposition",
-    "occupation_function_via_eigendecomposition",
     "symmetric_eigendecomposition",
     "symmetric_eigendecomposition_batched",
     "sign_via_eigendecomposition_batched",
-    "occupation_function_via_eigendecomposition_batched",
 ]
 
 
@@ -117,13 +116,6 @@ def symmetric_eigendecomposition_batched(
     return np.linalg.eigh(0.5 * (stack + transposed))
 
 
-def _reconstruct_batched(
-    eigenvectors: np.ndarray, diagonal: np.ndarray
-) -> np.ndarray:
-    """Batched Q·diag(d)·Qᵀ for a stack of decompositions."""
-    return (eigenvectors * diagonal[:, None, :]) @ np.swapaxes(eigenvectors, -1, -2)
-
-
 def sign_via_eigendecomposition_batched(
     stack: np.ndarray,
     mu: float = 0.0,
@@ -136,40 +128,4 @@ def sign_via_eigendecomposition_batched(
     """
     eigenvalues, eigenvectors = symmetric_eigendecomposition_batched(stack)
     signs = extended_signum(eigenvalues - mu, zero_tolerance)
-    return _reconstruct_batched(eigenvectors, signs)
-
-
-def occupation_function_via_eigendecomposition_batched(
-    stack: np.ndarray,
-    mu: float = 0.0,
-    temperature: float = 0.0,
-) -> np.ndarray:
-    """Occupation matrices f(A) = Q f(Λ − μ) Qᵀ for a ``(k, n, n)`` stack.
-
-    Batched counterpart of
-    :func:`occupation_function_via_eigendecomposition`.
-    """
-    from repro.chem.density import fermi_occupation
-
-    eigenvalues, eigenvectors = symmetric_eigendecomposition_batched(stack)
-    occupations = fermi_occupation(eigenvalues, mu, temperature)
-    return _reconstruct_batched(eigenvectors, occupations)
-
-
-def occupation_function_via_eigendecomposition(
-    matrix: Union[np.ndarray, sp.spmatrix],
-    mu: float = 0.0,
-    temperature: float = 0.0,
-) -> np.ndarray:
-    """Occupation matrix f(A) = Q f(Λ − μ) Qᵀ with Fermi occupations.
-
-    At ``temperature == 0`` this equals (I − sign(A − μI)) / 2 with the
-    extended signum; at finite temperature the signum is replaced by the
-    Fermi function, which is the paper's "generalization to finite
-    temperatures with negligible additional effort" (Sec. VII).
-    """
-    from repro.chem.density import fermi_occupation
-
-    eigenvalues, eigenvectors = symmetric_eigendecomposition(matrix)
-    occupations = fermi_occupation(eigenvalues, mu, temperature)
-    return (eigenvectors * occupations) @ eigenvectors.T
+    return (eigenvectors * signs[:, None, :]) @ np.swapaxes(eigenvectors, -1, -2)

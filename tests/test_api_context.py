@@ -47,11 +47,13 @@ from repro.chem import (
     reference_density_matrix,
 )
 from repro.chem.hamiltonian import BlockStructure
-from repro.dbcsr import CooBlockList
+from repro.dbcsr import BlockSparseMatrix, CooBlockList
 from repro.core.batch import evaluate_batched, stack_solver
+from repro.core.plan import PlanCache
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_dense
 from repro.serve import DensityService
 from repro.signfn import (
+    DEFAULT_SIGN_MAX_ITERATIONS,
     BoundKernel,
     KernelStackSolver,
     sign_newton_schulz_batched,
@@ -97,12 +99,7 @@ class TestEngineConfig:
             with pytest.raises(ValueError):
                 EngineConfig(**removed)
         assert importlib.util.find_spec("repro.api.density") is None
-        for method in (
-            SubmatrixContext.apply,
-            SubmatrixContext.apply_elementwise,
-            SubmatrixContext.apply_blockwise,
-        ):
-            assert "engine" not in inspect.signature(method).parameters
+        assert "engine" not in inspect.signature(SubmatrixContext.apply).parameters
         # the engine has one numeric path (float64 NumPy): no precision
         # policy, no array-backend package, no xp= seam on the kernels
         with pytest.raises(TypeError):
@@ -118,11 +115,16 @@ class TestEngineConfig:
             assert "xp" not in inspect.signature(function).parameters
 
     def test_one_front_door_one_rank_loop(self):
-        """Structure guard: one entry class, one executor, no way back."""
+        """Structure guard: one entry class, one plan kind, one executor, no
+        simulated communicator, no way back."""
         for module in (
             "repro.core.method",
             "repro.core.sign_dft",
             "repro.parallel.faults",
+            "repro.parallel.comm",
+            "repro.dbcsr.multiply",
+            "repro.dbcsr.filtering",
+            "repro.core.splitting",
         ):
             assert importlib.util.find_spec(module) is None
         deleted = {
@@ -132,8 +134,23 @@ class TestEngineConfig:
             "PipelineResult",
             "PipelineRankReport",
             "DEFAULT_PLAN_CACHE",
+            "ElementSubmatrixPlan",
+            "element_plan",
+            "apply_elementwise",
+            "apply_blockwise",
+            "SimComm",
+            "cannon_multiply",
         }
-        for package in (repro, repro.api, repro.core):
+        for package in (
+            repro,
+            repro.api,
+            repro.core,
+            repro.core.plan,
+            repro.parallel,
+            repro.dbcsr,
+            SubmatrixContext,
+            PlanCache,
+        ):
             assert not deleted & set(dir(package)), package.__name__
         assert len(dataclasses.fields(EngineConfig)) == 10
         for removed in ("flop_constant", "exact_transfers"):
@@ -422,14 +439,110 @@ class TestApplyEquivalence:
             )
             assert result.submatrix_dimensions == dimensions
 
-    def test_elementwise_matches_legacy_bitwise(self, water32_matrices, gap_mu):
-        k_ortho, _ = orthogonalized_block(water32_matrices)
-        new = SubmatrixContext().apply(k_ortho, "eigen", mu=gap_mu)
-        reference, dimensions = reference_apply_elementwise(
-            k_ortho, lambda a: sign_via_eigendecomposition(a, gap_mu)
-        )
-        assert np.array_equal(new.result.toarray(), reference.toarray())
+    @staticmethod
+    def unusual_pattern(name):
+        """Valid inputs at the edge of the pattern space, ``(matrix, groups)``.
+
+        ``explicit_zeros``: a banded CSR matrix storing explicit zeros (off
+        the diagonal and on it) and one column (7) with no stored entry;
+        ``unstored_block_column``: a ragged block matrix whose block column
+        (and row) 2 holds no block, not even its diagonal one.  Spectra stay
+        away from μ = 0.2 so Newton–Schulz converges every submatrix.
+        """
+        if name == "explicit_zeros":
+            n = 40
+            dense = np.zeros((n, n))
+            for i in range(n):
+                dense[i, i] = 1.5 if i % 2 else -1.0
+                for j in range(max(0, i - 3), i):
+                    dense[i, j] = dense[j, i] = 0.1 / (i - j)
+            dense[7, :] = dense[:, 7] = dense[20, 20] = 0.0
+            stored = sp.coo_matrix(dense)
+            rows = np.concatenate([stored.row, [3, 10, 20]])
+            cols = np.concatenate([stored.col, [10, 3, 20]])
+            values = np.concatenate([stored.data, [0.0, 0.0, 0.0]])
+            matrix = sp.csr_matrix((values, (rows, cols)), shape=(n, n))
+            assert matrix.getnnz(axis=0)[7] == 0 and matrix[20, 20] == 0.0
+            return matrix, [list(range(i, i + 4)) for i in range(0, n, 4)]
+        sizes = [2, 3, 1, 2, 3, 2]
+        rng = np.random.default_rng(3)
+        matrix = BlockSparseMatrix(sizes)
+        for i in range(len(sizes)):
+            for j in range(i, min(len(sizes), i + 2)):
+                if 2 in (i, j):
+                    continue
+                block = 0.1 * rng.normal(size=(sizes[i], sizes[j]))
+                if i == j:
+                    block = 0.5 * (block + block.T) + np.eye(sizes[i])
+                matrix.put_block(i, j, block)
+                matrix.put_block(j, i, block.T)
+        assert matrix.nonzero_block_rows(2) == []
+        return matrix, [[0, 1], [2, 3], [4, 5]]
+
+    @pytest.mark.parametrize(
+        "pattern, kernel, grouping",
+        [("water32", "eigen", "single")]
+        + [
+            (pattern, kernel, grouping)
+            for pattern in ("explicit_zeros", "unstored_block_column")
+            for kernel in ("eigen", "newton_schulz", "callable")
+            for grouping in ("single", "combined")
+        ],
+    )
+    def test_apply_matches_reference_bitwise(
+        self, request, pattern, kernel, grouping
+    ):
+        """``apply`` on a SciPy matrix (a grid of 1×1 blocks) and on a block
+        matrix is bitwise the per-submatrix reference loop of its format,
+        keeps exactly the input's stored pattern (explicit zeros included,
+        nothing in an empty column) and shards bitwise too."""
+        if pattern == "water32":
+            matrix, _ = orthogonalized_block(request.getfixturevalue("water32_matrices"))
+            mu, groups = request.getfixturevalue("gap_mu"), None
+        else:
+            (matrix, groups), mu = self.unusual_pattern(pattern), 0.2
+        if grouping == "single":
+            groups = None
+        per_matrix = {
+            "eigen": lambda a: sign_via_eigendecomposition(a, mu),
+            "newton_schulz": lambda a: sign_newton_schulz_batched(
+                a[None], max_iterations=DEFAULT_SIGN_MAX_ITERATIONS, shift=mu
+            ).sign[0],
+            "callable": lambda a: a @ a - 0.5 * a,
+        }[kernel]
+        spec, params = (per_matrix, {}) if kernel == "callable" else (kernel, {"mu": mu})
+        with SubmatrixContext() as ctx:
+            new = ctx.apply(matrix, spec, column_groups=groups, **params)
+            sharded = (
+                None
+                if pattern == "water32"
+                else ctx.apply(matrix, spec, column_groups=groups, ranks=2, **params)
+            )
+        if sp.issparse(matrix):
+            reference, dimensions = reference_apply_elementwise(matrix, per_matrix, groups)
+            assert np.array_equal(new.result.toarray(), reference.toarray())
+
+            def stored(csr):
+                entries = csr.tocoo()
+                return set(zip(entries.row.tolist(), entries.col.tolist()))
+
+            assert stored(new.result) == stored(matrix) == stored(reference)
+        else:
+            reference, dimensions = reference_apply_blockwise(matrix, per_matrix, groups)
+            assert np.array_equal(
+                block_matrix_to_dense(new.result), block_matrix_to_dense(reference)
+            )
+            assert new.result.block_keys() == matrix.block_keys()
+            assert reference.block_keys() == matrix.block_keys()
         assert new.submatrix_dimensions == dimensions
+        assert new.flop_estimate == float(sum(float(d) ** 3 for d in dimensions))
+        assert new.kernel_fallbacks == 0
+        if sharded is not None:
+            assert sharded.n_ranks == 2
+            densify = (
+                (lambda m: m.toarray()) if sp.issparse(matrix) else block_matrix_to_dense
+            )
+            assert np.array_equal(densify(sharded.result), densify(new.result))
 
     def test_apply_dispatch_rejects_dense(self):
         with pytest.raises(TypeError):
@@ -448,13 +561,10 @@ class TestApplyEquivalence:
         csr = sp.csr_matrix(dense)
         blocked = block_matrix_from_csr(csr, [size] * (n // size))
         with SubmatrixContext() as ctx:
-            for matrix, ranks in ((csr, None), (blocked, None), (blocked, 2)):
-                with pytest.raises(ValueError, match="matrix contains non-finite"):
-                    ctx.apply(matrix, kernel, ranks=ranks)
-            with pytest.raises(ValueError, match="matrix contains non-finite"):
-                ctx.apply_elementwise(csr, kernel)
-            with pytest.raises(ValueError, match="matrix contains non-finite"):
-                ctx.apply_blockwise(blocked, kernel)
+            for matrix in (csr, blocked):
+                for ranks in (None, 2):
+                    with pytest.raises(ValueError, match="matrix contains non-finite"):
+                        ctx.apply(matrix, kernel, ranks=ranks)
 
     def test_stale_plan_or_pattern_is_rejected(self):
         """``plan=`` / ``coo=`` of an older pattern: the new blocks used to be
@@ -852,7 +962,7 @@ class TestDistributedSession:
         ctx.apply(blocked, "eigen", mu=gap_mu, ranks=2)
         assert ctx.stats()["pipelines_built"] == 1
         ctx.apply(blocked, "eigen", mu=gap_mu, ranks=2)
-        ctx.apply_blockwise(blocked, "newton_schulz", mu=gap_mu, ranks=2)
+        ctx.apply(blocked, "newton_schulz", mu=gap_mu, ranks=2)
         assert ctx.stats()["pipelines_built"] == 1  # same pattern, same ranks
         ctx.apply(blocked, "eigen", mu=gap_mu, ranks=4)
         assert ctx.stats()["pipelines_built"] == 2
@@ -874,8 +984,7 @@ class TestDistributedSession:
         """``ranks`` has one check (``check_positive_int``) behind ``apply`` and the
         session config; ``tests/test_request_parity.py`` holds the same cases
         for density, trajectory and the serving layer."""
-        pair = water32_matrices
-        k_ortho, blocked = orthogonalized_block(pair)
+        _, blocked = orthogonalized_block(water32_matrices)
         ctx = SubmatrixContext()
         for ranks in (0, -2):
             with pytest.raises(ValueError, match="ranks must be positive"):
@@ -889,9 +998,6 @@ class TestDistributedSession:
             EngineConfig(n_ranks=0)
         with pytest.raises(TypeError):
             EngineConfig(n_ranks=1.7)
-        # element-level matrices cannot be sharded
-        with pytest.raises(TypeError, match="BlockSparseMatrix"):
-            ctx.apply(k_ortho, "eigen", mu=gap_mu, ranks=2)
         # a pre-built plan and a sharded run exclude each other
         plan = ctx.block_plan_for(
             CooBlockList.from_block_matrix(blocked), blocked.row_block_sizes,

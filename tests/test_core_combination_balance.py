@@ -10,7 +10,6 @@ from repro.core import (
     assign_balanced_stacks,
     assign_consecutive_chunks,
     assign_consecutive_chunks_reference,
-    assign_round_robin,
     choose_bucket_pad,
     estimated_speedup,
     group_columns_graph,
@@ -198,14 +197,6 @@ class TestLoadBalance:
         with pytest.raises(ValueError):
             assign_consecutive_chunks([-1.0], 2)
 
-    def test_round_robin(self):
-        assignment = assign_round_robin(7, 3)
-        assert assignment == [[0, 3, 6], [1, 4], [2, 5]]
-
-    def test_round_robin_invalid(self):
-        with pytest.raises(ValueError):
-            assign_round_robin(5, 0)
-
     def test_load_imbalance_with_index_lists(self):
         costs = [1.0, 2.0, 3.0, 6.0]
         assignment = [[0, 3], [1, 2]]
@@ -284,7 +275,7 @@ class TestBalancedStacks:
     def test_lpt_beats_round_robin_on_skewed_stacks(self):
         costs = [100.0, 1.0, 1.0, 1.0, 1.0, 96.0]
         lpt = assign_balanced_stacks(costs, 2)
-        rr = assign_round_robin(6, 2)
+        rr = [[0, 2, 4], [1, 3, 5]]  # equal counts, item i on rank i % 2
         assert load_imbalance(costs, lpt) <= load_imbalance(costs, rr)
 
     def test_fewer_stacks_than_ranks(self):

@@ -1,4 +1,4 @@
-"""Tests for block-matrix conversions and filtering."""
+"""Tests for block-matrix conversions and the COO block list."""
 
 import numpy as np
 import pytest
@@ -14,9 +14,6 @@ from repro.dbcsr import (
     block_matrix_from_dense,
     block_matrix_to_csr,
     block_matrix_to_dense,
-    block_norms,
-    filter_blocks,
-    filter_csr_elements,
 )
 from submatrix_reference import (
     reference_block_matrix_from_csr,
@@ -204,68 +201,3 @@ class TestVectorisedBlockIO:
         assert coo.block_id(1, 0) == 1
         with pytest.raises(KeyError):
             coo.block_id(0, 1)
-
-
-class TestBlockNorms:
-    def test_frobenius_and_max(self):
-        matrix = BlockSparseMatrix([2, 2])
-        matrix.put_block(0, 0, np.array([[3.0, 0.0], [0.0, 4.0]]))
-        norms_f = block_norms(matrix, "frobenius")
-        norms_m = block_norms(matrix, "max")
-        assert norms_f[(0, 0)] == pytest.approx(5.0)
-        assert norms_m[(0, 0)] == pytest.approx(4.0)
-
-    def test_invalid_norm(self):
-        with pytest.raises(ValueError):
-            block_norms(BlockSparseMatrix([2]), "spectral")
-
-
-class TestFilterBlocks:
-    def test_removes_weak_blocks(self):
-        matrix = BlockSparseMatrix([2, 2])
-        matrix.put_block(0, 0, np.full((2, 2), 1.0))
-        matrix.put_block(0, 1, np.full((2, 2), 1e-9))
-        filtered = filter_blocks(matrix, 1e-6)
-        assert filtered.has_block(0, 0)
-        assert not filtered.has_block(0, 1)
-
-    def test_input_unchanged(self):
-        matrix = BlockSparseMatrix([2])
-        matrix.put_block(0, 0, np.full((2, 2), 1e-9))
-        filter_blocks(matrix, 1e-6)
-        assert matrix.has_block(0, 0)
-
-    def test_negative_eps_rejected(self):
-        with pytest.raises(ValueError):
-            filter_blocks(BlockSparseMatrix([2]), -1.0)
-
-    def test_zero_eps_keeps_everything(self):
-        matrix = BlockSparseMatrix([2])
-        matrix.put_block(0, 0, np.full((2, 2), 1e-300))
-        assert filter_blocks(matrix, 0.0).nnz_blocks == 1
-
-
-class TestFilterCsr:
-    def test_drops_small_elements(self):
-        matrix = sp.csr_matrix(np.array([[1.0, 1e-9], [0.0, 2.0]]))
-        filtered = filter_csr_elements(matrix, 1e-6)
-        assert filtered.nnz == 2
-        assert filtered[0, 1] == 0.0
-
-    def test_zero_threshold_only_removes_explicit_zeros(self):
-        matrix = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
-        matrix.data[0] = 0.0  # create an explicit zero
-        filtered = filter_csr_elements(matrix, 0.0)
-        assert filtered.nnz == 1
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            filter_csr_elements(sp.identity(3, format="csr"), -1e-3)
-
-    def test_filter_preserves_large_values(self, rng):
-        dense = rng.normal(size=(20, 20))
-        filtered = filter_csr_elements(sp.csr_matrix(dense), 0.5)
-        kept = filtered.toarray()
-        assert np.all(np.abs(kept[kept != 0]) >= 0.5)
-        # every large element survived
-        assert np.array_equal(kept != 0, np.abs(dense) >= 0.5)

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro.dbcsr import BlockDistribution, BlockSparseMatrix, CooBlockList, ProcessGrid2D
-from repro.parallel import SimComm
 
 
 @pytest.fixture()
@@ -29,13 +28,13 @@ class TestBlockDistribution:
         assert distribution.owner_of(1, 1) == 3
         assert distribution.owner_of(2, 2) == 0  # wraps around
 
-    def test_owners_array_matches_owner_of(self):
+    def test_owners_of_blocks_matches_owner_of(self):
         grid = ProcessGrid2D(6, (3, 2))
         distribution = BlockDistribution(5, 7, grid)
-        owners = distribution.owners_array()
-        for i in range(5):
-            for j in range(7):
-                assert owners[i, j] == distribution.owner_of(i, j)
+        rows, cols = np.divmod(np.arange(5 * 7), 7)
+        owners = distribution.owners_of_blocks(rows, cols)
+        for i, j, owner in zip(rows.tolist(), cols.tolist(), owners.tolist()):
+            assert owner == distribution.owner_of(i, j)
 
     def test_explicit_distribution(self):
         grid = ProcessGrid2D(4, (2, 2))
@@ -51,26 +50,6 @@ class TestBlockDistribution:
             BlockDistribution(4, 4, grid, row_distribution=[0, 0, 5, 1])
         with pytest.raises(ValueError):
             BlockDistribution(4, 4, grid, row_distribution=[0, 0, 1])
-
-    def test_local_blocks_partition_all_blocks(self, pattern_matrix):
-        grid = ProcessGrid2D(4, (2, 2))
-        distribution = BlockDistribution(6, 6, grid)
-        all_local = []
-        for rank in range(4):
-            all_local.extend(distribution.local_blocks(pattern_matrix, rank))
-        assert sorted(all_local) == sorted(pattern_matrix.block_keys())
-
-    def test_local_block_bytes(self, pattern_matrix):
-        grid = ProcessGrid2D(1, (1, 1))
-        distribution = BlockDistribution(6, 6, grid)
-        total = distribution.local_block_bytes(pattern_matrix, 0)
-        assert total == pattern_matrix.nnz_blocks * 4 * 8
-
-    def test_rank_block_counts(self, pattern_matrix):
-        grid = ProcessGrid2D(4, (2, 2))
-        distribution = BlockDistribution(6, 6, grid)
-        counts = distribution.rank_block_counts(pattern_matrix)
-        assert sum(counts.values()) == pattern_matrix.nnz_blocks
 
 
 class TestCooBlockList:
@@ -136,17 +115,6 @@ class TestCooBlockList:
         again = CooBlockList.from_pattern(pattern)
         assert np.array_equal(coo.rows, again.rows)
         assert np.array_equal(coo.cols, again.cols)
-
-    def test_gather_distributed_identical_to_serial(self, pattern_matrix):
-        grid = ProcessGrid2D(4, (2, 2))
-        distribution = BlockDistribution(6, 6, grid)
-        comm = SimComm(4)
-        gathered = CooBlockList.gather_distributed(pattern_matrix, distribution, comm)
-        serial = CooBlockList.from_block_matrix(pattern_matrix)
-        assert np.array_equal(gathered.rows, serial.rows)
-        assert np.array_equal(gathered.cols, serial.cols)
-        # the allgather traffic was recorded
-        assert comm.log.total_bytes_sent() > 0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

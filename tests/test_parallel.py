@@ -6,13 +6,11 @@ import pytest
 from repro.parallel import (
     CartesianGrid2D,
     MachineModel,
-    SimComm,
     TaskExecutionError,
     TrafficLog,
     balanced_dims,
     map_parallel,
 )
-from repro.parallel.comm import CommRankError, CommRecvError, payload_nbytes
 from repro.parallel.stats import RankCounters
 
 
@@ -37,12 +35,6 @@ class TestTrafficLog:
         log = TrafficLog(2)
         log.record_message(1, 1, 1000.0)
         assert log.total_bytes_sent() == 0.0
-
-    def test_broadcast_volume(self):
-        log = TrafficLog(4)
-        log.record_broadcast(0, 100.0)
-        assert log.ranks[0].bytes_sent == 300.0
-        assert all(log.ranks[r].bytes_received == 100.0 for r in range(1, 4))
 
     def test_allgather_volume(self):
         log = TrafficLog(4)
@@ -89,122 +81,6 @@ class TestTrafficLog:
         a.merge(b)
         assert a.flops == 4.0
         assert a.total_bytes == 6.0
-
-
-class TestSimComm:
-    def test_send_recv(self):
-        comm = SimComm(2)
-        comm.send(0, 1, np.arange(10))
-        source, payload = comm.recv(1)
-        assert source == 0
-        assert np.array_equal(payload, np.arange(10))
-
-    def test_recv_without_message_raises(self):
-        comm = SimComm(2)
-        with pytest.raises(LookupError):
-            comm.recv(0)
-
-    def test_recv_filtered_by_source(self):
-        comm = SimComm(3)
-        comm.send(0, 2, "from-zero")
-        comm.send(1, 2, "from-one")
-        source, payload = comm.recv(2, source=1)
-        assert source == 1 and payload == "from-one"
-        assert comm.pending_messages(2) == 1
-
-    def test_traffic_recorded(self):
-        comm = SimComm(2)
-        data = np.zeros(100, dtype=np.float64)
-        comm.send(0, 1, data)
-        assert comm.log.ranks[0].bytes_sent == 800.0
-
-    def test_bcast(self):
-        comm = SimComm(3)
-        copies = comm.bcast(0, {"a": 1})
-        assert len(copies) == 3
-        assert comm.log.total_bytes_sent() > 0
-
-    def test_allgather_requires_all_contributions(self):
-        comm = SimComm(3)
-        with pytest.raises(ValueError):
-            comm.allgather([1, 2])
-
-    def test_allreduce_sum(self):
-        comm = SimComm(4)
-        assert comm.allreduce_sum([1.0, 2.0, 3.0, 4.0]) == 10.0
-
-    def test_alltoallv_shape_check(self):
-        comm = SimComm(2)
-        with pytest.raises(ValueError):
-            comm.alltoallv(np.zeros((3, 3)))
-
-    def test_out_of_order_tag_consumption_keeps_counts_exact(self):
-        comm = SimComm(2)
-        for tag, payload in (("x", 1), ("y", 2), ("z", 3)):
-            comm.send(0, 1, payload, tag=tag)
-        assert comm.mailbox_state() == {(1, "x"): 1, (1, "y"): 1, (1, "z"): 1}
-
-        assert comm.recv(1, tag="y") == (0, 2)
-        assert comm.pending_messages(1, "y") == 0
-        assert comm.mailbox_state() == {(1, "x"): 1, (1, "z"): 1}
-
-        assert comm.recv(1, tag="z") == (0, 3)
-        assert comm.recv(1, tag="x") == (0, 1)
-        assert comm.mailbox_state() == {}
-        assert comm.pending_messages(1, "x") == 0
-
-    def test_source_filtered_out_of_order_consumption(self):
-        comm = SimComm(3)
-        comm.send(0, 1, "from-zero", tag="t")
-        comm.send(2, 1, "from-two", tag="t")
-        assert comm.pending_messages(1, "t") == 2
-
-        assert comm.recv(1, tag="t", source=2) == (2, "from-two")
-        assert comm.pending_messages(1, "t") == 1
-
-        assert comm.recv(1, tag="t") == (0, "from-zero")
-        assert comm.pending_messages(1, "t") == 0
-        assert comm.mailbox_state() == {}
-
-    def test_deadlock_reports_exact_mailbox_state(self):
-        comm = SimComm(2)
-        comm.send(0, 1, "unrelated", tag="other")
-        with pytest.raises(CommRecvError) as info:
-            comm.recv(1, tag="wanted")
-        assert info.value.mailbox_state == {(1, "other"): 1}
-
-    def test_unknown_rank_error_carries_rank_and_state(self):
-        comm = SimComm(2)
-        comm.send(0, 1, np.zeros(4), tag="data")
-        with pytest.raises(CommRankError) as info:
-            comm.send(0, 7, b"x")
-        assert info.value.rank == 7
-        assert info.value.mailbox_state == {(1, "data"): 1}
-        assert "rank 7" in str(info.value)
-        assert isinstance(info.value, IndexError)  # legacy compatibility
-
-    def test_recv_empty_mailbox_error_carries_state(self):
-        comm = SimComm(3)
-        comm.send(0, 2, 1.0, tag="other")
-        with pytest.raises(CommRecvError) as info:
-            comm.recv(1, tag="missing")
-        assert info.value.rank == 1
-        assert info.value.mailbox_state == {(2, "other"): 1}
-        assert "tag 'missing'" in str(info.value)
-        assert "pending mailboxes" in str(info.value)
-        assert isinstance(info.value, LookupError)  # legacy compatibility
-
-    def test_recv_source_filter_miss_mentions_source(self):
-        comm = SimComm(3)
-        comm.send(0, 1, "payload")
-        with pytest.raises(CommRecvError, match="from 2"):
-            comm.recv(1, source=2)
-
-    def test_payload_nbytes(self):
-        assert payload_nbytes(np.zeros(10)) == 80
-        assert payload_nbytes([np.zeros(2), np.zeros(3)]) == 40
-        assert payload_nbytes({"a": 1.0}) >= 8
-        assert payload_nbytes(None) == 0
 
 
 class TestTopology:

@@ -617,6 +617,32 @@ class TestServiceValidation:
                 )
             assert service.stats()["admission"]["in_flight"] == 0
 
+    @pytest.mark.parametrize(
+        "malformed, match",
+        [
+            ({}, "exactly one"),
+            ({"mu": 0.0, "steps": None}, "not None"),
+            ({"mu": 0.0, "observables": ("density", "dos")}, "dos"),
+        ],
+        ids=["no_ensemble", "steps_none", "unknown_observable"],
+    )
+    def test_malformed_trajectory_rejected_at_submit(
+        self, water32_matrices, malformed, match
+    ):
+        """A trajectory is checked where it is submitted, like a density
+        request: it used to be admitted, take an in-flight slot, count as
+        admitted and failed, and raise only from its future."""
+        request = dict(malformed)
+        steps = request.pop("steps", [(water32_matrices.K, water32_matrices.S)])
+        with DensityService(config=CONFIG) as service:
+            with pytest.raises(ValueError, match=match):
+                service.submit_trajectory(steps, water32_matrices.blocks, **request)
+            snapshot = service.stats()
+        assert snapshot["metrics"]["total"]["admitted"] == 0
+        assert snapshot["metrics"]["total"]["failed"] == 0
+        assert snapshot["admission"]["in_flight"] == 0
+        assert snapshot["contexts"] == 0
+
     @pytest.mark.parametrize("solver", ["eigen", "newton_schulz"])
     @pytest.mark.parametrize(
         "name, index, value",

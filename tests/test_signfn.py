@@ -20,7 +20,6 @@ from repro.signfn import (
 )
 from repro.signfn.eigen import (
     extended_signum,
-    occupation_function_via_eigendecomposition,
     symmetric_eigendecomposition,
 )
 
@@ -367,22 +366,6 @@ class TestEigenSign:
         matrix = rng.normal(size=(5, 5))
         with pytest.raises(ValueError):
             symmetric_eigendecomposition(matrix)
-
-    def test_occupation_function_projector(self, rng):
-        matrix, _ = make_sign_test_matrix(rng, n=20)
-        occupation = occupation_function_via_eigendecomposition(matrix, mu=0.0)
-        # projector onto the negative-eigenvalue subspace
-        assert np.allclose(occupation @ occupation, occupation, atol=1e-10)
-        assert np.trace(occupation) == pytest.approx(10.0)
-
-    def test_occupation_function_finite_temperature(self):
-        matrix = np.diag([-1.0, 0.0, 1.0])
-        occupation = occupation_function_via_eigendecomposition(
-            matrix, mu=0.0, temperature=3000.0
-        )
-        diag = np.diag(occupation)
-        assert diag[1] == pytest.approx(0.5)
-        assert 0.5 < diag[0] < 1.0
 
 
 class TestInverseRoots:

@@ -4,8 +4,9 @@ The central claim of :mod:`repro.core.plan` is equivalence: the plan-based
 gather/scatter paths must produce *bitwise-identical* results to the naive
 reference kernels of :mod:`repro.core.submatrix` (driven by the serial loop
 in ``submatrix_reference.py``), across random sparsity patterns, random
-column groupings and both granularities.  The batched evaluator is
-additionally checked with and without bucket padding.
+column groupings and both input formats (a SciPy matrix runs as a grid of
+1×1 blocks through the same plan).  The batched evaluator is additionally
+checked with and without bucket padding.
 """
 
 import numpy as np
@@ -15,23 +16,24 @@ import scipy.sparse as sp
 from repro.api import EngineConfig, SubmatrixContext
 from repro.core import (
     BlockSubmatrixPlan,
-    ElementSubmatrixPlan,
     PlanCache,
     make_buckets,
 )
 from repro.core.batch import evaluate_batched
-from repro.core.plan import block_plan, element_plan
+from repro.core.plan import block_plan
 from repro.core.submatrix import extract_block_submatrix, extract_submatrix
-from repro.dbcsr import BlockSparseMatrix, CooBlockList
-from repro.dbcsr.convert import block_matrix_from_dense, block_matrix_to_dense
+from repro.dbcsr import CooBlockList
+from repro.dbcsr.convert import (
+    block_matrix_from_csr,
+    block_matrix_from_dense,
+    block_matrix_to_dense,
+)
 from repro.parallel.executor import split_chunks
 from repro.signfn import (
     sign_newton_schulz,
     sign_newton_schulz_batched,
     sign_via_eigendecomposition,
     sign_via_eigendecomposition_batched,
-    occupation_function_via_eigendecomposition,
-    occupation_function_via_eigendecomposition_batched,
 )
 
 from conftest import make_decay_matrix
@@ -72,6 +74,22 @@ def random_block_symmetric(n_blocks, block_size, bandwidth, seed):
     return block_matrix_from_dense(dense, [block_size] * n_blocks)
 
 
+def scalar_grid(matrix):
+    """A SciPy matrix as ``apply`` runs it: a block matrix of 1×1 blocks."""
+    return block_matrix_from_csr(matrix, [1] * matrix.shape[0])
+
+
+def scalar_plan(matrix, groups, cache=None):
+    """The plan ``apply`` looks up for a SciPy matrix and column grouping."""
+    blocked = scalar_grid(matrix)
+    return block_plan(
+        CooBlockList.from_block_matrix(blocked),
+        blocked.row_block_sizes,
+        groups,
+        cache=cache,
+    )
+
+
 def random_partition(n, seed):
     """Random partition of range(n) into contiguous-free random groups."""
     generator = np.random.default_rng(seed)
@@ -86,6 +104,8 @@ def random_partition(n, seed):
 
 
 class TestElementPlanEquivalence:
+    """SciPy inputs: the 1×1-block route against the element-level kernels."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("density", [0.05, 0.2])
     def test_plan_matches_naive_bitwise(self, seed, density):
@@ -95,7 +115,7 @@ class TestElementPlanEquivalence:
             naive, dimensions = reference_apply_elementwise(
                 matrix, lambda a: a @ a, groups
             )
-            planned = context.apply_elementwise(matrix, lambda a: a @ a, groups)
+            planned = context.apply(matrix, lambda a: a @ a, groups)
             assert dimensions == planned.submatrix_dimensions
             assert (naive != planned.result).nnz == 0
             assert np.array_equal(naive.toarray(), planned.result.toarray())
@@ -104,8 +124,9 @@ class TestElementPlanEquivalence:
         matrix = random_sparse_symmetric(40, 0.1, 7)
         csc = matrix.tocsc()
         groups = random_partition(40, 8)
-        plan = ElementSubmatrixPlan(csc, groups)
-        packed = plan.pack(csc)
+        plan = scalar_plan(csc, groups)
+        assert plan.run == 1
+        packed = plan.pack(scalar_grid(csc))
         for index, group in enumerate(groups):
             reference = extract_submatrix(csc, group)
             dense = plan.extract(packed, index)
@@ -118,17 +139,17 @@ class TestElementPlanEquivalence:
     def test_pack_rejects_different_pattern(self):
         matrix = random_sparse_symmetric(30, 0.1, 1)
         other = random_sparse_symmetric(30, 0.1, 2)
-        plan = ElementSubmatrixPlan(matrix.tocsc(), [[c] for c in range(30)])
-        with pytest.raises(ValueError):
-            plan.pack(other)
+        plan = scalar_plan(matrix, [[c] for c in range(30)])
+        with pytest.raises(ValueError, match="not in the planned pattern"):
+            SubmatrixContext().apply(other, lambda a: a @ a, plan=plan)
 
     def test_pack_accepts_same_pattern_new_values(self):
         matrix = random_sparse_symmetric(30, 0.1, 1)
         scaled = matrix * 2.0
         groups = [[c] for c in range(30)]
-        plan = ElementSubmatrixPlan(matrix.tocsc(), groups)
+        plan = scalar_plan(matrix, groups)
         context = SubmatrixContext()
-        planned = context.apply_elementwise(scaled, lambda a: a @ a, groups, plan=plan)
+        planned = context.apply(scaled, lambda a: a @ a, groups, plan=plan)
         naive, _ = reference_apply_elementwise(scaled, lambda a: a @ a, groups)
         assert np.array_equal(naive.toarray(), planned.result.toarray())
 
@@ -143,7 +164,7 @@ class TestBlockPlanEquivalence:
             naive, dimensions = reference_apply_blockwise(
                 matrix, lambda a: a @ a + a, groups
             )
-            planned = context.apply_blockwise(matrix, lambda a: a @ a + a, groups)
+            planned = context.apply(matrix, lambda a: a @ a + a, groups)
             assert dimensions == planned.submatrix_dimensions
             dense_naive = block_matrix_to_dense(naive)
             dense_plan = block_matrix_to_dense(planned.result)
@@ -159,7 +180,7 @@ class TestBlockPlanEquivalence:
         context = SubmatrixContext()
         groups = [[0, 2], [1], [3, 4], [5]]
         naive, _ = reference_apply_blockwise(matrix, lambda a: a @ a, groups)
-        planned = context.apply_blockwise(matrix, lambda a: a @ a, groups)
+        planned = context.apply(matrix, lambda a: a @ a, groups)
         assert np.array_equal(
             block_matrix_to_dense(naive), block_matrix_to_dense(planned.result)
         )
@@ -188,7 +209,7 @@ class TestBlockPlanEquivalence:
         smaller.remove_block(bi, bj)
         context = SubmatrixContext()
         naive, _ = reference_apply_blockwise(smaller, lambda a: a @ a, coo=coo)
-        planned = context.apply_blockwise(smaller, lambda a: a @ a, coo=coo)
+        planned = context.apply(smaller, lambda a: a @ a, coo=coo)
         assert np.array_equal(
             block_matrix_to_dense(naive), block_matrix_to_dense(planned.result)
         )
@@ -244,9 +265,9 @@ class TestPlanCache:
         cache = PlanCache()
         matrix = random_sparse_symmetric(30, 0.1, 1)
         groups = [[c] for c in range(30)]
-        first = cache.element_plan(matrix, groups)
+        first = scalar_plan(matrix, groups, cache)
         assert cache.stats == expected_stats(hits=0, misses=1, plans=1)
-        second = cache.element_plan(matrix * 3.0, groups)
+        second = scalar_plan(matrix * 3.0, groups, cache)
         assert second is first
         assert cache.stats == expected_stats(hits=1, misses=1, plans=1)
 
@@ -255,10 +276,10 @@ class TestPlanCache:
         matrix = random_sparse_symmetric(30, 0.1, 1)
         other = random_sparse_symmetric(30, 0.1, 2)
         groups = [[c] for c in range(30)]
-        cache.element_plan(matrix, groups)
-        cache.element_plan(other, groups)
+        scalar_plan(matrix, groups, cache)
+        scalar_plan(other, groups, cache)
         assert cache.misses == 2
-        cache.element_plan(matrix, random_partition(30, 3))
+        scalar_plan(matrix, random_partition(30, 3), cache)
         assert cache.misses == 3
 
     def test_block_cache_keyed_by_pattern_content(self):
@@ -276,7 +297,7 @@ class TestPlanCache:
         cache = PlanCache(max_plans=2)
         groups = [[c] for c in range(20)]
         for seed in range(4):
-            cache.element_plan(random_sparse_symmetric(20, 0.1, seed), groups)
+            scalar_plan(random_sparse_symmetric(20, 0.1, seed), groups, cache)
         assert len(cache) == 2
 
     def test_method_uses_private_cache_even_when_empty(self):
@@ -284,8 +305,8 @@ class TestPlanCache:
         cache = PlanCache()
         matrix = random_sparse_symmetric(20, 0.1, 12)
         context = SubmatrixContext(plan_cache=cache)
-        context.apply_elementwise(matrix, lambda a: a @ a)
-        context.apply_elementwise(matrix, lambda a: a @ a)
+        context.apply(matrix, lambda a: a @ a)
+        context.apply(matrix, lambda a: a @ a)
         assert cache.stats == expected_stats(hits=1, misses=1, plans=1)
 
     def test_value_only_mutation_hits_cache_without_stale_result(self):
@@ -297,14 +318,14 @@ class TestPlanCache:
         matrix = random_block_symmetric(6, 2, 2, 5)
         coo = CooBlockList.from_block_matrix(matrix)
         context = SubmatrixContext(plan_cache=cache)
-        first = context.apply_blockwise(matrix, lambda a: a @ a, coo=coo)
+        first = context.apply(matrix, lambda a: a @ a, coo=coo)
         blocks = matrix.raw_blocks()
         key = sorted(blocks)[0]
         blocks[key][...] *= 2.0  # in-place value change, same pattern
         assert CooBlockList.from_block_matrix(matrix).fingerprint() == (
             coo.fingerprint()
         )
-        second = context.apply_blockwise(matrix, lambda a: a @ a, coo=coo)
+        second = context.apply(matrix, lambda a: a @ a, coo=coo)
         assert cache.stats == expected_stats(hits=1, misses=1, plans=1)
         reference, _ = reference_apply_blockwise(matrix, lambda a: a @ a, coo=coo)
         assert np.array_equal(
@@ -344,8 +365,6 @@ class TestPlanCache:
         first = block_plan(coo, matrix.row_block_sizes, groups)
         assert block_plan(coo, matrix.row_block_sizes, groups) is not first
         sparse = random_sparse_symmetric(25, 0.1, 6)
-        columns = [[c] for c in range(25)]
-        assert element_plan(sparse, columns) is not element_plan(sparse, columns)
         # two sessions never share plans unless handed one cache
         one, two = SubmatrixContext(), SubmatrixContext()
         one.apply(sparse, lambda a: a @ a)
@@ -394,10 +413,13 @@ class TestPlanCacheHousekeeping:
 
 
 class TestPackCanonicalization:
+    """A SciPy matrix is packed through its 1×1-block conversion: any
+    storage of the planned canonical pattern packs, nothing else does."""
+
     def make_plan(self):
         matrix = sp.random(10, 10, density=0.3, random_state=4, format="coo")
         matrix = (matrix + matrix.T + sp.identity(10)).tocsr()
-        return matrix, ElementSubmatrixPlan(matrix, [[c] for c in range(10)])
+        return matrix, scalar_plan(matrix, [[c] for c in range(10)])
 
     def test_unsorted_indices_pack(self):
         matrix, plan = self.make_plan()
@@ -406,7 +428,9 @@ class TestPackCanonicalization:
         shuffled = sp.csc_matrix(
             (coo.data[order], (coo.row[order], coo.col[order])), shape=matrix.shape
         )
-        assert np.array_equal(plan.pack(shuffled), plan.pack(matrix))
+        assert np.array_equal(
+            plan.pack(scalar_grid(shuffled)), plan.pack(scalar_grid(matrix))
+        )
 
     def test_duplicate_entries_pack(self):
         matrix, plan = self.make_plan()
@@ -416,10 +440,12 @@ class TestPackCanonicalization:
         cols = np.concatenate([coo.col, coo.col])
         data = np.concatenate([0.25 * coo.data, 0.75 * coo.data])
         duplicated = sp.coo_matrix((data, (rows, cols)), shape=matrix.shape)
-        assert np.allclose(plan.pack(duplicated), plan.pack(matrix))
+        assert np.allclose(
+            plan.pack(scalar_grid(duplicated)), plan.pack(scalar_grid(matrix))
+        )
 
     def test_pack_does_not_mutate_caller_matrix(self):
-        """Canonicalization must copy an aliased CSC, not rewrite it."""
+        """Canonicalization must not rewrite the caller's CSC."""
         matrix, plan = self.make_plan()
         csc = matrix.tocsc()
         # duplicate every stored entry at raw CSC level (constructors that
@@ -433,8 +459,8 @@ class TestPackCanonicalization:
         nnz_before = duplicated.nnz
         assert nnz_before == 2 * csc.nnz
         data_before = duplicated.data.copy()
-        packed = plan.pack(duplicated)
-        assert np.allclose(packed, plan.pack(matrix))
+        packed = plan.pack(scalar_grid(duplicated))
+        assert np.allclose(packed, plan.pack(scalar_grid(matrix)))
         assert duplicated.nnz == nnz_before
         assert np.array_equal(duplicated.data, data_before)
 
@@ -446,8 +472,8 @@ class TestPackCanonicalization:
             ),
             shape=(3, 3),
         )
-        plan = ElementSubmatrixPlan(matrix, [[0], [1], [2]])
-        packed = plan.pack(matrix.copy())
+        plan = scalar_plan(matrix, [[0], [1], [2]])
+        packed = plan.pack(scalar_grid(matrix.copy()))
         assert packed.tolist() == [1.0, 0.0, 2.0]
 
     def test_nnz_mismatch_message(self):
@@ -456,12 +482,14 @@ class TestPackCanonicalization:
         free = np.argwhere(matrix.toarray() == 0.0)
         i, j = free[0]
         extra[int(i), int(j)] = 5.0
-        with pytest.raises(ValueError, match="nnz mismatch"):
-            plan.pack(extra.tocsr())
+        with pytest.raises(
+            ValueError, match=rf"stored block \({i}, {j}\) is not in the planned"
+        ):
+            plan.pack(scalar_grid(extra.tocsr()))
 
     def test_indices_mismatch_message(self):
         base = sp.identity(4, format="csr") * 2.0
-        plan = ElementSubmatrixPlan(base, [[c] for c in range(4)])
+        plan = scalar_plan(base, [[c] for c in range(4)])
         moved = sp.csr_matrix(
             (
                 np.array([1.0, 1.0, 1.0, 1.0]),
@@ -469,13 +497,13 @@ class TestPackCanonicalization:
             ),
             shape=(4, 4),
         )
-        with pytest.raises(ValueError, match="indptr mismatch|indices mismatch"):
-            plan.pack(moved)
+        with pytest.raises(ValueError, match=r"stored block \(1, 0\)"):
+            plan.pack(scalar_grid(moved))
 
     def test_shape_mismatch_message(self):
         matrix, plan = self.make_plan()
-        with pytest.raises(ValueError, match="shape"):
-            plan.pack(sp.identity(11, format="csr"))
+        with pytest.raises(ValueError, match="block structure"):
+            plan.pack(scalar_grid(sp.identity(11, format="csr")))
 
 
 class TestBuckets:
@@ -506,7 +534,7 @@ class TestBatchedEvaluation:
         matrix = random_block_symmetric(12, 3, 2, 1)
         context = SubmatrixContext()
         naive, _ = reference_apply_blockwise(matrix, lambda a: a @ a)
-        batched = context.apply_blockwise(matrix, lambda a: a @ a)
+        batched = context.apply(matrix, lambda a: a @ a)
         assert np.array_equal(
             block_matrix_to_dense(naive), block_matrix_to_dense(batched.result)
         )
@@ -517,7 +545,7 @@ class TestBatchedEvaluation:
         dense[np.abs(dense) < 1e-2] = 0.0
         matrix = block_matrix_from_dense(dense, [3] * 12)
         naive, _ = reference_apply_blockwise(matrix, sign_via_eigendecomposition)
-        batched = SubmatrixContext(EngineConfig(bucket_pad=8)).apply_blockwise(
+        batched = SubmatrixContext(EngineConfig(bucket_pad=8)).apply(
             matrix,
             sign_via_eigendecomposition,
             batch_function=sign_via_eigendecomposition_batched,
@@ -575,19 +603,6 @@ class TestBatchedSignKernels:
         batched = sign_via_eigendecomposition_batched(stack, mu=0.1)
         for index in range(stack.shape[0]):
             single = sign_via_eigendecomposition(stack[index], mu=0.1)
-            assert np.allclose(batched[index], single, atol=1e-12)
-
-    def test_batched_occupation_matches_single(self):
-        stack = np.stack(
-            [make_decay_matrix(10, seed=seed) for seed in range(4)]
-        )
-        batched = occupation_function_via_eigendecomposition_batched(
-            stack, mu=0.05, temperature=300.0
-        )
-        for index in range(stack.shape[0]):
-            single = occupation_function_via_eigendecomposition(
-                stack[index], mu=0.05, temperature=300.0
-            )
             assert np.allclose(batched[index], single, atol=1e-12)
 
     def test_batched_newton_schulz_matches_single(self):
