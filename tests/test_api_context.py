@@ -439,23 +439,56 @@ class TestApplyEquivalence:
             )
             assert result.submatrix_dimensions == dimensions
 
+    def test_elementwise_matches_legacy_bitwise(self, water32_matrices, gap_mu):
+        """A SciPy matrix runs as a grid of 1×1 blocks: bitwise the
+        per-submatrix reference loop, with its dimensions and flop estimate."""
+        k_ortho, _ = orthogonalized_block(water32_matrices)
+        new = SubmatrixContext().apply(k_ortho, "eigen", mu=gap_mu)
+        reference, dimensions = reference_apply_elementwise(
+            k_ortho, lambda a: sign_via_eigendecomposition(a, gap_mu)
+        )
+        assert np.array_equal(new.result.toarray(), reference.toarray())
+        assert new.submatrix_dimensions == dimensions
+        assert new.flop_estimate == float(sum(float(d) ** 3 for d in dimensions))
+
     @staticmethod
     def unusual_pattern(name):
         """Valid inputs at the edge of the pattern space, ``(matrix, groups)``.
 
-        ``explicit_zeros``: a banded CSR matrix storing explicit zeros (off
-        the diagonal and on it) and one column (7) with no stored entry;
-        ``unstored_block_column``: a ragged block matrix whose block column
-        (and row) 2 holds no block, not even its diagonal one.  Spectra stay
-        away from μ = 0.2 so Newton–Schulz converges every submatrix.
+        SciPy inputs: ``explicit_zeros``, a banded CSR matrix storing explicit
+        zeros (off the diagonal and on it) and one column (7) with no stored
+        entry; ``coo_duplicates``, a banded COO matrix whose entries are
+        stored twice, one pair summing to an explicit zero; ``unsorted_csr``,
+        a non-canonical CSR matrix (column indices in descending order, the
+        diagonal stored twice in halves); ``diagonal`` (every
+        submatrix is its group's own columns); ``dense`` (every submatrix is
+        the whole matrix); ``random_csc``, a random symmetric CSC pattern.
+        Block inputs: ``unstored_block_column``, a ragged block matrix whose
+        block column (and row) 2 holds no block, not even its diagonal one;
+        ``ragged_banded``, ragged blocks on a band of width two.  Diagonals
+        are −1 or 1.5 and off-diagonal rows sum below 0.5 in magnitude, so
+        every principal submatrix keeps its spectrum away from μ = 0.2 (the
+        zero row and column of ``explicit_zeros`` aside) and Newton–Schulz
+        converges on every submatrix.
         """
-        if name == "explicit_zeros":
-            n = 40
+
+        def diagonal_value(i):
+            return 1.5 if i % 2 else -1.0
+
+        def banded(n, width):
             dense = np.zeros((n, n))
             for i in range(n):
-                dense[i, i] = 1.5 if i % 2 else -1.0
-                for j in range(max(0, i - 3), i):
+                dense[i, i] = diagonal_value(i)
+                for j in range(max(0, i - width), i):
                     dense[i, j] = dense[j, i] = 0.1 / (i - j)
+            return dense
+
+        def contiguous(n, width):
+            return [list(range(i, min(n, i + width))) for i in range(0, n, width)]
+
+        if name == "explicit_zeros":
+            n = 40
+            dense = banded(n, 3)
             dense[7, :] = dense[:, 7] = dense[20, 20] = 0.0
             stored = sp.coo_matrix(dense)
             rows = np.concatenate([stored.row, [3, 10, 20]])
@@ -463,7 +496,56 @@ class TestApplyEquivalence:
             values = np.concatenate([stored.data, [0.0, 0.0, 0.0]])
             matrix = sp.csr_matrix((values, (rows, cols)), shape=(n, n))
             assert matrix.getnnz(axis=0)[7] == 0 and matrix[20, 20] == 0.0
-            return matrix, [list(range(i, i + 4)) for i in range(0, n, 4)]
+            return matrix, contiguous(n, 4)
+        if name == "coo_duplicates":
+            n = 30
+            stored = sp.coo_matrix(banded(n, 2))
+            rows = np.concatenate([stored.row, stored.row, [4, 5]])
+            cols = np.concatenate([stored.col, stored.col, [5, 4]])
+            values = np.concatenate(
+                [0.25 * stored.data, 0.75 * stored.data, [0.0, 0.0]]
+            )
+            values[(rows == 4) & (cols == 5)] = [0.05, 0.05, -0.1]
+            values[(rows == 5) & (cols == 4)] = [0.05, 0.05, -0.1]
+            matrix = sp.coo_matrix((values, (rows, cols)), shape=(n, n))
+            assert matrix.tocsr()[4, 5] == 0.0
+            return matrix, contiguous(n, 3)
+        if name == "unsorted_csr":
+            n = 24
+            csr = sp.csr_matrix(banded(n, 2))
+            indptr, indices, data = [0], [], []
+            for i in range(n):
+                row = slice(csr.indptr[i], csr.indptr[i + 1])
+                cols, values = csr.indices[row][::-1], csr.data[row][::-1].copy()
+                values[cols == i] *= 0.5
+                indices.extend(cols.tolist() + [i])
+                data.extend(values.tolist() + [0.5 * csr[i, i]])
+                indptr.append(len(indices))
+            matrix = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+            assert not matrix.has_canonical_format
+            assert np.array_equal(matrix.toarray(), csr.toarray())
+            return matrix, contiguous(n, 4)
+        if name == "diagonal":
+            n = 12
+            return sp.diags([diagonal_value(i) for i in range(n)]).tocsr(), contiguous(n, 4)
+        if name == "dense":
+            n = 10
+            rng = np.random.default_rng(5)
+            dense = 0.02 * rng.uniform(-1.0, 1.0, size=(n, n))
+            dense = dense + dense.T + np.diag([diagonal_value(i) for i in range(n)])
+            return sp.csr_matrix(dense), contiguous(n, 3)
+        if name == "random_csc":
+            n = 36
+            rng = np.random.default_rng(11)
+            mask = np.triu(rng.random((n, n)) < 0.06, 1)
+            upper = np.where(mask, 0.1 * rng.uniform(-1.0, 1.0, size=(n, n)), 0.0)
+            dense = upper + upper.T + np.diag([diagonal_value(i) for i in range(n)])
+            assert np.max(np.sum(np.abs(dense - np.diag(np.diag(dense))), axis=1)) < 0.5
+            return sp.csc_matrix(dense), contiguous(n, 6)
+        if name == "ragged_banded":
+            sizes = [1, 4, 2, 3, 1, 2, 4, 3]
+            dense = banded(sum(sizes), 2)
+            return block_matrix_from_csr(sp.csr_matrix(dense), sizes), contiguous(8, 3)
         sizes = [2, 3, 1, 2, 3, 2]
         rng = np.random.default_rng(3)
         matrix = BlockSparseMatrix(sizes)
@@ -479,30 +561,40 @@ class TestApplyEquivalence:
         assert matrix.nonzero_block_rows(2) == []
         return matrix, [[0, 1], [2, 3], [4, 5]]
 
+    @staticmethod
+    def scattered(n_columns, n_groups=3):
+        """Non-contiguous groups listing their columns in descending order."""
+        return [
+            [c for c in reversed(range(n_columns)) if c % n_groups == r]
+            for r in range(n_groups)
+        ]
+
+    @pytest.mark.parametrize("grouping", ["single", "combined", "scattered"])
+    @pytest.mark.parametrize("kernel", ["eigen", "newton_schulz", "callable"])
     @pytest.mark.parametrize(
-        "pattern, kernel, grouping",
-        [("water32", "eigen", "single")]
-        + [
-            (pattern, kernel, grouping)
-            for pattern in ("explicit_zeros", "unstored_block_column")
-            for kernel in ("eigen", "newton_schulz", "callable")
-            for grouping in ("single", "combined")
+        "pattern",
+        [
+            "explicit_zeros",
+            "coo_duplicates",
+            "unsorted_csr",
+            "diagonal",
+            "dense",
+            "random_csc",
+            "unstored_block_column",
+            "ragged_banded",
         ],
     )
-    def test_apply_matches_reference_bitwise(
-        self, request, pattern, kernel, grouping
-    ):
+    def test_apply_matches_reference_bitwise(self, pattern, kernel, grouping):
         """``apply`` on a SciPy matrix (a grid of 1×1 blocks) and on a block
         matrix is bitwise the per-submatrix reference loop of its format,
         keeps exactly the input's stored pattern (explicit zeros included,
         nothing in an empty column) and shards bitwise too."""
-        if pattern == "water32":
-            matrix, _ = orthogonalized_block(request.getfixturevalue("water32_matrices"))
-            mu, groups = request.getfixturevalue("gap_mu"), None
-        else:
-            (matrix, groups), mu = self.unusual_pattern(pattern), 0.2
+        (matrix, groups), mu = self.unusual_pattern(pattern), 0.2
         if grouping == "single":
             groups = None
+        elif grouping == "scattered":
+            n_columns = matrix.shape[1] if sp.issparse(matrix) else matrix.n_block_cols
+            groups = self.scattered(n_columns)
         per_matrix = {
             "eigen": lambda a: sign_via_eigendecomposition(a, mu),
             "newton_schulz": lambda a: sign_newton_schulz_batched(
@@ -513,11 +605,7 @@ class TestApplyEquivalence:
         spec, params = (per_matrix, {}) if kernel == "callable" else (kernel, {"mu": mu})
         with SubmatrixContext() as ctx:
             new = ctx.apply(matrix, spec, column_groups=groups, **params)
-            sharded = (
-                None
-                if pattern == "water32"
-                else ctx.apply(matrix, spec, column_groups=groups, ranks=2, **params)
-            )
+            sharded = ctx.apply(matrix, spec, column_groups=groups, ranks=2, **params)
         if sp.issparse(matrix):
             reference, dimensions = reference_apply_elementwise(matrix, per_matrix, groups)
             assert np.array_equal(new.result.toarray(), reference.toarray())
@@ -537,12 +625,54 @@ class TestApplyEquivalence:
         assert new.submatrix_dimensions == dimensions
         assert new.flop_estimate == float(sum(float(d) ** 3 for d in dimensions))
         assert new.kernel_fallbacks == 0
-        if sharded is not None:
-            assert sharded.n_ranks == 2
-            densify = (
-                (lambda m: m.toarray()) if sp.issparse(matrix) else block_matrix_to_dense
-            )
-            assert np.array_equal(densify(sharded.result), densify(new.result))
+        assert sharded.n_ranks == 2
+        densify = (lambda m: m.toarray()) if sp.issparse(matrix) else block_matrix_to_dense
+        assert np.array_equal(densify(sharded.result), densify(new.result))
+
+    @pytest.mark.parametrize("kernel", ["eigen", "newton_schulz"])
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo", "lil", "dok", "bsr", "dia"])
+    def test_every_scipy_format_runs_as_its_csr(self, fmt, kernel):
+        """Any square SciPy format goes in: the result is bitwise the
+        reference loop on the CSR form, on the same stored pattern."""
+        matrix, groups = self.unusual_pattern("random_csc")
+        csr = matrix.tocsr()
+        converted = csr.tobsr(blocksize=(1, 1)) if fmt == "bsr" else csr.asformat(fmt)
+        assert converted.format == fmt
+        new = SubmatrixContext().apply(converted, kernel, column_groups=groups, mu=0.2)
+        reference, dimensions = reference_apply_elementwise(
+            csr,
+            {
+                "eigen": lambda a: sign_via_eigendecomposition(a, 0.2),
+                "newton_schulz": lambda a: sign_newton_schulz_batched(
+                    a[None], max_iterations=DEFAULT_SIGN_MAX_ITERATIONS, shift=0.2
+                ).sign[0],
+            }[kernel],
+            groups,
+        )
+        assert new.result.format == "csr"
+        assert np.array_equal(new.result.toarray(), reference.toarray())
+        assert np.array_equal(new.result.indptr, csr.indptr)
+        assert np.array_equal(new.result.indices, csr.indices)
+        assert new.submatrix_dimensions == dimensions
+
+    @pytest.mark.parametrize("kernel", ["eigen", "newton_schulz", "callable"])
+    @pytest.mark.parametrize("ranks", [1, 2, 3, 4, 16])
+    def test_scipy_input_shards_bitwise(self, ranks, kernel):
+        """``ranks=`` shards a SciPy matrix as it shards a block matrix (it
+        used to raise ``TypeError``): bitwise the single-process result for
+        every rank count, more ranks than column groups included."""
+        matrix, groups = self.unusual_pattern("explicit_zeros")
+        spec, params = (
+            (lambda a: a @ a - 0.5 * a, {}) if kernel == "callable" else (kernel, {"mu": 0.2})
+        )
+        with SubmatrixContext() as ctx:
+            single = ctx.apply(matrix, spec, column_groups=groups, **params)
+            sharded = ctx.apply(matrix, spec, column_groups=groups, ranks=ranks, **params)
+        assert single.n_ranks == 1 and sharded.n_ranks == ranks
+        assert np.array_equal(sharded.result.toarray(), single.result.toarray())
+        assert np.array_equal(sharded.result.indices, single.result.indices)
+        assert sharded.submatrix_dimensions == single.submatrix_dimensions
+        assert sharded.kernel_fallbacks == single.kernel_fallbacks == 0
 
     def test_apply_dispatch_rejects_dense(self):
         with pytest.raises(TypeError):

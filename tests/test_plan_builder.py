@@ -13,7 +13,7 @@ property moves real values through ``pack`` / ``extract*`` / ``scatter*`` /
 of ``repro.core.submatrix``.  A third pins the panel path: the
 generating-column panel ``scatter_columns`` takes writes bitwise what
 ``scatter`` writes for the full matrix (unsorted and non-adjacent generating
-columns, 1×1 blocks, shard views), and the panel *product* of a
+columns, the 1×1-block grid of a SciPy matrix, shard views), and the panel *product* of a
 spectral solver stays within 1e-14 of the sliced full product — the distance
 the re-stated reference-density tests rest on.  Two last tests need no
 stopwatch and no benchmark: one counts interpreter-level calls on the 64-group water-64 plan
@@ -27,6 +27,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -99,16 +100,13 @@ def block_cases(draw):
     """``(block pattern, block sizes, column groups, rank of group)``.
 
     Block sizes are ragged multiples of a unit, so their gcd — the plan's run
-    length — is 1 (atom blocks like 4, 1, 1), 2, 3 or 6, or a multiple; one
-    case in five is a grid of 1×1 blocks, the grid a SciPy matrix runs as.
+    length — is 1 (atom blocks like 4, 1, 1), 2, 3 or 6, or a multiple.
     """
-    n = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 7))
     unit = draw(st.sampled_from([1, 1, 2, 3, 6]))
     sizes = [
         unit * m for m in draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     ]
-    if draw(st.integers(0, 4)) == 0:
-        sizes = [1] * n
     rows, cols = np.nonzero(_mask(draw, n))
     coo = CooBlockList(rows, cols, n, n)
     groups = _partition(draw, n)
@@ -116,6 +114,26 @@ def block_cases(draw):
         st.lists(st.integers(0, 2), min_size=len(groups), max_size=len(groups))
     )
     return coo, sizes, groups, ranks
+
+
+@st.composite
+def element_cases(draw):
+    """``(SciPy matrix, column groups, rank of group)``."""
+    n = draw(st.integers(1, 9))
+    matrix = sp.csc_matrix(_mask(draw, n).astype(float))
+    groups = _partition(draw, n)
+    ranks = draw(
+        st.lists(st.integers(0, 2), min_size=len(groups), max_size=len(groups))
+    )
+    return matrix, groups, ranks
+
+
+def element_plan(matrix, groups):
+    """The plan ``SubmatrixContext.apply`` runs a SciPy matrix through: its
+    grid of 1×1 blocks."""
+    sizes = [1] * matrix.shape[0]
+    coo = CooBlockList.from_block_matrix(block_matrix_from_csr(matrix, sizes))
+    return BlockSubmatrixPlan(coo, sizes, groups)
 
 
 def assert_segment_record(plan):
@@ -155,6 +173,16 @@ def test_block_groups_equal_per_block_loop_bitwise(case):
         [reference_plan_group(coo, sizes, group) for group in groups],
         GROUP_ARRAYS,
     )
+    assert_segment_record(plan)
+    assert_shards_match_reference(plan, ranks)
+
+
+@given(element_cases())
+@settings(max_examples=100, deadline=None)
+def test_element_plan_fills_the_segment_record(case):
+    matrix, groups, ranks = case
+    plan = element_plan(matrix, groups)
+    assert plan.run == 1
     assert_segment_record(plan)
     assert_shards_match_reference(plan, ranks)
 
@@ -282,6 +310,15 @@ def assert_panels_scatter_like_full_matrices(plan, ranks, seed):
 def test_block_panels_scatter_bitwise_what_full_matrices_scatter(case, seed):
     coo, sizes, groups, ranks = case
     plan = BlockSubmatrixPlan(coo, sizes, _shuffled(groups, seed))
+    assert_panels_scatter_like_full_matrices(plan, ranks, seed)
+
+
+@given(element_cases(), st.integers(0, 2**16))
+@settings(max_examples=80, deadline=None)
+def test_element_panels_scatter_bitwise_what_full_matrices_scatter(case, seed):
+    matrix, groups, ranks = case
+    plan = element_plan(matrix, _shuffled(groups, seed))
+    assert plan.run == 1
     assert_panels_scatter_like_full_matrices(plan, ranks, seed)
 
 

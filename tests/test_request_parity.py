@@ -6,7 +6,8 @@ call on the service's dispatch pool) all end in the same
 :func:`~repro.api.observables.evaluate_request` tail behind the same
 :func:`~repro.api.observables.validate_request` check, so the same request
 yields bitwise-equal results from all three — and an invalid request the
-same exception, before any work is done.
+same exception, before any work is done.  ``DensityService.submit_trajectory``
+raises that exception from the call itself, before admission.
 """
 
 from __future__ import annotations
@@ -136,6 +137,25 @@ def test_invalid_request_raises_the_same_error_from_every_entry_point(
             entry_point(water32_matrices, **request)
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1] == raised[2]
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_REQUESTS))
+def test_invalid_trajectory_is_refused_before_admission(water32_matrices, name):
+    """``DensityService.submit_trajectory`` runs a trajectory's checks before
+    admission: the call itself raises what a direct trajectory raises, and
+    the service admits, fails and holds nothing."""
+    request = INVALID_REQUESTS[name]
+    with pytest.raises((ValueError, TypeError)) as direct:
+        run_trajectory(water32_matrices, **request)
+    pair = water32_matrices
+    with DensityService(config=CONFIG) as service:
+        with pytest.raises(type(direct.value)) as served:
+            service.submit_trajectory([(pair.K, pair.S)], pair.blocks, **request)
+        snapshot = service.stats()
+    assert str(served.value) == str(direct.value)
+    assert snapshot["metrics"]["total"]["admitted"] == 0
+    assert snapshot["metrics"]["total"]["failed"] == 0
+    assert snapshot["admission"]["in_flight"] == 0
 
 
 def _asymmetric_K(pair):
