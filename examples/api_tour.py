@@ -43,7 +43,8 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     config = EngineConfig(
         engine="batched",       # plan extraction + bucketed 3-D stacks
-        backend="serial",       # deterministic; "thread" for real parallelism
+        backend="thread",       # the default; bitwise equal to "serial"
+        max_workers=None,       # usable CPUs / pinned BLAS threads (1 if unpinned)
         eps_filter=EPS_FILTER,
     )
     print(f"config: {config}\n")

@@ -53,7 +53,7 @@ unified session API on top:
 The most convenient entry point is the session API, re-exported here:
 
 >>> import repro
->>> ctx = repro.SubmatrixContext(repro.EngineConfig(backend="thread"))
+>>> ctx = repro.SubmatrixContext(repro.EngineConfig(eps_filter=1e-5))
 >>> result = ctx.apply(matrix, "eigen", mu=0.2)              # doctest: +SKIP
 """
 

@@ -7,7 +7,7 @@ kernels (:class:`MatrixFunction` et al., shared with
 executor and the sharded pipelines:
 
 >>> from repro.api import EngineConfig, SubmatrixContext
->>> ctx = SubmatrixContext(EngineConfig(backend="thread"))
+>>> ctx = SubmatrixContext(EngineConfig(eps_filter=1e-5))
 >>> f_a = ctx.apply(matrix, "eigen", mu=0.2)                 # doctest: +SKIP
 >>> dft = ctx.density(K, S, blocks, n_electrons=256.0)       # doctest: +SKIP
 >>> run = ctx.apply(block_matrix, "eigen", ranks=8)          # doctest: +SKIP

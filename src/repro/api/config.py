@@ -83,11 +83,17 @@ class EngineConfig:
         Always ``"batched"`` (cached extraction plan plus bucketed 3-D stack
         evaluation) — the field only survives because callers still name it.
     backend:
-        ``"serial"`` or ``"thread"`` parallelism over the submatrix stacks
-        (and over the ranks of a sharded run).
+        ``"thread"`` (default) or ``"serial"`` parallelism over the
+        submatrix stacks (and over the ranks of a sharded run).  Threaded
+        results are bitwise the serial ones: every kernel works one matrix
+        at a time, whatever the stack composition or worker.
     max_workers:
-        Worker count for the parallel backends; ``None`` resolves to the
-        machine's CPU count.
+        Worker count of the session's pool; ``None`` resolves to
+        :func:`~repro.parallel.executor.default_worker_count` — the CPUs
+        this process may use divided by the BLAS threads pinned in the
+        environment (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else
+        ``MKL_NUM_THREADS``), so one worker and no pool while BLAS is
+        unpinned and already uses every CPU.
     eps_filter:
         Truncation threshold applied to the orthogonalized Kohn–Sham matrix
         by the density solver (CP2K's ``eps_filter``).
@@ -103,7 +109,7 @@ class EngineConfig:
     """
 
     engine: str = "batched"
-    backend: str = "serial"
+    backend: str = "thread"
     max_workers: Optional[int] = None
     eps_filter: float = 1e-5
     temperature: float = 0.0
@@ -137,7 +143,8 @@ class EngineConfig:
     def resolved(self) -> "EngineConfig":
         """A copy with every deferred default filled in.
 
-        Currently this resolves ``max_workers`` to the machine's CPU count.
+        Currently this resolves ``max_workers`` to
+        :func:`~repro.parallel.executor.default_worker_count`.
         """
         if self.max_workers is not None:
             return self

@@ -8,7 +8,9 @@ the engine and the session object that owns the shared resources once:
 * a private :class:`~repro.core.plan.PlanCache` (plans survive across every
   call through the session),
 * one persistent executor (a thread pool) reused by every parallel map
-  instead of a pool per call,
+  instead of a pool per call — by default a request's stacks run on it
+  (:func:`~repro.parallel.executor.default_worker_count` workers), and a
+  request made from one of its own workers maps its stacks inline,
 * a cache of configured :class:`~repro.core.runner.DistributedSubmatrixPipeline`
   instances (sharded plans and transfer plans survive across repeated
   sharded runs),
@@ -155,7 +157,7 @@ class SubmatrixContext:
     The context is a context manager; leaving the ``with`` block shuts down
     the persistent executor (plans stay cached):
 
-    >>> with SubmatrixContext(EngineConfig(backend="thread")) as ctx:
+    >>> with SubmatrixContext(EngineConfig(max_workers=2)) as ctx:
     ...     ctx.apply(matrix, "eigen", mu=0.2)      # doctest: +SKIP
     """
 
@@ -219,6 +221,10 @@ class SubmatrixContext:
     @property
     def executor(self):
         """The session's persistent executor (``None`` for serial configs).
+
+        A config resolving to one worker is serial: ``backend="serial"``,
+        ``max_workers=1``, or the default ``max_workers=None`` while BLAS is
+        unpinned (:func:`~repro.parallel.executor.default_worker_count`).
 
         Created lazily on first use and reused by every subsequent parallel
         map through this context — one pool per session, not per call.

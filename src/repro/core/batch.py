@@ -41,9 +41,17 @@ __all__ = [
     "evaluate_batched",
 ]
 
-#: Soft cap on the element count of one 3-D stack (k·d² ≤ this); large
-#: buckets are split into several stacks to bound peak memory.
-MAX_BATCH_ELEMENTS = 1 << 24
+#: Soft cap on the element count of one 3-D stack (k·d² ≤ this, 2 MiB of
+#: float64; a single larger submatrix is a stack of its own).  A stack is the
+#: unit of work of the session's pool — by default one worker per usable CPU
+#: over the pinned BLAS threads, see
+#: :func:`~repro.parallel.executor.default_worker_count` — so the cap bounds
+#: the memory each worker holds in flight (the stack, its kernel's work
+#: buffers, its eigenvectors) and splits large buckets into enough tasks for
+#: the workers.
+#: Results do not depend on it: every kernel works one matrix at a time, so
+#: any split — like any worker count — is bitwise the serial evaluation.
+MAX_BATCH_ELEMENTS = 1 << 18
 
 
 @dataclasses.dataclass
@@ -72,14 +80,17 @@ def make_buckets(dimensions: Sequence[int]) -> List[Bucket]:
 
 
 def make_stack_tasks(
-    dimensions: Sequence[int], max_batch_elements: int = MAX_BATCH_ELEMENTS
+    dimensions: Sequence[int], max_batch_elements: Optional[int] = None
 ) -> List[Bucket]:
     """Buckets split into memory-capped stack tasks.
 
-    Each returned bucket obeys ``k·d² ≤ max_batch_elements`` (at least one
-    member per stack), which bounds the peak size of one 3-D stack and keeps
-    enough independent tasks around for the worker pool.
+    Each returned bucket obeys ``k·d² ≤ max_batch_elements`` (default
+    :data:`MAX_BATCH_ELEMENTS`, read at call time; at least one member per
+    stack), which bounds the peak size of one 3-D stack and keeps enough
+    independent tasks around for the worker pool.
     """
+    if max_batch_elements is None:
+        max_batch_elements = MAX_BATCH_ELEMENTS
     tasks: List[Bucket] = []
     for bucket in make_buckets(dimensions):
         per_stack = max(1, max_batch_elements // max(1, bucket.dimension**2))
@@ -207,7 +218,7 @@ def evaluate_batched(
     function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     pad_value: float = 1.0,
-    max_batch_elements: int = MAX_BATCH_ELEMENTS,
+    max_batch_elements: Optional[int] = None,
     max_workers: Optional[int] = None,
     backend: str = "serial",
     out: Optional[np.ndarray] = None,
@@ -233,7 +244,7 @@ def evaluate_batched(
         An inert leftover — accepted and ignored, stacks are never padded;
         it stays only because ``benchmarks/e2e`` passes it.
     max_batch_elements:
-        Soft cap on ``k·d²`` per stack.
+        Soft cap on ``k·d²`` per stack (default :data:`MAX_BATCH_ELEMENTS`).
     max_workers, backend, executor:
         Stacks are independent and dispatched through
         :func:`repro.parallel.executor.map_parallel`; a pre-built

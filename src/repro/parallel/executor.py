@@ -6,12 +6,21 @@ is expressed with MPI ranks and OpenMP threads; here it is expressed through
 a thread pool: NumPy/LAPACK release the GIL inside the dense kernels, so
 threads give genuine speedups, and the workers scatter straight into the
 shared packed output buffer.
+
+The default worker count (:func:`default_worker_count`) is the CPUs this
+process may use divided by the BLAS threads per call, as pinned by
+``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else ``MKL_NUM_THREADS``.
+With none of them set, BLAS already spreads every call over all CPUs, so the
+default is one worker and no pool.  Threaded results are bitwise the serial
+ones: every kernel works one matrix at a time, so neither the worker that
+runs a stack nor the stack's composition changes a value.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import os
+import threading
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
@@ -137,10 +146,64 @@ class _GuardedTask:
 
 _BACKENDS = ("serial", "thread")
 
+#: Environment variables pinning the BLAS threads of one call, by precedence.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_threads() -> Optional[int]:
+    """BLAS threads per call pinned by the environment (``None``: not pinned).
+
+    The first of :data:`BLAS_THREAD_VARIABLES` holding a positive integer
+    wins; an OpenMP list such as ``"4,2"`` counts its outer level.
+    """
+    for name in BLAS_THREAD_VARIABLES:
+        value = os.environ.get(name, "").split(",")[0].strip()
+        if value.isdecimal() and int(value) > 0:
+            return int(value)
+    return None
+
 
 def default_worker_count() -> int:
-    """Default number of workers: the machine's CPU count (at least 1)."""
-    return max(1, os.cpu_count() or 1)
+    """Default number of workers: usable CPUs over BLAS threads (at least 1).
+
+    The usable CPUs are the process's affinity set (``taskset``, a cpuset),
+    or the machine's CPU count where the platform has no affinity call.
+    Unpinned BLAS already uses every CPU in each call, so the count is 1.
+    """
+    blas = _blas_threads()
+    if blas is None:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // blas)
+
+
+#: The worker-side token of the pool running the current thread, if any.
+_WORKER = threading.local()
+
+
+def _enter_worker(token: object) -> None:
+    _WORKER.token = token
+
+
+class _SessionPool(concurrent.futures.ThreadPoolExecutor):
+    """A thread pool whose workers know they belong to it.
+
+    A task that maps through the pool it already runs on must not queue its
+    items behind itself (with every worker doing the same, nothing is left
+    to run them): :func:`map_parallel` runs such a map inline.
+    """
+
+    def __init__(self, max_workers: int):
+        self._token = token = object()
+        super().__init__(
+            max_workers=max_workers, initializer=_enter_worker, initargs=(token,)
+        )
+
+    def owns_current_thread(self) -> bool:
+        return getattr(_WORKER, "token", None) is self._token
 
 
 def make_executor(
@@ -149,9 +212,11 @@ def make_executor(
     """Build the executor that ``map_parallel`` would create for ``backend``.
 
     Returns ``None`` for configurations where ``map_parallel`` runs serially
-    (``backend="serial"`` or a single worker), so callers can unconditionally
-    pass the result through as ``executor=``.  The caller owns the pool and
-    must ``shutdown()`` it (or use it as a context manager).
+    (``backend="serial"`` or a single worker — ``max_workers=None`` is
+    :func:`default_worker_count`, one worker while BLAS is unpinned), so
+    callers can unconditionally pass the result through as ``executor=``.
+    The caller owns the pool and must ``shutdown()`` it (or use it as a
+    context manager).
     """
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -161,7 +226,7 @@ def make_executor(
         raise ValueError("max_workers must be at least 1")
     if backend == "serial" or max_workers == 1:
         return None
-    return concurrent.futures.ThreadPoolExecutor(max_workers=max_workers)
+    return _SessionPool(max_workers)
 
 
 def split_chunks(items: Sequence[T], max_chunk: int) -> List[List[T]]:
@@ -194,9 +259,8 @@ def map_parallel(
     items:
         Input sequence; results are returned in the same order.
     max_workers:
-        Worker count; defaults to the CPU count.  A value of 1 or the
-        ``"serial"`` backend short-circuits to a plain loop, which is also
-        the fallback that keeps results deterministic in tests.
+        Worker count; defaults to :func:`default_worker_count`.  A value of
+        1 or the ``"serial"`` backend short-circuits to a plain loop.
     backend:
         ``"serial"`` or ``"thread"``.
     executor:
@@ -205,7 +269,9 @@ def map_parallel(
         many batches (e.g. the distributed pipeline across μ-bisection
         iterations) pays the pool start-up cost once instead of per call.
         ``max_workers`` and ``backend`` are ignored in that case (except
-        that single-item inputs still short-circuit to a plain loop).
+        that single-item inputs still short-circuit to a plain loop, and so
+        does a map called from one of the pool's own workers — queued behind
+        the caller, its items could wait for a worker forever).
 
     Returns
     -------
@@ -229,7 +295,9 @@ def map_parallel(
     runner = _GuardedTask(function)
     indexed = list(enumerate(items))
     if executor is not None:
-        if len(items) <= 1:
+        if len(items) <= 1 or (
+            isinstance(executor, _SessionPool) and executor.owns_current_thread()
+        ):
             raw = [runner(pair) for pair in indexed]
         else:
             raw = list(executor.map(runner, indexed))

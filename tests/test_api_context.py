@@ -17,6 +17,7 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import os
 import pathlib
 import re
 import sys
@@ -51,6 +52,7 @@ from repro.dbcsr import BlockSparseMatrix, CooBlockList
 from repro.core.batch import evaluate_batched, stack_solver
 from repro.core.plan import PlanCache
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_dense
+from repro.parallel.executor import BLAS_THREAD_VARIABLES
 from repro.serve import DensityService
 from repro.signfn import (
     DEFAULT_SIGN_MAX_ITERATIONS,
@@ -333,9 +335,15 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             config.replace(engine="warp")
 
-    def test_resolved_fills_workers(self):
-        resolved = EngineConfig().resolved()
-        assert resolved.max_workers >= 1
+    def test_resolved_fills_workers(self, monkeypatch):
+        """``None`` resolves to the usable CPUs over the pinned BLAS threads,
+        one worker while BLAS is unpinned."""
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert EngineConfig().resolved().max_workers == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert EngineConfig().resolved().max_workers == 3
         pinned = EngineConfig(max_workers=3)
         assert pinned.resolved() is pinned
 
@@ -825,7 +833,7 @@ class TestSessionReuse:
 
     def test_serial_context_creates_no_pool(self, water32_matrices, gap_mu):
         _, blocked = orthogonalized_block(water32_matrices)
-        ctx = SubmatrixContext(EngineConfig(engine="batched"))
+        ctx = SubmatrixContext(EngineConfig(engine="batched", max_workers=1))
         ctx.apply(blocked, "eigen", mu=gap_mu)
         assert ctx.executor is None
         assert ctx.stats()["executors_created"] == 0

@@ -1,5 +1,7 @@
 """Tests for the simulated-parallelism substrate."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,11 @@ from repro.parallel import (
     TrafficLog,
     balanced_dims,
     map_parallel,
+)
+from repro.parallel.executor import (
+    BLAS_THREAD_VARIABLES,
+    default_worker_count,
+    make_executor,
 )
 from repro.parallel.stats import RankCounters
 
@@ -198,6 +205,64 @@ class TestExecutor:
         assert make_executor("thread", 1) is None
         with pytest.raises(ValueError):
             make_executor("gpu")
+
+
+@pytest.fixture()
+def blas_env(monkeypatch):
+    """``monkeypatch`` with every BLAS thread variable unset."""
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
+
+
+class TestDefaultWorkerCount:
+    """Usable CPUs (the affinity set) over the BLAS threads the environment
+    pins; unpinned BLAS already uses every CPU, so one worker."""
+
+    @pytest.mark.parametrize(
+        "cpus, blas, expected",
+        [
+            ({0}, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+            ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+            ({0, 1}, {}, 1),
+            ({0, 1, 2, 3}, {"OMP_NUM_THREADS": "2"}, 2),
+            ({0, 1, 2, 3}, {"MKL_NUM_THREADS": "1"}, 4),
+            ({0, 1, 2}, {"OMP_NUM_THREADS": "4"}, 1),
+            # precedence: OpenBLAS's own variable over OpenMP's
+            ({0, 1, 2, 3}, {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+            # an OpenMP list counts its outer level
+            ({0, 1, 2, 3}, {"OMP_NUM_THREADS": "2,4"}, 2),
+            # a value that pins nothing is skipped
+            ({0, 1}, {"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 2),
+            ({0, 1}, {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "1"}, 2),
+            ({0, 1}, {"OPENBLAS_NUM_THREADS": "many"}, 1),
+        ],
+    )
+    def test_usable_cpus_over_blas_threads(self, blas_env, cpus, blas, expected):
+        # the host has more CPUs than the process may use: the affinity set wins
+        blas_env.setattr(os, "cpu_count", lambda: 64)
+        blas_env.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+        for name, value in blas.items():
+            blas_env.setenv(name, value)
+        assert default_worker_count() == expected
+
+    def test_cpu_count_without_an_affinity_call(self, blas_env):
+        blas_env.delattr(os, "sched_getaffinity", raising=False)
+        blas_env.setattr(os, "cpu_count", lambda: 6)
+        blas_env.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert default_worker_count() == 3
+        blas_env.setattr(os, "cpu_count", lambda: None)
+        assert default_worker_count() == 1
+
+    def test_unpinned_blas_makes_no_pool(self, blas_env):
+        blas_env.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert make_executor("thread") is None
+        blas_env.setenv("OPENBLAS_NUM_THREADS", "1")
+        pool = make_executor("thread")
+        try:
+            assert pool is not None and pool._max_workers == 2
+        finally:
+            pool.shutdown()
 
 
 def _explode_on_three(value):
