@@ -10,29 +10,22 @@ exactly this loop through one session:
 
 * **value-only steps** are detected via the plan cache's pattern content
   hash and reuse the cached extraction plan, the rank-sharded pipeline
-  (shard layouts, bucketed stacks, transfer plan) and the persistent
+  (shard layouts, exact-dimension stacks, transfer plan) and the persistent
   worker pool — planning happens once, not once per step;
 * **pattern changes** (an atom pair drifting across the filter threshold)
   are detected by the same hash and replanned exactly once;
 * every step's result is bitwise identical to a fresh single-shot
   ``context.density`` call — the driver removes redundant work, never
-  accuracy;
+  accuracy, and carries nothing but the caches from one step to the next;
 * a ``TrajectoryStats`` record reports plans built vs cache hits, per-step
   wall times and (for sharded runs) the initialization-exchange fetch
   volumes;
 * a **drifting pattern** (blocks appearing/disappearing every step) builds
   its plan once per new pattern and returns to a cached one when a pattern
-  comes back, and ``warm_start_mu=True`` seeds each canonical step's
-  μ-bisection from the previous step's μ;
-* long trajectories survive a killed process: ``checkpoint=path`` persists
-  every completed step so a killed run resumes at the failed step (bitwise
-  identical to the uninterrupted run, including warm-started μ state).
+  comes back.
 
 Run with:  python examples/md_trajectory.py
 """
-
-import shutil
-import tempfile
 
 import numpy as np
 import scipy.sparse as sp
@@ -183,7 +176,7 @@ def main() -> None:
         )
 
     # ------------------------------------------------------------------ #
-    # 5. drifting patterns: one build per new pattern + warm-started μ
+    # 5. drifting patterns: one build per new pattern
     # ------------------------------------------------------------------ #
     # every step here changes the pattern by a few blocks: each new pattern
     # is a content-keyed cache miss and one plan build, and walking back over
@@ -205,75 +198,6 @@ def main() -> None:
             f"step {r.step} {'hit' if r.plans_built == 0 else 'build'}"
             for r in stats.steps[-2:]
         )
-    )
-
-    # warm-started μ-bisection: opt-in, trades bitwise μ identity for fewer
-    # iterations (meaningful at finite temperature, where the electron count
-    # is strictly monotone in μ)
-    warm_config = EngineConfig(engine="batched", eps_filter=1e-2, temperature=30000.0)
-    with SubmatrixContext(warm_config) as context:
-        cold = context.trajectory(
-            drifting, pair.blocks, n_electrons=n_electrons, mu_tolerance=1e-6
-        )
-        warm = context.trajectory(
-            drifting,
-            pair.blocks,
-            n_electrons=n_electrons,
-            mu_tolerance=1e-6,
-            warm_start_mu=True,
-        )
-    print(
-        f"warm_start_mu=True at kT≈2.6 eV: "
-        f"{sum(r.mu_iterations for r in warm.stats.steps)} bisection "
-        f"iterations vs {sum(r.mu_iterations for r in cold.stats.steps)} "
-        f"cold (max |Δμ| {np.max(np.abs(warm.mus - cold.mus)):.2e})"
-    )
-
-    # ------------------------------------------------------------------ #
-    # 6. checkpoint/resume
-    # ------------------------------------------------------------------ #
-    # a killed trajectory resumes from its checkpoint: completed steps are
-    # loaded (bitwise, including the warm-start μ state), only the failed
-    # step onward recomputes
-    checkpoint_dir = tempfile.mkdtemp(prefix="md_trajectory_ckpt_")
-
-    class SimulatedCrash(Exception):
-        pass
-
-    def crashing_steps(index):
-        if index == 4:
-            raise SimulatedCrash()  # the MD engine dies mid-trajectory
-        return steps[index] if index < len(steps) else None
-
-    try:
-        with SubmatrixContext(config) as context:
-            try:
-                context.trajectory(
-                    crashing_steps,
-                    pair.blocks,
-                    n_electrons=n_electrons,
-                    checkpoint=checkpoint_dir,
-                )
-            except SimulatedCrash:
-                pass
-        with SubmatrixContext(config) as context:
-            resumed = context.trajectory(
-                steps,
-                pair.blocks,
-                n_electrons=n_electrons,
-                checkpoint=checkpoint_dir,
-            )
-    finally:
-        shutil.rmtree(checkpoint_dir, ignore_errors=True)
-    resumed_identical = all(
-        np.array_equal(resumed[i].density_ao, trajectory[i].density_ao)
-        for i in range(len(steps))
-    )
-    print(
-        f"\ncheckpoint/resume: killed at step 4, resumed with "
-        f"{resumed.stats.steps_resumed} step(s) loaded from disk, "
-        f"{resumed.stats.n_steps - resumed.stats.steps_resumed} recomputed; "
-        f"bitwise identical to the uninterrupted run: {resumed_identical}"
     )
 
 

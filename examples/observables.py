@@ -16,9 +16,10 @@ assembly away.  This example walks the observable layer on the
    count Algorithm 1's μ-bisection targeted,
 3. **the band-structure energy two ways** — g_s·Tr(D_AO K) from the
    density and g_s·Tr(W) from the energy-weighted density matrix,
-4. **a density-mixing SCF loop** — :func:`~repro.api.run_scf` iterating
-   K(D) = K₀ + c·diag(diag D) to self-consistency on top of the
-   trajectory driver (shared plans, warm-started μ across iterations).
+4. **a density-mixing SCF loop** — caller code iterating
+   K(D) = K₀ + c·diag(diag D) to self-consistency through
+   ``ctx.trajectory``: a step callback hands over the next K and
+   ``on_step`` mixes each step's density (one session, shared plans).
 
 Run with:  python examples/observables.py
 """
@@ -26,7 +27,7 @@ Run with:  python examples/observables.py
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api import EngineConfig, SubmatrixContext, run_scf
+from repro.api import EngineConfig, SubmatrixContext
 from repro.chem import build_matrices, water_box
 from repro.chem.basis import SZV
 
@@ -94,43 +95,49 @@ def main() -> None:
         # ------------------------------------------------------------ #
         # 4. a density-mixing SCF loop
         # ------------------------------------------------------------ #
-        coupling = 0.05
+        # toy self-consistency: an on-site potential proportional to the
+        # local charge (symmetric, density-dependent, contractive), with
+        # linear mixing D_in <- (1 - a)·D_in + a·D_out until max|dD| < tol
+        coupling, mixing, tolerance, max_iterations = 0.05, 0.6, 1e-7, 30
+        scf = {"K": pair.K, "mixed": None, "changes": [], "converged": False}
 
-        def update(density_ao, iteration):
-            # toy self-consistency: an on-site potential proportional to
-            # the local charge (symmetric, density-dependent, contractive)
-            return pair.K + coupling * sp.diags(np.diag(density_ao))
+        def next_step(index):
+            return None if scf["converged"] else (scf["K"], pair.S)
 
-        scf = run_scf(
-            ctx,
-            pair.K,
-            pair.S,
+        def mix(index, result):
+            output = result.density_ao
+            if scf["mixed"] is None:  # no input density yet: seed the mix
+                change, scf["mixed"] = np.inf, output
+            else:
+                change = float(np.abs(output - scf["mixed"]).max())
+                scf["mixed"] = (1.0 - mixing) * scf["mixed"] + mixing * output
+            scf["changes"].append(change)
+            scf["converged"] = change < tolerance
+            scf["K"] = pair.K + coupling * sp.diags(np.diag(scf["mixed"]))
+
+        loop = ctx.trajectory(
+            next_step,
             pair.blocks,
-            update,
             n_electrons=N_ELECTRONS,
-            mixing=0.6,
-            tolerance=1e-7,
-            max_iterations=30,
+            n_steps=max_iterations,
+            on_step=mix,
         )
         print(
-            f"SCF {'converged' if scf.converged else 'NOT converged'} in "
-            f"{scf.n_iterations} iterations"
+            f"SCF {'converged' if scf['converged'] else 'NOT converged'} in "
+            f"{len(loop)} iterations"
         )
-        for index in range(scf.n_iterations):
-            change = scf.density_changes[index]
+        for index, (change, result) in enumerate(zip(scf["changes"], loop)):
             change_text = "---" if np.isinf(change) else f"{change:.3e}"
             print(
                 f"  iter {index:2d}: max|dD| = {change_text:>9s}   "
-                f"mu = {scf.mus[index]:+.6f}   "
-                f"E_band = {scf.band_energies[index]:+.6f}"
+                f"mu = {result.mu:+.6f}   E_band = {result.band_energy:+.6f}"
             )
-        stats = scf.trajectory.stats
+        stats = loop.stats
         print(
             f"\nsession reuse across the loop: {stats.plans_built} plan "
             f"build(s), {stats.executors_created} executor(s) for "
             f"{stats.n_steps} iterations"
         )
-
 
 if __name__ == "__main__":
     main()

@@ -65,7 +65,6 @@ from repro.api import (
     SubmatrixContext,
     SubmatrixDFTResult,
     SubmatrixMethodResult,
-    TrajectoryCheckpoint,
     TrajectoryResult,
     TrajectoryStats,
     UnknownKernelError,
@@ -88,7 +87,6 @@ __all__ = [
     "SubmatrixContext",
     "SubmatrixMethodResult",
     "SubmatrixDFTResult",
-    "TrajectoryCheckpoint",
     "TrajectoryResult",
     "TrajectoryStats",
     "MatrixFunction",

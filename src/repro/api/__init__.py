@@ -24,7 +24,6 @@ from repro.api.config import (
     ENGINES,
     EngineConfig,
 )
-from repro.api.checkpoint import CheckpointError, TrajectoryCheckpoint
 from repro.api.results import (
     DecomposedSubmatrix,
     EnergyWeightedDensityResult,
@@ -43,7 +42,6 @@ from repro.api.observables import (
     get_observable,
     normalize_observables,
 )
-from repro.api.scf import SCFResult, run_scf
 from repro.api.trajectory import (
     TrajectoryResult,
     TrajectoryStats,
@@ -64,8 +62,6 @@ __all__ = [
     "ENGINES",
     "BACKENDS",
     "EIGENSOLVE_FLOP_CONSTANT",
-    "TrajectoryCheckpoint",
-    "CheckpointError",
     "SubmatrixContext",
     "TrajectoryResult",
     "TrajectoryStats",
@@ -84,8 +80,6 @@ __all__ = [
     "compute_observables",
     "get_observable",
     "normalize_observables",
-    "SCFResult",
-    "run_scf",
     "MatrixFunction",
     "BoundKernel",
     "UnknownKernelError",

@@ -573,7 +573,6 @@ class SubmatrixContext:
         max_mu_iterations: int = 200,
         ranks: Optional[int] = None,
         distribution=None,
-        mu_bracket=None,
         observable_params=None,
     ):
         """Several observables from **one** decomposition pass (Sec. IV-F/G).
@@ -591,8 +590,7 @@ class SubmatrixContext:
         (canonical) must be given.  With ``ranks`` the submatrix stacks are
         evaluated rank-sharded through
         :class:`~repro.core.runner.DistributedSubmatrixPipeline` — bitwise
-        identical to the single-process path.  ``mu_bracket`` is the
-        warm-start hook of the trajectory driver; see
+        identical to the single-process path.  See
         :func:`repro.api.observables.compute_observables` for every
         argument.
         """
@@ -613,7 +611,6 @@ class SubmatrixContext:
             max_mu_iterations=max_mu_iterations,
             ranks=ranks,
             distribution=distribution,
-            mu_bracket=mu_bracket,
             observable_params=observable_params,
         )
 
@@ -633,7 +630,6 @@ class SubmatrixContext:
         n_steps: Optional[int] = None,
         replan: str = "auto",
         warm_start_mu: bool = False,
-        checkpoint=None,
         observables=None,
         observable_params=None,
         on_step=None,
@@ -646,19 +642,15 @@ class SubmatrixContext:
         steps share this session's plan cache, sharded pipelines and
         executor — value-only steps (unchanged sparsity pattern, detected
         via the plan cache's content hash) skip all planning, and a changed
-        pattern builds its plans once.  ``replan`` is an inert leftover —
-        accepted and ignored; it stays only because ``benchmarks/e2e``
-        passes it.  ``warm_start_mu=True`` seeds each canonical step's
-        μ-bisection from the previous step's μ (an opt-in that trades the
-        bitwise identity of μ for fewer bisection iterations).
-        ``checkpoint=`` persists every
-        completed step to a directory and resumes an interrupted trajectory
-        from its first unsaved step, bitwise identical to an uninterrupted
-        run (see :class:`~repro.api.checkpoint.TrajectoryCheckpoint`).
+        pattern builds its plans once.  Every step is bitwise a cold
+        :meth:`density` call on the same input: nothing but the caches
+        carries over from the step before.  ``replan`` and
+        ``warm_start_mu`` are inert leftovers — accepted and ignored; they
+        stay only because ``benchmarks/e2e`` passes them.
         ``observables=`` requests additional observables per step (each step
         then yields an :class:`~repro.api.results.ObservableBundle` sharing
         one decomposition pass) and ``on_step`` is a per-completed-step callback
-        ``on_step(index, result)`` (the SCF driver's feedback hook).
+        ``on_step(index, result)`` (an SCF loop's feedback hook).
         Returns a :class:`~repro.api.trajectory.TrajectoryResult` with the
         per-step results and a :class:`~repro.api.trajectory.TrajectoryStats`
         reuse record.  See :func:`repro.api.trajectory.run_trajectory`.
@@ -679,8 +671,6 @@ class SubmatrixContext:
             ranks=ranks,
             distribution=distribution,
             n_steps=n_steps,
-            warm_start_mu=warm_start_mu,
-            checkpoint=checkpoint,
             observables=observables,
             observable_params=observable_params,
             on_step=on_step,

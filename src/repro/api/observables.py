@@ -239,20 +239,12 @@ class Observable:
         diagonalization-free Newton–Schulz kernel (only ``density``) —
         that is, assembled from the scattered occupation matrices alone.  A
         fixed-μ request of only such observables holds no spectra.
-    checkpoint_save / checkpoint_load:
-        npz (de)serialization hooks for trajectory checkpoints:
-        ``checkpoint_save(result) -> {suffix: ndarray}`` and
-        ``checkpoint_load({suffix: ndarray}) -> result``.  ``None`` only for
-        ``density``, which uses the checkpoint's native layout
-        (:mod:`repro.api.checkpoint`).
     """
 
     name: str
     assemble: Callable[[SharedEvaluation, Mapping[str, Any]], Any]
     description: str
     supports_iterative: bool
-    checkpoint_save: Optional[Callable[[Any], Dict[str, np.ndarray]]]
-    checkpoint_load: Optional[Callable[[Dict[str, np.ndarray]], Any]]
 
 
 def get_observable(name: str) -> Observable:
@@ -410,7 +402,6 @@ def compute_observables(
     max_mu_iterations: int = 200,
     ranks: Optional[int] = None,
     distribution=None,
-    mu_bracket: Optional[Tuple[float, float]] = None,
     observable_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> ObservableBundle:
     """Evaluate one or more observables from a single decomposition pass.
@@ -432,13 +423,7 @@ def compute_observables(
     ``context`` supplies the engine configuration, plan cache and
     persistent executor; ``ranks`` asks for the sharded stack evaluation
     over that many simulated ranks and ``distribution`` fixes the block
-    ownership of its transfer plan.  ``mu_bracket`` optionally seeds
-    the μ-bisection with a warm ``(lo, hi)`` bracket (expanded automatically
-    if it does not bracket the electron count); a warm bracket changes the
-    bisection's iterate sequence, so the resulting μ is not bitwise
-    reproducible against a cold start — both converge the electron count to
-    within ``mu_tolerance``, but at T = 0 the μ values may settle at
-    different points of a degenerate gap plateau.
+    ownership of its transfer plan.
 
     The Newton–Schulz kernel (``supports_mu_bisection == False``) never
     builds the spectral cache, so it only supports observables with
@@ -468,7 +453,6 @@ def compute_observables(
         n_electrons=n_electrons,
         mu_tolerance=mu_tolerance,
         max_mu_iterations=max_mu_iterations,
-        mu_bracket=mu_bracket,
         observable_params=observable_params,
     )
 
@@ -547,7 +531,6 @@ def evaluate_request(
     n_electrons: Optional[float] = None,
     mu_tolerance: float = 1e-9,
     max_mu_iterations: int = 200,
-    mu_bracket: Optional[Tuple[float, float]] = None,
     observable_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> ObservableBundle:
     """The μ-dependent tail of a validated request.
@@ -566,7 +549,6 @@ def evaluate_request(
             float(n_electrons),
             mu_tolerance,
             max_mu_iterations,
-            bracket=mu_bracket,
         )
     prepared = decomposition.prepared
     evaluation = SharedEvaluation(
@@ -724,65 +706,6 @@ def _assemble_energy_weighted(
     )
 
 
-# --- checkpoint (de)serialization hooks ------------------------------------ #
-def _save_pdos(result: PDOSResult) -> Dict[str, np.ndarray]:
-    return {
-        "energies": np.asarray(result.energies, dtype=np.float64),
-        "dos": np.asarray(result.dos, dtype=np.float64),
-        "projections": np.asarray(result.projections, dtype=np.float64),
-        "eigenvalues": np.asarray(result.eigenvalues, dtype=np.float64),
-        "weights": np.asarray(result.weights, dtype=np.float64),
-        "scalars": np.array(
-            [result.mu, result.broadening, result.n_electrons], dtype=np.float64
-        ),
-    }
-
-
-def _load_pdos(arrays: Dict[str, np.ndarray]) -> PDOSResult:
-    scalars = arrays["scalars"]
-    return PDOSResult(
-        energies=arrays["energies"],
-        dos=arrays["dos"],
-        projections=arrays["projections"],
-        eigenvalues=arrays["eigenvalues"],
-        weights=arrays["weights"],
-        mu=float(scalars[0]),
-        broadening=float(scalars[1]),
-        n_electrons=float(scalars[2]),
-    )
-
-
-def _save_energy_weighted(
-    result: EnergyWeightedDensityResult,
-) -> Dict[str, np.ndarray]:
-    ortho = result.energy_weighted_ortho
-    return {
-        "ao": np.asarray(result.energy_weighted_ao, dtype=np.float64),
-        "ortho_data": np.asarray(ortho.data, dtype=np.float64),
-        "ortho_indices": np.asarray(ortho.indices, dtype=np.int64),
-        "ortho_indptr": np.asarray(ortho.indptr, dtype=np.int64),
-        "ortho_shape": np.asarray(ortho.shape, dtype=np.int64),
-        "scalars": np.array([result.band_energy, result.mu], dtype=np.float64),
-    }
-
-
-def _load_energy_weighted(
-    arrays: Dict[str, np.ndarray],
-) -> EnergyWeightedDensityResult:
-    shape = tuple(int(n) for n in arrays["ortho_shape"])
-    ortho = sp.csr_matrix(
-        (arrays["ortho_data"], arrays["ortho_indices"], arrays["ortho_indptr"]),
-        shape=shape,
-    )
-    scalars = arrays["scalars"]
-    return EnergyWeightedDensityResult(
-        energy_weighted_ao=arrays["ao"],
-        energy_weighted_ortho=ortho,
-        band_energy=float(scalars[0]),
-        mu=float(scalars[1]),
-    )
-
-
 #: The observable table: every ``observables=`` name is one of these keys.
 OBSERVABLES: Dict[str, Observable] = {
     "density": Observable(
@@ -793,8 +716,6 @@ OBSERVABLES: Dict[str, Observable] = {
             "(Eq. 16), AO and orthogonal basis"
         ),
         supports_iterative=True,
-        checkpoint_save=None,
-        checkpoint_load=None,
     ),
     "pdos": Observable(
         name="pdos",
@@ -804,8 +725,6 @@ OBSERVABLES: Dict[str, Observable] = {
             "spectral weights, Gaussian-broadened"
         ),
         supports_iterative=False,
-        checkpoint_save=_save_pdos,
-        checkpoint_load=_load_pdos,
     ),
     "energy_weighted_density": Observable(
         name="energy_weighted_density",
@@ -815,8 +734,6 @@ OBSERVABLES: Dict[str, Observable] = {
             "band-structure energy g_s·Tr(W)"
         ),
         supports_iterative=False,
-        checkpoint_save=_save_energy_weighted,
-        checkpoint_load=_load_energy_weighted,
     ),
 }
 
@@ -918,7 +835,6 @@ def _bisect_mu(
     n_electrons: float,
     tolerance: float,
     max_iterations: int,
-    bracket: Optional[Tuple[float, float]] = None,
 ) -> Tuple[float, int]:
     """Adjust μ by bisection on the cached eigendecompositions (Alg. 1).
 
@@ -929,46 +845,22 @@ def _bisect_mu(
     submatrices are concatenated once, so every bisection step is a
     single vectorized occupation evaluation plus a dot product.
 
-    ``bracket`` optionally warm-starts the search (SCF/MD trajectories seed
-    it from the previous step's μ): the bracket is clipped to the spectrum
-    bounds and expanded geometrically — each expansion's electron-count
-    evaluation billed as an iteration — until it encloses the target
-    electron count, so convergence never depends on the seed's quality.
-    Warm starts change the iterate sequence and therefore the exact
-    floating-point μ; without a bracket the iterates are identical to the
-    cold-start search.
-
-    The search ends when ``|ΔN| ≤ tolerance`` or, failing that, when the
+    The search starts from the spectrum bounds (widened by one energy
+    unit) on every call, so μ depends only on the request's own spectra.
+    It ends when ``|ΔN| ≤ tolerance`` or, failing that, when the
     bracket has shrunk to adjacent floats (billed as one more iteration for
     the comparison of its two ends).
     """
     all_eigenvalues = np.concatenate([d.eigenvalues for d in decomposed])
     all_weights = np.concatenate([d.generating_weights for d in decomposed])
-    full_lo = float(all_eigenvalues.min()) - 1.0
-    full_hi = float(all_eigenvalues.max()) + 1.0
 
     def electron_count_at(mu: float) -> float:
         occupations = fermi_occupation(all_eigenvalues, mu, config.temperature)
         return config.spin_degeneracy * float(np.dot(all_weights, occupations))
 
-    lo, hi = full_lo, full_hi
+    lo = float(all_eigenvalues.min()) - 1.0
+    hi = float(all_eigenvalues.max()) + 1.0
     iterations = 0
-    if bracket is not None:
-        warm_lo = max(float(bracket[0]), full_lo)
-        warm_hi = min(float(bracket[1]), full_hi)
-        if warm_lo < warm_hi:
-            width = warm_hi - warm_lo
-            # expand until count(lo) ≤ N ≤ count(hi) (occupation is
-            # nondecreasing in μ), falling back to the spectrum bounds
-            while warm_lo > full_lo and electron_count_at(warm_lo) > n_electrons:
-                iterations += 1
-                warm_lo = max(full_lo, warm_lo - width)
-                width *= 2.0
-            while warm_hi < full_hi and electron_count_at(warm_hi) < n_electrons:
-                iterations += 1
-                warm_hi = min(full_hi, warm_hi + width)
-                width *= 2.0
-            lo, hi = warm_lo, warm_hi
     mu = 0.5 * (lo + hi)
     while iterations < max_iterations:
         iterations += 1

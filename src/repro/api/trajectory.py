@@ -1,4 +1,4 @@
-"""SCF/MD trajectory driver with cross-step plan and session reuse.
+"""SCF/MD trajectory driver: one loop over one session.
 
 The submatrix method's headline use case (Sec. VII of the paper) is the
 repeated construction of the density matrix along an SCF or MD trajectory:
@@ -12,15 +12,17 @@ machinery was built for —
   cached gather/scatter arrays without replanning;
 * the context's pipeline cache keys the per-rank
   :class:`~repro.core.shard.ShardedPlan` and transfer plan by the same
-  hash, so rank-sharded steps also reuse their shard layouts and bucketed
-  stack layouts (:meth:`~repro.core.shard.RankShard.stack_tasks`);
+  hash, so rank-sharded steps also reuse their shard layouts and their
+  exact-dimension stack layouts (:meth:`~repro.core.shard.RankShard.stack_tasks`);
 * the session's persistent executor serves every step from one pool.
 
 :func:`run_trajectory` (exposed as :meth:`SubmatrixContext.trajectory`)
-drives a sequence of ``(K, S)`` geometry steps through
-:func:`repro.api.observables.compute_observables` (one call per step, the
-same path a single-shot request takes), watches the pattern content hash
-to detect sparsity changes between steps, and returns the per-step
+is a plain loop: every ``(K, S)`` step is one
+:func:`repro.api.observables.compute_observables` call — the path a
+single-shot request takes, with no state carried from the step before — so
+every step is bitwise a cold :meth:`SubmatrixContext.density` call on the
+same input.  Around that call the loop watches the pattern content hash to
+detect sparsity changes and returns the per-step
 :class:`~repro.api.results.SubmatrixDFTResult` objects together with a
 :class:`TrajectoryStats` record — plans built vs cache hits, pattern
 changes, per-step wall times and (for sharded runs) fetch volumes.  When the
@@ -29,35 +31,17 @@ removes a few blocks) the step is a content-keyed cache miss: its plan and
 pipeline are built once, exactly as a fresh session would build them, and a
 later return to an earlier pattern is a hit.
 
-**Warm-started μ.**  ``warm_start_mu=True`` seeds each canonical step's
-μ-bisection bracket from the previous step's μ (SCF-style).  This is the
-one opt-in that trades exactness guarantees for speed: the bisection's
-iterate sequence changes, so the converged μ (and with it the occupation
-matrix) is *not* bitwise identical to a cold-started single-shot call —
-both deliver an electron count within ``mu_tolerance`` of the target, but
-at T = 0 the two μ values can even sit at different points of a
-degenerate gap plateau.  Every other knob preserves the contract that
-per-step results are bitwise identical to fresh single-shot
-:meth:`SubmatrixContext.density` calls.
-
-**Checkpoint/resume.**  ``checkpoint=`` points the driver at a
-:class:`~repro.api.checkpoint.TrajectoryCheckpoint` directory: every
-completed step is persisted atomically and a re-run against the same
-directory replays the saved steps instead of recomputing them, resuming
-the trajectory at the first unsaved step — with results bitwise identical
-to an uninterrupted run (the per-step arrays round-trip as float64, and
-the warm-start state is restored from the loaded results).
+The :meth:`SubmatrixContext.trajectory` docstring covers the two inert
+keywords that method accepts and ignores; neither reaches this module.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.api.checkpoint import TrajectoryCheckpoint
 from repro.api.observables import compute_observables, validate_request
 from repro.api.results import SubmatrixDFTResult
 from repro.core.combination import ColumnGrouping
@@ -68,14 +52,7 @@ __all__ = [
     "TrajectoryResult",
     "run_trajectory",
     "validate_trajectory",
-    "WARM_START_HALF_WIDTH",
-    "adaptive_half_width",
 ]
-
-#: Default half-width (in energy units of K) of the warm-started μ-bisection
-#: bracket around the previous step's μ.  The bracket self-expands when μ
-#: drifts out of it, so this only tunes the best-case iteration savings.
-WARM_START_HALF_WIDTH = 0.05
 
 #: A geometry step: the Kohn–Sham and overlap matrices of one configuration.
 StepPair = Tuple[object, object]
@@ -113,17 +90,10 @@ class TrajectoryStepRecord:
     segment_fetch_bytes / block_fetch_bytes:
         Fetch volumes of the sharded initialization exchange (``None`` for
         single-process steps).
-    warm_started:
-        Whether this step's μ-bisection was seeded from the previous step's
-        μ (``warm_start_mu=True`` and a canonical predecessor existed).
     kernel_fallbacks:
         Submatrices of the step that an iterative kernel did not converge
         and ``eigen`` evaluated instead (see
-        :class:`~repro.api.results.SubmatrixDFTResult`; carried over
-        verbatim for resumed steps).
-    resumed:
-        Whether the step was loaded from the trajectory checkpoint instead
-        of recomputed (``wall_time`` is then the load time).
+        :class:`~repro.api.results.SubmatrixDFTResult`).
     """
 
     step: int
@@ -138,9 +108,7 @@ class TrajectoryStepRecord:
     mu_iterations: int
     segment_fetch_bytes: Optional[float]
     block_fetch_bytes: Optional[float]
-    warm_started: bool = False
     kernel_fallbacks: int = 0
-    resumed: bool = False
 
 
 @dataclasses.dataclass
@@ -172,8 +140,6 @@ class TrajectoryStats:
     kernel_fallbacks:
         Total of the per-step ``eigen`` fallbacks (see
         :class:`~repro.api.results.SubmatrixDFTResult`).
-    steps_resumed:
-        Steps loaded from the trajectory checkpoint instead of recomputed.
 
     All ratio properties are well-defined for empty trajectories (they
     return 0.0 instead of dividing by zero).
@@ -188,7 +154,6 @@ class TrajectoryStats:
     total_wall_time: float
     steps: List[TrajectoryStepRecord]
     kernel_fallbacks: int = 0
-    steps_resumed: int = 0
 
     @property
     def reuse_rate(self) -> float:
@@ -261,47 +226,18 @@ def _iterate_steps(
     yield from steps
 
 
-def adaptive_half_width(
-    mu_history: "List[float]", mu_tolerance: float
-) -> float:
-    """Warm-start bracket half-width from the trajectory's μ-drift history.
-
-    With at least two previous μ values the expected drift of the next
-    step is estimated as the largest recent ``|Δμ|`` (up to the last four
-    steps) and the bracket is sized to twice that — wide enough that a
-    drift like the recent ones still lands inside, narrow enough that a
-    settled trajectory bisects a tiny interval instead of the fixed
-    :data:`WARM_START_HALF_WIDTH`.  The first warm step (a single previous
-    μ, no drift measured yet) falls back to the fixed width.  The floor
-    ``8 · mu_tolerance`` keeps the bracket meaningfully wider than the
-    convergence window; the bracket still self-expands if μ escapes it.
-    """
-    floor = 8.0 * float(mu_tolerance)
-    if len(mu_history) < 2:
-        return max(WARM_START_HALF_WIDTH, floor)
-    drifts = np.abs(np.diff(np.asarray(mu_history[-5:], dtype=float)))
-    drift = float(drifts.max())
-    if drift <= 0.0:
-        return floor
-    return max(2.0 * drift, floor)
-
-
-def _step_value(value, index: int) -> Optional[float]:
+def _step_value(value, index: int, label: str) -> Optional[float]:
     """Resolve a fixed-or-per-step ensemble parameter for one step."""
     if value is None:
         return None
     if np.ndim(value) == 0:
         return float(value)
+    if index >= len(value):
+        raise ValueError(
+            f"step {index} has no {label}: the per-step {label} sequence "
+            f"holds {len(value)} value(s)"
+        )
     return float(value[index])
-
-
-def _signature_value(value):
-    """JSON form of a fixed-or-per-step ensemble parameter (for checkpoints)."""
-    if value is None:
-        return None
-    if np.ndim(value) == 0:
-        return float(value)
-    return [float(v) for v in value]
 
 
 def validate_trajectory(
@@ -314,15 +250,19 @@ def validate_trajectory(
     observables=None,
     observable_params=None,
     ranks: Optional[int] = None,
+    n_steps: Optional[int] = None,
 ) -> Tuple[str, ...]:
     """The checks a trajectory passes before its first step runs.
 
-    :func:`run_trajectory` runs them before it touches a step or the
-    checkpoint, and :meth:`~repro.serve.server.DensityService.submit_trajectory`
-    before admission, so a malformed trajectory fails where it is submitted
-    and holds no in-flight slot.  The whole request is checked
+    :func:`run_trajectory` runs them before it touches a step, and
+    :meth:`~repro.serve.server.DensityService.submit_trajectory` before
+    admission, so a malformed trajectory fails where it is submitted and
+    holds no in-flight slot.  The whole request is checked
     (:func:`~repro.api.observables.validate_request`, per-step sequences
-    included); returns the canonical observable names.
+    included), and a per-step ``mu``/``n_electrons`` sequence must cover
+    every step of a ``steps`` sequence (up to ``n_steps``); a callback's
+    steps are only known as they come, so there a missing value raises at
+    its step, before that step runs.  Returns the canonical observable names.
     """
     if steps is None:
         raise ValueError(
@@ -342,8 +282,16 @@ def validate_trajectory(
     if "density" not in names:
         raise ValueError(
             "trajectory observables must include 'density' (the driver's "
-            "warm-start and statistics state reads the density fields)"
+            "per-step statistics read the density fields)"
         )
+    if not callable(steps) and hasattr(steps, "__len__"):
+        count = len(steps) if n_steps is None else min(len(steps), n_steps)
+        for label, value in (("mu", mu), ("n_electrons", n_electrons)):
+            if value is not None and np.ndim(value) > 0 and len(value) < count:
+                raise ValueError(
+                    f"the per-step {label} sequence holds {len(value)} "
+                    f"value(s) for a trajectory of {count} steps"
+                )
     return names
 
 
@@ -360,8 +308,6 @@ def run_trajectory(
     ranks: Optional[int] = None,
     distribution=None,
     n_steps: Optional[int] = None,
-    warm_start_mu: bool = False,
-    checkpoint=None,
     observables=None,
     observable_params=None,
     on_step=None,
@@ -385,7 +331,8 @@ def run_trajectory(
     mu / n_electrons:
         Exactly one must be given: a fixed chemical potential
         (grand-canonical) or electron count (canonical) — either a scalar
-        applied to every step or a per-step sequence.
+        applied to every step or a per-step sequence, which must hold a
+        value for every step (:func:`validate_trajectory`).
     solver, grouping, mu_tolerance, max_mu_iterations, ranks, distribution:
         Forwarded to every step's density calculation (see
         :meth:`SubmatrixContext.density`); with ``ranks`` the steps run
@@ -393,64 +340,29 @@ def run_trajectory(
     n_steps:
         Maximum number of steps (required information only when ``steps``
         is an unbounded callback; sequences end on their own).
-    warm_start_mu:
-        Seed each canonical step's μ-bisection bracket from the previous
-        step's μ.  The half-width adapts to the trajectory's μ-drift
-        history (:func:`adaptive_half_width`: twice the largest recent
-        ``|Δμ|``, floored at ``8 · mu_tolerance``); the first warm step,
-        with no drift measured yet, uses the fixed
-        :data:`WARM_START_HALF_WIDTH`, and any bracket self-expands when
-        the seed does not bracket the electron count.
-        **Bitwise contract:**
-        this *breaks* the bitwise identity of μ (and hence of the
-        occupation matrices) with cold-started single-shot calls — both
-        starts converge to an electron count within ``mu_tolerance`` of
-        the target, but the μ iterate sequences differ, and at T = 0 the
-        two can settle at different points of a degenerate gap plateau.
-        Leave ``False`` (default) whenever exact reproducibility across
-        call styles matters.
-    checkpoint:
-        Optional checkpoint directory (a path or a
-        :class:`~repro.api.checkpoint.TrajectoryCheckpoint`).  Every
-        completed step is persisted there atomically, and a later call
-        pointed at the same directory *loads* the saved steps instead of
-        recomputing them — a trajectory killed at step k resumes at
-        step k.  **Bitwise contract:** resumed runs are bitwise identical
-        to uninterrupted ones — results round-trip as float64 arrays, and
-        the previous step's μ and pattern fingerprint are restored from
-        the loaded result, so the first recomputed step (including a
-        warm-started μ-bisection) sees exactly the state it would have
-        seen in one uninterrupted run.  Resuming with different trajectory
-        parameters raises
-        :class:`~repro.api.checkpoint.CheckpointError`.
     observables / observable_params:
-        ``observables=None`` (default) keeps the historical behavior:
-        every step yields a plain
+        ``observables=None`` (default): every step yields a plain
         :class:`~repro.api.results.SubmatrixDFTResult`.  A non-``None``
         sequence of observable names (which must include ``"density"`` —
-        the driver's warm-start/statistics state reads the density fields)
-        makes every step an
-        :class:`~repro.api.results.ObservableBundle` assembled from one
+        the per-step statistics read the density fields) makes every step
+        an :class:`~repro.api.results.ObservableBundle` assembled from one
         shared decomposition pass per step
         (:meth:`SubmatrixContext.observables`); ``observable_params``
-        forwards per-observable assembly parameters.  Checkpoints persist
-        and replay the full bundle, and the checkpoint signature records
-        the observable set — a density-only checkpoint written before this
-        option existed still resumes a density-only trajectory.
+        forwards per-observable assembly parameters.
     on_step:
         Optional callback ``on_step(index, result)`` invoked after every
-        completed step, resumed steps included — the feedback hook of the
-        SCF driver (:func:`repro.api.scf.run_scf`).  Exceptions propagate
-        and abort the trajectory.  Step ``i+1`` is pulled from ``steps``
-        only after step ``i``'s callback has returned, so a callback may
-        produce the next step's input.
+        completed step — the feedback hook of an SCF loop, which mixes the
+        step's density into the next step's K.  Exceptions propagate and
+        abort the trajectory.  Step ``i+1`` is pulled from ``steps`` only
+        after step ``i``'s callback has returned, so a callback may produce
+        the next step's input.
 
     Returns
     -------
     TrajectoryResult
-        Per-step results (bitwise identical to fresh single-shot
-        :meth:`SubmatrixContext.density` calls unless ``warm_start_mu``
-        is enabled) and the reuse statistics.
+        Per-step results, each bitwise a cold
+        :meth:`SubmatrixContext.density` call on the same input, and the
+        reuse statistics.
     """
     context._check_open()
     observable_names = validate_trajectory(
@@ -463,36 +375,12 @@ def run_trajectory(
         observables=observables,
         observable_params=observable_params,
         ranks=ranks,
+        n_steps=n_steps,
     )
-
-    ckpt: Optional[TrajectoryCheckpoint] = None
-    if checkpoint is not None:
-        ckpt = (
-            checkpoint
-            if isinstance(checkpoint, TrajectoryCheckpoint)
-            else TrajectoryCheckpoint(checkpoint)
-        )
-        signature = {
-            "solver": solver,
-            "mu": _signature_value(mu),
-            "n_electrons": _signature_value(n_electrons),
-            "ranks": None if ranks is None else int(ranks),
-            "warm_start_mu": bool(warm_start_mu),
-            "mu_tolerance": float(mu_tolerance),
-            "max_mu_iterations": int(max_mu_iterations),
-        }
-        if observables is not None:
-            # only non-default requests extend the signature, so density-only
-            # checkpoint directories written before multi-observable
-            # trajectories existed keep resuming unchanged
-            signature["observables"] = sorted(observable_names)
-        ckpt.ensure_signature(signature)
 
     results: List[SubmatrixDFTResult] = []
     records: List[TrajectoryStepRecord] = []
     previous_fingerprint: Optional[str] = None
-    previous_mu: Optional[float] = None
-    mu_history: List[float] = []
     pattern_changes = 0
     session_before = context.stats()
     executors_at_start = session_before["executors_created"]
@@ -502,57 +390,25 @@ def run_trajectory(
     overlap_root_key = context._advance_overlap_root(None)
 
     for index, (K, S) in enumerate(_iterate_steps(steps, n_steps)):
-        step_n_electrons = _step_value(n_electrons, index)
-        warm = (
-            warm_start_mu
-            and step_n_electrons is not None
-            and previous_mu is not None
+        result = compute_observables(
+            context,
+            K,
+            S,
+            blocks,
+            observables=observable_names,
+            mu=_step_value(mu, index, "mu"),
+            n_electrons=_step_value(n_electrons, index, "n_electrons"),
+            solver=solver,
+            grouping=grouping,
+            mu_tolerance=mu_tolerance,
+            max_mu_iterations=max_mu_iterations,
+            ranks=ranks,
+            distribution=distribution,
+            observable_params=observable_params,
         )
-        resumed = ckpt is not None and ckpt.has_step(index)
-        if resumed:
-            # replay a checkpointed step: the loaded result is
-            # bit-exact, so restoring previous_mu/previous_fingerprint
-            # from it hands the next computed step exactly the state of
-            # an uninterrupted run — warm-started brackets included
-            load_start = time.perf_counter()
-            result = ckpt.load_step(index)
-            step_wall = time.perf_counter() - load_start
-            warm = False
-        else:
-            bracket_half_width = adaptive_half_width(
-                mu_history, mu_tolerance
-            )
-            bracket = (
-                (
-                    previous_mu - bracket_half_width,
-                    previous_mu + bracket_half_width,
-                )
-                if warm
-                else None
-            )
-            result = compute_observables(
-                context,
-                K,
-                S,
-                blocks,
-                observables=observable_names,
-                mu=_step_value(mu, index),
-                n_electrons=step_n_electrons,
-                solver=solver,
-                grouping=grouping,
-                mu_tolerance=mu_tolerance,
-                max_mu_iterations=max_mu_iterations,
-                ranks=ranks,
-                distribution=distribution,
-                mu_bracket=bracket,
-                observable_params=observable_params,
-            )
-            if observables is None:
-                result = result["density"]
-            step_wall = result.wall_time
-            overlap_root_key = context._advance_overlap_root(overlap_root_key)
-            if ckpt is not None:
-                ckpt.save_step(index, result)
+        if observables is None:
+            result = result["density"]
+        overlap_root_key = context._advance_overlap_root(overlap_root_key)
         cache_after = dict(context.plan_cache.stats)
         session_after = context.stats()
         fingerprint = result.pattern_fingerprint or ""
@@ -562,7 +418,7 @@ def run_trajectory(
         records.append(
             TrajectoryStepRecord(
                 step=index,
-                wall_time=step_wall,
+                wall_time=result.wall_time,
                 pattern_fingerprint=fingerprint,
                 pattern_changed=changed,
                 plans_built=cache_after["misses"] - cache_before["misses"],
@@ -574,15 +430,11 @@ def run_trajectory(
                 mu_iterations=result.mu_iterations,
                 segment_fetch_bytes=result.segment_fetch_bytes,
                 block_fetch_bytes=result.block_fetch_bytes,
-                warm_started=bool(warm),
                 kernel_fallbacks=result.kernel_fallbacks,
-                resumed=resumed,
             )
         )
         results.append(result)
         previous_fingerprint = fingerprint
-        previous_mu = float(result.mu)
-        mu_history.append(previous_mu)
         cache_before = cache_after
         session_before = session_after
         if on_step is not None:
@@ -598,6 +450,5 @@ def run_trajectory(
         total_wall_time=float(sum(r.wall_time for r in records)),
         steps=records,
         kernel_fallbacks=sum(r.kernel_fallbacks for r in records),
-        steps_resumed=sum(1 for r in records if r.resumed),
     )
     return TrajectoryResult(results=results, stats=stats)

@@ -36,11 +36,12 @@ admission or accounting machinery.
 
 from __future__ import annotations
 
+import inspect
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.api.config import EngineConfig
 from repro.api.context import SubmatrixContext
@@ -244,7 +245,6 @@ class DensityService:
         max_mu_iterations: int = 200,
         ranks: Optional[int] = None,
         distribution=None,
-        mu_bracket: Optional[Tuple[float, float]] = None,
         observables=("density",),
         observable_params=None,
     ) -> Future:
@@ -290,7 +290,6 @@ class DensityService:
                 max_mu_iterations=max_mu_iterations,
                 ranks=ranks,
                 distribution=distribution,
-                mu_bracket=mu_bracket,
                 observable_params=observable_params,
             )
             return bundle["density"] if names == ("density",) else bundle
@@ -320,20 +319,28 @@ class DensityService:
         duration (a trajectory is one tenant workload, not N density
         requests).  Returns a future of the
         :class:`~repro.api.trajectory.TrajectoryResult`.  Like :meth:`submit`,
-        a malformed trajectory raises here, before admission
-        (:func:`~repro.api.trajectory.validate_trajectory`).
+        a malformed trajectory raises here, before admission: ``kwargs``
+        that :meth:`SubmatrixContext.trajectory` does not take are a
+        :class:`TypeError`, and the request must pass
+        :func:`~repro.api.trajectory.validate_trajectory`.
         """
         self._check_open()
+        request = inspect.signature(SubmatrixContext.trajectory).bind(
+            None, steps, blocks, **kwargs
+        )
+        request.apply_defaults()
+        bound = request.arguments
         validate_trajectory(
             config if config is not None else self.config,
             steps,
             blocks,
-            mu=kwargs.get("mu"),
-            n_electrons=kwargs.get("n_electrons"),
-            solver=kwargs.get("solver", "eigen"),
-            observables=kwargs.get("observables"),
-            observable_params=kwargs.get("observable_params"),
-            ranks=kwargs.get("ranks"),
+            mu=bound["mu"],
+            n_electrons=bound["n_electrons"],
+            solver=bound["solver"],
+            observables=bound["observables"],
+            observable_params=bound["observable_params"],
+            ranks=bound["ranks"],
+            n_steps=bound["n_steps"],
         )
         context = self._context_for(config)
         return self._dispatch_admitted(

@@ -40,7 +40,6 @@ from repro.api import (
     available_kernels,
     get_kernel,
     resolve_kernel,
-    run_scf,
 )
 from repro.chem import (
     loewdin_inverse_sqrt,
@@ -1296,15 +1295,22 @@ class TestOverlapRootCache:
         for (K, S), result in zip(walk[-2:], trajectory.results[-2:]):
             assert_same_density(result, self.fresh(K, S, pair.blocks, gap_mu))
 
+        # an SCF loop: each step's K is built from the step before's density
+        state = {"K": pair.K}
+
+        def mix(index, result):
+            state["K"] = pair.K + 0.05 * sp.diags(np.diag(result.density_ao))
+
         with SubmatrixContext(self.CONFIG) as ctx:
-            scf = run_scf(
-                ctx, pair.K, pair.S, pair.blocks,
-                lambda density_ao, iteration: pair.K
-                + 0.05 * sp.diags(np.diag(density_ao)),
-                n_electrons=8.0 * 32, max_iterations=4, tolerance=1e-300,
+            scf = ctx.trajectory(
+                lambda index: (state["K"], pair.S),
+                pair.blocks,
+                n_electrons=8.0 * 32,
+                n_steps=4,
+                on_step=mix,
             )
             stats = ctx.stats()["overlap_roots"]
-        assert scf.n_iterations == 4
+        assert scf.stats.n_steps == 4
         assert (stats["hits"], stats["misses"], stats["entries"]) == (3, 1, 1)
 
     def test_threads_on_alternating_overlaps_with_eviction_forced(self, monkeypatch):

@@ -11,30 +11,26 @@ Covers the acceptance criteria of the trajectory tentpole:
   fresh session would build — and a return to an earlier pattern is a hit;
 * rank-sharded trajectories reuse the context-cached pipeline across steps
   and report the initialization-exchange fetch volumes;
-* ``warm_start_mu=True`` converges the electron count within tolerance while
-  (documentedly) breaking bitwise μ identity; zero-step trajectories;
-* **regression**: a trajectory killed mid-run and resumed from its
-  checkpoint produces bitwise-identical results to an uninterrupted run,
-  and an unusable checkpoint raises :class:`~repro.api.CheckpointError`.
+* every step is bitwise a cold ``ctx.density`` call on the same input —
+  canonical at T = 0 and at 3000 K, grand-canonical, direct and served —
+  with the inert ``warm_start_mu=True`` passed; zero-step trajectories;
+* a per-step ``mu``/``n_electrons`` sequence shorter than the steps raises
+  ``ValueError`` before step 0 (a sequence) or before the step it lacks (a
+  callback), directly and through the service.
 """
-
-import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.api import (
-    CheckpointError,
     EngineConfig,
     SubmatrixContext,
-    TrajectoryCheckpoint,
     TrajectoryResult,
     TrajectoryStats,
 )
 from repro.api.observables import prepare_step
-from repro.api.trajectory import WARM_START_HALF_WIDTH, adaptive_half_width
 from repro.chem import reference_density_matrix
+from repro.serve import DensityService
 
 EPS = 1e-5
 N_ELECTRONS = 8.0 * 32
@@ -284,32 +280,6 @@ class TestStepSpecifications:
         assert calls == [0, 1, 2]
 
 
-class TestAdaptiveHalfWidth:
-    def test_no_history_uses_fixed_width(self):
-        assert adaptive_half_width([], 1e-9) == WARM_START_HALF_WIDTH
-        assert adaptive_half_width([-0.2], 1e-9) == WARM_START_HALF_WIDTH
-
-    def test_fixed_width_respects_floor(self):
-        tolerance = 0.5
-        assert adaptive_half_width([-0.2], tolerance) == 8.0 * tolerance
-
-    def test_settled_history_shrinks_to_floor(self):
-        assert adaptive_half_width([-0.2, -0.2, -0.2], 1e-6) == 8.0e-6
-
-    def test_drifting_history_doubles_largest_recent_step(self):
-        width = adaptive_half_width([-0.30, -0.29, -0.285], 1e-9)
-        assert width == pytest.approx(2.0 * 0.01)
-
-    def test_only_recent_drift_counts(self):
-        # the big early jump falls outside the 5-value window
-        history = [5.0, 0.0, 0.01, 0.011, 0.0112, 0.0113]
-        width = adaptive_half_width(history, 1e-9)
-        assert width == pytest.approx(2.0 * 0.01)
-
-    def test_floor_dominates_tiny_drift(self):
-        assert adaptive_half_width([-0.2, -0.2 + 1e-12], 1e-6) == 8.0e-6
-
-
 class TestShardedTrajectory:
     @pytest.mark.parametrize("ranks", [2, 4])
     def test_sharded_steps_bitwise_and_pipeline_reuse(
@@ -402,55 +372,105 @@ class TestShardedTrajectory:
         assert all(r.n_ranks == 2 for r in via_session)
 
 
-class TestWarmStartMu:
-    def test_warm_start_converges_with_fewer_iterations(self, water32_matrices):
-        pair = water32_matrices
-        n_electrons = 8.0 * 32
-        steps = [(pair.K * (1.0 + 1e-4 * s), pair.S) for s in range(5)]
-        # finite temperature: the electron count is strictly monotone in μ,
-        # so iteration counts measure genuine bisection work
-        config = EngineConfig(
-            engine="batched", eps_filter=1e-5, temperature=30000.0
-        )
-        tolerance = 1e-6
-        with SubmatrixContext(config) as ctx:
-            cold = ctx.trajectory(
-                steps, pair.blocks, n_electrons=n_electrons, mu_tolerance=tolerance
-            )
-        with SubmatrixContext(config) as ctx:
-            warm = ctx.trajectory(
-                steps,
-                pair.blocks,
-                n_electrons=n_electrons,
-                mu_tolerance=tolerance,
-                warm_start_mu=True,
-            )
-        assert not cold.stats.steps[0].warm_started
-        assert all(record.warm_started for record in warm.stats.steps[1:])
-        # step 0 has no predecessor: identical to the cold start
-        assert warm[0].mu == cold[0].mu
-        # later steps converge the ensemble within tolerance, faster
-        for record in warm.results[1:]:
-            assert abs(record.n_electrons - n_electrons) <= tolerance
-        cold_iterations = sum(r.mu_iterations for r in cold.stats.steps[1:])
-        warm_iterations = sum(r.mu_iterations for r in warm.stats.steps[1:])
-        assert warm_iterations < cold_iterations
-        # μ agrees physically (not bitwise — that is the documented trade)
-        assert np.allclose(warm.mus, cold.mus, atol=1e-4)
+class TestTrajectoryStepIsColdCall:
+    """Every step is bitwise a cold ``ctx.density`` call on the same
+    ``(K, S)``: nothing but the caches carries over from the step before, so
+    μ's bits never depend on the previous step.  ``warm_start_mu=True`` is an
+    inert keyword, accepted and ignored.  The default config pools the
+    stacks when BLAS is pinned, so CI runs this class pinned as well."""
 
-    def test_warm_start_defaults_off_and_preserves_bitwise_identity(
-        self, water32_matrices
+    ENSEMBLES = {
+        # T = 0: the count is a step function and the bisection ends on an
+        # exhausted bracket, where any seeded search would land elsewhere
+        "canonical_T0": (0.0, "n_electrons"),
+        "canonical_3000K": (3000.0, "n_electrons"),
+        "grand_canonical": (0.0, "mu"),
+    }
+
+    @pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
+    def test_every_step_is_a_cold_density_call(
+        self, water32_matrices, gap_mu, ensemble
     ):
         pair = water32_matrices
-        steps = [(pair.K * (1.0 + 1e-4 * s), pair.S) for s in range(3)]
-        config = EngineConfig(engine="batched", eps_filter=1e-5)
+        temperature, label = self.ENSEMBLES[ensemble]
+        request = {"n_electrons": N_ELECTRONS, "mu": gap_mu}
+        request = {label: request[label]}
+        config = EngineConfig(eps_filter=EPS, temperature=temperature)
+        steps = value_only_steps(pair, 3, scale=1e-3)
+        colds = []
+        for K, S in steps:
+            with SubmatrixContext(config) as cold:
+                colds.append(cold.density(K, S, pair.blocks, **request))
         with SubmatrixContext(config) as ctx:
-            traj = ctx.trajectory(steps, pair.blocks, n_electrons=8.0 * 32)
-        fresh = SubmatrixContext(config).density(
-            steps[2][0], steps[2][1], pair.blocks, n_electrons=8.0 * 32
-        )
-        assert traj[2].mu == fresh.mu
-        assert np.array_equal(traj[2].density_ao, fresh.density_ao)
+            direct = ctx.trajectory(
+                steps, pair.blocks, warm_start_mu=True, **request
+            )
+        with DensityService(config=config) as service:
+            served = service.trajectory(
+                steps, pair.blocks, warm_start_mu=True, **request
+            )
+        for trajectory in (direct, served):
+            assert len(trajectory) == len(steps)
+            for result, cold in zip(trajectory, colds):
+                assert result.mu == cold.mu
+                assert result.mu_iterations == cold.mu_iterations
+                assert np.array_equal(result.density_ao, cold.density_ao)
+        if label == "n_electrons":
+            # the steps differ, so a warm start would have had a seed to use
+            assert len(set(direct.mus.tolist())) > 1
+
+
+class TestShortPerStepSequence:
+    """Three steps, two per-step μ values: a bare ``IndexError`` after two
+    computed steps before; now a ``ValueError`` before the missing step."""
+
+    def test_sequence_raises_before_step_zero(self, water32_matrices, gap_mu):
+        pair = water32_matrices
+        steps = value_only_steps(pair, 3)
+        config = EngineConfig(engine="batched", eps_filter=EPS)
+        with SubmatrixContext(config) as ctx:
+            with pytest.raises(ValueError, match="holds 2 value") as direct:
+                ctx.trajectory(steps, pair.blocks, mu=[gap_mu, gap_mu])
+            assert ctx.plan_cache.stats["misses"] == 0  # no step ran
+            # n_steps bounds the trajectory to the values there are
+            bounded = ctx.trajectory(
+                steps, pair.blocks, mu=[gap_mu, gap_mu], n_steps=2
+            )
+            assert bounded.stats.n_steps == 2
+        with DensityService(config=config) as service:
+            with pytest.raises(ValueError) as served:
+                service.submit_trajectory(steps, pair.blocks, mu=[gap_mu, gap_mu])
+            snapshot = service.stats()
+        assert str(served.value) == str(direct.value)
+        assert snapshot["metrics"]["total"]["admitted"] == 0
+        assert snapshot["admission"]["in_flight"] == 0
+
+    def test_callback_raises_before_the_missing_step(self, water32_matrices):
+        pair = water32_matrices
+        steps = value_only_steps(pair, 3)
+        config = EngineConfig(engine="batched", eps_filter=EPS)
+        request = dict(n_electrons=[N_ELECTRONS, N_ELECTRONS])
+
+        def step(index):
+            return steps[index] if index < len(steps) else None
+
+        completed = []
+        with SubmatrixContext(config) as ctx:
+            with pytest.raises(ValueError, match="step 2 has no n_electrons"):
+                ctx.trajectory(
+                    step,
+                    pair.blocks,
+                    on_step=lambda index, result: completed.append(index),
+                    **request,
+                )
+        assert completed == [0, 1]
+        with DensityService(config=config) as service:
+            future = service.submit_trajectory(step, pair.blocks, **request)
+            with pytest.raises(ValueError, match="step 2 has no n_electrons"):
+                future.result()
+            snapshot = service.stats()
+        assert snapshot["metrics"]["total"]["failed"] == 1
+        assert snapshot["admission"]["in_flight"] == 0
 
 
 class TestZeroStepTrajectories:
@@ -481,227 +501,3 @@ class TestZeroStepTrajectories:
         with self.make_context() as ctx:
             with pytest.raises(ValueError, match="not None"):
                 ctx.trajectory(None, water32_matrices.blocks, n_electrons=1.0)
-
-
-class _Killed(Exception):
-    pass
-
-
-class TestCheckpointResume:
-    def test_resume_is_bitwise_identical_to_uninterrupted(
-        self, water32_matrices, tmp_path
-    ):
-        """Regression: kill at step 3, resume → identical densities and μ."""
-        pair = water32_matrices
-        steps = value_only_steps(pair, 5)
-        config = EngineConfig(engine="batched", eps_filter=EPS)
-        with SubmatrixContext(config) as ctx:
-            uninterrupted = ctx.trajectory(
-                steps, pair.blocks, n_electrons=N_ELECTRONS, warm_start_mu=True
-            )
-
-        checkpoint = tmp_path / "ckpt"
-
-        def dying_steps(index):
-            if index == 3:
-                raise _Killed()
-            return steps[index] if index < len(steps) else None
-
-        with SubmatrixContext(config) as ctx:
-            with pytest.raises(_Killed):
-                ctx.trajectory(
-                    dying_steps,
-                    pair.blocks,
-                    n_electrons=N_ELECTRONS,
-                    warm_start_mu=True,
-                    checkpoint=checkpoint,
-                )
-        assert TrajectoryCheckpoint(checkpoint).n_saved_steps == 3
-
-        with SubmatrixContext(config) as ctx:
-            resumed = ctx.trajectory(
-                steps,
-                pair.blocks,
-                n_electrons=N_ELECTRONS,
-                warm_start_mu=True,
-                checkpoint=checkpoint,
-            )
-        assert resumed.stats.steps_resumed == 3
-        assert [r.resumed for r in resumed.stats.steps] == [
-            True, True, True, False, False,
-        ]
-        assert len(resumed.results) == len(uninterrupted.results)
-        for before, after in zip(uninterrupted.results, resumed.results):
-            assert np.array_equal(before.density_ao, after.density_ao)
-            assert before.mu == after.mu
-            assert before.band_energy == after.band_energy
-
-    def test_completed_checkpoint_replays_every_step(
-        self, water32_matrices, tmp_path
-    ):
-        pair = water32_matrices
-        steps = value_only_steps(pair, 3)
-        config = EngineConfig(engine="batched", eps_filter=EPS)
-        with SubmatrixContext(config) as ctx:
-            first = ctx.trajectory(
-                steps,
-                pair.blocks,
-                n_electrons=N_ELECTRONS,
-                checkpoint=tmp_path / "done",
-            )
-        with SubmatrixContext(config) as ctx:
-            replay = ctx.trajectory(
-                steps,
-                pair.blocks,
-                n_electrons=N_ELECTRONS,
-                checkpoint=tmp_path / "done",
-            )
-        assert replay.stats.steps_resumed == 3
-        assert replay.stats.plans_built == 0  # nothing recomputed
-        for before, after in zip(first.results, replay.results):
-            assert np.array_equal(before.density_ao, after.density_ao)
-            assert before.pattern_fingerprint == after.pattern_fingerprint
-            assert np.array_equal(
-                before.density_ortho.toarray(), after.density_ortho.toarray()
-            )
-
-    def test_signature_mismatch_raises(self, water32_matrices, tmp_path):
-        pair = water32_matrices
-        steps = value_only_steps(pair, 2)
-        config = EngineConfig(engine="batched", eps_filter=EPS)
-        with SubmatrixContext(config) as ctx:
-            ctx.trajectory(
-                steps,
-                pair.blocks,
-                n_electrons=N_ELECTRONS,
-                checkpoint=tmp_path / "sig",
-            )
-        with SubmatrixContext(config) as ctx:
-            with pytest.raises(CheckpointError, match="different parameters"):
-                ctx.trajectory(
-                    steps,
-                    pair.blocks,
-                    mu=-0.2,  # different ensemble than the saved trajectory
-                    checkpoint=tmp_path / "sig",
-                )
-
-    def test_replan_key_of_an_old_manifest_is_ignored(
-        self, water32_matrices, tmp_path
-    ):
-        """Directories written while trajectories took ``replan=`` resume."""
-        pair = water32_matrices
-        steps = value_only_steps(pair, 2)
-        config = EngineConfig(engine="batched", eps_filter=EPS)
-        directory = tmp_path / "old"
-        with SubmatrixContext(config) as ctx:
-            first = ctx.trajectory(
-                steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
-            )
-        manifest_path = directory / "trajectory.json"
-        manifest = json.loads(manifest_path.read_text())
-        assert "replan" not in manifest["signature"]
-
-        def rewrite(**changes):
-            signature = dict(manifest["signature"], **changes)
-            manifest_path.write_text(json.dumps(dict(manifest, signature=signature)))
-
-        rewrite(replan="patch")
-        with SubmatrixContext(config) as ctx:
-            resumed = ctx.trajectory(
-                steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
-            )
-        assert resumed.stats.steps_resumed == 2
-        for before, after in zip(first.results, resumed.results):
-            assert np.array_equal(before.density_ao, after.density_ao)
-            assert before.mu == after.mu
-        rewrite(replan="patch", solver="newton_schulz")
-        with SubmatrixContext(config) as ctx:
-            with pytest.raises(CheckpointError, match="different parameters"):
-                ctx.trajectory(
-                    steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
-                )
-
-    def test_missing_step_load_raises(self, tmp_path):
-        checkpoint = TrajectoryCheckpoint(tmp_path / "empty")
-        assert checkpoint.n_saved_steps == 0
-        assert not checkpoint.has_step(0)
-        with pytest.raises(CheckpointError, match="no saved step"):
-            checkpoint.load_step(0)
-
-    def test_manifest_that_is_not_an_object_raises(self, tmp_path):
-        directory = tmp_path / "array"
-        directory.mkdir()
-        (directory / "trajectory.json").write_text(json.dumps([1, 2]))
-        with pytest.raises(CheckpointError, match="JSON list, not an object"):
-            TrajectoryCheckpoint(directory)
-
-    def test_manifest_of_another_version_raises(self, tmp_path):
-        """A manifest of another format version is refused, not resumed."""
-        directory = tmp_path / "skewed"
-        TrajectoryCheckpoint(directory).ensure_signature({"solver": "eigen"})
-        manifest_path = directory / "trajectory.json"
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["version"] == 1
-        TrajectoryCheckpoint(directory)  # its own version resumes
-        manifest_path.write_text(json.dumps(dict(manifest, version=7)))
-        with pytest.raises(CheckpointError, match="format version 7"):
-            TrajectoryCheckpoint(directory)
-
-    def test_truncated_step_file_raises_checkpoint_error(
-        self, water32_matrices, tmp_path
-    ):
-        """A step file cut short is a corrupt checkpoint, not a zip error."""
-        pair = water32_matrices
-        steps = value_only_steps(pair, 2)
-        config = EngineConfig(engine="batched", eps_filter=EPS)
-        directory = tmp_path / "cut"
-        with SubmatrixContext(config) as ctx:
-            ctx.trajectory(
-                steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
-            )
-        step_file = directory / "step_00001.npz"
-        content = step_file.read_bytes()
-        step_file.write_bytes(content[: len(content) // 2])
-        with pytest.raises(CheckpointError, match="corrupt checkpoint step file"):
-            TrajectoryCheckpoint(directory).load_step(1)
-        with SubmatrixContext(config) as ctx:
-            with pytest.raises(CheckpointError, match="corrupt checkpoint step file"):
-                ctx.trajectory(
-                    steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
-                )
-
-    def test_retired_counter_slots_are_ignored_on_load(
-        self, water32_matrices, tmp_path
-    ):
-        """Step files whose counters carry non-zero values in the retired
-        slots 2, 3 and 5 (as older code wrote them) still resume."""
-        pair = water32_matrices
-        steps = value_only_steps(pair, 2)
-        config = EngineConfig(engine="batched", eps_filter=EPS)
-        directory = tmp_path / "six_slots"
-        with SubmatrixContext(config) as ctx:
-            first = ctx.trajectory(
-                steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
-            )
-        step_file = directory / "step_00000.npz"
-        with np.load(step_file) as data:
-            arrays = {key: data[key] for key in data.files}
-        assert arrays["counters"].tolist()[2:] == [0, 0, 0, 0]
-        mu_iterations, n_ranks = arrays["counters"][:2]
-        arrays["counters"] = np.asarray(
-            [mu_iterations, n_ranks, 3, 2, 1, 1], dtype=np.int64
-        )
-        with open(step_file, "wb") as handle:
-            np.savez(handle, **arrays)
-        loaded = TrajectoryCheckpoint(directory).load_step(0)
-        assert loaded.kernel_fallbacks == 1
-        assert loaded.mu_iterations == first[0].mu_iterations
-        assert np.array_equal(loaded.density_ao, first[0].density_ao)
-        with SubmatrixContext(config) as ctx:
-            resumed = ctx.trajectory(
-                steps, pair.blocks, n_electrons=N_ELECTRONS, checkpoint=directory
-            )
-        assert resumed.stats.steps_resumed == 2
-        assert resumed.stats.kernel_fallbacks == 1
-        for before, after in zip(first.results, resumed.results):
-            assert np.array_equal(before.density_ao, after.density_ao)

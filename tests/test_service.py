@@ -643,6 +643,23 @@ class TestServiceValidation:
         assert snapshot["admission"]["in_flight"] == 0
         assert snapshot["contexts"] == 0
 
+    @pytest.mark.parametrize("keyword", ["bogus", "checkpoint"])
+    def test_unknown_trajectory_keyword_rejected_at_submit(
+        self, water32_matrices, keyword
+    ):
+        """A keyword ``SubmatrixContext.trajectory`` does not take (a typo, or
+        the removed ``checkpoint=``) is a TypeError from ``submit_trajectory``
+        itself; it used to be admitted and raise only from the future."""
+        pair = water32_matrices
+        with DensityService(config=CONFIG) as service:
+            with pytest.raises(TypeError, match=keyword):
+                service.submit_trajectory(
+                    [(pair.K, pair.S)], pair.blocks, mu=0.0, **{keyword: 1}
+                )
+            snapshot = service.stats()
+        assert snapshot["metrics"]["total"]["admitted"] == 0
+        assert snapshot["admission"]["in_flight"] == 0
+
     @pytest.mark.parametrize("solver", ["eigen", "newton_schulz"])
     @pytest.mark.parametrize(
         "name, index, value",
