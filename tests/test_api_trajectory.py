@@ -16,19 +16,32 @@ Covers the acceptance criteria of the trajectory tentpole:
   with the inert ``warm_start_mu=True`` passed; zero-step trajectories;
 * a per-step ``mu``/``n_electrons`` sequence shorter than the steps raises
   ``ValueError`` before step 0 (a sequence) or before the step it lacks (a
-  callback), directly and through the service.
+  callback or a generator), directly and through the service;
+* checkpoint/resume, warm-started μ and the SCF driver are gone: their
+  modules, names and record fields, and the keywords that reached them are a
+  ``TypeError``.
 """
+
+import dataclasses
+import importlib
+import re
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import (
     EngineConfig,
+    Observable,
     SubmatrixContext,
     TrajectoryResult,
     TrajectoryStats,
+    TrajectoryStepRecord,
+    compute_observables,
+    run_trajectory,
 )
 from repro.api.observables import prepare_step
+from repro.api.trajectory import validate_trajectory
 from repro.chem import reference_density_matrix
 from repro.serve import DensityService
 
@@ -471,6 +484,157 @@ class TestShortPerStepSequence:
             snapshot = service.stats()
         assert snapshot["metrics"]["total"]["failed"] == 1
         assert snapshot["admission"]["in_flight"] == 0
+
+    CONTAINERS = {"list": list, "tuple": tuple, "ndarray": np.asarray}
+
+    @pytest.mark.parametrize("container", sorted(CONTAINERS))
+    @pytest.mark.parametrize("label", ["mu", "n_electrons"])
+    def test_validate_refuses_a_short_sequence(
+        self, water32_matrices, gap_mu, label, container
+    ):
+        pair = water32_matrices
+        value = {"mu": gap_mu, "n_electrons": N_ELECTRONS}[label]
+        short = self.CONTAINERS[container]([value, value])
+        message = (
+            f"the per-step {label} sequence holds 2 value(s) for a "
+            f"trajectory of 3 steps"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_trajectory(
+                EngineConfig(eps_filter=EPS),
+                value_only_steps(pair, 3),
+                pair.blocks,
+                **{label: short},
+            )
+
+    @pytest.mark.parametrize(
+        "case",
+        ["exact", "longer", "bounded_by_n_steps", "scalar", "generator", "callback"],
+    )
+    def test_validate_accepts_values_for_every_known_step(
+        self, water32_matrices, gap_mu, case
+    ):
+        """A sequence covering the steps (or the first ``n_steps``) passes, as
+        does a scalar; steps of unknown length are checked step by step."""
+        pair = water32_matrices
+        steps = value_only_steps(pair, 3)
+        mu, n_steps = {
+            "exact": ([gap_mu] * 3, None),
+            "longer": ([gap_mu] * 5, None),
+            "bounded_by_n_steps": ([gap_mu] * 2, 2),
+            "scalar": (gap_mu, None),
+            "generator": ([gap_mu], None),
+            "callback": ([gap_mu], None),
+        }[case]
+        if case == "generator":
+            steps = iter(steps)
+        elif case == "callback":
+            steps = steps.__getitem__
+        names = validate_trajectory(
+            EngineConfig(eps_filter=EPS), steps, pair.blocks, mu=mu, n_steps=n_steps
+        )
+        assert names == ("density",)
+
+    def test_generator_raises_before_the_missing_step(self, water32_matrices):
+        """A generator has no length, so, like a callback, it raises at the
+        step its per-step sequence lacks, after the steps before it ran."""
+        pair = water32_matrices
+        steps = value_only_steps(pair, 3)
+        completed = []
+        with SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS)) as ctx:
+            with pytest.raises(ValueError, match="step 2 has no n_electrons"):
+                ctx.trajectory(
+                    (step for step in steps),
+                    pair.blocks,
+                    n_electrons=[N_ELECTRONS, N_ELECTRONS],
+                    on_step=lambda index, result: completed.append(index),
+                )
+        assert completed == [0, 1]
+
+
+class TestDeletedTrajectoryLayers:
+    """Structure guard: checkpoint/resume, warm-started μ and the SCF driver
+    are deleted, and a keyword that reached them is refused before any work.
+    ``warm_start_mu`` survives only as ``ctx.trajectory``'s inert keyword."""
+
+    @pytest.mark.parametrize("module", ["repro.api.checkpoint", "repro.api.scf"])
+    def test_module_is_gone(self, module):
+        assert importlib.util.find_spec(module) is None
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "TrajectoryCheckpoint",
+            "CheckpointError",
+            "run_scf",
+            "SCFResult",
+            "adaptive_half_width",
+            "WARM_START_HALF_WIDTH",
+        ],
+    )
+    def test_name_is_gone(self, name):
+        for module in (
+            "repro",
+            "repro.api",
+            "repro.api.context",
+            "repro.api.observables",
+            "repro.api.trajectory",
+            "repro.serve",
+        ):
+            assert not hasattr(importlib.import_module(module), name), module
+        assert name not in repro.__all__
+
+    @pytest.mark.parametrize(
+        "record, removed",
+        [
+            (TrajectoryStepRecord, {"warm_started", "resumed"}),
+            (TrajectoryStats, {"steps_resumed"}),
+            (Observable, {"checkpoint_save", "checkpoint_load"}),
+        ],
+        ids=["step_record", "trajectory_stats", "observable"],
+    )
+    def test_record_field_is_gone(self, record, removed):
+        assert not removed & {field.name for field in dataclasses.fields(record)}
+
+    @pytest.mark.parametrize(
+        "entry, keyword",
+        [
+            ("density", "mu_bracket"),
+            ("observables", "mu_bracket"),
+            ("compute_observables", "mu_bracket"),
+            ("submit", "mu_bracket"),
+            ("run_trajectory", "warm_start_mu"),
+            ("trajectory", "checkpoint"),
+        ],
+    )
+    def test_removed_keyword_is_a_type_error(
+        self, water32_matrices, gap_mu, entry, keyword
+    ):
+        pair = water32_matrices
+        request = {"mu": gap_mu, keyword: True}
+        steps = [(pair.K, pair.S)]
+        config = EngineConfig(engine="batched", eps_filter=EPS)
+        with SubmatrixContext(config) as ctx, DensityService(config=config) as service:
+            calls = {
+                "density": lambda: ctx.density(pair.K, pair.S, pair.blocks, **request),
+                "observables": lambda: ctx.observables(
+                    pair.K, pair.S, pair.blocks, **request
+                ),
+                "compute_observables": lambda: compute_observables(
+                    ctx, pair.K, pair.S, pair.blocks, **request
+                ),
+                "submit": lambda: service.submit(
+                    pair.K, pair.S, pair.blocks, **request
+                ),
+                "run_trajectory": lambda: run_trajectory(
+                    ctx, steps, pair.blocks, **request
+                ),
+                "trajectory": lambda: ctx.trajectory(steps, pair.blocks, **request),
+            }
+            with pytest.raises(TypeError, match=keyword):
+                calls[entry]()
+            assert ctx.plan_cache.stats["misses"] == 0  # nothing ran
+            assert service.stats()["metrics"]["total"]["admitted"] == 0
 
 
 class TestZeroStepTrajectories:
