@@ -47,10 +47,6 @@ from repro.chem import (
 from repro.chem.basis import SZV
 from repro.dbcsr import CooBlockList
 from repro.dbcsr.convert import block_matrix_from_csr
-from repro.signfn import (
-    sign_via_eigendecomposition,
-    sign_via_eigendecomposition_batched,
-)
 from repro.signfn.registry import available_kernels
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
@@ -131,20 +127,15 @@ def run_engine_benchmark():
     repeats = max(3, int(round(5 * bench_scale())))
     context = SubmatrixContext()
     cache = context.plan_cache
-    sign = dict(
-        function=lambda a: sign_via_eigendecomposition(a, mu),
-        batch_function=lambda stack: sign_via_eigendecomposition_batched(stack, mu),
-    )
-
     # cold plan construction cost (the first call builds + caches the plan)
     start = time.perf_counter()
-    outcome = context.apply(blocked, coo=coo, **sign)
+    outcome = context.apply(blocked, "eigen", coo=coo, mu=mu)
     cold_seconds = time.perf_counter() - start
 
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
-        outcome = context.apply(blocked, coo=coo, **sign)
+        outcome = context.apply(blocked, "eigen", coo=coo, mu=mu)
         samples.append(time.perf_counter() - start)
     warm_seconds = float(np.median(samples))
 

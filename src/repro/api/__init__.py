@@ -35,7 +35,6 @@ from repro.api.results import (
 from repro.api.context import SubmatrixContext
 from repro.api.observables import (
     Observable,
-    SharedEvaluation,
     UnknownObservableError,
     available_observables,
     compute_observables,
@@ -74,7 +73,6 @@ __all__ = [
     "PDOSResult",
     "EnergyWeightedDensityResult",
     "Observable",
-    "SharedEvaluation",
     "UnknownObservableError",
     "available_observables",
     "compute_observables",

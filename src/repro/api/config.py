@@ -30,6 +30,7 @@ __all__ = [
     "BACKENDS",
     "EIGENSOLVE_FLOP_CONSTANT",
     "check_positive_int",
+    "check_distribution",
 ]
 
 #: The one execution engine: cached extraction plans plus bucketed stacks of
@@ -38,7 +39,7 @@ __all__ = [
 #: against; nothing dispatches on this value.
 ENGINES = ("batched",)
 
-#: Worker backends of :func:`repro.parallel.executor.map_parallel`.
+#: Worker backends of :func:`repro.parallel.executor.make_executor`.
 BACKENDS = ("serial", "thread")
 
 #: FLOPs of a dense symmetric eigendecomposition plus the two back
@@ -71,6 +72,29 @@ def check_positive_int(value, name: str) -> Optional[int]:
     if value < 1:
         raise ValueError(f"{name} must be positive")
     return int(value)
+
+
+def check_distribution(distribution, ranks: Optional[int], n_blocks: int) -> None:
+    """The one check of a per-call ``distribution=`` (``None``: not given).
+
+    A block distribution fixes the block ownership of a sharded run, so it
+    needs ``ranks=``, that many ranks and the request's ``n_blocks ×
+    n_blocks`` block grid; anything else is a :class:`ValueError`.
+    """
+    if distribution is None:
+        return
+    if ranks is None:
+        raise ValueError("distribution= fixes the ranks of a sharded run: pass ranks=")
+    if distribution.n_ranks != ranks:
+        raise ValueError(
+            f"distribution has {distribution.n_ranks} ranks, the request ranks={ranks}"
+        )
+    grid = (distribution.n_block_rows, distribution.n_block_cols)
+    if grid != (n_blocks, n_blocks):
+        raise ValueError(
+            f"distribution covers a {grid[0]}x{grid[1]} block grid, "
+            f"the request's is {n_blocks}x{n_blocks}"
+        )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -44,12 +44,12 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.config import EngineConfig, check_positive_int
+from repro.api.config import EngineConfig, check_distribution, check_positive_int
 from repro.api.results import SubmatrixMethodResult
 from repro.chem.orthogonalize import loewdin_inverse_sqrt
 from repro.core.combination import ColumnGrouping, single_column_groups
@@ -388,16 +388,6 @@ class SubmatrixContext:
                 self._overlap_roots.pop(previous, None)
             return latest
 
-    def _map(self, function, items):
-        """Map through the session's persistent executor."""
-        return map_parallel(
-            function,
-            items,
-            self.config.max_workers,
-            self.config.backend,
-            executor=self.executor,
-        )
-
     def block_plan_for(
         self,
         coo: CooBlockList,
@@ -415,33 +405,60 @@ class SubmatrixContext:
         self._check_open()
         return block_plan(coo, block_sizes, column_groups, cache=self.plan_cache)
 
-    def _lookup(
+    def _engine_pass(
         self,
-        coo: CooBlockList,
-        block_sizes: Sequence[int],
-        grouping: ColumnGrouping,
-        ranks: Optional[int],
-        distribution,
-    ) -> Tuple[BlockSubmatrixPlan, Optional[DistributedSubmatrixPipeline]]:
-        """``(plan, pipeline)`` of one block-level request.
+        matrix: BlockSparseMatrix,
+        solve_stack,
+        *,
+        coo: Optional[CooBlockList] = None,
+        grouping: Optional[ColumnGrouping] = None,
+        ranks: Optional[int] = None,
+        distribution=None,
+        plan: Optional[BlockSubmatrixPlan] = None,
+        collect: bool = False,
+    ):
+        """The one engine pass of ``apply`` and of every density request.
 
-        Single-process requests (``ranks=None``) look their plan up directly
-        (:meth:`block_plan_for`) and get no pipeline — they pay for no
-        shard or transfer planning.  With ``ranks`` the plan is the cached
-        pipeline's.  An explicitly requested rank count takes the sharded
-        route even at ``ranks == 1`` (a single shard of everything), so the
-        bitwise-identity guarantee covers the sharding machinery itself.
+        Plan lookup → ``plan.pack`` → the rank loop
+        (:func:`~repro.core.runner.run_stacks` on the session's pool) →
+        ``plan.finalize``.  ``grouping`` defaults to one submatrix per block
+        column.  Unless ``plan`` is given, a single-process request
+        (``ranks=None``) looks its plan up directly (:meth:`block_plan_for`)
+        and pays for no shard or transfer planning; with ``ranks`` the plan
+        is the cached :meth:`pipeline`'s — even at ``ranks == 1`` (a single
+        shard of everything), so the bitwise-identity guarantee covers the
+        sharding machinery itself.  The packed vector holds every stored
+        value, so one look at its extrema rejects NaN/Inf — an iterative
+        kernel would hand them back as a result, ``eigh`` die of them mid-run.
+
+        Returns ``(plan, pipeline, stacks, result)``: ``stacks`` are the rank
+        loop's ``(group_indices, value)`` pairs and ``result`` is the
+        finalized block matrix the stacks were delivered into — or, with
+        ``collect``, ``None``, the solver's values handed back in ``stacks``.
         """
-        if ranks is None:
-            return self.block_plan_for(coo, block_sizes, grouping.groups), None
-        pipeline = self.pipeline(
-            coo,
-            block_sizes,
-            n_ranks=ranks,
-            grouping=grouping,
-            distribution=distribution,
+        n_block_cols = matrix.n_block_cols
+        grouping = grouping or single_column_groups(n_block_cols)
+        grouping.validate(n_block_cols)
+        pipeline = None
+        if plan is None:
+            coo = coo if coo is not None else CooBlockList.from_block_matrix(matrix)
+            sizes = matrix.row_block_sizes
+            if ranks is None:
+                plan = self.block_plan_for(coo, sizes, grouping.groups)
+            else:
+                pipeline = self.pipeline(
+                    coo, sizes, ranks, grouping=grouping, distribution=distribution
+                )
+                plan = pipeline.prepare()[0]
+        packed = plan.pack(matrix)
+        if packed.size and not np.isfinite(max(packed.max(), -packed.min())):
+            raise ValueError("matrix contains non-finite values (NaN or Inf)")
+        out = None if collect else plan.new_output()
+        mapper = functools.partial(map_parallel, executor=self.executor)
+        stacks = run_stacks(
+            plan, packed, solve_stack, out, pipeline=pipeline, mapper=mapper
         )
-        return pipeline.prepare()[0], pipeline
+        return plan, pipeline, stacks, None if collect else plan.finalize(out)
 
     # ------------------------------------------------------------------ #
     # f(A)
@@ -452,7 +469,6 @@ class SubmatrixContext:
         matrix: Union[sp.spmatrix, BlockSparseMatrix],
         function,
         column_groups: Optional[Sequence[Sequence[int]]] = None,
-        batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         plan: Optional[BlockSubmatrixPlan] = None,
         coo: Optional[CooBlockList] = None,
         ranks: Optional[int] = None,
@@ -470,22 +486,20 @@ class SubmatrixContext:
         via :func:`~repro.dbcsr.convert.block_matrix_to_csr`; ``plan=`` and
         ``coo=`` then refer to that 1×1 grid.
 
-        ``function`` may be a callable or a kernel name (``"eigen"`` or
-        ``"newton_schulz"``); ``**kernel_params`` (e.g. ``mu=0.2``) are
-        forwarded to the kernel factory.  With ``ranks`` the submatrices are
-        evaluated rank-sharded through the session's cached
+        ``function`` may be a bare per-matrix callable or a kernel name
+        (``"eigen"`` or ``"newton_schulz"``); ``**kernel_params`` (e.g.
+        ``mu=0.2``) are forwarded to the kernel factory
+        (:func:`~repro.signfn.registry.resolve_kernel`).  With ``ranks`` the
+        submatrices are evaluated rank-sharded through the session's cached
         :class:`~repro.core.runner.DistributedSubmatrixPipeline` —
-        ``distribution`` fixes the block ownership of its transfer plan —
-        bitwise identical to the single-process result.
-
-        The packed vector holds every stored value, so one look at its
-        extrema rejects NaN/Inf — an iterative kernel would hand them back
-        as a result, ``eigh`` die of them mid-run.  Stacks are solved by the
-        kernel's :class:`~repro.signfn.registry.KernelStackSolver`, exactly
-        as on the iterative density route.
+        ``distribution`` fixes the block ownership of its transfer plan
+        (:func:`~repro.api.config.check_distribution`) — bitwise identical to
+        the single-process result.  Stacks are solved by the kernel's
+        :class:`~repro.signfn.registry.KernelStackSolver`, exactly as on the
+        iterative density route, in the session's one engine pass.
         """
         ranks = check_positive_int(ranks, "ranks")
-        bound = resolve_kernel(function, batch_function=batch_function, **kernel_params)
+        solver = KernelStackSolver(resolve_kernel(function, **kernel_params))
         start = time.perf_counter()
         scipy_input = sp.issparse(matrix)
         if scipy_input:
@@ -497,45 +511,27 @@ class SubmatrixContext:
                 "apply expects a scipy.sparse matrix or a BlockSparseMatrix, "
                 f"got {type(matrix).__name__}"
             )
-        if coo is None:
-            coo = CooBlockList.from_block_matrix(matrix)
-        n_block_cols = matrix.n_block_cols
-        if column_groups is None:
-            grouping = single_column_groups(n_block_cols)
-        else:
-            grouping = ColumnGrouping([list(group) for group in column_groups])
-        grouping.validate(n_block_cols)
-        pipeline = None
-        if plan is None:
-            plan, pipeline = self._lookup(
-                coo,
-                matrix.row_block_sizes,
-                grouping,
-                ranks,
-                distribution,
-            )
-        elif ranks is not None or distribution is not None:
+        if plan is not None and (ranks is not None or distribution is not None):
             raise ValueError(
                 "a sharded run uses its pipeline's plan; pass either plan= "
                 "or ranks=/distribution="
             )
-        packed = plan.pack(matrix)
-        if packed.size and not np.isfinite(max(packed.max(), -packed.min())):
-            raise ValueError("matrix contains non-finite values (NaN or Inf)")
-        dimensions = list(plan.dimensions)
-        out = plan.new_output()
-        solver = KernelStackSolver(bound)
-        run_stacks(
-            plan,
-            packed,
+        check_distribution(distribution, ranks, matrix.n_block_cols)
+        grouping = None
+        if column_groups is not None:
+            grouping = ColumnGrouping([list(group) for group in column_groups])
+        plan, pipeline, _, result = self._engine_pass(
+            matrix,
             solver,
-            out,
-            pipeline=pipeline,
-            mapper=self._map,
+            coo=coo,
+            grouping=grouping,
+            ranks=ranks,
+            distribution=distribution,
+            plan=plan,
         )
-        result = plan.finalize(out)
         if scipy_input:
             result = block_matrix_to_csr(result)
+        dimensions = list(plan.dimensions)
         return SubmatrixMethodResult(
             result=result,
             submatrix_dimensions=dimensions,

@@ -12,18 +12,19 @@ Algorithm 1).  This module hosts the one path from a request to its result
 plus the fixed table of the three *observables*, sibling to the table of the
 two sign kernels (:data:`~repro.signfn.registry.KERNELS`):
 
-* :func:`validate_request` is the one request check of the direct,
-  trajectory and served entry points;
-* :func:`compute_observables` runs the engine **once** — prepare, plan
-  lookup, one pass of the rank loop (:func:`~repro.core.runner.run_stacks`,
-  single-process or rank-sharded) over the submatrix stacks — into a
-  :class:`Decomposition`, and hands it to
-* :func:`evaluate_request`, the μ-dependent tail: one μ-bisection, one
-  :class:`SharedEvaluation`, every requested observable assembled from the
-  same cached spectra;
+* :func:`compute_observables` is the one path from a request to its
+  result, over one :class:`Decomposition` record: ``validate_request →
+  _decompose → bisect → assemble``.  :func:`validate_request` is the one
+  request check of the direct, trajectory and served entry points;
+  ``_decompose`` runs the engine **once** — prepare, then the session's one
+  engine pass (plan lookup, ``plan.pack``, the rank loop
+  :func:`~repro.core.runner.run_stacks`, single-process or rank-sharded) —
+  into the record; a canonical request bisects μ on its cached spectra
+  (Algorithm 1); and every requested observable is assembled from the same
+  record;
 * an :class:`Observable` describes what a physical quantity needs from the
   engine (the cached eigendecompositions, μ, the scatter plan) and how to
-  assemble its result from that :class:`SharedEvaluation`; ``density`` is
+  assemble its result from that :class:`Decomposition`; ``density`` is
   just one entry of :data:`OBSERVABLES`.
 
 **Which requests hold spectra.**  The paper keeps Q, Λ of every submatrix
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
+import math
 import time
 from typing import (
     Any,
@@ -85,7 +87,7 @@ from typing import (
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.config import check_positive_int
+from repro.api.config import check_distribution, check_positive_int
 from repro.api.results import (
     DecomposedSubmatrix,
     EnergyWeightedDensityResult,
@@ -99,10 +101,9 @@ from repro.chem.density import (
     fermi_occupation,
 )
 from repro.core.batch import spectral_panel
-from repro.core.combination import ColumnGrouping, single_column_groups
+from repro.core.combination import ColumnGrouping
 from repro.core.plan import BlockSubmatrixPlan
 from repro.chem.orthogonalize import orthogonalized_ks
-from repro.core.runner import run_stacks
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_csr
 from repro.dbcsr.coo import CooBlockList
@@ -111,11 +112,9 @@ from repro.signfn.registry import KernelStackSolver, get_kernel
 __all__ = [
     "Decomposition",
     "Observable",
-    "SharedEvaluation",
     "UnknownObservableError",
     "available_observables",
     "compute_observables",
-    "evaluate_request",
     "get_observable",
     "normalize_observables",
     "OBSERVABLES",
@@ -176,43 +175,6 @@ def prepare_step(
 
 
 # --------------------------------------------------------------------------- #
-# shared evaluation state
-# --------------------------------------------------------------------------- #
-@dataclasses.dataclass
-class SharedEvaluation:
-    """Everything one pass over the engine produced, ready for assembly.
-
-    One :class:`SharedEvaluation` is built per request by
-    :func:`evaluate_request` and handed to every requested observable's
-    ``assemble`` hook — the cached per-submatrix eigendecompositions are
-    computed exactly once no matter how many observables consume them.
-    Exactly one of ``decomposed`` and ``occupation_block`` is set: the
-    spectra when something reads them (μ-bisection, ``pdos``,
-    ``energy_weighted_density``), else the occupation
-    matrices the engine pass already scattered at the request's fixed μ.
-    """
-
-    config: Any
-    K: Any
-    s_inv_sqrt: np.ndarray
-    coo: CooBlockList
-    mu: float
-    mu_iterations: int
-    plan: BlockSubmatrixPlan
-    start: float
-    decomposed: Optional[Sequence[DecomposedSubmatrix]] = None
-    pipeline: Any = None
-    kernel_fallbacks: int = 0
-    # scattered during the engine pass (scatter mode); in collect mode this
-    # is None and density's assembly scatters from the cached decompositions
-    occupation_block: Optional[BlockSparseMatrix] = None
-    stack_decompositions: int = 0
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.start
-
-
-# --------------------------------------------------------------------------- #
 # observable table
 # --------------------------------------------------------------------------- #
 class UnknownObservableError(ValueError):
@@ -228,10 +190,10 @@ class Observable:
     name:
         Table key (``observables=("density", "pdos")``).
     assemble:
-        ``assemble(evaluation, params) -> result`` — build the observable's
-        result object from one :class:`SharedEvaluation` (cached
-        decompositions, μ, scatter plan) and the caller's per-observable
-        parameter mapping.
+        ``assemble(decomposition, params) -> result`` — build the
+        observable's result object from the request's one
+        :class:`Decomposition` (cached decompositions, μ, scatter plan) and
+        the caller's per-observable parameter mapping.
     description:
         One-line human description.
     supports_iterative:
@@ -242,7 +204,7 @@ class Observable:
     """
 
     name: str
-    assemble: Callable[[SharedEvaluation, Mapping[str, Any]], Any]
+    assemble: Callable[["Decomposition", Mapping[str, Any]], Any]
     description: str
     supports_iterative: bool
 
@@ -294,6 +256,9 @@ def validate_request(
     solver: str,
     observable_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
     ranks=None,
+    distribution=None,
+    mu_tolerance: float = 1e-9,
+    max_mu_iterations: int = 200,
 ):
     """Check one request before any work or resource is spent on it.
 
@@ -311,10 +276,18 @@ def validate_request(
     finite, an electron count lies in ``[0, spin_degeneracy · n_basis]``
     (outside, no μ exists and the bisection would return an all-empty or
     all-full density without complaint), and the kernel can serve the
-    ensemble and every observable; ``ranks`` must pass
-    :func:`~repro.api.config.check_positive_int`.
+    ensemble and every observable.  ``ranks`` and ``max_mu_iterations``
+    must pass :func:`~repro.api.config.check_positive_int` (without a
+    μ-search step the bracket's midpoint would be μ), ``mu_tolerance`` must be
+    finite and non-negative, and ``distribution`` must pass
+    :func:`~repro.api.config.check_distribution` on the request's block grid.
     """
-    check_positive_int(ranks, "ranks")
+    ranks = check_positive_int(ranks, "ranks")
+    check_positive_int(max_mu_iterations, "max_mu_iterations")
+    if not (math.isfinite(mu_tolerance) and mu_tolerance >= 0.0):
+        raise ValueError(
+            f"mu_tolerance must be finite and non-negative, got {mu_tolerance!r}"
+        )
     names = normalize_observables(observables)
     for key in observable_params or {}:
         if key not in names:
@@ -361,30 +334,42 @@ def validate_request(
                 f"n_electrons must lie in [0, {capacity:g}] (spin degeneracy "
                 f"times the number of basis functions), got {values.tolist()!r}"
             )
+    if distribution is not None:
+        check_distribution(distribution, ranks, len(blocks.block_sizes))
     return names, kernel
 
 
 @dataclasses.dataclass
 class Decomposition:
-    """What one pass over the engine produced for one ``(K, S)`` content.
+    """The one record of a request: its engine pass, μ, and what assembles.
 
-    In collect mode this is μ-independent — the cached per-submatrix
-    spectra ``decomposed`` serve any chemical potential and any observable
-    (every bisection step reads the same entries).  In scatter
-    mode (a fixed μ and nothing that reads spectra; every Newton–Schulz
-    request) the pass evaluates the occupation matrices at that μ
-    (``occupation_block``) and leaves ``decomposed`` ``None``.
-    ``stack_decompositions`` counts the ``eigh`` stacks solved in either mode
-    (0 for Newton–Schulz), ``kernel_fallbacks`` the submatrices
+    Built by ``_decompose`` and completed by :func:`compute_observables`
+    (μ, and for a canonical request the bisection's ``mu_iterations``);
+    every observable's ``assemble`` hook reads it and none writes it.
+
+    In collect mode the cached per-submatrix spectra ``decomposed`` serve
+    any chemical potential and any observable (every bisection step reads
+    the same entries).  In scatter mode (a fixed μ and nothing that reads
+    spectra; every Newton–Schulz request) the pass evaluates the occupation
+    matrices at that μ (``occupation_block``) and leaves ``decomposed``
+    ``None``.  ``stack_decompositions`` counts the ``eigh`` stacks solved in
+    either mode (0 for Newton–Schulz), ``kernel_fallbacks`` the submatrices
     Newton–Schulz did not converge (evaluated by ``eigen`` instead).
+    ``start`` is the ``perf_counter`` reading results' ``wall_time`` counts
+    from.
     """
 
+    config: Any
+    K: Any
+    start: float
     prepared: PreparedStep
     plan: BlockSubmatrixPlan
-    decomposed: Optional[List[DecomposedSubmatrix]] = None
-    stack_decompositions: int = 0
-    occupation_block: Optional[BlockSparseMatrix] = None
     pipeline: Any = None
+    mu: Optional[float] = None
+    mu_iterations: int = 0
+    decomposed: Optional[List[DecomposedSubmatrix]] = None
+    occupation_block: Optional[BlockSparseMatrix] = None
+    stack_decompositions: int = 0
     kernel_fallbacks: int = 0
 
 
@@ -406,12 +391,13 @@ def compute_observables(
 ) -> ObservableBundle:
     """Evaluate one or more observables from a single decomposition pass.
 
-    The only path from a request to its result: :func:`validate_request`,
-    then the engine pass — prepare (:func:`prepare_step`), look up
-    the extraction plan, run exactly one eigendecomposition pass over the
-    bucketed submatrix stacks (single-process or rank-sharded) — then
-    :func:`evaluate_request`: bisect μ once for canonical ensembles and
-    assemble every requested observable from the same cached
+    The only path from a request to its result, over one
+    :class:`Decomposition`: :func:`validate_request`, then the engine pass
+    (``_decompose``: prepare with :func:`prepare_step`, look up the
+    extraction plan, run exactly one eigendecomposition pass over the
+    bucketed submatrix stacks, single-process or rank-sharded), then — for
+    a canonical ensemble — one μ-bisection on the cached spectra, and every
+    requested observable assembled from the same cached
     :class:`~repro.api.results.DecomposedSubmatrix` entries.
 
     Exactly one of ``mu`` (grand-canonical) and ``n_electrons`` (canonical)
@@ -439,138 +425,26 @@ def compute_observables(
         solver,
         observable_params,
         ranks,
+        distribution,
+        mu_tolerance,
+        max_mu_iterations,
     )
     decomposition = _decompose(
-        context, K, S, blocks, kernel, names, mu, grouping, ranks, distribution
+        context, K, S, blocks, kernel, names, mu, grouping, ranks, distribution, start
     )
-    return evaluate_request(
-        context.config,
-        K,
-        decomposition,
-        names,
-        start,
-        mu=mu,
-        n_electrons=n_electrons,
-        mu_tolerance=mu_tolerance,
-        max_mu_iterations=max_mu_iterations,
-        observable_params=observable_params,
-    )
-
-
-def _decompose(
-    context, K, S, blocks, kernel, names, mu, grouping, ranks, distribution
-) -> Decomposition:
-    """The engine pass of one request (see :class:`Decomposition`).
-
-    Prepare, look the plan (and, for a sharded request, its pipeline) up,
-    and run the one rank loop once, in one of two modes.  *Collect*: when
-    something downstream reads the spectra — the μ-bisection of a canonical
-    request, an observable without ``supports_iterative`` — the per-stack
-    eigendecompositions become cache entries at their global group index.
-    *Scatter*: otherwise the occupation matrices of the request's fixed μ
-    are delivered inside the stack tasks and nothing else survives them —
-    generating-column panels straight from each stack's ``eigh``
-    (:func:`_spectral_stack_solver`), or whole matrices from an iterative
-    sign kernel (:func:`_occupation_stack_solver`).  ``eigh`` and the sign
-    iterations work per matrix, independent of stack composition, so a
-    sharded pass is bitwise identical to a single-process one.
-    """
-    config = context.config
-    spectral = kernel.supports_mu_bisection
-    collect = mu is None or not all(
-        get_observable(name).supports_iterative for name in names
-    )
-
-    prepared = prepare_step(
-        K, S, blocks, config.eps_filter, s_inv_sqrt=context.overlap_root(S)
-    )
-    block_k, coo = prepared.block_k, prepared.coo
-    grouping = grouping or single_column_groups(block_k.n_block_cols)
-    grouping.validate(block_k.n_block_cols)
-    plan, pipeline = context._lookup(
-        coo, block_k.row_block_sizes, grouping, ranks, distribution
-    )
-    decomposition = Decomposition(prepared, plan, pipeline=pipeline)
-    packed = plan.pack(block_k)
-    run = dict(pipeline=pipeline, mapper=context._map)
-    if collect:
-        spectra = run_stacks(plan, packed, np.linalg.eigh, **run)
-        entries: List[Optional[DecomposedSubmatrix]] = [None] * plan.n_groups
-        for group_indices, (eigenvalues, eigenvectors) in spectra:
-            for slot, group_index in enumerate(group_indices):
-                entries[group_index] = _make_entry(
-                    plan, group_index, eigenvalues[slot], eigenvectors[slot]
-                )
-        decomposition.decomposed = entries  # type: ignore[assignment]
-        decomposition.stack_decompositions = len(spectra)
-        return decomposition
-    out = plan.new_output()
-    if spectral:
-        solver = _spectral_stack_solver(float(mu), config.temperature)
-    else:
-        # the μ-shift is applied by the stack solver, so the kernel is bound
-        # without parameters
-        sign = KernelStackSolver(kernel.bind())
-        solver = _occupation_stack_solver(sign, float(mu))
-    stacks = run_stacks(plan, packed, solver, out, **run)
-    decomposition.occupation_block = plan.finalize(out)
-    if spectral:
-        decomposition.stack_decompositions = len(stacks)
-    else:
-        decomposition.kernel_fallbacks = sign.fallbacks
-    return decomposition
-
-
-def evaluate_request(
-    config,
-    K,
-    decomposition: Decomposition,
-    names: Tuple[str, ...],
-    start: float,
-    mu: Optional[float] = None,
-    n_electrons: Optional[float] = None,
-    mu_tolerance: float = 1e-9,
-    max_mu_iterations: int = 200,
-    observable_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
-) -> ObservableBundle:
-    """The μ-dependent tail of a validated request.
-
-    Bisect μ on the cached spectra when the ensemble is canonical
-    (Algorithm 1), then assemble every observable in ``names`` from one
-    :class:`SharedEvaluation`; the :class:`Decomposition` entries are only
-    ever read.  :func:`compute_observables` ends here.  ``start`` is the
-    ``perf_counter`` reading the result's ``wall_time`` counts from.
-    """
-    mu_iterations = 0
     if n_electrons is not None:
-        mu, mu_iterations = _bisect_mu(
-            config,
+        decomposition.mu, decomposition.mu_iterations = _bisect_mu(
+            context.config,
             decomposition.decomposed,
             float(n_electrons),
             mu_tolerance,
             max_mu_iterations,
         )
-    prepared = decomposition.prepared
-    evaluation = SharedEvaluation(
-        config=config,
-        K=K,
-        s_inv_sqrt=prepared.s_inv_sqrt,
-        coo=prepared.coo,
-        mu=float(mu),
-        mu_iterations=mu_iterations,
-        plan=decomposition.plan,
-        start=start,
-        decomposed=decomposition.decomposed,
-        pipeline=decomposition.pipeline,
-        kernel_fallbacks=decomposition.kernel_fallbacks,
-        occupation_block=decomposition.occupation_block,
-        stack_decompositions=decomposition.stack_decompositions,
-    )
     params_by_name = observable_params or {}
     return ObservableBundle(
         results={
             name: get_observable(name).assemble(
-                evaluation, params_by_name.get(name, {})
+                decomposition, params_by_name.get(name, {})
             )
             for name in names
         },
@@ -579,46 +453,113 @@ def evaluate_request(
     )
 
 
+def _decompose(
+    context, K, S, blocks, kernel, names, mu, grouping, ranks, distribution, start
+) -> Decomposition:
+    """The engine pass of one request (see :class:`Decomposition`).
+
+    Prepare, then run the session's one engine pass (plan lookup, pack, the
+    rank loop) once, in one of two modes.  *Collect*: when
+    something downstream reads the spectra — the μ-bisection of a canonical
+    request, an observable without ``supports_iterative`` — the per-stack
+    eigendecompositions become cache entries at their global group index.
+    *Scatter*: otherwise the occupation matrices of the request's fixed μ
+    are delivered inside the stack tasks and nothing else survives them —
+    generating-column panels straight from each stack's ``eigh``
+    (:func:`_streamed_occupations`), or whole matrices from an iterative
+    sign kernel (:func:`_iterative_occupations`).  ``eigh`` and the sign
+    iterations work per matrix, independent of stack composition, so a
+    sharded pass is bitwise identical to a single-process one.
+    """
+    config = context.config
+    spectral = kernel.supports_mu_bisection
+    collect = mu is None or not all(
+        get_observable(name).supports_iterative for name in names
+    )
+    prepared = prepare_step(
+        K, S, blocks, config.eps_filter, s_inv_sqrt=context.overlap_root(S)
+    )
+    if collect:
+        solver = np.linalg.eigh
+    elif spectral:
+        solver = _streamed_occupations(float(mu), config.temperature)
+    else:
+        # the μ-shift is applied by the stack solver, so the kernel is bound
+        # without parameters
+        sign = KernelStackSolver(kernel.bind())
+        solver = _iterative_occupations(sign, float(mu))
+    plan, pipeline, stacks, occupation_block = context._engine_pass(
+        prepared.block_k,
+        solver,
+        coo=prepared.coo,
+        grouping=grouping,
+        ranks=ranks,
+        distribution=distribution,
+        collect=collect,
+    )
+    decomposition = Decomposition(
+        config=config,
+        K=K,
+        start=start,
+        prepared=prepared,
+        plan=plan,
+        pipeline=pipeline,
+        mu=None if mu is None else float(mu),
+        occupation_block=occupation_block,
+        stack_decompositions=len(stacks) if spectral else 0,
+        kernel_fallbacks=0 if spectral else sign.fallbacks,
+    )
+    if collect:
+        entries: List[Optional[DecomposedSubmatrix]] = [None] * plan.n_groups
+        for group_indices, (eigenvalues, eigenvectors) in stacks:
+            for slot, group_index in enumerate(group_indices):
+                entries[group_index] = _make_entry(
+                    plan, group_index, eigenvalues[slot], eigenvectors[slot]
+                )
+        decomposition.decomposed = entries  # type: ignore[assignment]
+    return decomposition
+
+
 # --------------------------------------------------------------------------- #
 # the observables
 # --------------------------------------------------------------------------- #
 def _assemble_density(
-    evaluation: SharedEvaluation, params: Mapping[str, Any]
+    decomposition: Decomposition, params: Mapping[str, Any]
 ) -> SubmatrixDFTResult:
     if params:
         raise ValueError(
             f"the density observable takes no parameters, got {dict(params)!r}"
         )
-    pipeline = evaluation.pipeline
-    occupation_block = evaluation.occupation_block
+    pipeline = decomposition.pipeline
+    occupation_block = decomposition.occupation_block
     if occupation_block is None:
         # D̃ = Q f(λ − μ) Qᵀ per submatrix (Eq. 17)
         occupation_block = _scatter_spectral(
-            evaluation,
+            decomposition,
             lambda eigenvalues: fermi_occupation(
-                eigenvalues, evaluation.mu, evaluation.config.temperature
+                eigenvalues, decomposition.mu, decomposition.config.temperature
             ),
         )
     return assemble_result(
-        evaluation.config,
-        evaluation.K,
-        evaluation.s_inv_sqrt,
+        decomposition.config,
+        decomposition.K,
+        decomposition.prepared.s_inv_sqrt,
         occupation_block,
-        evaluation.coo,
-        evaluation.mu,
-        evaluation.mu_iterations,
-        list(evaluation.plan.dimensions),
-        wall_time=evaluation.elapsed(),
+        decomposition.prepared.coo,
+        decomposition.mu,
+        decomposition.mu_iterations,
+        list(decomposition.plan.dimensions),
+        wall_time=time.perf_counter() - decomposition.start,
         ranks=pipeline.n_ranks if pipeline is not None else 1,
         pipeline=pipeline,
-        kernel_fallbacks=evaluation.kernel_fallbacks,
+        kernel_fallbacks=decomposition.kernel_fallbacks,
     )
 
 
 def _assemble_pdos(
-    evaluation: SharedEvaluation, params: Mapping[str, Any]
+    decomposition: Decomposition, params: Mapping[str, Any]
 ) -> PDOSResult:
-    if evaluation.decomposed is None:
+    if decomposition.decomposed is None:
         raise ValueError(
             "the pdos observable needs the eigendecomposition cache"
         )
@@ -628,37 +569,42 @@ def _assemble_pdos(
         raise ValueError(
             f"unknown pdos parameters {sorted(unknown)!r}; known: {sorted(known)!r}"
         )
-    config = evaluation.config
+    config = decomposition.config
     broadening = float(params.get("broadening", 0.1))
-    if broadening <= 0.0:
-        raise ValueError("pdos broadening must be positive")
-    n_points = int(params.get("n_points", 400))
+    if not (math.isfinite(broadening) and broadening > 0.0):
+        raise ValueError(
+            f"pdos broadening must be finite and positive, got {broadening!r}"
+        )
+    n_points = check_positive_int(params.get("n_points", 400), "pdos n_points")
     if n_points < 2:
         raise ValueError("pdos n_points must be at least 2")
     eigenvalues = np.concatenate(
-        [entry.eigenvalues for entry in evaluation.decomposed]
+        [entry.eigenvalues for entry in decomposition.decomposed]
     )
     weights = np.concatenate(
-        [entry.generating_weights for entry in evaluation.decomposed]
+        [entry.generating_weights for entry in decomposition.decomposed]
     )
     window = params.get("energy_window")
     if window is None:
         lo = float(eigenvalues.min()) - 5.0 * broadening
         hi = float(eigenvalues.max()) + 5.0 * broadening
     else:
+        window = np.asarray(window, dtype=float)
+        if window.shape != (2,) or not np.isfinite(window).all():
+            raise ValueError("pdos energy_window must be two finite values (lo, hi)")
         lo, hi = float(window[0]), float(window[1])
         if not lo < hi:
             raise ValueError("pdos energy_window must satisfy lo < hi")
     energies = np.linspace(lo, hi, n_points)
     norm = config.spin_degeneracy / (broadening * np.sqrt(2.0 * np.pi))
-    projections = np.zeros((len(evaluation.decomposed), n_points))
-    for group_index, entry in enumerate(evaluation.decomposed):
+    projections = np.zeros((len(decomposition.decomposed), n_points))
+    for group_index, entry in enumerate(decomposition.decomposed):
         delta = (energies[None, :] - entry.eigenvalues[:, None]) / broadening
         projections[group_index] = norm * np.sum(
             entry.generating_weights[:, None] * np.exp(-0.5 * delta * delta),
             axis=0,
         )
-    occupations = fermi_occupation(eigenvalues, evaluation.mu, config.temperature)
+    occupations = fermi_occupation(eigenvalues, decomposition.mu, config.temperature)
     n_elec = config.spin_degeneracy * float(np.dot(weights, occupations))
     return PDOSResult(
         energies=energies,
@@ -666,31 +612,31 @@ def _assemble_pdos(
         projections=projections,
         eigenvalues=eigenvalues,
         weights=weights,
-        mu=evaluation.mu,
+        mu=decomposition.mu,
         broadening=broadening,
         n_electrons=n_elec,
     )
 
 
 def _assemble_energy_weighted(
-    evaluation: SharedEvaluation, params: Mapping[str, Any]
+    decomposition: Decomposition, params: Mapping[str, Any]
 ) -> EnergyWeightedDensityResult:
     if params:
         raise ValueError(
             "the energy_weighted_density observable takes no parameters, "
             f"got {dict(params)!r}"
         )
-    if evaluation.decomposed is None:
+    if decomposition.decomposed is None:
         raise ValueError(
             "the energy_weighted_density observable needs the "
             "eigendecomposition cache"
         )
-    config = evaluation.config
-    mu = evaluation.mu
+    config = decomposition.config
+    mu = decomposition.mu
     ortho, ao = _back_transform(
-        evaluation.s_inv_sqrt,
+        decomposition.prepared.s_inv_sqrt,
         _scatter_spectral(
-            evaluation,
+            decomposition,
             lambda eigenvalues: eigenvalues
             * fermi_occupation(eigenvalues, mu, config.temperature),
         ),
@@ -821,7 +767,6 @@ def _make_entry(
     for array in (eigenvalues, eigenvectors, generating_slice, weights):
         array.setflags(write=False)
     return DecomposedSubmatrix(
-        submatrix=group.make_submatrix(),
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         generating_slice=generating_slice,
@@ -885,7 +830,7 @@ def _bisect_mu(
 
 
 def _scatter_spectral(
-    evaluation: SharedEvaluation,
+    decomposition: Decomposition,
     spectral_function: Callable[[np.ndarray], np.ndarray],
 ) -> BlockSparseMatrix:
     """Scatter the generating columns of Q g(λ) Qᵀ of every cached submatrix.
@@ -895,9 +840,9 @@ def _scatter_spectral(
     per submatrix into the plan's preallocated packed output buffer; the
     result blocks are zero-copy views into that buffer.
     """
-    plan = evaluation.plan
+    plan = decomposition.plan
     out = plan.new_output()
-    for group_index, entry in enumerate(evaluation.decomposed):
+    for group_index, entry in enumerate(decomposition.decomposed):
         panel = spectral_panel(
             entry.eigenvectors,
             spectral_function(entry.eigenvalues),
@@ -907,7 +852,7 @@ def _scatter_spectral(
     return plan.finalize(out)
 
 
-def _spectral_stack_solver(mu: float, temperature: float):
+def _streamed_occupations(mu: float, temperature: float):
     """Per-stack solver ``eigh → f(λ − μ)`` of the streamed spectral route.
 
     Returns the occupation matrices D̃ = Q f(λ − μ) Qᵀ (Eq. 17) of a stack in
@@ -933,7 +878,7 @@ def _spectral_stack_solver(mu: float, temperature: float):
 # --------------------------------------------------------------------------- #
 # iterative path (grand-canonical only, used for the solver ablation)
 # --------------------------------------------------------------------------- #
-def _occupation_stack_solver(sign: KernelStackSolver, mu: float):
+def _iterative_occupations(sign: KernelStackSolver, mu: float):
     """Per-stack occupation solver 1/2·(I − sign(A − μI)).
 
     ``sign`` solves stacks with the kernel that has no eigendecomposition

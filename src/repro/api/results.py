@@ -15,7 +15,6 @@ import numpy as np
 import scipy.sparse as sp
 
 if TYPE_CHECKING:
-    from repro.core.submatrix import Submatrix
     from repro.dbcsr.block_matrix import BlockSparseMatrix
 
 __all__ = [
@@ -310,7 +309,6 @@ class DecomposedSubmatrix:
     marked read-only.
     """
 
-    submatrix: Submatrix
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     # Q[generating rows, :] — the local dense rows of the generating columns —

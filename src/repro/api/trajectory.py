@@ -251,6 +251,9 @@ def validate_trajectory(
     observable_params=None,
     ranks: Optional[int] = None,
     n_steps: Optional[int] = None,
+    distribution=None,
+    mu_tolerance: float = 1e-9,
+    max_mu_iterations: int = 200,
 ) -> Tuple[str, ...]:
     """The checks a trajectory passes before its first step runs.
 
@@ -278,6 +281,9 @@ def validate_trajectory(
         solver,
         observable_params,
         ranks,
+        distribution,
+        mu_tolerance,
+        max_mu_iterations,
     )
     if "density" not in names:
         raise ValueError(
@@ -376,6 +382,9 @@ def run_trajectory(
         observable_params=observable_params,
         ranks=ranks,
         n_steps=n_steps,
+        distribution=distribution,
+        mu_tolerance=mu_tolerance,
+        max_mu_iterations=max_mu_iterations,
     )
 
     results: List[SubmatrixDFTResult] = []

@@ -18,7 +18,10 @@ matrices or generating-column panels, or collect).  The engine reaches it
 through exactly one caller, the rank loop
 :func:`repro.core.runner.run_stacks`, which hands it one unit per rank (or
 the whole plan); :func:`evaluate_batched` is the standalone single-unit
-form for callers that hold a plan and no session.
+form for callers that hold a plan and no session.  Either way a kernel's
+stacks are solved by the one stack solver,
+:class:`~repro.signfn.registry.KernelStackSolver`, and dispatched inline or
+on a given executor (:func:`~repro.parallel.executor.map_parallel`).
 """
 
 from __future__ import annotations
@@ -30,12 +33,12 @@ import numpy as np
 
 from repro.core.plan import SubmatrixPlan
 from repro.parallel.executor import map_parallel, split_chunks
+from repro.signfn.registry import BoundKernel, KernelStackSolver, resolve_kernel
 
 __all__ = [
     "Bucket",
     "make_buckets",
     "make_stack_tasks",
-    "stack_solver",
     "spectral_panel",
     "map_stacks",
     "evaluate_batched",
@@ -97,32 +100,6 @@ def make_stack_tasks(
         for chunk in split_chunks(bucket.members, per_stack):
             tasks.append(Bucket(dimension=bucket.dimension, members=chunk))
     return tasks
-
-
-def stack_solver(
-    function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The ``(k, d, d) -> (k, d, d)`` solver of a kernel's two callables.
-
-    ``batch_function`` evaluates the whole stack in one call; without it the
-    per-matrix ``function`` is applied slice by slice.  Either way the
-    result is coerced to the stack's dtype.
-    """
-    if function is None and batch_function is None:
-        raise ValueError("provide function or batch_function")
-
-    def solve(stack: np.ndarray) -> np.ndarray:
-        if batch_function is not None:
-            return np.asarray(batch_function(stack), dtype=stack.dtype)
-        return np.stack(
-            [
-                np.asarray(function(stack[slot]), dtype=stack.dtype)
-                for slot in range(stack.shape[0])
-            ]
-        )
-
-    return solve
 
 
 def _check_stack_shape(evaluated: np.ndarray, expected: tuple) -> None:
@@ -219,8 +196,6 @@ def evaluate_batched(
     batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     pad_value: float = 1.0,
     max_batch_elements: Optional[int] = None,
-    max_workers: Optional[int] = None,
-    backend: str = "serial",
     out: Optional[np.ndarray] = None,
     executor=None,
 ) -> Optional[List[np.ndarray]]:
@@ -233,23 +208,24 @@ def evaluate_batched(
     packed:
         Packed input values from ``plan.pack(matrix)``.
     function:
-        Per-matrix fallback ``f(a) -> f_a``; used when ``batch_function`` is
-        not given (the stack is still assembled once, so extraction stays
-        vectorized).
+        Per-matrix ``f(a) -> f_a``, applied slice by slice when
+        ``batch_function`` is not given (the stack is still assembled once,
+        so extraction stays vectorized).
     batch_function:
         Batched kernel mapping a ``(k, d, d)`` stack to the ``(k, d, d)``
         stack of results, e.g.
         :func:`repro.signfn.eigen.sign_via_eigendecomposition_batched`.
+        Either is solved through
+        :class:`~repro.signfn.registry.KernelStackSolver`.
     pad_value:
         An inert leftover — accepted and ignored, stacks are never padded;
         it stays only because ``benchmarks/e2e`` passes it.
     max_batch_elements:
         Soft cap on ``k·d²`` per stack (default :data:`MAX_BATCH_ELEMENTS`).
-    max_workers, backend, executor:
-        Stacks are independent and dispatched through
-        :func:`repro.parallel.executor.map_parallel`; a pre-built
-        ``executor`` is reused across calls instead of creating a pool per
-        evaluation.
+    executor:
+        Stacks are independent: with an executor (e.g.
+        :func:`~repro.parallel.executor.make_executor`) they are dispatched
+        on it, else solved inline.
     out:
         Optional preallocated packed output vector (``plan.new_output()``).
         When given, every evaluated stack is scattered straight into it with
@@ -262,16 +238,20 @@ def evaluate_batched(
         ``f(a_i)`` for every plan group in plan order, or ``None`` when
         ``out`` was given.
     """
+    if batch_function is not None:
+        kernel = BoundKernel(name="batch_function", batch_function=batch_function)
+    elif function is not None:
+        kernel = resolve_kernel(function)
+    else:
+        raise ValueError("provide function or batch_function")
     tasks = make_stack_tasks(plan.dimensions, max_batch_elements=max_batch_elements)
     per_task = map_stacks(
         plan,
         packed,
         tasks,
-        stack_solver(function, batch_function),
+        KernelStackSolver(kernel),
         out=out,
-        mapper=lambda run, items: map_parallel(
-            run, items, max_workers, backend, executor=executor
-        ),
+        mapper=lambda run, items: map_parallel(run, items, executor=executor),
     )
     if out is not None:
         return None

@@ -72,7 +72,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.submatrix import Submatrix
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.coo import CooBlockList, concat_ranges
 
@@ -129,16 +128,6 @@ class GroupPlan:
     segment_counts: np.ndarray
     block_sizes: np.ndarray
     offsets: np.ndarray
-
-    def make_submatrix(self, data: Optional[np.ndarray] = None) -> Submatrix:
-        """Bookkeeping-only :class:`Submatrix` view of this group."""
-        return Submatrix(
-            generating_columns=self.generating_columns,
-            indices=self.indices,
-            local_columns=self.local_columns,
-            data=data,
-            block_sizes=self.block_sizes,
-        )
 
     def generating_rows(self) -> np.ndarray:
         """Dense rows (equally: columns) of the generating columns.

@@ -7,6 +7,10 @@ a thread pool: NumPy/LAPACK release the GIL inside the dense kernels, so
 threads give genuine speedups, and the workers scatter straight into the
 shared packed output buffer.
 
+Work reaches a worker one way: :func:`map_parallel` runs its items on an
+executor it is given — a session's one persistent pool, built by
+:func:`make_executor` — or inline; it never builds a pool of its own.
+
 The default worker count (:func:`default_worker_count`) is the CPUs this
 process may use divided by the BLAS threads per call, as pinned by
 ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else ``MKL_NUM_THREADS``.
@@ -209,12 +213,12 @@ class _SessionPool(concurrent.futures.ThreadPoolExecutor):
 def make_executor(
     backend: str, max_workers: Optional[int] = None
 ) -> Optional[concurrent.futures.Executor]:
-    """Build the executor that ``map_parallel`` would create for ``backend``.
+    """Build the pool :func:`map_parallel` dispatches on for ``backend``.
 
-    Returns ``None`` for configurations where ``map_parallel`` runs serially
-    (``backend="serial"`` or a single worker — ``max_workers=None`` is
-    :func:`default_worker_count`, one worker while BLAS is unpinned), so
-    callers can unconditionally pass the result through as ``executor=``.
+    Returns ``None`` for serial configurations (``backend="serial"`` or a
+    single worker — ``max_workers=None`` is :func:`default_worker_count`,
+    one worker while BLAS is unpinned), so callers can unconditionally pass
+    the result through as ``executor=``: ``None`` runs the items inline.
     The caller owns the pool and must ``shutdown()`` it (or use it as a
     context manager).
     """
@@ -246,11 +250,9 @@ def split_chunks(items: Sequence[T], max_chunk: int) -> List[List[T]]:
 def map_parallel(
     function: Callable[[T], R],
     items: Sequence[T],
-    max_workers: Optional[int] = None,
-    backend: str = "thread",
     executor: Optional[concurrent.futures.Executor] = None,
 ) -> List[R]:
-    """Apply ``function`` to every item, optionally in parallel.
+    """Apply ``function`` to every item, on ``executor`` or inline.
 
     Parameters
     ----------
@@ -258,20 +260,13 @@ def map_parallel(
         Callable applied to each item.
     items:
         Input sequence; results are returned in the same order.
-    max_workers:
-        Worker count; defaults to :func:`default_worker_count`.  A value of
-        1 or the ``"serial"`` backend short-circuits to a plain loop.
-    backend:
-        ``"serial"`` or ``"thread"``.
     executor:
-        Optional pre-built :class:`concurrent.futures.Executor`.  When given
-        it is used as-is and left running afterwards, so a caller that maps
-        many batches (e.g. the distributed pipeline across μ-bisection
-        iterations) pays the pool start-up cost once instead of per call.
-        ``max_workers`` and ``backend`` are ignored in that case (except
-        that single-item inputs still short-circuit to a plain loop, and so
-        does a map called from one of the pool's own workers — queued behind
-        the caller, its items could wait for a worker forever).
+        Optional pre-built :class:`concurrent.futures.Executor` (a session's
+        pool, or :func:`make_executor`'s); it is used as-is and left running
+        afterwards, so a caller that maps many batches pays the pool
+        start-up cost once.  Without one — and for a single item, or a map
+        called from one of the pool's own workers (queued behind the caller,
+        its items could wait for a worker forever) — the items run inline.
 
     Returns
     -------
@@ -290,29 +285,16 @@ def map_parallel(
         depend on how the pool interleaved them.
     """
     items = list(items)
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
     runner = _GuardedTask(function)
     indexed = list(enumerate(items))
-    if executor is not None:
-        if len(items) <= 1 or (
-            isinstance(executor, _SessionPool) and executor.owns_current_thread()
-        ):
-            raw = [runner(pair) for pair in indexed]
-        else:
-            raw = list(executor.map(runner, indexed))
-    elif max_workers is not None and max_workers < 1:
-        raise ValueError("max_workers must be at least 1")
+    if (
+        executor is None
+        or len(items) <= 1
+        or (isinstance(executor, _SessionPool) and executor.owns_current_thread())
+    ):
+        raw = [runner(pair) for pair in indexed]
     else:
-        if max_workers is None:
-            max_workers = default_worker_count()
-        if backend == "serial" or max_workers == 1 or len(items) <= 1:
-            raw = [runner(pair) for pair in indexed]
-        else:
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=max_workers
-            ) as pool:
-                raw = list(pool.map(runner, indexed))
+        raw = list(executor.map(runner, indexed))
     for result in raw:
         if isinstance(result, _TaskFailure):
             raise wrap_task_error(result.error, result.index, len(items)) from (

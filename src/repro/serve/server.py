@@ -273,6 +273,9 @@ class DensityService:
             solver,
             observable_params,
             ranks,
+            distribution,
+            mu_tolerance,
+            max_mu_iterations,
         )
         context = self._context_for(config)
 
@@ -341,6 +344,9 @@ class DensityService:
             observable_params=bound["observable_params"],
             ranks=bound["ranks"],
             n_steps=bound["n_steps"],
+            distribution=bound["distribution"],
+            mu_tolerance=bound["mu_tolerance"],
+            max_mu_iterations=bound["max_mu_iterations"],
         )
         context = self._context_for(config)
         return self._dispatch_admitted(

@@ -3,17 +3,19 @@
 The paper compares two per-submatrix sign solvers: the dense symmetric
 eigendecomposition (Eq. 12/17), which it uses, and the 2nd-order
 Newton–Schulz iteration (Eq. 11), CP2K's baseline.  :data:`KERNELS` holds
-exactly these two as :class:`MatrixFunction` entries (how to build the
-per-matrix callable and the batched ``(k, d, d)`` variant for the bucketed
-stack evaluator); :func:`get_kernel` resolves a ``solver=`` or ``apply``
-name against it with a "did you mean" suggestion on typos, and
-:func:`resolve_kernel` turns either user-facing spec — a kernel name or a
-bare callable — into a :class:`BoundKernel` ready for the submatrix engine.
+exactly these two as :class:`MatrixFunction` entries — factories of
+``(k, d, d)`` stack callables, never of a per-matrix one; :func:`get_kernel`
+resolves a ``solver=`` or ``apply`` name against it with a "did you mean"
+suggestion on typos, and :func:`resolve_kernel` turns either user-facing
+spec — a kernel name or a bare per-matrix callable, wrapped once into a
+slice-by-slice stack function — into a :class:`BoundKernel`.
 
-Every evaluation of a bound kernel on ``(k, d, d)`` stacks — f(A) and
-densities alike — goes through one :class:`KernelStackSolver`: Newton–Schulz
-gets one convergence-checked attempt at its default budget, and every
-submatrix it did not converge is evaluated by ``eigen`` instead and counted.
+:class:`KernelStackSolver` is the one stack solver of the engine: ``apply``,
+the Newton–Schulz density route and
+:func:`~repro.core.batch.evaluate_batched` evaluate every stack through it.
+Newton–Schulz gets one convergence-checked attempt at its default budget,
+and every submatrix it did not converge is evaluated by ``eigen`` instead
+and counted.
 """
 
 from __future__ import annotations
@@ -25,14 +27,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.signfn.eigen import (
-    sign_via_eigendecomposition,
-    sign_via_eigendecomposition_batched,
-)
-from repro.signfn.newton_schulz import (
-    sign_newton_schulz,
-    sign_newton_schulz_batched,
-)
+from repro.signfn.eigen import sign_via_eigendecomposition_batched
+from repro.signfn.newton_schulz import sign_newton_schulz_batched
 
 __all__ = [
     "MatrixFunction",
@@ -60,11 +56,9 @@ class BoundKernel:
     ----------
     name:
         Kernel name (or the callable's name for ad-hoc functions).
-    function:
-        Per-matrix callable ``(d, d) -> (d, d)``.
     batch_function:
-        Optional batched callable ``(k, d, d) -> (k, d, d)``; ``None`` falls
-        back to one ``function`` call per stack slice.
+        Stack callable ``(k, d, d) -> (k, d, d)`` (a bare per-matrix
+        callable is applied slice by slice).
     checked_function:
         ``(k, d, d) -> (results, fallbacks)`` for kernels with a
         :attr:`MatrixFunction.make_checked_batched`: the kernel's one
@@ -75,8 +69,7 @@ class BoundKernel:
     """
 
     name: str
-    function: Callable[[np.ndarray], np.ndarray]
-    batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    batch_function: Callable[[np.ndarray], np.ndarray]
     checked_function: Optional[
         Callable[[np.ndarray], Tuple[np.ndarray, int]]
     ] = None
@@ -90,14 +83,12 @@ class MatrixFunction:
     ----------
     name:
         Table key (``"eigen"`` or ``"newton_schulz"``).
-    make:
-        Factory ``make(**params)`` returning the per-matrix callable.
     make_batched:
-        Optional factory returning the batched ``(k, d, d)`` callable.  It
-        returns a stack of its own: the density driver maps sign →
-        occupation in place on what it gets back.
+        Factory ``make_batched(**params)`` returning the batched
+        ``(k, d, d)`` callable.  It returns a stack of its own: the density
+        driver maps sign → occupation in place on what it gets back.
     make_checked_batched:
-        Optional factory (same parameters as ``make``) returning a
+        Optional factory (same parameters as ``make_batched``) returning a
         *convergence-checked* batched callable ``checked(stack) ->
         (results, converged)`` with ``converged`` a per-matrix boolean
         array; it runs the kernel once at :data:`DEFAULT_SIGN_MAX_ITERATIONS`
@@ -119,8 +110,7 @@ class MatrixFunction:
     """
 
     name: str
-    make: Callable[..., Callable[[np.ndarray], np.ndarray]]
-    make_batched: Optional[Callable[..., Callable[[np.ndarray], np.ndarray]]] = None
+    make_batched: Callable[..., Callable[[np.ndarray], np.ndarray]]
     supports_mu_bisection: bool = False
     description: str = ""
     make_checked_batched: Optional[Callable[..., Callable]] = None
@@ -135,8 +125,6 @@ class MatrixFunction:
 
     def bind(self, **params) -> BoundKernel:
         """Build the callables for one parameter set (e.g. ``mu=0.2``)."""
-        function = self.make(**params)
-        batch = self.make_batched(**params) if self.make_batched is not None else None
         checked = None
         if self.make_checked_batched is not None:
             checked = _with_eigen_fallback(
@@ -144,8 +132,7 @@ class MatrixFunction:
             )
         return BoundKernel(
             name=self.name,
-            function=function,
-            batch_function=batch,
+            batch_function=self.make_batched(**params),
             checked_function=checked,
         )
 
@@ -199,37 +186,29 @@ def available_kernels() -> List[str]:
     return sorted(KERNELS)
 
 
-def resolve_kernel(
-    spec,
-    batch_function: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    **params,
-) -> BoundKernel:
+def resolve_kernel(spec, **params) -> BoundKernel:
     """Turn a kernel spec into a :class:`BoundKernel`.
 
-    ``spec`` is a kernel name or a bare callable (applied to every
-    submatrix at its own dimension).
-    ``batch_function`` overrides the kernel's batched variant, its
-    convergence-checked one included; ``**params`` are forwarded to the
-    kernel factories (e.g. ``mu=0.2``).
+    ``spec`` is a kernel name, whose ``**params`` (e.g. ``mu=0.2``) are
+    forwarded to its factories, or a bare callable ``(d, d) -> (d, d)``,
+    wrapped once into a stack function applying it to every slice at the
+    submatrix's own dimension.
     """
     if isinstance(spec, str):
-        bound = get_kernel(spec).bind(**params)
-    elif callable(spec):
-        if params:
-            raise TypeError(
-                "kernel parameters are only supported for named kernels; "
-                "bake them into the callable instead"
-            )
-        bound = BoundKernel(name=getattr(spec, "__name__", "callable"), function=spec)
-    else:
+        return get_kernel(spec).bind(**params)
+    if not callable(spec):
         raise TypeError(
             f"function must be a callable or a kernel name, got {type(spec).__name__}"
         )
-    if batch_function is not None:
-        bound = dataclasses.replace(
-            bound, batch_function=batch_function, checked_function=None
+    if params:
+        raise TypeError(
+            "kernel parameters are only supported for named kernels; "
+            "bake them into the callable instead"
         )
-    return bound
+    return BoundKernel(
+        name=getattr(spec, "__name__", "callable"),
+        batch_function=lambda stack: [spec(matrix) for matrix in stack],
+    )
 
 
 class KernelStackSolver:
@@ -241,8 +220,7 @@ class KernelStackSolver:
     attempt, and the submatrices it did not converge come back from ``eigen``
     and add to :attr:`fallbacks` (stacks may be solved on several threads;
     the count is taken under a lock).  Any other kernel runs its batched
-    callable, or its per-matrix one slice by slice.  The result has the
-    stack's dtype.
+    callable.  The result has the stack's dtype.
     """
 
     def __init__(self, kernel: BoundKernel):
@@ -252,39 +230,23 @@ class KernelStackSolver:
 
     def __call__(self, stack: np.ndarray) -> np.ndarray:
         kernel = self.kernel
-        if kernel.checked_function is not None:
+        if kernel.checked_function is None:
+            results = kernel.batch_function(stack)
+        else:
             results, fallbacks = kernel.checked_function(stack)
             if fallbacks:
                 with self._lock:
                     self.fallbacks += fallbacks
-        elif kernel.batch_function is not None:
-            results = kernel.batch_function(stack)
-        else:
-            results = [kernel.function(matrix) for matrix in stack]
         return np.asarray(results, dtype=stack.dtype)
 
 
 # --------------------------------------------------------------------------- #
 # the two kernels
 # --------------------------------------------------------------------------- #
-def _make_eigen(mu: float = 0.0, zero_tolerance: float = 0.0):
-    return lambda a: sign_via_eigendecomposition(a, mu=mu, zero_tolerance=zero_tolerance)
-
-
 def _make_eigen_batched(mu: float = 0.0, zero_tolerance: float = 0.0):
     return lambda stack: sign_via_eigendecomposition_batched(
         stack, mu=mu, zero_tolerance=zero_tolerance
     )
-
-
-def _make_newton_schulz(mu: float = 0.0):
-    def solve(a):
-        a = np.asarray(a, dtype=float)
-        if mu != 0.0:
-            a = a - mu * np.eye(a.shape[-1])
-        return sign_newton_schulz(a).sign
-
-    return solve
 
 
 def _make_newton_schulz_batched(mu: float = 0.0):
@@ -307,14 +269,12 @@ def _make_newton_schulz_checked(mu: float = 0.0):
 KERNELS: Dict[str, MatrixFunction] = {
     "eigen": MatrixFunction(
         name="eigen",
-        make=_make_eigen,
         make_batched=_make_eigen_batched,
         supports_mu_bisection=True,
         description="sign(A − μI) via dense symmetric eigendecomposition (Eq. 17)",
     ),
     "newton_schulz": MatrixFunction(
         name="newton_schulz",
-        make=_make_newton_schulz,
         make_batched=_make_newton_schulz_batched,
         description="sign(A − μI) via the 2nd-order Newton–Schulz iteration (Eq. 11)",
         make_checked_batched=_make_newton_schulz_checked,

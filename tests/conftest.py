@@ -116,23 +116,24 @@ def reachable_array_bytes(root):
     return sum(buffers.values())
 
 
-def run_pipeline(pipeline, matrix, function=None, batch_function=None, mapper=None):
+def run_pipeline(pipeline, matrix, function, mapper=None, **kernel_params):
     """f(A) through an explicitly built pipeline and the one rank loop.
 
-    What ``SubmatrixContext.apply(matrix, f, ranks=n)`` does with its cached
-    pipeline, for tests that construct the pipeline themselves; ``mapper``
-    dispatches the rank tasks (:func:`~repro.core.runner.run_stacks`).
-    Returns the block-sparse f(A).
+    What ``SubmatrixContext.apply(matrix, function, ranks=n, **kernel_params)``
+    does with its cached pipeline, for tests that construct the pipeline
+    themselves: ``function`` is a kernel name or a bare per-matrix callable,
+    solved by the one stack solver; ``mapper`` dispatches the rank tasks
+    (:func:`~repro.core.runner.run_stacks`).  Returns the block-sparse f(A).
     """
-    from repro.core.batch import stack_solver
     from repro.core.runner import run_stacks
+    from repro.signfn.registry import KernelStackSolver, resolve_kernel
 
     plan, _ = pipeline.prepare()
     out = plan.new_output()
     run_stacks(
         plan,
         plan.pack(matrix),
-        stack_solver(function, batch_function),
+        KernelStackSolver(resolve_kernel(function, **kernel_params)),
         out,
         pipeline=pipeline,
         mapper=mapper,

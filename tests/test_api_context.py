@@ -34,7 +34,9 @@ import repro
 from repro.api import (
     BACKENDS,
     ENGINES,
+    DecomposedSubmatrix,
     EngineConfig,
+    MatrixFunction,
     SubmatrixContext,
     UnknownKernelError,
     available_kernels,
@@ -47,9 +49,14 @@ from repro.chem import (
     reference_density_matrix,
 )
 from repro.chem.hamiltonian import BlockStructure
-from repro.dbcsr import BlockSparseMatrix, CooBlockList
-from repro.core.batch import evaluate_batched, stack_solver
-from repro.core.plan import PlanCache
+from repro.dbcsr import (
+    BlockDistribution,
+    BlockSparseMatrix,
+    CooBlockList,
+    ProcessGrid2D,
+)
+from repro.core.batch import evaluate_batched
+from repro.core.plan import GroupPlan, PlanCache
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_dense
 from repro.parallel.executor import BLAS_THREAD_VARIABLES
 from repro.serve import DensityService
@@ -109,7 +116,6 @@ class TestEngineConfig:
             sign_newton_schulz_batched,
             sign_pade,
             sign_via_eigendecomposition_batched,
-            stack_solver,
             evaluate_batched,
         ):
             assert "xp" not in inspect.signature(function).parameters
@@ -383,13 +389,17 @@ class TestKernelRegistry:
         bound = resolve_kernel("eigen", mu=0.25)
         a = np.diag([-1.0, 0.0, 1.0])
         expected = sign_via_eigendecomposition(a, mu=0.25)
-        assert np.array_equal(bound.function(a), expected)
-        assert bound.batch_function is not None
+        assert np.array_equal(bound.batch_function(a[None])[0], expected)
+        assert bound.checked_function is None
 
-    def test_callable_spec_passthrough(self):
+    def test_callable_spec_is_wrapped_per_slice(self):
+        """A bare callable becomes one stack function, applied slice by slice."""
         fn = lambda a: a @ a  # noqa: E731
         bound = resolve_kernel(fn)
-        assert bound.function is fn
+        stack = np.random.default_rng(0).normal(size=(3, 4, 4))
+        solved = KernelStackSolver(bound)(stack)
+        assert np.array_equal(solved, np.stack([fn(a) for a in stack]))
+        assert bound.checked_function is None
         with pytest.raises(TypeError):
             resolve_kernel(fn, mu=0.5)
 
@@ -404,13 +414,13 @@ class TestKernelRegistry:
         assert np.array_equal(result.result.toarray(), reference.toarray())
         assert result.submatrix_dimensions == dimensions
 
-    def test_stack_solver_counts_fallbacks_across_threads(self):
+    def test_kernel_solver_counts_fallbacks_across_threads(self):
         """One ``KernelStackSolver`` serves every stack task of a request,
         on as many pool threads: no fallback count may be lost."""
         solver = KernelStackSolver(
             BoundKernel(
                 name="every-slot-falls-back",
-                function=lambda a: a,
+                batch_function=lambda stack: stack,
                 checked_function=lambda stack: (stack, stack.shape[0]),
             )
         )
@@ -455,6 +465,67 @@ class TestKernelRegistry:
         assert "run_trajectory" in repro.api.__all__
 
 
+class TestOneEngineSeam:
+    """Structure guard: a kernel is stack callables only, one stack solver
+    (``KernelStackSolver``) serves every route, stacks reach a worker only
+    through a given executor, and a request has one record
+    (``Decomposition``).  Every deleted name is gone and every deleted
+    keyword is a :class:`TypeError`."""
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.core.batch", "stack_solver"),
+            ("repro.core", "stack_solver"),
+            ("repro.signfn.registry", "_make_eigen"),
+            ("repro.signfn.registry", "_make_newton_schulz"),
+            ("repro.api.observables", "SharedEvaluation"),
+            ("repro.api.observables", "evaluate_request"),
+            ("repro.api", "SharedEvaluation"),
+            ("repro", "SharedEvaluation"),
+        ],
+    )
+    def test_name_is_gone(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            (MatrixFunction, "make"),
+            (BoundKernel, "function"),
+            (DecomposedSubmatrix, "submatrix"),
+            (GroupPlan, "make_submatrix"),
+        ],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_member_is_gone(self, owner, name):
+        assert not hasattr(owner, name)
+        assert name not in {field.name for field in dataclasses.fields(owner)}
+
+    def test_removed_keyword_is_a_type_error(self):
+        from repro.core.plan import block_plan
+        from repro.parallel import map_parallel
+
+        matrix = sp.random(12, 12, density=0.3, random_state=3, format="csr")
+        matrix = matrix + matrix.T
+        identity = lambda stack: stack  # noqa: E731
+        with SubmatrixContext() as ctx:
+            for kernel in ("eigen", lambda a: a):
+                with pytest.raises(TypeError):
+                    ctx.apply(matrix, kernel, batch_function=identity)
+            assert ctx.plan_cache.stats["misses"] == 0  # refused before a plan
+        with pytest.raises(TypeError):
+            resolve_kernel("eigen", batch_function=identity)
+        for keyword in ({"max_workers": 2}, {"backend": "thread"}):
+            with pytest.raises(TypeError):
+                map_parallel(abs, [1, -2], **keyword)
+            blocked = block_matrix_from_csr(matrix, [1] * 12)
+            coo = CooBlockList.from_block_matrix(blocked)
+            plan = block_plan(coo, [1] * 12, [[c] for c in range(12)])
+            with pytest.raises(TypeError):
+                evaluate_batched(plan, plan.pack(blocked), function=abs, **keyword)
+
+
 # --------------------------------------------------------------------------- #
 # context.apply equivalence with the reference loop
 # --------------------------------------------------------------------------- #
@@ -463,11 +534,9 @@ class TestApplyEquivalence:
         _, blocked = orthogonalized_block(water32_matrices)
         ctx = SubmatrixContext(EngineConfig(engine="batched"))
         new = ctx.apply(blocked, "eigen", mu=gap_mu)
-        # the named kernel is the callable pair it is registered with ...
+        # the named kernel is its per-matrix function as a bare callable ...
         spelled_out = ctx.apply(
-            blocked,
-            lambda a: sign_via_eigendecomposition(a, gap_mu),
-            batch_function=lambda s: sign_via_eigendecomposition_batched(s, gap_mu),
+            blocked, lambda a: sign_via_eigendecomposition(a, gap_mu)
         )
         # ... and both are the per-submatrix reference loop
         reference, dimensions = reference_apply_blockwise(
@@ -1153,6 +1222,30 @@ class TestDistributedSession:
         )
         with pytest.raises(ValueError, match="plan="):
             ctx.apply(blocked, "eigen", mu=gap_mu, plan=plan, ranks=2)
+
+    def test_distribution_is_checked(self, water32_matrices, gap_mu):
+        """``distribution=`` fixes a sharded run's block ownership: it needs
+        ``ranks=``, that rank count and the matrix's block grid, and is
+        refused rather than ignored without them."""
+        _, blocked = orthogonalized_block(water32_matrices)
+        n_blocks = blocked.n_block_cols
+        two = BlockDistribution(n_blocks, n_blocks, ProcessGrid2D(2, (1, 2)))
+        ctx = SubmatrixContext()
+        for request, message in (
+            ({}, "pass ranks="),
+            ({"ranks": 4}, "distribution has 2 ranks"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                ctx.apply(blocked, "eigen", mu=gap_mu, distribution=two, **request)
+        small = BlockDistribution(4, 4, ProcessGrid2D(2, (1, 2)))
+        with pytest.raises(ValueError, match="block grid"):
+            ctx.apply(blocked, "eigen", mu=gap_mu, distribution=small, ranks=2)
+        run = ctx.apply(blocked, "eigen", mu=gap_mu, distribution=two, ranks=2)
+        whole = ctx.apply(blocked, "eigen", mu=gap_mu)
+        assert run.n_ranks == 2
+        assert np.array_equal(
+            block_matrix_to_dense(run.result), block_matrix_to_dense(whole.result)
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -39,7 +39,11 @@ from repro.api import (
     available_observables,
     get_observable,
 )
-from repro.api.observables import compute_observables, normalize_observables
+from repro.api.observables import (
+    compute_observables,
+    normalize_observables,
+    prepare_step,
+)
 from repro.chem import reference_density_matrix
 from repro.chem.density import fermi_occupation
 from repro.chem.hamiltonian import BlockStructure
@@ -347,14 +351,21 @@ class TestCacheEntries:
             patch.setattr(repro.api.observables, "_bisect_mu", spying_bisect)
             with SubmatrixContext(EngineConfig(eps_filter=1e-2)) as ctx:
                 ctx.density(pair.K, pair.S, pair.blocks, n_electrons=N_ELECTRONS)
-        assert len(entries) == 32
-        for entry in entries:
+                prepared = prepare_step(pair.K, pair.S, pair.blocks, 1e-2)
+                plan = ctx.block_plan_for(
+                    prepared.coo,
+                    prepared.block_k.row_block_sizes,
+                    [[column] for column in range(prepared.block_k.n_block_cols)],
+                )
+        assert ctx.plan_cache.stats["misses"] == 1  # the request's own plan
+        assert len(entries) == plan.n_groups == 32
+        for group, entry in zip(plan.groups, entries):
             # the generating rows, one arange per generating block column
-            offsets = np.concatenate(([0], np.cumsum(entry.submatrix.block_sizes)))
+            offsets = np.concatenate(([0], np.cumsum(group.block_sizes)))
             rows = np.concatenate(
                 [
                     np.arange(offsets[column], offsets[column + 1])
-                    for column in entry.submatrix.local_columns
+                    for column in group.local_columns
                 ]
             )
             q_rows = entry.eigenvectors[rows, :]
@@ -633,6 +644,62 @@ class TestRegistry:
                     mu=gap_mu,
                     observable_params={"pdos": {"sigma": 0.1}},
                 )
+
+    @pytest.mark.parametrize(
+        "params, error, match",
+        [
+            # a non-finite width gave an all-NaN DOS and only a RuntimeWarning
+            ({"broadening": float("nan")}, ValueError, "broadening"),
+            ({"broadening": float("inf")}, ValueError, "broadening"),
+            ({"broadening": 0.0}, ValueError, "broadening"),
+            # a float or bool grid size truncated silently
+            ({"n_points": 2.9}, TypeError, "n_points"),
+            ({"n_points": 64.0}, TypeError, "n_points"),
+            ({"n_points": True}, TypeError, "n_points"),
+            ({"n_points": 1}, ValueError, "n_points"),
+            ({"n_points": 0}, ValueError, "n_points"),
+            ({"energy_window": (0.0,)}, ValueError, "energy_window"),
+            ({"energy_window": (0.0, 1.0, 2.0)}, ValueError, "energy_window"),
+            ({"energy_window": (0.0, float("nan"))}, ValueError, "energy_window"),
+            ({"energy_window": (float("-inf"), 0.0)}, ValueError, "energy_window"),
+            ({"energy_window": (1.0, 0.0)}, ValueError, "energy_window"),
+        ],
+        ids=repr,
+    )
+    def test_hostile_pdos_params_raise(
+        self, water32_matrices, gap_mu, params, error, match
+    ):
+        pair = water32_matrices
+        with SubmatrixContext(CONFIG) as ctx:
+            with pytest.raises(error, match=match):
+                ctx.observables(
+                    pair.K,
+                    pair.S,
+                    pair.blocks,
+                    observables=("pdos",),
+                    mu=gap_mu,
+                    observable_params={"pdos": params},
+                )
+
+    def test_integer_pdos_grid_of_any_integer_type(self, water32_matrices, gap_mu):
+        pair = water32_matrices
+        with SubmatrixContext(CONFIG) as ctx:
+            pdos = [
+                ctx.observables(
+                    pair.K,
+                    pair.S,
+                    pair.blocks,
+                    observables=("pdos",),
+                    mu=gap_mu,
+                    observable_params={
+                        "pdos": {"n_points": n_points, "energy_window": [-1, 1]}
+                    },
+                )["pdos"]
+                for n_points in (2, np.int64(2))
+            ]
+        for result in pdos:
+            assert np.array_equal(result.energies, [-1.0, 1.0])
+        assert np.array_equal(pdos[0].dos, pdos[1].dos)
 
     def test_density_takes_no_params(self, water32_matrices, gap_mu):
         pair = water32_matrices

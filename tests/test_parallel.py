@@ -160,22 +160,24 @@ class TestMachineModel:
 class TestExecutor:
     def test_serial_matches_parallel(self):
         items = list(range(20))
-        serial = map_parallel(lambda x: x * x, items, backend="serial")
-        threaded = map_parallel(lambda x: x * x, items, backend="thread", max_workers=2)
+        serial = map_parallel(lambda x: x * x, items)
+        with make_executor("thread", 2) as pool:
+            threaded = map_parallel(lambda x: x * x, items, executor=pool)
         assert serial == threaded == [x * x for x in items]
 
     def test_order_preserved(self):
         items = [3, 1, 2]
-        result = map_parallel(lambda x: x + 10, items, backend="thread", max_workers=2)
+        with make_executor("thread", 2) as pool:
+            result = map_parallel(lambda x: x + 10, items, executor=pool)
         assert result == [13, 11, 12]
 
     def test_invalid_backend(self):
         with pytest.raises(ValueError):
-            map_parallel(lambda x: x, [1], backend="gpu")
+            make_executor("gpu")
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            map_parallel(lambda x: x, [1], max_workers=0)
+            make_executor("thread", 0)
 
     def test_empty_input(self):
         assert map_parallel(lambda x: x, []) == []
@@ -274,8 +276,13 @@ def _explode_on_three(value):
 class TestMapParallelWrapping:
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_wrapped_error_carries_task_context(self, backend):
-        with pytest.raises(TaskExecutionError) as info:
-            map_parallel(_explode_on_three, range(6), max_workers=2, backend=backend)
+        pool = make_executor(backend, 2)
+        try:
+            with pytest.raises(TaskExecutionError) as info:
+                map_parallel(_explode_on_three, range(6), executor=pool)
+        finally:
+            if pool is not None:
+                pool.shutdown()
         error = info.value
         assert error.task_index == 3
         assert error.n_tasks == 6
@@ -285,7 +292,7 @@ class TestMapParallelWrapping:
 
     def test_wrapped_error_still_matches_original_type(self):
         with pytest.raises(ValueError, match="bad value 3"):
-            map_parallel(_explode_on_three, range(6), backend="serial")
+            map_parallel(_explode_on_three, range(6))
 
     def test_lowest_failing_index_wins(self):
         def explode_even(value):
@@ -294,7 +301,7 @@ class TestMapParallelWrapping:
             return value
 
         with pytest.raises(TaskExecutionError) as info:
-            map_parallel(explode_even, range(6), backend="serial")
+            map_parallel(explode_even, range(6))
         assert info.value.task_index == 0
         assert isinstance(info.value, KeyError)
 

@@ -22,6 +22,8 @@ from repro.api import EngineConfig, SubmatrixContext
 from repro.chem import orthogonalized_ks
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_csr
 
+from submatrix_reference import reference_apply_blockwise, reference_apply_elementwise
+
 #: sparse enough for mixed submatrix dimensions (several buckets), so the
 #: stack caps below give one stack per matrix, several per bucket, or one
 EPS = 1e-3
@@ -46,8 +48,14 @@ def _density_fields(result):
     ]
 
 
+def inverse_sqrt(a):
+    """A bare per-matrix kernel: (|A| + I)^{-1/2} from one ``eigh``."""
+    values, vectors = np.linalg.eigh(a)
+    return (vectors / np.sqrt(np.abs(values) + 1.0)) @ vectors.T
+
+
 def run_every_route(config, pair, mu):
-    """Every value of the five routes, as ``{route: [arrays and scalars]}``."""
+    """Every value of the seven routes, as ``{route: [arrays and scalars]}``."""
     k_ortho, _ = orthogonalized_ks(pair.K, pair.S, eps_filter=EPS)
     blocked = block_matrix_from_csr(k_ortho, pair.blocks.block_sizes, threshold=0.0)
     steps = [(pair.K * (1.0 + 1e-4 * step), pair.S) for step in range(3)]
@@ -57,6 +65,8 @@ def run_every_route(config, pair, mu):
             pair.K, pair.S, pair.blocks, mu=mu, solver="newton_schulz"
         )
         applied = context.apply(blocked, "eigen", mu=mu)
+        applied_newton_schulz = context.apply(blocked, "newton_schulz", mu=mu)
+        applied_callable = context.apply(blocked, inverse_sqrt)
         trajectory = context.trajectory(steps, pair.blocks, mu=mu)
     with SubmatrixContext(config.replace(temperature=3000.0)) as context:
         bundle = context.observables(
@@ -76,6 +86,11 @@ def run_every_route(config, pair, mu):
         + [pdos.weights, weighted.energy_weighted_ao]
         + [weighted.energy_weighted_ortho, weighted.band_energy],
         "apply": [block_matrix_to_csr(applied.result)],
+        "apply_newton_schulz": [
+            block_matrix_to_csr(applied_newton_schulz.result),
+            applied_newton_schulz.kernel_fallbacks,
+        ],
+        "apply_callable": [block_matrix_to_csr(applied_callable.result)],
         "trajectory": [
             value for result in trajectory.results for value in _density_fields(result)
         ],
@@ -130,3 +145,27 @@ def test_request_from_a_session_worker_maps_its_stacks_inline(
         assert np.array_equal(result.density_ao, direct.density_ao)
         assert np.array_equal(result.density_ortho.toarray(), direct.density_ortho.toarray())
     context.close()
+
+
+@pytest.mark.parametrize("workers", sorted(WORKERS))
+@pytest.mark.parametrize("form", ["block", "scipy"])
+def test_bare_callable_through_apply_is_the_per_matrix_loop(
+    water32_matrices, workers, form
+):
+    """A bare callable is wrapped once into a slice-by-slice stack function:
+    through ``apply`` — block or SciPy input, serial or on the session pool —
+    it is bitwise the per-submatrix reference loop."""
+    pair = water32_matrices
+    k_ortho, _ = orthogonalized_ks(pair.K, pair.S, eps_filter=1e-2)
+    if form == "scipy":
+        matrix = k_ortho
+        reference, dimensions = reference_apply_elementwise(matrix, inverse_sqrt)
+    else:
+        matrix = block_matrix_from_csr(k_ortho, pair.blocks.block_sizes, threshold=0.0)
+        reference, dimensions = reference_apply_blockwise(matrix, inverse_sqrt)
+        reference = block_matrix_to_csr(reference)
+    with SubmatrixContext(EngineConfig(**WORKERS[workers])) as context:
+        result = context.apply(matrix, inverse_sqrt)
+    applied = result.result if form == "scipy" else block_matrix_to_csr(result.result)
+    assert np.array_equal(applied.toarray(), reference.toarray())
+    assert result.submatrix_dimensions == dimensions

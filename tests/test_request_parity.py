@@ -2,8 +2,8 @@
 
 ``context.observables``, a one-step ``context.trajectory`` and
 ``DensityService.submit`` (which runs that same ``context.observables``
-call on the service's dispatch pool) all end in the same
-:func:`~repro.api.observables.evaluate_request` tail behind the same
+call on the service's dispatch pool) all run the same
+:func:`~repro.api.observables.compute_observables` skeleton behind the same
 :func:`~repro.api.observables.validate_request` check, so the same request
 yields bitwise-equal results from all three — and an invalid request the
 same exception, before any work is done.  ``DensityService.submit_trajectory``
@@ -18,9 +18,12 @@ import numpy as np
 import pytest
 
 from repro.api import EngineConfig, SubmatrixContext
+from repro.dbcsr import BlockDistribution, ProcessGrid2D
 from repro.serve import DensityService
 
 CONFIG = EngineConfig(backend="thread", max_workers=2)
+#: water32 has 32 block columns
+TWO_RANKS = BlockDistribution(32, 32, ProcessGrid2D(2, (1, 2)))
 N_ELECTRONS = 8.0 * 32
 ALL_OBSERVABLES = ("density", "pdos", "energy_weighted_density")
 
@@ -123,7 +126,52 @@ INVALID_REQUESTS = {
     "ranks_zero": dict(mu=0.0, ranks=0),
     "ranks_float": dict(mu=0.0, ranks=1.7),
     "ranks_bool": dict(mu=0.0, ranks=True),
+    # zero or negative μ-search steps returned the bracket's midpoint as μ
+    "max_mu_iterations_zero": dict(n_electrons=N_ELECTRONS, max_mu_iterations=0),
+    "max_mu_iterations_negative": dict(
+        n_electrons=N_ELECTRONS, max_mu_iterations=-3
+    ),
+    "max_mu_iterations_float": dict(n_electrons=N_ELECTRONS, max_mu_iterations=2.5),
+    "mu_tolerance_nan": dict(n_electrons=N_ELECTRONS, mu_tolerance=float("nan")),
+    "mu_tolerance_inf": dict(n_electrons=N_ELECTRONS, mu_tolerance=float("inf")),
+    "mu_tolerance_negative": dict(n_electrons=N_ELECTRONS, mu_tolerance=-1e-9),
+    # a distribution fixes a sharded run's ownership over 32 block columns
+    "distribution_without_ranks": dict(mu=0.0, distribution=TWO_RANKS),
+    "distribution_rank_mismatch": dict(mu=0.0, ranks=4, distribution=TWO_RANKS),
+    "distribution_wrong_grid": dict(
+        mu=0.0, ranks=2, distribution=BlockDistribution(8, 8, ProcessGrid2D(2, (1, 2)))
+    ),
 }
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_REQUESTS))
+def test_invalid_request_is_refused_before_any_work(water32_matrices, name):
+    """A direct request raises before it looks a plan or an overlap root up,
+    and ``DensityService.submit`` raises from the call itself: the service
+    admits, fails and holds nothing."""
+    request = INVALID_REQUESTS[name]
+    pair = water32_matrices
+    with SubmatrixContext(CONFIG) as context:
+        with pytest.raises((ValueError, TypeError)):
+            context.observables(pair.K, pair.S, pair.blocks, **request)
+        assert context.plan_cache.stats["misses"] == 0
+        assert context.stats()["overlap_roots"]["misses"] == 0
+    with DensityService(config=CONFIG) as service:
+        with pytest.raises((ValueError, TypeError)):
+            service.submit(pair.K, pair.S, pair.blocks, **request)
+        snapshot = service.stats()
+    assert snapshot["metrics"]["total"]["admitted"] == 0
+    assert snapshot["metrics"]["total"]["failed"] == 0
+    assert snapshot["admission"]["in_flight"] == 0
+
+
+def test_valid_distribution_is_bitwise_the_default_one(water32_matrices, gap_mu):
+    reference = run_direct(water32_matrices, mu=gap_mu, ranks=2)
+    for entry_point in ENTRY_POINTS:
+        result = entry_point(
+            water32_matrices, mu=gap_mu, ranks=2, distribution=TWO_RANKS
+        )
+        assert_same_result(result, reference, ("density",))
 
 
 @pytest.mark.parametrize("name", sorted(INVALID_REQUESTS))

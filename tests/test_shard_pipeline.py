@@ -43,7 +43,6 @@ from repro.parallel import MachineModel
 from repro.signfn import (
     sign_newton_schulz_batched,
     sign_via_eigendecomposition,
-    sign_via_eigendecomposition_batched,
 )
 from repro.signfn.registry import KERNELS, get_kernel
 
@@ -52,11 +51,9 @@ from submatrix_reference import reference_apply_blockwise, reference_density
 
 RANK_COUNTS = (1, 2, 4, 8)
 MU = 0.1
-#: sign(A − MU·I) as the per-matrix / batched callable pair
-SIGN = dict(
-    function=lambda a: sign_via_eigendecomposition(a, MU),
-    batch_function=lambda s: sign_via_eigendecomposition_batched(s, MU),
-)
+#: sign(A − MU·I) as a kernel spec, and as a bare per-matrix callable
+SIGN = dict(function="eigen", mu=MU)
+SIGN_PER_MATRIX = lambda a: sign_via_eigendecomposition(a, MU)  # noqa: E731
 
 
 def banded_block_matrix(n_blocks=24, bandwidth=2, seed=7):
@@ -336,13 +333,13 @@ class TestDistributedPipeline:
         grouping = group_columns_greedy_chunks(coo.n_block_cols, 3)
         ctx = SubmatrixContext()
         single = ctx.apply(
-            matrix, SIGN["function"], column_groups=grouping.groups, coo=coo
+            matrix, SIGN_PER_MATRIX, column_groups=grouping.groups, coo=coo
         )
         pipeline = DistributedSubmatrixPipeline(coo, sizes, 4, grouping=grouping)
-        result = run_pipeline(pipeline, matrix, SIGN["function"])
+        result = run_pipeline(pipeline, matrix, SIGN_PER_MATRIX)
         assert_blocks_bitwise_equal(single.result.raw_blocks(), result.raw_blocks())
         via_session = ctx.apply(
-            matrix, SIGN["function"], column_groups=grouping.groups, coo=coo, ranks=4
+            matrix, SIGN_PER_MATRIX, column_groups=grouping.groups, coo=coo, ranks=4
         )
         assert_blocks_bitwise_equal(
             single.result.raw_blocks(), via_session.result.raw_blocks()
@@ -451,12 +448,8 @@ class TestWaterBenchmarkAcceptance:
             whole = ctx.apply(blocked, solver, mu=gap_mu).result.raw_blocks()
             ran = ctx.apply(blocked, solver, mu=gap_mu, ranks=2)
         assert_blocks_bitwise_equal(whole, ran.result.raw_blocks())
-        bound = get_kernel(solver).bind(mu=gap_mu)
         built = run_pipeline(
-            DistributedSubmatrixPipeline(coo, sizes, 2),
-            blocked,
-            bound.function,
-            bound.batch_function,
+            DistributedSubmatrixPipeline(coo, sizes, 2), blocked, solver, mu=gap_mu
         )
         assert_blocks_bitwise_equal(whole, built.raw_blocks())
 

@@ -547,6 +547,26 @@ class TestBatchedEvaluation:
             reference = plan.extract(packed, index)
             assert np.array_equal(results[index], reference @ reference)
 
+    def test_function_is_batch_function_of_the_same_loop(self):
+        """``function=f`` is the stack function applying f slice by slice:
+        bitwise ``batch_function=`` of that loop, returned or scattered."""
+        matrix = random_block_symmetric(10, 2, 1, 3)
+        coo = CooBlockList.from_block_matrix(matrix)
+        plan = block_plan(coo, matrix.row_block_sizes, [[c] for c in range(10)])
+        packed = plan.pack(matrix)
+        f = lambda a: np.linalg.eigh(a)[1] @ a  # noqa: E731
+        loop = lambda stack: np.stack([f(a) for a in stack])  # noqa: E731
+        for out in (False, True):
+            runs = []
+            for spec in ({"function": f}, {"batch_function": loop}):
+                buffer = plan.new_output() if out else None
+                results = evaluate_batched(plan, packed, out=buffer, **spec)
+                runs.append([buffer] if out else results)
+            for ours, theirs in zip(*runs):
+                assert np.array_equal(ours, theirs)
+        with pytest.raises(ValueError, match="function or batch_function"):
+            evaluate_batched(plan, packed)
+
 
 class TestExactDimensionStacks:
     """Every submatrix is solved at its own dimension: a stack refuses a
