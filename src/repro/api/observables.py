@@ -103,10 +103,11 @@ from repro.chem.density import (
 from repro.core.batch import spectral_panel
 from repro.core.combination import ColumnGrouping
 from repro.core.plan import BlockSubmatrixPlan
-from repro.chem.orthogonalize import orthogonalized_ks
+from repro.chem.orthogonalize import orthogonalized_ks_dense
 from repro.dbcsr.block_matrix import BlockSparseMatrix
-from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_csr
+from repro.dbcsr.convert import block_matrix_from_dense, block_matrix_to_csr
 from repro.dbcsr.coo import CooBlockList
+from repro.dbcsr.product import triple_product
 from repro.signfn.registry import KernelStackSolver, get_kernel
 
 __all__ = [
@@ -143,7 +144,6 @@ class PreparedStep:
     a prepared step.
     """
 
-    k_ortho: sp.csr_matrix
     s_inv_sqrt: np.ndarray
     block_k: BlockSparseMatrix
     coo: CooBlockList
@@ -156,6 +156,10 @@ def prepare_step(
 
     ``s_inv_sqrt`` is the Löwdin root of ``S`` when the caller already holds
     it (a session passes its cached one); by default it is computed here.
+    The filtered K̃ goes from its dense form straight into blocks
+    (:func:`~repro.dbcsr.convert.block_matrix_from_dense`), the blocks and
+    values :func:`~repro.chem.orthogonalize.orthogonalized_ks`'s CSR form
+    would give.
 
     Raises :class:`ValueError` naming the matrix when ``K`` or ``S`` holds a
     NaN/Inf or is not symmetric
@@ -164,14 +168,12 @@ def prepare_step(
     all-zero density would come back instead of an error; an asymmetric ``K``
     would be symmetrised into a different Hamiltonian without complaint.
     """
-    k_ortho, s_inv_sqrt = orthogonalized_ks(
+    k_ortho, s_inv_sqrt = orthogonalized_ks_dense(
         K, S, eps_filter=eps_filter, s_inv_sqrt=s_inv_sqrt
     )
-    block_k = block_matrix_from_csr(k_ortho, blocks.block_sizes, threshold=0.0)
+    block_k = block_matrix_from_dense(k_ortho, blocks.block_sizes)
     coo = CooBlockList.from_block_matrix(block_k)
-    return PreparedStep(
-        k_ortho=k_ortho, s_inv_sqrt=s_inv_sqrt, block_k=block_k, coo=coo
-    )
+    return PreparedStep(s_inv_sqrt=s_inv_sqrt, block_k=block_k, coo=coo)
 
 
 # --------------------------------------------------------------------------- #
@@ -259,6 +261,7 @@ def validate_request(
     distribution=None,
     mu_tolerance: float = 1e-9,
     max_mu_iterations: int = 200,
+    shapes: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None,
 ):
     """Check one request before any work or resource is spent on it.
 
@@ -281,6 +284,10 @@ def validate_request(
     μ-search step the bracket's midpoint would be μ), ``mu_tolerance`` must be
     finite and non-negative, and ``distribution`` must pass
     :func:`~repro.api.config.check_distribution` on the request's block grid.
+    ``shapes`` are the shapes of ``K`` and ``S`` (a trajectory passes none:
+    each step is checked when it runs): both must be square 2-D, equal, and
+    as large as the blocks (:func:`_check_shapes`), so a mismatch fails here,
+    naming the matrix, before an overlap root, a plan or an admission slot.
     """
     ranks = check_positive_int(ranks, "ranks")
     check_positive_int(max_mu_iterations, "max_mu_iterations")
@@ -336,7 +343,25 @@ def validate_request(
             )
     if distribution is not None:
         check_distribution(distribution, ranks, len(blocks.block_sizes))
+    if shapes is not None:
+        _check_shapes(*shapes, blocks)
     return names, kernel
+
+
+def _check_shapes(k_shape, s_shape, blocks) -> None:
+    """Raise :class:`ValueError` naming the matrix unless ``K`` and ``S`` are
+    square 2-D matrices of one non-zero size, the sum of the block sizes."""
+    n_basis = int(np.sum(blocks.block_sizes))
+    for name, shape in (("K", tuple(k_shape)), ("S", tuple(s_shape))):
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+            raise ValueError(
+                f"{name} must be a non-empty square 2-D matrix, got shape {shape}"
+            )
+        if shape[0] != n_basis:
+            raise ValueError(
+                f"{name} has shape {shape}, but the blocks sum to {n_basis} "
+                "basis functions"
+            )
 
 
 @dataclasses.dataclass
@@ -428,6 +453,7 @@ def compute_observables(
         distribution,
         mu_tolerance,
         max_mu_iterations,
+        shapes=(np.shape(K), np.shape(S)),
     )
     decomposition = _decompose(
         context, K, S, blocks, kernel, names, mu, grouping, ranks, distribution, start
@@ -691,9 +717,10 @@ def _back_transform(
     s_inv_sqrt: np.ndarray, ortho_block: BlockSparseMatrix
 ) -> Tuple[sp.csr_matrix, np.ndarray]:
     """Outer products of Eq. 16: the scattered orthogonal-basis blocks as CSR
-    and their AO-basis form ``S^{-1/2} · X̃ · S^{-1/2}`` (dense)."""
+    and their AO-basis form ``S^{-1/2} · X̃ · S^{-1/2}`` (dense, one
+    :func:`~repro.dbcsr.product.triple_product` over the stored blocks)."""
     ortho = block_matrix_to_csr(ortho_block)
-    return ortho, s_inv_sqrt @ ortho.toarray() @ s_inv_sqrt
+    return ortho, triple_product(s_inv_sqrt, ortho_block, ortho.toarray())
 
 
 def assemble_result(
@@ -713,12 +740,13 @@ def assemble_result(
     """Finalize a density calculation from its scattered occupation matrix.
 
     Convert the packed occupation blocks to CSR, back-transform to the AO
-    basis, evaluate the band-structure energy and electron count, and
-    collect the transfer accounting of an optional sharded ``pipeline``.
+    basis, evaluate the band-structure energy (over ``K``'s stored entries
+    when it is sparse, :func:`~repro.chem.density.band_structure_energy`)
+    and electron count, and collect the transfer accounting of an optional
+    sharded ``pipeline``.
     """
     density_ortho, density_ao = _back_transform(s_inv_sqrt, occupation_block)
-    k_dense = K.toarray() if sp.issparse(K) else np.asarray(K, dtype=float)
-    energy = band_structure_energy(density_ao, k_dense, config.spin_degeneracy)
+    energy = band_structure_energy(density_ao, K, config.spin_degeneracy)
     n_elec = electron_count(density_ortho, config.spin_degeneracy)
     segment_fetch_bytes = None
     block_fetch_bytes = None

@@ -21,6 +21,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
+from repro.dbcsr.product import DENSE_FILL, stored_fill
+
 __all__ = [
     "fermi_occupation",
     "density_from_sign",
@@ -157,9 +159,20 @@ def band_structure_energy(
 
     ``spin_degeneracy`` (g_s) defaults to 2 for closed-shell systems; the
     paper's Eq. 10 absorbs the factor into D, here it is kept explicit.
+
+    A sparse ``K`` that stores less than
+    :data:`~repro.dbcsr.product.DENSE_FILL` of its elements is contracted
+    over its stored entries, Σ K_ij·D_ji, without densifying it; a fuller
+    one is densified and contracted in full.
     """
     if sp.issparse(density_ao) and sp.issparse(K):
         return float(spin_degeneracy * density_ao.multiply(K.T).sum())
+    if sp.issparse(K) and stored_fill(K) < DENSE_FILL:
+        D = np.ascontiguousarray(density_ao, dtype=float)
+        entries = K.tocoo()
+        # D_ji of every stored K_ij, gathered from the flat row-major D
+        flat_index = entries.col.astype(np.intp) * D.shape[1] + entries.row
+        return float(spin_degeneracy * np.dot(entries.data, D.reshape(-1)[flat_index]))
     D = density_ao.toarray() if sp.issparse(density_ao) else np.asarray(density_ao)
     K_dense = K.toarray() if sp.issparse(K) else np.asarray(K)
     return float(spin_degeneracy * np.tensordot(D, K_dense.T, axes=2))

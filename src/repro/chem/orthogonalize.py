@@ -10,18 +10,31 @@ function by multiplying the Kohn–Sham matrix from both sides with S^{-1/2}
 This module provides the dense reference S^{-1/2} (via symmetric
 eigendecomposition) as well as a sparse, filtered orthogonalized Kohn–Sham
 matrix for use by the sparse solvers.
+
+Both Löwdin products of a request — K̃ here and the back-transform
+S^{-1/2}·D̃·S^{-1/2} of the density (:mod:`repro.api.observables`) — are one
+:func:`~repro.dbcsr.product.triple_product`: one dense GEMM plus one exact
+sparse × dense product in row panels that multiplies only the column runs
+the sparse operand stores.  An operand that stores at least half of its
+elements (:data:`~repro.dbcsr.product.DENSE_FILL`), or whose panels would do
+at least half of the dense work, takes the dense (S^{-1/2}·A)·S^{-1/2}
+bitwise instead.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.dbcsr.product import triple_product
+
 __all__ = [
     "loewdin_inverse_sqrt",
     "orthogonalized_ks",
+    "orthogonalized_ks_dense",
 ]
 
 
@@ -93,6 +106,35 @@ def loewdin_inverse_sqrt(
     return 0.5 * (inv_sqrt + inv_sqrt.T)
 
 
+def orthogonalized_ks_dense(
+    K: Union[np.ndarray, sp.spmatrix],
+    S: Union[np.ndarray, sp.spmatrix],
+    eps_filter: float = 0.0,
+    s_inv_sqrt: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`orthogonalized_ks` with K̃ left dense (a fresh, writable array).
+
+    This is the form the engine cuts into blocks
+    (:func:`~repro.dbcsr.convert.block_matrix_from_dense`); the arguments,
+    the checks and the values are those of :func:`orthogonalized_ks`.
+    """
+    if not (math.isfinite(eps_filter) and eps_filter >= 0.0):
+        raise ValueError(
+            f"eps_filter must be finite and non-negative, got {eps_filter!r}"
+        )
+    if s_inv_sqrt is None:
+        s_inv_sqrt = loewdin_inverse_sqrt(S)
+    K_dense = K.toarray() if sp.issparse(K) else np.asarray(K, dtype=float)
+    _require_symmetric("K", K_dense)
+    K_ortho = triple_product(s_inv_sqrt, K if sp.issparse(K) else K_dense, K_dense)
+    # symmetrise and filter in place: 0.5·(K̃ + K̃ᵀ), then |K̃_ij| < eps → 0
+    K_ortho += K_ortho.T.copy()
+    K_ortho *= 0.5
+    if eps_filter > 0.0:
+        K_ortho[np.abs(K_ortho) < eps_filter] = 0.0
+    return K_ortho, s_inv_sqrt
+
+
 def orthogonalized_ks(
     K: Union[np.ndarray, sp.spmatrix],
     S: Union[np.ndarray, sp.spmatrix],
@@ -121,17 +163,17 @@ def orthogonalized_ks(
         S^{-1/2} used to build it (needed again to back-transform the density
         matrix, Eq. 16).
 
-    Raises :class:`ValueError` naming ``K`` when it holds a NaN/Inf or is not
-    symmetric by :data:`SYMMETRY_ATOL` / :data:`SYMMETRY_RTOL` (K̃ is
-    symmetrised below, which would average a real asymmetry away), and
-    whatever :func:`loewdin_inverse_sqrt` raises for ``S``.
+    The triple product is :func:`~repro.dbcsr.product.triple_product`:
+    S^{-1/2}·(K·S^{-1/2}) with K·S^{-1/2} in row panels when ``K`` is a
+    sparse matrix that stores few enough elements, else the dense
+    (S^{-1/2}·K)·S^{-1/2}.
+
+    Raises :class:`ValueError` for an ``eps_filter`` that is NaN, infinite
+    or negative (as :class:`~repro.api.config.EngineConfig` does), naming
+    ``K`` when it holds a NaN/Inf or is not symmetric by
+    :data:`SYMMETRY_ATOL` / :data:`SYMMETRY_RTOL` (K̃ is symmetrised below,
+    which would average a real asymmetry away), and whatever
+    :func:`loewdin_inverse_sqrt` raises for ``S``.
     """
-    if s_inv_sqrt is None:
-        s_inv_sqrt = loewdin_inverse_sqrt(S)
-    K_dense = K.toarray() if sp.issparse(K) else np.asarray(K, dtype=float)
-    _require_symmetric("K", K_dense)
-    K_ortho = s_inv_sqrt @ K_dense @ s_inv_sqrt
-    K_ortho = 0.5 * (K_ortho + K_ortho.T)
-    if eps_filter > 0.0:
-        K_ortho = np.where(np.abs(K_ortho) >= eps_filter, K_ortho, 0.0)
+    K_ortho, s_inv_sqrt = orthogonalized_ks_dense(K, S, eps_filter, s_inv_sqrt)
     return sp.csr_matrix(K_ortho), s_inv_sqrt

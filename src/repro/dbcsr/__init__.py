@@ -16,7 +16,9 @@ engine runs on:
 * :mod:`repro.dbcsr.coo` — the deterministic global COO block list that the
   submatrix implementation builds during its initialization (Sec. IV-A1);
 * :mod:`repro.dbcsr.convert` — conversions to/from SciPy sparse and dense
-  arrays (a SciPy matrix enters the engine as a grid of 1×1 blocks).
+  arrays (a SciPy matrix enters the engine as a grid of 1×1 blocks);
+* :mod:`repro.dbcsr.product` — the exact sparse × dense product in row
+  panels behind the Löwdin triple products S^{-1/2}·A·S^{-1/2}.
 
 The ``eps_filter`` truncation of the orthogonalized Kohn–Sham matrix lives
 in :func:`repro.chem.orthogonalize.orthogonalized_ks`.

@@ -5,6 +5,16 @@ The chemistry substrate produces ``scipy.sparse`` matrices with a known block
 :class:`~repro.dbcsr.block_matrix.BlockSparseMatrix`.  These helpers move
 data between the representations while preserving the block structure and
 dropping blocks that are entirely below a threshold.
+
+In a density request the filtered K̃ = S^{-1/2}·K·S^{-1/2} goes from its
+dense form straight into blocks (:func:`block_matrix_from_dense`, vectorised
+and equal to the CSR route, :func:`block_matrix_from_csr` of its CSR form).
+The triple products on either side of the engine are
+:func:`~repro.dbcsr.product.triple_product`: one dense GEMM plus one exact
+sparse × dense product in row panels over the column runs the sparse operand
+stores, unless it stores at least half of its elements or the panels would do
+at least half of the dense work — then the dense (S^{-1/2}·A)·S^{-1/2},
+bitwise.
 """
 
 from __future__ import annotations
@@ -32,9 +42,16 @@ def block_matrix_from_dense(
 ) -> BlockSparseMatrix:
     """Cut a dense matrix into blocks, keeping blocks above ``threshold``.
 
-    A block is kept when its largest absolute element is strictly greater
-    than ``threshold`` (with ``threshold=0.0`` all blocks containing any
-    non-zero are kept).
+    The blocks kept, and their values, are those of
+    ``block_matrix_from_csr(sp.csr_matrix(matrix), …, threshold)``: a block
+    is kept when one of its elements is non-zero (``threshold <= 0``, a NaN
+    included) or has an absolute value strictly above ``threshold`` (a NaN
+    is not above any threshold), and a kept block stores every element of
+    its region, a negative zero as ``+0.0``.
+
+    Vectorised: one elementwise test, one pass per block row, and one
+    gather per distinct block shape; the stored blocks are views into the
+    gathered buffers.
     """
     matrix = np.asarray(matrix, dtype=float)
     result = BlockSparseMatrix(row_block_sizes, col_block_sizes)
@@ -44,14 +61,39 @@ def block_matrix_from_dense(
             f"matrix shape {matrix.shape} does not match block structure "
             f"({rows}, {cols})"
         )
-    for bi in range(result.n_block_rows):
-        r0, r1 = result.row_starts[bi], result.row_starts[bi + 1]
-        for bj in range(result.n_block_cols):
-            c0, c1 = result.col_starts[bj], result.col_starts[bj + 1]
-            block = matrix[r0:r1, c0:c1]
-            peak = np.max(np.abs(block)) if block.size else 0.0
-            if peak > threshold or (threshold == 0.0 and peak > 0.0):
-                result.put_block(bi, bj, block)
+    if not matrix.size:
+        return result
+    counted = np.abs(matrix) > threshold if threshold > 0.0 else matrix != 0.0
+    in_block_rows = np.empty((result.n_block_rows, cols), dtype=bool)
+    for bi, (r0, r1) in enumerate(
+        zip(result.row_starts[:-1].tolist(), result.row_starts[1:].tolist())
+    ):
+        np.any(counted[r0:r1], axis=0, out=in_block_rows[bi])
+    occupied = np.logical_or.reduceat(in_block_rows, result.col_starts[:-1], axis=1)
+    block_row, block_col = np.nonzero(occupied)  # row-major block order
+    if not block_row.size:
+        return result
+    heights = result.row_block_sizes[block_row]
+    widths = result.col_block_sizes[block_col]
+    origins = result.row_starts[block_row] * cols + result.col_starts[block_col]
+    flat = matrix.reshape(-1)
+    views: list = []
+    members_by_shape = []
+    shape_ids = heights * (int(widths.max()) + 1) + widths
+    for shape_id in np.unique(shape_ids).tolist():
+        members = np.flatnonzero(shape_ids == shape_id)
+        height, width = int(heights[members[0]]), int(widths[members[0]])
+        local = np.arange(height)[:, None] * cols + np.arange(width)
+        gathered = flat[origins[members, None, None] + local]
+        gathered += 0.0  # -0.0 → +0.0, as the CSR route (which drops zeros) gives
+        views.extend(gathered)
+        members_by_shape.append(members)
+    # the blocks enter the dictionary in row-major block order, as the CSR
+    # route's do
+    order = np.argsort(np.concatenate(members_by_shape)).tolist()
+    result.raw_blocks().update(
+        zip(zip(block_row.tolist(), block_col.tolist()), [views[i] for i in order])
+    )
     return result
 
 

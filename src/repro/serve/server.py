@@ -43,6 +43,8 @@ from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, Optional
 
+import numpy as np
+
 from repro.api.config import EngineConfig
 from repro.api.context import SubmatrixContext
 from repro.api.observables import validate_request
@@ -276,6 +278,7 @@ class DensityService:
             distribution,
             mu_tolerance,
             max_mu_iterations,
+            shapes=(np.shape(K), np.shape(S)),
         )
         context = self._context_for(config)
 

@@ -372,21 +372,21 @@ class TestServiceIdentity:
                 water32_matrices.blocks,
                 mu=gap_mu,
             )
-            bad = service.submit(
-                bad_K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
-            )
+            # a wrong shape is refused at submit, before admission
+            with pytest.raises(ValueError, match=r"K has shape \(5, 5\)"):
+                service.submit(
+                    bad_K, water32_matrices.S, water32_matrices.blocks, mu=gap_mu
+                )
             poisoned = service.submit(
                 nan_K.tocsr(), water32_matrices.S, water32_matrices.blocks, mu=gap_mu
             )
             result = good.result(120)
-            with pytest.raises(Exception):
-                bad.result(120)
             with pytest.raises(ValueError, match="K contains non-finite"):
                 poisoned.result(120)
             snapshot = service.stats()
         assert_identical(result, ref_gc)
         assert snapshot["metrics"]["total"]["completed"] == 1
-        assert snapshot["metrics"]["total"]["failed"] == 2
+        assert snapshot["metrics"]["total"]["failed"] == 1
         assert snapshot["admission"]["in_flight"] == 0
 
 

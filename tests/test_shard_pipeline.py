@@ -47,7 +47,11 @@ from repro.signfn import (
 from repro.signfn.registry import KERNELS, get_kernel
 
 from conftest import run_pipeline
-from submatrix_reference import reference_apply_blockwise, reference_density
+from submatrix_reference import (
+    REFERENCE_DENSITY_ATOL,
+    reference_apply_blockwise,
+    reference_density,
+)
 
 RANK_COUNTS = (1, 2, 4, 8)
 MU = 0.1
@@ -512,8 +516,13 @@ class TestExecutorParity:
         assert np.array_equal(
             results["apply", "eigen"][0], block_matrix_to_csr(loop).toarray()
         )
+        # the engine back-transforms the sparse D̃ in row panels, the reference
+        # with two dense GEMMs: the same terms summed in another order
         density = reference_density(pair.K, pair.S, pair.blocks, gap_mu, self.EPS)
-        assert np.array_equal(results["density", "eigen"][0], density.density_ao)
+        assert (
+            np.max(np.abs(results["density", "eigen"][0] - density.density_ao))
+            <= REFERENCE_DENSITY_ATOL
+        )
         return results
 
     @pytest.mark.parametrize("context", ["clean", "warm"])

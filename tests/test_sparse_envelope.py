@@ -1,0 +1,446 @@
+"""The sparse Löwdin envelope: S^{-1/2}·K·S^{-1/2} and S^{-1/2}·D̃·S^{-1/2}.
+
+:func:`~repro.dbcsr.product.triple_product` multiplies only the column runs
+a sparse operand stores (:func:`~repro.dbcsr.product.panel_product`) and
+falls back to the dense expression, bitwise, when the operand is full or
+the panels would not pay.  These tests hold the product to the dense GEMM's
+rounding bound on arbitrary block patterns, the fallback to today's bits,
+the densities to the reference and the dense oracle, determinism to the
+bit, and the request checks that guard the envelope.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import repro.api.observables as observables_module
+import repro.dbcsr.convert as convert_module
+from repro.api import EngineConfig, SubmatrixContext
+from repro.api.observables import prepare_step
+from repro.chem import (
+    SZV,
+    HamiltonianModel,
+    build_matrices,
+    reference_density_matrix,
+    water_box,
+)
+from repro.chem.orthogonalize import (
+    loewdin_inverse_sqrt,
+    orthogonalized_ks,
+    orthogonalized_ks_dense,
+)
+from repro.dbcsr import BlockSparseMatrix
+from repro.dbcsr.convert import (
+    block_matrix_from_csr,
+    block_matrix_from_dense,
+    block_matrix_to_csr,
+    block_matrix_to_dense,
+)
+from repro.dbcsr.product import (
+    DENSE_FILL,
+    PANEL_ROWS,
+    column_runs,
+    panel_product,
+    stored_fill,
+    triple_product,
+)
+from repro.serve import DensityService
+from submatrix_reference import (
+    REFERENCE_DENSITY_ATOL,
+    assert_matches_reference_density,
+    reference_density,
+)
+
+EPS = np.finfo(float).eps
+
+
+# --------------------------------------------------------------------------- #
+# block patterns
+# --------------------------------------------------------------------------- #
+@st.composite
+def block_patterns(draw):
+    """A block matrix of ragged, 1×1 or panel-crossing blocks on a random,
+    banded (periodic wrap-around) or full pattern, with empty block rows and
+    explicitly stored zero blocks; returns it and a dense right factor."""
+    kind = draw(st.sampled_from(["random", "band", "full", "unit", "tall"]))
+    if kind == "unit":
+        sizes = [1] * draw(st.integers(1, 130))
+    elif kind == "tall":  # blocks that meet two or three panels
+        sizes = draw(
+            st.lists(st.integers(1, 2 * PANEL_ROWS + 5), min_size=1, max_size=4)
+        )
+    else:
+        sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=26))
+    n_blocks = len(sizes)
+    if kind == "full":
+        occupied = np.ones((n_blocks, n_blocks), dtype=bool)
+    elif kind == "band":
+        width = draw(st.integers(0, 3))
+        offset = np.subtract.outer(np.arange(n_blocks), np.arange(n_blocks))
+        offset %= n_blocks
+        occupied = (offset <= width) | (offset >= n_blocks - width)
+    else:
+        occupied = draw(arrays(np.bool_, (n_blocks, n_blocks)))
+    if kind != "full":
+        for empty in draw(st.sets(st.integers(0, n_blocks - 1), max_size=3)):
+            occupied[empty] = False
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_share = draw(st.sampled_from([0.0, 0.3]))
+    matrix = BlockSparseMatrix(sizes)
+    for bi, bj in zip(*np.nonzero(occupied)):
+        block = rng.standard_normal((sizes[bi], sizes[bj]))
+        if rng.random() < zero_share:
+            block[:] = 0.0  # an explicitly stored zero block
+        matrix.put_block(int(bi), int(bj), block)
+    right = rng.standard_normal((sum(sizes), draw(st.integers(1, 40))))
+    return matrix, right
+
+
+def rounding_bound(dense, right):
+    """c·ε·‖A‖·‖X‖ with c the inner dimension (Frobenius norms)."""
+    return dense.shape[1] * EPS * np.linalg.norm(dense) * np.linalg.norm(right)
+
+
+class TestPanelProduct:
+    @given(block_patterns())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_dense_gemm_to_rounding(self, pattern):
+        matrix, right = pattern
+        dense = block_matrix_to_dense(matrix)
+        exact = dense @ right
+        bound = rounding_bound(dense, right)
+        for operand in (matrix, block_matrix_to_csr(matrix)):
+            product = panel_product(operand, dense, right)
+            assert product.shape == exact.shape
+            assert np.max(np.abs(product - exact), initial=0.0) <= bound
+
+    @given(block_patterns())
+    @settings(max_examples=100, deadline=None)
+    def test_runs_cover_every_stored_column(self, pattern):
+        """Exactness rests on this: outside its runs a panel is zero."""
+        matrix, _ = pattern
+        dense = block_matrix_to_dense(matrix)
+        for operand in (matrix, block_matrix_to_csr(matrix)):
+            runs = column_runs(operand)
+            assert [start for start, *_ in runs] == list(
+                range(0, dense.shape[0], PANEL_ROWS)
+            )
+            for start, stop, begins, ends in runs:
+                assert np.all(begins < ends) and np.all(ends[:-1] < begins[1:])
+                outside = np.ones(dense.shape[1], dtype=bool)
+                for first, last in zip(begins, ends):
+                    outside[first:last] = False
+                assert not np.any(dense[start:stop, outside])
+
+    def test_wrap_around_band_is_two_runs_per_panel(self):
+        n = 4 * PANEL_ROWS
+        band = sp.diags(
+            [1.0, 2.0, 3.0, 2.0, 1.0], [-(n - 1), -1, 0, 1, n - 1], shape=(n, n)
+        ).tocsr()
+        runs = column_runs(band)
+        assert [len(begins) for _, _, begins, _ in runs] == [2, 1, 1, 2]
+        right = np.random.default_rng(0).standard_normal((n, 7))
+        product = panel_product(band, band.toarray(), right)
+        assert np.max(np.abs(product - band.toarray() @ right)) <= rounding_bound(
+            band.toarray(), right
+        )
+
+    def test_empty_operand_is_zero(self):
+        matrix = BlockSparseMatrix([5] * 20)
+        product = panel_product(matrix, np.zeros((100, 100)), np.ones((100, 3)))
+        assert np.array_equal(product, np.zeros((100, 3)))
+
+
+class TestDenseRule:
+    """Full operands, and sparse ones whose panels would not pay, take the
+    dense expression the envelope always evaluated, bit for bit."""
+
+    @staticmethod
+    def outer(n, seed=1):
+        root = np.random.default_rng(seed).standard_normal((n, n))
+        return 0.5 * (root + root.T)
+
+    def test_full_fill_is_the_dense_expression(self):
+        n = 150
+        operand = sp.random(n, n, density=0.7, random_state=2, format="csr")
+        assert stored_fill(operand) >= DENSE_FILL
+        dense = operand.toarray()
+        outer = self.outer(n)
+        expected = outer @ dense @ outer
+        assert np.array_equal(triple_product(outer, operand, dense), expected)
+        assert np.array_equal(triple_product(outer, dense, dense), expected)
+        blocked = block_matrix_from_dense(dense, [6] * 25)
+        assert np.array_equal(triple_product(outer, blocked, dense), expected)
+
+    def test_panels_that_would_not_pay_are_the_dense_expression(self):
+        """Every 48th column per row: 1/48 fill, but every panel meets every
+        column, so the panels would do the whole dense work."""
+        n = 4 * PANEL_ROWS
+        rows, cols = np.nonzero(
+            np.subtract.outer(np.arange(n), np.arange(n)) % PANEL_ROWS == 0
+        )
+        operand = sp.csr_matrix((np.arange(1.0, rows.size + 1), (rows, cols)), (n, n))
+        assert stored_fill(operand) < DENSE_FILL
+        outer = self.outer(n)
+        dense = operand.toarray()
+        expected = outer @ dense @ outer
+        assert np.array_equal(triple_product(outer, operand, dense), expected)
+
+    def test_sparse_operand_takes_the_panels(self):
+        n = 4 * PANEL_ROWS
+        operand = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(n, n)).tocsr()
+        dense = operand.toarray()
+        outer = self.outer(n)
+        assert np.array_equal(
+            triple_product(outer, operand, dense),
+            outer @ panel_product(operand, dense, outer),
+        )
+
+    def test_dense_k_orthogonalizes_as_before(self, water32_matrices):
+        """A dense K stores everything: K̃ is the old expression's bits."""
+        K = water32_matrices.K.toarray()
+        root = loewdin_inverse_sqrt(water32_matrices.S)
+        before = root @ K @ root
+        before = 0.5 * (before + before.T)
+        before = np.where(np.abs(before) >= 1e-3, before, 0.0)
+        ortho, _ = orthogonalized_ks_dense(K, None, 1e-3, s_inv_sqrt=root)
+        assert np.array_equal(ortho, before)
+        csr, _ = orthogonalized_ks(K, None, 1e-3, s_inv_sqrt=root)
+        assert np.array_equal(csr.toarray(), before)
+
+
+# --------------------------------------------------------------------------- #
+# ledger-like requests: reference, oracle, determinism
+# --------------------------------------------------------------------------- #
+def short_decay_model():
+    basis = dataclasses.replace(SZV, decay_length=0.20, overlap_decay_length=0.16)
+    return HamiltonianModel(basis=basis)
+
+
+#: The ledger's grand-canonical inputs (seed 0): repeats of the 32-molecule
+#: box, model, eps_filter, sign kernel, and the ledger row's oracle ceilings
+#: (meV/atom, max|ΔD|, e).
+LEDGER_LIKE = {
+    "gc_sparse128": (
+        (4, 1, 1), short_decay_model, 1e-4, "eigen", (1.0e-6, 4.8e-6, 1.0e-9)
+    ),
+    "gc_water128": (
+        (2, 2, 1), HamiltonianModel, 1e-2, "eigen", (0.17, 8.6e-4, 2.6e-6)
+    ),
+    "ns_water128": (
+        (2, 2, 1), HamiltonianModel, 1e-2, "newton_schulz", (0.17, 8.6e-4, 2.6e-6)
+    ),
+    "cold_water64": (
+        (2, 1, 1), HamiltonianModel, 1e-3, "eigen", (1.5e-3, 8.2e-5, 1.0e-7)
+    ),
+    "served_water32": (
+        (1, 1, 1), HamiltonianModel, 1e-5, "eigen", (1.0e-6, 1.0e-6, 1.0e-8)
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def ledger_inputs():
+    built = {}
+    for name, (nrep, model, eps, _, ceilings) in LEDGER_LIKE.items():
+        model = model()
+        pair = build_matrices(water_box(nrep, seed=2020), model=model)
+        built[name] = (pair, model.homo_lumo_gap_center(), eps, ceilings)
+    return built
+
+
+@pytest.mark.parametrize("name", sorted(LEDGER_LIKE))
+def test_ledger_like_density_matches_reference_and_oracle(ledger_inputs, name):
+    pair, mu, eps, ceilings = ledger_inputs[name]
+    energy_ceiling, density_ceiling, count_ceiling = ceilings
+    solver = LEDGER_LIKE[name][3]
+    with SubmatrixContext(EngineConfig(eps_filter=eps)) as context:
+        result = context.density(pair.K, pair.S, pair.blocks, mu=mu, solver=solver)
+    if solver == "eigen":
+        assert_matches_reference_density(
+            result, reference_density(pair.K, pair.S, pair.blocks, mu, eps)
+        )
+    oracle = reference_density_matrix(pair.K, pair.S, mu=mu)
+    n_atoms = 3 * len(pair.blocks.block_sizes)
+    energy_error = abs(result.band_energy - oracle.band_energy) / n_atoms * 1000.0
+    assert energy_error <= energy_ceiling
+    assert np.max(np.abs(result.density_ao - oracle.density_ao)) <= density_ceiling
+    assert abs(result.n_electrons - oracle.n_electrons) <= count_ceiling
+
+
+def test_gc_sparse_takes_the_panels_for_both_products(ledger_inputs):
+    """The input this change is for: K and D̃ are both below the fill rule
+    and the panel products differ from the dense GEMMs at rounding level."""
+    pair, mu, eps, _ = ledger_inputs["gc_sparse128"]
+    assert stored_fill(pair.K) < DENSE_FILL
+    prepared = prepare_step(pair.K, pair.S, pair.blocks, eps)
+    assert stored_fill(prepared.block_k) < DENSE_FILL
+    root = prepared.s_inv_sqrt
+    dense_k = pair.K.toarray()
+    panel = triple_product(root, pair.K, dense_k)
+    gemm = root @ dense_k @ root
+    assert np.max(np.abs(panel - gemm)) <= 1e-13 * np.max(np.abs(gemm))
+
+
+def test_bitwise_across_workers_and_entry_points(ledger_inputs):
+    pair, mu, eps, _ = ledger_inputs["gc_sparse128"]
+    results = []
+    for workers in (None, 1, 2):
+        config = EngineConfig(eps_filter=eps, max_workers=workers)
+        with SubmatrixContext(config) as context:
+            results.append(context.density(pair.K, pair.S, pair.blocks, mu=mu))
+            run = context.trajectory([(pair.K, pair.S)], pair.blocks, mu=mu)
+            results.append(run.results[0])
+        with DensityService(config=config) as service:
+            results.append(
+                service.submit(pair.K, pair.S, pair.blocks, mu=mu).result(120)
+            )
+    first = results[0]
+    for other in results[1:]:
+        assert np.array_equal(other.density_ao, first.density_ao)
+        assert np.array_equal(
+            other.density_ortho.toarray(), first.density_ortho.toarray()
+        )
+        assert other.band_energy == first.band_energy
+        assert other.n_electrons == first.n_electrons
+
+
+def test_prepare_step_has_no_csr_step(ledger_inputs, monkeypatch):
+    """K̃ goes from dense to blocks directly: neither the CSR constructor nor
+    the CSR → block conversion runs, and the blocks are those the CSR route
+    gives."""
+    pair, _, eps, _ = ledger_inputs["gc_sparse128"]
+    expected_csr, _ = orthogonalized_ks(pair.K, pair.S, eps_filter=eps)
+    expected = block_matrix_from_csr(expected_csr, pair.blocks.block_sizes)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("prepare_step took a CSR step")
+
+    monkeypatch.setattr(sp, "csr_matrix", forbidden)
+    for module in (convert_module, observables_module):
+        monkeypatch.setattr(module, "block_matrix_from_csr", forbidden, raising=False)
+    prepared = prepare_step(pair.K, pair.S, pair.blocks, eps)
+    monkeypatch.undo()
+    assert not hasattr(prepared, "k_ortho")
+    got, want = prepared.block_k.raw_blocks(), expected.raw_blocks()
+    assert list(got) == list(want)
+    for key, block in want.items():
+        assert np.array_equal(got[key], block)
+
+
+# --------------------------------------------------------------------------- #
+# block_matrix_from_dense is the CSR route
+# --------------------------------------------------------------------------- #
+special_values = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-9, np.nan, np.inf])
+
+
+@st.composite
+def dense_with_specials(draw):
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    n = sum(sizes)
+    dense = draw(
+        arrays(
+            np.float64,
+            (n, n),
+            elements=st.one_of(special_values, st.floats(-3.0, 3.0)),
+        )
+    )
+    threshold = draw(st.sampled_from([0.0, 1e-12, 0.5, 2.0]))
+    return sizes, dense, threshold
+
+
+def assert_same_blocks(ours, theirs):
+    assert list(ours.raw_blocks()) == list(theirs.raw_blocks())
+    for key, block in theirs.raw_blocks().items():
+        mine = ours.raw_blocks()[key]
+        assert np.array_equal(mine, block, equal_nan=True)
+        assert np.array_equal(np.signbit(mine), np.signbit(block))
+
+
+class TestBlockMatrixFromDense:
+    @given(dense_with_specials())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_csr_route(self, case):
+        sizes, dense, threshold = case
+        assert_same_blocks(
+            block_matrix_from_dense(dense, sizes, threshold=threshold),
+            block_matrix_from_csr(sp.csr_matrix(dense), sizes, threshold=threshold),
+        )
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5])
+    def test_nan_does_not_drop_the_block(self, threshold):
+        dense = np.zeros((12, 12))
+        dense[0, 0] = np.nan
+        dense[1, 1] = 1.0
+        blocked = block_matrix_from_dense(dense, [6, 6], threshold=threshold)
+        assert list(blocked.raw_blocks()) == [(0, 0)]
+        assert blocked.get_block(0, 0)[1, 1] == 1.0
+
+    def test_rectangular_and_empty(self):
+        dense = np.zeros((5, 7))
+        dense[4, 6] = 3.0
+        blocked = block_matrix_from_dense(dense, [2, 3], [4, 3])
+        assert list(blocked.raw_blocks()) == [(1, 1)]
+        assert np.array_equal(block_matrix_to_dense(blocked), dense)
+        assert block_matrix_from_dense(np.zeros((5, 7)), [2, 3], [4, 3]).nnz_blocks == 0
+
+
+# --------------------------------------------------------------------------- #
+# request checks of the envelope
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("eps_filter", [math.nan, math.inf, -1e-3])
+def test_orthogonalized_ks_rejects_a_bad_eps_filter(water32_matrices, eps_filter):
+    with pytest.raises(ValueError, match="eps_filter must be finite and non-negative"):
+        orthogonalized_ks(water32_matrices.K, water32_matrices.S, eps_filter)
+
+
+class TestRequestShapes:
+    """A shape mismatch fails before any overlap root, plan or admission."""
+
+    @staticmethod
+    def cases(pair):
+        K, S = pair.K, pair.S
+        return [
+            (K, S[:186, :186], "S has shape \\(186, 186\\)"),
+            (K[:186, :186], S, "K has shape \\(186, 186\\)"),
+            (np.ones(192), S, "K must be a non-empty square 2-D matrix"),
+            (K, np.zeros((0, 0)), "S must be a non-empty square 2-D matrix"),
+            (K[:, :186], S, "K must be a non-empty square 2-D matrix"),
+        ]
+
+    def test_direct(self, water32_matrices, gap_mu):
+        with SubmatrixContext() as context:
+            for K, S, message in self.cases(water32_matrices):
+                with pytest.raises(ValueError, match=message):
+                    context.density(K, S, water32_matrices.blocks, mu=gap_mu)
+            stats = context.stats()
+        assert stats["overlap_roots"]["misses"] == 0
+        assert stats["overlap_roots"]["entries"] == 0
+        assert context.plan_cache.stats["builds"] == 0
+
+    def test_served(self, water32_matrices, gap_mu):
+        with DensityService() as service:
+            for K, S, message in self.cases(water32_matrices):
+                with pytest.raises(ValueError, match=message):
+                    service.submit(K, S, water32_matrices.blocks, mu=gap_mu)
+            total = service.stats()["metrics"]["total"]
+        assert total["admitted"] == 0
+        assert total["failed"] == 0
+
+    def test_trajectory_step(self, water32_matrices, gap_mu):
+        pair = water32_matrices
+        with SubmatrixContext() as context:
+            with pytest.raises(ValueError, match="S has shape"):
+                context.trajectory(
+                    [(pair.K, pair.S), (pair.K, pair.S[:186, :186])],
+                    pair.blocks,
+                    mu=gap_mu,
+                )
