@@ -115,7 +115,7 @@ def run_trajectory_benchmark():
             "per_step_s": sharded_total / n_steps,
             "plans_built": sharded.stats.plans_built,
             "pipelines_built": sharded.stats.pipelines_built,
-            "segment_fetch_bytes_per_step": sharded.stats.steps[0].segment_fetch_bytes,
+            "block_fetch_bytes_per_step": sharded[0].block_fetch_bytes,
         },
     }
     rows = [

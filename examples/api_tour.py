@@ -29,6 +29,7 @@ import numpy as np
 import repro
 from repro.api import EngineConfig, SubmatrixContext, available_kernels, get_kernel
 from repro.chem import build_matrices, orthogonalized_ks, water_box
+from repro.core import DistributedSubmatrixPipeline
 from repro.dbcsr import CooBlockList
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_dense
 
@@ -124,18 +125,22 @@ def main() -> None:
     )
     transfers = pipeline.transfer_plan
     _, sharded = pipeline.prepare()
-    print("  rank  submatrices  stacks  segment fetch [kB]  write-back [kB]")
+    print("  rank  submatrices  stacks  dedup fetch [kB]  write-back [kB]")
     for rank, (summary, shard) in enumerate(zip(transfers.per_rank, sharded.shards)):
         print(
             f"  {rank:>4d} {summary.n_submatrices:>12d} "
             f"{len(shard.stack_tasks()):>7d} "
-            f"{summary.segment_fetch_bytes / 1e3:>18.1f} "
+            f"{summary.fetch_bytes / 1e3:>16.1f} "
             f"{summary.writeback_bytes / 1e3:>16.1f}"
         )
+    fast = DistributedSubmatrixPipeline(
+        pipeline.coo, pipeline.block_sizes, 8, exact_transfers=False
+    ).transfer_plan
     print(
-        f"  total packed-segment fetch "
-        f"{transfers.total_segment_fetch_bytes / 1e6:.2f} MB "
-        f"(whole blocks would be {transfers.total_fetch_bytes / 1e6:.2f} MB)"
+        f"  total fetch {transfers.total_fetch_bytes / 1e6:.2f} MB deduplicated, "
+        f"{transfers.total_fetch_bytes_without_dedup / 1e6:.2f} MB without "
+        f"dedup, {fast.total_fetch_bytes / 1e6:.2f} MB fast estimate; "
+        f"write-back {transfers.total_writeback_bytes / 1e6:.2f} MB"
     )
 
 

@@ -7,9 +7,8 @@ rank-sharded submatrix pipeline through the unified session API
 (:class:`repro.api.context.SubmatrixContext`) to
 
 * plan the deduplicated initialization exchange of a submatrix-method run
-  (Sec. IV-B) and compare, per rank, shipping *packed value segments* into
-  the rank-local buffer against whole-block transfers with and without
-  deduplication,
+  (Sec. IV-B) and compare it, per rank, with whole-block transfers without
+  deduplication and with the fast pattern-level estimate,
 * execute a sharded run (``context.apply(..., ranks=8)``) on a small
   system and verify that the per-rank evaluation reproduces the
   single-process engine,
@@ -40,21 +39,19 @@ from repro.parallel import MachineModel
 EPS_FILTER = 1e-5
 
 
-def segment_transfer_planning() -> None:
-    """Per-rank packed-segment traffic vs whole-block traffic (Sec. IV-B).
+def transfer_planning() -> None:
+    """Per-rank initialization traffic of the submatrix method (Sec. IV-B).
 
     Three ways to account the initialization exchange:
 
+    * the exact deduplicated volume — every required remote block shipped
+      once per (owner, consumer) pair, which is exactly what each rank's
+      shard packs into its local buffer;
     * per-submatrix whole-block shipping (no deduplication) — the naive
       model;
-    * the fast pattern-level whole-block estimate (``per_group_dedup=False``
-      merges each rank's columns into one retained set, over-approximating
-      the required blocks);
-    * the exact packed-segment volume — the bytes of exactly the value
-      segments the rank's shard gathers reference, shipped once each.  At
-      block granularity this coincides with exact whole-block
-      deduplication (every required block is fully referenced), so the
-      interesting comparisons are against the two approximations above.
+    * the fast pattern-level estimate (``exact_transfers=False`` merges each
+      rank's columns into one retained set, over-approximating the required
+      blocks).
     """
     system = water_box(3)
     pattern, blocks = build_block_pattern(system, eps_filter=EPS_FILTER)
@@ -71,10 +68,8 @@ def segment_transfer_planning() -> None:
         f"transfer planning ({system.n_molecules} molecules, {n_ranks} ranks, "
         "greedy consecutive chunks):"
     )
-    segment_total = plan.total_segment_fetch_bytes
-    print(
-        f"  packed-segment fetch (exact, dedup) : {segment_total / 1e6:10.1f} MB"
-    )
+    exact_total = plan.total_fetch_bytes
+    print(f"  exact, deduplicated                 : {exact_total / 1e6:10.1f} MB")
     print(
         f"  whole blocks, per submatrix         : "
         f"{plan.total_fetch_bytes_without_dedup / 1e6:10.1f} MB  "
@@ -83,26 +78,25 @@ def segment_transfer_planning() -> None:
     print(
         f"  whole blocks, fast pattern estimate : "
         f"{fast.total_fetch_bytes / 1e6:10.1f} MB  "
-        f"(segments tighten by "
-        f"{1.0 - segment_total / fast.total_fetch_bytes:.1%})"
+        f"(over-estimates by {fast.total_fetch_bytes / exact_total - 1.0:.1%})"
     )
     print(
         f"  write-back volume                   : "
         f"{plan.total_writeback_bytes / 1e6:10.1f} MB"
     )
-    segment = np.array([s.segment_fetch_bytes for s in plan.per_rank])
+    exact = np.array([s.fetch_bytes for s in plan.per_rank])
     blocks_nodedup = np.array(
         [s.fetch_bytes_without_dedup for s in plan.per_rank]
     )
     print("  per-rank fetch volume (sampled every 16th rank):")
-    print("    rank   segments [MB]   blocks w/o dedup [MB]")
+    print("    rank   dedup [MB]   blocks w/o dedup [MB]")
     for rank in range(0, n_ranks, 16):
         print(
-            f"    {rank:>4d} {segment[rank] / 1e6:12.1f} "
-            f"{blocks_nodedup[rank] / 1e6:17.1f}"
+            f"    {rank:>4d} {exact[rank] / 1e6:10.1f} "
+            f"{blocks_nodedup[rank] / 1e6:19.1f}"
         )
     print(
-        f"    max  {segment.max() / 1e6:12.1f} {blocks_nodedup.max() / 1e6:17.1f}\n"
+        f"    max  {exact.max() / 1e6:10.1f} {blocks_nodedup.max() / 1e6:19.1f}\n"
     )
 
 
@@ -132,8 +126,8 @@ def sharded_execution_check() -> None:
     _, sharded = pipeline.prepare()
     print(
         f"  per-rank stacks: {[len(s.stack_tasks()) for s in sharded.shards]}, "
-        f"segment fetch "
-        f"{pipeline.transfer_plan.total_segment_fetch_bytes / 1e6:.2f} MB\n"
+        f"fetch "
+        f"{pipeline.transfer_plan.total_fetch_bytes / 1e6:.2f} MB\n"
     )
 
 
@@ -185,7 +179,7 @@ def weak_scaling(machine: MachineModel) -> None:
 def main() -> None:
     machine = MachineModel()
     print(f"machine model: {machine.name}\n")
-    segment_transfer_planning()
+    transfer_planning()
     sharded_execution_check()
     strong_scaling(machine)
     weak_scaling(machine)

@@ -128,12 +128,10 @@ def main() -> None:
         sharded = context.trajectory(
             steps, pair.blocks, n_electrons=n_electrons, ranks=2
         )
-        record = sharded.stats.steps[0]
         print(
             f"sharded trajectory (2 ranks): {sharded.stats.pipelines_built} "
             f"pipeline build(s) for {sharded.stats.n_steps} steps, "
-            f"{record.segment_fetch_bytes:.0f} B packed segments fetched per "
-            f"step ({record.block_fetch_bytes:.0f} B as whole blocks)"
+            f"{sharded[0].block_fetch_bytes:.0f} B of blocks fetched per step"
         )
         sharded_identical = all(
             np.array_equal(sharded[i].density_ao, trajectory[i].density_ao)

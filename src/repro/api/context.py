@@ -29,10 +29,12 @@ and exposes the workloads of the paper as methods:
 All of them execute through the one rank loop
 (:func:`repro.core.runner.run_stacks`): single-process by default, or — with
 ``ranks=`` — sharded over simulated ranks, bitwise identical.  A sharded
-run's per-rank work and traffic are read from its pipeline,
-:meth:`SubmatrixContext.pipeline`.  An exception in a stack or a
-rank task reaches the caller as it happened, wrapped with the failing task's
-index (:class:`~repro.parallel.executor.TaskExecutionError`).
+density reports one fetch volume, the deduplicated whole-block bytes of its
+initialization exchange (``block_fetch_bytes``); the run's per-rank work and
+traffic are read from its pipeline, :meth:`SubmatrixContext.pipeline`.  An
+exception in a stack or a rank task reaches the caller as it happened,
+wrapped with the failing task's index
+(:class:`~repro.parallel.executor.TaskExecutionError`).
 """
 
 from __future__ import annotations

@@ -748,13 +748,9 @@ def assemble_result(
     density_ortho, density_ao = _back_transform(s_inv_sqrt, occupation_block)
     energy = band_structure_energy(density_ao, K, config.spin_degeneracy)
     n_elec = electron_count(density_ortho, config.spin_degeneracy)
-    segment_fetch_bytes = None
     block_fetch_bytes = None
     if pipeline is not None:
-        transfer = pipeline.transfer_plan
-        block_fetch_bytes = float(transfer.total_fetch_bytes)
-        if transfer.has_segments:
-            segment_fetch_bytes = float(transfer.total_segment_fetch_bytes)
+        block_fetch_bytes = pipeline.transfer_plan.total_fetch_bytes
     return SubmatrixDFTResult(
         density_ao=density_ao,
         density_ortho=density_ortho,
@@ -767,7 +763,6 @@ def assemble_result(
         wall_time=wall_time,
         n_ranks=ranks,
         pattern_fingerprint=coo.fingerprint(),
-        segment_fetch_bytes=segment_fetch_bytes,
         block_fetch_bytes=block_fetch_bytes,
         kernel_fallbacks=kernel_fallbacks,
     )

@@ -107,13 +107,9 @@ class SubmatrixDFTResult:
         pattern the calculation planned against — the same hash that keys
         the plan cache, so trajectory drivers can detect pattern changes
         between steps without rehashing.
-    segment_fetch_bytes:
-        Deduplicated packed-segment volume of the sharded pipeline's
-        initialization exchange (``None`` for single-process runs or when
-        segment volumes were not planned).
     block_fetch_bytes:
-        Whole-block volume of the same exchange (``None`` for
-        single-process runs).
+        Deduplicated whole-block volume of the sharded pipeline's
+        initialization exchange (``None`` for single-process runs).
     kernel_fallbacks:
         Submatrices whose iterative sign solve did not converge within the
         kernel's budget and were evaluated by ``eigen`` instead (0 for the
@@ -131,9 +127,17 @@ class SubmatrixDFTResult:
     wall_time: float
     n_ranks: int = 1
     pattern_fingerprint: Optional[str] = None
-    segment_fetch_bytes: Optional[float] = None
     block_fetch_bytes: Optional[float] = None
     kernel_fallbacks: int = 0
+
+    @property
+    def segment_fetch_bytes(self) -> Optional[float]:
+        """:attr:`block_fetch_bytes`: a packed segment is a whole block.
+
+        An inert pin: only the benchmark ledger
+        (``benchmarks/e2e/workloads.py``) still reads this name.
+        """
+        return self.block_fetch_bytes
 
     @property
     def n_submatrices(self) -> int:

@@ -87,9 +87,6 @@ class TrajectoryStepRecord:
     mu / n_electrons / mu_iterations:
         Ensemble outcome of the step (see
         :class:`~repro.api.results.SubmatrixDFTResult`).
-    segment_fetch_bytes / block_fetch_bytes:
-        Fetch volumes of the sharded initialization exchange (``None`` for
-        single-process steps).
     kernel_fallbacks:
         Submatrices of the step that an iterative kernel did not converge
         and ``eigen`` evaluated instead (see
@@ -106,8 +103,6 @@ class TrajectoryStepRecord:
     mu: float
     n_electrons: float
     mu_iterations: int
-    segment_fetch_bytes: Optional[float]
-    block_fetch_bytes: Optional[float]
     kernel_fallbacks: int = 0
 
 
@@ -437,8 +432,6 @@ def run_trajectory(
                 mu=result.mu,
                 n_electrons=result.n_electrons,
                 mu_iterations=result.mu_iterations,
-                segment_fetch_bytes=result.segment_fetch_bytes,
-                block_fetch_bytes=result.block_fetch_bytes,
                 kernel_fallbacks=result.kernel_fallbacks,
             )
         )

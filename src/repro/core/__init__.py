@@ -25,8 +25,8 @@ described in Sec. IV of the paper: grouping of block columns into combined
 submatrices (:mod:`repro.core.combination`), the paper's greedy
 consecutive-chunk load balancing (:mod:`repro.core.load_balance`; every
 submatrix is solved at its own dimension), rank-sharding of extraction
-plans (:mod:`repro.core.shard`), deduplicated block- and packed-segment
-transfer planning (:mod:`repro.core.transfers`), and the one rank loop with
+plans (:mod:`repro.core.shard`), deduplicated block transfer planning
+(:mod:`repro.core.transfers`), and the one rank loop with
 its sharded pipeline and the distributed run cost models
 (:mod:`repro.core.runner`).  The entry point that drives all of it — f(A),
 densities, trajectories — is :class:`repro.api.context.SubmatrixContext`.

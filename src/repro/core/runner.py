@@ -13,7 +13,7 @@ scaling behaviour — exactly, from the block-sparsity pattern.
   before any value is seen: the submatrix→rank assignment (one consecutive
   chunk per rank, chosen greedily by c·n³ cost), the sharded
   extraction plan (:class:`~repro.core.shard.ShardedPlan`) and the
-  packed-segment initialization exchange
+  deduplicated whole-block initialization exchange
   (:func:`~repro.core.transfers.plan_transfers`).  Results are bitwise
   identical to the single-process unit for any rank count (scatter ranges
   are disjoint across ranks and every submatrix sees the same dense values).
@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.config import EIGENSOLVE_FLOP_CONSTANT
+from repro.api.config import EIGENSOLVE_FLOP_CONSTANT, check_distribution
 from repro.core.batch import make_stack_tasks, map_stacks
 from repro.core.combination import ColumnGrouping, single_column_groups
 from repro.core.load_balance import assign_consecutive_chunks, submatrix_flop_costs
@@ -107,8 +107,9 @@ class DistributedSubmatrixPipeline:
        over c·n³ costs (Sec. IV-E, maximises block reuse),
     2. the sharded extraction plan — per rank, the gather/scatter arrays of
        its own groups re-based onto a rank-local packed buffer,
-    3. the transfer plan of the initialization exchange, reporting both
-       whole-block and packed-segment volumes.
+    3. the transfer plan of the initialization exchange: the deduplicated
+       whole-block volume, which is exactly what every shard's local buffer
+       packs.
 
     :func:`run_stacks` evaluates on actual values through it (bitwise
     identical to the single-process unit), while :meth:`traffic_log` /
@@ -135,11 +136,12 @@ class DistributedSubmatrixPipeline:
         Optional plan cache for the extraction plan (built uncached
         without one).
     exact_transfers:
-        ``True`` (default) builds the sharded plan eagerly and plans
-        per-submatrix deduplicated transfers including packed-segment
-        volumes.  ``False`` defers the sharded plan until :meth:`prepare` and
-        uses the fast pattern-level transfer planning — preferred for very
-        large cost sweeps.
+        ``True`` (default) plans deduplicated transfers per submatrix:
+        exactly the remote blocks each rank's shard packs.  ``False`` uses
+        the fast pattern-level planning, which over-estimates them —
+        preferred for very large cost sweeps.  Either way the transfer plan is fixed here;
+        :meth:`prepare` builds the shards and leaves it as it is, so a fast
+        pipeline keeps its over-estimate after it has run.
     bytes_per_element:
         Storage size of a matrix element (8 for float64).
     """
@@ -166,8 +168,8 @@ class DistributedSubmatrixPipeline:
         if distribution is None:
             grid = ProcessGrid2D(n_ranks, balanced_dims(n_ranks))
             distribution = BlockDistribution(n_blocks, n_blocks, grid)
-        if distribution.n_ranks != self.n_ranks:
-            raise ValueError("distribution rank count does not match n_ranks")
+        else:
+            check_distribution(distribution, self.n_ranks, n_blocks)
         self.distribution = distribution
         self.flop_constant = float(flop_constant)
         self.plan_cache = plan_cache
@@ -183,13 +185,8 @@ class DistributedSubmatrixPipeline:
 
         self.plan: Optional[BlockSubmatrixPlan] = None
         self.sharded: Optional[ShardedPlan] = None
-        self._exact_transfers = bool(exact_transfers)
-        # Cost-model side planning needs no extraction plan: with exact
-        # per-group planning, the required-block sets *are* the shard's
-        # segment index (a shard references exactly the blocks of its
-        # submatrices' retained sub-patterns), so the packed-segment volumes
-        # come for free.  The extraction plan and shards are built lazily on
-        # the first prepare().
+        # cost-model side planning needs no extraction plan; the plan and
+        # shards are built lazily on the first prepare()
         self.transfer_plan: TransferPlan = plan_transfers(
             self.coo,
             self.block_sizes,
@@ -197,8 +194,7 @@ class DistributedSubmatrixPipeline:
             self.grouping,
             self.rank_of_group,
             bytes_per_element=self.bytes_per_element,
-            per_group_dedup=self._exact_transfers,
-            segment_index="required" if self._exact_transfers else None,
+            per_group_dedup=bool(exact_transfers),
         )
 
     # ------------------------------------------------------------------ #
@@ -233,40 +229,19 @@ class DistributedSubmatrixPipeline:
             cache=self.plan_cache,
         )
         self.sharded = ShardedPlan(self.plan, self.rank_of_group, self.n_ranks)
-        # in fast-transfer mode, replace the pattern-level segment
-        # approximation (none) with the volumes measured on the actual shard
-        # gather arrays; exact mode already has the identical index and
-        # skips the second (expensive) planning pass
-        if not self.transfer_plan.has_segments:
-            self.transfer_plan = plan_transfers(
-                self.coo,
-                self.block_sizes,
-                self.distribution,
-                self.grouping,
-                self.rank_of_group,
-                bytes_per_element=self.bytes_per_element,
-                per_group_dedup=self._exact_transfers,
-                segment_index=self.sharded.required_segments_per_rank(),
-            )
 
     # ------------------------------------------------------------------ #
     # cost-model side
     # ------------------------------------------------------------------ #
-    def traffic_log(
-        self, include_coo_allgather: bool = True, use_segments: Optional[bool] = None
-    ) -> TrafficLog:
+    def traffic_log(self, include_coo_allgather: bool = True) -> TrafficLog:
         """Work and traffic of one pipeline execution, per rank.
 
-        The initialization exchange is charged at packed-segment granularity
-        whenever segment volumes are available (``use_segments=None``), and
-        every rank's assigned submatrix solves are charged as dense FLOPs.
+        The initialization exchange is charged at the transfer plan's fetch
+        volume, and every rank's assigned submatrix solves as dense FLOPs.
         """
-        if use_segments is None:
-            use_segments = self.transfer_plan.has_segments
         log = self.transfer_plan.to_traffic_log(
             include_coo_allgather=include_coo_allgather,
             coo_length=len(self.coo),
-            use_segments=use_segments,
         )
         for rank in range(self.n_ranks):
             log.record_flops(rank, float(self.rank_flops[rank]), sparse=False)
@@ -291,9 +266,6 @@ class DistributedSubmatrixPipeline:
             "writeback_bytes": plan.total_writeback_bytes,
             "flop_imbalance": log.flop_imbalance(),
         }
-        if plan.has_segments:
-            details["segment_fetch_bytes"] = float(plan.total_segment_fetch_bytes)
-            details["segment_savings"] = plan.segment_savings
         return SubmatrixRunCost(
             method="submatrix",
             n_ranks=self.n_ranks,
@@ -433,8 +405,8 @@ def submatrix_method_cost(
         near-square process grid, like DBCSR's default.
     exact_transfers:
         ``True`` plans block transfers per submatrix (exact deduplication
-        bookkeeping, including packed-segment volumes); ``False`` uses the
-        faster pattern-level planning — preferred for very large
+        bookkeeping); ``False`` uses the faster pattern-level planning, which
+        over-estimates the fetch volume — preferred for very large
         pattern-level cost sweeps.
     """
     pipeline = DistributedSubmatrixPipeline(

@@ -15,11 +15,11 @@ every rank owns
   groups only, with the gather arrays *re-based onto a rank-local packed
   buffer* that concatenates just the value segments (non-zero blocks)
   those groups reference;
-* a **block→segment index** — which global segments the rank needs, where
-  each lands in the local buffer, and how many bytes it is — which is
-  exactly the information the transfer planner
-  (:func:`repro.core.transfers.plan_transfers`) needs to ship deduplicated
-  packed value segments instead of whole-pattern block lists;
+* its **required segments** — the global segments (non-zero blocks) the
+  rank needs, each packed once into the local buffer.  A segment is a
+  whole block, so this is exactly the deduplicated required-block set
+  whose remote bytes the transfer planner
+  (:func:`repro.core.transfers.plan_transfers`) charges;
 * an unchanged *global* scatter side: groups partition the generating
   columns, so the scatter destinations of different ranks are disjoint and
   every rank can write its evaluated columns straight into the shared
@@ -91,15 +91,8 @@ class RankShard:
     required_segments:
         Sorted unique global segment IDs referenced by the rank's gather
         arrays.  At block level a segment ID is a COO block ID, so this *is*
-        the rank's deduplicated required-block set.
-    segment_starts / segment_lengths:
-        Global packed start and length (in values) of every required
-        segment, aligned with ``required_segments``.
-    local_offsets:
-        Position of every required segment in the rank-local packed buffer
-        (length ``len(required_segments) + 1``); together with
-        ``required_segments`` this is the block→segment index used by the
-        transfer planner and by :meth:`pack_local`.
+        the rank's deduplicated required-block set.  The local buffer holds
+        these segments whole, concatenated in this order.
     local_to_global:
         Global packed position of every run (``view.run`` values) of the
         local buffer, so one gather of runs fills it (:meth:`pack_local`).
@@ -110,9 +103,6 @@ class RankShard:
     rank: int
     group_indices: np.ndarray
     required_segments: np.ndarray
-    segment_starts: np.ndarray
-    segment_lengths: np.ndarray
-    local_offsets: np.ndarray
     local_to_global: np.ndarray
     view: ShardView
     # the bucketed stack layout; the shard (and with it this cache) lives as
@@ -128,7 +118,7 @@ class RankShard:
 
     @property
     def n_local_values(self) -> int:
-        return int(self.local_offsets[-1]) if self.local_offsets.size else 0
+        return self.view.local_values
 
     @property
     def dimensions(self) -> List[int]:
@@ -145,10 +135,6 @@ class RankShard:
         """
         runs = packed.reshape(-1, self.view.run)
         return runs.take(self.local_to_global, axis=0).reshape(-1)
-
-    def segment_bytes(self, bytes_per_element: int = 8) -> float:
-        """Total bytes of all required segments (local buffer size)."""
-        return float(self.n_local_values * bytes_per_element)
 
     def stack_tasks(self) -> List[Bucket]:
         """Cached bucketed stack layout of this shard's submatrices.
@@ -241,9 +227,6 @@ class ShardedPlan:
             rank=rank,
             group_indices=owned,
             required_segments=required,
-            segment_starts=starts,
-            segment_lengths=lengths,
-            local_offsets=local_offsets,
             local_to_global=concat_ranges(starts // run, lengths // run),
             view=view,
         )
@@ -254,11 +237,3 @@ class ShardedPlan:
     @property
     def n_groups(self) -> int:
         return self.plan.n_groups
-
-    def required_segments_per_rank(self) -> List[np.ndarray]:
-        """The block→segment transfer index: required segment IDs per rank."""
-        return [shard.required_segments for shard in self.shards]
-
-    def total_segment_values(self) -> int:
-        """Sum of all rank-local buffer sizes (values, including local data)."""
-        return int(sum(shard.n_local_values for shard in self.shards))

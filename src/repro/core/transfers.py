@@ -16,25 +16,17 @@ bytes that is, how much would have been transferred without deduplication,
 and the write-back volume — and can convert the plan into a
 :class:`~repro.parallel.stats.TrafficLog` for the machine model.
 
-Two granularities of the fetch volume are reported:
-
-* **whole-block** — every required remote block's full storage, derived from
-  the pattern (the classic model, and the only one available without an
-  extraction plan);
-* **packed-segment** — the bytes of the value segments actually referenced
-  by the rank's sharded gather arrays
-  (:class:`repro.core.shard.ShardedPlan`).  Each segment is shipped once
-  into the rank-local packed buffer, so this volume is deduplicated by
-  construction and never exceeds the whole-block volume; it is strictly
-  smaller whenever the pattern-level model over-approximates the required
-  set (e.g. the fast ``per_group_dedup=False`` planning, which merges all of
-  a rank's columns into one retained set).
+Since the plan is at block level, a rank's shard
+(:class:`repro.core.shard.ShardedPlan`) packs exactly these required blocks
+into its local buffer: the exact deduplicated whole-block volume *is* the
+bytes the shard gathers, so it is the one fetch volume reported.  The fast
+planning (``per_group_dedup=False``) over-approximates it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,19 +53,12 @@ class RankTransferSummary:
     required_blocks:
         Sorted array of IDs (positions in the COO list) of all blocks needed
         by this rank's submatrices.
-    remote_blocks:
-        Subset of ``required_blocks`` owned by other ranks (must be fetched),
-        as a sorted ID array.
     fetch_bytes:
         Bytes fetched from remote ranks (each remote block counted once —
         the deduplicated whole-block volume).
     fetch_bytes_without_dedup:
         Bytes that would be fetched if every submatrix transferred its blocks
         independently (each block counted once per submatrix that uses it).
-    segment_fetch_bytes:
-        Bytes of the deduplicated packed value segments the rank's shard
-        actually references (``None`` when no segment index was supplied).
-        Always ≤ ``fetch_bytes``.
     writeback_bytes:
         Bytes of result blocks sent back to their owning ranks.
     n_submatrices:
@@ -81,12 +66,10 @@ class RankTransferSummary:
     """
 
     required_blocks: np.ndarray
-    remote_blocks: np.ndarray
     fetch_bytes: float
     fetch_bytes_without_dedup: float
     writeback_bytes: float
     n_submatrices: int
-    segment_fetch_bytes: Optional[float] = None
 
 
 @dataclasses.dataclass
@@ -96,9 +79,6 @@ class TransferPlan:
     per_rank: List[RankTransferSummary]
     fetch_matrix: np.ndarray  # (n_ranks, n_ranks) bytes, owner -> consumer
     writeback_matrix: np.ndarray  # (n_ranks, n_ranks) bytes, consumer -> owner
-    #: (n_ranks, n_ranks) packed-segment bytes, owner -> consumer; None when
-    #: the plan was built without a segment index.
-    segment_fetch_matrix: Optional[np.ndarray] = None
 
     @property
     def n_ranks(self) -> int:
@@ -117,35 +97,12 @@ class TransferPlan:
         )
 
     @property
-    def has_segments(self) -> bool:
-        """Whether packed-segment volumes were planned."""
-        return self.segment_fetch_matrix is not None
-
-    @property
-    def total_segment_fetch_bytes(self) -> Optional[float]:
-        """Total deduplicated packed-segment fetch volume (None if absent)."""
-        if not self.has_segments:
-            return None
-        return float(
-            sum(summary.segment_fetch_bytes or 0.0 for summary in self.per_rank)
-        )
-
-    @property
     def deduplication_savings(self) -> float:
         """Fraction of transfer volume saved by deduplication (0..1)."""
         without = self.total_fetch_bytes_without_dedup
         if without == 0:
             return 0.0
         return 1.0 - self.total_fetch_bytes / without
-
-    @property
-    def segment_savings(self) -> float:
-        """Fraction of the whole-block volume saved by segment shipping."""
-        segments = self.total_segment_fetch_bytes
-        blocks = self.total_fetch_bytes
-        if segments is None or blocks == 0:
-            return 0.0
-        return 1.0 - segments / blocks
 
     @property
     def total_writeback_bytes(self) -> float:
@@ -156,7 +113,6 @@ class TransferPlan:
         self,
         include_coo_allgather: bool = True,
         coo_length: int = 0,
-        use_segments: bool = False,
     ) -> TrafficLog:
         """Convert the plan into a per-rank traffic log.
 
@@ -169,19 +125,9 @@ class TransferPlan:
             every other rank).
         coo_length:
             Number of non-zero blocks (needed for the allgather volume).
-        use_segments:
-            Charge the initialization exchange at packed-segment granularity
-            instead of whole blocks.  Requires the plan to have been built
-            with a segment index (raises otherwise).
         """
-        if use_segments and not self.has_segments:
-            raise ValueError(
-                "transfer plan has no packed-segment volumes; build it with "
-                "a ShardedPlan segment index"
-            )
-        fetch = self.segment_fetch_matrix if use_segments else self.fetch_matrix
         log = TrafficLog(self.n_ranks)
-        log.record_message_matrix(fetch)
+        log.record_message_matrix(self.fetch_matrix)
         log.record_message_matrix(self.writeback_matrix)
         if include_coo_allgather and self.n_ranks > 1 and coo_length > 0:
             log.record_allgather(8.0 * coo_length / self.n_ranks)
@@ -240,16 +186,13 @@ def _plan_rank(
     tables: _PlanningTables,
     grouping: ColumnGrouping,
     per_group_dedup: bool,
-    segment_ids: Optional[np.ndarray],
-    segments_from_required: bool,
     n_ranks: int,
 ):
     """Plan one rank's transfers; the per-rank body of :func:`plan_transfers`.
 
-    Returns ``(summary, fetch_column, writeback_row, segment_column)`` —
-    the rank's :class:`RankTransferSummary` plus its column/row of the
-    owner→consumer byte matrices (``segment_column`` is ``None`` when no
-    segment volumes were requested).
+    Returns ``(summary, fetch_column, writeback_row)`` — the rank's
+    :class:`RankTransferSummary` plus its column/row of the owner→consumer
+    byte matrices.
     """
     coo = tables.coo
     owners_by_id = tables.owners_by_id
@@ -292,49 +235,16 @@ def _plan_rank(
     unique_owners = owners_by_id[required_ids]
     unique_bytes = bytes_by_id[required_ids]
     remote_mask = unique_owners != rank
-    remote_ids = required_ids[remote_mask]
     fetch = float(unique_bytes[remote_mask].sum())
     np.add.at(fetch_column, unique_owners[remote_mask], unique_bytes[remote_mask])
-    segment_column: Optional[np.ndarray] = None
-    segment_fetch: Optional[float] = None
-    if segment_ids is not None or segments_from_required:
-        resolved_ids = (
-            required_ids
-            if segments_from_required
-            else np.asarray(segment_ids, dtype=np.int64)
-        )
-        segment_fetch, segment_column = _segment_volumes(
-            rank, resolved_ids, tables, n_ranks
-        )
     summary = RankTransferSummary(
         required_blocks=required_ids,
-        remote_blocks=remote_ids,
         fetch_bytes=fetch,
         fetch_bytes_without_dedup=duplicate_bytes,
         writeback_bytes=writeback,
         n_submatrices=len(group_indices),
-        segment_fetch_bytes=segment_fetch,
     )
-    return summary, fetch_column, writeback_row, segment_column
-
-
-def _segment_volumes(
-    rank: int, segment_ids: np.ndarray, tables: _PlanningTables, n_ranks: int
-):
-    """Packed-segment fetch bytes and owner column of one rank's index."""
-    if segment_ids.size and (
-        segment_ids.min() < 0 or segment_ids.max() >= len(tables.coo)
-    ):
-        raise IndexError("segment ID out of range of the COO list")
-    segment_column = np.zeros(n_ranks)
-    segment_owners = tables.owners_by_id[segment_ids]
-    segment_bytes = tables.bytes_by_id[segment_ids]
-    segment_remote = segment_owners != rank
-    segment_fetch = float(segment_bytes[segment_remote].sum())
-    np.add.at(
-        segment_column, segment_owners[segment_remote], segment_bytes[segment_remote]
-    )
-    return segment_fetch, segment_column
+    return summary, fetch_column, writeback_row
 
 
 def plan_transfers(
@@ -345,7 +255,6 @@ def plan_transfers(
     rank_of_group: Sequence[int],
     bytes_per_element: int = 8,
     per_group_dedup: bool = True,
-    segment_index: Union[Sequence[np.ndarray], str, None] = None,
 ) -> TransferPlan:
     """Plan all block transfers of a distributed submatrix-method run.
 
@@ -374,68 +283,30 @@ def plan_transfers(
         and no "without deduplication" figure (it is reported equal to the
         fetch volume).  The fast path is used by the large-system cost
         models.
-    segment_index:
-        Optional per-rank arrays of required segment (block) IDs, e.g.
-        ``ShardedPlan.required_segments_per_rank()``.  When given, the plan
-        additionally reports the packed-segment fetch volume: the bytes of
-        exactly those segments, shipped once each into the rank-local
-        buffer.  The string ``"required"`` derives the index from the exact
-        per-group required-block sets computed here — at block granularity a
-        shard references exactly the blocks of its submatrices' retained
-        sub-patterns, so this equals the sharded plan's index without
-        building an extraction plan (requires ``per_group_dedup=True``; used
-        by the cost models).
     """
     block_sizes = np.asarray(list(block_sizes), dtype=int)
     rank_of_group = list(rank_of_group)
     if len(rank_of_group) != grouping.n_submatrices:
         raise ValueError("rank_of_group must assign a rank to every group")
     n_ranks = distribution.n_ranks
-    segments_from_required = False
-    if isinstance(segment_index, str):
-        if segment_index != "required":
-            raise ValueError("segment_index must be 'required', arrays or None")
-        if not per_group_dedup:
-            raise ValueError(
-                "segment_index='required' needs the exact per-group planning "
-                "(per_group_dedup=True); the fast path over-approximates the "
-                "required sets"
-            )
-        segments_from_required = True
-        segment_index = None
-    if segment_index is not None and len(segment_index) != n_ranks:
-        raise ValueError("segment_index must provide one ID array per rank")
-
     tables = _PlanningTables.build(coo, block_sizes, distribution, bytes_per_element)
-    want_segments = segment_index is not None or segments_from_required
 
     per_rank: List[RankTransferSummary] = []
     fetch_matrix = np.zeros((n_ranks, n_ranks))
     writeback_matrix = np.zeros((n_ranks, n_ranks))
-    segment_matrix = np.zeros((n_ranks, n_ranks)) if want_segments else None
 
     groups_of_rank = _groups_of_rank(rank_of_group, n_ranks)
     for rank in range(n_ranks):
-        summary, fetch_column, writeback_row, segment_column = _plan_rank(
-            rank,
-            groups_of_rank[rank],
-            tables,
-            grouping,
-            per_group_dedup,
-            segment_index[rank] if segment_index is not None else None,
-            segments_from_required,
-            n_ranks,
+        summary, fetch_column, writeback_row = _plan_rank(
+            rank, groups_of_rank[rank], tables, grouping, per_group_dedup, n_ranks
         )
         per_rank.append(summary)
         fetch_matrix[:, rank] = fetch_column
         writeback_matrix[rank] = writeback_row
-        if segment_matrix is not None and segment_column is not None:
-            segment_matrix[:, rank] = segment_column
     return TransferPlan(
         per_rank=per_rank,
         fetch_matrix=fetch_matrix,
         writeback_matrix=writeback_matrix,
-        segment_fetch_matrix=segment_matrix,
     )
 
 

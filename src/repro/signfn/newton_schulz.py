@@ -249,6 +249,12 @@ def sign_newton_schulz_batched(
     )
 
 
+def _check_finite(values: np.ndarray) -> None:
+    """Refuse NaN/Inf input before a filtered iteration starts."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("matrix contains non-finite values (NaN or Inf)")
+
+
 def sign_newton_schulz_sparse(
     matrix: sp.spmatrix,
     eps_filter: float = 1e-7,
@@ -273,7 +279,8 @@ def sign_newton_schulz_sparse(
         Convergence threshold on ||X_{k+1} − X_k||_F / sqrt(n); defaults to
         ``eps_filter``.
     max_iterations:
-        Hard iteration cap.
+        Hard iteration cap.  A non-finite residual (overflow) also ends the
+        iteration, as not converged; NaN/Inf input is a :class:`ValueError`.
     """
     if not sp.issparse(matrix):
         raise TypeError("sign_newton_schulz_sparse expects a scipy.sparse matrix")
@@ -283,6 +290,7 @@ def sign_newton_schulz_sparse(
         convergence_threshold = eps_filter
     n = matrix.shape[0]
     x = matrix.tocsr().astype(float)
+    _check_finite(x.data)
     scale = spectral_scale_estimate(x)
     x = x / scale
     identity = sp.identity(n, format="csr")
@@ -301,21 +309,19 @@ def sign_newton_schulz_sparse(
 
     for iterations in range(1, max_iterations + 1):
         # FLOP accounting: a sparse product A*B costs 2 * sum_k nnz(A_{:,k}) * nnz(B_{k,:})
-        x_csc = x.tocsc()
-        col_counts = np.diff(x_csc.indptr)
+        col_counts = np.diff(x.tocsc().indptr)
         row_counts = np.diff(x.indptr)
         flops += 2.0 * float(np.dot(col_counts, row_counts))
         x_squared = _filter((x @ x).tocsr())
         inner = 3.0 * identity - x_squared
-        col_counts_inner = np.diff(inner.tocsc().indptr)
-        flops += 2.0 * float(np.dot(np.diff(x.tocsc().indptr), np.diff(inner.indptr)))
+        flops += 2.0 * float(np.dot(col_counts, np.diff(inner.indptr)))
         update = _filter((0.5 * (x @ inner)).tocsr())
         residual = float(sp.linalg.norm(update - x)) / np.sqrt(n)
         residual_history.append(residual)
         nnz_history.append(int(update.nnz))
         x = update
-        if residual < convergence_threshold:
-            converged = True
+        converged = residual < convergence_threshold
+        if converged or not np.isfinite(residual):
             break
     return NewtonSchulzResult(
         sign=x,
@@ -349,13 +355,16 @@ def sign_newton_schulz_filtered_dense(
     needs.
 
     Returns a :class:`NewtonSchulzResult` whose ``sign`` is a CSR matrix, so
-    the function is a drop-in replacement for the sparse variant.
+    the function is a drop-in replacement for the sparse variant.  Like it,
+    it refuses NaN/Inf input (the filter would map NaN to zero and report a
+    spurious convergence) and stops on a non-finite residual, not converged.
     """
     if convergence_threshold is None:
         convergence_threshold = eps_filter
     dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
     if dense.shape[0] != dense.shape[1]:
         raise ValueError("sign function requires a square matrix")
+    _check_finite(dense)
     n = dense.shape[0]
     scale = spectral_scale_estimate(dense)
     x = dense / scale
@@ -383,8 +392,8 @@ def sign_newton_schulz_filtered_dense(
         residual_history.append(residual)
         nnz_history.append(int(np.count_nonzero(update)))
         x = update
-        if residual < convergence_threshold:
-            converged = True
+        converged = residual < convergence_threshold
+        if converged or not np.isfinite(residual):
             break
     return NewtonSchulzResult(
         sign=sp.csr_matrix(x),

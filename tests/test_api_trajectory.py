@@ -306,9 +306,10 @@ class TestShardedTrajectory:
         stats = traj.stats
         assert stats.plans_built == 1
         assert stats.pipelines_built == 1  # shard layouts shared by all steps
-        assert all(
-            record.segment_fetch_bytes is not None for record in stats.steps
-        )
+        assert all(result.block_fetch_bytes is not None for result in traj)
+        assert not {"segment_fetch_bytes", "block_fetch_bytes"} & {
+            field.name for field in dataclasses.fields(stats.steps[0])
+        }
         single = ctx.trajectory(
             steps, water32_matrices.blocks, n_electrons=N_ELECTRONS
         )

@@ -174,6 +174,71 @@ class TestSubmatrixMethodCost:
         assert a.total_flops == pytest.approx(b.total_flops)
 
 
+def pinned_pattern():
+    """A ragged 14-block pattern: a band plus scattered long-range blocks."""
+    i, j = np.meshgrid(np.arange(14), np.arange(14), indexing="ij")
+    pattern = sp.csr_matrix(((abs(i - j) <= 2) | ((i * j) % 11 == 5)).astype(float))
+    return pattern, [5, 6, 4, 6, 5, 3, 6] * 2
+
+
+#: (exact_transfers, n_ranks) -> (simulated.total, total_comm_bytes,
+#: fetch_bytes, writeback_bytes, dedup_savings), recorded while a second
+#: (packed-segment) volume was still planned beside the block volume: the
+#: one volume must reproduce every figure exactly
+COST_PINS = {
+    (True, 1): (8.050474285714285e-05, 0.0, 0.0, 0.0, 0.0),
+    (True, 2): (5.718622857142857e-05, 18160.0, 10136.0, 7416.0, 0.6516359637063514),
+    (True, 3): (5.851386666666667e-05, 25912.0, 15624.0, 9072.0, 0.5649365114724882),
+    (True, 5): (
+        7.132090857142857e-05, 40336.00000000001, 26096.0, 11808.0, 0.42214348981399463
+    ),
+    (True, 8): (0.0001007702857142857, 51024.0, 34176.0, 12592.0, 0.30253061224489797),
+    (False, 1): (8.050474285714285e-05, 0.0, 0.0, 0.0, 0.0),
+    (False, 2): (5.723902857142857e-05, 18688.0, 10664.0, 7416.0, 0.0),
+    (False, 3): (5.868506666666667e-05, 28487.999999999996, 18200.0, 9072.0, 0.0),
+    (False, 5): (7.143610857142857e-05, 42640.00000000001, 28400.0, 11808.0, 0.0),
+    (False, 8): (0.00010081428571428571, 52256.0, 35408.0, 12592.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("exact, n_ranks", sorted(COST_PINS))
+def test_cost_model_figures_are_pinned(exact, n_ranks):
+    """The cost model charges the one whole-block fetch volume: its time,
+    traffic and transfer details equal the recorded figures exactly."""
+    pattern, sizes = pinned_pattern()
+    cost = submatrix_method_cost(
+        pattern, sizes, n_ranks, MachineModel(), exact_transfers=exact
+    )
+    got = (
+        cost.simulated.total,
+        cost.total_comm_bytes,
+        cost.details["fetch_bytes"],
+        cost.details["writeback_bytes"],
+        cost.details["dedup_savings"],
+    )
+    assert got == COST_PINS[exact, n_ranks]
+
+
+def test_cost_model_refuses_a_distribution_of_another_block_grid():
+    """The pipeline runs the session API's one distribution check: a
+    distribution for 10 blocks on an 8-block pattern is refused, not
+    silently planned."""
+    pattern = banded_pattern(8, bandwidth=1)
+    machine = MachineModel()
+    foreign = BlockDistribution(10, 10, ProcessGrid2D(4, (2, 2)))
+    with pytest.raises(ValueError, match="10x10 block grid, the request's is 8x8"):
+        submatrix_method_cost(pattern, [6] * 8, 4, machine, distribution=foreign)
+    with pytest.raises(ValueError, match="distribution has 4 ranks"):
+        submatrix_method_cost(
+            pattern, [6] * 8, 2, machine,
+            distribution=BlockDistribution(8, 8, ProcessGrid2D(4, (2, 2))),
+        )
+    own = BlockDistribution(8, 8, ProcessGrid2D(4, (2, 2)))
+    assert submatrix_method_cost(
+        pattern, [6] * 8, 4, machine, distribution=own
+    ).details["fetch_bytes"] > 0
+
+
 class TestNewtonSchulzCost:
     def test_basic_invariants(self):
         pattern = banded_pattern(32, bandwidth=3)

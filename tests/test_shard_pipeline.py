@@ -11,16 +11,22 @@ Covers the acceptance criteria of the rank-sharded refactor:
   for 3, 5, 24 and 30 ranks (more ranks than submatrices) on the synthetic
   one — with every rank owning one greedy consecutive chunk of the c·n³
   costs (Sec. IV-E);
-* :func:`~repro.core.transfers.plan_transfers` with a segment index reports
-  per-rank packed-segment fetch volumes that never exceed the whole-block
-  volumes, with deduplication invariants and conserved totals across rank
-  counts.
+* a shard's required segments are exactly the required blocks of
+  :func:`~repro.core.transfers.plan_transfers` (hypothesis-drawn ragged
+  patterns, combined column groups, 1–8 ranks, explicit distributions), so
+  the exact deduplicated whole-block volume is the bytes a shard packs —
+  the one fetch volume — with deduplication invariants and conserved
+  totals across rank counts.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.api import EngineConfig, SubmatrixContext
 from repro.api.config import EIGENSOLVE_FLOP_CONSTANT
@@ -36,7 +42,7 @@ from repro.core import (
     single_column_groups,
     submatrix_flop_costs,
 )
-from repro.core.combination import group_columns_greedy_chunks
+from repro.core.combination import ColumnGrouping, group_columns_greedy_chunks
 from repro.dbcsr import BlockDistribution, BlockSparseMatrix, CooBlockList, ProcessGrid2D
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_csr
 from repro.parallel import MachineModel
@@ -133,14 +139,17 @@ class TestShardedPlan:
         for shard in sharded.shards:
             ids = shard.required_segments
             assert np.array_equal(ids, np.unique(ids))  # sorted, deduplicated
-            # the local buffer holds exactly the referenced segments
-            assert shard.local_to_global.size == shard.segment_lengths.sum()
+            # the local buffer holds exactly the referenced segments, whole
+            lengths = offsets[ids + 1] - offsets[ids]
+            local_offsets = np.concatenate(([0], np.cumsum(lengths)))
+            assert shard.n_local_values == local_offsets[-1]
+            assert shard.local_to_global.size * plan.run == lengths.sum()
             referenced = {
                 int(s)
                 for group in shard.view.groups
                 for s in np.unique(
                     np.searchsorted(
-                        shard.local_offsets, group.gather_src, side="right"
+                        local_offsets, group.gather_src * plan.run, side="right"
                     )
                     - 1
                 )
@@ -154,7 +163,7 @@ class TestShardedPlan:
         empty = sharded.shards[1]
         assert empty.n_groups == 0
         assert empty.n_local_values == 0
-        assert empty.segment_bytes() == 0.0
+        assert empty.required_segments.size == 0
 
     def test_rank_assignment_validated(self, block_system):
         matrix, sizes, coo = block_system
@@ -163,6 +172,60 @@ class TestShardedPlan:
             ShardedPlan(plan, [0])
         with pytest.raises(IndexError):
             ShardedPlan(plan, [9] * plan.n_groups, 2)
+
+
+@st.composite
+def sharded_transfer_cases(draw):
+    """A ragged block pattern, combined column groups, 1–8 ranks and an
+    explicit block distribution over a drawn process grid."""
+    n = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    mask = draw(arrays(np.bool_, (n, n), elements=st.booleans()))
+    if draw(st.booleans()):
+        mask = mask | mask.T | np.eye(n, dtype=bool)
+    rows, cols = np.nonzero(mask)
+    coo = CooBlockList(rows, cols, n, n)
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    groups = [
+        [column for column in range(n) if labels[column] == label]
+        for label in sorted(set(labels))
+    ]
+    n_ranks = draw(st.integers(1, 8))
+    rank_of_group = draw(
+        st.lists(
+            st.integers(0, n_ranks - 1), min_size=len(groups), max_size=len(groups)
+        )
+    )
+    grid_rows = draw(
+        st.sampled_from([d for d in range(1, n_ranks + 1) if n_ranks % d == 0])
+    )
+    grid_cols = n_ranks // grid_rows
+    distribution = BlockDistribution(
+        n,
+        n,
+        ProcessGrid2D(n_ranks, (grid_rows, grid_cols)),
+        row_distribution=draw(
+            st.lists(st.integers(0, grid_rows - 1), min_size=n, max_size=n)
+        ),
+        col_distribution=draw(
+            st.lists(st.integers(0, grid_cols - 1), min_size=n, max_size=n)
+        ),
+    )
+    return coo, sizes, groups, rank_of_group, n_ranks, distribution
+
+
+@given(sharded_transfer_cases())
+@settings(max_examples=120, deadline=None)
+def test_shard_required_segments_are_the_planned_required_blocks(case):
+    """The fact that makes one fetch volume enough: every rank's shard packs
+    exactly the blocks the exact transfer plan fetches or holds."""
+    coo, sizes, groups, rank_of_group, n_ranks, distribution = case
+    sharded = ShardedPlan(block_plan(coo, sizes, groups), rank_of_group, n_ranks)
+    transfer = plan_transfers(
+        coo, sizes, distribution, ColumnGrouping(groups), rank_of_group
+    )
+    for shard, summary in zip(sharded.shards, transfer.per_rank):
+        assert np.array_equal(shard.required_segments, summary.required_blocks)
 
 
 class TestPackedSegmentTransfers:
@@ -185,100 +248,102 @@ class TestPackedSegmentTransfers:
             grouping,
             rank_of_group,
             per_group_dedup=per_group_dedup,
-            segment_index=sharded.required_segments_per_rank(),
         )
-        return sharded, transfer
+        return sharded, transfer, distribution
+
+    @staticmethod
+    def _remote_shard_bytes(coo, sizes, distribution, shard):
+        """Bytes of the shard's packed segments that another rank owns."""
+        ids = shard.required_segments
+        sizes = np.asarray(list(sizes))
+        owners = distribution.owners_of_blocks(coo.rows[ids], coo.cols[ids])
+        nbytes = sizes[coo.rows[ids]] * sizes[coo.cols[ids]] * 8.0
+        return float(nbytes[owners != shard.rank].sum())
 
     @pytest.mark.parametrize("n_ranks", RANK_COUNTS)
-    def test_per_rank_segment_fetch_at_most_block_fetch(
+    def test_fetch_is_the_remote_part_of_the_shard_buffer(
         self, transfer_inputs, n_ranks
     ):
         coo, sizes, grouping, plan = transfer_inputs
-        _, transfer = self._plans_for(coo, sizes, grouping, plan, n_ranks)
-        for summary in transfer.per_rank:
-            assert summary.segment_fetch_bytes is not None
-            assert summary.segment_fetch_bytes <= summary.fetch_bytes + 1e-9
+        sharded, transfer, distribution = self._plans_for(
+            coo, sizes, grouping, plan, n_ranks
+        )
+        for shard, summary in zip(sharded.shards, transfer.per_rank):
+            assert summary.fetch_bytes == self._remote_shard_bytes(
+                coo, sizes, distribution, shard
+            )
             assert summary.fetch_bytes <= summary.fetch_bytes_without_dedup + 1e-9
 
-    def test_fast_path_block_volume_strictly_overestimates_segments(
-        self, transfer_inputs
-    ):
-        """per_group_dedup=False over-approximates; segments stay exact."""
+    def test_fast_path_overestimates_the_shard_volume(self, transfer_inputs):
+        """per_group_dedup=False over-approximates what the shards pack."""
         coo, sizes, grouping, plan = transfer_inputs
-        _, exact = self._plans_for(coo, sizes, grouping, plan, 4)
-        _, fast = self._plans_for(
+        sharded, exact, distribution = self._plans_for(coo, sizes, grouping, plan, 4)
+        _, fast, _ = self._plans_for(
             coo, sizes, grouping, plan, 4, per_group_dedup=False
         )
-        # the shard-derived segment volume is identical in both modes ...
-        assert fast.total_segment_fetch_bytes == pytest.approx(
-            exact.total_segment_fetch_bytes
+        shard_bytes = sum(
+            self._remote_shard_bytes(coo, sizes, distribution, shard)
+            for shard in sharded.shards
         )
-        # ... and strictly below the fast path's whole-block volume
-        assert fast.total_segment_fetch_bytes < fast.total_fetch_bytes
-        assert fast.segment_savings > 0.0
+        assert exact.total_fetch_bytes == pytest.approx(shard_bytes)
+        assert fast.total_fetch_bytes > exact.total_fetch_bytes
 
     def test_dedup_invariants(self, transfer_inputs):
         coo, sizes, grouping, plan = transfer_inputs
-        sharded, transfer = self._plans_for(coo, sizes, grouping, plan, 4)
+        sharded, transfer, distribution = self._plans_for(
+            coo, sizes, grouping, plan, 4
+        )
         sizes = np.asarray(list(sizes))
         bytes_by_id = sizes[coo.rows] * sizes[coo.cols] * 8.0
-        for shard, summary in zip(sharded.shards, transfer.per_rank):
+        owners = distribution.owners_of_blocks(coo.rows, coo.cols)
+        for rank, (shard, summary) in enumerate(
+            zip(sharded.shards, transfer.per_rank)
+        ):
             # shard-required segments are exactly the plan's required blocks
-            # (exact per-group planning), so the deduplicated volumes agree
-            assert np.array_equal(
-                shard.required_segments, summary.required_blocks
-            )
-            assert set(summary.remote_blocks.tolist()) <= set(
-                summary.required_blocks.tolist()
-            )
-            # each remote segment is charged exactly once, at its true size
-            assert summary.segment_fetch_bytes == pytest.approx(
-                float(bytes_by_id[summary.remote_blocks].sum())
+            assert np.array_equal(shard.required_segments, summary.required_blocks)
+            # each remote block is charged exactly once, at its true size
+            remote = summary.required_blocks[owners[summary.required_blocks] != rank]
+            assert summary.fetch_bytes == pytest.approx(
+                float(bytes_by_id[remote].sum())
             )
 
     @pytest.mark.parametrize("n_ranks", RANK_COUNTS)
     def test_totals_conserved_across_rank_counts(self, transfer_inputs, n_ranks):
         coo, sizes, grouping, plan = transfer_inputs
-        sharded, transfer = self._plans_for(coo, sizes, grouping, plan, n_ranks)
+        sharded, transfer, _ = self._plans_for(coo, sizes, grouping, plan, n_ranks)
         # every group is owned exactly once
         assert sum(s.n_submatrices for s in transfer.per_rank) == grouping.n_submatrices
         assert sum(s.n_groups for s in sharded.shards) == plan.n_groups
         # the union of required segments covers every segment some group needs
-        union = np.unique(np.concatenate(sharded.required_segments_per_rank()))
+        union = np.unique(
+            np.concatenate([shard.required_segments for shard in sharded.shards])
+        )
         single_rank = ShardedPlan(plan, np.zeros(plan.n_groups, dtype=int), 1)
         assert np.array_equal(union, single_rank.shards[0].required_segments)
         # matrices agree with the per-rank summaries
-        assert transfer.segment_fetch_matrix.sum() == pytest.approx(
-            transfer.total_segment_fetch_bytes
-        )
         assert transfer.fetch_matrix.sum() == pytest.approx(
             transfer.total_fetch_bytes
         )
-
-    def test_single_rank_has_no_segment_traffic(self, transfer_inputs):
-        coo, sizes, grouping, plan = transfer_inputs
-        _, transfer = self._plans_for(coo, sizes, grouping, plan, 1)
-        assert transfer.total_segment_fetch_bytes == 0.0
-
-    def test_traffic_log_can_use_segments(self, transfer_inputs):
-        coo, sizes, grouping, plan = transfer_inputs
-        _, transfer = self._plans_for(coo, sizes, grouping, plan, 4)
-        block_log = transfer.to_traffic_log(include_coo_allgather=False)
-        segment_log = transfer.to_traffic_log(
-            include_coo_allgather=False, use_segments=True
+        assert transfer.writeback_matrix.sum() == pytest.approx(
+            transfer.total_writeback_bytes
         )
-        assert segment_log.total_bytes_sent() <= block_log.total_bytes_sent() + 1e-9
-        without_segments = plan_transfers(
-            coo,
-            sizes,
-            BlockDistribution(
-                coo.n_block_rows, coo.n_block_cols, ProcessGrid2D(4, (4, 1))
-            ),
-            grouping,
-            [g % 4 for g in range(grouping.n_submatrices)],
+
+    def test_single_rank_has_no_fetch_traffic(self, transfer_inputs):
+        coo, sizes, grouping, plan = transfer_inputs
+        _, transfer, _ = self._plans_for(coo, sizes, grouping, plan, 1)
+        assert transfer.total_fetch_bytes == 0.0
+
+    def test_traffic_log_charges_the_one_fetch_volume(self, transfer_inputs):
+        coo, sizes, grouping, plan = transfer_inputs
+        _, transfer, _ = self._plans_for(coo, sizes, grouping, plan, 4)
+        log = transfer.to_traffic_log(include_coo_allgather=False)
+        assert log.total_bytes_sent() == pytest.approx(
+            transfer.total_fetch_bytes + transfer.total_writeback_bytes
         )
-        with pytest.raises(ValueError):
-            without_segments.to_traffic_log(use_segments=True)
+        # one volume: no segment index, no choice of granularity
+        assert "segment_index" not in inspect.signature(plan_transfers).parameters
+        for method in (transfer.to_traffic_log, DistributedSubmatrixPipeline.traffic_log):
+            assert "use_segments" not in inspect.signature(method).parameters
 
 
 class TestDistributedPipeline:
@@ -291,9 +356,8 @@ class TestDistributedPipeline:
         result = run_pipeline(pipeline, matrix, **SIGN)
         assert_blocks_bitwise_equal(reference_blocks, result.raw_blocks())
         transfers = pipeline.transfer_plan
-        assert (
-            transfers.total_segment_fetch_bytes <= transfers.total_fetch_bytes + 1e-9
-        )
+        for shard, summary in zip(pipeline.prepare()[1].shards, transfers.per_rank):
+            assert np.array_equal(shard.required_segments, summary.required_blocks)
 
     @pytest.mark.parametrize("n_ranks", RANK_COUNTS)
     def test_each_rank_takes_one_greedy_consecutive_chunk(
@@ -386,8 +450,8 @@ class TestDistributedPipeline:
         assert cost.total_flops == pytest.approx(
             pipeline.cost(machine).total_flops
         )
-        assert "segment_fetch_bytes" in cost.details
-        assert cost.details["segment_fetch_bytes"] <= cost.details["fetch_bytes"] + 1e-9
+        assert cost.details["fetch_bytes"] == pipeline.transfer_plan.total_fetch_bytes
+        assert not {"segment_fetch_bytes", "segment_savings"} & set(cost.details)
 
 
 class TestWaterBenchmarkAcceptance:
@@ -410,7 +474,7 @@ class TestWaterBenchmarkAcceptance:
         return SubmatrixContext().apply(blocked, coo=coo, **SIGN).result.raw_blocks()
 
     @pytest.mark.parametrize("n_ranks", RANK_COUNTS)
-    def test_bitwise_and_segment_volume(
+    def test_bitwise_and_fetch_volume(
         self, water_setup, water_reference, n_ranks
     ):
         blocked, sizes, coo = water_setup
@@ -418,8 +482,10 @@ class TestWaterBenchmarkAcceptance:
         result = run_pipeline(pipeline, blocked, **SIGN)
         assert_blocks_bitwise_equal(water_reference, result.raw_blocks())
         assert len(pipeline.transfer_plan.per_rank) == n_ranks
-        for summary in pipeline.transfer_plan.per_rank:
-            assert summary.segment_fetch_bytes <= summary.fetch_bytes + 1e-9
+        shards = pipeline.prepare()[1].shards
+        for shard, summary in zip(shards, pipeline.transfer_plan.per_rank):
+            assert np.array_equal(shard.required_segments, summary.required_blocks)
+            assert summary.fetch_bytes <= summary.fetch_bytes_without_dedup
 
     @pytest.mark.parametrize("solver", ["eigen", "newton_schulz"])
     def test_one_bucket_loop_behind_every_route(

@@ -287,6 +287,41 @@ class TestNewtonSchulzSparse:
         with pytest.raises(ValueError):
             sign_newton_schulz_filtered_dense(np.ones((3, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("variant", ["sparse", "filtered_dense"])
+    def test_filtered_variants_refuse_non_finite_input(self, variant, bad):
+        """Unchecked, the filter maps NaN to zero and the dense variant
+        reports an all-zero sign as converged; the sparse one would run its
+        whole budget on NaN."""
+        from repro.signfn import sign_newton_schulz_filtered_dense
+
+        matrix = np.eye(30)
+        matrix[3, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            if variant == "sparse":
+                sign_newton_schulz_sparse(sp.csr_matrix(matrix))
+            else:
+                sign_newton_schulz_filtered_dense(matrix)
+
+    @pytest.mark.parametrize("variant", ["sparse", "filtered_dense"])
+    def test_filtered_variants_stop_on_non_finite_residual(
+        self, rng, monkeypatch, variant
+    ):
+        """An overflowing iterate ends the iteration at once, not converged,
+        like the dense :func:`sign_newton_schulz`."""
+        from repro.signfn import newton_schulz, sign_newton_schulz_filtered_dense
+
+        # a prescale far below the spectral radius overflows the first X·X
+        monkeypatch.setattr(newton_schulz, "spectral_scale_estimate", lambda m: 1e-200)
+        matrix, _ = make_sign_test_matrix(rng, n=12)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if variant == "sparse":
+                result = sign_newton_schulz_sparse(sp.csr_matrix(matrix))
+            else:
+                result = sign_newton_schulz_filtered_dense(matrix)
+        assert result.iterations == 1
+        assert not result.converged
+
 
 class TestPade:
     def test_coefficients_second_order_is_newton_schulz(self):
