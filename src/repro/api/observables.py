@@ -878,22 +878,25 @@ def _scatter_spectral(
 def _streamed_occupations(mu: float, temperature: float):
     """Per-stack solver ``eigh → f(λ − μ)`` of the streamed spectral route.
 
-    Returns the occupation matrices D̃ = Q f(λ − μ) Qᵀ (Eq. 17) of a stack in
-    spectral form ``(occupations, Q)``; the bucket loop
-    (:func:`~repro.core.batch.map_stacks`) forms and scatters their
-    generating-column panels, so neither the full matrices nor — past the
-    stack task — the eigenvectors ever exist.  The occupations are evaluated
-    per matrix, exactly as :func:`_scatter_spectral` evaluates them per cache
-    entry, so the two routes run the same elementwise code on the same
-    shapes whatever the platform's vector dispatch.
+    Returns the occupation matrices D̃ = Q f(λ − μ) Qᵀ (Eq. 17) of a stack as
+    a panel function; the bucket loop (:func:`~repro.core.batch.map_stacks`)
+    forms and scatters their generating-column panels, so neither the full
+    matrices nor — past the stack task — the eigenvectors ever exist.  The
+    occupations are evaluated per matrix, exactly as
+    :func:`_scatter_spectral` evaluates them per cache entry, so the two
+    routes run the same elementwise code on the same shapes whatever the
+    platform's vector dispatch.
     """
 
     def solve(stack: np.ndarray):
         eigenvalues, eigenvectors = np.linalg.eigh(stack)
-        occupations = np.stack(
-            [fermi_occupation(values, mu, temperature) for values in eigenvalues]
-        )
-        return occupations, eigenvectors
+        occupations = [fermi_occupation(v, mu, temperature) for v in eigenvalues]
+
+        def panel(slot: int, rows: np.ndarray) -> np.ndarray:
+            q = eigenvectors[slot]
+            return spectral_panel(q, occupations[slot], q[rows])
+
+        return panel
 
     return solve
 
@@ -906,26 +909,27 @@ def _iterative_occupations(sign: KernelStackSolver, mu: float):
 
     ``sign`` solves stacks with the kernel that has no eigendecomposition
     cache — the Newton–Schulz iteration — bound without parameters, because
-    μ is shifted off here.  Every unit of the rank loop maps this same
-    closure over its ``(k, d, d)`` stacks, so all routes
-    perform identical per-submatrix arithmetic — and because the batched
-    sign iterations prescale and freeze each matrix individually, the
-    results are independent of the stack composition (the basis of the
-    sharded route's bitwise-identity guarantee).  Submatrices the kernel
-    does not converge come from ``eigen`` and are counted on ``sign``.
-
-    No stack-sized temporary is built around the kernel: the stack is the
-    task's own freshly extracted buffer (:func:`~repro.core.batch.map_stacks`),
-    so μ comes off its diagonal in place, and sign → occupation is mapped in
-    place on the stack the kernel returned.
+    μ comes off the diagonal of the task's own freshly extracted stack here,
+    in place.  Every unit of the rank loop maps this same closure over its
+    stacks, and the kernel prescales and freezes each matrix individually,
+    so the results are independent of the stack composition (the basis of
+    the sharded route's bitwise-identity guarantee).  Submatrices the kernel
+    does not converge come from ``eigen`` and are counted on ``sign``.  Each
+    member's last step is taken on its generating columns only, and
+    sign → occupation is mapped in place on that panel.
     """
 
-    def solve(stack: np.ndarray) -> np.ndarray:
+    def solve(stack: np.ndarray):
         diagonal = np.arange(stack.shape[-1])
         stack[:, diagonal, diagonal] -= mu
         signs = sign(stack)
-        np.subtract(np.eye(stack.shape[-1]), signs, out=signs)
-        signs *= 0.5
-        return signs
+
+        def occupations(slot: int, rows: np.ndarray) -> np.ndarray:
+            panel = signs(slot, rows)
+            panel *= -0.5
+            panel[rows, np.arange(rows.size)] += 0.5
+            return panel
+
+        return occupations
 
     return solve

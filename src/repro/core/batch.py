@@ -153,14 +153,15 @@ def map_stacks(
     either
 
     * the evaluated ``(k, D, D)`` stack — coerced to the stack's dtype,
-      shape-checked and scattered whole (:meth:`SubmatrixPlan.scatter_stack`,
-      the iterative kernels), or
-    * the pair ``(values, vectors)`` of shapes ``(k, D)`` and ``(k, D, D)``
-      standing for ``vectors·diag(values)·vectorsᵀ`` — **panel delivery**:
-      per member only the generating-column panel is formed
-      (:func:`spectral_panel`, ``d²·w`` flops instead of ``d³``) and written
-      with :meth:`SubmatrixPlan.scatter_columns`; the full matrices never
-      exist and the vectors die with the task.
+      shape-checked and scattered whole (:meth:`SubmatrixPlan.scatter_stack`),
+      or
+    * a panel function ``panel(slot, rows) -> (D, w)``: columns ``rows``
+      (the member's generating rows) of slot ``slot``'s result — **panel
+      delivery**: per member only this panel is formed and written with
+      :meth:`SubmatrixPlan.scatter_columns`; the full matrices never exist.
+      A spectral solver forms it with :func:`spectral_panel` (``d²·w``
+      flops instead of ``d³``), Newton–Schulz takes its last step on it
+      (:class:`~repro.signfn.newton_schulz.BatchedNewtonSchulzResult`).
 
     ``mapper(run, tasks)`` dispatches the tasks (default: a plain loop).
     """
@@ -170,14 +171,10 @@ def map_stacks(
         solved = solve_stack(stack)
         if out is None:
             return solved
-        if isinstance(solved, tuple):
-            values, vectors = solved
-            _check_stack_shape(vectors, stack.shape)
-            _check_stack_shape(values, stack.shape[:2])
+        if callable(solved):
             for slot, group_index in enumerate(task.members):
-                group, q = view.groups[group_index], vectors[slot]
-                panel = spectral_panel(q, values[slot], q[group.generating_rows()])
-                view.scatter_columns(out, group_index, panel)
+                rows = view.groups[group_index].generating_rows()
+                view.scatter_columns(out, group_index, solved(slot, rows))
             return None
         evaluated = np.asarray(solved, dtype=stack.dtype)
         _check_stack_shape(evaluated, stack.shape)

@@ -10,6 +10,11 @@ is compared against in the paper's Figs. 6, 7 and 10.
 
 The two dense routines evaluate the step as ``X + ½·(X − X³)``: the step
 itself is the convergence residual and no ``3I − X²`` intermediate exists.
+Both rescale ``X`` by ``1/sqrt(||X²||₁)`` in the first step (free with
+``X²``; ρ(X)² ≤ ||X²||₁), and ``converged`` means the *next* step would move
+the iterate by less than the threshold: in the quadratic regime the step
+after one of size r is at most about 1.5·sqrt(n)·r², one confirming step
+fewer than stopping on ``r < threshold``.
 
 * :func:`sign_newton_schulz` — dense, one general matrix; the reference the
   batched kernel is tested against (equal iteration counts, values within
@@ -17,18 +22,21 @@ itself is the convergence residual and no ``3I − X²`` intermediate exists.
 * :func:`sign_newton_schulz_batched` — the submatrix engine's kernel on a
   ``(k, n, n)`` stack of *symmetric* matrices.  One call allocates three
   stack-sized buffers — its working copy ``X`` and two work buffers — and
-  nothing per iteration: ``S = X·Xᵀ`` (``matmul(..., out=)``, which numpy
-  dispatches to ``syrk``: half the flops of a general product), ``Z = S·X``
-  (``out=``), ``Z ← X − Z`` in place, the residual from one ``einsum`` over
-  ``Z``, ``X += ½Z`` in place.  For symmetric ``X`` this is the iteration
-  above; in floating point it is the Newton–Schulz iteration for the
-  orthogonal polar factor, ``½(3I − XXᵀ)X``, which damps the antisymmetric
-  rounding error between the two sign subspaces and leaves the rest
-  untouched.  The order of the second product matters: ``X·(X·Xᵀ)``
-  *doubles* that error every iteration (3e-13 after 10 iterations, overflow
-  near 60 — a matrix with a 1e-3 relative gap never converges), ``(X·Xᵀ)·X``
-  holds it at rounding level through hundreds.  The converged stack is
-  symmetrised once, so the result is exactly symmetric;
+  nothing stack-sized per iteration: ``S = X·Xᵀ`` (``matmul(..., out=)``,
+  which numpy dispatches to ``syrk``: half the flops of a general product),
+  ``Z = S·X`` (``out=``), ``Z ← X − Z`` in place, the residual from one
+  ``einsum`` over ``Z``, ``X += ½Z`` in place.  Near convergence a matrix's
+  residual is first bounded from ``S`` alone; once the bound meets the stop,
+  the matrix leaves before the ``S·X`` product and the caller takes its last
+  step on the columns it needs (:class:`BatchedNewtonSchulzResult`).  For
+  symmetric ``X`` this is the iteration above; in floating point it is the
+  Newton–Schulz iteration for the orthogonal polar factor, ``½(3I − XXᵀ)X``,
+  which damps the antisymmetric rounding error between the two sign
+  subspaces and leaves the rest untouched.  The order of the second product
+  matters: ``X·(X·Xᵀ)`` *doubles* that error every iteration (3e-13 after 10
+  iterations, overflow near 60 — a matrix with a 1e-3 relative gap never
+  converges), ``(X·Xᵀ)·X`` holds it at rounding level through hundreds.  The
+  full result is symmetrised once, so it is exactly symmetric;
 * :func:`sign_newton_schulz_sparse` — operates on ``scipy.sparse`` matrices
   and filters elements below ``eps_filter`` after every iteration, which
   mirrors the CP2K behaviour where the filtering threshold also serves as
@@ -40,6 +48,7 @@ itself is the convergence residual and no ``3I − X²`` intermediate exists.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import List, Optional, Union
 
 import numpy as np
@@ -60,6 +69,10 @@ __all__ = [
 #: Largest ``|X − Xᵀ|`` of a prescaled matrix the batched (polar-form) kernel
 #: accepts as symmetric; the eigendecomposition kernel's tolerance.
 _SYMMETRY_TOLERANCE = 1e-8
+
+#: The quadratic regime: previous residual and ``||I − X²||_F`` below this (an
+#: eigenvalue near 0 still grows linearly, by a step that predicts nothing).
+_QUADRATIC_REGIME = 1e-2
 
 
 @dataclasses.dataclass
@@ -106,8 +119,8 @@ def sign_newton_schulz(
     matrix:
         Square matrix without eigenvalues on the imaginary axis.
     convergence_threshold:
-        The iteration stops when ||X_{k+1} − X_k||_F / sqrt(n) falls below
-        this threshold.
+        The iteration stops, converged, once the next step would move the
+        iterate by less than this in ||·||_F / sqrt(n) (module docstring).
     max_iterations:
         Hard iteration cap.  A non-finite residual (NaN/Inf input, overflow)
         also ends the iteration, as not converged.
@@ -125,8 +138,18 @@ def sign_newton_schulz(
     flops = 0.0
     converged = False
     iterations = 0
+    residual = np.inf
     for iterations in range(1, max_iterations + 1):
-        step = x - x @ (x @ x)
+        x_squared = x @ x
+        quadratic = residual < _QUADRATIC_REGIME and bool(
+            np.linalg.norm(x_squared - np.eye(n)) < _QUADRATIC_REGIME
+        )
+        if iterations == 1:
+            # ρ(X)² ≤ ‖X²‖₁: the first step's tight scale comes with X²
+            norm = float(np.abs(x_squared).sum(axis=0).max()) or 1.0
+            x /= np.sqrt(norm)
+            x_squared /= norm
+        step = x - x @ x_squared
         flops += 2.0 * (2.0 * n**3)
         residual = 0.5 * float(np.linalg.norm(step)) / np.sqrt(n)
         residual_history.append(residual)
@@ -134,7 +157,8 @@ def sign_newton_schulz(
         x += step
         if track_involutority:
             involutority_history.append(involutority_error(x))
-        converged = residual < convergence_threshold
+        # the next step would move X by ≤ 1.5·√n·r² (quadratic regime only)
+        converged = quadratic and 1.5 * np.sqrt(n) * residual**2 < convergence_threshold
         # a non-finite residual never recovers: stop, not converged
         if converged or not np.isfinite(residual):
             break
@@ -151,21 +175,58 @@ def sign_newton_schulz(
 
 @dataclasses.dataclass
 class BatchedNewtonSchulzResult:
-    """Result of a batched Newton–Schulz sign iteration.
+    """Result of a batched Newton–Schulz sign iteration, every matrix held
+    before its last step ``X + ½(X − S·X)``.
 
-    Attributes
-    ----------
-    sign:
-        ``(k, n, n)`` stack of converged (or last) iterates.
-    iterations:
-        Per-matrix iteration counts, shape ``(k,)``.
-    converged:
-        Per-matrix convergence flags, shape ``(k,)``.
+    ``s``/``x`` are the ``(k, n, n)`` stacks of ``S = X·Xᵀ`` and ``X`` in slot
+    order — matrix ``i`` at ``slots[i]``, with ``S = I`` once its iterate is
+    final; ``iterations`` (the last step included) and ``converged`` are per
+    matrix.  Calling the result with ``(i, columns)`` takes matrix ``i``'s
+    last step on those columns only — the panel
+    :func:`~repro.core.batch.map_stacks` delivers — and :attr:`sign` on all.
     """
 
-    sign: np.ndarray
+    s: np.ndarray
+    x: np.ndarray
+    slots: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
+
+    def __call__(self, member: int, columns=slice(None)) -> np.ndarray:
+        """The one final step, on ``columns`` only (``2·d²·w`` flops, not
+        ``2·d³``); bitwise ``X[:, columns]`` when ``S = I``."""
+        slot = self.slots[member]
+        panel = self.x[slot][:, columns]
+        step = self.s[slot] @ panel
+        np.subtract(panel, step, out=step)
+        step *= 0.5
+        step += panel
+        return step
+
+    @functools.cached_property
+    def sign(self) -> np.ndarray:
+        """The ``(k, n, n)`` signs: the last step on all columns, symmetrised."""
+        sign = np.empty_like(self.x)
+        for member, matrix in enumerate(sign):
+            matrix[...] = self(member)
+            matrix += matrix.T
+            matrix *= 0.5
+        return sign
+
+    def finish(self, members, signs: np.ndarray) -> None:
+        """Make ``signs`` the result of ``members``: ``X ← signs``, ``S ← I``."""
+        self.x[self.slots[members]] = signs
+        self.s[self.slots[members]] = np.eye(self.s.shape[-1])
+
+
+def _retire(leaving: np.ndarray, buffers) -> int:
+    """Swap the flagged active slots behind the kept ones; the kept count."""
+    kept = leaving.size - int(np.count_nonzero(leaving))
+    behind = kept + np.flatnonzero(~leaving[kept:])
+    for a, b in zip(np.flatnonzero(leaving[:kept]), behind):
+        for buffer in buffers:
+            buffer[[a, b]] = buffer[[b, a]]
+    return kept
 
 
 def sign_newton_schulz_batched(
@@ -176,24 +237,20 @@ def sign_newton_schulz_batched(
 ) -> BatchedNewtonSchulzResult:
     """sign(A − shift·I) for a ``(k, n, n)`` stack of symmetric matrices.
 
-    Batched counterpart of :func:`sign_newton_schulz` for the bucketed batch
-    evaluator.  Each matrix is prescaled by its own spectral-radius bound,
-    iterated with stacked products (one BLAS call per matrix and product)
-    and frozen as soon as its own residual ``||X_{k+1} − X_k||_F / sqrt(n)``
-    drops below the threshold — or turns non-finite, which freezes it as
-    *not* converged — so ``iterations``/``converged`` equal the unbatched
-    routine's and every matrix's values are bitwise independent of what else
-    is in the stack (a matrix solved alone reproduces its in-stack result).
+    Batched counterpart of :func:`sign_newton_schulz`, with its iterate
+    sequence and stop: each matrix is iterated with stacked products (one
+    BLAS call per matrix and product) and frozen on its own stop — or a
+    non-finite residual, which freezes it as *not* converged — so
+    ``iterations``/``converged`` equal the unbatched routine's and every
+    matrix's values are bitwise independent of what else is in the stack.
+    The result holds every matrix before its last step.
 
     ``stack`` is never written to.  The call allocates its working copy
     (whose diagonal takes the ``shift``) and two work buffers of the stack's
-    size, and nothing per iteration (see the module docstring for the update
-    form); frozen matrices stay in the working copy while the active ones
-    are compacted — one fancy-index copy, one write-back — only in an
-    iteration where some matrix actually froze.  The result is symmetrised
-    once, so ``sign`` is exactly symmetric.  The ``(X·Xᵀ)·X`` form converges
-    to the orthogonal polar factor, which is the sign only for symmetric
-    input: a stack asymmetric beyond 1e-8 (relative to the prescale) raises
+    size (see the module docstring); a matrix that leaves is swapped behind
+    the active ones in place.  The ``(X·Xᵀ)·X`` form converges to the
+    orthogonal polar factor, which is the sign only for symmetric input: a
+    stack asymmetric beyond 1e-8 (relative to the prescale) raises
     ``ValueError``, like the eigendecomposition kernel.
     """
     x = np.array(stack, dtype=float)
@@ -218,35 +275,55 @@ def sign_newton_schulz_batched(
         )
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
-    active = np.arange(count)
-    xa = x  # the active iterates: x itself until the first freeze
-    residual_factor = 0.5 / np.sqrt(n)
-    for _ in range(max_iterations):
-        if active.size == 0:
+    # per slot: the member, its last residual, whether its step is quadratic
+    order, previous = np.arange(count), np.full(count, np.inf)
+    quadratic = np.zeros(count, dtype=bool)
+    active, root_n = count, np.sqrt(n)
+    for sweep in range(max_iterations):
+        if active == 0:
             break
-        s, z = x_squared[: active.size], step[: active.size]
+        xa, s = x[:active], x_squared[:active]
         np.matmul(xa, xa.transpose(0, 2, 1), out=s)
+        near = previous[:active] < _QUADRATIC_REGIME
+        if sweep == 0:
+            # ρ(X)² ≤ ‖X·Xᵀ‖₁: the first step's tight scale comes with its syrk
+            norm = np.abs(s, out=step[:active]).sum(axis=1).max(axis=1)
+            norm[norm == 0.0] = 1.0
+            s /= norm[:, None, None]
+            xa /= np.sqrt(norm)[:, None, None]
+        elif near.any():
+            # this step's residual ½‖X(I − S)‖_F/√n ≤ ½·√(1+δ)·δ/√n, δ = ‖I − S‖_F
+            flat = s.reshape(active, n * n)
+            delta_sq = np.einsum("ij,ij->i", flat, flat) - 2.0 * np.einsum("ijj->i", s)
+            delta = np.sqrt(np.maximum(delta_sq + n, 0.0))
+            quadratic[:active] = near & (delta < _QUADRATIC_REGIME)
+            bound = 0.5 * np.sqrt(1.0 + delta) * delta / root_n
+            last = near & (1.5 * root_n * bound**2 < convergence_threshold)
+            if last.any():
+                iterations[order[:active][last]] += 1
+                converged[order[:active][last]] = True
+                active = _retire(last, (x, x_squared, order, previous, quadratic))
+                xa, s = x[:active], x_squared[:active]
+        z = step[:active]
         np.matmul(s, xa, out=z)
         np.subtract(xa, z, out=z)
-        flat = z.reshape(active.size, -1)
-        residual = residual_factor * np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        flat = z.reshape(active, n * n)
+        residual = 0.5 * np.sqrt(np.einsum("ij,ij->i", flat, flat)) / root_n
         z *= 0.5
         xa += z
-        iterations[active] += 1
-        done = residual < convergence_threshold
+        iterations[order[:active]] += 1
+        previous[:active] = residual
+        # the next step would move X by ≤ 1.5·√n·r² (quadratic regime only)
+        done = quadratic[:active] & (1.5 * root_n * residual**2 < convergence_threshold)
         frozen = done | ~np.isfinite(residual)
         if frozen.any():
-            converged[active[done]] = True
-            if xa is not x:
-                x[active[frozen]] = xa[frozen]
-            active, xa = active[~frozen], xa[~frozen]
-    if xa is not x:
-        x[active] = xa
-    np.add(x, x.transpose(0, 2, 1), out=step)
-    step *= 0.5
-    return BatchedNewtonSchulzResult(
-        sign=step, iterations=iterations, converged=converged
-    )
+            converged[order[:active][done]] = True
+            kept = _retire(frozen, (x, order, previous, quadratic))
+            x_squared[kept:active] = np.eye(n)  # final iterates: S = I
+            active = kept
+    x_squared[:active] = np.eye(n)
+    slots = np.argsort(order)
+    return BatchedNewtonSchulzResult(x_squared, x, slots, iterations, converged)
 
 
 def _check_finite(values: np.ndarray) -> None:

@@ -15,7 +15,7 @@ the Newton–Schulz density route and
 :func:`~repro.core.batch.evaluate_batched` evaluate every stack through it.
 Newton–Schulz gets one convergence-checked attempt at its default budget,
 and every submatrix it did not converge is evaluated by ``eigen`` instead
-and counted.
+(the result's form with ``S = I``) and counted.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ class BoundKernel:
         Stack callable ``(k, d, d) -> (k, d, d)`` (a bare per-matrix
         callable is applied slice by slice).
     checked_function:
-        ``(k, d, d) -> (results, fallbacks)`` for kernels with a
+        ``(k, d, d) -> (panels, fallbacks)`` for kernels with a
         :attr:`MatrixFunction.make_checked_batched`: the kernel's one
         convergence-checked attempt, every submatrix it did not converge
-        replaced by ``eigen``'s sign(a − μI) (μ: the kernel's ``mu``
+        finished with ``eigen``'s sign(a − μI) (μ: the kernel's ``mu``
         parameter) and ``fallbacks`` the number of them.  When set it is
         what :class:`KernelStackSolver` evaluates; ``None`` otherwise.
     """
@@ -71,7 +71,7 @@ class BoundKernel:
     name: str
     batch_function: Callable[[np.ndarray], np.ndarray]
     checked_function: Optional[
-        Callable[[np.ndarray], Tuple[np.ndarray, int]]
+        Callable[[np.ndarray], Tuple[Callable, int]]
     ] = None
 
 
@@ -90,11 +90,12 @@ class MatrixFunction:
     make_checked_batched:
         Optional factory (same parameters as ``make_batched``) returning a
         *convergence-checked* batched callable ``checked(stack) ->
-        (results, converged)`` with ``converged`` a per-matrix boolean
-        array; it runs the kernel once at :data:`DEFAULT_SIGN_MAX_ITERATIONS`
-        and must not write to ``stack``.  Every submatrix it fails to
-        converge is evaluated by ``eigen`` instead — counted in
-        ``kernel_fallbacks``, never raised (see
+        (result, converged)`` with ``result`` a
+        :class:`~repro.signfn.newton_schulz.BatchedNewtonSchulzResult` and
+        ``converged`` a per-matrix boolean array; it runs the kernel once at
+        :data:`DEFAULT_SIGN_MAX_ITERATIONS` and must not write to ``stack``.
+        Every submatrix it fails to converge is evaluated by ``eigen``
+        instead — counted in ``kernel_fallbacks``, never raised (see
         :attr:`BoundKernel.checked_function`).
     supports_mu_bisection:
         Declares the kernel *spectrally equivalent* to the eigendecomposition
@@ -140,15 +141,13 @@ class MatrixFunction:
 def _with_eigen_fallback(checked: Callable, mu: float):
     """:attr:`BoundKernel.checked_function` of a kernel's ``checked`` callable."""
 
-    def solve(stack: np.ndarray) -> Tuple[np.ndarray, int]:
-        results, converged = checked(stack)
+    def solve(stack: np.ndarray):
+        result, converged = checked(stack)
         failed = np.flatnonzero(~np.asarray(converged, dtype=bool))
         if failed.size:
-            results = np.asarray(results, dtype=float)
-            results[failed] = sign_via_eigendecomposition_batched(
-                stack[failed], mu=mu
-            )
-        return results, int(failed.size)
+            signs = sign_via_eigendecomposition_batched(stack[failed], mu=mu)
+            result.finish(failed, signs)
+        return result, int(failed.size)
 
     return solve
 
@@ -219,8 +218,9 @@ class KernelStackSolver:
     :attr:`~BoundKernel.checked_function` gets its single convergence-checked
     attempt, and the submatrices it did not converge come back from ``eigen``
     and add to :attr:`fallbacks` (stacks may be solved on several threads;
-    the count is taken under a lock).  Any other kernel runs its batched
-    callable.  The result has the stack's dtype.
+    the count is taken under a lock); its result, a panel function, is
+    handed back as it is.  Any other kernel runs its batched callable, and
+    its result has the stack's dtype.
     """
 
     def __init__(self, kernel: BoundKernel):
@@ -228,16 +228,15 @@ class KernelStackSolver:
         self.fallbacks = 0
         self._lock = threading.Lock()
 
-    def __call__(self, stack: np.ndarray) -> np.ndarray:
+    def __call__(self, stack: np.ndarray):
         kernel = self.kernel
         if kernel.checked_function is None:
-            results = kernel.batch_function(stack)
-        else:
-            results, fallbacks = kernel.checked_function(stack)
-            if fallbacks:
-                with self._lock:
-                    self.fallbacks += fallbacks
-        return np.asarray(results, dtype=stack.dtype)
+            return np.asarray(kernel.batch_function(stack), dtype=stack.dtype)
+        results, fallbacks = kernel.checked_function(stack)
+        if fallbacks:
+            with self._lock:
+                self.fallbacks += fallbacks
+        return results
 
 
 # --------------------------------------------------------------------------- #
@@ -259,7 +258,7 @@ def _make_newton_schulz_checked(mu: float = 0.0):
         result = sign_newton_schulz_batched(
             stack, max_iterations=DEFAULT_SIGN_MAX_ITERATIONS, shift=mu
         )
-        return result.sign, result.converged
+        return result, result.converged
 
     return checked
 
@@ -276,7 +275,10 @@ KERNELS: Dict[str, MatrixFunction] = {
     "newton_schulz": MatrixFunction(
         name="newton_schulz",
         make_batched=_make_newton_schulz_batched,
-        description="sign(A − μI) via the 2nd-order Newton–Schulz iteration (Eq. 11)",
+        description=(
+            "sign(A − μI) via the 2nd-order Newton–Schulz iteration (Eq. 11); "
+            "quadratic-convergence stop, last step on the generating columns"
+        ),
         make_checked_batched=_make_newton_schulz_checked,
     ),
 }

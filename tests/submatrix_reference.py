@@ -317,6 +317,13 @@ def reference_density(
 #: (``test_panel_product_stays_within_1e14_of_the_sliced_full_product``).
 REFERENCE_DENSITY_ATOL = 1e-14
 
+#: How close a Newton–Schulz submatrix result of the engine comes to the
+#: generating columns of the full-matrix kernel
+#: (``sign_newton_schulz_batched``).  The engine takes the last step on the
+#: generating columns only, ``X[:, g] + ½(X[:, g] − S·X[:, g])`` (a d × w
+#: GEMM); the full kernel takes it on all columns (d × d) and symmetrises.
+PANEL_LAST_STEP_ATOL = 1e-13
+
 
 def assert_matches_reference_density(result, reference):
     """``result`` is the density of :func:`reference_density`, to rounding."""

@@ -71,6 +71,7 @@ from repro.signfn import (
 )
 
 from submatrix_reference import (
+    PANEL_LAST_STEP_ATOL,
     assert_matches_reference_density,
     reference_apply_blockwise,
     reference_apply_elementwise,
@@ -78,6 +79,16 @@ from submatrix_reference import (
 )
 
 EPS = 1e-5
+
+
+def assert_matches_reference_loop(ours, reference, kernel):
+    """Bitwise the per-submatrix reference loop — except Newton–Schulz, whose
+    engine forms only the generating columns of the last step: within
+    ``PANEL_LAST_STEP_ATOL`` of the full kernel's columns."""
+    if kernel == "newton_schulz":
+        assert np.max(np.abs(ours - reference), initial=0.0) <= PANEL_LAST_STEP_ATOL
+    else:
+        assert np.array_equal(ours, reference)
 
 
 def orthogonalized_block(pair, eps=EPS):
@@ -695,9 +706,11 @@ class TestApplyEquivalence:
     )
     def test_apply_matches_reference_bitwise(self, pattern, kernel, grouping):
         """``apply`` on a SciPy matrix (a grid of 1×1 blocks) and on a block
-        matrix is bitwise the per-submatrix reference loop of its format,
-        keeps exactly the input's stored pattern (explicit zeros included,
-        nothing in an empty column) and shards bitwise too."""
+        matrix is bitwise the per-submatrix reference loop of its format
+        (Newton–Schulz: to its panel last step,
+        :func:`assert_matches_reference_loop`), keeps exactly the input's
+        stored pattern (explicit zeros included, nothing in an empty column)
+        and shards bitwise too."""
         (matrix, groups), mu = self.unusual_pattern(pattern), 0.2
         if grouping == "single":
             groups = None
@@ -717,7 +730,9 @@ class TestApplyEquivalence:
             sharded = ctx.apply(matrix, spec, column_groups=groups, ranks=2, **params)
         if sp.issparse(matrix):
             reference, dimensions = reference_apply_elementwise(matrix, per_matrix, groups)
-            assert np.array_equal(new.result.toarray(), reference.toarray())
+            assert_matches_reference_loop(
+                new.result.toarray(), reference.toarray(), kernel
+            )
 
             def stored(csr):
                 entries = csr.tocoo()
@@ -726,8 +741,10 @@ class TestApplyEquivalence:
             assert stored(new.result) == stored(matrix) == stored(reference)
         else:
             reference, dimensions = reference_apply_blockwise(matrix, per_matrix, groups)
-            assert np.array_equal(
-                block_matrix_to_dense(new.result), block_matrix_to_dense(reference)
+            assert_matches_reference_loop(
+                block_matrix_to_dense(new.result),
+                block_matrix_to_dense(reference),
+                kernel,
             )
             assert new.result.block_keys() == matrix.block_keys()
             assert reference.block_keys() == matrix.block_keys()
@@ -741,8 +758,9 @@ class TestApplyEquivalence:
     @pytest.mark.parametrize("kernel", ["eigen", "newton_schulz"])
     @pytest.mark.parametrize("fmt", ["csr", "csc", "coo", "lil", "dok", "bsr", "dia"])
     def test_every_scipy_format_runs_as_its_csr(self, fmt, kernel):
-        """Any square SciPy format goes in: the result is bitwise the
-        reference loop on the CSR form, on the same stored pattern."""
+        """Any square SciPy format goes in: the result is the reference loop
+        on the CSR form (:func:`assert_matches_reference_loop`), on the same
+        stored pattern."""
         matrix, groups = self.unusual_pattern("random_csc")
         csr = matrix.tocsr()
         converted = csr.tobsr(blocksize=(1, 1)) if fmt == "bsr" else csr.asformat(fmt)
@@ -759,7 +777,7 @@ class TestApplyEquivalence:
             groups,
         )
         assert new.result.format == "csr"
-        assert np.array_equal(new.result.toarray(), reference.toarray())
+        assert_matches_reference_loop(new.result.toarray(), reference.toarray(), kernel)
         assert np.array_equal(new.result.indptr, csr.indptr)
         assert np.array_equal(new.result.indices, csr.indices)
         assert new.submatrix_dimensions == dimensions

@@ -312,14 +312,24 @@ def test_element_panels_scatter_bitwise_what_full_matrices_scatter(case, seed):
     assert_panels_scatter_like_full_matrices(plan, ranks, seed)
 
 
-def _spectral_solver(stack):
-    """A bounded spectral function in the form ``(values, vectors)``."""
+def _spectral_values(stack):
+    """A bounded spectral function as ``(values, vectors)``."""
     eigenvalues, eigenvectors = np.linalg.eigh(stack)
     return 1.0 / (1.0 + eigenvalues * eigenvalues), eigenvectors
 
 
+def _spectral_solver(stack):
+    """The same function as the bucket loop's panel function."""
+    values, vectors = _spectral_values(stack)
+
+    def panel(slot, rows):
+        return spectral_panel(vectors[slot], values[slot], vectors[slot][rows])
+
+    return panel
+
+
 def _full_product_solver(stack):
-    values, vectors = _spectral_solver(stack)
+    values, vectors = _spectral_values(stack)
     return (vectors * values[:, None, :]) @ vectors.transpose(0, 2, 1)
 
 
@@ -341,7 +351,7 @@ def test_panel_product_stays_within_1e14_of_the_sliced_full_product(case, seed):
     assert np.max(np.abs(panels - fulls), initial=0.0) <= 1e-14
     # and the panel function itself, per submatrix
     for index, group in enumerate(plan.groups):
-        values, vectors = _spectral_solver(plan.extract(packed, index)[None])
+        values, vectors = _spectral_values(plan.extract(packed, index)[None])
         rows = group.generating_rows()
         panel = spectral_panel(vectors[0], values[0], vectors[0][rows])
         full = (vectors[0] * values[0]) @ vectors[0].T

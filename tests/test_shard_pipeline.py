@@ -655,8 +655,8 @@ class TestExecutorParity:
                 for slot in range(stack.shape[0]):
                     if np.array_equal(shifted[slot], stalled):
                         converged[slot] = False
-                        result.sign[slot] = np.nan
-                return result.sign, converged
+                        result.finish([slot], np.full(stalled.shape, np.nan))
+                return result, converged
 
             return checked
 
