@@ -46,7 +46,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,6 +60,7 @@ from repro.core.runner import DistributedSubmatrixPipeline, run_stacks
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_csr
 from repro.dbcsr.coo import CooBlockList
+from repro.dbcsr.product import PanelRuns, floor_runs
 from repro.parallel.executor import make_executor, map_parallel
 from repro.signfn.registry import KernelStackSolver, resolve_kernel
 
@@ -72,9 +73,9 @@ __all__ = ["SubmatrixContext", "matrix_fingerprint"]
 MAX_CACHED_PIPELINES = 32
 
 #: Upper bound, in bytes, on the overlap roots a session keeps (one dense
-#: n×n float64 S^{-1/2} per distinct overlap content: 4.7 MB at 768 basis
-#: functions).  Least recently used roots are dropped first; the root just
-#: computed is always kept, even when it alone exceeds the bound.
+#: n×n float64 S^{-1/2}, with its runs, per overlap content: 4.7 MB at 768
+#: basis functions).  Least recently used roots are dropped first; the root
+#: just computed is always kept, even when it alone exceeds the bound.
 MAX_OVERLAP_ROOT_BYTES = 32 * 2**20
 
 
@@ -187,8 +188,8 @@ class SubmatrixContext:
             OrderedDict()
         )
         self._pipelines_built = 0
-        # S^{-1/2} per overlap content (read-only arrays, LRU by bytes)
-        self._overlap_roots: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
+        # (S^{-1/2}, its floor runs) per overlap content (read-only, LRU by bytes)
+        self._overlap_roots: "OrderedDict[bytes, tuple]" = OrderedDict()
         self._overlap_root_hits = 0
         self._overlap_root_misses = 0
         self._closed = False
@@ -332,17 +333,21 @@ class SubmatrixContext:
             }
 
     def _overlap_root_bytes(self) -> int:
-        return sum(root.nbytes for root in self._overlap_roots.values())
+        return sum(
+            root.nbytes + sum(begins.nbytes + ends.nbytes for *_, begins, ends in runs)
+            for root, runs in self._overlap_roots.values()
+        )
 
-    def overlap_root(self, S) -> np.ndarray:
-        """S^{-1/2} of the overlap matrix, computed once per overlap *content*.
+    def overlap_root(self, S) -> Tuple[np.ndarray, PanelRuns]:
+        """S^{-1/2} of the overlap matrix and its floor runs, once per *content*.
 
         The Löwdin root (:func:`~repro.chem.orthogonalize.loewdin_inverse_sqrt`,
-        a dense ``eigh`` of S) is a pure function of the bytes of ``S``, so
-        the session keeps it keyed by :func:`matrix_fingerprint` — never by
-        object identity: an ``S`` mutated in place is a different key.  The
-        returned array is shared between every request that hits and is
-        therefore read-only.  The cache is an LRU bounded by
+        a dense ``eigh`` of S) and its :func:`~repro.dbcsr.product.floor_runs`
+        are a pure function of the bytes of ``S``, so the session keeps the
+        pair keyed by :func:`matrix_fingerprint` — never by object identity:
+        an ``S`` mutated in place is a different key.  The returned pair is
+        shared between every request that hits, so the root is read-only;
+        the runs count in the cache's bytes.  The cache is an LRU bounded by
         :data:`MAX_OVERLAP_ROOT_BYTES` that always keeps the root just
         computed, whatever its size; a miss costs the hash on top of the
         root.  Two threads missing on the same content both compute the
@@ -351,16 +356,17 @@ class SubmatrixContext:
         self._check_open()
         key = matrix_fingerprint(S)
         with self._lock:
-            root = self._overlap_roots.get(key)
-            if root is not None:
+            entry = self._overlap_roots.get(key)
+            if entry is not None:
                 self._overlap_roots.move_to_end(key)
                 self._overlap_root_hits += 1
-                return root
+                return entry
             self._overlap_root_misses += 1
         root = loewdin_inverse_sqrt(S)
         root.setflags(write=False)
+        entry = (root, floor_runs(root))
         with self._lock:
-            self._overlap_roots[key] = root
+            self._overlap_roots[key] = entry
             self._overlap_roots.move_to_end(key)
             # keep at least the root just computed, even when it alone
             # exceeds the bound: dropping it would re-diagonalise S per call
@@ -369,7 +375,7 @@ class SubmatrixContext:
                 and self._overlap_root_bytes() > MAX_OVERLAP_ROOT_BYTES
             ):
                 self._overlap_roots.popitem(last=False)
-        return root
+        return entry
 
     def _advance_overlap_root(self, previous: Optional[bytes]) -> Optional[bytes]:
         """Key of the most recently used root; drops ``previous`` if it is another.

@@ -107,7 +107,7 @@ from repro.chem.orthogonalize import orthogonalized_ks_dense
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.convert import block_matrix_from_dense, block_matrix_to_csr
 from repro.dbcsr.coo import CooBlockList
-from repro.dbcsr.product import triple_product
+from repro.dbcsr.product import PanelRuns, triple_product
 from repro.signfn.registry import KernelStackSolver, get_kernel
 
 __all__ = [
@@ -136,30 +136,30 @@ class PreparedStep:
     Everything here is a pure function of ``(K, S, block_sizes,
     eps_filter)`` — orthogonalization, block conversion, the COO pattern
     and its fingerprint — and touches neither the session's plan cache nor
-    its pipelines.  ``s_inv_sqrt`` is itself a pure function of ``S``; when
-    the session has seen that overlap content before it is the session's
-    shared read-only array
-    (:meth:`~repro.api.context.SubmatrixContext.overlap_root`), bitwise the
-    one a fresh computation gives.  :func:`compute_observables` starts from
-    a prepared step.
+    its pipelines.  ``s_inv_sqrt`` and its ``outer_runs`` are a pure function
+    of ``S``; when the session has seen that overlap content before they are
+    its shared pair (:meth:`~repro.api.context.SubmatrixContext.overlap_root`),
+    bitwise what a fresh computation gives.  :func:`compute_observables`
+    starts from a prepared step.
     """
 
     s_inv_sqrt: np.ndarray
+    outer_runs: PanelRuns
     block_k: BlockSparseMatrix
     coo: CooBlockList
 
 
 def prepare_step(
-    K, S, blocks, eps_filter: float, s_inv_sqrt: Optional[np.ndarray] = None
+    K, S, blocks, eps_filter: float, s_inv_sqrt=None, outer_runs=None
 ) -> PreparedStep:
     """Precompute the pure preparation of one step (see :class:`PreparedStep`).
 
-    ``s_inv_sqrt`` is the Löwdin root of ``S`` when the caller already holds
-    it (a session passes its cached one); by default it is computed here.
-    The filtered K̃ goes from its dense form straight into blocks
-    (:func:`~repro.dbcsr.convert.block_matrix_from_dense`), the blocks and
-    values :func:`~repro.chem.orthogonalize.orthogonalized_ks`'s CSR form
-    would give.
+    ``s_inv_sqrt`` and ``outer_runs`` are the Löwdin root of ``S`` and its
+    floor runs when the caller holds them (a session passes its cached
+    pair), else computed.  The filtered K̃ goes from its dense form straight
+    into blocks (:func:`~repro.dbcsr.convert.block_matrix_from_dense`), the
+    blocks and values :func:`~repro.chem.orthogonalize.orthogonalized_ks`'s
+    CSR form would give.
 
     Raises :class:`ValueError` naming the matrix when ``K`` or ``S`` holds a
     NaN/Inf or is not symmetric
@@ -168,12 +168,12 @@ def prepare_step(
     all-zero density would come back instead of an error; an asymmetric ``K``
     would be symmetrised into a different Hamiltonian without complaint.
     """
-    k_ortho, s_inv_sqrt = orthogonalized_ks_dense(
-        K, S, eps_filter=eps_filter, s_inv_sqrt=s_inv_sqrt
+    k_ortho, s_inv_sqrt, outer_runs = orthogonalized_ks_dense(
+        K, S, eps_filter, s_inv_sqrt, outer_runs
     )
     block_k = block_matrix_from_dense(k_ortho, blocks.block_sizes)
     coo = CooBlockList.from_block_matrix(block_k)
-    return PreparedStep(s_inv_sqrt=s_inv_sqrt, block_k=block_k, coo=coo)
+    return PreparedStep(s_inv_sqrt, outer_runs, block_k, coo)
 
 
 # --------------------------------------------------------------------------- #
@@ -502,9 +502,7 @@ def _decompose(
     collect = mu is None or not all(
         get_observable(name).supports_iterative for name in names
     )
-    prepared = prepare_step(
-        K, S, blocks, config.eps_filter, s_inv_sqrt=context.overlap_root(S)
-    )
+    prepared = prepare_step(K, S, blocks, config.eps_filter, *context.overlap_root(S))
     if collect:
         solver = np.linalg.eigh
     elif spectral:
@@ -579,6 +577,7 @@ def _assemble_density(
         ranks=pipeline.n_ranks if pipeline is not None else 1,
         pipeline=pipeline,
         kernel_fallbacks=decomposition.kernel_fallbacks,
+        outer_runs=decomposition.prepared.outer_runs,
     )
 
 
@@ -666,6 +665,7 @@ def _assemble_energy_weighted(
             lambda eigenvalues: eigenvalues
             * fermi_occupation(eigenvalues, mu, config.temperature),
         ),
+        decomposition.prepared.outer_runs,
     )
     # same g_s·trace contraction electron_count uses, applied to W:
     # E_band = g_s Σ w·λ·f(λ−μ) = g_s Tr(W)
@@ -714,13 +714,13 @@ OBSERVABLES: Dict[str, Observable] = {
 # the density observable's assembly
 # --------------------------------------------------------------------------- #
 def _back_transform(
-    s_inv_sqrt: np.ndarray, ortho_block: BlockSparseMatrix
+    s_inv_sqrt: np.ndarray, ortho_block: BlockSparseMatrix, outer_runs=None
 ) -> Tuple[sp.csr_matrix, np.ndarray]:
     """Outer products of Eq. 16: the scattered orthogonal-basis blocks as CSR
     and their AO-basis form ``S^{-1/2} · X̃ · S^{-1/2}`` (dense, one
     :func:`~repro.dbcsr.product.triple_product` over the stored blocks)."""
     ortho = block_matrix_to_csr(ortho_block)
-    return ortho, triple_product(s_inv_sqrt, ortho_block, ortho.toarray())
+    return ortho, triple_product(s_inv_sqrt, ortho_block, ortho.toarray(), outer_runs)
 
 
 def assemble_result(
@@ -736,6 +736,7 @@ def assemble_result(
     ranks: int = 1,
     pipeline=None,
     kernel_fallbacks: int = 0,
+    outer_runs: Optional[PanelRuns] = None,
 ) -> SubmatrixDFTResult:
     """Finalize a density calculation from its scattered occupation matrix.
 
@@ -743,9 +744,11 @@ def assemble_result(
     basis, evaluate the band-structure energy (over ``K``'s stored entries
     when it is sparse, :func:`~repro.chem.density.band_structure_energy`)
     and electron count, and collect the transfer accounting of an optional
-    sharded ``pipeline``.
+    sharded ``pipeline``.  ``outer_runs``: the root's floor runs, if kept.
     """
-    density_ortho, density_ao = _back_transform(s_inv_sqrt, occupation_block)
+    density_ortho, density_ao = _back_transform(
+        s_inv_sqrt, occupation_block, outer_runs
+    )
     energy = band_structure_energy(density_ao, K, config.spin_degeneracy)
     n_elec = electron_count(density_ortho, config.spin_degeneracy)
     block_fetch_bytes = None

@@ -13,12 +13,12 @@ matrix for use by the sparse solvers.
 
 Both Löwdin products of a request — K̃ here and the back-transform
 S^{-1/2}·D̃·S^{-1/2} of the density (:mod:`repro.api.observables`) — are one
-:func:`~repro.dbcsr.product.triple_product`: one dense GEMM plus one exact
-sparse × dense product in row panels that multiplies only the column runs
-the sparse operand stores.  An operand that stores at least half of its
-elements (:data:`~repro.dbcsr.product.DENSE_FILL`), or whose panels would do
-at least half of the dense work, takes the dense (S^{-1/2}·A)·S^{-1/2}
-bitwise instead.
+:func:`~repro.dbcsr.product.triple_product`: two products in row panels,
+the inner one over the column runs the sparse operand stores, the outer one
+over those of S^{-1/2} above its rounding floor n·2⁻⁵³·max|S^{-1/2}|, where
+a dense ``eigh`` root holds no digits.  Either falls back to the dense GEMM,
+bitwise, when its panels would not pay (see :mod:`repro.dbcsr.product`), so
+a water overlap, whose root is dense above the floor, gives the old bits.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.dbcsr.product import triple_product
+from repro.dbcsr.product import DENSE_FILL, PANEL_ROWS, floor_runs, stored_fill
+from repro.dbcsr.product import PanelRuns, triple_product
 
 __all__ = [
     "loewdin_inverse_sqrt",
@@ -47,17 +48,31 @@ SYMMETRY_ATOL = 1e-10
 SYMMETRY_RTOL = 1e-8
 
 
-def _require_symmetric(name: str, dense: np.ndarray) -> None:
-    """Raise :class:`ValueError` naming the matrix unless ``dense`` is finite
-    and symmetric by the rule above (no boolean temporaries: NaN and Inf
-    surface in the extrema)."""
+def _extent(values) -> float:
+    """max|values| of an array or a SciPy matrix (NaN when any is NaN)."""
+    return max(values.max(), -values.min())
+
+
+def _require_symmetric(name: str, matrix, dense: np.ndarray) -> None:
+    """Raise :class:`ValueError` naming the matrix unless it is finite and
+    symmetric by the rule above (no boolean temporaries: NaN and Inf surface
+    in the extrema).  ``dense`` is ``matrix`` as an array; a SciPy matrix
+    below :data:`~repro.dbcsr.product.DENSE_FILL` is read on its stored
+    entries, anything else in row panels with no n×n ``A − Aᵀ``.  Both see
+    every element, so the verdict and the message are the whole matrix's."""
     if dense.shape[0] != dense.shape[1]:
         raise ValueError(f"{name} must be square, got shape {dense.shape}")
-    scale = max(dense.max(), -dense.min())
+    stored = sp.issparse(matrix) and stored_fill(matrix) < DENSE_FILL
+    scale = _extent(matrix if stored else dense)
     if not np.isfinite(scale):
         raise ValueError(f"{name} contains non-finite values (NaN or Inf)")
-    difference = dense - dense.T
-    asymmetry = max(difference.max(), -difference.min())
+    if stored:
+        asymmetry = _extent(matrix - matrix.T)
+    else:
+        asymmetry = max(
+            _extent(dense[i : i + PANEL_ROWS, i:] - dense[i:, i : i + PANEL_ROWS].T)
+            for i in range(0, dense.shape[0], PANEL_ROWS)
+        )
     if asymmetry > SYMMETRY_ATOL + SYMMETRY_RTOL * scale:
         raise ValueError(
             f"{name} must be symmetric: max|{name} - {name}^T| = {asymmetry:.3e} "
@@ -93,7 +108,7 @@ def loewdin_inverse_sqrt(
     :data:`SYMMETRY_RTOL`.
     """
     S_dense = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)
-    _require_symmetric("S", S_dense)
+    _require_symmetric("S", S, S_dense)
     eigenvalues, eigenvectors = np.linalg.eigh(S_dense)
     if eigenvalues.min() < min_eigenvalue:
         raise ValueError(
@@ -111,12 +126,15 @@ def orthogonalized_ks_dense(
     S: Union[np.ndarray, sp.spmatrix],
     eps_filter: float = 0.0,
     s_inv_sqrt: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+    outer_runs: Optional[PanelRuns] = None,
+) -> Tuple[np.ndarray, np.ndarray, PanelRuns]:
     """:func:`orthogonalized_ks` with K̃ left dense (a fresh, writable array).
 
     This is the form the engine cuts into blocks
     (:func:`~repro.dbcsr.convert.block_matrix_from_dense`); the arguments,
     the checks and the values are those of :func:`orthogonalized_ks`.
+    ``outer_runs`` is :func:`~repro.dbcsr.product.floor_runs` of
+    ``s_inv_sqrt`` if the caller keeps it; both come back with K̃.
     """
     if not (math.isfinite(eps_filter) and eps_filter >= 0.0):
         raise ValueError(
@@ -124,15 +142,19 @@ def orthogonalized_ks_dense(
         )
     if s_inv_sqrt is None:
         s_inv_sqrt = loewdin_inverse_sqrt(S)
+    if outer_runs is None:
+        outer_runs = floor_runs(s_inv_sqrt)
     K_dense = K.toarray() if sp.issparse(K) else np.asarray(K, dtype=float)
-    _require_symmetric("K", K_dense)
-    K_ortho = triple_product(s_inv_sqrt, K if sp.issparse(K) else K_dense, K_dense)
+    _require_symmetric("K", K, K_dense)
+    K_ortho = triple_product(
+        s_inv_sqrt, K if sp.issparse(K) else K_dense, K_dense, outer_runs
+    )
     # symmetrise and filter in place: 0.5·(K̃ + K̃ᵀ), then |K̃_ij| < eps → 0
     K_ortho += K_ortho.T.copy()
     K_ortho *= 0.5
     if eps_filter > 0.0:
         K_ortho[np.abs(K_ortho) < eps_filter] = 0.0
-    return K_ortho, s_inv_sqrt
+    return K_ortho, s_inv_sqrt, outer_runs
 
 
 def orthogonalized_ks(
@@ -166,7 +188,7 @@ def orthogonalized_ks(
     The triple product is :func:`~repro.dbcsr.product.triple_product`:
     S^{-1/2}·(K·S^{-1/2}) with K·S^{-1/2} in row panels when ``K`` is a
     sparse matrix that stores few enough elements, else the dense
-    (S^{-1/2}·K)·S^{-1/2}.
+    (S^{-1/2}·K)·S^{-1/2}; the left product over S^{-1/2}'s floor runs.
 
     Raises :class:`ValueError` for an ``eps_filter`` that is NaN, infinite
     or negative (as :class:`~repro.api.config.EngineConfig` does), naming
@@ -175,5 +197,5 @@ def orthogonalized_ks(
     which would average a real asymmetry away), and whatever
     :func:`loewdin_inverse_sqrt` raises for ``S``.
     """
-    K_ortho, s_inv_sqrt = orthogonalized_ks_dense(K, S, eps_filter, s_inv_sqrt)
+    K_ortho, s_inv_sqrt, _ = orthogonalized_ks_dense(K, S, eps_filter, s_inv_sqrt)
     return sp.csr_matrix(K_ortho), s_inv_sqrt

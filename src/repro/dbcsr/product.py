@@ -4,25 +4,32 @@ The Löwdin envelope of a request multiplies a sparse matrix by the dense
 S^{-1/2} from both sides (Eq. 16): K̃ = X·K·X before the engine and
 D_ao = X·D̃·X after it.  CP2K keeps both operands block-sparse (DBCSR);
 multiplied as dense matrices they cost two n³ GEMMs each, most of them on
-stored zeros.  :func:`triple_product` forms ``X·(A·X)`` instead: one dense
-GEMM plus one :func:`panel_product`, which cuts ``A`` into panels of
-:data:`PANEL_ROWS` rows and multiplies, per panel, only the contiguous column
-runs that ``A`` stores in those rows.  The skipped terms are exact zeros, so
-only the summation order changes; the values move at rounding level.
+stored zeros.  :func:`triple_product` forms ``X̂·(A·X)`` instead, both as
+a :func:`panel_product` over the column runs of the left factor per panel of
+:data:`PANEL_ROWS` rows.
 
-When the panels do not pay, the triple product is ``(X·A)·X`` on the dense
-operand, bitwise the expression the envelope always evaluated:
+* ``A``'s runs are the columns it stores (:func:`column_runs`): the skipped
+  terms are exact zeros and the values move at rounding level.
+* X̂'s runs are the columns where X is above its rounding floor τ =
+  n·:data:`ROOT_FLOOR`·max|X| (:func:`floor_runs`).  A dense ``eigh`` root
+  is accurate only to about τ in every element, so an element below τ holds
+  no digits, only the rounding of the eigenvectors summed into it.  Dropping
+  them moves row i by at most Σ_k |X_ik − X̂_ik| · max|A·X|, the a-priori
+  bound the tests hold it to.  The runs are a pure function of X.
+
+A product whose panels do not pay is the dense GEMM, bitwise as before:
 
 * an operand whose stored fill (:func:`stored_fill`) is at least
   :data:`DENSE_FILL` takes it without any analysis;
 * otherwise the panels are taken only when their work — Σ panel height ×
   run width, at the operand's storage granularity (whole blocks of a
   :class:`~repro.dbcsr.block_matrix.BlockSparseMatrix`, stored columns of a
-  SciPy matrix) — is below :data:`PANEL_WORK` of the dense GEMM's n².
+  SciPy matrix, elements of X) — is below :data:`PANEL_WORK` of the dense
+  GEMM's n²; X's runs that do not pay are ``[]``, as for every water root.
 
 Thin panels run below the dense GEMM's flop rate, which is where the
-break-even sits near one half.  The panel height and both fractions are
-constants of the method, not knobs.
+break-even sits near one half.  The panel height, the floor and both
+fractions are constants of the method, not knobs.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ __all__ = [
     "DENSE_FILL",
     "PANEL_ROWS",
     "PANEL_WORK",
+    "ROOT_FLOOR",
     "column_runs",
+    "floor_runs",
     "panel_product",
     "stored_fill",
     "triple_product",
@@ -53,6 +62,8 @@ PANEL_ROWS = 48
 DENSE_FILL = 0.5
 #: Panel work, as a fraction of the dense GEMM's, below which panels are taken.
 PANEL_WORK = 0.5
+#: The unit roundoff: root elements below n·ROOT_FLOOR·max|X| are noise.
+ROOT_FLOOR = 2.0**-53
 
 SparseOperand = Union[np.ndarray, sp.spmatrix, BlockSparseMatrix]
 #: Per panel: first row, stop row, run start columns, run stop columns.
@@ -84,7 +95,6 @@ def column_runs(matrix: Union[sp.spmatrix, BlockSparseMatrix]) -> PanelRuns:
     outside the runs is zero in that panel.
     """
     rows, cols = matrix.shape
-    n_panels = -(-rows // PANEL_ROWS)
     if isinstance(matrix, BlockSparseMatrix):
         blocks = matrix.raw_blocks()
         keys = np.fromiter(
@@ -101,12 +111,36 @@ def column_runs(matrix: Union[sp.spmatrix, BlockSparseMatrix]) -> PanelRuns:
         panel_of_entry = np.repeat(np.arange(rows) // PANEL_ROWS, np.diff(csr.indptr))
         column_of_entry = csr.indices
         column_starts = np.arange(cols + 1)
-    occupied = np.zeros((n_panels, len(column_starts) + 1), dtype=bool)
+    occupied = np.zeros((-(-rows // PANEL_ROWS), len(column_starts) + 1), dtype=bool)
     occupied[panel_of_entry, column_of_entry + 1] = True
+    return _runs(occupied, column_starts, rows, min_gap=0)
+
+
+def floor_runs(outer: np.ndarray) -> PanelRuns:
+    """Per panel, the columns where ``outer`` keeps an element at or above
+    n·:data:`ROOT_FLOOR`·max|outer|, gaps narrower than a panel closed;
+    ``[]`` when they would do at least :data:`PANEL_WORK` of the dense work."""
+    rows, cols = outer.shape
+    magnitude = np.abs(outer)
+    kept = magnitude >= cols * ROOT_FLOOR * magnitude.max()
+    occupied = np.zeros((-(-rows // PANEL_ROWS), cols + 2), dtype=bool)
+    occupied[:, 1:-1] = np.logical_or.reduceat(kept, np.arange(0, rows, PANEL_ROWS))
+    runs = _runs(occupied, np.arange(cols + 1), rows, min_gap=PANEL_ROWS)
+    return runs if _panel_work(runs) < PANEL_WORK * rows * cols else []
+
+
+def _runs(occupied, column_starts, rows: int, min_gap: int) -> PanelRuns:
+    """Runs of a zero-padded panel × column mask, gaps below ``min_gap`` closed."""
     # a run starts where a row of the padded mask rises and stops where it falls
     panel, edge = np.nonzero(occupied[:, 1:] != occupied[:, :-1])
-    starts, stops = column_starts[edge[0::2]], column_starts[edge[1::2]]
-    bounds = np.searchsorted(panel[0::2], np.arange(n_panels + 1))
+    panel, starts, stops = panel[0::2], edge[0::2], edge[1::2]
+    opens, closes = np.ones((2, panel.size), dtype=bool)
+    opens[1:] = closes[:-1] = (panel[1:] != panel[:-1]) | (
+        column_starts[starts[1:]] - column_starts[stops[:-1]] >= min_gap
+    )
+    panel = panel[opens]
+    starts, stops = column_starts[starts[opens]], column_starts[stops[closes]]
+    bounds = np.searchsorted(panel, np.arange(len(occupied) + 1))
     return [
         (
             p * PANEL_ROWS,
@@ -114,7 +148,7 @@ def column_runs(matrix: Union[sp.spmatrix, BlockSparseMatrix]) -> PanelRuns:
             starts[bounds[p] : bounds[p + 1]],
             stops[bounds[p] : bounds[p + 1]],
         )
-        for p in range(n_panels)
+        for p in range(len(occupied))
     ]
 
 
@@ -158,20 +192,25 @@ def panel_product(
 
 
 def triple_product(
-    outer: np.ndarray, matrix: SparseOperand, dense: np.ndarray
+    outer: np.ndarray, matrix: SparseOperand, dense: np.ndarray, outer_runs=None
 ) -> np.ndarray:
-    """``outer · matrix · outer`` exactly, for a dense ``outer`` (S^{-1/2}).
+    """``outer · matrix · outer`` for a dense ``outer`` (S^{-1/2}).
 
-    ``dense`` is ``matrix`` as a dense array (a dense ``matrix`` is its own).
-    ``outer · (matrix · outer)`` with the inner product in panels
-    (:func:`panel_product`) when ``matrix`` is sparse enough, otherwise
-    ``(outer @ dense) @ outer`` bitwise (see the module docstring for the
-    rule).
+    ``dense`` is ``matrix`` as a dense array (a dense ``matrix`` is its own);
+    ``outer_runs`` is :func:`floor_runs` of ``outer``, computed here unless
+    given.  ``outer · (matrix · outer)`` with the inner product in panels
+    when ``matrix`` is sparse enough, otherwise ``(outer @ dense) @ outer``;
+    the left product in panels over ``outer_runs`` unless they are ``[]``
+    (see the module docstring for the rules and the bound).
     """
+    if outer_runs is None:
+        outer_runs = floor_runs(outer)
+    right = dense
     if stored_fill(matrix) < DENSE_FILL:
         runs = column_runs(matrix)
-        rows, cols = dense.shape
-        if _panel_work(runs) < PANEL_WORK * rows * cols:
-            return outer @ panel_product(matrix, dense, outer, runs)
-    return outer @ dense @ outer
+        if _panel_work(runs) < PANEL_WORK * dense.size:
+            right = panel_product(matrix, dense, outer, runs)
+    left = panel_product(outer, outer, right, outer_runs) if outer_runs else outer @ right
+    # a dense operand keeps the order (X·A)·X
+    return left @ outer if right is dense else left
 

@@ -1341,7 +1341,7 @@ class TestOverlapRootCache:
             assert (stats["entries"], stats["bytes"]) == (2, 2 * one_root)
             assert ctx.overlap_root(overlaps[0]) is roots[0]
             assert ctx.overlap_root(overlaps[1]) is not roots[1]
-            assert np.array_equal(ctx.overlap_root(overlaps[1]), roots[1])
+            assert np.array_equal(ctx.overlap_root(overlaps[1])[0], roots[1][0])
 
     def test_newest_root_is_kept_even_above_the_bound(
         self, water32_matrices, monkeypatch
@@ -1357,7 +1357,7 @@ class TestOverlapRootCache:
                 "hits": 1, "misses": 1, "entries": 1, "bytes": one_root,
             }
             other = ctx.overlap_root(S * 3.0)
-            assert np.array_equal(other, loewdin_inverse_sqrt(S * 3.0))
+            assert np.array_equal(other[0], loewdin_inverse_sqrt(S * 3.0))
             assert ctx.overlap_root(S * 3.0) is other
             stats = ctx.stats()["overlap_roots"]
             assert (stats["entries"], stats["bytes"]) == (1, one_root)
@@ -1365,7 +1365,8 @@ class TestOverlapRootCache:
 
     def test_cached_root_is_read_only(self, water32_matrices):
         with SubmatrixContext(self.CONFIG) as ctx:
-            root = ctx.overlap_root(water32_matrices.S)
+            root, runs = ctx.overlap_root(water32_matrices.S)
+            assert runs == []  # dense above its rounding floor
             assert not root.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 root[0, 0] = 1.0

@@ -1,12 +1,15 @@
 """The sparse Löwdin envelope: S^{-1/2}·K·S^{-1/2} and S^{-1/2}·D̃·S^{-1/2}.
 
 :func:`~repro.dbcsr.product.triple_product` multiplies only the column runs
-a sparse operand stores (:func:`~repro.dbcsr.product.panel_product`) and
-falls back to the dense expression, bitwise, when the operand is full or
-the panels would not pay.  These tests hold the product to the dense GEMM's
-rounding bound on arbitrary block patterns, the fallback to today's bits,
-the densities to the reference and the dense oracle, determinism to the
-bit, and the request checks that guard the envelope.
+a sparse operand stores (:func:`~repro.dbcsr.product.panel_product`), and
+S^{-1/2} only over its runs above the rounding floor
+(:func:`~repro.dbcsr.product.floor_runs`); it falls back to the dense
+expression, bitwise, when the operand is full, the root is dense above its
+floor, or the panels would not pay.  These tests hold the product to the
+dense GEMM's rounding bound on arbitrary block patterns, the truncated root
+to its a-priori bound, the fallback to today's bits, the densities to the
+reference and the dense oracle, determinism to the bit, and the request
+checks that guard the envelope.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from hypothesis.extra.numpy import arrays
 import repro.api.observables as observables_module
 import repro.dbcsr.convert as convert_module
 from repro.api import EngineConfig, SubmatrixContext
-from repro.api.observables import prepare_step
+from repro.api.observables import assemble_result, prepare_step
 from repro.chem import (
     SZV,
     HamiltonianModel,
@@ -33,6 +36,8 @@ from repro.chem import (
     water_box,
 )
 from repro.chem.orthogonalize import (
+    SYMMETRY_ATOL,
+    SYMMETRY_RTOL,
     loewdin_inverse_sqrt,
     orthogonalized_ks,
     orthogonalized_ks_dense,
@@ -47,7 +52,9 @@ from repro.dbcsr.convert import (
 from repro.dbcsr.product import (
     DENSE_FILL,
     PANEL_ROWS,
+    PANEL_WORK,
     column_runs,
+    floor_runs,
     panel_product,
     stored_fill,
     triple_product,
@@ -102,6 +109,17 @@ def block_patterns(draw):
         matrix.put_block(int(bi), int(bj), block)
     right = rng.standard_normal((sum(sizes), draw(st.integers(1, 40))))
     return matrix, right
+
+
+def truncation_bound(root, runs, right):
+    """Σ_k |X_ik − X̂_ik| · max|right|, maxed over rows i: the a-priori bound
+    on how far the panels of ``root`` over ``runs`` (X̂) move ``root @ right``
+    in exact arithmetic."""
+    dropped = np.abs(root)
+    for start, stop, begins, ends in runs:
+        for first, last in zip(begins, ends):
+            dropped[start:stop, first:last] = 0.0
+    return dropped.sum(axis=1).max() * np.abs(right).max()
 
 
 def rounding_bound(dense, right):
@@ -211,7 +229,7 @@ class TestDenseRule:
         before = root @ K @ root
         before = 0.5 * (before + before.T)
         before = np.where(np.abs(before) >= 1e-3, before, 0.0)
-        ortho, _ = orthogonalized_ks_dense(K, None, 1e-3, s_inv_sqrt=root)
+        ortho, *_ = orthogonalized_ks_dense(K, None, 1e-3, s_inv_sqrt=root)
         assert np.array_equal(ortho, before)
         csr, _ = orthogonalized_ks(K, None, 1e-3, s_inv_sqrt=root)
         assert np.array_equal(csr.toarray(), before)
@@ -265,8 +283,16 @@ def test_ledger_like_density_matches_reference_and_oracle(ledger_inputs, name):
     with SubmatrixContext(EngineConfig(eps_filter=eps)) as context:
         result = context.density(pair.K, pair.S, pair.blocks, mu=mu, solver=solver)
     if solver == "eigen":
+        reference = reference_density(pair.K, pair.S, pair.blocks, mu, eps)
+        # the reference back-transforms with the whole root; a root truncated
+        # at its rounding floor moves D_ao by up to its a-priori bound (zero
+        # for the water roots, which keep everything)
+        root = loewdin_inverse_sqrt(pair.S)
+        truncation = truncation_bound(
+            root, floor_runs(root), reference.density_ortho @ root
+        )
         assert_matches_reference_density(
-            result, reference_density(pair.K, pair.S, pair.blocks, mu, eps)
+            result, reference, REFERENCE_DENSITY_ATOL + truncation
         )
     oracle = reference_density_matrix(pair.K, pair.S, mu=mu)
     n_atoms = 3 * len(pair.blocks.block_sizes)
@@ -288,6 +314,157 @@ def test_gc_sparse_takes_the_panels_for_both_products(ledger_inputs):
     panel = triple_product(root, pair.K, dense_k)
     gemm = root @ dense_k @ root
     assert np.max(np.abs(panel - gemm)) <= 1e-13 * np.max(np.abs(gemm))
+
+
+# --------------------------------------------------------------------------- #
+# S^{-1/2} cut at its rounding floor
+# --------------------------------------------------------------------------- #
+def panel_share(runs, n):
+    """The runs' panel work as a fraction of the dense GEMM's n²."""
+    work = sum(
+        (stop - start) * int((ends - begins).sum())
+        for start, stop, begins, ends in runs
+    )
+    return work / (n * n)
+
+
+@pytest.mark.parametrize("name", ["served_water32", "cold_water64", "gc_water128"])
+def test_water_roots_give_no_runs(ledger_inputs, name):
+    """Dense above the floor: both products stay the parent's expressions."""
+    pair, mu, eps, _ = ledger_inputs[name]
+    root = loewdin_inverse_sqrt(pair.S)
+    assert floor_runs(root) == []
+    dense_k = pair.K.toarray()
+    assert np.array_equal(
+        triple_product(root, pair.K, dense_k), root @ dense_k @ root
+    )
+    with SubmatrixContext(EngineConfig(eps_filter=eps)) as context:
+        ortho = context.density(pair.K, pair.S, pair.blocks, mu=mu).density_ortho
+    block = block_matrix_from_csr(ortho, pair.blocks.block_sizes)
+    dense, inner = ortho.toarray(), column_runs(block)
+    if stored_fill(block) < DENSE_FILL and panel_share(inner, len(dense)) < PANEL_WORK:
+        expected = root @ panel_product(block, dense, root, inner)
+    else:
+        expected = root @ dense @ root
+    assert np.array_equal(triple_product(root, block, dense), expected)
+
+
+@given(
+    st.integers(1, 5 * PANEL_ROWS),
+    st.floats(0.5, 40.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_floor_runs_keep_every_element_above_the_floor(n, decay, seed):
+    """On decaying matrices of any size: the runs are sorted, disjoint and
+    at least a panel apart, hold every element at or above the floor, and
+    are ``[]`` exactly when they would not pay."""
+    rng = np.random.default_rng(seed)
+    distance = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    outer = rng.standard_normal((n, n)) * np.exp(-distance / decay)
+    kept = np.abs(outer) >= n * 2.0**-53 * np.abs(outer).max()
+    runs = floor_runs(outer)
+    if not runs:
+        # the runs never reach past the first and last kept column of a panel
+        span = 0
+        for start in range(0, n, PANEL_ROWS):
+            columns = np.flatnonzero(kept[start : start + PANEL_ROWS].any(axis=0))
+            span += min(PANEL_ROWS, n - start) * (columns[-1] - columns[0] + 1)
+        assert span >= PANEL_WORK * n * n
+        return
+    assert panel_share(runs, n) < PANEL_WORK
+    assert [start for start, *_ in runs] == list(range(0, n, PANEL_ROWS))
+    for start, stop, begins, ends in runs:
+        assert np.all(begins < ends)
+        assert np.all(begins[1:] - ends[:-1] >= PANEL_ROWS)
+        inside = np.zeros(n, dtype=bool)
+        for first, last in zip(begins, ends):
+            inside[first:last] = True
+        assert not np.any(kept[start:stop, ~inside])
+
+
+def test_gc_sparse_root_takes_the_runs(ledger_inputs):
+    pair, *_ = ledger_inputs["gc_sparse128"]
+    root = loewdin_inverse_sqrt(pair.S)
+    runs = floor_runs(root)
+    assert runs and panel_share(runs, root.shape[0]) < PANEL_WORK
+    floor = root.shape[0] * 2.0**-53 * np.abs(root).max()
+    inside = np.zeros(root.shape, dtype=bool)
+    for start, stop, begins, ends in runs:
+        for first, last in zip(begins, ends):
+            inside[start:stop, first:last] = True
+    # the panels keep every element at or above the floor
+    assert np.all(np.abs(root[~inside]) < floor)
+
+
+def test_back_transform_within_the_truncation_bound(ledger_inputs):
+    pair, mu, eps, _ = ledger_inputs["gc_sparse128"]
+    with SubmatrixContext(EngineConfig(eps_filter=eps)) as context:
+        result = context.density(pair.K, pair.S, pair.blocks, mu=mu)
+    root = loewdin_inverse_sqrt(pair.S)
+    ortho = result.density_ortho.toarray()
+    bound = truncation_bound(root, floor_runs(root), ortho @ root)
+    assert 0.0 < bound < 1e-11
+    distance = np.abs(result.density_ao - root @ ortho @ root).max()
+    assert distance <= bound + REFERENCE_DENSITY_ATOL
+
+
+def test_cached_runs_are_the_standalone_bits(ledger_inputs):
+    """A session hands its cached runs to both products; the staged path
+    (``orthogonalized_ks`` and ``assemble_result`` with the bare root)
+    recomputes them from the root and must land on the same bits."""
+    pair, mu, eps, _ = ledger_inputs["gc_sparse128"]
+    config = EngineConfig(eps_filter=eps)
+    with SubmatrixContext(config) as context:
+        root, runs = context.overlap_root(pair.S)
+        result = context.density(pair.K, pair.S, pair.blocks, mu=mu)
+        stats = context.stats()["overlap_roots"]
+        prepared = prepare_step(pair.K, pair.S, pair.blocks, eps, root, runs)
+    assert stats["hits"] == 1 and runs
+    assert stats["bytes"] == root.nbytes + sum(
+        begins.nbytes + ends.nbytes for *_, begins, ends in runs
+    )
+    k_ortho, bare_root = orthogonalized_ks(pair.K, pair.S, eps_filter=eps)
+    assert np.array_equal(bare_root, root)
+    assert np.array_equal(
+        block_matrix_to_dense(prepared.block_k), k_ortho.toarray()
+    )
+    occupation = block_matrix_from_csr(result.density_ortho, pair.blocks.block_sizes)
+    staged = assemble_result(
+        config, pair.K, bare_root, occupation, prepared.coo, mu, 0,
+        result.submatrix_dimensions, wall_time=0.0,
+    )
+    assert np.array_equal(staged.density_ao, result.density_ao)
+    assert staged.band_energy == result.band_energy
+    assert staged.n_electrons == result.n_electrons
+
+
+def test_ill_conditioned_overlap_stays_within_the_bound(ledger_inputs):
+    """A near-duplicate basis function (λ_min ≈ 1e-8, above the 1e-10 guard)
+    raises max|S^{-1/2}| to ~5e3 and the floor with it: the request runs, and
+    its back-transform stays within the truncation bound of the dense one."""
+    pair, mu, eps, _ = ledger_inputs["gc_sparse128"]
+    n = pair.S.shape[0]
+    basis = np.eye(n)
+    basis[:, 101] = basis[:, 100] + np.sqrt(2e-8) * basis[:, 101]
+    scale = 1.0 / np.sqrt(np.diag(basis.T @ pair.S @ basis))
+    basis *= scale
+    S = basis.T @ pair.S @ basis
+    K = basis.T @ pair.K @ basis
+    S, K = 0.5 * (S + S.T), 0.5 * (K + K.T)
+    assert 1e-10 < np.linalg.eigvalsh(S)[0] < 1e-7
+    root = loewdin_inverse_sqrt(S)
+    runs = floor_runs(root)
+    assert runs and np.abs(root).max() > 1e3
+    with SubmatrixContext(EngineConfig(eps_filter=eps)) as context:
+        result = context.density(K, S, pair.blocks, mu=mu)
+    ortho = result.density_ortho.toarray()
+    dense = root @ ortho @ root
+    assert np.all(np.isfinite(result.density_ao))
+    distance = np.abs(result.density_ao - dense).max()
+    assert distance <= truncation_bound(
+        root, runs, ortho @ root
+    ) + REFERENCE_DENSITY_ATOL * np.abs(dense).max()
 
 
 def test_bitwise_across_workers_and_entry_points(ledger_inputs):
@@ -400,6 +577,80 @@ class TestBlockMatrixFromDense:
 def test_orthogonalized_ks_rejects_a_bad_eps_filter(water32_matrices, eps_filter):
     with pytest.raises(ValueError, match="eps_filter must be finite and non-negative"):
         orthogonalized_ks(water32_matrices.K, water32_matrices.S, eps_filter)
+
+
+def symmetry_verdict(K):
+    """The error ``orthogonalized_ks`` raises for ``K`` (None if it passes)."""
+    try:
+        orthogonalized_ks(K, None, s_inv_sqrt=np.eye(K.shape[0]))
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+def banded(n=130, seed=3):
+    """A symmetric matrix that stores a band of ~7 % of its elements."""
+    values = np.random.default_rng(seed).standard_normal((n, n))
+    values = np.triu(values, -4) * np.tril(np.ones((n, n)), 4)
+    return values + values.T
+
+
+def edited(dense, *entries):
+    out = dense.copy()
+    for i, j, value in entries:
+        out[i, j] = value
+    return out
+
+
+class TestSymmetryCheck:
+    """Stored entries of a sparse K, row panels of a dense one: the verdict
+    and the message are those of max|K − Kᵀ| over the whole matrix."""
+
+    CASES = {
+        "symmetric": [],
+        "stored_pair": [(5, 7, 0.5)],
+        "unstored_mirror": [(0, 120, 1e-3)],
+        "last_panel": [(129, 126, 2.0)],
+        "below_the_rule": [(60, 61, 1e-11)],
+        "nan": [(3, 3, np.nan)],
+        "inf": [(40, 2, np.inf)],
+        "minus_inf": [(70, 71, -np.inf)],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sparse_and_dense_agree_with_the_whole_matrix(self, case):
+        dense = edited(banded(), *self.CASES[case])
+        csr = sp.csr_matrix(dense)
+        assert stored_fill(csr) < DENSE_FILL
+        expected = None
+        with np.errstate(invalid="ignore"):
+            scale = np.abs(dense).max()
+            asymmetry = np.abs(dense - dense.T).max()
+        if not np.isfinite(scale):
+            expected = "K contains non-finite values (NaN or Inf)"
+        elif asymmetry > SYMMETRY_ATOL + SYMMETRY_RTOL * scale:
+            expected = f"max|K - K^T| = {asymmetry:.3e} "
+        for form in (csr, csr.tocoo(), dense):
+            verdict = symmetry_verdict(form)
+            assert (verdict is None) == (expected is None), (form, verdict)
+            assert expected is None or expected in verdict
+
+    def test_duplicate_entries_are_summed_first(self):
+        csr = sp.csr_matrix(banded())
+        halves, indices = np.repeat(0.5 * csr.data, 2), np.repeat(csr.indices, 2)
+        split = sp.csr_matrix((halves, indices, 2 * csr.indptr), csr.shape)
+        assert not split.has_canonical_format
+        assert symmetry_verdict(split) is None
+        halves[3] += 1.0  # the second copy of entry (0, 1)
+        skewed = sp.csr_matrix((halves, indices, 2 * csr.indptr), csr.shape)
+        assert symmetry_verdict(skewed) is not None
+        assert symmetry_verdict(skewed) == symmetry_verdict(skewed.toarray())
+
+    def test_overlap_checked_on_its_stored_entries(self):
+        S = edited(np.eye(130) + 0.01 * banded(), (4, 9, 0.3))
+        for form in (sp.csr_matrix(S), S):
+            with pytest.raises(ValueError, match="S must be symmetric: max"):
+                loewdin_inverse_sqrt(form)
 
 
 class TestRequestShapes:
