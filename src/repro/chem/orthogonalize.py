@@ -55,19 +55,19 @@ def _extent(values) -> float:
 
 def _require_symmetric(name: str, matrix, dense: np.ndarray) -> None:
     """Raise :class:`ValueError` naming the matrix unless it is finite and
-    symmetric by the rule above (no boolean temporaries: NaN and Inf surface
-    in the extrema).  ``dense`` is ``matrix`` as an array; a SciPy matrix
-    below :data:`~repro.dbcsr.product.DENSE_FILL` is read on its stored
-    entries, anything else in row panels with no n×n ``A − Aᵀ``.  Both see
-    every element, so the verdict and the message are the whole matrix's."""
+    symmetric by the rule above; NaN and Inf surface in the extrema.  A SciPy
+    ``matrix`` below :data:`~repro.dbcsr.product.DENSE_FILL` is read on its
+    stored entries as CSR, anything else on ``dense`` in row panels with no
+    n×n ``A − Aᵀ``: both give the whole matrix's verdict and message."""
     if dense.shape[0] != dense.shape[1]:
         raise ValueError(f"{name} must be square, got shape {dense.shape}")
     stored = sp.issparse(matrix) and stored_fill(matrix) < DENSE_FILL
-    scale = _extent(matrix if stored else dense)
+    checked = matrix.tocsr() if stored else dense  # LIL, DOK, DIA: no max/min
+    scale = _extent(checked)
     if not np.isfinite(scale):
         raise ValueError(f"{name} contains non-finite values (NaN or Inf)")
     if stored:
-        asymmetry = _extent(matrix - matrix.T)
+        asymmetry = _extent(checked - checked.T)
     else:
         asymmetry = max(
             _extent(dense[i : i + PANEL_ROWS, i:] - dense[i:, i : i + PANEL_ROWS].T)

@@ -111,15 +111,20 @@ def block_patterns(draw):
     return matrix, right
 
 
-def truncation_bound(root, runs, right):
-    """Σ_k |X_ik − X̂_ik| · max|right|, maxed over rows i: the a-priori bound
-    on how far the panels of ``root`` over ``runs`` (X̂) move ``root @ right``
-    in exact arithmetic."""
+def dropped_elements(root, runs):
+    """|X − X̂|: the magnitudes of the elements of ``root`` outside ``runs``."""
     dropped = np.abs(root)
     for start, stop, begins, ends in runs:
         for first, last in zip(begins, ends):
             dropped[start:stop, first:last] = 0.0
-    return dropped.sum(axis=1).max() * np.abs(right).max()
+    return dropped
+
+
+def truncation_bound(root, runs, right):
+    """Σ_k |X_ik − X̂_ik| · max|right|, maxed over rows i: the a-priori bound
+    on how far the panels of ``root`` over ``runs`` (X̂) move ``root @ right``
+    in exact arithmetic."""
+    return dropped_elements(root, runs).sum(axis=1).max() * np.abs(right).max()
 
 
 def rounding_bound(dense, right):
@@ -409,6 +414,22 @@ def test_back_transform_within_the_truncation_bound(ledger_inputs):
     assert distance <= bound + REFERENCE_DENSITY_ATOL
 
 
+def test_back_transform_symmetric_within_twice_the_bound(ledger_inputs):
+    """Only the left factor is truncated, so D_ao = X̂·(D̃·X) is symmetric only
+    to the truncation: D_ao − D_aoᵀ = (X̂ − X)·D̃X − X·D̃·(X̂ − X)ᵀ, whose terms
+    are bounded by the dropped row and column sums of X times max|D̃X|."""
+    pair, mu, eps, _ = ledger_inputs["gc_sparse128"]
+    with SubmatrixContext(EngineConfig(eps_filter=eps)) as context:
+        result = context.density(pair.K, pair.S, pair.blocks, mu=mu)
+    root = loewdin_inverse_sqrt(pair.S)
+    dropped = dropped_elements(root, floor_runs(root))
+    scale = np.abs(result.density_ortho.toarray() @ root).max()
+    bound = (dropped.sum(axis=1).max() + dropped.sum(axis=0).max()) * scale
+    asymmetry = np.abs(result.density_ao - result.density_ao.T).max()
+    assert 0.0 < asymmetry <= bound + REFERENCE_DENSITY_ATOL
+    assert bound < 1e-11
+
+
 def test_cached_runs_are_the_standalone_bits(ledger_inputs):
     """A session hands its cached runs to both products; the staged path
     (``orthogonalized_ks`` and ``assemble_result`` with the bare root)
@@ -579,10 +600,15 @@ def test_orthogonalized_ks_rejects_a_bad_eps_filter(water32_matrices, eps_filter
         orthogonalized_ks(water32_matrices.K, water32_matrices.S, eps_filter)
 
 
-def symmetry_verdict(K):
-    """The error ``orthogonalized_ks`` raises for ``K`` (None if it passes)."""
+def symmetry_verdict(matrix, name="K"):
+    """The error a request raises for ``matrix`` as its K (``orthogonalized_ks``)
+    or as its S on an overlap-root miss (``loewdin_inverse_sqrt``); None if it
+    passes."""
     try:
-        orthogonalized_ks(K, None, s_inv_sqrt=np.eye(K.shape[0]))
+        if name == "K":
+            orthogonalized_ks(matrix, None, s_inv_sqrt=np.eye(matrix.shape[0]))
+        else:
+            loewdin_inverse_sqrt(matrix)
     except ValueError as error:
         return str(error)
     return None
@@ -602,6 +628,9 @@ def edited(dense, *entries):
     return out
 
 
+SCIPY_FORMATS = ("csr", "csc", "coo", "bsr", "lil", "dok", "dia")
+
+
 class TestSymmetryCheck:
     """Stored entries of a sparse K, row panels of a dense one: the verdict
     and the message are those of max|K − Kᵀ| over the whole matrix."""
@@ -619,21 +648,24 @@ class TestSymmetryCheck:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_sparse_and_dense_agree_with_the_whole_matrix(self, case):
-        dense = edited(banded(), *self.CASES[case])
-        csr = sp.csr_matrix(dense)
-        assert stored_fill(csr) < DENSE_FILL
-        expected = None
-        with np.errstate(invalid="ignore"):
-            scale = np.abs(dense).max()
-            asymmetry = np.abs(dense - dense.T).max()
-        if not np.isfinite(scale):
-            expected = "K contains non-finite values (NaN or Inf)"
-        elif asymmetry > SYMMETRY_ATOL + SYMMETRY_RTOL * scale:
-            expected = f"max|K - K^T| = {asymmetry:.3e} "
-        for form in (csr, csr.tocoo(), dense):
-            verdict = symmetry_verdict(form)
-            assert (verdict is None) == (expected is None), (form, verdict)
-            assert expected is None or expected in verdict
+        # every SciPy format, as K and as S (shifted to stay positive definite)
+        for name, shift in (("K", 0.0), ("S", 50.0)):
+            dense = edited(banded() + shift * np.eye(130), *self.CASES[case])
+            csr = sp.csr_matrix(dense)
+            assert stored_fill(csr) < DENSE_FILL
+            expected = None
+            with np.errstate(invalid="ignore"):
+                scale = np.abs(dense).max()
+                asymmetry = np.abs(dense - dense.T).max()
+            if not np.isfinite(scale):
+                expected = f"{name} contains non-finite values (NaN or Inf)"
+            elif asymmetry > SYMMETRY_ATOL + SYMMETRY_RTOL * scale:
+                expected = f"max|{name} - {name}^T| = {asymmetry:.3e} "
+            forms = [csr.asformat(form) for form in SCIPY_FORMATS] + [dense]
+            for form in forms:
+                verdict = symmetry_verdict(form, name)
+                assert (verdict is None) == (expected is None), (form, verdict)
+                assert expected is None or expected in verdict
 
     def test_duplicate_entries_are_summed_first(self):
         csr = sp.csr_matrix(banded())
