@@ -115,10 +115,10 @@ def loewdin_inverse_sqrt(
             f"overlap matrix is not positive definite enough "
             f"(min eigenvalue {eigenvalues.min():.3e} < {min_eigenvalue:.0e})"
         )
-    # V diag(λ^{-1/2}) Vᵀ as one GEMM; scaling the columns is bitwise what
-    # the product with the diagonal matrix gave
-    inv_sqrt = (eigenvectors * (1.0 / np.sqrt(eigenvalues))) @ eigenvectors.T
-    return 0.5 * (inv_sqrt + inv_sqrt.T)
+    # W·Wᵀ with W = V diag(λ^{-1/4}): NumPy hands a product with its own
+    # transpose to syrk, half the GEMM's work and exactly symmetric
+    half = eigenvectors * (1.0 / np.sqrt(np.sqrt(eigenvalues)))
+    return half @ half.T
 
 
 def orthogonalized_ks_dense(
