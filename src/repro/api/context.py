@@ -60,7 +60,7 @@ from repro.core.runner import DistributedSubmatrixPipeline, run_stacks
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_csr
 from repro.dbcsr.coo import CooBlockList
-from repro.dbcsr.product import PanelRuns, floor_runs
+from repro.dbcsr.product import PanelRuns, block_norms, floor_runs
 from repro.parallel.executor import make_executor, map_parallel
 from repro.signfn.registry import KernelStackSolver, resolve_kernel
 
@@ -188,8 +188,9 @@ class SubmatrixContext:
             OrderedDict()
         )
         self._pipelines_built = 0
-        # (S^{-1/2}, its floor runs) per overlap content (read-only, LRU by bytes)
-        self._overlap_roots: "OrderedDict[bytes, tuple]" = OrderedDict()
+        # per overlap content: (S^{-1/2}, its floor runs, None) under None and
+        # (S^{-1/2}, runs, block norms) per block sizes (read-only, LRU by bytes)
+        self._overlap_roots: "OrderedDict[bytes, dict]" = OrderedDict()
         self._overlap_root_hits = 0
         self._overlap_root_misses = 0
         self._closed = False
@@ -333,49 +334,69 @@ class SubmatrixContext:
             }
 
     def _overlap_root_bytes(self) -> int:
-        return sum(
-            root.nbytes + sum(begins.nbytes + ends.nbytes for *_, begins, ends in runs)
-            for root, runs in self._overlap_roots.values()
-        )
+        total = 0
+        for entry in self._overlap_roots.values():
+            root, runs, _ = entry[None]
+            total += root.nbytes + sum(b.nbytes + e.nbytes for *_, b, e in runs)
+            total += sum(n.nbytes for *_, n in entry.values() if n is not None)
+        return total
 
-    def overlap_root(self, S) -> Tuple[np.ndarray, PanelRuns]:
-        """S^{-1/2} of the overlap matrix and its floor runs, once per *content*.
+    def overlap_root(
+        self, S, block_sizes: Optional[Sequence[int]] = None
+    ) -> Tuple[np.ndarray, PanelRuns, Optional[np.ndarray]]:
+        """S^{-1/2} of the overlap matrix, its floor runs and block norms,
+        once per *content*.
 
         The Löwdin root (:func:`~repro.chem.orthogonalize.loewdin_inverse_sqrt`,
         a dense ``eigh`` of S) and its :func:`~repro.dbcsr.product.floor_runs`
-        are a pure function of the bytes of ``S``, so the session keeps the
-        pair keyed by :func:`matrix_fingerprint` — never by object identity:
-        an ``S`` mutated in place is a different key.  The returned pair is
-        shared between every request that hits, so the root is read-only;
-        the runs count in the cache's bytes.  The cache is an LRU bounded by
-        :data:`MAX_OVERLAP_ROOT_BYTES` that always keeps the root just
-        computed, whatever its size; a miss costs the hash on top of the
-        root.  Two threads missing on the same content both compute the
-        (identical) root rather than serialise behind the session lock.
+        are a pure function of the bytes of ``S``, so the session keeps them
+        keyed by :func:`matrix_fingerprint` — never by object identity: an
+        ``S`` mutated in place is a different key.  A root with floor runs
+        also keeps its :func:`~repro.dbcsr.product.block_norms` per
+        ``block_sizes`` asked for; otherwise the third element is ``None``.
+        All of it is shared between the requests that hit, read-only, and
+        counted in the cache's bytes.  The cache is an LRU bounded by
+        :data:`MAX_OVERLAP_ROOT_BYTES` that always keeps the root just used,
+        whatever its size; a miss costs the hash on top of the root.  Two
+        threads missing on the same content both compute the (identical) root
+        rather than serialise behind the session lock.
         """
         self._check_open()
         key = matrix_fingerprint(S)
         with self._lock:
             entry = self._overlap_roots.get(key)
-            if entry is not None:
+            hit = entry is not None
+            self._overlap_root_hits += hit
+            self._overlap_root_misses += not hit
+            if hit:
                 self._overlap_roots.move_to_end(key)
-                self._overlap_root_hits += 1
-                return entry
-            self._overlap_root_misses += 1
-        root = loewdin_inverse_sqrt(S)
-        root.setflags(write=False)
-        entry = (root, floor_runs(root))
+        if not hit:
+            root = loewdin_inverse_sqrt(S)
+            root.setflags(write=False)
+            entry = {None: (root, floor_runs(root), None)}
+        root, runs, _ = entry[None]
+        sizes = None
+        if runs and block_sizes is not None:
+            sizes = np.asarray(block_sizes, dtype=np.int64).tobytes()
+        found = entry.get(sizes)
+        if hit and found is not None:
+            return found
+        if found is None:
+            norms = block_norms(root, block_sizes)
+            norms.setflags(write=False)
+            found = (root, runs, norms)
         with self._lock:
+            found = entry.setdefault(sizes, found)
             self._overlap_roots[key] = entry
             self._overlap_roots.move_to_end(key)
-            # keep at least the root just computed, even when it alone
-            # exceeds the bound: dropping it would re-diagonalise S per call
+            # keep at least the root just used, even when it alone exceeds
+            # the bound: dropping it would re-diagonalise S per call
             while (
                 len(self._overlap_roots) > 1
                 and self._overlap_root_bytes() > MAX_OVERLAP_ROOT_BYTES
             ):
                 self._overlap_roots.popitem(last=False)
-        return entry
+        return found
 
     def _advance_overlap_root(self, previous: Optional[bytes]) -> Optional[bytes]:
         """Key of the most recently used root; drops ``previous`` if it is another.

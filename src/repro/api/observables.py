@@ -103,9 +103,9 @@ from repro.chem.density import (
 from repro.core.batch import spectral_panel
 from repro.core.combination import ColumnGrouping
 from repro.core.plan import BlockSubmatrixPlan
-from repro.chem.orthogonalize import orthogonalized_ks_dense
+from repro.chem.orthogonalize import orthogonalized_ks_blocks
 from repro.dbcsr.block_matrix import BlockSparseMatrix
-from repro.dbcsr.convert import block_matrix_from_dense, block_matrix_to_csr
+from repro.dbcsr.convert import block_matrix_to_csr
 from repro.dbcsr.coo import CooBlockList
 from repro.dbcsr.product import PanelRuns, triple_product
 from repro.signfn.registry import KernelStackSolver, get_kernel
@@ -150,16 +150,17 @@ class PreparedStep:
 
 
 def prepare_step(
-    K, S, blocks, eps_filter: float, s_inv_sqrt=None, outer_runs=None
+    K, S, blocks, eps_filter: float, s_inv_sqrt=None, outer_runs=None, outer_norms=None
 ) -> PreparedStep:
     """Precompute the pure preparation of one step (see :class:`PreparedStep`).
 
-    ``s_inv_sqrt`` and ``outer_runs`` are the Löwdin root of ``S`` and its
-    floor runs when the caller holds them (a session passes its cached
-    pair), else computed.  The filtered K̃ goes from its dense form straight
-    into blocks (:func:`~repro.dbcsr.convert.block_matrix_from_dense`), the
-    blocks and values :func:`~repro.chem.orthogonalize.orthogonalized_ks`'s
-    CSR form would give.
+    ``s_inv_sqrt``, ``outer_runs`` and ``outer_norms`` are the Löwdin root of
+    ``S``, its floor runs and block norms when the caller holds them (a
+    session passes its cached entry), else computed.  The filtered K̃ goes
+    straight into blocks
+    (:func:`~repro.chem.orthogonalize.orthogonalized_ks_blocks`), the blocks
+    and values :func:`~repro.chem.orthogonalize.orthogonalized_ks`'s CSR form
+    would give.
 
     Raises :class:`ValueError` naming the matrix when ``K`` or ``S`` holds a
     NaN/Inf or is not symmetric
@@ -168,10 +169,9 @@ def prepare_step(
     all-zero density would come back instead of an error; an asymmetric ``K``
     would be symmetrised into a different Hamiltonian without complaint.
     """
-    k_ortho, s_inv_sqrt, outer_runs = orthogonalized_ks_dense(
-        K, S, eps_filter, s_inv_sqrt, outer_runs
+    block_k, s_inv_sqrt, outer_runs = orthogonalized_ks_blocks(
+        K, S, blocks.block_sizes, eps_filter, s_inv_sqrt, outer_runs, outer_norms
     )
-    block_k = block_matrix_from_dense(k_ortho, blocks.block_sizes)
     coo = CooBlockList.from_block_matrix(block_k)
     return PreparedStep(s_inv_sqrt, outer_runs, block_k, coo)
 
@@ -502,7 +502,8 @@ def _decompose(
     collect = mu is None or not all(
         get_observable(name).supports_iterative for name in names
     )
-    prepared = prepare_step(K, S, blocks, config.eps_filter, *context.overlap_root(S))
+    root = context.overlap_root(S, blocks.block_sizes)
+    prepared = prepare_step(K, S, blocks, config.eps_filter, *root)
     if collect:
         solver = np.linalg.eigh
     elif spectral:

@@ -19,6 +19,10 @@ over those of S^{-1/2} above its rounding floor n·2⁻⁵³·max|S^{-1/2}|, whe
 a dense ``eigh`` root holds no digits.  Either falls back to the dense GEMM,
 bitwise, when its panels would not pay (see :mod:`repro.dbcsr.product`), so
 a water overlap, whose root is dense above the floor, gives the old bits.
+For a sparse K and a root with floor runs, the engine's K̃
+(:func:`orthogonalized_ks_blocks`) skips every block that B = N_X·N_K·N_X,
+N_A[I, J] = ‖A_IJ‖_F, times the rounding margin 1 + 2n·2⁻⁵³, bounds below ε
+(:func:`~repro.dbcsr.product.screened_product`).
 """
 
 from __future__ import annotations
@@ -29,12 +33,15 @@ from typing import Optional, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
+from repro.dbcsr.convert import block_matrix_from_dense
 from repro.dbcsr.product import DENSE_FILL, PANEL_ROWS, floor_runs, stored_fill
-from repro.dbcsr.product import PanelRuns, triple_product
+from repro.dbcsr.product import PanelRuns, block_norms, screened_product
+from repro.dbcsr.product import triple_product
 
 __all__ = [
     "loewdin_inverse_sqrt",
     "orthogonalized_ks",
+    "orthogonalized_ks_blocks",
     "orthogonalized_ks_dense",
 ]
 
@@ -130,11 +137,27 @@ def orthogonalized_ks_dense(
 ) -> Tuple[np.ndarray, np.ndarray, PanelRuns]:
     """:func:`orthogonalized_ks` with K̃ left dense (a fresh, writable array).
 
-    This is the form the engine cuts into blocks
-    (:func:`~repro.dbcsr.convert.block_matrix_from_dense`); the arguments,
-    the checks and the values are those of :func:`orthogonalized_ks`.
-    ``outer_runs`` is :func:`~repro.dbcsr.product.floor_runs` of
-    ``s_inv_sqrt`` if the caller keeps it; both come back with K̃.
+    The arguments, the checks and the values are those of
+    :func:`orthogonalized_ks`.  ``outer_runs`` is
+    :func:`~repro.dbcsr.product.floor_runs` of ``s_inv_sqrt`` if the caller
+    keeps it; both come back with K̃.
+    """
+    return orthogonalized_ks_blocks(K, S, None, eps_filter, s_inv_sqrt, outer_runs)
+
+
+def orthogonalized_ks_blocks(
+    K, S, block_sizes, eps_filter=0.0, s_inv_sqrt=None, outer_runs=None, outer_norms=None
+):
+    """:func:`orthogonalized_ks_dense` with K̃ cut into ``block_sizes`` blocks
+    (left dense for ``None``).
+
+    A SciPy ``K`` below :data:`~repro.dbcsr.product.DENSE_FILL`, filtered at
+    an ``eps_filter`` above zero through a root with floor runs, forms only
+    the blocks the filter can keep
+    (:func:`~repro.dbcsr.product.screened_product`; ``outer_norms``: the
+    root's :func:`~repro.dbcsr.product.block_norms`, if kept).  Anything
+    else, or a screen that would not pay, is
+    :func:`~repro.dbcsr.convert.block_matrix_from_dense` of the dense K̃.
     """
     if not (math.isfinite(eps_filter) and eps_filter >= 0.0):
         raise ValueError(
@@ -146,6 +169,15 @@ def orthogonalized_ks_dense(
         outer_runs = floor_runs(s_inv_sqrt)
     K_dense = K.toarray() if sp.issparse(K) else np.asarray(K, dtype=float)
     _require_symmetric("K", K, K_dense)
+    sparse = sp.issparse(K) and stored_fill(K) < DENSE_FILL
+    if block_sizes is not None and eps_filter > 0.0 and outer_runs and sparse:
+        if outer_norms is None:
+            outer_norms = block_norms(s_inv_sqrt, block_sizes)
+        blocks = screened_product(
+            s_inv_sqrt, K, K_dense, outer_runs, outer_norms, block_sizes, eps_filter
+        )
+        if blocks is not None:
+            return blocks, s_inv_sqrt, outer_runs
     K_ortho = triple_product(
         s_inv_sqrt, K if sp.issparse(K) else K_dense, K_dense, outer_runs
     )
@@ -154,6 +186,8 @@ def orthogonalized_ks_dense(
     K_ortho *= 0.5
     if eps_filter > 0.0:
         K_ortho[np.abs(K_ortho) < eps_filter] = 0.0
+    if block_sizes is not None:
+        K_ortho = block_matrix_from_dense(K_ortho, block_sizes)
     return K_ortho, s_inv_sqrt, outer_runs
 
 

@@ -6,15 +6,12 @@ The chemistry substrate produces ``scipy.sparse`` matrices with a known block
 data between the representations while preserving the block structure and
 dropping blocks that are entirely below a threshold.
 
-In a density request the filtered K̃ = S^{-1/2}·K·S^{-1/2} goes from its
-dense form straight into blocks (:func:`block_matrix_from_dense`, vectorised
-and equal to the CSR route, :func:`block_matrix_from_csr` of its CSR form).
-The triple products on either side of the engine are
-:func:`~repro.dbcsr.product.triple_product`: one dense GEMM plus one exact
-sparse × dense product in row panels over the column runs the sparse operand
-stores, unless it stores at least half of its elements or the panels would do
-at least half of the dense work — then the dense (S^{-1/2}·A)·S^{-1/2},
-bitwise.
+In a density request K̃ = S^{-1/2}·K·S^{-1/2} reaches blocks with no CSR
+step: formed only in the blocks its filter can keep when K is sparse and
+S^{-1/2} has floor runs (:func:`~repro.dbcsr.product.screened_product`),
+else cut from its dense form (:func:`block_matrix_from_dense`, equal to
+:func:`block_matrix_from_csr` of its CSR form); both give the same blocks.
+The triple products are :mod:`repro.dbcsr.product`'s.
 """
 
 from __future__ import annotations

@@ -11,11 +11,9 @@ a :func:`panel_product` over the column runs of the left factor per panel of
 * ``A``'s runs are the columns it stores (:func:`column_runs`): the skipped
   terms are exact zeros and the values move at rounding level.
 * X̂'s runs are the columns where X is above its rounding floor τ =
-  n·:data:`ROOT_FLOOR`·max|X| (:func:`floor_runs`).  A dense ``eigh`` root
-  is accurate only to about τ in every element, so an element below τ holds
-  no digits, only the rounding of the eigenvectors summed into it.  Dropping
-  them moves row i by at most Σ_k |X_ik − X̂_ik| · max|A·X|, the a-priori
-  bound the tests hold it to.  The runs are a pure function of X.
+  n·:data:`ROOT_FLOOR`·max|X| (:func:`floor_runs`), where a dense ``eigh``
+  root holds no digits.  Dropping the rest moves row i by at most
+  Σ_k |X_ik − X̂_ik| · max|A·X|, the a-priori bound the tests hold it to.
 
 A product whose panels do not pay is the dense GEMM, bitwise as before:
 
@@ -27,9 +25,19 @@ A product whose panels do not pay is the dense GEMM, bitwise as before:
   SciPy matrix, elements of X) — is below :data:`PANEL_WORK` of the dense
   GEMM's n²; X's runs that do not pay are ``[]``, as for every water root.
 
+K̃ is then filtered at ε, which on a short-decay input keeps a few per cent
+of its blocks; :func:`screened_product` forms only those.  With N_A[I, J] =
+‖A_IJ‖_F (:func:`block_norms`), B = N_X·N_A·N_X ≥ max|T_IJ| for T = X̂·A·X,
+and rounding adds at most 2n·2⁻⁵³ of B, so a block of K̃ = ½(T + Tᵀ) can
+survive the filter only when B_IJ or B_JI, times 1 + n·:data:`SCREEN_ROUNDING`,
+reaches ε.  Each panel of X̂·(A·X) forms the columns of these candidates in
+the block rows it meets, run by run as the dense route does, so the kept
+values are the dense route's; the dense route runs when those panels would
+form at least :data:`PANEL_WORK` of K̃'s n².
+
 Thin panels run below the dense GEMM's flop rate, which is where the
-break-even sits near one half.  The panel height, the floor and both
-fractions are constants of the method, not knobs.
+break-even sits near one half.  The panel height, the floor, the margin and
+both fractions are constants of the method, not knobs.
 """
 
 from __future__ import annotations
@@ -48,9 +56,12 @@ __all__ = [
     "PANEL_ROWS",
     "PANEL_WORK",
     "ROOT_FLOOR",
+    "SCREEN_ROUNDING",
+    "block_norms",
     "column_runs",
     "floor_runs",
     "panel_product",
+    "screened_product",
     "stored_fill",
     "triple_product",
 ]
@@ -64,6 +75,9 @@ DENSE_FILL = 0.5
 PANEL_WORK = 0.5
 #: The unit roundoff: root elements below n·ROOT_FLOOR·max|X| are noise.
 ROOT_FLOOR = 2.0**-53
+#: The screen's rounding margin per basis function: a block is formed when
+#: (1 + n·SCREEN_ROUNDING)·B ≥ ε, B its block-norm bound.
+SCREEN_ROUNDING = 2 * ROOT_FLOOR
 
 SparseOperand = Union[np.ndarray, sp.spmatrix, BlockSparseMatrix]
 #: Per panel: first row, stop row, run start columns, run stop columns.
@@ -179,16 +193,21 @@ def panel_product(
         runs = column_runs(matrix)
     out = np.empty((dense.shape[0], right.shape[1]))
     for start, stop, begins, ends in runs:
-        panel = out[start:stop]
-        if not begins.size:
-            panel.fill(0.0)
-            continue
-        pairs = zip(begins.tolist(), ends.tolist())
-        first, last = next(pairs)
-        np.matmul(dense[start:stop, first:last], right[first:last], out=panel)
-        for first, last in pairs:
-            panel += dense[start:stop, first:last] @ right[first:last]
+        _panel_into(out[start:stop], dense[start:stop], right, begins, ends)
     return out
+
+
+def _panel_into(panel, left, right, begins, ends, columns=slice(None)) -> None:
+    """``panel`` = Σ over the runs of ``left[:, run] @ right[run, columns]``,
+    summed in column order; zero without runs."""
+    if not begins.size:
+        panel.fill(0.0)
+        return
+    pairs = zip(begins.tolist(), ends.tolist())
+    first, last = next(pairs)
+    np.matmul(left[:, first:last], right[first:last, columns], out=panel)
+    for first, last in pairs:
+        panel += left[:, first:last] @ right[first:last, columns]
 
 
 def triple_product(
@@ -214,3 +233,80 @@ def triple_product(
     # a dense operand keeps the order (X·A)·X
     return left @ outer if right is dense else left
 
+
+def block_norms(matrix: Union[np.ndarray, sp.spmatrix], block_sizes) -> np.ndarray:
+    """N[I, J] = ‖A_IJ‖_F of a square ``matrix`` cut into ``block_sizes`` both
+    ways: a dense array summed per block, a SciPy matrix over its stored
+    entries (duplicates summed first)."""
+    sizes = np.asarray(block_sizes, dtype=np.intp)
+    if not sp.issparse(matrix):
+        cuts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        squares = np.add.reduceat(np.square(matrix), cuts, axis=1)
+        return np.sqrt(np.add.reduceat(squares, cuts, axis=0))
+    csr = matrix.tocsr(copy=True)
+    csr.sum_duplicates()
+    blocks = np.repeat(np.arange(sizes.size), sizes)
+    ids = np.repeat(blocks, np.diff(csr.indptr)) * sizes.size + blocks[csr.indices]
+    squares = np.bincount(ids, weights=np.square(csr.data), minlength=sizes.size**2)
+    return np.sqrt(squares).reshape(sizes.size, sizes.size)
+
+
+def screened_product(
+    outer, matrix, dense, outer_runs: PanelRuns, outer_norms, block_sizes, eps: float
+) -> Optional[BlockSparseMatrix]:
+    """½(T + Tᵀ), T = X̂·(A·X), filtered at ``eps`` and cut into blocks as
+    ``block_matrix_from_dense`` cuts the dense route's, forming only the
+    blocks the filter can keep (see the module docstring); ``None`` when that
+    would not pay.  ``outer_runs`` (not ``[]``) and ``outer_norms`` are X's
+    floor runs and block norms, ``dense`` is the SciPy ``matrix`` densified.
+    """
+    result, runs = BlockSparseMatrix(block_sizes), column_runs(matrix)
+    if result.shape != dense.shape or _panel_work(runs) >= PANEL_WORK * dense.size:
+        return None
+    n = dense.shape[0]
+    starts, sizes = result.row_starts, result.row_block_sizes
+    bound = outer_norms @ block_norms(matrix, sizes) @ outer_norms
+    candidate = bound * (1.0 + n * SCREEN_ROUNDING) >= eps
+    candidate |= candidate.T
+    # per panel, the columns of the candidate blocks of the block rows it meets
+    block_of_row = np.repeat(np.arange(sizes.size), sizes)
+    columns = []
+    for start, stop, *_ in outer_runs:
+        kept = candidate[block_of_row[start] : block_of_row[stop - 1] + 1].any(axis=0)
+        columns.append(concat_ranges(starts[:-1][kept], sizes[kept]))
+    panel_cols = np.array([cols.size for cols in columns])
+    panel_rows = np.array([stop - start for start, stop, *_ in outer_runs])
+    if panel_rows @ panel_cols >= PANEL_WORK * dense.size:
+        return None
+    right = panel_product(matrix, dense, outer, runs)
+    offsets = np.concatenate(([0], np.cumsum(panel_rows * panel_cols)))
+    formed = np.empty(offsets[-1])  # the panels' T[rows, columns], one by one
+    for (start, stop, begins, ends), cols, offset in zip(outer_runs, columns, offsets):
+        panel = formed[offset : offset + (stop - start) * cols.size].reshape(stop - start, -1)
+        _panel_into(panel, outer[start:stop], right, begins, ends, cols)
+    # T[i, j] = formed[base[i] + slot[panel of i, j]]
+    panel_of = np.arange(n) // PANEL_ROWS
+    slot = np.zeros((len(columns), n), dtype=np.intp)
+    for p, cols in enumerate(columns):
+        slot[p, cols] = np.arange(cols.size)
+    base = offsets[panel_of] + (np.arange(n) % PANEL_ROWS) * panel_cols[panel_of]
+    block_row, block_col = np.nonzero(candidate)  # row-major block order
+    heights, widths = sizes[block_row], sizes[block_col]
+    shape_ids = heights * (int(widths.max(initial=0)) + 1) + widths
+    found = [None] * block_row.size
+    for shape_id in np.unique(shape_ids).tolist():
+        members = np.flatnonzero(shape_ids == shape_id)
+        rows = starts[block_row[members], None, None] + np.arange(heights[members[0]])[:, None]
+        cols = starts[block_col[members], None, None] + np.arange(widths[members[0]])
+        values = formed[base[rows] + slot[panel_of[rows], cols]]
+        values += formed[base[cols] + slot[panel_of[cols], rows]]
+        values *= 0.5
+        values[np.abs(values) < eps] = 0.0
+        values += 0.0  # -0.0 → +0.0
+        for member, block in zip(members.tolist(), values):
+            found[member] = block if block.any() else None
+    keys = zip(block_row.tolist(), block_col.tolist())
+    result.raw_blocks().update(
+        (key, block) for key, block in zip(keys, found) if block is not None
+    )
+    return result

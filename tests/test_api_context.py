@@ -1365,12 +1365,35 @@ class TestOverlapRootCache:
 
     def test_cached_root_is_read_only(self, water32_matrices):
         with SubmatrixContext(self.CONFIG) as ctx:
-            root, runs = ctx.overlap_root(water32_matrices.S)
-            assert runs == []  # dense above its rounding floor
+            root, runs, norms = ctx.overlap_root(
+                water32_matrices.S, water32_matrices.blocks.block_sizes
+            )
+            assert runs == [] and norms is None  # dense above its rounding floor
             assert not root.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 root[0, 0] = 1.0
             assert np.array_equal(root, loewdin_inverse_sqrt(water32_matrices.S))
+
+    def test_overlap_below_the_loewdin_guard(self, water32_matrices, gap_mu):
+        """λ_min(S) < 1e-10: the request fails before any root is filed, and
+        the session serves the next, valid request as a fresh one would."""
+        pair = water32_matrices
+        S = pair.S.toarray()
+        singular = S - (np.linalg.eigvalsh(S)[0] - 1e-12) * np.eye(len(S))
+        assert np.linalg.eigvalsh(singular)[0] < 1e-10
+        with SubmatrixContext(self.CONFIG) as ctx:
+            ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
+            before = ctx.stats()["overlap_roots"]
+            with pytest.raises(ValueError, match="not positive definite enough"):
+                ctx.density(pair.K, singular, pair.blocks, mu=gap_mu)
+            after = ctx.stats()["overlap_roots"]
+            served = ctx.density(pair.K, pair.S * 1.0001, pair.blocks, mu=gap_mu)
+        assert after["misses"] == before["misses"] + 1
+        assert (after["entries"], after["bytes"]) == (before["entries"], before["bytes"])
+        with SubmatrixContext(self.CONFIG) as fresh:
+            expected = fresh.density(pair.K, pair.S * 1.0001, pair.blocks, mu=gap_mu)
+        assert np.array_equal(served.density_ao, expected.density_ao)
+        assert served.band_energy == expected.band_energy
 
     def test_stats_and_close(self, water32_matrices, gap_mu):
         pair = water32_matrices

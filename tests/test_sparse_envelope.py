@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro.api.context
 import repro.api.observables as observables_module
+import repro.chem.orthogonalize as orthogonalize_module
 import repro.dbcsr.convert as convert_module
 from repro.api import EngineConfig, SubmatrixContext
 from repro.api.observables import assemble_result, prepare_step
@@ -40,6 +44,7 @@ from repro.chem.orthogonalize import (
     SYMMETRY_RTOL,
     loewdin_inverse_sqrt,
     orthogonalized_ks,
+    orthogonalized_ks_blocks,
     orthogonalized_ks_dense,
 )
 from repro.dbcsr import BlockSparseMatrix
@@ -53,9 +58,12 @@ from repro.dbcsr.product import (
     DENSE_FILL,
     PANEL_ROWS,
     PANEL_WORK,
+    SCREEN_ROUNDING,
+    block_norms,
     column_runs,
     floor_runs,
     panel_product,
+    screened_product,
     stored_fill,
     triple_product,
 )
@@ -431,18 +439,18 @@ def test_back_transform_symmetric_within_twice_the_bound(ledger_inputs):
 
 
 def test_cached_runs_are_the_standalone_bits(ledger_inputs):
-    """A session hands its cached runs to both products; the staged path
-    (``orthogonalized_ks`` and ``assemble_result`` with the bare root)
-    recomputes them from the root and must land on the same bits."""
+    """A session hands its cached runs and block norms to both products; the
+    staged path (``orthogonalized_ks`` and ``assemble_result`` with the bare
+    root) recomputes them from the root and must land on the same bits."""
     pair, mu, eps, _ = ledger_inputs["gc_sparse128"]
     config = EngineConfig(eps_filter=eps)
     with SubmatrixContext(config) as context:
-        root, runs = context.overlap_root(pair.S)
+        root, runs, norms = context.overlap_root(pair.S, pair.blocks.block_sizes)
         result = context.density(pair.K, pair.S, pair.blocks, mu=mu)
         stats = context.stats()["overlap_roots"]
-        prepared = prepare_step(pair.K, pair.S, pair.blocks, eps, root, runs)
+        prepared = prepare_step(pair.K, pair.S, pair.blocks, eps, root, runs, norms)
     assert stats["hits"] == 1 and runs
-    assert stats["bytes"] == root.nbytes + sum(
+    assert stats["bytes"] == root.nbytes + norms.nbytes + sum(
         begins.nbytes + ends.nbytes for *_, begins, ends in runs
     )
     k_ortho, bare_root = orthogonalized_ks(pair.K, pair.S, eps_filter=eps)
@@ -532,6 +540,278 @@ def test_prepare_step_has_no_csr_step(ledger_inputs, monkeypatch):
     assert list(got) == list(want)
     for key, block in want.items():
         assert np.array_equal(got[key], block)
+
+
+# --------------------------------------------------------------------------- #
+# K̃ formed only where the filter can keep it: the block-norm screen
+# --------------------------------------------------------------------------- #
+def screen_margin(n):
+    return 1.0 + n * SCREEN_ROUNDING
+
+
+def banded_overlap(n, band, coupling, rng):
+    """Unit diagonal plus a random symmetric band whose rows sum to less than
+    one: positive definite, with a root that decays below its floor."""
+    values = rng.uniform(-1.0, 1.0, (n, n)) * coupling / (2 * band)
+    values = np.triu(values, 1) * np.tril(np.ones((n, n)), band)
+    return np.eye(n) + values + values.T
+
+
+def banded_hamiltonian(n, band, rng):
+    """A symmetric K storing only its band (CSR, explicit entries)."""
+    values = rng.standard_normal((n, n))
+    values = np.triu(values) * np.tril(np.ones((n, n)), band)
+    return sp.csr_matrix(values + np.triu(values, 1).T)
+
+
+def ragged_sizes(n, rng):
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(int(rng.integers(1, 9)), n - sum(sizes)))
+    return sizes
+
+
+@st.composite
+def screen_inputs(draw):
+    """Banded SPD S, symmetric sparse K, ragged blocks and ε."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4 * PANEL_ROWS, 6 * PANEL_ROWS))
+    S = banded_overlap(n, draw(st.integers(1, 3)), draw(st.floats(0.05, 0.5)), rng)
+    K = banded_hamiltonian(n, draw(st.integers(0, 10)), rng)
+    eps = 10.0 ** draw(st.floats(-6.0, -0.5))
+    return K, S, ragged_sizes(n, rng), eps
+
+
+def block_maxima(dense, sizes):
+    cuts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    return np.maximum.reduceat(np.maximum.reduceat(np.abs(dense), cuts, 0), cuts, 1)
+
+
+@given(screen_inputs())
+@settings(max_examples=40, deadline=None)
+def test_screen_gives_the_dense_route_blocks(case):
+    """Same blocks as cutting the dense K̃, values within 1e-13·max|K̃|; an
+    element may change sides of the filter only within that of ε.  The
+    block-norm bound holds for every block of the unfiltered K̃."""
+    K, S, sizes, eps = case
+    reference, root, runs = orthogonalized_ks_dense(K, S, eps)
+    expected = block_matrix_from_dense(reference, sizes)
+    unfiltered, *_ = orthogonalized_ks_dense(K, S, 0.0, root, runs)
+    outer_norms = block_norms(root, sizes)
+    bound = outer_norms @ block_norms(K, sizes) @ outer_norms
+    assert np.all(bound >= block_maxima(unfiltered, sizes))
+    assert runs, "the banded overlap's root keeps floor runs"
+    screened = screened_product(root, K, K.toarray(), runs, outer_norms, sizes, eps)
+    if screened is None:  # the work rule: the dense route, tested below
+        return
+    keys = list(screened.raw_blocks())
+    assert keys == sorted(keys)
+    tolerance = 1e-13 * np.abs(unfiltered).max()
+    got, want = block_matrix_to_dense(screened), block_matrix_to_dense(expected)
+    moved = np.abs(got - want) > tolerance
+    either = np.where(got != 0.0, np.abs(got), np.abs(want))
+    assert np.all(np.abs(either[moved] - eps) <= tolerance)
+    differing = set(keys) ^ set(expected.raw_blocks())
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    for bi, bj in differing:
+        region = either[starts[bi] : starts[bi + 1], starts[bj] : starts[bj + 1]]
+        assert np.all(np.abs(region[region != 0.0] - eps) <= tolerance)
+
+
+def test_screen_takes_the_panels_on_the_generated_inputs():
+    """The strategy above reaches the screened route, not only its fallback."""
+    taken = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = 4 * PANEL_ROWS
+        S, K = banded_overlap(n, 2, 0.3, rng), banded_hamiltonian(n, 4, rng)
+        sizes = ragged_sizes(n, rng)
+        root = loewdin_inverse_sqrt(S)
+        runs = floor_runs(root)
+        screened = screened_product(
+            root, K, K.toarray(), runs, block_norms(root, sizes), sizes, 1e-3
+        )
+        taken += screened is not None
+    assert taken == 6
+
+
+def test_gc_sparse_screen_is_the_dense_route_bitwise(ledger_inputs, monkeypatch):
+    """The ledger row the screen is for: a few per cent of K̃'s blocks are
+    candidates, the screen is taken, and its blocks are the dense route's."""
+    pair, _, eps, _ = ledger_inputs["gc_sparse128"]
+    sizes = pair.blocks.block_sizes
+    reference, root, runs = orthogonalized_ks_dense(pair.K, pair.S, eps)
+    outer_norms = block_norms(root, sizes)
+    bound = outer_norms @ block_norms(pair.K, sizes) @ outer_norms
+    candidates = bound * screen_margin(len(root)) >= eps
+    assert 0.0 < np.mean(candidates | candidates.T) < 0.05
+    taken = []
+    monkeypatch.setattr(
+        orthogonalize_module, "screened_product",
+        lambda *args: taken.append(screened_product(*args)) or taken[-1],
+    )
+    blocks, *_ = orthogonalized_ks_blocks(pair.K, pair.S, sizes, eps, root, runs)
+    assert taken and taken[0] is blocks
+    assert_same_blocks(blocks, block_matrix_from_dense(reference, sizes))
+
+
+class TestScreenFallbacks:
+    """Every input the screen does not take is the dense route, bitwise."""
+
+    N = 4 * PANEL_ROWS
+
+    @classmethod
+    def inputs(cls):
+        rng = np.random.default_rng(11)
+        S = banded_overlap(cls.N, 2, 0.3, rng)
+        K = banded_hamiltonian(cls.N, 4, rng)
+        return K, S, ragged_sizes(cls.N, rng)
+
+    @staticmethod
+    def assert_dense_route(K, S, sizes, eps):
+        reference, *_ = orthogonalized_ks_dense(K, S, eps)
+        blocks, *_ = orthogonalized_ks_blocks(K, S, sizes, eps)
+        assert_same_blocks(blocks, block_matrix_from_dense(reference, sizes))
+
+    @staticmethod
+    def forbid(monkeypatch, *names):
+        def forbidden(*args):
+            raise AssertionError("the screen was reached")
+
+        for name in names:
+            monkeypatch.setattr(orthogonalize_module, name, forbidden)
+
+    def test_dense_k(self, monkeypatch):
+        K, S, sizes = self.inputs()
+        self.forbid(monkeypatch, "screened_product", "block_norms")
+        self.assert_dense_route(K.toarray(), S, sizes, 1e-3)
+
+    def test_k_at_the_fill_rule(self, monkeypatch):
+        K, S, sizes = self.inputs()
+        full = sp.csr_matrix(K.toarray() + 1e-30)
+        assert stored_fill(full) >= DENSE_FILL
+        self.forbid(monkeypatch, "screened_product", "block_norms")
+        self.assert_dense_route(full, S, sizes, 1e-3)
+
+    def test_no_filter(self, monkeypatch):
+        K, S, sizes = self.inputs()
+        self.forbid(monkeypatch, "screened_product", "block_norms")
+        self.assert_dense_route(K, S, sizes, 0.0)
+
+    def test_root_without_runs(self, water32_matrices, monkeypatch):
+        pair = water32_matrices
+        self.forbid(monkeypatch, "screened_product", "block_norms")
+        self.assert_dense_route(pair.K, pair.S, pair.blocks.block_sizes, 1e-5)
+
+    def test_work_rule(self, monkeypatch):
+        """At a tiny ε every block is a candidate: the screen declines."""
+        K, S, sizes = self.inputs()
+        declined = []
+        monkeypatch.setattr(
+            orthogonalize_module, "screened_product",
+            lambda *args: declined.append(screened_product(*args)),
+        )
+        self.assert_dense_route(K, S, sizes, 1e-300)
+        assert declined == [None]
+
+    def test_blocks_that_do_not_fit_k(self):
+        K, S, sizes = self.inputs()
+        with pytest.raises(ValueError, match="does not match block structure"):
+            orthogonalized_ks_blocks(K, S, sizes[:-1], 1e-3)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ((5, 5, np.nan), "K contains non-finite values"),
+            ((5, 7, 0.5), "K must be symmetric: max"),
+        ],
+    )
+    def test_bad_k_still_raises(self, entry, message, monkeypatch):
+        K, S, sizes = self.inputs()
+        bad = sp.csr_matrix(edited(K.toarray(), entry))
+        assert stored_fill(bad) < DENSE_FILL
+        self.forbid(monkeypatch, "screened_product", "block_norms")
+        with pytest.raises(ValueError, match=message):
+            orthogonalized_ks_blocks(bad, S, sizes, 1e-3)
+
+
+class TestScreenCache:
+    """N_X lives in the session's overlap-root entry, per block sizes."""
+
+    def test_norms_count_in_the_bytes_per_block_sizes(self, ledger_inputs):
+        pair, mu, eps, _ = ledger_inputs["gc_sparse128"]
+        sizes = pair.blocks.block_sizes
+        merged = [sum(sizes[i : i + 2]) for i in range(0, len(sizes), 2)]
+        with SubmatrixContext(EngineConfig(eps_filter=eps)) as context:
+            root, runs, norms = context.overlap_root(pair.S, sizes)
+            assert context.overlap_root(pair.S, sizes)[2] is norms
+            other = context.overlap_root(pair.S, merged)[2]
+            stats = context.stats()["overlap_roots"]
+        assert np.array_equal(norms, block_norms(root, sizes))
+        assert not norms.flags.writeable
+        assert other.shape == (len(merged), len(merged))
+        runs_bytes = sum(begins.nbytes + ends.nbytes for *_, begins, ends in runs)
+        assert (stats["misses"], stats["hits"], stats["entries"]) == (1, 2, 1)
+        assert stats["bytes"] == root.nbytes + runs_bytes + norms.nbytes + other.nbytes
+
+    def test_threads_racing_on_new_block_sizes(self, ledger_inputs):
+        """Threads asking for the norms of new block sizes at once: one
+        shared entry per sizes, each counted once in the bytes."""
+        pair, _, eps, _ = ledger_inputs["gc_sparse128"]
+        sizes = list(pair.blocks.block_sizes)
+        layouts = [sizes, [12] * (len(sizes) // 2), [24] * (len(sizes) // 4)]
+        n_threads, calls_each = 6, 20
+        returned, failures = [[] for _ in layouts], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SubmatrixContext(EngineConfig(eps_filter=eps)) as context:
+                root, runs, _ = context.overlap_root(pair.S)
+
+                def worker(thread: int) -> None:
+                    try:
+                        for call in range(calls_each):
+                            which = (thread + call) % len(layouts)
+                            entry = context.overlap_root(pair.S, layouts[which])
+                            returned[which].append(entry)
+                    except BaseException as error:  # surfaced below
+                        failures.append(error)
+
+                threads = [
+                    threading.Thread(target=worker, args=(thread,))
+                    for thread in range(n_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = context.stats()["overlap_roots"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures
+        runs_bytes = sum(begins.nbytes + ends.nbytes for *_, begins, ends in runs)
+        norms_bytes = 0
+        for layout, entries in zip(layouts, returned):
+            expected = block_norms(root, layout)
+            assert all(np.array_equal(norms, expected) for *_, norms in entries)
+            norms_bytes += expected.nbytes
+        assert stats["misses"] == 1
+        assert stats["hits"] == n_threads * calls_each
+        assert stats["bytes"] == root.nbytes + runs_bytes + norms_bytes
+
+    def test_water_roots_cache_no_norms(self, water32_matrices, gap_mu, monkeypatch):
+        pair = water32_matrices
+        monkeypatch.setattr(
+            repro.api.context, "block_norms",
+            lambda *args: pytest.fail("a water root was analysed"),
+        )
+        with SubmatrixContext(EngineConfig(eps_filter=1e-5)) as context:
+            context.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
+            root, runs, norms = context.overlap_root(pair.S, pair.blocks.block_sizes)
+            stats = context.stats()["overlap_roots"]
+        assert runs == [] and norms is None
+        assert stats["bytes"] == root.nbytes
 
 
 # --------------------------------------------------------------------------- #
