@@ -9,7 +9,9 @@ floor, or the panels would not pay.  These tests hold the product to the
 dense GEMM's rounding bound on arbitrary block patterns, the truncated root
 to its a-priori bound, the fallback to today's bits, the densities to the
 reference and the dense oracle, determinism to the bit, and the request
-checks that guard the envelope.
+checks that guard the envelope.  The block-norm screen of K̃
+(:func:`~repro.dbcsr.product.screened_product`) is held to the dense
+route's blocks, its bound, its bitwise fallbacks and its cached norms.
 """
 
 from __future__ import annotations
@@ -545,10 +547,6 @@ def test_prepare_step_has_no_csr_step(ledger_inputs, monkeypatch):
 # --------------------------------------------------------------------------- #
 # K̃ formed only where the filter can keep it: the block-norm screen
 # --------------------------------------------------------------------------- #
-def screen_margin(n):
-    return 1.0 + n * SCREEN_ROUNDING
-
-
 def banded_overlap(n, band, coupling, rng):
     """Unit diagonal plus a random symmetric band whose rows sum to less than
     one: positive definite, with a root that decays below its floor."""
@@ -643,7 +641,7 @@ def test_gc_sparse_screen_is_the_dense_route_bitwise(ledger_inputs, monkeypatch)
     reference, root, runs = orthogonalized_ks_dense(pair.K, pair.S, eps)
     outer_norms = block_norms(root, sizes)
     bound = outer_norms @ block_norms(pair.K, sizes) @ outer_norms
-    candidates = bound * screen_margin(len(root)) >= eps
+    candidates = bound * (1.0 + len(root) * SCREEN_ROUNDING) >= eps
     assert 0.0 < np.mean(candidates | candidates.T) < 0.05
     taken = []
     monkeypatch.setattr(
