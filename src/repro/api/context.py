@@ -445,6 +445,7 @@ class SubmatrixContext:
         distribution=None,
         plan: Optional[BlockSubmatrixPlan] = None,
         collect: bool = False,
+        mapper=None,
     ):
         """The one engine pass of ``apply`` and of every density request.
 
@@ -483,7 +484,7 @@ class SubmatrixContext:
         if packed.size and not np.isfinite(max(packed.max(), -packed.min())):
             raise ValueError("matrix contains non-finite values (NaN or Inf)")
         out = None if collect else plan.new_output()
-        mapper = functools.partial(map_parallel, executor=self.executor)
+        mapper = mapper or functools.partial(map_parallel, executor=self.executor)
         stacks = run_stacks(
             plan, packed, solve_stack, out, pipeline=pipeline, mapper=mapper
         )

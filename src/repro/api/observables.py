@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
+import functools
 import math
 import time
 from typing import (
@@ -108,6 +109,7 @@ from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.convert import block_matrix_to_csr
 from repro.dbcsr.coo import CooBlockList
 from repro.dbcsr.product import PanelRuns, triple_product
+from repro.parallel.executor import map_parallel
 from repro.signfn.registry import KernelStackSolver, get_kernel
 
 __all__ = [
@@ -150,7 +152,8 @@ class PreparedStep:
 
 
 def prepare_step(
-    K, S, blocks, eps_filter: float, s_inv_sqrt=None, outer_runs=None, outer_norms=None
+    K, S, blocks, eps_filter: float, s_inv_sqrt=None, outer_runs=None, outer_norms=None,
+    mapper=None,
 ) -> PreparedStep:
     """Precompute the pure preparation of one step (see :class:`PreparedStep`).
 
@@ -160,7 +163,7 @@ def prepare_step(
     straight into blocks
     (:func:`~repro.chem.orthogonalize.orthogonalized_ks_blocks`), the blocks
     and values :func:`~repro.chem.orthogonalize.orthogonalized_ks`'s CSR form
-    would give.
+    would give, K̃'s n×n products in row bands on ``mapper`` (if given).
 
     Raises :class:`ValueError` naming the matrix when ``K`` or ``S`` holds a
     NaN/Inf or is not symmetric
@@ -170,7 +173,8 @@ def prepare_step(
     would be symmetrised into a different Hamiltonian without complaint.
     """
     block_k, s_inv_sqrt, outer_runs = orthogonalized_ks_blocks(
-        K, S, blocks.block_sizes, eps_filter, s_inv_sqrt, outer_runs, outer_norms
+        K, S, blocks.block_sizes, eps_filter, s_inv_sqrt, outer_runs, outer_norms,
+        mapper,
     )
     coo = CooBlockList.from_block_matrix(block_k)
     return PreparedStep(s_inv_sqrt, outer_runs, block_k, coo)
@@ -381,7 +385,7 @@ class Decomposition:
     either mode (0 for Newton–Schulz), ``kernel_fallbacks`` the submatrices
     Newton–Schulz did not converge (evaluated by ``eigen`` instead).
     ``start`` is the ``perf_counter`` reading results' ``wall_time`` counts
-    from.
+    from, ``mapper`` the session mapper every stage of the request shares.
     """
 
     config: Any
@@ -389,6 +393,7 @@ class Decomposition:
     start: float
     prepared: PreparedStep
     plan: BlockSubmatrixPlan
+    mapper: Any
     pipeline: Any = None
     mu: Optional[float] = None
     mu_iterations: int = 0
@@ -495,15 +500,17 @@ def _decompose(
     (:func:`_streamed_occupations`), or whole matrices from an iterative
     sign kernel (:func:`_iterative_occupations`).  ``eigh`` and the sign
     iterations work per matrix, independent of stack composition, so a
-    sharded pass is bitwise identical to a single-process one.
+    sharded pass is bitwise identical to a single-process one.  One mapper,
+    on the session's pool, runs the stack tasks and the Löwdin row bands.
     """
     config = context.config
     spectral = kernel.supports_mu_bisection
     collect = mu is None or not all(
         get_observable(name).supports_iterative for name in names
     )
+    mapper = functools.partial(map_parallel, executor=context.executor)
     root = context.overlap_root(S, blocks.block_sizes)
-    prepared = prepare_step(K, S, blocks, config.eps_filter, *root)
+    prepared = prepare_step(K, S, blocks, config.eps_filter, *root, mapper)
     if collect:
         solver = np.linalg.eigh
     elif spectral:
@@ -521,6 +528,7 @@ def _decompose(
         ranks=ranks,
         distribution=distribution,
         collect=collect,
+        mapper=mapper,
     )
     decomposition = Decomposition(
         config=config,
@@ -528,6 +536,7 @@ def _decompose(
         start=start,
         prepared=prepared,
         plan=plan,
+        mapper=mapper,
         pipeline=pipeline,
         mu=None if mu is None else float(mu),
         occupation_block=occupation_block,
@@ -579,6 +588,7 @@ def _assemble_density(
         pipeline=pipeline,
         kernel_fallbacks=decomposition.kernel_fallbacks,
         outer_runs=decomposition.prepared.outer_runs,
+        mapper=decomposition.mapper,
     )
 
 
@@ -667,6 +677,7 @@ def _assemble_energy_weighted(
             * fermi_occupation(eigenvalues, mu, config.temperature),
         ),
         decomposition.prepared.outer_runs,
+        decomposition.mapper,
     )
     # same g_s·trace contraction electron_count uses, applied to W:
     # E_band = g_s Σ w·λ·f(λ−μ) = g_s Tr(W)
@@ -715,13 +726,15 @@ OBSERVABLES: Dict[str, Observable] = {
 # the density observable's assembly
 # --------------------------------------------------------------------------- #
 def _back_transform(
-    s_inv_sqrt: np.ndarray, ortho_block: BlockSparseMatrix, outer_runs=None
+    s_inv_sqrt: np.ndarray, ortho_block: BlockSparseMatrix, outer_runs=None, mapper=None
 ) -> Tuple[sp.csr_matrix, np.ndarray]:
     """Outer products of Eq. 16: the scattered orthogonal-basis blocks as CSR
     and their AO-basis form ``S^{-1/2} · X̃ · S^{-1/2}`` (dense, one
-    :func:`~repro.dbcsr.product.triple_product` over the stored blocks)."""
+    :func:`~repro.dbcsr.product.triple_product` over the stored blocks, in
+    row bands on ``mapper``)."""
     ortho = block_matrix_to_csr(ortho_block)
-    return ortho, triple_product(s_inv_sqrt, ortho_block, ortho.toarray(), outer_runs)
+    dense = ortho.toarray()
+    return ortho, triple_product(s_inv_sqrt, ortho_block, dense, outer_runs, mapper)
 
 
 def assemble_result(
@@ -738,6 +751,7 @@ def assemble_result(
     pipeline=None,
     kernel_fallbacks: int = 0,
     outer_runs: Optional[PanelRuns] = None,
+    mapper=None,
 ) -> SubmatrixDFTResult:
     """Finalize a density calculation from its scattered occupation matrix.
 
@@ -745,10 +759,11 @@ def assemble_result(
     basis, evaluate the band-structure energy (over ``K``'s stored entries
     when it is sparse, :func:`~repro.chem.density.band_structure_energy`)
     and electron count, and collect the transfer accounting of an optional
-    sharded ``pipeline``.  ``outer_runs``: the root's floor runs, if kept.
+    sharded ``pipeline``.  ``outer_runs``: the root's floor runs, if kept;
+    ``mapper``: the session mapper the back-transform's row bands run on.
     """
     density_ortho, density_ao = _back_transform(
-        s_inv_sqrt, occupation_block, outer_runs
+        s_inv_sqrt, occupation_block, outer_runs, mapper
     )
     energy = band_structure_energy(density_ao, K, config.spin_degeneracy)
     n_elec = electron_count(density_ortho, config.spin_degeneracy)

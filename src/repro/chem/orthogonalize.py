@@ -22,7 +22,9 @@ a water overlap, whose root is dense above the floor, gives the old bits.
 For a sparse K and a root with floor runs, the engine's K̃
 (:func:`orthogonalized_ks_blocks`) skips every block that B = N_X·N_K·N_X,
 N_A[I, J] = ‖A_IJ‖_F, times the rounding margin 1 + 2n·2⁻⁵³, bounds below ε
-(:func:`~repro.dbcsr.product.screened_product`).
+(:func:`~repro.dbcsr.product.screened_product`).  A request's K̃ runs its
+n×n products in row bands on the session's pool, bitwise the inline route
+(:mod:`repro.dbcsr.product`); :func:`orthogonalized_ks` stays serial.
 """
 
 from __future__ import annotations
@@ -146,7 +148,8 @@ def orthogonalized_ks_dense(
 
 
 def orthogonalized_ks_blocks(
-    K, S, block_sizes, eps_filter=0.0, s_inv_sqrt=None, outer_runs=None, outer_norms=None
+    K, S, block_sizes, eps_filter=0.0, s_inv_sqrt=None, outer_runs=None, outer_norms=None,
+    mapper=None,
 ):
     """:func:`orthogonalized_ks_dense` with K̃ cut into ``block_sizes`` blocks
     (left dense for ``None``).
@@ -157,7 +160,8 @@ def orthogonalized_ks_blocks(
     (:func:`~repro.dbcsr.product.screened_product`; ``outer_norms``: the
     root's :func:`~repro.dbcsr.product.block_norms`, if kept).  Anything
     else, or a screen that would not pay, is
-    :func:`~repro.dbcsr.convert.block_matrix_from_dense` of the dense K̃.
+    :func:`~repro.dbcsr.convert.block_matrix_from_dense` of the dense K̃;
+    either in row bands on ``mapper``, if given.
     """
     if not (math.isfinite(eps_filter) and eps_filter >= 0.0):
         raise ValueError(
@@ -174,12 +178,13 @@ def orthogonalized_ks_blocks(
         if outer_norms is None:
             outer_norms = block_norms(s_inv_sqrt, block_sizes)
         blocks = screened_product(
-            s_inv_sqrt, K, K_dense, outer_runs, outer_norms, block_sizes, eps_filter
+            s_inv_sqrt, K, K_dense, outer_runs, outer_norms, block_sizes, eps_filter,
+            mapper,
         )
         if blocks is not None:
             return blocks, s_inv_sqrt, outer_runs
     K_ortho = triple_product(
-        s_inv_sqrt, K if sp.issparse(K) else K_dense, K_dense, outer_runs
+        s_inv_sqrt, K if sp.issparse(K) else K_dense, K_dense, outer_runs, mapper
     )
     # symmetrise and filter in place: 0.5·(K̃ + K̃ᵀ), then |K̃_ij| < eps → 0
     K_ortho += K_ortho.T.copy()

@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.plan import SubmatrixPlan
-from repro.parallel.executor import map_parallel, split_chunks
+from repro.parallel.executor import MAX_BATCH_ELEMENTS, map_parallel, split_chunks
 from repro.signfn.registry import BoundKernel, KernelStackSolver, resolve_kernel
 
 __all__ = [
@@ -43,18 +43,6 @@ __all__ = [
     "map_stacks",
     "evaluate_batched",
 ]
-
-#: Soft cap on the element count of one 3-D stack (k·d² ≤ this, 2 MiB of
-#: float64; a single larger submatrix is a stack of its own).  A stack is the
-#: unit of work of the session's pool — by default one worker per usable CPU
-#: over the pinned BLAS threads, see
-#: :func:`~repro.parallel.executor.default_worker_count` — so the cap bounds
-#: the memory each worker holds in flight (the stack, its kernel's work
-#: buffers, its eigenvectors) and splits large buckets into enough tasks for
-#: the workers.
-#: Results do not depend on it: every kernel works one matrix at a time, so
-#: any split — like any worker count — is bitwise the serial evaluation.
-MAX_BATCH_ELEMENTS = 1 << 18
 
 
 @dataclasses.dataclass
@@ -88,7 +76,8 @@ def make_stack_tasks(
     """Buckets split into memory-capped stack tasks.
 
     Each returned bucket obeys ``k·d² ≤ max_batch_elements`` (default
-    :data:`MAX_BATCH_ELEMENTS`, read at call time; at least one member per
+    :data:`~repro.parallel.executor.MAX_BATCH_ELEMENTS`, the pool's unit of
+    work, read from this module at call time; at least one member per
     stack), which bounds the peak size of one 3-D stack and keeps enough
     independent tasks around for the worker pool.
     """
@@ -218,7 +207,8 @@ def evaluate_batched(
         An inert leftover — accepted and ignored, stacks are never padded;
         it stays only because ``benchmarks/e2e`` passes it.
     max_batch_elements:
-        Soft cap on ``k·d²`` per stack (default :data:`MAX_BATCH_ELEMENTS`).
+        Soft cap on ``k·d²`` per stack (default
+        :data:`~repro.parallel.executor.MAX_BATCH_ELEMENTS`).
     executor:
         Stacks are independent: with an executor (e.g.
         :func:`~repro.parallel.executor.make_executor`) they are dispatched

@@ -38,6 +38,19 @@ form at least :data:`PANEL_WORK` of K̃'s n².
 Thin panels run below the dense GEMM's flop rate, which is where the
 break-even sits near one half.  The panel height, the floor, the margin and
 both fractions are constants of the method, not knobs.
+
+Given a request's session mapper (``map_parallel`` on the session's pool),
+a rows × cols product runs in b = ⌊rows·cols /
+:data:`~repro.parallel.executor.MAX_BATCH_ELEMENTS`⌋ row bands, the pool's
+unit of work: runs of whole panels as even as they go, the last one keeping
+the row remainder.  A band is one task — its panels, or on the dense route
+both GEMMs of its rows, ``X[a:b] @ A`` and then that ``@ X``, into arrays the
+caller allocates — and b = 1 is the inline expression.  Cutting a
+single-threaded GEMM's rows at a multiple of 48 leaves each element's
+accumulation order unchanged, so bands are bitwise the inline route; a
+multi-threaded BLAS call splits its rows by its own shape, so bands are taken
+only while BLAS is pinned to one thread per call
+(:func:`~repro.parallel.executor.blas_threads`), which is when a pool pays.
 """
 
 from __future__ import annotations
@@ -50,6 +63,7 @@ import scipy.sparse as sp
 
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.coo import concat_ranges
+from repro.parallel.executor import MAX_BATCH_ELEMENTS, blas_threads
 
 __all__ = [
     "DENSE_FILL",
@@ -175,11 +189,23 @@ def _panel_work(runs: PanelRuns) -> int:
     )
 
 
+def _bands(rows: int, cols: int, mapper) -> Optional[List[slice]]:
+    """The row bands of a ``rows × cols`` product as slices of its panels (see
+    the module docstring); ``None`` where the product runs inline."""
+    panels = -(-rows // PANEL_ROWS)
+    count = min(panels, rows * cols // MAX_BATCH_ELEMENTS)
+    if mapper is None or count < 2 or blas_threads() != 1:
+        return None
+    cuts = [panels * band // count for band in range(count + 1)]
+    return [slice(first, stop) for first, stop in zip(cuts, cuts[1:])]
+
+
 def panel_product(
     matrix: Union[sp.spmatrix, BlockSparseMatrix],
     dense: np.ndarray,
     right: np.ndarray,
     runs: Optional[PanelRuns] = None,
+    mapper=None,
 ) -> np.ndarray:
     """``matrix @ right`` exactly, panel by panel over the stored column runs.
 
@@ -187,13 +213,22 @@ def panel_product(
     a panel stores (:func:`column_runs`, computed here unless given as
     ``runs``), ``dense`` holds the values the panels are sliced from.
     Within a panel the run products are summed in column order; a panel
-    without runs is zero.
+    without runs is zero.  ``mapper(function, bands)`` runs each row band's
+    panels as one task (inline without one).
     """
     if runs is None:
         runs = column_runs(matrix)
     out = np.empty((dense.shape[0], right.shape[1]))
-    for start, stop, begins, ends in runs:
-        _panel_into(out[start:stop], dense[start:stop], right, begins, ends)
+
+    def fill(band: slice) -> None:
+        for start, stop, begins, ends in runs[band]:
+            _panel_into(out[start:stop], dense[start:stop], right, begins, ends)
+
+    bands = _bands(*out.shape, mapper)
+    if bands is None:
+        fill(slice(None))
+    else:
+        mapper(fill, bands)
     return out
 
 
@@ -211,7 +246,8 @@ def _panel_into(panel, left, right, begins, ends, columns=slice(None)) -> None:
 
 
 def triple_product(
-    outer: np.ndarray, matrix: SparseOperand, dense: np.ndarray, outer_runs=None
+    outer: np.ndarray, matrix: SparseOperand, dense: np.ndarray, outer_runs=None,
+    mapper=None,
 ) -> np.ndarray:
     """``outer · matrix · outer`` for a dense ``outer`` (S^{-1/2}).
 
@@ -220,7 +256,8 @@ def triple_product(
     given.  ``outer · (matrix · outer)`` with the inner product in panels
     when ``matrix`` is sparse enough, otherwise ``(outer @ dense) @ outer``;
     the left product in panels over ``outer_runs`` unless they are ``[]``
-    (see the module docstring for the rules and the bound).
+    (see the module docstring for the rules and the bound).  With a
+    ``mapper``, each product runs in row bands on it, bitwise as inline.
     """
     if outer_runs is None:
         outer_runs = floor_runs(outer)
@@ -228,10 +265,27 @@ def triple_product(
     if stored_fill(matrix) < DENSE_FILL:
         runs = column_runs(matrix)
         if _panel_work(runs) < PANEL_WORK * dense.size:
-            right = panel_product(matrix, dense, outer, runs)
-    left = panel_product(outer, outer, right, outer_runs) if outer_runs else outer @ right
-    # a dense operand keeps the order (X·A)·X
-    return left @ outer if right is dense else left
+            right = panel_product(matrix, dense, outer, runs, mapper)
+    bands = _bands(outer.shape[0], right.shape[1], mapper)
+    if bands is None:
+        left = panel_product(outer, outer, right, outer_runs) if outer_runs else outer @ right
+        # a dense operand keeps the order (X·A)·X
+        return left @ outer if right is dense else left
+    left = np.empty((outer.shape[0], right.shape[1]))
+    out = np.empty_like(left) if right is dense else left
+
+    def band_rows(band: slice) -> None:
+        rows = slice(band.start * PANEL_ROWS, band.stop * PANEL_ROWS)
+        if outer_runs:
+            for start, stop, begins, ends in outer_runs[band]:
+                _panel_into(left[start:stop], outer[start:stop], right, begins, ends)
+        else:
+            np.matmul(outer[rows], right, out=left[rows])
+        if right is dense:
+            np.matmul(left[rows], outer, out=out[rows])
+
+    mapper(band_rows, bands)
+    return out
 
 
 def block_norms(matrix: Union[np.ndarray, sp.spmatrix], block_sizes) -> np.ndarray:
@@ -252,13 +306,15 @@ def block_norms(matrix: Union[np.ndarray, sp.spmatrix], block_sizes) -> np.ndarr
 
 
 def screened_product(
-    outer, matrix, dense, outer_runs: PanelRuns, outer_norms, block_sizes, eps: float
+    outer, matrix, dense, outer_runs: PanelRuns, outer_norms, block_sizes, eps: float,
+    mapper=None,
 ) -> Optional[BlockSparseMatrix]:
     """½(T + Tᵀ), T = X̂·(A·X), filtered at ``eps`` and cut into blocks as
     ``block_matrix_from_dense`` cuts the dense route's, forming only the
     blocks the filter can keep (see the module docstring); ``None`` when that
     would not pay.  ``outer_runs`` (not ``[]``) and ``outer_norms`` are X's
-    floor runs and block norms, ``dense`` is the SciPy ``matrix`` densified.
+    floor runs and block norms, ``dense`` is the SciPy ``matrix`` densified;
+    ``A·X`` runs in row bands on ``mapper``, if given.
     """
     result, runs = BlockSparseMatrix(block_sizes), column_runs(matrix)
     if result.shape != dense.shape or _panel_work(runs) >= PANEL_WORK * dense.size:
@@ -278,7 +334,7 @@ def screened_product(
     panel_rows = np.array([stop - start for start, stop, *_ in outer_runs])
     if panel_rows @ panel_cols >= PANEL_WORK * dense.size:
         return None
-    right = panel_product(matrix, dense, outer, runs)
+    right = panel_product(matrix, dense, outer, runs, mapper)
     offsets = np.concatenate(([0], np.cumsum(panel_rows * panel_cols)))
     formed = np.empty(offsets[-1])  # the panels' T[rows, columns], one by one
     for (start, stop, begins, ends), cols, offset in zip(outer_runs, columns, offsets):

@@ -31,7 +31,9 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 __all__ = [
+    "MAX_BATCH_ELEMENTS",
     "map_parallel",
+    "blas_threads",
     "default_worker_count",
     "split_chunks",
     "make_executor",
@@ -148,13 +150,21 @@ class _GuardedTask:
             return _TaskFailure(index, error)
 
 
+#: The unit of work of a session's pool, in float64 elements (2 MiB): a
+#: submatrix stack holds k·d² ≤ this (a single larger submatrix is a stack of
+#: its own, :func:`repro.core.batch.make_stack_tasks`), and an n×n product of
+#: the Löwdin envelope runs in ⌊n²/this⌋ row bands (:mod:`repro.dbcsr.product`).
+#: It bounds the memory a worker holds in flight and makes enough tasks for
+#: the workers; no result depends on it.
+MAX_BATCH_ELEMENTS = 1 << 18
+
 _BACKENDS = ("serial", "thread")
 
 #: Environment variables pinning the BLAS threads of one call, by precedence.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _blas_threads() -> Optional[int]:
+def blas_threads() -> Optional[int]:
     """BLAS threads per call pinned by the environment (``None``: not pinned).
 
     The first of :data:`BLAS_THREAD_VARIABLES` holding a positive integer
@@ -174,7 +184,7 @@ def default_worker_count() -> int:
     or the machine's CPU count where the platform has no affinity call.
     Unpinned BLAS already uses every CPU in each call, so the count is 1.
     """
-    blas = _blas_threads()
+    blas = blas_threads()
     if blas is None:
         return 1
     try:

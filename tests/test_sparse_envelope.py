@@ -34,6 +34,7 @@ import repro.chem.orthogonalize as orthogonalize_module
 import repro.dbcsr.convert as convert_module
 from repro.api import EngineConfig, SubmatrixContext
 from repro.api.observables import assemble_result, prepare_step
+from repro.api.results import EnergyWeightedDensityResult, ObservableBundle
 from repro.chem import (
     SZV,
     HamiltonianModel,
@@ -68,6 +69,14 @@ from repro.dbcsr.product import (
     screened_product,
     stored_fill,
     triple_product,
+)
+from repro.parallel.executor import (
+    BLAS_THREAD_VARIABLES,
+    MAX_BATCH_ELEMENTS,
+    TaskExecutionError,
+    blas_threads,
+    make_executor,
+    map_parallel,
 )
 from repro.serve import DensityService
 from submatrix_reference import (
@@ -498,27 +507,98 @@ def test_ill_conditioned_overlap_stays_within_the_bound(ledger_inputs):
     ) + REFERENCE_DENSITY_ATOL * np.abs(dense).max()
 
 
-def test_bitwise_across_workers_and_entry_points(ledger_inputs):
-    pair, mu, eps, _ = ledger_inputs["gc_sparse128"]
+def same_results(ours, theirs):
+    """Bitwise the same density (and W, in a bundle), μ, N and E_band."""
+    if isinstance(theirs, ObservableBundle):
+        for name in ("density", "energy_weighted_density"):
+            if name in theirs.observables:
+                same_results(ours[name], theirs[name])
+        return
+    if isinstance(theirs, EnergyWeightedDensityResult):
+        assert np.array_equal(ours.energy_weighted_ao, theirs.energy_weighted_ao)
+        assert np.array_equal(
+            ours.energy_weighted_ortho.toarray(), theirs.energy_weighted_ortho.toarray()
+        )
+        assert ours.band_energy == theirs.band_energy
+        return
+    assert np.array_equal(ours.density_ao, theirs.density_ao)
+    assert np.array_equal(ours.density_ortho.toarray(), theirs.density_ortho.toarray())
+    assert (ours.mu, ours.n_electrons) == (theirs.mu, theirs.n_electrons)
+    assert ours.band_energy == theirs.band_energy
+
+
+@pytest.mark.parametrize("name", ["gc_sparse128", "gc_water128", "ns_water128"])
+def test_bitwise_across_workers_and_entry_points(ledger_inputs, name):
+    """Direct, trajectory and served, on the default, one and two workers:
+    the 768-basis rows' Löwdin products run in row bands wherever the pool
+    exists and BLAS runs one thread per call, gc_sparse128's as panels, the
+    water rows' as dense GEMMs; an eigen row asks for W as well."""
+    pair, mu, eps, _ = ledger_inputs[name]
+    solver = LEDGER_LIKE[name][3]
+    request = dict(mu=mu, solver=solver)
+    if solver == "eigen":
+        request["observables"] = ("density", "energy_weighted_density")
     results = []
     for workers in (None, 1, 2):
         config = EngineConfig(eps_filter=eps, max_workers=workers)
         with SubmatrixContext(config) as context:
-            results.append(context.density(pair.K, pair.S, pair.blocks, mu=mu))
-            run = context.trajectory([(pair.K, pair.S)], pair.blocks, mu=mu)
+            results.append(
+                context.observables(pair.K, pair.S, pair.blocks, **request)
+                if "observables" in request
+                else context.density(pair.K, pair.S, pair.blocks, **request)
+            )
+            run = context.trajectory([(pair.K, pair.S)], pair.blocks, **request)
             results.append(run.results[0])
         with DensityService(config=config) as service:
             results.append(
-                service.submit(pair.K, pair.S, pair.blocks, mu=mu).result(120)
+                service.submit(pair.K, pair.S, pair.blocks, **request).result(120)
             )
-    first = results[0]
     for other in results[1:]:
-        assert np.array_equal(other.density_ao, first.density_ao)
-        assert np.array_equal(
-            other.density_ortho.toarray(), first.density_ortho.toarray()
-        )
-        assert other.band_energy == first.band_energy
-        assert other.n_electrons == first.n_electrons
+        same_results(other, results[0])
+
+
+def test_two_clients_on_one_two_worker_session(ledger_inputs):
+    """Two client threads on one two-worker session at 768 basis, directly and
+    through the service: their row bands and stack tasks share the one pool,
+    both finish, and both are the serial run's bits."""
+    pair, mu, eps, _ = ledger_inputs["gc_water128"]
+    with SubmatrixContext(EngineConfig(eps_filter=eps, backend="serial")) as context:
+        serial = context.density(pair.K, pair.S, pair.blocks, mu=mu)
+    config = EngineConfig(eps_filter=eps, backend="thread", max_workers=2)
+
+    def two_clients(call):
+        outcomes = [None, None]
+
+        def client(slot: int) -> None:
+            try:
+                outcomes[slot] = call()
+            except BaseException as error:  # surfaced below
+                outcomes[slot] = error
+
+        threads = [threading.Thread(target=client, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads), "a client hung"
+        return outcomes
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with SubmatrixContext(config) as context:
+            direct = two_clients(
+                lambda: context.density(pair.K, pair.S, pair.blocks, mu=mu)
+            )
+        with DensityService(config=config) as service:
+            served = two_clients(
+                lambda: service.submit(pair.K, pair.S, pair.blocks, mu=mu).result(120)
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    for result in direct + served:
+        assert not isinstance(result, BaseException), result
+        same_results(result, serial)
 
 
 def test_prepare_step_has_no_csr_step(ledger_inputs, monkeypatch):
@@ -810,6 +890,156 @@ class TestScreenCache:
             stats = context.stats()["overlap_roots"]
         assert runs == [] and norms is None
         assert stats["bytes"] == root.nbytes
+
+
+# --------------------------------------------------------------------------- #
+# the envelope's n×n products in row bands on the session pool
+# --------------------------------------------------------------------------- #
+#: Bands dispatch only where every BLAS call runs on one thread (the parity
+#: step of CI pins it); elsewhere each product stays the inline expression.
+PINNED = blas_threads() == 1
+
+
+class CountingMapper:
+    """``map_parallel`` on ``executor``, counting the tasks it is handed."""
+
+    def __init__(self, executor=None):
+        self.executor, self.tasks = executor, 0
+
+    def __call__(self, function, items):
+        items = list(items)
+        self.tasks += len(items)
+        return map_parallel(function, items, executor=self.executor)
+
+
+def band_operands(n):
+    """Dense X and A, a block-band A at ~20 % fill (the inner panel route) and
+    an overlap root with floor runs (the outer panel route)."""
+    rng = np.random.default_rng(n)
+    outer, dense = rng.standard_normal((2, n, n))
+    sizes = [10] * (n // 10) + [n % 10] * (n % 10 > 0)
+    distance = np.abs(np.subtract.outer(np.arange(len(sizes)), np.arange(len(sizes))))
+    blocked = BlockSparseMatrix(sizes)
+    for bi, bj in zip(*np.nonzero(distance <= len(sizes) // 10)):
+        blocked.put_block(int(bi), int(bj), rng.standard_normal((sizes[bi], sizes[bj])))
+    root = loewdin_inverse_sqrt(banded_overlap(n, 2, 0.3, rng))
+    return outer, dense, blocked, root
+
+
+def band_cases(n):
+    """(name, product of a mapper, its tasks per band): both routes of the
+    inner product and of the outer one, and a bare panel product."""
+    outer, dense, blocked, root = band_operands(n)
+    blocked_dense, runs = block_matrix_to_dense(blocked), floor_runs(root)
+    assert 0.1 < stored_fill(blocked) < 0.3 and runs
+    return [
+        ("dense", lambda mapper: triple_product(outer, dense, dense, [], mapper), 1),
+        (
+            "inner panels",
+            lambda mapper: triple_product(outer, blocked, blocked_dense, [], mapper),
+            2,
+        ),
+        (
+            "outer panels",
+            lambda mapper: triple_product(root, blocked, blocked_dense, runs, mapper),
+            2,
+        ),
+        (
+            "panel product",
+            lambda mapper: panel_product(blocked, blocked_dense, outer, None, mapper),
+            1,
+        ),
+    ]
+
+
+class TestRowBands:
+    """A product of ⌊n² / MAX_BATCH_ELEMENTS⌋ ≥ 2 row bands runs one task per
+    band on the mapper, bitwise the inline route."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("n", [768, 770, 1000])
+    def test_bitwise_the_inline_route(self, n, workers):
+        bands = n * n // MAX_BATCH_ELEMENTS
+        with make_executor("thread", workers) as pool:
+            for name, product, per_band in band_cases(n):
+                mapper = CountingMapper(pool)
+                assert np.array_equal(product(mapper), product(None)), name
+                assert mapper.tasks == (per_band * bands if PINNED else 0), name
+
+    def test_a_single_band_submits_no_task(self):
+        mapper = CountingMapper()
+        for name, product, _ in band_cases(384):
+            assert np.array_equal(product(mapper), product(None)), name
+        assert mapper.tasks == 0
+
+    def test_unpinned_blas_keeps_the_products_inline(self, monkeypatch):
+        """A multi-threaded BLAS call splits its rows its own way: a band
+        would change the bits, and BLAS already spreads the call over every
+        CPU, so nothing is banded."""
+        for variable in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(variable, raising=False)
+        mapper = CountingMapper()
+        for name, product, _ in band_cases(768):
+            assert np.array_equal(product(mapper), product(None)), name
+        assert mapper.tasks == 0
+
+    @pytest.mark.parametrize("n", [770, 1000])
+    def test_bands_are_even_runs_of_whole_panels(self, n, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        seen = []
+
+        def recording(function, bands):
+            seen.append(bands)
+            return [function(band) for band in bands]
+
+        outer, dense, *_ = band_operands(n)
+        product = triple_product(outer, dense, dense, [], recording)
+        [bands] = seen
+        heights = [band.stop - band.start for band in bands]
+        assert len(bands) == n * n // MAX_BATCH_ELEMENTS
+        assert bands[0].start == 0 and bands[-1].stop == -(-n // PANEL_ROWS)
+        assert all(a.stop == b.start for a, b in zip(bands, bands[1:]))
+        assert max(heights) - min(heights) <= 1
+        expected = outer @ dense @ outer
+        assert np.abs(product - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_an_error_in_a_band_keeps_its_type(self, monkeypatch):
+        """A non-square operand fails in every band's right product: the
+        ValueError surfaces as one, wrapped with the failing band."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        rng = np.random.default_rng(5)
+        outer, wide = rng.standard_normal((768, 768)), rng.standard_normal((768, 700))
+        with make_executor("thread", 2) as pool:
+            mapper = CountingMapper(pool)
+            with pytest.raises(ValueError) as raised:
+                triple_product(outer, wide, wide, [], mapper)
+        assert isinstance(raised.value, TaskExecutionError)
+        assert mapper.tasks == 2 and raised.value.n_tasks == 2
+
+    @pytest.mark.parametrize("name", ["gc_water128", "gc_sparse128"])
+    def test_ledger_envelope_bitwise_the_inline_route(self, ledger_inputs, name):
+        """K̃ (dense route for water, the screen's K·X for gc_sparse128) and
+        D_ao of a ledger input, through a mapper and without one."""
+        pair, mu, eps, _ = ledger_inputs[name]
+        config = EngineConfig(eps_filter=eps)
+        with SubmatrixContext(config) as context:
+            result = context.density(pair.K, pair.S, pair.blocks, mu=mu)
+        sizes = pair.blocks.block_sizes
+        occupation = block_matrix_from_csr(result.density_ortho, sizes)
+        with make_executor("thread", 2) as pool:
+            mapper = CountingMapper(pool)
+            staged = []
+            for each in (mapper, None):
+                prepared = prepare_step(pair.K, pair.S, pair.blocks, eps, mapper=each)
+                staged.append((prepared, assemble_result(
+                    config, pair.K, prepared.s_inv_sqrt, occupation, prepared.coo,
+                    mu, 0, result.submatrix_dimensions, wall_time=0.0,
+                    outer_runs=prepared.outer_runs, mapper=each,
+                )))
+        (banded, banded_result), (inline, inline_result) = staged
+        assert_same_blocks(banded.block_k, inline.block_k)
+        same_results(banded_result, inline_result)
+        assert (mapper.tasks > 0) == PINNED
 
 
 # --------------------------------------------------------------------------- #
