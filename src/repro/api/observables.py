@@ -385,7 +385,8 @@ class Decomposition:
     either mode (0 for Newton–Schulz), ``kernel_fallbacks`` the submatrices
     Newton–Schulz did not converge (evaluated by ``eigen`` instead).
     ``start`` is the ``perf_counter`` reading results' ``wall_time`` counts
-    from, ``mapper`` the session mapper every stage of the request shares.
+    from, ``mapper`` the session mapper every stage of the request shares
+    (``None`` for a session without a pool).
     """
 
     config: Any
@@ -501,14 +502,18 @@ def _decompose(
     sign kernel (:func:`_iterative_occupations`).  ``eigh`` and the sign
     iterations work per matrix, independent of stack composition, so a
     sharded pass is bitwise identical to a single-process one.  One mapper,
-    on the session's pool, runs the stack tasks and the Löwdin row bands.
+    on the session's pool, runs the stack tasks and the Löwdin row bands; a
+    session without a pool runs both serially.
     """
     config = context.config
     spectral = kernel.supports_mu_bisection
     collect = mu is None or not all(
         get_observable(name).supports_iterative for name in names
     )
-    mapper = functools.partial(map_parallel, executor=context.executor)
+    executor = context.executor
+    mapper = None
+    if executor is not None:
+        mapper = functools.partial(map_parallel, executor=executor)
     root = context.overlap_root(S, blocks.block_sizes)
     prepared = prepare_step(K, S, blocks, config.eps_filter, *root, mapper)
     if collect:

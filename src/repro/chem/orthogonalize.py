@@ -22,9 +22,10 @@ a water overlap, whose root is dense above the floor, gives the old bits.
 For a sparse K and a root with floor runs, the engine's K̃
 (:func:`orthogonalized_ks_blocks`) skips every block that B = N_X·N_K·N_X,
 N_A[I, J] = ‖A_IJ‖_F, times the rounding margin 1 + 2n·2⁻⁵³, bounds below ε
-(:func:`~repro.dbcsr.product.screened_product`).  A request's K̃ runs its
-n×n products in row bands on the session's pool, bitwise the inline route
-(:mod:`repro.dbcsr.product`); :func:`orthogonalized_ks` stays serial.
+(:func:`~repro.dbcsr.product.screened_product`).  On a session with a pool,
+a request's K̃ runs ``K·X`` and the dense route's products in row bands,
+bitwise the inline route (:mod:`repro.dbcsr.product`); the screen's left
+product and :func:`orthogonalized_ks` stay serial.
 """
 
 from __future__ import annotations

@@ -45,12 +45,14 @@ a rows × cols product runs in b = ⌊rows·cols /
 unit of work: runs of whole panels as even as they go, the last one keeping
 the row remainder.  A band is one task — its panels, or on the dense route
 both GEMMs of its rows, ``X[a:b] @ A`` and then that ``@ X``, into arrays the
-caller allocates — and b = 1 is the inline expression.  Cutting a
-single-threaded GEMM's rows at a multiple of 48 leaves each element's
-accumulation order unchanged, so bands are bitwise the inline route; a
-multi-threaded BLAS call splits its rows by its own shape, so bands are taken
-only while BLAS is pinned to one thread per call
-(:func:`~repro.parallel.executor.blas_threads`), which is when a pool pays.
+caller allocates — and b = 1 is the same code, called once inline over every
+panel.  Cutting a single-threaded GEMM's rows at a multiple of 48 leaves each
+element's accumulation order unchanged, so bands are bitwise the inline route;
+a multi-threaded BLAS call splits its rows by its own shape, so bands are
+taken only while the environment pins BLAS to one thread per call
+(:func:`~repro.parallel.executor.blas_threads`, the reading the pool's default
+size trusts too; a variable the loaded BLAS does not read, or one set after it
+loaded, is taken at its word).
 """
 
 from __future__ import annotations
@@ -189,15 +191,17 @@ def _panel_work(runs: PanelRuns) -> int:
     )
 
 
-def _bands(rows: int, cols: int, mapper) -> Optional[List[slice]]:
-    """The row bands of a ``rows × cols`` product as slices of its panels (see
-    the module docstring); ``None`` where the product runs inline."""
+def _in_bands(task, rows: int, cols: int, mapper) -> None:
+    """``task(panels)`` over the row bands of a ``rows × cols`` product (see
+    the module docstring): one task per band on ``mapper``, or one inline call
+    over every panel where the product takes a single band."""
     panels = -(-rows // PANEL_ROWS)
     count = min(panels, rows * cols // MAX_BATCH_ELEMENTS)
     if mapper is None or count < 2 or blas_threads() != 1:
-        return None
+        task(slice(0, panels))
+        return
     cuts = [panels * band // count for band in range(count + 1)]
-    return [slice(first, stop) for first, stop in zip(cuts, cuts[1:])]
+    mapper(task, [slice(first, stop) for first, stop in zip(cuts, cuts[1:])])
 
 
 def panel_product(
@@ -224,11 +228,7 @@ def panel_product(
         for start, stop, begins, ends in runs[band]:
             _panel_into(out[start:stop], dense[start:stop], right, begins, ends)
 
-    bands = _bands(*out.shape, mapper)
-    if bands is None:
-        fill(slice(None))
-    else:
-        mapper(fill, bands)
+    _in_bands(fill, *out.shape, mapper)
     return out
 
 
@@ -266,12 +266,8 @@ def triple_product(
         runs = column_runs(matrix)
         if _panel_work(runs) < PANEL_WORK * dense.size:
             right = panel_product(matrix, dense, outer, runs, mapper)
-    bands = _bands(outer.shape[0], right.shape[1], mapper)
-    if bands is None:
-        left = panel_product(outer, outer, right, outer_runs) if outer_runs else outer @ right
-        # a dense operand keeps the order (X·A)·X
-        return left @ outer if right is dense else left
     left = np.empty((outer.shape[0], right.shape[1]))
+    # a dense operand keeps the order (X·A)·X
     out = np.empty_like(left) if right is dense else left
 
     def band_rows(band: slice) -> None:
@@ -284,7 +280,7 @@ def triple_product(
         if right is dense:
             np.matmul(left[rows], outer, out=out[rows])
 
-    mapper(band_rows, bands)
+    _in_bands(band_rows, *left.shape, mapper)
     return out
 
 

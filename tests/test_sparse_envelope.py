@@ -31,6 +31,7 @@ from hypothesis.extra.numpy import arrays
 import repro.api.context
 import repro.api.observables as observables_module
 import repro.chem.orthogonalize as orthogonalize_module
+import repro.dbcsr.product as product_module
 import repro.dbcsr.convert as convert_module
 from repro.api import EngineConfig, SubmatrixContext
 from repro.api.observables import assemble_result, prepare_step
@@ -532,29 +533,33 @@ def test_bitwise_across_workers_and_entry_points(ledger_inputs, name):
     """Direct, trajectory and served, on the default, one and two workers:
     the 768-basis rows' Löwdin products run in row bands wherever the pool
     exists and BLAS runs one thread per call, gc_sparse128's as panels, the
-    water rows' as dense GEMMs; an eigen row asks for W as well."""
+    water rows' as dense GEMMs.  Every row sends its density-only fixed-μ
+    request (on an eigen row the streamed scatter mode); an eigen row also
+    asks for the W bundle, which collects the eigendecompositions."""
     pair, mu, eps, _ = ledger_inputs[name]
     solver = LEDGER_LIKE[name][3]
-    request = dict(mu=mu, solver=solver)
+    requests = [dict(mu=mu, solver=solver)]
     if solver == "eigen":
-        request["observables"] = ("density", "energy_weighted_density")
-    results = []
+        requests.append(
+            dict(mu=mu, solver=solver, observables=("density", "energy_weighted_density"))
+        )
+    results = [[] for _ in requests]
     for workers in (None, 1, 2):
         config = EngineConfig(eps_filter=eps, max_workers=workers)
         with SubmatrixContext(config) as context:
-            results.append(
-                context.observables(pair.K, pair.S, pair.blocks, **request)
-                if "observables" in request
-                else context.density(pair.K, pair.S, pair.blocks, **request)
-            )
-            run = context.trajectory([(pair.K, pair.S)], pair.blocks, **request)
-            results.append(run.results[0])
+            for request, seen in zip(requests, results):
+                call = context.observables if "observables" in request else context.density
+                seen.append(call(pair.K, pair.S, pair.blocks, **request))
+                run = context.trajectory([(pair.K, pair.S)], pair.blocks, **request)
+                seen.append(run.results[0])
         with DensityService(config=config) as service:
-            results.append(
-                service.submit(pair.K, pair.S, pair.blocks, **request).result(120)
-            )
-    for other in results[1:]:
-        same_results(other, results[0])
+            for request, seen in zip(requests, results):
+                seen.append(
+                    service.submit(pair.K, pair.S, pair.blocks, **request).result(120)
+                )
+    for seen in results:
+        for other in seen[1:]:
+            same_results(other, seen[0])
 
 
 def test_two_clients_on_one_two_worker_session(ledger_inputs):
@@ -971,6 +976,28 @@ class TestRowBands:
         for name, product, _ in band_cases(384):
             assert np.array_equal(product(mapper), product(None)), name
         assert mapper.tasks == 0
+
+    @pytest.mark.parametrize(
+        "config", [dict(backend="serial"), dict(max_workers=1)], ids=["serial", "one"]
+    )
+    def test_a_session_without_a_pool_takes_no_bands(
+        self, ledger_inputs, monkeypatch, config
+    ):
+        """A session that resolves to one worker has no pool: every product of
+        its envelope gets no mapper and runs inline."""
+        pair, mu, eps, _ = ledger_inputs["gc_water128"]
+        mappers = []
+        in_bands = product_module._in_bands
+
+        def recording(task, rows, cols, mapper):
+            mappers.append(mapper)
+            return in_bands(task, rows, cols, mapper)
+
+        monkeypatch.setattr(product_module, "_in_bands", recording)
+        with SubmatrixContext(EngineConfig(eps_filter=eps, **config)) as context:
+            assert context.executor is None
+            context.density(pair.K, pair.S, pair.blocks, mu=mu)
+        assert mappers and mappers == [None] * len(mappers)
 
     def test_unpinned_blas_keeps_the_products_inline(self, monkeypatch):
         """A multi-threaded BLAS call splits its rows its own way: a band
