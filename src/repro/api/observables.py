@@ -265,6 +265,7 @@ def validate_request(
     distribution=None,
     mu_tolerance: float = 1e-9,
     max_mu_iterations: int = 200,
+    grouping: Optional[ColumnGrouping] = None,
     shapes: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None,
 ):
     """Check one request before any work or resource is spent on it.
@@ -286,8 +287,10 @@ def validate_request(
     ensemble and every observable.  ``ranks`` and ``max_mu_iterations``
     must pass :func:`~repro.api.config.check_positive_int` (without a
     μ-search step the bracket's midpoint would be μ), ``mu_tolerance`` must be
-    finite and non-negative, and ``distribution`` must pass
-    :func:`~repro.api.config.check_distribution` on the request's block grid.
+    finite and non-negative, ``distribution`` must pass
+    :func:`~repro.api.config.check_distribution` on the request's block grid,
+    and ``grouping`` must be a :class:`ColumnGrouping` (else a
+    :class:`TypeError`) partitioning the block columns.
     ``shapes`` are the shapes of ``K`` and ``S`` (a trajectory passes none:
     each step is checked when it runs): both must be square 2-D, equal, and
     as large as the blocks (:func:`_check_shapes`), so a mismatch fails here,
@@ -347,6 +350,12 @@ def validate_request(
             )
     if distribution is not None:
         check_distribution(distribution, ranks, len(blocks.block_sizes))
+    if grouping is not None:
+        if not isinstance(grouping, ColumnGrouping):
+            raise TypeError(
+                f"grouping must be a ColumnGrouping, got {type(grouping).__name__}"
+            )
+        grouping.validate(len(blocks.block_sizes))
     if shapes is not None:
         _check_shapes(*shapes, blocks)
     return names, kernel
@@ -459,6 +468,7 @@ def compute_observables(
         distribution,
         mu_tolerance,
         max_mu_iterations,
+        grouping=grouping,
         shapes=(np.shape(K), np.shape(S)),
     )
     decomposition = _decompose(

@@ -249,18 +249,18 @@ def validate_trajectory(
     distribution=None,
     mu_tolerance: float = 1e-9,
     max_mu_iterations: int = 200,
+    grouping: Optional[ColumnGrouping] = None,
 ) -> Tuple[str, ...]:
     """The checks a trajectory passes before its first step runs.
 
-    :func:`run_trajectory` runs them before it touches a step, and
-    :meth:`~repro.serve.server.DensityService.submit_trajectory` before
-    admission, so a malformed trajectory fails where it is submitted and
-    holds no in-flight slot.  The whole request is checked
-    (:func:`~repro.api.observables.validate_request`, per-step sequences
-    included), and a per-step ``mu``/``n_electrons`` sequence must cover
-    every step of a ``steps`` sequence (up to ``n_steps``); a callback's
-    steps are only known as they come, so there a missing value raises at
-    its step, before that step runs.  Returns the canonical observable names.
+    :func:`run_trajectory` runs them before it touches a step, so a
+    malformed trajectory fails before any work.  The whole request is
+    checked (:func:`~repro.api.observables.validate_request`, per-step
+    sequences included), and a per-step ``mu``/``n_electrons`` sequence must
+    cover every step of a ``steps`` sequence (up to ``n_steps``); a
+    callback's steps are only known as they come, so there a missing value
+    raises at its step, before that step runs.  Returns the canonical
+    observable names.
     """
     if steps is None:
         raise ValueError(
@@ -279,6 +279,7 @@ def validate_trajectory(
         distribution,
         mu_tolerance,
         max_mu_iterations,
+        grouping=grouping,
     )
     if "density" not in names:
         raise ValueError(
@@ -380,6 +381,7 @@ def run_trajectory(
         distribution=distribution,
         mu_tolerance=mu_tolerance,
         max_mu_iterations=max_mu_iterations,
+        grouping=grouping,
     )
 
     results: List[SubmatrixDFTResult] = []

@@ -525,6 +525,11 @@ class PlanCache:
     and the per-group loop within one evaluation all reuse the precomputed
     index arrays.
 
+    The cache is bounded by plan count alone: past ``max_plans`` the least
+    recently used plan is dropped.  Every resident plan's bytes are
+    accounted (:func:`plan_nbytes`, summed in :attr:`total_bytes`), but
+    nothing evicts by bytes.
+
     The cache is **thread-safe**: one re-entrant lock guards lookup, insert,
     eviction and the statistics counters, and the lock is held *across* plan
     construction, so N threads racing on the same pattern build exactly one
@@ -535,11 +540,10 @@ class PlanCache:
     (0.03-0.05 s for water-64/128) now that builds are array expansion.
     """
 
-    def __init__(self, max_plans: int = 64, max_bytes: Optional[int] = None):
+    def __init__(self, max_plans: int = 64):
         if max_plans < 1:
             raise ValueError("max_plans must be at least 1")
         self.max_plans = int(max_plans)
-        self.max_bytes = None if max_bytes is None else int(max_bytes)
         self._plans: "collections.OrderedDict[tuple, BlockSubmatrixPlan]" = (
             collections.OrderedDict()
         )
@@ -583,11 +587,10 @@ class PlanCache:
 
         ``misses`` counts lookups that had to build (``builds`` is the same
         number of constructions); ``evictions`` counts plans dropped by LRU
-        overflow, the byte budget, or :meth:`evict_to`.  Resident bytes are
-        exposed separately via :attr:`total_bytes`.  ``patches`` and
-        ``groups_rebuilt`` are inert leftovers, always 0: nothing patches a
-        plan any more, the keys stay only because ``benchmarks/e2e`` reads
-        them.
+        overflow past ``max_plans``.  Resident bytes are exposed separately
+        via :attr:`total_bytes`.  ``patches`` and ``groups_rebuilt`` are
+        inert leftovers, always 0: nothing patches a plan any more, the keys
+        stay only because ``benchmarks/e2e`` reads them.
         """
         with self._lock:
             return {
@@ -621,26 +624,7 @@ class PlanCache:
             self._total_bytes += size
             while len(self._plans) > self.max_plans:
                 self._evict_lru()
-            if self.max_bytes is not None:
-                # keep at least the plan just built, even when it alone
-                # exceeds the budget — evicting it would defeat the lookup
-                while len(self._plans) > 1 and self._total_bytes > self.max_bytes:
-                    self._evict_lru()
             return plan
-
-    def evict_to(self, max_bytes: int) -> int:
-        """Evict least-recently-used plans until ``total_bytes <= max_bytes``.
-
-        Returns the number of plans evicted.  The serving layer's admission
-        controller calls this under memory pressure; unlike the constructor
-        budget it may empty the cache entirely.
-        """
-        evicted = 0
-        with self._lock:
-            while self._plans and self._total_bytes > max_bytes:
-                self._evict_lru()
-                evicted += 1
-        return evicted
 
     def block_plan(
         self,

@@ -3,8 +3,9 @@
 Public surface:
 
 * :class:`~repro.serve.server.DensityService` — the multi-tenant server
-  (pooled sessions over one shared plan cache, every request one session
-  call on a dispatch thread pool, admission control);
+  (one session and its plan cache, every request one
+  ``context.observables`` call on a dispatch thread pool, admission
+  control; trajectories run on a session, not through the service);
 * :class:`~repro.serve.admission.AdmissionPolicy` /
   :class:`~repro.serve.admission.AdmissionController` /
   :class:`~repro.serve.admission.ServiceOverloadError` — admission control;

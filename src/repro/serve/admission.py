@@ -5,11 +5,7 @@ once a density request is queued its matrices are pinned in memory and its
 plan may be built, so the cheap place to shed load is the submit path.
 :class:`AdmissionController` enforces two in-flight ceilings — a global one
 protecting the process and a per-tenant one protecting tenants from each
-other — and a resident-byte budget on the shared
-:class:`~repro.core.plan.PlanCache` that is re-enforced after every
-completed request (plans built *for* a request can push the cache over the
-budget; eviction afterwards trims the least recently used plans back under
-it, never the plan a running request just built).
+other.
 
 Rejections raise :class:`ServiceOverloadError`, a ``RuntimeError`` carrying
 the tenant and a human-readable reason, so callers can distinguish
@@ -53,22 +49,16 @@ class AdmissionPolicy:
     max_in_flight_per_tenant:
         The same cap per tenant, so one aggressive tenant cannot occupy
         the whole service.
-    max_plan_cache_bytes:
-        Resident-byte budget of the shared plan cache (``None`` disables
-        byte-based eviction; the cache's plan-count LRU still applies).
     """
 
     max_in_flight: int = 64
     max_in_flight_per_tenant: int = 8
-    max_plan_cache_bytes: Optional[int] = None
 
     def __post_init__(self):
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
         if self.max_in_flight_per_tenant < 1:
             raise ValueError("max_in_flight_per_tenant must be at least 1")
-        if self.max_plan_cache_bytes is not None and self.max_plan_cache_bytes < 0:
-            raise ValueError("max_plan_cache_bytes must be non-negative")
 
 
 class AdmissionController:
@@ -80,7 +70,6 @@ class AdmissionController:
         self._total = 0
         self._per_tenant: Dict[str, int] = {}
         self._rejections = 0
-        self._memory_evictions = 0
 
     def admit(self, tenant: str) -> None:
         """Reserve one in-flight slot or raise :class:`ServiceOverloadError`."""
@@ -113,23 +102,6 @@ class AdmissionController:
                 self._per_tenant.pop(tenant, None)
             self._total = max(0, self._total - 1)
 
-    def enforce_memory(self, plan_cache) -> int:
-        """Evict LRU plans until the cache is under the byte budget.
-
-        Called after request completion (the natural point where a request's
-        freshly built plans have become evictable).  Returns the number of
-        plans evicted; 0 when no budget is configured or the cache already
-        fits.
-        """
-        budget = self.policy.max_plan_cache_bytes
-        if budget is None:
-            return 0
-        evicted = plan_cache.evict_to(budget)
-        if evicted:
-            with self._lock:
-                self._memory_evictions += evicted
-        return evicted
-
     def snapshot(self) -> Dict[str, object]:
         """Point-in-time copy of the admission state."""
         with self._lock:
@@ -137,8 +109,6 @@ class AdmissionController:
                 "in_flight": self._total,
                 "per_tenant": dict(self._per_tenant),
                 "rejections": self._rejections,
-                "memory_evictions": self._memory_evictions,
                 "max_in_flight": self.policy.max_in_flight,
                 "max_in_flight_per_tenant": self.policy.max_in_flight_per_tenant,
-                "max_plan_cache_bytes": self.policy.max_plan_cache_bytes,
             }

@@ -1,9 +1,8 @@
 """Density-as-a-service: a multi-tenant in-process density server.
 
-:class:`DensityService` turns the session API into a shared service: many
-tenants submit density (and trajectory) requests against a pool of
-:class:`~repro.api.context.SubmatrixContext` sessions keyed by their
-resolved :class:`~repro.api.config.EngineConfig`, all sharing **one**
+:class:`DensityService` turns one session into a shared service: many
+tenants submit density requests against the service's **one**
+:class:`~repro.api.context.SubmatrixContext` and its
 :class:`~repro.core.plan.PlanCache` — a tenant whose sparsity pattern was
 already planned for another tenant gets a cache hit, which is the dominant
 cost of small repeated requests.
@@ -11,23 +10,23 @@ cost of small repeated requests.
 The request path:
 
 1. **validation** — the request passes
-   :func:`~repro.api.observables.validate_request` (a trajectory:
-   :func:`~repro.api.trajectory.validate_trajectory`), the check a direct
-   call runs, before any resource is reserved, so malformed requests fail
-   fast and free;
+   :func:`~repro.api.observables.validate_request`, the check a direct call
+   runs, before any resource is reserved, so malformed requests fail fast
+   and free;
 2. **admission** — the :class:`~repro.serve.admission.AdmissionController`
    enforces global and per-tenant in-flight ceilings
    (:class:`~repro.serve.admission.ServiceOverloadError` on refusal);
-3. **dispatch** — the request runs as one session call
-   (``context.observables`` or ``context.trajectory``) on the service's
-   dispatch thread pool; the sessions and their shared plan cache are
+3. **dispatch** — the request runs as one ``context.observables`` call on
+   the service's dispatch thread pool; the session and its plan cache are
    thread-safe, so concurrent requests parallelise across the pool;
-4. **completion** — a single hook releases admission, records per-tenant
-   metrics and re-enforces the plan-cache byte budget, then the request's
-   future resolves.
+4. **completion** — a single hook releases admission and records
+   per-tenant metrics, then the request's future resolves.
 
 Results are bitwise identical to calling ``context.observables`` directly
-with the same arguments: the served request *is* that call.
+with the same arguments: the served request *is* that call.  A trajectory
+is not a served request; run it on a session
+(:meth:`SubmatrixContext.trajectory
+<repro.api.context.SubmatrixContext.trajectory>`).
 
 This is an in-process service (futures in, results out).  A wire transport
 would sit in front of :meth:`DensityService.submit` without touching the
@@ -36,10 +35,8 @@ admission or accounting machinery.
 
 from __future__ import annotations
 
-import inspect
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, Optional
 
@@ -49,8 +46,6 @@ from repro.api.config import EngineConfig
 from repro.api.context import SubmatrixContext
 from repro.api.observables import validate_request
 from repro.api.results import ObservableBundle
-from repro.api.trajectory import TrajectoryResult, validate_trajectory
-from repro.core.plan import PlanCache
 from repro.serve.admission import AdmissionController, AdmissionPolicy
 from repro.serve.metrics import ServiceMetrics
 
@@ -58,30 +53,23 @@ __all__ = ["DensityService"]
 
 
 def _payload_nbytes(result) -> int:
-    """Result bytes returned to a tenant: every observable of a bundle, every
-    step of a trajectory."""
-    if isinstance(result, TrajectoryResult):
-        return sum(_payload_nbytes(step) for step in result.results)
+    """Result bytes returned to a tenant: every observable of a bundle."""
     if isinstance(result, ObservableBundle):
         return int(result.payload_nbytes())
     return int(result.density_ao.nbytes) + int(result.density_ortho.data.nbytes)
 
 
 class DensityService:
-    """Multi-tenant density server over pooled submatrix sessions.
+    """Multi-tenant density server over one submatrix session.
 
     Parameters
     ----------
     config:
-        Default :class:`EngineConfig` of requests that do not bring their
-        own; also supplies the shared plan cache's plan-count capacity.
+        The :class:`EngineConfig` of the service's one session (resolved,
+        so a deferred worker count is fixed once); it also sizes the
+        session's plan cache.
     policy:
-        The service's :class:`AdmissionPolicy` (in-flight ceilings and the
-        plan-cache byte budget).
-    max_contexts:
-        LRU bound on the pool of per-configuration session contexts; idle
-        contexts beyond the bound are closed and dropped (busy ones are
-        skipped and retried on a later eviction pass).
+        The service's :class:`AdmissionPolicy` (in-flight ceilings).
     batching / max_batch / batch_wait:
         No effect — accepted and ignored; they stay only because
         ``benchmarks/e2e`` passes them.
@@ -94,82 +82,40 @@ class DensityService:
         Per-tenant sliding-window size of the latency percentiles.
 
     The service is a context manager; :meth:`close` drains the dispatch
-    pool and closes every pooled context.
+    pool and closes the session.
     """
 
     def __init__(
         self,
         config: Optional[EngineConfig] = None,
         policy: Optional[AdmissionPolicy] = None,
-        max_contexts: int = 8,
         batching: bool = True,
         max_batch: int = 8,
         batch_wait: float = 0.002,
         dispatch_workers: int = 8,
         latency_window: int = 4096,
     ):
-        if max_contexts < 1:
-            raise ValueError("max_contexts must be at least 1")
         if dispatch_workers < 1:
             raise ValueError("dispatch_workers must be at least 1")
-        self.config = (config if config is not None else EngineConfig()).validate()
+        config = config if config is not None else EngineConfig()
+        self.context = SubmatrixContext(config.resolved())
+        self.config = self.context.config
+        self.plan_cache = self.context.plan_cache
         self.policy = policy if policy is not None else AdmissionPolicy()
-        self.plan_cache = PlanCache(
-            max_plans=self.config.plan_cache_size,
-            max_bytes=self.policy.max_plan_cache_bytes,
-        )
         self.admission = AdmissionController(self.policy)
         self.metrics = ServiceMetrics(latency_window=latency_window)
-        self.max_contexts = int(max_contexts)
-        self._contexts: "OrderedDict[EngineConfig, SubmatrixContext]" = (
-            OrderedDict()
-        )
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._closed = False
         self._dispatch = ThreadPoolExecutor(
             max_workers=dispatch_workers, thread_name_prefix="density-service"
         )
 
-    # ------------------------------------------------------------------ #
-    # context pool
-    # ------------------------------------------------------------------ #
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError(
                 "this DensityService has been closed; create a new service "
                 "to continue serving"
             )
-
-    def _context_for(self, config: Optional[EngineConfig]) -> SubmatrixContext:
-        """The pooled session for ``config`` (resolved), creating on demand.
-
-        All pooled contexts share the service's plan cache, so plans built
-        for one configuration serve every other configuration with the same
-        sparsity pattern (plans are keyed by pattern content, not config).
-        """
-        resolved = (config if config is not None else self.config).resolved()
-        with self._lock:
-            self._check_open()
-            context = self._contexts.get(resolved)
-            if context is None:
-                context = SubmatrixContext(resolved, plan_cache=self.plan_cache)
-                self._contexts[resolved] = context
-                self._evict_idle_contexts()
-            self._contexts.move_to_end(resolved)
-            return context
-
-    def _evict_idle_contexts(self) -> None:
-        """Close and drop idle LRU contexts beyond ``max_contexts`` (locked)."""
-        if len(self._contexts) <= self.max_contexts:
-            return
-        for key in list(self._contexts):
-            if len(self._contexts) <= self.max_contexts:
-                break
-            context = self._contexts[key]
-            if context.in_flight:
-                continue
-            del self._contexts[key]
-            context.close()
 
     # ------------------------------------------------------------------ #
     # request path
@@ -178,9 +124,9 @@ class DensityService:
         """Admit one request of ``tenant`` and run ``work()`` on the pool.
 
         Returns the pool's own future.  The completion accounting — slot
-        release, per-tenant metrics, the plan-cache byte budget — runs inside
-        the pooled function before it returns or raises, so a caller blocking
-        on the future observes the request already accounted for.  A request
+        release and per-tenant metrics — runs inside the pooled function
+        before it returns or raises, so a caller blocking on the future
+        observes the request already accounted for.  A request
         the pool refuses (a ``submit`` racing :meth:`close`) releases its
         slot and counts as failed before the pool's ``RuntimeError``
         propagates.
@@ -207,7 +153,6 @@ class DensityService:
                     cache_hits=cache_hits,
                     cache_misses=cache_misses,
                 )
-            self.admission.enforce_memory(self.plan_cache)
 
         def run():
             before = self.plan_cache.stats
@@ -238,7 +183,6 @@ class DensityService:
         S,
         blocks,
         tenant: str = "default",
-        config: Optional[EngineConfig] = None,
         mu: Optional[float] = None,
         n_electrons: Optional[float] = None,
         solver: str = "eigen",
@@ -253,9 +197,8 @@ class DensityService:
         """Submit one observable-keyed request; returns a future of the result.
 
         Arguments mirror :meth:`SubmatrixContext.observables
-        <repro.api.context.SubmatrixContext.observables>`; ``tenant``
-        selects the accounting bucket and ``config`` the pooled session
-        (the service default when omitted).  With the default
+        <repro.api.context.SubmatrixContext.observables>`; ``tenant``, a
+        ``str``, selects the accounting bucket.  With the default
         ``observables=("density",)`` the future resolves to the familiar
         :class:`~repro.api.results.SubmatrixDFTResult`; any other
         observable set resolves to an
@@ -266,8 +209,10 @@ class DensityService:
         """
         self._check_open()
         # fail fast (and free) on malformed requests, before admission
+        if not isinstance(tenant, str):
+            raise TypeError(f"tenant must be a str, got {type(tenant).__name__}")
         names, _ = validate_request(
-            config if config is not None else self.config,
+            self.config,
             blocks,
             observables,
             mu,
@@ -278,12 +223,12 @@ class DensityService:
             distribution,
             mu_tolerance,
             max_mu_iterations,
+            grouping=grouping,
             shapes=(np.shape(K), np.shape(S)),
         )
-        context = self._context_for(config)
 
         def work():
-            bundle = context.observables(
+            bundle = self.context.observables(
                 K,
                 S,
                 blocks,
@@ -307,79 +252,22 @@ class DensityService:
         return self.submit(K, S, blocks, **kwargs).result()
 
     # ------------------------------------------------------------------ #
-    # trajectories
-    # ------------------------------------------------------------------ #
-    def submit_trajectory(
-        self,
-        steps,
-        blocks,
-        tenant: str = "default",
-        config: Optional[EngineConfig] = None,
-        **kwargs,
-    ) -> Future:
-        """Submit a whole trajectory as one admission-controlled request.
-
-        Runs :meth:`SubmatrixContext.trajectory
-        <repro.api.context.SubmatrixContext.trajectory>` on a dispatch
-        thread; the trajectory occupies one in-flight slot for its whole
-        duration (a trajectory is one tenant workload, not N density
-        requests).  Returns a future of the
-        :class:`~repro.api.trajectory.TrajectoryResult`.  Like :meth:`submit`,
-        a malformed trajectory raises here, before admission: ``kwargs``
-        that :meth:`SubmatrixContext.trajectory` does not take are a
-        :class:`TypeError`, and the request must pass
-        :func:`~repro.api.trajectory.validate_trajectory`.
-        """
-        self._check_open()
-        request = inspect.signature(SubmatrixContext.trajectory).bind(
-            None, steps, blocks, **kwargs
-        )
-        request.apply_defaults()
-        bound = request.arguments
-        validate_trajectory(
-            config if config is not None else self.config,
-            steps,
-            blocks,
-            mu=bound["mu"],
-            n_electrons=bound["n_electrons"],
-            solver=bound["solver"],
-            observables=bound["observables"],
-            observable_params=bound["observable_params"],
-            ranks=bound["ranks"],
-            n_steps=bound["n_steps"],
-            distribution=bound["distribution"],
-            mu_tolerance=bound["mu_tolerance"],
-            max_mu_iterations=bound["max_mu_iterations"],
-        )
-        context = self._context_for(config)
-        return self._dispatch_admitted(
-            tenant, lambda: context.trajectory(steps, blocks, **kwargs)
-        )
-
-    def trajectory(self, steps, blocks, **kwargs):
-        """Synchronous :meth:`submit_trajectory`."""
-        return self.submit_trajectory(steps, blocks, **kwargs).result()
-
-    # ------------------------------------------------------------------ #
     # introspection and lifecycle
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
         """Point-in-time service statistics, safe to take while serving."""
         cache = dict(self.plan_cache.stats)
         lookups = cache["hits"] + cache["misses"]
-        with self._lock:
-            contexts = len(self._contexts)
         return {
             "metrics": self.metrics.snapshot(),
             "admission": self.admission.snapshot(),
             "plan_cache": cache,
             "plan_cache_hit_rate": cache["hits"] / lookups if lookups else 0.0,
             "plan_cache_bytes": self.plan_cache.total_bytes,
-            "contexts": contexts,
         }
 
     def close(self) -> None:
-        """Drain the dispatch pool, close every pooled context.
+        """Drain the dispatch pool, then close the session.
 
         Idempotent.  Requests submitted before ``close()`` complete
         normally; submissions racing the shutdown fail with a
@@ -390,11 +278,7 @@ class DensityService:
                 return
             self._closed = True
         self._dispatch.shutdown(wait=True)
-        with self._lock:
-            contexts = list(self._contexts.values())
-            self._contexts.clear()
-        for context in contexts:
-            context.close()
+        self.context.close()
 
     def __enter__(self) -> "DensityService":
         return self

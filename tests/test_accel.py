@@ -82,6 +82,7 @@ class TestMixedPrecisionIteration:
         assert np.max(np.abs(result.sign - exact)) < 1e-8
         assert result.involutority[-1] < 1e-8
 
+    @pytest.mark.slow
     def test_fp64_involutority_floor_below_fp32_below_fp16(self, submatrix):
         """Fig. 13: each precision has its own involutority noise floor."""
         floors = {}
@@ -90,6 +91,7 @@ class TestMixedPrecisionIteration:
             floors[mode] = min(result.involutority)
         assert floors["FP64"] < floors["FP32"] < floors["FP16"]
 
+    @pytest.mark.slow
     def test_low_precision_energy_close_to_fp64(self, submatrix):
         """Fig. 12: FP16 energies stay within a few meV/atom-scale offsets."""
         fp64 = mixed_precision_sign_iteration(submatrix, "FP64", n_iterations=14)

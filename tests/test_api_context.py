@@ -541,6 +541,7 @@ class TestOneEngineSeam:
 # context.apply equivalence with the reference loop
 # --------------------------------------------------------------------------- #
 class TestApplyEquivalence:
+    @pytest.mark.slow
     def test_blockwise_matches_legacy_bitwise(self, water32_matrices, gap_mu):
         _, blocked = orthogonalized_block(water32_matrices)
         ctx = SubmatrixContext(EngineConfig(engine="batched"))
@@ -559,6 +560,7 @@ class TestApplyEquivalence:
             )
             assert result.submatrix_dimensions == dimensions
 
+    @pytest.mark.slow
     def test_elementwise_matches_legacy_bitwise(self, water32_matrices, gap_mu):
         """A SciPy matrix runs as a grid of 1×1 blocks: bitwise the
         per-submatrix reference loop, with its dimensions and flop estimate."""
@@ -888,6 +890,7 @@ class TestApplyEquivalence:
 # session resource reuse
 # --------------------------------------------------------------------------- #
 class TestSessionReuse:
+    @pytest.mark.slow
     def test_one_plan_build_across_repeated_apply(self, water32_matrices, gap_mu):
         _, blocked = orthogonalized_block(water32_matrices)
         ctx = SubmatrixContext(EngineConfig(engine="batched"))
@@ -899,6 +902,7 @@ class TestSessionReuse:
         assert stats["hits"] == n_calls - 1  # ...shared by every later call
         assert stats["plans"] == 1
 
+    @pytest.mark.slow
     def test_one_pool_across_repeated_apply(self, water32_matrices, gap_mu):
         _, blocked = orthogonalized_block(water32_matrices)
         ctx = SubmatrixContext(
@@ -1017,6 +1021,7 @@ class TestOccupationTemperature:
         # integer occupations: the gap holds exactly the neutral count
         assert result.n_electrons == pytest.approx(256.0, abs=1e-9)
 
+    @pytest.mark.slow
     def test_tiny_temperature_is_continuous_with_zero(
         self, water32_matrices, gap_mu
     ):
@@ -1058,6 +1063,7 @@ class TestOccupationTemperature:
 # density through the session, including rank sharding
 # --------------------------------------------------------------------------- #
 class TestDensitySession:
+    @pytest.mark.slow
     def test_density_matches_legacy_solver_bitwise(self, water32_matrices, gap_mu):
         """Against the independent full-product loop: to rounding, not bitwise
         (the name predates the generating-column panel)."""
@@ -1093,6 +1099,7 @@ class TestDensitySession:
         sharded = ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu, ranks=ranks)
         assert np.array_equal(sharded.density_ao, single.density_ao)
 
+    @pytest.mark.slow
     def test_sharded_solver_via_per_call_ranks(self, water32_matrices):
         """A rank count is asked for per call; a call without one is single."""
         pair = water32_matrices
@@ -1198,6 +1205,7 @@ class TestDistributedSession:
         assert pipeline.rank_of_group.size == run.n_submatrices
         assert pipeline.rank_flops.shape == (4,)
 
+    @pytest.mark.slow
     def test_pipeline_cached_across_runs(self, water32_matrices, gap_mu):
         _, blocked = orthogonalized_block(water32_matrices)
         ctx = SubmatrixContext(EngineConfig(engine="batched"))
@@ -1288,6 +1296,7 @@ class TestOverlapRootCache:
         with SubmatrixContext(self.CONFIG) as ctx:
             return ctx.density(K, S, blocks, mu=mu)
 
+    @pytest.mark.slow
     def test_hit_is_bitwise_a_miss_and_a_fresh_session(self, water32_matrices, gap_mu):
         pair = water32_matrices
         with SubmatrixContext(self.CONFIG) as ctx:
@@ -1302,6 +1311,7 @@ class TestOverlapRootCache:
         reference = reference_density(pair.K, pair.S, pair.blocks, gap_mu, EPS)
         assert_matches_reference_density(hit, reference)
 
+    @pytest.mark.slow
     def test_in_place_mutation_of_the_overlap_is_a_miss(self, water32_matrices, gap_mu):
         pair = water32_matrices
         S = pair.S.copy()
@@ -1374,6 +1384,7 @@ class TestOverlapRootCache:
                 root[0, 0] = 1.0
             assert np.array_equal(root, loewdin_inverse_sqrt(water32_matrices.S))
 
+    @pytest.mark.slow
     def test_overlap_below_the_loewdin_guard(self, water32_matrices, gap_mu):
         """λ_min(S) < 1e-10: the request fails before any root is filed, and
         the session serves the next, valid request as a fresh one would."""
@@ -1411,6 +1422,7 @@ class TestOverlapRootCache:
         with pytest.raises(RuntimeError, match="closed"):
             ctx.overlap_root(pair.S)
 
+    @pytest.mark.slow
     def test_a_walk_keeps_one_root_and_a_fixed_overlap_keeps_hitting(
         self, water32_matrices, gap_mu
     ):
@@ -1451,6 +1463,7 @@ class TestOverlapRootCache:
         assert scf.stats.n_steps == 4
         assert (stats["hits"], stats["misses"], stats["entries"]) == (3, 1, 1)
 
+    @pytest.mark.slow
     def test_threads_on_alternating_overlaps_with_eviction_forced(self, monkeypatch):
         """Eight threads, two overlaps, room for one root: every lookup may
         evict the other overlap's root under another thread's feet, and every

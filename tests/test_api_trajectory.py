@@ -12,11 +12,11 @@ Covers the acceptance criteria of the trajectory tentpole:
 * rank-sharded trajectories reuse the context-cached pipeline across steps
   and report the initialization-exchange fetch volumes;
 * every step is bitwise a cold ``ctx.density`` call on the same input —
-  canonical at T = 0 and at 3000 K, grand-canonical, direct and served —
-  with the inert ``warm_start_mu=True`` passed; zero-step trajectories;
+  canonical at T = 0 and at 3000 K, grand-canonical — with the inert
+  ``warm_start_mu=True`` passed; zero-step trajectories;
 * a per-step ``mu``/``n_electrons`` sequence shorter than the steps raises
   ``ValueError`` before step 0 (a sequence) or before the step it lacks (a
-  callback or a generator), directly and through the service;
+  callback or a generator);
 * checkpoint/resume, warm-started μ and the SCF driver are gone: their
   modules, names and record fields, and the keywords that reached them are a
   ``TypeError``.
@@ -71,6 +71,7 @@ def pattern_breaking_step(pair):
 
 
 class TestValueOnlyTrajectory:
+    @pytest.mark.slow
     def test_one_plan_one_executor_across_steps(self, water32_matrices):
         """Acceptance: N ≥ 5 value-only steps → 1 plan build, 1 pool."""
         steps = value_only_steps(water32_matrices, 6)
@@ -101,6 +102,7 @@ class TestValueOnlyTrajectory:
         )
         ctx.close()
 
+    @pytest.mark.slow
     def test_steps_bitwise_identical_to_fresh_calls(self, water32_matrices):
         """Acceptance: per-step results ≡ fresh single-shot density calls."""
         steps = value_only_steps(water32_matrices, 5)
@@ -116,6 +118,7 @@ class TestValueOnlyTrajectory:
         # the μ really moves along the trajectory (the steps are distinct)
         assert len(set(traj.mus.tolist())) > 1
 
+    @pytest.mark.slow
     def test_result_conveniences(self, water32_matrices):
         steps = value_only_steps(water32_matrices, 5)
         ctx = SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS))
@@ -127,6 +130,7 @@ class TestValueOnlyTrajectory:
 
 
 class TestPatternChanges:
+    @pytest.mark.slow
     def test_pattern_change_detected_and_replanned(self, water32_matrices, gap_mu):
         steps = value_only_steps(water32_matrices, 3)
         steps += [pattern_breaking_step(water32_matrices)] * 2
@@ -162,6 +166,7 @@ class TestPatternChanges:
         assert traj[1].band_energy != traj[0].band_energy
 
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("ranks", [None, 2])
     def test_drifting_pattern_builds_once_per_pattern_and_returns_to_a_hit(
         self, water32_matrices, ranks
@@ -217,6 +222,7 @@ class TestPatternChanges:
 
 
 class TestStepSpecifications:
+    @pytest.mark.slow
     def test_callback_steps_with_n_steps(self, water32_matrices):
         pair = water32_matrices
 
@@ -294,6 +300,7 @@ class TestStepSpecifications:
 
 
 class TestShardedTrajectory:
+    @pytest.mark.slow
     @pytest.mark.parametrize("ranks", [2, 4])
     def test_sharded_steps_bitwise_and_pipeline_reuse(
         self, water32_matrices, ranks
@@ -319,6 +326,7 @@ class TestShardedTrajectory:
             ), step
             assert traj[step].mu == single[step].mu
 
+    @pytest.mark.slow
     def test_sharded_iterative_trajectory(self, water32_matrices, gap_mu):
         """Grand-canonical Newton–Schulz steps run sharded with full reuse."""
         steps = value_only_steps(water32_matrices, 5)
@@ -337,6 +345,7 @@ class TestShardedTrajectory:
                 sharded[step].density_ao, single[step].density_ao
             ), step
 
+    @pytest.mark.slow
     def test_explicit_distribution_reuses_one_pipeline(self, water32_matrices):
         """An explicit block distribution must not force a replan per step."""
         from repro.dbcsr.distribution import BlockDistribution, ProcessGrid2D
@@ -369,6 +378,7 @@ class TestShardedTrajectory:
         for step in range(len(steps)):
             assert np.array_equal(traj[step].density_ao, default[step].density_ao)
 
+    @pytest.mark.slow
     def test_distributed_session_trajectory(self, water32_matrices):
         steps = value_only_steps(water32_matrices, 5)
         ctx = SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS))
@@ -401,6 +411,7 @@ class TestTrajectoryStepIsColdCall:
         "grand_canonical": (0.0, "mu"),
     }
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
     def test_every_step_is_a_cold_density_call(
         self, water32_matrices, gap_mu, ensemble
@@ -419,16 +430,11 @@ class TestTrajectoryStepIsColdCall:
             direct = ctx.trajectory(
                 steps, pair.blocks, warm_start_mu=True, **request
             )
-        with DensityService(config=config) as service:
-            served = service.trajectory(
-                steps, pair.blocks, warm_start_mu=True, **request
-            )
-        for trajectory in (direct, served):
-            assert len(trajectory) == len(steps)
-            for result, cold in zip(trajectory, colds):
-                assert result.mu == cold.mu
-                assert result.mu_iterations == cold.mu_iterations
-                assert np.array_equal(result.density_ao, cold.density_ao)
+        assert len(direct) == len(steps)
+        for result, cold in zip(direct, colds):
+            assert result.mu == cold.mu
+            assert result.mu_iterations == cold.mu_iterations
+            assert np.array_equal(result.density_ao, cold.density_ao)
         if label == "n_electrons":
             # the steps differ, so a warm start would have had a seed to use
             assert len(set(direct.mus.tolist())) > 1
@@ -443,7 +449,7 @@ class TestShortPerStepSequence:
         steps = value_only_steps(pair, 3)
         config = EngineConfig(engine="batched", eps_filter=EPS)
         with SubmatrixContext(config) as ctx:
-            with pytest.raises(ValueError, match="holds 2 value") as direct:
+            with pytest.raises(ValueError, match="holds 2 value"):
                 ctx.trajectory(steps, pair.blocks, mu=[gap_mu, gap_mu])
             assert ctx.plan_cache.stats["misses"] == 0  # no step ran
             # n_steps bounds the trajectory to the values there are
@@ -451,13 +457,6 @@ class TestShortPerStepSequence:
                 steps, pair.blocks, mu=[gap_mu, gap_mu], n_steps=2
             )
             assert bounded.stats.n_steps == 2
-        with DensityService(config=config) as service:
-            with pytest.raises(ValueError) as served:
-                service.submit_trajectory(steps, pair.blocks, mu=[gap_mu, gap_mu])
-            snapshot = service.stats()
-        assert str(served.value) == str(direct.value)
-        assert snapshot["metrics"]["total"]["admitted"] == 0
-        assert snapshot["admission"]["in_flight"] == 0
 
     def test_callback_raises_before_the_missing_step(self, water32_matrices):
         pair = water32_matrices
@@ -478,13 +477,6 @@ class TestShortPerStepSequence:
                     **request,
                 )
         assert completed == [0, 1]
-        with DensityService(config=config) as service:
-            future = service.submit_trajectory(step, pair.blocks, **request)
-            with pytest.raises(ValueError, match="step 2 has no n_electrons"):
-                future.result()
-            snapshot = service.stats()
-        assert snapshot["metrics"]["total"]["failed"] == 1
-        assert snapshot["admission"]["in_flight"] == 0
 
     CONTAINERS = {"list": list, "tuple": tuple, "ndarray": np.asarray}
 

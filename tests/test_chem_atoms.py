@@ -148,6 +148,7 @@ class TestNeighborPairs:
         # pair (0, 3) through the periodic boundary must be found
         assert any((a, b) == (0, 3) for a, b in zip(i, j))
 
+    @pytest.mark.slow
     def test_cell_list_matches_dense(self):
         rng = np.random.default_rng(0)
         cell = Cell([30.0, 30.0, 30.0])

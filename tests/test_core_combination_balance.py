@@ -221,6 +221,7 @@ class TestLoadBalance:
 class TestVectorizedChunksEquivalence:
     """The cumsum+searchsorted assigner must match the greedy reference."""
 
+    @pytest.mark.slow
     @given(
         costs=st.lists(
             st.integers(min_value=0, max_value=1000), min_size=0, max_size=120

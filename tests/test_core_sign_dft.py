@@ -40,6 +40,7 @@ class TestGrandCanonical:
         result = density(water32_matrices, mu=gap_mu, eps_filter=1e-7)
         assert result.n_electrons == pytest.approx(8 * 32, abs=1e-3)
 
+    @pytest.mark.slow
     def test_looser_filter_larger_error(self, water64_matrices, gap_mu, water64):
         reference = reference_density_matrix(
             water64_matrices.K, water64_matrices.S, mu=gap_mu
@@ -50,6 +51,7 @@ class TestGrandCanonical:
             errors.append(abs(result.band_energy - reference.band_energy))
         assert errors[0] > errors[1]
 
+    @pytest.mark.slow
     def test_looser_filter_smaller_submatrices(self, water64_matrices, gap_mu):
         dims = []
         for eps in (1e-2, 1e-7):
@@ -124,6 +126,7 @@ class TestCanonical:
         assert cation.mu < neutral.mu
         assert cation.n_electrons == pytest.approx(8 * 32 - 16, abs=0.5)
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("eps_filter", [1e-3, 1e-2])
     def test_zero_temperature_bisection_stops_on_exhausted_bracket(
         self, water64_matrices, gap_mu, eps_filter
@@ -188,6 +191,7 @@ class TestAlternativeSolvers:
         # T = 0: the eigen route's occupations are the same step function
         assert np.abs(eigen.density_ao - iterative.density_ao).max() < 1e-8
 
+    @pytest.mark.slow
     def test_thread_backend_matches_serial(self, water32_matrices, gap_mu):
         serial = density(water32_matrices, mu=gap_mu, eps_filter=1e-5)
         threaded = density(

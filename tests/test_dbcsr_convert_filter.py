@@ -142,6 +142,7 @@ def assert_bitwise_csr(ours: sp.csr_matrix, reference: sp.csr_matrix):
 
 
 class TestVectorisedBlockIO:
+    @pytest.mark.slow
     @given(stored_entries())
     @settings(max_examples=300, deadline=None)
     def test_from_csr_and_to_csr_match_the_per_block_loops(self, case):

@@ -69,6 +69,7 @@ class TestSubmatrixVsNewtonSchulz:
 
 
 class TestElementVsBlockGranularity:
+    @pytest.mark.slow
     def test_block_level_close_to_element_level(self, water32_matrices, gap_mu):
         eps = 1e-6
         k_ortho, _ = orthogonalized_ks(water32_matrices.K, water32_matrices.S, eps)
@@ -104,6 +105,7 @@ class TestLargerBasisSet:
         dzvp_dim = submatrix_dimension(dzvp_pattern, dzvp_blocks.block_sizes, 10)
         assert dzvp_dim > szv_dim
 
+    @pytest.mark.slow
     def test_dzvp_density_matrix_works(self, water32, gap_mu):
         pair = build_matrices(water32, model=HamiltonianModel(basis=DZVP))
         reference = reference_density_matrix(pair.K, pair.S, mu=gap_mu)
@@ -165,6 +167,7 @@ class TestPatternPipeline:
 
 
 class TestEndToEndCanonicalMD:
+    @pytest.mark.slow
     def test_repeated_canonical_solves_are_stable(self, water32_matrices):
         """Simulate the usage pattern of an MD loop: repeated canonical
         density builds with slightly different electron counts."""

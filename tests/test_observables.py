@@ -111,11 +111,13 @@ def reference_bundle(water32_matrices):
 # tentpole: density through the generic pipeline is the old density, bitwise
 # --------------------------------------------------------------------------- #
 class TestDensityThroughPipeline:
+    @pytest.mark.slow
     def test_batched_canonical(self, water32_matrices, reference_bundle):
         bundle, density = reference_bundle
         assert isinstance(bundle, ObservableBundle)
         assert_density_identical(bundle["density"], density)
 
+    @pytest.mark.slow
     def test_batched_grand_canonical(self, water32_matrices, gap_mu):
         pair = water32_matrices
         with SubmatrixContext(CONFIG) as ctx:
@@ -123,6 +125,7 @@ class TestDensityThroughPipeline:
             bundle = ctx.observables(pair.K, pair.S, pair.blocks, mu=gap_mu)
         assert_density_identical(bundle["density"], density)
 
+    @pytest.mark.slow
     def test_reference_loop(self, water32_matrices, gap_mu):
         """The bundled density equals, to rounding, the serial loop over the
         ``core/submatrix.py`` kernels (one ``eigh`` and one full product per
@@ -137,6 +140,7 @@ class TestDensityThroughPipeline:
         )
         assert_matches_reference_density(bundle["density"], reference)
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("ranks", [1, 2, 4, 8])
     def test_sharded_ranks(self, water32_matrices, ranks, reference_bundle):
         pair = water32_matrices
@@ -242,6 +246,7 @@ class TestStreamedRoute:
         monkeypatch.setattr(repro.api.observables, "_make_entry", counting)
         return built
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("temperature", [0.0, 3000.0])
     def test_bitwise_chain_over_every_route(
         self, water32_matrices, gap_mu, temperature, monkeypatch
@@ -307,6 +312,7 @@ class TestStreamedRoute:
         # eight dimensions; two ranks split some of them into a stack each
         assert bundle.stack_decompositions == len(stacks) >= 8
 
+    @pytest.mark.slow
     def test_peak_memory_stays_below_the_spectra(self, water64_matrices, gap_mu):
         """The design as an assertion (``tracemalloc``: deterministic, no
         RSS): a fixed-μ density call never holds Σdᵢ²·8 B — the eigenvectors
@@ -470,6 +476,7 @@ class TestAgainstDenseReference:
 # satellite: served multi-observable requests
 # --------------------------------------------------------------------------- #
 class TestServedObservables:
+    @pytest.mark.slow
     def test_served_bundle_bitwise_vs_direct(
         self, water32_matrices, reference_bundle
     ):
@@ -490,6 +497,7 @@ class TestServedObservables:
         assert isinstance(served_bundle, ObservableBundle)
         assert_bundle_identical(served_bundle, bundle_reference)
 
+    @pytest.mark.slow
     def test_served_direct_path_bundle(self, water32_matrices):
         """Rank-sharded requests are served observable-keyed too."""
         pair = water32_matrices
@@ -534,6 +542,7 @@ def value_steps(pair, n_steps, scale=1e-4):
 
 
 class TestTrajectoryObservables:
+    @pytest.mark.slow
     def test_steps_are_bundles_matching_fresh_calls(self, water32_matrices):
         pair = water32_matrices
         steps = value_steps(pair, 3)

@@ -163,6 +163,7 @@ def assert_shards_match_reference(plan, ranks, n_ranks=3):
 # --------------------------------------------------------------------------- #
 # properties
 # --------------------------------------------------------------------------- #
+@pytest.mark.slow
 @given(block_cases())
 @settings(max_examples=150, deadline=None)
 def test_block_groups_equal_per_block_loop_bitwise(case):
@@ -177,6 +178,7 @@ def test_block_groups_equal_per_block_loop_bitwise(case):
     assert_shards_match_reference(plan, ranks)
 
 
+@pytest.mark.slow
 @given(element_cases())
 @settings(max_examples=100, deadline=None)
 def test_element_plan_fills_the_segment_record(case):
@@ -241,6 +243,7 @@ def assert_plan_moves_values_like_the_kernels(plan, coo, sizes, groups, ranks, s
     assert np.array_equal(block_matrix_to_dense(plan.finalize(out)), want)
 
 
+@pytest.mark.slow
 @given(block_cases(), st.integers(0, 2**16))
 @settings(max_examples=120, deadline=None)
 def test_values_through_full_and_sharded_plans_equal_the_kernels(case, seed):
@@ -295,6 +298,7 @@ def assert_panels_scatter_like_full_matrices(plan, ranks, seed):
     assert np.array_equal(sharded, want)
 
 
+@pytest.mark.slow
 @given(block_cases(), st.integers(0, 2**16))
 @settings(max_examples=120, deadline=None)
 def test_block_panels_scatter_bitwise_what_full_matrices_scatter(case, seed):

@@ -104,6 +104,7 @@ def serial_values(water32_matrices, gap_mu):
     )
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("cap", sorted(STACK_CAPS))
 @pytest.mark.parametrize("workers", sorted(WORKERS))
 def test_any_worker_count_and_stack_cap_is_bitwise_serial(
@@ -120,6 +121,7 @@ def test_any_worker_count_and_stack_cap_is_bitwise_serial(
             assert np.array_equal(_dense(ours), _dense(theirs)), (route, index)
 
 
+@pytest.mark.slow
 def test_request_from_a_session_worker_maps_its_stacks_inline(
     water64_matrices, gap_mu
 ):
@@ -147,6 +149,7 @@ def test_request_from_a_session_worker_maps_its_stacks_inline(
     context.close()
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("workers", sorted(WORKERS))
 @pytest.mark.parametrize("form", ["block", "scipy"])
 def test_bare_callable_through_apply_is_the_per_matrix_loop(

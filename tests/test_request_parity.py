@@ -6,8 +6,8 @@ call on the service's dispatch pool) all run the same
 :func:`~repro.api.observables.compute_observables` skeleton behind the same
 :func:`~repro.api.observables.validate_request` check, so the same request
 yields bitwise-equal results from all three — and an invalid request the
-same exception, before any work is done.  ``DensityService.submit_trajectory``
-raises that exception from the call itself, before admission.
+same exception, before any work is done.  A trajectory runs on a session
+only; the service serves single requests.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.api import EngineConfig, SubmatrixContext
+from repro.core.combination import ColumnGrouping
 from repro.dbcsr import BlockDistribution, ProcessGrid2D
 from repro.serve import DensityService
 
@@ -77,6 +78,7 @@ def assert_same_result(result, reference, observables):
         assert ours.band_energy == theirs.band_energy
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize(
     "request_name", ["grand_canonical", "canonical", "three_observables"]
 )
@@ -141,6 +143,12 @@ INVALID_REQUESTS = {
     "distribution_wrong_grid": dict(
         mu=0.0, ranks=2, distribution=BlockDistribution(8, 8, ProcessGrid2D(2, (1, 2)))
     ),
+    # a grouping must be a ColumnGrouping partitioning the 32 block columns
+    "grouping_uncovered": dict(mu=0.0, grouping=ColumnGrouping([[0]])),
+    "grouping_duplicate": dict(
+        mu=0.0, grouping=ColumnGrouping([[c] for c in range(32)] + [[0]])
+    ),
+    "grouping_str": dict(mu=0.0, grouping="x"),
 }
 
 
@@ -165,6 +173,23 @@ def test_invalid_request_is_refused_before_any_work(water32_matrices, name):
     assert snapshot["admission"]["in_flight"] == 0
 
 
+@pytest.mark.parametrize("name", sorted(INVALID_REQUESTS))
+def test_invalid_trajectory_is_refused_before_admission(water32_matrices, name):
+    """``context.trajectory`` runs a request's checks once, before it admits
+    its first step: a two-step trajectory raises before any step looks a
+    plan or an overlap root up."""
+    request = INVALID_REQUESTS[name]
+    pair = water32_matrices
+    with SubmatrixContext(CONFIG) as context:
+        with pytest.raises((ValueError, TypeError)):
+            context.trajectory(
+                [(pair.K, pair.S), (pair.K, pair.S)], pair.blocks, **request
+            )
+        assert context.plan_cache.stats["misses"] == 0
+        assert context.stats()["overlap_roots"]["misses"] == 0
+
+
+@pytest.mark.slow
 def test_valid_distribution_is_bitwise_the_default_one(water32_matrices, gap_mu):
     reference = run_direct(water32_matrices, mu=gap_mu, ranks=2)
     for entry_point in ENTRY_POINTS:
@@ -185,25 +210,6 @@ def test_invalid_request_raises_the_same_error_from_every_entry_point(
             entry_point(water32_matrices, **request)
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1] == raised[2]
-
-
-@pytest.mark.parametrize("name", sorted(INVALID_REQUESTS))
-def test_invalid_trajectory_is_refused_before_admission(water32_matrices, name):
-    """``DensityService.submit_trajectory`` runs a trajectory's checks before
-    admission: the call itself raises what a direct trajectory raises, and
-    the service admits, fails and holds nothing."""
-    request = INVALID_REQUESTS[name]
-    with pytest.raises((ValueError, TypeError)) as direct:
-        run_trajectory(water32_matrices, **request)
-    pair = water32_matrices
-    with DensityService(config=CONFIG) as service:
-        with pytest.raises(type(direct.value)) as served:
-            service.submit_trajectory([(pair.K, pair.S)], pair.blocks, **request)
-        snapshot = service.stats()
-    assert str(served.value) == str(direct.value)
-    assert snapshot["metrics"]["total"]["admitted"] == 0
-    assert snapshot["metrics"]["total"]["failed"] == 0
-    assert snapshot["admission"]["in_flight"] == 0
 
 
 def _asymmetric_K(pair):

@@ -3,17 +3,18 @@
 Covers the contracts:
 
 * :class:`~repro.core.plan.PlanCache` is thread-safe — N threads racing on
-  one cache build each pattern exactly once — and byte-accounted, with LRU
-  eviction under a byte budget;
+  one cache build each pattern exactly once — and byte-accounted: a used
+  plan holds no more than its accounted bytes;
 * :class:`~repro.api.context.SubmatrixContext` supports concurrent use and
   refuses to close while requests are in flight;
-* :class:`~repro.serve.DensityService` runs every request as one session
-  call on its dispatch pool and serves results **bitwise identical** to
-  direct ``context.density`` calls, across tenants sharing one plan cache —
-  also with the cache forced to evict under concurrent load;
-* admission control enforces global and per-tenant in-flight ceilings and
-  the plan-cache byte budget, and every admitted request ends completed or
-  failed with its slot released — a request the closing pool refuses too;
+* :class:`~repro.serve.DensityService` owns one session and runs every
+  request as one call of it on its dispatch pool, serving results **bitwise
+  identical** to direct ``context.density`` calls, across tenants sharing
+  its plan cache — also with the cache forced to evict under concurrent
+  load;
+* admission control enforces global and per-tenant in-flight ceilings, and
+  every admitted request ends completed or failed with its slot released —
+  a request the closing pool refuses too;
 * a poisoned request fails alone — its neighbours still get their exact
   results.
 """
@@ -192,33 +193,12 @@ class TestPlanCacheMemory:
         plan2 = block_plan(coo2, [3] * 6, [[c] for c in range(6)], cache=cache)
         assert cache.total_bytes == plan_nbytes(plan) + plan_nbytes(plan2)
 
-    def test_byte_budget_evicts_lru_but_keeps_newest(self):
-        cache = PlanCache(max_plans=64, max_bytes=1)
-        for seed in range(3):
-            _, coo = banded_block_pattern(6, 3, 2, seed)
-            block_plan(coo, [3] * 6, [[c] for c in range(6)], cache=cache)
-        # every insertion exceeds the 1-byte budget, so only the plan just
-        # built survives each time
-        assert len(cache) == 1
-        assert cache.stats["evictions"] == 2
-
-    def test_evict_to_empties_cache(self):
-        cache = PlanCache()
-        for seed in range(3):
-            _, coo = banded_block_pattern(6, 3, 2, seed)
-            block_plan(coo, [3] * 6, [[c] for c in range(6)], cache=cache)
-        assert len(cache) == 3
-        evicted = cache.evict_to(0)
-        assert evicted == 3
-        assert len(cache) == 0
-        assert cache.total_bytes == 0
-        assert cache.stats["evictions"] == 3
-
 
 # --------------------------------------------------------------------------- #
 # satellite: concurrent SubmatrixContext use
 # --------------------------------------------------------------------------- #
 class TestConcurrentContext:
+    @pytest.mark.slow
     def test_parallel_density_calls_are_bitwise_identical(
         self, water32_matrices, gap_mu, reference_results
     ):
@@ -288,6 +268,7 @@ class TestConcurrentContext:
 # tentpole: the density service
 # --------------------------------------------------------------------------- #
 class TestServiceIdentity:
+    @pytest.mark.slow
     def test_served_equals_direct_both_ensembles(
         self, water32_matrices, gap_mu, reference_results
     ):
@@ -310,6 +291,7 @@ class TestServiceIdentity:
         assert_identical(served_gc, ref_gc)
         assert_identical(served_canonical, ref_canonical)
 
+    @pytest.mark.slow
     def test_direct_path_iterative_solver_equals_context(self, water32_matrices, gap_mu):
         with SubmatrixContext(CONFIG) as context:
             reference = context.density(
@@ -329,6 +311,7 @@ class TestServiceIdentity:
             )
         assert_identical(served, reference)
 
+    @pytest.mark.slow
     def test_concurrent_pool_requests_identical(
         self, water32_matrices, gap_mu, reference_results
     ):
@@ -390,28 +373,6 @@ class TestServiceIdentity:
         assert snapshot["admission"]["in_flight"] == 0
 
 
-class TestServiceTrajectory:
-    def test_trajectory_through_service_equals_direct(
-        self, water32_matrices, gap_mu
-    ):
-        steps = [(water32_matrices.K, water32_matrices.S)] * 2
-        with SubmatrixContext(CONFIG) as context:
-            reference = context.trajectory(
-                steps, water32_matrices.blocks, mu=gap_mu
-            )
-        with DensityService(config=CONFIG) as service:
-            served = service.trajectory(
-                steps, water32_matrices.blocks, tenant="md", mu=gap_mu
-            )
-            snapshot = service.stats()
-        assert len(served.results) == len(reference.results)
-        for step, ref_step in zip(served.results, reference.results):
-            assert_identical(step, ref_step)
-        tenant = snapshot["metrics"]["tenants"]["md"]
-        assert tenant["completed"] == 1
-        assert tenant["bytes_out"] > 0
-
-
 # --------------------------------------------------------------------------- #
 # admission control
 # --------------------------------------------------------------------------- #
@@ -439,11 +400,10 @@ class TestAdmissionController:
             AdmissionPolicy(max_in_flight=0)
         with pytest.raises(ValueError):
             AdmissionPolicy(max_in_flight_per_tenant=0)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(max_plan_cache_bytes=-1)
 
 
 class TestServiceAdmission:
+    @pytest.mark.slow
     def test_per_tenant_cap_rejects_and_recovers(self, water32_matrices, gap_mu):
         policy = AdmissionPolicy(max_in_flight=8, max_in_flight_per_tenant=2)
         with DensityService(
@@ -499,6 +459,7 @@ class TestServiceAdmission:
             )
             assert retry is not None
 
+    @pytest.mark.slow
     def test_global_cap(self, water32_matrices, gap_mu):
         policy = AdmissionPolicy(max_in_flight=2, max_in_flight_per_tenant=2)
         with DensityService(
@@ -528,29 +489,12 @@ class TestServiceAdmission:
             for future in futures:
                 future.result(120)
 
-    def test_plan_cache_byte_budget_enforced_after_requests(
-        self, water32_matrices, gap_mu
-    ):
-        policy = AdmissionPolicy(max_plan_cache_bytes=1)
-        with DensityService(config=CONFIG, policy=policy) as service:
-            result = service.density(
-                water32_matrices.K,
-                water32_matrices.S,
-                water32_matrices.blocks,
-                mu=gap_mu,
-            )
-            snapshot = service.stats()
-        assert result is not None  # the request itself is unaffected
-        assert snapshot["plan_cache_bytes"] <= 1
-        assert snapshot["admission"]["memory_evictions"] >= 1
-
-
-    def test_byte_budget_bounds_what_used_plans_hold(self, szv_model, gap_mu):
-        """The cache sizes a plan when it is inserted, before its first use.
-        Plans used to double once used (a per-bucket memo of every index
-        array), so a budget let about twice its bytes stay resident; now a
-        used plan holds what was accounted, and after every tenant has been
-        served the arrays reachable from the cache fit the budget."""
+    @pytest.mark.slow
+    def test_used_plans_hold_no_more_than_accounted(self, szv_model, gap_mu):
+        """The cache sizes a plan when it is inserted, before its first use
+        (:func:`plan_nbytes`, the ledger's ``core.plan.bytes``); once every
+        tenant has been served, the arrays reachable from the cache still
+        fit its accounted bytes, so no plan grows with use."""
         tenants = [
             build_matrices(water_box(1, seed=2020 + tenant), model=szv_model)
             for tenant in range(3)
@@ -558,20 +502,14 @@ class TestServiceAdmission:
         # filtered hard enough that every tenant has a pattern of its own
         config = CONFIG.replace(eps_filter=1e-2)
         with DensityService(config=config) as service:
-            pair = tenants[0]
-            service.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
-            one_plan = service.stats()["plan_cache_bytes"]
-        budget = int(2.5 * one_plan)  # room for two of the three tenants
-        policy = AdmissionPolicy(max_plan_cache_bytes=budget)
-        with DensityService(config=config, policy=policy) as service:
             for tenant, pair in enumerate(tenants):
                 service.density(
                     pair.K, pair.S, pair.blocks, mu=gap_mu, tenant=f"t{tenant}"
                 )
-                assert service.stats()["plan_cache_bytes"] <= budget
-                assert reachable_array_bytes(service.plan_cache) <= budget
-            assert len(service.plan_cache) == 2
-            assert service.plan_cache.stats["evictions"] == 1
+            assert len(service.plan_cache) == 3
+            accounted = service.plan_cache.total_bytes
+            assert service.stats()["plan_cache_bytes"] == accounted
+            assert reachable_array_bytes(service.plan_cache) <= accounted
 
 
 # --------------------------------------------------------------------------- #
@@ -617,48 +555,18 @@ class TestServiceValidation:
                 )
             assert service.stats()["admission"]["in_flight"] == 0
 
-    @pytest.mark.parametrize(
-        "malformed, match",
-        [
-            ({}, "exactly one"),
-            ({"mu": 0.0, "steps": None}, "not None"),
-            ({"mu": 0.0, "observables": ("density", "dos")}, "dos"),
-        ],
-        ids=["no_ensemble", "steps_none", "unknown_observable"],
-    )
-    def test_malformed_trajectory_rejected_at_submit(
-        self, water32_matrices, malformed, match
-    ):
-        """A trajectory is checked where it is submitted, like a density
-        request: it used to be admitted, take an in-flight slot, count as
-        admitted and failed, and raise only from its future."""
-        request = dict(malformed)
-        steps = request.pop("steps", [(water32_matrices.K, water32_matrices.S)])
-        with DensityService(config=CONFIG) as service:
-            with pytest.raises(ValueError, match=match):
-                service.submit_trajectory(steps, water32_matrices.blocks, **request)
-            snapshot = service.stats()
-        assert snapshot["metrics"]["total"]["admitted"] == 0
-        assert snapshot["metrics"]["total"]["failed"] == 0
-        assert snapshot["admission"]["in_flight"] == 0
-        assert snapshot["contexts"] == 0
-
-    @pytest.mark.parametrize("keyword", ["bogus", "checkpoint"])
-    def test_unknown_trajectory_keyword_rejected_at_submit(
-        self, water32_matrices, keyword
-    ):
-        """A keyword ``SubmatrixContext.trajectory`` does not take (a typo, or
-        the removed ``checkpoint=``) is a TypeError from ``submit_trajectory``
-        itself; it used to be admitted and raise only from the future."""
+    @pytest.mark.parametrize("tenant", [None, 3, ["a"]], ids=["none", "int", "list"])
+    def test_tenant_must_be_a_str(self, water32_matrices, gap_mu, tenant):
+        """A tenant names an accounting bucket: anything but a ``str`` is
+        refused before admission and never becomes a metrics key."""
         pair = water32_matrices
         with DensityService(config=CONFIG) as service:
-            with pytest.raises(TypeError, match=keyword):
-                service.submit_trajectory(
-                    [(pair.K, pair.S)], pair.blocks, mu=0.0, **{keyword: 1}
-                )
+            with pytest.raises(TypeError, match="tenant"):
+                service.submit(pair.K, pair.S, pair.blocks, tenant=tenant, mu=gap_mu)
             snapshot = service.stats()
+        assert snapshot["metrics"]["tenants"] == {}
         assert snapshot["metrics"]["total"]["admitted"] == 0
-        assert snapshot["admission"]["in_flight"] == 0
+        assert snapshot["admission"]["per_tenant"] == {}
 
     @pytest.mark.parametrize("solver", ["eigen", "newton_schulz"])
     @pytest.mark.parametrize(
@@ -753,9 +661,8 @@ class TestServiceLifecycle:
                 mu=gap_mu,
             )
 
-    @pytest.mark.parametrize("entry_point", ["submit", "submit_trajectory"])
     def test_request_refused_by_the_closing_pool_frees_its_slot(
-        self, water32_matrices, gap_mu, entry_point
+        self, water32_matrices, gap_mu
     ):
         """A submit racing ``close()``: admitted, then refused by the pool
         ``close()`` already shut down.  The slot is released and the request
@@ -764,49 +671,81 @@ class TestServiceLifecycle:
         service = DensityService(config=CONFIG)
         service._dispatch.shutdown()  # the race, made deterministic
         with pytest.raises(RuntimeError, match="shutdown"):
-            if entry_point == "submit":
-                service.submit(pair.K, pair.S, pair.blocks, mu=gap_mu)
-            else:
-                service.submit_trajectory(
-                    [(pair.K, pair.S)], pair.blocks, mu=gap_mu
-                )
+            service.submit(pair.K, pair.S, pair.blocks, mu=gap_mu)
         snapshot = service.stats()
         service.close()
         assert snapshot["admission"]["in_flight"] == 0
         total = snapshot["metrics"]["total"]
         assert (total["admitted"], total["completed"], total["failed"]) == (1, 0, 1)
 
-    def test_context_pool_reuses_and_bounds_contexts(
-        self, water32_matrices, gap_mu
+
+class TestOneSession:
+    @pytest.mark.slow
+    def test_mixed_requests_share_one_session(
+        self, water32_matrices, gap_mu, reference_results, monkeypatch
     ):
-        with DensityService(config=CONFIG, max_contexts=1) as service:
-            service.density(
-                water32_matrices.K,
-                water32_matrices.S,
-                water32_matrices.blocks,
-                mu=gap_mu,
-            )
-            assert service.stats()["contexts"] == 1
-            # a different configuration gets its own context; the pool
-            # stays within its bound by closing the idle LRU entry
-            service.density(
-                water32_matrices.K,
-                water32_matrices.S,
-                water32_matrices.blocks,
-                mu=gap_mu,
-                config=EngineConfig(backend="serial"),
-            )
+        """Two tenants, both ensembles, density-only and bundle requests:
+        the service builds one session, every request is a call of it (one
+        overlap root, one plan) and each result is bitwise its direct call;
+        ``close()`` closes that session."""
+        ref_gc, ref_canonical = reference_results
+        created = []
+        constructor = SubmatrixContext.__init__
+
+        def counting(context, *args, **kwargs):
+            constructor(context, *args, **kwargs)
+            created.append(context)
+
+        monkeypatch.setattr(SubmatrixContext, "__init__", counting)
+        pair = water32_matrices
+        requests = [
+            (tenant, ensemble, observables)
+            for tenant in ("alice", "bob")
+            for ensemble in ({"mu": gap_mu}, {"n_electrons": N_ELECTRONS})
+            for observables in (("density",), ("density", "pdos"))
+        ]
+        with DensityService(config=CONFIG) as service:
+            results = [
+                service.density(
+                    pair.K,
+                    pair.S,
+                    pair.blocks,
+                    tenant=tenant,
+                    observables=observables,
+                    **ensemble,
+                )
+                for tenant, ensemble, observables in requests
+            ]
+            session = service.context.stats()
+        assert created == [service.context]
+        assert service.context.closed
+        assert service.plan_cache is service.context.plan_cache
+        assert session["overlap_roots"]["misses"] == 1
+        assert session["overlap_roots"]["hits"] == len(requests) - 1
+        assert session["plan_cache"]["builds"] == 1
+        for (_, ensemble, _), result in zip(requests, results):
+            density = result if isinstance(result, type(ref_gc)) else result["density"]
+            assert_identical(density, ref_gc if "mu" in ensemble else ref_canonical)
+
+    def test_config_keyword_is_a_type_error(self, water32_matrices, gap_mu):
+        """A request runs on the service's session; there is no per-request
+        configuration to pick another one."""
+        pair = water32_matrices
+        with DensityService(config=CONFIG) as service:
+            with pytest.raises(TypeError, match="config"):
+                service.submit(
+                    pair.K, pair.S, pair.blocks, mu=gap_mu, config=CONFIG
+                )
             snapshot = service.stats()
-            assert snapshot["contexts"] == 1
-            # both configurations hit the same shared plan cache
-            assert snapshot["plan_cache"]["builds"] == 1
-            assert snapshot["plan_cache"]["hits"] >= 1
+        assert snapshot["metrics"]["total"]["admitted"] == 0
+        assert snapshot["admission"]["in_flight"] == 0
 
 
 # --------------------------------------------------------------------------- #
 # the shared plan cache under concurrent load with eviction forced
 # --------------------------------------------------------------------------- #
 class TestServiceUnderEviction:
+    @pytest.mark.slow
     def test_concurrent_tenants_through_a_one_plan_cache(self, szv_model, gap_mu):
         """Eight client threads, three tenants' patterns, a plan cache that
         holds one plan: plans are evicted and rebuilt while other requests
@@ -922,6 +861,7 @@ class TestOneWayToServe:
             with pytest.raises(TypeError, match=retired):
                 DensityService(**{retired: 1})
 
+    @pytest.mark.slow
     def test_inert_keywords_change_nothing(
         self, water32_matrices, gap_mu, reference_results
     ):

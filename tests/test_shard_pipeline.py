@@ -214,6 +214,7 @@ def sharded_transfer_cases(draw):
     return coo, sizes, groups, rank_of_group, n_ranks, distribution
 
 
+@pytest.mark.slow
 @given(sharded_transfer_cases())
 @settings(max_examples=120, deadline=None)
 def test_shard_required_segments_are_the_planned_required_blocks(case):
@@ -487,6 +488,7 @@ class TestWaterBenchmarkAcceptance:
             assert np.array_equal(shard.required_segments, summary.required_blocks)
             assert summary.fetch_bytes <= summary.fetch_bytes_without_dedup
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("solver", ["eigen", "newton_schulz"])
     def test_one_bucket_loop_behind_every_route(
         self, water32_matrices, water_setup, gap_mu, solver

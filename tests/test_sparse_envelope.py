@@ -153,6 +153,7 @@ def rounding_bound(dense, right):
 
 
 class TestPanelProduct:
+    @pytest.mark.slow
     @given(block_patterns())
     @settings(max_examples=150, deadline=None)
     def test_matches_the_dense_gemm_to_rounding(self, pattern):
@@ -165,6 +166,7 @@ class TestPanelProduct:
             assert product.shape == exact.shape
             assert np.max(np.abs(product - exact), initial=0.0) <= bound
 
+    @pytest.mark.slow
     @given(block_patterns())
     @settings(max_examples=100, deadline=None)
     def test_runs_cover_every_stored_column(self, pattern):
@@ -300,6 +302,7 @@ def ledger_inputs():
     return built
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(LEDGER_LIKE))
 def test_ledger_like_density_matches_reference_and_oracle(ledger_inputs, name):
     pair, mu, eps, ceilings = ledger_inputs[name]
@@ -353,6 +356,7 @@ def panel_share(runs, n):
     return work / (n * n)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("name", ["served_water32", "cold_water64", "gc_water128"])
 def test_water_roots_give_no_runs(ledger_inputs, name):
     """Dense above the floor: both products stay the parent's expressions."""
@@ -528,6 +532,7 @@ def same_results(ours, theirs):
     assert ours.band_energy == theirs.band_energy
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("name", ["gc_sparse128", "gc_water128", "ns_water128"])
 def test_bitwise_across_workers_and_entry_points(ledger_inputs, name):
     """Direct, trajectory and served, on the default, one and two workers:
@@ -562,6 +567,7 @@ def test_bitwise_across_workers_and_entry_points(ledger_inputs, name):
             same_results(other, seen[0])
 
 
+@pytest.mark.slow
 def test_two_clients_on_one_two_worker_session(ledger_inputs):
     """Two client threads on one two-worker session at 768 basis, directly and
     through the service: their row bands and stack tasks share the one pool,
@@ -670,6 +676,7 @@ def block_maxima(dense, sizes):
     return np.maximum.reduceat(np.maximum.reduceat(np.abs(dense), cuts, 0), cuts, 1)
 
 
+@pytest.mark.slow
 @given(screen_inputs())
 @settings(max_examples=40, deadline=None)
 def test_screen_gives_the_dense_route_blocks(case):
@@ -977,6 +984,7 @@ class TestRowBands:
             assert np.array_equal(product(mapper), product(None)), name
         assert mapper.tasks == 0
 
+    @pytest.mark.slow
     @pytest.mark.parametrize(
         "config", [dict(backend="serial"), dict(max_workers=1)], ids=["serial", "one"]
     )
@@ -1043,6 +1051,7 @@ class TestRowBands:
         assert isinstance(raised.value, TaskExecutionError)
         assert mapper.tasks == 2 and raised.value.n_tasks == 2
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("name", ["gc_water128", "gc_sparse128"])
     def test_ledger_envelope_bitwise_the_inline_route(self, ledger_inputs, name):
         """K̃ (dense route for water, the screen's K·X for gc_sparse128) and
@@ -1099,6 +1108,7 @@ def assert_same_blocks(ours, theirs):
 
 
 class TestBlockMatrixFromDense:
+    @pytest.mark.slow
     @given(dense_with_specials())
     @settings(max_examples=200, deadline=None)
     def test_equals_the_csr_route(self, case):

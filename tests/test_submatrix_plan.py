@@ -700,6 +700,7 @@ class TestBatchedSignKernels:
 
 
 class TestSignDFTPlanEquivalence:
+    @pytest.mark.slow
     def test_grand_canonical_plan_matches_naive(self, water32_matrices, gap_mu):
         pair = water32_matrices
         fast = SubmatrixContext(EngineConfig(eps_filter=1e-5))
@@ -718,6 +719,7 @@ class TestSignDFTPlanEquivalence:
             result_slow.submatrix_dimensions
         )
 
+    @pytest.mark.slow
     def test_canonical_bisection_plan_matches_naive(self, water32_matrices):
         pair = water32_matrices
         n_electrons = 8.0 * 32  # 8 valence electrons per water molecule
@@ -736,6 +738,7 @@ class TestSignDFTPlanEquivalence:
             result_fast.density_ao, result_slow.density_ao, atol=1e-10
         )
 
+    @pytest.mark.slow
     def test_iterative_solver_plan_matches_naive(self, water32_matrices, gap_mu):
         pair = water32_matrices
         fast = SubmatrixContext(EngineConfig(eps_filter=1e-5))
