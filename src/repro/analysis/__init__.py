@@ -2,7 +2,6 @@
 
 from repro.analysis.sparsity import (
     block_occupation,
-    element_occupation,
     submatrix_block_occupation,
     submatrix_element_occupation,
 )
@@ -15,7 +14,6 @@ from repro.analysis.metrics import (
 
 __all__ = [
     "block_occupation",
-    "element_occupation",
     "submatrix_block_occupation",
     "submatrix_element_occupation",
     "energy_error_per_atom",

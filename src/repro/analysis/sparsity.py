@@ -3,20 +3,19 @@
 Fig. 11 of the paper compares three occupations for increasing system sizes:
 the block-wise occupation of the orthogonalized Kohn–Sham matrix, the
 block-wise occupation of the submatrices, and the element-wise occupation of
-the submatrices.  The functions here compute those statistics from either
-dense/CSR matrices or block-sparsity patterns.
+the submatrices.  The functions here compute those statistics from
+block-sparsity patterns.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
     "block_occupation",
-    "element_occupation",
     "submatrix_block_occupation",
     "submatrix_element_occupation",
 ]
@@ -28,21 +27,6 @@ def block_occupation(pattern: sp.spmatrix) -> float:
     if total == 0:
         return 0.0
     return pattern.nnz / total
-
-
-def element_occupation(
-    matrix: Union[np.ndarray, sp.spmatrix], threshold: float = 0.0
-) -> float:
-    """Fraction of elements with magnitude above ``threshold``."""
-    if sp.issparse(matrix):
-        data = matrix.tocoo().data
-        count = int(np.count_nonzero(np.abs(data) > threshold))
-        total = matrix.shape[0] * matrix.shape[1]
-    else:
-        dense = np.asarray(matrix)
-        count = int(np.count_nonzero(np.abs(dense) > threshold))
-        total = dense.size
-    return count / total if total else 0.0
 
 
 def submatrix_block_occupation(

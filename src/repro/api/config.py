@@ -35,8 +35,8 @@ __all__ = [
 
 #: The one execution engine: cached extraction plans plus bucketed stacks of
 #: equal-dimension submatrices (Sec. III-A/IV-C).  The per-submatrix
-#: reference lives in :mod:`repro.core.submatrix` and is what tests compare
-#: against; nothing dispatches on this value.
+#: reference tests compare against lives in ``tests/submatrix_reference.py``;
+#: nothing dispatches on this value.
 ENGINES = ("batched",)
 
 #: Worker backends of :func:`repro.parallel.executor.make_executor`.

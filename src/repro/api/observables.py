@@ -24,8 +24,10 @@ two sign kernels (:data:`~repro.signfn.registry.KERNELS`):
   record;
 * an :class:`Observable` describes what a physical quantity needs from the
   engine (the cached eigendecompositions, μ, the scatter plan) and how to
-  assemble its result from that :class:`Decomposition`; ``density`` is
-  just one entry of :data:`OBSERVABLES`.
+  assemble its result from that :class:`Decomposition`; its parameter
+  check runs in :func:`validate_request`, before any work, so ``assemble``
+  reads parameters already normalised; ``density`` is just one entry of
+  :data:`OBSERVABLES`.
 
 **Which requests hold spectra.**  The paper keeps Q, Λ of every submatrix
 only because the canonical μ search revisits them (Algorithm 1), and copies
@@ -199,7 +201,7 @@ class Observable:
         ``assemble(decomposition, params) -> result`` — build the
         observable's result object from the request's one
         :class:`Decomposition` (cached decompositions, μ, scatter plan) and
-        the caller's per-observable parameter mapping.
+        the observable's parameters as ``parameters`` normalised them.
     description:
         One-line human description.
     supports_iterative:
@@ -207,12 +209,18 @@ class Observable:
         diagonalization-free Newton–Schulz kernel (only ``density``) —
         that is, assembled from the scattered occupation matrices alone.  A
         fixed-μ request of only such observables holds no spectra.
+    parameters:
+        ``parameters(params) -> normalised params`` — check the caller's
+        per-observable parameter mapping (:func:`validate_request` calls it
+        before any work) and return it with every default filled in;
+        ``None`` for an observable that takes no parameters.
     """
 
     name: str
     assemble: Callable[["Decomposition", Mapping[str, Any]], Any]
     description: str
     supports_iterative: bool
+    parameters: Optional[Callable[[Mapping[str, Any]], Dict[str, Any]]] = None
 
 
 def get_observable(name: str) -> Observable:
@@ -275,8 +283,10 @@ def validate_request(
     (:meth:`~repro.serve.server.DensityService.submit`) entry points, so
     all three reject the same requests with the same exception.  ``mu`` /
     ``n_electrons`` are scalars, or a trajectory's per-step sequences.
-    Returns ``(names, kernel)``: the canonicalized observable names and
-    the sign kernel.
+    Returns ``(names, kernel, params)``: the canonicalized observable
+    names, the sign kernel and every requested observable's parameters,
+    normalised by its :attr:`Observable.parameters` (``{}`` for one that
+    takes none).
 
     Raises :class:`ValueError` (:class:`UnknownObservableError` /
     :class:`~repro.signfn.registry.UnknownKernelError` for unknown
@@ -284,7 +294,9 @@ def validate_request(
     finite, an electron count lies in ``[0, spin_degeneracy · n_basis]``
     (outside, no μ exists and the bisection would return an all-empty or
     all-full density without complaint), and the kernel can serve the
-    ensemble and every observable.  ``ranks`` and ``max_mu_iterations``
+    ensemble and every observable, and every observable's parameters pass
+    its own check (:func:`_check_params`; a ``pdos`` grid size that is not
+    an integer is a :class:`TypeError`).  ``ranks`` and ``max_mu_iterations``
     must pass :func:`~repro.api.config.check_positive_int` (without a
     μ-search step the bracket's midpoint would be μ), ``mu_tolerance`` must be
     finite and non-negative, ``distribution`` must pass
@@ -303,12 +315,17 @@ def validate_request(
             f"mu_tolerance must be finite and non-negative, got {mu_tolerance!r}"
         )
     names = normalize_observables(observables)
-    for key in observable_params or {}:
+    observable_params = observable_params or {}
+    for key in observable_params:
         if key not in names:
             raise ValueError(
                 f"observable_params given for {key!r}, which is not in the "
                 f"requested observables {names!r}"
             )
+    params = {
+        name: _check_params(get_observable(name), observable_params.get(name, {}))
+        for name in names
+    }
     if (mu is None) == (n_electrons is None):
         raise ValueError("specify exactly one of mu and n_electrons")
     canonical = n_electrons is not None
@@ -358,7 +375,23 @@ def validate_request(
         grouping.validate(len(blocks.block_sizes))
     if shapes is not None:
         _check_shapes(*shapes, blocks)
-    return names, kernel
+    return names, kernel, params
+
+
+def _check_params(
+    observable: Observable, params: Mapping[str, Any]
+) -> Dict[str, Any]:
+    """``observable``'s parameters, checked and normalised (see
+    :attr:`Observable.parameters`): any parameter given to an observable
+    that takes none is a :class:`ValueError`."""
+    if observable.parameters is not None:
+        return observable.parameters(params)
+    if params:
+        raise ValueError(
+            f"the {observable.name} observable takes no parameters, "
+            f"got {dict(params)!r}"
+        )
+    return {}
 
 
 def _check_shapes(k_shape, s_shape, blocks) -> None:
@@ -456,7 +489,7 @@ def compute_observables(
     ``supports_iterative`` (``density`` alone).
     """
     start = time.perf_counter()
-    names, kernel = validate_request(
+    names, kernel, params = validate_request(
         context.config,
         blocks,
         observables,
@@ -482,12 +515,9 @@ def compute_observables(
             mu_tolerance,
             max_mu_iterations,
         )
-    params_by_name = observable_params or {}
     return ObservableBundle(
         results={
-            name: get_observable(name).assemble(
-                decomposition, params_by_name.get(name, {})
-            )
+            name: get_observable(name).assemble(decomposition, params[name])
             for name in names
         },
         observables=names,
@@ -575,10 +605,6 @@ def _decompose(
 def _assemble_density(
     decomposition: Decomposition, params: Mapping[str, Any]
 ) -> SubmatrixDFTResult:
-    if params:
-        raise ValueError(
-            f"the density observable takes no parameters, got {dict(params)!r}"
-        )
     pipeline = decomposition.pipeline
     occupation_block = decomposition.occupation_block
     if occupation_block is None:
@@ -607,20 +633,16 @@ def _assemble_density(
     )
 
 
-def _assemble_pdos(
-    decomposition: Decomposition, params: Mapping[str, Any]
-) -> PDOSResult:
-    if decomposition.decomposed is None:
-        raise ValueError(
-            "the pdos observable needs the eigendecomposition cache"
-        )
+def _pdos_parameters(params: Mapping[str, Any]) -> Dict[str, Any]:
+    """The PDOS grid: Gaussian ``broadening`` (finite, positive; default
+    0.1), ``n_points`` (an integer ≥ 2; default 400) and ``energy_window``
+    (``None``, the spectrum's span plus five widths, or finite ``lo < hi``)."""
     known = {"broadening", "n_points", "energy_window"}
     unknown = set(params) - known
     if unknown:
         raise ValueError(
             f"unknown pdos parameters {sorted(unknown)!r}; known: {sorted(known)!r}"
         )
-    config = decomposition.config
     broadening = float(params.get("broadening", 0.1))
     if not (math.isfinite(broadening) and broadening > 0.0):
         raise ValueError(
@@ -629,23 +651,37 @@ def _assemble_pdos(
     n_points = check_positive_int(params.get("n_points", 400), "pdos n_points")
     if n_points < 2:
         raise ValueError("pdos n_points must be at least 2")
+    window = params.get("energy_window")
+    if window is not None:
+        window = np.asarray(window, dtype=float)
+        if window.shape != (2,) or not np.isfinite(window).all():
+            raise ValueError("pdos energy_window must be two finite values (lo, hi)")
+        window = (float(window[0]), float(window[1]))
+        if not window[0] < window[1]:
+            raise ValueError("pdos energy_window must satisfy lo < hi")
+    return {"broadening": broadening, "n_points": n_points, "energy_window": window}
+
+
+def _assemble_pdos(
+    decomposition: Decomposition, params: Mapping[str, Any]
+) -> PDOSResult:
+    if decomposition.decomposed is None:
+        raise ValueError(
+            "the pdos observable needs the eigendecomposition cache"
+        )
+    config = decomposition.config
+    broadening, n_points = params["broadening"], params["n_points"]
     eigenvalues = np.concatenate(
         [entry.eigenvalues for entry in decomposition.decomposed]
     )
     weights = np.concatenate(
         [entry.generating_weights for entry in decomposition.decomposed]
     )
-    window = params.get("energy_window")
-    if window is None:
+    if params["energy_window"] is None:
         lo = float(eigenvalues.min()) - 5.0 * broadening
         hi = float(eigenvalues.max()) + 5.0 * broadening
     else:
-        window = np.asarray(window, dtype=float)
-        if window.shape != (2,) or not np.isfinite(window).all():
-            raise ValueError("pdos energy_window must be two finite values (lo, hi)")
-        lo, hi = float(window[0]), float(window[1])
-        if not lo < hi:
-            raise ValueError("pdos energy_window must satisfy lo < hi")
+        lo, hi = params["energy_window"]
     energies = np.linspace(lo, hi, n_points)
     norm = config.spin_degeneracy / (broadening * np.sqrt(2.0 * np.pi))
     projections = np.zeros((len(decomposition.decomposed), n_points))
@@ -672,11 +708,6 @@ def _assemble_pdos(
 def _assemble_energy_weighted(
     decomposition: Decomposition, params: Mapping[str, Any]
 ) -> EnergyWeightedDensityResult:
-    if params:
-        raise ValueError(
-            "the energy_weighted_density observable takes no parameters, "
-            f"got {dict(params)!r}"
-        )
     if decomposition.decomposed is None:
         raise ValueError(
             "the energy_weighted_density observable needs the "
@@ -724,6 +755,7 @@ OBSERVABLES: Dict[str, Observable] = {
             "spectral weights, Gaussian-broadened"
         ),
         supports_iterative=False,
+        parameters=_pdos_parameters,
     ),
     "energy_weighted_density": Observable(
         name="energy_weighted_density",

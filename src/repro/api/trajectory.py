@@ -267,7 +267,7 @@ def validate_trajectory(
             "steps must be a sequence of (K, S) pairs or a callback "
             "step(index) -> (K, S) | None, not None"
         )
-    names, _ = validate_request(
+    names, _, _ = validate_request(
         config,
         blocks,
         ("density",) if observables is None else observables,

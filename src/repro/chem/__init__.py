@@ -16,7 +16,7 @@ matrices.  It provides
 """
 
 from repro.chem.atoms import Atom, Cell, System
-from repro.chem.basis import BasisSet, DZVP, SZV, get_basis
+from repro.chem.basis import BasisSet, DZVP, SZV
 from repro.chem.water import water_box, water_molecule, base_water_cell
 from repro.chem.hamiltonian import (
     HamiltonianModel,
@@ -42,7 +42,6 @@ __all__ = [
     "BasisSet",
     "SZV",
     "DZVP",
-    "get_basis",
     "water_box",
     "water_molecule",
     "base_water_cell",

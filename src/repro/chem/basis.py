@@ -19,9 +19,9 @@ and the number of occupied orbitals (electron count).  These are captured in
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Mapping
+from typing import Mapping
 
-__all__ = ["BasisSet", "SZV", "DZVP", "get_basis"]
+__all__ = ["BasisSet", "SZV", "DZVP"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,26 +82,3 @@ DZVP = BasisSet(
     decay_length=1.30,
     overlap_decay_length=0.90,
 )
-
-_REGISTRY: Dict[str, BasisSet] = {
-    "SZV": SZV,
-    "SZV-MOLOPT-SR-GTH": SZV,
-    "DZVP": DZVP,
-    "DZVP-MOLOPT-SR-GTH": DZVP,
-}
-
-
-def get_basis(name: str) -> BasisSet:
-    """Look up a basis set by (short or full) name.
-
-    Raises
-    ------
-    KeyError
-        If the name is not registered.
-    """
-    key = name.upper()
-    if key not in _REGISTRY:
-        raise KeyError(
-            f"unknown basis set {name!r}; available: {sorted(set(_REGISTRY))}"
-        )
-    return _REGISTRY[key]

@@ -4,7 +4,7 @@ Workflow (Fig. 3 of the paper):
 
 1. for each (block) column i of the sparse input matrix a principal
    submatrix a_i is assembled from the rows/columns where column i is
-   non-zero (:mod:`repro.core.submatrix`);
+   non-zero (the cached extraction plans of :mod:`repro.core.plan`);
 2. the matrix function of interest is evaluated on every dense submatrix
    (the rank loop :func:`repro.core.runner.run_stacks` orchestrates this,
    using the solvers from :mod:`repro.signfn`);
@@ -14,11 +14,13 @@ Workflow (Fig. 3 of the paper):
 The hot path is the vectorized submatrix engine — cached extraction plans
 (:mod:`repro.core.plan`) plus bucketed batch evaluation
 (:mod:`repro.core.batch`).  There is one kind of plan, over block columns: a
-SciPy matrix is evaluated as the same grid with 1×1 blocks.  The
-per-submatrix kernels in :mod:`repro.core.submatrix` (element and block
-level) are the reference implementation it is tested against, producing
-identical results with per-call Python loops where the engine uses
-precomputed single-shot gathers/scatters.
+SciPy matrix is evaluated as the same grid with 1×1 blocks.  The serial
+reference it is tested against — one extraction, one dense evaluation and
+one scatter per column group, with per-call Python loops where the engine
+uses precomputed single-shot gathers/scatters — lives in
+``tests/submatrix_reference.py``; :mod:`repro.core.submatrix` keeps the
+block-level helpers the benches use (retained rows, dimension, one dense
+submatrix).
 
 On top of this core, the subpackage implements the CP2K-specific machinery
 described in Sec. IV of the paper: grouping of block columns into combined
@@ -34,7 +36,6 @@ densities, trajectories — is :class:`repro.api.context.SubmatrixContext`.
 
 from repro.core.submatrix import (
     Submatrix,
-    extract_submatrix,
     extract_block_submatrix,
     submatrix_dimension,
     submatrix_block_rows,
@@ -56,7 +57,6 @@ from repro.core.combination import (
 )
 from repro.core.load_balance import (
     assign_consecutive_chunks,
-    assign_consecutive_chunks_reference,
     submatrix_flop_costs,
     load_imbalance,
 )
@@ -77,7 +77,6 @@ from repro.api.config import ENGINES, EngineConfig
 
 __all__ = [
     "Submatrix",
-    "extract_submatrix",
     "extract_block_submatrix",
     "submatrix_dimension",
     "submatrix_block_rows",
@@ -95,7 +94,6 @@ __all__ = [
     "group_columns_greedy_chunks",
     "estimated_speedup",
     "assign_consecutive_chunks",
-    "assign_consecutive_chunks_reference",
     "submatrix_flop_costs",
     "load_imbalance",
     "RankShard",

@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "submatrix_flop_costs",
     "assign_consecutive_chunks",
-    "assign_consecutive_chunks_reference",
     "load_imbalance",
 ]
 
@@ -57,12 +56,14 @@ def assign_consecutive_chunks(
     the costs is computed up front and every rank's chunk boundary is found
     with a single ``searchsorted`` (the first position where the cumulative
     load reaches FLOP_total / #ranks), instead of walking the cost vector
-    item by item.  Equivalent to :func:`assign_consecutive_chunks_reference`
-    up to floating-point summation order — property-tested exact on random
-    integer-valued cost vectors; with cost magnitudes spread over ~16 orders
-    of magnitude the two may pick a boundary one item apart (the global
-    cumulative sum absorbs tiny costs that the reference's per-chunk
-    accumulator retains), which is immaterial for c·n³ submatrix costs.
+    item by item.  Equivalent to the item-by-item greedy
+    (``assign_consecutive_chunks_reference`` in
+    ``tests/submatrix_reference.py``) up to floating-point summation order —
+    property-tested exact on random integer-valued cost vectors; with cost
+    magnitudes spread over ~16 orders of magnitude the two may pick a
+    boundary one item apart (the global cumulative sum absorbs tiny costs
+    that the reference's per-chunk accumulator retains), which is immaterial
+    for c·n³ submatrix costs.
 
     Parameters
     ----------
@@ -107,47 +108,6 @@ def assign_consecutive_chunks(
             np.searchsorted(cumulative, cumulative[start] + target, side="left")
         )
         stop = max(start + 1, min(found, limit))
-        assignments.append((start, stop))
-        start = stop
-    return assignments
-
-
-def assign_consecutive_chunks_reference(
-    costs: Sequence[float], n_ranks: int
-) -> List[Tuple[int, int]]:
-    """Item-by-item greedy reference of :func:`assign_consecutive_chunks`.
-
-    Kept as executable documentation of the paper's algorithm and as the
-    oracle for the equivalence property tests.
-    """
-    costs = _validated_costs(costs, n_ranks)
-    n = costs.size
-    assignments: List[Tuple[int, int]] = []
-    total = float(costs.sum())
-    target = total / n_ranks if n_ranks else total
-    start = 0
-    for rank in range(n_ranks):
-        remaining_ranks = n_ranks - rank
-        remaining_items = n - start
-        if remaining_items <= 0:
-            assignments.append((start, start))
-            continue
-        if remaining_items <= remaining_ranks:
-            # exactly one item per remaining rank
-            assignments.append((start, start + 1))
-            start += 1
-            continue
-        load = 0.0
-        stop = start
-        # keep appending while below the target, but leave at least one
-        # submatrix for every remaining rank
-        while stop < n - (remaining_ranks - 1):
-            load += costs[stop]
-            stop += 1
-            if load >= target and rank < n_ranks - 1:
-                break
-        if rank == n_ranks - 1:
-            stop = n
         assignments.append((start, stop))
         start = stop
     return assignments

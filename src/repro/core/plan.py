@@ -1,8 +1,8 @@
 """Cached extraction/scatter plans — the vectorized submatrix engine.
 
-The naive kernels in :mod:`repro.core.submatrix` rebuild all index
+The serial reference in ``tests/submatrix_reference.py`` rebuilds all index
 bookkeeping (retained rows, dense offsets, block positions) from scratch on
-every call and move data with Python loops.  That is wasteful in exactly the
+every call and moves data with Python loops.  That is wasteful in exactly the
 situations the paper cares about: the μ-bisection of Sec. III-B and MD
 trajectories evaluate f(A) many times while the sparsity pattern of A stays
 fixed, and even a single evaluation visits every column group with the same
@@ -34,9 +34,10 @@ the per-group arrays, nothing is memoized per bucket — so
 With the plan in hand, one evaluation of f(A) becomes
 
 1. ``packed = plan.pack(A)``             — one pass over the stored values;
-2. ``a_i = plan.extract(packed, i)``     — a single vectorized gather of
-   runs per submatrix into a preallocated dense buffer (no Python block
-   loops, no ``np.ix_`` fancy indexing);
+2. ``stack = plan.extract_stack(packed, members)`` — a single vectorized
+   gather of runs per submatrix into a preallocated ``(k, d, d)`` stack of
+   equal-dimension submatrices (no Python block loops, no ``np.ix_`` fancy
+   indexing);
 3. ``plan.scatter(out, i, f(a_i))``      — a single vectorized scatter of
    the generating columns into one preallocated output value vector
    (``plan.scatter_columns(out, i, panel)`` when only those columns of
@@ -58,8 +59,8 @@ Plans are cached in a :class:`PlanCache` keyed by a content hash of the
 sparsity pattern and the column grouping, so repeated evaluations on an
 unchanged pattern skip the planning phase entirely.
 
-Plans produce results bitwise identical to the naive reference
-implementations (property-tested in ``tests/test_submatrix_plan.py``).
+Plans produce results bitwise identical to that serial reference
+(property-tested in ``tests/test_submatrix_plan.py``).
 """
 
 from __future__ import annotations
@@ -202,21 +203,6 @@ class SubmatrixPlan:
                     "its own dimension only"
                 )
         return stack_dim
-
-    def extract(
-        self, packed: np.ndarray, group_index: int, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Assemble the dense submatrix of one group with a single gather."""
-        group = self.groups[group_index]
-        dim = group.dimension
-        if out is None:
-            out = np.zeros((dim, dim))
-        else:
-            if out.shape != (dim, dim):
-                raise ValueError(f"out must have shape {(dim, dim)}")
-            out.fill(0.0)
-        self._move_runs(out, group.gather_dst, packed, group.gather_src)
-        return out
 
     def new_output(self) -> np.ndarray:
         """Preallocated packed output vector covering the full pattern."""

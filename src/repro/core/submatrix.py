@@ -1,4 +1,4 @@
-"""Principal-submatrix extraction and result scatter-back.
+"""Principal-submatrix extraction at block level.
 
 This is the heart of the submatrix method (Sec. III-A of the paper):
 
@@ -11,22 +11,20 @@ This is the heart of the submatrix method (Sec. III-A of the paper):
    matrix, and only at the rows that were non-zero in the corresponding input
    column — the result inherits the sparsity pattern of the input.
 
-Both granularities used in the paper are supported: single matrix columns
-(element-level, operating on ``scipy.sparse`` matrices) and DBCSR block
-columns (block-level, operating on :class:`BlockSparseMatrix` or on a pure
-block-sparsity pattern for the large pattern-only analyses).
-
-These kernels are the *naive reference implementations*: they rebuild all
-index bookkeeping on every call and move data with Python loops.  The
-production hot path is the vectorized engine in :mod:`repro.core.plan`
-(cached extraction plans) and :mod:`repro.core.batch` (bucketed batch
-evaluation), which is property-tested to produce bitwise-identical results.
+The helpers here work on DBCSR block columns (a :class:`BlockSparseMatrix`
+or a pure block-sparsity pattern for the large pattern-only analyses):
+the retained block rows and dimension of a submatrix, and one dense
+submatrix assembled with a Python loop over its blocks, for the benches that
+study a single submatrix.  The engine never calls them: it extracts and
+scatters through the cached plans of :mod:`repro.core.plan` and the stacks
+of :mod:`repro.core.batch`.  The serial reference the engine is tested
+against (element and block extraction plus scatter-back) lives in
+``tests/submatrix_reference.py``.
 """
-
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,10 +34,7 @@ from repro.dbcsr.coo import CooBlockList
 
 __all__ = [
     "Submatrix",
-    "extract_submatrix",
-    "scatter_submatrix_result",
     "extract_block_submatrix",
-    "scatter_block_submatrix_result",
     "submatrix_block_rows",
     "submatrix_dimension",
 ]
@@ -78,94 +73,7 @@ class Submatrix:
             return int(self.block_sizes.sum())
         return int(self.indices.size)
 
-    @property
-    def n_retained(self) -> int:
-        """Number of retained (element or block) rows."""
-        return int(self.indices.size)
 
-
-# --------------------------------------------------------------------------- #
-# element-level submatrices
-# --------------------------------------------------------------------------- #
-def extract_submatrix(
-    matrix: sp.spmatrix, columns: Union[int, Sequence[int]]
-) -> Submatrix:
-    """Assemble the principal submatrix for one or several matrix columns.
-
-    Parameters
-    ----------
-    matrix:
-        Sparse symmetric matrix (any SciPy format; converted to CSC).
-    columns:
-        Generating column index or indices.
-
-    Returns
-    -------
-    Submatrix
-        With ``data`` filled as a dense array.
-    """
-    columns = np.atleast_1d(np.asarray(columns, dtype=int))
-    csc = matrix.tocsc()
-    if columns.size == 0:
-        raise ValueError("at least one generating column is required")
-    if columns.min() < 0 or columns.max() >= csc.shape[1]:
-        raise IndexError("generating column out of range")
-    row_sets = [csc.indices[csc.indptr[c] : csc.indptr[c + 1]] for c in columns]
-    indices = np.unique(np.concatenate(row_sets + [columns]))
-    # ensure the generating columns themselves are present even if their
-    # diagonal entry is (numerically) zero
-    local_columns = np.searchsorted(indices, columns)
-    # two-step slicing (column slice, then row slice) is much faster than the
-    # equivalent csc[np.ix_(indices, indices)] fancy indexing; the C-ordered
-    # copy keeps the memory layout identical to the planned engine's buffers
-    # so both paths feed BLAS bitwise-identical inputs
-    data = np.ascontiguousarray(csc[:, indices][indices, :].toarray())
-    return Submatrix(
-        generating_columns=columns,
-        indices=indices,
-        local_columns=local_columns,
-        data=data,
-    )
-
-
-def scatter_submatrix_result(
-    result: Dict[int, Dict[int, float]],
-    f_submatrix: np.ndarray,
-    submatrix: Submatrix,
-    input_csc: sp.csc_matrix,
-) -> None:
-    """Copy the relevant columns of f(a_C) into a result accumulator.
-
-    Parameters
-    ----------
-    result:
-        Nested dict ``result[column][row] = value`` collecting the columns of
-        the approximate result matrix.
-    f_submatrix:
-        Dense f(a_C).
-    submatrix:
-        The submatrix bookkeeping produced by :func:`extract_submatrix`.
-    input_csc:
-        The original matrix in CSC format; its per-column sparsity pattern
-        defines which rows of the result column are kept (the result retains
-        the input sparsity pattern).
-    """
-    for column, local_column in zip(
-        submatrix.generating_columns, submatrix.local_columns
-    ):
-        rows = input_csc.indices[
-            input_csc.indptr[column] : input_csc.indptr[column + 1]
-        ]
-        local_rows = np.searchsorted(submatrix.indices, rows)
-        values = f_submatrix[local_rows, local_column]
-        column_store = result.setdefault(int(column), {})
-        for row, value in zip(rows, values):
-            column_store[int(row)] = float(value)
-
-
-# --------------------------------------------------------------------------- #
-# block-level submatrices
-# --------------------------------------------------------------------------- #
 def submatrix_block_rows(
     pattern_or_coo: Union[sp.spmatrix, CooBlockList],
     block_columns: Union[int, Sequence[int]],
@@ -255,33 +163,3 @@ def extract_block_submatrix(
         data=data,
         block_sizes=sizes,
     )
-
-
-def scatter_block_submatrix_result(
-    result: BlockSparseMatrix,
-    f_submatrix: np.ndarray,
-    submatrix: Submatrix,
-    coo: CooBlockList,
-) -> None:
-    """Copy the generating block columns of f(a_C) back into ``result``.
-
-    Only blocks that were non-zero in the input pattern are written (the
-    approximate result retains the sparsity pattern of the input, step 3 of
-    the method).  ``result`` must have the same block structure as the input
-    matrix.
-    """
-    if submatrix.block_sizes is None:
-        raise ValueError("scatter_block_submatrix_result requires a block submatrix")
-    offsets = np.concatenate(([0], np.cumsum(submatrix.block_sizes)))
-    retained = submatrix.indices
-    for column, local_column in zip(
-        submatrix.generating_columns, submatrix.local_columns
-    ):
-        column_rows = np.asarray(coo.blocks_in_column(int(column)), dtype=int)
-        c0, c1 = offsets[local_column], offsets[local_column + 1]
-        # one vectorized lookup per generating column instead of one
-        # searchsorted call per block row
-        local_rows = np.searchsorted(retained, column_rows)
-        for bi, local_row in zip(column_rows, local_rows):
-            r0, r1 = offsets[local_row], offsets[local_row + 1]
-            result.put_block(int(bi), int(column), f_submatrix[r0:r1, c0:c1])

@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from repro.parallel.stats import RankCounters, TrafficLog
+from repro.parallel.stats import TrafficLog
 
 __all__ = ["MachineModel", "SimulatedTime", "PAPER_MACHINE"]
 
@@ -98,18 +98,6 @@ class MachineModel:
         if nbytes < 0 or messages < 0:
             raise ValueError("nbytes and messages must be non-negative")
         return messages * self.network_latency + nbytes / self.network_bandwidth
-
-    def rank_time(self, counters: RankCounters, cores_per_rank: int = 1) -> float:
-        """Simulated time of a single rank given its counters."""
-        compute = self.compute_time(counters.flops, cores_per_rank, sparse=False)
-        compute += self.compute_time(
-            counters.sparse_flops, cores_per_rank, sparse=True
-        )
-        comm = self.message_time(
-            counters.bytes_sent + counters.bytes_received,
-            counters.messages_sent + counters.messages_received,
-        )
-        return compute + comm
 
     # ------------------------------------------------------------------ #
     # whole-run simulation

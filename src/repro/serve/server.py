@@ -211,7 +211,7 @@ class DensityService:
         # fail fast (and free) on malformed requests, before admission
         if not isinstance(tenant, str):
             raise TypeError(f"tenant must be a str, got {type(tenant).__name__}")
-        names, _ = validate_request(
+        names, _, _ = validate_request(
             self.config,
             blocks,
             observables,

@@ -14,9 +14,11 @@ The engine runs the paper's two per-submatrix sign solvers
 
 The higher-order Padé-style iterations of :mod:`repro.signfn.pade` (Eq. 19
 for the 3rd order) serve the GPU/FPGA study of :mod:`repro.accel`, not the
-engine.  :mod:`repro.signfn.inverse_root` implements the inverse p-th roots
-of the original submatrix-method publication, and :mod:`repro.signfn.utils`
-the shared spectral-scaling and convergence helpers.
+engine.  :mod:`repro.signfn.inverse_root` implements the inverse p-th root
+A^{-1/p} of the original submatrix-method publication by one
+eigendecomposition (the λ^{-1/p} per-submatrix kernel), and
+:mod:`repro.signfn.utils` the shared spectral-scaling and convergence
+helpers.
 """
 
 from repro.signfn.newton_schulz import (
@@ -32,7 +34,7 @@ from repro.signfn.eigen import (
     sign_via_eigendecomposition,
     sign_via_eigendecomposition_batched,
 )
-from repro.signfn.inverse_root import inverse_pth_root, inverse_pth_root_newton
+from repro.signfn.inverse_root import inverse_pth_root
 from repro.signfn.utils import involutority_error, spectral_scale_estimate
 from repro.signfn.registry import (
     BoundKernel,
@@ -58,7 +60,6 @@ __all__ = [
     "sign_via_eigendecomposition",
     "sign_via_eigendecomposition_batched",
     "inverse_pth_root",
-    "inverse_pth_root_newton",
     "involutority_error",
     "spectral_scale_estimate",
     "MatrixFunction",

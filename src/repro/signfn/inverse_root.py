@@ -11,15 +11,14 @@ for the submatrix method against a second, well-conditioned matrix function.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.signfn.utils import as_dense
 
-__all__ = ["inverse_pth_root", "inverse_pth_root_newton", "InverseRootResult"]
+__all__ = ["inverse_pth_root"]
 
 
 def inverse_pth_root(
@@ -52,61 +51,3 @@ def inverse_pth_root(
     powered = eigenvalues ** (-1.0 / p)
     return (eigenvectors * powered) @ eigenvectors.T
 
-
-@dataclasses.dataclass
-class InverseRootResult:
-    """Result of the iterative inverse p-th root computation."""
-
-    root: np.ndarray
-    iterations: int
-    converged: bool
-    residual_history: List[float]
-
-
-def inverse_pth_root_newton(
-    matrix: Union[np.ndarray, sp.spmatrix],
-    p: int = 2,
-    convergence_threshold: float = 1e-12,
-    max_iterations: int = 200,
-) -> InverseRootResult:
-    """Newton-type iteration for A^{-1/p} (Altman/Bini-style).
-
-    Uses the coupled iteration
-
-        X_{k+1} = X_k ((p+1) I − M_k) / p,    M_{k+1} = ((p+1) I − M_k)^p M_k / p^p
-
-    with X_0 = I / s, M_0 = A / s (s a norm-based scaling), which converges to
-    X → A^{-1/p} for symmetric positive-definite A.  This is the kind of
-    multiplication-only iteration the original submatrix-method paper used on
-    its target hardware.
-    """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    dense = as_dense(matrix)
-    dense = 0.5 * (dense + dense.T)
-    n = dense.shape[0]
-    identity = np.eye(n)
-    # scale so that the spectrum of M_0 lies in (0, 1]
-    scale = float(np.linalg.norm(dense, ord=2))
-    if scale <= 0:
-        raise ValueError("matrix must be non-zero")
-    x = identity / scale ** (1.0 / p)
-    m = dense / scale
-    residual_history: List[float] = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        t = ((p + 1) * identity - m) / p
-        x = x @ t
-        m = np.linalg.matrix_power(t, p) @ m
-        residual = float(np.linalg.norm(m - identity)) / np.sqrt(n)
-        residual_history.append(residual)
-        if residual < convergence_threshold:
-            converged = True
-            break
-    return InverseRootResult(
-        root=x,
-        iterations=iterations,
-        converged=converged,
-        residual_history=residual_history,
-    )

@@ -1,10 +1,17 @@
-"""The reference the engine is tested against: a serial loop over the
-per-submatrix kernels of :mod:`repro.core.submatrix`.
+"""The reference the engine is tested against: a serial loop over
+per-submatrix kernels.
 
 One ``extract_*`` call, one dense function evaluation and one ``scatter_*``
 call per column group, rebuilding all index bookkeeping every time — no
 plan, no stacks, no cache.  The engine's results must equal these bitwise
-wherever the per-submatrix arithmetic is the same.
+wherever the per-submatrix arithmetic is the same.  The element-level
+kernels (``extract_submatrix``, ``scatter_submatrix_result``) and the
+block-level scatter (``scatter_block_submatrix_result``) live here, since
+only tests call them; the block-level extraction is
+:func:`repro.core.submatrix.extract_block_submatrix`, which the benches use
+as well.  So does the item-by-item greedy of the paper's load balancing
+(``assign_consecutive_chunks_reference``), the oracle of the vectorised
+:func:`repro.core.load_balance.assign_consecutive_chunks`.
 
 The block I/O of :mod:`repro.dbcsr` has its reference here too: the
 per-block loops (one SciPy slice, one ``meshgrid`` per block) the vectorised
@@ -22,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from types import SimpleNamespace
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,12 +40,8 @@ from repro.chem.density import (
     electron_count,
     fermi_occupation,
 )
-from repro.core.submatrix import (
-    extract_block_submatrix,
-    extract_submatrix,
-    scatter_block_submatrix_result,
-    scatter_submatrix_result,
-)
+from repro.core.load_balance import _validated_costs
+from repro.core.submatrix import Submatrix, extract_block_submatrix
 from repro.dbcsr import BlockSparseMatrix, CooBlockList
 
 
@@ -220,6 +224,156 @@ def reference_shard_arrays(plan, owned):
             local_offsets[np.searchsorted(required, segment)] + source - offsets[segment]
         )
     return required, local_to_global, local_sources
+
+
+# --------------------------------------------------------------------------- #
+# per-submatrix kernels and the item-by-item load-balancing greedy
+# --------------------------------------------------------------------------- #
+def extract_submatrix(
+    matrix: sp.spmatrix, columns: Union[int, Sequence[int]]
+) -> Submatrix:
+    """Assemble the principal submatrix for one or several matrix columns.
+
+    Parameters
+    ----------
+    matrix:
+        Sparse symmetric matrix (any SciPy format; converted to CSC).
+    columns:
+        Generating column index or indices.
+
+    Returns
+    -------
+    Submatrix
+        With ``data`` filled as a dense array.
+    """
+    columns = np.atleast_1d(np.asarray(columns, dtype=int))
+    csc = matrix.tocsc()
+    if columns.size == 0:
+        raise ValueError("at least one generating column is required")
+    if columns.min() < 0 or columns.max() >= csc.shape[1]:
+        raise IndexError("generating column out of range")
+    row_sets = [csc.indices[csc.indptr[c] : csc.indptr[c + 1]] for c in columns]
+    indices = np.unique(np.concatenate(row_sets + [columns]))
+    # ensure the generating columns themselves are present even if their
+    # diagonal entry is (numerically) zero
+    local_columns = np.searchsorted(indices, columns)
+    # two-step slicing (column slice, then row slice) is much faster than the
+    # equivalent csc[np.ix_(indices, indices)] fancy indexing; the C-ordered
+    # copy keeps the memory layout identical to the planned engine's buffers
+    # so both paths feed BLAS bitwise-identical inputs
+    data = np.ascontiguousarray(csc[:, indices][indices, :].toarray())
+    return Submatrix(
+        generating_columns=columns,
+        indices=indices,
+        local_columns=local_columns,
+        data=data,
+    )
+
+
+def scatter_submatrix_result(
+    result: Dict[int, Dict[int, float]],
+    f_submatrix: np.ndarray,
+    submatrix: Submatrix,
+    input_csc: sp.csc_matrix,
+) -> None:
+    """Copy the relevant columns of f(a_C) into a result accumulator.
+
+    Parameters
+    ----------
+    result:
+        Nested dict ``result[column][row] = value`` collecting the columns of
+        the approximate result matrix.
+    f_submatrix:
+        Dense f(a_C).
+    submatrix:
+        The submatrix bookkeeping produced by :func:`extract_submatrix`.
+    input_csc:
+        The original matrix in CSC format; its per-column sparsity pattern
+        defines which rows of the result column are kept (the result retains
+        the input sparsity pattern).
+    """
+    for column, local_column in zip(
+        submatrix.generating_columns, submatrix.local_columns
+    ):
+        rows = input_csc.indices[
+            input_csc.indptr[column] : input_csc.indptr[column + 1]
+        ]
+        local_rows = np.searchsorted(submatrix.indices, rows)
+        values = f_submatrix[local_rows, local_column]
+        column_store = result.setdefault(int(column), {})
+        for row, value in zip(rows, values):
+            column_store[int(row)] = float(value)
+
+
+def scatter_block_submatrix_result(
+    result: BlockSparseMatrix,
+    f_submatrix: np.ndarray,
+    submatrix: Submatrix,
+    coo: CooBlockList,
+) -> None:
+    """Copy the generating block columns of f(a_C) back into ``result``.
+
+    Only blocks that were non-zero in the input pattern are written (the
+    approximate result retains the sparsity pattern of the input, step 3 of
+    the method).  ``result`` must have the same block structure as the input
+    matrix.
+    """
+    if submatrix.block_sizes is None:
+        raise ValueError("scatter_block_submatrix_result requires a block submatrix")
+    offsets = np.concatenate(([0], np.cumsum(submatrix.block_sizes)))
+    retained = submatrix.indices
+    for column, local_column in zip(
+        submatrix.generating_columns, submatrix.local_columns
+    ):
+        column_rows = np.asarray(coo.blocks_in_column(int(column)), dtype=int)
+        c0, c1 = offsets[local_column], offsets[local_column + 1]
+        # one vectorized lookup per generating column instead of one
+        # searchsorted call per block row
+        local_rows = np.searchsorted(retained, column_rows)
+        for bi, local_row in zip(column_rows, local_rows):
+            r0, r1 = offsets[local_row], offsets[local_row + 1]
+            result.put_block(int(bi), int(column), f_submatrix[r0:r1, c0:c1])
+
+
+def assign_consecutive_chunks_reference(
+    costs: Sequence[float], n_ranks: int
+) -> List[Tuple[int, int]]:
+    """Item-by-item greedy reference of :func:`assign_consecutive_chunks`.
+
+    Kept as executable documentation of the paper's algorithm and as the
+    oracle for the equivalence property tests.
+    """
+    costs = _validated_costs(costs, n_ranks)
+    n = costs.size
+    assignments: List[Tuple[int, int]] = []
+    total = float(costs.sum())
+    target = total / n_ranks if n_ranks else total
+    start = 0
+    for rank in range(n_ranks):
+        remaining_ranks = n_ranks - rank
+        remaining_items = n - start
+        if remaining_items <= 0:
+            assignments.append((start, start))
+            continue
+        if remaining_items <= remaining_ranks:
+            # exactly one item per remaining rank
+            assignments.append((start, start + 1))
+            start += 1
+            continue
+        load = 0.0
+        stop = start
+        # keep appending while below the target, but leave at least one
+        # submatrix for every remaining rank
+        while stop < n - (remaining_ranks - 1):
+            load += costs[stop]
+            stop += 1
+            if load >= target and rank < n_ranks - 1:
+                break
+        if rank == n_ranks - 1:
+            stop = n
+        assignments.append((start, stop))
+        start = stop
+    return assignments
 
 
 def reference_apply_elementwise(matrix, function, column_groups=None):

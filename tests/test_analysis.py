@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from repro.analysis import (
     block_occupation,
     crossover_point,
-    element_occupation,
     energy_error_per_atom,
     linear_fit,
     parallel_efficiency,
@@ -20,15 +19,6 @@ class TestSparsity:
     def test_block_occupation(self):
         pattern = sp.csr_matrix(np.eye(4, dtype=bool))
         assert block_occupation(pattern) == pytest.approx(0.25)
-
-    def test_element_occupation_dense_and_sparse(self):
-        dense = np.array([[1.0, 0.0], [0.5, 0.0]])
-        assert element_occupation(dense) == pytest.approx(0.5)
-        assert element_occupation(sp.csr_matrix(dense)) == pytest.approx(0.5)
-
-    def test_element_occupation_threshold(self):
-        dense = np.array([[1.0, 1e-9], [0.0, 0.0]])
-        assert element_occupation(dense, threshold=1e-6) == pytest.approx(0.25)
 
     def test_submatrix_block_occupation(self):
         pattern = sp.csr_matrix(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chem.basis import DZVP, SZV, BasisSet, get_basis
+from repro.chem.basis import DZVP, SZV, BasisSet
 
 
 class TestRegisteredBasisSets:
@@ -29,25 +29,6 @@ class TestRegisteredBasisSets:
     def test_unknown_element(self):
         with pytest.raises(KeyError):
             SZV.functions_for("Zz")
-
-
-class TestLookup:
-    @pytest.mark.parametrize(
-        "name, expected",
-        [
-            ("SZV", SZV),
-            ("szv", SZV),
-            ("SZV-MOLOPT-SR-GTH", SZV),
-            ("DZVP", DZVP),
-            ("dzvp-molopt-sr-gth", DZVP),
-        ],
-    )
-    def test_get_basis(self, name, expected):
-        assert get_basis(name) is expected
-
-    def test_unknown_basis(self):
-        with pytest.raises(KeyError):
-            get_basis("TZV2P")
 
 
 class TestCustomBasis:

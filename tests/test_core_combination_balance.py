@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     assign_consecutive_chunks,
-    assign_consecutive_chunks_reference,
     estimated_speedup,
     group_columns_graph,
     group_columns_greedy_chunks,
@@ -18,6 +17,8 @@ from repro.core import (
     submatrix_flop_costs,
 )
 from repro.core.combination import ColumnGrouping, groups_from_labels
+
+from submatrix_reference import assign_consecutive_chunks_reference
 
 
 def banded_pattern(n_blocks, bandwidth=2):

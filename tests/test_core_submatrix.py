@@ -1,4 +1,6 @@
-"""Tests for principal-submatrix extraction and scatter-back."""
+"""Tests for principal-submatrix extraction and scatter-back: the block-level
+helpers of ``repro.core.submatrix`` and the per-submatrix kernels of the
+serial reference (``submatrix_reference``) the engine is tested against."""
 
 import numpy as np
 import pytest
@@ -6,9 +8,6 @@ import scipy.sparse as sp
 
 from repro.core.submatrix import (
     extract_block_submatrix,
-    extract_submatrix,
-    scatter_block_submatrix_result,
-    scatter_submatrix_result,
     submatrix_block_rows,
     submatrix_dimension,
 )
@@ -16,6 +15,11 @@ from repro.dbcsr import BlockSparseMatrix, CooBlockList
 from repro.dbcsr.convert import block_matrix_from_dense, block_matrix_to_dense
 
 from conftest import make_decay_matrix
+from submatrix_reference import (
+    extract_submatrix,
+    scatter_block_submatrix_result,
+    scatter_submatrix_result,
+)
 
 
 @pytest.fixture()

@@ -9,9 +9,10 @@ blocks, non-symmetric patterns) must reproduce them bitwise — values, dtype
 and order.  Every index array counts runs of ``plan.run = gcd(block sizes)``
 values, so the block grids are drawn with gcd 1, 2, 3 and 6, and a second
 property moves real values through ``pack`` / ``extract*`` / ``scatter*`` /
-``finalize`` — full and sharded — against the per-submatrix kernels
-of ``repro.core.submatrix``.  A third pins the panel path: the
-generating-column panel ``scatter_columns`` takes writes bitwise what
+``finalize`` — full and sharded — against the per-submatrix loops of
+``submatrix_reference.py`` (``extract_block_submatrix`` from
+``repro.core.submatrix`` and the block-level scatter-back).  A third pins
+the panel path: the generating-column panel ``scatter_columns`` takes writes bitwise what
 ``scatter`` writes for the full matrix (unsorted and non-adjacent generating
 columns, the 1×1-block grid of a SciPy matrix, shard views), and the panel *product* of a
 spectral solver stays within 1e-14 of the sliced full product — the distance
@@ -207,7 +208,7 @@ def _function(dense):
 
 
 def assert_plan_moves_values_like_the_kernels(plan, coo, sizes, groups, ranks, seed):
-    """Every route through ``plan`` against ``repro.core.submatrix``'s loops."""
+    """Every route through ``plan`` against the per-submatrix loops."""
     matrix = _matrix_on(coo, sizes, seed)
     packed = plan.pack(matrix)
     want, dimensions = reference_apply_blockwise(matrix, _function, groups, coo)
@@ -218,7 +219,7 @@ def assert_plan_moves_values_like_the_kernels(plan, coo, sizes, groups, ranks, s
     # one group at a time
     out = plan.new_output()
     for index, reference in enumerate(submatrices):
-        got = plan.extract(packed, index)
+        got = plan.extract_stack(packed, [index])[0]
         assert np.array_equal(got, reference)
         plan.scatter(out, index, _function(got))
     assert np.array_equal(block_matrix_to_dense(plan.finalize(out)), want)
@@ -236,7 +237,8 @@ def assert_plan_moves_values_like_the_kernels(plan, coo, sizes, groups, ranks, s
         local = shard.pack_local(packed)
         assert local.size == shard.n_local_values == shard.view.local_values
         for slot, member in enumerate(shard.group_indices):
-            assert np.array_equal(shard.view.extract(local, slot), submatrices[member])
+            got = shard.view.extract_stack(local, [slot])[0]
+            assert np.array_equal(got, submatrices[member])
         for task in shard.stack_tasks():
             stack = shard.view.extract_stack(local, task.members)
             shard.view.scatter_stack(out, task.members, _function(stack))
@@ -355,7 +357,7 @@ def test_panel_product_stays_within_1e14_of_the_sliced_full_product(case, seed):
     assert np.max(np.abs(panels - fulls), initial=0.0) <= 1e-14
     # and the panel function itself, per submatrix
     for index, group in enumerate(plan.groups):
-        values, vectors = _spectral_values(plan.extract(packed, index)[None])
+        values, vectors = _spectral_values(plan.extract_stack(packed, [index]))
         rows = group.generating_rows()
         panel = spectral_panel(vectors[0], values[0], vectors[0][rows])
         full = (vectors[0] * values[0]) @ vectors[0].T

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from repro.analysis import parallel_efficiency
 from repro.chem.density import fermi_occupation
 from repro.core.load_balance import assign_consecutive_chunks, submatrix_flop_costs
-from repro.core.submatrix import extract_submatrix, submatrix_block_rows
+from repro.core.submatrix import submatrix_block_rows
 from repro.dbcsr import BlockSparseMatrix, CooBlockList
 from repro.dbcsr.convert import block_matrix_from_dense, block_matrix_to_dense
 from repro.parallel.topology import CartesianGrid2D, balanced_dims
@@ -18,6 +18,8 @@ from repro.signfn import (
     sign_via_eigendecomposition,
     spectral_scale_estimate,
 )
+
+from submatrix_reference import extract_submatrix
 
 # --------------------------------------------------------------------------- #
 # strategies

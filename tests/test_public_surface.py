@@ -1,0 +1,105 @@
+"""Every public name in ``src/`` has a caller outside ``tests/``.
+
+Code that only tests reach belongs in ``tests/`` (the serial reference the
+engine is compared against lives in ``submatrix_reference.py``), and code
+that nothing reaches is deleted.  This guard parses ``src/repro`` and fails
+for every public top-level ``def``/``class`` that no code in ``src/``,
+``benchmarks/`` or ``examples/`` refers to.
+
+A reference is an ``ast.Name``, an ``ast.Attribute`` or a name in a
+``from … import``.  These do not count: the name's own definition (a
+recursive call, a class naming itself), the ``__all__`` strings (they are
+string constants, not names) and the re-exports of a package
+``__init__.py``.  Names are matched without their module, so a public name
+that two modules define counts as referenced when either is.
+"""
+
+from __future__ import annotations
+
+import ast
+import functools
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "repro"
+CALLER_DIRS = ("src", "benchmarks", "examples")
+
+#: Public names kept without a caller, each with the ROADMAP item that gives
+#: it one.  A name leaves this table when it gains a caller or is deleted.
+EXEMPT = {
+    "sign_newton_schulz_sparse": (
+        "item 17: the block-sparse Newton–Schulz baseline replaces it"
+    ),
+    "group_columns_greedy_chunks": (
+        "item 3(b): the grouping chooser scores it against single columns"
+    ),
+    "inverse_pth_root": "item 2(a): the λ^{-1/p} per-submatrix kernel",
+}
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+@functools.lru_cache(maxsize=None)
+def public_definitions():
+    """``{name: [module path, ...]}`` of every public top-level def/class."""
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+                found.setdefault(node.name, []).append(path.relative_to(ROOT))
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def referenced_names():
+    """Every name referred to in ``src/``, ``benchmarks/`` and ``examples/``."""
+    names = set()
+    for directory in CALLER_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            reexports = directory == "src" and path.name == "__init__.py"
+            # nodes inside a top-level definition, by the name they define
+            own = {
+                id(inner): node.name
+                for node in tree.body
+                if isinstance(node, DEFINITIONS)
+                for inner in ast.walk(node)
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    if not reexports:
+                        names.update(alias.name for alias in node.names)
+                    continue
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if own.get(id(node)) != name:
+                    names.add(name)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    referenced = referenced_names()
+    orphans = sorted(
+        f"{module}: {name}"
+        for name, modules in public_definitions().items()
+        if name not in referenced and name not in EXEMPT
+        for module in modules
+    )
+    assert not orphans, (
+        "public names with no caller in src/, benchmarks/ or examples/ — "
+        "move a test-only one into tests/, delete a dead one:\n  "
+        + "\n  ".join(orphans)
+    )
+
+
+def test_every_exemption_is_still_needed():
+    definitions = public_definitions()
+    referenced = referenced_names()
+    stale = sorted(
+        name for name in EXEMPT if name not in definitions or name in referenced
+    )
+    assert not stale, f"drop these from EXEMPT (deleted or now called): {stale}"

@@ -123,6 +123,29 @@ INVALID_REQUESTS = {
     "params_for_unrequested_observable": dict(
         mu=0.0, observable_params={"pdos": {"n_points": 64}}
     ),
+    # parameter values are checked with the keys, before any work: each
+    # of these once raised from the assembly, after the whole engine pass
+    "pdos_broadening_nan": dict(
+        mu=0.0,
+        observables=("density", "pdos"),
+        observable_params={"pdos": {"broadening": float("nan")}},
+    ),
+    "pdos_n_points_float": dict(
+        mu=0.0,
+        observables=("density", "pdos"),
+        observable_params={"pdos": {"n_points": 2.9}},
+    ),
+    "pdos_window_reversed": dict(
+        mu=0.0,
+        observables=("density", "pdos"),
+        observable_params={"pdos": {"energy_window": (1.0, 0.0)}},
+    ),
+    "density_params": dict(mu=0.0, observable_params={"density": {"n_points": 64}}),
+    "energy_weighted_params": dict(
+        mu=0.0,
+        observables=("density", "energy_weighted_density"),
+        observable_params={"energy_weighted_density": {"broadening": 0.1}},
+    ),
     # a rank count is a positive integer: a float or bool must not
     # silently truncate to some rank count
     "ranks_zero": dict(mu=0.0, ranks=0),

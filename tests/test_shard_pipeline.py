@@ -36,7 +36,6 @@ from repro.core import (
     DistributedSubmatrixPipeline,
     ShardedPlan,
     assign_consecutive_chunks,
-    assign_consecutive_chunks_reference,
     block_plan,
     plan_transfers,
     single_column_groups,
@@ -55,6 +54,7 @@ from repro.signfn.registry import KERNELS, get_kernel
 from conftest import run_pipeline
 from submatrix_reference import (
     REFERENCE_DENSITY_ATOL,
+    assign_consecutive_chunks_reference,
     reference_apply_blockwise,
     reference_density,
 )
@@ -113,8 +113,10 @@ class TestShardedPlan:
             local = shard.pack_local(packed)
             assert local.size == shard.n_local_values
             for slot, group in enumerate(shard.group_indices):
-                expected = plan.extract(packed, int(group))
-                assert np.array_equal(expected, shard.view.extract(local, slot))
+                expected = plan.extract_stack(packed, [int(group)])[0]
+                assert np.array_equal(
+                    expected, shard.view.extract_stack(local, [slot])[0]
+                )
 
     def test_shard_scatter_matches_unsharded(self, block_system):
         matrix, sizes, coo = block_system

@@ -10,7 +10,6 @@ from repro.api import EngineConfig, SubmatrixContext
 from repro.signfn import (
     get_kernel,
     inverse_pth_root,
-    inverse_pth_root_newton,
     involutority_error,
     pade_polynomial_coefficients,
     sign_newton_schulz,
@@ -519,19 +518,6 @@ class TestInverseRoots:
     def test_rejects_bad_p(self, rng):
         with pytest.raises(ValueError):
             inverse_pth_root(self.make_spd(rng, 5), 0)
-
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_newton_iteration_matches_eigendecomposition(self, rng, p):
-        matrix = self.make_spd(rng, n=25)
-        direct = inverse_pth_root(matrix, p)
-        iterative = inverse_pth_root_newton(matrix, p)
-        assert iterative.converged
-        assert np.max(np.abs(iterative.root - direct)) < 1e-8
-
-    def test_newton_residual_history_decreases(self, rng):
-        matrix = self.make_spd(rng, n=15)
-        result = inverse_pth_root_newton(matrix, 2)
-        assert result.residual_history[-1] < result.residual_history[0]
 
     def test_sign_from_inverse_root_identity(self, rng):
         """sign(A) = A (A^2)^{-1/2} (Eq. 8)."""

@@ -22,7 +22,7 @@ from repro.core import (
 from repro.core.batch import evaluate_batched, make_stack_tasks
 from repro.core.plan import block_plan
 from repro.core.shard import ShardedPlan
-from repro.core.submatrix import extract_block_submatrix, extract_submatrix
+from repro.core.submatrix import extract_block_submatrix
 from repro.dbcsr import CooBlockList
 from repro.dbcsr.convert import (
     block_matrix_from_csr,
@@ -39,6 +39,7 @@ from repro.signfn import (
 
 from conftest import make_decay_matrix
 from submatrix_reference import (
+    extract_submatrix,
     reference_apply_blockwise,
     reference_apply_elementwise,
     random_pattern,
@@ -130,7 +131,7 @@ class TestElementPlanEquivalence:
         packed = plan.pack(scalar_grid(csc))
         for index, group in enumerate(groups):
             reference = extract_submatrix(csc, group)
-            dense = plan.extract(packed, index)
+            dense = plan.extract_stack(packed, [index])[0]
             assert np.array_equal(reference.data, dense)
             assert np.array_equal(reference.indices, plan.groups[index].indices)
             assert np.array_equal(
@@ -194,7 +195,7 @@ class TestBlockPlanEquivalence:
         packed = plan.pack(matrix)
         for index, group in enumerate(groups):
             reference = extract_block_submatrix(matrix, group, coo)
-            dense = plan.extract(packed, index)
+            dense = plan.extract_stack(packed, [index])[0]
             assert np.array_equal(reference.data, dense)
             assert np.array_equal(reference.indices, plan.groups[index].indices)
             assert np.array_equal(
@@ -544,7 +545,7 @@ class TestBatchedEvaluation:
         )
         assert len(results) == plan.n_groups
         for index in range(plan.n_groups):
-            reference = plan.extract(packed, index)
+            reference = plan.extract_stack(packed, [index])[0]
             assert np.array_equal(results[index], reference @ reference)
 
     def test_function_is_batch_function_of_the_same_loop(self):
@@ -575,10 +576,15 @@ class TestExactDimensionStacks:
     scatter writes nothing."""
 
     @pytest.fixture(scope="class")
-    def mixed(self):
-        """A tridiagonal block plan: 4×4 submatrices at the edge columns 0
-        and 7, 6×6 ones in between; ``(plan, packed values)``."""
-        matrix = random_block_symmetric(8, 2, 1, 6)
+    def mixed_matrix(self):
+        """A tridiagonal block matrix of eight 2×2 blocks."""
+        return random_block_symmetric(8, 2, 1, 6)
+
+    @pytest.fixture(scope="class")
+    def mixed(self, mixed_matrix):
+        """The plan of ``mixed_matrix``: 4×4 submatrices at the edge columns
+        0 and 7, 6×6 ones in between; ``(plan, packed values)``."""
+        matrix = mixed_matrix
         plan = block_plan(
             CooBlockList.from_block_matrix(matrix),
             matrix.row_block_sizes,
@@ -605,16 +611,18 @@ class TestExactDimensionStacks:
         ids=["smaller", "larger", "small-first", "large-first"],
     )
     def test_extract_stack_refuses_another_dimension(
-        self, mixed, route, members, stack_dim
+        self, mixed_matrix, mixed, route, members, stack_dim
     ):
         view, buffer = self.view_of(mixed, route)
         with pytest.raises(ValueError, match="differs from stack dimension"):
             view.extract_stack(buffer, members, stack_dim)
-        # each member alone, at its own dimension, is its submatrix
+        # each member alone, at its own dimension, is its submatrix (rank 0
+        # owns groups 0–3, so a shard slot is its group)
         for member in members:
             dimension = view.groups[member].dimension
             stack = view.extract_stack(buffer, [member], dimension)
-            assert np.array_equal(stack[0], view.extract(buffer, member))
+            reference = extract_block_submatrix(mixed_matrix, member)
+            assert np.array_equal(stack[0], reference.data)
 
     @pytest.mark.parametrize("route", ["plan", "shard"])
     @pytest.mark.parametrize(
