@@ -45,9 +45,11 @@ pass has two modes, chosen by whether anything downstream reads the spectra:
   always run this way.
 
 Either way a spectral product forms only the generating-column panel
-(:func:`~repro.core.batch.spectral_panel`: d²·w flops, not d³) and writes it
-with :meth:`~repro.core.plan.SubmatrixPlan.scatter_columns`, so both modes —
-and with them direct, served and sharded calls — are bitwise equal.
+(:func:`~repro.core.batch.spectral_panel`: d²·w flops, not d³; batched per
+stack and generating width in scatter mode, one GEMM per slice) and the
+panels are written with one scatter (per stack, or per request from the
+cache), so both modes — and with them direct, served and sharded calls — are
+bitwise equal.
 
 The observables:
 
@@ -103,7 +105,7 @@ from repro.chem.density import (
     electron_count,
     fermi_occupation,
 )
-from repro.core.batch import spectral_panel
+from repro.core.batch import spectral_panel, spectral_panels
 from repro.core.combination import ColumnGrouping
 from repro.core.plan import BlockSubmatrixPlan
 from repro.chem.orthogonalize import orthogonalized_ks_blocks
@@ -924,20 +926,30 @@ def _scatter_spectral(
 ) -> BlockSparseMatrix:
     """Scatter the generating columns of Q g(λ) Qᵀ of every cached submatrix.
 
-    One generating-column panel (:func:`~repro.core.batch.spectral_panel`,
-    the expression the streamed route evaluates) and one vectorized write
-    per submatrix into the plan's preallocated packed output buffer; the
-    result blocks are zero-copy views into that buffer.
+    One generating-column panel per submatrix
+    (:func:`~repro.core.batch.spectral_panel`, the GEMM the streamed route
+    evaluates), formed on the caller thread, and one scatter of them all
+    into the plan's preallocated packed output buffer
+    (:meth:`~repro.core.plan.SubmatrixPlan.write_panels`); the result is
+    backed by that buffer.
     """
     plan = decomposition.plan
-    out = plan.new_output()
-    for group_index, entry in enumerate(decomposition.decomposed):
-        panel = spectral_panel(
+    panels = [
+        spectral_panel(
             entry.eigenvectors,
             spectral_function(entry.eigenvalues),
             entry.generating_slice,
-        )
-        plan.scatter_columns(out, group_index, panel)
+        ).reshape(-1)
+        for entry in decomposition.decomposed
+    ]
+    sizes = [panel.size for panel in panels]
+    out = plan.new_output()
+    plan.write_panels(
+        out,
+        range(plan.n_groups),
+        np.concatenate(panels),
+        np.cumsum(sizes) - sizes,
+    )
     return plan.finalize(out)
 
 
@@ -945,24 +957,20 @@ def _streamed_occupations(mu: float, temperature: float):
     """Per-stack solver ``eigh → f(λ − μ)`` of the streamed spectral route.
 
     Returns the occupation matrices D̃ = Q f(λ − μ) Qᵀ (Eq. 17) of a stack as
-    a panel function; the bucket loop (:func:`~repro.core.batch.map_stacks`)
-    forms and scatters their generating-column panels, so neither the full
+    a panel former (:func:`~repro.core.batch.spectral_panels`); the bucket
+    loop (:func:`~repro.core.batch.map_stacks`) has it form their
+    generating-column panels and scatters them, so neither the full
     matrices nor — past the stack task — the eigenvectors ever exist.  The
-    occupations are evaluated per matrix, exactly as
-    :func:`_scatter_spectral` evaluates them per cache entry, so the two
-    routes run the same elementwise code on the same shapes whatever the
-    platform's vector dispatch.
+    occupations are evaluated per matrix, exactly as :func:`_scatter_spectral`
+    evaluates them per cache entry, so the two routes run the same
+    elementwise code on the same shapes whatever the platform's vector
+    dispatch.
     """
 
     def solve(stack: np.ndarray):
         eigenvalues, eigenvectors = np.linalg.eigh(stack)
         occupations = [fermi_occupation(v, mu, temperature) for v in eigenvalues]
-
-        def panel(slot: int, rows: np.ndarray) -> np.ndarray:
-            q = eigenvectors[slot]
-            return spectral_panel(q, occupations[slot], q[rows])
-
-        return panel
+        return spectral_panels(eigenvectors, np.array(occupations))
 
     return solve
 
@@ -990,11 +998,12 @@ def _iterative_occupations(sign: KernelStackSolver, mu: float):
         stack[:, diagonal, diagonal] -= mu
         signs = sign(stack)
 
-        def occupations(slot: int, rows: np.ndarray) -> np.ndarray:
-            panel = signs(slot, rows)
-            panel *= -0.5
-            panel[rows, np.arange(rows.size)] += 0.5
-            return panel
+        def occupations(parts) -> None:
+            signs(parts)
+            for slots, rows, into in parts:
+                into *= -0.5
+                diagonal = np.arange(rows.shape[1])
+                into[np.arange(slots.size)[:, None], rows, diagonal] += 0.5
 
         return occupations
 

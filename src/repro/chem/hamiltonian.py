@@ -237,6 +237,15 @@ def _molecular_block(
     return (q * levels) @ q.T
 
 
+def _element_pairs(symbols: np.ndarray, i_atoms: np.ndarray, j_atoms: np.ndarray):
+    """The distinct ``(symbols[i], symbols[j])`` of the atom pairs, sorted:
+    one ``np.unique`` over the pairs' element codes."""
+    elements, codes = np.unique(symbols, return_inverse=True)
+    pairs = np.unique(codes[i_atoms] * elements.size + codes[j_atoms])
+    first, second = np.divmod(pairs, max(elements.size, 1))
+    return list(zip(elements[first], elements[second]))
+
+
 def build_matrices(
     system: System,
     model: Optional[HamiltonianModel] = None,
@@ -320,11 +329,7 @@ def build_matrices(
         decay_k = basis.decay_length
         decay_s = basis.overlap_decay_length
 
-        pair_elements = list(
-            {(symbols[a], symbols[b]) for a, b in zip(i_atoms, j_atoms)}
-        )
-        pair_elements.sort()
-        for ea, eb in pair_elements:
+        for ea, eb in _element_pairs(symbols, i_atoms, j_atoms):
             mask = (symbols[i_atoms] == ea) & (symbols[j_atoms] == eb)
             if not np.any(mask):
                 continue

@@ -23,9 +23,9 @@ For a sparse K and a root with floor runs, the engine's K̃
 (:func:`orthogonalized_ks_blocks`) skips every block that B = N_X·N_K·N_X,
 N_A[I, J] = ‖A_IJ‖_F, times the rounding margin 1 + 2n·2⁻⁵³, bounds below ε
 (:func:`~repro.dbcsr.product.screened_product`).  On a session with a pool,
-a request's K̃ runs ``K·X`` and the dense route's products in row bands,
-bitwise the inline route (:mod:`repro.dbcsr.product`); the screen's left
-product and :func:`orthogonalized_ks` stay serial.
+a request's K̃ runs ``K·X``, the screen's left product and the dense route's
+products, symmetrisation and filter in row bands, bitwise the inline route
+(:mod:`repro.dbcsr.product`); :func:`orthogonalized_ks` stays serial.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import scipy.sparse as sp
 from repro.dbcsr.convert import block_matrix_from_dense
 from repro.dbcsr.product import DENSE_FILL, PANEL_ROWS, floor_runs, stored_fill
 from repro.dbcsr.product import PanelRuns, block_norms, screened_product
-from repro.dbcsr.product import triple_product
+from repro.dbcsr.product import symmetrize_filter, triple_product
 
 __all__ = [
     "loewdin_inverse_sqrt",
@@ -187,11 +187,8 @@ def orthogonalized_ks_blocks(
     K_ortho = triple_product(
         s_inv_sqrt, K if sp.issparse(K) else K_dense, K_dense, outer_runs, mapper
     )
-    # symmetrise and filter in place: 0.5·(K̃ + K̃ᵀ), then |K̃_ij| < eps → 0
-    K_ortho += K_ortho.T.copy()
-    K_ortho *= 0.5
-    if eps_filter > 0.0:
-        K_ortho[np.abs(K_ortho) < eps_filter] = 0.0
+    # (K̃ + K̃ᵀ)·0.5, then |K̃_ij| < eps → 0
+    K_ortho = symmetrize_filter(K_ortho, eps_filter, mapper)
     if block_sizes is not None:
         K_ortho = block_matrix_from_dense(K_ortho, block_sizes)
     return K_ortho, s_inv_sqrt, outer_runs

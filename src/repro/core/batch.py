@@ -13,6 +13,21 @@ leading axis, dispatching one C-level loop instead of ``k`` Python calls).
 Every submatrix is solved at its own dimension, as in the paper: a stack
 holds only submatrices of exactly its dimension, never a padded embedding.
 
+Around the solve, a stack task costs a few interpreter steps per stack, not
+per member.  Its stack is one gather of the members'
+concatenated run indices, and its generating-column panels are formed with
+one batched product per generating width into one buffer and written with
+one scatter (:meth:`~repro.core.plan.SubmatrixPlan.scatter_panels`).  Per
+member Python matters most where it looks cheapest: on ``gc_sparse128``
+(128 submatrices of dimension 6–18 in 3 stack tasks) the stacks took 11–16 ms
+on the two-worker pool against 6.5 ms inline, because the workers queued on
+the GIL for their per-member steps; one pass per stack takes them to ~5.6 ms
+on the pool.  The collect mode's scatter from cached spectra
+(``api/observables._scatter_spectral``) is batched the same way but stays on
+the caller thread: mapped onto the session pool, a served request's chunks
+queued behind the other client's stack tasks (``served_water32`` ``wall_s``
++17 %).
+
 :func:`map_stacks` is the one bucket loop (extract → solve → scatter, whole
 matrices or generating-column panels, or collect).  The engine reaches it
 through exactly one caller, the rank loop
@@ -40,6 +55,7 @@ __all__ = [
     "make_buckets",
     "make_stack_tasks",
     "spectral_panel",
+    "spectral_panels",
     "map_stacks",
     "evaluate_batched",
 ]
@@ -109,9 +125,30 @@ def spectral_panel(
     product of the engine — streamed or from cached spectra — is this one
     expression on operands laid out alike, which is what keeps the routes
     bitwise equal (a column slice of the full product differs from it in the
-    last bits).
+    last bits); :func:`spectral_panels` is the same GEMM per slice.
     """
     return (eigenvectors * values) @ generating_slice.T
+
+
+def spectral_panels(eigenvectors: np.ndarray, values: np.ndarray):
+    """The panel former (see :func:`map_stacks`) of ``Q·diag(values)·Qᵀ``
+    for a ``(k, d, d)`` stack of eigenvectors and ``(k, d)`` values.
+
+    Per generating width, one batched ``(Q·f) @ Q[rows]ᵀ``: each slice is
+    :func:`spectral_panel`'s GEMM on operands laid out alike, so the panels
+    are bitwise its.  The generating rows are gathered first and ``Q·f`` is
+    then formed in ``eigenvectors`` itself, which the former owns.
+    """
+
+    def form(parts) -> None:
+        slices = [eigenvectors[slots[:, None], rows] for slots, rows, _ in parts]
+        np.multiply(eigenvectors, values[:, None, :], out=eigenvectors)
+        for (slots, _, into), generating in zip(parts, slices):
+            whole = slots.size == len(eigenvectors)
+            weighted = eigenvectors if whole else eigenvectors[slots]
+            np.matmul(weighted, generating.transpose(0, 2, 1), out=into)
+
+    return form
 
 
 def map_stacks(
@@ -131,42 +168,47 @@ def map_stacks(
     :class:`~repro.core.shard.ShardView` *is* a :class:`SubmatrixPlan`, so
     both are treated alike.
 
-    Per task the stack is assembled and handed over to ``solve_stack`` — a
-    fresh buffer nothing else reads, so a solver may work in it.  Without
-    ``out`` the solver's return values are handed back in task order as
-    they are — e.g. the ``(eigenvalues, eigenvectors)`` pair of
-    ``numpy.linalg.eigh``.  With ``out`` the result
-    is delivered straight into the packed output inside the task (scatter
-    ranges are disjoint across tasks and ranks, so tasks may run
-    concurrently) and ``None`` is handed back.  The solver then returns
-    either
+    Per task the stack is assembled with one gather
+    (:meth:`SubmatrixPlan.extract_stack`) and handed over to ``solve_stack``
+    — a fresh buffer nothing else reads, so a solver may work in it.
+    Without ``out`` the solver's return values are handed back in task
+    order as they are — e.g. the ``(eigenvalues, eigenvectors)`` pair of
+    ``numpy.linalg.eigh``.  With ``out`` the result is delivered straight
+    into the packed output inside the task (scatter ranges are disjoint
+    across tasks and ranks, so tasks may run concurrently) and ``None`` is
+    handed back.  The solver then returns either
 
     * the evaluated ``(k, D, D)`` stack — coerced to the stack's dtype,
       shape-checked and scattered whole (:meth:`SubmatrixPlan.scatter_stack`),
       or
-    * a panel function ``panel(slot, rows) -> (D, w)``: columns ``rows``
-      (the member's generating rows) of slot ``slot``'s result — **panel
-      delivery**: per member only this panel is formed and written with
-      :meth:`SubmatrixPlan.scatter_columns`; the full matrices never exist.
-      A spectral solver forms it with :func:`spectral_panel` (``d²·w``
-      flops instead of ``d³``), Newton–Schulz takes its last step on it
-      (:class:`~repro.signfn.newton_schulz.BatchedNewtonSchulzResult`).
+    * a panel former ``form(parts)``: for each ``(slots, rows, into)`` of
+      ``parts`` (one per generating width w), it writes into ``into[i]``
+      columns ``rows[i]`` of slot ``slots[i]``'s result — **panel
+      delivery** (:meth:`SubmatrixPlan.scatter_panels`): only these panels
+      are formed, one batched product per width, and written with one
+      scatter per stack; the full matrices never exist.  A spectral solver
+      forms them as :func:`spectral_panel` does (``d²·w`` flops instead of
+      ``d³``), Newton–Schulz takes its last step on them
+      (:meth:`~repro.signfn.newton_schulz.BatchedNewtonSchulzResult.panels`).
+
+    A task therefore costs a few interpreter steps per stack, not per
+    member: on the two-worker pool, per-member panel work queues on the GIL.
 
     ``mapper(run, tasks)`` dispatches the tasks (default: a plain loop).
     """
 
     def run(task: Bucket):
-        stack = view.extract_stack(buffer, task.members, task.dimension)
-        solved = solve_stack(stack)
+        # the stack is the solver's alone: it is not held past the solve
+        solved = solve_stack(view.extract_stack(buffer, task.members, task.dimension))
         if out is None:
             return solved
         if callable(solved):
-            for slot, group_index in enumerate(task.members):
-                rows = view.groups[group_index].generating_rows()
-                view.scatter_columns(out, group_index, solved(slot, rows))
+            view.scatter_panels(out, task.members, solved, task.dimension)
             return None
-        evaluated = np.asarray(solved, dtype=stack.dtype)
-        _check_stack_shape(evaluated, stack.shape)
+        evaluated = np.asarray(solved, dtype=float)
+        _check_stack_shape(
+            evaluated, (len(task.members), task.dimension, task.dimension)
+        )
         view.scatter_stack(out, task.members, evaluated, task.dimension)
         return None
 

@@ -33,18 +33,21 @@ the per-group arrays, nothing is memoized per bucket — so
 
 With the plan in hand, one evaluation of f(A) becomes
 
-1. ``packed = plan.pack(A)``             — one pass over the stored values;
-2. ``stack = plan.extract_stack(packed, members)`` — a single vectorized
-   gather of runs per submatrix into a preallocated ``(k, d, d)`` stack of
-   equal-dimension submatrices (no Python block loops, no ``np.ix_`` fancy
-   indexing);
-3. ``plan.scatter(out, i, f(a_i))``      — a single vectorized scatter of
-   the generating columns into one preallocated output value vector
-   (``plan.scatter_columns(out, i, panel)`` when only those columns of
-   f(a_i) were formed);
-4. ``result = plan.finalize(out)``       — zero-copy assembly of the sparse
-   result (CSR arrays reuse the plan's pattern; block results are views
-   into the output buffer).
+1. ``packed = plan.pack(A)``             — one gather of runs from the
+   matrix's value buffer (its stored blocks found in the pattern by key);
+2. ``stack = plan.extract_stack(packed, members)`` — one vectorized gather
+   of runs per *stack* (the members' run indices concatenated) into a
+   preallocated ``(k, d, d)`` stack of equal-dimension submatrices (no
+   Python block loops, no ``np.ix_`` fancy indexing);
+3. ``plan.scatter_panels(out, members, form)`` — the stack's
+   generating-column panels, formed into one buffer per stack and written
+   into one preallocated output value vector with one scatter (the panel
+   positions, ``panel_src``, are fixed at build); ``scatter_stack`` and
+   ``scatter`` slice those columns from whole evaluated matrices, and
+   ``scatter_columns`` writes one panel;
+4. ``result = plan.finalize(out)``       — zero-copy: the block-sparse
+   result's value buffer *is* ``out``, its index the plan's COO list
+   (no block dictionary is built unless a caller asks for blocks).
 
 Building a plan is itself index arithmetic over whole block columns, the
 way the paper builds its submatrices from the global COO list (Sec. IV-A,
@@ -69,12 +72,12 @@ import collections
 import dataclasses
 import hashlib
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dbcsr.block_matrix import BlockSparseMatrix
-from repro.dbcsr.coo import CooBlockList, concat_ranges
+from repro.dbcsr.coo import CooBlockList, block_run, concat_ranges
 
 __all__ = [
     "GroupPlan",
@@ -100,10 +103,14 @@ class GroupPlan:
         Run positions (unit: ``plan.run`` contiguous values) such that
         ``dense.reshape(-1, run)[gather_dst] = packed.reshape(-1, run)[gather_src]``
         assembles the dense submatrix.
-    scatter_src / scatter_dst:
+    panel_src / scatter_dst:
         Run positions such that ``out.reshape(-1, run)[scatter_dst] =
-        f_dense.reshape(-1, run)[scatter_src]`` writes the generating columns
-        of the evaluated submatrix into the packed output vector.
+        panel.reshape(-1, run)[panel_src]`` writes the generating columns
+        of the evaluated submatrix, given as their ``(dimension, w)`` panel
+        (columns ``panel_rows``), into the packed output vector.
+    panel_rows:
+        Dense rows (equally: columns) of the generating columns, in the order
+        the grouping lists the columns — the column order of the panel.
     segment_ids / segment_counts:
         The record the gather side was expanded from: the packed segments
         (:meth:`SubmatrixPlan.segment_offsets`) the group gathers, in gather
@@ -123,24 +130,19 @@ class GroupPlan:
     dimension: int
     gather_src: np.ndarray
     gather_dst: np.ndarray
-    scatter_src: np.ndarray
+    panel_src: np.ndarray
     scatter_dst: np.ndarray
+    panel_rows: np.ndarray
     segment_ids: np.ndarray
     segment_counts: np.ndarray
     block_sizes: np.ndarray
     offsets: np.ndarray
 
     def generating_rows(self) -> np.ndarray:
-        """Dense rows (equally: columns) of the generating columns.
-
-        In the order the grouping lists the columns — the column order of a
-        panel handed to :meth:`SubmatrixPlan.scatter_columns`.
-        """
-        columns = self.local_columns
-        if columns.size == 1:  # the default grouping: one range, one arange
-            start = self.offsets[columns[0]]
-            return np.arange(start, start + self.block_sizes[columns[0]])
-        return concat_ranges(self.offsets[columns], self.block_sizes[columns])
+        """:attr:`panel_rows`: the dense rows of the generating columns, in
+        the column order of a panel handed to
+        :meth:`SubmatrixPlan.scatter_columns`."""
+        return self.panel_rows
 
 
 class SubmatrixPlan:
@@ -211,9 +213,10 @@ class SubmatrixPlan:
     def scatter(
         self, out: np.ndarray, group_index: int, f_submatrix: np.ndarray
     ) -> None:
-        """Write the generating columns of f(a_i) with a single scatter."""
-        group = self.groups[group_index]
-        self._move_runs(out, group.scatter_dst, f_submatrix, group.scatter_src)
+        """Write the generating columns of f(a_i): :meth:`scatter_stack` of
+        a stack of one."""
+        f_submatrix = np.asarray(f_submatrix)
+        self.scatter_stack(out, [group_index], f_submatrix[None])
 
     def scatter_columns(
         self, out: np.ndarray, group_index: int, panel: np.ndarray
@@ -222,38 +225,32 @@ class SubmatrixPlan:
 
         ``panel[:, p]`` is column ``group.generating_rows()[p]`` of f(a_i) —
         all the method copies back (Sec. III), so a caller that can form
-        these columns alone never builds the ``(d, d)`` matrix.  Writes
-        bitwise what :meth:`scatter` writes for a full matrix with these
-        columns.  The panel positions are ``scatter_src`` re-based from the
-        row stride ``d`` to ``w`` and from dense to panel columns: nothing is
-        stored for them.
+        these columns alone never builds the ``(d, d)`` matrix.
         """
         group = self.groups[group_index]
-        run = self.run
-        # dense column run of every panel column run (generating blocks are
-        # whole runs: every run-th generating row starts one)
-        columns = group.generating_rows()[::run] // run
-        stride, width = group.dimension // run, columns.size
-        if panel.shape != (group.dimension, width * run):
-            raise ValueError(
-                f"panel must have shape {(group.dimension, width * run)}, "
-                f"got {panel.shape}"
-            )
-        dense_rows = group.scatter_src // stride
-        if group.local_columns.size == 1:
-            # one generating column: its runs are adjacent, all shift alike
-            shift = columns[0]
-        else:
-            dense_columns = group.scatter_src - dense_rows * stride
-            shift = np.zeros(stride, dtype=np.int64)
-            shift[columns] = columns - np.arange(width)
-            shift = shift[dense_columns]
-        self._move_runs(
-            out,
-            group.scatter_dst,
-            panel,
-            group.scatter_src - dense_rows * (stride - width) - shift,
+        shape = (group.dimension, group.panel_rows.size)
+        if panel.shape != shape:
+            raise ValueError(f"panel must have shape {shape}, got {panel.shape}")
+        self._move_runs(out, group.scatter_dst, panel, group.panel_src)
+
+    def write_panels(
+        self, out: np.ndarray, members: Sequence[int], panels: np.ndarray,
+        starts: np.ndarray,
+    ) -> None:
+        """One scatter of several members' generating-column panels.
+
+        ``panels[starts[i]:]`` holds member ``members[i]``'s ``(d, w)`` panel
+        row-major (what :meth:`scatter_columns` takes); the members may have
+        any dimensions.
+        """
+        groups = [self.groups[index] for index in members]
+        src = np.concatenate([group.panel_src for group in groups])
+        src += np.repeat(
+            np.asarray(starts, dtype=np.int64) // self.run,
+            [group.panel_src.size for group in groups],
         )
+        dst = np.concatenate([group.scatter_dst for group in groups])
+        self._move_runs(out, dst, panels, src)
 
     def finalize(self, out: np.ndarray):  # pragma: no cover - interface
         """Assemble the sparse result from the packed output vector."""
@@ -269,19 +266,66 @@ class SubmatrixPlan:
         stack_dim: Optional[int] = None,
         pad_value: float = 1.0,
     ) -> np.ndarray:
-        """Assemble a ``(k, d, d)`` stack of submatrices, one gather per slot.
+        """Assemble a ``(k, d, d)`` stack of submatrices with one gather.
 
-        Every member must have dimension ``stack_dim`` (default: the first
-        member's, see :meth:`_stack_dimension`).  ``pad_value`` is an inert
-        leftover — accepted and ignored, nothing is padded; it stays only
-        because ``benchmarks/e2e`` passes it.
+        The members' run indices are concatenated, the destinations shifted
+        to their slots.  Every member must have dimension ``stack_dim``
+        (default: the first member's, see :meth:`_stack_dimension`).
+        ``pad_value`` is an inert leftover — accepted and ignored, nothing is
+        padded; it stays only because ``benchmarks/e2e`` passes it.
         """
         groups = [self.groups[index] for index in members]
         stack_dim = self._stack_dimension(groups, stack_dim)
         stack = np.zeros((len(groups), stack_dim, stack_dim))
-        for slot, group in enumerate(groups):
-            self._move_runs(stack[slot], group.gather_dst, packed, group.gather_src)
+        dst = np.concatenate([group.gather_dst for group in groups])
+        slot_runs = stack_dim * stack_dim // self.run
+        dst += np.repeat(
+            np.arange(len(groups), dtype=np.int64) * slot_runs,
+            [group.gather_dst.size for group in groups],
+        )
+        src = np.concatenate([group.gather_src for group in groups])
+        self._move_runs(stack, dst, packed, src)
         return stack
+
+    def scatter_panels(
+        self,
+        out: np.ndarray,
+        members: Sequence[int],
+        form: Callable[[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]], None],
+        stack_dim: Optional[int] = None,
+    ) -> None:
+        """Form a stack's generating-column panels, then write them with one
+        scatter.
+
+        The members (each of dimension ``stack_dim``, as in
+        :meth:`extract_stack`) are grouped by generating width ``w``;
+        ``form(parts)`` gets one ``(slots, rows, into)`` per width —
+        ``slots`` the stack slots of that width in stack order, ``rows``
+        their ``(k, w)`` generating rows and ``into`` a ``(k, d, w)`` view
+        of the panel buffer — and writes into ``into[i]`` columns
+        ``rows[i]`` of slot ``slots[i]``'s result.
+        """
+        groups = [self.groups[index] for index in members]
+        stack_dim = self._stack_dimension(groups, stack_dim)
+        widths = np.array([group.panel_rows.size for group in groups])
+        order = np.argsort(widths, kind="stable")
+        starts = np.concatenate(([0], np.cumsum(stack_dim * widths[order])))
+        panels = np.empty(int(starts[-1]))
+        cuts = [0, *(np.flatnonzero(np.diff(widths[order])) + 1).tolist(), order.size]
+        parts = []
+        for first, stop in zip(cuts, cuts[1:]):
+            slots = order[first:stop]
+            into = panels[starts[first] : starts[stop]]
+            parts.append(
+                (
+                    slots,
+                    np.array([groups[slot].panel_rows for slot in slots.tolist()]),
+                    into.reshape(slots.size, stack_dim, -1),
+                )
+            )
+        form(parts)
+        in_order = [members[slot] for slot in order.tolist()]
+        self.write_panels(out, in_order, panels, starts[:-1])
 
     def scatter_stack(
         self,
@@ -290,17 +334,24 @@ class SubmatrixPlan:
         evaluated: np.ndarray,
         stack_dim: Optional[int] = None,
     ) -> None:
-        """Scatter a whole evaluated ``(k, d, d)`` stack into the packed output.
+        """Scatter a whole evaluated ``(k, D, D)`` stack into the packed output:
+        its generating columns sliced into panels, then :meth:`scatter_panels`'
+        one scatter.
 
         Every member must have dimension ``stack_dim`` (default: the
         stack's), as in :meth:`extract_stack`.
         """
         if stack_dim is None:
             stack_dim = int(evaluated.shape[-1])
-        groups = [self.groups[index] for index in members]
-        self._stack_dimension(groups, stack_dim)
-        for slot, group in enumerate(groups):
-            self._move_runs(out, group.scatter_dst, evaluated[slot], group.scatter_src)
+        dense_rows = np.arange(stack_dim)[:, None]
+
+        def columns(parts) -> None:
+            for slots, rows, into in parts:
+                into[...] = evaluated[
+                    slots[:, None, None], dense_rows, rows[:, None, :]
+                ]
+
+        self.scatter_panels(out, members, columns, stack_dim)
 
 
 class BlockSubmatrixPlan(SubmatrixPlan):
@@ -342,20 +393,8 @@ class BlockSubmatrixPlan(SubmatrixPlan):
             ([0], np.cumsum(counts, dtype=np.int64))
         )
         self.n_values = int(self.value_offsets[-1])
-        # per-COO-entry (key, start, stop, shape) as Python ints, so pack and
-        # finalize run without per-call integer conversions
-        bounds = self.value_offsets.tolist()
-        self._pack_entries = list(
-            zip(
-                zip(self.coo_rows.tolist(), self.coo_cols.tolist()),
-                bounds[:-1],
-                bounds[1:],
-                zip(
-                    self.block_sizes[self.coo_rows].tolist(),
-                    self.block_sizes[self.coo_cols].tolist(),
-                ),
-            )
-        )
+        # column-major block keys: ascending, as the COO list is sorted
+        self.coo_keys = self.coo_cols * self.n_block_rows + self.coo_rows
         self.column_groups = [list(map(int, group)) for group in column_groups]
         self.groups = [self._plan_group(coo, group) for group in self.column_groups]
 
@@ -394,9 +433,14 @@ class BlockSubmatrixPlan(SubmatrixPlan):
             np.repeat(corner, heights) + row_in_block * stride,
             np.repeat(widths, heights),
         )
-        # the scatter is the gather transposed, restricted to the blocks of
-        # the generating columns: dense region -> the block's packed range
+        # the scatter writes the blocks of the generating columns from their
+        # panel (d, w): the generating dense columns side by side, in
+        # grouping order, so a dense column run maps to one panel column run
         generating = np.repeat(np.isin(entry_cols, columns), counts)
+        panel_rows = concat_ranges(offsets[local_columns], sizes[local_columns])
+        to_panel = np.zeros(stride, dtype=np.int64)
+        to_panel[panel_rows[::run] // run] = np.arange(panel_rows.size // run)
+        dense_rows, dense_columns = np.divmod(gather_dst[generating], stride)
         return GroupPlan(
             generating_columns=columns,
             indices=retained,
@@ -404,8 +448,9 @@ class BlockSubmatrixPlan(SubmatrixPlan):
             dimension=dim,
             gather_src=gather_src,
             gather_dst=gather_dst,
-            scatter_src=gather_dst[generating],
+            panel_src=dense_rows * (panel_rows.size // run) + to_panel[dense_columns],
             scatter_dst=gather_src[generating],
+            panel_rows=panel_rows,
             segment_ids=ids,
             segment_counts=counts,
             block_sizes=sizes,
@@ -421,38 +466,50 @@ class BlockSubmatrixPlan(SubmatrixPlan):
         stored block *outside* the pattern raises :class:`ValueError`: the
         plan belongs to another (stale) pattern and would silently evaluate
         the function of the matrix without that block.
+
+        One pass: the stored blocks are found in the pattern by key and their
+        runs moved from the matrix's value buffer
+        (:meth:`~repro.dbcsr.block_matrix.BlockSparseMatrix.block_index`)
+        with one gather (one scatter when some pattern blocks are unstored).
         """
-        if (
-            matrix.n_block_rows != self.n_block_rows
-            or matrix.n_block_cols != self.n_block_cols
+        if not (
+            np.array_equal(matrix.row_block_sizes, self.block_sizes)
+            and np.array_equal(matrix.col_block_sizes, self.block_sizes)
         ):
             raise ValueError("matrix block structure does not match the plan")
-        blocks = matrix.raw_blocks()
-        packed = np.zeros(self.n_values)
-        matched = 0
-        for key, start, stop, _ in self._pack_entries:
-            block = blocks.get(key)
-            if block is not None:
-                packed[start:stop] = block.reshape(-1)
-                matched += 1
-        if matched != len(blocks):
-            planned = {entry[0] for entry in self._pack_entries}
-            stray = min(key for key in blocks if key not in planned)
+        rows, cols, offsets, values = matrix.block_index()
+        keys = cols * self.n_block_rows + rows
+        found = np.searchsorted(self.coo_keys, keys)
+        stray = found == self.coo_keys.size
+        stray[~stray] = self.coo_keys[found[~stray]] != keys[~stray]
+        if stray.any():
+            first = np.lexsort((cols[stray], rows[stray]))[0]
+            key = (int(rows[stray][first]), int(cols[stray][first]))
             raise ValueError(
                 "matrix pattern does not match the plan: stored block "
-                f"{stray} is not in the planned pattern ({len(blocks) - matched} "
-                f"of {len(blocks)} stored blocks are outside it) — the plan "
+                f"{key} is not in the planned pattern ({int(stray.sum())} "
+                f"of {keys.size} stored blocks are outside it) — the plan "
                 "was built for a different sparsity pattern"
             )
+        run = self.run
+        targets = concat_ranges(
+            self.value_offsets[found] // run, np.diff(offsets) // run
+        )
+        if targets.size * run == self.n_values:  # every pattern block is stored
+            source = np.empty_like(targets)
+            source[targets] = np.arange(targets.size)
+            return values.reshape(-1, run).take(source, axis=0).reshape(-1)
+        packed = np.zeros(self.n_values)
+        packed.reshape(-1, run)[targets] = values.reshape(-1, run)
         return packed
 
     def finalize(self, out: np.ndarray) -> BlockSparseMatrix:
-        """Block-sparse result whose blocks are views into ``out`` (zero-copy)."""
-        result = BlockSparseMatrix(self.block_sizes, self.block_sizes)
-        blocks = result.raw_blocks()
-        for key, start, stop, shape in self._pack_entries:
-            blocks[key] = out[start:stop].reshape(shape)
-        return result
+        """Block-sparse result backed by ``out`` (zero-copy): its value
+        buffer, in the plan's COO order."""
+        return BlockSparseMatrix.from_index(
+            self.block_sizes, self.block_sizes, self.coo_rows, self.coo_cols, out,
+            self.value_offsets,
+        )
 
     def segment_offsets(self) -> np.ndarray:
         """One segment per non-zero block (its raveled values, COO order).
@@ -473,11 +530,11 @@ def plan_nbytes(plan: "BlockSubmatrixPlan") -> int:
 
     Counts the numpy bookkeeping a plan holds — the per-group
     gather/scatter/index arrays and segment records plus the pattern-level
-    arrays — and a flat per-entry constant for the Python-level pack map.
-    Used by :class:`PlanCache` for memory-budget accounting, at insert: using
-    a plan allocates nothing that outlives the call and holds no lazily
-    created state, so the figure is as true after a warm call as before the
-    first.
+    arrays.  :class:`PlanCache` reports the sum over its plans as
+    :attr:`~PlanCache.total_bytes` (the ledger's ``core.plan.bytes``); it
+    evicts by plan count only.  Using a plan allocates nothing that outlives
+    the call and holds no lazily created state, so the figure is as true
+    after a warm call as before the first.
     """
     total = 0
     for group in plan.groups:
@@ -487,19 +544,23 @@ def plan_nbytes(plan: "BlockSubmatrixPlan") -> int:
             group.local_columns,
             group.gather_src,
             group.gather_dst,
-            group.scatter_src,
+            group.panel_src,
             group.scatter_dst,
+            group.panel_rows,
             group.segment_ids,
             group.segment_counts,
             group.block_sizes,
             group.offsets,
         ):
             total += int(np.asarray(array).nbytes)
-    for array in (plan.value_offsets, plan.coo_rows, plan.coo_cols):
+    for array in (
+        plan.block_sizes,
+        plan.value_offsets,
+        plan.coo_rows,
+        plan.coo_cols,
+        plan.coo_keys,
+    ):
         total += int(np.asarray(array).nbytes)
-    # per-block Python tuples of the pack map: an entry, its key and shape
-    # tuples and its two offsets measure ~220 B
-    total += 224 * len(plan._pack_entries)
     return total
 
 
@@ -641,15 +702,6 @@ def block_plan(
     if cache is None:
         return BlockSubmatrixPlan(coo, block_sizes, column_groups)
     return cache.block_plan(coo, block_sizes, column_groups)
-
-
-def block_run(block_sizes: Sequence[int]) -> int:
-    """Run length of a block grid: the gcd of its block sizes.
-
-    Every block height and width — hence every packed block range, dense row
-    offset and submatrix dimension — is a whole number of such runs.
-    """
-    return int(np.gcd.reduce(np.asarray(block_sizes, dtype=int))) or 1
 
 
 def _groups_key(column_groups: Sequence[Sequence[int]]) -> tuple:

@@ -1,22 +1,40 @@
 """Block-compressed sparse matrix storage.
 
 A :class:`BlockSparseMatrix` is defined by a list of block-row sizes, a list
-of block-column sizes and a dictionary of dense blocks indexed by
-(block-row, block-column).  Missing blocks are implicitly zero.  This mirrors
-the DBCSR storage format used by CP2K: the sparsity is exploited at the level
-of blocks, not individual elements (Sec. IV of the paper), which is exactly
-the granularity the submatrix method operates at.
+of block-column sizes and its stored dense blocks, indexed by (block-row,
+block-column).  Missing blocks are implicitly zero.  This mirrors the DBCSR
+storage format used by CP2K: the sparsity is exploited at the level of
+blocks, not individual elements (Sec. IV of the paper), which is exactly the
+granularity the submatrix method operates at.
+
+The blocks live in one of two forms, like DBCSR's data area and index: a
+:class:`BlockIndex` — one row-major value buffer plus block rows, block
+columns and offsets — which the bulk constructors build and the bulk readers
+take in one vectorised pass (:meth:`BlockSparseMatrix.block_index`), and a
+dictionary of blocks, built on the first block-level access (as views into
+the buffer) or block by block.  A mutation (``put_block``, ``remove_block``,
+handing out ``raw_blocks``) drops the index.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["BlockSparseMatrix"]
+__all__ = ["BlockIndex", "BlockSparseMatrix"]
 
 BlockKey = Tuple[int, int]
+
+
+class BlockIndex(NamedTuple):
+    """The stored blocks as one buffer: block ``i`` is ``(rows[i], cols[i])``
+    and holds ``values[offsets[i]:offsets[i + 1]]`` row-major."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    offsets: np.ndarray
+    values: np.ndarray
 
 
 class BlockSparseMatrix:
@@ -49,10 +67,84 @@ class BlockSparseMatrix:
             raise ValueError("block sizes must be positive")
         self.row_starts = np.concatenate(([0], np.cumsum(self.row_block_sizes)))
         self.col_starts = np.concatenate(([0], np.cumsum(self.col_block_sizes)))
-        self._blocks: Dict[BlockKey, np.ndarray] = {}
+        # the dictionary (None until asked for) and the index (None once
+        # mutated); at least one of them is always set
+        self._dict: Optional[Dict[BlockKey, np.ndarray]] = {}
+        self._index: Optional[BlockIndex] = None
         if blocks:
             for (bi, bj), data in blocks.items():
                 self.put_block(bi, bj, data)
+
+    @classmethod
+    def from_index(
+        cls,
+        row_block_sizes: Iterable[int],
+        col_block_sizes: Optional[Iterable[int]],
+        rows: np.ndarray,
+        cols: np.ndarray,
+        values: np.ndarray,
+        offsets: Optional[np.ndarray] = None,
+    ) -> "BlockSparseMatrix":
+        """The matrix whose block ``(rows[i], cols[i])`` is the ``i``-th
+        row-major slice of the float64 buffer ``values`` (not copied: the
+        blocks are views into it), in this order.  ``offsets`` are the slice
+        bounds when the caller has them; the coordinates must be unique."""
+        matrix = cls(row_block_sizes, col_block_sizes)
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        if offsets is None:
+            sizes = matrix.row_block_sizes[rows] * matrix.col_block_sizes[cols]
+            offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        if values.dtype != np.float64 or values.shape != (int(offsets[-1]),):
+            raise ValueError(
+                f"values must be a float64 vector of {int(offsets[-1])} elements"
+            )
+        matrix._index = BlockIndex(rows, cols, offsets, values)
+        matrix._dict = None
+        return matrix
+
+    def block_index(self) -> BlockIndex:
+        """The stored blocks as one :class:`BlockIndex`, in storage order.
+
+        The matrix's own index (not copied) when it has one; else one
+        assembled from the dictionary, in its order, and not kept — so an
+        in-place edit of a block is seen by the next call either way.
+        """
+        if self._index is not None:
+            return self._index
+        blocks = self._dict
+        keys = np.array(list(blocks), dtype=np.intp).reshape(-1, 2)
+        values = (
+            np.concatenate([block.reshape(-1) for block in blocks.values()])
+            if blocks
+            else np.zeros(0)
+        )
+        sizes = [block.size for block in blocks.values()]
+        offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        return BlockIndex(keys[:, 0], keys[:, 1], offsets, values)
+
+    def _blocks(self) -> Dict[BlockKey, np.ndarray]:
+        """The block dictionary, built from the index on first use."""
+        if self._dict is None:
+            index = self._index
+            bounds = index.offsets.tolist()
+            self._dict = {
+                (bi, bj): index.values[start:stop].reshape(height, -1)
+                for bi, bj, start, stop, height in zip(
+                    index.rows.tolist(),
+                    index.cols.tolist(),
+                    bounds[:-1],
+                    bounds[1:],
+                    self.row_block_sizes[index.rows].tolist(),
+                )
+            }
+        return self._dict
+
+    def _mutable_blocks(self) -> Dict[BlockKey, np.ndarray]:
+        """The block dictionary, about to change: the index is dropped."""
+        blocks = self._blocks()
+        self._index = None
+        return blocks
 
     # ------------------------------------------------------------------ #
     # structure
@@ -75,17 +167,16 @@ class BlockSparseMatrix:
     @property
     def nnz_blocks(self) -> int:
         """Number of stored (non-zero) blocks."""
-        return len(self._blocks)
+        if self._index is not None:
+            return int(self._index.rows.size)
+        return len(self._dict)
 
     @property
     def nnz_elements(self) -> int:
         """Number of elements covered by stored blocks."""
-        return int(
-            sum(
-                self.row_block_sizes[bi] * self.col_block_sizes[bj]
-                for bi, bj in self._blocks
-            )
-        )
+        if self._index is not None:
+            return int(self._index.offsets[-1])
+        return sum(block.size for block in self._dict.values())
 
     def block_shape(self, bi: int, bj: int) -> Tuple[int, int]:
         """Shape of block (bi, bj)."""
@@ -128,9 +219,7 @@ class BlockSparseMatrix:
             If true, add to an existing block instead of replacing it.
         copy:
             If false, store ``data`` without copying (zero-copy).  The caller
-            must guarantee the array is float64 and not mutated afterwards;
-            the vectorized scatter path uses this to hand out views into one
-            preallocated result buffer.
+            must guarantee the array is float64 and not mutated afterwards.
         """
         self._check_block(bi, bj)
         data = np.asarray(data, dtype=float)
@@ -139,33 +228,36 @@ class BlockSparseMatrix:
             raise ValueError(
                 f"block ({bi}, {bj}) must have shape {expected}, got {data.shape}"
             )
-        if accumulate and (bi, bj) in self._blocks:
-            self._blocks[(bi, bj)] = self._blocks[(bi, bj)] + data
+        blocks = self._mutable_blocks()
+        if accumulate and (bi, bj) in blocks:
+            blocks[(bi, bj)] = blocks[(bi, bj)] + data
         else:
-            self._blocks[(bi, bj)] = data.copy() if copy else data
+            blocks[(bi, bj)] = data.copy() if copy else data
 
     def get_block(self, bi: int, bj: int) -> Optional[np.ndarray]:
         """The dense block at (bi, bj), or ``None`` if it is zero."""
         self._check_block(bi, bj)
-        return self._blocks.get((bi, bj))
+        return self._blocks().get((bi, bj))
 
     def has_block(self, bi: int, bj: int) -> bool:
         """Whether block (bi, bj) is stored."""
         self._check_block(bi, bj)
-        return (bi, bj) in self._blocks
+        return (bi, bj) in self._blocks()
 
     def remove_block(self, bi: int, bj: int) -> None:
         """Delete block (bi, bj) if present."""
         self._check_block(bi, bj)
-        self._blocks.pop((bi, bj), None)
+        self._mutable_blocks().pop((bi, bj), None)
 
     def raw_blocks(self) -> Dict[BlockKey, np.ndarray]:
         """The underlying block dictionary, without copying.
 
-        Performance accessor for bulk operations (packing all block values
-        into one flat buffer); treat the returned mapping as read-only.
+        The caller may edit it — replace, add or delete blocks, or write
+        into them — and every reader sees the edit, since handing it out
+        drops the index (:meth:`block_index` then reads this dictionary).
+        Bulk readers should call :meth:`block_index` instead.
         """
-        return self._blocks
+        return self._mutable_blocks()
 
     def block_keys(self) -> List[BlockKey]:
         """Stored block coordinates, sorted by (column, row).
@@ -174,18 +266,19 @@ class BlockSparseMatrix:
         the submatrix implementation in CP2K (Sec. IV-A1), where the position
         of a block in the sorted list serves as its global ID.
         """
-        return sorted(self._blocks.keys(), key=lambda key: (key[1], key[0]))
+        return sorted(self._blocks(), key=lambda key: (key[1], key[0]))
 
     def iter_blocks(self) -> Iterator[Tuple[int, int, np.ndarray]]:
         """Iterate over stored blocks as (bi, bj, data) in deterministic order."""
+        blocks = self._blocks()
         for bi, bj in self.block_keys():
-            yield bi, bj, self._blocks[(bi, bj)]
+            yield bi, bj, blocks[(bi, bj)]
 
     def nonzero_block_rows(self, bj: int) -> List[int]:
         """Block rows with a non-zero block in block column ``bj``."""
         if not 0 <= bj < self.n_block_cols:
             raise IndexError(f"block column {bj} out of range")
-        return sorted(bi for (bi, col) in self._blocks if col == bj)
+        return sorted(bi for (bi, col) in self._blocks() if col == bj)
 
     # ------------------------------------------------------------------ #
     # arithmetic
@@ -195,20 +288,20 @@ class BlockSparseMatrix:
         return BlockSparseMatrix(
             self.row_block_sizes,
             self.col_block_sizes,
-            {key: block.copy() for key, block in self._blocks.items()},
+            {key: block.copy() for key, block in self._blocks().items()},
         )
 
     def transpose(self) -> "BlockSparseMatrix":
         """Transpose (blocks are transposed and re-indexed)."""
         result = BlockSparseMatrix(self.col_block_sizes, self.row_block_sizes)
-        for (bi, bj), block in self._blocks.items():
+        for (bi, bj), block in self._blocks().items():
             result.put_block(bj, bi, block.T)
         return result
 
     def scale(self, alpha: float) -> "BlockSparseMatrix":
         """Return ``alpha * self``."""
         result = BlockSparseMatrix(self.row_block_sizes, self.col_block_sizes)
-        for (bi, bj), block in self._blocks.items():
+        for (bi, bj), block in self._blocks().items():
             result.put_block(bi, bj, alpha * block)
         return result
 
@@ -217,7 +310,7 @@ class BlockSparseMatrix:
         if not self.same_block_structure(other):
             raise ValueError("block structures do not match")
         result = self.copy()
-        for (bi, bj), block in other._blocks.items():
+        for (bi, bj), block in other._blocks().items():
             result.put_block(bi, bj, alpha * block, accumulate=True)
         return result
 
@@ -246,10 +339,10 @@ class BlockSparseMatrix:
         result = BlockSparseMatrix(self.row_block_sizes, other.col_block_sizes)
         # index other's blocks by block row for fast lookup
         by_row: Dict[int, List[Tuple[int, np.ndarray]]] = {}
-        for (bk, bj), block in other._blocks.items():
+        for (bk, bj), block in other._blocks().items():
             by_row.setdefault(bk, []).append((bj, block))
         flops = 0.0
-        for (bi, bk), a_block in self._blocks.items():
+        for (bi, bk), a_block in self._blocks().items():
             partners = by_row.get(bk)
             if not partners:
                 continue
@@ -272,25 +365,28 @@ class BlockSparseMatrix:
         if not np.array_equal(self.row_block_sizes, self.col_block_sizes):
             raise ValueError("trace requires identical row/column block sizes")
         total = 0.0
+        blocks = self._blocks()
         for bi in range(self.n_block_rows):
-            block = self._blocks.get((bi, bi))
+            block = blocks.get((bi, bi))
             if block is not None:
                 total += float(np.trace(block))
         return total
 
     def frobenius_norm(self) -> float:
         """Frobenius norm over all stored blocks."""
-        if not self._blocks:
+        blocks = self._blocks()
+        if not blocks:
             return 0.0
         return float(
-            np.sqrt(sum(float(np.sum(block * block)) for block in self._blocks.values()))
+            np.sqrt(sum(float(np.sum(block * block)) for block in blocks.values()))
         )
 
     def max_abs(self) -> float:
         """Largest absolute element."""
-        if not self._blocks:
+        blocks = self._blocks()
+        if not blocks:
             return 0.0
-        return float(max(np.max(np.abs(block)) for block in self._blocks.values()))
+        return float(max(np.max(np.abs(block)) for block in blocks.values()))
 
     # ------------------------------------------------------------------ #
     # constructors

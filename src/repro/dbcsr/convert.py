@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.dbcsr.block_matrix import BlockSparseMatrix
+from repro.dbcsr.coo import block_run, concat_ranges
 
 __all__ = [
     "block_matrix_from_dense",
@@ -29,6 +30,37 @@ __all__ = [
     "block_matrix_to_dense",
     "block_matrix_to_csr",
 ]
+
+
+def _run(matrix: BlockSparseMatrix) -> int:
+    """The run of every block height and width: each block row is whole runs
+    of it, in the buffer and in the dense matrix alike."""
+    return block_run(np.concatenate((matrix.row_block_sizes, matrix.col_block_sizes)))
+
+
+def _any_per_block(mask: np.ndarray, starts, sizes) -> np.ndarray:
+    """``any`` over each block of rows of ``mask`` (``sizes[i]`` rows from
+    ``starts[i]``): one reduction of a reshaped view when the blocks are all
+    one size, else one per block."""
+    if (sizes == sizes[0]).all():
+        return np.ascontiguousarray(mask).reshape(sizes.size, sizes[0], -1).any(axis=1)
+    out = np.empty((sizes.size, mask.shape[1]), dtype=bool)
+    for index, (start, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        np.any(mask[start : start + size], axis=0, out=out[index])
+    return out
+
+
+def _dense_runs(matrix: BlockSparseMatrix, rows, cols, run: int) -> np.ndarray:
+    """Dense run position (row-major, ``run`` values each) of every buffer
+    run of the blocks ``(rows[i], cols[i])`` stored in this order: block by
+    block, row by row."""
+    heights = matrix.row_block_sizes[rows]
+    line_rows = np.repeat(matrix.row_starts[rows], heights) + concat_ranges(0, heights)
+    line_cols = np.repeat(matrix.col_starts[cols], heights)
+    widths = np.repeat(matrix.col_block_sizes[cols], heights)
+    return concat_ranges(
+        (line_rows * matrix.shape[1] + line_cols) // run, widths // run
+    )
 
 
 def block_matrix_from_dense(
@@ -46,9 +78,9 @@ def block_matrix_from_dense(
     is not above any threshold), and a kept block stores every element of
     its region, a negative zero as ``+0.0``.
 
-    Vectorised: one elementwise test, one pass per block row, and one
-    gather per distinct block shape; the stored blocks are views into the
-    gathered buffers.
+    Vectorised: one elementwise test, one reduction per axis (per block row
+    and column when the blocks are ragged), and one gather of whole runs into
+    the result's value buffer (row-major block order, as the CSR route's).
     """
     matrix = np.asarray(matrix, dtype=float)
     result = BlockSparseMatrix(row_block_sizes, col_block_sizes)
@@ -61,37 +93,19 @@ def block_matrix_from_dense(
     if not matrix.size:
         return result
     counted = np.abs(matrix) > threshold if threshold > 0.0 else matrix != 0.0
-    in_block_rows = np.empty((result.n_block_rows, cols), dtype=bool)
-    for bi, (r0, r1) in enumerate(
-        zip(result.row_starts[:-1].tolist(), result.row_starts[1:].tolist())
-    ):
-        np.any(counted[r0:r1], axis=0, out=in_block_rows[bi])
-    occupied = np.logical_or.reduceat(in_block_rows, result.col_starts[:-1], axis=1)
+    in_block_rows = _any_per_block(counted, result.row_starts, result.row_block_sizes)
+    occupied = _any_per_block(
+        in_block_rows.T, result.col_starts, result.col_block_sizes
+    ).T
     block_row, block_col = np.nonzero(occupied)  # row-major block order
-    if not block_row.size:
-        return result
-    heights = result.row_block_sizes[block_row]
-    widths = result.col_block_sizes[block_col]
-    origins = result.row_starts[block_row] * cols + result.col_starts[block_col]
-    flat = matrix.reshape(-1)
-    views: list = []
-    members_by_shape = []
-    shape_ids = heights * (int(widths.max()) + 1) + widths
-    for shape_id in np.unique(shape_ids).tolist():
-        members = np.flatnonzero(shape_ids == shape_id)
-        height, width = int(heights[members[0]]), int(widths[members[0]])
-        local = np.arange(height)[:, None] * cols + np.arange(width)
-        gathered = flat[origins[members, None, None] + local]
-        gathered += 0.0  # -0.0 → +0.0, as the CSR route (which drops zeros) gives
-        views.extend(gathered)
-        members_by_shape.append(members)
-    # the blocks enter the dictionary in row-major block order, as the CSR
-    # route's do
-    order = np.argsort(np.concatenate(members_by_shape)).tolist()
-    result.raw_blocks().update(
-        zip(zip(block_row.tolist(), block_col.tolist()), [views[i] for i in order])
+    run = _run(result)
+    values = matrix.reshape(-1, run).take(
+        _dense_runs(result, block_row, block_col, run), axis=0
+    ).reshape(-1)
+    values += 0.0  # -0.0 → +0.0, as the CSR route (which drops zeros) gives
+    return BlockSparseMatrix.from_index(
+        result.row_block_sizes, result.col_block_sizes, block_row, block_col, values
     )
-    return result
 
 
 def block_matrix_from_csr(
@@ -153,26 +167,21 @@ def block_matrix_from_csr(
     )
     # bincount adds in input order from 0.0, exactly like densifying the CSR
     buffer = np.bincount(positions, weights=entries.data[kept], minlength=offsets[-1])
-    blocks = result.raw_blocks()
-    for bi, bj, start, stop, height in zip(
-        block_row.tolist(),
-        block_col.tolist(),
-        offsets[:-1].tolist(),
-        offsets[1:].tolist(),
-        heights.tolist(),
-    ):
-        blocks[bi, bj] = buffer[start:stop].reshape(height, -1)
-    return result
+    return BlockSparseMatrix.from_index(
+        result.row_block_sizes, result.col_block_sizes, block_row, block_col,
+        buffer, offsets,
+    )
 
 
 def block_matrix_to_dense(matrix: BlockSparseMatrix) -> np.ndarray:
-    """Densify a block-sparse matrix."""
-    rows, cols = matrix.shape
-    dense = np.zeros((rows, cols))
-    for bi, bj, block in matrix.iter_blocks():
-        r0 = matrix.row_starts[bi]
-        c0 = matrix.col_starts[bj]
-        dense[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
+    """Densify a block-sparse matrix: one scatter of whole runs."""
+    dense = np.zeros(matrix.shape)
+    rows, cols, _, values = matrix.block_index()
+    if values.size:
+        run = _run(matrix)
+        dense.reshape(-1, run)[_dense_runs(matrix, rows, cols, run)] = values.reshape(
+            -1, run
+        )
     return dense
 
 
@@ -180,36 +189,43 @@ def block_matrix_to_csr(matrix: BlockSparseMatrix) -> sp.csr_matrix:
     """Convert block-sparse storage to a SciPy CSR matrix.
 
     Every element of a stored block becomes a stored CSR element (zeros
-    included).  The element coordinates are generated once per distinct
-    block *shape*, not once per block.
+    included), in canonical order (columns sorted within each row, no
+    duplicates).  One gather of whole runs of the value buffer: the run of
+    block row line ``(block, row)`` lands at its row's CSR start plus the
+    widths of the blocks left of it in that block row.
     """
-    stored = matrix.raw_blocks()
-    if not stored:
+    rows, cols, _, values = matrix.block_index()
+    if not values.size:
         return sp.csr_matrix(matrix.shape)
-    keys = np.array(list(stored), dtype=int)
-    heights = matrix.row_block_sizes[keys[:, 0]]
-    widths = matrix.col_block_sizes[keys[:, 1]]
-    row_starts = matrix.row_starts[keys[:, 0]]
-    col_starts = matrix.col_starts[keys[:, 1]]
-    blocks = list(stored.values())
-    rows_idx = []
-    cols_idx = []
-    values = []
-    shape_ids = heights * (int(widths.max()) + 1) + widths
-    for shape_id in np.unique(shape_ids):
-        members = np.flatnonzero(shape_ids == shape_id)
-        nr, nc = int(heights[members[0]]), int(widths[members[0]])
-        local_r = np.repeat(np.arange(nr), nc)
-        local_c = np.tile(np.arange(nc), nr)
-        rows_idx.append((row_starts[members][:, None] + local_r).ravel())
-        cols_idx.append((col_starts[members][:, None] + local_c).ravel())
-        values.append(
-            np.concatenate([blocks[member].ravel() for member in members.tolist()])
-        )
-    return sp.coo_matrix(
-        (
-            np.concatenate(values),
-            (np.concatenate(rows_idx), np.concatenate(cols_idx)),
-        ),
-        shape=matrix.shape,
-    ).tocsr()
+    run = _run(matrix)
+    widths = matrix.col_block_sizes[cols]
+    # the widths of the blocks left of each block in its block row
+    order = np.argsort(rows * matrix.n_block_cols + cols, kind="stable")
+    left = np.cumsum(widths[order]) - widths[order]
+    sorted_rows = rows[order]
+    left -= left[np.searchsorted(sorted_rows, sorted_rows)]
+    left_of = np.empty_like(left)
+    left_of[order] = left
+    row_width = np.bincount(rows, weights=widths, minlength=matrix.n_block_rows)
+    indptr = np.concatenate(
+        ([0], np.cumsum(np.repeat(row_width.astype(np.int64), matrix.row_block_sizes)))
+    )
+    heights = matrix.row_block_sizes[rows]
+    line_rows = np.repeat(matrix.row_starts[rows], heights) + concat_ranges(0, heights)
+    line_widths = np.repeat(widths, heights) // run
+    targets = concat_ranges(
+        (indptr[line_rows] + np.repeat(left_of, heights)) // run, line_widths
+    )
+    index_dtype = np.int32 if max(matrix.shape) < 2**31 else np.int64
+    # the buffer run at each CSR run, and the first column of that run
+    source = np.empty_like(targets)
+    source[targets] = np.arange(targets.size)
+    data = values.reshape(-1, run).take(source, axis=0).reshape(-1)
+    run_columns = concat_ranges(
+        np.repeat(matrix.col_starts[cols], heights) // run, line_widths
+    ).astype(index_dtype)[source]
+    in_run = np.arange(run, dtype=index_dtype)
+    indices = run_columns[:, None] * index_dtype(run) + in_run
+    return sp.csr_matrix(
+        (data, indices.reshape(-1), indptr.astype(index_dtype)), shape=matrix.shape
+    )

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 
-__all__ = ["CooBlockList", "concat_ranges"]
+__all__ = ["CooBlockList", "block_run", "concat_ranges"]
 
 
 def concat_ranges(starts, counts: np.ndarray) -> np.ndarray:
@@ -39,6 +39,15 @@ def concat_ranges(starts, counts: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) + np.repeat(
         np.asarray(starts, dtype=np.int64) - (stops - counts), counts
     )
+
+
+def block_run(block_sizes: Sequence[int]) -> int:
+    """Run length of a block grid: the gcd of its block sizes.
+
+    Every block height and width — hence every packed block range, dense row
+    offset and submatrix dimension — is a whole number of such runs.
+    """
+    return int(np.gcd.reduce(np.asarray(block_sizes, dtype=int))) or 1
 
 
 class CooBlockList:
@@ -68,8 +77,8 @@ class CooBlockList:
     @classmethod
     def from_block_matrix(cls, matrix: BlockSparseMatrix) -> "CooBlockList":
         """Build the COO list from a (logically distributed) block matrix."""
-        keys = np.array(list(matrix.raw_blocks()), dtype=int).reshape(-1, 2)
-        return cls(keys[:, 0], keys[:, 1], matrix.n_block_rows, matrix.n_block_cols)
+        index = matrix.block_index()
+        return cls(index.rows, index.cols, matrix.n_block_rows, matrix.n_block_cols)
 
     @classmethod
     def from_pattern(cls, pattern: sp.spmatrix) -> "CooBlockList":

@@ -46,8 +46,11 @@ unit of work: runs of whole panels as even as they go, the last one keeping
 the row remainder.  A band is one task — its panels, or on the dense route
 both GEMMs of its rows, ``X[a:b] @ A`` and then that ``@ X``, into arrays the
 caller allocates — and b = 1 is the same code, called once inline over every
-panel.  Cutting a single-threaded GEMM's rows at a multiple of 48 leaves each
-element's accumulation order unchanged, so bands are bitwise the inline route;
+panel.  The screen's left product runs its panels in the same bands, and the
+dense route's symmetrisation and filter (:func:`symmetrize_filter`) its rows,
+both n × n like ``K·X``.  Cutting a single-threaded GEMM's rows at a multiple
+of 48 leaves each element's accumulation order unchanged, so bands are bitwise
+the inline route;
 a multi-threaded BLAS call splits its rows by its own shape, so bands are
 taken only while the environment pins BLAS to one thread per call
 (:func:`~repro.parallel.executor.blas_threads`, the reading the pool's default
@@ -57,7 +60,6 @@ loaded, is taken at its word).
 
 from __future__ import annotations
 
-import itertools
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -79,6 +81,7 @@ __all__ = [
     "panel_product",
     "screened_product",
     "stored_fill",
+    "symmetrize_filter",
     "triple_product",
 ]
 
@@ -109,7 +112,7 @@ def stored_fill(matrix: SparseOperand) -> float:
     if not size:
         return 0.0
     if isinstance(matrix, BlockSparseMatrix):
-        return sum(block.size for block in matrix.raw_blocks().values()) / size
+        return matrix.nnz_elements / size
     if sp.issparse(matrix):
         return matrix.nnz / size
     return 1.0
@@ -126,15 +129,12 @@ def column_runs(matrix: Union[sp.spmatrix, BlockSparseMatrix]) -> PanelRuns:
     """
     rows, cols = matrix.shape
     if isinstance(matrix, BlockSparseMatrix):
-        blocks = matrix.raw_blocks()
-        keys = np.fromiter(
-            itertools.chain.from_iterable(blocks), dtype=np.intp, count=2 * len(blocks)
-        ).reshape(-1, 2)
-        first = matrix.row_starts[keys[:, 0]] // PANEL_ROWS
-        count = (matrix.row_starts[keys[:, 0] + 1] - 1) // PANEL_ROWS - first + 1
+        index = matrix.block_index()
+        first = matrix.row_starts[index.rows] // PANEL_ROWS
+        count = (matrix.row_starts[index.rows + 1] - 1) // PANEL_ROWS - first + 1
         # a block row may meet several consecutive panels
         panel_of_entry = concat_ranges(first, count)
-        column_of_entry = np.repeat(keys[:, 1], count)
+        column_of_entry = np.repeat(index.cols, count)
         column_starts = matrix.col_starts
     else:
         csr = matrix.tocsr()
@@ -284,6 +284,28 @@ def triple_product(
     return out
 
 
+def symmetrize_filter(matrix: np.ndarray, eps: float, mapper=None) -> np.ndarray:
+    """``(T + Tᵀ)·0.5`` of a square ``T``, its elements below ``eps`` in
+    magnitude set to zero, into a fresh array: the dense route's K̃ before its
+    block cut.  Panel by panel (``Tᵀ``'s rows copied in, ``T``'s added: an
+    exact, commutative sum), in row bands on ``mapper`` if given — bitwise
+    the inline route."""
+    out = np.empty_like(matrix)
+
+    def band_rows(band: slice) -> None:
+        for start in range(band.start * PANEL_ROWS, band.stop * PANEL_ROWS, PANEL_ROWS):
+            rows = slice(start, start + PANEL_ROWS)
+            part = out[rows]
+            part[...] = matrix[:, rows].T
+            part += matrix[rows]
+            part *= 0.5
+            if eps > 0.0:
+                np.copyto(part, 0.0, where=np.abs(part) < eps)
+
+    _in_bands(band_rows, *out.shape, mapper)
+    return out
+
+
 def block_norms(matrix: Union[np.ndarray, sp.spmatrix], block_sizes) -> np.ndarray:
     """N[I, J] = ‖A_IJ‖_F of a square ``matrix`` cut into ``block_sizes`` both
     ways: a dense array summed per block, a SciPy matrix over its stored
@@ -333,9 +355,16 @@ def screened_product(
     right = panel_product(matrix, dense, outer, runs, mapper)
     offsets = np.concatenate(([0], np.cumsum(panel_rows * panel_cols)))
     formed = np.empty(offsets[-1])  # the panels' T[rows, columns], one by one
-    for (start, stop, begins, ends), cols, offset in zip(outer_runs, columns, offsets):
-        panel = formed[offset : offset + (stop - start) * cols.size].reshape(stop - start, -1)
-        _panel_into(panel, outer[start:stop], right, begins, ends, cols)
+
+    def fill(band: slice) -> None:
+        for (start, stop, begins, ends), cols, offset in zip(
+            outer_runs[band], columns[band], offsets[band]
+        ):
+            panel = formed[offset : offset + (stop - start) * cols.size]
+            _panel_into(panel.reshape(stop - start, -1), outer[start:stop], right,
+                        begins, ends, cols)
+
+    _in_bands(fill, n, n, mapper)
     # T[i, j] = formed[base[i] + slot[panel of i, j]]
     panel_of = np.arange(n) // PANEL_ROWS
     slot = np.zeros((len(columns), n), dtype=np.intp)
@@ -345,7 +374,8 @@ def screened_product(
     block_row, block_col = np.nonzero(candidate)  # row-major block order
     heights, widths = sizes[block_row], sizes[block_col]
     shape_ids = heights * (int(widths.max(initial=0)) + 1) + widths
-    found = [None] * block_row.size
+    kept = np.zeros(block_row.size, dtype=bool)
+    by_shape = []
     for shape_id in np.unique(shape_ids).tolist():
         members = np.flatnonzero(shape_ids == shape_id)
         rows = starts[block_row[members], None, None] + np.arange(heights[members[0]])[:, None]
@@ -355,10 +385,18 @@ def screened_product(
         values *= 0.5
         values[np.abs(values) < eps] = 0.0
         values += 0.0  # -0.0 → +0.0
-        for member, block in zip(members.tolist(), values):
-            found[member] = block if block.any() else None
-    keys = zip(block_row.tolist(), block_col.tolist())
-    result.raw_blocks().update(
-        (key, block) for key, block in zip(keys, found) if block is not None
+        kept[members] = values.reshape(members.size, -1).any(axis=1)
+        by_shape.append((members, values))
+    # the kept blocks, row-major, in one buffer
+    block_size = heights * widths
+    at = np.zeros(block_row.size, dtype=np.int64)
+    at[kept] = np.cumsum(block_size[kept]) - block_size[kept]
+    buffer = np.empty(int(block_size[kept].sum()))
+    for members, values in by_shape:
+        keep = kept[members]
+        buffer[concat_ranges(at[members[keep]], block_size[members[keep]])] = values[
+            keep
+        ].reshape(-1)
+    return BlockSparseMatrix.from_index(
+        sizes, sizes, block_row[kept], block_col[kept], buffer
     )
-    return result

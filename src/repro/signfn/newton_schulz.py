@@ -182,8 +182,9 @@ class BatchedNewtonSchulzResult:
     order — matrix ``i`` at ``slots[i]``, with ``S = I`` once its iterate is
     final; ``iterations`` (the last step included) and ``converged`` are per
     matrix.  Calling the result with ``(i, columns)`` takes matrix ``i``'s
-    last step on those columns only — the panel
-    :func:`~repro.core.batch.map_stacks` delivers — and :attr:`sign` on all.
+    last step on those columns only, :meth:`panels` takes it for a stack's
+    members at once — the panels :func:`~repro.core.batch.map_stacks`
+    delivers — and :attr:`sign` on all columns.
     """
 
     s: np.ndarray
@@ -202,6 +203,24 @@ class BatchedNewtonSchulzResult:
         step *= 0.5
         step += panel
         return step
+
+    def panels(self, parts) -> None:
+        """The panel former of :func:`~repro.core.batch.map_stacks`: for each
+        ``(members, columns, out)`` of ``parts``, ``out[i]`` becomes matrix
+        ``members[i]``'s last step on its ``columns[i]`` (a ``(k, w)``
+        array) — one batched product per part whose slices are
+        :meth:`__call__`'s GEMMs on operands laid out alike, so bitwise its
+        panels."""
+        rows = np.arange(self.x.shape[-1])
+        for members, columns, out in parts:
+            slots = self.slots[members]
+            # column-major slices, as ``x[slot][:, columns]`` lays them out
+            panel = self.x[slots[:, None, None], rows, columns[:, :, None]]
+            panel = panel.transpose(0, 2, 1)
+            np.matmul(self.s[slots], panel, out=out)
+            np.subtract(panel, out, out=out)
+            out *= 0.5
+            out += panel
 
     @functools.cached_property
     def sign(self) -> np.ndarray:

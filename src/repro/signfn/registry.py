@@ -28,7 +28,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.signfn.eigen import sign_via_eigendecomposition_batched
-from repro.signfn.newton_schulz import sign_newton_schulz_batched
+from repro.signfn.newton_schulz import (
+    BatchedNewtonSchulzResult,
+    sign_newton_schulz_batched,
+)
 
 __all__ = [
     "MatrixFunction",
@@ -218,9 +221,11 @@ class KernelStackSolver:
     :attr:`~BoundKernel.checked_function` gets its single convergence-checked
     attempt, and the submatrices it did not converge come back from ``eigen``
     and add to :attr:`fallbacks` (stacks may be solved on several threads;
-    the count is taken under a lock); its result, a panel function, is
-    handed back as it is.  Any other kernel runs its batched callable, and
-    its result has the stack's dtype.
+    the count is taken under a lock); its result is handed back as it is,
+    a :class:`~repro.signfn.newton_schulz.BatchedNewtonSchulzResult` as its
+    panel former (:meth:`~repro.signfn.newton_schulz.BatchedNewtonSchulzResult.panels`,
+    see :func:`~repro.core.batch.map_stacks`).  Any other kernel runs its
+    batched callable, and its result has the stack's dtype.
     """
 
     def __init__(self, kernel: BoundKernel):
@@ -236,6 +241,8 @@ class KernelStackSolver:
         if fallbacks:
             with self._lock:
                 self.fallbacks += fallbacks
+        if isinstance(results, BatchedNewtonSchulzResult):
+            return results.panels
         return results
 
 

@@ -102,6 +102,22 @@ def reference_block_matrix_from_csr(
     return result
 
 
+def reference_block_matrix_from_dense(
+    matrix, row_block_sizes, col_block_sizes=None, threshold=0.0
+):
+    """Dense -> block storage, one test and one copy per block, row-major
+    block order; a kept block stores its region, −0.0 as +0.0."""
+    result = BlockSparseMatrix(row_block_sizes, col_block_sizes)
+    rows, cols = result.row_starts, result.col_starts
+    for bi in range(result.n_block_rows):
+        for bj in range(result.n_block_cols):
+            region = matrix[rows[bi] : rows[bi + 1], cols[bj] : cols[bj + 1]]
+            counted = np.abs(region) > threshold if threshold > 0.0 else region != 0.0
+            if counted.any():
+                result.put_block(bi, bj, region + 0.0)
+    return result
+
+
 def reference_block_matrix_to_csr(matrix):
     """Block storage -> CSR, one ``meshgrid`` per stored block."""
     rows_idx, cols_idx, values = [], [], []
@@ -135,9 +151,9 @@ def reference_plan_group(coo, block_sizes, group):
     """Index arrays of one block-column group, one Python pass per block.
 
     Returns the fields of a block-level ``GroupPlan`` (minus its segment
-    record) as a namespace; ``gather_*``/``scatter_*`` are built from one
-    ``arange`` per block, the way the plan layer did before it expanded them
-    from the block-level record.  Positions count runs of ``gcd(block_sizes)``
+    record) as a namespace; ``gather_*``/``panel_src``/``scatter_dst`` are
+    built from one ``arange`` per block, the way the plan layer did before it
+    expanded them from the block-level record.  Positions count runs of ``gcd(block_sizes)``
     values: a block's packed range and each of its dense rows are whole runs.
     """
     block_sizes = np.asarray(block_sizes, dtype=int)
@@ -155,7 +171,14 @@ def reference_plan_group(coo, block_sizes, group):
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     dim = int(offsets[-1])
     local_of = {int(block): local for local, block in enumerate(retained)}
-    gather_src, gather_dst, scatter_src, scatter_dst = [], [], [], []
+    # the panel: the generating columns side by side, in grouping order
+    panel_rows = [
+        np.arange(offsets[local_of[c]], offsets[local_of[c] + 1], dtype=np.int64)
+        for c in columns.tolist()
+    ]
+    panel_column = dict(zip(columns.tolist(), np.cumsum([0] + [r.size for r in panel_rows])))
+    panel_width = sum(rows.size for rows in panel_rows)
+    gather_src, gather_dst, panel_src, scatter_dst = [], [], [], []
     for col in retained.tolist():
         for block_id, row in by_column.get(col, []):
             if row not in local_of:
@@ -175,7 +198,14 @@ def reference_plan_group(coo, block_sizes, group):
             gather_src.append(src)
             gather_dst.append(dst)
             if col in columns:
-                scatter_src.append(dst)
+                panel_src.append(
+                    (
+                        (offsets[li] + np.arange(int(sizes[li]), dtype=np.int64))[:, None]
+                        * (panel_width // run)
+                        + panel_column[col] // run
+                        + np.arange(int(sizes[lj]) // run, dtype=np.int64)[None, :]
+                    ).reshape(-1)
+                )
                 scatter_dst.append(src)
 
     def concat(pieces):
@@ -188,8 +218,9 @@ def reference_plan_group(coo, block_sizes, group):
         dimension=dim,
         gather_src=concat(gather_src),
         gather_dst=concat(gather_dst),
-        scatter_src=concat(scatter_src),
+        panel_src=concat(panel_src),
         scatter_dst=concat(scatter_dst),
+        panel_rows=concat(panel_rows),
         block_sizes=sizes,
         offsets=offsets,
     )

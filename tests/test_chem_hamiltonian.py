@@ -3,10 +3,28 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chem import HamiltonianModel, build_block_pattern, build_matrices, water_box
 from repro.chem.basis import DZVP, SZV
-from repro.chem.hamiltonian import block_structure, cutoff_radius
+from repro.chem.hamiltonian import _element_pairs, block_structure, cutoff_radius
+
+
+@given(
+    st.lists(st.sampled_from(["H", "O", "C", "Na", "N", "He"]), min_size=1, max_size=12),
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_element_pairs_are_the_sorted_set_of_symbol_pairs(symbols, pairs):
+    """``np.unique`` over element codes lists the distinct (symbol, symbol)
+    pairs in the order ``sorted(set(...))`` of the tuples gives."""
+    symbols = np.array(symbols)
+    pairs = [(a % symbols.size, b % symbols.size) for a, b in pairs]
+    i_atoms = np.array([a for a, _ in pairs], dtype=int)
+    j_atoms = np.array([b for _, b in pairs], dtype=int)
+    want = sorted({(symbols[a], symbols[b]) for a, b in zip(i_atoms, j_atoms)})
+    assert _element_pairs(symbols, i_atoms, j_atoms) == want
 
 
 class TestBlockStructure:

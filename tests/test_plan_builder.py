@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.chem import orthogonalized_ks
-from repro.core.batch import make_stack_tasks, map_stacks, spectral_panel
+from repro.core.batch import make_stack_tasks, map_stacks, spectral_panel, spectral_panels
 from repro.core.plan import BlockSubmatrixPlan, plan_nbytes
 from repro.core.shard import ShardedPlan
 from repro.core.submatrix import extract_block_submatrix
@@ -54,8 +54,9 @@ GROUP_ARRAYS = (
     "local_columns",
     "gather_src",
     "gather_dst",
-    "scatter_src",
+    "panel_src",
     "scatter_dst",
+    "panel_rows",
     "block_sizes",
     "offsets",
 )
@@ -325,13 +326,9 @@ def _spectral_values(stack):
 
 
 def _spectral_solver(stack):
-    """The same function as the bucket loop's panel function."""
+    """The same function as the bucket loop's panel former."""
     values, vectors = _spectral_values(stack)
-
-    def panel(slot, rows):
-        return spectral_panel(vectors[slot], values[slot], vectors[slot][rows])
-
-    return panel
+    return spectral_panels(vectors, values)
 
 
 def _full_product_solver(stack):
