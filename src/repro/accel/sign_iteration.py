@@ -61,10 +61,6 @@ class MixedPrecisionSignResult:
     iterations: int
     flops: float
 
-    def energy_difference_to(self, reference_energy: float) -> np.ndarray:
-        """Energy difference (eV) to a reference value, per iteration."""
-        return np.asarray(self.energies, dtype=float) - reference_energy
-
 
 def mixed_precision_sign_iteration(
     matrix: Union[np.ndarray, sp.spmatrix],

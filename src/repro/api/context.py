@@ -204,11 +204,6 @@ class SubmatrixContext:
     # ------------------------------------------------------------------ #
     # shared resources
     # ------------------------------------------------------------------ #
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has been called on this context."""
-        return self._closed
-
     def _check_open(self) -> None:
         """Reject work on a closed session with one clear error.
 
@@ -248,12 +243,6 @@ class SubmatrixContext:
                         self, self._executor.shutdown, False
                     )
             return self._executor
-
-    @property
-    def in_flight(self) -> int:
-        """Number of requests currently executing through this session."""
-        with self._lock:
-            return self._in_flight
 
     @contextlib.contextmanager
     def _request(self):

@@ -151,12 +151,6 @@ class TrajectoryStats:
     kernel_fallbacks: int = 0
 
     @property
-    def reuse_rate(self) -> float:
-        """Fraction of plan lookups served from the cache."""
-        total = self.plans_built + self.plan_cache_hits
-        return self.plan_cache_hits / total if total else 0.0
-
-    @property
     def plans_patched(self) -> int:
         """Inert leftover, always 0: nothing patches a plan any more; the
         name stays only because ``benchmarks/e2e`` reads it."""

@@ -30,16 +30,6 @@ __all__ = [
 ]
 
 
-#: Number of valence electrons per element under GTH-style pseudopotentials,
-#: as used by the MOLOPT basis sets in the paper (H: 1, O: 6).
-VALENCE_ELECTRONS: Dict[str, int] = {
-    "H": 1,
-    "O": 6,
-    "C": 4,
-    "N": 5,
-}
-
-
 @dataclasses.dataclass(frozen=True)
 class Atom:
     """A single atom.
@@ -64,14 +54,6 @@ class Atom:
         if pos.shape != (3,):
             raise ValueError(f"position must have shape (3,), got {pos.shape}")
         object.__setattr__(self, "position", pos)
-
-    @property
-    def valence_electrons(self) -> int:
-        """Number of valence electrons contributed by this atom."""
-        try:
-            return VALENCE_ELECTRONS[self.symbol]
-        except KeyError as exc:  # pragma: no cover - defensive
-            raise KeyError(f"unknown element {self.symbol!r}") from exc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,11 +81,6 @@ class Cell:
             raise ValueError("cell lengths must be positive")
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "periodic", tuple(bool(p) for p in self.periodic))
-
-    @property
-    def volume(self) -> float:
-        """Cell volume in Å³."""
-        return float(np.prod(self.lengths))
 
     def wrap(self, positions: np.ndarray) -> np.ndarray:
         """Wrap positions into the primary cell along periodic directions."""
@@ -210,11 +187,6 @@ class System:
         """Indices of the atoms belonging to ``molecule``."""
         return self._atoms_per_molecule[molecule]
 
-    @property
-    def valence_electrons(self) -> int:
-        """Total number of valence electrons in the system."""
-        return int(sum(a.valence_electrons for a in self.atoms))
-
     # ------------------------------------------------------------------ #
     # geometry
     # ------------------------------------------------------------------ #
@@ -231,23 +203,6 @@ class System:
             delta = minimum_image_displacement(self._positions[idx] - ref, self.cell)
             centers[m] = ref + delta.mean(axis=0)
         return self.cell.wrap(centers)
-
-    def distance(self, i: int, j: int) -> float:
-        """Minimum-image distance between atoms ``i`` and ``j`` (Å)."""
-        delta = minimum_image_displacement(
-            self._positions[j] - self._positions[i], self.cell
-        )
-        return float(np.linalg.norm(delta))
-
-    def distance_matrix(self) -> np.ndarray:
-        """Dense minimum-image distance matrix between all atoms.
-
-        Only intended for small systems (memory grows as n_atoms²); large
-        systems should use :func:`neighbor_pairs`.
-        """
-        delta = self._positions[None, :, :] - self._positions[:, None, :]
-        delta = minimum_image_displacement(delta, self.cell)
-        return np.linalg.norm(delta, axis=-1)
 
     def neighbor_pairs(self, cutoff: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All atom pairs (i < j) within ``cutoff`` and their distances.

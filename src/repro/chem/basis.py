@@ -57,15 +57,6 @@ class BasisSet:
                 f"basis set {self.name!r} has no entry for element {symbol!r}"
             ) from exc
 
-    def functions_for_molecule(self, symbols) -> int:
-        """Total number of basis functions for a molecule given its atoms."""
-        return int(sum(self.functions_for(s) for s in symbols))
-
-    @property
-    def water_block_size(self) -> int:
-        """Number of basis functions per water molecule (one DBCSR block)."""
-        return self.functions_for("O") + 2 * self.functions_for("H")
-
 
 #: Single-zeta valence basis (6 functions per water molecule).
 SZV = BasisSet(

@@ -143,12 +143,6 @@ class BlockStructure:
     def n_blocks(self) -> int:
         return len(self.block_sizes)
 
-    def block_of_function(self, index: int) -> int:
-        """Block (molecule) index owning global basis function ``index``."""
-        if index < 0 or index >= self.n_basis:
-            raise IndexError(f"basis function index {index} out of range")
-        return int(np.searchsorted(self.block_starts, index, side="right") - 1)
-
 
 @dataclasses.dataclass
 class MatrixPair:

@@ -44,10 +44,9 @@ With the plan in hand, one evaluation of f(A) becomes
    into one preallocated output value vector with one scatter (the panel
    positions, ``panel_src``, are fixed at build); ``scatter_stack`` and
    ``scatter`` slice those columns from whole evaluated matrices, and
-   ``scatter_columns`` writes one panel;
+   ``write_panels`` writes panels formed elsewhere;
 4. ``result = plan.finalize(out)``       — zero-copy: the block-sparse
-   result's value buffer *is* ``out``, its index the plan's COO list
-   (no block dictionary is built unless a caller asks for blocks).
+   result's value buffer *is* ``out``, its index the plan's COO list.
 
 Building a plan is itself index arithmetic over whole block columns, the
 way the paper builds its submatrices from the global COO list (Sec. IV-A,
@@ -141,7 +140,7 @@ class GroupPlan:
     def generating_rows(self) -> np.ndarray:
         """:attr:`panel_rows`: the dense rows of the generating columns, in
         the column order of a panel handed to
-        :meth:`SubmatrixPlan.scatter_columns`."""
+        :meth:`SubmatrixPlan.write_panels`."""
         return self.panel_rows
 
 
@@ -218,21 +217,6 @@ class SubmatrixPlan:
         f_submatrix = np.asarray(f_submatrix)
         self.scatter_stack(out, [group_index], f_submatrix[None])
 
-    def scatter_columns(
-        self, out: np.ndarray, group_index: int, panel: np.ndarray
-    ) -> None:
-        """Write the generating columns of f(a_i) from their ``(d, w)`` panel.
-
-        ``panel[:, p]`` is column ``group.generating_rows()[p]`` of f(a_i) —
-        all the method copies back (Sec. III), so a caller that can form
-        these columns alone never builds the ``(d, d)`` matrix.
-        """
-        group = self.groups[group_index]
-        shape = (group.dimension, group.panel_rows.size)
-        if panel.shape != shape:
-            raise ValueError(f"panel must have shape {shape}, got {panel.shape}")
-        self._move_runs(out, group.scatter_dst, panel, group.panel_src)
-
     def write_panels(
         self, out: np.ndarray, members: Sequence[int], panels: np.ndarray,
         starts: np.ndarray,
@@ -240,8 +224,10 @@ class SubmatrixPlan:
         """One scatter of several members' generating-column panels.
 
         ``panels[starts[i]:]`` holds member ``members[i]``'s ``(d, w)`` panel
-        row-major (what :meth:`scatter_columns` takes); the members may have
-        any dimensions.
+        row-major: ``panel[:, p]`` is column ``generating_rows()[p]`` of
+        f(a_i) — all the method copies back (Sec. III), so a caller that can
+        form these columns alone never builds the ``(d, d)`` matrix.  The
+        members may have any dimensions.
         """
         groups = [self.groups[index] for index in members]
         src = np.concatenate([group.panel_src for group in groups])

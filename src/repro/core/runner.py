@@ -86,11 +86,6 @@ class SubmatrixRunCost:
     total_comm_bytes: float
     details: Dict[str, float]
 
-    @property
-    def simulated_seconds(self) -> float:
-        """Total simulated wall-clock time."""
-        return self.simulated.total
-
 
 def _as_coo(pattern: PatternLike) -> CooBlockList:
     if isinstance(pattern, CooBlockList):

@@ -117,10 +117,6 @@ class RankShard:
         return int(self.group_indices.size)
 
     @property
-    def n_local_values(self) -> int:
-        return self.view.local_values
-
-    @property
     def dimensions(self) -> List[int]:
         """Dense dimensions of the rank's submatrices (shard order)."""
         return self.view.dimensions

@@ -14,12 +14,11 @@ This is the heart of the submatrix method (Sec. III-A of the paper):
 The helpers here work on DBCSR block columns (a :class:`BlockSparseMatrix`
 or a pure block-sparsity pattern for the large pattern-only analyses):
 the retained block rows and dimension of a submatrix, and one dense
-submatrix assembled with a Python loop over its blocks, for the benches that
-study a single submatrix.  The engine never calls them: it extracts and
-scatters through the cached plans of :mod:`repro.core.plan` and the stacks
-of :mod:`repro.core.batch`.  The serial reference the engine is tested
-against (element and block extraction plus scatter-back) lives in
-``tests/submatrix_reference.py``.
+submatrix for the benches that study a single submatrix, extracted by a
+one-group :class:`~repro.core.plan.BlockSubmatrixPlan` — the gather the
+engine runs on every stack.  The serial reference the engine is tested
+against (element and block extraction plus scatter-back, one Python step
+per block) lives in ``tests/submatrix_reference.py``.
 """
 from __future__ import annotations
 
@@ -29,6 +28,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.plan import BlockSubmatrixPlan
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.coo import CooBlockList
 
@@ -126,7 +126,9 @@ def extract_block_submatrix(
         Generating block column(s).
     coo:
         Optional pre-built COO block list (the global sparsity view); built
-        on the fly when omitted.
+        on the fly when omitted.  Its blocks that ``matrix`` does not store
+        extract as zeros; a stored block outside it is a :class:`ValueError`
+        (:meth:`~repro.core.plan.BlockSubmatrixPlan.pack`).
 
     Returns
     -------
@@ -140,26 +142,12 @@ def extract_block_submatrix(
     block_columns = np.atleast_1d(np.asarray(block_columns, dtype=int))
     if coo is None:
         coo = CooBlockList.from_block_matrix(matrix)
-    retained = submatrix_block_rows(coo, block_columns)
-    sizes = matrix.row_block_sizes[retained]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    dimension = int(offsets[-1])
-    data = np.zeros((dimension, dimension))
-    position = {int(block): index for index, block in enumerate(retained)}
-    for local_i, bi in enumerate(retained):
-        for local_j, bj in enumerate(retained):
-            block = matrix.get_block(int(bi), int(bj))
-            if block is None:
-                continue
-            data[
-                offsets[local_i] : offsets[local_i + 1],
-                offsets[local_j] : offsets[local_j + 1],
-            ] = block
-    local_columns = np.array([position[int(c)] for c in block_columns], dtype=int)
+    plan = BlockSubmatrixPlan(coo, matrix.row_block_sizes, [block_columns])
+    group = plan.groups[0]
     return Submatrix(
         generating_columns=block_columns,
-        indices=retained,
-        local_columns=local_columns,
-        data=data,
-        block_sizes=sizes,
+        indices=group.indices,
+        local_columns=group.local_columns,
+        data=plan.extract_stack(plan.pack(matrix), [0])[0],
+        block_sizes=group.block_sizes,
     )

@@ -9,8 +9,8 @@ non-zero blocks themselves are dense, and the blocks are distributed over a
 This subpackage recreates the parts of that data structure the submatrix
 engine runs on:
 
-* :class:`repro.dbcsr.block_matrix.BlockSparseMatrix` — the storage format
-  with serial block-level arithmetic;
+* :class:`repro.dbcsr.block_matrix.BlockSparseMatrix` — the storage format:
+  one value buffer plus its block index, with no block-level arithmetic;
 * :mod:`repro.dbcsr.distribution` — the 2D process grid and block→rank map
   the transfer planner reads ownership from;
 * :mod:`repro.dbcsr.coo` — the deterministic global COO block list that the

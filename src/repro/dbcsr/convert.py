@@ -4,7 +4,10 @@ The chemistry substrate produces ``scipy.sparse`` matrices with a known block
 (molecule) structure; the DBCSR substrate and the submatrix method operate on
 :class:`~repro.dbcsr.block_matrix.BlockSparseMatrix`.  These helpers move
 data between the representations while preserving the block structure and
-dropping blocks that are entirely below a threshold.
+dropping blocks that are entirely below a threshold.  Each one reads or
+writes the matrix's value buffer and block index
+(:meth:`~repro.dbcsr.block_matrix.BlockSparseMatrix.block_index`) in a few
+vectorised passes; none visits the blocks one at a time.
 
 In a density request K̃ = S^{-1/2}·K·S^{-1/2} reaches blocks with no CSR
 step: formed only in the blocks its filter can keep when K is sparse and
@@ -124,8 +127,8 @@ def block_matrix_from_csr(
     in float64, in storage order.
 
     One O(nnz) pass: the values of all created blocks are accumulated into a
-    single contiguous buffer (blocks in row-major block order) and the
-    stored blocks are views into it.
+    single contiguous buffer (blocks in row-major block order), which is the
+    result's value buffer.
     """
     result = BlockSparseMatrix(row_block_sizes, col_block_sizes)
     rows, cols = result.shape

@@ -14,7 +14,7 @@ coordinates) is accounted by :meth:`repro.core.transfers.TransferPlan.to_traffic
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,9 +67,6 @@ class CooBlockList:
         self.cols = cols[order]
         self.n_block_rows = int(n_block_rows)
         self.n_block_cols = int(n_block_cols)
-        # coordinates -> ID, built on the first block_id/contains query: the
-        # request path never asks, it addresses blocks by position
-        self._id_of: Optional[Dict[Tuple[int, int], int]] = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -91,36 +88,6 @@ class CooBlockList:
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return len(self.rows)
-
-    def _ids(self) -> Dict[Tuple[int, int], int]:
-        if self._id_of is None:
-            self._id_of = {
-                key: i
-                for i, key in enumerate(zip(self.rows.tolist(), self.cols.tolist()))
-            }
-        return self._id_of
-
-    def block_id(self, bi: int, bj: int) -> int:
-        """Unique ID (position in the sorted list) of block (bi, bj)."""
-        try:
-            return self._ids()[(int(bi), int(bj))]
-        except KeyError as exc:
-            raise KeyError(f"block ({bi}, {bj}) is not in the COO list") from exc
-
-    def block_at(self, block_id: int) -> Tuple[int, int]:
-        """Block coordinates of a given ID."""
-        if not 0 <= block_id < len(self):
-            raise IndexError(f"block id {block_id} out of range")
-        return int(self.rows[block_id]), int(self.cols[block_id])
-
-    def contains(self, bi: int, bj: int) -> bool:
-        """Whether block (bi, bj) is non-zero."""
-        return (int(bi), int(bj)) in self._ids()
-
-    def blocks_in_column(self, bj: int) -> List[int]:
-        """Sorted block rows of the non-zero blocks in block column ``bj``."""
-        start, stop = np.searchsorted(self.cols, [bj, bj + 1])
-        return sorted(int(r) for r in self.rows[start:stop])
 
     def blocks_in_columns(self, columns: Sequence[int]) -> List[int]:
         """Sorted union of non-zero block rows over several block columns."""
@@ -164,12 +131,6 @@ class CooBlockList:
         digest.update(np.ascontiguousarray(self.rows, dtype=np.int64).tobytes())
         digest.update(np.ascontiguousarray(self.cols, dtype=np.int64).tobytes())
         return digest.hexdigest()
-
-    def column_counts(self) -> np.ndarray:
-        """Number of non-zero blocks per block column."""
-        counts = np.zeros(self.n_block_cols, dtype=int)
-        np.add.at(counts, self.cols, 1)
-        return counts
 
     def to_pattern(self) -> sp.csr_matrix:
         """Boolean CSR pattern matrix of the non-zero blocks."""

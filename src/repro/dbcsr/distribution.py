@@ -80,22 +80,13 @@ class BlockDistribution:
         """Number of ranks in the process grid."""
         return self.grid.n_ranks
 
-    def owner_of(self, bi: int, bj: int) -> int:
-        """Rank owning block (bi, bj)."""
-        if not 0 <= bi < self.n_block_rows:
-            raise IndexError(f"block row {bi} out of range")
-        if not 0 <= bj < self.n_block_cols:
-            raise IndexError(f"block column {bj} out of range")
-        return self.grid.rank_at(
-            int(self.row_distribution[bi]), int(self.col_distribution[bj])
-        )
-
     def owners_of_blocks(self, rows, cols) -> np.ndarray:
         """Owning rank of every (rows[i], cols[i]) block, vectorized.
 
-        This is the bulk form of :meth:`owner_of` used by the transfer
-        planner: one call resolves the ownership of a whole COO block list
-        (row-major grid ordering, identical to :meth:`owner_of`).
+        The transfer planner resolves the ownership of a whole COO block
+        list with one call: block ``(bi, bj)`` lives on the rank at grid
+        position (row owner of ``bi``, column owner of ``bj``), ranks in
+        row-major grid order.
         """
         rows = np.asarray(rows, dtype=int)
         cols = np.asarray(cols, dtype=int)

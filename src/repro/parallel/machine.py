@@ -22,7 +22,6 @@ work/traffic distributions, which are computed exactly.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 from repro.parallel.stats import TrafficLog
 
@@ -134,11 +133,6 @@ class MachineModel:
             communication=max_comm,
             serial_overhead=serial_overhead,
         )
-
-    def nodes_for_ranks(self, n_ranks: int, ranks_per_node: Optional[int] = None) -> int:
-        """Number of nodes needed for ``n_ranks`` ranks."""
-        per_node = ranks_per_node if ranks_per_node is not None else self.cores_per_node
-        return max(1, -(-n_ranks // per_node))
 
 
 #: Machine model loosely calibrated to the paper's evaluation platform.

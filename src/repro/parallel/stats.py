@@ -38,15 +38,6 @@ class RankCounters:
         """Bytes sent plus received."""
         return self.bytes_sent + self.bytes_received
 
-    def merge(self, other: "RankCounters") -> None:
-        """Accumulate another counter set into this one."""
-        self.flops += other.flops
-        self.sparse_flops += other.sparse_flops
-        self.bytes_sent += other.bytes_sent
-        self.bytes_received += other.bytes_received
-        self.messages_sent += other.messages_sent
-        self.messages_received += other.messages_received
-
 
 class TrafficLog:
     """Per-rank accounting for a simulated run.
@@ -152,13 +143,6 @@ class TrafficLog:
             return 1.0
         mean = total / self.n_ranks
         return self.max_flops() / mean
-
-    def merge(self, other: "TrafficLog") -> None:
-        """Accumulate another log (same rank count) into this one."""
-        if other.n_ranks != self.n_ranks:
-            raise ValueError("cannot merge logs with different rank counts")
-        for mine, theirs in zip(self.ranks, other.ranks):
-            mine.merge(theirs)
 
     def per_rank(self) -> Iterable[RankCounters]:
         """Iterate over per-rank counters."""

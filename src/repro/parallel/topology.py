@@ -29,7 +29,7 @@ def balanced_dims(n_ranks: int) -> Tuple[int, int]:
 
 
 class CartesianGrid2D:
-    """A 2D cartesian arrangement of ranks (row-major, periodic lookup).
+    """A 2D cartesian arrangement of ranks (row-major).
 
     Parameters
     ----------
@@ -53,19 +53,6 @@ class CartesianGrid2D:
         self.n_ranks = n_ranks
         self.rows = rows
         self.cols = cols
-
-    def coords(self, rank: int) -> Tuple[int, int]:
-        """(row, col) coordinates of ``rank`` (row-major ordering)."""
-        self._check(rank)
-        return divmod(rank, self.cols)
-
-    def rank_at(self, row: int, col: int) -> int:
-        """Rank at grid position (row, col), with periodic wrap-around."""
-        return (row % self.rows) * self.cols + (col % self.cols)
-
-    def _check(self, rank: int) -> None:
-        if not 0 <= rank < self.n_ranks:
-            raise IndexError(f"rank {rank} out of range for {self.n_ranks} ranks")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CartesianGrid2D({self.rows}x{self.cols})"

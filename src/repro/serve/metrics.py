@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict
 
 import numpy as np
 
@@ -148,17 +148,3 @@ class ServiceMetrics:
         total.update(dict.fromkeys(_INERT_TOTALS, 0))
         return {"tenants": tenants, "total": total}
 
-    def percentiles(
-        self, tenant: Optional[str] = None, quantiles=(50.0, 99.0)
-    ) -> Dict[float, float]:
-        """Latency percentiles for one tenant (or pooled across all)."""
-        with self._lock:
-            if tenant is not None:
-                states = [self._tenants[tenant]] if tenant in self._tenants else []
-            else:
-                states = list(self._tenants.values())
-            pooled = [value for state in states for value in state.latencies]
-        if not pooled:
-            return {float(q): 0.0 for q in quantiles}
-        array = np.asarray(pooled, dtype=float)
-        return {float(q): float(np.percentile(array, q)) for q in quantiles}

@@ -6,16 +6,20 @@ call per column group, rebuilding all index bookkeeping every time — no
 plan, no stacks, no cache.  The engine's results must equal these bitwise
 wherever the per-submatrix arithmetic is the same.  The element-level
 kernels (``extract_submatrix``, ``scatter_submatrix_result``) and the
-block-level scatter (``scatter_block_submatrix_result``) live here, since
-only tests call them; the block-level extraction is
-:func:`repro.core.submatrix.extract_block_submatrix`, which the benches use
-as well.  So does the item-by-item greedy of the paper's load balancing
+block-level ones (``reference_extract_block_submatrix``,
+``scatter_block_submatrix_result``) live here, since only tests call them;
+:func:`repro.core.submatrix.extract_block_submatrix`, which the benches
+use, is a one-group plan and is held to the per-block one bitwise.  So does
+the item-by-item greedy of the paper's load balancing
 (``assign_consecutive_chunks_reference``), the oracle of the vectorised
 :func:`repro.core.load_balance.assign_consecutive_chunks`.
 
 The block I/O of :mod:`repro.dbcsr` has its reference here too: the
 per-block loops (one SciPy slice, one ``meshgrid`` per block) the vectorised
-conversions replaced and must reproduce bitwise.  So has the plan layer: the
+conversions replaced and must reproduce bitwise.  A block matrix is one
+value buffer plus its index; the block-level readers the references use
+(``blocks_of``, ``get_block``) and the bitwise comparison of two matrices
+(``assert_same_blocks``) read that index.  So has the plan layer: the
 per-block index loop of ``BlockSubmatrixPlan`` and the ``searchsorted``
 derivation of a rank shard, which the array expansions in
 :mod:`repro.core.plan` / :mod:`repro.core.shard` replaced.
@@ -41,8 +45,44 @@ from repro.chem.density import (
     fermi_occupation,
 )
 from repro.core.load_balance import _validated_costs
-from repro.core.submatrix import Submatrix, extract_block_submatrix
+from repro.core.submatrix import Submatrix
 from repro.dbcsr import BlockSparseMatrix, CooBlockList
+
+
+def blocks_of(matrix):
+    """The stored blocks as ``{(bi, bj): block}`` in storage order, each a
+    view into the matrix's value buffer."""
+    rows, cols, offsets, values = matrix.block_index()
+    bounds = offsets.tolist()
+    return {
+        (bi, bj): values[start:stop].reshape(matrix.row_block_sizes[bi], -1)
+        for bi, bj, start, stop in zip(
+            rows.tolist(), cols.tolist(), bounds[:-1], bounds[1:]
+        )
+    }
+
+
+def get_block(matrix, bi, bj):
+    """Block ``(bi, bj)`` (a view into the value buffer), ``None`` if unstored."""
+    return blocks_of(matrix).get((bi, bj))
+
+
+def coo_order(blocks):
+    """``blocks`` (a dict keyed by block coordinates) sorted by (column,
+    row): the deterministic COO order of the paper (Sec. IV-A1)."""
+    return {key: blocks[key] for key in sorted(blocks, key=lambda key: key[::-1])}
+
+
+def assert_same_blocks(ours, theirs):
+    """Bitwise equal block matrices: block sizes, then the index — block
+    rows, columns and offsets in storage order — and the value buffer's bits."""
+    assert np.array_equal(ours.row_block_sizes, theirs.row_block_sizes)
+    assert np.array_equal(ours.col_block_sizes, theirs.col_block_sizes)
+    mine, reference = ours.block_index(), theirs.block_index()
+    for name in ("rows", "cols", "offsets"):
+        assert np.array_equal(getattr(mine, name), getattr(reference, name)), name
+    assert mine.values.dtype == reference.values.dtype == np.float64
+    assert mine.values.tobytes() == reference.values.tobytes()
 
 
 def random_pattern(n_blocks, density, rng):
@@ -56,7 +96,6 @@ def random_pattern(n_blocks, density, rng):
 
 def matrix_for_pattern(coo, sizes, rng):
     """Symmetric block matrix with random values on the pattern."""
-    matrix = BlockSparseMatrix(sizes, sizes)
     blocks = {}
     for bi, bj in zip(coo.rows, coo.cols):
         bi, bj = int(bi), int(bj)
@@ -68,9 +107,8 @@ def matrix_for_pattern(coo, sizes, rng):
             block = rng.standard_normal((int(sizes[bi]), int(sizes[bj])))
             if bi == bj:
                 block = 0.5 * (block + block.T)
-        matrix.put_block(bi, bj, block)
         blocks[(bi, bj)] = block
-    return matrix
+    return BlockSparseMatrix(sizes, sizes, blocks)
 
 
 def poly(a):
@@ -95,11 +133,12 @@ def reference_block_matrix_from_csr(
     block_row = np.searchsorted(result.row_starts, coo.row, side="right") - 1
     block_col = np.searchsorted(result.col_starts, coo.col, side="right") - 1
     csr = matrix.tocsr()
+    blocks = {}
     for bi, bj in sorted(set(zip(block_row.tolist(), block_col.tolist()))):
         r0, r1 = result.row_starts[bi], result.row_starts[bi + 1]
         c0, c1 = result.col_starts[bj], result.col_starts[bj + 1]
-        result.put_block(bi, bj, csr[r0:r1, c0:c1].toarray())
-    return result
+        blocks[bi, bj] = csr[r0:r1, c0:c1].toarray()
+    return BlockSparseMatrix(row_block_sizes, col_block_sizes, blocks)
 
 
 def reference_block_matrix_from_dense(
@@ -109,19 +148,20 @@ def reference_block_matrix_from_dense(
     block order; a kept block stores its region, −0.0 as +0.0."""
     result = BlockSparseMatrix(row_block_sizes, col_block_sizes)
     rows, cols = result.row_starts, result.col_starts
+    blocks = {}
     for bi in range(result.n_block_rows):
         for bj in range(result.n_block_cols):
             region = matrix[rows[bi] : rows[bi + 1], cols[bj] : cols[bj + 1]]
             counted = np.abs(region) > threshold if threshold > 0.0 else region != 0.0
             if counted.any():
-                result.put_block(bi, bj, region + 0.0)
-    return result
+                blocks[bi, bj] = region + 0.0
+    return BlockSparseMatrix(row_block_sizes, col_block_sizes, blocks)
 
 
 def reference_block_matrix_to_csr(matrix):
-    """Block storage -> CSR, one ``meshgrid`` per stored block."""
+    """Block storage -> CSR, one ``meshgrid`` per stored block (COO order)."""
     rows_idx, cols_idx, values = [], [], []
-    for bi, bj, block in matrix.iter_blocks():
+    for (bi, bj), block in coo_order(blocks_of(matrix)).items():
         local_r, local_c = np.meshgrid(
             np.arange(block.shape[0]), np.arange(block.shape[1]), indexing="ij"
         )
@@ -138,7 +178,7 @@ def reference_block_matrix_to_csr(matrix):
 
 def reference_coo_block_list(matrix):
     """The COO block list of a block matrix from its sorted key tuples."""
-    keys = matrix.block_keys()
+    keys = list(coo_order(blocks_of(matrix)))
     return CooBlockList(
         [bi for bi, _ in keys],
         [bj for _, bj in keys],
@@ -336,18 +376,50 @@ def scatter_submatrix_result(
             column_store[int(row)] = float(value)
 
 
+def reference_extract_block_submatrix(matrix, block_columns, coo=None):
+    """The dense submatrix of ``block_columns``, assembled block by block:
+    one lookup per retained block pair."""
+    if not np.array_equal(matrix.row_block_sizes, matrix.col_block_sizes):
+        raise ValueError("the submatrix method requires a square block structure")
+    block_columns = np.atleast_1d(np.asarray(block_columns, dtype=int))
+    if coo is None:
+        coo = CooBlockList.from_block_matrix(matrix)
+    retained = np.unique(
+        np.concatenate([coo.blocks_in_columns(block_columns), block_columns])
+    ).astype(int)
+    sizes = matrix.row_block_sizes[retained]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    data = np.zeros((offsets[-1], offsets[-1]))
+    blocks = blocks_of(matrix)
+    for local_i, bi in enumerate(retained.tolist()):
+        for local_j, bj in enumerate(retained.tolist()):
+            block = blocks.get((bi, bj))
+            if block is not None:
+                data[
+                    offsets[local_i] : offsets[local_i + 1],
+                    offsets[local_j] : offsets[local_j + 1],
+                ] = block
+    return Submatrix(
+        generating_columns=block_columns,
+        indices=retained,
+        local_columns=np.searchsorted(retained, block_columns),
+        data=data,
+        block_sizes=sizes,
+    )
+
+
 def scatter_block_submatrix_result(
-    result: BlockSparseMatrix,
+    result: Dict[Tuple[int, int], np.ndarray],
     f_submatrix: np.ndarray,
     submatrix: Submatrix,
     coo: CooBlockList,
 ) -> None:
-    """Copy the generating block columns of f(a_C) back into ``result``.
+    """Copy the generating block columns of f(a_C) into the block dict
+    ``result``.
 
     Only blocks that were non-zero in the input pattern are written (the
     approximate result retains the sparsity pattern of the input, step 3 of
-    the method).  ``result`` must have the same block structure as the input
-    matrix.
+    the method).
     """
     if submatrix.block_sizes is None:
         raise ValueError("scatter_block_submatrix_result requires a block submatrix")
@@ -356,14 +428,14 @@ def scatter_block_submatrix_result(
     for column, local_column in zip(
         submatrix.generating_columns, submatrix.local_columns
     ):
-        column_rows = np.asarray(coo.blocks_in_column(int(column)), dtype=int)
+        column_rows = coo.entries_in_columns([int(column)])[1]
         c0, c1 = offsets[local_column], offsets[local_column + 1]
         # one vectorized lookup per generating column instead of one
         # searchsorted call per block row
         local_rows = np.searchsorted(retained, column_rows)
         for bi, local_row in zip(column_rows, local_rows):
             r0, r1 = offsets[local_row], offsets[local_row + 1]
-            result.put_block(int(bi), int(column), f_submatrix[r0:r1, c0:c1])
+            result[int(bi), int(column)] = f_submatrix[r0:r1, c0:c1]
 
 
 def assign_consecutive_chunks_reference(
@@ -436,19 +508,23 @@ def reference_apply_elementwise(matrix, function, column_groups=None):
 def reference_apply_blockwise(matrix, function, column_groups=None, coo=None):
     """f(A) on a block-sparse matrix, one submatrix per block-column group.
 
-    Returns ``(result_block_matrix, submatrix_dimensions)``.
+    Returns ``(result_block_matrix, submatrix_dimensions)``; the result's
+    blocks are stored in COO order, as the engine's are.
     """
     if coo is None:
         coo = CooBlockList.from_block_matrix(matrix)
     if column_groups is None:
         column_groups = [[c] for c in range(matrix.n_block_cols)]
-    result = BlockSparseMatrix(matrix.row_block_sizes, matrix.col_block_sizes)
+    blocks = {}
     dimensions = []
     for group in column_groups:
-        submatrix = extract_block_submatrix(matrix, group, coo)
+        submatrix = reference_extract_block_submatrix(matrix, group, coo)
         evaluated = np.asarray(function(submatrix.data), dtype=float)
         dimensions.append(submatrix.dimension)
-        scatter_block_submatrix_result(result, evaluated, submatrix, coo)
+        scatter_block_submatrix_result(blocks, evaluated, submatrix, coo)
+    result = BlockSparseMatrix(
+        matrix.row_block_sizes, matrix.col_block_sizes, coo_order(blocks)
+    )
     return result, dimensions
 
 

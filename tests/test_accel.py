@@ -123,11 +123,6 @@ class TestMixedPrecisionIteration:
                 submatrix, "FP64", hamiltonian=np.ones((2, 2))
             )
 
-    def test_energy_difference_helper(self, submatrix):
-        result = mixed_precision_sign_iteration(submatrix, "FP64", n_iterations=5)
-        diff = result.energy_difference_to(result.energies[-1])
-        assert diff[-1] == pytest.approx(0.0)
-
     def test_mu_shift_changes_result(self, submatrix):
         a = mixed_precision_sign_iteration(submatrix, "FP64", mu=0.0, n_iterations=10)
         b = mixed_precision_sign_iteration(submatrix, "FP64", mu=1.5, n_iterations=10)

@@ -1,13 +1,13 @@
-"""Buffer-backed block matrices: one value buffer plus a block index.
+"""Block matrices are one value buffer plus a block index.
 
-A :class:`~repro.dbcsr.BlockSparseMatrix` from a bulk constructor
+A :class:`~repro.dbcsr.BlockSparseMatrix` holds its blocks as one row-major
+value buffer with block rows, block columns and offsets
+(:class:`~repro.dbcsr.block_matrix.BlockIndex`), whether a bulk constructor
 (``block_matrix_from_dense``/``_from_csr``, ``plan.finalize``, the screened
-K̃) holds its blocks as one row-major value buffer with block rows, block
-columns and offsets (:class:`~repro.dbcsr.block_matrix.BlockIndex`), and
-builds its block dictionary only when a caller asks for blocks.  Every bulk
-reader — ``plan.pack``, the CSR and dense conversions, the COO list, the
-panel analyses — must give a buffer-backed matrix exactly the bits of the
-same matrix built block by block, and must see every later edit.
+K̃) built it or a mapping of blocks was packed.  Every bulk reader —
+``plan.pack``, the CSR and dense conversions, the COO list, the panel
+analyses — must give it exactly the bits of its per-block reference,
+whatever order the blocks are stored in.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from repro.dbcsr import (
 from repro.dbcsr.product import column_runs, stored_fill
 
 from submatrix_reference import (
+    assert_same_blocks,
+    blocks_of,
+    coo_order,
+    get_block,
     reference_block_matrix_from_dense,
     reference_block_matrix_to_csr,
     reference_coo_block_list,
@@ -72,13 +76,6 @@ def block_cases(draw):
     return row_sizes, col_sizes, blocks
 
 
-def dict_built(row_sizes, col_sizes, blocks):
-    matrix = BlockSparseMatrix(row_sizes, col_sizes)
-    for (bi, bj), block in blocks.items():
-        matrix.put_block(bi, bj, block)
-    return matrix
-
-
 def buffer_built(row_sizes, col_sizes, blocks):
     keys = list(blocks)
     values = np.concatenate([blocks[key].reshape(-1) for key in keys] + [np.zeros(0)])
@@ -95,18 +92,27 @@ def assert_same_csr(ours, theirs):
         assert _bits(mine) == _bits(reference), name
 
 
-def assert_readers_agree(matrix, reference):
-    """Every bulk reader gives ``matrix`` the bits of the dict-built
-    ``reference`` with the same blocks."""
-    assert matrix.nnz_blocks == reference.nnz_blocks
-    assert matrix.nnz_elements == reference.nnz_elements
-    assert stored_fill(matrix) == stored_fill(reference)
-    assert _bits(block_matrix_to_dense(matrix)) == _bits(block_matrix_to_dense(reference))
-    assert_same_csr(block_matrix_to_csr(matrix), reference_block_matrix_to_csr(reference))
-    coo, want = CooBlockList.from_block_matrix(matrix), reference_coo_block_list(reference)
+def assert_readers_agree(matrix, blocks):
+    """Every bulk reader gives ``matrix`` the bits its per-block reference
+    gives the stored ``blocks``, and the bits it gives the same blocks
+    stored in COO order."""
+    reordered = BlockSparseMatrix(
+        matrix.row_block_sizes, matrix.col_block_sizes, coo_order(blocks)
+    )
+    assert matrix.nnz_blocks == len(blocks)
+    assert matrix.nnz_elements == sum(block.size for block in blocks.values())
+    assert stored_fill(matrix) == stored_fill(reordered)
+    dense = np.zeros(matrix.shape)
+    rows, cols = matrix.row_starts, matrix.col_starts
+    for (bi, bj), block in blocks.items():
+        dense[rows[bi] : rows[bi + 1], cols[bj] : cols[bj + 1]] = block
+    assert _bits(block_matrix_to_dense(matrix)) == _bits(dense)
+    assert_same_csr(block_matrix_to_csr(matrix), reference_block_matrix_to_csr(matrix))
+    assert_same_csr(block_matrix_to_csr(matrix), block_matrix_to_csr(reordered))
+    coo, want = CooBlockList.from_block_matrix(matrix), reference_coo_block_list(matrix)
     assert coo.fingerprint() == want.fingerprint()
     for (start, stop, begins, ends), expected in zip(
-        column_runs(matrix), column_runs(reference)
+        column_runs(matrix), column_runs(reordered)
     ):
         assert (start, stop) == expected[:2]
         assert np.array_equal(begins, expected[2]) and np.array_equal(ends, expected[3])
@@ -114,62 +120,57 @@ def assert_readers_agree(matrix, reference):
         plan = BlockSubmatrixPlan(
             want, matrix.row_block_sizes, [[c] for c in range(matrix.n_block_cols)]
         )
-        assert _bits(plan.pack(matrix)) == _bits(plan.pack(reference))
+        packed = [block.reshape(-1) for block in coo_order(blocks).values()]
+        assert _bits(plan.pack(matrix)) == _bits(np.concatenate(packed))
 
 
 @pytest.mark.slow
 @given(block_cases())
 @settings(max_examples=150, deadline=None)
-def test_buffer_backed_matrix_reads_like_the_dict_built_one(case):
+def test_packed_blocks_read_like_their_per_block_reference(case):
+    """A mapping of blocks is packed once, in its order, exactly as the bulk
+    constructors lay out a buffer; its blocks read back as views of it."""
     row_sizes, col_sizes, blocks = case
-    reference = dict_built(*case)
-    matrix = buffer_built(*case)
-    assert_readers_agree(matrix, reference)
-    assert_readers_agree(matrix.copy(), reference)
-    # reading blocks builds the dictionary — views into the buffer, which
-    # stays the index — and handing it out keeps its storage order
+    matrix = BlockSparseMatrix(row_sizes, col_sizes, blocks)
+    assert_same_blocks(matrix, buffer_built(*case))
     values = matrix.block_index().values
-    for bi, bj, block in matrix.iter_blocks():
-        assert np.shares_memory(block, values)
-    assert matrix.block_index().values is values
-    assert list(matrix.raw_blocks()) == list(blocks)
+    stored = blocks_of(matrix)
+    assert list(stored) == list(blocks)
     for key, block in blocks.items():
-        assert _bits(matrix.get_block(*key)) == _bits(block)
-    assert_readers_agree(matrix, reference)
+        assert np.shares_memory(stored[key], values)
+        assert _bits(stored[key]) == _bits(block)
+    assert_readers_agree(matrix, blocks)
 
 
 @pytest.mark.slow
 @given(block_cases(), st.sampled_from([0.0, 0.5]))
 @settings(max_examples=150, deadline=None)
-def test_dense_and_csr_converters_give_the_dict_built_bits(case, threshold):
+def test_dense_and_csr_converters_give_the_per_block_bits(case, threshold):
     """``block_matrix_from_dense`` against its per-block loop, and the CSR
     route of the same dense matrix: same blocks, same order, same bits
     (−0.0 stored as +0.0, a NaN counted as non-zero)."""
     row_sizes, col_sizes, blocks = case
-    dense = block_matrix_to_dense(dict_built(*case))
+    dense = block_matrix_to_dense(BlockSparseMatrix(*case))
     ours = block_matrix_from_dense(dense, row_sizes, col_sizes, threshold)
     reference = reference_block_matrix_from_dense(dense, row_sizes, col_sizes, threshold)
-    assert list(ours.raw_blocks()) == list(reference.raw_blocks())
-    for key, block in reference.raw_blocks().items():
-        assert _bits(ours.raw_blocks()[key]) == _bits(block), key
-    assert_readers_agree(ours, reference)
+    assert_same_blocks(ours, reference)
+    assert_readers_agree(ours, blocks_of(reference))
     if not np.isnan(dense).any():
         via_csr = block_matrix_from_csr(
             sp.csr_matrix(dense), row_sizes, col_sizes, threshold
         )
-        assert list(via_csr.raw_blocks()) == list(ours.raw_blocks())
-        assert_readers_agree(via_csr, reference)
+        assert_same_blocks(via_csr, ours)
 
 
 def test_empty_matrices():
     for rows, cols in (([2, 3], None), ([1], [4, 2])):
         empty = BlockSparseMatrix.from_index(rows, cols, [], [], np.zeros(0))
-        reference = BlockSparseMatrix(rows, cols)
-        assert_readers_agree(empty, reference)
-        assert empty.raw_blocks() == {}
-        cut = block_matrix_from_dense(np.zeros(reference.shape), rows, cols)
+        assert_same_blocks(empty, BlockSparseMatrix(rows, cols))
+        assert_readers_agree(empty, {})
+        assert blocks_of(empty) == {}
+        cut = block_matrix_from_dense(np.zeros(empty.shape), rows, cols)
         assert cut.nnz_blocks == 0
-        assert_readers_agree(cut, reference)
+        assert_readers_agree(cut, {})
         assert block_matrix_to_csr(cut).nnz == 0
 
 
@@ -185,57 +186,24 @@ def _pattern_plan(matrix):
     return BlockSubmatrixPlan(coo, matrix.row_block_sizes, [[c] for c in range(4)])
 
 
-class TestEditsAreSeen:
-    """A mutation drops the index: pack, CSR and COO read the edit."""
-
-    def test_put_block(self):
-        matrix = _water_like()
-        plan = _pattern_plan(matrix)
-        matrix.put_block(1, 2, np.full((4, 2), 7.0))
-        reference = dict_built([2, 4, 2, 4], None, dict(matrix.raw_blocks()))
-        assert_readers_agree(matrix, reference)
-        assert plan.pack(matrix).tolist().count(7.0) == 8
-
-    def test_remove_block(self):
-        matrix = _water_like(1)
-        plan = _pattern_plan(matrix)
-        matrix.remove_block(0, 3)
-        assert not CooBlockList.from_block_matrix(matrix).contains(0, 3)
-        assert block_matrix_to_csr(matrix).nnz == 144 - 8
-        # the removed block packs as zeros of the (unchanged) pattern
-        start = plan.value_offsets[plan.coo_keys.tolist().index(3 * 4 + 0)]
-        assert not plan.pack(matrix)[start : start + 8].any()
-
-    def test_edits_through_raw_blocks(self):
-        matrix = _water_like(2)
-        plan = _pattern_plan(matrix)
-        blocks = matrix.raw_blocks()
-        blocks[2, 2] = np.full((2, 2), -3.0)  # replaced
-        blocks[0, 0][...] = 5.0  # written in place
-        del blocks[3, 1]  # deleted
-        reference = dict_built([2, 4, 2, 4], None, dict(blocks))
-        assert_readers_agree(matrix, reference)
-        packed = plan.pack(matrix)
-        assert packed.tolist().count(-3.0) == 4 and packed.tolist().count(5.0) == 4
-
-    def test_in_place_write_into_a_buffer_backed_block(self):
-        matrix = _water_like(3)
-        matrix.get_block(1, 1)[...] = 9.0  # a view into the value buffer
-        assert matrix.block_index().values.tolist().count(9.0) == 16
-        assert block_matrix_to_dense(matrix)[2:6, 2:6].tolist() == [[9.0] * 4] * 4
+def test_in_place_write_into_a_block_view_is_seen():
+    matrix = _water_like(3)
+    get_block(matrix, 1, 1)[...] = 9.0  # a view into the value buffer
+    assert matrix.block_index().values.tolist().count(9.0) == 16
+    assert block_matrix_to_dense(matrix)[2:6, 2:6].tolist() == [[9.0] * 4] * 4
 
 
 def test_stray_block_message_is_unchanged():
     """A stored block outside the plan's pattern: the first one in (row,
     column) order is named, with the count, in the words the per-block pack
     used."""
-    matrix = _water_like()
-    matrix.remove_block(0, 3)
-    matrix.remove_block(3, 0)
-    matrix.remove_block(2, 1)
-    plan = _pattern_plan(matrix)
-    matrix.put_block(3, 0, np.ones((4, 2)))
-    matrix.put_block(2, 1, np.ones((2, 4)))
+    blocks = blocks_of(_water_like())
+    for key in ((0, 3), (3, 0), (2, 1)):
+        del blocks[key]
+    plan = _pattern_plan(BlockSparseMatrix([2, 4, 2, 4], blocks=blocks))
+    blocks[3, 0] = np.ones((4, 2))
+    blocks[2, 1] = np.ones((2, 4))
+    matrix = BlockSparseMatrix([2, 4, 2, 4], blocks=blocks)
     message = (
         "matrix pattern does not match the plan: stored block (2, 1) is not in "
         "the planned pattern (2 of 15 stored blocks are outside it) — the plan "

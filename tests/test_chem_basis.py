@@ -10,21 +10,15 @@ class TestRegisteredBasisSets:
         """SZV: 1 function on H, 4 on O -> 6 per water molecule."""
         assert SZV.functions_for("H") == 1
         assert SZV.functions_for("O") == 4
-        assert SZV.water_block_size == 6
 
     def test_dzvp_block_sizes(self):
         """DZVP: 5 functions on H, 13 on O -> 23 per water molecule."""
         assert DZVP.functions_for("H") == 5
         assert DZVP.functions_for("O") == 13
-        assert DZVP.water_block_size == 23
 
     def test_dzvp_is_more_long_ranged(self):
         """Larger basis sets are more long-ranged (paper Sec. V-C)."""
         assert DZVP.decay_length > SZV.decay_length
-
-    def test_functions_for_molecule(self):
-        assert SZV.functions_for_molecule(["O", "H", "H"]) == 6
-        assert DZVP.functions_for_molecule(["O", "H", "H"]) == 23
 
     def test_unknown_element(self):
         with pytest.raises(KeyError):
@@ -39,5 +33,5 @@ class TestCustomBasis:
             decay_length=1.1,
             overlap_decay_length=0.8,
         )
-        assert basis.water_block_size == 9
-        assert basis.functions_for_molecule(["H", "H"]) == 4
+        assert basis.functions_for("H") == 2
+        assert basis.functions_for("O") == 5

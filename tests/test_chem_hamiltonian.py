@@ -41,15 +41,6 @@ class TestBlockStructure:
         assert np.all(blocks.block_sizes == 23)
         assert blocks.n_basis == 32 * 23
 
-    def test_block_of_function(self, water32):
-        blocks = block_structure(water32, SZV)
-        assert blocks.block_of_function(0) == 0
-        assert blocks.block_of_function(5) == 0
-        assert blocks.block_of_function(6) == 1
-        assert blocks.block_of_function(191) == 31
-        with pytest.raises(IndexError):
-            blocks.block_of_function(192)
-
     def test_atom_offsets_monotone_within_molecule(self, water32):
         blocks = block_structure(water32, SZV)
         first_molecule = water32.atoms_in_molecule(0)

@@ -80,10 +80,6 @@ class TestBaseCell:
         # all contacts below 1.5 Å must be intramolecular O-H bonds
         assert not np.any(intermolecular)
 
-    def test_valence_electrons_per_molecule(self):
-        system = base_water_cell()
-        assert system.valence_electrons == 8 * MOLECULES_PER_CELL
-
 
 class TestWaterBox:
     def test_isotropic_replication_counts(self):

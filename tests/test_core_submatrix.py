@@ -16,7 +16,11 @@ from repro.dbcsr.convert import block_matrix_from_dense, block_matrix_to_dense
 
 from conftest import make_decay_matrix
 from submatrix_reference import (
+    blocks_of,
     extract_submatrix,
+    matrix_for_pattern,
+    random_pattern,
+    reference_extract_block_submatrix,
     scatter_block_submatrix_result,
     scatter_submatrix_result,
 )
@@ -33,12 +37,13 @@ def sparse_decay_matrix():
 @pytest.fixture()
 def banded_block_matrix(rng):
     """Block matrix with 8 blocks of size 3, bandwidth one block."""
-    matrix = BlockSparseMatrix([3] * 8)
-    for i in range(8):
-        for j in range(8):
-            if abs(i - j) <= 1:
-                block = rng.normal(size=(3, 3))
-                matrix.put_block(i, j, block)
+    blocks = {
+        (i, j): rng.normal(size=(3, 3))
+        for i in range(8)
+        for j in range(8)
+        if abs(i - j) <= 1
+    }
+    matrix = BlockSparseMatrix([3] * 8, blocks=blocks)
     # symmetrize
     dense = block_matrix_to_dense(matrix)
     dense = (dense + dense.T) / 2
@@ -161,30 +166,78 @@ class TestBlockLevelExtraction:
         assert submatrix.dimension == 6
 
 
+class TestExtractionIsThePerBlockAssembly:
+    """``extract_block_submatrix`` (a one-group plan: ``pack`` then
+    ``extract_stack``) gives bitwise the submatrix the serial reference
+    assembles block by block."""
+
+    @staticmethod
+    def assert_same_submatrix(ours, want):
+        assert ours.data.dtype == want.data.dtype == np.float64
+        assert ours.data.tobytes() == want.data.tobytes()
+        for name in ("generating_columns", "indices", "local_columns", "block_sizes"):
+            assert np.array_equal(getattr(ours, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_on_ragged_patterns(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 5, 10)
+        coo = random_pattern(10, 0.3, rng)
+        matrix = matrix_for_pattern(coo, sizes, rng)
+        for columns in ([0], [3, 7], [9, 2, 5], list(range(10))):
+            self.assert_same_submatrix(
+                extract_block_submatrix(matrix, columns, coo),
+                reference_extract_block_submatrix(matrix, columns, coo),
+            )
+        self.assert_same_submatrix(
+            extract_block_submatrix(matrix, 4),
+            reference_extract_block_submatrix(matrix, 4),
+        )
+
+    def test_unstored_pattern_blocks_extract_as_zeros(self, rng):
+        sizes = [2, 3, 2, 1, 3, 2]
+        coo = random_pattern(6, 0.5, rng)
+        blocks = blocks_of(matrix_for_pattern(coo, sizes, rng))
+        for key in list(blocks)[1::3]:
+            del blocks[key]
+        matrix = BlockSparseMatrix(sizes, blocks=blocks)
+        for columns in ([1], [0, 5], list(range(6))):
+            self.assert_same_submatrix(
+                extract_block_submatrix(matrix, columns, coo),
+                reference_extract_block_submatrix(matrix, columns, coo),
+            )
+
+    def test_stored_block_outside_the_pattern_is_refused(self, banded_block_matrix):
+        index = banded_block_matrix.block_index()
+        inside = index.rows != index.cols + 1
+        coo = CooBlockList(index.rows[inside], index.cols[inside], 8, 8)
+        with pytest.raises(ValueError, match="not in the planned pattern"):
+            extract_block_submatrix(banded_block_matrix, 3, coo)
+
+
 class TestBlockLevelScatter:
     def test_scatter_writes_only_generating_column_blocks(self, banded_block_matrix):
         coo = CooBlockList.from_block_matrix(banded_block_matrix)
         submatrix = extract_block_submatrix(banded_block_matrix, 3, coo)
         f_sub = np.eye(submatrix.dimension)
-        result = BlockSparseMatrix([3] * 8)
+        result = {}
         scatter_block_submatrix_result(result, f_sub, submatrix, coo)
-        written = set(result.block_keys())
-        assert written == {(2, 3), (3, 3), (4, 3)}
+        assert set(result) == {(2, 3), (3, 3), (4, 3)}
 
     def test_identity_function_reproduces_input_column(self, banded_block_matrix):
         """Applying f = identity through the submatrix machinery returns A."""
         coo = CooBlockList.from_block_matrix(banded_block_matrix)
-        result = BlockSparseMatrix([3] * 8)
+        result = {}
         for column in range(8):
             submatrix = extract_block_submatrix(banded_block_matrix, column, coo)
             scatter_block_submatrix_result(result, submatrix.data, submatrix, coo)
         assert np.allclose(
-            block_matrix_to_dense(result), block_matrix_to_dense(banded_block_matrix)
+            block_matrix_to_dense(BlockSparseMatrix([3] * 8, blocks=result)),
+            block_matrix_to_dense(banded_block_matrix),
         )
 
     def test_scatter_requires_block_submatrix(self, sparse_decay_matrix):
         submatrix = extract_submatrix(sparse_decay_matrix, 0)
-        result = BlockSparseMatrix([3] * 8)
-        coo = CooBlockList.from_block_matrix(result)
+        coo = CooBlockList.from_block_matrix(BlockSparseMatrix([3] * 8))
         with pytest.raises(ValueError):
-            scatter_block_submatrix_result(result, submatrix.data, submatrix, coo)
+            scatter_block_submatrix_result({}, submatrix.data, submatrix, coo)

@@ -67,13 +67,17 @@ class TestTransferPlan:
         # rank 0 owns submatrices for columns 0, 4, 8
         from repro.core.submatrix import submatrix_block_rows
 
+        # a block's ID is its position in the list, sorted by (column, row)
+        keys = coo.cols * coo.n_block_rows + coo.rows
         needed = set()
         for column in (0, 4, 8):
             retained = submatrix_block_rows(coo, column)
             for bi in retained:
                 for bj in retained:
-                    if coo.contains(int(bi), int(bj)):
-                        needed.add(coo.block_id(int(bi), int(bj)))
+                    key = bj * coo.n_block_rows + bi
+                    position = np.searchsorted(keys, key)
+                    if position < keys.size and keys[position] == key:
+                        needed.add(int(position))
         assert set(plan.per_rank[0].required_blocks.tolist()) == needed
 
     def test_fetch_matrix_consistent_with_totals(self, small_plan_inputs):

@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 from repro.dbcsr import BlockSparseMatrix
-from repro.dbcsr.convert import block_matrix_from_dense, block_matrix_to_dense
+from repro.dbcsr.convert import block_matrix_to_dense
+
+from submatrix_reference import blocks_of
 
 
 @pytest.fixture()
-def small_matrix(rng):
-    """A 3x3-block matrix with mixed block sizes and a few stored blocks."""
-    matrix = BlockSparseMatrix([2, 3, 1])
-    matrix.put_block(0, 0, rng.random((2, 2)))
-    matrix.put_block(1, 1, rng.random((3, 3)))
-    matrix.put_block(0, 1, rng.random((2, 3)))
-    matrix.put_block(2, 2, rng.random((1, 1)))
-    return matrix
+def small_blocks(rng):
+    """Four blocks of a 3x3-block matrix with mixed block sizes."""
+    return {
+        (0, 0): rng.random((2, 2)),
+        (1, 1): rng.random((3, 3)),
+        (0, 1): rng.random((2, 3)),
+        (2, 2): rng.random((1, 1)),
+    }
 
 
 class TestConstruction:
@@ -33,149 +35,80 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BlockSparseMatrix([2, 0])
 
-    def test_initial_blocks(self, rng):
-        block = rng.random((2, 2))
-        matrix = BlockSparseMatrix([2, 2], blocks={(0, 0): block})
-        assert np.allclose(matrix.get_block(0, 0), block)
+    def test_blocks_are_packed_in_the_mappings_order(self, small_blocks):
+        matrix = BlockSparseMatrix([2, 3, 1], blocks=small_blocks)
+        rows, cols, offsets, values = matrix.block_index()
+        assert list(zip(rows.tolist(), cols.tolist())) == list(small_blocks)
+        assert offsets.tolist() == [0, 4, 13, 19, 20]
+        assert values.tobytes() == np.concatenate(
+            [block.ravel() for block in small_blocks.values()]
+        ).tobytes()
+        dense = block_matrix_to_dense(matrix)
+        assert np.array_equal(dense[0:2, 2:5], small_blocks[0, 1])
+        assert not dense[2:5, 0:2].any()
 
-    def test_identity(self):
-        identity = BlockSparseMatrix.identity([2, 3])
-        assert np.allclose(block_matrix_to_dense(identity), np.eye(5))
-        assert identity.nnz_blocks == 2
-
-
-class TestBlockAccess:
-    def test_put_and_get(self, rng):
-        matrix = BlockSparseMatrix([2, 3])
-        block = rng.random((2, 3))
-        matrix.put_block(0, 1, block)
-        assert np.allclose(matrix.get_block(0, 1), block)
-        assert matrix.has_block(0, 1)
-        assert not matrix.has_block(1, 0)
-
-    def test_put_copies_data(self, rng):
-        matrix = BlockSparseMatrix([2, 2])
-        block = rng.random((2, 2))
-        matrix.put_block(0, 0, block)
-        block[0, 0] = 999.0
-        assert matrix.get_block(0, 0)[0, 0] != 999.0
+    def test_blocks_are_copied(self, small_blocks):
+        matrix = BlockSparseMatrix([2, 3, 1], blocks=small_blocks)
+        small_blocks[0, 0][0, 0] = 999.0
+        assert blocks_of(matrix)[0, 0][0, 0] != 999.0
+        assert not np.shares_memory(matrix.block_index().values, small_blocks[0, 0])
 
     def test_wrong_shape_rejected(self):
-        matrix = BlockSparseMatrix([2, 3])
-        with pytest.raises(ValueError):
-            matrix.put_block(0, 0, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=r"block \(0, 0\) must have shape \(2, 2\)"):
+            BlockSparseMatrix([2, 3], blocks={(0, 0): np.zeros((3, 3))})
 
     def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match=r"block \(5, 0\) is outside"):
+            BlockSparseMatrix([2, 3], blocks={(5, 0): np.zeros((2, 2))})
+
+    def test_empty(self):
         matrix = BlockSparseMatrix([2, 3])
-        with pytest.raises(IndexError):
-            matrix.put_block(5, 0, np.zeros((2, 2)))
+        assert matrix.nnz_blocks == matrix.nnz_elements == 0
+        assert matrix.block_index().values.shape == (0,)
+        assert not block_matrix_to_dense(matrix).any()
 
-    def test_accumulate(self):
-        matrix = BlockSparseMatrix([2])
-        matrix.put_block(0, 0, np.ones((2, 2)))
-        matrix.put_block(0, 0, np.ones((2, 2)), accumulate=True)
-        assert np.allclose(matrix.get_block(0, 0), 2.0)
 
-    def test_remove_block(self, small_matrix):
-        small_matrix.remove_block(0, 0)
-        assert not small_matrix.has_block(0, 0)
-        small_matrix.remove_block(0, 0)  # idempotent
+class TestFromIndexChecksCoordinates:
+    """``from_index`` refuses a coordinate outside the block grid or given
+    twice, naming the first bad one; the ``blocks=`` constructor goes
+    through the same check."""
 
-    def test_block_keys_deterministic_order(self, small_matrix):
-        keys = small_matrix.block_keys()
-        # sorted by (column, row)
-        assert keys == sorted(keys, key=lambda k: (k[1], k[0]))
+    def test_negative_row(self):
+        with pytest.raises(ValueError, match=r"block \(-1, 0\) is outside the 2x2"):
+            BlockSparseMatrix.from_index([2, 2], [2, 2], [-1], [0], np.ones(4))
 
-    def test_nonzero_block_rows(self, small_matrix):
-        assert small_matrix.nonzero_block_rows(1) == [0, 1]
-        assert small_matrix.nonzero_block_rows(0) == [0]
+    def test_column_out_of_range(self):
+        with pytest.raises(ValueError, match=r"block \(1, 3\) is outside the 2x3"):
+            BlockSparseMatrix.from_index(
+                [2, 2], [2, 2, 2], [0, 1], [1, 3], np.ones(8)
+            )
+
+    def test_duplicate_key(self):
+        with pytest.raises(ValueError, match=r"block \(0, 0\) is stored twice"):
+            BlockSparseMatrix.from_index(
+                [2, 2], [2, 2], [0, 1, 0], [0, 1, 0], np.ones(12)
+            )
+
+    def test_first_repeat_in_storage_order_is_named(self):
+        rows, cols = [1, 0, 1, 0], [1, 1, 1, 1]
+        with pytest.raises(ValueError, match=r"block \(1, 1\) is stored twice"):
+            BlockSparseMatrix.from_index([2, 2], None, rows, cols, np.ones(16))
+
+    def test_buffer_length_checked(self):
+        with pytest.raises(ValueError, match="float64 vector of 8 elements"):
+            BlockSparseMatrix.from_index([2, 2], None, [0, 1], [0, 1], np.ones(4))
+
+    def test_valid_index_is_the_storage(self):
+        values = np.arange(8.0)
+        matrix = BlockSparseMatrix.from_index([2, 2], None, [1, 0], [0, 1], values)
+        assert matrix.block_index().values is values
+        assert matrix.nnz_blocks == 2
+        assert list(blocks_of(matrix)) == [(1, 0), (0, 1)]
 
 
 class TestOccupation:
-    def test_counts(self, small_matrix):
-        assert small_matrix.nnz_blocks == 4
-        assert small_matrix.block_occupation() == pytest.approx(4 / 9)
-
-    def test_element_occupation(self, small_matrix):
-        expected = (4 + 9 + 6 + 1) / 36
-        assert small_matrix.element_occupation() == pytest.approx(expected)
-
-
-class TestArithmetic:
-    def test_add_and_subtract(self, small_matrix):
-        doubled = small_matrix + small_matrix
-        assert np.allclose(
-            block_matrix_to_dense(doubled), 2 * block_matrix_to_dense(small_matrix)
-        )
-        zero = small_matrix - small_matrix
-        assert np.allclose(block_matrix_to_dense(zero), 0.0)
-
-    def test_add_requires_same_structure(self, small_matrix):
-        other = BlockSparseMatrix([3, 2, 1])
-        with pytest.raises(ValueError):
-            _ = small_matrix + other
-
-    def test_scale(self, small_matrix):
-        scaled = small_matrix.scale(-2.0)
-        assert np.allclose(
-            block_matrix_to_dense(scaled), -2.0 * block_matrix_to_dense(small_matrix)
-        )
-
-    def test_transpose(self, small_matrix):
-        dense = block_matrix_to_dense(small_matrix)
-        assert np.allclose(block_matrix_to_dense(small_matrix.transpose()), dense.T)
-
-    def test_matmul_matches_dense(self, rng):
-        sizes = [2, 3, 4]
-        a_dense = rng.random((9, 9))
-        b_dense = rng.random((9, 9))
-        a_dense[3:6, 0:2] = 0.0
-        b_dense[0:2, 5:9] = 0.0
-        a = block_matrix_from_dense(a_dense, sizes)
-        b = block_matrix_from_dense(b_dense, sizes)
-        product = a @ b
-        assert np.allclose(block_matrix_to_dense(product), a_dense @ b_dense)
-
-    def test_matmul_flop_counter(self, rng):
-        sizes = [2, 2]
-        a = block_matrix_from_dense(rng.random((4, 4)), sizes)
-        counter = [0.0]
-        a.matmul(a, flop_counter=counter)
-        # 4 block rows x 2 inner x ... : full 2x2 block grid -> 8 block GEMMs
-        assert counter[0] == pytest.approx(8 * 2 * 2 * 2 * 2)
-
-    def test_matmul_dimension_mismatch(self):
-        a = BlockSparseMatrix([2, 2])
-        b = BlockSparseMatrix([3, 3])
-        with pytest.raises(ValueError):
-            a.matmul(b)
-
-    def test_copy_is_deep(self, small_matrix):
-        clone = small_matrix.copy()
-        clone.get_block(0, 0)[0, 0] = 123.0
-        assert small_matrix.get_block(0, 0)[0, 0] != 123.0
-
-
-class TestReductions:
-    def test_trace(self, small_matrix):
-        dense = block_matrix_to_dense(small_matrix)
-        assert small_matrix.trace() == pytest.approx(np.trace(dense))
-
-    def test_trace_requires_square_blocks(self):
-        matrix = BlockSparseMatrix([2, 3], [3, 2])
-        with pytest.raises(ValueError):
-            matrix.trace()
-
-    def test_frobenius_norm(self, small_matrix):
-        dense = block_matrix_to_dense(small_matrix)
-        assert small_matrix.frobenius_norm() == pytest.approx(np.linalg.norm(dense))
-
-    def test_max_abs(self, small_matrix):
-        dense = block_matrix_to_dense(small_matrix)
-        assert small_matrix.max_abs() == pytest.approx(np.max(np.abs(dense)))
-
-    def test_empty_matrix_norms(self):
-        matrix = BlockSparseMatrix([2, 2])
-        assert matrix.frobenius_norm() == 0.0
-        assert matrix.max_abs() == 0.0
-        assert matrix.trace() == 0.0
+    def test_counts(self, small_blocks):
+        matrix = BlockSparseMatrix([2, 3, 1], blocks=small_blocks)
+        assert matrix.nnz_blocks == 4
+        assert matrix.nnz_elements == 4 + 9 + 6 + 1
+        assert matrix.block_occupation() == pytest.approx(4 / 9)

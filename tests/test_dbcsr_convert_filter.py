@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.plan import BlockSubmatrixPlan
 from repro.dbcsr import (
-    BlockSparseMatrix,
     CooBlockList,
     block_matrix_from_csr,
     block_matrix_from_dense,
@@ -16,6 +15,9 @@ from repro.dbcsr import (
     block_matrix_to_dense,
 )
 from submatrix_reference import (
+    assert_same_blocks,
+    blocks_of,
+    get_block,
     reference_block_matrix_from_csr,
     reference_block_matrix_to_csr,
     reference_coo_block_list,
@@ -47,9 +49,9 @@ class TestRoundTrips:
     def test_blocked_structure_of_banded_matrix(self, banded_dense):
         blocked = block_matrix_from_dense(banded_dense, [3, 3, 3, 3])
         # corner blocks (0,3) and (3,0) are outside the bandwidth
-        assert not blocked.has_block(0, 3)
-        assert not blocked.has_block(3, 0)
-        assert blocked.has_block(0, 1)
+        stored = blocks_of(blocked)
+        assert (0, 3) not in stored and (3, 0) not in stored
+        assert (0, 1) in stored
 
     def test_shape_mismatch_rejected(self, banded_dense):
         with pytest.raises(ValueError):
@@ -73,8 +75,7 @@ class TestRoundTrips:
         dense[0, 0] = 1.0
         dense[2, 2] = 1e-8
         blocked = block_matrix_from_dense(dense, [2, 2], threshold=1e-6)
-        assert blocked.has_block(0, 0)
-        assert not blocked.has_block(1, 1)
+        assert list(blocks_of(blocked)) == [(0, 0)]
 
 
 # --------------------------------------------------------------------------- #
@@ -123,16 +124,6 @@ def stored_entries(draw):
     return row_sizes, col_sizes, matrix, threshold
 
 
-def assert_bitwise_blocks(ours: BlockSparseMatrix, reference: BlockSparseMatrix):
-    # same blocks, same dictionary order (matmul/add accumulate in it)
-    assert list(ours.raw_blocks()) == list(reference.raw_blocks())
-    assert ours.block_keys() == reference.block_keys()
-    for key, block in reference.raw_blocks().items():
-        mine = ours.raw_blocks()[key]
-        assert mine.dtype == block.dtype and mine.shape == block.shape
-        assert mine.tobytes() == block.tobytes(), key
-
-
 def assert_bitwise_csr(ours: sp.csr_matrix, reference: sp.csr_matrix):
     assert ours.shape == reference.shape
     for name in ("data", "indices", "indptr"):
@@ -151,22 +142,19 @@ class TestVectorisedBlockIO:
         reference = reference_block_matrix_from_csr(
             matrix, row_sizes, col_sizes, threshold
         )
-        assert_bitwise_blocks(ours, reference)
+        assert_same_blocks(ours, reference)
 
         coo = CooBlockList.from_block_matrix(ours)
         reference_coo = reference_coo_block_list(reference)
         assert coo.rows.tobytes() == reference_coo.rows.tobytes()
         assert coo.cols.tobytes() == reference_coo.cols.tobytes()
         assert coo.fingerprint() == reference_coo.fingerprint()
-        for block_id, (bi, bj) in enumerate(zip(coo.rows, coo.cols)):
-            assert coo.block_id(bi, bj) == reference_coo.block_id(bi, bj) == block_id
-        assert not coo.contains(len(row_sizes), 0)
 
         back = block_matrix_to_csr(ours)
         assert_bitwise_csr(back, reference_block_matrix_to_csr(reference))
         # round trip: A itself on the kept blocks, nothing elsewhere
         kept = np.zeros(matrix.shape, dtype=bool)
-        for bi, bj in ours.block_keys():
+        for bi, bj in blocks_of(ours):
             kept[
                 ours.row_starts[bi] : ours.row_starts[bi + 1],
                 ours.col_starts[bj] : ours.col_starts[bj + 1],
@@ -185,20 +173,18 @@ class TestVectorisedBlockIO:
             shape=(2, 2),
         )
         ours = block_matrix_from_csr(raw, [2])
-        assert_bitwise_blocks(ours, reference_block_matrix_from_csr(raw, [2]))
-        assert ours.get_block(0, 0)[0, 0] == 0.0
+        assert_same_blocks(ours, reference_block_matrix_from_csr(raw, [2]))
+        assert get_block(ours, 0, 0)[0, 0] == 0.0
 
-    def test_created_blocks_share_one_buffer(self):
+    def test_created_blocks_fill_one_buffer_in_row_major_block_order(self):
         dense = np.arange(36.0).reshape(6, 6)
         blocked = block_matrix_from_csr(sp.csr_matrix(dense), [1, 2, 3], [3, 3])
-        blocks = list(blocked.raw_blocks().values())
-        assert len({id(block.base) for block in blocks}) == 1
+        rows, cols, offsets, values = blocked.block_index()
+        keys = list(zip(rows.tolist(), cols.tolist()))
+        assert keys == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+        regions = [
+            dense[blocked.row_starts[bi] : blocked.row_starts[bi + 1], 3 * bj : 3 * bj + 3]
+            for bi, bj in keys
+        ]
+        assert values.tobytes() == np.concatenate([r.ravel() for r in regions]).tobytes()
         assert np.array_equal(block_matrix_to_dense(blocked), dense)
-
-    def test_ids_are_built_on_first_query(self):
-        coo = CooBlockList([1, 0, 1], [0, 0, 1], 2, 2)
-        assert coo._id_of is None
-        assert coo.contains(1, 1) and not coo.contains(0, 1)
-        assert coo.block_id(1, 0) == 1
-        with pytest.raises(KeyError):
-            coo.block_id(0, 1)

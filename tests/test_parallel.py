@@ -18,7 +18,6 @@ from repro.parallel.executor import (
     default_worker_count,
     make_executor,
 )
-from repro.parallel.stats import RankCounters
 
 
 class TestTrafficLog:
@@ -63,31 +62,12 @@ class TestTrafficLog:
     def test_flop_imbalance_empty(self):
         assert TrafficLog(3).flop_imbalance() == 1.0
 
-    def test_merge(self):
-        a = TrafficLog(2)
-        b = TrafficLog(2)
-        a.record_flops(0, 10.0)
-        b.record_flops(0, 5.0)
-        a.merge(b)
-        assert a.ranks[0].flops == 15.0
-
-    def test_merge_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            TrafficLog(2).merge(TrafficLog(3))
-
     def test_invalid_rank(self):
         log = TrafficLog(2)
         with pytest.raises(IndexError):
             log.record_flops(5, 1.0)
         with pytest.raises(ValueError):
             log.record_flops(0, -1.0)
-
-    def test_rank_counters_merge(self):
-        a = RankCounters(flops=1.0, bytes_sent=2.0, messages_sent=1)
-        b = RankCounters(flops=3.0, bytes_received=4.0)
-        a.merge(b)
-        assert a.flops == 4.0
-        assert a.total_bytes == 6.0
 
 
 class TestTopology:
@@ -96,17 +76,6 @@ class TestTopology:
         assert balanced_dims(12) == (4, 3)
         assert balanced_dims(7) == (7, 1)
         assert balanced_dims(1) == (1, 1)
-
-    def test_coords_round_trip(self):
-        grid = CartesianGrid2D(6, (2, 3))
-        for rank in range(6):
-            row, col = grid.coords(rank)
-            assert grid.rank_at(row, col) == rank
-
-    def test_rank_at_wraps(self):
-        grid = CartesianGrid2D(4, (2, 2))
-        assert grid.rank_at(2, 0) == grid.rank_at(0, 0)
-        assert grid.rank_at(-1, 0) == grid.rank_at(1, 0)
 
     def test_dims_mismatch(self):
         with pytest.raises(ValueError):
@@ -149,12 +118,6 @@ class TestMachineModel:
             MachineModel(dense_flop_rate=-1.0)
         with pytest.raises(ValueError):
             MachineModel(cores_per_node=0)
-
-    def test_nodes_for_ranks(self):
-        machine = MachineModel(cores_per_node=40)
-        assert machine.nodes_for_ranks(40) == 1
-        assert machine.nodes_for_ranks(41) == 2
-        assert machine.nodes_for_ranks(16, ranks_per_node=8) == 2
 
 
 class TestExecutor:

@@ -10,10 +10,10 @@ and order.  Every index array counts runs of ``plan.run = gcd(block sizes)``
 values, so the block grids are drawn with gcd 1, 2, 3 and 6, and a second
 property moves real values through ``pack`` / ``extract*`` / ``scatter*`` /
 ``finalize`` — full and sharded — against the per-submatrix loops of
-``submatrix_reference.py`` (``extract_block_submatrix`` from
-``repro.core.submatrix`` and the block-level scatter-back).  A third pins
-the panel path: the generating-column panel ``scatter_columns`` takes writes bitwise what
-``scatter`` writes for the full matrix (unsorted and non-adjacent generating
+``submatrix_reference.py`` (the per-block extraction and the block-level
+scatter-back).  A third pins the panel path: a member's generating-column
+panel, written by ``write_panels``, lands bitwise where ``scatter`` writes
+those columns of the full matrix (unsorted and non-adjacent generating
 columns, the 1×1-block grid of a SciPy matrix, shard views), and the panel *product* of a
 spectral solver stays within 1e-14 of the sliced full product — the distance
 the re-stated reference-density tests rest on.  Two last tests need no
@@ -37,13 +37,13 @@ from repro.chem import orthogonalized_ks
 from repro.core.batch import make_stack_tasks, map_stacks, spectral_panel, spectral_panels
 from repro.core.plan import BlockSubmatrixPlan, plan_nbytes
 from repro.core.shard import ShardedPlan
-from repro.core.submatrix import extract_block_submatrix
 from repro.dbcsr import BlockSparseMatrix, CooBlockList, block_matrix_from_csr
 from repro.dbcsr.convert import block_matrix_to_dense
 
 from conftest import reachable_array_bytes
 from submatrix_reference import (
     reference_apply_blockwise,
+    reference_extract_block_submatrix,
     reference_plan_group,
     reference_shard_arrays,
 )
@@ -197,10 +197,11 @@ def test_element_plan_fills_the_segment_record(case):
 def _matrix_on(coo, sizes, seed):
     """A block matrix storing a seeded random block at every pattern entry."""
     rng = np.random.default_rng(seed)
-    matrix = BlockSparseMatrix(sizes, sizes)
-    for row, col in zip(coo.rows.tolist(), coo.cols.tolist()):
-        matrix.put_block(row, col, rng.normal(size=(sizes[row], sizes[col])))
-    return matrix
+    blocks = {
+        (row, col): rng.normal(size=(sizes[row], sizes[col]))
+        for row, col in zip(coo.rows.tolist(), coo.cols.tolist())
+    }
+    return BlockSparseMatrix(sizes, sizes, blocks)
 
 
 def _function(dense):
@@ -216,7 +217,9 @@ def assert_plan_moves_values_like_the_kernels(plan, coo, sizes, groups, ranks, s
     want = block_matrix_to_dense(want)
     assert plan.dimensions == dimensions
     assert all(dim % plan.run == 0 for dim in dimensions)
-    submatrices = [extract_block_submatrix(matrix, group, coo).data for group in groups]
+    submatrices = [
+        reference_extract_block_submatrix(matrix, group, coo).data for group in groups
+    ]
     # one group at a time
     out = plan.new_output()
     for index, reference in enumerate(submatrices):
@@ -236,7 +239,7 @@ def assert_plan_moves_values_like_the_kernels(plan, coo, sizes, groups, ranks, s
     out = plan.new_output()
     for shard in ShardedPlan(plan, np.minimum(ranks, 1), 2).shards:
         local = shard.pack_local(packed)
-        assert local.size == shard.n_local_values == shard.view.local_values
+        assert local.size == shard.view.local_values
         for slot, member in enumerate(shard.group_indices):
             got = shard.view.extract_stack(local, [slot])[0]
             assert np.array_equal(got, submatrices[member])
@@ -277,8 +280,8 @@ def assert_generating_rows_equal_the_column_loop(group):
 
 
 def assert_panels_scatter_like_full_matrices(plan, ranks, seed):
-    """``scatter_columns(full[:, generating rows])`` == ``scatter(full)``,
-    through the plan and through every shard view."""
+    """``write_panels`` of one member's ``full[:, generating rows]`` ==
+    ``scatter(full)``, through the plan and through every shard view."""
     rng = np.random.default_rng(seed)
     fulls = [rng.normal(size=(dim, dim)) for dim in plan.dimensions]
     want, got = plan.new_output(), plan.new_output()
@@ -287,16 +290,14 @@ def assert_panels_scatter_like_full_matrices(plan, ranks, seed):
         plan.scatter(want, index, full)
         # a column slice as a GEMM would deliver it: its own contiguous array
         panel = np.ascontiguousarray(full[:, group.generating_rows()])
-        plan.scatter_columns(got, index, panel)
-        with pytest.raises(ValueError, match="panel must have shape"):
-            plan.scatter_columns(got, index, full[:, :0])
+        plan.write_panels(got, [index], panel, [0])
     assert np.array_equal(got, want)
     sharded = plan.new_output()
     for shard in ShardedPlan(plan, ranks, 3).shards:
         for slot, member in enumerate(shard.group_indices):
             rows = shard.view.groups[slot].generating_rows()
-            shard.view.scatter_columns(
-                sharded, slot, np.ascontiguousarray(fulls[member][:, rows])
+            shard.view.write_panels(
+                sharded, [slot], np.ascontiguousarray(fulls[member][:, rows]), [0]
             )
     assert np.array_equal(sharded, want)
 

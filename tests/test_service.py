@@ -251,15 +251,12 @@ class TestConcurrentContext:
         )
         worker.start()
         assert entered.wait(10)
-        assert context.in_flight == 1
-        with pytest.raises(RuntimeError, match="in flight"):
+        with pytest.raises(RuntimeError, match=r"1 request\(s\) still in flight"):
             context.close()
-        assert not context.closed  # the session stays open and usable
+        _ = context.executor  # the session stays open and usable
         release.set()
         worker.join()
-        assert context.in_flight == 0
         context.close()  # drained: close now succeeds
-        assert context.closed
         with pytest.raises(RuntimeError, match="closed"):
             context.apply(matrix, blocking_function)
 
@@ -621,22 +618,19 @@ class TestServiceMetrics:
         assert tenant["p50_latency"] == pytest.approx(0.3)
         assert tenant["p99_latency"] <= 0.5
         assert snapshot["total"]["completed"] == 4
-        percentiles = metrics.percentiles("t")
-        assert percentiles[50.0] == pytest.approx(0.3)
 
     def test_latency_window_is_bounded(self):
         metrics = ServiceMetrics(latency_window=4)
         for index in range(100):
             metrics.record_completed("t", float(index))
         # only the last 4 latencies survive in the window
-        assert metrics.percentiles("t")[50.0] >= 96.0
+        assert metrics.snapshot()["tenants"]["t"]["p50_latency"] >= 96.0
 
     def test_empty_snapshot(self):
         metrics = ServiceMetrics()
         snapshot = metrics.snapshot()
         assert snapshot["tenants"] == {}
         assert snapshot["total"]["cache_hit_rate"] == 0.0
-        assert metrics.percentiles()[99.0] == 0.0
 
 
 class TestServiceLifecycle:
@@ -718,7 +712,8 @@ class TestOneSession:
             ]
             session = service.context.stats()
         assert created == [service.context]
-        assert service.context.closed
+        with pytest.raises(RuntimeError, match="closed"):
+            _ = service.context.executor
         assert service.plan_cache is service.context.plan_cache
         assert session["overlap_roots"]["misses"] == 1
         assert session["overlap_roots"]["hits"] == len(requests) - 1

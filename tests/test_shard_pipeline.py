@@ -54,6 +54,7 @@ from repro.signfn.registry import KERNELS, get_kernel
 from conftest import run_pipeline
 from submatrix_reference import (
     REFERENCE_DENSITY_ATOL,
+    assert_same_blocks,
     assign_consecutive_chunks_reference,
     reference_apply_blockwise,
     reference_density,
@@ -70,16 +71,16 @@ def banded_block_matrix(n_blocks=24, bandwidth=2, seed=7):
     """Symmetric banded block matrix with mixed block sizes."""
     rng = np.random.default_rng(seed)
     sizes = rng.integers(2, 6, n_blocks)
-    matrix = BlockSparseMatrix(sizes, sizes)
+    blocks = {}
     for i in range(n_blocks):
         for j in range(i, min(n_blocks, i + bandwidth + 1)):
             block = rng.standard_normal((sizes[i], sizes[j]))
             if i == j:
-                matrix.put_block(i, j, 0.5 * (block + block.T))
+                blocks[i, j] = 0.5 * (block + block.T)
             else:
-                matrix.put_block(i, j, block)
-                matrix.put_block(j, i, block.T.copy())
-    return matrix, sizes
+                blocks[i, j] = block
+                blocks[j, i] = block.T
+    return BlockSparseMatrix(sizes, sizes, blocks), sizes
 
 
 @pytest.fixture(scope="module")
@@ -93,13 +94,7 @@ def block_system():
 def reference_blocks(block_system):
     """Single-process batched-engine result (the bitwise oracle)."""
     matrix, _, coo = block_system
-    return SubmatrixContext().apply(matrix, coo=coo, **SIGN).result.raw_blocks()
-
-
-def assert_blocks_bitwise_equal(expected, actual):
-    assert set(expected) == set(actual)
-    for key in expected:
-        assert np.array_equal(expected[key], actual[key]), key
+    return SubmatrixContext().apply(matrix, coo=coo, **SIGN).result
 
 
 class TestShardedPlan:
@@ -111,7 +106,7 @@ class TestShardedPlan:
         sharded = ShardedPlan(plan, rank_of_group, 3)
         for shard in sharded.shards:
             local = shard.pack_local(packed)
-            assert local.size == shard.n_local_values
+            assert local.size == shard.view.local_values
             for slot, group in enumerate(shard.group_indices):
                 expected = plan.extract_stack(packed, [int(group)])[0]
                 assert np.array_equal(
@@ -144,7 +139,7 @@ class TestShardedPlan:
             # the local buffer holds exactly the referenced segments, whole
             lengths = offsets[ids + 1] - offsets[ids]
             local_offsets = np.concatenate(([0], np.cumsum(lengths)))
-            assert shard.n_local_values == local_offsets[-1]
+            assert shard.view.local_values == local_offsets[-1]
             assert shard.local_to_global.size * plan.run == lengths.sum()
             referenced = {
                 int(s)
@@ -164,7 +159,7 @@ class TestShardedPlan:
         sharded = ShardedPlan(plan, np.zeros(plan.n_groups, dtype=int), 2)
         empty = sharded.shards[1]
         assert empty.n_groups == 0
-        assert empty.n_local_values == 0
+        assert empty.view.local_values == 0
         assert empty.required_segments.size == 0
 
     def test_rank_assignment_validated(self, block_system):
@@ -357,7 +352,7 @@ class TestDistributedPipeline:
         matrix, sizes, coo = block_system
         pipeline = DistributedSubmatrixPipeline(coo, sizes, n_ranks)
         result = run_pipeline(pipeline, matrix, **SIGN)
-        assert_blocks_bitwise_equal(reference_blocks, result.raw_blocks())
+        assert_same_blocks(reference_blocks, result)
         transfers = pipeline.transfer_plan
         for shard, summary in zip(pipeline.prepare()[1].shards, transfers.per_rank):
             assert np.array_equal(shard.required_segments, summary.required_blocks)
@@ -393,7 +388,7 @@ class TestDistributedPipeline:
         matrix, sizes, coo = block_system
         pipeline = DistributedSubmatrixPipeline(coo, sizes, n_ranks)
         result = run_pipeline(pipeline, matrix, **SIGN)
-        assert_blocks_bitwise_equal(reference_blocks, result.raw_blocks())
+        assert_same_blocks(reference_blocks, result)
         shards = pipeline.prepare()[1].shards
         assert sum(shard.n_groups for shard in shards) == coo.n_block_cols
         empty = sum(shard.n_groups == 0 for shard in shards)
@@ -408,13 +403,11 @@ class TestDistributedPipeline:
         )
         pipeline = DistributedSubmatrixPipeline(coo, sizes, 4, grouping=grouping)
         result = run_pipeline(pipeline, matrix, SIGN_PER_MATRIX)
-        assert_blocks_bitwise_equal(single.result.raw_blocks(), result.raw_blocks())
+        assert_same_blocks(single.result, result)
         via_session = ctx.apply(
             matrix, SIGN_PER_MATRIX, column_groups=grouping.groups, coo=coo, ranks=4
         )
-        assert_blocks_bitwise_equal(
-            single.result.raw_blocks(), via_session.result.raw_blocks()
-        )
+        assert_same_blocks(single.result, via_session.result)
 
     def test_threaded_run_with_reused_executor(self, block_system, reference_blocks):
         from concurrent.futures import ThreadPoolExecutor
@@ -429,7 +422,7 @@ class TestDistributedPipeline:
                     mapper=lambda run, ranks: list(pool.map(run, ranks)),
                     **SIGN,
                 )
-                assert_blocks_bitwise_equal(reference_blocks, result.raw_blocks())
+                assert_same_blocks(reference_blocks, result)
 
     def test_process_backend_rejected(self, block_system):
         """Ranks scatter into shared memory; a process pool cannot."""
@@ -474,7 +467,7 @@ class TestWaterBenchmarkAcceptance:
     @pytest.fixture(scope="class")
     def water_reference(self, water_setup):
         blocked, sizes, coo = water_setup
-        return SubmatrixContext().apply(blocked, coo=coo, **SIGN).result.raw_blocks()
+        return SubmatrixContext().apply(blocked, coo=coo, **SIGN).result
 
     @pytest.mark.parametrize("n_ranks", RANK_COUNTS)
     def test_bitwise_and_fetch_volume(
@@ -483,7 +476,7 @@ class TestWaterBenchmarkAcceptance:
         blocked, sizes, coo = water_setup
         pipeline = DistributedSubmatrixPipeline(coo, sizes, n_ranks)
         result = run_pipeline(pipeline, blocked, **SIGN)
-        assert_blocks_bitwise_equal(water_reference, result.raw_blocks())
+        assert_same_blocks(water_reference, result)
         assert len(pipeline.transfer_plan.per_rank) == n_ranks
         shards = pipeline.prepare()[1].shards
         for shard, summary in zip(shards, pipeline.transfer_plan.per_rank):
@@ -519,13 +512,13 @@ class TestWaterBenchmarkAcceptance:
 
         blocked, sizes, coo = water_setup
         with SubmatrixContext(config) as ctx:
-            whole = ctx.apply(blocked, solver, mu=gap_mu).result.raw_blocks()
+            whole = ctx.apply(blocked, solver, mu=gap_mu).result
             ran = ctx.apply(blocked, solver, mu=gap_mu, ranks=2)
-        assert_blocks_bitwise_equal(whole, ran.result.raw_blocks())
+        assert_same_blocks(whole, ran.result)
         built = run_pipeline(
             DistributedSubmatrixPipeline(coo, sizes, 2), blocked, solver, mu=gap_mu
         )
-        assert_blocks_bitwise_equal(whole, built.raw_blocks())
+        assert_same_blocks(whole, built)
 
 
 class TestExecutorParity:

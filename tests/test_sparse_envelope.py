@@ -121,12 +121,13 @@ def block_patterns(draw):
             occupied[empty] = False
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     zero_share = draw(st.sampled_from([0.0, 0.3]))
-    matrix = BlockSparseMatrix(sizes)
+    blocks = {}
     for bi, bj in zip(*np.nonzero(occupied)):
         block = rng.standard_normal((sizes[bi], sizes[bj]))
         if rng.random() < zero_share:
             block[:] = 0.0  # an explicitly stored zero block
-        matrix.put_block(int(bi), int(bj), block)
+        blocks[int(bi), int(bj)] = block
+    matrix = BlockSparseMatrix(sizes, blocks=blocks)
     right = rng.standard_normal((sum(sizes), draw(st.integers(1, 40))))
     return matrix, right
 
@@ -629,10 +630,7 @@ def test_prepare_step_has_no_csr_step(ledger_inputs, monkeypatch):
     prepared = prepare_step(pair.K, pair.S, pair.blocks, eps)
     monkeypatch.undo()
     assert not hasattr(prepared, "k_ortho")
-    got, want = prepared.block_k.raw_blocks(), expected.raw_blocks()
-    assert list(got) == list(want)
-    for key, block in want.items():
-        assert np.array_equal(got[key], block)
+    assert_same_blocks(prepared.block_k, expected)
 
 
 # --------------------------------------------------------------------------- #
@@ -694,14 +692,14 @@ def test_screen_gives_the_dense_route_blocks(case):
     screened = screened_product(root, K, K.toarray(), runs, outer_norms, sizes, eps)
     if screened is None:  # the work rule: the dense route, tested below
         return
-    keys = list(screened.raw_blocks())
+    keys = stored_keys(screened)
     assert keys == sorted(keys)
     tolerance = 1e-13 * np.abs(unfiltered).max()
     got, want = block_matrix_to_dense(screened), block_matrix_to_dense(expected)
     moved = np.abs(got - want) > tolerance
     either = np.where(got != 0.0, np.abs(got), np.abs(want))
     assert np.all(np.abs(either[moved] - eps) <= tolerance)
-    differing = set(keys) ^ set(expected.raw_blocks())
+    differing = set(keys) ^ set(stored_keys(expected))
     starts = np.concatenate(([0], np.cumsum(sizes)))
     for bi, bj in differing:
         region = either[starts[bi] : starts[bi + 1], starts[bj] : starts[bj + 1]]
@@ -931,9 +929,10 @@ def band_operands(n):
     outer, dense = rng.standard_normal((2, n, n))
     sizes = [10] * (n // 10) + [n % 10] * (n % 10 > 0)
     distance = np.abs(np.subtract.outer(np.arange(len(sizes)), np.arange(len(sizes))))
-    blocked = BlockSparseMatrix(sizes)
-    for bi, bj in zip(*np.nonzero(distance <= len(sizes) // 10)):
-        blocked.put_block(int(bi), int(bj), rng.standard_normal((sizes[bi], sizes[bj])))
+    blocked = BlockSparseMatrix(sizes, blocks={
+        (int(bi), int(bj)): rng.standard_normal((sizes[bi], sizes[bj]))
+        for bi, bj in zip(*np.nonzero(distance <= len(sizes) // 10))
+    })
     root = loewdin_inverse_sqrt(banded_overlap(n, 2, 0.3, rng))
     return outer, dense, blocked, root
 
@@ -1099,12 +1098,20 @@ def dense_with_specials(draw):
     return sizes, dense, threshold
 
 
+def stored_keys(matrix):
+    """The stored block coordinates, in storage order."""
+    index = matrix.block_index()
+    return list(zip(index.rows.tolist(), index.cols.tolist()))
+
+
 def assert_same_blocks(ours, theirs):
-    assert list(ours.raw_blocks()) == list(theirs.raw_blocks())
-    for key, block in theirs.raw_blocks().items():
-        mine = ours.raw_blocks()[key]
-        assert np.array_equal(mine, block, equal_nan=True)
-        assert np.array_equal(np.signbit(mine), np.signbit(block))
+    """The same index (coordinates and offsets in storage order) and values
+    equal element by element, NaN to NaN, with the sign of every zero."""
+    mine, reference = ours.block_index(), theirs.block_index()
+    for name in ("rows", "cols", "offsets"):
+        assert np.array_equal(getattr(mine, name), getattr(reference, name)), name
+    assert np.array_equal(mine.values, reference.values, equal_nan=True)
+    assert np.array_equal(np.signbit(mine.values), np.signbit(reference.values))
 
 
 class TestBlockMatrixFromDense:
@@ -1124,14 +1131,14 @@ class TestBlockMatrixFromDense:
         dense[0, 0] = np.nan
         dense[1, 1] = 1.0
         blocked = block_matrix_from_dense(dense, [6, 6], threshold=threshold)
-        assert list(blocked.raw_blocks()) == [(0, 0)]
-        assert blocked.get_block(0, 0)[1, 1] == 1.0
+        assert stored_keys(blocked) == [(0, 0)]
+        assert blocked.block_index().values.reshape(6, 6)[1, 1] == 1.0
 
     def test_rectangular_and_empty(self):
         dense = np.zeros((5, 7))
         dense[4, 6] = 3.0
         blocked = block_matrix_from_dense(dense, [2, 3], [4, 3])
-        assert list(blocked.raw_blocks()) == [(1, 1)]
+        assert stored_keys(blocked) == [(1, 1)]
         assert np.array_equal(block_matrix_to_dense(blocked), dense)
         assert block_matrix_from_dense(np.zeros((5, 7)), [2, 3], [4, 3]).nnz_blocks == 0
 

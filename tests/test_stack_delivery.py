@@ -5,11 +5,11 @@ one gather, forms every member's generating-column panel with one batched
 product per generating width and writes them with one scatter.  Each slice of
 the batched product is the GEMM the per-member route ran on operands laid out
 alike, so every route must stay bitwise what one-member-at-a-time delivery
-gives — here the per-member panel and :meth:`SubmatrixPlan.scatter_columns`,
-written out in the test — under any stack cap and with members of different
-generating widths in one stack.  The structural guards below hold the point
-of the change without a stopwatch: scatters per stack, not per member; no
-block dictionary on the dense route; no memory left behind by a warm call.
+gives — here the per-member panel and :meth:`SubmatrixPlan.write_panels` of
+that one member, written out in the test — under any stack cap and with
+members of different generating widths in one stack.  The structural guards
+below hold the point of the change without a stopwatch: scatters per stack,
+not per member; no memory left behind by a warm call.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.chem.density import fermi_occupation
 from repro.chem.hamiltonian import BlockStructure
 from repro.core.batch import make_stack_tasks, map_stacks, spectral_panel
 from repro.core.plan import BlockSubmatrixPlan, SubmatrixPlan
-from repro.dbcsr import BlockSparseMatrix
 from repro.dbcsr.convert import block_matrix_to_csr
 from repro.signfn import sign_newton_schulz_batched
 from repro.signfn.registry import (
@@ -80,11 +79,12 @@ def inputs(water32_matrices):
 
 
 def per_member(plan, packed, member_panel):
-    """The per-member route: each member's panel, one ``scatter_columns``."""
+    """The per-member route: each member's panel, one ``write_panels`` each."""
     out = plan.new_output()
     for index, group in enumerate(plan.groups):
         stack = plan.extract_stack(packed, [index])
-        plan.scatter_columns(out, index, member_panel(stack, group.generating_rows()))
+        panel = member_panel(stack, group.generating_rows())
+        plan.write_panels(out, [index], np.ascontiguousarray(panel), [0])
     return out
 
 
@@ -220,42 +220,12 @@ def test_a_warm_call_scatters_once_per_stack_not_per_member(monkeypatch):
         counts = {}
         count_calls(monkeypatch, SubmatrixPlan, "extract_stack", counts)
         count_calls(monkeypatch, SubmatrixPlan, "write_panels", counts)
-        count_calls(monkeypatch, SubmatrixPlan, "scatter_columns", counts)
         context.density(pair.K, pair.S, pair.blocks, mu=mu)
         [plan] = context.plan_cache._plans.values()
     assert plan.n_groups == 128
     tasks = make_stack_tasks(plan.dimensions)
     assert len(tasks) == 3
     assert counts == {"extract_stack": 3, "write_panels": 3}
-
-
-@pytest.mark.slow
-def test_the_dense_water_route_builds_no_block_dictionary(
-    water32_matrices, gap_mu, monkeypatch
-):
-    """K̃ cut from its dense form, the plan's pack and finalize, the CSR of
-    D̃ and its back-transform all read value buffers: no request builds a
-    block dictionary."""
-    pair = water32_matrices
-    built = []
-    blocks = BlockSparseMatrix._blocks
-
-    def recording(self):
-        if self._dict is None:
-            built.append(self.shape)
-        return blocks(self)
-
-    monkeypatch.setattr(BlockSparseMatrix, "_blocks", recording)
-    with SubmatrixContext(EngineConfig(eps_filter=1e-3)) as context:
-        for _ in range(2):
-            context.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
-            context.density(pair.K, pair.S, pair.blocks, n_electrons=8.0 * 32)
-            context.observables(
-                pair.K, pair.S, pair.blocks, ("density", "energy_weighted_density"),
-                mu=gap_mu,
-            )
-            context.density(pair.K, pair.S, pair.blocks, mu=gap_mu, solver="newton_schulz")
-    assert built == []
 
 
 @pytest.mark.parametrize("solver", ["eigen", "newton_schulz"])

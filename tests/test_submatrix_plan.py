@@ -22,8 +22,7 @@ from repro.core import (
 from repro.core.batch import evaluate_batched, make_stack_tasks
 from repro.core.plan import block_plan
 from repro.core.shard import ShardedPlan
-from repro.core.submatrix import extract_block_submatrix
-from repro.dbcsr import CooBlockList
+from repro.dbcsr import BlockSparseMatrix, CooBlockList
 from repro.dbcsr.convert import (
     block_matrix_from_csr,
     block_matrix_from_dense,
@@ -39,9 +38,13 @@ from repro.signfn import (
 
 from conftest import make_decay_matrix
 from submatrix_reference import (
+    blocks_of,
+    coo_order,
     extract_submatrix,
+    get_block,
     reference_apply_blockwise,
     reference_apply_elementwise,
+    reference_extract_block_submatrix,
     random_pattern,
     reference_density,
 )
@@ -74,6 +77,11 @@ def random_block_symmetric(n_blocks, block_size, bandwidth, seed):
                 ] = block
     dense = (dense + dense.T) / 2.0
     return block_matrix_from_dense(dense, [block_size] * n_blocks)
+
+
+def with_blocks(matrix, blocks):
+    """A matrix of ``matrix``'s block structure storing ``blocks`` (copied)."""
+    return BlockSparseMatrix(matrix.row_block_sizes, matrix.col_block_sizes, blocks)
 
 
 def scalar_grid(matrix):
@@ -194,7 +202,7 @@ class TestBlockPlanEquivalence:
         plan = BlockSubmatrixPlan(coo, matrix.row_block_sizes, groups)
         packed = plan.pack(matrix)
         for index, group in enumerate(groups):
-            reference = extract_block_submatrix(matrix, group, coo)
+            reference = reference_extract_block_submatrix(matrix, group, coo)
             dense = plan.extract_stack(packed, [index])[0]
             assert np.array_equal(reference.data, dense)
             assert np.array_equal(reference.indices, plan.groups[index].indices)
@@ -206,9 +214,9 @@ class TestBlockPlanEquivalence:
         """A pattern that is a superset of the stored blocks matches naive."""
         matrix = random_block_symmetric(8, 2, 1, 3)
         coo = CooBlockList.from_block_matrix(matrix)
-        smaller = matrix.copy()
-        bi, bj = matrix.block_keys()[0]
-        smaller.remove_block(bi, bj)
+        blocks = coo_order(blocks_of(matrix))
+        del blocks[next(iter(blocks))]  # the first block in COO order
+        smaller = with_blocks(matrix, blocks)
         context = SubmatrixContext()
         naive, _ = reference_apply_blockwise(smaller, lambda a: a @ a, coo=coo)
         planned = context.apply(smaller, lambda a: a @ a, coo=coo)
@@ -225,14 +233,15 @@ class TestBlockPlanEquivalence:
             matrix.row_block_sizes,
             [[c] for c in range(8)],
         )
-        grown = matrix.copy()
-        grown.put_block(5, 0, np.ones((3, 3)))
-        grown.put_block(0, 5, np.ones((3, 3)))
+        blocks = blocks_of(matrix)
+        blocks[5, 0] = blocks[0, 5] = np.ones((3, 3))
+        grown = with_blocks(matrix, blocks)
         with pytest.raises(
             ValueError, match=r"stored block \(0, 5\) is not in the planned pattern"
         ):
             plan.pack(grown)
-        assert np.array_equal(plan.pack(matrix), plan.pack(matrix.copy()))
+        copied = with_blocks(matrix, blocks_of(matrix))
+        assert np.array_equal(plan.pack(matrix), plan.pack(copied))
 
     def test_finalize_blocks_are_views(self):
         """The zero-copy scatter hands out views into one output buffer."""
@@ -243,8 +252,8 @@ class TestBlockPlanEquivalence:
         )
         out = plan.new_output()
         result = plan.finalize(out)
-        key = result.block_keys()[0]
-        block = result.get_block(*key)
+        assert result.block_index().values is out
+        block = get_block(result, *next(iter(coo_order(blocks_of(result)))))
         assert block.base is out
 
 
@@ -288,7 +297,7 @@ class TestPlanCache:
         cache = PlanCache()
         matrix = random_block_symmetric(8, 2, 1, 3)
         coo_a = CooBlockList.from_block_matrix(matrix)
-        coo_b = CooBlockList.from_block_matrix(matrix.copy())
+        coo_b = CooBlockList.from_block_matrix(with_blocks(matrix, blocks_of(matrix)))
         groups = [[c] for c in range(8)]
         plan_a = cache.block_plan(coo_a, matrix.row_block_sizes, groups)
         plan_b = cache.block_plan(coo_b, matrix.row_block_sizes, groups)
@@ -321,7 +330,7 @@ class TestPlanCache:
         coo = CooBlockList.from_block_matrix(matrix)
         context = SubmatrixContext(plan_cache=cache)
         first = context.apply(matrix, lambda a: a @ a, coo=coo)
-        blocks = matrix.raw_blocks()
+        blocks = blocks_of(matrix)  # views into the value buffer
         key = sorted(blocks)[0]
         blocks[key][...] *= 2.0  # in-place value change, same pattern
         assert CooBlockList.from_block_matrix(matrix).fingerprint() == (
@@ -346,11 +355,9 @@ class TestPlanCache:
         coo = CooBlockList.from_block_matrix(matrix)
         groups = [[c] for c in range(6)]
         cache.block_plan(coo, matrix.row_block_sizes, groups)
-        grown = block_matrix_from_dense(
-            block_matrix_to_dense(matrix), matrix.row_block_sizes
-        )
-        grown.put_block(0, 5, np.ones((2, 2)))
-        grown.put_block(5, 0, np.ones((2, 2)))
+        blocks = blocks_of(matrix)
+        blocks[0, 5] = blocks[5, 0] = np.ones((2, 2))
+        grown = with_blocks(matrix, blocks)
         coo_grown = CooBlockList.from_block_matrix(grown)
         assert coo_grown.fingerprint() != coo.fingerprint()
         cache.block_plan(coo_grown, grown.row_block_sizes, groups)
@@ -621,7 +628,7 @@ class TestExactDimensionStacks:
         for member in members:
             dimension = view.groups[member].dimension
             stack = view.extract_stack(buffer, [member], dimension)
-            reference = extract_block_submatrix(mixed_matrix, member)
+            reference = reference_extract_block_submatrix(mixed_matrix, member)
             assert np.array_equal(stack[0], reference.data)
 
     @pytest.mark.parametrize("route", ["plan", "shard"])
