@@ -214,6 +214,30 @@ class TestExtractionIsThePerBlockAssembly:
         with pytest.raises(ValueError, match="not in the planned pattern"):
             extract_block_submatrix(banded_block_matrix, 3, coo)
 
+    def test_is_the_principal_submatrix_of_the_dense_matrix(self, banded_block_matrix):
+        dense = block_matrix_to_dense(banded_block_matrix)
+        submatrix = extract_block_submatrix(banded_block_matrix, [2, 6])
+        assert submatrix.indices.tolist() == [1, 2, 3, 5, 6, 7]
+        elements = (3 * submatrix.indices[:, None] + np.arange(3)).ravel()
+        assert np.array_equal(submatrix.data, dense[np.ix_(elements, elements)])
+        assert submatrix.local_columns.tolist() == [1, 4]
+
+    def test_storage_order_does_not_change_the_submatrix(self, banded_block_matrix):
+        blocks = blocks_of(banded_block_matrix)
+        reversed_order = BlockSparseMatrix(
+            [3] * 8, blocks={key: blocks[key] for key in reversed(list(blocks))}
+        )
+        for columns in ([0], [4, 1], list(range(8))):
+            self.assert_same_submatrix(
+                extract_block_submatrix(reversed_order, columns),
+                extract_block_submatrix(banded_block_matrix, columns),
+            )
+
+    def test_non_square_block_structure_refused(self):
+        matrix = BlockSparseMatrix([2, 3], [3, 2])
+        with pytest.raises(ValueError, match="square block structure"):
+            extract_block_submatrix(matrix, 0)
+
 
 class TestBlockLevelScatter:
     def test_scatter_writes_only_generating_column_blocks(self, banded_block_matrix):

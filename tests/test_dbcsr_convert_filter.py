@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.plan import BlockSubmatrixPlan
 from repro.dbcsr import (
+    BlockSparseMatrix,
     CooBlockList,
     block_matrix_from_csr,
     block_matrix_from_dense,
@@ -188,3 +189,20 @@ class TestVectorisedBlockIO:
         ]
         assert values.tobytes() == np.concatenate([r.ravel() for r in regions]).tobytes()
         assert np.array_equal(block_matrix_to_dense(blocked), dense)
+
+    def test_to_csr_is_canonical_whatever_the_storage_order(self, rng):
+        sizes = [2, 1, 3]
+        keys = [(2, 0), (0, 2), (1, 1), (0, 0), (2, 2)]
+        blocks = {(bi, bj): rng.random((sizes[bi], sizes[bj])) for bi, bj in keys}
+        matrix = BlockSparseMatrix(sizes, blocks=blocks)
+        csr = block_matrix_to_csr(matrix)
+        assert csr.has_canonical_format
+        assert csr.nnz == matrix.nnz_elements
+        assert np.array_equal(csr.toarray(), block_matrix_to_dense(matrix))
+
+    def test_stored_zero_blocks_stay_stored(self):
+        matrix = BlockSparseMatrix([2, 1], blocks={(1, 0): np.zeros((1, 2))})
+        csr = block_matrix_to_csr(matrix)
+        assert csr.nnz == 2 and not csr.data.any()
+        assert csr.indices.tolist() == [0, 1]
+        assert csr.indptr.tolist() == [0, 0, 0, 2]

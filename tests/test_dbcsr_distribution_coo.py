@@ -1,10 +1,12 @@
-"""Tests for the 2D block distribution and the global COO block list."""
+"""Tests for the 2D block distribution, the global COO block list and the
+index-range helpers built beside it."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.dbcsr import BlockDistribution, BlockSparseMatrix, CooBlockList, ProcessGrid2D
+from repro.dbcsr.coo import block_run, concat_ranges
 
 
 @pytest.fixture()
@@ -88,3 +90,67 @@ class TestCooBlockList:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             CooBlockList([0, 7], [0, 0], n_block_rows=4, n_block_cols=4)
+
+    def test_column_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="block column index out of range"):
+            CooBlockList([0, 1], [0, -1], n_block_rows=4, n_block_cols=4)
+
+    def test_rows_and_columns_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="same length"):
+            CooBlockList([0, 1], [0], n_block_rows=2, n_block_cols=2)
+
+    def test_empty_list(self):
+        coo = CooBlockList([], [], n_block_rows=3, n_block_cols=3)
+        assert len(coo) == 0
+        assert coo.blocks_in_columns([0, 2]) == []
+        ids, rows, cols = coo.entries_in_columns([1])
+        assert ids.size == rows.size == cols.size == 0
+        assert coo.to_pattern().shape == (3, 3) and coo.to_pattern().nnz == 0
+
+    def test_an_empty_column_is_an_empty_range(self):
+        coo = CooBlockList([0, 2, 1], [0, 2, 0], n_block_rows=3, n_block_cols=3)
+        starts, stops = coo.column_ranges([0, 1, 2])
+        assert starts.tolist() == [0, 2, 2]
+        assert stops.tolist() == [2, 2, 3]
+        assert coo.entries_in_columns([1])[0].size == 0
+
+    def test_fingerprint_is_the_pattern(self, pattern_matrix):
+        coo = CooBlockList.from_block_matrix(pattern_matrix)
+        shuffled = np.random.default_rng(3).permutation(len(coo))
+        same = CooBlockList(coo.rows[shuffled], coo.cols[shuffled], 6, 6)
+        assert same.fingerprint() == coo.fingerprint()
+        fewer = CooBlockList(coo.rows[1:], coo.cols[1:], 6, 6)
+        assert fewer.fingerprint() != coo.fingerprint()
+
+    def test_fingerprint_includes_the_grid(self, pattern_matrix):
+        coo = CooBlockList.from_block_matrix(pattern_matrix)
+        wider = CooBlockList(coo.rows, coo.cols, 6, 7)
+        assert wider.fingerprint() != coo.fingerprint()
+
+
+class TestIndexRanges:
+    """``concat_ranges`` and ``block_run``, the index arithmetic the plan
+    layer and the converters build on."""
+
+    def test_concat_ranges_is_the_concatenated_aranges(self):
+        starts, counts = [3, 0, 10, 7], [2, 0, 3, 1]
+        want = np.concatenate([np.arange(s, s + c) for s, c in zip(starts, counts)])
+        got = concat_ranges(starts, np.array(counts))
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+    def test_concat_ranges_with_one_shared_start(self):
+        assert concat_ranges(5, [1, 2, 0, 3]).tolist() == [5, 5, 6, 5, 6, 7]
+
+    def test_concat_ranges_of_no_ranges(self):
+        got = concat_ranges([], [])
+        assert got.dtype == np.int64 and got.size == 0
+
+    def test_block_run_is_the_gcd_of_the_sizes(self):
+        assert block_run([6, 4, 2]) == 2
+        assert block_run([23, 23]) == 23
+        assert block_run([6, 9]) == 3
+        assert block_run([5, 7]) == 1
+
+    def test_block_run_of_no_blocks_is_one(self):
+        assert block_run([]) == 1

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +11,13 @@ from repro.analysis import parallel_efficiency
 from repro.chem.density import fermi_occupation
 from repro.core.load_balance import assign_consecutive_chunks, submatrix_flop_costs
 from repro.core.submatrix import submatrix_block_rows
-from repro.dbcsr import CooBlockList
-from repro.dbcsr.convert import block_matrix_from_dense, block_matrix_to_dense
+from repro.dbcsr import BlockSparseMatrix, CooBlockList
+from repro.dbcsr.convert import (
+    block_matrix_from_csr,
+    block_matrix_from_dense,
+    block_matrix_to_csr,
+    block_matrix_to_dense,
+)
 from repro.parallel.topology import balanced_dims
 from repro.signfn import (
     pade_polynomial_coefficients,
@@ -19,7 +25,7 @@ from repro.signfn import (
     spectral_scale_estimate,
 )
 
-from submatrix_reference import blocks_of, coo_order, extract_submatrix
+from submatrix_reference import assert_same_blocks, blocks_of, coo_order, extract_submatrix
 
 # --------------------------------------------------------------------------- #
 # strategies
@@ -85,6 +91,60 @@ def test_coo_block_list_consistent(data):
     n = len(sizes)
     ids = np.searchsorted(coo.cols * n + coo.rows, [bj * n + bi for bi, bj in keys])
     assert ids.tolist() == list(range(len(keys)))
+
+
+@given(block_matrix_and_dense(), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_block_storage_order_does_not_change_the_matrix(data, random):
+    sizes, dense = data
+    blocked = block_matrix_from_dense(dense, sizes)
+    blocks = list(blocks_of(blocked).items())
+    random.shuffle(blocks)
+    shuffled = BlockSparseMatrix(sizes, blocks=dict(blocks))
+    assert shuffled.nnz_blocks == blocked.nnz_blocks
+    want = block_matrix_to_dense(blocked)
+    assert block_matrix_to_dense(shuffled).tobytes() == want.tobytes()
+    ours, theirs = block_matrix_to_csr(shuffled), block_matrix_to_csr(blocked)
+    assert np.array_equal(ours.indptr, theirs.indptr)
+    assert np.array_equal(ours.indices, theirs.indices)
+    assert ours.data.tobytes() == theirs.data.tobytes()
+
+
+@given(block_matrix_and_dense())
+@settings(max_examples=30, deadline=None)
+def test_csr_and_dense_routes_agree(data):
+    sizes, dense = data
+    from_dense = block_matrix_from_dense(dense, sizes)
+    from_csr = block_matrix_from_csr(sp.csr_matrix(dense), sizes)
+    assert_same_blocks(from_dense, from_csr)
+    assert np.array_equal(block_matrix_to_csr(from_dense).toarray(), dense)
+
+
+@given(block_matrix_and_dense(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_an_index_naming_a_block_twice_is_refused(data, data_draw):
+    sizes, dense = data
+    index = block_matrix_from_dense(dense, sizes).block_index()
+    n = len(sizes)
+    row = data_draw.draw(st.integers(0, n - 1))
+    col = data_draw.draw(st.integers(0, n - 1))
+    rows = np.append(index.rows, [row, row])
+    cols = np.append(index.cols, [col, col])
+    sizes_array = np.asarray(sizes)
+    values = np.zeros(int((sizes_array[rows] * sizes_array[cols]).sum()))
+    with pytest.raises(ValueError, match="is stored twice"):
+        BlockSparseMatrix.from_index(sizes, None, rows, cols, values)
+
+
+@given(block_sizes_strategy, st.data())
+@settings(max_examples=30, deadline=None)
+def test_an_index_outside_the_grid_is_refused(sizes, data_draw):
+    n = len(sizes)
+    outside = data_draw.draw(st.one_of(st.integers(-5, -1), st.integers(n, n + 5)))
+    inside = data_draw.draw(st.integers(0, n - 1))
+    row, col = data_draw.draw(st.sampled_from([(outside, inside), (inside, outside)]))
+    with pytest.raises(ValueError, match=rf"block \({row}, {col}\) is outside"):
+        BlockSparseMatrix.from_index(sizes, None, [row], [col], np.zeros(0))
 
 
 # --------------------------------------------------------------------------- #
