@@ -96,10 +96,8 @@ def run_trajectory_benchmark():
             "plans_built": stats.plans_built,
             "plan_cache_hits": stats.plan_cache_hits,
             "pattern_changes": stats.pattern_changes,
-            "first_step_s": stats.steps[0].wall_time,
-            "warm_step_median_s": float(
-                np.median([r.wall_time for r in stats.steps[1:]])
-            ),
+            "first_step_s": traj[0].wall_time,
+            "warm_step_median_s": float(np.median([r.wall_time for r in traj.results[1:]])),
         },
         "fresh_context_per_step": {
             "total_s": fresh_total,
@@ -114,7 +112,7 @@ def run_trajectory_benchmark():
             "total_s": sharded_total,
             "per_step_s": sharded_total / n_steps,
             "plans_built": sharded.stats.plans_built,
-            "pipelines_built": sharded.stats.pipelines_built,
+            "pipelines_built": sharded_context.stats()["pipelines_built"],
             "block_fetch_bytes_per_step": sharded[0].block_fetch_bytes,
         },
     }

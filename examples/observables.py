@@ -17,9 +17,8 @@ assembly away.  This example walks the observable layer on the
 3. **the band-structure energy two ways** — g_s·Tr(D_AO K) from the
    density and g_s·Tr(W) from the energy-weighted density matrix,
 4. **a density-mixing SCF loop** — caller code iterating
-   K(D) = K₀ + c·diag(diag D) to self-consistency through
-   ``ctx.trajectory``: a step callback hands over the next K and
-   ``on_step`` mixes each step's density (one session, shared plans).
+   K(D) = K₀ + c·diag(diag D) to self-consistency, one ``ctx.density``
+   call per iteration on the same session (one plan, one overlap root).
 
 Run with:  python examples/observables.py
 """
@@ -99,45 +98,33 @@ def main() -> None:
         # local charge (symmetric, density-dependent, contractive), with
         # linear mixing D_in <- (1 - a)·D_in + a·D_out until max|dD| < tol
         coupling, mixing, tolerance, max_iterations = 0.05, 0.6, 1e-7, 30
-        scf = {"K": pair.K, "mixed": None, "changes": [], "converged": False}
-
-        def next_step(index):
-            return None if scf["converged"] else (scf["K"], pair.S)
-
-        def mix(index, result):
+        K, mixed, converged = pair.K, None, False
+        cache_before = ctx.plan_cache.stats
+        for iteration in range(max_iterations):
+            result = ctx.density(K, pair.S, pair.blocks, n_electrons=N_ELECTRONS)
             output = result.density_ao
-            if scf["mixed"] is None:  # no input density yet: seed the mix
-                change, scf["mixed"] = np.inf, output
+            if mixed is None:  # no input density yet: seed the mix
+                change_text, mixed = "---", output
             else:
-                change = float(np.abs(output - scf["mixed"]).max())
-                scf["mixed"] = (1.0 - mixing) * scf["mixed"] + mixing * output
-            scf["changes"].append(change)
-            scf["converged"] = change < tolerance
-            scf["K"] = pair.K + coupling * sp.diags(np.diag(scf["mixed"]))
-
-        loop = ctx.trajectory(
-            next_step,
-            pair.blocks,
-            n_electrons=N_ELECTRONS,
-            n_steps=max_iterations,
-            on_step=mix,
-        )
-        print(
-            f"SCF {'converged' if scf['converged'] else 'NOT converged'} in "
-            f"{len(loop)} iterations"
-        )
-        for index, (change, result) in enumerate(zip(scf["changes"], loop)):
-            change_text = "---" if np.isinf(change) else f"{change:.3e}"
+                change = float(np.abs(output - mixed).max())
+                change_text = f"{change:.3e}"
+                mixed = (1.0 - mixing) * mixed + mixing * output
+                converged = change < tolerance
             print(
-                f"  iter {index:2d}: max|dD| = {change_text:>9s}   "
+                f"  iter {iteration:2d}: max|dD| = {change_text:>9s}   "
                 f"mu = {result.mu:+.6f}   E_band = {result.band_energy:+.6f}"
             )
-        stats = loop.stats
+            if converged:
+                break
+            K = pair.K + coupling * sp.diags(np.diag(mixed))
+        cache = ctx.plan_cache.stats
         print(
-            f"\nsession reuse across the loop: {stats.plans_built} plan "
-            f"build(s), {stats.executors_created} executor(s) for "
-            f"{stats.n_steps} iterations"
+            f"SCF {'converged' if converged else 'NOT converged'} in "
+            f"{iteration + 1} iterations: "
+            f"{cache['misses'] - cache_before['misses']} plan build(s), "
+            f"{ctx.stats()['overlap_roots']['misses']} overlap root(s)"
         )
+
 
 if __name__ == "__main__":
     main()

@@ -43,9 +43,8 @@ unified session API on top:
     tensor-core sign iterations and a GPU/FPGA performance model.  The
     engine itself computes in float64 NumPy only.
 ``repro.serve``
-    Density-as-a-service: a multi-tenant in-process server over one session
-    and its plan cache, running every request as one session call on a
-    thread pool, with admission control and per-tenant metrics.
+    Density-as-a-service: admission control around one session, running
+    every request as one session call on a thread pool.
 ``repro.analysis``
     Sparsity statistics and evaluation metrics.
 

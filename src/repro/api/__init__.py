@@ -11,11 +11,15 @@ executor and the sharded pipelines:
 >>> f_a = ctx.apply(matrix, "eigen", mu=0.2)                 # doctest: +SKIP
 >>> dft = ctx.density(K, S, blocks, n_electrons=256.0)       # doctest: +SKIP
 >>> run = ctx.apply(block_matrix, "eigen", ranks=8)          # doctest: +SKIP
->>> md = ctx.trajectory(step_pairs, blocks, mu=-0.2)         # doctest: +SKIP
+>>> md = [ctx.density(K, S, blocks, mu=-0.2) for K, S in step_pairs]  # doctest: +SKIP
 
 :class:`SubmatrixContext` is the only entry point: a single process and a
 run sharded over ``ranks=`` simulated ranks are the same call, bitwise
-identical, through the one rank loop of :mod:`repro.core.runner`.
+identical, through the one rank loop of :mod:`repro.core.runner`.  A
+trajectory or a served client is a loop of such calls on one session (its
+plans, pools and overlap roots are shared and thread-safe);
+``ctx.trajectory`` is that loop plus the release of the overlap root an MD
+walk has left behind.
 """
 
 from repro.api.config import (
@@ -41,12 +45,7 @@ from repro.api.observables import (
     get_observable,
     normalize_observables,
 )
-from repro.api.trajectory import (
-    TrajectoryResult,
-    TrajectoryStats,
-    TrajectoryStepRecord,
-    run_trajectory,
-)
+from repro.api.trajectory import TrajectoryResult, TrajectoryStats, run_trajectory
 from repro.signfn.registry import (
     BoundKernel,
     MatrixFunction,
@@ -64,7 +63,6 @@ __all__ = [
     "SubmatrixContext",
     "TrajectoryResult",
     "TrajectoryStats",
-    "TrajectoryStepRecord",
     "run_trajectory",
     "SubmatrixMethodResult",
     "SubmatrixDFTResult",

@@ -634,41 +634,32 @@ class SubmatrixContext:
         self,
         steps,
         blocks,
-        mu=None,
-        n_electrons=None,
+        mu: Optional[float] = None,
+        n_electrons: Optional[float] = None,
         solver: str = "eigen",
         grouping: Optional[ColumnGrouping] = None,
         mu_tolerance: float = 1e-9,
         max_mu_iterations: int = 200,
         ranks: Optional[int] = None,
         distribution=None,
-        n_steps: Optional[int] = None,
         replan: str = "auto",
         warm_start_mu: bool = False,
-        observables=None,
-        observable_params=None,
         on_step=None,
     ):
         """Density matrices along an SCF/MD trajectory through this session.
 
-        ``steps`` is a sequence of ``(K, S)`` pairs or a callback
-        ``step(index) -> (K, S) | None``; every step's density matrix is
-        computed exactly like a single-shot :meth:`density` call, but the
-        steps share this session's plan cache, sharded pipelines and
-        executor — value-only steps (unchanged sparsity pattern, detected
-        via the plan cache's content hash) skip all planning, and a changed
-        pattern builds its plans once.  Every step is bitwise a cold
-        :meth:`density` call on the same input: nothing but the caches
-        carries over from the step before.  ``replan`` and
+        ``steps`` is an iterable of ``(K, S)`` pairs or a callback
+        ``step(index) -> (K, S) | None``; the request is checked once, then
+        every step is one :meth:`density` call with the same arguments —
+        bitwise a cold call on the same input, nothing but the session's
+        caches carried over.  ``on_step(index, result)`` is called after
+        every step (an SCF loop's feedback hook).  The loop releases the
+        overlap root a walk has left behind.  ``replan`` and
         ``warm_start_mu`` are inert leftovers — accepted and ignored; they
-        stay only because ``benchmarks/e2e`` passes them.
-        ``observables=`` requests additional observables per step (each step
-        then yields an :class:`~repro.api.results.ObservableBundle` sharing
-        one decomposition pass) and ``on_step`` is a per-completed-step callback
-        ``on_step(index, result)`` (an SCF loop's feedback hook).
-        Returns a :class:`~repro.api.trajectory.TrajectoryResult` with the
-        per-step results and a :class:`~repro.api.trajectory.TrajectoryStats`
-        reuse record.  See :func:`repro.api.trajectory.run_trajectory`.
+        stay only because ``benchmarks/e2e`` passes them.  Returns a
+        :class:`~repro.api.trajectory.TrajectoryResult`: the per-step results
+        and a :class:`~repro.api.trajectory.TrajectoryStats` of the steps'
+        plan-cache traffic.  See :func:`repro.api.trajectory.run_trajectory`.
         """
         self._check_open()
         from repro.api.trajectory import run_trajectory
@@ -685,9 +676,6 @@ class SubmatrixContext:
             max_mu_iterations=max_mu_iterations,
             ranks=ranks,
             distribution=distribution,
-            n_steps=n_steps,
-            observables=observables,
-            observable_params=observable_params,
             on_step=on_step,
         )
 

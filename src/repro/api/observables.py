@@ -282,20 +282,19 @@ def validate_request(
 
     The single validator of the direct (:func:`compute_observables`),
     trajectory (:func:`~repro.api.trajectory.run_trajectory`) and served
-    (:meth:`~repro.serve.server.DensityService.submit`) entry points, so
-    all three reject the same requests with the same exception.  ``mu`` /
-    ``n_electrons`` are scalars, or a trajectory's per-step sequences.
-    Returns ``(names, kernel, params)``: the canonicalized observable
-    names, the sign kernel and every requested observable's parameters,
-    normalised by its :attr:`Observable.parameters` (``{}`` for one that
-    takes none).
+    (:meth:`~repro.serve.DensityService.submit`) entry points, so all three
+    reject the same requests with the same exception.  Returns ``(names,
+    kernel, params)``: the canonicalized observable names, the sign kernel
+    and every requested observable's parameters, normalised by its
+    :attr:`Observable.parameters` (``{}`` for one that takes none).
 
     Raises :class:`ValueError` (:class:`UnknownObservableError` /
     :class:`~repro.signfn.registry.UnknownKernelError` for unknown
     names) unless exactly one of ``mu`` and ``n_electrons`` is given, it is
-    finite, an electron count lies in ``[0, spin_degeneracy · n_basis]``
-    (outside, no μ exists and the bisection would return an all-empty or
-    all-full density without complaint), and the kernel can serve the
+    a finite scalar (a sequence is a :class:`TypeError`), an electron count
+    lies in ``[0, spin_degeneracy · n_basis]`` (outside, no μ exists and
+    the bisection would return an all-empty or all-full density without
+    complaint), and the kernel can serve the
     ensemble and every observable, and every observable's parameters pass
     its own check (:func:`_check_params`; a ``pdos`` grid size that is not
     an integer is a :class:`TypeError`).  ``ranks`` and ``max_mu_iterations``
@@ -306,9 +305,10 @@ def validate_request(
     and ``grouping`` must be a :class:`ColumnGrouping` (else a
     :class:`TypeError`) partitioning the block columns.
     ``shapes`` are the shapes of ``K`` and ``S`` (a trajectory passes none:
-    each step is checked when it runs): both must be square 2-D, equal, and
-    as large as the blocks (:func:`_check_shapes`), so a mismatch fails here,
-    naming the matrix, before an overlap root, a plan or an admission slot.
+    each step is checked by its own call): both must be square 2-D, equal,
+    and as large as the blocks (:func:`_check_shapes`), so a mismatch fails
+    here, naming the matrix, before an overlap root, a plan or an admission
+    slot.
     """
     ranks = check_positive_int(ranks, "ranks")
     check_positive_int(max_mu_iterations, "max_mu_iterations")
@@ -357,15 +357,18 @@ def validate_request(
                 )
             )
     label = "n_electrons" if canonical else "mu"
-    values = np.asarray(n_electrons if canonical else mu, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError(f"{label} must be finite, got {values.tolist()!r}")
+    value = n_electrons if canonical else mu
+    if np.ndim(value) != 0:
+        raise TypeError(f"{label} must be a scalar, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{label} must be finite, got {value!r}")
     if canonical:
         capacity = config.spin_degeneracy * float(np.sum(blocks.block_sizes))
-        if (values < 0.0).any() or (values > capacity).any():
+        if not 0.0 <= value <= capacity:
             raise ValueError(
                 f"n_electrons must lie in [0, {capacity:g}] (spin degeneracy "
-                f"times the number of basis functions), got {values.tolist()!r}"
+                f"times the number of basis functions), got {value!r}"
             )
     if distribution is not None:
         check_distribution(distribution, ranks, len(blocks.block_sizes))

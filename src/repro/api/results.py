@@ -204,15 +204,6 @@ class PDOSResult:
         """∫ dos dE via the trapezoid rule (≈ spin_degeneracy · n_orbitals)."""
         return float(np.trapezoid(self.dos, self.energies))
 
-    def payload_nbytes(self) -> int:
-        return int(
-            self.energies.nbytes
-            + self.dos.nbytes
-            + self.projections.nbytes
-            + self.eigenvalues.nbytes
-            + self.weights.nbytes
-        )
-
 
 @dataclasses.dataclass
 class EnergyWeightedDensityResult:
@@ -244,11 +235,6 @@ class EnergyWeightedDensityResult:
     band_energy: float
     mu: float
 
-    def payload_nbytes(self) -> int:
-        return int(
-            self.energy_weighted_ao.nbytes + self.energy_weighted_ortho.data.nbytes
-        )
-
 
 @dataclasses.dataclass
 class ObservableBundle:
@@ -256,8 +242,8 @@ class ObservableBundle:
 
     Maps observable name → result.  Attribute access falls through to the
     density result when one is present, so a bundle quacks like a
-    :class:`SubmatrixDFTResult` everywhere the trajectory/serving layers
-    only need density fields (``mu``, ``band_energy``, ``density_ao``, …).
+    :class:`SubmatrixDFTResult` everywhere a caller only needs density
+    fields (``mu``, ``band_energy``, ``density_ao``, …).
     """
 
     results: Dict[str, Any]
@@ -292,16 +278,6 @@ class ObservableBundle:
         raise AttributeError(
             f"{type(self).__name__!s} has no attribute {name!r}"
         )
-
-    def payload_nbytes(self) -> int:
-        total = 0
-        for result in self.results.values():
-            if isinstance(result, SubmatrixDFTResult):
-                total += int(result.density_ao.nbytes)
-                total += int(result.density_ortho.data.nbytes)
-            elif hasattr(result, "payload_nbytes"):
-                total += int(result.payload_nbytes())
-        return total
 
 
 @dataclasses.dataclass

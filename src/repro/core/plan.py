@@ -516,11 +516,9 @@ def plan_nbytes(plan: "BlockSubmatrixPlan") -> int:
 
     Counts the numpy bookkeeping a plan holds — the per-group
     gather/scatter/index arrays and segment records plus the pattern-level
-    arrays.  :class:`PlanCache` reports the sum over its plans as
-    :attr:`~PlanCache.total_bytes` (the ledger's ``core.plan.bytes``); it
-    evicts by plan count only.  Using a plan allocates nothing that outlives
-    the call and holds no lazily created state, so the figure is as true
-    after a warm call as before the first.
+    arrays (the ledger's ``core.plan.bytes``).  Using a plan allocates
+    nothing that outlives the call and holds no lazily created state, so the
+    figure is as true after a warm call as before the first.
     """
     total = 0
     for group in plan.groups:
@@ -559,18 +557,17 @@ class PlanCache:
     index arrays.
 
     The cache is bounded by plan count alone: past ``max_plans`` the least
-    recently used plan is dropped.  Every resident plan's bytes are
-    accounted (:func:`plan_nbytes`, summed in :attr:`total_bytes`), but
-    nothing evicts by bytes.
+    recently used plan is dropped.
 
     The cache is **thread-safe**: one re-entrant lock guards lookup, insert,
     eviction and the statistics counters, and the lock is held *across* plan
     construction, so N threads racing on the same pattern build exactly one
-    plan (the others block and then hit).  This is what lets a single cache
-    back every tenant of the serving layer (:mod:`repro.serve`); the price is
-    that a tenant with a new pattern holds every other tenant's lookup for
-    the length of one build — tens of milliseconds at the ledger's sizes
-    (0.03-0.05 s for water-64/128) now that builds are array expansion.
+    plan (the others block and then hit).  This is what lets one session's
+    cache back every client thread (:mod:`repro.serve`, or a caller's own
+    pool); the price is that a client with a new pattern holds every other
+    client's lookup for the length of one build — tens of milliseconds at the
+    ledger's sizes (0.03-0.05 s for water-64/128) now that builds are array
+    expansion.
     """
 
     def __init__(self, max_plans: int = 64):
@@ -580,8 +577,6 @@ class PlanCache:
         self._plans: "collections.OrderedDict[tuple, BlockSubmatrixPlan]" = (
             collections.OrderedDict()
         )
-        self._nbytes: Dict[tuple, int] = {}
-        self._total_bytes = 0
         self._lock = threading.RLock()
         self._reset_counters()
 
@@ -604,15 +599,7 @@ class PlanCache:
         """
         with self._lock:
             self._plans.clear()
-            self._nbytes.clear()
-            self._total_bytes = 0
             self._reset_counters()
-
-    @property
-    def total_bytes(self) -> int:
-        """Accounted bytes of all resident plans (see :func:`plan_nbytes`)."""
-        with self._lock:
-            return self._total_bytes
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -620,8 +607,7 @@ class PlanCache:
 
         ``misses`` counts lookups that had to build (``builds`` is the same
         number of constructions); ``evictions`` counts plans dropped by LRU
-        overflow past ``max_plans``.  Resident bytes are exposed separately
-        via :attr:`total_bytes`.  ``patches`` and ``groups_rebuilt`` are
+        overflow past ``max_plans``.  ``patches`` and ``groups_rebuilt`` are
         inert leftovers, always 0: nothing patches a plan any more, the keys
         stay only because ``benchmarks/e2e`` reads them.
         """
@@ -637,8 +623,7 @@ class PlanCache:
             }
 
     def _evict_lru(self) -> None:
-        key, _ = self._plans.popitem(last=False)
-        self._total_bytes -= self._nbytes.pop(key, 0)
+        self._plans.popitem(last=False)
         self.evictions += 1
 
     def _lookup(self, key: tuple, builder) -> BlockSubmatrixPlan:
@@ -652,9 +637,6 @@ class PlanCache:
             plan = builder()
             self.builds += 1
             self._plans[key] = plan
-            size = plan_nbytes(plan)
-            self._nbytes[key] = size
-            self._total_bytes += size
             while len(self._plans) > self.max_plans:
                 self._evict_lru()
             return plan

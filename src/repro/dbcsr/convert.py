@@ -149,15 +149,17 @@ def block_matrix_from_csr(
     stored_ids = block_ids(stored)
     if threshold > 0.0:
         stored_ids = stored_ids[np.abs(stored.data) > threshold]
-    occupied = np.unique(stored_ids)
-    if occupied.size == 0:
+    if stored_ids.size == 0:
         return result
+    stored_ids.sort()
+    occupied = stored_ids[np.r_[True, stored_ids[1:] != stored_ids[:-1]]]
     # ... their values are the CSR form's (SciPy sums the duplicates of a COO
     # input when converting), every element of an existing block included
     entries = matrix.tocsr().tocoo()
     ids = block_ids(entries)
-    kept = np.isin(ids, occupied)
-    slot = np.searchsorted(occupied, ids[kept])
+    slot = np.searchsorted(occupied, ids)
+    kept = occupied[np.minimum(slot, occupied.size - 1)] == ids
+    slot = slot[kept]
 
     block_row, block_col = np.divmod(occupied, n_block_cols)
     heights = result.row_block_sizes[block_row]

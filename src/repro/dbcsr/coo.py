@@ -51,7 +51,11 @@ def block_run(block_sizes: Sequence[int]) -> int:
 
 
 class CooBlockList:
-    """Sorted list of non-zero block coordinates with unique block IDs."""
+    """Sorted list of non-zero block coordinates with unique block IDs.
+
+    A coordinate given twice is a :class:`ValueError` naming it: a block ID
+    is a position in the list, so a repeated block would be planned twice.
+    """
 
     def __init__(self, rows: Sequence[int], cols: Sequence[int], n_block_rows: int, n_block_cols: int):
         rows = np.asarray(rows, dtype=int)
@@ -65,6 +69,15 @@ class CooBlockList:
         order = np.lexsort((rows, cols))  # sort by column, then row
         self.rows = rows[order]
         self.cols = cols[order]
+        repeated = np.flatnonzero(
+            (self.rows[1:] == self.rows[:-1]) & (self.cols[1:] == self.cols[:-1])
+        )
+        if repeated.size:
+            first = repeated[0]
+            raise ValueError(
+                f"block ({self.rows[first]}, {self.cols[first]}) is given more "
+                "than once"
+            )
         self.n_block_rows = int(n_block_rows)
         self.n_block_cols = int(n_block_cols)
 
@@ -79,8 +92,12 @@ class CooBlockList:
 
     @classmethod
     def from_pattern(cls, pattern: sp.spmatrix) -> "CooBlockList":
-        """Build the COO list from a boolean block-sparsity pattern."""
-        coo = pattern.tocoo()
+        """Build the COO list from a boolean block-sparsity pattern.
+
+        A coordinate the pattern stores more than once is one block.
+        """
+        coo = pattern.tocoo(copy=True)
+        coo.sum_duplicates()
         return cls(coo.row, coo.col, pattern.shape[0], pattern.shape[1])
 
     # ------------------------------------------------------------------ #

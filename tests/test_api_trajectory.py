@@ -1,30 +1,26 @@
 """Tests for the trajectory session driver (`repro.api.trajectory`).
 
-Covers the acceptance criteria of the trajectory tentpole:
+Covers the contract of the one loop ``ctx.trajectory`` is:
 
 * N ≥ 5 value-only geometry steps build exactly **one** plan and **one**
   executor, with every later step served from the plan cache;
 * per-step results are bitwise identical to fresh single-shot
   ``context.density`` calls;
-* a sparsity-pattern change between steps is detected via the plan cache's
-  content hash and triggers exactly one replan — a plan build, exactly what a
-  fresh session would build — and a return to an earlier pattern is a hit;
-* rank-sharded trajectories reuse the context-cached pipeline across steps
-  and report the initialization-exchange fetch volumes;
+* a sparsity-pattern change between steps shows in the results'
+  ``pattern_fingerprint`` and costs exactly one plan build — what a fresh
+  session would build — and a return to an earlier pattern is a hit;
+* rank-sharded trajectories reuse the context-cached pipeline across steps;
 * every step is bitwise a cold ``ctx.density`` call on the same input —
   canonical at T = 0 and at 3000 K, grand-canonical — with the inert
   ``warm_start_mu=True`` passed; zero-step trajectories;
-* a per-step ``mu``/``n_electrons`` sequence shorter than the steps raises
-  ``ValueError`` before step 0 (a sequence) or before the step it lacks (a
-  callback or a generator);
-* checkpoint/resume, warm-started μ and the SCF driver are gone: their
-  modules, names and record fields, and the keywords that reached them are a
+* checkpoint/resume, warm-started μ, the SCF driver, per-step records,
+  per-step ensemble sequences and the served per-tenant metrics are gone:
+  their modules, names and fields, and the keywords that reached them are a
   ``TypeError``.
 """
 
 import dataclasses
 import importlib
-import re
 
 import numpy as np
 import pytest
@@ -33,17 +29,18 @@ import repro
 from repro.api import (
     EngineConfig,
     Observable,
+    ObservableBundle,
     SubmatrixContext,
     TrajectoryResult,
     TrajectoryStats,
-    TrajectoryStepRecord,
     compute_observables,
     run_trajectory,
 )
 from repro.api.observables import prepare_step
-from repro.api.trajectory import validate_trajectory
+from repro.api.results import EnergyWeightedDensityResult, PDOSResult
 from repro.chem import reference_density_matrix
-from repro.serve import DensityService
+from repro.core.plan import PlanCache
+from repro.serve import AdmissionController, DensityService
 
 EPS = 1e-5
 N_ELECTRONS = 8.0 * 32
@@ -70,6 +67,23 @@ def pattern_breaking_step(pair):
     return pair.K * 3.0, pair.S
 
 
+def per_step_counters(ctx):
+    """An ``on_step`` callback and the list it fills: per step, the session's
+    plan-cache misses and pipelines built so far."""
+    seen = []
+
+    def on_step(index, result):
+        stats = ctx.stats()
+        seen.append((stats["plan_cache"]["misses"], stats["pipelines_built"]))
+
+    return on_step, seen
+
+
+def deltas(counts):
+    """Per-step increments of a cumulative counter that starts at 0."""
+    return np.diff([0, *counts]).tolist()
+
+
 class TestValueOnlyTrajectory:
     @pytest.mark.slow
     def test_one_plan_one_executor_across_steps(self, water32_matrices):
@@ -88,17 +102,8 @@ class TestValueOnlyTrajectory:
         assert stats.plans_built == 1
         assert stats.plan_cache_hits == 5
         assert stats.pattern_changes == 0
-        assert stats.executors_created == 1
         assert ctx.stats()["executors_created"] == 1
-        assert stats.steps[0].pattern_changed  # nothing to reuse yet
-        assert not any(record.pattern_changed for record in stats.steps[1:])
-        assert all(
-            record.pattern_fingerprint == stats.steps[0].pattern_fingerprint
-            for record in stats.steps
-        )
-        assert stats.total_wall_time == pytest.approx(
-            sum(record.wall_time for record in stats.steps)
-        )
+        assert len({result.pattern_fingerprint for result in traj}) == 1
         ctx.close()
 
     @pytest.mark.slow
@@ -115,7 +120,7 @@ class TestValueOnlyTrajectory:
             assert traj[step].mu == fresh.mu
             assert traj[step].band_energy == fresh.band_energy
         # the μ really moves along the trajectory (the steps are distinct)
-        assert len(set(traj.mus.tolist())) > 1
+        assert len({result.mu for result in traj}) > 1
 
     @pytest.mark.slow
     def test_result_conveniences(self, water32_matrices):
@@ -123,8 +128,7 @@ class TestValueOnlyTrajectory:
         ctx = SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS))
         traj = ctx.trajectory(steps, water32_matrices.blocks, n_electrons=N_ELECTRONS)
         assert len(traj) == 5
-        assert [r.mu for r in traj] == traj.mus.tolist()
-        assert traj.band_energies.shape == (5,)
+        assert list(traj) == traj.results
         assert traj[0] is traj.results[0]
 
 
@@ -136,19 +140,17 @@ class TestPatternChanges:
         ctx = SubmatrixContext(
             EngineConfig(engine="batched", eps_filter=EPS_SPARSE)
         )
-        traj = ctx.trajectory(steps, water32_matrices.blocks, mu=gap_mu)
+        on_step, seen = per_step_counters(ctx)
+        traj = ctx.trajectory(steps, water32_matrices.blocks, mu=gap_mu, on_step=on_step)
         stats = traj.stats
         assert stats.n_steps == 5
         # the rescaled matrix retains more blocks after filtering: one replan
-        assert stats.steps[3].pattern_changed
-        assert stats.steps[3].plans_built == 1
+        fingerprints = [result.pattern_fingerprint for result in traj]
+        assert fingerprints[3] != fingerprints[2]
+        assert fingerprints[4] == fingerprints[3]  # the new pattern is stable
+        assert deltas([misses for misses, _ in seen]) == [1, 0, 0, 1, 0]
         assert stats.plans_built == 2
         assert stats.pattern_changes == 1
-        assert not stats.steps[4].pattern_changed  # the new pattern is stable
-        assert (
-            stats.steps[3].pattern_fingerprint
-            != stats.steps[0].pattern_fingerprint
-        )
 
     def test_changed_values_are_not_stale(self, water32_matrices):
         """A cache hit must never replay a previous step's values."""
@@ -163,7 +165,6 @@ class TestPatternChanges:
         # plan replaying step 0's packed values would reproduce them
         assert traj[1].mu != traj[0].mu
         assert traj[1].band_energy != traj[0].band_energy
-
 
     @pytest.mark.slow
     @pytest.mark.parametrize("ranks", [None, 2])
@@ -187,18 +188,19 @@ class TestPatternChanges:
         ]
         request = dict(n_electrons=N_ELECTRONS, ranks=ranks)
         with SubmatrixContext(config) as ctx:
-            traj = ctx.trajectory(steps, pair.blocks, **request)
-            records = traj.stats.steps
-            assert [r.pattern_changed for r in records] == [
-                True, False, True, False, True,
+            on_step, seen = per_step_counters(ctx)
+            traj = ctx.trajectory(steps, pair.blocks, on_step=on_step, **request)
+            fingerprints = [result.pattern_fingerprint for result in traj]
+            assert [a != b for a, b in zip(fingerprints, fingerprints[1:])] == [
+                False, True, False, True,
             ]
-            assert [r.plans_built for r in records] == [1, 0, 1, 0, 0]
+            assert deltas([misses for misses, _ in seen]) == [1, 0, 1, 0, 0]
             # back on A, found by content: the plan for a single process, the
             # pipeline holding it for a sharded run
             if ranks is None:
-                assert records[4].plan_cache_hits == 1
+                assert traj.stats.plan_cache_hits == 3
             else:
-                assert [r.pipelines_built for r in records] == [1, 0, 1, 0, 0]
+                assert deltas([built for _, built in seen]) == [1, 0, 1, 0, 0]
             assert traj.stats.plans_built == 2
             assert traj.stats.pattern_changes == 2
             assert ctx.plan_cache.stats["patches"] == 0
@@ -222,46 +224,26 @@ class TestPatternChanges:
 
 class TestStepSpecifications:
     @pytest.mark.slow
-    def test_callback_steps_with_n_steps(self, water32_matrices):
+    def test_callback_steps(self, water32_matrices):
         pair = water32_matrices
 
         def step(index):
-            return pair.K * (1.0 + 1e-4 * index), pair.S
-
-        ctx = SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS))
-        traj = ctx.trajectory(
-            step, pair.blocks, n_electrons=N_ELECTRONS, n_steps=5
-        )
-        assert traj.stats.n_steps == 5
-        assert traj.stats.plans_built == 1
-
-    def test_callback_ends_trajectory_with_none(self, water32_matrices):
-        pair = water32_matrices
-
-        def step(index):
-            if index >= 3:
+            if index >= 5:
                 return None
             return pair.K * (1.0 + 1e-4 * index), pair.S
 
         ctx = SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS))
         traj = ctx.trajectory(step, pair.blocks, n_electrons=N_ELECTRONS)
-        assert traj.stats.n_steps == 3
+        assert traj.stats.n_steps == 5
+        assert traj.stats.plans_built == 1
 
-    def test_n_steps_truncates_sequences(self, water32_matrices):
-        steps = value_only_steps(water32_matrices, 6)
+    def test_generator_steps(self, water32_matrices):
+        steps = value_only_steps(water32_matrices, 2)
         ctx = SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS))
         traj = ctx.trajectory(
-            steps, water32_matrices.blocks, n_electrons=N_ELECTRONS, n_steps=2
+            (step for step in steps), water32_matrices.blocks, n_electrons=N_ELECTRONS
         )
         assert traj.stats.n_steps == 2
-
-    def test_per_step_mu_sequence(self, water32_matrices, gap_mu):
-        steps = value_only_steps(water32_matrices, 3)
-        mus = [gap_mu - 0.05, gap_mu, gap_mu + 0.05]
-        ctx = SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS))
-        traj = ctx.trajectory(steps, water32_matrices.blocks, mu=mus)
-        assert traj.mus.tolist() == [float(m) for m in mus]
-        assert traj.stats.plans_built == 1
 
     def test_requires_exactly_one_ensemble(self, water32_matrices):
         pair = water32_matrices
@@ -272,7 +254,6 @@ class TestStepSpecifications:
             ctx.trajectory(
                 [(pair.K, pair.S)], pair.blocks, mu=0.0, n_electrons=1.0
             )
-
 
     def test_steps_exception_surfaces_after_prior_results(self, water32_matrices):
         """A raising steps callback fails at its own step, never earlier."""
@@ -309,13 +290,10 @@ class TestShardedTrajectory:
         traj = ctx.trajectory(
             steps, water32_matrices.blocks, n_electrons=N_ELECTRONS, ranks=ranks
         )
-        stats = traj.stats
-        assert stats.plans_built == 1
-        assert stats.pipelines_built == 1  # shard layouts shared by all steps
+        assert traj.stats.plans_built == 1
+        # shard layouts shared by all steps
+        assert ctx.stats()["pipelines_built"] == 1
         assert all(result.block_fetch_bytes is not None for result in traj)
-        assert not {"segment_fetch_bytes", "block_fetch_bytes"} & {
-            field.name for field in dataclasses.fields(stats.steps[0])
-        }
         single = ctx.trajectory(
             steps, water32_matrices.blocks, n_electrons=N_ELECTRONS
         )
@@ -361,16 +339,16 @@ class TestShardedTrajectory:
             ranks=2,
             distribution=BlockDistribution(n_blocks, n_blocks, grid),
         )
-        assert traj.stats.pipelines_built == 1
+        assert ctx.stats()["pipelines_built"] == 1
         # equal-content distribution objects share the cached pipeline
-        again = ctx.trajectory(
+        ctx.trajectory(
             steps,
             water32_matrices.blocks,
             n_electrons=N_ELECTRONS,
             ranks=2,
             distribution=BlockDistribution(n_blocks, n_blocks, grid),
         )
-        assert again.stats.pipelines_built == 0
+        assert ctx.stats()["pipelines_built"] == 1
         default = ctx.trajectory(
             steps, water32_matrices.blocks, n_electrons=N_ELECTRONS, ranks=2
         )
@@ -436,122 +414,23 @@ class TestTrajectoryStepIsColdCall:
             assert np.array_equal(result.density_ao, cold.density_ao)
         if label == "n_electrons":
             # the steps differ, so a warm start would have had a seed to use
-            assert len(set(direct.mus.tolist())) > 1
-
-
-class TestShortPerStepSequence:
-    """Three steps, two per-step μ values: a bare ``IndexError`` after two
-    computed steps before; now a ``ValueError`` before the missing step."""
-
-    def test_sequence_raises_before_step_zero(self, water32_matrices, gap_mu):
-        pair = water32_matrices
-        steps = value_only_steps(pair, 3)
-        config = EngineConfig(engine="batched", eps_filter=EPS)
-        with SubmatrixContext(config) as ctx:
-            with pytest.raises(ValueError, match="holds 2 value"):
-                ctx.trajectory(steps, pair.blocks, mu=[gap_mu, gap_mu])
-            assert ctx.plan_cache.stats["misses"] == 0  # no step ran
-            # n_steps bounds the trajectory to the values there are
-            bounded = ctx.trajectory(
-                steps, pair.blocks, mu=[gap_mu, gap_mu], n_steps=2
-            )
-            assert bounded.stats.n_steps == 2
-
-    def test_callback_raises_before_the_missing_step(self, water32_matrices):
-        pair = water32_matrices
-        steps = value_only_steps(pair, 3)
-        config = EngineConfig(engine="batched", eps_filter=EPS)
-        request = dict(n_electrons=[N_ELECTRONS, N_ELECTRONS])
-
-        def step(index):
-            return steps[index] if index < len(steps) else None
-
-        completed = []
-        with SubmatrixContext(config) as ctx:
-            with pytest.raises(ValueError, match="step 2 has no n_electrons"):
-                ctx.trajectory(
-                    step,
-                    pair.blocks,
-                    on_step=lambda index, result: completed.append(index),
-                    **request,
-                )
-        assert completed == [0, 1]
-
-    CONTAINERS = {"list": list, "tuple": tuple, "ndarray": np.asarray}
-
-    @pytest.mark.parametrize("container", sorted(CONTAINERS))
-    @pytest.mark.parametrize("label", ["mu", "n_electrons"])
-    def test_validate_refuses_a_short_sequence(
-        self, water32_matrices, gap_mu, label, container
-    ):
-        pair = water32_matrices
-        value = {"mu": gap_mu, "n_electrons": N_ELECTRONS}[label]
-        short = self.CONTAINERS[container]([value, value])
-        message = (
-            f"the per-step {label} sequence holds 2 value(s) for a "
-            f"trajectory of 3 steps"
-        )
-        with pytest.raises(ValueError, match=re.escape(message)):
-            validate_trajectory(
-                EngineConfig(eps_filter=EPS),
-                value_only_steps(pair, 3),
-                pair.blocks,
-                **{label: short},
-            )
-
-    @pytest.mark.parametrize(
-        "case",
-        ["exact", "longer", "bounded_by_n_steps", "scalar", "generator", "callback"],
-    )
-    def test_validate_accepts_values_for_every_known_step(
-        self, water32_matrices, gap_mu, case
-    ):
-        """A sequence covering the steps (or the first ``n_steps``) passes, as
-        does a scalar; steps of unknown length are checked step by step."""
-        pair = water32_matrices
-        steps = value_only_steps(pair, 3)
-        mu, n_steps = {
-            "exact": ([gap_mu] * 3, None),
-            "longer": ([gap_mu] * 5, None),
-            "bounded_by_n_steps": ([gap_mu] * 2, 2),
-            "scalar": (gap_mu, None),
-            "generator": ([gap_mu], None),
-            "callback": ([gap_mu], None),
-        }[case]
-        if case == "generator":
-            steps = iter(steps)
-        elif case == "callback":
-            steps = steps.__getitem__
-        names = validate_trajectory(
-            EngineConfig(eps_filter=EPS), steps, pair.blocks, mu=mu, n_steps=n_steps
-        )
-        assert names == ("density",)
-
-    def test_generator_raises_before_the_missing_step(self, water32_matrices):
-        """A generator has no length, so, like a callback, it raises at the
-        step its per-step sequence lacks, after the steps before it ran."""
-        pair = water32_matrices
-        steps = value_only_steps(pair, 3)
-        completed = []
-        with SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS)) as ctx:
-            with pytest.raises(ValueError, match="step 2 has no n_electrons"):
-                ctx.trajectory(
-                    (step for step in steps),
-                    pair.blocks,
-                    n_electrons=[N_ELECTRONS, N_ELECTRONS],
-                    on_step=lambda index, result: completed.append(index),
-                )
-        assert completed == [0, 1]
+            assert len({result.mu for result in direct}) > 1
 
 
 class TestDeletedTrajectoryLayers:
-    """Structure guard: checkpoint/resume, warm-started μ and the SCF driver
-    are deleted, and a keyword that reached them is refused before any work.
-    ``warm_start_mu`` survives only as ``ctx.trajectory``'s inert keyword."""
+    """Structure guard: checkpoint/resume, warm-started μ, the SCF driver,
+    the per-step records and sequences, and the served per-tenant metrics
+    and byte accounting are deleted, and a keyword that reached them is
+    refused before any work.  ``warm_start_mu`` survives only as
+    ``ctx.trajectory``'s inert keyword."""
 
-    @pytest.mark.parametrize("module", ["repro.api.checkpoint", "repro.api.scf"])
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.api.checkpoint", "repro.api.scf", "repro.serve.metrics"],
+    )
     def test_module_is_gone(self, module):
-        assert importlib.util.find_spec(module) is None
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
 
     @pytest.mark.parametrize(
         "name",
@@ -562,6 +441,10 @@ class TestDeletedTrajectoryLayers:
             "SCFResult",
             "adaptive_half_width",
             "WARM_START_HALF_WIDTH",
+            "TrajectoryStepRecord",
+            "validate_trajectory",
+            "ServiceMetrics",
+            "LATENCY_WINDOW",
         ],
     )
     def test_name_is_gone(self, name):
@@ -579,14 +462,39 @@ class TestDeletedTrajectoryLayers:
     @pytest.mark.parametrize(
         "record, removed",
         [
-            (TrajectoryStepRecord, {"warm_started", "resumed"}),
-            (TrajectoryStats, {"steps_resumed"}),
+            (
+                TrajectoryStats,
+                {
+                    "steps_resumed",
+                    "executors_created",
+                    "pipelines_built",
+                    "total_wall_time",
+                    "kernel_fallbacks",
+                    "steps",
+                },
+            ),
             (Observable, {"checkpoint_save", "checkpoint_load"}),
         ],
-        ids=["step_record", "trajectory_stats", "observable"],
+        ids=["trajectory_stats", "observable"],
     )
     def test_record_field_is_gone(self, record, removed):
         assert not removed & {field.name for field in dataclasses.fields(record)}
+
+    @pytest.mark.parametrize(
+        "owner, attribute",
+        [
+            (TrajectoryResult, "mus"),
+            (TrajectoryResult, "band_energies"),
+            (ObservableBundle, "payload_nbytes"),
+            (PDOSResult, "payload_nbytes"),
+            (EnergyWeightedDensityResult, "payload_nbytes"),
+            (DensityService, "density"),
+            (PlanCache, "total_bytes"),
+            (AdmissionController, "snapshot"),
+        ],
+    )
+    def test_attribute_is_gone(self, owner, attribute):
+        assert not hasattr(owner, attribute)
 
     @pytest.mark.parametrize(
         "entry, keyword",
@@ -597,6 +505,9 @@ class TestDeletedTrajectoryLayers:
             ("submit", "mu_bracket"),
             ("run_trajectory", "warm_start_mu"),
             ("trajectory", "checkpoint"),
+            ("trajectory", "n_steps"),
+            ("trajectory", "observables"),
+            ("trajectory", "observable_params"),
         ],
     )
     def test_removed_keyword_is_a_type_error(
@@ -628,6 +539,38 @@ class TestDeletedTrajectoryLayers:
             assert ctx.plan_cache.stats["misses"] == 0  # nothing ran
             assert service.stats()["metrics"]["total"]["admitted"] == 0
 
+    @pytest.mark.parametrize("keyword", ["latency_window", "dispatch_workers"])
+    def test_removed_service_keyword_is_a_type_error(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            DensityService(**{keyword: 1})
+
+    @pytest.mark.parametrize("label", ["mu", "n_electrons"])
+    def test_per_step_sequence_is_refused_before_any_step(
+        self, water32_matrices, gap_mu, label
+    ):
+        """An ensemble value is one scalar for every step; a sequence is a
+        ``TypeError`` from the up-front check, before step 0 runs."""
+        pair = water32_matrices
+        value = {"mu": gap_mu, "n_electrons": N_ELECTRONS}[label]
+        with SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS)) as ctx:
+            with pytest.raises(TypeError, match=f"{label} must be a scalar"):
+                ctx.trajectory(
+                    value_only_steps(pair, 2), pair.blocks, **{label: [value, value]}
+                )
+            assert ctx.plan_cache.stats["misses"] == 0
+
+    def test_stats_keys(self, water32_matrices, gap_mu):
+        pair = water32_matrices
+        with DensityService(EngineConfig(eps_filter=EPS)) as service:
+            service.submit(pair.K, pair.S, pair.blocks, mu=gap_mu).result(120)
+            stats = service.stats()
+        assert set(stats) == {"metrics", "plan_cache"}
+        assert set(stats["metrics"]) == {"total"}
+        assert set(stats["metrics"]["total"]) == {
+            "admitted", "completed", "failed", "rejected",
+            "batched", "coalesced", "shared",
+        }
+
 
 class TestZeroStepTrajectories:
     def make_context(self):
@@ -637,13 +580,10 @@ class TestZeroStepTrajectories:
         with self.make_context() as ctx:
             traj = ctx.trajectory([], water32_matrices.blocks, n_electrons=1.0)
         assert len(traj) == 0
-        assert traj.mus.dtype == np.float64
-        assert traj.band_energies.dtype == np.float64
-        assert traj.mus.shape == (0,)
         stats = traj.stats
         assert stats.n_steps == 0
         assert stats.plans_built == stats.plan_cache_hits == 0
-        assert stats.total_wall_time == 0.0
+        assert stats.pattern_changes == 0
 
     def test_callback_none_at_step_zero(self, water32_matrices):
         with self.make_context() as ctx:
@@ -651,7 +591,6 @@ class TestZeroStepTrajectories:
                 lambda index: None, water32_matrices.blocks, n_electrons=1.0
             )
         assert traj.stats.n_steps == 0
-        assert traj.mus.dtype == np.float64
 
     def test_steps_none_raises(self, water32_matrices):
         with self.make_context() as ctx:

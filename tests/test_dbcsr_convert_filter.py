@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.plan import BlockSubmatrixPlan
@@ -133,6 +133,44 @@ def assert_bitwise_csr(ours: sp.csr_matrix, reference: sp.csr_matrix):
         assert mine.tobytes() == theirs.tobytes(), name
 
 
+def unique_isin_block_matrix_from_csr(matrix, row_sizes, col_sizes, threshold):
+    """``block_matrix_from_csr`` as it found blocks before: the occupied
+    block ids by ``np.unique``, an entry's membership by ``np.isin``."""
+    result = BlockSparseMatrix(row_sizes, col_sizes)
+    n_block_cols = result.n_block_cols
+    block_of_row = np.repeat(np.arange(result.n_block_rows), result.row_block_sizes)
+    block_of_col = np.repeat(np.arange(n_block_cols), result.col_block_sizes)
+
+    def block_ids(entries):
+        return block_of_row[entries.row] * n_block_cols + block_of_col[entries.col]
+
+    stored = matrix.tocoo()
+    stored_ids = block_ids(stored)
+    if threshold > 0.0:
+        stored_ids = stored_ids[np.abs(stored.data) > threshold]
+    occupied = np.unique(stored_ids)
+    if occupied.size == 0:
+        return result
+    entries = matrix.tocsr().tocoo()
+    ids = block_ids(entries)
+    kept = np.isin(ids, occupied)
+    slot = np.searchsorted(occupied, ids[kept])
+    block_row, block_col = np.divmod(occupied, n_block_cols)
+    heights = result.row_block_sizes[block_row]
+    widths = result.col_block_sizes[block_col]
+    offsets = np.concatenate(([0], np.cumsum(heights * widths)))
+    positions = (
+        offsets[slot]
+        + (entries.row[kept] - result.row_starts[block_row][slot]) * widths[slot]
+        + (entries.col[kept] - result.col_starts[block_col][slot])
+    )
+    buffer = np.bincount(positions, weights=entries.data[kept], minlength=offsets[-1])
+    return BlockSparseMatrix.from_index(
+        result.row_block_sizes, result.col_block_sizes, block_row, block_col,
+        buffer, offsets,
+    )
+
+
 class TestVectorisedBlockIO:
     @pytest.mark.slow
     @given(stored_entries())
@@ -166,6 +204,21 @@ class TestVectorisedBlockIO:
             groups = [[column] for column in range(len(row_sizes))]
             plan = BlockSubmatrixPlan(coo, row_sizes, groups)
             assert plan.pack(ours).tobytes() == plan.pack(reference).tobytes()
+
+    @given(stored_entries())
+    @settings(max_examples=60, deadline=None)
+    @example(([2, 3], None, sp.csr_matrix((5, 5)), 0.0))
+    @example(([2, 3], [1, 4], sp.csr_matrix((5, 5)), 0.5))
+    @example(([2, 2, 2], None, sp.random(6, 6, density=0.4, random_state=7, format="csr"), 0.5))
+    def test_from_csr_matches_the_unique_isin_construction(self, case):
+        """Occupied blocks by a sort and a neighbour mask, membership by
+        ``searchsorted``: the index, offsets and value bits of the
+        ``np.unique``/``np.isin`` construction they replaced."""
+        row_sizes, col_sizes, matrix, threshold = case
+        assert_same_blocks(
+            block_matrix_from_csr(matrix, row_sizes, col_sizes, threshold),
+            unique_isin_block_matrix_from_csr(matrix, row_sizes, col_sizes, threshold),
+        )
 
     def test_duplicates_sum_in_storage_order(self):
         # (1e16 + 1) - 1e16 == 0 but 1e16 - 1e16 + 1 == 1

@@ -95,6 +95,20 @@ class TestCooBlockList:
         with pytest.raises(ValueError, match="block column index out of range"):
             CooBlockList([0, 1], [0, -1], n_block_rows=4, n_block_cols=4)
 
+    def test_repeated_coordinate_rejected(self):
+        """A block ID is a position in the list: a coordinate given twice
+        would be planned as two blocks, so it is refused, named."""
+        with pytest.raises(ValueError, match=r"block \(0, 0\) is given more than once"):
+            CooBlockList([1, 0, 2, 0], [1, 0, 2, 0], n_block_rows=3, n_block_cols=3)
+
+    def test_from_pattern_counts_a_repeated_coordinate_once(self):
+        pattern = sp.coo_matrix(
+            (np.ones(3, dtype=bool), ([0, 0, 1], [0, 0, 1])), shape=(2, 2)
+        )
+        coo = CooBlockList.from_pattern(pattern)
+        assert (coo.rows.tolist(), coo.cols.tolist()) == ([0, 1], [0, 1])
+        assert pattern.nnz == 3  # the caller's pattern is left as it was
+
     def test_rows_and_columns_of_different_lengths_rejected(self):
         with pytest.raises(ValueError, match="same length"):
             CooBlockList([0, 1], [0], n_block_rows=2, n_block_cols=2)

@@ -18,7 +18,6 @@ Covers the PR's contracts:
   on a system whose submatrices are the full matrix;
 * the serving layer returns multi-observable bundles bitwise identical to
   direct ``context.observables`` calls;
-* trajectory steps carry the full multi-observable payload;
 * table lookups and validation errors are specific and early.
 """
 
@@ -268,7 +267,7 @@ class TestStreamedRoute:
         assert_density_identical(collected["density"], streamed)
         assert_density_identical(sharded, streamed)
         with DensityService(config) as service:
-            served = service.density(*request, mu=gap_mu)
+            served = service.submit(*request, mu=gap_mu).result(120)
         assert len(built) == 32  # a served fixed-μ call streams too
         assert_density_identical(served, streamed)
 
@@ -483,16 +482,16 @@ class TestServedObservables:
         pair = water32_matrices
         bundle_reference, density_reference = reference_bundle
         with DensityService(CONFIG) as service:
-            served_density = service.density(
+            served_density = service.submit(
                 pair.K, pair.S, pair.blocks, n_electrons=N_ELECTRONS
-            )
-            served_bundle = service.density(
+            ).result(120)
+            served_bundle = service.submit(
                 pair.K,
                 pair.S,
                 pair.blocks,
                 n_electrons=N_ELECTRONS,
                 observables=ALL_OBSERVABLES,
-            )
+            ).result(120)
         assert_density_identical(served_density, density_reference)
         assert isinstance(served_bundle, ObservableBundle)
         assert_bundle_identical(served_bundle, bundle_reference)
@@ -511,14 +510,14 @@ class TestServedObservables:
                 ranks=2,
             )
         with DensityService(CONFIG) as service:
-            served = service.density(
+            served = service.submit(
                 pair.K,
                 pair.S,
                 pair.blocks,
                 n_electrons=N_ELECTRONS,
                 ranks=2,
                 observables=ALL_OBSERVABLES,
-            )
+            ).result(120)
         assert_bundle_identical(served, direct)
 
     def test_unknown_served_observable_fails_fast(self, water32_matrices):
@@ -531,48 +530,6 @@ class TestServedObservables:
                     pair.blocks,
                     n_electrons=N_ELECTRONS,
                     observables=("dentisy",),
-                )
-
-
-# --------------------------------------------------------------------------- #
-# satellite: trajectory steps carry the full payload
-# --------------------------------------------------------------------------- #
-def value_steps(pair, n_steps, scale=1e-4):
-    return [(pair.K * (1.0 + scale * step), pair.S) for step in range(n_steps)]
-
-
-class TestTrajectoryObservables:
-    @pytest.mark.slow
-    def test_steps_are_bundles_matching_fresh_calls(self, water32_matrices):
-        pair = water32_matrices
-        steps = value_steps(pair, 3)
-        with SubmatrixContext(CONFIG) as ctx:
-            traj = ctx.trajectory(
-                steps,
-                pair.blocks,
-                n_electrons=N_ELECTRONS,
-                observables=ALL_OBSERVABLES,
-            )
-            for index, (K, S) in enumerate(steps):
-                fresh = ctx.observables(
-                    K,
-                    S,
-                    pair.blocks,
-                    observables=ALL_OBSERVABLES,
-                    n_electrons=N_ELECTRONS,
-                )
-                assert isinstance(traj.results[index], ObservableBundle)
-                assert_bundle_identical(traj.results[index], fresh)
-
-    def test_trajectory_requires_density(self, water32_matrices):
-        pair = water32_matrices
-        with SubmatrixContext(CONFIG) as ctx:
-            with pytest.raises(ValueError, match="must include 'density'"):
-                ctx.trajectory(
-                    value_steps(pair, 1),
-                    pair.blocks,
-                    n_electrons=N_ELECTRONS,
-                    observables=("pdos",),
                 )
 
 

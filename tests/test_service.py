@@ -1,12 +1,7 @@
-"""Tests for the serving layer: shared plan cache, dispatch pool, admission.
+"""Tests for the serving layer: admission control around one session.
 
 Covers the contracts:
 
-* :class:`~repro.core.plan.PlanCache` is thread-safe — N threads racing on
-  one cache build each pattern exactly once — and byte-accounted: a used
-  plan holds no more than its accounted bytes;
-* :class:`~repro.api.context.SubmatrixContext` supports concurrent use and
-  refuses to close while requests are in flight;
 * :class:`~repro.serve.DensityService` owns one session and runs every
   request as one call of it on its dispatch pool, serving results **bitwise
   identical** to direct ``context.density`` calls, across tenants sharing
@@ -17,6 +12,9 @@ Covers the contracts:
   a request the closing pool refuses too;
 * a poisoned request fails alone — its neighbours still get their exact
   results.
+
+The thread safety of the session itself — its plan cache and concurrent
+calls — is tested in ``test_session_concurrency.py``.
 """
 
 from __future__ import annotations
@@ -44,12 +42,7 @@ from repro import (
 )
 from repro.api import UnknownKernelError
 from repro.chem import build_matrices, water_box
-from repro.core.plan import PlanCache, block_plan, plan_nbytes
-from repro.dbcsr import CooBlockList
-from repro.dbcsr.convert import block_matrix_from_dense
-from repro.serve import AdmissionController, ServiceMetrics
-
-from conftest import reachable_array_bytes
+from repro.serve import DISPATCH_WORKERS, AdmissionController
 
 N_ELECTRONS = 8.0 * 32
 
@@ -71,38 +64,24 @@ def assert_identical(result, reference):
     )
 
 
+def assert_no_slot_held(service):
+    """Every admitted request has given its admission slot back."""
+    assert service.admission._total == 0
+    assert service.admission._per_tenant == {}
+
+
 @contextlib.contextmanager
 def pool_held(service):
-    """Occupy a one-worker dispatch pool for the ``with`` body: requests
-    admitted meanwhile wait in the pool's queue, holding their slots."""
+    """Occupy every thread of the dispatch pool for the ``with`` body:
+    requests admitted meanwhile wait in the pool's queue, holding their
+    slots."""
     gate = threading.Event()
-    service._dispatch.submit(gate.wait, 60)
+    for _ in range(DISPATCH_WORKERS):
+        service._dispatch.submit(gate.wait, 60)
     try:
         yield
     finally:
         gate.set()
-
-
-def banded_block_pattern(n_blocks, block_size, bandwidth, seed):
-    """Small random banded block matrix and its COO pattern.
-
-    Off-diagonal blocks are dropped at random (seed-dependent), so distinct
-    seeds produce distinct sparsity *patterns* — which is what the plan
-    cache keys on — not merely distinct values.
-    """
-    generator = np.random.default_rng(seed)
-    n = n_blocks * block_size
-    dense = np.zeros((n, n))
-    for i in range(n_blocks):
-        for j in range(i, n_blocks):
-            if abs(i - j) <= bandwidth and (i == j or generator.random() < 0.6):
-                dense[
-                    i * block_size : (i + 1) * block_size,
-                    j * block_size : (j + 1) * block_size,
-                ] = generator.normal(size=(block_size, block_size))
-    dense = (dense + dense.T) / 2.0
-    matrix = block_matrix_from_dense(dense, [block_size] * n_blocks)
-    return matrix, CooBlockList.from_block_matrix(matrix)
 
 
 @pytest.fixture(scope="module")
@@ -125,144 +104,7 @@ def reference_results(water32_matrices, gap_mu):
 
 
 # --------------------------------------------------------------------------- #
-# satellite: PlanCache thread safety and byte accounting
-# --------------------------------------------------------------------------- #
-class TestPlanCacheConcurrency:
-    def test_exactly_one_build_per_pattern_under_contention(self):
-        cache = PlanCache(max_plans=64)
-        patterns = [
-            banded_block_pattern(6, 3, 2, seed)[1] for seed in range(4)
-        ]
-        sizes = [3] * 6
-        groups = [[c] for c in range(6)]
-        n_threads = 8
-        rounds = 5
-        barrier = threading.Barrier(n_threads)
-        errors = []
-
-        def hammer():
-            try:
-                barrier.wait()
-                for _ in range(rounds):
-                    for coo in patterns:
-                        block_plan(coo, sizes, groups, cache=cache)
-            except Exception as error:  # pragma: no cover - diagnostic
-                errors.append(error)
-
-        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        stats = cache.stats
-        assert stats["builds"] == len(patterns)
-        assert stats["misses"] == len(patterns)
-        assert stats["plans"] == len(patterns)
-        assert stats["hits"] == n_threads * rounds * len(patterns) - len(patterns)
-
-    def test_identical_plan_object_across_threads(self):
-        cache = PlanCache()
-        _, coo = banded_block_pattern(5, 2, 1, 11)
-        sizes, groups = [2] * 5, [[c] for c in range(5)]
-        results = [None] * 4
-        barrier = threading.Barrier(4)
-
-        def fetch(slot):
-            barrier.wait()
-            results[slot] = block_plan(coo, sizes, groups, cache=cache)
-
-        threads = [
-            threading.Thread(target=fetch, args=(slot,)) for slot in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert all(plan is results[0] for plan in results)
-
-
-class TestPlanCacheMemory:
-    def test_total_bytes_tracks_resident_plans(self):
-        cache = PlanCache()
-        assert cache.total_bytes == 0
-        _, coo = banded_block_pattern(6, 3, 2, 0)
-        plan = block_plan(coo, [3] * 6, [[c] for c in range(6)], cache=cache)
-        assert cache.total_bytes == plan_nbytes(plan) > 0
-        _, coo2 = banded_block_pattern(6, 3, 2, 1)
-        plan2 = block_plan(coo2, [3] * 6, [[c] for c in range(6)], cache=cache)
-        assert cache.total_bytes == plan_nbytes(plan) + plan_nbytes(plan2)
-
-
-# --------------------------------------------------------------------------- #
-# satellite: concurrent SubmatrixContext use
-# --------------------------------------------------------------------------- #
-class TestConcurrentContext:
-    @pytest.mark.slow
-    def test_parallel_density_calls_are_bitwise_identical(
-        self, water32_matrices, gap_mu, reference_results
-    ):
-        reference, _ = reference_results
-        n_threads = 6
-        results = [None] * n_threads
-        errors = []
-        barrier = threading.Barrier(n_threads)
-        with SubmatrixContext(CONFIG) as context:
-
-            def work(slot):
-                try:
-                    barrier.wait()
-                    results[slot] = context.density(
-                        water32_matrices.K,
-                        water32_matrices.S,
-                        water32_matrices.blocks,
-                        mu=gap_mu,
-                    )
-                except Exception as error:  # pragma: no cover - diagnostic
-                    errors.append(error)
-
-            threads = [
-                threading.Thread(target=work, args=(slot,))
-                for slot in range(n_threads)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert not errors
-            for result in results:
-                assert_identical(result, reference)
-            # one shared plan served every thread
-            assert context.plan_cache.stats["builds"] == 1
-
-    def test_close_while_request_in_flight_raises(self):
-        context = SubmatrixContext(EngineConfig(backend="serial"))
-        matrix = sp.csr_matrix(np.diag([2.0, 3.0, 4.0]))
-        entered = threading.Event()
-        release = threading.Event()
-
-        def blocking_function(submatrix):
-            entered.set()
-            release.wait(10)
-            return np.asarray(submatrix, dtype=float)
-
-        worker = threading.Thread(
-            target=lambda: context.apply(matrix, blocking_function)
-        )
-        worker.start()
-        assert entered.wait(10)
-        with pytest.raises(RuntimeError, match=r"1 request\(s\) still in flight"):
-            context.close()
-        _ = context.executor  # the session stays open and usable
-        release.set()
-        worker.join()
-        context.close()  # drained: close now succeeds
-        with pytest.raises(RuntimeError, match="closed"):
-            context.apply(matrix, blocking_function)
-
-
-# --------------------------------------------------------------------------- #
-# tentpole: the density service
+# the density service
 # --------------------------------------------------------------------------- #
 class TestServiceIdentity:
     @pytest.mark.slow
@@ -271,20 +113,20 @@ class TestServiceIdentity:
     ):
         ref_gc, ref_canonical = reference_results
         with DensityService(config=CONFIG) as service:
-            served_gc = service.density(
+            served_gc = service.submit(
                 water32_matrices.K,
                 water32_matrices.S,
                 water32_matrices.blocks,
                 tenant="alice",
                 mu=gap_mu,
-            )
-            served_canonical = service.density(
+            ).result(120)
+            served_canonical = service.submit(
                 water32_matrices.K,
                 water32_matrices.S,
                 water32_matrices.blocks,
                 tenant="bob",
                 n_electrons=N_ELECTRONS,
-            )
+            ).result(120)
         assert_identical(served_gc, ref_gc)
         assert_identical(served_canonical, ref_canonical)
 
@@ -299,13 +141,13 @@ class TestServiceIdentity:
                 solver="newton_schulz",
             )
         with DensityService(config=CONFIG) as service:
-            served = service.density(
+            served = service.submit(
                 water32_matrices.K,
                 water32_matrices.S,
                 water32_matrices.blocks,
                 mu=gap_mu,
                 solver="newton_schulz",
-            )
+            ).result(120)
         assert_identical(served, reference)
 
     @pytest.mark.slow
@@ -335,8 +177,8 @@ class TestServiceIdentity:
         assert snapshot["metrics"]["total"]["completed"] == 4
         # tenants share one plan: one build, hits for every later request
         assert snapshot["plan_cache"]["builds"] == 1
-        assert snapshot["plan_cache_hit_rate"] > 0.5
-        assert snapshot["admission"]["in_flight"] == 0
+        assert snapshot["plan_cache"]["hits"] == 3
+        assert_no_slot_held(service)
 
     def test_poisoned_request_fails_alone(
         self, water32_matrices, gap_mu, reference_results
@@ -367,7 +209,7 @@ class TestServiceIdentity:
         assert_identical(result, ref_gc)
         assert snapshot["metrics"]["total"]["completed"] == 1
         assert snapshot["metrics"]["total"]["failed"] == 1
-        assert snapshot["admission"]["in_flight"] == 0
+        assert_no_slot_held(service)
 
 
 # --------------------------------------------------------------------------- #
@@ -387,10 +229,12 @@ class TestAdmissionController:
             controller.admit("c")
         controller.release("a")
         controller.admit("c")  # global slot freed
-        snapshot = controller.snapshot()
-        assert snapshot["in_flight"] == 3
-        assert snapshot["per_tenant"] == {"a": 1, "b": 1, "c": 1}
-        assert snapshot["rejections"] == 2
+        with pytest.raises(ServiceOverloadError, match="service at capacity"):
+            controller.admit("d")
+        for tenant in ("a", "b", "c"):
+            controller.release(tenant)
+        for tenant in ("a", "a", "b"):  # every slot is free again
+            controller.admit(tenant)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -404,7 +248,7 @@ class TestServiceAdmission:
     def test_per_tenant_cap_rejects_and_recovers(self, water32_matrices, gap_mu):
         policy = AdmissionPolicy(max_in_flight=8, max_in_flight_per_tenant=2)
         with DensityService(
-            config=CONFIG, policy=policy, dispatch_workers=1
+            config=CONFIG, policy=policy
         ) as service:
             with pool_held(service):
                 first = service.submit(
@@ -445,22 +289,22 @@ class TestServiceAdmission:
                 future.result(120)
             snapshot = service.stats()
             # slots free again after completion
-            assert snapshot["admission"]["in_flight"] == 0
-            assert snapshot["metrics"]["tenants"]["greedy"]["rejected"] == 1
-            retry = service.density(
+            assert_no_slot_held(service)
+            assert snapshot["metrics"]["total"]["rejected"] == 1
+            retry = service.submit(
                 water32_matrices.K,
                 water32_matrices.S,
                 water32_matrices.blocks,
                 tenant="greedy",
                 mu=gap_mu,
-            )
+            ).result(120)
             assert retry is not None
 
     @pytest.mark.slow
     def test_global_cap(self, water32_matrices, gap_mu):
         policy = AdmissionPolicy(max_in_flight=2, max_in_flight_per_tenant=2)
         with DensityService(
-            config=CONFIG, policy=policy, dispatch_workers=1
+            config=CONFIG, policy=policy
         ) as service:
             with pool_held(service):
                 futures = [
@@ -486,29 +330,6 @@ class TestServiceAdmission:
             for future in futures:
                 future.result(120)
 
-    @pytest.mark.slow
-    def test_used_plans_hold_no_more_than_accounted(self, szv_model, gap_mu):
-        """The cache sizes a plan when it is inserted, before its first use
-        (:func:`plan_nbytes`, the ledger's ``core.plan.bytes``); once every
-        tenant has been served, the arrays reachable from the cache still
-        fit its accounted bytes, so no plan grows with use."""
-        tenants = [
-            build_matrices(water_box(1, seed=2020 + tenant), model=szv_model)
-            for tenant in range(3)
-        ]
-        # filtered hard enough that every tenant has a pattern of its own
-        config = CONFIG.replace(eps_filter=1e-2)
-        with DensityService(config=config) as service:
-            for tenant, pair in enumerate(tenants):
-                service.density(
-                    pair.K, pair.S, pair.blocks, mu=gap_mu, tenant=f"t{tenant}"
-                )
-            assert len(service.plan_cache) == 3
-            accounted = service.plan_cache.total_bytes
-            assert service.stats()["plan_cache_bytes"] == accounted
-            assert reachable_array_bytes(service.plan_cache) <= accounted
-
-
 # --------------------------------------------------------------------------- #
 # validation, metrics, lifecycle
 # --------------------------------------------------------------------------- #
@@ -524,7 +345,7 @@ class TestServiceValidation:
                     solver="definitely-not-a-kernel",
                 )
             # failed validation must not leak admission slots
-            assert service.stats()["admission"]["in_flight"] == 0
+            assert_no_slot_held(service)
 
     def test_ensemble_validation(self, water32_matrices, gap_mu):
         with DensityService(config=CONFIG) as service:
@@ -550,20 +371,19 @@ class TestServiceValidation:
                     n_electrons=N_ELECTRONS,
                     solver="newton_schulz",
                 )
-            assert service.stats()["admission"]["in_flight"] == 0
+            assert_no_slot_held(service)
 
     @pytest.mark.parametrize("tenant", [None, 3, ["a"]], ids=["none", "int", "list"])
     def test_tenant_must_be_a_str(self, water32_matrices, gap_mu, tenant):
-        """A tenant names an accounting bucket: anything but a ``str`` is
-        refused before admission and never becomes a metrics key."""
+        """A tenant names an admission bucket: anything but a ``str`` is
+        refused before admission and never holds a slot."""
         pair = water32_matrices
         with DensityService(config=CONFIG) as service:
             with pytest.raises(TypeError, match="tenant"):
                 service.submit(pair.K, pair.S, pair.blocks, tenant=tenant, mu=gap_mu)
             snapshot = service.stats()
-        assert snapshot["metrics"]["tenants"] == {}
         assert snapshot["metrics"]["total"]["admitted"] == 0
-        assert snapshot["admission"]["per_tenant"] == {}
+        assert_no_slot_held(service)
 
     @pytest.mark.parametrize("solver", ["eigen", "newton_schulz"])
     @pytest.mark.parametrize(
@@ -598,52 +418,17 @@ class TestServiceValidation:
                 )
 
 
-class TestServiceMetrics:
-    def test_counters_and_percentiles(self):
-        metrics = ServiceMetrics(latency_window=8)
-        for latency in (0.1, 0.2, 0.3, 0.4):
-            metrics.record_admitted("t")
-            metrics.record_completed("t", latency, bytes_out=100, cache_hits=1)
-        metrics.record_admitted("t")
-        metrics.record_failed("t", 0.5)
-        metrics.record_rejected("t")
-        snapshot = metrics.snapshot()
-        tenant = snapshot["tenants"]["t"]
-        assert tenant["admitted"] == 5
-        assert tenant["completed"] == 4
-        assert tenant["failed"] == 1
-        assert tenant["rejected"] == 1
-        assert tenant["bytes_out"] == 400
-        assert tenant["cache_hit_rate"] == 1.0
-        assert tenant["p50_latency"] == pytest.approx(0.3)
-        assert tenant["p99_latency"] <= 0.5
-        assert snapshot["total"]["completed"] == 4
-
-    def test_latency_window_is_bounded(self):
-        metrics = ServiceMetrics(latency_window=4)
-        for index in range(100):
-            metrics.record_completed("t", float(index))
-        # only the last 4 latencies survive in the window
-        assert metrics.snapshot()["tenants"]["t"]["p50_latency"] >= 96.0
-
-    def test_empty_snapshot(self):
-        metrics = ServiceMetrics()
-        snapshot = metrics.snapshot()
-        assert snapshot["tenants"] == {}
-        assert snapshot["total"]["cache_hit_rate"] == 0.0
-
-
 class TestServiceLifecycle:
     def test_close_is_idempotent_and_rejects_new_work(
         self, water32_matrices, gap_mu
     ):
         service = DensityService(config=CONFIG)
-        result = service.density(
+        result = service.submit(
             water32_matrices.K,
             water32_matrices.S,
             water32_matrices.blocks,
             mu=gap_mu,
-        )
+        ).result(120)
         assert result is not None
         service.close()
         service.close()  # idempotent
@@ -668,7 +453,7 @@ class TestServiceLifecycle:
             service.submit(pair.K, pair.S, pair.blocks, mu=gap_mu)
         snapshot = service.stats()
         service.close()
-        assert snapshot["admission"]["in_flight"] == 0
+        assert_no_slot_held(service)
         total = snapshot["metrics"]["total"]
         assert (total["admitted"], total["completed"], total["failed"]) == (1, 0, 1)
 
@@ -700,21 +485,20 @@ class TestOneSession:
         ]
         with DensityService(config=CONFIG) as service:
             results = [
-                service.density(
+                service.submit(
                     pair.K,
                     pair.S,
                     pair.blocks,
                     tenant=tenant,
                     observables=observables,
                     **ensemble,
-                )
+                ).result(120)
                 for tenant, ensemble, observables in requests
             ]
             session = service.context.stats()
         assert created == [service.context]
         with pytest.raises(RuntimeError, match="closed"):
             _ = service.context.executor
-        assert service.plan_cache is service.context.plan_cache
         assert session["overlap_roots"]["misses"] == 1
         assert session["overlap_roots"]["hits"] == len(requests) - 1
         assert session["plan_cache"]["builds"] == 1
@@ -733,7 +517,7 @@ class TestOneSession:
                 )
             snapshot = service.stats()
         assert snapshot["metrics"]["total"]["admitted"] == 0
-        assert snapshot["admission"]["in_flight"] == 0
+        assert_no_slot_held(service)
 
 
 # --------------------------------------------------------------------------- #
@@ -781,13 +565,13 @@ class TestServiceUnderEviction:
                     for step in range(per_thread):
                         tenant, ensemble = kinds[(index + 5 * step) % len(kinds)]
                         pair = tenants[tenant]
-                        result = service.density(
+                        result = service.submit(
                             pair.K,
                             pair.S,
                             pair.blocks,
                             tenant=f"t{tenant}",
                             **ensemble_of(ensemble),
-                        )
+                        ).result(120)
                         served.append(((tenant, ensemble), result))
                 except Exception as error:  # pragma: no cover - diagnostic
                     errors.append(error)
@@ -814,7 +598,7 @@ class TestServiceUnderEviction:
         for kind, result in served:
             assert_identical(result, references[kind])
         assert snapshot["plan_cache"]["evictions"] > 0
-        assert snapshot["admission"]["in_flight"] == 0
+        assert_no_slot_held(service)
         total = snapshot["metrics"]["total"]
         assert total["completed"] + total["failed"] == total["admitted"]
         assert total["completed"] == n_threads * per_thread
@@ -867,7 +651,7 @@ class TestOneWayToServe:
             dict(batching=True, max_batch=1, batch_wait=5.0),
         ):
             with DensityService(config=CONFIG, **keywords) as service:
-                served = service.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
+                served = service.submit(pair.K, pair.S, pair.blocks, mu=gap_mu).result(120)
                 snapshot = service.stats()
             assert_identical(served, ref_gc)
             total = snapshot["metrics"]["total"]

@@ -556,8 +556,9 @@ def test_bitwise_across_workers_and_entry_points(ledger_inputs, name):
             for request, seen in zip(requests, results):
                 call = context.observables if "observables" in request else context.density
                 seen.append(call(pair.K, pair.S, pair.blocks, **request))
-                run = context.trajectory([(pair.K, pair.S)], pair.blocks, **request)
-                seen.append(run.results[0])
+                if "observables" not in request:  # a trajectory step is a density
+                    run = context.trajectory([(pair.K, pair.S)], pair.blocks, **request)
+                    seen.append(run.results[0])
         with DensityService(config=config) as service:
             for request, seen in zip(requests, results):
                 seen.append(
