@@ -208,17 +208,20 @@ def test_invalid_request_is_refused_before_any_work(water32_matrices, name):
     assert service.admission._total == 0
 
 
-@pytest.mark.parametrize(
-    "name", sorted(name for name, r in INVALID_REQUESTS.items() if takes_trajectory(r))
-)
+@pytest.mark.parametrize("name", sorted(INVALID_REQUESTS))
 def test_invalid_trajectory_is_refused_before_admission(water32_matrices, name):
     """``context.trajectory`` runs a request's checks once, before it admits
     its first step: a two-step trajectory raises before any step looks a
-    plan or an overlap root up."""
+    plan or an overlap root up.  A request for more than the density is a
+    ``TypeError`` naming the observable keyword a trajectory does not take."""
     request = INVALID_REQUESTS[name]
     pair = water32_matrices
+    if takes_trajectory(request):
+        refused = pytest.raises((ValueError, TypeError))
+    else:
+        refused = pytest.raises(TypeError, match="'observable(s|_params)'")
     with SubmatrixContext(CONFIG) as context:
-        with pytest.raises((ValueError, TypeError)):
+        with refused:
             context.trajectory(
                 [(pair.K, pair.S), (pair.K, pair.S)], pair.blocks, **request
             )
