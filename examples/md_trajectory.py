@@ -17,8 +17,9 @@ for many consecutive steps.  A plain loop of ``ctx.density`` calls on one
 * every step is bitwise a fresh single-shot call — checked once below
   against a fresh context.
 
-``ctx.trajectory(steps, blocks, ...)`` runs this same loop and also drops
-the overlap root an MD walk has left behind (a moved S never comes back).
+``ctx.trajectory(steps, blocks, ...)`` runs this same loop.  In either, the
+session keeps one overlap root S^{-1/2} per content and releases the one a
+walk moves away from, so a moving S holds one root.
 
 Run with:  python examples/md_trajectory.py
 """

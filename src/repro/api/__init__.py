@@ -18,8 +18,7 @@ run sharded over ``ranks=`` simulated ranks are the same call, bitwise
 identical, through the one rank loop of :mod:`repro.core.runner`.  A
 trajectory or a served client is a loop of such calls on one session (its
 plans, pools and overlap roots are shared and thread-safe);
-``ctx.trajectory`` is that loop plus the release of the overlap root an MD
-walk has left behind.
+``ctx.trajectory`` is that loop plus the plan-cache counts of its steps.
 """
 
 from repro.api.config import (

@@ -74,8 +74,7 @@ MAX_CACHED_PIPELINES = 32
 
 #: Upper bound, in bytes, on the overlap roots a session keeps (one dense
 #: n×n float64 S^{-1/2}, with its runs, per overlap content: 4.7 MB at 768
-#: basis functions).  Least recently used roots are dropped first; the root
-#: just computed is always kept, even when it alone exceeds the bound.
+#: basis functions); :meth:`SubmatrixContext.overlap_root` states its use.
 MAX_OVERLAP_ROOT_BYTES = 32 * 2**20
 
 
@@ -191,8 +190,11 @@ class SubmatrixContext:
         # per overlap content: (S^{-1/2}, its floor runs, None) under None and
         # (S^{-1/2}, runs, block norms) per block sizes (read-only, LRU by bytes)
         self._overlap_roots: "OrderedDict[bytes, dict]" = OrderedDict()
+        self._released_roots: "OrderedDict[bytes, None]" = OrderedDict()
+        self._revisited_roots: set = set()  # held roots that came back
         self._overlap_root_hits = 0
         self._overlap_root_misses = 0
+        self._overlap_roots_released = 0
         self._closed = False
         # session bookkeeping lock: guards executor creation, the pipeline
         # and overlap-root maps, the in-flight counter and close().  The
@@ -286,6 +288,8 @@ class SubmatrixContext:
                 )
             executor, self._executor = self._executor, None
             self._overlap_roots.clear()
+            self._released_roots.clear()
+            self._revisited_roots.clear()
             self._closed = True
         if executor is not None:
             finalizer = getattr(self, "_finalizer", None)
@@ -305,8 +309,8 @@ class SubmatrixContext:
         ``pipelines_built`` counts actual constructions (a monotone
         counter, unaffected by cache eviction); ``pipelines_cached`` is the
         current cache size.  ``overlap_roots`` reports the S^{-1/2} cache
-        (:meth:`overlap_root`): lookups served from it (``hits``), lookups
-        that diagonalised S (``misses``), and what it holds now.
+        (:meth:`overlap_root`): lookups served from it (``hits``) or that
+        diagonalised S (``misses``), roots ``released``, and what it holds now.
         """
         with self._lock:
             return {
@@ -317,6 +321,7 @@ class SubmatrixContext:
                 "overlap_roots": {
                     "hits": self._overlap_root_hits,
                     "misses": self._overlap_root_misses,
+                    "released": self._overlap_roots_released,
                     "entries": len(self._overlap_roots),
                     "bytes": self._overlap_root_bytes(),
                 },
@@ -346,7 +351,14 @@ class SubmatrixContext:
         All of it is shared between the requests that hit, read-only, and
         counted in the cache's bytes.  The cache is an LRU bounded by
         :data:`MAX_OVERLAP_ROOT_BYTES` that always keeps the root just used,
-        whatever its size; a miss costs the hash on top of the root.  Two
+        whatever its size; a miss costs the hash on top of the root.  Filing a
+        new root releases the most recently used one unless that is the same
+        content or one that has come back, so an MD walk holds one root and an
+        SCF loop or a μ sweep keeps hitting its own.  The session remembers the
+        fingerprints of as many released roots as the bound would hold; a miss
+        on one files its root as revisited, which only the LRU drops.  A
+        revisit after a release costs one ``eigh(S)`` and never changes a
+        result; the most recently used root may be another thread's.  Two
         threads missing on the same content both compute the (identical) root
         rather than serialise behind the session lock.
         """
@@ -376,6 +388,18 @@ class SubmatrixContext:
             found = (root, runs, norms)
         with self._lock:
             found = entry.setdefault(sizes, found)
+            if not hit:
+                if key in self._released_roots:  # its content has come back
+                    del self._released_roots[key]
+                    self._revisited_roots.add(key)
+                latest = next(reversed(self._overlap_roots), key)
+                if latest != key and latest not in self._revisited_roots:
+                    del self._overlap_roots[latest]
+                    self._released_roots[latest] = None
+                    self._overlap_roots_released += 1
+                    remembered = max(1, MAX_OVERLAP_ROOT_BYTES // root.nbytes)
+                    while len(self._released_roots) > remembered:
+                        self._released_roots.popitem(last=False)
             self._overlap_roots[key] = entry
             self._overlap_roots.move_to_end(key)
             # keep at least the root just used, even when it alone exceeds
@@ -384,27 +408,9 @@ class SubmatrixContext:
                 len(self._overlap_roots) > 1
                 and self._overlap_root_bytes() > MAX_OVERLAP_ROOT_BYTES
             ):
-                self._overlap_roots.popitem(last=False)
+                evicted, _ = self._overlap_roots.popitem(last=False)
+                self._revisited_roots.discard(evicted)
         return found
-
-    def _advance_overlap_root(self, previous: Optional[bytes]) -> Optional[bytes]:
-        """Key of the most recently used root; drops ``previous`` if it is another.
-
-        The trajectory driver calls this after every step with the key the
-        step before returned: a walk that arrives at a new overlap content
-        does not come back to the one it left, so that root is released
-        instead of ageing out of the LRU (seven dead 4.7 MB roots at 768
-        basis functions), while a fixed-S loop — SCF, a sweep over μ — keeps
-        hitting its one root.  The key is the one :meth:`overlap_root`
-        filed the step's root under, so S is not hashed a second time.  With
-        other threads using the session the most recent root may be theirs;
-        a root released too early costs one ``eigh``, never a result.
-        """
-        with self._lock:
-            latest = next(reversed(self._overlap_roots), None)
-            if previous is not None and previous != latest:
-                self._overlap_roots.pop(previous, None)
-            return latest
 
     def block_plan_for(
         self,
@@ -653,8 +659,7 @@ class SubmatrixContext:
         every step is one :meth:`density` call with the same arguments —
         bitwise a cold call on the same input, nothing but the session's
         caches carried over.  ``on_step(index, result)`` is called after
-        every step (an SCF loop's feedback hook).  The loop releases the
-        overlap root a walk has left behind.  ``replan`` and
+        every step (an SCF loop's feedback hook).  ``replan`` and
         ``warm_start_mu`` are inert leftovers — accepted and ignored; they
         stay only because ``benchmarks/e2e`` passes them.  Returns a
         :class:`~repro.api.trajectory.TrajectoryResult`: the per-step results

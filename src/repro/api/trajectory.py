@@ -14,8 +14,7 @@ that loop: one :func:`~repro.api.observables.validate_request` before the
 first step, then one :func:`~repro.api.observables.compute_observables` call
 per ``(K, S)`` step, so every step is bitwise a cold
 :meth:`SubmatrixContext.density` call on the same input.  Besides the loop
-it releases the overlap root a walk has left (a step with a new S does not
-come back to the old one) and counts the plan-cache traffic of its steps.
+it counts the plan-cache traffic of its steps.
 """
 
 from __future__ import annotations
@@ -150,16 +149,12 @@ def run_trajectory(
     )
     results: List[SubmatrixDFTResult] = []
     hits = misses = 0
-    # the overlap root the session used last: what the walk's first step
-    # leaves behind if it arrives with a different overlap content
-    overlap_root_key = context._advance_overlap_root(None)
     for index, (K, S) in enumerate(_iterate_steps(steps)):
         before = context.plan_cache.stats
         result = compute_observables(context, K, S, blocks, **request)["density"]
         after = context.plan_cache.stats
         hits += after["hits"] - before["hits"]
         misses += after["misses"] - before["misses"]
-        overlap_root_key = context._advance_overlap_root(overlap_root_key)
         results.append(result)
         if on_step is not None:
             on_step(index, result)

@@ -1310,7 +1310,9 @@ class TestOverlapRootCache:
             hit = ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
             stats = ctx.stats()["overlap_roots"]
         n = pair.S.shape[0]
-        assert stats == {"hits": 1, "misses": 1, "entries": 1, "bytes": 8 * n * n}
+        assert stats == {
+            "hits": 1, "misses": 1, "released": 0, "entries": 1, "bytes": 8 * n * n,
+        }
         assert_same_density(hit, miss)
         assert_same_density(hit, self.fresh(pair.K, pair.S, pair.blocks, gap_mu))
         # and the per-block reference loop, which computes its own root
@@ -1350,7 +1352,11 @@ class TestOverlapRootCache:
         one_root = 8 * S.shape[0] ** 2
         monkeypatch.setattr(repro.api.context, "MAX_OVERLAP_ROOT_BYTES", 2 * one_root)
         with SubmatrixContext(self.CONFIG) as ctx:
+            for overlap in overlaps[:2]:  # the second filing releases the first
+                ctx.overlap_root(overlap)
+            # both come back: revisits, which only the byte bound drops
             roots = [ctx.overlap_root(overlap) for overlap in overlaps[:2]]
+            assert ctx.stats()["overlap_roots"]["entries"] == 2
             assert ctx.overlap_root(overlaps[0]) is roots[0]  # now most recent
             ctx.overlap_root(overlaps[2])  # evicts overlaps[1]
             stats = ctx.stats()["overlap_roots"]
@@ -1370,7 +1376,8 @@ class TestOverlapRootCache:
             root = ctx.overlap_root(S)
             assert ctx.overlap_root(S) is root
             assert ctx.stats()["overlap_roots"] == {
-                "hits": 1, "misses": 1, "entries": 1, "bytes": one_root,
+                "hits": 1, "misses": 1, "released": 0, "entries": 1,
+                "bytes": one_root,
             }
             other = ctx.overlap_root(S * 3.0)
             assert np.array_equal(other[0], loewdin_inverse_sqrt(S * 3.0))
@@ -1416,7 +1423,7 @@ class TestOverlapRootCache:
         pair = water32_matrices
         ctx = SubmatrixContext(self.CONFIG)
         assert ctx.stats()["overlap_roots"] == {
-            "hits": 0, "misses": 0, "entries": 0, "bytes": 0,
+            "hits": 0, "misses": 0, "released": 0, "entries": 0, "bytes": 0,
         }
         ctx.density(pair.K, pair.S, pair.blocks, mu=gap_mu)
         ctx.trajectory([(pair.K, pair.S)] * 2, pair.blocks, mu=gap_mu)
@@ -1432,10 +1439,9 @@ class TestOverlapRootCache:
     def test_a_walk_keeps_one_root_and_a_fixed_overlap_keeps_hitting(
         self, water32_matrices, gap_mu
     ):
-        """MD moves S every step and never comes back: the trajectory driver
-        releases the root it walked away from (the session held seven dead
-        ones at the byte bound before).  An SCF loop keeps S and must keep
-        hitting."""
+        """MD moves S every step and never comes back: the session releases
+        the root a walk moved away from (it held seven dead ones at the byte
+        bound before).  An SCF loop keeps S and must keep hitting."""
         pair = water32_matrices
         walk = [(pair.K, pair.S * (1.0 + 0.01 * step)) for step in range(6)]
         with SubmatrixContext(self.CONFIG) as ctx:
@@ -1446,7 +1452,8 @@ class TestOverlapRootCache:
             assert (stats["hits"], stats["misses"]) == (1, 6)
             assert (stats["entries"], stats["bytes"]) == (1, 8 * n * n)
             # a second walk leaves the first one's last root behind too
-            ctx.trajectory(walk[:2], pair.blocks, mu=gap_mu)
+            onward = [(pair.K, pair.S * (1.1 + 0.01 * step)) for step in range(2)]
+            ctx.trajectory(onward, pair.blocks, mu=gap_mu)
             assert ctx.stats()["overlap_roots"]["entries"] == 1
         for (K, S), result in zip(walk[-2:], trajectory.results[-2:]):
             assert_same_density(result, self.fresh(K, S, pair.blocks, gap_mu))
@@ -1467,6 +1474,115 @@ class TestOverlapRootCache:
             stats = ctx.stats()["overlap_roots"]
         assert scf.stats.n_steps == 4
         assert (stats["hits"], stats["misses"], stats["entries"]) == (3, 1, 1)
+
+    @staticmethod
+    def small_overlap(seed, n=12):
+        noise = np.random.default_rng(seed).normal(size=(n, n))
+        return np.eye(n) + 0.02 * (noise + noise.T)
+
+    @pytest.mark.slow
+    def test_a_caller_loop_holds_one_root_like_the_trajectory(
+        self, water32_matrices, gap_mu
+    ):
+        """A plain loop of ``ctx.density`` over a moving S releases each root
+        it walks away from, as ``ctx.trajectory`` does, with the same bits."""
+        pair = water32_matrices
+        walk = [(pair.K, pair.S * (1.0 + 0.01 * step)) for step in range(8)]
+        n = pair.S.shape[0]
+        loop = []
+        with SubmatrixContext(self.CONFIG) as ctx:
+            for K, S in walk:
+                loop.append(ctx.density(K, S, pair.blocks, mu=gap_mu))
+                stats = ctx.stats()["overlap_roots"]
+                assert (stats["entries"], stats["bytes"]) == (1, 8 * n * n)
+        assert (stats["misses"], stats["released"]) == (8, 7)
+        with SubmatrixContext(self.CONFIG) as ctx:
+            trajectory = ctx.trajectory(walk, pair.blocks, mu=gap_mu)
+            assert ctx.stats()["overlap_roots"]["entries"] == 1
+        for result, expected in zip(loop, trajectory.results):
+            assert_same_density(result, expected)
+
+    @pytest.mark.slow
+    def test_tenants_in_strict_rotation_converge_to_hits(
+        self, water32_matrices, gap_mu
+    ):
+        """Three fixed-S tenants taking turns: each filing releases the one
+        before until their contents come back; then every tenant hits."""
+        pair = water32_matrices
+        tenants = [(pair.K * scale, pair.S * scale) for scale in (1.0, 1.1, 1.2)]
+        misses, results = [0] * len(tenants), [None] * len(tenants)
+        with SubmatrixContext(self.CONFIG) as ctx:
+            for turn in range(4):
+                for index, (K, S) in enumerate(tenants):
+                    before = ctx.stats()["overlap_roots"]["misses"]
+                    results[index] = ctx.density(K, S, pair.blocks, mu=gap_mu)
+                    missed = ctx.stats()["overlap_roots"]["misses"] - before
+                    assert turn < 2 or not missed, (turn, index)
+                    misses[index] += missed
+            stats = ctx.stats()["overlap_roots"]
+        assert max(misses) <= 2
+        assert (stats["released"], stats["entries"]) == (3, 3)
+        for (K, S), result in zip(tenants, results):
+            assert_same_density(result, self.fresh(K, S, pair.blocks, gap_mu))
+
+    def test_a_long_walk_remembers_only_what_the_bound_would_hold(
+        self, monkeypatch
+    ):
+        """40 released roots: the session keeps one root and at most
+        ``bound // root.nbytes`` fingerprints; the oldest are forgotten, so
+        coming back to one of them is a plain miss again."""
+        walk = [self.small_overlap(seed) for seed in range(40)]
+        one_root = walk[0].nbytes
+        bound = 3 * one_root + 7
+        monkeypatch.setattr(repro.api.context, "MAX_OVERLAP_ROOT_BYTES", bound)
+        with SubmatrixContext(self.CONFIG) as ctx:
+            for S in walk:
+                ctx.overlap_root(S)
+                assert len(ctx._released_roots) <= bound // one_root
+                assert ctx.stats()["overlap_roots"]["entries"] == 1
+            assert ctx.stats()["overlap_roots"]["released"] == 39
+            ctx.overlap_root(walk[-4])  # still remembered: filed as a revisit
+            ctx.overlap_root(walk[-5])  # forgotten: an ordinary filing
+            ctx.overlap_root(self.small_overlap(99))  # releases walk[-5] only
+            stats = ctx.stats()["overlap_roots"]
+            assert (stats["entries"], stats["bytes"]) == (2, 2 * one_root)
+            hits = stats["hits"]
+            ctx.overlap_root(walk[-4])
+            assert ctx.stats()["overlap_roots"]["hits"] == hits + 1
+
+    def test_two_threads_filing_the_same_overlap_do_not_release_it(
+        self, monkeypatch
+    ):
+        """Both threads miss on S and file its root; the second filing finds
+        its own content most recent and releases nothing."""
+        first, S = self.small_overlap(0), self.small_overlap(1)
+        barrier = threading.Barrier(2, timeout=30)
+
+        def both_at_once(overlap):
+            barrier.wait()  # neither files before both have missed
+            return loewdin_inverse_sqrt(overlap)
+
+        with SubmatrixContext(self.CONFIG) as ctx:
+            ctx.overlap_root(first)
+            monkeypatch.setattr(
+                repro.api.context, "loewdin_inverse_sqrt", both_at_once
+            )
+            roots = []
+            threads = [
+                threading.Thread(target=lambda: roots.append(ctx.overlap_root(S)))
+                for _ in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            stats = ctx.stats()["overlap_roots"]
+            assert len(roots) == 2
+            assert (stats["misses"], stats["released"]) == (3, 1)  # ``first``
+            assert stats["entries"] == 1
+            held = ctx.overlap_root(S)[0]
+            assert any(held is root for root, _, _ in roots)
+        assert np.array_equal(roots[0][0], roots[1][0])
 
     @pytest.mark.slow
     def test_threads_on_alternating_overlaps_with_eviction_forced(self, monkeypatch):
