@@ -8,8 +8,11 @@ iterations and stay within ~5 meV/atom of the converged FP64 result even in
 half precision.
 
 Reproduction: the combined submatrix of the first 32-molecule building block
-of a 64-molecule slab, iterated with the emulated precision modes; the
+of a 64-molecule slab, iterated with the emulated precision modes
+(:func:`repro.signfn.sign_pade` with ``precision=``, a fixed sweep); the
 per-iteration energy difference to the converged FP64 result is reported.
+The emulated FP16 accumulates in float32 like FP16' (see
+:mod:`repro.accel.precision`), so the FP16 and FP16' columns are equal.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.accel import PRECISION_MODES, mixed_precision_sign_iteration
 from repro.chem import orthogonalized_ks
 from repro.core.submatrix import extract_block_submatrix
 from repro.dbcsr.convert import block_matrix_from_csr
+from repro.signfn import sign_pade
 
 from common import report
 
@@ -40,16 +43,20 @@ def run_figure12(pair, mu, n_atoms_per_block=96):
     submatrix = _combined_submatrix(pair, mu)
     histories = {}
     for mode in ("FP16", "FP16'", "FP32", "FP64"):
-        histories[mode] = mixed_precision_sign_iteration(
-            submatrix, mode, mu=mu, n_iterations=N_ITERATIONS
+        histories[mode] = sign_pade(
+            submatrix,
+            mu=mu,
+            precision=mode,
+            convergence_threshold=0.0,
+            max_iterations=N_ITERATIONS,
         )
-    reference_energy = histories["FP64"].energies[-1]
+    reference_energy = histories["FP64"].energy_history[-1]
     rows = []
     for iteration in range(N_ITERATIONS):
         row = [iteration + 1]
         for mode in ("FP16", "FP16'", "FP32", "FP64"):
             difference_mev_per_atom = (
-                (histories[mode].energies[iteration] - reference_energy)
+                (histories[mode].energy_history[iteration] - reference_energy)
                 / n_atoms_per_block
                 * 1000.0
             )
@@ -83,8 +90,8 @@ def test_fig12_precision_convergence(benchmark, water64_pair, gap_mu):
     # FP32 ends within a small fraction of a meV/atom of FP64
     assert abs(table[-1, 3]) < 1.0
     # half precision stays within ~100 meV/atom (paper: ~5 meV/atom on real
-    # tensor cores, whose FP32 accumulate is more accurate than the pure
-    # float16 NumPy emulation used here)
+    # tensor cores; the emulation's float16 storage rounds every GEMM's
+    # operands and result, its float32 accumulation matches FP16')
     assert abs(table[-1, 1]) < 100.0
     # the energies converge: late iterations change much less than early ones
     early_change = abs(table[1, 4] - table[0, 4])

@@ -4,19 +4,22 @@
 
 The ledger's README asks every PR that claims a gain for at least ten
 alternating pairs of parent and change.  This script runs them: it extracts
-``REV`` (default ``HEAD~1``) into a temporary directory (``git archive``, so
-the repository's own metadata is never touched), then runs
-``benchmarks/e2e/run.py --workload WORKLOAD --trace 0`` once per side and
-pair, each tree running its own copy of the harness against its own ``src/``,
-alternating which side goes first.  Per end-to-end metric
+``REV`` (default ``HEAD~1``) into one temporary directory (``git archive``,
+so the repository's own metadata is never touched) and copies this tree into
+a sibling one, then runs ``benchmarks/e2e/run.py --workload WORKLOAD --trace
+0`` once per side and pair, each copy running its own harness against its
+own ``src/``, alternating which side goes first.  Both sides thus run from
+fresh copies of the same kind, with no ``__pycache__`` or result files of
+earlier runs.  Per end-to-end metric
 (``benchmarks/e2e/metrics.py``) it prints both medians, the base side's
 quartiles, how many pairs the change won (ties count for neither side) and
 the raw pairs, and says whether the gain rule holds: at least nine tenths of
 the pairs won and the medians further apart than the base's own
 interquartile distance.
 
-"This tree" is the working tree as it is, uncommitted edits included.  A run
-that reports a failed op makes the script exit 1.
+"This tree" is the files git sees in the working tree as they are: the
+tracked ones, uncommitted edits included, and the untracked ones that are
+not ignored.  A run that reports a failed op makes the script exit 1.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import argparse
 import io
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -45,6 +49,24 @@ def extract_revision(revision: str, target: pathlib.Path) -> None:
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(target, filter="data")
+
+
+def copy_working_tree(target: pathlib.Path) -> None:
+    """Copy the working tree's tracked files (as they are now) and its
+    untracked files that are not ignored under ``target``."""
+    listed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        check=True,
+        stdout=subprocess.PIPE,
+    ).stdout  # fmt: skip
+    for name in listed.decode().split("\0"):
+        source = ROOT / name
+        # a tracked file deleted from the tree is listed but not copied
+        if name and source.is_file():
+            destination = target / name
+            destination.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, destination)
 
 
 def run_once(tree: pathlib.Path, workload: str, ops, seed: int) -> "tuple[int, dict]":
@@ -99,8 +121,9 @@ def main(argv=None) -> int:
     results = []  # per pair: {"base": {metric: value}, "change": {...}}
     failed = 0
     with tempfile.TemporaryDirectory(prefix="paired_run_") as scratch:
-        trees = {"base": pathlib.Path(scratch), "change": ROOT}
+        trees = {side: pathlib.Path(scratch) / side for side in ("base", "change")}
         extract_revision(args.base, trees["base"])
+        copy_working_tree(trees["change"])
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             values = {}

@@ -8,8 +8,9 @@ halves of the paper's hardware-acceleration study:
 
 * the *numerics*: the third-order Padé sign iteration (Eq. 19) is run on the
   combined submatrix of 32 water molecules in FP16, FP16', FP32 and FP64
-  (emulated with NumPy dtypes), tracking the energy and the involutority
-  violation per iteration (Figs. 12 and 13);
+  (emulated with NumPy dtypes; the emulated FP16 computes as FP16'),
+  tracking the energy and the involutority violation per iteration
+  (Figs. 12 and 13);
 * the *throughput*: the analytic device model recomputes Table I (peak vs.
   practical GEMM vs. end-to-end sign-algorithm TFLOP/s) for the RTX 2080 Ti
   and the Stratix 10 FPGA.
@@ -19,15 +20,11 @@ Run with:  python examples/mixed_precision_accelerators.py
 
 import numpy as np
 
-from repro.accel import (
-    RTX_2080_TI,
-    STRATIX_10,
-    mixed_precision_sign_iteration,
-    performance_table,
-)
+from repro.accel import RTX_2080_TI, STRATIX_10, performance_table
 from repro.chem import HamiltonianModel, build_matrices, orthogonalized_ks, water_box
 from repro.core.submatrix import extract_block_submatrix
 from repro.dbcsr.convert import block_matrix_from_csr
+from repro.signfn import sign_pade
 
 
 def main() -> None:
@@ -43,10 +40,16 @@ def main() -> None:
 
     # --- numerics: Figs. 12/13 ------------------------------------------ #
     histories = {
-        mode: mixed_precision_sign_iteration(submatrix, mode, mu=mu, n_iterations=12)
+        mode: sign_pade(
+            submatrix,
+            mu=mu,
+            precision=mode,
+            convergence_threshold=0.0,
+            max_iterations=12,
+        )
         for mode in ("FP16", "FP16'", "FP32", "FP64")
     }
-    reference = histories["FP64"].energies[-1]
+    reference = histories["FP64"].energy_history[-1]
     print("energy difference to converged FP64 (meV per molecule-atom) and "
           "involutority ||X^2 - I||_F:")
     header = f"{'iter':>4s}"
@@ -56,11 +59,12 @@ def main() -> None:
     for k in range(12):
         line = f"{k + 1:>4d}"
         for mode, history in histories.items():
-            energy_difference = (history.energies[k] - reference) / 96 * 1000
-            line += f"  {energy_difference:>12.4f} {history.involutority[k]:>10.2e}"
+            energy_difference = (history.energy_history[k] - reference) / 96 * 1000
+            involutority = history.involutority_history[k]
+            line += f"  {energy_difference:>12.4f} {involutority:>10.2e}"
         print(line)
 
-    floors = {mode: min(h.involutority) for mode, h in histories.items()}
+    floors = {mode: min(h.involutority_history) for mode, h in histories.items()}
     print("\ninvolutority noise floors:", {m: f"{v:.1e}" for m, v in floors.items()})
 
     # --- throughput: Table I -------------------------------------------- #

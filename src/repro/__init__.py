@@ -39,9 +39,11 @@ unified session API on top:
     loop that executes single-process and sharded runs alike, and the
     distributed run cost model.
 ``repro.accel``
-    The paper's Sec. VI accelerator study: emulated FP16/FP16'/FP32
-    tensor-core sign iterations and a GPU/FPGA performance model.  The
-    engine itself computes in float64 NumPy only.
+    The paper's Sec. VI accelerator study: emulated FP16'/FP32 tensor-core
+    GEMMs (the emulated FP16 computes as FP16'), which
+    ``repro.signfn.sign_pade(..., precision=)`` runs its iteration through,
+    and a GPU/FPGA performance model.  The engine itself computes in float64
+    NumPy only.
 ``repro.serve``
     Density-as-a-service: admission control around one session, running
     every request as one session call on a thread pool.

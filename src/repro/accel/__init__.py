@@ -10,10 +10,10 @@ precision on an RTX 2080 Ti and in FP32 on a Stratix 10 FPGA.
 Without that hardware, this subpackage reproduces
 
 * the *numerics*: :mod:`repro.accel.precision` emulates the reduced-precision
-  GEMMs with NumPy dtype arithmetic, and :mod:`repro.accel.sign_iteration`
-  runs the third-order iteration under those precisions while tracking the
-  per-iteration energy deviation (Fig. 12) and the involutority violation
-  ‖X²−I‖_F (Fig. 13);
+  GEMMs with NumPy dtype arithmetic (its FP16 computes as FP16'), and
+  :func:`repro.signfn.sign_pade` runs the third-order iteration through them
+  (``precision=``), recording the per-iteration energy (Fig. 12) and the
+  involutority violation ‖X²−I‖_F (Fig. 13);
 * the *performance accounting*: :mod:`repro.accel.perf_model` reproduces
   Table I (peak vs. practical GEMM vs. end-to-end sign-algorithm throughput)
   from an analytic device model parameterised with the published device
@@ -21,10 +21,6 @@ Without that hardware, this subpackage reproduces
 """
 
 from repro.accel.precision import PrecisionMode, gemm, convert, PRECISION_MODES
-from repro.accel.sign_iteration import (
-    MixedPrecisionSignResult,
-    mixed_precision_sign_iteration,
-)
 from repro.accel.perf_model import (
     DeviceSpec,
     SignAlgorithmPerformance,
@@ -39,8 +35,6 @@ __all__ = [
     "PRECISION_MODES",
     "gemm",
     "convert",
-    "MixedPrecisionSignResult",
-    "mixed_precision_sign_iteration",
     "DeviceSpec",
     "SignAlgorithmPerformance",
     "RTX_2080_TI",

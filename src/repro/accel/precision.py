@@ -15,6 +15,11 @@ storage dtype.  The emulation reproduces the qualitative behaviour that
 matters for Figs. 12/13 — the attainable noise floor of each mode and the
 fact that FP16/FP16' converge to a plateau rather than to machine precision —
 even though the exact rounding sequence of tensor-core hardware differs.
+
+The emulated ``FP16`` is ``FP16'``, bit for bit: NumPy's float16 ``matmul``
+accumulates in float32 and rounds the result to float16 once, which is what
+``FP16'`` does explicitly.  No half-precision accumulation is emulated, so
+the FP16 and FP16' columns of Figs. 12/13 coincide.
 """
 
 from __future__ import annotations
@@ -63,7 +68,8 @@ def _mode(name: str, storage, accumulate) -> PrecisionMode:
     )
 
 
-#: The four precision modes studied in the paper.
+#: The four precision modes studied in the paper; ``FP16`` computes as
+#: ``FP16'`` (module docstring).
 PRECISION_MODES: Dict[str, PrecisionMode] = {
     "FP16": _mode("FP16", np.float16, np.float16),
     "FP16'": _mode("FP16'", np.float16, np.float32),
@@ -83,16 +89,15 @@ def gemm(a: np.ndarray, b: np.ndarray, mode: PrecisionMode) -> np.ndarray:
     Inputs are rounded to the storage dtype, the product is evaluated in the
     accumulation dtype, and the result is rounded back to the storage dtype
     (so that subsequent operations see storage-precision data, as on the real
-    device where the GEMM output is written back to FP16/FP32 buffers).
+    device where the GEMM output is written back to FP16/FP32 buffers).  A
+    float16 accumulation dtype does not accumulate in half precision: NumPy's
+    float16 product sums in float32 and rounds once, so ``FP16`` gives the
+    bits of ``FP16'``.
     """
     a_stored = np.asarray(a, dtype=mode.storage_dtype)
     b_stored = np.asarray(b, dtype=mode.storage_dtype)
     product = np.matmul(
-        a_stored.astype(mode.accumulate_dtype),
-        b_stored.astype(mode.accumulate_dtype),
+        a_stored.astype(mode.accumulate_dtype, copy=False),
+        b_stored.astype(mode.accumulate_dtype, copy=False),
     )
-    if mode.storage_dtype == mode.accumulate_dtype == np.dtype(np.float16):
-        # emulate half-precision accumulation: round the accumulated result
-        # through float16 (NumPy would otherwise accumulate in float32)
-        product = product.astype(np.float16)
-    return product.astype(mode.storage_dtype)
+    return product.astype(mode.storage_dtype, copy=False)

@@ -45,7 +45,6 @@ __all__ = [
     "loewdin_inverse_sqrt",
     "orthogonalized_ks",
     "orthogonalized_ks_blocks",
-    "orthogonalized_ks_dense",
 ]
 
 
@@ -131,29 +130,17 @@ def loewdin_inverse_sqrt(
     return half @ half.T
 
 
-def orthogonalized_ks_dense(
-    K: Union[np.ndarray, sp.spmatrix],
-    S: Union[np.ndarray, sp.spmatrix],
-    eps_filter: float = 0.0,
-    s_inv_sqrt: Optional[np.ndarray] = None,
-    outer_runs: Optional[PanelRuns] = None,
-) -> Tuple[np.ndarray, np.ndarray, PanelRuns]:
-    """:func:`orthogonalized_ks` with K̃ left dense (a fresh, writable array).
+def orthogonalized_ks_blocks(
+    K, S, block_sizes, eps_filter=0.0, s_inv_sqrt=None, outer_runs=None, outer_norms=None,
+    mapper=None,
+):
+    """:func:`orthogonalized_ks` with K̃ cut into ``block_sizes`` blocks, or
+    left dense (a fresh, writable array) for ``None``.
 
     The arguments, the checks and the values are those of
     :func:`orthogonalized_ks`.  ``outer_runs`` is
     :func:`~repro.dbcsr.product.floor_runs` of ``s_inv_sqrt`` if the caller
     keeps it; both come back with K̃.
-    """
-    return orthogonalized_ks_blocks(K, S, None, eps_filter, s_inv_sqrt, outer_runs)
-
-
-def orthogonalized_ks_blocks(
-    K, S, block_sizes, eps_filter=0.0, s_inv_sqrt=None, outer_runs=None, outer_norms=None,
-    mapper=None,
-):
-    """:func:`orthogonalized_ks_dense` with K̃ cut into ``block_sizes`` blocks
-    (left dense for ``None``).
 
     A SciPy ``K`` below :data:`~repro.dbcsr.product.DENSE_FILL`, filtered at
     an ``eps_filter`` above zero through a root with floor runs, forms only
@@ -234,5 +221,5 @@ def orthogonalized_ks(
     which would average a real asymmetry away), and whatever
     :func:`loewdin_inverse_sqrt` raises for ``S``.
     """
-    K_ortho, s_inv_sqrt, _ = orthogonalized_ks_dense(K, S, eps_filter, s_inv_sqrt)
+    K_ortho, s_inv_sqrt, _ = orthogonalized_ks_blocks(K, S, None, eps_filter, s_inv_sqrt)
     return sp.csr_matrix(K_ortho), s_inv_sqrt

@@ -7,13 +7,13 @@ The engine runs the paper's two per-submatrix sign solvers
   (Eq. 12) and its finite-temperature generalization via the Fermi function,
   which the paper found superior for the dense submatrices
   (:mod:`repro.signfn.eigen`);
-* the 2nd-order Newton–Schulz iteration (Eq. 11) — CP2K's default for
-  grand-canonical linear-scaling DFT and the baseline in the evaluation —
-  in dense, batched and sparse (filtered) variants
-  (:mod:`repro.signfn.newton_schulz`).
+* the 2nd-order Newton–Schulz iteration (Eq. 11) on a stack of symmetric
+  submatrices (:mod:`repro.signfn.newton_schulz`), which also holds CP2K's
+  element-filtered Newton–Schulz, the baseline of the evaluation.
 
 The higher-order Padé-style iterations of :mod:`repro.signfn.pade` (Eq. 19
-for the 3rd order) serve the GPU/FPGA study of :mod:`repro.accel`, not the
+for the 3rd order), in FP64 or an emulated reduced precision, serve the
+solver ablation and the GPU/FPGA study of :mod:`repro.accel`, not the
 engine.  :mod:`repro.signfn.inverse_root` implements the inverse p-th root
 A^{-1/p} of the original submatrix-method publication by one
 eigendecomposition (the λ^{-1/p} per-submatrix kernel), and
@@ -24,12 +24,10 @@ helpers.
 from repro.signfn.newton_schulz import (
     BatchedNewtonSchulzResult,
     NewtonSchulzResult,
-    sign_newton_schulz,
     sign_newton_schulz_batched,
     sign_newton_schulz_filtered_dense,
-    sign_newton_schulz_sparse,
 )
-from repro.signfn.pade import pade_polynomial_coefficients, sign_pade, PadeResult
+from repro.signfn.pade import PadeSignResult, pade_polynomial_coefficients, sign_pade
 from repro.signfn.eigen import (
     sign_via_eigendecomposition,
     sign_via_eigendecomposition_batched,
@@ -50,13 +48,11 @@ from repro.signfn.registry import (
 __all__ = [
     "NewtonSchulzResult",
     "BatchedNewtonSchulzResult",
-    "sign_newton_schulz",
     "sign_newton_schulz_batched",
     "sign_newton_schulz_filtered_dense",
-    "sign_newton_schulz_sparse",
     "pade_polynomial_coefficients",
     "sign_pade",
-    "PadeResult",
+    "PadeSignResult",
     "sign_via_eigendecomposition",
     "sign_via_eigendecomposition_batched",
     "inverse_pth_root",

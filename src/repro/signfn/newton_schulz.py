@@ -8,17 +8,6 @@ filtering after every multiplication) as the default algorithm for
 grand-canonical linear-scaling DFT; it is the baseline the submatrix method
 is compared against in the paper's Figs. 6, 7 and 10.
 
-The two dense routines evaluate the step as ``X + ½·(X − X³)``: the step
-itself is the convergence residual and no ``3I − X²`` intermediate exists.
-Both rescale ``X`` by ``1/sqrt(||X²||₁)`` in the first step (free with
-``X²``; ρ(X)² ≤ ||X²||₁), and ``converged`` means the *next* step would move
-the iterate by less than the threshold: in the quadratic regime the step
-after one of size r is at most about 1.5·sqrt(n)·r², one confirming step
-fewer than stopping on ``r < threshold``.
-
-* :func:`sign_newton_schulz` — dense, one general matrix; the reference the
-  batched kernel is tested against (equal iteration counts, values within
-  1e-12);
 * :func:`sign_newton_schulz_batched` — the submatrix engine's kernel on a
   ``(k, n, n)`` stack of *symmetric* matrices.  One call allocates three
   stack-sized buffers — its working copy ``X`` and two work buffers — and
@@ -36,13 +25,26 @@ fewer than stopping on ``r < threshold``.
   matters: ``X·(X·Xᵀ)`` *doubles* that error every iteration (3e-13 after 10
   iterations, overflow near 60 — a matrix with a 1e-3 relative gap never
   converges), ``(X·Xᵀ)·X`` holds it at rounding level through hundreds.  The
-  full result is symmetrised once, so it is exactly symmetric;
-* :func:`sign_newton_schulz_sparse` — operates on ``scipy.sparse`` matrices
-  and filters elements below ``eps_filter`` after every iteration, which
-  mirrors the CP2K behaviour where the filtering threshold also serves as
-  the convergence criterion (Sec. V-A).  It records the number of
-  floating-point operations actually performed on the retained non-zeros so
-  that the distributed cost model can reuse the measurement.
+  full result is symmetrised once, so it is exactly symmetric.  It
+  evaluates the step as ``X + ½·(X − X³)``: the step itself is the
+  convergence residual and no ``3I − X²`` intermediate exists.  It rescales
+  ``X`` by ``1/sqrt(||X·Xᵀ||₁)`` in the first step (free with ``X·Xᵀ``;
+  ρ(X)² ≤ ||X·Xᵀ||₁), and ``converged`` means the *next* step would move the
+  iterate by less than the threshold: in the quadratic regime the step after
+  one of size r is at most about 1.5·sqrt(n)·r², one confirming step fewer
+  than stopping on ``r < threshold``;
+* :func:`sign_newton_schulz_filtered_dense` — CP2K's filtered iteration,
+  the baseline of Figs. 1, 6 and 7: elements below ``eps_filter`` are
+  dropped after every multiplication and the filtering threshold also serves
+  as the convergence criterion (Sec. V-A).  It records the number of
+  floating-point operations on the retained non-zeros, the count a sparse
+  product would perform, so that the distributed cost model can reuse the
+  measurement.
+
+The per-matrix dense iteration and the CSR form of the filtered one are test
+references (``tests/submatrix_reference.py``): the batched kernel is held to
+the first's iteration counts and values, the filtered one to the second's
+iterations, values and flop count.
 """
 
 from __future__ import annotations
@@ -54,21 +56,15 @@ from typing import List, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.signfn.utils import as_dense, involutority_error, spectral_scale_estimate
+from repro.signfn.utils import SYMMETRY_TOLERANCE, check_finite, spectral_scale_estimate
 
 __all__ = [
     "NewtonSchulzResult",
     "BatchedNewtonSchulzResult",
-    "sign_newton_schulz",
     "sign_newton_schulz_batched",
-    "sign_newton_schulz_sparse",
     "sign_newton_schulz_filtered_dense",
 ]
 
-
-#: Largest ``|X − Xᵀ|`` of a prescaled matrix the batched (polar-form) kernel
-#: accepts as symmetric; the eigendecomposition kernel's tolerance.
-_SYMMETRY_TOLERANCE = 1e-8
 
 #: The quadratic regime: previous residual and ``||I − X²||_F`` below this (an
 #: eigenvalue near 0 still grows linearly, by a step that predicts nothing).
@@ -77,7 +73,7 @@ _QUADRATIC_REGIME = 1e-2
 
 @dataclasses.dataclass
 class NewtonSchulzResult:
-    """Result of a Newton–Schulz sign iteration.
+    """Result of a filtered Newton–Schulz sign iteration.
 
     Attributes
     ----------
@@ -88,89 +84,19 @@ class NewtonSchulzResult:
     converged:
         Whether the convergence criterion was met.
     residual_history:
-        Frobenius norm of the update ||X_{k+1} − X_k||_F per iteration.
-    involutority_history:
-        ||X_k² − I||_F per iteration (only filled when requested).
+        ||X_{k+1} − X_k||_F / sqrt(n) per iteration.
     flops:
         Floating-point operations spent in matrix multiplications.
     nnz_history:
-        Number of stored non-zeros per iteration (sparse variant only).
+        Number of stored non-zeros per iteration.
     """
 
     sign: Union[np.ndarray, sp.csr_matrix]
     iterations: int
     converged: bool
     residual_history: List[float]
-    involutority_history: List[float]
     flops: float
     nnz_history: List[int]
-
-
-def sign_newton_schulz(
-    matrix: Union[np.ndarray, sp.spmatrix],
-    convergence_threshold: float = 1e-10,
-    max_iterations: int = 100,
-    track_involutority: bool = False,
-) -> NewtonSchulzResult:
-    """Dense 2nd-order Newton–Schulz iteration for sign(A).
-
-    Parameters
-    ----------
-    matrix:
-        Square matrix without eigenvalues on the imaginary axis.
-    convergence_threshold:
-        The iteration stops, converged, once the next step would move the
-        iterate by less than this in ||·||_F / sqrt(n) (module docstring).
-    max_iterations:
-        Hard iteration cap.  A non-finite residual (NaN/Inf input, overflow)
-        also ends the iteration, as not converged.
-    track_involutority:
-        Record ||X² − I||_F each iteration (used by the precision study).
-    """
-    x = as_dense(matrix).copy()
-    n = x.shape[0]
-    if x.shape[0] != x.shape[1]:
-        raise ValueError("sign function requires a square matrix")
-    scale = spectral_scale_estimate(x)
-    x /= scale
-    residual_history: List[float] = []
-    involutority_history: List[float] = []
-    flops = 0.0
-    converged = False
-    iterations = 0
-    residual = np.inf
-    for iterations in range(1, max_iterations + 1):
-        x_squared = x @ x
-        quadratic = residual < _QUADRATIC_REGIME and bool(
-            np.linalg.norm(x_squared - np.eye(n)) < _QUADRATIC_REGIME
-        )
-        if iterations == 1:
-            # ρ(X)² ≤ ‖X²‖₁: the first step's tight scale comes with X²
-            norm = float(np.abs(x_squared).sum(axis=0).max()) or 1.0
-            x /= np.sqrt(norm)
-            x_squared /= norm
-        step = x - x @ x_squared
-        flops += 2.0 * (2.0 * n**3)
-        residual = 0.5 * float(np.linalg.norm(step)) / np.sqrt(n)
-        residual_history.append(residual)
-        step *= 0.5
-        x += step
-        if track_involutority:
-            involutority_history.append(involutority_error(x))
-        # the next step would move X by ≤ 1.5·√n·r² (quadratic regime only)
-        converged = quadratic and 1.5 * np.sqrt(n) * residual**2 < convergence_threshold
-        # a non-finite residual never recovers: stop, not converged
-        if converged or not np.isfinite(residual):
-            break
-    return NewtonSchulzResult(
-        sign=x,
-        iterations=iterations,
-        converged=converged,
-        residual_history=residual_history,
-        involutority_history=involutority_history,
-        flops=flops,
-        nnz_history=[],
-    )
 
 
 @dataclasses.dataclass
@@ -256,12 +182,11 @@ def sign_newton_schulz_batched(
 ) -> BatchedNewtonSchulzResult:
     """sign(A − shift·I) for a ``(k, n, n)`` stack of symmetric matrices.
 
-    Batched counterpart of :func:`sign_newton_schulz`, with its iterate
-    sequence and stop: each matrix is iterated with stacked products (one
-    BLAS call per matrix and product) and frozen on its own stop — or a
-    non-finite residual, which freezes it as *not* converged — so
-    ``iterations``/``converged`` equal the unbatched routine's and every
-    matrix's values are bitwise independent of what else is in the stack.
+    Each matrix is iterated with stacked products (one BLAS call per matrix
+    and product) and frozen on its own stop — or a non-finite residual, which
+    freezes it as *not* converged — so ``iterations``/``converged`` equal
+    those of the per-matrix reference iteration and every matrix's values
+    are bitwise independent of what else is in the stack.
     The result holds every matrix before its last step.
 
     ``stack`` is never written to.  The call allocates its working copy
@@ -287,10 +212,10 @@ def sign_newton_schulz_batched(
     x /= scale[:, None, None]
     np.subtract(x, x.transpose(0, 2, 1), out=step)
     asymmetry = float(np.abs(step, out=step).max()) if x.size else 0.0
-    if asymmetry > _SYMMETRY_TOLERANCE:
+    if asymmetry > SYMMETRY_TOLERANCE:
         raise ValueError(
             f"stack is not symmetric (max asymmetry {asymmetry:.3e} of the "
-            f"prescaled matrices exceeds {_SYMMETRY_TOLERANCE:.0e})"
+            f"prescaled matrices exceeds {SYMMETRY_TOLERANCE:.0e})"
         )
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
@@ -345,91 +270,6 @@ def sign_newton_schulz_batched(
     return BatchedNewtonSchulzResult(x_squared, x, slots, iterations, converged)
 
 
-def _check_finite(values: np.ndarray) -> None:
-    """Refuse NaN/Inf input before a filtered iteration starts."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError("matrix contains non-finite values (NaN or Inf)")
-
-
-def sign_newton_schulz_sparse(
-    matrix: sp.spmatrix,
-    eps_filter: float = 1e-7,
-    convergence_threshold: Optional[float] = None,
-    max_iterations: int = 100,
-) -> NewtonSchulzResult:
-    """Sparse (filtered) 2nd-order Newton–Schulz iteration for sign(A).
-
-    This is the CP2K-style baseline: the iterate stays in sparse storage and
-    elements below ``eps_filter`` are dropped after every multiplication.
-    The convergence criterion defaults to the filtering threshold, as in
-    CP2K (Sec. V-A: "For the Newton-Schulz iteration scheme, eps_filter also
-    determines the convergence criterion").
-
-    Parameters
-    ----------
-    matrix:
-        Sparse symmetric matrix (CSR recommended).
-    eps_filter:
-        Truncation threshold applied after every multiplication.
-    convergence_threshold:
-        Convergence threshold on ||X_{k+1} − X_k||_F / sqrt(n); defaults to
-        ``eps_filter``.
-    max_iterations:
-        Hard iteration cap.  A non-finite residual (overflow) also ends the
-        iteration, as not converged; NaN/Inf input is a :class:`ValueError`.
-    """
-    if not sp.issparse(matrix):
-        raise TypeError("sign_newton_schulz_sparse expects a scipy.sparse matrix")
-    if matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("sign function requires a square matrix")
-    if convergence_threshold is None:
-        convergence_threshold = eps_filter
-    n = matrix.shape[0]
-    x = matrix.tocsr().astype(float)
-    _check_finite(x.data)
-    scale = spectral_scale_estimate(x)
-    x = x / scale
-    identity = sp.identity(n, format="csr")
-    residual_history: List[float] = []
-    nnz_history: List[int] = []
-    flops = 0.0
-    converged = False
-    iterations = 0
-
-    def _filter(m: sp.csr_matrix) -> sp.csr_matrix:
-        if eps_filter > 0.0:
-            m = m.copy()
-            m.data[np.abs(m.data) < eps_filter] = 0.0
-            m.eliminate_zeros()
-        return m
-
-    for iterations in range(1, max_iterations + 1):
-        # FLOP accounting: a sparse product A*B costs 2 * sum_k nnz(A_{:,k}) * nnz(B_{k,:})
-        col_counts = np.diff(x.tocsc().indptr)
-        row_counts = np.diff(x.indptr)
-        flops += 2.0 * float(np.dot(col_counts, row_counts))
-        x_squared = _filter((x @ x).tocsr())
-        inner = 3.0 * identity - x_squared
-        flops += 2.0 * float(np.dot(col_counts, np.diff(inner.indptr)))
-        update = _filter((0.5 * (x @ inner)).tocsr())
-        residual = float(sp.linalg.norm(update - x)) / np.sqrt(n)
-        residual_history.append(residual)
-        nnz_history.append(int(update.nnz))
-        x = update
-        converged = residual < convergence_threshold
-        if converged or not np.isfinite(residual):
-            break
-    return NewtonSchulzResult(
-        sign=x,
-        iterations=iterations,
-        converged=converged,
-        residual_history=residual_history,
-        involutority_history=[],
-        flops=flops,
-        nnz_history=nnz_history,
-    )
-
-
 def sign_newton_schulz_filtered_dense(
     matrix: Union[np.ndarray, sp.spmatrix],
     eps_filter: float = 1e-7,
@@ -438,21 +278,21 @@ def sign_newton_schulz_filtered_dense(
 ) -> NewtonSchulzResult:
     """Filtered Newton–Schulz iteration executed with dense BLAS kernels.
 
-    Numerically this performs exactly the same computation as
-    :func:`sign_newton_schulz_sparse` — the iterate is truncated at
-    ``eps_filter`` after every iteration, and the convergence criterion
-    defaults to the filter threshold — but the matrix products are evaluated
-    as dense GEMMs.  For the scaled-down benchmark systems of this
-    reproduction the filtered iterates are not sparse enough for
-    ``scipy.sparse`` products to win over BLAS, so the accuracy benchmarks
-    (Figs. 1, 6, 7) use this variant for the Newton–Schulz baseline; the
-    FLOP accounting still reports the *sparse* operation count (operations on
-    retained non-zeros), which is the quantity the distributed cost model
-    needs.
+    The iterate is truncated at ``eps_filter`` after every multiplication,
+    and the convergence criterion on ||X_{k+1} − X_k||_F / sqrt(n) defaults
+    to the filter threshold, as in CP2K (Sec. V-A: "For the Newton-Schulz
+    iteration scheme, eps_filter also determines the convergence
+    criterion").  The products are dense GEMMs: for the scaled-down
+    benchmark systems of this reproduction the filtered iterates are not
+    sparse enough for ``scipy.sparse`` products to win over BLAS.  The
+    accuracy benchmarks (Figs. 1, 6, 7) use it for the Newton–Schulz
+    baseline; the FLOP accounting reports the *sparse* operation count
+    (operations on retained non-zeros), which is the quantity the
+    distributed cost model needs.  A CSR-storage twin in the test reference
+    holds it to the same iterations, values and flop count.
 
-    Returns a :class:`NewtonSchulzResult` whose ``sign`` is a CSR matrix, so
-    the function is a drop-in replacement for the sparse variant.  Like it,
-    it refuses NaN/Inf input (the filter would map NaN to zero and report a
+    Returns a :class:`NewtonSchulzResult` whose ``sign`` is a CSR matrix.  It
+    refuses NaN/Inf input (the filter would map NaN to zero and report a
     spurious convergence) and stops on a non-finite residual, not converged.
     """
     if convergence_threshold is None:
@@ -460,7 +300,7 @@ def sign_newton_schulz_filtered_dense(
     dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
     if dense.shape[0] != dense.shape[1]:
         raise ValueError("sign function requires a square matrix")
-    _check_finite(dense)
+    check_finite(dense)
     n = dense.shape[0]
     scale = spectral_scale_estimate(dense)
     x = dense / scale
@@ -496,7 +336,6 @@ def sign_newton_schulz_filtered_dense(
         iterations=iterations,
         converged=converged,
         residual_history=residual_history,
-        involutority_history=[],
         flops=flops,
         nnz_history=nnz_history,
     )

@@ -14,20 +14,33 @@ which the paper uses for the GPU tensor-core and FPGA implementations because
 it needs only matrix multiplications and therefore maps directly onto GEMM
 hardware.  Higher orders correspond to the arbitrary-order iterations of
 Richters et al. referenced in Sec. II-B.
+
+:func:`sign_pade` is the one implementation of the family, in any of the
+precision modes of :mod:`repro.accel.precision`: the per-submatrix solver
+ablation runs it in FP64 to a threshold, the precision study of Figs. 12/13
+runs a fixed sweep of Eq. 19 in FP16, FP16', FP32 and FP64 and reads the
+per-iteration histories.  Those are evaluated in float64 whatever the
+iteration precision, like measuring a device's iterate on the host.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from math import comb
-from typing import Callable, List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.signfn.utils import as_dense, involutority_error, spectral_scale_estimate
+from repro.accel.precision import PRECISION_MODES, convert, gemm
+from repro.signfn.utils import (
+    as_dense,
+    check_finite,
+    involutority_error,
+    spectral_scale_estimate,
+)
 
-__all__ = ["pade_polynomial_coefficients", "sign_pade", "PadeResult"]
+__all__ = ["pade_polynomial_coefficients", "sign_pade", "PadeSignResult"]
 
 
 def _binomial_half(j: int) -> float:
@@ -60,86 +73,116 @@ def pade_polynomial_coefficients(order: int) -> np.ndarray:
 
 
 @dataclasses.dataclass
-class PadeResult:
-    """Result of a Padé-style sign iteration."""
+class PadeSignResult:
+    """Result of a Padé-style sign iteration.
+
+    Attributes
+    ----------
+    sign:
+        The converged (or last) iterate, as float64.
+    iterations:
+        Number of iterations performed.
+    converged:
+        Whether the involutority fell below the threshold.
+    involutority_history:
+        ||X_k² − I||_F per iteration (Fig. 13).
+    energy_history:
+        Band-structure energy 2·tr(½(I − X_k)·A) of the unshifted input A
+        per iteration: with A the orthogonalized Kohn–Sham (sub)matrix and μ
+        inside its gap, the energy of the doubly occupied states (Fig. 12).
+    flops:
+        Floating-point operations spent in the iteration GEMMs.
+    """
 
     sign: np.ndarray
     iterations: int
     converged: bool
-    residual_history: List[float]
     involutority_history: List[float]
+    energy_history: List[float]
     flops: float
 
 
 def sign_pade(
     matrix: Union[np.ndarray, sp.spmatrix],
     order: int = 3,
+    mu: float = 0.0,
+    precision: str = "FP64",
     convergence_threshold: float = 1e-10,
     max_iterations: int = 100,
-    track_involutority: bool = True,
-    callback: Optional[Callable[[int, np.ndarray], None]] = None,
-) -> PadeResult:
-    """Dense Padé-style sign iteration of the given convergence order.
+) -> PadeSignResult:
+    """Padé-style sign iteration for sign(A − μI) of the given convergence order.
 
     Parameters
     ----------
     matrix:
-        Square matrix without purely imaginary eigenvalues.
+        Square matrix without purely imaginary eigenvalues (after the shift);
+        NaN/Inf entries are a :class:`ValueError`.
     order:
         Convergence order (2 = Newton–Schulz, 3 = Eq. 19, ...).
+    mu:
+        Shift (chemical potential); the iterate starts from (A − μI)/s, with
+        s the spectral-radius bound of the shifted matrix.
+    precision:
+        One of "FP16", "FP16'", "FP32", "FP64": the iterate is stored in that
+        mode's dtype and every GEMM runs through
+        :func:`~repro.accel.precision.gemm`.
     convergence_threshold:
         Stop when the involutority error ||X² − I||_F / sqrt(n) falls below
         this value.  The paper (Fig. 13) argues that the involutority — not
         the energy — is the appropriate convergence measure for the
-        low-precision iterations.
+        low-precision iterations; ``0.0`` runs a fixed sweep of
+        ``max_iterations``.
     max_iterations:
-        Hard iteration cap.
-    track_involutority:
-        Whether to keep the per-iteration involutority history.
-    callback:
-        Optional function called as ``callback(iteration, X)`` after every
-        iteration; used by the precision study to record per-iteration
-        energies.
+        Hard iteration cap.  A non-finite involutority (an overflowing
+        iterate) also ends the iteration, as not converged.
     """
     coefficients = pade_polynomial_coefficients(order)
-    x = np.array(as_dense(matrix), dtype=float)
-    n = x.shape[0]
-    if x.shape[0] != x.shape[1]:
+    try:
+        mode = PRECISION_MODES[precision]
+    except KeyError as exc:
+        raise KeyError(
+            f"unknown precision {precision!r}; available: {sorted(PRECISION_MODES)}"
+        ) from exc
+    dense = as_dense(matrix)
+    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValueError("sign function requires a square matrix")
-    scale = spectral_scale_estimate(x)
-    x /= scale
-    identity = np.eye(n)
-    residual_history: List[float] = []
+    check_finite(dense)
+    n = dense.shape[0]
+    shifted = dense - mu * np.eye(n)
+    x = convert(shifted / spectral_scale_estimate(shifted), mode)
+    # the polynomial's coefficients times I, in the storage precision
+    terms = [(c * np.eye(n)).astype(mode.storage_dtype) for c in coefficients]
+    transposed = dense.T.copy()  # the energy's operand, laid out once
     involutority_history: List[float] = []
+    energy_history: List[float] = []
     flops = 0.0
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        x_squared = x @ x
-        flops += 2.0 * n**3
+        x_squared = gemm(x, x, mode)
         # evaluate the polynomial in X^2 by Horner's rule
-        poly = coefficients[-1] * identity
-        for coefficient in coefficients[-2::-1]:
-            poly = poly @ x_squared + coefficient * identity
-            flops += 2.0 * n**3
-        update = x @ poly
-        flops += 2.0 * n**3
-        residual = float(np.linalg.norm(update - x)) / np.sqrt(n)
-        residual_history.append(residual)
-        x = update
-        involutority = involutority_error(x) / np.sqrt(n)
-        if track_involutority:
-            involutority_history.append(float(involutority))
-        if callback is not None:
-            callback(iterations, x)
-        if involutority < convergence_threshold:
+        poly = terms[-1]
+        for term in terms[-2::-1]:
+            poly = gemm(poly, x_squared, mode) + term
+        x = gemm(x, poly, mode)
+        flops += 2.0 * n**3 * (len(coefficients) + 1)
+        # the histories in float64, whatever the iteration precision
+        sign = x.astype(np.float64, copy=False)
+        involutority = involutority_error(sign)
+        involutority_history.append(involutority)
+        density = 0.5 * (np.eye(n) - sign)
+        energy_history.append(float(2.0 * np.tensordot(density, transposed, axes=2)))
+        # a non-finite iterate never recovers: stop, not converged
+        if not np.isfinite(involutority):
+            break
+        if involutority / np.sqrt(n) < convergence_threshold:
             converged = True
             break
-    return PadeResult(
-        sign=x,
+    return PadeSignResult(
+        sign=x.astype(np.float64),
         iterations=iterations,
         converged=converged,
-        residual_history=residual_history,
         involutority_history=involutority_history,
+        energy_history=energy_history,
         flops=flops,
     )

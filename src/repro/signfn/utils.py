@@ -13,7 +13,17 @@ from typing import Union
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["spectral_scale_estimate", "involutority_error", "as_dense"]
+__all__ = [
+    "SYMMETRY_TOLERANCE",
+    "spectral_scale_estimate",
+    "involutority_error",
+    "as_dense",
+    "check_finite",
+]
+
+#: Largest ``|A − Aᵀ|`` the symmetric sign kernels accept as symmetric (the
+#: Newton–Schulz kernel measures it on its prescaled stack).
+SYMMETRY_TOLERANCE = 1e-8
 
 
 def as_dense(matrix: Union[np.ndarray, sp.spmatrix]) -> np.ndarray:
@@ -21,6 +31,12 @@ def as_dense(matrix: Union[np.ndarray, sp.spmatrix]) -> np.ndarray:
     if sp.issparse(matrix):
         return matrix.toarray()
     return np.asarray(matrix, dtype=float)
+
+
+def check_finite(values: np.ndarray) -> None:
+    """Refuse NaN/Inf input before a sign iteration starts."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("matrix contains non-finite values (NaN or Inf)")
 
 
 def spectral_scale_estimate(matrix: Union[np.ndarray, sp.spmatrix]) -> float:

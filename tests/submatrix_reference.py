@@ -26,6 +26,13 @@ derivation of a rank shard, which the array expansions in
 
 The seeded random inputs those comparisons run on (``random_pattern``,
 ``matrix_for_pattern``, ``poly``) live here as well.
+
+Two sign iterations are references here too: the per-matrix dense
+Newton–Schulz iteration (:func:`sign_newton_schulz`), whose iteration counts
+and values the engine's batched kernel must reproduce, and its CSR-storage
+filtered form (:func:`sign_newton_schulz_sparse`), which
+:func:`repro.signfn.sign_newton_schulz_filtered_dense` must match in
+iterations, values and flop count.
 """
 
 from __future__ import annotations
@@ -47,6 +54,9 @@ from repro.chem.density import (
 from repro.core.load_balance import _validated_costs
 from repro.core.submatrix import Submatrix
 from repro.dbcsr import BlockSparseMatrix, CooBlockList
+from repro.signfn import NewtonSchulzResult
+from repro.signfn.newton_schulz import _QUADRATIC_REGIME
+from repro.signfn.utils import check_finite, spectral_scale_estimate
 
 
 def blocks_of(matrix):
@@ -601,4 +611,121 @@ def assert_matches_reference_density(
     # E = g·Σ D_ij K_ij over O(1)-sized entries: a relative statement
     assert math.isclose(
         result.band_energy, reference.band_energy, rel_tol=1e-12, abs_tol=0.0
+    )
+
+
+def sign_newton_schulz(matrix, convergence_threshold=1e-10, max_iterations=100):
+    """Dense 2nd-order Newton–Schulz iteration for sign(A), one general matrix:
+    the reference of :func:`repro.signfn.sign_newton_schulz_batched` (equal
+    iteration counts and convergence, values within 1e-12).
+
+    The step is ``X + ½·(X − X³)``, the first one rescaled by
+    ``1/sqrt(||X²||₁)``; the iteration stops, converged, once the next step
+    would move the iterate by less than ``convergence_threshold`` in
+    ||·||_F / sqrt(n) (quadratic regime only), and on a non-finite residual
+    (NaN/Inf input, overflow), not converged.
+    """
+    x = np.array(matrix.toarray() if sp.issparse(matrix) else matrix, dtype=float)
+    n = x.shape[0]
+    if x.shape[0] != x.shape[1]:
+        raise ValueError("sign function requires a square matrix")
+    scale = spectral_scale_estimate(x)
+    x /= scale
+    residual_history = []
+    flops = 0.0
+    converged = False
+    iterations = 0
+    residual = np.inf
+    for iterations in range(1, max_iterations + 1):
+        x_squared = x @ x
+        quadratic = residual < _QUADRATIC_REGIME and bool(
+            np.linalg.norm(x_squared - np.eye(n)) < _QUADRATIC_REGIME
+        )
+        if iterations == 1:
+            # ρ(X)² ≤ ‖X²‖₁: the first step's tight scale comes with X²
+            norm = float(np.abs(x_squared).sum(axis=0).max()) or 1.0
+            x /= np.sqrt(norm)
+            x_squared /= norm
+        step = x - x @ x_squared
+        flops += 2.0 * (2.0 * n**3)
+        residual = 0.5 * float(np.linalg.norm(step)) / np.sqrt(n)
+        residual_history.append(residual)
+        step *= 0.5
+        x += step
+        # the next step would move X by ≤ 1.5·√n·r² (quadratic regime only)
+        converged = quadratic and 1.5 * np.sqrt(n) * residual**2 < convergence_threshold
+        # a non-finite residual never recovers: stop, not converged
+        if converged or not np.isfinite(residual):
+            break
+    return NewtonSchulzResult(
+        sign=x,
+        iterations=iterations,
+        converged=converged,
+        residual_history=residual_history,
+        flops=flops,
+        nnz_history=[],
+    )
+
+
+def sign_newton_schulz_sparse(
+    matrix, eps_filter=1e-7, convergence_threshold=None, max_iterations=100
+):
+    """CP2K's filtered Newton–Schulz iteration in ``scipy.sparse`` storage:
+    the reference of :func:`repro.signfn.sign_newton_schulz_filtered_dense`.
+
+    Elements below ``eps_filter`` are dropped after every multiplication and
+    the convergence threshold on ||X_{k+1} − X_k||_F / sqrt(n) defaults to
+    ``eps_filter`` (Sec. V-A).  ``flops`` counts the operations of the sparse
+    products on the retained non-zeros.  NaN/Inf input is a
+    :class:`ValueError`; a non-finite residual (overflow) ends the iteration,
+    not converged.
+    """
+    if not sp.issparse(matrix):
+        raise TypeError("sign_newton_schulz_sparse expects a scipy.sparse matrix")
+    if matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("sign function requires a square matrix")
+    if convergence_threshold is None:
+        convergence_threshold = eps_filter
+    n = matrix.shape[0]
+    x = matrix.tocsr().astype(float)
+    check_finite(x.data)
+    scale = spectral_scale_estimate(x)
+    x = x / scale
+    identity = sp.identity(n, format="csr")
+    residual_history = []
+    nnz_history = []
+    flops = 0.0
+    converged = False
+    iterations = 0
+
+    def _filter(m):
+        if eps_filter > 0.0:
+            m = m.copy()
+            m.data[np.abs(m.data) < eps_filter] = 0.0
+            m.eliminate_zeros()
+        return m
+
+    for iterations in range(1, max_iterations + 1):
+        # a sparse product A*B costs 2 * sum_k nnz(A_{:,k}) * nnz(B_{k,:})
+        col_counts = np.diff(x.tocsc().indptr)
+        row_counts = np.diff(x.indptr)
+        flops += 2.0 * float(np.dot(col_counts, row_counts))
+        x_squared = _filter((x @ x).tocsr())
+        inner = 3.0 * identity - x_squared
+        flops += 2.0 * float(np.dot(col_counts, np.diff(inner.indptr)))
+        update = _filter((0.5 * (x @ inner)).tocsr())
+        residual = float(sp.linalg.norm(update - x)) / np.sqrt(n)
+        residual_history.append(residual)
+        nnz_history.append(int(update.nnz))
+        x = update
+        converged = residual < convergence_threshold
+        if converged or not np.isfinite(residual):
+            break
+    return NewtonSchulzResult(
+        sign=x,
+        iterations=iterations,
+        converged=converged,
+        residual_history=residual_history,
+        flops=flops,
+        nnz_history=nnz_history,
     )

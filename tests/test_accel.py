@@ -9,11 +9,10 @@ from repro.accel import (
     STRATIX_10,
     convert,
     gemm,
-    mixed_precision_sign_iteration,
     model_sign_algorithm_performance,
     performance_table,
 )
-from repro.signfn import sign_via_eigendecomposition
+from repro.signfn import sign_pade, sign_via_eigendecomposition
 
 from conftest import make_decay_matrix
 
@@ -69,6 +68,17 @@ class TestPrecisionModes:
         assert gemm(a, a, PRECISION_MODES["FP32"]).dtype == np.float32
 
 
+def sweep(matrix, precision="FP64", mu=0.0, iterations=14):
+    """The precision study's fixed sweep of the 3rd-order iteration (Eq. 19)."""
+    return sign_pade(
+        matrix,
+        mu=mu,
+        precision=precision,
+        convergence_threshold=0.0,
+        max_iterations=iterations,
+    )
+
+
 class TestMixedPrecisionIteration:
     @pytest.fixture(scope="class")
     def submatrix(self):
@@ -77,61 +87,63 @@ class TestMixedPrecisionIteration:
         return matrix
 
     def test_fp64_converges_to_exact_sign(self, submatrix):
-        result = mixed_precision_sign_iteration(submatrix, "FP64", n_iterations=14)
+        result = sweep(submatrix)
         exact = sign_via_eigendecomposition(submatrix)
         assert np.max(np.abs(result.sign - exact)) < 1e-8
-        assert result.involutority[-1] < 1e-8
+        assert result.involutority_history[-1] < 1e-8
 
     @pytest.mark.slow
     def test_fp64_involutority_floor_below_fp32_below_fp16(self, submatrix):
         """Fig. 13: each precision has its own involutority noise floor."""
         floors = {}
         for mode in ("FP16", "FP32", "FP64"):
-            result = mixed_precision_sign_iteration(submatrix, mode, n_iterations=14)
-            floors[mode] = min(result.involutority)
+            floors[mode] = min(sweep(submatrix, mode).involutority_history)
         assert floors["FP64"] < floors["FP32"] < floors["FP16"]
 
     @pytest.mark.slow
     def test_low_precision_energy_close_to_fp64(self, submatrix):
         """Fig. 12: FP16 energies stay within a few meV/atom-scale offsets."""
-        fp64 = mixed_precision_sign_iteration(submatrix, "FP64", n_iterations=14)
-        fp16 = mixed_precision_sign_iteration(submatrix, "FP16", n_iterations=14)
-        converged = fp64.energies[-1]
-        relative = abs(fp16.energies[-1] - converged) / abs(converged)
+        fp64 = sweep(submatrix)
+        fp16 = sweep(submatrix, "FP16")
+        converged = fp64.energy_history[-1]
+        relative = abs(fp16.energy_history[-1] - converged) / abs(converged)
         assert relative < 0.05
 
     def test_energy_converges_before_involutority(self, submatrix):
         """The paper's observation: the energy minimum is reached early, so it
         is not a reliable convergence criterion."""
-        result = mixed_precision_sign_iteration(submatrix, "FP64", n_iterations=14)
-        energy_errors = np.abs(np.array(result.energies) - result.energies[-1])
+        result = sweep(submatrix)
+        energies = np.array(result.energy_history)
+        energy_errors = np.abs(energies - energies[-1])
         first_energy_converged = int(np.argmax(energy_errors < 1e-6))
-        first_involutory = int(np.argmax(np.array(result.involutority) < 1e-6))
+        first_involutory = int(np.argmax(np.array(result.involutority_history) < 1e-6))
         assert first_energy_converged <= first_involutory
 
     def test_unknown_precision_rejected(self, submatrix):
         with pytest.raises(KeyError):
-            mixed_precision_sign_iteration(submatrix, "FP8")
+            sign_pade(submatrix, precision="FP8")
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            mixed_precision_sign_iteration(np.ones((2, 3)), "FP64")
+            sign_pade(np.ones((2, 3)), precision="FP64")
 
-    def test_hamiltonian_shape_checked(self, submatrix):
-        with pytest.raises(ValueError):
-            mixed_precision_sign_iteration(
-                submatrix, "FP64", hamiltonian=np.ones((2, 2))
-            )
+    @pytest.mark.parametrize("mode", ["FP32", "FP64"])
+    def test_energy_history_is_band_energy_of_the_input(self, submatrix, mode):
+        """Fig. 12's energy: 2·tr(½(I − X)·A) of the unshifted input A."""
+        result = sweep(submatrix, mode, mu=0.2, iterations=6)
+        density = 0.5 * (np.eye(submatrix.shape[0]) - result.sign)
+        energy = 2.0 * np.sum(density * submatrix)
+        assert result.energy_history[-1] == pytest.approx(energy, rel=1e-12)
 
     def test_mu_shift_changes_result(self, submatrix):
-        a = mixed_precision_sign_iteration(submatrix, "FP64", mu=0.0, n_iterations=10)
-        b = mixed_precision_sign_iteration(submatrix, "FP64", mu=1.5, n_iterations=10)
+        a = sweep(submatrix, mu=0.0, iterations=10)
+        b = sweep(submatrix, mu=1.5, iterations=10)
         assert not np.allclose(a.sign, b.sign)
 
     def test_flops_counted(self, submatrix):
         # the Horner evaluation of the order-3 polynomial uses 4 GEMMs per
         # iteration (X², two Horner steps, final X·poly)
-        result = mixed_precision_sign_iteration(submatrix, "FP32", n_iterations=3)
+        result = sweep(submatrix, "FP32", iterations=3)
         n = submatrix.shape[0]
         assert result.flops == pytest.approx(3 * 4 * 2 * n**3)
 
@@ -193,9 +205,7 @@ class TestAccelPaperFigures:
         """Figs 12-13: FP16/FP16' plateau at a noise floor, FP32/FP64
         converge toward machine precision."""
         histories = {
-            name: mixed_precision_sign_iteration(
-                submatrix, precision=name, n_iterations=14
-            ).involutority
+            name: sweep(submatrix, name).involutority_history
             for name in ("FP16", "FP16'", "FP32", "FP64")
         }
         # only FP64 converges toward machine precision

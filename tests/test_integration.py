@@ -29,7 +29,7 @@ from repro.core import (
 from repro.core.submatrix import submatrix_dimension
 from repro.dbcsr import CooBlockList
 from repro.parallel import MachineModel
-from repro.signfn import sign_newton_schulz_sparse, sign_via_eigendecomposition
+from repro.signfn import sign_newton_schulz_filtered_dense, sign_via_eigendecomposition
 
 
 class TestSubmatrixVsNewtonSchulz:
@@ -43,8 +43,8 @@ class TestSubmatrixVsNewtonSchulz:
         n = k_ortho.shape[0]
         shifted = (k_ortho - gap_mu * sp.identity(n, format="csr")).tocsr()
 
-        # Newton-Schulz on the sparse matrix (CP2K default route)
-        ns_sign = sign_newton_schulz_sparse(shifted, eps_filter=eps).sign
+        # filtered Newton-Schulz on the whole matrix (CP2K default route)
+        ns_sign = sign_newton_schulz_filtered_dense(shifted, eps_filter=eps).sign
         ns_density = density_from_sign(ns_sign, s_inv_sqrt)
         ns_energy = band_structure_energy(ns_density, water32_matrices.K.toarray())
 

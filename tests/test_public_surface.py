@@ -29,9 +29,6 @@ CALLER_DIRS = ("src", "benchmarks", "examples")
 #: Public names kept without a caller, each with the ROADMAP item that gives
 #: it one.  A name leaves this table when it gains a caller or is deleted.
 EXEMPT = {
-    "sign_newton_schulz_sparse": (
-        "item 17: the block-sparse Newton–Schulz baseline replaces it"
-    ),
     "group_columns_greedy_chunks": (
         "item 3(b): the grouping chooser scores it against single columns"
     ),

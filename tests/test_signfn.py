@@ -12,18 +12,17 @@ from repro.signfn import (
     inverse_pth_root,
     involutority_error,
     pade_polynomial_coefficients,
-    sign_newton_schulz,
     sign_newton_schulz_batched,
-    sign_newton_schulz_sparse,
+    sign_newton_schulz_filtered_dense,
     sign_pade,
     sign_via_eigendecomposition,
     sign_via_eigendecomposition_batched,
     spectral_scale_estimate,
 )
-from repro.signfn.eigen import (
-    extended_signum,
-    symmetric_eigendecomposition,
-)
+from repro.signfn.eigen import extended_signum
+
+import submatrix_reference
+from submatrix_reference import sign_newton_schulz, sign_newton_schulz_sparse
 
 
 def make_sign_test_matrix(rng, n=50, gap=0.5):
@@ -65,6 +64,8 @@ class TestUtils:
 
 
 class TestNewtonSchulz:
+    """The per-matrix reference iteration the batched kernel is held to."""
+
     def test_converges_to_exact_sign(self, rng):
         matrix, exact = make_sign_test_matrix(rng)
         result = sign_newton_schulz(matrix)
@@ -98,12 +99,6 @@ class TestNewtonSchulz:
         result = sign_newton_schulz(matrix, max_iterations=2)
         assert result.iterations == 2
         assert not result.converged
-
-    def test_track_involutority(self, rng):
-        matrix, _ = make_sign_test_matrix(rng, n=20)
-        result = sign_newton_schulz(matrix, track_involutority=True)
-        assert len(result.involutority_history) == result.iterations
-        assert result.involutority_history[-1] < result.involutority_history[0]
 
     def test_flops_counted(self, rng):
         matrix, _ = make_sign_test_matrix(rng, n=20)
@@ -322,9 +317,12 @@ class TestNewtonSchulzOracle:
 
 
 class TestNewtonSchulzSparse:
+    """The filtered baseline (CP2K's Newton–Schulz) and its CSR-storage
+    reference."""
+
     def test_matches_dense_for_tight_filter(self, rng):
         matrix, exact = make_sign_test_matrix(rng, n=40)
-        result = sign_newton_schulz_sparse(sp.csr_matrix(matrix), eps_filter=1e-12)
+        result = sign_newton_schulz_filtered_dense(matrix, eps_filter=1e-12)
         assert result.converged
         assert np.max(np.abs(result.sign.toarray() - exact)) < 1e-6
 
@@ -336,31 +334,37 @@ class TestNewtonSchulzSparse:
         )
         n = k_ortho.shape[0]
         shifted = k_ortho - gap_mu * sp.identity(n, format="csr")
-        result = sign_newton_schulz_sparse(shifted.tocsr(), eps_filter=1e-6)
+        result = sign_newton_schulz_filtered_dense(shifted.tocsr(), eps_filter=1e-6)
         assert result.converged
         assert result.sign.nnz < n * n
         assert len(result.nnz_history) == result.iterations
+        reference = sign_newton_schulz_sparse(shifted.tocsr(), eps_filter=1e-6)
+        assert result.iterations == reference.iterations
+        assert abs(result.sign - reference.sign).max() < 1e-10
+        assert result.flops == pytest.approx(reference.flops)
 
-    def test_requires_sparse_input(self, rng):
-        matrix, _ = make_sign_test_matrix(rng, n=10)
-        with pytest.raises(TypeError):
-            sign_newton_schulz_sparse(matrix)
+    def test_sparse_and_dense_input_agree(self, rng):
+        matrix, _ = make_sign_test_matrix(rng, n=30)
+        dense = sign_newton_schulz_filtered_dense(matrix, eps_filter=1e-6)
+        sparse = sign_newton_schulz_filtered_dense(
+            sp.csr_matrix(matrix), eps_filter=1e-6
+        )
+        assert dense.iterations == sparse.iterations
+        assert (dense.sign != sparse.sign).nnz == 0
 
     def test_looser_filter_fewer_nonzeros(self, rng):
         matrix, _ = make_sign_test_matrix(rng, n=40)
-        tight = sign_newton_schulz_sparse(sp.csr_matrix(matrix), eps_filter=1e-12)
-        loose = sign_newton_schulz_sparse(sp.csr_matrix(matrix), eps_filter=1e-3)
+        tight = sign_newton_schulz_filtered_dense(matrix, eps_filter=1e-12)
+        loose = sign_newton_schulz_filtered_dense(matrix, eps_filter=1e-3)
         assert loose.sign.nnz <= tight.sign.nnz
 
     def test_flops_positive(self, rng):
         matrix, _ = make_sign_test_matrix(rng, n=20)
-        result = sign_newton_schulz_sparse(sp.csr_matrix(matrix), eps_filter=1e-10)
+        result = sign_newton_schulz_filtered_dense(matrix, eps_filter=1e-10)
         assert result.flops > 0
 
     def test_dense_kernel_variant_matches_sparse(self, rng):
         """The BLAS-kernel variant is numerically equivalent to the sparse one."""
-        from repro.signfn import sign_newton_schulz_filtered_dense
-
         matrix, _ = make_sign_test_matrix(rng, n=40)
         sparse_result = sign_newton_schulz_sparse(
             sp.csr_matrix(matrix), eps_filter=1e-6
@@ -373,8 +377,6 @@ class TestNewtonSchulzSparse:
         assert dense_result.flops == pytest.approx(sparse_result.flops)
 
     def test_dense_kernel_variant_rejects_non_square(self):
-        from repro.signfn import sign_newton_schulz_filtered_dense
-
         with pytest.raises(ValueError):
             sign_newton_schulz_filtered_dense(np.ones((3, 4)))
 
@@ -384,8 +386,6 @@ class TestNewtonSchulzSparse:
         """Unchecked, the filter maps NaN to zero and the dense variant
         reports an all-zero sign as converged; the sparse one would run its
         whole budget on NaN."""
-        from repro.signfn import sign_newton_schulz_filtered_dense
-
         matrix = np.eye(30)
         matrix[3, 5] = bad
         with pytest.raises(ValueError, match="non-finite"):
@@ -400,10 +400,11 @@ class TestNewtonSchulzSparse:
     ):
         """An overflowing iterate ends the iteration at once, not converged,
         like the dense :func:`sign_newton_schulz`."""
-        from repro.signfn import newton_schulz, sign_newton_schulz_filtered_dense
+        from repro.signfn import newton_schulz
 
         # a prescale far below the spectral radius overflows the first X·X
-        monkeypatch.setattr(newton_schulz, "spectral_scale_estimate", lambda m: 1e-200)
+        module = submatrix_reference if variant == "sparse" else newton_schulz
+        monkeypatch.setattr(module, "spectral_scale_estimate", lambda m: 1e-200)
         matrix, _ = make_sign_test_matrix(rng, n=12)
         with np.errstate(over="ignore", invalid="ignore"):
             if variant == "sparse":
@@ -441,11 +442,50 @@ class TestPade:
         third = sign_pade(matrix, order=3, convergence_threshold=1e-12)
         assert third.iterations <= second.iterations
 
-    def test_callback_invoked(self, rng):
+    def test_histories_one_entry_per_iteration(self, rng):
         matrix, _ = make_sign_test_matrix(rng, n=20)
-        seen = []
-        sign_pade(matrix, callback=lambda k, x: seen.append(k))
-        assert seen == list(range(1, len(seen) + 1))
+        converged = sign_pade(matrix)
+        sweep = sign_pade(matrix, convergence_threshold=0.0, max_iterations=9)
+        assert converged.converged and not sweep.converged
+        assert sweep.iterations == 9
+        for result in (converged, sweep):
+            assert len(result.involutority_history) == result.iterations
+            assert len(result.energy_history) == result.iterations
+
+    def test_involutority_history_is_the_fig13_measure(self, rng):
+        """||X² − I||_F of the iterate, unnormalised; the stop divides it by √n."""
+        matrix, _ = make_sign_test_matrix(rng, n=30)
+        result = sign_pade(matrix, convergence_threshold=0.0, max_iterations=4)
+        assert result.involutority_history[-1] == involutority_error(result.sign)
+        stopped = sign_pade(matrix, convergence_threshold=1e-10)
+        assert stopped.involutority_history[-1] / np.sqrt(30) < 1e-10
+        assert stopped.involutority_history[-2] / np.sqrt(30) >= 1e-10
+
+    def test_shift_by_mu(self, rng):
+        matrix, _ = make_sign_test_matrix(rng, n=30)
+        mu = 0.3
+        shifted = sign_pade(matrix - mu * np.eye(30))
+        assert np.array_equal(sign_pade(matrix, mu=mu).sign, shifted.sign)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_refused(self, bad):
+        """Unchecked, a NaN pair ran all 100 iterations into an all-NaN sign."""
+        matrix = np.eye(30)
+        matrix[3, 5] = matrix[5, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sign_pade(matrix)
+
+    @pytest.mark.parametrize("precision", ["FP64", "FP32", "FP16"])
+    def test_non_finite_involutority_stops_not_converged(self, precision):
+        """Purely imaginary eigenvalues ±i are outside every basin: the
+        iterate grows as |x|⁵ and overflows within a few iterations."""
+        rotation = np.kron(np.eye(4), [[0.0, 1.0], [-1.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = sign_pade(rotation, precision=precision)
+        assert not result.converged
+        assert result.iterations < 10
+        assert not np.isfinite(result.involutority_history[-1])
+        assert np.isfinite(result.involutority_history[:-1]).all()
 
     def test_involutority_history_decreases(self, rng):
         matrix, _ = make_sign_test_matrix(rng, n=30)
@@ -490,8 +530,19 @@ class TestEigenSign:
 
     def test_asymmetric_rejected(self, rng):
         matrix = rng.normal(size=(5, 5))
-        with pytest.raises(ValueError):
-            symmetric_eigendecomposition(matrix)
+        with pytest.raises(ValueError, match="not symmetric"):
+            sign_via_eigendecomposition(matrix)
+
+    @pytest.mark.parametrize("n", [5, 40, 97, 180])
+    def test_single_matrix_is_the_stack_of_one_bitwise(self, rng, n):
+        matrix, _ = make_sign_test_matrix(rng, n=n)
+        matrix = 0.5 * (matrix + matrix.T)
+        stack = np.stack([matrix, matrix[::-1, ::-1].copy()])
+        single = sign_via_eigendecomposition(matrix, mu=0.1)
+        batched = sign_via_eigendecomposition_batched(stack, mu=0.1)
+        assert np.array_equal(single, batched[0])
+        from_csr = sign_via_eigendecomposition(sp.csr_matrix(matrix), mu=0.1)
+        assert np.array_equal(from_csr, single)
 
 
 class TestInverseRoots:

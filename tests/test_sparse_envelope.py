@@ -49,7 +49,6 @@ from repro.chem.orthogonalize import (
     loewdin_inverse_sqrt,
     orthogonalized_ks,
     orthogonalized_ks_blocks,
-    orthogonalized_ks_dense,
 )
 from repro.dbcsr import BlockSparseMatrix
 from repro.dbcsr.convert import (
@@ -257,7 +256,7 @@ class TestDenseRule:
         before = root @ K @ root
         before = 0.5 * (before + before.T)
         before = np.where(np.abs(before) >= 1e-3, before, 0.0)
-        ortho, *_ = orthogonalized_ks_dense(K, None, 1e-3, s_inv_sqrt=root)
+        ortho, *_ = orthogonalized_ks_blocks(K, None, None, 1e-3, s_inv_sqrt=root)
         assert np.array_equal(ortho, before)
         csr, _ = orthogonalized_ks(K, None, 1e-3, s_inv_sqrt=root)
         assert np.array_equal(csr.toarray(), before)
@@ -683,9 +682,9 @@ def test_screen_gives_the_dense_route_blocks(case):
     element may change sides of the filter only within that of ε.  The
     block-norm bound holds for every block of the unfiltered K̃."""
     K, S, sizes, eps = case
-    reference, root, runs = orthogonalized_ks_dense(K, S, eps)
+    reference, root, runs = orthogonalized_ks_blocks(K, S, None, eps)
     expected = block_matrix_from_dense(reference, sizes)
-    unfiltered, *_ = orthogonalized_ks_dense(K, S, 0.0, root, runs)
+    unfiltered, *_ = orthogonalized_ks_blocks(K, S, None, 0.0, root, runs)
     outer_norms = block_norms(root, sizes)
     bound = outer_norms @ block_norms(K, sizes) @ outer_norms
     assert np.all(bound >= block_maxima(unfiltered, sizes))
@@ -729,7 +728,7 @@ def test_gc_sparse_screen_is_the_dense_route_bitwise(ledger_inputs, monkeypatch)
     candidates, the screen is taken, and its blocks are the dense route's."""
     pair, _, eps, _ = ledger_inputs["gc_sparse128"]
     sizes = pair.blocks.block_sizes
-    reference, root, runs = orthogonalized_ks_dense(pair.K, pair.S, eps)
+    reference, root, runs = orthogonalized_ks_blocks(pair.K, pair.S, None, eps)
     outer_norms = block_norms(root, sizes)
     bound = outer_norms @ block_norms(pair.K, sizes) @ outer_norms
     candidates = bound * (1.0 + len(root) * SCREEN_ROUNDING) >= eps
@@ -758,7 +757,7 @@ class TestScreenFallbacks:
 
     @staticmethod
     def assert_dense_route(K, S, sizes, eps):
-        reference, *_ = orthogonalized_ks_dense(K, S, eps)
+        reference, *_ = orthogonalized_ks_blocks(K, S, None, eps)
         blocks, *_ = orthogonalized_ks_blocks(K, S, sizes, eps)
         assert_same_blocks(blocks, block_matrix_from_dense(reference, sizes))
 

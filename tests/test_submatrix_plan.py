@@ -30,7 +30,6 @@ from repro.dbcsr.convert import (
 )
 from repro.parallel.executor import split_chunks
 from repro.signfn import (
-    sign_newton_schulz,
     sign_newton_schulz_batched,
     sign_via_eigendecomposition,
     sign_via_eigendecomposition_batched,
@@ -47,6 +46,7 @@ from submatrix_reference import (
     reference_extract_block_submatrix,
     random_pattern,
     reference_density,
+    sign_newton_schulz,
 )
 
 
