@@ -16,10 +16,11 @@ matters for Figs. 12/13 — the attainable noise floor of each mode and the
 fact that FP16/FP16' converge to a plateau rather than to machine precision —
 even though the exact rounding sequence of tensor-core hardware differs.
 
-The emulated ``FP16`` is ``FP16'``, bit for bit: NumPy's float16 ``matmul``
-accumulates in float32 and rounds the result to float16 once, which is what
-``FP16'`` does explicitly.  No half-precision accumulation is emulated, so
-the FP16 and FP16' columns of Figs. 12/13 coincide.
+The emulated ``FP16`` is ``FP16'``: both accumulate in float32 and round
+the result to float16 once.  NumPy's own float16 ``matmul`` does the same
+(bit for bit), only through a slow non-BLAS loop, so ``FP16`` takes the
+float32 BLAS route.  No half-precision accumulation is emulated, and the
+FP16 and FP16' columns of Figs. 12/13 coincide.
 """
 
 from __future__ import annotations
@@ -68,10 +69,10 @@ def _mode(name: str, storage, accumulate) -> PrecisionMode:
     )
 
 
-#: The four precision modes studied in the paper; ``FP16`` computes as
-#: ``FP16'`` (module docstring).
+#: The four precision modes studied in the paper; ``FP16`` accumulates in
+#: float32, so it computes as ``FP16'`` (module docstring).
 PRECISION_MODES: Dict[str, PrecisionMode] = {
-    "FP16": _mode("FP16", np.float16, np.float16),
+    "FP16": _mode("FP16", np.float16, np.float32),
     "FP16'": _mode("FP16'", np.float16, np.float32),
     "FP32": _mode("FP32", np.float32, np.float32),
     "FP64": _mode("FP64", np.float64, np.float64),
@@ -89,10 +90,8 @@ def gemm(a: np.ndarray, b: np.ndarray, mode: PrecisionMode) -> np.ndarray:
     Inputs are rounded to the storage dtype, the product is evaluated in the
     accumulation dtype, and the result is rounded back to the storage dtype
     (so that subsequent operations see storage-precision data, as on the real
-    device where the GEMM output is written back to FP16/FP32 buffers).  A
-    float16 accumulation dtype does not accumulate in half precision: NumPy's
-    float16 product sums in float32 and rounds once, so ``FP16`` gives the
-    bits of ``FP16'``.
+    device where the GEMM output is written back to FP16/FP32 buffers).
+    ``FP16`` accumulates in float32, so it gives the bits of ``FP16'``.
     """
     a_stored = np.asarray(a, dtype=mode.storage_dtype)
     b_stored = np.asarray(b, dtype=mode.storage_dtype)

@@ -1,8 +1,10 @@
 """repro.api — the unified session API of the submatrix engine.
 
-One configuration (:class:`EngineConfig`), one fixed table of the two sign
-kernels (:class:`MatrixFunction` et al., shared with
-:mod:`repro.signfn.registry`) and one session object
+One configuration (:class:`EngineConfig`, six fields), one fixed table of
+the two sign kernels (:class:`MatrixFunction` et al., shared with
+:mod:`repro.signfn.registry`), one request vocabulary
+(:func:`repro.api.observables.validate_request`, the only signature that
+lists the request keywords) and one session object
 (:class:`SubmatrixContext`) that owns the plan cache, the persistent
 executor and the sharded pipelines:
 
@@ -15,10 +17,14 @@ executor and the sharded pipelines:
 
 :class:`SubmatrixContext` is the only entry point: a single process and a
 run sharded over ``ranks=`` simulated ranks are the same call, bitwise
-identical, through the one rank loop of :mod:`repro.core.runner`.  A
-trajectory or a served client is a loop of such calls on one session (its
-plans, pools and overlap roots are shared and thread-safe);
-``ctx.trajectory`` is that loop plus the plan-cache counts of its steps.
+identical, through the one rank loop of :mod:`repro.core.runner`; ranks
+own the blocks on DBCSR's default round-robin grid.  A trajectory or a
+served client is a loop of such calls on one session (its plans, pools and
+overlap roots are shared and thread-safe); ``ctx.observables``,
+``ctx.density``, ``ctx.trajectory`` and ``DensityService.submit`` forward
+their ``**request`` to ``validate_request``, so they take the same keywords
+and refuse the same requests.  ``ctx.trajectory`` is that loop plus the
+plan-cache counts of its steps.
 """
 
 from repro.api.config import (

@@ -4,7 +4,7 @@ The :class:`~repro.api.context.SubmatrixContext` session and everything it
 drives — plan lookup, the rank loop of :mod:`repro.core.runner`, the
 sharded :class:`~repro.core.runner.DistributedSubmatrixPipeline` — share
 the same knobs (worker backend and count, filter threshold, electronic
-temperature, spin degeneracy, plan-cache capacity).  :class:`EngineConfig`
+temperature, plan-cache capacity).  :class:`EngineConfig`
 collects them in one validated, immutable place, so they cannot drift apart
 between layers.  There is no padding, balancing or rank-count setting: every
 submatrix is solved at its own dimension, ranks get the paper's greedy
@@ -30,7 +30,6 @@ __all__ = [
     "BACKENDS",
     "EIGENSOLVE_FLOP_CONSTANT",
     "check_positive_int",
-    "check_distribution",
 ]
 
 #: The one execution engine: cached extraction plans plus bucketed stacks of
@@ -59,9 +58,9 @@ def check_positive_int(value, name: str) -> Optional[int]:
     """The one check of a positive-integer setting (``None``: not given).
 
     Shared by the integer fields of :class:`EngineConfig` (``max_workers``,
-    ``plan_cache_size``) and the per-call ``ranks=`` of ``apply``,
-    ``density``/``observables``, ``trajectory`` and the serving layer's
-    ``submit``: a float or a bool is a :class:`TypeError` (it would otherwise
+    ``plan_cache_size``) and the per-call ``ranks=`` of ``apply`` and of
+    every density request (:func:`~repro.api.observables.validate_request`):
+    a float or a bool is a :class:`TypeError` (it would otherwise
     silently truncate to some count), zero or a negative count a
     :class:`ValueError`.
     """
@@ -72,29 +71,6 @@ def check_positive_int(value, name: str) -> Optional[int]:
     if value < 1:
         raise ValueError(f"{name} must be positive")
     return int(value)
-
-
-def check_distribution(distribution, ranks: Optional[int], n_blocks: int) -> None:
-    """The one check of a per-call ``distribution=`` (``None``: not given).
-
-    A block distribution fixes the block ownership of a sharded run, so it
-    needs ``ranks=``, that many ranks and the request's ``n_blocks ×
-    n_blocks`` block grid; anything else is a :class:`ValueError`.
-    """
-    if distribution is None:
-        return
-    if ranks is None:
-        raise ValueError("distribution= fixes the ranks of a sharded run: pass ranks=")
-    if distribution.n_ranks != ranks:
-        raise ValueError(
-            f"distribution has {distribution.n_ranks} ranks, the request ranks={ranks}"
-        )
-    grid = (distribution.n_block_rows, distribution.n_block_cols)
-    if grid != (n_blocks, n_blocks):
-        raise ValueError(
-            f"distribution covers a {grid[0]}x{grid[1]} block grid, "
-            f"the request's is {n_blocks}x{n_blocks}"
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,13 +99,13 @@ class EngineConfig:
         by the density solver (CP2K's ``eps_filter``).
     temperature:
         Electronic temperature in Kelvin (0 uses the extended signum).
-    spin_degeneracy:
-        2 for closed-shell systems.
     plan_cache_size:
         Capacity of the session's private :class:`~repro.core.plan.PlanCache`.
 
     ``max_workers`` and ``plan_cache_size`` pass :func:`check_positive_int`;
-    ``eps_filter``, ``temperature`` and ``spin_degeneracy`` must be finite.
+    ``eps_filter`` and ``temperature`` must be finite and non-negative.  The
+    spin degeneracy is not a setting: every system is closed-shell
+    (:data:`~repro.chem.density.SPIN_DEGENERACY`).
     """
 
     engine: str = "batched"
@@ -137,7 +113,6 @@ class EngineConfig:
     max_workers: Optional[int] = None
     eps_filter: float = 1e-5
     temperature: float = 0.0
-    spin_degeneracy: float = 2.0
     plan_cache_size: int = 64
 
     def __post_init__(self):
@@ -152,15 +127,13 @@ class EngineConfig:
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
         check_positive_int(self.max_workers, "max_workers")
-        for name in ("eps_filter", "temperature", "spin_degeneracy"):
+        for name in ("eps_filter", "temperature"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.eps_filter < 0:
             raise ValueError("eps_filter must be non-negative")
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
-        if self.spin_degeneracy <= 0:
-            raise ValueError("spin_degeneracy must be positive")
         check_positive_int(self.plan_cache_size, "plan_cache_size")
         return self
 

@@ -51,10 +51,10 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.config import EngineConfig, check_distribution, check_positive_int
+from repro.api.config import EngineConfig, check_positive_int
 from repro.api.results import SubmatrixMethodResult
 from repro.chem.orthogonalize import loewdin_inverse_sqrt
-from repro.core.combination import ColumnGrouping, single_column_groups
+from repro.core.combination import ColumnGrouping, check_grouping, single_column_groups
 from repro.core.plan import BlockSubmatrixPlan, PlanCache, block_plan
 from repro.core.runner import DistributedSubmatrixPipeline, run_stacks
 from repro.dbcsr.block_matrix import BlockSparseMatrix
@@ -100,26 +100,6 @@ def matrix_fingerprint(matrix) -> bytes:
     return digest.digest()
 
 
-def _distribution_key(distribution) -> Optional[tuple]:
-    """Content key of a block distribution (for the pipeline cache).
-
-    Two distributions with the same grid shape and the same block→grid
-    mappings assign identical owners, so their pipelines are
-    interchangeable; keying by content lets trajectories with an explicit
-    ``distribution`` reuse one pipeline across steps.
-    """
-    if distribution is None:
-        return None
-    return (
-        distribution.n_block_rows,
-        distribution.n_block_cols,
-        distribution.grid.rows,
-        distribution.grid.cols,
-        distribution.row_distribution.tobytes(),
-        distribution.col_distribution.tobytes(),
-    )
-
-
 def _tracked(method):
     """Run a context method as one tracked in-flight request.
 
@@ -142,12 +122,8 @@ class SubmatrixContext:
     ----------
     config:
         The session's :class:`EngineConfig`; defaults to ``EngineConfig()``.
-    plan_cache:
-        Optional externally owned plan cache; by default the context creates
-        a private cache of ``config.plan_cache_size`` plans.
-    **overrides:
-        Convenience field overrides applied to ``config``
-        (``SubmatrixContext(backend="thread", max_workers=4)``).
+        The session owns a private plan cache of ``config.plan_cache_size``
+        plans (``context.plan_cache``).
 
     The session is safe for concurrent use from multiple threads: the plan
     cache, pipeline cache and executor creation are guarded by one
@@ -163,24 +139,13 @@ class SubmatrixContext:
     ...     ctx.apply(matrix, "eigen", mu=0.2)      # doctest: +SKIP
     """
 
-    def __init__(
-        self,
-        config: Optional[EngineConfig] = None,
-        plan_cache: Optional[PlanCache] = None,
-        **overrides,
-    ):
+    def __init__(self, config: Optional[EngineConfig] = None):
         if config is None:
             config = EngineConfig()
         if not isinstance(config, EngineConfig):
             raise TypeError("config must be an EngineConfig")
-        if overrides:
-            config = config.replace(**overrides)
         self.config = config.validate()
-        self.plan_cache = (
-            plan_cache
-            if plan_cache is not None
-            else PlanCache(max_plans=config.plan_cache_size)
-        )
+        self.plan_cache = PlanCache(max_plans=config.plan_cache_size)
         self._executor = None
         self._executors_created = 0
         self._pipelines: "OrderedDict[tuple, DistributedSubmatrixPipeline]" = (
@@ -437,8 +402,6 @@ class SubmatrixContext:
         coo: Optional[CooBlockList] = None,
         grouping: Optional[ColumnGrouping] = None,
         ranks: Optional[int] = None,
-        distribution=None,
-        plan: Optional[BlockSubmatrixPlan] = None,
         collect: bool = False,
         mapper=None,
     ):
@@ -446,8 +409,9 @@ class SubmatrixContext:
 
         Plan lookup → ``plan.pack`` → the rank loop
         (:func:`~repro.core.runner.run_stacks` on the session's pool) →
-        ``plan.finalize``.  ``grouping`` defaults to one submatrix per block
-        column.  Unless ``plan`` is given, a single-process request
+        ``plan.finalize``.  ``grouping``, already checked by the caller
+        (:func:`~repro.core.combination.check_grouping`), defaults to one
+        submatrix per block column.  A single-process request
         (``ranks=None``) looks its plan up directly (:meth:`block_plan_for`)
         and pays for no shard or transfer planning; with ``ranks`` the plan
         is the cached :meth:`pipeline`'s — even at ``ranks == 1`` (a single
@@ -461,20 +425,15 @@ class SubmatrixContext:
         finalized block matrix the stacks were delivered into — or, with
         ``collect``, ``None``, the solver's values handed back in ``stacks``.
         """
-        n_block_cols = matrix.n_block_cols
-        grouping = grouping or single_column_groups(n_block_cols)
-        grouping.validate(n_block_cols)
+        grouping = grouping or single_column_groups(matrix.n_block_cols)
+        coo = coo if coo is not None else CooBlockList.from_block_matrix(matrix)
+        sizes = matrix.row_block_sizes
         pipeline = None
-        if plan is None:
-            coo = coo if coo is not None else CooBlockList.from_block_matrix(matrix)
-            sizes = matrix.row_block_sizes
-            if ranks is None:
-                plan = self.block_plan_for(coo, sizes, grouping.groups)
-            else:
-                pipeline = self.pipeline(
-                    coo, sizes, ranks, grouping=grouping, distribution=distribution
-                )
-                plan = pipeline.prepare()[0]
+        if ranks is None:
+            plan = self.block_plan_for(coo, sizes, grouping.groups)
+        else:
+            pipeline = self.pipeline(coo, sizes, ranks, grouping=grouping)
+            plan = pipeline.prepare()[0]
         packed = plan.pack(matrix)
         if packed.size and not np.isfinite(max(packed.max(), -packed.min())):
             raise ValueError("matrix contains non-finite values (NaN or Inf)")
@@ -493,35 +452,33 @@ class SubmatrixContext:
         self,
         matrix: Union[sp.spmatrix, BlockSparseMatrix],
         function,
-        column_groups: Optional[Sequence[Sequence[int]]] = None,
-        plan: Optional[BlockSubmatrixPlan] = None,
+        grouping: Optional[ColumnGrouping] = None,
         coo: Optional[CooBlockList] = None,
         ranks: Optional[int] = None,
-        distribution=None,
         **kernel_params,
     ) -> SubmatrixMethodResult:
         """Evaluate a matrix function on ``matrix`` through the session.
 
-        One submatrix per group of block columns (``column_groups``, one
-        column per group by default).  A square SciPy sparse matrix is the
+        One submatrix per group of block columns: ``grouping`` is a
+        :class:`~repro.core.combination.ColumnGrouping`, checked as a density
+        request's is (:func:`~repro.core.combination.check_grouping`), one
+        column per group by default.  A square SciPy sparse matrix is the
         same grid with 1×1 blocks: it goes in through
         :func:`~repro.dbcsr.convert.block_matrix_from_csr`, runs through the
         same plan and rank loop, and comes back as a CSR matrix with the
         input's stored pattern (explicit zeros included, duplicates summed)
-        via :func:`~repro.dbcsr.convert.block_matrix_to_csr`; ``plan=`` and
-        ``coo=`` then refer to that 1×1 grid.
+        via :func:`~repro.dbcsr.convert.block_matrix_to_csr`; ``grouping``
+        and ``coo=`` then refer to that 1×1 grid.
 
         ``function`` may be a bare per-matrix callable or a kernel name
         (``"eigen"`` or ``"newton_schulz"``); ``**kernel_params`` (e.g.
         ``mu=0.2``) are forwarded to the kernel factory
         (:func:`~repro.signfn.registry.resolve_kernel`).  With ``ranks`` the
         submatrices are evaluated rank-sharded through the session's cached
-        :class:`~repro.core.runner.DistributedSubmatrixPipeline` —
-        ``distribution`` fixes the block ownership of its transfer plan
-        (:func:`~repro.api.config.check_distribution`) — bitwise identical to
-        the single-process result.  Stacks are solved by the kernel's
-        :class:`~repro.signfn.registry.KernelStackSolver`, exactly as on the
-        iterative density route, in the session's one engine pass.
+        :class:`~repro.core.runner.DistributedSubmatrixPipeline`, bitwise
+        identical to the single-process result.  Stacks are solved by the
+        kernel's :class:`~repro.signfn.registry.KernelStackSolver`, exactly as
+        on the iterative density route, in the session's one engine pass.
         """
         ranks = check_positive_int(ranks, "ranks")
         solver = KernelStackSolver(resolve_kernel(function, **kernel_params))
@@ -536,23 +493,9 @@ class SubmatrixContext:
                 "apply expects a scipy.sparse matrix or a BlockSparseMatrix, "
                 f"got {type(matrix).__name__}"
             )
-        if plan is not None and (ranks is not None or distribution is not None):
-            raise ValueError(
-                "a sharded run uses its pipeline's plan; pass either plan= "
-                "or ranks=/distribution="
-            )
-        check_distribution(distribution, ranks, matrix.n_block_cols)
-        grouping = None
-        if column_groups is not None:
-            grouping = ColumnGrouping([list(group) for group in column_groups])
+        check_grouping(grouping, matrix.n_block_cols)
         plan, pipeline, _, result = self._engine_pass(
-            matrix,
-            solver,
-            coo=coo,
-            grouping=grouping,
-            ranks=ranks,
-            distribution=distribution,
-            plan=plan,
+            matrix, solver, coo=coo, grouping=grouping, ranks=ranks
         )
         if scipy_input:
             result = block_matrix_to_csr(result)
@@ -572,94 +515,59 @@ class SubmatrixContext:
     def density(self, K, S, blocks, **request):
         """Density matrix from the Kohn–Sham and overlap matrices (Eq. 16).
 
-        The ``density`` observable alone: ``**request`` takes the keyword
-        arguments of :meth:`observables` (``mu=`` or ``n_electrons=``,
-        ``solver=``, ``ranks=``, …) and the result is the bundle's
-        :class:`~repro.api.results.SubmatrixDFTResult`.
+        The ``density`` observable alone: ``**request`` is a request of
+        :meth:`observables` without ``observables=`` (``mu=`` or
+        ``n_electrons=``, ``solver=``, ``ranks=``, …) and the result is the
+        bundle's :class:`~repro.api.results.SubmatrixDFTResult`.
         """
-        return self.observables(K, S, blocks, ("density",), **request)["density"]
+        return self.observables(K, S, blocks, observables=("density",), **request)[
+            "density"
+        ]
 
     @_tracked
-    def observables(
-        self,
-        K,
-        S,
-        blocks,
-        observables=("density",),
-        mu: Optional[float] = None,
-        n_electrons: Optional[float] = None,
-        solver: str = "eigen",
-        grouping: Optional[ColumnGrouping] = None,
-        mu_tolerance: float = 1e-9,
-        max_mu_iterations: int = 200,
-        ranks: Optional[int] = None,
-        distribution=None,
-        observable_params=None,
-    ):
+    def observables(self, K, S, blocks, **request):
         """Several observables from **one** decomposition pass (Sec. IV-F/G).
 
-        ``observables`` names the observables to assemble
-        (:func:`repro.api.observables.available_observables`); all of them
-        share a single sharded/batched submatrix decomposition — requesting
-        ``("density", "pdos", "energy_weighted_density")`` costs one
-        eigendecomposition per stack, exactly like :meth:`density` alone.
-        ``observable_params`` optionally maps an observable name to its
-        assembly parameters (e.g. ``{"pdos": {"broadening": 0.05}}``).
-        Returns an :class:`~repro.api.results.ObservableBundle`.
-
-        Exactly one of ``mu`` (grand-canonical) and ``n_electrons``
-        (canonical) must be given.  With ``ranks`` the submatrix stacks are
-        evaluated rank-sharded through
-        :class:`~repro.core.runner.DistributedSubmatrixPipeline` — bitwise
-        identical to the single-process path.  See
-        :func:`repro.api.observables.compute_observables` for every
-        argument.
+        ``**request`` is checked by
+        :func:`repro.api.observables.validate_request`, which lists every
+        keyword: ``observables=`` names the observables to assemble
+        (:func:`repro.api.observables.available_observables`, default
+        ``("density",)``); all of them share a single sharded/batched
+        submatrix decomposition — requesting ``("density", "pdos",
+        "energy_weighted_density")`` costs one eigendecomposition per stack,
+        exactly like :meth:`density` alone.  ``observable_params`` optionally
+        maps an observable name to its assembly parameters (e.g. ``{"pdos":
+        {"broadening": 0.05}}``).  Exactly one of ``mu`` (grand-canonical)
+        and ``n_electrons`` (canonical) must be given; with ``ranks`` the
+        submatrix stacks are evaluated rank-sharded, bitwise identical to the
+        single-process path.  Returns an
+        :class:`~repro.api.results.ObservableBundle`
+        (:func:`repro.api.observables.compute_observables`).
         """
         self._check_open()
-        from repro.api.observables import compute_observables
+        from repro.api.observables import compute_observables, validate_request
 
-        return compute_observables(
-            self,
-            K,
-            S,
-            blocks,
-            observables=observables,
-            mu=mu,
-            n_electrons=n_electrons,
-            solver=solver,
-            grouping=grouping,
-            mu_tolerance=mu_tolerance,
-            max_mu_iterations=max_mu_iterations,
-            ranks=ranks,
-            distribution=distribution,
-            observable_params=observable_params,
-        )
+        checked = validate_request(self.config, blocks, **request)
+        return compute_observables(self, K, S, blocks, checked)
 
     @_tracked
     def trajectory(
         self,
         steps,
         blocks,
-        mu: Optional[float] = None,
-        n_electrons: Optional[float] = None,
-        solver: str = "eigen",
-        grouping: Optional[ColumnGrouping] = None,
-        mu_tolerance: float = 1e-9,
-        max_mu_iterations: int = 200,
-        ranks: Optional[int] = None,
-        distribution=None,
         replan: str = "auto",
         warm_start_mu: bool = False,
         on_step=None,
+        **request,
     ):
         """Density matrices along an SCF/MD trajectory through this session.
 
         ``steps`` is an iterable of ``(K, S)`` pairs or a callback
-        ``step(index) -> (K, S) | None``; the request is checked once, then
-        every step is one :meth:`density` call with the same arguments —
-        bitwise a cold call on the same input, nothing but the session's
-        caches carried over.  ``on_step(index, result)`` is called after
-        every step (an SCF loop's feedback hook).  ``replan`` and
+        ``step(index) -> (K, S) | None``; ``**request`` is a :meth:`density`
+        request, checked once, then every step is one density request with
+        it — bitwise a cold call on the same input, nothing but the
+        session's caches carried over.  ``on_step(index, result)`` is called
+        after every step (an SCF loop's feedback hook).  ``replan`` and
         ``warm_start_mu`` are inert leftovers — accepted and ignored; they
         stay only because ``benchmarks/e2e`` passes them.  Returns a
         :class:`~repro.api.trajectory.TrajectoryResult`: the per-step results
@@ -669,20 +577,7 @@ class SubmatrixContext:
         self._check_open()
         from repro.api.trajectory import run_trajectory
 
-        return run_trajectory(
-            self,
-            steps,
-            blocks,
-            mu=mu,
-            n_electrons=n_electrons,
-            solver=solver,
-            grouping=grouping,
-            mu_tolerance=mu_tolerance,
-            max_mu_iterations=max_mu_iterations,
-            ranks=ranks,
-            distribution=distribution,
-            on_step=on_step,
-        )
+        return run_trajectory(self, steps, blocks, on_step=on_step, **request)
 
     # ------------------------------------------------------------------ #
     # sharded pipelines
@@ -693,7 +588,6 @@ class SubmatrixContext:
         block_sizes: Sequence[int],
         n_ranks: Optional[int] = None,
         grouping: Optional[ColumnGrouping] = None,
-        distribution=None,
         bucket_pad=None,
         replan: str = "full",
     ) -> DistributedSubmatrixPipeline:
@@ -702,10 +596,12 @@ class SubmatrixContext:
         Pipelines are cached by content — pattern fingerprint plus
         configuration — so a changed pattern builds a new one (plans, shards,
         rank assignment and transfer plan are those of a fresh session).
-        ``n_ranks=None`` is one rank.  ``replan`` and ``bucket_pad`` are
-        inert leftovers — accepted, ``replan`` ignored and a ``bucket_pad``
-        other than ``None`` a :class:`ValueError` (stacks are never padded);
-        they stay only because ``benchmarks/e2e`` passes them.
+        ``n_ranks=None`` is one rank; the blocks are owned round-robin over a
+        near-square process grid, like DBCSR's default.  ``replan`` and
+        ``bucket_pad`` are inert leftovers — accepted, ``replan`` ignored and
+        a ``bucket_pad`` other than ``None`` a :class:`ValueError` (stacks
+        are never padded); they stay only because ``benchmarks/e2e`` passes
+        them.
         """
         self._check_open()
         if bucket_pad is not None:
@@ -726,7 +622,6 @@ class SubmatrixContext:
             sizes.tobytes(),
             n_ranks,
             tuple(map(tuple, grouping.groups)),
-            _distribution_key(distribution),
         )
         with self._lock:
             pipeline = self._pipelines.get(key)
@@ -738,7 +633,6 @@ class SubmatrixContext:
                 sizes,
                 n_ranks,
                 grouping=grouping,
-                distribution=distribution,
                 plan_cache=self.plan_cache,
             )
             self._pipelines_built += 1

@@ -12,12 +12,13 @@ Algorithm 1).  This module hosts the one path from a request to its result
 plus the fixed table of the three *observables*, sibling to the table of the
 two sign kernels (:data:`~repro.signfn.registry.KERNELS`):
 
-* :func:`compute_observables` is the one path from a request to its
-  result, over one :class:`Decomposition` record: ``validate_request →
-  _decompose → bisect → assemble``.  :func:`validate_request` is the one
-  request check of the direct, trajectory and served entry points;
-  ``_decompose`` runs the engine **once** — prepare, then the session's one
-  engine pass (plan lookup, ``plan.pack``, the rank loop
+* :func:`validate_request` is the one request vocabulary and check of the
+  direct, trajectory and served entry points: it takes the request by
+  keyword and returns a frozen :class:`Request`;
+* :func:`compute_observables` is the one path from that record to its
+  result, over one :class:`Decomposition` record: ``_decompose → bisect →
+  assemble``.  ``_decompose`` runs the engine **once** — prepare, then the
+  session's one engine pass (plan lookup, ``plan.pack``, the rank loop
   :func:`~repro.core.runner.run_stacks`, single-process or rank-sharded) —
   into the record; a canonical request bisects μ on its cached spectra
   (Algorithm 1); and every requested observable is assembled from the same
@@ -92,7 +93,7 @@ from typing import (
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.config import check_distribution, check_positive_int
+from repro.api.config import check_positive_int
 from repro.api.results import (
     DecomposedSubmatrix,
     EnergyWeightedDensityResult,
@@ -101,12 +102,13 @@ from repro.api.results import (
     SubmatrixDFTResult,
 )
 from repro.chem.density import (
+    SPIN_DEGENERACY,
     band_structure_energy,
     electron_count,
     fermi_occupation,
 )
 from repro.core.batch import spectral_panel, spectral_panels
-from repro.core.combination import ColumnGrouping
+from repro.core.combination import ColumnGrouping, check_grouping
 from repro.core.plan import BlockSubmatrixPlan
 from repro.chem.orthogonalize import orthogonalized_ks_blocks
 from repro.dbcsr.block_matrix import BlockSparseMatrix
@@ -125,11 +127,17 @@ __all__ = [
     "get_observable",
     "normalize_observables",
     "OBSERVABLES",
+    "MAX_MU_ITERATIONS",
+    "Request",
     "validate_request",
     "assemble_result",
     "prepare_step",
     "PreparedStep",
 ]
+
+
+#: Most bisection steps of a canonical request's μ search (Algorithm 1).
+MAX_MU_ITERATIONS = 200
 
 
 # --------------------------------------------------------------------------- #
@@ -263,55 +271,72 @@ def normalize_observables(
 # --------------------------------------------------------------------------- #
 # the one path from a request to its result
 # --------------------------------------------------------------------------- #
+@dataclasses.dataclass(frozen=True)
+class Request:
+    """One checked request, as :func:`validate_request` returns it.
+
+    ``names`` are the canonicalized observable names, ``kernel`` the sign
+    kernel's :class:`~repro.signfn.registry.MatrixFunction` and ``params``
+    every requested observable's parameters, normalised by its
+    :attr:`Observable.parameters` (``{}`` for one that takes none).  Exactly
+    one of ``mu`` and ``n_electrons`` is set, as a float; ``ranks`` is
+    ``None`` (single process) or a positive ``int``.
+    """
+
+    names: Tuple[str, ...]
+    kernel: Any
+    params: Dict[str, Dict[str, Any]]
+    mu: Optional[float]
+    n_electrons: Optional[float]
+    grouping: Optional[ColumnGrouping]
+    mu_tolerance: float
+    ranks: Optional[int]
+
+
 def validate_request(
     config,
     blocks,
-    observables: Union[str, Sequence[str]],
-    mu,
-    n_electrons,
-    solver: str,
-    observable_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
-    ranks=None,
-    distribution=None,
-    mu_tolerance: float = 1e-9,
-    max_mu_iterations: int = 200,
-    grouping: Optional[ColumnGrouping] = None,
     shapes: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None,
-):
+    /,
+    *,
+    observables: Union[str, Sequence[str]] = ("density",),
+    mu: Optional[float] = None,
+    n_electrons: Optional[float] = None,
+    solver: str = "eigen",
+    grouping: Optional[ColumnGrouping] = None,
+    mu_tolerance: float = 1e-9,
+    ranks: Optional[int] = None,
+    observable_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
+) -> Request:
     """Check one request before any work or resource is spent on it.
 
-    The single validator of the direct (:func:`compute_observables`),
-    trajectory (:func:`~repro.api.trajectory.run_trajectory`) and served
-    (:meth:`~repro.serve.DensityService.submit`) entry points, so all three
-    reject the same requests with the same exception.  Returns ``(names,
-    kernel, params)``: the canonicalized observable names, the sign kernel
-    and every requested observable's parameters, normalised by its
-    :attr:`Observable.parameters` (``{}`` for one that takes none).
+    The only signature that lists the request keywords: the direct
+    (:meth:`~repro.api.context.SubmatrixContext.observables`), trajectory
+    (:func:`~repro.api.trajectory.run_trajectory`) and served
+    (:meth:`~repro.serve.DensityService.submit`) entry points forward their
+    ``**request`` here, so all three accept the same keywords and reject the
+    same requests with the same exception (an unknown keyword is the
+    :class:`TypeError` of this call).  Returns the checked :class:`Request`.
 
     Raises :class:`ValueError` (:class:`UnknownObservableError` /
     :class:`~repro.signfn.registry.UnknownKernelError` for unknown
     names) unless exactly one of ``mu`` and ``n_electrons`` is given, it is
     a finite scalar (a sequence is a :class:`TypeError`), an electron count
-    lies in ``[0, spin_degeneracy · n_basis]`` (outside, no μ exists and
+    lies in ``[0, SPIN_DEGENERACY · n_basis]`` (outside, no μ exists and
     the bisection would return an all-empty or all-full density without
     complaint), and the kernel can serve the
     ensemble and every observable, and every observable's parameters pass
     its own check (:func:`_check_params`; a ``pdos`` grid size that is not
-    an integer is a :class:`TypeError`).  ``ranks`` and ``max_mu_iterations``
-    must pass :func:`~repro.api.config.check_positive_int` (without a
-    μ-search step the bracket's midpoint would be μ), ``mu_tolerance`` must be
-    finite and non-negative, ``distribution`` must pass
-    :func:`~repro.api.config.check_distribution` on the request's block grid,
-    and ``grouping`` must be a :class:`ColumnGrouping` (else a
-    :class:`TypeError`) partitioning the block columns.
-    ``shapes`` are the shapes of ``K`` and ``S`` (a trajectory passes none:
-    each step is checked by its own call): both must be square 2-D, equal,
-    and as large as the blocks (:func:`_check_shapes`), so a mismatch fails
-    here, naming the matrix, before an overlap root, a plan or an admission
-    slot.
+    an integer is a :class:`TypeError`).  ``ranks`` must pass
+    :func:`~repro.api.config.check_positive_int`, ``mu_tolerance`` must be
+    finite and non-negative, and ``grouping`` must pass
+    :func:`~repro.core.combination.check_grouping` on the request's block
+    columns.  ``shapes``, positional, are the shapes of ``K`` and ``S``, for
+    a caller that must refuse a mismatch before it reserves anything (the
+    service's admission slot); :func:`compute_observables` checks them on
+    every call.
     """
     ranks = check_positive_int(ranks, "ranks")
-    check_positive_int(max_mu_iterations, "max_mu_iterations")
     if not (math.isfinite(mu_tolerance) and mu_tolerance >= 0.0):
         raise ValueError(
             f"mu_tolerance must be finite and non-negative, got {mu_tolerance!r}"
@@ -364,23 +389,25 @@ def validate_request(
     if not math.isfinite(value):
         raise ValueError(f"{label} must be finite, got {value!r}")
     if canonical:
-        capacity = config.spin_degeneracy * float(np.sum(blocks.block_sizes))
+        capacity = SPIN_DEGENERACY * float(np.sum(blocks.block_sizes))
         if not 0.0 <= value <= capacity:
             raise ValueError(
                 f"n_electrons must lie in [0, {capacity:g}] (spin degeneracy "
                 f"times the number of basis functions), got {value!r}"
             )
-    if distribution is not None:
-        check_distribution(distribution, ranks, len(blocks.block_sizes))
-    if grouping is not None:
-        if not isinstance(grouping, ColumnGrouping):
-            raise TypeError(
-                f"grouping must be a ColumnGrouping, got {type(grouping).__name__}"
-            )
-        grouping.validate(len(blocks.block_sizes))
+    check_grouping(grouping, len(blocks.block_sizes))
     if shapes is not None:
         _check_shapes(*shapes, blocks)
-    return names, kernel, params
+    return Request(
+        names=names,
+        kernel=kernel,
+        params=params,
+        mu=None if canonical else value,
+        n_electrons=value if canonical else None,
+        grouping=grouping,
+        mu_tolerance=float(mu_tolerance),
+        ranks=ranks,
+    )
 
 
 def _check_params(
@@ -451,88 +478,46 @@ class Decomposition:
     kernel_fallbacks: int = 0
 
 
-def compute_observables(
-    context,
-    K,
-    S,
-    blocks,
-    observables: Union[str, Sequence[str]] = ("density",),
-    mu: Optional[float] = None,
-    n_electrons: Optional[float] = None,
-    solver: str = "eigen",
-    grouping: Optional[ColumnGrouping] = None,
-    mu_tolerance: float = 1e-9,
-    max_mu_iterations: int = 200,
-    ranks: Optional[int] = None,
-    distribution=None,
-    observable_params: Optional[Mapping[str, Mapping[str, Any]]] = None,
-) -> ObservableBundle:
+def compute_observables(context, K, S, blocks, request: Request) -> ObservableBundle:
     """Evaluate one or more observables from a single decomposition pass.
 
-    The only path from a request to its result, over one
-    :class:`Decomposition`: :func:`validate_request`, then the engine pass
-    (``_decompose``: prepare with :func:`prepare_step`, look up the
-    extraction plan, run exactly one eigendecomposition pass over the
-    bucketed submatrix stacks, single-process or rank-sharded), then — for
-    a canonical ensemble — one μ-bisection on the cached spectra, and every
+    The only path from a checked :class:`Request` (:func:`validate_request`)
+    to its result, over one :class:`Decomposition`: the shapes of ``K`` and
+    ``S`` (:func:`_check_shapes`), then the engine pass (``_decompose``:
+    prepare with :func:`prepare_step`, look up the extraction plan, run
+    exactly one eigendecomposition pass over the bucketed submatrix stacks,
+    single-process or sharded over ``request.ranks``), then — for a
+    canonical ensemble — one μ-bisection on the cached spectra, and every
     requested observable assembled from the same cached
     :class:`~repro.api.results.DecomposedSubmatrix` entries.
 
-    Exactly one of ``mu`` (grand-canonical) and ``n_electrons`` (canonical)
-    must be provided.  ``observables`` names
-    :data:`OBSERVABLES` entries (order-preserving, duplicates dropped);
-    ``observable_params`` optionally maps observable name → keyword
-    parameters for its assembly (e.g. the PDOS grid).
-
-    ``context`` supplies the engine configuration, plan cache and
-    persistent executor; ``ranks`` asks for the sharded stack evaluation
-    over that many simulated ranks and ``distribution`` fixes the block
-    ownership of its transfer plan.
-
-    The Newton–Schulz kernel (``supports_mu_bisection == False``) never
-    builds the spectral cache, so it only supports observables with
+    ``context`` supplies the engine configuration, plan cache, overlap roots
+    and persistent executor.  The Newton–Schulz kernel
+    (``supports_mu_bisection == False``) never builds the spectral cache, so
+    :func:`validate_request` lets it serve only observables with
     ``supports_iterative`` (``density`` alone).
     """
     start = time.perf_counter()
-    names, kernel, params = validate_request(
-        context.config,
-        blocks,
-        observables,
-        mu,
-        n_electrons,
-        solver,
-        observable_params,
-        ranks,
-        distribution,
-        mu_tolerance,
-        max_mu_iterations,
-        grouping=grouping,
-        shapes=(np.shape(K), np.shape(S)),
-    )
-    decomposition = _decompose(
-        context, K, S, blocks, kernel, names, mu, grouping, ranks, distribution, start
-    )
-    if n_electrons is not None:
+    _check_shapes(np.shape(K), np.shape(S), blocks)
+    decomposition = _decompose(context, K, S, blocks, request, start)
+    if request.n_electrons is not None:
         decomposition.mu, decomposition.mu_iterations = _bisect_mu(
             context.config,
             decomposition.decomposed,
-            float(n_electrons),
-            mu_tolerance,
-            max_mu_iterations,
+            request.n_electrons,
+            request.mu_tolerance,
         )
     return ObservableBundle(
         results={
-            name: get_observable(name).assemble(decomposition, params[name])
-            for name in names
+            name: get_observable(name).assemble(decomposition, request.params[name])
+            for name in request.names
         },
-        observables=names,
+        observables=request.names,
         stack_decompositions=decomposition.stack_decompositions,
     )
 
 
-def _decompose(
-    context, K, S, blocks, kernel, names, mu, grouping, ranks, distribution, start
-) -> Decomposition:
+def _decompose(context, K, S, blocks, request: Request, start) -> Decomposition:
     """The engine pass of one request (see :class:`Decomposition`).
 
     Prepare, then run the session's one engine pass (plan lookup, pack, the
@@ -551,9 +536,10 @@ def _decompose(
     session without a pool runs both serially.
     """
     config = context.config
-    spectral = kernel.supports_mu_bisection
+    mu = request.mu
+    spectral = request.kernel.supports_mu_bisection
     collect = mu is None or not all(
-        get_observable(name).supports_iterative for name in names
+        get_observable(name).supports_iterative for name in request.names
     )
     executor = context.executor
     mapper = None
@@ -564,19 +550,18 @@ def _decompose(
     if collect:
         solver = np.linalg.eigh
     elif spectral:
-        solver = _streamed_occupations(float(mu), config.temperature)
+        solver = _streamed_occupations(mu, config.temperature)
     else:
         # the μ-shift is applied by the stack solver, so the kernel is bound
         # without parameters
-        sign = KernelStackSolver(kernel.bind())
-        solver = _iterative_occupations(sign, float(mu))
+        sign = KernelStackSolver(request.kernel.bind())
+        solver = _iterative_occupations(sign, mu)
     plan, pipeline, stacks, occupation_block = context._engine_pass(
         prepared.block_k,
         solver,
         coo=prepared.coo,
-        grouping=grouping,
-        ranks=ranks,
-        distribution=distribution,
+        grouping=request.grouping,
+        ranks=request.ranks,
         collect=collect,
         mapper=mapper,
     )
@@ -588,7 +573,7 @@ def _decompose(
         plan=plan,
         mapper=mapper,
         pipeline=pipeline,
-        mu=None if mu is None else float(mu),
+        mu=mu,
         occupation_block=occupation_block,
         stack_decompositions=len(stacks) if spectral else 0,
         kernel_fallbacks=0 if spectral else sign.fallbacks,
@@ -688,7 +673,7 @@ def _assemble_pdos(
     else:
         lo, hi = params["energy_window"]
     energies = np.linspace(lo, hi, n_points)
-    norm = config.spin_degeneracy / (broadening * np.sqrt(2.0 * np.pi))
+    norm = SPIN_DEGENERACY / (broadening * np.sqrt(2.0 * np.pi))
     projections = np.zeros((len(decomposition.decomposed), n_points))
     for group_index, entry in enumerate(decomposition.decomposed):
         delta = (energies[None, :] - entry.eigenvalues[:, None]) / broadening
@@ -697,7 +682,7 @@ def _assemble_pdos(
             axis=0,
         )
     occupations = fermi_occupation(eigenvalues, decomposition.mu, config.temperature)
-    n_elec = config.spin_degeneracy * float(np.dot(weights, occupations))
+    n_elec = SPIN_DEGENERACY * float(np.dot(weights, occupations))
     return PDOSResult(
         energies=energies,
         dos=projections.sum(axis=0),
@@ -732,7 +717,7 @@ def _assemble_energy_weighted(
     )
     # same g_s·trace contraction electron_count uses, applied to W:
     # E_band = g_s Σ w·λ·f(λ−μ) = g_s Tr(W)
-    band = electron_count(ortho, config.spin_degeneracy)
+    band = electron_count(ortho)
     return EnergyWeightedDensityResult(
         energy_weighted_ao=ao,
         energy_weighted_ortho=ortho,
@@ -817,8 +802,8 @@ def assemble_result(
     density_ortho, density_ao = _back_transform(
         s_inv_sqrt, occupation_block, outer_runs, mapper
     )
-    energy = band_structure_energy(density_ao, K, config.spin_degeneracy)
-    n_elec = electron_count(density_ortho, config.spin_degeneracy)
+    energy = band_structure_energy(density_ao, K)
+    n_elec = electron_count(density_ortho)
     block_fetch_bytes = None
     if pipeline is not None:
         block_fetch_bytes = pipeline.transfer_plan.total_fetch_bytes
@@ -873,7 +858,6 @@ def _bisect_mu(
     decomposed: Sequence[DecomposedSubmatrix],
     n_electrons: float,
     tolerance: float,
-    max_iterations: int,
 ) -> Tuple[float, int]:
     """Adjust μ by bisection on the cached eigendecompositions (Alg. 1).
 
@@ -886,22 +870,22 @@ def _bisect_mu(
 
     The search starts from the spectrum bounds (widened by one energy
     unit) on every call, so μ depends only on the request's own spectra.
-    It ends when ``|ΔN| ≤ tolerance`` or, failing that, when the
-    bracket has shrunk to adjacent floats (billed as one more iteration for
-    the comparison of its two ends).
+    It ends when ``|ΔN| ≤ tolerance``, when the bracket has shrunk to
+    adjacent floats (billed as one more iteration for the comparison of its
+    two ends) or after :data:`MAX_MU_ITERATIONS` steps.
     """
     all_eigenvalues = np.concatenate([d.eigenvalues for d in decomposed])
     all_weights = np.concatenate([d.generating_weights for d in decomposed])
 
     def electron_count_at(mu: float) -> float:
         occupations = fermi_occupation(all_eigenvalues, mu, config.temperature)
-        return config.spin_degeneracy * float(np.dot(all_weights, occupations))
+        return SPIN_DEGENERACY * float(np.dot(all_weights, occupations))
 
     lo = float(all_eigenvalues.min()) - 1.0
     hi = float(all_eigenvalues.max()) + 1.0
     iterations = 0
     mu = 0.5 * (lo + hi)
-    while iterations < max_iterations:
+    while iterations < MAX_MU_ITERATIONS:
         iterations += 1
         mu = 0.5 * (lo + hi)
         error = electron_count_at(mu) - n_electrons

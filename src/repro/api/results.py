@@ -179,7 +179,7 @@ class PDOSResult:
     broadening:
         Gaussian σ used.
     n_electrons:
-        ``spin_degeneracy · Σ weights · f(λ − μ)`` — identical (up to
+        ``g_s · Σ weights · f(λ − μ)`` (g_s = 2) — identical (up to
         summation order) to the density result's electron count.
     """
 
@@ -201,7 +201,7 @@ class PDOSResult:
         return int(self.projections.shape[0])
 
     def integrated_states(self) -> float:
-        """∫ dos dE via the trapezoid rule (≈ spin_degeneracy · n_orbitals)."""
+        """∫ dos dE via the trapezoid rule (≈ g_s · n_orbitals, g_s = 2)."""
         return float(np.trapezoid(self.dos, self.energies))
 
 
@@ -225,7 +225,7 @@ class EnergyWeightedDensityResult:
         Sparse orthogonal-basis energy-weighted density matrix with the
         pattern of the filtered orthogonalized Kohn–Sham matrix.
     band_energy:
-        ``spin_degeneracy · Tr(W)`` — spectral band-structure energy.
+        ``g_s · Tr(W)`` (g_s = 2) — spectral band-structure energy.
     mu:
         Chemical potential used.
     """

@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.api.observables import compute_observables, validate_request
 from repro.api.results import SubmatrixDFTResult
-from repro.core.combination import ColumnGrouping
 
 __all__ = ["TrajectoryStats", "TrajectoryResult", "run_trajectory"]
 
@@ -94,18 +93,7 @@ def _iterate_steps(steps: StepsLike) -> Iterator[StepPair]:
 
 
 def run_trajectory(
-    context,
-    steps: StepsLike,
-    blocks,
-    mu: Optional[float] = None,
-    n_electrons: Optional[float] = None,
-    solver: str = "eigen",
-    grouping: Optional[ColumnGrouping] = None,
-    mu_tolerance: float = 1e-9,
-    max_mu_iterations: int = 200,
-    ranks: Optional[int] = None,
-    distribution=None,
-    on_step=None,
+    context, steps: StepsLike, blocks, on_step=None, **request
 ) -> TrajectoryResult:
     """Drive a sequence of geometry steps through one session.
 
@@ -120,38 +108,33 @@ def run_trajectory(
         ``None`` itself is a :class:`ValueError`.
     blocks:
         The :class:`~repro.chem.hamiltonian.BlockStructure` of every step.
-    mu, n_electrons, solver, grouping, mu_tolerance, max_mu_iterations, ranks, distribution:
-        The request every step makes (see :meth:`SubmatrixContext.density`),
-        checked once before the first step.
     on_step:
         Optional ``on_step(index, result)``, called after every step and
         before the next one is pulled, so an SCF callback may produce the
         next step's input.  Its exceptions abort the trajectory.
+    **request:
+        The density request every step makes, checked once before the first
+        step by :func:`~repro.api.observables.validate_request`.  A step is a
+        density: ``observables=`` and ``observable_params=`` are a
+        :class:`TypeError`.
     """
+    for keyword in ("observables", "observable_params"):
+        if keyword in request:
+            raise TypeError(
+                f"trajectory() got an unexpected keyword argument {keyword!r}: "
+                "every step is a density request"
+            )
     if steps is None:
         raise ValueError(
             "steps must be a sequence of (K, S) pairs or a callback "
             "step(index) -> (K, S) | None, not None"
         )
-    request = dict(
-        mu=mu,
-        n_electrons=n_electrons,
-        solver=solver,
-        grouping=grouping,
-        mu_tolerance=mu_tolerance,
-        max_mu_iterations=max_mu_iterations,
-        ranks=ranks,
-        distribution=distribution,
-    )
-    validate_request(
-        context.config, blocks, ("density",), mu, n_electrons, solver, None,
-        ranks, distribution, mu_tolerance, max_mu_iterations, grouping=grouping,
-    )
+    checked = validate_request(context.config, blocks, **request)
     results: List[SubmatrixDFTResult] = []
     hits = misses = 0
     for index, (K, S) in enumerate(_iterate_steps(steps)):
         before = context.plan_cache.stats
-        result = compute_observables(context, K, S, blocks, **request)["density"]
+        result = compute_observables(context, K, S, blocks, checked)["density"]
         after = context.plan_cache.stats
         hits += after["hits"] - before["hits"]
         misses += after["misses"] - before["misses"]

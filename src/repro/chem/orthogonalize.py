@@ -56,6 +56,11 @@ __all__ = [
 SYMMETRY_ATOL = 1e-10
 SYMMETRY_RTOL = 1e-8
 
+#: Smallest eigenvalue of S that :func:`loewdin_inverse_sqrt` accepts: the
+#: overlap of a physically meaningful, non-redundant basis is strictly
+#: positive definite.
+MIN_OVERLAP_EIGENVALUE = 1e-10
+
 
 def _extent(values) -> float:
     """max|values| of an array or a SciPy matrix (NaN when any is NaN)."""
@@ -90,9 +95,7 @@ def _require_symmetric(name: str, matrix, dense: np.ndarray) -> None:
         )
 
 
-def loewdin_inverse_sqrt(
-    S: Union[np.ndarray, sp.spmatrix], min_eigenvalue: float = 1e-10
-) -> np.ndarray:
+def loewdin_inverse_sqrt(S: Union[np.ndarray, sp.spmatrix]) -> np.ndarray:
     """Compute S^{-1/2} of a symmetric positive-definite overlap matrix.
 
     Parameters
@@ -102,10 +105,6 @@ def loewdin_inverse_sqrt(
         (O(n³)), so a caller that sees the same overlap again should keep the
         result and hand it to :func:`orthogonalized_ks` through
         ``s_inv_sqrt=`` — a session does, once per overlap content.
-    min_eigenvalue:
-        Eigenvalues below this threshold trigger an error; the overlap of a
-        physically meaningful, non-redundant basis is strictly positive
-        definite.
 
     Returns
     -------
@@ -114,15 +113,16 @@ def loewdin_inverse_sqrt(
 
     Raises :class:`ValueError` naming ``S`` when it is not square, holds a
     NaN/Inf, or is not symmetric by :data:`SYMMETRY_ATOL` /
-    :data:`SYMMETRY_RTOL`.
+    :data:`SYMMETRY_RTOL`, and a :class:`ValueError` when an eigenvalue of S
+    lies below :data:`MIN_OVERLAP_EIGENVALUE`.
     """
     S_dense = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)
     _require_symmetric("S", S, S_dense)
     eigenvalues, eigenvectors = np.linalg.eigh(S_dense)
-    if eigenvalues.min() < min_eigenvalue:
+    if eigenvalues.min() < MIN_OVERLAP_EIGENVALUE:
         raise ValueError(
             f"overlap matrix is not positive definite enough "
-            f"(min eigenvalue {eigenvalues.min():.3e} < {min_eigenvalue:.0e})"
+            f"(min eigenvalue {eigenvalues.min():.3e} < {MIN_OVERLAP_EIGENVALUE:.0e})"
         )
     # W·Wᵀ with W = V diag(λ^{-1/4}): NumPy hands a product with its own
     # transpose to syrk, half the GEMM's work and exactly symmetric

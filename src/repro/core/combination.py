@@ -40,6 +40,7 @@ from repro.dbcsr.coo import CooBlockList
 
 __all__ = [
     "ColumnGrouping",
+    "check_grouping",
     "single_column_groups",
     "group_columns_kmeans",
     "group_columns_graph",
@@ -94,6 +95,22 @@ class ColumnGrouping:
         return [
             submatrix_dimension(pattern, block_sizes, group) for group in self.groups
         ]
+
+
+def check_grouping(grouping: Optional[ColumnGrouping], n_columns: int) -> None:
+    """The one check of a caller's ``grouping=`` (``None``: not given).
+
+    Shared by ``apply`` and every density request: anything but a
+    :class:`ColumnGrouping` is a :class:`TypeError`, and one that is not a
+    partition of ``range(n_columns)`` fails :meth:`ColumnGrouping.validate`.
+    """
+    if grouping is None:
+        return
+    if not isinstance(grouping, ColumnGrouping):
+        raise TypeError(
+            f"grouping must be a ColumnGrouping, got {type(grouping).__name__}"
+        )
+    grouping.validate(n_columns)
 
 
 def single_column_groups(n_columns: int) -> ColumnGrouping:

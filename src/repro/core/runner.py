@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.config import EIGENSOLVE_FLOP_CONSTANT, check_distribution
+from repro.api.config import EIGENSOLVE_FLOP_CONSTANT
 from repro.core.batch import make_stack_tasks, map_stacks
 from repro.core.combination import ColumnGrouping, single_column_groups
 from repro.core.load_balance import assign_consecutive_chunks, submatrix_flop_costs
@@ -122,11 +122,6 @@ class DistributedSubmatrixPipeline:
         Number of simulated ranks.
     grouping:
         Block-column grouping (default: one submatrix per block column).
-    distribution:
-        Block ownership; defaults to a round-robin distribution over a
-        near-square process grid, like DBCSR's default.
-    flop_constant:
-        Cost of the per-submatrix solve as a multiple of n³.
     plan_cache:
         Optional plan cache for the extraction plan (built uncached
         without one).
@@ -137,8 +132,11 @@ class DistributedSubmatrixPipeline:
         preferred for very large cost sweeps.  Either way the transfer plan is fixed here;
         :meth:`prepare` builds the shards and leaves it as it is, so a fast
         pipeline keeps its over-estimate after it has run.
-    bytes_per_element:
-        Storage size of a matrix element (8 for float64).
+
+    Blocks are owned round-robin over a near-square process grid, like
+    DBCSR's default distribution; a submatrix solve costs
+    :data:`~repro.api.config.EIGENSOLVE_FLOP_CONSTANT`·n³ and a matrix element
+    8 bytes (float64).
     """
 
     def __init__(
@@ -147,11 +145,8 @@ class DistributedSubmatrixPipeline:
         block_sizes: Sequence[int],
         n_ranks: int,
         grouping: Optional[ColumnGrouping] = None,
-        distribution: Optional[BlockDistribution] = None,
-        flop_constant: float = EIGENSOLVE_FLOP_CONSTANT,
         plan_cache: Optional[PlanCache] = None,
         exact_transfers: bool = True,
-        bytes_per_element: int = 8,
     ):
         if n_ranks < 1:
             raise ValueError("n_ranks must be positive")
@@ -160,20 +155,14 @@ class DistributedSubmatrixPipeline:
         self.n_ranks = int(n_ranks)
         n_blocks = self.coo.n_block_cols
         self.grouping = grouping or single_column_groups(n_blocks)
-        if distribution is None:
-            grid = ProcessGrid2D(n_ranks, balanced_dims(n_ranks))
-            distribution = BlockDistribution(n_blocks, n_blocks, grid)
-        else:
-            check_distribution(distribution, self.n_ranks, n_blocks)
-        self.distribution = distribution
-        self.flop_constant = float(flop_constant)
+        grid = ProcessGrid2D(n_ranks, balanced_dims(n_ranks))
+        self.distribution = BlockDistribution(n_blocks, n_blocks, grid)
         self.plan_cache = plan_cache
-        self.bytes_per_element = int(bytes_per_element)
 
         self.dimensions = self.grouping.submatrix_dimensions(
             self.coo, self.block_sizes
         )
-        self.costs = submatrix_flop_costs(self.dimensions, self.flop_constant)
+        self.costs = submatrix_flop_costs(self.dimensions, EIGENSOLVE_FLOP_CONSTANT)
         self.rank_of_group = self._assign_ranks()
         self.rank_flops = np.zeros(self.n_ranks)
         np.add.at(self.rank_flops, self.rank_of_group, self.costs)
@@ -188,7 +177,6 @@ class DistributedSubmatrixPipeline:
             self.distribution,
             self.grouping,
             self.rank_of_group,
-            bytes_per_element=self.bytes_per_element,
             per_group_dedup=bool(exact_transfers),
         )
 
@@ -228,26 +216,23 @@ class DistributedSubmatrixPipeline:
     # ------------------------------------------------------------------ #
     # cost-model side
     # ------------------------------------------------------------------ #
-    def traffic_log(self, include_coo_allgather: bool = True) -> TrafficLog:
+    def traffic_log(self) -> TrafficLog:
         """Work and traffic of one pipeline execution, per rank.
 
         The initialization exchange is charged at the transfer plan's fetch
-        volume, and every rank's assigned submatrix solves as dense FLOPs.
+        volume (with the COO allgather), and every rank's assigned submatrix
+        solves as dense FLOPs.
         """
-        log = self.transfer_plan.to_traffic_log(
-            include_coo_allgather=include_coo_allgather,
-            coo_length=len(self.coo),
-        )
+        log = self.transfer_plan.to_traffic_log(coo_length=len(self.coo))
         for rank in range(self.n_ranks):
             log.record_flops(rank, float(self.rank_flops[rank]), sparse=False)
         return log
 
-    def cost(
-        self, machine: MachineModel, cores_per_rank: int = 1
-    ) -> SubmatrixRunCost:
-        """Simulated run cost of this pipeline on ``machine``."""
+    def cost(self, machine: MachineModel) -> SubmatrixRunCost:
+        """Simulated run cost of this pipeline on ``machine``, one core per
+        rank (the paper's submatrix runs, Sec. V)."""
         log = self.traffic_log()
-        simulated = machine.simulate(log, cores_per_rank=cores_per_rank)
+        simulated = machine.simulate(log)
         plan = self.transfer_plan
         dimensions = self.dimensions
         details: Dict[str, float] = {
@@ -365,9 +350,6 @@ def submatrix_method_cost(
     n_ranks: int,
     machine: MachineModel,
     grouping: Optional[ColumnGrouping] = None,
-    flop_constant: float = EIGENSOLVE_FLOP_CONSTANT,
-    cores_per_rank: int = 1,
-    distribution: Optional[BlockDistribution] = None,
     exact_transfers: bool = True,
 ) -> SubmatrixRunCost:
     """Cost of a distributed submatrix-method sign evaluation.
@@ -391,13 +373,6 @@ def submatrix_method_cost(
         Machine model used to convert work/traffic into seconds.
     grouping:
         Block-column grouping (default: one submatrix per block column).
-    flop_constant:
-        Cost of the per-submatrix solve as a multiple of n³.
-    cores_per_rank:
-        Cores available to each rank (1 in the paper's submatrix runs).
-    distribution:
-        Block ownership; defaults to a round-robin distribution over a
-        near-square process grid, like DBCSR's default.
     exact_transfers:
         ``True`` plans block transfers per submatrix (exact deduplication
         bookkeeping); ``False`` uses the faster pattern-level planning, which
@@ -409,11 +384,9 @@ def submatrix_method_cost(
         block_sizes,
         n_ranks,
         grouping=grouping,
-        distribution=distribution,
-        flop_constant=flop_constant,
         exact_transfers=exact_transfers,
     )
-    return pipeline.cost(machine, cores_per_rank=cores_per_rank)
+    return pipeline.cost(machine)
 
 
 def estimate_newton_schulz_iterations(eps_filter: float, base_iterations: int = 14) -> int:
@@ -438,7 +411,6 @@ def newton_schulz_cost(
     machine: MachineModel,
     n_iterations: int = 20,
     cores_per_rank: int = 5,
-    fill_pattern: bool = True,
 ) -> SubmatrixRunCost:
     """Cost of the distributed 2nd-order Newton–Schulz baseline.
 
@@ -457,15 +429,16 @@ def newton_schulz_cost(
     n_iterations:
         Number of Newton–Schulz iterations (use
         :func:`estimate_newton_schulz_iterations` or a measured count).
-    fill_pattern:
-        Model the fill-in of the iterate: the steady-state pattern of X_k is
-        approximated by the boolean square of the input pattern (the filtered
-        density-matrix pattern is denser than the Hamiltonian's).
+
+    The fill-in of the iterate is modelled: the steady-state pattern of X_k
+    is approximated by the boolean square of the input pattern plus the
+    pattern itself (the filtered density-matrix pattern is denser than the
+    Hamiltonian's).
     """
     coo = _as_coo(pattern)
     block_sizes = np.asarray(list(block_sizes), dtype=float)
     base = coo.to_pattern().astype(bool)
-    iterate_pattern = ((base @ base) + base).astype(bool) if fill_pattern else base
+    iterate_pattern = ((base @ base) + base).astype(bool)
 
     # FLOPs of one block sparse multiply X·Y with X, Y having `iterate_pattern`:
     # sum_k b_k * (sum_i P[i,k] b_i) * (sum_j P[k,j] b_j)

@@ -109,27 +109,19 @@ class TransferPlan:
         """Total write-back volume."""
         return float(sum(summary.writeback_bytes for summary in self.per_rank))
 
-    def to_traffic_log(
-        self,
-        include_coo_allgather: bool = True,
-        coo_length: int = 0,
-    ) -> TrafficLog:
+    def to_traffic_log(self, coo_length: int = 0) -> TrafficLog:
         """Convert the plan into a per-rank traffic log.
 
-        Parameters
-        ----------
-        include_coo_allgather:
-            Also account the allgather of the COO block list performed during
-            initialization (Sec. IV-A1): every rank must learn the global
-            sparsity pattern (two 4-byte integers per non-zero block from
-            every other rank).
-        coo_length:
-            Number of non-zero blocks (needed for the allgather volume).
+        The fetch and write-back messages, plus the allgather of the COO
+        block list performed during initialization (Sec. IV-A1): every rank
+        must learn the global sparsity pattern, two 4-byte integers per
+        non-zero block from every other rank.  ``coo_length`` is the number
+        of non-zero blocks (0 leaves the allgather out).
         """
         log = TrafficLog(self.n_ranks)
         log.record_message_matrix(self.fetch_matrix)
         log.record_message_matrix(self.writeback_matrix)
-        if include_coo_allgather and self.n_ranks > 1 and coo_length > 0:
+        if self.n_ranks > 1 and coo_length > 0:
             log.record_allgather(8.0 * coo_length / self.n_ranks)
         return log
 

@@ -176,55 +176,29 @@ class DensityService:
         self.admission.release(tenant)
         self._count(outcome)
 
-    def submit(
-        self,
-        K,
-        S,
-        blocks,
-        tenant: str = "default",
-        mu: Optional[float] = None,
-        n_electrons: Optional[float] = None,
-        solver: str = "eigen",
-        grouping=None,
-        mu_tolerance: float = 1e-9,
-        max_mu_iterations: int = 200,
-        ranks: Optional[int] = None,
-        distribution=None,
-        observables=("density",),
-        observable_params=None,
-    ) -> Future:
+    def submit(self, K, S, blocks, tenant: str = "default", **request) -> Future:
         """Submit one request; returns a future of its result.
 
-        Arguments mirror :meth:`SubmatrixContext.observables
-        <repro.api.context.SubmatrixContext.observables>`; ``tenant``, a
-        ``str``, selects the per-tenant admission cap.  With the default
-        ``observables=("density",)`` the future resolves to the
-        :class:`~repro.api.results.SubmatrixDFTResult`; any other observable
-        set resolves to the :class:`~repro.api.results.ObservableBundle`.
-        A malformed request raises here, before admission; a refused one
-        raises :class:`ServiceOverloadError`.  An admitted request releases
-        its slot and is counted before its future resolves; one the pool
-        refuses (a ``submit`` racing :meth:`close`) does so before the
-        pool's ``RuntimeError`` propagates.
+        ``**request`` is a request of :meth:`SubmatrixContext.observables
+        <repro.api.context.SubmatrixContext.observables>`, checked by
+        :func:`~repro.api.observables.validate_request` with the shapes of
+        ``K`` and ``S``; ``tenant``, a ``str``, selects the per-tenant
+        admission cap.  With the default ``observables=("density",)`` the
+        future resolves to the :class:`~repro.api.results.SubmatrixDFTResult`;
+        any other observable set resolves to the
+        :class:`~repro.api.results.ObservableBundle`.  A malformed request
+        raises here, before admission; a refused one raises
+        :class:`ServiceOverloadError`.  An admitted request releases its slot
+        and is counted before its future resolves; one the pool refuses (a
+        ``submit`` racing :meth:`close`) does so before the pool's
+        ``RuntimeError`` propagates.
         """
         self._check_open()
         if not isinstance(tenant, str):
             raise TypeError(f"tenant must be a str, got {type(tenant).__name__}")
-        names, _, _ = validate_request(
-            self.context.config,
-            blocks,
-            observables,
-            mu,
-            n_electrons,
-            solver,
-            observable_params,
-            ranks,
-            distribution,
-            mu_tolerance,
-            max_mu_iterations,
-            grouping=grouping,
-            shapes=(np.shape(K), np.shape(S)),
-        )
+        names = validate_request(
+            self.context.config, blocks, (np.shape(K), np.shape(S)), **request
+        ).names
         try:
             self.admission.admit(tenant)
         except ServiceOverloadError:
@@ -234,21 +208,7 @@ class DensityService:
 
         def run():
             try:
-                bundle = self.context.observables(
-                    K,
-                    S,
-                    blocks,
-                    observables=names,
-                    mu=mu,
-                    n_electrons=n_electrons,
-                    solver=solver,
-                    grouping=grouping,
-                    mu_tolerance=mu_tolerance,
-                    max_mu_iterations=max_mu_iterations,
-                    ranks=ranks,
-                    distribution=distribution,
-                    observable_params=observable_params,
-                )
+                bundle = self.context.observables(K, S, blocks, **request)
             except BaseException:
                 self._finish(tenant, "failed")
                 raise

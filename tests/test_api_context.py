@@ -49,13 +49,9 @@ from repro.chem import (
     reference_density_matrix,
 )
 from repro.chem.hamiltonian import BlockStructure
-from repro.dbcsr import (
-    BlockDistribution,
-    BlockSparseMatrix,
-    CooBlockList,
-    ProcessGrid2D,
-)
+from repro.dbcsr import BlockSparseMatrix, CooBlockList
 from repro.core.batch import evaluate_batched
+from repro.core.combination import ColumnGrouping
 from repro.core.plan import GroupPlan, PlanCache
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_dense
 from repro.parallel.executor import BLAS_THREAD_VARIABLES
@@ -91,6 +87,11 @@ def assert_matches_reference_loop(ours, reference, kernel):
         assert np.max(np.abs(ours - reference), initial=0.0) <= PANEL_LAST_STEP_ATOL
     else:
         assert np.array_equal(ours, reference)
+
+
+def as_grouping(groups):
+    """The ``grouping=`` of ``apply`` for the reference loop's column groups."""
+    return None if groups is None else ColumnGrouping([list(g) for g in groups])
 
 
 def orthogonalized_block(pair, eps=EPS):
@@ -182,10 +183,10 @@ class TestEngineConfig:
             "max_workers",
             "eps_filter",
             "temperature",
-            "spin_degeneracy",
             "plan_cache_size",
         ]
         for removed, value in (
+            ("spin_degeneracy", 2.0),
             ("flop_constant", 1),
             ("exact_transfers", 1),
             ("bucket_pad", 8),
@@ -322,19 +323,15 @@ class TestEngineConfig:
             ("backend", "gpu"),
             ("eps_filter", -1.0),
             ("temperature", -1.0),
-            ("spin_degeneracy", 0.0),
-            # NaN silently disabled the filter, an infinite temperature or
-            # degeneracy gave a wrong or infinite electron count
+            # NaN silently disabled the filter, an infinite temperature gave
+            # a wrong electron count
             ("eps_filter", float("nan")),
             ("eps_filter", float("inf")),
             ("temperature", float("nan")),
             ("temperature", float("inf")),
-            ("spin_degeneracy", float("nan")),
-            ("spin_degeneracy", float("inf")),
             # -inf must name the field too, not slip past a sign check
             ("eps_filter", float("-inf")),
             ("temperature", float("-inf")),
-            ("spin_degeneracy", float("-inf")),
             ("plan_cache_size", 0),
             ("max_workers", 0),
             # a float or a bool would silently truncate to some count
@@ -731,8 +728,10 @@ class TestApplyEquivalence:
         }[kernel]
         spec, params = (per_matrix, {}) if kernel == "callable" else (kernel, {"mu": mu})
         with SubmatrixContext() as ctx:
-            new = ctx.apply(matrix, spec, column_groups=groups, **params)
-            sharded = ctx.apply(matrix, spec, column_groups=groups, ranks=2, **params)
+            new = ctx.apply(matrix, spec, grouping=as_grouping(groups), **params)
+            sharded = ctx.apply(
+                matrix, spec, grouping=as_grouping(groups), ranks=2, **params
+            )
         if sp.issparse(matrix):
             reference, dimensions = reference_apply_elementwise(matrix, per_matrix, groups)
             assert_matches_reference_loop(
@@ -771,7 +770,9 @@ class TestApplyEquivalence:
         csr = matrix.tocsr()
         converted = csr.tobsr(blocksize=(1, 1)) if fmt == "bsr" else csr.asformat(fmt)
         assert converted.format == fmt
-        new = SubmatrixContext().apply(converted, kernel, column_groups=groups, mu=0.2)
+        new = SubmatrixContext().apply(
+            converted, kernel, grouping=as_grouping(groups), mu=0.2
+        )
         reference, dimensions = reference_apply_elementwise(
             csr,
             {
@@ -799,8 +800,10 @@ class TestApplyEquivalence:
             (lambda a: a @ a - 0.5 * a, {}) if kernel == "callable" else (kernel, {"mu": 0.2})
         )
         with SubmatrixContext() as ctx:
-            single = ctx.apply(matrix, spec, column_groups=groups, **params)
-            sharded = ctx.apply(matrix, spec, column_groups=groups, ranks=ranks, **params)
+            single = ctx.apply(matrix, spec, grouping=as_grouping(groups), **params)
+            sharded = ctx.apply(
+                matrix, spec, grouping=as_grouping(groups), ranks=ranks, **params
+            )
         assert single.n_ranks == 1 and sharded.n_ranks == ranks
         assert np.array_equal(sharded.result.toarray(), single.result.toarray())
         assert np.array_equal(sharded.result.indices, single.result.indices)
@@ -830,9 +833,11 @@ class TestApplyEquivalence:
                         ctx.apply(matrix, kernel, ranks=ranks)
 
     def test_stale_plan_or_pattern_is_rejected(self):
-        """``plan=`` / ``coo=`` of an older pattern: the new blocks used to be
-        dropped in ``pack`` and f of the *old* pattern came back (max error
-        6.6 on this grid) — now a ``ValueError`` naming a dropped block."""
+        """``coo=`` of an older pattern: the new blocks used to be dropped in
+        ``pack`` and f of the *old* pattern came back (max error 6.6 on this
+        grid) — now a ``ValueError`` naming a dropped block.  ``apply`` takes
+        no pre-built ``plan=``: it reaches the kernel factory, which refuses
+        it by name."""
         rng = np.random.default_rng(7)
         n, size = 8, 3
         dense = np.zeros((n * size, n * size))
@@ -853,9 +858,12 @@ class TestApplyEquivalence:
 
         ctx = SubmatrixContext()
         stale = ctx.block_plan_for(old_coo, old.row_block_sizes, [[c] for c in range(n)])
-        for stale_argument in ({"plan": stale}, {"coo": old_coo}):
-            with pytest.raises(ValueError, match=r"stored block \(0, 5\)"):
-                ctx.apply(new, square, **stale_argument)
+        with pytest.raises(ValueError, match=r"stored block \(0, 5\)"):
+            ctx.apply(new, square, coo=old_coo)
+        with pytest.raises(TypeError, match="kernel parameters"):
+            ctx.apply(new, square, plan=stale)
+        with pytest.raises(TypeError, match="'plan'"):
+            ctx.apply(new, "eigen", plan=stale)
         # the matching pattern, and a superset of the stored blocks, still run
         right = ctx.apply(new, square)
         superset = ctx.apply(old, square, coo=CooBlockList.from_block_matrix(new))
@@ -1250,37 +1258,22 @@ class TestDistributedSession:
             with pytest.raises(TypeError, match="ranks must be an integer"):
                 ctx.apply(blocked, "eigen", mu=gap_mu, ranks=ranks)
         assert ctx.apply(blocked, "eigen", mu=gap_mu, ranks=np.int64(2)).n_ranks == 2
-        # a pre-built plan and a sharded run exclude each other
-        plan = ctx.block_plan_for(
-            CooBlockList.from_block_matrix(blocked), blocked.row_block_sizes,
-            [[c] for c in range(blocked.n_block_cols)],
-        )
-        with pytest.raises(ValueError, match="plan="):
-            ctx.apply(blocked, "eigen", mu=gap_mu, plan=plan, ranks=2)
 
-    def test_distribution_is_checked(self, water32_matrices, gap_mu):
-        """``distribution=`` fixes a sharded run's block ownership: it needs
-        ``ranks=``, that rank count and the matrix's block grid, and is
-        refused rather than ignored without them."""
+    def test_removed_options_are_refused_by_name(self, water32_matrices, gap_mu):
+        """``apply`` has no ``distribution=`` (ranks always get the default
+        round-robin grid) and no ``column_groups=`` (``grouping=`` takes a
+        ``ColumnGrouping``, checked as a density request's is): a removed
+        keyword reaches the kernel factory, which names it."""
         _, blocked = orthogonalized_block(water32_matrices)
-        n_blocks = blocked.n_block_cols
-        two = BlockDistribution(n_blocks, n_blocks, ProcessGrid2D(2, (1, 2)))
         ctx = SubmatrixContext()
-        for request, message in (
-            ({}, "pass ranks="),
-            ({"ranks": 4}, "distribution has 2 ranks"),
-        ):
-            with pytest.raises(ValueError, match=message):
-                ctx.apply(blocked, "eigen", mu=gap_mu, distribution=two, **request)
-        small = BlockDistribution(4, 4, ProcessGrid2D(2, (1, 2)))
-        with pytest.raises(ValueError, match="block grid"):
-            ctx.apply(blocked, "eigen", mu=gap_mu, distribution=small, ranks=2)
-        run = ctx.apply(blocked, "eigen", mu=gap_mu, distribution=two, ranks=2)
-        whole = ctx.apply(blocked, "eigen", mu=gap_mu)
-        assert run.n_ranks == 2
-        assert np.array_equal(
-            block_matrix_to_dense(run.result), block_matrix_to_dense(whole.result)
-        )
+        for keyword, value in (("distribution", None), ("column_groups", [[0]])):
+            with pytest.raises(TypeError, match=f"'{keyword}'"):
+                ctx.apply(blocked, "eigen", mu=gap_mu, ranks=2, **{keyword: value})
+        with pytest.raises(TypeError, match="grouping must be a ColumnGrouping"):
+            ctx.apply(blocked, "eigen", mu=gap_mu, grouping=[[0]])
+        with pytest.raises(ValueError, match="not covered"):
+            ctx.apply(blocked, "eigen", mu=gap_mu, grouping=ColumnGrouping([[0]]))
+        assert ctx.plan_cache.stats["misses"] == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -33,10 +33,9 @@ from repro.api import (
     SubmatrixContext,
     TrajectoryResult,
     TrajectoryStats,
-    compute_observables,
     run_trajectory,
 )
-from repro.api.observables import prepare_step
+from repro.api.observables import prepare_step, validate_request
 from repro.api.results import EnergyWeightedDensityResult, PDOSResult
 from repro.chem import reference_density_matrix
 from repro.core.plan import PlanCache
@@ -323,39 +322,6 @@ class TestShardedTrajectory:
             ), step
 
     @pytest.mark.slow
-    def test_explicit_distribution_reuses_one_pipeline(self, water32_matrices):
-        """An explicit block distribution must not force a replan per step."""
-        from repro.dbcsr.distribution import BlockDistribution, ProcessGrid2D
-        from repro.parallel.topology import balanced_dims
-
-        n_blocks = 32
-        grid = ProcessGrid2D(2, balanced_dims(2))
-        steps = value_only_steps(water32_matrices, 5)
-        ctx = SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS))
-        traj = ctx.trajectory(
-            steps,
-            water32_matrices.blocks,
-            n_electrons=N_ELECTRONS,
-            ranks=2,
-            distribution=BlockDistribution(n_blocks, n_blocks, grid),
-        )
-        assert ctx.stats()["pipelines_built"] == 1
-        # equal-content distribution objects share the cached pipeline
-        ctx.trajectory(
-            steps,
-            water32_matrices.blocks,
-            n_electrons=N_ELECTRONS,
-            ranks=2,
-            distribution=BlockDistribution(n_blocks, n_blocks, grid),
-        )
-        assert ctx.stats()["pipelines_built"] == 1
-        default = ctx.trajectory(
-            steps, water32_matrices.blocks, n_electrons=N_ELECTRONS, ranks=2
-        )
-        for step in range(len(steps)):
-            assert np.array_equal(traj[step].density_ao, default[step].density_ao)
-
-    @pytest.mark.slow
     def test_distributed_session_trajectory(self, water32_matrices):
         steps = value_only_steps(water32_matrices, 5)
         ctx = SubmatrixContext(EngineConfig(engine="batched", eps_filter=EPS))
@@ -501,7 +467,7 @@ class TestDeletedTrajectoryLayers:
         [
             ("density", "mu_bracket"),
             ("observables", "mu_bracket"),
-            ("compute_observables", "mu_bracket"),
+            ("validate_request", "mu_bracket"),
             ("submit", "mu_bracket"),
             ("run_trajectory", "warm_start_mu"),
             ("trajectory", "checkpoint"),
@@ -523,8 +489,8 @@ class TestDeletedTrajectoryLayers:
                 "observables": lambda: ctx.observables(
                     pair.K, pair.S, pair.blocks, **request
                 ),
-                "compute_observables": lambda: compute_observables(
-                    ctx, pair.K, pair.S, pair.blocks, **request
+                "validate_request": lambda: validate_request(
+                    ctx.config, pair.blocks, **request
                 ),
                 "submit": lambda: service.submit(
                     pair.K, pair.S, pair.blocks, **request

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.api import EngineConfig, SubmatrixContext
+from repro.core.combination import ColumnGrouping
 from repro.dbcsr.convert import block_matrix_from_dense, block_matrix_to_dense
 from repro.signfn import inverse_pth_root, sign_via_eigendecomposition
 
@@ -52,19 +53,21 @@ class TestElementLevel:
     def test_column_groups(self, decay_sparse):
         context = SubmatrixContext()
         groups = [list(range(i, min(i + 10, 60))) for i in range(0, 60, 10)]
-        result = context.apply(decay_sparse, SIGN, column_groups=groups)
+        result = context.apply(decay_sparse, SIGN, grouping=ColumnGrouping(groups))
         assert result.n_submatrices == 6
 
     def test_invalid_groups(self, decay_sparse):
         context = SubmatrixContext()
-        with pytest.raises(ValueError):
-            context.apply(
-                decay_sparse, SIGN, column_groups=[[0, 1], [1, 2]]
-            )
-        with pytest.raises(ValueError):
-            context.apply(decay_sparse, SIGN, column_groups=[[0]])
-        with pytest.raises(IndexError):
-            context.apply(decay_sparse, SIGN, column_groups=[[0, 600]])
+        for groups, error in (
+            ([[0, 1], [1, 2]], ValueError),
+            ([[0]], ValueError),
+            ([[0, 600]], IndexError),
+        ):
+            with pytest.raises(error):
+                context.apply(decay_sparse, SIGN, grouping=ColumnGrouping(groups))
+        # the request's own type check: a bare list is not a grouping
+        with pytest.raises(TypeError, match="ColumnGrouping"):
+            context.apply(decay_sparse, SIGN, grouping=[[c] for c in range(60)])
 
     def test_non_square_rejected(self):
         context = SubmatrixContext()
@@ -124,7 +127,9 @@ class TestBlockLevel:
         context = SubmatrixContext()
         single = context.apply(blocked, SIGN)
         grouped = context.apply(
-            blocked, SIGN, column_groups=[[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+            blocked,
+            SIGN,
+            grouping=ColumnGrouping([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]),
         )
         assert single.n_submatrices == 12
         assert grouped.n_submatrices == 3

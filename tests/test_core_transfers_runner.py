@@ -11,9 +11,13 @@ from repro.core import (
     submatrix_method_cost,
 )
 from repro.core.combination import group_columns_greedy_chunks
-from repro.core.runner import estimate_newton_schulz_iterations
+from repro.core.runner import (
+    DistributedSubmatrixPipeline,
+    estimate_newton_schulz_iterations,
+)
 from repro.dbcsr import BlockDistribution, CooBlockList, ProcessGrid2D
 from repro.parallel import MachineModel
+from repro.parallel.topology import balanced_dims
 
 
 def banded_pattern(n_blocks, bandwidth=2):
@@ -89,11 +93,11 @@ class TestTransferPlan:
     def test_traffic_log_reflects_plan(self, small_plan_inputs):
         coo, sizes, distribution, grouping, ranks = small_plan_inputs
         plan = plan_transfers(coo, sizes, distribution, grouping, ranks)
-        log = plan.to_traffic_log(include_coo_allgather=False)
+        log = plan.to_traffic_log()  # no block count: no COO allgather
         assert log.total_bytes_sent() == pytest.approx(
             plan.total_fetch_bytes + plan.total_writeback_bytes
         )
-        with_coo = plan.to_traffic_log(include_coo_allgather=True, coo_length=len(coo))
+        with_coo = plan.to_traffic_log(coo_length=len(coo))
         assert with_coo.total_bytes_sent() > log.total_bytes_sent()
 
     def test_rank_of_group_length_checked(self, small_plan_inputs):
@@ -223,24 +227,26 @@ def test_cost_model_figures_are_pinned(exact, n_ranks):
     assert got == COST_PINS[exact, n_ranks]
 
 
-def test_cost_model_refuses_a_distribution_of_another_block_grid():
-    """The pipeline runs the session API's one distribution check: a
-    distribution for 10 blocks on an 8-block pattern is refused, not
-    silently planned."""
+def test_cost_model_owns_blocks_on_the_default_grid():
+    """Ranks always get DBCSR's default distribution: blocks round-robin over
+    a near-square process grid.  There is no per-call ``distribution=``."""
     pattern = banded_pattern(8, bandwidth=1)
-    machine = MachineModel()
-    foreign = BlockDistribution(10, 10, ProcessGrid2D(4, (2, 2)))
-    with pytest.raises(ValueError, match="10x10 block grid, the request's is 8x8"):
-        submatrix_method_cost(pattern, [6] * 8, 4, machine, distribution=foreign)
-    with pytest.raises(ValueError, match="distribution has 4 ranks"):
-        submatrix_method_cost(
-            pattern, [6] * 8, 2, machine,
-            distribution=BlockDistribution(8, 8, ProcessGrid2D(4, (2, 2))),
+    for n_ranks in (1, 4, 6):
+        pipeline = DistributedSubmatrixPipeline(pattern, [6] * 8, n_ranks)
+        grid = ProcessGrid2D(n_ranks, balanced_dims(n_ranks))
+        default = BlockDistribution(8, 8, grid)
+        assert (pipeline.distribution.grid.rows, pipeline.distribution.grid.cols) == (
+            grid.rows,
+            grid.cols,
         )
-    own = BlockDistribution(8, 8, ProcessGrid2D(4, (2, 2)))
-    assert submatrix_method_cost(
-        pattern, [6] * 8, 4, machine, distribution=own
-    ).details["fetch_bytes"] > 0
+        assert np.array_equal(
+            pipeline.distribution.row_distribution, default.row_distribution
+        )
+        assert np.array_equal(
+            pipeline.distribution.col_distribution, default.col_distribution
+        )
+    with pytest.raises(TypeError, match="distribution"):
+        submatrix_method_cost(pattern, [6] * 8, 4, MachineModel(), distribution=None)
 
 
 class TestNewtonSchulzCost:
@@ -271,15 +277,14 @@ class TestNewtonSchulzCost:
         assert bytes_per_rank_many > bytes_per_rank_few / 16
 
     def test_fill_pattern_increases_cost(self):
+        """The iterate is modelled on the filled pattern P² + P, so a
+        multiplication costs more than one on the input pattern P."""
         pattern = banded_pattern(32, bandwidth=2)
-        machine = MachineModel()
-        without = newton_schulz_cost(
-            pattern, [6] * 32, 4, machine, fill_pattern=False
-        )
-        with_fill = newton_schulz_cost(
-            pattern, [6] * 32, 4, machine, fill_pattern=True
-        )
-        assert with_fill.total_flops > without.total_flops
+        cost = newton_schulz_cost(pattern, [6] * 32, 4, MachineModel())
+        bare = pattern.astype(bool).astype(float)
+        sizes = np.full(32, 6.0)
+        bare_flops = 2.0 * float(np.sum(sizes * (bare.T @ sizes) * (bare @ sizes)))
+        assert cost.details["multiply_flops"] > bare_flops
 
     def test_iteration_estimate_monotone(self):
         assert estimate_newton_schulz_iterations(1e-9) >= estimate_newton_schulz_iterations(1e-5)

@@ -38,13 +38,9 @@ from repro.api import (
     available_observables,
     get_observable,
 )
-from repro.api.observables import (
-    compute_observables,
-    normalize_observables,
-    prepare_step,
-)
+from repro.api.observables import normalize_observables, prepare_step
 from repro.chem import reference_density_matrix
-from repro.chem.density import fermi_occupation
+from repro.chem.density import SPIN_DEGENERACY, fermi_occupation
 from repro.chem.hamiltonian import BlockStructure
 from repro.serve import DensityService
 
@@ -437,7 +433,7 @@ class TestAgainstDenseReference:
         pdos = bundle["pdos"]
         # each dense eigenvalue carries total spectral weight 1 (eigenvector
         # normalization), so the broadened DOS has a closed dense form
-        norm = config.spin_degeneracy / (
+        norm = SPIN_DEGENERACY / (
             pdos.broadening * np.sqrt(2.0 * np.pi)
         )
         delta = (pdos.energies[None, :] - eigenvalues[:, None]) / pdos.broadening
@@ -445,7 +441,7 @@ class TestAgainstDenseReference:
         np.testing.assert_allclose(pdos.dos, dense_dos, rtol=1e-10, atol=1e-12)
         # the integrated DOS counts all states
         assert pdos.integrated_states() == pytest.approx(
-            config.spin_degeneracy * len(eigenvalues), rel=1e-6
+            SPIN_DEGENERACY * len(eigenvalues), rel=1e-6
         )
 
     def test_energy_weighted_matches_dense(self, dense_case):
@@ -459,7 +455,7 @@ class TestAgainstDenseReference:
             result.energy_weighted_ao, dense_w, atol=1e-12
         )
         assert result.band_energy == pytest.approx(
-            config.spin_degeneracy * float(np.sum(eigenvalues * occupations)),
+            SPIN_DEGENERACY * float(np.sum(eigenvalues * occupations)),
             abs=1e-10,
         )
 
@@ -579,8 +575,7 @@ class TestRegistry:
         pair = water32_matrices
         with SubmatrixContext(CONFIG) as ctx:
             with pytest.raises(ValueError, match="not in the requested"):
-                compute_observables(
-                    ctx,
+                ctx.observables(
                     pair.K,
                     pair.S,
                     pair.blocks,

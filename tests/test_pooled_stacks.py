@@ -73,7 +73,7 @@ def run_every_route(config, pair, mu):
             pair.K,
             pair.S,
             pair.blocks,
-            ALL_OBSERVABLES,
+            observables=ALL_OBSERVABLES,
             n_electrons=N_ELECTRONS,
             observable_params={"pdos": {"n_points": 64}},
         )

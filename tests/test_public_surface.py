@@ -14,12 +14,18 @@ recursive call, a class naming itself, a method reading itself), the
 constants, not names) and the re-exports of a package ``__init__.py``.
 Names are matched without their module or class, so a public name that two
 modules or classes define counts as referenced when either is.
+
+The same holds for the options a caller sets (``test_every_option_has_a_caller``):
+every request keyword, config field and session or service option is passed
+by name in some call under ``benchmarks/`` or ``examples/``, or it goes.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import functools
+import inspect
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -37,6 +43,31 @@ EXEMPT = {
         "item 1(f): an inert pin benchmarks/e2e reads by name; it goes with "
         "the pin"
     ),
+}
+
+#: Options kept without a caller, as ``owner.option``, each with the ROADMAP
+#: item that gives it one.  An option leaves this table when a bench or an
+#: example passes it, or when it is deleted.
+EXEMPT_OPTIONS = {
+    "validate_request.grouping": (
+        "items 3(b) and 22: grouping=None comes to mean 'choose', and an "
+        "explicit grouping (a single group above the crossover) overrides it"
+    ),
+    "SubmatrixContext.apply.grouping": (
+        "items 3(b) and 22: the same grouping= as every density request"
+    ),
+}
+
+#: Where a caller sets options: the calls (by the name they are made through)
+#: whose keyword arguments count for an owner's options.
+OPTION_CALLS = {
+    "validate_request": {
+        "validate_request", "observables", "density", "trajectory", "submit"
+    },
+    "EngineConfig": {"EngineConfig", "replace"},
+    "SubmatrixContext.apply": {"apply"},
+    "SubmatrixContext.pipeline": {"pipeline"},
+    "DensityService": {"DensityService", "submit"},
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -130,3 +161,77 @@ def test_every_exemption_is_still_needed():
         if name not in definitions or _referred_name(name) in referenced
     )
     assert not stale, f"drop these from EXEMPT (deleted or now called): {stale}"
+
+
+def _options(function):
+    """The parameters of ``function`` a caller may set by name: those with a
+    default that are not positional-only."""
+    named = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    return [
+        parameter.name
+        for parameter in inspect.signature(function).parameters.values()
+        if parameter.kind in named and parameter.default is not parameter.empty
+    ]
+
+
+def owned_options():
+    """``{owner: option names}`` of the request vocabulary, the config and the
+    session's and service's keyword options."""
+    from repro.api import EngineConfig, SubmatrixContext
+    from repro.api.observables import validate_request
+    from repro.serve import DensityService
+
+    return {
+        "validate_request": _options(validate_request),
+        "EngineConfig": [field.name for field in dataclasses.fields(EngineConfig)],
+        "SubmatrixContext.apply": _options(SubmatrixContext.apply),
+        "SubmatrixContext.pipeline": _options(SubmatrixContext.pipeline),
+        "DensityService": _options(DensityService.__init__)
+        + _options(DensityService.submit),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def passed_keywords():
+    """``{call name: keyword names}`` of every call in ``benchmarks/`` and
+    ``examples/``, a call named by its function or method name."""
+    passed = {}
+    for directory in ("benchmarks", "examples"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                function = node.func
+                name = getattr(function, "attr", None) or getattr(function, "id", None)
+                keywords = {keyword.arg for keyword in node.keywords if keyword.arg}
+                passed.setdefault(name, set()).update(keywords)
+    return passed
+
+
+def test_every_option_has_a_caller():
+    """An option that only tests set is a knob nobody turns: it goes (or
+    becomes a constant) unless ``EXEMPT_OPTIONS`` names the ROADMAP item that
+    gives it a caller."""
+    passed = passed_keywords()
+    orphans, stale = [], []
+    for owner, options in owned_options().items():
+        calls = OPTION_CALLS[owner]
+        callers = set().union(*(passed.get(call, set()) for call in calls))
+        for option in options:
+            name = f"{owner}.{option}"
+            if name in EXEMPT_OPTIONS:
+                if option in callers:
+                    stale.append(name)
+            elif option not in callers:
+                orphans.append(name)
+    known = {
+        f"{owner}.{option}"
+        for owner, options in owned_options().items()
+        for option in options
+    }
+    stale += sorted(set(EXEMPT_OPTIONS) - known)
+    assert not orphans, (
+        "options no bench or example passes — make them constants or delete "
+        "them:\n  " + "\n  ".join(orphans)
+    )
+    assert not stale, f"drop these from EXEMPT_OPTIONS (deleted or now passed): {stale}"

@@ -163,21 +163,13 @@ INVALID_REQUESTS = {
     "ranks_zero": dict(mu=0.0, ranks=0),
     "ranks_float": dict(mu=0.0, ranks=1.7),
     "ranks_bool": dict(mu=0.0, ranks=True),
-    # zero or negative μ-search steps returned the bracket's midpoint as μ
-    "max_mu_iterations_zero": dict(n_electrons=N_ELECTRONS, max_mu_iterations=0),
-    "max_mu_iterations_negative": dict(
-        n_electrons=N_ELECTRONS, max_mu_iterations=-3
-    ),
-    "max_mu_iterations_float": dict(n_electrons=N_ELECTRONS, max_mu_iterations=2.5),
     "mu_tolerance_nan": dict(n_electrons=N_ELECTRONS, mu_tolerance=float("nan")),
     "mu_tolerance_inf": dict(n_electrons=N_ELECTRONS, mu_tolerance=float("inf")),
     "mu_tolerance_negative": dict(n_electrons=N_ELECTRONS, mu_tolerance=-1e-9),
-    # a distribution fixes a sharded run's ownership over 32 block columns
-    "distribution_without_ranks": dict(mu=0.0, distribution=TWO_RANKS),
-    "distribution_rank_mismatch": dict(mu=0.0, ranks=4, distribution=TWO_RANKS),
-    "distribution_wrong_grid": dict(
-        mu=0.0, ranks=2, distribution=BlockDistribution(8, 8, ProcessGrid2D(2, (1, 2)))
-    ),
+    # keywords a request no longer takes: ranks always get the default
+    # round-robin grid, and the μ search stops at MAX_MU_ITERATIONS
+    "distribution_removed": dict(mu=0.0, ranks=2, distribution=TWO_RANKS),
+    "max_mu_iterations_removed": dict(n_electrons=N_ELECTRONS, max_mu_iterations=200),
     # a grouping must be a ColumnGrouping partitioning the 32 block columns
     "grouping_uncovered": dict(mu=0.0, grouping=ColumnGrouping([[0]])),
     "grouping_duplicate": dict(
@@ -229,14 +221,30 @@ def test_invalid_trajectory_is_refused_before_admission(water32_matrices, name):
         assert context.stats()["overlap_roots"]["misses"] == 0
 
 
-@pytest.mark.slow
-def test_valid_distribution_is_bitwise_the_default_one(water32_matrices, gap_mu):
-    reference = run_direct(water32_matrices, mu=gap_mu, ranks=2)
-    for entry_point in ENTRY_POINTS:
-        result = entry_point(
-            water32_matrices, mu=gap_mu, ranks=2, distribution=TWO_RANKS
-        )
-        assert_same_result(result, reference, ("density",))
+@pytest.mark.parametrize("keyword", ["distribution", "max_mu_iterations"])
+def test_removed_keyword_is_a_type_error_naming_it(water32_matrices, keyword):
+    """A removed request keyword is refused by name from every entry point,
+    before a plan or an overlap root is looked up and with nothing admitted —
+    never accepted and ignored."""
+    request = INVALID_REQUESTS[f"{keyword}_removed"]
+    assert keyword in request
+    pair = water32_matrices
+    refused = pytest.raises(TypeError, match=f"'{keyword}'")
+    with SubmatrixContext(CONFIG) as context:
+        with refused:
+            context.observables(pair.K, pair.S, pair.blocks, **request)
+        with refused:
+            context.density(pair.K, pair.S, pair.blocks, **request)
+        with refused:
+            context.trajectory([(pair.K, pair.S)], pair.blocks, **request)
+        assert context.plan_cache.stats["misses"] == 0
+        assert context.stats()["overlap_roots"]["misses"] == 0
+    with DensityService(config=CONFIG) as service:
+        with refused:
+            service.submit(pair.K, pair.S, pair.blocks, **request)
+        snapshot = service.stats()
+    assert snapshot["metrics"]["total"]["admitted"] == 0
+    assert service.context.plan_cache.stats["misses"] == 0
 
 
 @pytest.mark.parametrize("name", sorted(INVALID_REQUESTS))

@@ -334,7 +334,7 @@ class TestPackedSegmentTransfers:
     def test_traffic_log_charges_the_one_fetch_volume(self, transfer_inputs):
         coo, sizes, grouping, plan = transfer_inputs
         _, transfer, _ = self._plans_for(coo, sizes, grouping, plan, 4)
-        log = transfer.to_traffic_log(include_coo_allgather=False)
+        log = transfer.to_traffic_log()
         assert log.total_bytes_sent() == pytest.approx(
             transfer.total_fetch_bytes + transfer.total_writeback_bytes
         )
@@ -398,14 +398,12 @@ class TestDistributedPipeline:
         matrix, sizes, coo = block_system
         grouping = group_columns_greedy_chunks(coo.n_block_cols, 3)
         ctx = SubmatrixContext()
-        single = ctx.apply(
-            matrix, SIGN_PER_MATRIX, column_groups=grouping.groups, coo=coo
-        )
+        single = ctx.apply(matrix, SIGN_PER_MATRIX, grouping=grouping, coo=coo)
         pipeline = DistributedSubmatrixPipeline(coo, sizes, 4, grouping=grouping)
         result = run_pipeline(pipeline, matrix, SIGN_PER_MATRIX)
         assert_same_blocks(single.result, result)
         via_session = ctx.apply(
-            matrix, SIGN_PER_MATRIX, column_groups=grouping.groups, coo=coo, ranks=4
+            matrix, SIGN_PER_MATRIX, grouping=grouping, coo=coo, ranks=4
         )
         assert_same_blocks(single.result, via_session.result)
 
@@ -427,7 +425,7 @@ class TestDistributedPipeline:
     def test_process_backend_rejected(self, block_system):
         """Ranks scatter into shared memory; a process pool cannot."""
         with pytest.raises(ValueError):
-            SubmatrixContext(backend="process")
+            SubmatrixContext(EngineConfig(backend="process"))
 
     def test_traffic_log_matches_assignment_flops(self, block_system):
         matrix, sizes, coo = block_system

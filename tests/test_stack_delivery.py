@@ -179,7 +179,7 @@ def test_requests_deliver_the_per_member_bits(inputs, gap_mu, monkeypatch, name,
         streamed = context.density(pair.K, pair.S, blocks, mu=gap_mu)
         assert_csr_equal(streamed.density_ortho, eigen)
         collected = context.observables(
-            pair.K, pair.S, blocks, ("density", "pdos"), mu=gap_mu
+            pair.K, pair.S, blocks, observables=("density", "pdos"), mu=gap_mu
         )["density"]
         assert_csr_equal(collected.density_ortho, eigen)
         assert_same_bits(collected.density_ao, streamed.density_ao)

@@ -20,6 +20,7 @@ from repro.core import (
     make_buckets,
 )
 from repro.core.batch import evaluate_batched, make_stack_tasks
+from repro.core.combination import ColumnGrouping
 from repro.core.plan import block_plan
 from repro.core.shard import ShardedPlan
 from repro.dbcsr import BlockSparseMatrix, CooBlockList
@@ -89,6 +90,16 @@ def scalar_grid(matrix):
     return block_matrix_from_csr(matrix, [1] * matrix.shape[0])
 
 
+def as_grouping(groups):
+    """The ``grouping=`` of ``apply`` for the reference loop's column groups."""
+    return None if groups is None else ColumnGrouping(groups)
+
+
+def scalar_coo(matrix):
+    """The 1×1-block pattern ``apply`` plans a SciPy matrix on (its ``coo=``)."""
+    return CooBlockList.from_block_matrix(scalar_grid(matrix))
+
+
 def scalar_plan(matrix, groups, cache=None):
     """The plan ``apply`` looks up for a SciPy matrix and column grouping."""
     blocked = scalar_grid(matrix)
@@ -125,7 +136,7 @@ class TestElementPlanEquivalence:
             naive, dimensions = reference_apply_elementwise(
                 matrix, lambda a: a @ a, groups
             )
-            planned = context.apply(matrix, lambda a: a @ a, groups)
+            planned = context.apply(matrix, lambda a: a @ a, as_grouping(groups))
             assert dimensions == planned.submatrix_dimensions
             assert (naive != planned.result).nnz == 0
             assert np.array_equal(naive.toarray(), planned.result.toarray())
@@ -149,17 +160,17 @@ class TestElementPlanEquivalence:
     def test_pack_rejects_different_pattern(self):
         matrix = random_sparse_symmetric(30, 0.1, 1)
         other = random_sparse_symmetric(30, 0.1, 2)
-        plan = scalar_plan(matrix, [[c] for c in range(30)])
         with pytest.raises(ValueError, match="not in the planned pattern"):
-            SubmatrixContext().apply(other, lambda a: a @ a, plan=plan)
+            SubmatrixContext().apply(other, lambda a: a @ a, coo=scalar_coo(matrix))
 
     def test_pack_accepts_same_pattern_new_values(self):
         matrix = random_sparse_symmetric(30, 0.1, 1)
         scaled = matrix * 2.0
         groups = [[c] for c in range(30)]
-        plan = scalar_plan(matrix, groups)
         context = SubmatrixContext()
-        planned = context.apply(scaled, lambda a: a @ a, groups, plan=plan)
+        planned = context.apply(
+            scaled, lambda a: a @ a, as_grouping(groups), coo=scalar_coo(matrix)
+        )
         naive, _ = reference_apply_elementwise(scaled, lambda a: a @ a, groups)
         assert np.array_equal(naive.toarray(), planned.result.toarray())
 
@@ -174,7 +185,7 @@ class TestBlockPlanEquivalence:
             naive, dimensions = reference_apply_blockwise(
                 matrix, lambda a: a @ a + a, groups
             )
-            planned = context.apply(matrix, lambda a: a @ a + a, groups)
+            planned = context.apply(matrix, lambda a: a @ a + a, as_grouping(groups))
             assert dimensions == planned.submatrix_dimensions
             dense_naive = block_matrix_to_dense(naive)
             dense_plan = block_matrix_to_dense(planned.result)
@@ -190,7 +201,7 @@ class TestBlockPlanEquivalence:
         context = SubmatrixContext()
         groups = [[0, 2], [1], [3, 4], [5]]
         naive, _ = reference_apply_blockwise(matrix, lambda a: a @ a, groups)
-        planned = context.apply(matrix, lambda a: a @ a, groups)
+        planned = context.apply(matrix, lambda a: a @ a, as_grouping(groups))
         assert np.array_equal(
             block_matrix_to_dense(naive), block_matrix_to_dense(planned.result)
         )
@@ -313,9 +324,10 @@ class TestPlanCache:
 
     def test_method_uses_private_cache_even_when_empty(self):
         """Regression: an empty PlanCache is falsy (__len__) but must be used."""
-        cache = PlanCache()
         matrix = random_sparse_symmetric(20, 0.1, 12)
-        context = SubmatrixContext(plan_cache=cache)
+        context = SubmatrixContext()
+        cache = context.plan_cache
+        assert not cache
         context.apply(matrix, lambda a: a @ a)
         context.apply(matrix, lambda a: a @ a)
         assert cache.stats == expected_stats(hits=1, misses=1, plans=1)
@@ -325,10 +337,10 @@ class TestPlanCache:
         in-place value mutation reuses the plan — and because plans store
         only index arrays (``pack`` re-reads the values every call), the
         cached plan must never replay the previous values."""
-        cache = PlanCache()
         matrix = random_block_symmetric(6, 2, 2, 5)
         coo = CooBlockList.from_block_matrix(matrix)
-        context = SubmatrixContext(plan_cache=cache)
+        context = SubmatrixContext()
+        cache = context.plan_cache
         first = context.apply(matrix, lambda a: a @ a, coo=coo)
         blocks = blocks_of(matrix)  # views into the value buffer
         key = sorted(blocks)[0]
