@@ -120,8 +120,11 @@ INVALID_REQUESTS = {
     "n_electrons_nan": dict(n_electrons=float("nan")),
     "n_electrons_above_capacity": dict(n_electrons=394.0),
     "n_electrons_negative": dict(n_electrons=-5.0),
+    "n_electrons_inf": dict(n_electrons=float("inf")),
     "mu_nan": dict(mu=float("nan")),
     "mu_inf": dict(mu=float("inf")),
+    # one μ for the whole request, not one per submatrix or per step
+    "mu_sequence": dict(mu=[0.0, 0.1]),
     "both_mu_and_n_electrons": dict(mu=0.0, n_electrons=N_ELECTRONS),
     "neither_mu_nor_n_electrons": dict(),
     "canonical_newton_schulz": dict(
@@ -131,6 +134,7 @@ INVALID_REQUESTS = {
         mu=0.0, solver="newton_schulz", observables=("density", "pdos")
     ),
     "unknown_observable": dict(mu=0.0, observables=("density", "densty")),
+    "no_observables": dict(mu=0.0, observables=()),
     "unknown_solver": dict(mu=0.0, solver="eigne"),
     "params_for_unrequested_observable": dict(
         mu=0.0, observable_params={"pdos": {"n_points": 64}}
@@ -152,6 +156,16 @@ INVALID_REQUESTS = {
         observables=("density", "pdos"),
         observable_params={"pdos": {"energy_window": (1.0, 0.0)}},
     ),
+    "pdos_n_points_one": dict(
+        mu=0.0,
+        observables=("density", "pdos"),
+        observable_params={"pdos": {"n_points": 1}},
+    ),
+    "pdos_unknown_parameter": dict(
+        mu=0.0,
+        observables=("density", "pdos"),
+        observable_params={"pdos": {"n_pts": 64}},
+    ),
     "density_params": dict(mu=0.0, observable_params={"density": {"n_points": 64}}),
     "energy_weighted_params": dict(
         mu=0.0,
@@ -163,6 +177,7 @@ INVALID_REQUESTS = {
     "ranks_zero": dict(mu=0.0, ranks=0),
     "ranks_float": dict(mu=0.0, ranks=1.7),
     "ranks_bool": dict(mu=0.0, ranks=True),
+    "ranks_negative": dict(mu=0.0, ranks=-2),
     "mu_tolerance_nan": dict(n_electrons=N_ELECTRONS, mu_tolerance=float("nan")),
     "mu_tolerance_inf": dict(n_electrons=N_ELECTRONS, mu_tolerance=float("inf")),
     "mu_tolerance_negative": dict(n_electrons=N_ELECTRONS, mu_tolerance=-1e-9),
@@ -174,6 +189,9 @@ INVALID_REQUESTS = {
     "grouping_uncovered": dict(mu=0.0, grouping=ColumnGrouping([[0]])),
     "grouping_duplicate": dict(
         mu=0.0, grouping=ColumnGrouping([[c] for c in range(32)] + [[0]])
+    ),
+    "grouping_empty_group": dict(
+        mu=0.0, grouping=ColumnGrouping([[c] for c in range(32)] + [[]])
     ),
     "grouping_str": dict(mu=0.0, grouping="x"),
 }
