@@ -34,7 +34,6 @@ from repro.api.config import (
     EngineConfig,
 )
 from repro.api.results import (
-    DecomposedSubmatrix,
     EnergyWeightedDensityResult,
     ObservableBundle,
     PDOSResult,
@@ -71,7 +70,6 @@ __all__ = [
     "run_trajectory",
     "SubmatrixMethodResult",
     "SubmatrixDFTResult",
-    "DecomposedSubmatrix",
     "ObservableBundle",
     "PDOSResult",
     "EnergyWeightedDensityResult",

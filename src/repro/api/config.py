@@ -48,7 +48,7 @@ BACKENDS = ("serial", "thread")
 #: That last term is the accounting of the paper's cost model and of the
 #: ledger's staged replay, which both form the full product; the engine
 #: itself forms only the generating-column panel (2·n²·w,
-#: :func:`repro.core.batch.spectral_panel`).  The value is what the load
+#: :func:`repro.core.batch.spectral_panels`).  The value is what the load
 #: balancer weighs submatrices with and what ``benchmarks/e2e`` imports to
 #: count ``signfn.eigh_flops``: it stays.
 EIGENSOLVE_FLOP_CONSTANT = 9.0

@@ -37,20 +37,23 @@ pass has two modes, chosen by whether anything downstream reads the spectra:
 
 * *collect* — a canonical request (``n_electrons=``: the bisection runs on
   them) and a bundle with ``pdos`` or ``energy_weighted_density`` (assembled
-  from them) keep every ``(λ, Q)`` as read-only :class:`DecomposedSubmatrix`
-  entries, Σdᵢ²·8 B;
+  from them) keep the rank loop's spectra as one read-only
+  :class:`StackSpectra` record per stack — ``(members, λ, Q)`` and the
+  generating weights Σ Q[rows]², formed in the stack task — Σdᵢ²·8 B;
 * *scatter* — a fixed-``mu=`` request whose observables all have
   ``supports_iterative`` streams ``eigh → occupy → scatter`` per stack inside
   the stack task (rank- and worker-parallel) and keeps nothing: at most one
   stack of eigenvectors is alive per worker.  The Newton–Schulz kernel has
   always run this way.
 
-Either way a spectral product forms only the generating-column panel
-(:func:`~repro.core.batch.spectral_panel`: d²·w flops, not d³; batched per
-stack and generating width in scatter mode, one GEMM per slice) and the
-panels are written with one scatter (per stack, or per request from the
-cache), so both modes — and with them direct, served and sharded calls — are
-bitwise equal.
+Both modes deliver a spectral stack with one panel former
+(:func:`~repro.core.batch.spectral_panels`: generating columns only, d²·w
+flops instead of d³) and one scatter per stack; they differ only in when it
+runs — inside the stack task, or on the caller thread once the bisection
+has fixed μ — so both, and with them direct, served and sharded calls, are
+bitwise equal.  The bisection and the PDOS ``eigenvalues``/``weights`` read
+the spectra gathered back into plan group order
+(:attr:`Decomposition.spectrum`).
 
 The observables:
 
@@ -84,6 +87,7 @@ from typing import (
     Dict,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -95,7 +99,6 @@ import scipy.sparse as sp
 
 from repro.api.config import check_positive_int
 from repro.api.results import (
-    DecomposedSubmatrix,
     EnergyWeightedDensityResult,
     ObservableBundle,
     PDOSResult,
@@ -107,13 +110,13 @@ from repro.chem.density import (
     electron_count,
     fermi_occupation,
 )
-from repro.core.batch import spectral_panel, spectral_panels
+from repro.core.batch import spectral_panels
 from repro.core.combination import ColumnGrouping, check_grouping
 from repro.core.plan import BlockSubmatrixPlan
 from repro.chem.orthogonalize import orthogonalized_ks_blocks
 from repro.dbcsr.block_matrix import BlockSparseMatrix
 from repro.dbcsr.convert import block_matrix_to_csr
-from repro.dbcsr.coo import CooBlockList
+from repro.dbcsr.coo import CooBlockList, concat_ranges
 from repro.dbcsr.product import PanelRuns, triple_product
 from repro.parallel.executor import map_parallel
 from repro.signfn.registry import KernelStackSolver, get_kernel
@@ -138,6 +141,11 @@ __all__ = [
 
 #: Most bisection steps of a canonical request's μ search (Algorithm 1).
 MAX_MU_ITERATIONS = 200
+
+#: Most elements of one PDOS pass's ``(slots, d, n_points)`` temporaries
+#: (1 MiB): a whole water-32 stack in one pass (7 × 192 × 400) made a PDOS
+#: bundle 5 % slower and its peak 10 MiB larger (2-core AMD EPYC, 1 MiB L2).
+PDOS_PASS_ELEMENTS = 1 << 17
 
 
 # --------------------------------------------------------------------------- #
@@ -442,6 +450,23 @@ def _check_shapes(k_shape, s_shape, blocks) -> None:
             )
 
 
+class StackSpectra(NamedTuple):
+    """The collect mode's record of one solved stack of ``k`` submatrices of
+    dimension ``d``; λ, Q and the weights are read-only.
+
+    ``members`` are the stack slots' global plan groups, ``eigenvalues`` and
+    ``eigenvectors`` the ``(k, d)`` and ``(k, d, d)`` output of ``eigh``, and
+    ``weights`` the ``(k, d)`` generating weights Σ_rows Q[rows]² over each
+    member's generating rows: the electron count at μ is ``weights ·
+    f(λ − μ)``, so Algorithm 1 never re-slices the eigenvectors.
+    """
+
+    members: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    weights: np.ndarray
+
+
 @dataclasses.dataclass
 class Decomposition:
     """The one record of a request: its engine pass, μ, and what assembles.
@@ -450,13 +475,13 @@ class Decomposition:
     (μ, and for a canonical request the bisection's ``mu_iterations``);
     every observable's ``assemble`` hook reads it and none writes it.
 
-    In collect mode the cached per-submatrix spectra ``decomposed`` serve
-    any chemical potential and any observable (every bisection step reads
-    the same entries).  In scatter mode (a fixed μ and nothing that reads
-    spectra; every Newton–Schulz request) the pass evaluates the occupation
-    matrices at that μ (``occupation_block``) and leaves ``decomposed``
-    ``None``.  ``stack_decompositions`` counts the ``eigh`` stacks solved in
-    either mode (0 for Newton–Schulz), ``kernel_fallbacks`` the submatrices
+    In collect mode the per-stack ``spectra`` serve any chemical potential
+    and any observable (every bisection step reads the same arrays).  In
+    scatter mode (a fixed μ and nothing that reads spectra; every
+    Newton–Schulz request) the pass evaluates the occupation matrices at
+    that μ (``occupation_block``) and leaves ``spectra`` ``None``.
+    ``stack_decompositions`` counts the ``eigh`` stacks solved in either
+    mode (0 for Newton–Schulz), ``kernel_fallbacks`` the submatrices
     Newton–Schulz did not converge (evaluated by ``eigen`` instead).
     ``start`` is the ``perf_counter`` reading results' ``wall_time`` counts
     from, ``mapper`` the session mapper every stage of the request shares
@@ -472,10 +497,28 @@ class Decomposition:
     pipeline: Any = None
     mu: Optional[float] = None
     mu_iterations: int = 0
-    decomposed: Optional[List[DecomposedSubmatrix]] = None
+    spectra: Optional[List[StackSpectra]] = None
     occupation_block: Optional[BlockSparseMatrix] = None
     stack_decompositions: int = 0
     kernel_fallbacks: int = 0
+
+    @functools.cached_property
+    def spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every submatrix's eigenvalues and generating weights, each
+        concatenated in plan group order: the stacks' flat arrays gathered
+        with one index, so the bisection's dot product and the PDOS arrays
+        sum in the order of the groups, whatever the order of the stacks."""
+        spectra = self.spectra
+        dims = np.repeat(
+            [stack.eigenvalues.shape[1] for stack in spectra],
+            [stack.members.size for stack in spectra],
+        )
+        order = np.argsort(np.concatenate([stack.members for stack in spectra]))
+        index = concat_ranges((np.cumsum(dims) - dims)[order], dims[order])
+        return tuple(
+            np.concatenate([getattr(stack, name).ravel() for stack in spectra])[index]
+            for name in ("eigenvalues", "weights")
+        )
 
 
 def compute_observables(context, K, S, blocks, request: Request) -> ObservableBundle:
@@ -487,9 +530,9 @@ def compute_observables(context, K, S, blocks, request: Request) -> ObservableBu
     prepare with :func:`prepare_step`, look up the extraction plan, run
     exactly one eigendecomposition pass over the bucketed submatrix stacks,
     single-process or sharded over ``request.ranks``), then — for a
-    canonical ensemble — one μ-bisection on the cached spectra, and every
-    requested observable assembled from the same cached
-    :class:`~repro.api.results.DecomposedSubmatrix` entries.
+    canonical ensemble — one μ-bisection on the kept spectra, and every
+    requested observable assembled from the same per-stack
+    :class:`StackSpectra` records.
 
     ``context`` supplies the engine configuration, plan cache, overlap roots
     and persistent executor.  The Newton–Schulz kernel
@@ -503,7 +546,7 @@ def compute_observables(context, K, S, blocks, request: Request) -> ObservableBu
     if request.n_electrons is not None:
         decomposition.mu, decomposition.mu_iterations = _bisect_mu(
             context.config,
-            decomposition.decomposed,
+            *decomposition.spectrum,
             request.n_electrons,
             request.mu_tolerance,
         )
@@ -523,8 +566,10 @@ def _decompose(context, K, S, blocks, request: Request, start) -> Decomposition:
     Prepare, then run the session's one engine pass (plan lookup, pack, the
     rank loop) once, in one of two modes.  *Collect*: when
     something downstream reads the spectra — the μ-bisection of a canonical
-    request, an observable without ``supports_iterative`` — the per-stack
-    eigendecompositions become cache entries at their global group index.
+    request, an observable without ``supports_iterative`` — every stack's
+    eigendecomposition and generating weights are kept as one
+    :class:`StackSpectra` record at its global group indices
+    (:func:`_collect_spectra`).
     *Scatter*: otherwise the occupation matrices of the request's fixed μ
     are delivered inside the stack tasks and nothing else survives them —
     generating-column panels straight from each stack's ``eigh``
@@ -548,7 +593,7 @@ def _decompose(context, K, S, blocks, request: Request, start) -> Decomposition:
     root = context.overlap_root(S, blocks.block_sizes)
     prepared = prepare_step(K, S, blocks, config.eps_filter, *root, mapper)
     if collect:
-        solver = np.linalg.eigh
+        solver = _collect_spectra
     elif spectral:
         solver = _streamed_occupations(mu, config.temperature)
     else:
@@ -579,13 +624,10 @@ def _decompose(context, K, S, blocks, request: Request, start) -> Decomposition:
         kernel_fallbacks=0 if spectral else sign.fallbacks,
     )
     if collect:
-        entries: List[Optional[DecomposedSubmatrix]] = [None] * plan.n_groups
-        for group_indices, (eigenvalues, eigenvectors) in stacks:
-            for slot, group_index in enumerate(group_indices):
-                entries[group_index] = _make_entry(
-                    plan, group_index, eigenvalues[slot], eigenvectors[slot]
-                )
-        decomposition.decomposed = entries  # type: ignore[assignment]
+        decomposition.spectra = [
+            StackSpectra(np.asarray(members, dtype=np.int64), *record)
+            for members, record in stacks
+        ]
     return decomposition
 
 
@@ -655,18 +697,9 @@ def _pdos_parameters(params: Mapping[str, Any]) -> Dict[str, Any]:
 def _assemble_pdos(
     decomposition: Decomposition, params: Mapping[str, Any]
 ) -> PDOSResult:
-    if decomposition.decomposed is None:
-        raise ValueError(
-            "the pdos observable needs the eigendecomposition cache"
-        )
     config = decomposition.config
     broadening, n_points = params["broadening"], params["n_points"]
-    eigenvalues = np.concatenate(
-        [entry.eigenvalues for entry in decomposition.decomposed]
-    )
-    weights = np.concatenate(
-        [entry.generating_weights for entry in decomposition.decomposed]
-    )
+    eigenvalues, weights = decomposition.spectrum
     if params["energy_window"] is None:
         lo = float(eigenvalues.min()) - 5.0 * broadening
         hi = float(eigenvalues.max()) + 5.0 * broadening
@@ -674,13 +707,21 @@ def _assemble_pdos(
         lo, hi = params["energy_window"]
     energies = np.linspace(lo, hi, n_points)
     norm = SPIN_DEGENERACY / (broadening * np.sqrt(2.0 * np.pi))
-    projections = np.zeros((len(decomposition.decomposed), n_points))
-    for group_index, entry in enumerate(decomposition.decomposed):
-        delta = (energies[None, :] - entry.eigenvalues[:, None]) / broadening
-        projections[group_index] = norm * np.sum(
-            entry.generating_weights[:, None] * np.exp(-0.5 * delta * delta),
-            axis=0,
-        )
+    projections = np.zeros((decomposition.plan.n_groups, n_points))
+    for stack in decomposition.spectra:
+        # vectorised over a stack's slots in capped passes, summed over the
+        # eigenvalue axis in order: bitwise the per-submatrix sum
+        k, d = stack.eigenvalues.shape
+        step = max(1, PDOS_PASS_ELEMENTS // (d * n_points))
+        for first in range(0, k, step):
+            part = slice(first, first + step)
+            delta = energies - stack.eigenvalues[part, :, None]
+            delta /= broadening
+            gauss = -0.5 * delta
+            gauss *= delta
+            np.exp(gauss, out=gauss)
+            gauss *= stack.weights[part, :, None]
+            projections[stack.members[part]] = norm * np.sum(gauss, axis=1)
     occupations = fermi_occupation(eigenvalues, decomposition.mu, config.temperature)
     n_elec = SPIN_DEGENERACY * float(np.dot(weights, occupations))
     return PDOSResult(
@@ -698,11 +739,6 @@ def _assemble_pdos(
 def _assemble_energy_weighted(
     decomposition: Decomposition, params: Mapping[str, Any]
 ) -> EnergyWeightedDensityResult:
-    if decomposition.decomposed is None:
-        raise ValueError(
-            "the energy_weighted_density observable needs the "
-            "eigendecomposition cache"
-        )
     config = decomposition.config
     mu = decomposition.mu
     ortho, ao = _back_transform(
@@ -825,37 +861,12 @@ def assemble_result(
 
 
 # --------------------------------------------------------------------------- #
-# eigendecomposition cache (grand-canonical and canonical)
+# the spectral routes: bisection on kept spectra, the stack solvers, delivery
 # --------------------------------------------------------------------------- #
-def _make_entry(
-    plan: BlockSubmatrixPlan,
-    group_index: int,
-    eigenvalues: np.ndarray,
-    eigenvectors: np.ndarray,
-) -> DecomposedSubmatrix:
-    """The cache entry of one submatrix, complete and read-only.
-
-    Entries are read by every bisection step and every observable of the
-    request and never written, so everything a reader needs — the
-    generating-row slice of Q and the weights Algorithm 1 sums — is derived
-    here, once, and the arrays are frozen as a safety property.
-    """
-    group = plan.groups[group_index]
-    generating_slice = eigenvectors[group.generating_rows()]
-    weights = np.sum(generating_slice**2, axis=0)
-    for array in (eigenvalues, eigenvectors, generating_slice, weights):
-        array.setflags(write=False)
-    return DecomposedSubmatrix(
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        generating_slice=generating_slice,
-        generating_weights=weights,
-    )
-
-
 def _bisect_mu(
     config,
-    decomposed: Sequence[DecomposedSubmatrix],
+    all_eigenvalues: np.ndarray,
+    all_weights: np.ndarray,
     n_electrons: float,
     tolerance: float,
 ) -> Tuple[float, int]:
@@ -865,8 +876,9 @@ def _bisect_mu(
     generating block columns contribute (only those columns enter the
     sparse result), and the contribution of one submatrix reduces to
     ``weights · f(λ − μ)``.  The eigenvalues and weights of all
-    submatrices are concatenated once, so every bisection step is a
-    single vectorized occupation evaluation plus a dot product.
+    submatrices come concatenated in group order
+    (:attr:`Decomposition.spectrum`), so every bisection step is a single
+    vectorized occupation evaluation plus a dot product.
 
     The search starts from the spectrum bounds (widened by one energy
     unit) on every call, so μ depends only on the request's own spectra.
@@ -874,9 +886,6 @@ def _bisect_mu(
     adjacent floats (billed as one more iteration for the comparison of its
     two ends) or after :data:`MAX_MU_ITERATIONS` steps.
     """
-    all_eigenvalues = np.concatenate([d.eigenvalues for d in decomposed])
-    all_weights = np.concatenate([d.generating_weights for d in decomposed])
-
     def electron_count_at(mu: float) -> float:
         occupations = fermi_occupation(all_eigenvalues, mu, config.temperature)
         return SPIN_DEGENERACY * float(np.dot(all_weights, occupations))
@@ -911,53 +920,55 @@ def _scatter_spectral(
     decomposition: Decomposition,
     spectral_function: Callable[[np.ndarray], np.ndarray],
 ) -> BlockSparseMatrix:
-    """Scatter the generating columns of Q g(λ) Qᵀ of every cached submatrix.
+    """Scatter the generating columns of Q g(λ) Qᵀ of every kept stack.
 
-    One generating-column panel per submatrix
-    (:func:`~repro.core.batch.spectral_panel`, the GEMM the streamed route
-    evaluates), formed on the caller thread, and one scatter of them all
-    into the plan's preallocated packed output buffer
-    (:meth:`~repro.core.plan.SubmatrixPlan.write_panels`); the result is
-    backed by that buffer.
+    The streamed route's delivery once μ is known, on the caller thread (see
+    :mod:`repro.core.batch`): per stack the same former
+    (:func:`~repro.core.batch.spectral_panels`), in a copy of the
+    eigenvectors that a bundle's next observable reads again, and the same
+    :meth:`~repro.core.plan.SubmatrixPlan.scatter_panels` into one output.
     """
     plan = decomposition.plan
-    panels = [
-        spectral_panel(
-            entry.eigenvectors,
-            spectral_function(entry.eigenvalues),
-            entry.generating_slice,
-        ).reshape(-1)
-        for entry in decomposition.decomposed
-    ]
-    sizes = [panel.size for panel in panels]
     out = plan.new_output()
-    plan.write_panels(
-        out,
-        range(plan.n_groups),
-        np.concatenate(panels),
-        np.cumsum(sizes) - sizes,
-    )
+    for members, eigenvalues, eigenvectors, _ in decomposition.spectra:
+        form = spectral_panels(eigenvalues, eigenvectors.copy(), spectral_function)
+        plan.scatter_panels(out, members, form)
+        del form  # one copy of Q alive at a time
     return plan.finalize(out)
+
+
+def _collect_spectra(stack: np.ndarray):
+    """Per-stack solver of the collect mode: ``eigh``, then, handed the
+    stack's generating rows per width (:func:`~repro.core.batch.map_stacks`),
+    the stack's read-only ``(λ, Q, weights)`` (see :class:`StackSpectra`)."""
+    eigenvalues, eigenvectors = np.linalg.eigh(stack)
+
+    def record(parts):
+        weights = np.empty_like(eigenvalues)
+        for slots, rows in parts:
+            weights[slots] = np.sum(eigenvectors[slots[:, None], rows] ** 2, axis=1)
+        for array in (eigenvalues, eigenvectors, weights):
+            array.setflags(write=False)
+        return eigenvalues, eigenvectors, weights
+
+    return record
 
 
 def _streamed_occupations(mu: float, temperature: float):
     """Per-stack solver ``eigh → f(λ − μ)`` of the streamed spectral route.
 
     Returns the occupation matrices D̃ = Q f(λ − μ) Qᵀ (Eq. 17) of a stack as
-    a panel former (:func:`~repro.core.batch.spectral_panels`); the bucket
-    loop (:func:`~repro.core.batch.map_stacks`) has it form their
+    a panel former (:func:`~repro.core.batch.spectral_panels`); the bucket loop
+    (:func:`~repro.core.batch.map_stacks`) has it form their
     generating-column panels and scatters them, so neither the full
-    matrices nor — past the stack task — the eigenvectors ever exist.  The
-    occupations are evaluated per matrix, exactly as :func:`_scatter_spectral`
-    evaluates them per cache entry, so the two routes run the same
-    elementwise code on the same shapes whatever the platform's vector
-    dispatch.
+    matrices nor — past the stack task — the eigenvectors ever exist.
     """
 
+    def occupation(eigenvalues: np.ndarray) -> np.ndarray:
+        return fermi_occupation(eigenvalues, mu, temperature)
+
     def solve(stack: np.ndarray):
-        eigenvalues, eigenvectors = np.linalg.eigh(stack)
-        occupations = [fermi_occupation(v, mu, temperature) for v in eigenvalues]
-        return spectral_panels(eigenvectors, np.array(occupations))
+        return spectral_panels(*np.linalg.eigh(stack), occupation)
 
     return solve
 

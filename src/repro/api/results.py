@@ -20,7 +20,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SubmatrixMethodResult",
     "SubmatrixDFTResult",
-    "DecomposedSubmatrix",
     "PDOSResult",
     "EnergyWeightedDensityResult",
     "ObservableBundle",
@@ -278,24 +277,3 @@ class ObservableBundle:
         raise AttributeError(
             f"{type(self).__name__!s} has no attribute {name!r}"
         )
-
-
-@dataclasses.dataclass
-class DecomposedSubmatrix:
-    """Cached eigendecomposition of one submatrix (input to Algorithm 1).
-
-    Complete when built and only ever read afterwards — by the μ-bisection
-    and by every observable assembled from the same pass — so every array is
-    marked read-only.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    # Q[generating rows, :] — the local dense rows of the generating columns —
-    # as one contiguous (w × d) array: the right-hand operand of every
-    # generating-column panel (Q·g(λ)) @ Q[rows]ᵀ
-    generating_slice: np.ndarray
-    # Σ_rows Q²[generating rows, :] — the electron count at chemical potential
-    # μ is just weights · f(λ − μ), so the whole bisection works on two flat
-    # vectors instead of re-slicing the eigenvectors every iteration
-    generating_weights: np.ndarray

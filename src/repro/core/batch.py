@@ -22,11 +22,12 @@ member Python matters most where it looks cheapest: on ``gc_sparse128``
 (128 submatrices of dimension 6–18 in 3 stack tasks) the stacks took 11–16 ms
 on the two-worker pool against 6.5 ms inline, because the workers queued on
 the GIL for their per-member steps; one pass per stack takes them to ~5.6 ms
-on the pool.  The collect mode's scatter from cached spectra
-(``api/observables._scatter_spectral``) is batched the same way but stays on
-the caller thread: mapped onto the session pool, a served request's chunks
-queued behind the other client's stack tasks (``served_water32`` ``wall_s``
-+17 %).
+on the pool.  The collect mode keeps each stack's spectra and, once μ is
+known, runs the same panel former (:func:`spectral_panels`) and the same
+``scatter_panels`` per stack, but on the caller thread
+(``api/observables._scatter_spectral``): mapped onto the session pool, a
+served request's chunks queued behind the other client's stack tasks
+(``served_water32`` ``wall_s`` +17 %).
 
 :func:`map_stacks` is the one bucket loop (extract → solve → scatter, whole
 matrices or generating-column panels, or collect).  The engine reaches it
@@ -54,7 +55,6 @@ __all__ = [
     "Bucket",
     "make_buckets",
     "make_stack_tasks",
-    "spectral_panel",
     "spectral_panels",
     "map_stacks",
     "evaluate_batched",
@@ -114,31 +114,23 @@ def _check_stack_shape(evaluated: np.ndarray, expected: tuple) -> None:
         )
 
 
-def spectral_panel(
-    eigenvectors: np.ndarray, values: np.ndarray, generating_slice: np.ndarray
-) -> np.ndarray:
-    """The generating columns of ``Q·diag(values)·Qᵀ`` as a ``(d, w)`` panel.
+def spectral_panels(
+    eigenvalues: np.ndarray,
+    eigenvectors: np.ndarray,
+    function: Callable[[np.ndarray], np.ndarray],
+):
+    """The panel former (see :func:`map_stacks`) of ``Q·g(Λ)·Qᵀ`` for a
+    stack's ``eigh`` output, ``g = function`` evaluated per matrix.
 
-    ``generating_slice`` is the contiguous ``Q[generating_rows]`` (``w × d``).
-    Only these columns are copied back (Sec. III), so the product costs
-    ``2·d²·w`` flops where the full matrix costs ``2·d³``.  Every spectral
-    product of the engine — streamed or from cached spectra — is this one
-    expression on operands laid out alike, which is what keeps the routes
-    bitwise equal (a column slice of the full product differs from it in the
-    last bits); :func:`spectral_panels` is the same GEMM per slice.
+    Only the generating columns are formed (Sec. III): per generating width,
+    one batched ``(Q·g) @ Q[rows]ᵀ``, ``2·d²·w`` flops per member instead of
+    ``2·d³``.  Every spectral product of the engine, streamed or from kept
+    spectra, is this former on the same shapes, so the routes are bitwise
+    equal (a column slice of the full product differs in the last bits).
+    ``Q·g`` is formed in ``eigenvectors``, which the former owns, after the
+    generating rows are gathered.
     """
-    return (eigenvectors * values) @ generating_slice.T
-
-
-def spectral_panels(eigenvectors: np.ndarray, values: np.ndarray):
-    """The panel former (see :func:`map_stacks`) of ``Q·diag(values)·Qᵀ``
-    for a ``(k, d, d)`` stack of eigenvectors and ``(k, d)`` values.
-
-    Per generating width, one batched ``(Q·f) @ Q[rows]ᵀ``: each slice is
-    :func:`spectral_panel`'s GEMM on operands laid out alike, so the panels
-    are bitwise its.  The generating rows are gathered first and ``Q·f`` is
-    then formed in ``eigenvectors`` itself, which the former owns.
-    """
+    values = np.array([function(row) for row in eigenvalues])
 
     def form(parts) -> None:
         slices = [eigenvectors[slots[:, None], rows] for slots, rows, _ in parts]
@@ -172,8 +164,10 @@ def map_stacks(
     (:meth:`SubmatrixPlan.extract_stack`) and handed over to ``solve_stack``
     — a fresh buffer nothing else reads, so a solver may work in it.
     Without ``out`` the solver's return values are handed back in task
-    order as they are — e.g. the ``(eigenvalues, eigenvectors)`` pair of
-    ``numpy.linalg.eigh``.  With ``out`` the result is delivered straight
+    order; a callable is first handed the stack's ``(slots, rows)`` per
+    generating width (:meth:`SubmatrixPlan.width_parts`) and what it returns
+    is handed back (the collect mode's spectral record, whose generating
+    weights need the rows).  With ``out`` the result is delivered straight
     into the packed output inside the task (scatter ranges are disjoint
     across tasks and ranks, so tasks may run concurrently) and ``None`` is
     handed back.  The solver then returns either
@@ -187,7 +181,7 @@ def map_stacks(
       delivery** (:meth:`SubmatrixPlan.scatter_panels`): only these panels
       are formed, one batched product per width, and written with one
       scatter per stack; the full matrices never exist.  A spectral solver
-      forms them as :func:`spectral_panel` does (``d²·w`` flops instead of
+      forms them with :func:`spectral_panels` (``d²·w`` flops instead of
       ``d³``), Newton–Schulz takes its last step on them
       (:meth:`~repro.signfn.newton_schulz.BatchedNewtonSchulzResult.panels`).
 
@@ -201,6 +195,8 @@ def map_stacks(
         # the stack is the solver's alone: it is not held past the solve
         solved = solve_stack(view.extract_stack(buffer, task.members, task.dimension))
         if out is None:
+            if callable(solved):
+                return solved(view.width_parts(task.members))
             return solved
         if callable(solved):
             view.scatter_panels(out, task.members, solved, task.dimension)

@@ -73,14 +73,19 @@ class ColumnGrouping:
         return len(self.groups)
 
     def validate(self, n_columns: int) -> None:
-        """Check that the grouping is a partition of range(n_columns)."""
+        """Check that the grouping is a partition of ``range(n_columns)``: an
+        empty group, a column out of range, in two groups or in none is a
+        :class:`ValueError` naming it."""
         seen = np.zeros(n_columns, dtype=bool)
         for group in self.groups:
             if not group:
                 raise ValueError("groups must be non-empty")
             for column in group:
                 if not 0 <= column < n_columns:
-                    raise IndexError(f"block column {column} out of range")
+                    raise ValueError(
+                        f"block column {column} out of range for "
+                        f"n_columns={n_columns}"
+                    )
                 if seen[column]:
                     raise ValueError(f"block column {column} in more than one group")
                 seen[column] = True

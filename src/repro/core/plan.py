@@ -42,9 +42,11 @@ With the plan in hand, one evaluation of f(A) becomes
 3. ``plan.scatter_panels(out, members, form)`` — the stack's
    generating-column panels, formed into one buffer per stack and written
    into one preallocated output value vector with one scatter (the panel
-   positions, ``panel_src``, are fixed at build); ``scatter_stack`` and
-   ``scatter`` slice those columns from whole evaluated matrices, and
-   ``write_panels`` writes panels formed elsewhere;
+   positions, ``panel_src``, are fixed at build).  A spectral stack's
+   panels come from one former whether they are formed inside the stack
+   task (a fixed μ) or on the caller thread from the kept spectra once the
+   bisection has fixed μ; ``scatter_stack`` and ``scatter`` slice those
+   columns from whole evaluated matrices;
 4. ``result = plan.finalize(out)``       — zero-copy: the block-sparse
    result's value buffer *is* ``out``, its index the plan's COO list.
 
@@ -137,12 +139,6 @@ class GroupPlan:
     block_sizes: np.ndarray
     offsets: np.ndarray
 
-    def generating_rows(self) -> np.ndarray:
-        """:attr:`panel_rows`: the dense rows of the generating columns, in
-        the column order of a panel handed to
-        :meth:`SubmatrixPlan.write_panels`."""
-        return self.panel_rows
-
 
 class SubmatrixPlan:
     """Shared per-call interface of a block plan and of a shard's view of it."""
@@ -224,7 +220,7 @@ class SubmatrixPlan:
         """One scatter of several members' generating-column panels.
 
         ``panels[starts[i]:]`` holds member ``members[i]``'s ``(d, w)`` panel
-        row-major: ``panel[:, p]`` is column ``generating_rows()[p]`` of
+        row-major: ``panel[:, p]`` is column ``panel_rows[p]`` of
         f(a_i) — all the method copies back (Sec. III), so a caller that can
         form these columns alone never builds the ``(d, d)`` matrix.  The
         members may have any dimensions.
@@ -273,6 +269,23 @@ class SubmatrixPlan:
         self._move_runs(stack, dst, packed, src)
         return stack
 
+    def width_parts(
+        self, members: Sequence[int]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """A stack's slots grouped by generating width ``w``: one ``(slots,
+        rows)`` per width, ascending — ``slots`` the stack slots of that
+        width in stack order and ``rows`` their ``(k, w)`` generating rows
+        (:attr:`GroupPlan.panel_rows`)."""
+        rows = [self.groups[index].panel_rows for index in members]
+        widths = np.array([member_rows.size for member_rows in rows])
+        order = np.argsort(widths, kind="stable")
+        cuts = [0, *(np.flatnonzero(np.diff(widths[order])) + 1).tolist(), order.size]
+        parts = []
+        for first, stop in zip(cuts, cuts[1:]):
+            slots = order[first:stop]
+            parts.append((slots, np.array([rows[slot] for slot in slots.tolist()])))
+        return parts
+
     def scatter_panels(
         self,
         out: np.ndarray,
@@ -284,34 +297,26 @@ class SubmatrixPlan:
         scatter.
 
         The members (each of dimension ``stack_dim``, as in
-        :meth:`extract_stack`) are grouped by generating width ``w``;
-        ``form(parts)`` gets one ``(slots, rows, into)`` per width —
-        ``slots`` the stack slots of that width in stack order, ``rows``
-        their ``(k, w)`` generating rows and ``into`` a ``(k, d, w)`` view
-        of the panel buffer — and writes into ``into[i]`` columns
-        ``rows[i]`` of slot ``slots[i]``'s result.
+        :meth:`extract_stack`) are grouped by generating width
+        (:meth:`width_parts`); ``form(parts)`` gets one ``(slots, rows,
+        into)`` per width, ``into`` a ``(k, d, w)`` view of the panel buffer,
+        and writes into ``into[i]`` columns ``rows[i]`` of slot
+        ``slots[i]``'s result.
         """
         groups = [self.groups[index] for index in members]
         stack_dim = self._stack_dimension(groups, stack_dim)
-        widths = np.array([group.panel_rows.size for group in groups])
-        order = np.argsort(widths, kind="stable")
-        starts = np.concatenate(([0], np.cumsum(stack_dim * widths[order])))
+        parts = self.width_parts(members)
+        counts = [slots.size for slots, _ in parts]
+        sizes = np.repeat([stack_dim * rows.shape[1] for _, rows in parts], counts)
+        starts = np.concatenate(([0], np.cumsum(sizes)))
         panels = np.empty(int(starts[-1]))
-        cuts = [0, *(np.flatnonzero(np.diff(widths[order])) + 1).tolist(), order.size]
-        parts = []
-        for first, stop in zip(cuts, cuts[1:]):
-            slots = order[first:stop]
-            into = panels[starts[first] : starts[stop]]
-            parts.append(
-                (
-                    slots,
-                    np.array([groups[slot].panel_rows for slot in slots.tolist()]),
-                    into.reshape(slots.size, stack_dim, -1),
-                )
-            )
-        form(parts)
-        in_order = [members[slot] for slot in order.tolist()]
-        self.write_panels(out, in_order, panels, starts[:-1])
+        cuts = np.cumsum([0, *counts])
+        form([
+            (slots, rows, panels[starts[a] : starts[b]].reshape(b - a, stack_dim, -1))
+            for (slots, rows), a, b in zip(parts, cuts, cuts[1:])
+        ])
+        order = np.concatenate([slots for slots, _ in parts])
+        self.write_panels(out, np.asarray(members)[order], panels, starts[:-1])
 
     def scatter_stack(
         self,

@@ -404,13 +404,17 @@ def estimate_newton_schulz_iterations(eps_filter: float, base_iterations: int = 
     return int(round(base_iterations + extra))
 
 
+#: Cores per rank of the Newton–Schulz baseline's model: the paper runs it
+#: as 8 ranks × 5 threads per node (the submatrix method: one rank per core).
+NEWTON_SCHULZ_CORES_PER_RANK = 5
+
+
 def newton_schulz_cost(
     pattern: PatternLike,
     block_sizes: Sequence[int],
     n_ranks: int,
     machine: MachineModel,
     n_iterations: int = 20,
-    cores_per_rank: int = 5,
 ) -> SubmatrixRunCost:
     """Cost of the distributed 2nd-order Newton–Schulz baseline.
 
@@ -422,8 +426,8 @@ def newton_schulz_cost(
     block_sizes:
         Basis functions per block.
     n_ranks:
-        Number of MPI ranks (the paper uses 8 ranks × 5 threads per node for
-        Newton–Schulz, hence the default ``cores_per_rank=5``).
+        Number of MPI ranks, each of :data:`NEWTON_SCHULZ_CORES_PER_RANK`
+        cores.
     machine:
         Machine model.
     n_iterations:
@@ -475,7 +479,7 @@ def newton_schulz_cost(
             log.ranks[neighbor].bytes_received += total_bytes
             log.ranks[neighbor].messages_received += total_messages
 
-    simulated = machine.simulate(log, cores_per_rank=cores_per_rank)
+    simulated = machine.simulate(log, cores_per_rank=NEWTON_SCHULZ_CORES_PER_RANK)
     return SubmatrixRunCost(
         method="newton_schulz",
         n_ranks=n_ranks,

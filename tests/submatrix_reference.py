@@ -25,7 +25,14 @@ derivation of a rank shard, which the array expansions in
 :mod:`repro.core.plan` / :mod:`repro.core.shard` replaced.
 
 The seeded random inputs those comparisons run on (``random_pattern``,
-``matrix_for_pattern``, ``poly``) live here as well.
+``matrix_for_pattern``, ``poly``, the ragged 12/6 blocks and the stack caps)
+live here as well.
+
+The collect mode has its per-entry route here (:func:`reference_collect`):
+one ``eigh``, one generating-column panel (:func:`spectral_panel`) and one
+PDOS projection per submatrix, in group order — what the engine ran before
+it kept one spectral record per stack, and what its per-stack route must
+reproduce bitwise.
 
 Two sign iterations are references here too: the per-matrix dense
 Newton–Schulz iteration (:func:`sign_newton_schulz`), whose iteration counts
@@ -612,6 +619,185 @@ def assert_matches_reference_density(
     assert math.isclose(
         result.band_energy, reference.band_energy, rel_tol=1e-12, abs_tol=0.0
     )
+
+
+# --------------------------------------------------------------------------- #
+# the per-entry collect route
+# --------------------------------------------------------------------------- #
+def spectral_panel(eigenvectors, values, generating_slice):
+    """The generating columns of ``Q·diag(values)·Qᵀ`` as a ``(d, w)`` panel,
+    one GEMM for one submatrix (``generating_slice`` is the contiguous
+    ``Q[generating rows]``): the per-member reference of
+    :func:`repro.core.batch.spectral_panels`, each of whose slices is this
+    product on operands laid out alike."""
+    return (eigenvectors * values) @ generating_slice.T
+
+
+#: The input of the ragged stacks: water-32's 192 basis functions cut into
+#: blocks of 12 and 6 (pairs of molecules and single ones), filter 0, so
+#: every submatrix is the whole 192-wide matrix and every stack mixes
+#: generating widths 12 and 6.
+RAGGED_BLOCK_SIZES = [12, 6, 6] * 8
+
+#: Stack caps (``MAX_BATCH_ELEMENTS``) of the stack-composition tests: one
+#: matrix per stack, three (mixed widths in each ragged stack), the default
+#: cap, and every member of a bucket in one stack.
+STACK_CAPS = {"one": 1, "three": 3 * 192**2, "default": None, "all": 1 << 24}
+
+
+def ragged_blocks(blocks):
+    """``blocks`` (water-32) re-cut into :data:`RAGGED_BLOCK_SIZES`."""
+    from repro.chem.hamiltonian import BlockStructure
+
+    sizes = np.array(RAGGED_BLOCK_SIZES)
+    assert sizes.sum() == blocks.n_basis
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    return BlockStructure(sizes, starts, blocks.atom_offsets, blocks.n_basis)
+
+
+#: The fields :func:`spectral_arrays` reads from each observable's result.
+SPECTRAL_FIELDS = {
+    "density": (
+        "density_ao", "density_ortho", "mu", "mu_iterations", "n_electrons",
+        "band_energy",
+    ),
+    "energy_weighted_density": (
+        "energy_weighted_ao", "energy_weighted_ortho", "band_energy", "mu",
+    ),
+    "pdos": (
+        "energies", "dos", "projections", "eigenvalues", "weights", "mu",
+        "n_electrons",
+    ),
+}
+
+
+def spectral_arrays(result):
+    """Every compared value of a collect-mode result — an observable bundle,
+    a bare density result or :func:`reference_collect`'s dict — as
+    ``{"observable.field": array}``; a CSR matrix gives its three arrays."""
+    if isinstance(result, dict):
+        results = result
+    else:
+        results = getattr(result, "results", None) or {"density": result}
+    arrays = {}
+    for name, observable in results.items():
+        for field in SPECTRAL_FIELDS[name]:
+            value = getattr(observable, field)
+            if sp.issparse(value):
+                for part in ("data", "indices", "indptr"):
+                    arrays[f"{name}.{field}.{part}"] = getattr(value, part)
+            else:
+                arrays[f"{name}.{field}"] = np.asarray(value)
+    return arrays
+
+
+def assert_same_spectral_bits(ours, theirs):
+    """:func:`spectral_arrays` of both equal: names, dtypes, shapes, bits."""
+    ours, theirs = spectral_arrays(ours), spectral_arrays(theirs)
+    assert sorted(ours) == sorted(theirs)
+    for name in ours:
+        a, b = ours[name], theirs[name]
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def reference_collect(
+    config, K, S, blocks, observables, mu=None, n_electrons=None,
+    mu_tolerance=1e-9,
+):
+    """The collect mode one submatrix at a time, one submatrix per block
+    column and default PDOS parameters.
+
+    Per plan group, in group order: one ``eigh``, the entry's generating
+    slice ``Q[rows]`` and weights Σ Q[rows]²; the bisection on the entries'
+    eigenvalues and weights concatenated in group order; per entry one
+    :func:`spectral_panel` and all of them written with one ``write_panels``;
+    the PDOS projections one group at a time.  Returns ``{observable:
+    result}`` with the fields :func:`spectral_arrays` reads.
+    """
+    from repro.api.observables import (
+        _back_transform,
+        _bisect_mu,
+        assemble_result,
+        prepare_step,
+    )
+    from repro.chem.density import SPIN_DEGENERACY
+    from repro.core.plan import BlockSubmatrixPlan
+
+    prepared = prepare_step(K, S, blocks, config.eps_filter)
+    plan = BlockSubmatrixPlan(
+        prepared.coo, blocks.block_sizes, [[c] for c in range(len(blocks.block_sizes))]
+    )
+    packed = plan.pack(prepared.block_k)
+    entries = []
+    for index, group in enumerate(plan.groups):
+        values, vectors = np.linalg.eigh(plan.extract_stack(packed, [index]))
+        generating = vectors[0][group.panel_rows]
+        entries.append((values[0], vectors[0], generating, np.sum(generating**2, axis=0)))
+    eigenvalues = np.concatenate([entry[0] for entry in entries])
+    weights = np.concatenate([entry[3] for entry in entries])
+    iterations = 0
+    if n_electrons is not None:
+        mu, iterations = _bisect_mu(config, eigenvalues, weights, n_electrons, mu_tolerance)
+
+    def occupation(values):
+        return fermi_occupation(values, mu, config.temperature)
+
+    def scatter(function):
+        panels = [
+            spectral_panel(q, function(values), generating).reshape(-1)
+            for values, q, generating, _ in entries
+        ]
+        sizes = [panel.size for panel in panels]
+        out = plan.new_output()
+        plan.write_panels(
+            out, range(plan.n_groups), np.concatenate(panels), np.cumsum(sizes) - sizes
+        )
+        return plan.finalize(out)
+
+    results = {}
+    if "density" in observables:
+        results["density"] = assemble_result(
+            config, K, prepared.s_inv_sqrt, scatter(occupation), prepared.coo, mu,
+            iterations, list(plan.dimensions), wall_time=0.0,
+            outer_runs=prepared.outer_runs,
+        )
+    if "energy_weighted_density" in observables:
+        ortho, ao = _back_transform(
+            prepared.s_inv_sqrt,
+            scatter(lambda values: values * occupation(values)),
+            prepared.outer_runs,
+        )
+        results["energy_weighted_density"] = SimpleNamespace(
+            energy_weighted_ao=ao,
+            energy_weighted_ortho=ortho,
+            band_energy=float(electron_count(ortho)),
+            mu=mu,
+        )
+    if "pdos" in observables:
+        broadening, n_points = 0.1, 400
+        energies = np.linspace(
+            float(eigenvalues.min()) - 5.0 * broadening,
+            float(eigenvalues.max()) + 5.0 * broadening,
+            n_points,
+        )
+        norm = SPIN_DEGENERACY / (broadening * np.sqrt(2.0 * np.pi))
+        projections = np.zeros((plan.n_groups, n_points))
+        for index, (values, _, _, entry_weights) in enumerate(entries):
+            delta = (energies[None, :] - values[:, None]) / broadening
+            projections[index] = norm * np.sum(
+                entry_weights[:, None] * np.exp(-0.5 * delta * delta), axis=0
+            )
+        results["pdos"] = SimpleNamespace(
+            energies=energies,
+            dos=projections.sum(axis=0),
+            projections=projections,
+            eigenvalues=eigenvalues,
+            weights=weights,
+            mu=mu,
+            n_electrons=SPIN_DEGENERACY * float(np.dot(weights, occupation(eigenvalues))),
+        )
+    return results
 
 
 def sign_newton_schulz(matrix, convergence_threshold=1e-10, max_iterations=100):

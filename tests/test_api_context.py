@@ -34,7 +34,6 @@ import repro
 from repro.api import (
     BACKENDS,
     ENGINES,
-    DecomposedSubmatrix,
     EngineConfig,
     MatrixFunction,
     SubmatrixContext,
@@ -493,6 +492,10 @@ class TestOneEngineSeam:
             ("repro.api.observables", "evaluate_request"),
             ("repro.api", "SharedEvaluation"),
             ("repro", "SharedEvaluation"),
+            ("repro.api.results", "DecomposedSubmatrix"),
+            ("repro.api", "DecomposedSubmatrix"),
+            ("repro.api.observables", "_make_entry"),
+            ("repro.core.batch", "spectral_panel"),
         ],
     )
     def test_name_is_gone(self, module, name):
@@ -503,8 +506,8 @@ class TestOneEngineSeam:
         [
             (MatrixFunction, "make"),
             (BoundKernel, "function"),
-            (DecomposedSubmatrix, "submatrix"),
             (GroupPlan, "make_submatrix"),
+            (GroupPlan, "generating_rows"),
         ],
         ids=lambda value: getattr(value, "__name__", value),
     )

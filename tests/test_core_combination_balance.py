@@ -53,9 +53,12 @@ class TestGroupings:
             grouping.validate(3)
 
     def test_validate_catches_out_of_range(self):
-        grouping = ColumnGrouping([[0, 5]])
-        with pytest.raises(IndexError):
-            grouping.validate(3)
+        """A ValueError naming the column and ``n_columns``, like every other
+        invalid grouping (``validate_request`` refuses with it)."""
+        for column in (5, 3, -1):
+            grouping = ColumnGrouping([[0, 1, 2, column]])
+            with pytest.raises(ValueError, match=rf"block column {column} .*n_columns=3"):
+                grouping.validate(3)
 
     def test_greedy_chunks(self):
         grouping = group_columns_greedy_chunks(10, 3)

@@ -61,7 +61,7 @@ class TestElementLevel:
         for groups, error in (
             ([[0, 1], [1, 2]], ValueError),
             ([[0]], ValueError),
-            ([[0, 600]], IndexError),
+            ([[0, 600]], ValueError),  # names column 600 and n_columns
         ):
             with pytest.raises(error):
                 context.apply(decay_sparse, SIGN, grouping=ColumnGrouping(groups))

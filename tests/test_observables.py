@@ -39,6 +39,7 @@ from repro.api import (
     get_observable,
 )
 from repro.api.observables import normalize_observables, prepare_step
+from repro.core.batch import make_stack_tasks
 from repro.chem import reference_density_matrix
 from repro.chem.density import SPIN_DEGENERACY, fermi_occupation
 from repro.chem.hamiltonian import BlockStructure
@@ -229,17 +230,19 @@ class TestStreamedRoute:
     EPS = 1e-2
 
     @staticmethod
-    def count_entries(monkeypatch):
-        """Count the cache entries built from here on (0: nothing collected)."""
-        built = []
-        make_entry = repro.api.observables._make_entry
+    def count_kept(monkeypatch):
+        """Count the submatrices whose spectra are kept from here on (0:
+        nothing collected): the members of every stack the collect-mode
+        solver decomposes."""
+        kept = []
+        collect = repro.api.observables._collect_spectra
 
-        def counting(*args):
-            built.append(1)
-            return make_entry(*args)
+        def counting(stack):
+            kept.append(len(stack))
+            return collect(stack)
 
-        monkeypatch.setattr(repro.api.observables, "_make_entry", counting)
-        return built
+        monkeypatch.setattr(repro.api.observables, "_collect_spectra", counting)
+        return kept
 
     @pytest.mark.slow
     @pytest.mark.parametrize("temperature", [0.0, 3000.0])
@@ -250,21 +253,22 @@ class TestStreamedRoute:
         pair = water32_matrices
         request = (pair.K, pair.S, pair.blocks)
         config = EngineConfig(eps_filter=self.EPS, temperature=temperature)
-        built = self.count_entries(monkeypatch)
+        kept = self.count_kept(monkeypatch)
         with SubmatrixContext(config) as ctx:
             streamed = ctx.density(*request, mu=gap_mu)
             sharded = ctx.density(*request, mu=gap_mu, ranks=2)
-            assert built == []  # neither call held a spectrum
+            assert kept == []  # neither call held a spectrum
             collected = ctx.observables(
                 *request, observables=("density", "pdos"), mu=gap_mu
             )
-            assert len(built) == len(streamed.submatrix_dimensions) == 32
+            assert sum(kept) == len(streamed.submatrix_dimensions) == 32
+            assert len(kept) == 8  # one record per stack
         assert len(set(streamed.submatrix_dimensions)) == 8
         assert_density_identical(collected["density"], streamed)
         assert_density_identical(sharded, streamed)
         with DensityService(config) as service:
             served = service.submit(*request, mu=gap_mu).result(120)
-        assert len(built) == 32  # a served fixed-μ call streams too
+        assert sum(kept) == 32  # a served fixed-μ call streams too
         assert_density_identical(served, streamed)
 
     def test_against_the_dense_oracle(self, water32_matrices, gap_mu):
@@ -335,21 +339,22 @@ class TestStreamedRoute:
         assert peaks["fixed_mu"] < spectra_bytes < peaks["canonical"]
 
 
-class TestCacheEntries:
-    """Entries are read by every bisection step and every observable of a
-    request: complete when built, read-only afterwards."""
+class TestStackSpectra:
+    """The per-stack records are read by every bisection step and every
+    observable of a request: complete when built, read-only afterwards."""
 
-    def test_entries_are_complete_and_read_only(self, water32_matrices, gap_mu):
+    def test_records_are_complete_and_read_only(self, water32_matrices, gap_mu):
         pair = water32_matrices
-        entries = []
-        bisect = repro.api.observables._bisect_mu
+        records = []
+        decompose = repro.api.observables._decompose
 
-        def spying_bisect(config, decomposed, *args, **kwargs):
-            entries.extend(decomposed)
-            return bisect(config, decomposed, *args, **kwargs)
+        def spying_decompose(*args, **kwargs):
+            decomposition = decompose(*args, **kwargs)
+            records.extend(decomposition.spectra)
+            return decomposition
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(repro.api.observables, "_bisect_mu", spying_bisect)
+            patch.setattr(repro.api.observables, "_decompose", spying_decompose)
             with SubmatrixContext(EngineConfig(eps_filter=1e-2)) as ctx:
                 ctx.density(pair.K, pair.S, pair.blocks, n_electrons=N_ELECTRONS)
                 prepared = prepare_step(pair.K, pair.S, pair.blocks, 1e-2)
@@ -359,27 +364,29 @@ class TestCacheEntries:
                     [[column] for column in range(prepared.block_k.n_block_cols)],
                 )
         assert ctx.plan_cache.stats["misses"] == 1  # the request's own plan
-        assert len(entries) == plan.n_groups == 32
-        for group, entry in zip(plan.groups, entries):
-            # the generating rows, one arange per generating block column
-            offsets = np.concatenate(([0], np.cumsum(group.block_sizes)))
-            rows = np.concatenate(
-                [
-                    np.arange(offsets[column], offsets[column + 1])
-                    for column in group.local_columns
-                ]
-            )
-            q_rows = entry.eigenvectors[rows, :]
-            assert entry.generating_slice.flags.c_contiguous
-            assert np.array_equal(entry.generating_slice, q_rows)
-            assert np.array_equal(entry.generating_weights, np.sum(q_rows**2, axis=0))
-            for name in (
-                "eigenvalues",
-                "eigenvectors",
-                "generating_slice",
-                "generating_weights",
-            ):
-                array = getattr(entry, name)
+        assert len(records) == len(make_stack_tasks(plan.dimensions)) == 8
+        members = np.concatenate([record.members for record in records])
+        assert sorted(members.tolist()) == list(range(plan.n_groups))
+        assert plan.n_groups == 32
+        for record in records:
+            k, d = record.members.size, plan.groups[record.members[0]].dimension
+            assert record.eigenvalues.shape == record.weights.shape == (k, d)
+            assert record.eigenvectors.shape == (k, d, d)
+            for slot, member in enumerate(record.members.tolist()):
+                group = plan.groups[member]
+                assert group.dimension == d
+                # the generating rows, one arange per generating block column
+                offsets = np.concatenate(([0], np.cumsum(group.block_sizes)))
+                rows = np.concatenate(
+                    [
+                        np.arange(offsets[column], offsets[column + 1])
+                        for column in group.local_columns
+                    ]
+                )
+                q_rows = record.eigenvectors[slot][rows, :]
+                assert np.array_equal(record.weights[slot], np.sum(q_rows**2, axis=0))
+            for name in ("eigenvalues", "eigenvectors", "weights"):
+                array = getattr(record, name)
                 assert not array.flags.writeable, name
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0.0

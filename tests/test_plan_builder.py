@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.chem import orthogonalized_ks
-from repro.core.batch import make_stack_tasks, map_stacks, spectral_panel, spectral_panels
+from repro.core.batch import make_stack_tasks, map_stacks, spectral_panels
 from repro.core.plan import BlockSubmatrixPlan, plan_nbytes
 from repro.core.shard import ShardedPlan
 from repro.dbcsr import BlockSparseMatrix, CooBlockList, block_matrix_from_csr
@@ -46,6 +46,7 @@ from submatrix_reference import (
     reference_extract_block_submatrix,
     reference_plan_group,
     reference_shard_arrays,
+    spectral_panel,
 )
 
 GROUP_ARRAYS = (
@@ -268,7 +269,7 @@ def _shuffled(groups, seed):
     return [[int(c) for c in rng.permutation(group)] for group in groups]
 
 
-def assert_generating_rows_equal_the_column_loop(group):
+def assert_panel_rows_equal_the_column_loop(group):
     """One ``arange`` per generating column, in the grouping's order."""
     want = np.concatenate(
         [
@@ -276,7 +277,7 @@ def assert_generating_rows_equal_the_column_loop(group):
             for column in group.local_columns
         ]
     )
-    assert np.array_equal(group.generating_rows(), want)
+    assert np.array_equal(group.panel_rows, want)
 
 
 def assert_panels_scatter_like_full_matrices(plan, ranks, seed):
@@ -286,16 +287,16 @@ def assert_panels_scatter_like_full_matrices(plan, ranks, seed):
     fulls = [rng.normal(size=(dim, dim)) for dim in plan.dimensions]
     want, got = plan.new_output(), plan.new_output()
     for index, (group, full) in enumerate(zip(plan.groups, fulls)):
-        assert_generating_rows_equal_the_column_loop(group)
+        assert_panel_rows_equal_the_column_loop(group)
         plan.scatter(want, index, full)
         # a column slice as a GEMM would deliver it: its own contiguous array
-        panel = np.ascontiguousarray(full[:, group.generating_rows()])
+        panel = np.ascontiguousarray(full[:, group.panel_rows])
         plan.write_panels(got, [index], panel, [0])
     assert np.array_equal(got, want)
     sharded = plan.new_output()
     for shard in ShardedPlan(plan, ranks, 3).shards:
         for slot, member in enumerate(shard.group_indices):
-            rows = shard.view.groups[slot].generating_rows()
+            rows = shard.view.groups[slot].panel_rows
             shard.view.write_panels(
                 sharded, [slot], np.ascontiguousarray(fulls[member][:, rows]), [0]
             )
@@ -320,16 +321,20 @@ def test_element_panels_scatter_bitwise_what_full_matrices_scatter(case, seed):
     assert_panels_scatter_like_full_matrices(plan, ranks, seed)
 
 
+def _bounded(eigenvalues):
+    """A bounded spectral function."""
+    return 1.0 / (1.0 + eigenvalues * eigenvalues)
+
+
 def _spectral_values(stack):
-    """A bounded spectral function as ``(values, vectors)``."""
+    """:func:`_bounded` as ``(values, vectors)``."""
     eigenvalues, eigenvectors = np.linalg.eigh(stack)
-    return 1.0 / (1.0 + eigenvalues * eigenvalues), eigenvectors
+    return _bounded(eigenvalues), eigenvectors
 
 
 def _spectral_solver(stack):
     """The same function as the bucket loop's panel former."""
-    values, vectors = _spectral_values(stack)
-    return spectral_panels(vectors, values)
+    return spectral_panels(*np.linalg.eigh(stack), _bounded)
 
 
 def _full_product_solver(stack):
@@ -356,7 +361,7 @@ def test_panel_product_stays_within_1e14_of_the_sliced_full_product(case, seed):
     # and the panel function itself, per submatrix
     for index, group in enumerate(plan.groups):
         values, vectors = _spectral_values(plan.extract_stack(packed, [index]))
-        rows = group.generating_rows()
+        rows = group.panel_rows
         panel = spectral_panel(vectors[0], values[0], vectors[0][rows])
         full = (vectors[0] * values[0]) @ vectors[0].T
         assert panel.shape == (group.dimension, rows.size)

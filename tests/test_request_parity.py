@@ -194,6 +194,9 @@ INVALID_REQUESTS = {
         mu=0.0, grouping=ColumnGrouping([[c] for c in range(32)] + [[]])
     ),
     "grouping_str": dict(mu=0.0, grouping="x"),
+    "grouping_column_out_of_range": dict(
+        mu=0.0, grouping=ColumnGrouping([[c] for c in range(32)] + [[32]])
+    ),
 }
 
 

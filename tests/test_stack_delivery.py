@@ -30,8 +30,7 @@ from repro.api.observables import (
 )
 from repro.chem import SZV, HamiltonianModel, build_matrices, water_box
 from repro.chem.density import fermi_occupation
-from repro.chem.hamiltonian import BlockStructure
-from repro.core.batch import make_stack_tasks, map_stacks, spectral_panel
+from repro.core.batch import make_stack_tasks, map_stacks
 from repro.core.plan import BlockSubmatrixPlan, SubmatrixPlan
 from repro.dbcsr.convert import block_matrix_to_csr
 from repro.signfn import sign_newton_schulz_batched
@@ -41,23 +40,17 @@ from repro.signfn.registry import (
     get_kernel,
 )
 
-from submatrix_reference import reference_apply_blockwise
+from submatrix_reference import (
+    STACK_CAPS,
+    ragged_blocks,
+    reference_apply_blockwise,
+    spectral_panel,
+)
 
-#: one matrix per stack, three (mixed widths in each ragged stack), the
-#: default cap, and every member of a bucket in one stack
-STACK_CAPS = {"one": 1, "three": 3 * 192**2, "default": None, "all": 1 << 24}
 #: (eps_filter, ragged): water-32 with molecule blocks at mixed dimensions,
-#: and the same matrices cut into blocks of 12 and 6 (pairs of molecules and
-#: single ones) kept whole, so every submatrix is 192 wide and every stack
-#: mixes generating widths 12 and 6
+#: and the same matrices cut into blocks of 12 and 6 kept whole
+#: (:func:`submatrix_reference.ragged_blocks`)
 INPUTS = {"water": (1e-3, False), "ragged": (0.0, True)}
-
-
-def ragged_blocks(blocks):
-    sizes = np.array([12, 6, 6] * 8)
-    assert sizes.sum() == blocks.n_basis
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    return BlockStructure(sizes, starts, blocks.atom_offsets, blocks.n_basis)
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +76,7 @@ def per_member(plan, packed, member_panel):
     out = plan.new_output()
     for index, group in enumerate(plan.groups):
         stack = plan.extract_stack(packed, [index])
-        panel = member_panel(stack, group.generating_rows())
+        panel = member_panel(stack, group.panel_rows)
         plan.write_panels(out, [index], np.ascontiguousarray(panel), [0])
     return out
 
