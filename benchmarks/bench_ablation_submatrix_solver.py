@@ -5,7 +5,8 @@ we found this [eigendecomposition] approach to be superior to iterative
 approaches."  This ablation times the three per-submatrix solvers of the
 reproduction (dsyevd-style eigendecomposition, the engine's batched
 2nd-order Newton–Schulz kernel on a stack of one, 3rd-order Padé) on a
-realistic dense submatrix and checks that they agree on the result.
+realistic dense submatrix, checks that they agree on the result and lists
+each solver's modeled FLOPs from the one work function (:mod:`repro.work`).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.signfn import (
     sign_pade,
     sign_via_eigendecomposition,
 )
+from repro.work import newton_schulz_flops, submatrix_flop_costs
 
 from common import report
 
@@ -52,6 +54,15 @@ def run_ablation(pair, mu):
     timings["pade (order 3)"] = time.perf_counter() - start
     results["pade (order 3)"] = pade.sign
 
+    dimension = submatrix.shape[0]
+    flops = {
+        "eigendecomposition": float(submatrix_flop_costs([dimension])[0]),
+        # ``newton.sign`` takes the last step on all d columns
+        "newton-schulz (order 2)": newton_schulz_flops(
+            dimension, int(newton.iterations[0]), dimension
+        ),
+        "pade (order 3)": pade.flops,
+    }
     rows = []
     reference = results["eigendecomposition"]
     for name in ("eigendecomposition", "newton-schulz (order 2)", "pade (order 3)"):
@@ -61,7 +72,9 @@ def run_ablation(pair, mu):
             "newton-schulz (order 2)": int(newton.iterations[0]),
             "pade (order 3)": pade.iterations,
         }[name]
-        rows.append([name, submatrix.shape[0], timings[name], iterations, deviation])
+        rows.append(
+            [name, dimension, timings[name], iterations, deviation, flops[name]]
+        )
     return rows
 
 
@@ -73,7 +86,14 @@ def test_ablation_submatrix_solver(benchmark, water64_pair, gap_mu):
     )
     report(
         "ablation_submatrix_solver",
-        ["solver", "dimension", "seconds", "iterations", "max deviation"],
+        [
+            "solver",
+            "dimension",
+            "seconds",
+            "iterations",
+            "max deviation",
+            "modeled flops",
+        ],
         rows,
         "Ablation: per-submatrix sign solvers (Sec. IV-F)",
     )

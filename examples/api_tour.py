@@ -29,7 +29,7 @@ import numpy as np
 import repro
 from repro.api import EngineConfig, SubmatrixContext, available_kernels, get_kernel
 from repro.chem import build_matrices, orthogonalized_ks, water_box
-from repro.core import DistributedSubmatrixPipeline
+from repro.core import DistributedSubmatrixModel
 from repro.dbcsr import CooBlockList
 from repro.dbcsr.convert import block_matrix_from_csr, block_matrix_to_dense
 
@@ -133,7 +133,7 @@ def main() -> None:
             f"{summary.fetch_bytes / 1e3:>16.1f} "
             f"{summary.writeback_bytes / 1e3:>16.1f}"
         )
-    fast = DistributedSubmatrixPipeline(
+    fast = DistributedSubmatrixModel(
         pipeline.coo, pipeline.block_sizes, 8, exact_transfers=False
     ).transfer_plan
     print(

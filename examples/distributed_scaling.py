@@ -27,7 +27,7 @@ from repro.api import EngineConfig, SubmatrixContext
 from repro.chem import build_block_pattern, orthogonalized_ks, water_box
 from repro.chem.hamiltonian import build_matrices
 from repro.core import (
-    DistributedSubmatrixPipeline,
+    DistributedSubmatrixModel,
     newton_schulz_cost,
     submatrix_method_cost,
 )
@@ -59,9 +59,9 @@ def transfer_planning() -> None:
     context = SubmatrixContext(EngineConfig(engine="batched"))
     pipeline = context.pipeline(pattern, blocks.block_sizes, n_ranks)
     plan = pipeline.transfer_plan
-    # the fast pattern-level planning is a modeling argument of the pipeline
-    # itself, not a session setting
-    fast = DistributedSubmatrixPipeline(
+    # the fast pattern-level planning is an argument of the run model alone:
+    # it builds no plan and no shard, and is not a session setting
+    fast = DistributedSubmatrixModel(
         pattern, blocks.block_sizes, n_ranks, exact_transfers=False
     ).transfer_plan
     print(

@@ -49,6 +49,9 @@ unified session API on top:
     every request as one session call on a thread pool.
 ``repro.analysis``
     Sparsity statistics and evaluation metrics.
+``repro.work``
+    The method's work counts, stated once: every modeled FLOP count and load
+    imbalance above reads it.
 
 The most convenient entry point is the session API, re-exported here:
 

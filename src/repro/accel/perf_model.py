@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, List, Optional
 
-import numpy as np
+from repro.work import gemm_flops
 
 __all__ = [
     "DeviceSpec",
@@ -154,9 +154,8 @@ def model_sign_algorithm_performance(
         raise ValueError("matrix_dimension and iterations must be positive")
     n = float(matrix_dimension)
     gemms_per_iteration = order  # X^2, Horner multiply(ies), final X·poly
-    gemm_flops = 2.0 * n**3 * gemms_per_iteration * iterations
-    gemm_rate = device.gemm_tflops[precision] * 1e12
-    gemm_seconds = gemm_flops / gemm_rate
+    flops = gemm_flops(n, n, n) * gemms_per_iteration * iterations
+    gemm_seconds = flops / (device.gemm_tflops[precision] * 1e12)
 
     element_bytes = _BYTES_PER_ELEMENT[precision]
     matrix_bytes = n * n * element_bytes
@@ -178,7 +177,7 @@ def model_sign_algorithm_performance(
     convergence_seconds = iterations * 2.0 * n * n * element_bytes / device.memory_bandwidth
 
     total = gemm_seconds + conversion_seconds + transfer_seconds + convergence_seconds
-    overall_tflops = gemm_flops / total / 1e12
+    overall_tflops = flops / total / 1e12
     return SignAlgorithmPerformance(
         device=device.name,
         precision=precision,

@@ -23,6 +23,9 @@ import numbers
 from typing import Optional
 
 from repro.parallel.executor import default_worker_count
+# the submatrix solve's constant, re-exported: ``benchmarks/e2e`` imports it
+# from here to count ``signfn.eigh_flops``
+from repro.work import EIGENSOLVE_FLOP_CONSTANT
 
 __all__ = [
     "EngineConfig",
@@ -40,18 +43,6 @@ ENGINES = ("batched",)
 
 #: Worker backends of :func:`repro.parallel.executor.make_executor`.
 BACKENDS = ("serial", "thread")
-
-#: FLOPs of a dense symmetric eigendecomposition plus the two back
-#: transformations Q·diag·Qᵀ, expressed as a multiple of n³.  dsyevd costs
-#: roughly 4/3·n³ for the tridiagonal reduction plus ~4·n³ for the
-#: divide-and-conquer back-transformation; forming Q Λ' Qᵀ adds ~4·n³.
-#: That last term is the accounting of the paper's cost model and of the
-#: ledger's staged replay, which both form the full product; the engine
-#: itself forms only the generating-column panel (2·n²·w,
-#: :func:`repro.core.batch.spectral_panels`).  The value is what the load
-#: balancer weighs submatrices with and what ``benchmarks/e2e`` imports to
-#: count ``signfn.eigh_flops``: it stays.
-EIGENSOLVE_FLOP_CONSTANT = 9.0
 
 
 def check_positive_int(value, name: str) -> Optional[int]:

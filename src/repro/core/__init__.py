@@ -28,9 +28,10 @@ submatrices (:mod:`repro.core.combination`), the paper's greedy
 consecutive-chunk load balancing (:mod:`repro.core.load_balance`; every
 submatrix is solved at its own dimension), rank-sharding of extraction
 plans (:mod:`repro.core.shard`), deduplicated block transfer planning
-(:mod:`repro.core.transfers`), and the one rank loop with
-its sharded pipeline and the distributed run cost models
-(:mod:`repro.core.runner`).  The entry point that drives all of it — f(A),
+(:mod:`repro.core.transfers`), and the one rank loop with the distributed
+run models and the sharded pipeline that executes them
+(:mod:`repro.core.runner`).  Every modeled FLOP count reads
+:mod:`repro.work`.  The entry point that drives all of it — f(A),
 densities, trajectories — is :class:`repro.api.context.SubmatrixContext`.
 """
 
@@ -55,22 +56,20 @@ from repro.core.combination import (
     group_columns_greedy_chunks,
     estimated_speedup,
 )
-from repro.core.load_balance import (
-    assign_consecutive_chunks,
-    submatrix_flop_costs,
-    load_imbalance,
-)
+from repro.core.load_balance import assign_consecutive_chunks, load_imbalance
 from repro.core.shard import RankShard, ShardView, ShardedPlan
 from repro.core.transfers import TransferPlan, plan_transfers
 from repro.core.runner import (
+    DistributedSubmatrixModel,
     DistributedSubmatrixPipeline,
     SubmatrixRunCost,
     run_stacks,
     submatrix_method_cost,
     newton_schulz_cost,
     estimate_newton_schulz_iterations,
-    EIGENSOLVE_FLOP_CONSTANT,
 )
+# the one work function of every cost above (Eq. 14)
+from repro.work import EIGENSOLVE_FLOP_CONSTANT, submatrix_flop_costs
 # the session API's configuration layer (safe to import here: config sits
 # below repro.core in the dependency graph)
 from repro.api.config import ENGINES, EngineConfig
@@ -101,6 +100,7 @@ __all__ = [
     "ShardedPlan",
     "TransferPlan",
     "plan_transfers",
+    "DistributedSubmatrixModel",
     "DistributedSubmatrixPipeline",
     "run_stacks",
     "submatrix_method_cost",

@@ -11,7 +11,7 @@ with the estimated speedup (Eq. 15)
 
 where ñ_i are the submatrix dimensions for single block columns and n_i the
 dimensions of the combined submatrices, assuming O(n³) cost per submatrix
-(Eq. 14).
+(Eq. 14, :func:`repro.work.submatrix_flop_costs`; its constant cancels).
 
 Two grouping heuristics are proposed and reproduced here (Fig. 5):
 
@@ -37,6 +37,7 @@ from repro.clustering.graph_partition import partition_graph
 from repro.clustering.kmeans import kmeans
 from repro.core.submatrix import submatrix_dimension
 from repro.dbcsr.coo import CooBlockList
+from repro.work import submatrix_flop_costs
 
 __all__ = [
     "ColumnGrouping",
@@ -213,13 +214,11 @@ def estimated_speedup(
         per block column; S < 1 means it is expected to be slower.
     """
     block_sizes = np.asarray(list(block_sizes), dtype=int)
-    n_columns = block_sizes.size
     if single_dimensions is None:
-        single = single_column_groups(n_columns)
+        single = single_column_groups(block_sizes.size)
         single_dimensions = single.submatrix_dimensions(pattern, block_sizes)
-    numerator = float(np.sum(np.asarray(single_dimensions, dtype=float) ** 3))
-    grouped_dimensions = grouping.submatrix_dimensions(pattern, block_sizes)
-    denominator = float(np.sum(np.asarray(grouped_dimensions, dtype=float) ** 3))
+    grouped = grouping.submatrix_dimensions(pattern, block_sizes)
+    denominator = float(submatrix_flop_costs(grouped).sum())
     if denominator == 0:
         raise ValueError("grouping produced only empty submatrices")
-    return numerator / denominator
+    return float(submatrix_flop_costs(single_dimensions).sum()) / denominator

@@ -5,8 +5,9 @@ induces larger submatrices than the surrounding solvent), so assigning the
 same *number* of submatrices to every rank does not balance the *work*.  The
 paper assigns one consecutive chunk of submatrices to every rank (to maximise
 block reuse, Sec. IV-B2) using a greedy algorithm driven by the O(n³) cost
-estimate: submatrices are appended to the current rank while its load stays
-below FLOP_total / #ranks, and every rank receives at least one submatrix.
+estimate (:func:`repro.work.submatrix_flop_costs`): submatrices are appended
+to the current rank while its load stays below FLOP_total / #ranks, and
+every rank receives at least one submatrix.
 
 Each rank then solves its chunk at the submatrices' own dimensions: the
 batched evaluator stacks only equal-dimension submatrices, so nothing is
@@ -19,23 +20,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.work import imbalance
+
 __all__ = [
-    "submatrix_flop_costs",
     "assign_consecutive_chunks",
     "load_imbalance",
 ]
-
-
-def submatrix_flop_costs(
-    dimensions: Sequence[int], flop_constant: float = 1.0
-) -> np.ndarray:
-    """Estimated cost c·n³ per submatrix (Eq. 14)."""
-    dimensions = np.asarray(list(dimensions), dtype=float)
-    if np.any(dimensions < 0):
-        raise ValueError("submatrix dimensions must be non-negative")
-    if flop_constant <= 0:
-        raise ValueError("flop_constant must be positive")
-    return flop_constant * dimensions**3
 
 
 def _validated_costs(costs: Sequence[float], n_ranks: int) -> np.ndarray:
@@ -120,16 +110,8 @@ def load_imbalance(costs: Sequence[float], assignment) -> float:
     chunks) or a list of explicit index lists.
     """
     costs = np.asarray(list(costs), dtype=float)
-    loads: List[float] = []
-    for entry in assignment:
-        if isinstance(entry, tuple) and len(entry) == 2:
-            start, stop = entry
-            loads.append(float(costs[start:stop].sum()))
-        else:
-            loads.append(float(costs[list(entry)].sum()) if len(entry) else 0.0)
-    loads_array = np.asarray(loads, dtype=float)
-    total = float(loads_array.sum())
-    if total == 0:
-        return 1.0
-    mean = total / len(loads_array)
-    return float(loads_array.max() / mean)
+    chunks = (
+        slice(*entry) if isinstance(entry, tuple) and len(entry) == 2 else list(entry)
+        for entry in assignment
+    )
+    return imbalance([costs[chunk].sum() for chunk in chunks])

@@ -1,34 +1,42 @@
-"""The rank loop, the distributed submatrix pipeline and run cost models.
+"""The rank loop, and the sharded run's model beside its execution.
 
 The paper's scaling experiments (Figs. 6, 8, 9, 10) ran on 40–1280 cores.
 This reproduction executes the numerics inside one process, but models the
 *work and traffic distribution across ranks* — which is what determines the
-scaling behaviour — exactly, from the block-sparsity pattern.
+scaling behaviour — exactly, from the block-sparsity pattern.  The module
+keeps the model and the execution apart:
 
-* :func:`run_stacks` is the one rank loop of the paper's algorithm (Sec. IV,
-  IV-E): every rank takes its chunk of submatrices, stacks them by exact
-  dimension, solves and scatters.  A single process is P = 1 of it — one
-  unit, the whole plan.  Every f(A) and every density goes through it.
-* :class:`DistributedSubmatrixPipeline` fixes what a sharded run needs
-  before any value is seen: the submatrix→rank assignment (one consecutive
-  chunk per rank, chosen greedily by c·n³ cost), the sharded
-  extraction plan (:class:`~repro.core.shard.ShardedPlan`) and the
-  deduplicated whole-block initialization exchange
-  (:func:`~repro.core.transfers.plan_transfers`).  Results are bitwise
-  identical to the single-process unit for any rank count (scatter ranges
-  are disjoint across ranks and every submatrix sees the same dense values).
-* :func:`submatrix_method_cost` is a thin wrapper over that pipeline: it
-  builds the same assignment, transfer plan and
-  :class:`~repro.parallel.stats.TrafficLog` the execution path uses and
-  feeds them to the machine model — no separate standalone cost formula.
+**Model** (no values, no extraction plan, no shard):
+
+* :class:`DistributedSubmatrixModel` fixes what a sharded run costs before
+  any value is seen: the submatrix→rank assignment (one consecutive chunk
+  per rank, chosen greedily by c·n³ cost), and the deduplicated whole-block
+  initialization exchange (:func:`~repro.core.transfers.plan_transfers`).
+  Its :meth:`~DistributedSubmatrixModel.traffic_log` and
+  :meth:`~DistributedSubmatrixModel.cost` feed the machine model;
+  :func:`submatrix_method_cost` is that cost for one model;
 * for the **Newton–Schulz baseline**, :func:`newton_schulz_cost` keeps the
   analytic model: every iteration performs two sparse block multiplications
   whose FLOPs follow from the (filtered) block pattern and whose traffic
   follows from libDBCSR's Cannon algorithm (each rank ships its panels √P
   times per multiplication).
 
-The machine model (:class:`repro.parallel.machine.MachineModel`) converts
-both into simulated wall-clock times.
+Every FLOP count and imbalance of both comes from :mod:`repro.work`; the
+machine model (:class:`repro.parallel.machine.MachineModel`) converts them
+into simulated wall-clock times.
+
+**Execution**:
+
+* :func:`run_stacks` is the one rank loop of the paper's algorithm (Sec. IV,
+  IV-E): every rank takes its chunk of submatrices, stacks them by exact
+  dimension, solves and scatters.  A single process is P = 1 of it — one
+  unit, the whole plan.  Every f(A) and every density goes through it;
+* :class:`DistributedSubmatrixPipeline` is a model that also executes: it
+  adds the extraction plan and its rank shards
+  (:class:`~repro.core.shard.ShardedPlan`) that :func:`run_stacks` runs.
+  Results are bitwise identical to the single-process unit for any rank
+  count (scatter ranges are disjoint across ranks and every submatrix sees
+  the same dense values).
 """
 
 from __future__ import annotations
@@ -40,10 +48,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.config import EIGENSOLVE_FLOP_CONSTANT
 from repro.core.batch import make_stack_tasks, map_stacks
 from repro.core.combination import ColumnGrouping, single_column_groups
-from repro.core.load_balance import assign_consecutive_chunks, submatrix_flop_costs
+from repro.core.load_balance import assign_consecutive_chunks
 from repro.core.plan import BlockSubmatrixPlan, PlanCache, SubmatrixPlan, block_plan
 from repro.core.shard import ShardedPlan
 from repro.core.transfers import TransferPlan, plan_transfers
@@ -52,15 +59,16 @@ from repro.dbcsr.distribution import BlockDistribution, ProcessGrid2D
 from repro.parallel.machine import MachineModel, SimulatedTime
 from repro.parallel.stats import TrafficLog
 from repro.parallel.topology import balanced_dims
+from repro.work import block_multiply_flops, submatrix_flop_costs
 
 __all__ = [
+    "DistributedSubmatrixModel",
     "DistributedSubmatrixPipeline",
     "run_stacks",
     "SubmatrixRunCost",
     "submatrix_method_cost",
     "newton_schulz_cost",
     "estimate_newton_schulz_iterations",
-    "EIGENSOLVE_FLOP_CONSTANT",
 ]
 
 PatternLike = Union[sp.spmatrix, CooBlockList]
@@ -93,24 +101,21 @@ def _as_coo(pattern: PatternLike) -> CooBlockList:
     return CooBlockList.from_pattern(pattern)
 
 
-class DistributedSubmatrixPipeline:
-    """Rank-sharded execution of the submatrix method through the plan engine.
+class DistributedSubmatrixModel:
+    """The cost side of a sharded submatrix run: no values, no plan, no shard.
 
-    The pipeline fixes, once per (pattern, grouping, rank count):
+    The model fixes, once per (pattern, grouping, rank count):
 
     1. the submatrix→rank assignment: the paper's greedy consecutive chunks
-       over c·n³ costs (Sec. IV-E, maximises block reuse),
-    2. the sharded extraction plan — per rank, the gather/scatter arrays of
-       its own groups re-based onto a rank-local packed buffer,
-    3. the transfer plan of the initialization exchange: the deduplicated
-       whole-block volume, which is exactly what every shard's local buffer
-       packs.
+       over c·n³ costs (Sec. IV-E, maximises block reuse), and every rank's
+       FLOPs (:func:`repro.work.submatrix_flop_costs`);
+    2. the transfer plan of the initialization exchange: the deduplicated
+       whole-block volume, which is exactly what every shard of an executed
+       run packs.
 
-    :func:`run_stacks` evaluates on actual values through it (bitwise
-    identical to the single-process unit), while :meth:`traffic_log` /
-    :meth:`cost` expose the same execution's work and traffic distribution
-    to the machine model without running numerics — which is all
-    :func:`submatrix_method_cost` does.
+    :meth:`traffic_log` and :meth:`cost` expose that work and traffic
+    distribution to the machine model.  :class:`DistributedSubmatrixPipeline`
+    executes the same model.
 
     Parameters
     ----------
@@ -122,21 +127,14 @@ class DistributedSubmatrixPipeline:
         Number of simulated ranks.
     grouping:
         Block-column grouping (default: one submatrix per block column).
-    plan_cache:
-        Optional plan cache for the extraction plan (built uncached
-        without one).
     exact_transfers:
         ``True`` (default) plans deduplicated transfers per submatrix:
         exactly the remote blocks each rank's shard packs.  ``False`` uses
         the fast pattern-level planning, which over-estimates them —
-        preferred for very large cost sweeps.  Either way the transfer plan is fixed here;
-        :meth:`prepare` builds the shards and leaves it as it is, so a fast
-        pipeline keeps its over-estimate after it has run.
+        preferred for very large cost sweeps.
 
     Blocks are owned round-robin over a near-square process grid, like
-    DBCSR's default distribution; a submatrix solve costs
-    :data:`~repro.api.config.EIGENSOLVE_FLOP_CONSTANT`·n³ and a matrix element
-    8 bytes (float64).
+    DBCSR's default distribution; a matrix element is 8 bytes (float64).
     """
 
     def __init__(
@@ -145,7 +143,6 @@ class DistributedSubmatrixPipeline:
         block_sizes: Sequence[int],
         n_ranks: int,
         grouping: Optional[ColumnGrouping] = None,
-        plan_cache: Optional[PlanCache] = None,
         exact_transfers: bool = True,
     ):
         if n_ranks < 1:
@@ -157,20 +154,18 @@ class DistributedSubmatrixPipeline:
         self.grouping = grouping or single_column_groups(n_blocks)
         grid = ProcessGrid2D(n_ranks, balanced_dims(n_ranks))
         self.distribution = BlockDistribution(n_blocks, n_blocks, grid)
-        self.plan_cache = plan_cache
 
         self.dimensions = self.grouping.submatrix_dimensions(
             self.coo, self.block_sizes
         )
-        self.costs = submatrix_flop_costs(self.dimensions, EIGENSOLVE_FLOP_CONSTANT)
-        self.rank_of_group = self._assign_ranks()
+        self.costs = submatrix_flop_costs(self.dimensions)
+        self.rank_of_group = np.zeros(self.grouping.n_submatrices, dtype=int)
+        for rank, (start, stop) in enumerate(
+            assign_consecutive_chunks(self.costs, self.n_ranks)
+        ):
+            self.rank_of_group[start:stop] = rank
         self.rank_flops = np.zeros(self.n_ranks)
         np.add.at(self.rank_flops, self.rank_of_group, self.costs)
-
-        self.plan: Optional[BlockSubmatrixPlan] = None
-        self.sharded: Optional[ShardedPlan] = None
-        # cost-model side planning needs no extraction plan; the plan and
-        # shards are built lazily on the first prepare()
         self.transfer_plan: TransferPlan = plan_transfers(
             self.coo,
             self.block_sizes,
@@ -180,44 +175,8 @@ class DistributedSubmatrixPipeline:
             per_group_dedup=bool(exact_transfers),
         )
 
-    # ------------------------------------------------------------------ #
-    # planning
-    # ------------------------------------------------------------------ #
-    def _assign_ranks(self) -> np.ndarray:
-        rank_of_group = np.zeros(self.grouping.n_submatrices, dtype=int)
-        for rank, (start, stop) in enumerate(
-            assign_consecutive_chunks(self.costs, self.n_ranks)
-        ):
-            rank_of_group[start:stop] = rank
-        return rank_of_group
-
-    def prepare(self):
-        """Build (or fetch) the extraction plan and sharded plan eagerly.
-
-        Returns ``(plan, sharded)`` — what :func:`run_stacks` executes and
-        what the caller packs the input values with.
-        """
-        self._ensure_execution()
-        assert self.plan is not None and self.sharded is not None
-        return self.plan, self.sharded
-
-    def _ensure_execution(self) -> None:
-        """Build the extraction plan and shards lazily (first use only)."""
-        if self.sharded is not None:
-            return
-        self.plan = block_plan(
-            self.coo,
-            self.block_sizes,
-            self.grouping.groups,
-            cache=self.plan_cache,
-        )
-        self.sharded = ShardedPlan(self.plan, self.rank_of_group, self.n_ranks)
-
-    # ------------------------------------------------------------------ #
-    # cost-model side
-    # ------------------------------------------------------------------ #
     def traffic_log(self) -> TrafficLog:
-        """Work and traffic of one pipeline execution, per rank.
+        """Work and traffic of one run, per rank.
 
         The initialization exchange is charged at the transfer plan's fetch
         volume (with the COO allgather), and every rank's assigned submatrix
@@ -229,10 +188,9 @@ class DistributedSubmatrixPipeline:
         return log
 
     def cost(self, machine: MachineModel) -> SubmatrixRunCost:
-        """Simulated run cost of this pipeline on ``machine``, one core per
-        rank (the paper's submatrix runs, Sec. V)."""
+        """Simulated run cost on ``machine``, one core per rank (the paper's
+        submatrix runs, Sec. V)."""
         log = self.traffic_log()
-        simulated = machine.simulate(log)
         plan = self.transfer_plan
         dimensions = self.dimensions
         details: Dict[str, float] = {
@@ -250,15 +208,56 @@ class DistributedSubmatrixPipeline:
             method="submatrix",
             n_ranks=self.n_ranks,
             traffic=log,
-            simulated=simulated,
+            simulated=machine.simulate(log),
             total_flops=log.total_flops(),
             total_comm_bytes=log.total_bytes_sent(),
             details=details,
         )
 
-    # ------------------------------------------------------------------ #
-    # execution side
-    # ------------------------------------------------------------------ #
+
+class DistributedSubmatrixPipeline(DistributedSubmatrixModel):
+    """Rank-sharded execution of a :class:`DistributedSubmatrixModel`.
+
+    On top of the model's assignment and exact transfer plan, the pipeline
+    builds — lazily, on the first :meth:`prepare` — the extraction plan and
+    its sharded form: per rank, the gather/scatter arrays of its own groups
+    re-based onto a rank-local packed buffer of exactly the blocks the
+    transfer plan fetches.  :func:`run_stacks` evaluates on actual values
+    through it, bitwise identical to the single-process unit.
+
+    ``plan_cache`` is the optional plan cache of the extraction plan (built
+    uncached without one); the other parameters are the model's.
+    """
+
+    def __init__(
+        self,
+        pattern: PatternLike,
+        block_sizes: Sequence[int],
+        n_ranks: int,
+        grouping: Optional[ColumnGrouping] = None,
+        plan_cache: Optional[PlanCache] = None,
+    ):
+        super().__init__(pattern, block_sizes, n_ranks, grouping)
+        self.plan_cache = plan_cache
+        self.plan: Optional[BlockSubmatrixPlan] = None
+        self.sharded: Optional[ShardedPlan] = None
+
+    def prepare(self):
+        """Build (or fetch) the extraction plan and sharded plan, once.
+
+        Returns ``(plan, sharded)`` — what :func:`run_stacks` executes and
+        what the caller packs the input values with.
+        """
+        if self.sharded is None:
+            self.plan = block_plan(
+                self.coo,
+                self.block_sizes,
+                self.grouping.groups,
+                cache=self.plan_cache,
+            )
+            self.sharded = ShardedPlan(self.plan, self.rank_of_group, self.n_ranks)
+        return self.plan, self.sharded
+
     def execute_ranks(
         self, run_rank: Callable[[int], object], mapper: Optional[Mapper] = None
     ) -> List[object]:
@@ -352,41 +351,19 @@ def submatrix_method_cost(
     grouping: Optional[ColumnGrouping] = None,
     exact_transfers: bool = True,
 ) -> SubmatrixRunCost:
-    """Cost of a distributed submatrix-method sign evaluation.
+    """Cost of a distributed submatrix-method sign evaluation on ``machine``.
 
-    A thin wrapper over :class:`DistributedSubmatrixPipeline`: the work and
-    traffic fed to the machine model are exactly those of an actual pipeline
-    execution (same assignment, same transfer plan, same per-rank FLOPs) —
-    only the numerics are skipped.
-
-    Parameters
-    ----------
-    pattern:
-        Block-sparsity pattern of the (filtered, orthogonalized) Kohn–Sham
-        matrix.
-    block_sizes:
-        Basis functions per block column.
-    n_ranks:
-        Number of MPI ranks (the paper uses one rank per core for the
-        submatrix method, Sec. V).
-    machine:
-        Machine model used to convert work/traffic into seconds.
-    grouping:
-        Block-column grouping (default: one submatrix per block column).
-    exact_transfers:
-        ``True`` plans block transfers per submatrix (exact deduplication
-        bookkeeping); ``False`` uses the faster pattern-level planning, which
-        over-estimates the fetch volume — preferred for very large
-        pattern-level cost sweeps.
+    ``DistributedSubmatrixModel(...).cost(machine)``: the work and traffic of
+    an executed pipeline (same assignment, same transfer plan, same per-rank
+    FLOPs) without the numerics.  ``pattern`` is the block pattern of the
+    filtered, orthogonalized Kohn–Sham matrix and ``n_ranks`` counts MPI
+    ranks, one per core as in the paper's submatrix runs (Sec. V); the other
+    parameters are the model's.
     """
-    pipeline = DistributedSubmatrixPipeline(
-        pattern,
-        block_sizes,
-        n_ranks,
-        grouping=grouping,
-        exact_transfers=exact_transfers,
+    model = DistributedSubmatrixModel(
+        pattern, block_sizes, n_ranks, grouping=grouping, exact_transfers=exact_transfers
     )
-    return pipeline.cost(machine)
+    return model.cost(machine)
 
 
 def estimate_newton_schulz_iterations(eps_filter: float, base_iterations: int = 14) -> int:
@@ -443,14 +420,7 @@ def newton_schulz_cost(
     block_sizes = np.asarray(list(block_sizes), dtype=float)
     base = coo.to_pattern().astype(bool)
     iterate_pattern = ((base @ base) + base).astype(bool)
-
-    # FLOPs of one block sparse multiply X·Y with X, Y having `iterate_pattern`:
-    # sum_k b_k * (sum_i P[i,k] b_i) * (sum_j P[k,j] b_j)
-    col_weight = np.asarray(
-        iterate_pattern.T.astype(float) @ block_sizes
-    ).ravel()  # sum_i P[i,k] b_i
-    row_weight = np.asarray(iterate_pattern.astype(float) @ block_sizes).ravel()
-    multiply_flops = 2.0 * float(np.sum(block_sizes * col_weight * row_weight))
+    multiply_flops = block_multiply_flops(iterate_pattern, block_sizes)
     # one iteration: X² and X·(3I − X²)  ->  two multiplications
     total_flops = 2.0 * multiply_flops * n_iterations
 

@@ -1,7 +1,7 @@
 """Per-rank accounting of floating-point operations and communication.
 
-The sharded submatrix pipeline records how much work and traffic each
-simulated MPI rank performs (:meth:`repro.core.runner.DistributedSubmatrixPipeline.traffic_log`,
+The sharded run model records how much work and traffic each simulated MPI
+rank performs (:meth:`repro.core.runner.DistributedSubmatrixModel.traffic_log`,
 from its transfer plan).  The resulting :class:`TrafficLog` is the input to
 the machine model that produces the simulated wall-clock times used in the
 scaling experiments.
@@ -13,6 +13,8 @@ import dataclasses
 from typing import Iterable, List
 
 import numpy as np
+
+from repro.work import imbalance
 
 __all__ = ["RankCounters", "TrafficLog"]
 
@@ -132,17 +134,9 @@ class TrafficLog:
         """Total bytes sent across all ranks."""
         return sum(r.bytes_sent for r in self.ranks)
 
-    def max_flops(self) -> float:
-        """Largest per-rank FLOP count (critical path of compute)."""
-        return max(r.total_flops for r in self.ranks)
-
     def flop_imbalance(self) -> float:
         """Ratio of max to mean per-rank FLOPs (1.0 = perfectly balanced)."""
-        total = self.total_flops()
-        if total == 0:
-            return 1.0
-        mean = total / self.n_ranks
-        return self.max_flops() / mean
+        return imbalance(r.total_flops for r in self.ranks)
 
     def per_rank(self) -> Iterable[RankCounters]:
         """Iterate over per-rank counters."""

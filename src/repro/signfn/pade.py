@@ -39,6 +39,7 @@ from repro.signfn.utils import (
     involutority_error,
     spectral_scale_estimate,
 )
+from repro.work import gemm_flops
 
 __all__ = ["pade_polynomial_coefficients", "sign_pade", "PadeSignResult"]
 
@@ -165,7 +166,7 @@ def sign_pade(
         for term in terms[-2::-1]:
             poly = gemm(poly, x_squared, mode) + term
         x = gemm(x, poly, mode)
-        flops += 2.0 * n**3 * (len(coefficients) + 1)
+        flops += (len(coefficients) + 1) * gemm_flops(n, n, n)
         # the histories in float64, whatever the iteration precision
         sign = x.astype(np.float64, copy=False)
         involutority = involutority_error(sign)

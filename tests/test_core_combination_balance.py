@@ -149,12 +149,13 @@ class TestEstimatedSpeedup:
 
 class TestLoadBalance:
     def test_flop_costs(self):
-        costs = submatrix_flop_costs([2, 3], flop_constant=2.0)
-        assert np.allclose(costs, [16.0, 54.0])
+        """c·n³ with the one constant of every modeled submatrix solve."""
+        costs = submatrix_flop_costs([2, 3])
+        assert np.array_equal(costs, [9.0 * 8.0, 9.0 * 27.0])
 
     def test_flop_costs_invalid(self):
-        with pytest.raises(ValueError):
-            submatrix_flop_costs([2], flop_constant=0.0)
+        with pytest.raises(TypeError):
+            submatrix_flop_costs([2], flop_constant=2.0)
         with pytest.raises(ValueError):
             submatrix_flop_costs([-1])
 

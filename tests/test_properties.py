@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from repro.analysis import parallel_efficiency
 from repro.chem.density import fermi_occupation
-from repro.core.load_balance import assign_consecutive_chunks, submatrix_flop_costs
+from repro.core.load_balance import assign_consecutive_chunks
+from repro.work import submatrix_flop_costs
 from repro.core.submatrix import submatrix_block_rows
 from repro.dbcsr import BlockSparseMatrix, CooBlockList
 from repro.dbcsr.convert import (

@@ -366,7 +366,7 @@ class TestDistributedPipeline:
         shard holds exactly those submatrices and that work."""
         matrix, sizes, coo = block_system
         pipeline = DistributedSubmatrixPipeline(coo, sizes, n_ranks)
-        costs = submatrix_flop_costs(pipeline.dimensions, EIGENSOLVE_FLOP_CONSTANT)
+        costs = submatrix_flop_costs(pipeline.dimensions)
         assert np.array_equal(pipeline.costs, costs)
         chunks = assign_consecutive_chunks(costs, n_ranks)
         assert chunks == assign_consecutive_chunks_reference(costs, n_ranks)
@@ -432,7 +432,9 @@ class TestDistributedPipeline:
         pipeline = DistributedSubmatrixPipeline(coo, sizes, 4)
         log = pipeline.traffic_log()
         dims = np.asarray(pipeline.dimensions, dtype=float)
-        assert log.total_flops() == pytest.approx(9.0 * float(np.sum(dims**3)))
+        assert log.total_flops() == pytest.approx(
+            EIGENSOLVE_FLOP_CONSTANT * float(np.sum(dims**3))
+        )
 
     def test_cost_wrapper_consistent_with_pipeline(self, block_system):
         from repro.core import submatrix_method_cost
