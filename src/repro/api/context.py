@@ -63,6 +63,7 @@ from repro.dbcsr.coo import CooBlockList
 from repro.dbcsr.product import PanelRuns, block_norms, floor_runs
 from repro.parallel.executor import make_executor, map_parallel
 from repro.signfn.registry import KernelStackSolver, resolve_kernel
+from repro.work import submatrix_flop_costs
 
 __all__ = ["SubmatrixContext", "matrix_fingerprint"]
 
@@ -504,7 +505,7 @@ class SubmatrixContext:
             result=result,
             submatrix_dimensions=dimensions,
             wall_time=time.perf_counter() - start,
-            flop_estimate=float(sum(float(d) ** 3 for d in dimensions)),
+            flop_estimate=float(submatrix_flop_costs(dimensions).sum()),
             n_ranks=pipeline.n_ranks if pipeline is not None else 1,
             kernel_fallbacks=solver.fallbacks,
         )

@@ -41,9 +41,10 @@ class SubmatrixMethodResult:
     wall_time:
         Wall-clock seconds spent (extraction + evaluation + scatter).
     flop_estimate:
-        Σ c·n_i³ estimate of the evaluation cost with c = 1 (callers rescale
-        with their solver's constant); this is the cost model used for load
-        balancing and for the combination heuristic (Eq. 14).
+        Σ c·n_i³ estimate of the evaluation cost (Eq. 14), with the one
+        constant c = :data:`~repro.work.EIGENSOLVE_FLOP_CONSTANT` of every
+        modeled submatrix solve: the cost the load balance and the
+        combination heuristic weigh (:func:`repro.work.submatrix_flop_costs`).
     n_ranks:
         Simulated rank count the submatrices were sharded over (1 for
         single-process runs).  Per-rank work and traffic of a sharded run
