@@ -227,6 +227,11 @@ class Observable:
         diagonalization-free Newton–Schulz kernel (only ``density``) —
         that is, assembled from the scattered occupation matrices alone.  A
         fixed-μ request of only such observables holds no spectra.
+    reads_eigenvectors:
+        Whether ``assemble`` scatters Q g(λ) Qᵀ from a collect-mode request's
+        kept eigenvectors (``density``, ``energy_weighted_density``; the
+        PDOS reads only λ and the weights).  The last such observable of a
+        request forms its panels in Q itself, the others in a copy.
     parameters:
         ``parameters(params) -> normalised params`` — check the caller's
         per-observable parameter mapping (:func:`validate_request` calls it
@@ -238,6 +243,7 @@ class Observable:
     assemble: Callable[["Decomposition", Mapping[str, Any]], Any]
     description: str
     supports_iterative: bool
+    reads_eigenvectors: bool
     parameters: Optional[Callable[[Mapping[str, Any]], Dict[str, Any]]] = None
 
 
@@ -452,7 +458,8 @@ def _check_shapes(k_shape, s_shape, blocks) -> None:
 
 class StackSpectra(NamedTuple):
     """The collect mode's record of one solved stack of ``k`` submatrices of
-    dimension ``d``; λ, Q and the weights are read-only.
+    dimension ``d``; λ, Q and the weights are read-only until the request's
+    last reader of Q forms its panels in it (:func:`_scatter_spectral`).
 
     ``members`` are the stack slots' global plan groups, ``eigenvalues`` and
     ``eigenvectors`` the ``(k, d)`` and ``(k, d, d)`` output of ``eigh``, and
@@ -473,7 +480,10 @@ class Decomposition:
 
     Built by ``_decompose`` and completed by :func:`compute_observables`
     (μ, and for a canonical request the bisection's ``mu_iterations``);
-    every observable's ``assemble`` hook reads it and none writes it.
+    every observable's ``assemble`` hook reads it.  The one write is the
+    spectral scatter's: ``eigenvector_readers`` counts the requested
+    observables still to scatter from the kept eigenvectors, and the last
+    of them forms its panels in Q itself, which leaves Q spent.
 
     In collect mode the per-stack ``spectra`` serve any chemical potential
     and any observable (every bisection step reads the same arrays).  In
@@ -501,6 +511,7 @@ class Decomposition:
     occupation_block: Optional[BlockSparseMatrix] = None
     stack_decompositions: int = 0
     kernel_fallbacks: int = 0
+    eigenvector_readers: int = 0
 
     @functools.cached_property
     def spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -628,6 +639,9 @@ def _decompose(context, K, S, blocks, request: Request, start) -> Decomposition:
             StackSpectra(np.asarray(members, dtype=np.int64), *record)
             for members, record in stacks
         ]
+        decomposition.eigenvector_readers = sum(
+            get_observable(name).reads_eigenvectors for name in request.names
+        )
     return decomposition
 
 
@@ -772,6 +786,7 @@ OBSERVABLES: Dict[str, Observable] = {
             "(Eq. 16), AO and orthogonal basis"
         ),
         supports_iterative=True,
+        reads_eigenvectors=True,
     ),
     "pdos": Observable(
         name="pdos",
@@ -781,6 +796,7 @@ OBSERVABLES: Dict[str, Observable] = {
             "spectral weights, Gaussian-broadened"
         ),
         supports_iterative=False,
+        reads_eigenvectors=False,
         parameters=_pdos_parameters,
     ),
     "energy_weighted_density": Observable(
@@ -791,6 +807,7 @@ OBSERVABLES: Dict[str, Observable] = {
             "band-structure energy g_s·Tr(W)"
         ),
         supports_iterative=False,
+        reads_eigenvectors=True,
     ),
 }
 
@@ -924,14 +941,24 @@ def _scatter_spectral(
 
     The streamed route's delivery once μ is known, on the caller thread (see
     :mod:`repro.core.batch`): per stack the same former
-    (:func:`~repro.core.batch.spectral_panels`), in a copy of the
-    eigenvectors that a bundle's next observable reads again, and the same
+    (:func:`~repro.core.batch.spectral_panels`) and the same
     :meth:`~repro.core.plan.SubmatrixPlan.scatter_panels` into one output.
+    The former scales Q in place.  It works in a copy while a later
+    observable of the request reads Q again
+    (:attr:`Decomposition.eigenvector_readers`), and in the kept Q itself
+    for the last reader — every canonical density-only request — which
+    leaves Q spent.  Either way the panels are the same bits.
     """
     plan = decomposition.plan
+    decomposition.eigenvector_readers -= 1
+    last = decomposition.eigenvector_readers == 0
     out = plan.new_output()
     for members, eigenvalues, eigenvectors, _ in decomposition.spectra:
-        form = spectral_panels(eigenvalues, eigenvectors.copy(), spectral_function)
+        if last:
+            eigenvectors.setflags(write=True)
+        form = spectral_panels(
+            eigenvalues, eigenvectors if last else eigenvectors.copy(), spectral_function
+        )
         plan.scatter_panels(out, members, form)
         del form  # one copy of Q alive at a time
     return plan.finalize(out)

@@ -341,7 +341,8 @@ class TestStreamedRoute:
 
 class TestStackSpectra:
     """The per-stack records are read by every bisection step and every
-    observable of a request: complete when built, read-only afterwards."""
+    observable of a request: complete and read-only when built, until the
+    request's last reader of Q forms its panels in Q."""
 
     def test_records_are_complete_and_read_only(self, water32_matrices, gap_mu):
         pair = water32_matrices
@@ -350,7 +351,14 @@ class TestStackSpectra:
 
         def spying_decompose(*args, **kwargs):
             decomposition = decompose(*args, **kwargs)
-            records.extend(decomposition.spectra)
+            for record in decomposition.spectra:
+                for name in ("eigenvalues", "eigenvectors", "weights"):
+                    array = getattr(record, name)
+                    assert not array.flags.writeable, name
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[...] = 0.0
+                # the density scatters in Q itself: keep it as built
+                records.append(record._replace(eigenvectors=record.eigenvectors.copy()))
             return decomposition
 
         with pytest.MonkeyPatch.context() as patch:
@@ -385,11 +393,6 @@ class TestStackSpectra:
                 )
                 q_rows = record.eigenvectors[slot][rows, :]
                 assert np.array_equal(record.weights[slot], np.sum(q_rows**2, axis=0))
-            for name in ("eigenvalues", "eigenvectors", "weights"):
-                array = getattr(record, name)
-                assert not array.flags.writeable, name
-                with pytest.raises(ValueError, match="read-only"):
-                    array[...] = 0.0
 
 
 # --------------------------------------------------------------------------- #

@@ -150,6 +150,49 @@ def test_a_warm_collect_call_writes_once_per_stack(
     }
 
 
+@pytest.mark.parametrize(
+    "observables, copies_per_stack",
+    [(("density",), 0), (("density", "energy_weighted_density"), 1), (ALL_OBSERVABLES, 1)],
+    ids=["density", "density_and_w", "all"],
+)
+def test_only_a_later_reader_of_q_copies_it(
+    ragged, monkeypatch, observables, copies_per_stack
+):
+    """A scatter copies a stack's kept Q only while a later observable of the
+    request reads Q again (the PDOS reads λ and the weights only); the last
+    reader forms its panels in Q itself.  Every array is bitwise the route
+    that copies Q for every scatter."""
+    set_cap(monkeypatch, "three")
+    request = dict(observables=observables, n_electrons=N_ELECTRONS)
+    former = repro.api.observables.spectral_panels
+    decompose = repro.api.observables._decompose
+    kept, in_kept_q = [], []
+
+    def copying(eigenvalues, eigenvectors, function):
+        return former(eigenvalues, eigenvectors.copy(), function)
+
+    def keeping(*args, **kwargs):
+        decomposition = decompose(*args, **kwargs)
+        kept.extend(stack.eigenvectors for stack in decomposition.spectra)
+        return decomposition
+
+    def counting(eigenvalues, eigenvectors, function):
+        in_kept_q.append(any(eigenvectors is q for q in kept))
+        return former(eigenvalues, eigenvectors, function)
+
+    with SubmatrixContext(CONFIG) as context:
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.api.observables, "spectral_panels", copying)
+            copied = context.observables(*ragged, **request)
+        monkeypatch.setattr(repro.api.observables, "_decompose", keeping)
+        monkeypatch.setattr(repro.api.observables, "spectral_panels", counting)
+        result = context.observables(*ragged, **request)
+    stacks = len(kept)
+    assert stacks == 8
+    assert in_kept_q == [False] * copies_per_stack * stacks + [True] * stacks
+    assert_same_spectral_bits(result, copied)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("cap", ["one", "three"])
 def test_stacks_in_reverse_order_change_no_bit(ragged, gap_mu, monkeypatch, cap):
