@@ -228,10 +228,8 @@ class Observable:
         that is, assembled from the scattered occupation matrices alone.  A
         fixed-μ request of only such observables holds no spectra.
     reads_eigenvectors:
-        Whether ``assemble`` scatters Q g(λ) Qᵀ from a collect-mode request's
-        kept eigenvectors (``density``, ``energy_weighted_density``; the
-        PDOS reads only λ and the weights).  The last such observable of a
-        request forms its panels in Q itself, the others in a copy.
+        Whether ``assemble`` scatters Q g(λ) Qᵀ from the kept eigenvectors
+        (the PDOS reads only λ and the weights; see :func:`_scatter_spectral`).
     parameters:
         ``parameters(params) -> normalised params`` — check the caller's
         per-observable parameter mapping (:func:`validate_request` calls it
@@ -480,10 +478,8 @@ class Decomposition:
 
     Built by ``_decompose`` and completed by :func:`compute_observables`
     (μ, and for a canonical request the bisection's ``mu_iterations``);
-    every observable's ``assemble`` hook reads it.  The one write is the
-    spectral scatter's: ``eigenvector_readers`` counts the requested
-    observables still to scatter from the kept eigenvectors, and the last
-    of them forms its panels in Q itself, which leaves Q spent.
+    every observable's ``assemble`` hook reads it, and the spectral scatter
+    counts down ``eigenvector_readers`` (:func:`_scatter_spectral`).
 
     In collect mode the per-stack ``spectra`` serve any chemical potential
     and any observable (every bisection step reads the same arrays).  In
@@ -943,11 +939,9 @@ def _scatter_spectral(
     :mod:`repro.core.batch`): per stack the same former
     (:func:`~repro.core.batch.spectral_panels`) and the same
     :meth:`~repro.core.plan.SubmatrixPlan.scatter_panels` into one output.
-    The former scales Q in place.  It works in a copy while a later
-    observable of the request reads Q again
-    (:attr:`Decomposition.eigenvector_readers`), and in the kept Q itself
-    for the last reader — every canonical density-only request — which
-    leaves Q spent.  Either way the panels are the same bits.
+    The former scales Q in place: in a copy while a later observable of the
+    request reads Q (``eigenvector_readers`` counts them), in the kept Q
+    itself for the last reader, which spends it.  The bits are the same.
     """
     plan = decomposition.plan
     decomposition.eigenvector_readers -= 1

@@ -43,17 +43,13 @@ def assign_consecutive_chunks(
     """Assign consecutive chunks of submatrices to ranks (greedy, Sec. IV-E).
 
     Vectorized implementation of the paper's greedy: one cumulative sum of
-    the costs is computed up front and every rank's chunk boundary is found
-    with a single ``searchsorted`` (the first position where the cumulative
-    load reaches FLOP_total / #ranks), instead of walking the cost vector
-    item by item.  Equivalent to the item-by-item greedy
+    the costs, and every rank's chunk boundary from one ``searchsorted``
+    (the first position where the cumulative load reaches FLOP_total /
+    #ranks).  It equals the item-by-item greedy
     (``assign_consecutive_chunks_reference`` in
-    ``tests/submatrix_reference.py``) up to floating-point summation order —
-    property-tested exact on random integer-valued cost vectors; with cost
-    magnitudes spread over ~16 orders of magnitude the two may pick a
-    boundary one item apart (the global cumulative sum absorbs tiny costs
-    that the reference's per-chunk accumulator retains), which is immaterial
-    for c·n³ submatrix costs.
+    ``tests/submatrix_reference.py``) up to summation order: exactly on
+    integer-valued costs such as c·n³, and possibly one item apart when
+    costs span ~16 orders of magnitude.
 
     Parameters
     ----------

@@ -3,40 +3,34 @@
 The paper's scaling experiments (Figs. 6, 8, 9, 10) ran on 40–1280 cores.
 This reproduction executes the numerics inside one process, but models the
 *work and traffic distribution across ranks* — which is what determines the
-scaling behaviour — exactly, from the block-sparsity pattern.  The module
-keeps the model and the execution apart:
+scaling behaviour — exactly, from the block-sparsity pattern.
 
-**Model** (no values, no extraction plan, no shard):
+The **model** sees no values and builds no extraction plan and no shard;
+its FLOPs and imbalance come from :mod:`repro.work`, and the machine model
+(:class:`repro.parallel.machine.MachineModel`) turns them into seconds:
 
-* :class:`DistributedSubmatrixModel` fixes what a sharded run costs before
-  any value is seen: the submatrix→rank assignment (one consecutive chunk
-  per rank, chosen greedily by c·n³ cost), and the deduplicated whole-block
-  initialization exchange (:func:`~repro.core.transfers.plan_transfers`).
-  Its :meth:`~DistributedSubmatrixModel.traffic_log` and
-  :meth:`~DistributedSubmatrixModel.cost` feed the machine model;
-  :func:`submatrix_method_cost` is that cost for one model;
-* for the **Newton–Schulz baseline**, :func:`newton_schulz_cost` keeps the
-  analytic model: every iteration performs two sparse block multiplications
-  whose FLOPs follow from the (filtered) block pattern and whose traffic
-  follows from libDBCSR's Cannon algorithm (each rank ships its panels √P
-  times per multiplication).
+* :class:`DistributedSubmatrixModel` fixes the submatrix→rank assignment
+  (one consecutive chunk per rank, chosen greedily by c·n³ cost) and the
+  deduplicated whole-block initialization exchange
+  (:func:`~repro.core.transfers.plan_transfers`);
+  :func:`submatrix_method_cost` is its cost on a machine;
+* :func:`newton_schulz_cost` models the **Newton–Schulz baseline**: every
+  iteration performs two sparse block multiplications whose FLOPs follow
+  from the (filtered) block pattern and whose traffic follows from
+  libDBCSR's Cannon algorithm (each rank ships its panels √P times per
+  multiplication).
 
-Every FLOP count and imbalance of both comes from :mod:`repro.work`; the
-machine model (:class:`repro.parallel.machine.MachineModel`) converts them
-into simulated wall-clock times.
-
-**Execution**:
+The **execution**:
 
 * :func:`run_stacks` is the one rank loop of the paper's algorithm (Sec. IV,
   IV-E): every rank takes its chunk of submatrices, stacks them by exact
   dimension, solves and scatters.  A single process is P = 1 of it — one
   unit, the whole plan.  Every f(A) and every density goes through it;
-* :class:`DistributedSubmatrixPipeline` is a model that also executes: it
-  adds the extraction plan and its rank shards
-  (:class:`~repro.core.shard.ShardedPlan`) that :func:`run_stacks` runs.
-  Results are bitwise identical to the single-process unit for any rank
-  count (scatter ranges are disjoint across ranks and every submatrix sees
-  the same dense values).
+* :class:`DistributedSubmatrixPipeline` executes a model: it adds the
+  extraction plan and its rank shards (:class:`~repro.core.shard.ShardedPlan`)
+  that :func:`run_stacks` runs, bitwise identical to the single-process unit
+  for any rank count (scatter ranges are disjoint across ranks and every
+  submatrix sees the same dense values).
 """
 
 from __future__ import annotations
@@ -104,18 +98,12 @@ def _as_coo(pattern: PatternLike) -> CooBlockList:
 class DistributedSubmatrixModel:
     """The cost side of a sharded submatrix run: no values, no plan, no shard.
 
-    The model fixes, once per (pattern, grouping, rank count):
-
-    1. the submatrix→rank assignment: the paper's greedy consecutive chunks
-       over c·n³ costs (Sec. IV-E, maximises block reuse), and every rank's
-       FLOPs (:func:`repro.work.submatrix_flop_costs`);
-    2. the transfer plan of the initialization exchange: the deduplicated
-       whole-block volume, which is exactly what every shard of an executed
-       run packs.
-
-    :meth:`traffic_log` and :meth:`cost` expose that work and traffic
-    distribution to the machine model.  :class:`DistributedSubmatrixPipeline`
-    executes the same model.
+    Fixed once per (pattern, grouping, rank count): the submatrix→rank
+    assignment — the paper's greedy consecutive chunks over c·n³ costs
+    (Sec. IV-E, maximises block reuse) — with every rank's FLOPs, and the
+    transfer plan of the initialization exchange, whose deduplicated
+    whole-block volume is what every shard of an executed run packs.
+    :meth:`traffic_log` and :meth:`cost` hand them to the machine model.
 
     Parameters
     ----------
@@ -218,15 +206,11 @@ class DistributedSubmatrixModel:
 class DistributedSubmatrixPipeline(DistributedSubmatrixModel):
     """Rank-sharded execution of a :class:`DistributedSubmatrixModel`.
 
-    On top of the model's assignment and exact transfer plan, the pipeline
-    builds — lazily, on the first :meth:`prepare` — the extraction plan and
-    its sharded form: per rank, the gather/scatter arrays of its own groups
-    re-based onto a rank-local packed buffer of exactly the blocks the
-    transfer plan fetches.  :func:`run_stacks` evaluates on actual values
-    through it, bitwise identical to the single-process unit.
-
-    ``plan_cache`` is the optional plan cache of the extraction plan (built
-    uncached without one); the other parameters are the model's.
+    On the first :meth:`prepare` the pipeline builds the extraction plan
+    (through ``plan_cache``, if given) and its sharded form: per rank, the
+    gather/scatter arrays of its own groups re-based onto a rank-local
+    buffer of exactly the blocks the exact transfer plan fetches.  The other
+    parameters are the model's.
     """
 
     def __init__(

@@ -34,12 +34,11 @@ class SimulatedTime:
 
     compute: float
     communication: float
-    serial_overhead: float = 0.0
 
     @property
     def total(self) -> float:
         """Total simulated wall-clock time."""
-        return self.compute + self.communication + self.serial_overhead
+        return self.compute + self.communication
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,8 +47,6 @@ class MachineModel:
 
     Parameters
     ----------
-    cores_per_node:
-        Physical cores per compute node.
     dense_flop_rate:
         Sustained FLOP/s per core for large dense kernels (GEMM, syevd).
     sparse_flop_rate:
@@ -62,15 +59,12 @@ class MachineModel:
     """
 
     name: str = "2x Xeon Gold 6148 + 100 Gbps Omni-Path"
-    cores_per_node: int = 40
     dense_flop_rate: float = 35.0e9
     sparse_flop_rate: float = 4.0e9
     network_bandwidth: float = 10.0e9
     network_latency: float = 2.0e-6
 
     def __post_init__(self) -> None:
-        if self.cores_per_node < 1:
-            raise ValueError("cores_per_node must be positive")
         for attr in (
             "dense_flop_rate",
             "sparse_flop_rate",
@@ -101,12 +95,7 @@ class MachineModel:
     # ------------------------------------------------------------------ #
     # whole-run simulation
     # ------------------------------------------------------------------ #
-    def simulate(
-        self,
-        log: TrafficLog,
-        cores_per_rank: int = 1,
-        serial_overhead: float = 0.0,
-    ) -> SimulatedTime:
+    def simulate(self, log: TrafficLog, cores_per_rank: int = 1) -> SimulatedTime:
         """Simulated wall-clock time of a run described by ``log``.
 
         The run time is the maximum over ranks of per-rank compute time plus
@@ -117,7 +106,7 @@ class MachineModel:
         """
         max_compute = 0.0
         max_comm = 0.0
-        for counters in log.per_rank():
+        for counters in log.ranks:
             compute = self.compute_time(counters.flops, cores_per_rank, sparse=False)
             compute += self.compute_time(
                 counters.sparse_flops, cores_per_rank, sparse=True
@@ -128,11 +117,7 @@ class MachineModel:
             )
             max_compute = max(max_compute, compute)
             max_comm = max(max_comm, comm)
-        return SimulatedTime(
-            compute=max_compute,
-            communication=max_comm,
-            serial_overhead=serial_overhead,
-        )
+        return SimulatedTime(compute=max_compute, communication=max_comm)
 
 
 #: Machine model loosely calibrated to the paper's evaluation platform.

@@ -10,7 +10,7 @@ scaling experiments.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, List
+from typing import List
 
 import numpy as np
 
@@ -35,10 +35,6 @@ class RankCounters:
         """Dense plus sparse floating-point operations."""
         return self.flops + self.sparse_flops
 
-    @property
-    def total_bytes(self) -> float:
-        """Bytes sent plus received."""
-        return self.bytes_sent + self.bytes_received
 
 
 class TrafficLog:
@@ -138,16 +134,6 @@ class TrafficLog:
         """Ratio of max to mean per-rank FLOPs (1.0 = perfectly balanced)."""
         return imbalance(r.total_flops for r in self.ranks)
 
-    def per_rank(self) -> Iterable[RankCounters]:
-        """Iterate over per-rank counters."""
-        return iter(self.ranks)
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.n_ranks:
             raise IndexError(f"rank {rank} out of range for {self.n_ranks} ranks")
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"TrafficLog(n_ranks={self.n_ranks}, total_flops={self.total_flops():.3e}, "
-            f"total_bytes={self.total_bytes_sent():.3e})"
-        )

@@ -1,23 +1,17 @@
-"""The method's work counts, stated once.
+"""The method's work counts, stated once; every modeled number reads them.
 
-Every modeled flop count and load imbalance of the reproduction is read from
-here, so the load balance, the combination speedup, the result's
-``flop_estimate``, the sharded run model, the Newton–Schulz baseline model,
-the Padé iteration and the accelerator model cannot drift apart:
-
-* a submatrix solve costs c·d³ (Eq. 14), c = :data:`EIGENSOLVE_FLOP_CONSTANT`
-  — the load balance of Sec. IV-E, the speedup S of Eq. 15 (where c
-  cancels) and the per-rank work of Figs. 6 and 8–10;
-* a dense GEMM of an (m, k) by a (k, n) operand costs 2·m·k·n — the Padé
-  iteration and the Table I device model;
-* one matrix of the engine's batched Newton–Schulz kernel costs 3·d³ per
-  full step (a ``syrk`` X·Xᵀ and the S·X product) and d³ + 2·d²·w for the
-  last, which forms only the w generating columns;
-* a block-sparse multiply costs 2·Σ_k b_k·(Σ_i P[i,k]·b_i)·(Σ_j P[k,j]·b_j)
-  — the Newton–Schulz baseline's model (Figs. 6 and 10);
+* a submatrix solve costs c·d³ (Eq. 14), c = :data:`EIGENSOLVE_FLOP_CONSTANT`:
+  the load balance (Sec. IV-E), the speedup of Eq. 15 (where c cancels),
+  ``flop_estimate`` and the per-rank work of Figs. 6 and 8–10;
+* a dense (m, k)·(k, n) GEMM costs 2·m·k·n: the Padé loop and Table I's
+  device model;
+* one matrix of the batched Newton–Schulz kernel costs 3·d³ per full step
+  (``syrk`` X·Xᵀ, then S·X) and d³ + 2·d²·w for the last, on w columns;
+* a block-sparse multiply costs 2·Σ_k b_k·(Σ_i P[i,k]·b_i)·(Σ_j P[k,j]·b_j):
+  the Newton–Schulz baseline's model (Figs. 6 and 10);
 * the imbalance of per-rank loads is max/mean, 1 when nothing is loaded.
 
-The module imports nothing from the package, so every layer may read it.
+It imports nothing from the package, so every layer may read it.
 """
 
 from __future__ import annotations
@@ -61,14 +55,9 @@ def gemm_flops(m: float, k: float, n: float) -> float:
 
 
 def newton_schulz_flops(dimension: int, iterations: int, width: int) -> float:
-    """FLOPs of one d×d matrix through the batched Newton–Schulz kernel.
-
-    ``iterations`` counts the last step, as
-    :class:`~repro.signfn.newton_schulz.BatchedNewtonSchulzResult` does:
-    every step but the last costs 3·d³, the last d³ + 2·d²·w on the ``width``
-    columns it forms.  A matrix frozen after a full step takes that last
-    panel with S = I, which this count leaves out.
-    """
+    """FLOPs of one d×d matrix through the batched Newton–Schulz kernel:
+    ``iterations`` steps, the last on ``width`` columns (a matrix frozen
+    after a full step takes its last panel with S = I, not counted here)."""
     d = float(dimension)
     return (iterations - 1) * 3.0 * d**3 + d**3 + gemm_flops(d, d, width)
 

@@ -117,7 +117,7 @@ class TestMachineModel:
         with pytest.raises(ValueError):
             MachineModel(dense_flop_rate=-1.0)
         with pytest.raises(ValueError):
-            MachineModel(cores_per_node=0)
+            MachineModel(network_latency=0.0)
 
 
 class TestExecutor:
